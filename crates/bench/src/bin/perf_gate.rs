@@ -475,9 +475,7 @@ fn selftest() -> ExitCode {
             ("fft3d/forward/32", 1.0e-3),
             ("fft3d/forward_r2c/32", 6.0e-4),
             ("fft3d/gradient/32", 4.5e-3),
-            ("fft3d/gradient_c2c/32", 9.0e-3),
             ("interpolation/Tricubic/32", 1.0e-3),
-            ("interpolation/Tricubic_scalar/32", 2.6e-3),
             ("solver/hessian_matvec/16", 2.0e-2),
         ] {
             s.push(BenchRecord::new(

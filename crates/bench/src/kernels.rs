@@ -13,9 +13,9 @@
 use diffreg_comm::{SerialComm, Timers};
 use diffreg_core::{RegProblem, RegistrationConfig};
 use diffreg_grid::{Decomp, Grid, ScalarField, VectorField};
-use diffreg_interp::{ghosted, InterpMode, Kernel, ScatterPlan};
+use diffreg_interp::{ghosted, Kernel, ScatterPlan};
 use diffreg_optim::GaussNewtonProblem;
-use diffreg_pfft::{PencilFft, SpectralPath};
+use diffreg_pfft::PencilFft;
 use diffreg_telemetry::{
     record_event, recorder_enabled, set_recorder_enabled, take_recorder, BenchRecord,
     BenchSuite, RecKind,
@@ -76,13 +76,6 @@ fn bench_fft(suite: &mut BenchSuite, warmup: usize, k: usize, sizes: &[usize]) {
         push(suite, &format!("fft3d/inverse_r2c/{n}"), warmup, k, || {
             fft.inverse_half(&half, &timers);
         });
-        // Reference-path record: the c2c gradient the r2c default replaced.
-        // Tracking both makes the half-spectrum speedup visible inside one
-        // suite instead of only across baseline generations.
-        let fft_c2c = PencilFft::with_path(&ctx.comm, ctx.decomp, SpectralPath::C2C);
-        push(suite, &format!("fft3d/gradient_c2c/{n}"), warmup, k, || {
-            fft_c2c.gradient(&field, &timers);
-        });
     }
 }
 
@@ -111,13 +104,6 @@ fn bench_interp(suite: &mut BenchSuite, warmup: usize, k: usize, sizes: &[usize]
                 plan.interpolate(&ctx.comm, &ghost, kernel, &timers);
             });
         }
-        // Reference-path record: the per-point scalar tricubic kernel the
-        // SoA default replaced (same plan inputs, forced scalar mode).
-        let scalar_plan =
-            ScatterPlan::build_with_mode(&ctx.comm, &decomp, &pts, InterpMode::Scalar, &timers);
-        push(suite, &format!("interpolation/Tricubic_scalar/{n}"), warmup, k, || {
-            scalar_plan.interpolate(&ctx.comm, &ghost, Kernel::Tricubic, &timers);
-        });
     }
 }
 

@@ -1,7 +1,6 @@
 //! Solver configuration mirroring the paper's experimental knobs (§IV-A3).
 
 use crate::distance::Distance;
-use diffreg_grid::Precision;
 use diffreg_interp::Kernel;
 use diffreg_optim::NewtonOptions;
 use diffreg_spectral::RegOrder;
@@ -56,11 +55,6 @@ pub struct RegistrationConfig {
     /// given an enabled
     /// [`CheckpointStore`](crate::checkpoint::CheckpointStore)).
     pub checkpoint_every: usize,
-    /// Compute precision for inner products and reductions (objective,
-    /// regularization energy, Krylov dot products). `F32` rounds per-point
-    /// products through single precision while accumulating in f64 — the
-    /// CLAIRE-GPU mixed-precision recipe. Defaults from `DIFFREG_PRECISION`.
-    pub precision: Precision,
 }
 
 impl Default for RegistrationConfig {
@@ -77,7 +71,6 @@ impl Default for RegistrationConfig {
             precondition: true,
             newton: NewtonOptions::default(),
             checkpoint_every: 0,
-            precision: Precision::from_env(),
         }
     }
 }
@@ -111,12 +104,6 @@ impl RegistrationConfig {
     /// (`0` disables).
     pub fn with_checkpoint_every(mut self, n: usize) -> Self {
         self.checkpoint_every = n;
-        self
-    }
-
-    /// Builder-style: set the reduction precision policy.
-    pub fn with_precision(mut self, precision: Precision) -> Self {
-        self.precision = precision;
         self
     }
 }

@@ -14,7 +14,7 @@
 //! inter-subject/-scanner data.
 
 use diffreg_comm::Comm;
-use diffreg_grid::{Grid, Precision, ScalarField};
+use diffreg_grid::{Grid, ScalarField};
 
 /// The image-similarity functional of the data term.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -62,7 +62,7 @@ fn ncc_moments<C: Comm>(
 }
 
 impl Distance {
-    /// Data-term value `J_data(ρ(1), ρ_R)` (f64 reductions).
+    /// Data-term value `J_data(ρ(1), ρ_R)`.
     pub fn evaluate<C: Comm>(
         self,
         rho1: &ScalarField,
@@ -70,25 +70,11 @@ impl Distance {
         grid: &Grid,
         comm: &C,
     ) -> f64 {
-        self.evaluate_p(rho1, rho_r, grid, comm, Precision::F64)
-    }
-
-    /// Data-term value under an explicit reduction precision policy. The
-    /// distance enters the objective only through inner products, so the
-    /// policy applies to those; the residual fields themselves stay f64.
-    pub fn evaluate_p<C: Comm>(
-        self,
-        rho1: &ScalarField,
-        rho_r: &ScalarField,
-        grid: &Grid,
-        comm: &C,
-        precision: Precision,
-    ) -> f64 {
         match self {
             Distance::Ssd => {
                 let mut r = rho1.clone();
                 r.axpy(-1.0, rho_r);
-                0.5 * r.inner_p(&r, grid, comm, precision)
+                0.5 * r.inner(&r, grid, comm)
             }
             Distance::Ncc => {
                 let m = ncc_moments(rho1, rho_r, grid, comm);

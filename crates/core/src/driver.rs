@@ -5,12 +5,11 @@
 
 use diffreg_comm::Comm;
 use diffreg_grid::{ScalarField, VectorField};
-use diffreg_optim::{
-    gauss_newton_observed, GaussNewtonProblem, NewtonCursor, NewtonReport, NewtonResume,
-};
+use diffreg_optim::{gauss_newton_observed, GaussNewtonProblem, NewtonReport, NewtonResume};
+use diffreg_telemetry::{IterRecord, SolverEvent, StreamEntry};
 use diffreg_transport::Workspace;
 
-use crate::checkpoint::{CheckpointStore, SolverCheckpoint};
+use crate::checkpoint::{CheckpointError, CheckpointStore, SolverCheckpoint};
 use crate::config::RegistrationConfig;
 use crate::jacobian::{det_deformation_gradient, det_stats, displacement, DetGradStats};
 use crate::problem::RegProblem;
@@ -55,75 +54,7 @@ pub fn register<C: Comm>(
     rho_r: &ScalarField,
     cfg: RegistrationConfig,
 ) -> RegistrationOutcome {
-    let v0 = VectorField::zeros(ws.block());
-    register_from(ws, rho_t, rho_r, cfg, v0)
-}
-
-/// Like [`register`] but warm-started from `v0` (used by the continuation
-/// loop and by multi-resolution schemes).
-pub fn register_from<C: Comm>(
-    ws: &Workspace<C>,
-    rho_t: &ScalarField,
-    rho_r: &ScalarField,
-    cfg: RegistrationConfig,
-    v0: VectorField,
-) -> RegistrationOutcome {
-    register_from_observed(ws, rho_t, rho_r, cfg, v0, None, |_, _| {})
-}
-
-/// The resumable, observable core of [`register_from`]: the `observer` is
-/// called with the iterate after every *accepted* Newton step (the
-/// checkpoint hook), and `resume` restarts the solve from a checkpointed
-/// iterate.
-///
-/// The resume contract: when `resume` is `Some`, `v0` must be the iterate an
-/// earlier run's observer saw at `completed_iters` — it is *not* re-projected
-/// (the solver already keeps iterates in the constraint subspace), so the
-/// resumed run re-linearizes at exactly the checkpointed point and continues
-/// bitwise identically to the uninterrupted run.
-pub fn register_from_observed<C: Comm>(
-    ws: &Workspace<C>,
-    rho_t: &ScalarField,
-    rho_r: &ScalarField,
-    cfg: RegistrationConfig,
-    v0: VectorField,
-    resume: Option<NewtonResume>,
-    observer: impl FnMut(&VectorField, &NewtonCursor),
-) -> RegistrationOutcome {
-    let _span = diffreg_telemetry::span("registration");
-    // The config's kernel choice wins over whatever the caller's workspace
-    // carries, so `RegistrationConfig { kernel, .. }` behaves as documented.
-    let ws = &Workspace { kernel: cfg.kernel, ..*ws };
-    let mut prob = RegProblem::new(ws, rho_t, rho_r, cfg);
-    let initial_mismatch = prob.initial_data_term();
-    // Keep the iterate in the divergence-free subspace from the start. On
-    // resume the checkpointed iterate is already in the subspace and must
-    // pass through untouched (bitwise) — see the resume contract above.
-    let v0 = if resume.is_some() { v0 } else { prob.project(&v0) };
-    let (velocity, report) = gauss_newton_observed(&mut prob, v0, &cfg.newton, resume, observer);
-
-    // Final diagnostics at the converged velocity.
-    let (_, _) = prob.linearize(&velocity);
-    // diffreg-allow(no-unwrap-in-lib): linearize on the line above populates the cache; None is unreachable
-    let deformed_template = prob.deformed_template().unwrap().clone();
-    let mut resid = deformed_template.clone();
-    resid.axpy(-1.0, prob.reference());
-    let final_mismatch = 0.5 * resid.inner(&resid, &ws.grid(), ws.comm);
-
-    let displacement = displacement(ws, &velocity, cfg.nt);
-    let det = det_deformation_gradient(ws, &displacement);
-    let det_grad = det_stats(ws, &det);
-
-    RegistrationOutcome {
-        velocity,
-        hessian_matvecs: prob.hessian_matvecs,
-        report,
-        initial_mismatch,
-        final_mismatch,
-        deformed_template,
-        displacement,
-        det_grad,
-    }
+    register_solve(ws, rho_t, rho_r, cfg, &[cfg.beta], None, &CheckpointStore::Disabled, |_| {}).0
 }
 
 /// β-continuation: solves a sequence of problems with decreasing β, warm
@@ -136,67 +67,62 @@ pub fn register_with_continuation<C: Comm>(
     cfg: RegistrationConfig,
     betas: &[f64],
 ) -> (RegistrationOutcome, Vec<NewtonReport>) {
-    assert!(!betas.is_empty(), "need at least one continuation level");
-    assert!(
-        betas.windows(2).all(|w| w[1] <= w[0]),
-        "continuation levels must be non-increasing in β"
-    );
-    let mut v = VectorField::zeros(ws.block());
-    let mut reports = Vec::with_capacity(betas.len());
-    let mut outcome = None;
-    for &beta in betas {
-        let level_cfg = RegistrationConfig { beta, ..cfg };
-        let out = register_from(ws, rho_t, rho_r, level_cfg, v);
-        v = out.velocity.clone();
-        reports.push(out.report.clone());
-        outcome = Some(out);
-    }
-    // diffreg-allow(no-unwrap-in-lib): betas is asserted non-empty above, so the loop always sets outcome
-    (outcome.unwrap(), reports)
-}
-
-/// [`register_with_continuation`] with crash recovery: every
-/// `cfg.checkpoint_every` accepted Newton iterations (and at every level
-/// boundary) each rank writes a [`SolverCheckpoint`] to `store`; if `store`
-/// already holds a checkpoint when the solve starts, the run resumes from it
-/// and produces bitwise the same velocity as the uninterrupted solve. The
-/// checkpoint is cleared on successful completion. Collective over
-/// `ws.comm`; all ranks must pass equivalent stores (same kind, same
-/// contents for their own rank).
-pub fn register_with_continuation_checkpointed<C: Comm>(
-    ws: &Workspace<C>,
-    rho_t: &ScalarField,
-    rho_r: &ScalarField,
-    cfg: RegistrationConfig,
-    betas: &[f64],
-    store: &CheckpointStore,
-) -> (RegistrationOutcome, Vec<NewtonReport>) {
-    register_with_continuation_checkpointed_hooked(ws, rho_t, rho_r, cfg, betas, store, |_, _| {})
+    register_solve(ws, rho_t, rho_r, cfg, betas, None, &CheckpointStore::Disabled, |_| {})
 }
 
 /// A failed checkpoint save must not abort a long solve (the run merely
 /// loses restartability since the last good generation), but it must not
 /// vanish either: it lands on the metrics surface where operators alert on
 /// it.
-fn note_save_failure(r: Result<(), crate::checkpoint::CheckpointError>) {
+fn note_save_failure(r: &Result<(), CheckpointError>) {
     if r.is_err() {
         diffreg_telemetry::count_global("diffreg_checkpoint_save_failures", 1);
     }
 }
 
-/// [`register_with_continuation_checkpointed`] with a test hook: `hook` is
-/// called after every accepted Newton step (after the checkpoint, if one was
-/// due) with the continuation level and the Newton cursor. Fault-injection
-/// tests panic from the hook to simulate a mid-solve crash at an exact,
-/// reproducible point.
-pub fn register_with_continuation_checkpointed_hooked<C: Comm>(
+fn event(kind: &str, level: usize, iter: usize, detail: String) -> StreamEntry {
+    StreamEntry::Event(SolverEvent { kind: kind.to_string(), level, iter, detail })
+}
+
+/// The solve: one Gauss-Newton-Krylov solve per entry of the β schedule
+/// `betas` (`cfg.beta` is ignored), each level warm-started from the
+/// previous level's solution and the first from `warm_start` (`v = 0` when
+/// `None`). [`register`] and [`register_with_continuation`] are this with
+/// the options off.
+///
+/// **Crash recovery.** Every `cfg.checkpoint_every` accepted Newton
+/// iterations (and at every level boundary) each rank writes a
+/// [`SolverCheckpoint`] to `store`; if `store` already holds a checkpoint
+/// when the solve starts, the run resumes from it — ignoring `warm_start` —
+/// and produces bitwise the same velocity as the uninterrupted solve. The
+/// checkpointed iterate is *not* re-projected (the solver already keeps
+/// iterates in the constraint subspace), so the resumed run re-linearizes at
+/// exactly the checkpointed point. The checkpoint is cleared on successful
+/// completion. All ranks must pass equivalent stores (same kind, same
+/// contents for their own rank); [`CheckpointStore::Disabled`] does no I/O.
+///
+/// **Telemetry.** `observer` is handed the solver stream in order: one
+/// [`IterRecord`] per accepted Newton step (objective, ‖g‖ and its relative
+/// value, PCG iterations, Eisenstat-Walker η, step length, β level — the
+/// paper's per-iteration convergence table) interleaved with the events
+/// `"checkpoint-fallback"`, `"resume"`, `"level"`, `"checkpoint"` (`saved`
+/// or `save-failed: <error>`) and `"summary"`. Within one accepted step the
+/// order is: checkpoint write (if due), level event (first step of a level),
+/// iteration record, checkpoint event — so an observer that panics on an
+/// iteration record (fault-injection tests) leaves that step's checkpoint
+/// behind. Each rank sees its own (identical) stream.
+///
+/// Collective over `ws.comm`.
+#[allow(clippy::too_many_arguments)]
+pub fn register_solve<C: Comm>(
     ws: &Workspace<C>,
     rho_t: &ScalarField,
     rho_r: &ScalarField,
     cfg: RegistrationConfig,
     betas: &[f64],
+    warm_start: Option<VectorField>,
     store: &CheckpointStore,
-    mut hook: impl FnMut(usize, &NewtonCursor),
+    mut observer: impl FnMut(StreamEntry),
 ) -> (RegistrationOutcome, Vec<NewtonReport>) {
     assert!(!betas.is_empty(), "need at least one continuation level");
     assert!(
@@ -205,12 +131,19 @@ pub fn register_with_continuation_checkpointed_hooked<C: Comm>(
     );
     let rank = ws.comm.rank();
     let mut start_level = 0usize;
-    let mut v = VectorField::zeros(ws.block());
+    let mut v = warm_start.unwrap_or_else(|| VectorField::zeros(ws.block()));
     let mut resume: Option<NewtonResume> = None;
     // Validated load with fallback: a torn current generation falls back to
     // the previous good checkpoint, and a fully corrupt store resumes fresh
     // (losing at most the checkpointed progress, never the job).
-    if let Some(ck) = store.load_for_resume(rank).checkpoint {
+    let loaded = store.load_for_resume(rank);
+    if loaded.fell_back {
+        let detail = format!("current generation corrupt: {}", loaded.errors[0]);
+        observer(event("checkpoint-fallback", 0, 0, detail));
+    }
+    if let Some(ck) = loaded.checkpoint {
+        let detail = format!("beta={:e} g0norm={:e}", ck.beta, ck.g0norm);
+        observer(event("resume", ck.level, ck.completed_iters, detail));
         assert!(
             ck.level < betas.len(),
             "checkpoint level {} outside the {}-level β schedule",
@@ -230,28 +163,81 @@ pub fn register_with_continuation_checkpointed_hooked<C: Comm>(
                 Some(NewtonResume { completed_iters: ck.completed_iters, g0norm: ck.g0norm });
         }
     }
-    let mut reports = Vec::with_capacity(betas.len().saturating_sub(start_level));
+    let mut reports = Vec::with_capacity(betas.len() - start_level);
     let mut outcome = None;
     let every = cfg.checkpoint_every;
     let persist = every > 0 && store.is_enabled();
     for (li, &beta) in betas.iter().enumerate().skip(start_level) {
-        let level_cfg = RegistrationConfig { beta, ..cfg };
-        let out = register_from_observed(
-            ws,
-            rho_t,
-            rho_r,
-            level_cfg,
-            v,
-            resume.take(),
-            |vel, cur| {
-                if persist && cur.completed_iters % every == 0 {
-                    let ck =
-                        SolverCheckpoint::capture(li, beta, cur.completed_iters, cur.g0norm, vel);
-                    note_save_failure(store.save(rank, &ck.to_bytes()));
-                }
-                hook(li, cur);
-            },
-        );
+        let out = {
+            let _span = diffreg_telemetry::span("registration");
+            let cfg = RegistrationConfig { beta, ..cfg };
+            let mut prob = RegProblem::new(ws, rho_t, rho_r, cfg);
+            // The problem's copy of the workspace carries `cfg.kernel`; the
+            // diagnostics below interpolate with it too.
+            let ws = prob.ws;
+            let initial_mismatch = prob.initial_data_term();
+            // Keep the iterate in the divergence-free subspace from the
+            // start. On resume the checkpointed iterate is already in the
+            // subspace and must pass through untouched (bitwise).
+            let resume = resume.take();
+            let v0 = if resume.is_some() { v } else { prob.project(&v) };
+            let mut first_step = true;
+            let (velocity, report) =
+                gauss_newton_observed(&mut prob, v0, &cfg.newton, resume, |vel, cur| {
+                    let iter = cur.completed_iters;
+                    let saved = (persist && iter % every == 0).then(|| {
+                        let ck = SolverCheckpoint::capture(li, beta, iter, cur.g0norm, vel);
+                        let r = store.save(rank, &ck.to_bytes());
+                        note_save_failure(&r);
+                        r
+                    });
+                    if std::mem::take(&mut first_step) {
+                        let detail = format!("beta={beta:e}");
+                        observer(event("level", li, iter.saturating_sub(1), detail));
+                    }
+                    observer(StreamEntry::Iter(IterRecord {
+                        level: li,
+                        beta,
+                        iter,
+                        objective: cur.objective,
+                        grad_norm: cur.grad_norm,
+                        rel_grad: if cur.g0norm > 0.0 { cur.grad_norm / cur.g0norm } else { 0.0 },
+                        pcg_iters: cur.matvecs,
+                        eta: cur.eta,
+                        step_length: cur.step_length,
+                    }));
+                    if let Some(r) = saved {
+                        let detail = match r {
+                            Ok(()) => "saved".to_string(),
+                            Err(e) => format!("save-failed: {e}"),
+                        };
+                        observer(event("checkpoint", li, iter, detail));
+                    }
+                });
+
+            // Final diagnostics at the converged velocity.
+            let (_, _) = prob.linearize(&velocity);
+            // diffreg-allow(no-unwrap-in-lib): linearize on the line above populates the cache; None is unreachable
+            let deformed_template = prob.deformed_template().unwrap().clone();
+            let mut resid = deformed_template.clone();
+            resid.axpy(-1.0, prob.reference());
+            let final_mismatch = 0.5 * resid.inner(&resid, &ws.grid(), ws.comm);
+
+            let displacement = displacement(&ws, &velocity, cfg.nt);
+            let det = det_deformation_gradient(&ws, &displacement);
+            let det_grad = det_stats(&ws, &det);
+
+            RegistrationOutcome {
+                velocity,
+                hessian_matvecs: prob.hessian_matvecs,
+                report,
+                initial_mismatch,
+                final_mismatch,
+                deformed_template,
+                displacement,
+                det_grad,
+            }
+        };
         v = out.velocity.clone();
         reports.push(out.report.clone());
         outcome = Some(out);
@@ -260,7 +246,7 @@ pub fn register_with_continuation_checkpointed_hooked<C: Comm>(
                 // Level boundary: a restart warm-starts the next level from
                 // this level's solution through the ordinary entry path.
                 let ck = SolverCheckpoint::capture(li + 1, betas[li + 1], 0, f64::NAN, &v);
-                note_save_failure(store.save(rank, &ck.to_bytes()));
+                note_save_failure(&store.save(rank, &ck.to_bytes()));
             } else {
                 // Finished: drop the checkpoint so a later solve does not
                 // resume from a stale snapshot.
@@ -268,99 +254,15 @@ pub fn register_with_continuation_checkpointed_hooked<C: Comm>(
             }
         }
     }
-    // diffreg-allow(no-unwrap-in-lib): betas is asserted non-empty above, so the loop always sets outcome
-    (outcome.unwrap(), reports)
-}
-
-/// [`register_with_continuation_checkpointed`] with the solver telemetry
-/// stream attached: every accepted Newton step appends one
-/// [`diffreg_telemetry::IterRecord`] to `log` (objective, ‖g‖ and its
-/// relative value, PCG iterations, Eisenstat-Walker η, step length, β
-/// level), and discrete solver events (`"resume"`, `"level"`,
-/// `"checkpoint"`, `"summary"`) are interleaved in stream order — the
-/// paper's per-iteration convergence table, machine-readable.
-///
-/// Collective over `ws.comm`; each rank logs its own (identical) view of the
-/// iteration, so in practice only rank 0's log is written out.
-pub fn register_with_continuation_logged<C: Comm>(
-    ws: &Workspace<C>,
-    rho_t: &ScalarField,
-    rho_r: &ScalarField,
-    cfg: RegistrationConfig,
-    betas: &[f64],
-    store: &CheckpointStore,
-    log: &mut diffreg_telemetry::ConvergenceLog,
-) -> (RegistrationOutcome, Vec<NewtonReport>) {
-    let rank = ws.comm.rank();
-    {
-        let resume = store.load_for_resume(rank);
-        if resume.fell_back {
-            log.event(
-                "checkpoint-fallback",
-                0,
-                0,
-                format!("current generation corrupt: {}", resume.errors[0]),
-            );
-        }
-        if let Some(ck) = resume.checkpoint {
-            log.event(
-                "resume",
-                ck.level,
-                ck.completed_iters,
-                format!("beta={:e} g0norm={:e}", ck.beta, ck.g0norm),
-            );
-        }
-    }
-    let every = cfg.checkpoint_every;
-    let persist = every > 0 && store.is_enabled();
-    let mut last_level = usize::MAX;
-    let (outcome, reports) = {
-        let log = &mut *log;
-        register_with_continuation_checkpointed_hooked(
-            ws,
-            rho_t,
-            rho_r,
-            cfg,
-            betas,
-            store,
-            |li, cur| {
-                if li != last_level {
-                    log.event(
-                        "level",
-                        li,
-                        cur.completed_iters.saturating_sub(1),
-                        format!("beta={:e}", betas[li]),
-                    );
-                    last_level = li;
-                }
-                log.record(diffreg_telemetry::IterRecord {
-                    level: li,
-                    beta: betas[li],
-                    iter: cur.completed_iters,
-                    objective: cur.objective,
-                    grad_norm: cur.grad_norm,
-                    rel_grad: if cur.g0norm > 0.0 { cur.grad_norm / cur.g0norm } else { 0.0 },
-                    pcg_iters: cur.matvecs,
-                    eta: cur.eta,
-                    step_length: cur.step_length,
-                });
-                if persist && cur.completed_iters % every == 0 {
-                    log.event("checkpoint", li, cur.completed_iters, "saved");
-                }
-            },
-        )
-    };
-    log.event(
-        "summary",
-        betas.len() - 1,
-        reports.last().map(|r| r.outer_iterations()).unwrap_or(0),
-        format!(
-            "status={:?} rel_mismatch={:.3e} matvecs={}",
-            reports.last().map(|r| r.status),
-            outcome.relative_mismatch(),
-            outcome.hessian_matvecs
-        ),
+    // diffreg-allow(no-unwrap-in-lib): betas is asserted non-empty and a checkpoint level is asserted inside it, so the loop always sets outcome
+    let outcome = outcome.unwrap();
+    let detail = format!(
+        "status={:?} rel_mismatch={:.3e} matvecs={}",
+        reports.last().map(|r| r.status),
+        outcome.relative_mismatch(),
+        outcome.hessian_matvecs
     );
+    observer(event("summary", betas.len() - 1, outcome.report.outer_iterations(), detail));
     (outcome, reports)
 }
 

@@ -2,32 +2,25 @@
 //! drivers.
 
 use diffreg_comm::Comm;
-use diffreg_grid::{Grid, Precision, VectorField};
+use diffreg_grid::{Grid, VectorField};
 use diffreg_optim::VectorOps;
 
 /// Distributed L² vector-space operations for [`VectorField`]s.
 pub struct FieldOps<'a, C: Comm> {
     comm: &'a C,
     grid: Grid,
-    precision: Precision,
 }
 
 impl<'a, C: Comm> FieldOps<'a, C> {
-    /// Creates the ops handle for one communicator/grid pair (f64
-    /// reductions).
+    /// Creates the ops handle for one communicator/grid pair.
     pub fn new(comm: &'a C, grid: Grid) -> Self {
-        Self::with_precision(comm, grid, Precision::F64)
-    }
-
-    /// Creates the ops handle with an explicit reduction precision policy.
-    pub fn with_precision(comm: &'a C, grid: Grid, precision: Precision) -> Self {
-        Self { comm, grid, precision }
+        Self { comm, grid }
     }
 }
 
 impl<C: Comm> VectorOps<VectorField> for FieldOps<'_, C> {
     fn dot(&self, a: &VectorField, b: &VectorField) -> f64 {
-        a.inner_p(b, &self.grid, self.comm, self.precision)
+        a.inner(b, &self.grid, self.comm)
     }
 
     fn axpy(&self, y: &mut VectorField, alpha: f64, x: &VectorField) {

@@ -8,7 +8,9 @@
 //! The pieces:
 //! * [`RegProblem`] — objective, reduced adjoint gradient (eq. 4),
 //!   Gauss-Newton Hessian matvec (eq. 5), spectral preconditioner;
-//! * [`register`] / [`register_with_continuation`] — the solve drivers;
+//! * [`register`] (one β), [`register_with_continuation`] (β schedule) and
+//!   [`register_solve`] (the one implementation behind both: β schedule,
+//!   warm start, checkpoint store, convergence-stream observer);
 //! * deformation-map diagnostics (`det(∇y₁)`, diffeomorphy checks).
 //!
 //! ```no_run
@@ -46,11 +48,7 @@ mod rigid;
 pub use checkpoint::{CheckpointError, CheckpointStore, ResumeLoad, SolverCheckpoint};
 pub use config::{HessianKind, RegistrationConfig};
 pub use distance::Distance;
-pub use driver::{
-    register, register_from, register_from_observed, register_with_continuation,
-    register_with_continuation_checkpointed, register_with_continuation_checkpointed_hooked,
-    register_with_continuation_logged, RegistrationOutcome,
-};
+pub use driver::{register, register_solve, register_with_continuation, RegistrationOutcome};
 pub use fieldops::FieldOps;
 pub use multires::{continuation_grids, register_multilevel};
 pub use jacobian::{

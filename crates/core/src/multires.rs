@@ -20,7 +20,8 @@ use diffreg_spectral::{coarsen_extents, spectral_resample};
 use diffreg_transport::Workspace;
 
 use crate::config::RegistrationConfig;
-use crate::driver::{register_from, RegistrationOutcome};
+use crate::checkpoint::CheckpointStore;
+use crate::driver::{register_solve, RegistrationOutcome};
 
 /// Span name for a grid transfer: restriction coarsens, prolongation
 /// refines (equal-size transfers count as prolongation — they only occur
@@ -98,11 +99,17 @@ pub fn register_multilevel<C: Comm>(
         let fft = PencilFft::new(comm, decomp);
         let timers = Timers::new();
         let ws = Workspace::new(comm, &decomp, &fft, &timers);
-        let v0 = match &velocity {
-            Some((from, v)) => resample_vector(v, from, grid),
-            None => VectorField::zeros(decomp.block(0, Layout::Spatial)),
-        };
-        let out = register_from(&ws, &t_level, &r_level, cfg, v0);
+        let v0 = velocity.as_ref().map(|(from, v)| resample_vector(v, from, grid));
+        let (out, _) = register_solve(
+            &ws,
+            &t_level,
+            &r_level,
+            cfg,
+            &[cfg.beta],
+            v0,
+            &CheckpointStore::Disabled,
+            |_| {},
+        );
         reports.push(out.report.clone());
         velocity = Some((*grid, out.velocity.clone()));
         outcome = Some(out);

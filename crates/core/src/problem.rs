@@ -27,7 +27,8 @@ struct Linearization {
 
 /// The registration problem at fixed images and configuration.
 pub struct RegProblem<'a, C: Comm> {
-    ws: &'a Workspace<'a, C>,
+    /// The caller's workspace with `kernel` replaced by `cfg.kernel`.
+    pub(crate) ws: Workspace<'a, C>,
     cfg: RegistrationConfig,
     /// Template image (possibly smoothed), the transport initial condition.
     rho_t: ScalarField,
@@ -41,15 +42,18 @@ pub struct RegProblem<'a, C: Comm> {
 
 impl<'a, C: Comm> RegProblem<'a, C> {
     /// Sets up the problem; smooths the images spectrally when configured
-    /// (Gaussian with one-grid-cell bandwidth, paper §III-B1).
+    /// (Gaussian with one-grid-cell bandwidth, paper §III-B1). The
+    /// config's kernel choice wins over whatever `ws` carries, so
+    /// `RegistrationConfig { kernel, .. }` behaves as documented.
     pub fn new(
-        ws: &'a Workspace<'a, C>,
+        ws: &Workspace<'a, C>,
         rho_t: &ScalarField,
         rho_r: &ScalarField,
         cfg: RegistrationConfig,
     ) -> Self {
         assert!(cfg.nt > 0, "need at least one time step");
         assert!(cfg.beta > 0.0, "regularization weight must be positive");
+        let ws = Workspace { kernel: cfg.kernel, ..*ws };
         let (rho_t, rho_r) = if cfg.smooth_images {
             let h = ws.grid().spacing();
             let sigma = (h[0] + h[1] + h[2]) / 3.0;
@@ -60,7 +64,7 @@ impl<'a, C: Comm> RegProblem<'a, C> {
         } else {
             (rho_t.clone(), rho_r.clone())
         };
-        let ops = FieldOps::with_precision(ws.comm, ws.grid(), cfg.precision);
+        let ops = FieldOps::new(ws.comm, ws.grid());
         Self { ws, cfg, rho_t, rho_r, ops, lin: None, hessian_matvecs: 0 }
     }
 
@@ -83,7 +87,7 @@ impl<'a, C: Comm> RegProblem<'a, C> {
     pub fn initial_data_term(&self) -> f64 {
         let mut r = self.rho_t.clone();
         r.axpy(-1.0, &self.rho_r);
-        0.5 * r.inner_p(&r, &self.ws.grid(), self.ws.comm, self.cfg.precision)
+        0.5 * r.inner(&r, &self.ws.grid(), self.ws.comm)
     }
 
     /// Applies the projection `P` (Leray when incompressible, identity
@@ -99,27 +103,21 @@ impl<'a, C: Comm> RegProblem<'a, C> {
     /// Regularization energy `β/2 ⟨(-Δ)^m v, v⟩`.
     fn reg_energy(&self, v: &VectorField) -> f64 {
         let av = self.ws.fft.regularization(v, self.cfg.reg, self.cfg.beta, self.ws.timers);
-        0.5 * av.inner_p(v, &self.ws.grid(), self.ws.comm, self.cfg.precision)
+        0.5 * av.inner(v, &self.ws.grid(), self.ws.comm)
     }
 
     /// Data term `1/2 ||ρ(1) − ρ_R||²` for a given velocity, using only the
     /// forward trajectory (the cheap path for line-search evaluations).
     fn data_term(&self, v: &VectorField) -> f64 {
         let dt = 1.0 / self.cfg.nt as f64;
-        let traj = compute_trajectory(self.ws, v, dt, 1.0);
+        let traj = compute_trajectory(&self.ws, v, dt, 1.0);
         let mut rho = self.rho_t.clone();
         for _ in 0..self.cfg.nt {
             let g = diffreg_interp::ghosted(self.ws.comm, self.ws.decomp, &rho);
             let vals = traj.plan.interpolate(self.ws.comm, &g, self.ws.kernel, self.ws.timers);
             rho = ScalarField::from_vec(rho.block(), vals);
         }
-        self.cfg.distance.evaluate_p(
-            &rho,
-            &self.rho_r,
-            &self.ws.grid(),
-            self.ws.comm,
-            self.cfg.precision,
-        )
+        self.cfg.distance.evaluate(&rho, &self.rho_r, &self.ws.grid(), self.ws.comm)
     }
 
     /// Trapezoidal time integral `∫ λ(t) ∇ρ(t) dt` (the field `b` of the
@@ -170,7 +168,7 @@ impl<'a, C: Comm> GaussNewtonProblem for RegProblem<'a, C> {
 
     fn linearize(&mut self, v: &VectorField) -> (f64, VectorField) {
         let _span = diffreg_telemetry::span("reg.linearize");
-        let ws = self.ws;
+        let ws = &self.ws;
         // Forward (state) solve with full history.
         let sl = SemiLagrangian::new(ws, v, self.cfg.nt);
         let state = sl.solve_state(ws, &self.rho_t);
@@ -178,8 +176,7 @@ impl<'a, C: Comm> GaussNewtonProblem for RegProblem<'a, C> {
         let rho1 = state.last().unwrap().clone();
 
         // Objective.
-        let jdata =
-            self.cfg.distance.evaluate_p(&rho1, &self.rho_r, &ws.grid(), ws.comm, self.cfg.precision);
+        let jdata = self.cfg.distance.evaluate(&rho1, &self.rho_r, &ws.grid(), ws.comm);
         let j = jdata + self.reg_energy(v);
 
         // Adjoint solve with the measure's terminal condition
@@ -202,7 +199,7 @@ impl<'a, C: Comm> GaussNewtonProblem for RegProblem<'a, C> {
     fn hessian_vec(&mut self, d: &VectorField) -> VectorField {
         let _span = diffreg_telemetry::span("hessian.matvec");
         self.hessian_matvecs += 1;
-        let ws = self.ws;
+        let ws = &self.ws;
         // diffreg-allow(no-unwrap-in-lib): documented API contract: hessian_vec requires a prior linearize; the expect message states it
         let lin = self.lin.as_ref().expect("hessian_vec called before linearize");
         let mut h = ws.fft.regularization(d, self.cfg.reg, self.cfg.beta, ws.timers);

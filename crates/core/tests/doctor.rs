@@ -22,9 +22,7 @@
 use diffreg_comm::{
     run_threaded, ChaosComm, ChaosConfig, Comm, CommEvent, CommOp, Timers,
 };
-use diffreg_core::{
-    register_with_continuation_logged, CheckpointStore, RegistrationConfig,
-};
+use diffreg_core::{register_solve, CheckpointStore, RegistrationConfig};
 use diffreg_grid::{Decomp, Grid, ScalarField, VectorField};
 use diffreg_pfft::PencilFft;
 use diffreg_telemetry::doctor::{analyze, write_trace_bundle, DoctorInput, WaitKind};
@@ -58,8 +56,13 @@ fn synthetic_pair<C: Comm>(ws: &Workspace<C>) -> (ScalarField, ScalarField) {
     (rho_t, rho_r)
 }
 
+/// Both tests toggle the process-wide trace flag; they take turns so one's
+/// `set_trace_enabled(false)` cannot cut spans out of the other's run.
+static TRACE_FLAG: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
 #[test]
 fn doctor_explains_a_traced_registration() {
+    let _turn = TRACE_FLAG.lock().unwrap_or_else(|e| e.into_inner());
     const RANKS: usize = 4;
     let n = smoke_size();
     let grid = Grid::cubic(n);
@@ -80,9 +83,7 @@ fn doctor_explains_a_traced_registration() {
             };
             let mut log = ConvergenceLog::new("doctor-smoke");
             let store = CheckpointStore::Disabled;
-            let _ = register_with_continuation_logged(
-                &ws, &t, &r, cfg, &betas, &store, &mut log,
-            );
+            let _ = register_solve(&ws, &t, &r, cfg, &betas, None, &store, |e| log.push(e));
             comm.barrier();
             (take_thread_trace(), comm.take_events(), take_global_metrics())
         });
@@ -166,6 +167,7 @@ fn doctor_explains_a_traced_registration() {
 /// the span that was open, attributed to rank 1.
 #[test]
 fn doctor_attributes_injected_stall_to_culprit_rank() {
+    let _turn = TRACE_FLAG.lock().unwrap_or_else(|e| e.into_inner());
     set_trace_enabled(true);
     let per_rank: Vec<(ThreadTrace, Vec<CommEvent>)> = run_threaded(2, move |comm| {
         comm.set_event_recording(true);

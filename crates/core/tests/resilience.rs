@@ -7,12 +7,12 @@ use diffreg_comm::{
     run_threaded, run_threaded_checked, ChaosComm, ChaosConfig, Comm, SerialComm, Timers,
 };
 use diffreg_core::{
-    register, register_with_continuation, register_with_continuation_checkpointed,
-    register_with_continuation_checkpointed_hooked, CheckpointStore, RegistrationConfig,
+    register, register_solve, register_with_continuation, CheckpointStore, RegistrationConfig,
 };
 use diffreg_grid::{Decomp, Grid, ScalarField, VectorField};
 use diffreg_optim::NewtonOptions;
 use diffreg_pfft::PencilFft;
+use diffreg_telemetry::StreamEntry;
 use diffreg_transport::{SemiLagrangian, Workspace};
 
 /// The paper's synthetic problem (§IV-A1): template is a sin² bump sum, the
@@ -100,14 +100,8 @@ fn killed_continuation_resumes_from_checkpoint_exactly() {
         let timers = Timers::new();
         let ws = Workspace::new(comm, &decomp, &fft, &timers);
         let (t, r) = synthetic_pair(&ws, 0.4);
-        let (out, reports) = register_with_continuation_checkpointed(
-            &ws,
-            &t,
-            &r,
-            cfg,
-            &betas,
-            &CheckpointStore::Disabled,
-        );
+        let (out, reports) =
+            register_solve(&ws, &t, &r, cfg, &betas, None, &CheckpointStore::Disabled, |_| {});
         assert_eq!(reports.len(), 2);
         out.final_mismatch
     });
@@ -122,19 +116,11 @@ fn killed_continuation_resumes_from_checkpoint_exactly() {
         let timers = Timers::new();
         let ws = Workspace::new(comm, &decomp, &fft, &timers);
         let (t, r) = synthetic_pair(&ws, 0.4);
-        register_with_continuation_checkpointed_hooked(
-            &ws,
-            &t,
-            &r,
-            cfg,
-            &betas,
-            &store_for_kill,
-            |level, cur| {
-                if level == 0 && cur.completed_iters == 1 {
-                    panic!("injected crash: killing rank {} mid-continuation", ws.comm.rank());
-                }
-            },
-        )
+        register_solve(&ws, &t, &r, cfg, &betas, None, &store_for_kill, |entry| {
+            if matches!(entry, StreamEntry::Iter(it) if it.level == 0 && it.iter == 1) {
+                panic!("injected crash: killing rank {} mid-continuation", ws.comm.rank());
+            }
+        })
         .0
         .final_mismatch
     });
@@ -156,14 +142,8 @@ fn killed_continuation_resumes_from_checkpoint_exactly() {
         let timers = Timers::new();
         let ws = Workspace::new(comm, &decomp, &fft, &timers);
         let (t, r) = synthetic_pair(&ws, 0.4);
-        let (out, _) = register_with_continuation_checkpointed(
-            &ws,
-            &t,
-            &r,
-            cfg,
-            &betas,
-            &store_for_resume,
-        );
+        let (out, _) =
+            register_solve(&ws, &t, &r, cfg, &betas, None, &store_for_resume, |_| {});
         out.final_mismatch
     });
     for (rank, (&got, &want)) in resumed.iter().zip(&reference).enumerate() {
@@ -204,7 +184,7 @@ fn checkpointed_driver_matches_plain_continuation_bitwise() {
         .join(format!("diffreg-resilience-{}", std::process::id()));
     let store = CheckpointStore::file(&dir);
     let cfg = RegistrationConfig { checkpoint_every: 1, ..small_cfg() };
-    let (ckpt, _) = register_with_continuation_checkpointed(&ws, &t, &r, cfg, &betas, &store);
+    let (ckpt, _) = register_solve(&ws, &t, &r, cfg, &betas, None, &store, |_| {});
 
     assert_eq!(
         ckpt.final_mismatch.to_bits(),

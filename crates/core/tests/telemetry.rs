@@ -12,9 +12,7 @@
 //! CI smoke step sets `DIFFREG_TELEMETRY_SMOKE_SIZE=32`.
 
 use diffreg_comm::{run_threaded, Comm, Timers};
-use diffreg_core::{
-    register_with_continuation_logged, CheckpointStore, RegistrationConfig,
-};
+use diffreg_core::{register_solve, CheckpointStore, RegistrationConfig};
 use diffreg_grid::{Decomp, Grid, ScalarField, VectorField};
 use diffreg_pfft::PencilFft;
 use diffreg_telemetry::{
@@ -47,8 +45,13 @@ fn synthetic_pair<C: Comm>(ws: &Workspace<C>) -> (ScalarField, ScalarField) {
     (rho_t, rho_r)
 }
 
+/// Both tests read or toggle the process-wide trace flag; they take turns
+/// so the untraced solve cannot start recording halfway through.
+static TRACE_FLAG: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
 #[test]
 fn traced_registration_produces_all_three_artifacts() {
+    let _turn = TRACE_FLAG.lock().unwrap_or_else(|e| e.into_inner());
     const RANKS: usize = 4;
     let n = smoke_size();
     let grid = Grid::cubic(n);
@@ -68,9 +71,8 @@ fn traced_registration_produces_all_three_artifacts() {
             };
             let mut log = ConvergenceLog::new("telemetry-smoke");
             let store = CheckpointStore::Disabled;
-            let (_out, reports) = register_with_continuation_logged(
-                &ws, &t, &r, cfg, &betas, &store, &mut log,
-            );
+            let (_out, reports) =
+                register_solve(&ws, &t, &r, cfg, &betas, None, &store, |e| log.push(e));
             let report = collect_phase_report(comm, &timers, &comm.stats());
             let iters: usize = reports.iter().map(|r| r.outer_iterations()).sum();
             (take_thread_trace(), report, log, iters)
@@ -150,6 +152,7 @@ fn traced_registration_produces_all_three_artifacts() {
 /// nothing — the disabled path is a single atomic load.
 #[test]
 fn untraced_registration_records_nothing() {
+    let _turn = TRACE_FLAG.lock().unwrap_or_else(|e| e.into_inner());
     let grid = Grid::cubic(12);
     let traces = run_threaded(2, move |comm| {
         // Explicitly off (the other test may have toggled the global flag;

@@ -7,7 +7,6 @@
 use diffreg_comm::Comm;
 
 use crate::layout::{Block, Decomp, Grid, Layout};
-use crate::precision::Precision;
 
 /// A scalar field on one rank's block of the global grid.
 #[derive(Debug, Clone, PartialEq)]
@@ -88,31 +87,14 @@ impl ScalarField {
     /// Local (this rank's) portion of the discrete L² inner product, without
     /// the quadrature weight.
     pub fn dot_local(&self, other: &ScalarField) -> f64 {
-        self.dot_local_p(other, Precision::F64)
-    }
-
-    /// Local inner-product contribution under an explicit precision policy
-    /// (f32 products with f64 accumulation when `Precision::F32`).
-    pub fn dot_local_p(&self, other: &ScalarField, precision: Precision) -> f64 {
         assert_eq!(self.block, other.block);
-        precision.dot(&self.data, &other.data)
+        self.data.iter().zip(&other.data).map(|(x, y)| x * y).sum()
     }
 
     /// Global discrete L²(Ω) inner product `∫ self * other dx` (trapezoid on
     /// the periodic grid = cell volume times the lattice sum).
     pub fn inner<C: Comm>(&self, other: &ScalarField, grid: &Grid, comm: &C) -> f64 {
-        self.inner_p(other, grid, comm, Precision::F64)
-    }
-
-    /// Global inner product under an explicit precision policy.
-    pub fn inner_p<C: Comm>(
-        &self,
-        other: &ScalarField,
-        grid: &Grid,
-        comm: &C,
-        precision: Precision,
-    ) -> f64 {
-        comm.sum_f64(self.dot_local_p(other, precision)) * grid.cell_volume()
+        comm.sum_f64(self.dot_local(other)) * grid.cell_volume()
     }
 
     /// Global L² norm.
@@ -209,23 +191,7 @@ impl VectorField {
 
     /// Global L²(Ω)³ inner product.
     pub fn inner<C: Comm>(&self, other: &VectorField, grid: &Grid, comm: &C) -> f64 {
-        self.inner_p(other, grid, comm, Precision::F64)
-    }
-
-    /// Global inner product under an explicit precision policy.
-    pub fn inner_p<C: Comm>(
-        &self,
-        other: &VectorField,
-        grid: &Grid,
-        comm: &C,
-        precision: Precision,
-    ) -> f64 {
-        let local: f64 = self
-            .comps
-            .iter()
-            .zip(&other.comps)
-            .map(|(a, b)| a.dot_local_p(b, precision))
-            .sum();
+        let local: f64 = self.comps.iter().zip(&other.comps).map(|(a, b)| a.dot_local(b)).sum();
         comm.sum_f64(local) * grid.cell_volume()
     }
 

@@ -17,7 +17,6 @@ mod arena;
 mod field;
 mod ghost;
 mod layout;
-mod precision;
 
 pub use arena::{
     arena_f64, take_pooled, BufferPool, PooledVec, ARENA_HIT_COUNTER, ARENA_MISS_COUNTER,
@@ -26,4 +25,3 @@ pub use arena::{
 pub use field::{spatial_block, ScalarField, VectorField};
 pub use ghost::{exchange_ghost, GhostField};
 pub use layout::{slab, slab_of, Block, Decomp, Grid, Layout};
-pub use precision::Precision;

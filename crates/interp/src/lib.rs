@@ -14,4 +14,4 @@ mod soa;
 
 pub use kernel::{base_and_frac, cubic_weights, tricubic, trilinear, Kernel, GHOST_WIDTH};
 pub use scatter::{ghosted, ScatterPlan};
-pub use soa::{InterpMode, SoaStencils};
+pub use soa::SoaStencils;

@@ -13,7 +13,7 @@ use diffreg_comm::{Comm, Timers};
 use diffreg_grid::{exchange_ghost, Decomp, GhostField, Grid, Layout, ScalarField};
 
 use crate::kernel::{base_and_frac, Kernel, GHOST_WIDTH};
-use crate::soa::{InterpMode, SoaStencils};
+use crate::soa::SoaStencils;
 
 /// A built communication plan for one set of departure points.
 #[derive(Debug, Clone)]
@@ -31,29 +31,15 @@ pub struct ScatterPlan {
     batch_off: Vec<usize>,
     /// Precomputed branch-free stencils over the flattened assigned points.
     soa: SoaStencils,
-    /// Which tricubic loop `interpolate*` routes through.
-    mode: InterpMode,
 }
 
 impl ScatterPlan {
-    /// Builds the plan (collective) on the evaluation mode selected by
-    /// `DIFFREG_INTERP`: routes `points` (physical coordinates, any values
-    /// — they are wrapped periodically) to their owner ranks.
+    /// Builds the plan (collective): routes `points` (physical coordinates,
+    /// any values — they are wrapped periodically) to their owner ranks.
     pub fn build<C: Comm>(
         comm: &C,
         decomp: &Decomp,
         points: &[[f64; 3]],
-        timers: &Timers,
-    ) -> Self {
-        Self::build_with_mode(comm, decomp, points, InterpMode::from_env(), timers)
-    }
-
-    /// Builds the plan (collective) with an explicit evaluation mode.
-    pub fn build_with_mode<C: Comm>(
-        comm: &C,
-        decomp: &Decomp,
-        points: &[[f64; 3]],
-        mode: InterpMode,
         timers: &Timers,
     ) -> Self {
         let _span = diffreg_telemetry::span("interp.plan");
@@ -104,7 +90,7 @@ impl ScatterPlan {
             }
             SoaStencils::build(&grid, origin, &flat)
         });
-        Self { grid, n_local: points.len(), owner_of, slot_of, assigned, batch_off, soa, mode }
+        Self { grid, n_local: points.len(), owner_of, slot_of, assigned, batch_off, soa }
     }
 
     /// Number of points this rank requested.
@@ -153,9 +139,8 @@ impl ScatterPlan {
         let nf = ghosts.len();
         assert!(nf > 0, "need at least one field");
         // Owners evaluate; values interleaved per point: [f0, f1, ..] per point.
-        // The SoA fast path only exists for the tricubic kernel; trilinear
-        // stays on the scalar reference loop.
-        let use_soa = self.mode == InterpMode::Soa && kernel == Kernel::Tricubic;
+        // The SoA stencils are tricubic; trilinear runs the scalar loop.
+        let use_soa = kernel == Kernel::Tricubic;
         let values: Vec<Vec<f64>> = timers.time("interp_exec", || {
             self.assigned
                 .iter()
@@ -346,6 +331,10 @@ mod tests {
 
     #[test]
     fn soa_and_scalar_modes_are_bit_identical() {
+        // The plan's evaluation loops against the pointwise scalar kernel:
+        // each rank evaluates `Kernel::eval` on its own ghost fields for the
+        // points whose base cell it owns and contributes 0.0 for the rest,
+        // so the sum over ranks is the owner's value exactly.
         let grid = Grid::new([12, 8, 6]);
         let points = test_points(150);
         run_threaded(4, move |comm| {
@@ -356,15 +345,28 @@ mod tests {
             let g1 = ghosted(comm, &d, &f1);
             let g2 = ghosted(comm, &d, &f2);
             let timers = Timers::new();
-            let mine: Vec<[f64; 3]> =
-                points.iter().skip(comm.rank()).step_by(comm.size()).copied().collect();
-            let fast = ScatterPlan::build_with_mode(comm, &d, &mine, InterpMode::Soa, &timers);
-            let reference =
-                ScatterPlan::build_with_mode(comm, &d, &mine, InterpMode::Scalar, &timers);
+            let mine: Vec<usize> = (comm.rank()..points.len()).step_by(comm.size()).collect();
+            let pts: Vec<[f64; 3]> = mine.iter().map(|&i| points[i]).collect();
+            let plan = ScatterPlan::build(comm, &d, &pts, &timers);
             for kernel in [Kernel::Tricubic, Kernel::Trilinear] {
-                let a = fast.interpolate_many(comm, &[&g1, &g2], kernel, &timers);
-                let b = reference.interpolate_many(comm, &[&g1, &g2], kernel, &timers);
-                assert_eq!(a, b, "modes diverged for {kernel:?}");
+                let got = plan.interpolate_many(comm, &[&g1, &g2], kernel, &timers);
+                let mut reference: Vec<f64> = points
+                    .iter()
+                    .flat_map(|&x| {
+                        let (b0, _) = base_and_frac(x[0], grid.n[0]);
+                        let (b1, _) = base_and_frac(x[1], grid.n[1]);
+                        let here = d.owner_spatial([b0, b1, 0]) == comm.rank();
+                        [&g1, &g2].map(|g| if here { kernel.eval(g, &grid, x) } else { 0.0 })
+                    })
+                    .collect();
+                comm.allreduce(&mut reference, diffreg_comm::ReduceOp::Sum);
+                for (k, &i) in mine.iter().enumerate() {
+                    assert_eq!(
+                        [got[0][k], got[1][k]],
+                        [reference[2 * i], reference[2 * i + 1]],
+                        "plan diverged from Kernel::eval for {kernel:?} at point {i}"
+                    );
+                }
             }
         });
     }

@@ -18,26 +18,6 @@ use diffreg_grid::Grid;
 
 use crate::kernel::{base_and_frac, cubic_weights};
 
-/// Which tricubic evaluation loop [`crate::ScatterPlan`] uses.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum InterpMode {
-    /// Per-point scalar kernel (the differential-testing reference).
-    Scalar,
-    /// Precomputed structure-of-arrays gather loop (fast path, default).
-    #[default]
-    Soa,
-}
-
-impl InterpMode {
-    /// Reads `DIFFREG_INTERP` (`scalar` or `soa`, default `soa`).
-    pub fn from_env() -> Self {
-        match std::env::var("DIFFREG_INTERP").as_deref() {
-            Ok("scalar") | Ok("SCALAR") => InterpMode::Scalar,
-            _ => InterpMode::Soa,
-        }
-    }
-}
-
 /// Precomputed per-point stencil data for a fixed set of points, valid for
 /// any ghost field exchanged on the same decomposition (the extended-array
 /// geometry is a function of the decomposition alone).
@@ -186,10 +166,5 @@ mod tests {
                 assert_eq!(*v, expect, "SoA diverged from scalar kernel at {x:?}");
             }
         }
-    }
-
-    #[test]
-    fn mode_default_is_soa() {
-        assert_eq!(InterpMode::default(), InterpMode::Soa);
     }
 }

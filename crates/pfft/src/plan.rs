@@ -19,32 +19,21 @@ use diffreg_grid::{Decomp, Grid, Layout, ScalarField, VectorField};
 use diffreg_spectral::RegOrder;
 
 use crate::half::{half_spectral_block, leray_project_half, HalfSpectralField};
-use crate::spectral_field::{leray_project, SpectralField};
+use crate::spectral_field::SpectralField;
 use crate::transpose::{fwd_mid, fwd_spec, inv_mid, inv_spec};
 
-/// Which transform the plan's high-level operators route through.
-///
-/// The c2c path is the differential-testing reference; the r2c path stores
-/// only the Hermitian half-spectrum (axis-2 bins `0..=n2/2`), halving the
-/// 1D-transform flops along axis 2 and the bytes of every alltoallv
-/// transpose. Selected per-plan, or globally via `DIFFREG_SPECTRAL`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum SpectralPath {
-    /// Full complex spectrum (reference path).
-    C2C,
-    /// Hermitian half-spectrum (fast path, default).
-    #[default]
-    R2C,
-}
-
-impl SpectralPath {
-    /// Reads `DIFFREG_SPECTRAL` (`c2c` or `r2c`, default `r2c`).
-    pub fn from_env() -> Self {
-        match std::env::var("DIFFREG_SPECTRAL").as_deref() {
-            Ok("c2c") | Ok("C2C") => SpectralPath::C2C,
-            _ => SpectralPath::R2C,
-        }
-    }
+/// The row and column sub-communicators of this rank's pencil (collective).
+/// Not inlined into [`PencilFft::new`]: the analyzer resolves calls by bare
+/// name, and a collective directly inside any `new` would make every
+/// ambiguous `::new` call in the workspace an opaque maybe-collective.
+fn pencil_comms<C: Comm>(comm: &C, decomp: &Decomp) -> (C::Sub, C::Sub) {
+    let (r1, r2) = decomp.coords(comm.rank());
+    // Row group: fixed r1, new rank = r2. Column group: fixed r2, new rank = r1.
+    let row = comm.split(r1, r2);
+    let col = comm.split(r2, r1);
+    debug_assert_eq!(row.rank(), r2);
+    debug_assert_eq!(col.rank(), r1);
+    (row, col)
 }
 
 /// A per-rank plan for distributed FFTs over a pencil decomposition.
@@ -58,7 +47,6 @@ pub struct PencilFft<C: Comm> {
     col: C::Sub,
     plans: [Fft1d; 3],
     rplan2: RealFft1d,
-    path: SpectralPath,
 }
 
 impl<C: Comm> std::fmt::Debug for PencilFft<C> {
@@ -71,22 +59,11 @@ impl<C: Comm> std::fmt::Debug for PencilFft<C> {
 }
 
 impl<C: Comm> PencilFft<C> {
-    /// Creates a plan (collective) on the path selected by
-    /// `DIFFREG_SPECTRAL`. `comm.size()` must equal `decomp.size()`.
+    /// Creates a plan (collective). `comm.size()` must equal `decomp.size()`.
     pub fn new(comm: &C, decomp: Decomp) -> Self {
-        Self::with_path(comm, decomp, SpectralPath::from_env())
-    }
-
-    /// Creates a plan (collective) with an explicit spectral path.
-    pub fn with_path(comm: &C, decomp: Decomp, path: SpectralPath) -> Self {
         assert_eq!(comm.size(), decomp.size(), "communicator does not match decomposition");
         let rank = comm.rank();
-        let (r1, r2) = decomp.coords(rank);
-        // Row group: fixed r1, new rank = r2. Column group: fixed r2, new rank = r1.
-        let row = comm.split(r1, r2);
-        let col = comm.split(r2, r1);
-        debug_assert_eq!(row.rank(), r2);
-        debug_assert_eq!(col.rank(), r1);
+        let (row, col) = pencil_comms(comm, &decomp);
         let n = decomp.grid.n;
         Self {
             decomp,
@@ -95,13 +72,7 @@ impl<C: Comm> PencilFft<C> {
             col,
             plans: [Fft1d::new(n[0]), Fft1d::new(n[1]), Fft1d::new(n[2])],
             rplan2: RealFft1d::new(n[2]),
-            path,
         }
-    }
-
-    /// The spectral path the high-level operators route through.
-    pub fn path(&self) -> SpectralPath {
-        self.path
     }
 
     /// The decomposition this plan works over.
@@ -269,119 +240,55 @@ impl<C: Comm> PencilFft<C> {
         sym: impl Fn(f64) -> f64,
         timers: &Timers,
     ) -> ScalarField {
-        match self.path {
-            SpectralPath::R2C => {
-                let mut spec = self.forward_half(field, timers);
-                spec.apply_symbol(sym);
-                self.inverse_half(&spec, timers)
-            }
-            SpectralPath::C2C => {
-                let mut spec = self.forward(field, timers);
-                spec.apply_symbol(sym);
-                self.inverse(&spec, timers)
-            }
-        }
+        let mut spec = self.forward_half(field, timers);
+        spec.apply_symbol(sym);
+        self.inverse_half(&spec, timers)
     }
 
     /// Partial derivative along `axis` (2 FFTs).
     pub fn derivative(&self, field: &ScalarField, axis: usize, timers: &Timers) -> ScalarField {
-        match self.path {
-            SpectralPath::R2C => {
-                let mut spec = self.forward_half(field, timers);
-                spec.differentiate(axis);
-                self.inverse_half(&spec, timers)
-            }
-            SpectralPath::C2C => {
-                let mut spec = self.forward(field, timers);
-                spec.differentiate(axis);
-                self.inverse(&spec, timers)
-            }
-        }
+        let mut spec = self.forward_half(field, timers);
+        spec.differentiate(axis);
+        self.inverse_half(&spec, timers)
     }
 
     /// Gradient `∇f` (1 forward + 3 inverse FFTs).
     pub fn gradient(&self, field: &ScalarField, timers: &Timers) -> VectorField {
-        match self.path {
-            SpectralPath::R2C => {
-                let spec = self.forward_half(field, timers);
-                let comps = [0usize, 1, 2].map(|axis| {
-                    let mut s = spec.clone();
-                    s.differentiate(axis);
-                    self.inverse_half(&s, timers)
-                });
-                VectorField { comps }
-            }
-            SpectralPath::C2C => {
-                let spec = self.forward(field, timers);
-                let comps = [0usize, 1, 2].map(|axis| {
-                    let mut s = spec.clone();
-                    s.differentiate(axis);
-                    self.inverse(&s, timers)
-                });
-                VectorField { comps }
-            }
-        }
+        let spec = self.forward_half(field, timers);
+        let comps = [0usize, 1, 2].map(|axis| {
+            let mut s = spec.clone();
+            s.differentiate(axis);
+            self.inverse_half(&s, timers)
+        });
+        VectorField { comps }
     }
 
     /// Divergence `div v` (3 forward + 1 inverse FFTs).
     pub fn divergence(&self, v: &VectorField, timers: &Timers) -> ScalarField {
-        match self.path {
-            SpectralPath::R2C => {
-                let mut acc = self.forward_half(&v.comps[0], timers);
-                acc.differentiate(0);
-                for axis in 1..3 {
-                    let mut s = self.forward_half(&v.comps[axis], timers);
-                    s.differentiate(axis);
-                    acc.axpy(1.0, &s);
-                }
-                self.inverse_half(&acc, timers)
-            }
-            SpectralPath::C2C => {
-                let mut acc = self.forward(&v.comps[0], timers);
-                acc.differentiate(0);
-                for axis in 1..3 {
-                    let mut s = self.forward(&v.comps[axis], timers);
-                    s.differentiate(axis);
-                    acc.axpy(1.0, &s);
-                }
-                self.inverse(&acc, timers)
-            }
+        let mut acc = self.forward_half(&v.comps[0], timers);
+        acc.differentiate(0);
+        for axis in 1..3 {
+            let mut s = self.forward_half(&v.comps[axis], timers);
+            s.differentiate(axis);
+            acc.axpy(1.0, &s);
         }
+        self.inverse_half(&acc, timers)
     }
 
     /// Leray projection of a vector field onto divergence-free fields (6 FFTs).
     pub fn leray(&self, v: &VectorField, timers: &Timers) -> VectorField {
-        match self.path {
-            SpectralPath::R2C => {
-                let mut spec = [
-                    self.forward_half(&v.comps[0], timers),
-                    self.forward_half(&v.comps[1], timers),
-                    self.forward_half(&v.comps[2], timers),
-                ];
-                leray_project_half(&mut spec);
-                VectorField {
-                    comps: [
-                        self.inverse_half(&spec[0], timers),
-                        self.inverse_half(&spec[1], timers),
-                        self.inverse_half(&spec[2], timers),
-                    ],
-                }
-            }
-            SpectralPath::C2C => {
-                let mut spec = [
-                    self.forward(&v.comps[0], timers),
-                    self.forward(&v.comps[1], timers),
-                    self.forward(&v.comps[2], timers),
-                ];
-                leray_project(&mut spec);
-                VectorField {
-                    comps: [
-                        self.inverse(&spec[0], timers),
-                        self.inverse(&spec[1], timers),
-                        self.inverse(&spec[2], timers),
-                    ],
-                }
-            }
+        let mut spec = [
+            self.forward_half(&v.comps[0], timers),
+            self.forward_half(&v.comps[1], timers),
+            self.forward_half(&v.comps[2], timers),
+        ];
+        leray_project_half(&mut spec);
+        VectorField {
+            comps: [
+                self.inverse_half(&spec[0], timers),
+                self.inverse_half(&spec[1], timers),
+                self.inverse_half(&spec[2], timers),
+            ],
         }
     }
 
@@ -431,18 +338,9 @@ impl<C: Comm> PencilFft<C> {
     /// Spectral translation: returns `f(x - s)` exactly (for band-limited
     /// fields) via the phase factor `exp(-i k·s)` (2 FFTs).
     pub fn translate(&self, field: &ScalarField, s: [f64; 3], timers: &Timers) -> ScalarField {
-        match self.path {
-            SpectralPath::R2C => {
-                let mut spec = self.forward_half(field, timers);
-                spec.phase_shift(s);
-                self.inverse_half(&spec, timers)
-            }
-            SpectralPath::C2C => {
-                let mut spec = self.forward(field, timers);
-                spec.phase_shift(s);
-                self.inverse(&spec, timers)
-            }
-        }
+        let mut spec = self.forward_half(field, timers);
+        spec.phase_shift(s);
+        self.inverse_half(&spec, timers)
     }
 }
 

@@ -1,10 +1,12 @@
 //! Oracle-parity tier for the distributed r2c path: the half-spectrum
 //! plan must round-trip to near machine precision and every operator must
-//! match the c2c reference path bin-for-bin on seeded random real fields.
+//! match its c2c reference — composed here from the full-spectrum
+//! primitives (`forward`, `SpectralField`, `leray_project`, `inverse`) —
+//! on seeded random real fields.
 
 use diffreg_comm::{run_threaded, Timers};
 use diffreg_grid::{Decomp, Grid, ScalarField, VectorField};
-use diffreg_pfft::{PencilFft, SpectralPath};
+use diffreg_pfft::{leray_project, PencilFft, SpectralField};
 use diffreg_testkit::{prop_check, Rng};
 
 /// A smooth but symmetry-free scalar field parameterized by a seed.
@@ -51,7 +53,7 @@ fn r2c_roundtrip_is_identity() {
         let grid = Grid::new(n);
         run_threaded(p1 * p2, move |comm| {
             let decomp = Decomp::with_process_grid(grid, p1, p2);
-            let plan = PencilFft::with_path(comm, decomp, SpectralPath::R2C);
+            let plan = PencilFft::new(comm, decomp);
             let field = seeded_scalar(&grid, plan.spatial_block(), 42);
             let timers = Timers::new();
             let spec = plan.forward_half(&field, &timers);
@@ -62,8 +64,9 @@ fn r2c_roundtrip_is_identity() {
     }
 }
 
-/// Every operator on the r2c path matches the c2c reference path on
-/// seeded random fields, across serial and distributed layouts.
+/// Every operator of the plan (r2c) matches the same operator composed
+/// from the c2c primitives on seeded random fields, across serial and
+/// distributed layouts.
 #[test]
 fn r2c_operators_match_c2c_path() {
     prop_check!(cases = 8, |rng| {
@@ -77,50 +80,58 @@ fn r2c_operators_match_c2c_path() {
         let grid = Grid::new(n);
         run_threaded(p1 * p2, move |comm| {
             let decomp = Decomp::with_process_grid(grid, p1, p2);
-            let fast = PencilFft::with_path(comm, decomp, SpectralPath::R2C);
-            let reference = PencilFft::with_path(comm, decomp, SpectralPath::C2C);
-            assert_eq!(fast.path(), SpectralPath::R2C);
-            assert_eq!(reference.path(), SpectralPath::C2C);
+            let plan = PencilFft::new(comm, decomp);
             let timers = Timers::new();
             let tol = 1e-10 * grid.total() as f64;
+            // c2c reference: full forward, edit the spectrum, full inverse.
+            let c2c = |f: &ScalarField, edit: &dyn Fn(&mut SpectralField)| {
+                let mut spec = plan.forward(f, &timers);
+                edit(&mut spec);
+                plan.inverse(&spec, &timers)
+            };
 
-            let f = seeded_scalar(&grid, fast.spatial_block(), seed);
-            let g_fast = fast.gradient(&f, &timers);
-            let g_ref = reference.gradient(&f, &timers);
+            let f = seeded_scalar(&grid, plan.spatial_block(), seed);
+            let g_fast = plan.gradient(&f, &timers);
             for axis in 0..3 {
+                let g_ref = c2c(&f, &|s| s.differentiate(axis));
                 assert_fields_close(
                     &g_fast.comps[axis],
-                    &g_ref.comps[axis],
+                    &g_ref,
                     tol,
                     &format!("gradient axis {axis}"),
                 );
+                let d_fast = plan.derivative(&f, axis, &timers);
+                assert_fields_close(&d_fast, &g_ref, tol, &format!("derivative axis {axis}"));
             }
 
-            let s_fast = fast.gaussian_smooth(&f, 0.5, &timers);
-            let s_ref = reference.gaussian_smooth(&f, 0.5, &timers);
+            let s_fast = plan.gaussian_smooth(&f, 0.5, &timers);
+            let s_ref = c2c(&f, &|s| s.apply_symbol(|k2| diffreg_spectral::gaussian(0.5, k2)));
             assert_fields_close(&s_fast, &s_ref, tol, "gaussian_smooth");
 
-            let t_fast = fast.translate(&f, [0.3, -0.7, 1.1], &timers);
-            let t_ref = reference.translate(&f, [0.3, -0.7, 1.1], &timers);
+            let t_fast = plan.translate(&f, [0.3, -0.7, 1.1], &timers);
+            let t_ref = c2c(&f, &|s| s.phase_shift([0.3, -0.7, 1.1]));
             assert_fields_close(&t_fast, &t_ref, tol, "translate");
 
-            let v = seeded_vector(&grid, fast.spatial_block(), seed);
-            let d_fast = fast.divergence(&v, &timers);
-            let d_ref = reference.divergence(&v, &timers);
+            let v = seeded_vector(&grid, plan.spatial_block(), seed);
+            let d_fast = plan.divergence(&v, &timers);
+            let mut acc = SpectralField::zeros(grid, plan.spectral_block());
+            for axis in 0..3 {
+                let mut s = plan.forward(&v.comps[axis], &timers);
+                s.differentiate(axis);
+                acc.axpy(1.0, &s);
+            }
+            let d_ref = plan.inverse(&acc, &timers);
             assert_fields_close(&d_fast, &d_ref, tol, "divergence");
 
-            let l_fast = fast.leray(&v, &timers);
-            let l_ref = reference.leray(&v, &timers);
-            for axis in 0..3 {
-                assert_fields_close(
-                    &l_fast.comps[axis],
-                    &l_ref.comps[axis],
-                    tol,
-                    &format!("leray axis {axis}"),
-                );
+            let l_fast = plan.leray(&v, &timers);
+            let mut spec = [0usize, 1, 2].map(|axis| plan.forward(&v.comps[axis], &timers));
+            leray_project(&mut spec);
+            for (axis, (fast, reference)) in l_fast.comps.iter().zip(&spec).enumerate() {
+                let reference = plan.inverse(reference, &timers);
+                assert_fields_close(fast, &reference, tol, &format!("leray axis {axis}"));
             }
             // The projection must actually be divergence-free.
-            let div = fast.divergence(&l_fast, &timers);
+            let div = plan.divergence(&l_fast, &timers);
             assert!(div.max_abs(comm) < tol, "projected divergence");
         });
     });
@@ -133,7 +144,7 @@ fn distributed_gradient_costs_four_transforms() {
     let grid = Grid::new([8, 8, 8]);
     run_threaded(4, move |comm| {
         let decomp = Decomp::with_process_grid(grid, 2, 2);
-        let plan = PencilFft::with_path(comm, decomp, SpectralPath::R2C);
+        let plan = PencilFft::new(comm, decomp);
         let f = seeded_scalar(&grid, plan.spatial_block(), 7);
         let timers = Timers::new();
         let _ = plan.gradient(&f, &timers);

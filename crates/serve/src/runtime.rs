@@ -52,17 +52,15 @@ use std::time::{Duration, Instant};
 use diffreg_comm::{
     run_gang, run_threaded, ChaosComm, ChaosConfig, Comm, CommEvent, ThreadComm, Timers,
 };
-use diffreg_core::{
-    register_with_continuation_checkpointed_hooked, CheckpointStore, RegistrationConfig,
-};
+use diffreg_core::{register_solve, CheckpointStore, RegistrationConfig};
 use diffreg_grid::{Decomp, Grid, ScalarField, VectorField};
-use diffreg_optim::{NewtonCursor, NewtonOptions};
+use diffreg_optim::NewtonOptions;
 use diffreg_pfft::PencilFft;
 use diffreg_telemetry::doctor::write_trace_bundle;
 use diffreg_telemetry::incident::{write_incident_bundle, IncidentHeader, RankCapture};
 use diffreg_telemetry::{
     record_comm_summary, record_event, set_trace_enabled, snapshot_recorder, span, take_recorder,
-    take_thread_trace, ConvergenceLog, IterRecord, Json, MetricsRegistry, Profile, RecKind,
+    take_thread_trace, ConvergenceLog, Json, MetricsRegistry, Profile, RecKind,
     StreamEntry, ThreadTrace,
 };
 use diffreg_transport::{SemiLagrangian, Workspace};
@@ -1271,35 +1269,22 @@ impl ServeHarness {
                 }
             }
 
-            let betas = spec.betas.clone();
-            let (digest, mismatch_bits) = solve_once(&chaos, &spec, &store, |level, cur| {
+            // The job log takes the per-iteration records; resume and
+            // fallback are logged above as serve-* events, after the
+            // gang-wide agreement the solver's own events know nothing of.
+            let (digest, mismatch_bits) = solve_once(&chaos, &spec, &store, |entry| {
+                let StreamEntry::Iter(it) = entry else { return };
                 if chaos.rank() == 0 {
                     lock(&self.progress).push(ProgressEvent {
                         job: spec.id,
                         attempt,
-                        level,
-                        iter: cur.completed_iters,
-                        objective: cur.objective,
-                        grad_norm: cur.grad_norm,
+                        level: it.level,
+                        iter: it.iter,
+                        objective: it.objective,
+                        grad_norm: it.grad_norm,
                     });
-                    let rel = if cur.g0norm.is_finite() && cur.g0norm > 0.0 {
-                        cur.grad_norm / cur.g0norm
-                    } else {
-                        1.0
-                    };
-                    let mut logs = lock(&self.logs);
-                    if let Some(log) = logs.get_mut(&spec.id) {
-                        log.record(IterRecord {
-                            level,
-                            beta: betas.get(level).copied().unwrap_or(f64::NAN),
-                            iter: cur.completed_iters,
-                            objective: cur.objective,
-                            grad_norm: cur.grad_norm,
-                            rel_grad: rel,
-                            pcg_iters: cur.matvecs,
-                            eta: cur.eta,
-                            step_length: cur.step_length,
-                        });
+                    if let Some(log) = lock(&self.logs).get_mut(&spec.id) {
+                        log.record(it);
                     }
                 }
             });
@@ -1378,7 +1363,7 @@ fn solve_once<C: Comm>(
     comm: &C,
     spec: &JobSpec,
     store: &CheckpointStore,
-    hook: impl FnMut(usize, &NewtonCursor),
+    observer: impl FnMut(StreamEntry),
 ) -> (u64, u64) {
     let grid = Grid::cubic(spec.grid_n);
     let decomp = Decomp::new(grid, comm.size());
@@ -1392,9 +1377,8 @@ fn solve_once<C: Comm>(
         newton: NewtonOptions { max_iter: spec.newton_iters, ..Default::default() },
         ..Default::default()
     };
-    let (out, _reports) = register_with_continuation_checkpointed_hooked(
-        &ws, &rho_t, &rho_r, cfg, &spec.betas, store, hook,
-    );
+    let (out, _reports) =
+        register_solve(&ws, &rho_t, &rho_r, cfg, &spec.betas, None, store, observer);
     let mut local = FNV_OFFSET;
     for c in 0..3 {
         for x in out.velocity.comps[c].data() {
@@ -1425,7 +1409,7 @@ pub fn attempt_epoch_count(spec: &JobSpec, gang_size: usize) -> u64 {
         let _ = chaos.min_f64(fp);
         let _ = chaos.max_f64(fp);
         chaos.barrier();
-        let _ = solve_once(&chaos, &spec, &CheckpointStore::Disabled, |_, _| {});
+        let _ = solve_once(&chaos, &spec, &CheckpointStore::Disabled, |_| {});
         chaos.epochs_executed()
     });
     counts[0]
@@ -1437,7 +1421,7 @@ pub fn attempt_epoch_count(spec: &JobSpec, gang_size: usize) -> u64 {
 pub fn reference_digest(spec: &JobSpec, gang_size: usize) -> (u64, u64) {
     let spec = spec.clone();
     let per_rank = run_threaded(gang_size, move |comm| {
-        solve_once(comm, &spec, &CheckpointStore::Disabled, |_, _| {})
+        solve_once(comm, &spec, &CheckpointStore::Disabled, |_| {})
     });
     per_rank[0]
 }

@@ -85,7 +85,9 @@ impl ConvergenceLog {
         Self { tail_cap: cap, ..Self::new(run) }
     }
 
-    fn push(&mut self, entry: StreamEntry) {
+    /// Appends one stream entry (the solver's observer callback hands these
+    /// out in order), evicting the oldest when a tail cap is set.
+    pub fn push(&mut self, entry: StreamEntry) {
         if self.tail_cap > 0 && self.entries.len() >= self.tail_cap {
             let drop_n = (self.entries.len() + 1).saturating_sub(self.tail_cap);
             self.entries.drain(..drop_n);

@@ -12,12 +12,10 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod nonstationary;
 mod solvers;
 mod trajectory;
 mod workspace;
 
-pub use nonstationary::{TimeVaryingTransport, TimeVaryingVelocity};
 pub use solvers::SemiLagrangian;
 pub use trajectory::{
     compute_trajectory, compute_trajectory_pair, local_grid_points, velocity_is_finite, Trajectory,

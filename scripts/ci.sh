@@ -5,8 +5,8 @@
 # external crates. This script enforces all of it:
 #   1. release build, fully offline
 #   2. full workspace test suite, fully offline
-#   3. kernel-overhaul parity tier in release mode: r2c/SoA/f32 fast paths
-#      vs the reference paths and analytic oracles, both switch positions
+#   3. kernel parity tier in release mode: the r2c / SoA pipeline vs the
+#      test-side c2c / scalar references and the analytic oracles
 #   4. debug-assertions test pass (collective-contract checker active)
 #   5. chaos / resilience suites at fixed seeds (fault-injection drills)
 #   6. telemetry smoke: traced 4-rank 32^3 registration must yield a valid
@@ -27,7 +27,8 @@
 #      --gate`, and a second run must reproduce the bundles byte-for-byte
 #  11. perf-regression gate over the kernel suite (scripts/perf_gate.sh)
 #  12. static analysis: the in-tree analyzer must report zero new findings,
-#      and its fixture + schedule-explorer suites must pass
+#      and its fixture + schedule-explorer suites must pass; no pipeline
+#      switch may reappear; workspace line count, solver vs chassis
 #  13. clippy clean under -D warnings (skipped if clippy is not installed)
 #  14. smoke-test the individual crates a distributed solve flows through
 #  15. fail if Cargo.lock ever acquires a registry (non-path) dependency
@@ -40,21 +41,15 @@ cargo build --workspace --release --offline
 echo "==> [2/15] cargo test --offline (workspace, release)"
 cargo test --workspace --release -q --offline
 
-echo "==> [3/15] kernel-overhaul parity tier (r2c / SoA / f32, release)"
-# The fast defaults (half-spectrum r2c transforms, SoA tricubic, optional
-# f32 reductions) are pinned against the slow reference paths and the
-# analytic oracles: r2c roundtrip/operator parity, SoA bit-identity, the
-# f32 GaussianPair tolerance tier, and the warm-arena zero-allocation
-# check. Then the whole core oracle tier re-runs with the reference paths
-# forced, proving both sides of every config switch stay green.
+echo "==> [3/15] kernel parity tier (r2c / SoA, release)"
+# The pipeline (half-spectrum r2c transforms, SoA tricubic) is pinned
+# against the references the tests compose at the crate boundary and the
+# analytic oracles: r2c roundtrip/operator parity vs the c2c primitives,
+# SoA bit-identity vs the scalar kernel (interp unit tests, step 2), and
+# the warm-arena zero-allocation check.
 cargo test -p diffreg-fft --release -q --offline
 cargo test -p diffreg-pfft --release -q --offline --test r2c_parity
-cargo test -p diffreg-core --release -q --offline --test precision
 cargo test -p diffreg-core --release -q --offline --test zero_alloc
-DIFFREG_SPECTRAL=c2c DIFFREG_INTERP=scalar \
-    cargo test -p diffreg-core --release -q --offline
-DIFFREG_SPECTRAL=c2c DIFFREG_INTERP=scalar \
-    cargo test -p diffreg-pfft --release -q --offline
 
 echo "==> [4/15] cargo test --offline (workspace, debug: contract checker on)"
 # Debug builds default the collective-ordering contract checker to ON
@@ -218,6 +213,19 @@ DIFFREG_RESULTS_DIR=target/results \
 cargo test -p diffreg-analyzer --release -q --offline
 # Advisory sanitizer pass (skips cleanly when toolchains are unavailable).
 scripts/sanitizers.sh || echo "    sanitizers advisory: non-zero exit tolerated"
+# One pipeline: a switch between numeric paths must not come back.
+# (The bracketed letters keep this line from matching itself.)
+if grep -rnE 'DIFFREG_(SPECTRAL|INTERP|PRECISION)|Spectral[P]ath|Interp[M]ode|with_[p]recision' \
+        crates src scripts examples tests README.md DESIGN.md; then
+    echo "ERROR: a pipeline switch (second FFT / interpolation / reduction path) reappeared" >&2
+    exit 1
+fi
+# The workspace line count is tracked like a benchmark (ROADMAP aim 2).
+solver='crates/(fft|pfft|spectral|grid|interp|transport|optim|core)/'
+all_rs=$(find crates src tests examples -name '*.rs')
+echo "    Rust lines, solver:  $(echo "$all_rs" | grep -E "$solver" | xargs cat | wc -l)"
+echo "    Rust lines, chassis: $(echo "$all_rs" | grep -vE "$solver" | xargs cat | wc -l)"
+echo "    Rust lines, total:   $(echo "$all_rs" | xargs cat | wc -l)"
 
 echo "==> [13/15] cargo clippy -- -D warnings"
 if cargo clippy --version >/dev/null 2>&1; then

@@ -15,7 +15,9 @@
 //! * [`interp`] — tricubic interpolation and the scatter plan;
 //! * [`transport`] — semi-Lagrangian transport solvers;
 //! * [`optim`] — PCG and the inexact Gauss-Newton-Krylov driver;
-//! * [`core`] — the registration problem, gradient/Hessian, drivers;
+//! * [`core`] — the registration problem, gradient/Hessian, and the three
+//!   solve entry points `register`, `register_with_continuation`,
+//!   `register_solve` (one implementation);
 //! * [`imgsim`] — synthetic problems and the brain-phantom substitute;
 //! * [`perfmodel`] — the paper's performance model for scaling projection.
 //!
