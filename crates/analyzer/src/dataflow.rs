@@ -28,7 +28,6 @@ fn diag(f: &SourceFile, lint: Lint, line: usize, col: usize, message: String) ->
         message,
         snippet: f.snippet(line),
         func: String::new(),
-        shash: 0,
     }
 }
 

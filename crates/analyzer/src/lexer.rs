@@ -75,19 +75,6 @@ impl Token {
     pub fn is_punct(&self, s: &str) -> bool {
         self.kind == TokenKind::Punct && self.text == s
     }
-
-    /// True for any string-ish literal (plain, raw, byte, or char).
-    pub fn is_literal(&self) -> bool {
-        matches!(
-            self.kind,
-            TokenKind::Str
-                | TokenKind::RawStr
-                | TokenKind::ByteStr
-                | TokenKind::Char
-                | TokenKind::ByteChar
-                | TokenKind::Number
-        )
-    }
 }
 
 /// Multi-character operators joined into single [`TokenKind::Punct`] tokens,

@@ -1,35 +1,28 @@
-//! `diffreg-analyzer` — in-tree static analysis and schedule exploration.
+//! `diffreg-analyzer` — in-tree static analysis.
 //!
-//! Two halves, one goal: turn the invariants the runtime chaos/telemetry
-//! layers only check *dynamically* into checks that run on every CI pass
-//! without ever executing the solver.
+//! Turns the invariants the runtime chaos/telemetry layers only check
+//! *dynamically* into checks that run on every CI pass without ever
+//! executing the solver.
 //!
-//! * **Analysis engine** ([`lexer`], [`scope`], [`parse`], [`cfg`],
-//!   [`callgraph`], [`dataflow`], [`lint`], [`lints`], [`baseline`],
-//!   [`engine`]) — a hand-rolled pipeline: lexer → per-function ASTs →
-//!   control-flow graphs → workspace call graph → dataflow lints. The
-//!   syntactic lints ([`lints`]) catch local hazards (`unwrap` in library
-//!   code, float `==`, `debug_assert!` side effects, undocumented
-//!   `unsafe`, missing docs, missing `#![forbid(unsafe_code)]`); the
-//!   dataflow lints ([`dataflow`]) prove flow-sensitive, interprocedural
-//!   properties — collective-sequence consistency across rank-dependent
-//!   branches, must-consume handle lifecycles, allocation-free hot paths,
-//!   and swallowed `CommError`s. Findings are suppressible per site with
-//!   `// diffreg-allow(<lint>): <reason>` and grandfatherable via a
-//!   structurally-hashed v2 baseline file, so the gate is hard from day
-//!   one.
-//! * **Schedule explorer** ([`sched`]) — a loom-lite bounded-preemption
-//!   DFS over the yield points of a cooperative re-implementation of the
-//!   [`diffreg_comm::Comm`] trait, catching schedule-dependent deadlocks
-//!   and result divergence that stress tests only hit probabilistically.
+//! A hand-rolled pipeline ([`lexer`], [`scope`], [`parse`], [`cfg`],
+//! [`callgraph`], [`dataflow`], [`lint`], [`lints`], [`engine`]): lexer →
+//! per-function ASTs → control-flow graphs → workspace call graph →
+//! dataflow lints. The syntactic lints ([`lints`]) catch local hazards
+//! (`unwrap` in library code, float `==`, `debug_assert!` side effects);
+//! the dataflow lints ([`dataflow`]) prove flow-sensitive, interprocedural
+//! properties — collective-sequence consistency across rank-dependent
+//! branches, must-consume handle lifecycles, allocation-free hot paths,
+//! and swallowed `CommError`s. A finding is suppressible only at its site,
+//! with `// diffreg-allow(<lint>): <reason>`. What rustc already enforces
+//! (`forbid(unsafe_code)`, `deny(missing_docs)` in every lib root) is left
+//! to rustc.
 //!
 //! The binary (`cargo run -p diffreg-analyzer -- check`) is wired into
 //! `scripts/ci.sh` as a hard gate.
 
 #![forbid(unsafe_code)]
-#![warn(missing_docs)]
+#![deny(missing_docs)]
 
-pub mod baseline;
 pub mod callgraph;
 pub mod cfg;
 pub mod dataflow;
@@ -38,5 +31,4 @@ pub mod lexer;
 pub mod lint;
 pub mod lints;
 pub mod parse;
-pub mod sched;
 pub mod scope;

@@ -56,13 +56,6 @@ pub enum Lint {
     /// A mutating call or assignment inside `debug_assert!` — the side
     /// effect silently disappears in release builds.
     DebugAssertSideEffect,
-    /// An `unsafe` token without a `SAFETY:` comment in the preceding lines.
-    UnsafeWithoutSafetyComment,
-    /// A `pub fn` at crate root or module scope without a doc comment.
-    PubFnMissingDocs,
-    /// A library crate root missing the `#![forbid(unsafe_code)]` attribute
-    /// (the workspace is unsafe-free; this locks the invariant in).
-    ForbidUnsafeMissing,
     /// A `diffreg-allow` comment that suppressed nothing (stale), carries an
     /// unknown lint name, or is missing its reason.
     UnusedAllow,
@@ -77,9 +70,6 @@ pub const ALL_LINTS: &[Lint] = &[
     Lint::NoUnwrapInLib,
     Lint::FloatEq,
     Lint::DebugAssertSideEffect,
-    Lint::UnsafeWithoutSafetyComment,
-    Lint::PubFnMissingDocs,
-    Lint::ForbidUnsafeMissing,
     Lint::UnusedAllow,
 ];
 
@@ -94,9 +84,6 @@ impl Lint {
             Lint::NoUnwrapInLib => "no-unwrap-in-lib",
             Lint::FloatEq => "float-eq",
             Lint::DebugAssertSideEffect => "debug-assert-side-effect",
-            Lint::UnsafeWithoutSafetyComment => "unsafe-without-safety-comment",
-            Lint::PubFnMissingDocs => "pub-fn-missing-docs",
-            Lint::ForbidUnsafeMissing => "forbid-unsafe-missing",
             Lint::UnusedAllow => "unused-allow",
         }
     }
@@ -122,9 +109,6 @@ impl Lint {
             Lint::NoUnwrapInLib => "unwrap()/expect()/panic! in non-test solver library code",
             Lint::FloatEq => "==/!= between float-typed operands outside tests",
             Lint::DebugAssertSideEffect => "side effect inside debug_assert! (vanishes in release)",
-            Lint::UnsafeWithoutSafetyComment => "unsafe without a preceding SAFETY: comment",
-            Lint::PubFnMissingDocs => "undocumented pub fn at crate root / module scope",
-            Lint::ForbidUnsafeMissing => "library crate root missing #![forbid(unsafe_code)]",
             Lint::UnusedAllow => "stale or malformed diffreg-allow suppression",
         }
     }
@@ -149,16 +133,10 @@ pub struct Diagnostic {
     pub col: usize,
     /// Human-readable explanation with site context.
     pub message: String,
-    /// The trimmed source line (informational in baseline v2; the hash is
-    /// the content-addressed key).
+    /// The trimmed source line.
     pub snippet: String,
-    /// Name of the enclosing function (`""` for file-level findings) —
-    /// part of the v2 baseline key.
+    /// Name of the enclosing function (`""` for file-level findings).
     pub func: String,
-    /// FNV-1a structural hash over (lint, enclosing fn, code tokens of the
-    /// finding's line) — the v2 baseline key component that survives both
-    /// line-number drift and whitespace/comment reformatting.
-    pub shash: u64,
 }
 
 impl Diagnostic {

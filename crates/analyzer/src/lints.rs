@@ -6,7 +6,7 @@
 
 use crate::lexer::TokenKind;
 use crate::lint::{Diagnostic, Lint};
-use crate::scope::{ScopeKind, SourceFile};
+use crate::scope::SourceFile;
 
 /// Crates whose non-test library code must not `unwrap()`/`expect()`/
 /// `panic!` (they form the distributed solve path).
@@ -22,7 +22,6 @@ fn diag(f: &SourceFile, lint: Lint, line: usize, col: usize, message: String) ->
         message,
         snippet: f.snippet(line),
         func: String::new(),
-        shash: 0,
     }
 }
 
@@ -285,180 +284,13 @@ pub fn debug_assert_side_effect(f: &SourceFile, out: &mut Vec<Diagnostic>) {
     }
 }
 
-/// `unsafe-without-safety-comment`: an `unsafe` keyword with no `SAFETY:`
-/// comment on the same line or the three lines above.
-pub fn unsafe_without_safety_comment(f: &SourceFile, out: &mut Vec<Diagnostic>) {
-    for &ti in &f.code {
-        let tok = &f.tokens[ti];
-        if !(tok.kind == TokenKind::Ident && tok.text == "unsafe") {
-            continue;
-        }
-        let lo = tok.line.saturating_sub(3);
-        let documented = f.tokens.iter().any(|t| {
-            !t.is_code() && t.line >= lo && t.line <= tok.line && t.text.contains("SAFETY")
-        });
-        if !documented {
-            out.push(diag(
-                f,
-                Lint::UnsafeWithoutSafetyComment,
-                tok.line,
-                tok.col,
-                "`unsafe` without a preceding `// SAFETY:` comment explaining why the \
-                 invariants hold"
-                    .to_string(),
-            ));
-        }
-    }
-}
-
-/// `pub-fn-missing-docs`: a `pub fn` at crate root or module scope with no
-/// doc comment (or `#[doc = ...]`) attached.
-pub fn pub_fn_missing_docs(f: &SourceFile, out: &mut Vec<Diagnostic>) {
-    if !f.class.is_lib_src {
-        return;
-    }
-    let code = &f.code;
-    for i in 0..code.len() {
-        let ti = code[i];
-        let tok = &f.tokens[ti];
-        if !(tok.kind == TokenKind::Ident && tok.text == "pub") {
-            continue;
-        }
-        if f.is_test_token(ti) {
-            continue;
-        }
-        if !matches!(f.scope[ti], ScopeKind::File | ScopeKind::Mod) {
-            continue;
-        }
-        // `pub(crate)` / `pub(super)` are not public API.
-        let mut j = i + 1;
-        if j < code.len() && f.tokens[code[j]].is_punct("(") {
-            while j < code.len() && !f.tokens[code[j]].is_punct(")") {
-                j += 1;
-            }
-            continue;
-        }
-        // Allow qualifiers between `pub` and `fn`.
-        while j < code.len()
-            && matches!(f.tokens[code[j]].text.as_str(), "const" | "async" | "unsafe" | "extern")
-        {
-            j += 1;
-        }
-        if !(j < code.len() && f.tokens[code[j]].is_ident("fn")) {
-            continue;
-        }
-        let fn_name = f
-            .tokens
-            .get(code.get(j + 1).copied().unwrap_or(usize::MAX))
-            .map(|t| t.text.clone())
-            .unwrap_or_default();
-        if has_doc(f, i) {
-            continue;
-        }
-        out.push(diag(
-            f,
-            Lint::PubFnMissingDocs,
-            tok.line,
-            tok.col,
-            format!("public function `{fn_name}` at module scope has no doc comment"),
-        ));
-    }
-}
-
-/// Does the item whose first code token is at code-position `i` carry a doc
-/// comment or `#[doc ...]` attribute? Walks backwards over attributes and
-/// comments.
-fn has_doc(f: &SourceFile, i: usize) -> bool {
-    let mut k = f.code[i]; // index into `tokens` of the `pub` keyword
-    while k > 0 {
-        k -= 1;
-        let t = &f.tokens[k];
-        if !t.is_code() {
-            if t.text.starts_with("///") || t.text.starts_with("/**") {
-                return true;
-            }
-            // Ordinary comment: keep scanning upward.
-            continue;
-        }
-        if t.is_punct("]") {
-            // Walk back over the attribute group; check for `doc`.
-            let mut depth = 0isize;
-            let mut is_doc = false;
-            loop {
-                let a = &f.tokens[k];
-                if a.is_punct("]") {
-                    depth += 1;
-                } else if a.is_punct("[") {
-                    depth -= 1;
-                    if depth == 0 {
-                        break;
-                    }
-                } else if a.is_ident("doc") {
-                    is_doc = true;
-                }
-                if k == 0 {
-                    break;
-                }
-                k -= 1;
-            }
-            if is_doc {
-                return true;
-            }
-            // Step over the attribute's leading `#` and keep scanning.
-            if k > 0 && f.tokens[k - 1].is_punct("#") {
-                k -= 1;
-            }
-            continue;
-        }
-        return false;
-    }
-    false
-}
-
-/// `forbid-unsafe-missing`: library crate roots must carry
-/// `#![forbid(unsafe_code)]`.
-pub fn forbid_unsafe_missing(f: &SourceFile, out: &mut Vec<Diagnostic>) {
-    if !f.class.is_crate_root {
-        return;
-    }
-    let code = &f.code;
-    let mut found = false;
-    for i in 0..code.len().saturating_sub(6) {
-        if f.tokens[code[i]].is_punct("#")
-            && f.tokens[code[i + 1]].is_punct("!")
-            && f.tokens[code[i + 2]].is_punct("[")
-            && f.tokens[code[i + 3]].is_ident("forbid")
-            && f.tokens[code[i + 4]].is_punct("(")
-            && f.tokens[code[i + 5]].is_ident("unsafe_code")
-        {
-            found = true;
-            break;
-        }
-    }
-    if !found {
-        out.push(diag(
-            f,
-            Lint::ForbidUnsafeMissing,
-            1,
-            1,
-            "library crate root is missing `#![forbid(unsafe_code)]` (the workspace is \
-             unsafe-free; lock the invariant in)"
-                .to_string(),
-        ));
-    }
-}
-
 /// Runs every *syntactic* lint over one file (the dataflow lints live in
-/// [`crate::dataflow`]; suppressions and baselines are applied by the
-/// engine, not here).
+/// [`crate::dataflow`]; suppressions are applied by the engine, not here).
 pub fn run_all(f: &SourceFile) -> Vec<Diagnostic> {
     let mut out = Vec::new();
     no_unwrap_in_lib(f, &mut out);
     float_eq(f, &mut out);
     debug_assert_side_effect(f, &mut out);
-    unsafe_without_safety_comment(f, &mut out);
-    pub_fn_missing_docs(f, &mut out);
-    forbid_unsafe_missing(f, &mut out);
     out.sort_by_key(|d| (d.line, d.col, d.lint));
     out
 }

@@ -1,29 +1,22 @@
 //! `diffreg-analyzer` CLI: the static-analysis gate.
 //!
 //! ```text
-//! diffreg-analyzer check [--json] [--root DIR] [--jobs N] [--paths a,b]
-//!                                                # gate: exit 1 on new findings
-//! diffreg-analyzer fix-baseline [--root DIR]     # rewrite ANALYZER_BASELINE.txt
-//! diffreg-analyzer bench [--samples N] [--root DIR]
-//!                                                # time `check`, write diffreg-bench-v1
+//! diffreg-analyzer check [--json] [--root DIR] [--paths a,b]
+//!                                                # gate: exit 1 on any finding
 //! diffreg-analyzer list                          # describe the registered lints
 //! ```
 //!
-//! Exit codes: 0 clean, 1 new findings (gate fails), 2 usage/IO error.
+//! Exit codes: 0 clean, 1 findings (gate fails), 2 usage/IO error.
 
 #![forbid(unsafe_code)]
 
-use diffreg_analyzer::baseline::{Baseline, BASELINE_FILE};
 use diffreg_analyzer::engine;
 use diffreg_analyzer::lint::ALL_LINTS;
 use std::path::PathBuf;
 use std::process::ExitCode;
 
 fn usage() -> ExitCode {
-    eprintln!(
-        "usage: diffreg-analyzer <check [--json] [--root DIR] [--jobs N] [--paths P1,P2] \
-         | fix-baseline [--root DIR] | bench [--samples N] [--root DIR] | list>"
-    );
+    eprintln!("usage: diffreg-analyzer <check [--json] [--root DIR] [--paths P1,P2] | list>");
     ExitCode::from(2)
 }
 
@@ -44,11 +37,6 @@ fn find_root(explicit: Option<PathBuf>) -> Option<PathBuf> {
     }
 }
 
-fn load_baseline(root: &std::path::Path) -> Baseline {
-    let text = std::fs::read_to_string(root.join(BASELINE_FILE)).unwrap_or_default();
-    Baseline::parse(&text)
-}
-
 fn main() -> ExitCode {
     let mut args = std::env::args().skip(1);
     let Some(cmd) = args.next() else {
@@ -56,18 +44,12 @@ fn main() -> ExitCode {
     };
     let mut json = false;
     let mut root_arg: Option<PathBuf> = None;
-    let mut jobs: usize = 0;
     let mut paths: Vec<String> = Vec::new();
-    let mut samples: usize = 3;
     while let Some(a) = args.next() {
         match a.as_str() {
             "--json" => json = true,
             "--root" => match args.next() {
                 Some(dir) => root_arg = Some(PathBuf::from(dir)),
-                None => return usage(),
-            },
-            "--jobs" => match args.next().and_then(|n| n.parse().ok()) {
-                Some(n) => jobs = n,
                 None => return usage(),
             },
             "--paths" => match args.next() {
@@ -77,10 +59,6 @@ fn main() -> ExitCode {
                     );
                 }
                 None => return usage(),
-            },
-            "--samples" => match args.next().and_then(|n| n.parse().ok()) {
-                Some(n) if n > 0 => samples = n,
-                _ => return usage(),
             },
             _ => return usage(),
         }
@@ -98,7 +76,7 @@ fn main() -> ExitCode {
                 eprintln!("diffreg-analyzer: cannot locate workspace root (try --root)");
                 return ExitCode::from(2);
             };
-            let report = match engine::check_with(&root, load_baseline(&root), &paths, jobs) {
+            let report = match engine::check(&root, &paths) {
                 Ok(r) => r,
                 Err(e) => {
                     eprintln!("diffreg-analyzer: {e}");
@@ -115,74 +93,6 @@ fn main() -> ExitCode {
             } else {
                 ExitCode::from(1)
             }
-        }
-        "bench" => {
-            let Some(root) = find_root(root_arg) else {
-                eprintln!("diffreg-analyzer: cannot locate workspace root (try --root)");
-                return ExitCode::from(2);
-            };
-            let mut times = Vec::with_capacity(samples);
-            let mut last = None;
-            for _ in 0..samples {
-                let t0 = std::time::Instant::now();
-                match engine::check_with(&root, load_baseline(&root), &[], jobs) {
-                    Ok(r) => {
-                        times.push(t0.elapsed().as_secs_f64());
-                        last = Some(r);
-                    }
-                    Err(e) => {
-                        eprintln!("diffreg-analyzer: {e}");
-                        return ExitCode::from(2);
-                    }
-                }
-            }
-            let report = last.expect("samples > 0");
-            let mut rec = diffreg_telemetry::BenchRecord::new("analyzer/check", times)
-                .with_extra("files", report.files as f64);
-            for (name, (new, base, supp)) in report.counts() {
-                rec = rec.with_extra(format!("lint/{name}"), (new + base + supp) as f64);
-            }
-            let mut suite = diffreg_telemetry::BenchSuite::new("analyzer");
-            suite.push(rec);
-            let dir = std::env::var("DIFFREG_RESULTS_DIR")
-                .map(PathBuf::from)
-                .unwrap_or_else(|_| root.join("results"));
-            match suite.write_results(&dir) {
-                Ok(path) => {
-                    println!(
-                        "analyzer bench: {} file(s), median {:.3}s over {} sample(s) -> {}",
-                        report.files,
-                        suite.records[0].median_s(),
-                        samples,
-                        path.display()
-                    );
-                    ExitCode::SUCCESS
-                }
-                Err(e) => {
-                    eprintln!("diffreg-analyzer: write results: {e}");
-                    ExitCode::from(2)
-                }
-            }
-        }
-        "fix-baseline" => {
-            let Some(root) = find_root(root_arg) else {
-                eprintln!("diffreg-analyzer: cannot locate workspace root (try --root)");
-                return ExitCode::from(2);
-            };
-            let diags = match engine::baseline_candidates(&root) {
-                Ok(d) => d,
-                Err(e) => {
-                    eprintln!("diffreg-analyzer: {e}");
-                    return ExitCode::from(2);
-                }
-            };
-            let body = Baseline::render(&diags);
-            if let Err(e) = std::fs::write(root.join(BASELINE_FILE), &body) {
-                eprintln!("diffreg-analyzer: write {BASELINE_FILE}: {e}");
-                return ExitCode::from(2);
-            }
-            println!("wrote {} with {} entr(ies)", BASELINE_FILE, diags.len());
-            ExitCode::SUCCESS
         }
         _ => usage(),
     }

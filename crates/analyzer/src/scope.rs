@@ -1,33 +1,13 @@
 //! Source-file model and lightweight structural analysis.
 //!
-//! [`SourceFile`] owns the text, the token stream, and two structural maps
-//! the lints share:
-//!
-//! * **test regions** — which tokens live under `#[cfg(test)] mod` /
-//!   `#[test] fn` items (per-token flag, brace-matched), so library lints
-//!   can exempt test code without being fooled by formatting;
-//! * **scope kinds** — for each token, whether the innermost enclosing
-//!   brace scope is the file top, a `mod`, an `impl`/`trait`, a `fn` body,
-//!   or an expression block (used by the pub-fn docs lint).
+//! [`SourceFile`] owns the text, the token stream, and the structural map
+//! the lints share: **test regions** — which tokens live under
+//! `#[cfg(test)] mod` / `#[test] fn` items (per-token flag, brace-matched),
+//! so library lints can exempt test code without being fooled by
+//! formatting.
 
 use crate::lexer::{lex, Token, TokenKind};
 use std::path::Path;
-
-/// What kind of item opened the innermost enclosing brace scope.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ScopeKind {
-    /// Not inside any brace: file top level (module scope of the crate root).
-    File,
-    /// Inside a `mod name { ... }` item.
-    Mod,
-    /// Inside an `impl { ... }` or `trait { ... }` body.
-    ImplOrTrait,
-    /// Inside a `fn` body.
-    Fn,
-    /// Any other brace scope (expression block, match body, struct literal,
-    /// macro braces, ...).
-    Other,
-}
 
 /// Classification of a file from its path (drives lint applicability).
 #[derive(Debug, Clone)]
@@ -40,8 +20,6 @@ pub struct FileClass {
     pub is_test_file: bool,
     /// True for library sources: under `src/` but not `src/bin/`.
     pub is_lib_src: bool,
-    /// True for a crate-root `lib.rs`.
-    pub is_crate_root: bool,
 }
 
 impl FileClass {
@@ -60,22 +38,15 @@ impl FileClass {
         } else {
             None
         };
-        let file_name = rel.last().cloned().unwrap_or_default();
-        let is_crate_root = in_src && !in_bin && file_name == "lib.rs";
-        FileClass {
-            crate_name,
-            is_test_file,
-            is_lib_src: in_src && !in_bin && !is_test_file,
-            is_crate_root,
-        }
+        FileClass { crate_name, is_test_file, is_lib_src: in_src && !in_bin && !is_test_file }
     }
 }
 
-/// A lexed source file plus the structural maps the lints consume.
+/// A lexed source file plus the structural map the lints consume.
 pub struct SourceFile {
     /// Repo-relative path (slash-separated in diagnostics).
     pub path: String,
-    /// Raw source lines (for snippets and baseline keys).
+    /// Raw source lines (for snippets).
     pub lines: Vec<String>,
     /// Full token stream, comments included.
     pub tokens: Vec<Token>,
@@ -83,8 +54,6 @@ pub struct SourceFile {
     pub code: Vec<usize>,
     /// Per-`tokens` index: token is inside a `#[cfg(test)]` / `#[test]` item.
     pub in_test: Vec<bool>,
-    /// Per-`tokens` index: innermost enclosing scope kind.
-    pub scope: Vec<ScopeKind>,
     /// Path-derived classification.
     pub class: FileClass,
 }
@@ -99,20 +68,19 @@ impl SourceFile {
             .filter(|(_, t)| t.is_code())
             .map(|(i, _)| i)
             .collect();
-        let (in_test, scope) = structural_maps(&tokens, &code);
+        let in_test = test_regions(&tokens, &code);
         SourceFile {
             path: path.to_string_lossy().replace('\\', "/"),
             lines: text.lines().map(str::to_string).collect(),
             tokens,
             code,
             in_test,
-            scope,
             class: FileClass::from_path(path),
         }
     }
 
     /// The trimmed source text of 1-based line `line` (empty when out of
-    /// range), used as the content-addressed baseline key.
+    /// range).
     pub fn snippet(&self, line: usize) -> String {
         self.lines.get(line.wrapping_sub(1)).map(|l| l.trim().to_string()).unwrap_or_default()
     }
@@ -125,31 +93,25 @@ impl SourceFile {
     }
 }
 
-/// Computes the per-token test-region flags and scope kinds in one walk
-/// over the code tokens.
-fn structural_maps(tokens: &[Token], code: &[usize]) -> (Vec<bool>, Vec<ScopeKind>) {
-    let n = tokens.len();
-    let mut in_test = vec![false; n];
-    let mut scope = vec![ScopeKind::File; n];
+/// Computes the per-token test-region flags in one walk over the code
+/// tokens.
+fn test_regions(tokens: &[Token], code: &[usize]) -> Vec<bool> {
+    let mut in_test = vec![false; tokens.len()];
 
-    // Stack of (scope kind, test-ness) for each open `{`.
-    let mut stack: Vec<(ScopeKind, bool)> = Vec::new();
+    // Test-ness of each open `{`.
+    let mut stack: Vec<bool> = Vec::new();
     // Attribute-derived "next item is a test item" flag.
     let mut pending_test = false;
-    // First item keyword seen since the last scope boundary, classifying the
-    // next `{`.
-    let mut item_kw: Option<ScopeKind> = None;
 
     let mut i = 0usize;
     while i < code.len() {
         let ti = code[i];
         let tok = &tokens[ti];
-        let (cur_kind, cur_test) = stack.last().copied().unwrap_or((ScopeKind::File, false));
+        let cur_test = stack.last().copied().unwrap_or(false);
         in_test[ti] = cur_test || pending_test;
-        scope[ti] = cur_kind;
 
         // Attributes: `#[...]` / `#![...]` — consumed wholly here so their
-        // brackets never confuse the scope tracker.
+        // brackets never confuse the brace tracker.
         if tok.is_punct("#") {
             let mut j = i + 1;
             if j < code.len() && tokens[code[j]].is_punct("!") {
@@ -161,7 +123,6 @@ fn structural_maps(tokens: &[Token], code: &[usize]) -> (Vec<bool>, Vec<ScopeKin
                 while j < code.len() {
                     let t = &tokens[code[j]];
                     in_test[code[j]] = cur_test || pending_test;
-                    scope[code[j]] = cur_kind;
                     if t.is_punct("[") {
                         depth += 1;
                     } else if t.is_punct("]") {
@@ -186,49 +147,17 @@ fn structural_maps(tokens: &[Token], code: &[usize]) -> (Vec<bool>, Vec<ScopeKin
             }
         }
 
-        match tok.kind {
-            TokenKind::Ident => {
-                let k = match tok.text.as_str() {
-                    "mod" => Some(ScopeKind::Mod),
-                    "impl" | "trait" => Some(ScopeKind::ImplOrTrait),
-                    "fn" => Some(ScopeKind::Fn),
-                    _ => None,
-                };
-                // Keep the *first* item keyword: `impl Foo for Bar` must not
-                // be reclassified by `for`, and `fn f() -> impl Iterator`
-                // must stay a fn. Later keywords before the `{` are ignored.
-                if let Some(k) = k {
-                    if item_kw.is_none() {
-                        item_kw = Some(k);
-                    }
-                }
-            }
-            TokenKind::Punct => match tok.text.as_str() {
-                "{" => {
-                    let kind = item_kw.take().unwrap_or(ScopeKind::Other);
-                    stack.push((kind, cur_test || pending_test));
-                    pending_test = false;
-                }
-                "}" => {
-                    stack.pop();
-                    item_kw = None;
-                }
-                ";" => {
-                    item_kw = None;
-                    pending_test = false;
-                }
-                "=" => {
-                    // `let f = ...`, `const X: T = ...`: what follows is an
-                    // expression, so any `{` belongs to it, not the item.
-                    item_kw = None;
-                }
-                _ => {}
-            },
-            _ => {}
+        if tok.is_punct("{") {
+            stack.push(cur_test || pending_test);
+            pending_test = false;
+        } else if tok.is_punct("}") {
+            stack.pop();
+        } else if tok.is_punct(";") {
+            pending_test = false;
         }
         i += 1;
     }
-    (in_test, scope)
+    in_test
 }
 
 #[cfg(test)]
@@ -264,27 +193,14 @@ mod tests {
     }
 
     #[test]
-    fn scope_kinds_track_mod_impl_fn() {
-        let f = sf("pub fn top() {}\n\
-                    mod m { pub fn inner() {} }\n\
-                    impl Foo { pub fn method(&self) { let x = Bar { y: 1 }; } }\n");
-        assert_eq!(f.scope[token_at(&f, "top")], ScopeKind::File);
-        assert_eq!(f.scope[token_at(&f, "inner")], ScopeKind::Mod);
-        assert_eq!(f.scope[token_at(&f, "method")], ScopeKind::ImplOrTrait);
-        assert_eq!(f.scope[token_at(&f, "Bar")], ScopeKind::Fn);
-    }
-
-    #[test]
     fn file_class_from_paths() {
         let c = FileClass::from_path(&PathBuf::from("crates/comm/src/threaded.rs"));
         assert_eq!(c.crate_name.as_deref(), Some("comm"));
-        assert!(c.is_lib_src && !c.is_test_file && !c.is_crate_root);
+        assert!(c.is_lib_src && !c.is_test_file);
         let t = FileClass::from_path(&PathBuf::from("crates/comm/tests/chaos.rs"));
         assert!(t.is_test_file && !t.is_lib_src);
-        let r = FileClass::from_path(&PathBuf::from("crates/fft/src/lib.rs"));
-        assert!(r.is_crate_root);
         let b = FileClass::from_path(&PathBuf::from("src/bin/diffreg.rs"));
-        assert!(!b.is_lib_src && !b.is_crate_root);
+        assert!(!b.is_lib_src);
         assert_eq!(b.crate_name.as_deref(), Some("diffreg"));
         let e = FileClass::from_path(&PathBuf::from("examples/quickstart.rs"));
         assert!(e.is_test_file);

@@ -1,32 +1,18 @@
 //! CI performance-regression gate over the kernel microbenchmark suite.
 //!
-//! Three modes:
+//! Four modes:
 //!
 //! * `perf_gate emit --out <path>` — run the kernel suite (shared with
 //!   `cargo bench -p diffreg-bench`) and write the canonical
 //!   `diffreg-bench-v1` JSON to `<path>`. `--inflate X` multiplies every
 //!   sample by `X` after measuring; CI uses it to prove the gate trips on a
-//!   synthetic slowdown without waiting for a real one. Every emit also
-//!   appends one `diffreg-bench-history-v1` line of per-record medians to
-//!   `history.jsonl` next to `--out` (override with `--history <path>`),
-//!   building the longitudinal record that `trend` reads.
-//! * `perf_gate trend [history.jsonl]` — advisory drift report over the
-//!   appended history: per kernel, first/last/min/max median and the
-//!   first→last drift, skipping synthetically inflated entries. Never
-//!   fails the build (exit 2 only on unreadable/corrupt history).
+//!   synthetic slowdown without waiting for a real one.
 //! * `perf_gate check <baseline.json> <current.json>` — compare medians
 //!   record-by-record; exit 1 when any record is more than `--threshold`
 //!   (default 0.25 = 25%) slower or a baseline record is missing. When the
 //!   two suites were measured on different hosts the comparison is printed
 //!   but advisory (exit 0) unless `--strict-host` is given — medians are
 //!   only meaningful same-host.
-//! * `perf_gate speedup <current.json>` — the PR-6 kernel-overhaul gate:
-//!   require the r2c spectral path and SoA interpolation to hold a ≥2×
-//!   median improvement on `fft3d/gradient/32` and
-//!   `interpolation/Tricubic/32` against the frozen pre-overhaul seed
-//!   medians (measured on host `vm` before the half-spectrum/SoA rewrite;
-//!   `BENCH_kernels.json` is rebased to the fast path, so the slow-path
-//!   reference lives here as constants). Advisory on other hosts.
 //! * `perf_gate recorder <current.json>` — flight-recorder overhead check:
 //!   derive the per-event cost from the `telemetry/recorder_overhead/{on,off}`
 //!   median gap and compare it against a nanosecond budget (default 2 µs,
@@ -35,15 +21,13 @@
 //! * `perf_gate selftest` — deterministic in-memory check (no timing) that
 //!   the gate logic passes identical suites, fails a 30% slowdown at the
 //!   25% threshold, never fails on speedups, flags missing records, and
-//!   that the speedup gate passes/fails/flags-missing correctly for the
-//!   r2c/SoA records.
+//!   that the recorder check passes/breaches/flags-missing correctly.
 //!
 //! Used by `scripts/perf_gate.sh`; the checked-in baseline lives at
 //! `BENCH_kernels.json`.
 
 use diffreg_bench::kernels::{run_kernel_suite, K, RECORDER_BENCH_EVENTS, WARMUP};
-use diffreg_telemetry::{compare_suites, BenchRecord, BenchSuite, Json};
-use std::io::Write;
+use diffreg_telemetry::{compare_suites, BenchRecord, BenchSuite};
 use std::process::ExitCode;
 
 fn arg_value(args: &[String], key: &str) -> Option<String> {
@@ -88,7 +72,6 @@ fn emit(args: &[String]) -> ExitCode {
     match std::fs::write(&out, format!("{}\n", suite.to_json())) {
         Ok(()) => {
             println!("[perf_gate] wrote {} ({} records)", out, suite.records.len());
-            append_history(args, &out, &suite, inflate);
             ExitCode::SUCCESS
         }
         Err(e) => {
@@ -96,167 +79,6 @@ fn emit(args: &[String]) -> ExitCode {
             ExitCode::from(2)
         }
     }
-}
-
-/// Schema tag of one history line.
-const HISTORY_SCHEMA: &str = "diffreg-bench-history-v1";
-
-/// One `history.jsonl` line: the per-record medians of one emitted suite.
-#[derive(Debug, Clone, PartialEq)]
-struct HistoryEntry {
-    host: String,
-    /// Synthetic-slowdown factor the samples were multiplied by (1.0 for a
-    /// real measurement; `trend` skips anything else).
-    inflate: f64,
-    /// `(record name, median seconds)` in emission order.
-    medians: Vec<(String, f64)>,
-}
-
-impl HistoryEntry {
-    fn of(suite: &BenchSuite, inflate: f64) -> Self {
-        Self {
-            host: suite.host.clone(),
-            inflate,
-            medians: suite.records.iter().map(|r| (r.name.clone(), r.median_s())).collect(),
-        }
-    }
-
-    fn to_json_line(&self) -> String {
-        let records: Vec<Json> = self
-            .medians
-            .iter()
-            .map(|(name, m)| Json::obj().set("name", name.as_str()).set("median_s", *m))
-            .collect();
-        Json::obj()
-            .set("schema", HISTORY_SCHEMA)
-            .set("host", self.host.as_str())
-            .set("inflate", self.inflate)
-            .set("records", records)
-            .to_string()
-    }
-
-    fn from_json_line(line: &str) -> Result<Self, String> {
-        let doc = Json::parse(line)?;
-        match doc.get("schema").and_then(Json::as_str) {
-            Some(s) if s == HISTORY_SCHEMA => {}
-            other => return Err(format!("unknown history schema {other:?}")),
-        }
-        let host = doc
-            .get("host")
-            .and_then(Json::as_str)
-            .ok_or("history line missing host")?
-            .to_string();
-        let inflate = doc.get("inflate").and_then(Json::as_f64).unwrap_or(1.0);
-        let mut medians = Vec::new();
-        for r in doc.get("records").and_then(Json::as_arr).ok_or("history line missing records")?
-        {
-            let name = r
-                .get("name")
-                .and_then(Json::as_str)
-                .ok_or("history record missing name")?
-                .to_string();
-            let m = r
-                .get("median_s")
-                .and_then(Json::as_f64)
-                .ok_or("history record missing median_s")?;
-            medians.push((name, m));
-        }
-        Ok(Self { host, inflate, medians })
-    }
-}
-
-/// Appends the suite's medians to the history log. Advisory: the suite
-/// file is the product of `emit`, so a history append failure warns
-/// instead of failing the run.
-fn append_history(args: &[String], out: &str, suite: &BenchSuite, inflate: f64) {
-    let path = arg_value(args, "--history").unwrap_or_else(|| {
-        std::path::Path::new(out)
-            .parent()
-            .filter(|d| !d.as_os_str().is_empty())
-            .map(|d| d.join("history.jsonl").to_string_lossy().into_owned())
-            .unwrap_or_else(|| "history.jsonl".into())
-    });
-    let line = HistoryEntry::of(suite, inflate).to_json_line();
-    let appended = std::fs::OpenOptions::new()
-        .create(true)
-        .append(true)
-        .open(&path)
-        .and_then(|mut f| writeln!(f, "{line}"));
-    match appended {
-        Ok(()) => println!("[perf_gate] appended medians to {path}"),
-        Err(e) => eprintln!("[perf_gate] cannot append history to {path}: {e} (continuing)"),
-    }
-}
-
-/// Per-kernel drift over the clean (non-inflated) history entries, oldest
-/// first: one line per kernel plus a skipped-entry note. Pure — `selftest`
-/// exercises it on synthetic entries.
-fn trend_report(entries: &[HistoryEntry]) -> Vec<String> {
-    // diffreg-allow(float-eq): exact sentinel check — 1.0 is the untouched CLI default, never a computed value
-    let skipped = entries.iter().filter(|e| e.inflate != 1.0).count();
-    // First-seen order keeps the report stable across runs.
-    let mut order: Vec<&str> = Vec::new();
-    let mut series: std::collections::HashMap<&str, Vec<f64>> = std::collections::HashMap::new();
-    // diffreg-allow(float-eq): exact sentinel check — 1.0 is the untouched CLI default, never a computed value
-    for e in entries.iter().filter(|e| e.inflate == 1.0) {
-        for (name, m) in &e.medians {
-            let runs = series.entry(name.as_str()).or_insert_with(|| {
-                order.push(name.as_str());
-                Vec::new()
-            });
-            runs.push(*m);
-        }
-    }
-    let mut lines = Vec::new();
-    for name in order {
-        let runs = &series[name];
-        let (first, last) = (runs[0], runs[runs.len() - 1]);
-        let min = runs.iter().cloned().fold(f64::INFINITY, f64::min);
-        let max = runs.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
-        let drift = if first > 0.0 { (last - first) / first * 100.0 } else { 0.0 };
-        lines.push(format!(
-            "  {name}: {} runs, first {first:.6}s, last {last:.6}s, min {min:.6}s, max {max:.6}s, drift {drift:+.1}%",
-            runs.len(),
-        ));
-    }
-    if skipped > 0 {
-        lines.push(format!("  (skipped {skipped} synthetically inflated entries)"));
-    }
-    lines
-}
-
-fn trend(args: &[String]) -> ExitCode {
-    let path = args
-        .get(1)
-        .filter(|a| !a.starts_with("--"))
-        .cloned()
-        .unwrap_or_else(|| "results/history.jsonl".into());
-    let text = match std::fs::read_to_string(&path) {
-        Ok(t) => t,
-        Err(e) => {
-            eprintln!("[perf_gate] cannot read {path}: {e}");
-            return ExitCode::from(2);
-        }
-    };
-    let mut entries = Vec::new();
-    for (i, line) in text.lines().enumerate() {
-        if line.trim().is_empty() {
-            continue;
-        }
-        match HistoryEntry::from_json_line(line) {
-            Ok(e) => entries.push(e),
-            Err(e) => {
-                eprintln!("[perf_gate] {path}:{}: {e}", i + 1);
-                return ExitCode::from(2);
-            }
-        }
-    }
-    println!("[perf_gate] median drift over {} history entries ({path}):", entries.len());
-    for l in trend_report(&entries) {
-        println!("{l}");
-    }
-    println!("[perf_gate] trend is advisory (medians drift with host load); nothing gates on it");
-    ExitCode::SUCCESS
 }
 
 fn load(path: &str) -> Result<BenchSuite, String> {
@@ -297,91 +119,6 @@ fn check(args: &[String]) -> ExitCode {
         return ExitCode::FAILURE;
     }
     ExitCode::SUCCESS
-}
-
-/// Pre-overhaul seed medians (host `vm`, c2c spectral path + scalar
-/// tricubic kernel) for the records the PR-6 kernel overhaul targets.
-/// Frozen here because `--rebase` overwrites `BENCH_kernels.json` with the
-/// fast-path numbers — the regular `check` gate then guards against
-/// regressions from the *new* level, while this table pins the original
-/// ≥2× claim itself.
-const SEED_HOST: &str = "vm";
-const SEED_MEDIANS: &[(&str, f64)] = &[
-    ("fft3d/gradient/32", 0.010658656),
-    ("interpolation/Tricubic/32", 0.002579731),
-];
-
-/// Default speedup factor the fast paths must hold over the seed medians.
-const SPEEDUP_FACTOR: f64 = 2.0;
-
-/// Core speedup-gate logic, separated from I/O so `selftest` can exercise
-/// it on synthetic suites. Returns one line per table entry plus a list of
-/// failure messages (empty = gate passes).
-fn speedup_report(
-    suite: &BenchSuite,
-    table: &[(&str, f64)],
-    factor: f64,
-) -> (Vec<String>, Vec<String>) {
-    let mut lines = Vec::new();
-    let mut failures = Vec::new();
-    for &(name, seed_median) in table {
-        match suite.record(name) {
-            Some(r) => {
-                let m = r.median_s();
-                let speedup = if m > 0.0 { seed_median / m } else { f64::INFINITY };
-                let ok = m * factor <= seed_median;
-                lines.push(format!(
-                    "  {} {name}: {m:.6}s vs seed {seed_median:.6}s  ({speedup:.2}x, need {factor:.2}x)",
-                    if ok { "OK  " } else { "SLOW" },
-                ));
-                if !ok {
-                    failures.push(format!(
-                        "{name}: {speedup:.2}x vs seed median, below the required {factor:.2}x"
-                    ));
-                }
-            }
-            None => {
-                lines.push(format!("  MISS {name}: record absent from suite"));
-                failures.push(format!("{name}: record missing from current suite"));
-            }
-        }
-    }
-    (lines, failures)
-}
-
-fn speedup(args: &[String]) -> ExitCode {
-    let Some(current_path) = args.get(1).filter(|a| !a.starts_with("--")) else {
-        eprintln!("usage: perf_gate speedup <current.json> [--factor 2.0]");
-        return ExitCode::from(2);
-    };
-    let factor = arg_f64(args, "--factor", SPEEDUP_FACTOR);
-    let current = match load(current_path) {
-        Ok(c) => c,
-        Err(e) => {
-            eprintln!("[perf_gate] {e}");
-            return ExitCode::from(2);
-        }
-    };
-    let (lines, failures) = speedup_report(&current, SEED_MEDIANS, factor);
-    println!("[perf_gate] kernel-overhaul speedup gate (seed host: {SEED_HOST}):");
-    for l in &lines {
-        println!("{l}");
-    }
-    if failures.is_empty() {
-        println!("[perf_gate] speedup gate PASS ({factor:.2}x held on all records)");
-        return ExitCode::SUCCESS;
-    }
-    if current.host != SEED_HOST {
-        println!(
-            "[perf_gate] host {} != seed host {SEED_HOST}: speedup result is advisory, not failing the build",
-            current.host
-        );
-        return ExitCode::SUCCESS;
-    }
-    for f in &failures {
-        eprintln!("[perf_gate] speedup gate FAIL: {f}");
-    }
-    ExitCode::FAILURE
 }
 
 /// Default flight-recorder overhead budget, nanoseconds per offered event.
@@ -457,8 +194,7 @@ fn recorder(args: &[String]) -> ExitCode {
         }
         return ExitCode::FAILURE;
     }
-    // Wall-clock budget verdicts are host-dependent: advisory, like the
-    // speedup gate off its seed host.
+    // Wall-clock budget verdicts are host-dependent: advisory.
     println!(
         "[perf_gate] budget exceeded on host {}: advisory, not failing the build",
         current.host
@@ -538,24 +274,6 @@ fn selftest() -> ExitCode {
         failures.push("percentile fields are informational and must not gate");
     }
 
-    // Speedup gate (the r2c/SoA records): the synthetic fast suite holds
-    // >2x on both gated records, a 3x-slower scaling drops below 2x and
-    // must fail on both, and a suite missing a gated record must fail.
-    let (_, fast_fail) = speedup_report(&suite(1.0), SEED_MEDIANS, SPEEDUP_FACTOR);
-    if !fast_fail.is_empty() {
-        failures.push("fast r2c/SoA suite must pass the 2x speedup gate");
-    }
-    let (_, slow_fail) = speedup_report(&suite(3.0), SEED_MEDIANS, SPEEDUP_FACTOR);
-    if slow_fail.len() != SEED_MEDIANS.len() {
-        failures.push("a 3x slowdown must fail the speedup gate on every gated record");
-    }
-    let mut no_gated = suite(1.0);
-    no_gated.records.retain(|r| r.name != "fft3d/gradient/32");
-    let (_, miss_fail) = speedup_report(&no_gated, SEED_MEDIANS, SPEEDUP_FACTOR);
-    if !miss_fail.iter().any(|f| f.contains("missing")) {
-        failures.push("a missing gated record must fail the speedup gate");
-    }
-
     // Recorder-overhead check: a synthetic 500 ns/event gap passes the
     // 2 µs budget, a 5 µs gap breaches it, and missing records are flagged.
     let recorder_suite = |gap_ns: f64| {
@@ -580,29 +298,6 @@ fn selftest() -> ExitCode {
         failures.push("missing recorder records must be flagged");
     }
 
-    // History/trend: entries round-trip through the JSONL schema, inflated
-    // entries are skipped, and the drift math reports first→last movement.
-    let entry = |scale: f64, inflate: f64| HistoryEntry::of(&suite(scale), inflate);
-    let h0 = entry(1.0, 1.0);
-    match HistoryEntry::from_json_line(&h0.to_json_line()) {
-        Ok(back) if back == h0 => {}
-        _ => failures.push("history entry must round-trip through its JSONL line"),
-    }
-    let history = vec![entry(1.0, 1.0), entry(1.0, 3.0), entry(1.2, 1.0)];
-    let report = trend_report(&history);
-    let fft_line = report.iter().find(|l| l.contains("fft3d/forward/32"));
-    match fft_line {
-        // 1.0 → 1.2 scaling on every sample moves the median +20%.
-        Some(l) if l.contains("2 runs") && l.contains("drift +20.0%") => {}
-        _ => failures.push("trend must report a +20% first→last drift over 2 clean runs"),
-    }
-    if !report.iter().any(|l| l.contains("skipped 1 synthetically inflated")) {
-        failures.push("trend must skip inflated history entries");
-    }
-    if HistoryEntry::from_json_line("{\"schema\":\"bogus\"}").is_ok() {
-        failures.push("unknown history schemas must be rejected");
-    }
-
     print!("{}", slow.render());
     if failures.is_empty() {
         println!("[perf_gate] selftest PASS (30% synthetic slowdown trips the 25% gate)");
@@ -620,17 +315,13 @@ fn main() -> ExitCode {
     match args.first().map(String::as_str) {
         Some("emit") => emit(&args),
         Some("check") => check(&args),
-        Some("speedup") => speedup(&args),
         Some("recorder") => recorder(&args),
-        Some("trend") => trend(&args),
         Some("selftest") => selftest(),
         _ => {
-            eprintln!("usage: perf_gate <emit|check|speedup|recorder|trend|selftest> [options]");
-            eprintln!("  emit  --out results/kernels.json [--warmup N] [--samples K] [--sizes 32] [--inflate X] [--history PATH]");
+            eprintln!("usage: perf_gate <emit|check|recorder|selftest> [options]");
+            eprintln!("  emit  --out results/kernels.json [--warmup N] [--samples K] [--sizes 32] [--inflate X]");
             eprintln!("  check <baseline.json> <current.json> [--threshold 0.25] [--strict-host]");
-            eprintln!("  speedup <current.json> [--factor 2.0]");
             eprintln!("  recorder <current.json> [--budget-ns 2000]");
-            eprintln!("  trend [results/history.jsonl]");
             eprintln!("  selftest");
             ExitCode::from(2)
         }

@@ -10,7 +10,7 @@
 //! grid sizes using `diffreg-perfmodel` (DESIGN.md substitution #1/#6).
 
 #![forbid(unsafe_code)]
-#![warn(missing_docs)]
+#![deny(missing_docs)]
 
 pub mod kernels;
 pub mod results;

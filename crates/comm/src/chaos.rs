@@ -185,11 +185,6 @@ impl<C: Comm> ChaosComm<C> {
         &self.cfg
     }
 
-    /// Number of chaos points (user-level comm calls) executed so far.
-    pub fn ops_executed(&self) -> u64 {
-        self.ops.get()
-    }
-
     /// Number of *collective* calls (barrier, broadcast, allgather,
     /// alltoallv, allreduce, split) executed so far — the decorator's
     /// collective epoch, which the `*_at_epoch` faults key on.

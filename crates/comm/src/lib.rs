@@ -40,7 +40,7 @@
 //! ```
 
 #![forbid(unsafe_code)]
-#![warn(missing_docs)]
+#![deny(missing_docs)]
 
 mod chaos;
 mod error;
@@ -54,6 +54,6 @@ pub use chaos::{ChaosComm, ChaosConfig};
 pub use error::{tag_display, CollOp, CommError, RankFailure, TAG_INTERNAL};
 pub use events::{monotonic_ns, CommEvent, CommOp};
 pub use serial::SerialComm;
-pub use stats::{CommStats, TimerGuard, Timers};
+pub use stats::{CommStats, Timers};
 pub use threaded::{run_gang, run_threaded, run_threaded_checked, ThreadComm};
 pub use traits::{Comm, CommData, ReduceOp};

@@ -65,16 +65,6 @@ impl Timers {
         *self.map.borrow_mut().entry(key).or_insert(0.0) += seconds;
     }
 
-    /// Starts an RAII-scoped timing for phase `key`: the elapsed wall-clock
-    /// time is added when the returned guard drops. Guards nest freely —
-    /// including re-entrantly on the same key, where each guard contributes
-    /// its own elapsed interval (so nested same-key scopes double-count by
-    /// design, exactly like nested [`Timers::time`] closures).
-    #[must_use = "the timing is recorded when the guard drops"]
-    pub fn scoped(&self, key: &'static str) -> TimerGuard<'_> {
-        TimerGuard { timers: self, key, t0: Instant::now() }
-    }
-
     /// Increments an event counter (e.g. number of FFTs, interpolated points).
     pub fn count(&self, key: &'static str, n: u64) {
         *self.counters.borrow_mut().entry(key).or_insert(0) += n;
@@ -114,20 +104,6 @@ impl Timers {
         for (k, v) in other.counters.borrow().iter() {
             self.count(k, *v);
         }
-    }
-}
-
-/// RAII guard from [`Timers::scoped`]: records the elapsed time on drop.
-#[derive(Debug)]
-pub struct TimerGuard<'a> {
-    timers: &'a Timers,
-    key: &'static str,
-    t0: Instant,
-}
-
-impl Drop for TimerGuard<'_> {
-    fn drop(&mut self) {
-        self.timers.add(self.key, self.t0.elapsed().as_secs_f64());
     }
 }
 
@@ -179,52 +155,6 @@ mod tests {
         assert_eq!(a.messages_received, 9);
         assert_eq!(a.bytes_received, 90);
         assert_eq!(a.blocked_seconds, 0.75);
-    }
-
-    #[test]
-    fn scoped_guard_records_on_drop() {
-        let t = Timers::new();
-        {
-            let _g = t.scoped("phase");
-            std::thread::sleep(std::time::Duration::from_millis(1));
-        }
-        assert!(t.get("phase") > 0.0, "guard drop must record elapsed time");
-    }
-
-    #[test]
-    fn scoped_guards_nest_reentrantly_on_same_key() {
-        let t = Timers::new();
-        {
-            let _outer = t.scoped("k");
-            std::thread::sleep(std::time::Duration::from_millis(1));
-            {
-                let _inner = t.scoped("k");
-                std::thread::sleep(std::time::Duration::from_millis(1));
-            }
-            // Inner interval is already recorded while outer is still open.
-            let mid = t.get("k");
-            assert!(mid > 0.0);
-        }
-        // Outer interval covers the inner one, so the total double-counts the
-        // inner window (same semantics as nested `time` closures).
-        let total = t.get("k");
-        assert!(total >= 2.0e-3, "nested same-key scopes accumulate: {total}");
-    }
-
-    #[test]
-    fn guard_drop_order_is_correct_for_disjoint_keys() {
-        let t = Timers::new();
-        let outer = t.scoped("outer");
-        std::thread::sleep(std::time::Duration::from_millis(1));
-        let inner = t.scoped("inner");
-        std::thread::sleep(std::time::Duration::from_millis(1));
-        drop(inner);
-        let inner_s = t.get("inner");
-        drop(outer);
-        let outer_s = t.get("outer");
-        assert!(inner_s > 0.0 && outer_s > 0.0);
-        // Outer guard lived strictly longer than the inner one.
-        assert!(outer_s > inner_s, "outer {outer_s} vs inner {inner_s}");
     }
 
     #[test]

@@ -82,21 +82,9 @@ impl RegistrationConfig {
         self
     }
 
-    /// Builder-style: set the number of time steps.
-    pub fn with_nt(mut self, nt: usize) -> Self {
-        self.nt = nt;
-        self
-    }
-
     /// Builder-style: enable the incompressibility constraint.
     pub fn with_incompressible(mut self, on: bool) -> Self {
         self.incompressible = on;
-        self
-    }
-
-    /// Builder-style: set the regularization order.
-    pub fn with_reg(mut self, reg: RegOrder) -> Self {
-        self.reg = reg;
         self
     }
 
@@ -125,14 +113,8 @@ mod tests {
 
     #[test]
     fn builders_compose() {
-        let c = RegistrationConfig::default()
-            .with_beta(1e-4)
-            .with_nt(8)
-            .with_incompressible(true)
-            .with_reg(RegOrder::H1);
+        let c = RegistrationConfig::default().with_beta(1e-4).with_incompressible(true);
         assert_eq!(c.beta, 1e-4);
-        assert_eq!(c.nt, 8);
         assert!(c.incompressible);
-        assert_eq!(c.reg, RegOrder::H1);
     }
 }

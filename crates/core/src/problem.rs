@@ -148,10 +148,6 @@ impl<'a, C: Comm> RegProblem<'a, C> {
         self.lin.as_ref().map(|l| &l.rho1)
     }
 
-    /// The cached semi-Lagrangian state at the current linearization point.
-    pub fn semi_lagrangian(&self) -> Option<&SemiLagrangian> {
-        self.lin.as_ref().map(|l| &l.sl)
-    }
 }
 
 impl<'a, C: Comm> GaussNewtonProblem for RegProblem<'a, C> {

@@ -60,11 +60,6 @@ impl BluesteinPlan {
         false
     }
 
-    /// Length of the internal padded convolution (power of two `>= 2n-1`).
-    pub fn padded_len(&self) -> usize {
-        self.m
-    }
-
     /// Forward transform, out-of-place: `out = DFT(input)`.
     pub fn forward(&self, input: &[Complex64], out: &mut [Complex64]) {
         assert_eq!(input.len(), self.n);

@@ -10,7 +10,7 @@
 //! the 1D plans defined here.
 
 #![forbid(unsafe_code)]
-#![warn(missing_docs)]
+#![deny(missing_docs)]
 
 mod bluestein;
 mod complex;

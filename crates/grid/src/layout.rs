@@ -56,13 +56,6 @@ impl Grid {
         TAU * i as f64 / self.n[axis] as f64
     }
 
-    /// Converts a (flattened, global, row-major) linear index to `[i0,i1,i2]`.
-    pub fn unflatten(&self, idx: usize) -> [usize; 3] {
-        let i2 = idx % self.n[2];
-        let rest = idx / self.n[2];
-        [rest / self.n[1], rest % self.n[1], i2]
-    }
-
     /// Converts `[i0,i1,i2]` to the flattened global row-major index.
     pub fn flatten(&self, i: [usize; 3]) -> usize {
         (i[0] * self.n[1] + i[1]) * self.n[2] + i[2]
@@ -301,9 +294,6 @@ mod tests {
         assert!((h[0] - TAU / 4.0).abs() < 1e-15);
         assert!((g.cell_volume() - h[0] * h[1] * h[2]).abs() < 1e-15);
         assert_eq!(g.coord(0, 0), 0.0);
-        for idx in 0..g.total() {
-            assert_eq!(g.flatten(g.unflatten(idx)), idx);
-        }
     }
 
     #[test]

@@ -11,7 +11,7 @@
 //! [`diffreg_comm::Comm`].
 
 #![forbid(unsafe_code)]
-#![warn(missing_docs)]
+#![deny(missing_docs)]
 
 mod arena;
 mod field;

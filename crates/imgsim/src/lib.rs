@@ -7,7 +7,7 @@
 //! metrics, and minimal image IO for the figure binaries.
 
 #![forbid(unsafe_code)]
-#![warn(missing_docs)]
+#![deny(missing_docs)]
 
 mod brain;
 mod io;

@@ -113,15 +113,6 @@ impl Kernel {
             Kernel::Trilinear => trilinear(ghost, grid, x),
         }
     }
-
-    /// Approximate flops per interpolated point (paper §III-C2 counts ~10×64
-    /// for the tricubic kernel).
-    pub fn flops_per_point(self) -> f64 {
-        match self {
-            Kernel::Tricubic => 600.0,
-            Kernel::Trilinear => 60.0,
-        }
-    }
 }
 
 #[cfg(test)]

@@ -6,7 +6,7 @@
 //! points to their owner ranks and returns interpolated values.
 
 #![forbid(unsafe_code)]
-#![warn(missing_docs)]
+#![deny(missing_docs)]
 
 mod kernel;
 mod scatter;

@@ -101,16 +101,6 @@ impl SoaStencils {
         acc
     }
 
-    /// Evaluates points `lo..hi` against one ghosted field, appending one
-    /// value per point to `out`.
-    pub fn eval_range(&self, ghost: &GhostField, lo: usize, hi: usize, out: &mut Vec<f64>) {
-        let ext = ghost.ext();
-        let data = ghost.data();
-        for p in lo..hi {
-            out.push(self.eval_point(data, ext[1], ext[2], p));
-        }
-    }
-
     /// Evaluates points `lo..hi` into `out[(p - lo) * stride + offset]` —
     /// the interleaved per-point layout the scatter plan sends over the
     /// wire when batching several fields.
@@ -159,8 +149,8 @@ mod tests {
                 })
                 .collect();
             let soa = SoaStencils::build(&grid, ghost.origin(), &points);
-            let mut got = Vec::new();
-            soa.eval_range(&ghost, 0, points.len(), &mut got);
+            let mut got = vec![0.0; points.len()];
+            soa.eval_strided(&ghost, 0, points.len(), &mut got, 1, 0);
             for (x, v) in points.iter().zip(&got) {
                 let expect = tricubic(&ghost, &grid, *x);
                 assert_eq!(*v, expect, "SoA diverged from scalar kernel at {x:?}");

@@ -11,7 +11,7 @@
 //! termination criteria).
 
 #![forbid(unsafe_code)]
-#![warn(missing_docs)]
+#![deny(missing_docs)]
 
 mod newton;
 mod pcg;

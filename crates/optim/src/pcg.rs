@@ -42,15 +42,6 @@ pub enum PcgStatus {
     NonFinite,
 }
 
-impl PcgStatus {
-    /// True for the breakdown statuses ([`PcgStatus::IndefiniteOperator`],
-    /// [`PcgStatus::NonFinite`]) that require the outer Newton driver to
-    /// apply a safeguard instead of trusting the returned step.
-    pub fn is_breakdown(self) -> bool {
-        matches!(self, PcgStatus::IndefiniteOperator | PcgStatus::NonFinite)
-    }
-}
-
 /// Outcome of one PCG solve.
 #[derive(Debug, Clone, Copy)]
 pub struct PcgReport {
@@ -270,7 +261,6 @@ mod tests {
             &PcgOptions::default(),
         );
         assert_eq!(rep.status, PcgStatus::NonFinite);
-        assert!(rep.status.is_breakdown());
         // The returned iterate is the (finite) zero start, never NaN.
         assert!(x.iter().all(|v| v.is_finite()));
     }

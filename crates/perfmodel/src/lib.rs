@@ -19,7 +19,7 @@
 //! 50-70% band the paper reports.
 
 #![forbid(unsafe_code)]
-#![warn(missing_docs)]
+#![deny(missing_docs)]
 
 /// A machine model: effective per-task flop rate and network parameters.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -102,7 +102,7 @@ pub struct SolveShape {
 impl SolveShape {
     /// The configuration of the paper's synthetic scaling runs: nt = 4,
     /// two Newton iterations, ≈5 matvecs (gtol = 1e-2, quadratic forcing).
-    pub fn paper_scaling() -> Self {
+    pub const fn paper_scaling() -> Self {
         Self { nt: 4, newton_iters: 2, matvecs: 5 }
     }
 
@@ -165,12 +165,6 @@ pub fn model_solve(machine: &Machine, n: [usize; 3], p: usize, shape: &SolveShap
 /// Strong-scaling parallel efficiency `t_base p_base / (t p)`.
 pub fn strong_efficiency(t_base: f64, p_base: usize, t: f64, p: usize) -> f64 {
     (t_base * p_base as f64) / (t * p as f64)
-}
-
-/// Weak-scaling efficiency `t_base / t` at proportionally grown problem and
-/// task counts.
-pub fn weak_efficiency(t_base: f64, t: f64) -> f64 {
-    t_base / t
 }
 
 #[cfg(test)]
@@ -243,6 +237,5 @@ mod tests {
     fn efficiency_helpers() {
         assert!((strong_efficiency(10.0, 32, 5.0, 64) - 1.0).abs() < 1e-12);
         assert!((strong_efficiency(10.0, 32, 10.0, 64) - 0.5).abs() < 1e-12);
-        assert_eq!(weak_efficiency(10.0, 20.0), 0.5);
     }
 }

@@ -11,7 +11,7 @@
 //! groups) follow the paper's Fig. 4.
 
 #![forbid(unsafe_code)]
-#![warn(missing_docs)]
+#![deny(missing_docs)]
 
 mod half;
 mod plan;

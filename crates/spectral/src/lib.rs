@@ -11,7 +11,7 @@
 //! correctness oracle for the distributed implementation in `diffreg-pfft`.
 
 #![forbid(unsafe_code)]
-#![warn(missing_docs)]
+#![deny(missing_docs)]
 
 mod real;
 mod resample;

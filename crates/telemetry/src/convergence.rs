@@ -173,15 +173,6 @@ impl ConvergenceLog {
         out
     }
 
-    /// Writes [`ConvergenceLog::to_jsonl`] to `path` (parents created).
-    pub fn write_jsonl(&self, path: impl AsRef<std::path::Path>) -> std::io::Result<()> {
-        let path = path.as_ref();
-        if let Some(dir) = path.parent() {
-            std::fs::create_dir_all(dir)?;
-        }
-        std::fs::write(path, self.to_jsonl())
-    }
-
     /// Renders the paper's convergence-table text format: one row per
     /// Newton iteration with β level, J, relative gradient, PCG iterations,
     /// forcing term, and step length; events appear as annotated lines.

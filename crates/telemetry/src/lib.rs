@@ -41,7 +41,7 @@
 //! deterministic collapsed-stack flamegraphs with a differential mode.
 
 #![forbid(unsafe_code)]
-#![warn(missing_docs)]
+#![deny(missing_docs)]
 
 pub mod convergence;
 pub mod doctor;

@@ -290,11 +290,6 @@ impl MetricsRegistry {
         self.histograms.get(name)
     }
 
-    /// Iterates histogram names in sorted order.
-    pub fn histogram_names(&self) -> impl Iterator<Item = &str> {
-        self.histograms.keys().map(String::as_str)
-    }
-
     /// True when no metric of any kind has been recorded.
     pub fn is_empty(&self) -> bool {
         self.counters.is_empty() && self.gauges.is_empty() && self.histograms.is_empty()

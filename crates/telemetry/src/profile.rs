@@ -1,9 +1,8 @@
 //! Span-derived continuous profiler.
 //!
-//! Folds the span streams the chassis already produces — per-thread trace
-//! buffers ([`ThreadTrace`]), flight-recorder windows
-//! ([`RecorderSnapshot`] / loaded [`RecorderFile`]s), and doctor bundles
-//! ([`DoctorInput`]) — into exact self/child wall-time profiles per
+//! Folds the span streams the chassis already produces — flight-recorder
+//! windows ([`RecorderSnapshot`] / loaded [`RecorderFile`]s) and doctor
+//! bundles ([`DoctorInput`]) — into exact self/child wall-time profiles per
 //! (rank, stack) and exports deterministic collapsed-stack flamegraphs
 //! (`.folded`, the speedscope/inferno interchange format).
 //!
@@ -28,7 +27,6 @@ use std::collections::BTreeMap;
 use crate::doctor::DoctorInput;
 use crate::incident::RecorderFile;
 use crate::recorder::{RecKind, RecorderSnapshot};
-use crate::span::ThreadTrace;
 
 /// Aggregate statistics for one exact call stack.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -134,22 +132,6 @@ impl Profile {
         st.count += 1;
         st.total_ns += f.dur;
         st.self_ns += f.dur.saturating_sub(f.child_ns);
-    }
-
-    /// Folds per-thread trace buffers, one `(rank, trace)` pair each.
-    /// Trace-buffer drop counters feed the `[dropped]` accounting.
-    pub fn from_thread_traces(traces: &[(usize, ThreadTrace)]) -> Profile {
-        let mut p = Profile::new();
-        for (rank, trace) in traces {
-            let iv = trace
-                .events
-                .iter()
-                .map(|e| (e.t0_ns, e.t0_ns + e.dur_ns, e.name.to_string()))
-                .collect();
-            p.add_rank_intervals(*rank, iv);
-            p.dropped += trace.dropped;
-        }
-        p
     }
 
     /// Folds a doctor input (trace bundle or in-memory capture): every
@@ -325,7 +307,6 @@ pub fn render_diff(deltas: &[PhaseDelta], top: usize) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::span::{set_trace_enabled, span, take_thread_trace, TEST_TRACE_LOCK};
 
     fn iv(t0: u64, t1: u64, name: &str) -> (u64, u64, String) {
         (t0, t1, name.to_string())
@@ -416,21 +397,5 @@ mod tests {
         assert_eq!(deltas[0].phase, "new_phase");
         assert_eq!(deltas[0].base_self_ns, 0);
         assert_eq!(deltas[0].delta_ns, 50);
-    }
-
-    #[test]
-    fn folds_live_thread_traces() {
-        let _l = TEST_TRACE_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-        set_trace_enabled(true);
-        let _ = take_thread_trace();
-        {
-            let _outer = span("prof.outer");
-            let _inner = span("prof.inner");
-        }
-        let trace = take_thread_trace();
-        set_trace_enabled(false);
-        let p = Profile::from_thread_traces(&[(3, trace)]);
-        assert!(p.stacks.contains_key("rank3;prof.outer"));
-        assert!(p.stacks.contains_key("rank3;prof.outer;prof.inner"));
     }
 }

@@ -10,14 +10,12 @@
 //! the paper's "interpolation planner" optimization.
 
 #![forbid(unsafe_code)]
-#![warn(missing_docs)]
+#![deny(missing_docs)]
 
 mod solvers;
 mod trajectory;
 mod workspace;
 
 pub use solvers::SemiLagrangian;
-pub use trajectory::{
-    compute_trajectory, compute_trajectory_pair, local_grid_points, velocity_is_finite, Trajectory,
-};
+pub use trajectory::{compute_trajectory, local_grid_points, velocity_is_finite, Trajectory};
 pub use workspace::Workspace;

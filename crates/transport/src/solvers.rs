@@ -56,11 +56,6 @@ impl SemiLagrangian {
         &self.fwd
     }
 
-    /// Departure trajectory for the backward (adjoint) direction.
-    pub fn backward_trajectory(&self) -> &Trajectory {
-        &self.bwd
-    }
-
     /// `div v` on the grid.
     pub fn divergence(&self) -> &ScalarField {
         &self.divv

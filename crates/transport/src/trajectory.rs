@@ -76,7 +76,7 @@ pub fn compute_trajectory<C: Comm>(
 /// departure time level (interpolated at the predictor point). With
 /// `v_arrival == v_departure` this reduces to the stationary scheme of
 /// paper eq. (6).
-pub fn compute_trajectory_pair<C: Comm>(
+fn compute_trajectory_pair<C: Comm>(
     ws: &Workspace<C>,
     v_arrival: &VectorField,
     v_departure: &VectorField,

@@ -11,17 +11,10 @@
 #      `BENCH_kernels.json` (median-of-K, threshold 25%). Medians are only
 #      comparable same-host, so a host mismatch downgrades the comparison
 #      to advisory — the numbers are printed but do not fail the build.
-#   4. `perf_gate speedup` — require the r2c spectral path and SoA
-#      interpolation to hold >=2x on fft3d/gradient/32 and
-#      interpolation/Tricubic/32 against the frozen pre-overhaul seed
-#      medians (advisory off the seed host).
-#   5. `perf_gate recorder` — flight-recorder overhead check: per-event cost
+#   4. `perf_gate recorder` — flight-recorder overhead check: per-event cost
 #      from the telemetry/recorder_overhead on/off median gap must sit
 #      within a 2 us budget (missing records fail; a breach is advisory,
 #      wall-clock verdicts being host-dependent).
-#   6. `perf_gate trend` — advisory median-drift report over the appended
-#      results/history.jsonl (every real emit appends one line; synthetic
-#      inflated emits are kept out of the longitudinal record).
 #
 # Usage:
 #   scripts/perf_gate.sh            # selftest + inflate proof + baseline compare
@@ -40,19 +33,17 @@ SIZES="${PERF_GATE_SIZES:-32}"
 BASELINE="BENCH_kernels.json"
 SCRATCH="target/perf-gate"
 
-echo "==> [perf-gate 1/6] building perf_gate (release, offline)"
+echo "==> [perf-gate 1/4] building perf_gate (release, offline)"
 cargo build --release --offline -p diffreg-bench --bin perf_gate
 GATE=target/release/perf_gate
 
-echo "==> [perf-gate 2/6] gate selftest + synthetic-slowdown proof"
+echo "==> [perf-gate 2/4] gate selftest + synthetic-slowdown proof"
 "$GATE" selftest
 mkdir -p "$SCRATCH"
 # Fast emission for the end-to-end proof: 3 samples, small grids. The two
 # runs share one measurement, so only the inflation differs.
-"$GATE" emit --out "$SCRATCH/proof_base.json" --warmup 1 --samples 3 --sizes 16 \
-    --history "$SCRATCH/proof_history.jsonl"
-"$GATE" emit --out "$SCRATCH/proof_slow.json" --warmup 1 --samples 3 --sizes 16 --inflate 1.3 \
-    --history "$SCRATCH/proof_history.jsonl"
+"$GATE" emit --out "$SCRATCH/proof_base.json" --warmup 1 --samples 3 --sizes 16
+"$GATE" emit --out "$SCRATCH/proof_slow.json" --warmup 1 --samples 3 --sizes 16 --inflate 1.3
 set +e
 "$GATE" check "$SCRATCH/proof_base.json" "$SCRATCH/proof_slow.json" \
     --threshold "$THRESHOLD" --strict-host > "$SCRATCH/proof_check.txt" 2>&1
@@ -74,33 +65,22 @@ if [[ "${1:-}" == "--quick" ]]; then
 fi
 
 if [[ "${1:-}" == "--rebase" ]]; then
-    echo "==> [perf-gate 3/6] rebasing $BASELINE"
-    "$GATE" emit --out "$BASELINE" --warmup "$WARMUP" --samples "$SAMPLES" --sizes "$SIZES" \
-        --history results/history.jsonl
-    echo "==> [perf-gate 4/6] speedup gate on the fresh baseline"
-    "$GATE" speedup "$BASELINE"
-    echo "==> [perf-gate 5/6] flight-recorder overhead check"
+    echo "==> [perf-gate 3/4] rebasing $BASELINE"
+    "$GATE" emit --out "$BASELINE" --warmup "$WARMUP" --samples "$SAMPLES" --sizes "$SIZES"
+    echo "==> [perf-gate 4/4] flight-recorder overhead check"
     "$GATE" recorder "$BASELINE"
-    echo "==> [perf-gate 6/6] advisory median-drift trend"
-    "$GATE" trend results/history.jsonl
     echo "perf gate baseline rebased; commit $BASELINE"
     exit 0
 fi
 
-echo "==> [perf-gate 3/6] comparing against $BASELINE"
+echo "==> [perf-gate 3/4] comparing against $BASELINE"
 if [[ ! -f "$BASELINE" ]]; then
     echo "    no $BASELINE checked in; bootstrapping one (commit it to enable the gate)"
-    "$GATE" emit --out "$BASELINE" --warmup "$WARMUP" --samples "$SAMPLES" --sizes "$SIZES" \
-        --history results/history.jsonl
+    "$GATE" emit --out "$BASELINE" --warmup "$WARMUP" --samples "$SAMPLES" --sizes "$SIZES"
     exit 0
 fi
-"$GATE" emit --out "$SCRATCH/current.json" --warmup "$WARMUP" --samples "$SAMPLES" --sizes "$SIZES" \
-    --history results/history.jsonl
+"$GATE" emit --out "$SCRATCH/current.json" --warmup "$WARMUP" --samples "$SAMPLES" --sizes "$SIZES"
 "$GATE" check "$BASELINE" "$SCRATCH/current.json" --threshold "$THRESHOLD"
-echo "==> [perf-gate 4/6] kernel-overhaul speedup gate (r2c + SoA vs seed medians)"
-"$GATE" speedup "$SCRATCH/current.json"
-echo "==> [perf-gate 5/6] flight-recorder overhead check"
+echo "==> [perf-gate 4/4] flight-recorder overhead check"
 "$GATE" recorder "$SCRATCH/current.json"
-echo "==> [perf-gate 6/6] advisory median-drift trend"
-"$GATE" trend results/history.jsonl
 echo "perf gate OK"

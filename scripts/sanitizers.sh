@@ -8,15 +8,15 @@
 # toolchain and SKIPS CLEANLY (exit 0) when it is unavailable. CI treats
 # this script as advisory either way.
 #
-#   1. ThreadSanitizer over the comm + analyzer::sched suites (the two
-#      places real threads interleave).
+#   1. ThreadSanitizer over the comm suite (where real threads
+#      interleave).
 #   2. Miri over the comm serial suite (UB check of the queue machinery).
 set -uo pipefail
 cd "$(dirname "$0")/.."
 
 status=0
 
-echo "==> [sanitizers 1/2] ThreadSanitizer (comm, analyzer)"
+echo "==> [sanitizers 1/2] ThreadSanitizer (comm)"
 host="$(rustc -vV | sed -n 's/^host: //p')"
 nightly_src=""
 if rustc +nightly --version >/dev/null 2>&1; then
@@ -25,7 +25,7 @@ fi
 if [ -n "$nightly_src" ] && [ -f "$nightly_src" ]; then
     if RUSTFLAGS="-Zsanitizer=thread" cargo +nightly test --offline \
         -Zbuild-std --target "$host" -q \
-        -p diffreg-comm -p diffreg-analyzer 2>&1 | tail -20; then
+        -p diffreg-comm 2>&1 | tail -20; then
         echo "    tsan pass ok"
     else
         echo "    tsan pass FAILED (advisory)"

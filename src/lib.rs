@@ -39,7 +39,7 @@
 //! ```
 
 #![forbid(unsafe_code)]
-#![warn(missing_docs)]
+#![deny(missing_docs)]
 
 pub use diffreg_comm as comm;
 pub use diffreg_core as core;
