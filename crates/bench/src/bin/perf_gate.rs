@@ -7,12 +7,14 @@
 //!   `diffreg-bench-v1` JSON to `<path>`. `--inflate X` multiplies every
 //!   sample by `X` after measuring; CI uses it to prove the gate trips on a
 //!   synthetic slowdown without waiting for a real one.
-//! * `perf_gate check <baseline.json> <current.json>` — compare medians
-//!   record-by-record; exit 1 when any record is more than `--threshold`
-//!   (default 0.25 = 25%) slower or a baseline record is missing. When the
-//!   two suites were measured on different hosts the comparison is printed
-//!   but advisory (exit 0) unless `--strict-host` is given — medians are
-//!   only meaningful same-host.
+//! * `perf_gate check <baseline.json> <current.json>` — compare the fastest
+//!   sample (`min_s`) record-by-record; exit 1 when any record is more than
+//!   `--threshold` (default 0.25 = 25%) slower or a baseline record is
+//!   missing. Host bursts only add time, so the fastest of K holds still
+//!   where the median moved by a third with identical instructions. When
+//!   the two suites were measured on different hosts the comparison is
+//!   printed but advisory (exit 0) unless `--strict-host` is given — wall
+//!   clocks are only meaningful same-host.
 //! * `perf_gate recorder <current.json>` — flight-recorder overhead check:
 //!   derive the per-event cost from the `telemetry/recorder_overhead/{on,off}`
 //!   median gap and compare it against a nanosecond budget (default 2 µs,

@@ -12,10 +12,12 @@
 
 use diffreg_comm::{SerialComm, Timers};
 use diffreg_core::{RegProblem, RegistrationConfig};
+use diffreg_fft::{transform_lines, Complex64, Direction, Fft1d};
 use diffreg_grid::{Decomp, Grid, ScalarField, VectorField};
 use diffreg_interp::{ghosted, Kernel, ScatterPlan};
 use diffreg_optim::GaussNewtonProblem;
 use diffreg_pfft::PencilFft;
+use diffreg_spectral::RegOrder;
 use diffreg_telemetry::{
     record_event, recorder_enabled, set_recorder_enabled, take_recorder, BenchRecord,
     BenchSuite, RecKind,
@@ -77,6 +79,35 @@ fn bench_fft(suite: &mut BenchSuite, warmup: usize, k: usize, sizes: &[usize]) {
             fft.inverse_half(&half, &timers);
         });
     }
+}
+
+/// The layers under and over the 3D transform that the solver's Krylov
+/// loop pays for: contiguous 1D lines at the extents the benchmark grids
+/// use (32; 30 = 2·3·5; 75 = 3·5², the paper's 300 scaled) through the
+/// tiled c2c `transform_lines`, and the two six-transform vector operators
+/// of one PCG iteration.
+fn bench_lines_and_operators(suite: &mut BenchSuite, warmup: usize, k: usize) {
+    for n in [32usize, 30, 75] {
+        let lines = 1024;
+        let mut data: Vec<Complex64> =
+            (0..n * lines).map(|i| Complex64::from_real((i as f64 * 0.37).sin())).collect();
+        let plan = Fft1d::new(n);
+        push(suite, &format!("fft1d/lines/{n}"), warmup, k, || {
+            transform_lines(&plan, &mut data, Direction::Forward);
+        });
+    }
+    let ctx = Ctx::new(32);
+    let fft = PencilFft::new(&ctx.comm, ctx.decomp);
+    let timers = Timers::new();
+    let v = VectorField::from_fn(&ctx.grid, fft.spatial_block(), |x| {
+        [0.4 * x[1].sin(), 0.3 * x[0].cos(), 0.2 * x[2].sin()]
+    });
+    push(suite, "spectral/regularization/32", warmup, k, || {
+        fft.regularization(&v, RegOrder::H2, 1e-2, &timers);
+    });
+    push(suite, "spectral/precondition/32", warmup, k, || {
+        fft.precondition(&v, RegOrder::H2, 1e-2, &timers);
+    });
 }
 
 fn bench_interp(suite: &mut BenchSuite, warmup: usize, k: usize, sizes: &[usize]) {
@@ -198,6 +229,7 @@ fn bench_recorder(suite: &mut BenchSuite, warmup: usize, k: usize) {
 pub fn run_kernel_suite(warmup: usize, k: usize, sizes: &[usize]) -> BenchSuite {
     let mut suite = BenchSuite::new("kernels");
     bench_fft(&mut suite, warmup, k, sizes);
+    bench_lines_and_operators(&mut suite, warmup, k);
     bench_interp(&mut suite, warmup, k, sizes);
     bench_transport(&mut suite, warmup, k);
     bench_solver(&mut suite, warmup, k);

@@ -222,6 +222,10 @@ pub fn register_solve<C: Comm>(
             let mut resid = deformed_template.clone();
             resid.axpy(-1.0, prob.reference());
             let final_mismatch = 0.5 * resid.inner(&resid, &ws.grid(), ws.comm);
+            // Free the linearization before the displacement solve builds
+            // its own semi-Lagrangian plans.
+            let hessian_matvecs = prob.hessian_matvecs;
+            drop(prob);
 
             let displacement = displacement(&ws, &velocity, cfg.nt);
             let det = det_deformation_gradient(&ws, &displacement);
@@ -229,7 +233,7 @@ pub fn register_solve<C: Comm>(
 
             RegistrationOutcome {
                 velocity,
-                hessian_matvecs: prob.hessian_matvecs,
+                hessian_matvecs,
                 report,
                 initial_mismatch,
                 final_mismatch,

@@ -164,6 +164,8 @@ impl<'a, C: Comm> GaussNewtonProblem for RegProblem<'a, C> {
 
     fn linearize(&mut self, v: &VectorField) -> (f64, VectorField) {
         let _span = diffreg_telemetry::span("reg.linearize");
+        // The stale linearization must not outlive the build of its successor.
+        self.lin = None;
         let ws = &self.ws;
         // Forward (state) solve with full history.
         let sl = SemiLagrangian::new(ws, v, self.cfg.nt);
@@ -172,8 +174,10 @@ impl<'a, C: Comm> GaussNewtonProblem for RegProblem<'a, C> {
         let rho1 = state.last().unwrap().clone();
 
         // Objective.
+        // β(-Δ)^m v serves both the energy β/2 ⟨(-Δ)^m v, v⟩ and the gradient.
         let jdata = self.cfg.distance.evaluate(&rho1, &self.rho_r, &ws.grid(), ws.comm);
-        let j = jdata + self.reg_energy(v);
+        let mut g = ws.fft.regularization(v, self.cfg.reg, self.cfg.beta, ws.timers);
+        let j = jdata + 0.5 * g.inner(v, &ws.grid(), ws.comm);
 
         // Adjoint solve with the measure's terminal condition
         // (SSD: λ(1) = ρ_R − ρ(1), paper eq. 3).
@@ -185,7 +189,6 @@ impl<'a, C: Comm> GaussNewtonProblem for RegProblem<'a, C> {
 
         // Reduced gradient g = β(-Δ)^m v + P ∫ λ ∇ρ dt.
         let b = self.time_integral(&adj, &grads);
-        let mut g = ws.fft.regularization(v, self.cfg.reg, self.cfg.beta, ws.timers);
         g.axpy(1.0, &self.project(&b));
 
         self.lin = Some(Linearization { sl, grads, adj, rho1 });

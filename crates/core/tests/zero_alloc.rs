@@ -41,6 +41,11 @@ fn warm_arena_newton_iteration_allocates_nothing() {
         let (_, _) = prob.linearize(&v);
         let _ = prob.hessian_vec(&d);
         let _ = prob.precondition(&d);
+        // The two spectral operators of the Krylov loop, called directly:
+        // their complex working arrays and scratch are arena buffers too.
+        let cfg = *prob.config();
+        let _ = fft.regularization(&d, cfg.reg, cfg.beta, &timers);
+        let _ = fft.precondition(&d, cfg.reg, cfg.beta, &timers);
     };
 
     // Warm-up: populate every arena capacity class the iteration touches.

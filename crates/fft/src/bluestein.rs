@@ -18,8 +18,7 @@ pub struct BluesteinPlan {
     inner: MixedRadixPlan,
     /// Chirp `c[j] = exp(-i pi j^2 / n)`, length `n`.
     chirp: Vec<Complex64>,
-    /// Forward FFT (length m) of the padded conjugate-chirp kernel, premultiplied
-    /// by `1/m` so the inverse convolution transform needs no extra scaling pass.
+    /// Forward FFT (length m) of the padded conjugate-chirp kernel.
     kernel_hat: Vec<Complex64>,
 }
 
@@ -42,11 +41,7 @@ impl BluesteinPlan {
             kernel[m - j] = c;
         }
         let mut kernel_hat = vec![Complex64::ZERO; m];
-        inner.forward(&kernel, &mut kernel_hat);
-        let scale = 1.0 / m as f64;
-        for k in &mut kernel_hat {
-            *k = k.scale(scale);
-        }
+        inner.run(Some(&kernel), &mut kernel_hat, &mut vec![Complex64::ZERO; m], 1, false);
         Self { n, m, inner, chirp, kernel_hat }
     }
 
@@ -64,21 +59,20 @@ impl BluesteinPlan {
     pub fn forward(&self, input: &[Complex64], out: &mut [Complex64]) {
         assert_eq!(input.len(), self.n);
         assert_eq!(out.len(), self.n);
-        let m = self.m;
-        let mut a = vec![Complex64::ZERO; m];
-        let mut a_hat = vec![Complex64::ZERO; m];
+        let mut a = vec![Complex64::ZERO; self.m];
+        let mut scratch = vec![Complex64::ZERO; self.m];
         for j in 0..self.n {
             a[j] = input[j] * self.chirp[j];
         }
-        self.inner.forward(&a, &mut a_hat);
-        // Pointwise multiply with the kernel spectrum, then inverse transform
-        // via the conjugation trick (kernel_hat already carries the 1/m).
-        for j in 0..m {
-            a[j] = (a_hat[j] * self.kernel_hat[j]).conj();
+        // Circular convolution with the kernel: forward, pointwise
+        // multiply, inverse (which carries the 1/m).
+        self.inner.run(None, &mut a, &mut scratch, 1, false);
+        for (aj, kj) in a.iter_mut().zip(&self.kernel_hat) {
+            *aj *= *kj;
         }
-        self.inner.forward(&a, &mut a_hat);
+        self.inner.run(None, &mut a, &mut scratch, 1, true);
         for k in 0..self.n {
-            out[k] = a_hat[k].conj() * self.chirp[k];
+            out[k] = a[k] * self.chirp[k];
         }
     }
 }

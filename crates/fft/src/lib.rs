@@ -1,9 +1,9 @@
 //! # diffreg-fft
 //!
 //! Serial FFT stack for the diffeomorphic registration solver: a minimal
-//! complex type, a naive DFT oracle, a mixed-radix Cooley-Tukey kernel
-//! (radices up to 13), a Bluestein fallback for arbitrary lengths, and
-//! batched/3D drivers.
+//! complex type, a naive DFT oracle, one batched mixed-radix Stockham kernel
+//! (radices 4, 2, 3, 5 and odd primes up to 13) under every transform, a
+//! Bluestein fallback for arbitrary lengths, and line/3D drivers.
 //!
 //! This replaces FFTW/AccFFT's node-local transforms in the paper's stack;
 //! the distributed pencil transform lives in `diffreg-pfft` and calls into
@@ -26,7 +26,7 @@ pub use complex::Complex64;
 pub use dft::{dft_forward, dft_inverse};
 pub use factor::{factorize, is_smooth, next_pow2, MAX_RADIX};
 pub use mixed::MixedRadixPlan;
-pub use nd::{transform_lines, transform_strided, Direction, Fft3d};
+pub use nd::{transform_lines, Direction, Fft3d};
 pub use plan::Fft1d;
 pub use real::{
     half_len, pack_half_spectrum, unpack_half_spectrum, RealFft1d, RealFft3d, RealScratch,

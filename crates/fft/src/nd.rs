@@ -1,11 +1,14 @@
-//! Batched and multi-dimensional FFT helpers built on [`Fft1d`].
+//! Line and multi-dimensional FFT drivers built on [`Fft1d::batch`].
 //!
-//! The distributed transform in `diffreg-pfft` always arranges data so the
-//! active axis is contiguous (last); the serial 3D transform here handles
-//! arbitrary axes with gather/scatter into a contiguous line buffer.
+//! The kernel wants the transform axis slowest and the batch contiguous.
+//! Axes 0 and 1 of a row-major array already look like that; contiguous
+//! (last-axis) lines are transposed tile by tile into that shape.
 
 use crate::complex::Complex64;
 use crate::plan::Fft1d;
+
+/// Contiguous lines transformed together: one `n x TILE` scratch tile.
+pub(crate) const TILE: usize = 16;
 
 /// Transform direction.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -23,42 +26,46 @@ pub enum Direction {
 pub fn transform_lines(plan: &Fft1d, data: &mut [Complex64], dir: Direction) {
     let n = plan.len();
     assert_eq!(data.len() % n, 0, "data length must be a multiple of line length");
-    let mut scratch = Vec::with_capacity(n);
-    for line in data.chunks_exact_mut(n) {
-        match dir {
-            Direction::Forward => plan.forward(line, &mut scratch),
-            Direction::Inverse => plan.inverse(line, &mut scratch),
+    let mut tile = vec![Complex64::ZERO; n * TILE];
+    let mut scratch = tile.clone();
+    for lines in data.chunks_mut(n * TILE) {
+        let b = lines.len() / n;
+        let (tile, scratch) = (&mut tile[..n * b], &mut scratch[..n * b]);
+        for (c, line) in lines.chunks_exact(n).enumerate() {
+            for (i, z) in line.iter().enumerate() {
+                tile[i * b + c] = *z;
+            }
+        }
+        plan.batch(None, tile, scratch, b, dir);
+        for (c, line) in lines.chunks_exact_mut(n).enumerate() {
+            for (i, z) in line.iter_mut().enumerate() {
+                *z = tile[i * b + c];
+            }
         }
     }
 }
 
-/// Applies `plan` along strided lines.
-///
-/// There are `count` lines; line `c` consists of elements
-/// `data[c_offset(c) + i * stride]` for `i in 0..plan.len()`, where
-/// `c_offset` enumerates the cartesian product of the non-transformed axes
-/// as provided by `offsets`.
-pub fn transform_strided(
-    plan: &Fft1d,
+/// Transforms axes 1 then 0 (forward) or 0 then 1 (inverse) of a row-major
+/// `[n0, n1, c]` array whose last axis is the batch.
+pub(crate) fn transform_outer_axes(
+    plans: [&Fft1d; 2],
     data: &mut [Complex64],
-    offsets: impl Iterator<Item = usize>,
-    stride: usize,
+    c: usize,
     dir: Direction,
 ) {
-    let n = plan.len();
-    let mut line = vec![Complex64::ZERO; n];
-    let mut scratch = Vec::with_capacity(n);
-    for off in offsets {
-        for (i, l) in line.iter_mut().enumerate() {
-            *l = data[off + i * stride];
+    let mut scratch = vec![Complex64::ZERO; data.len()];
+    let slab = plans[1].len() * c;
+    let axis1 = |data: &mut [Complex64], scratch: &mut [Complex64]| {
+        for s in data.chunks_exact_mut(slab) {
+            plans[1].batch(None, s, &mut scratch[..slab], c, dir);
         }
-        match dir {
-            Direction::Forward => plan.forward(&mut line, &mut scratch),
-            Direction::Inverse => plan.inverse(&mut line, &mut scratch),
-        }
-        for (i, l) in line.iter().enumerate() {
-            data[off + i * stride] = *l;
-        }
+    };
+    if dir == Direction::Forward {
+        axis1(data, &mut scratch);
+    }
+    plans[0].batch(None, data, &mut scratch, slab, dir);
+    if dir == Direction::Inverse {
+        axis1(data, &mut scratch);
     }
 }
 
@@ -91,38 +98,20 @@ impl Fft3d {
         false
     }
 
-    /// Transforms along a single axis only.
-    pub fn transform_axis(&self, data: &mut [Complex64], axis: usize, dir: Direction) {
-        let [n0, n1, n2] = self.shape;
-        assert_eq!(data.len(), self.len());
-        match axis {
-            2 => transform_lines(&self.plans[2], data, dir),
-            1 => {
-                // Lines run along axis 1 with stride n2; offsets enumerate (i0, i2).
-                let offs = (0..n0).flat_map(move |i0| (0..n2).map(move |i2| i0 * n1 * n2 + i2));
-                transform_strided(&self.plans[1], data, offs, n2, dir);
-            }
-            0 => {
-                let offs = (0..n1).flat_map(move |i1| (0..n2).map(move |i2| i1 * n2 + i2));
-                transform_strided(&self.plans[0], data, offs, n1 * n2, dir);
-            }
-            // diffreg-allow(no-unwrap-in-lib): axis is an internal index in 0..3; the match above handles 1 and 2 exhaustively
-            _ => panic!("axis out of range"),
-        }
-    }
-
     /// Full 3D forward transform (unnormalized).
     pub fn forward(&self, data: &mut [Complex64]) {
-        self.transform_axis(data, 2, Direction::Forward);
-        self.transform_axis(data, 1, Direction::Forward);
-        self.transform_axis(data, 0, Direction::Forward);
+        assert_eq!(data.len(), self.len());
+        transform_lines(&self.plans[2], data, Direction::Forward);
+        let outer = [&self.plans[0], &self.plans[1]];
+        transform_outer_axes(outer, data, self.shape[2], Direction::Forward);
     }
 
     /// Full 3D inverse transform (normalized by `1/(n0*n1*n2)` overall).
     pub fn inverse(&self, data: &mut [Complex64]) {
-        self.transform_axis(data, 0, Direction::Inverse);
-        self.transform_axis(data, 1, Direction::Inverse);
-        self.transform_axis(data, 2, Direction::Inverse);
+        assert_eq!(data.len(), self.len());
+        let outer = [&self.plans[0], &self.plans[1]];
+        transform_outer_axes(outer, data, self.shape[2], Direction::Inverse);
+        transform_lines(&self.plans[2], data, Direction::Inverse);
     }
 }
 

@@ -1,10 +1,11 @@
-//! The user-facing 1D FFT plan, dispatching between the mixed-radix kernel
-//! and the Bluestein fallback.
+//! The user-facing 1D FFT plan, dispatching between the mixed-radix
+//! Stockham kernel and the Bluestein fallback.
 
 use crate::bluestein::BluesteinPlan;
 use crate::complex::Complex64;
 use crate::factor::is_smooth;
 use crate::mixed::MixedRadixPlan;
+use crate::nd::Direction;
 
 #[derive(Debug, Clone)]
 enum Kind {
@@ -24,7 +25,7 @@ pub struct Fft1d {
 
 impl Fft1d {
     /// Plans a transform of length `n > 0`. Smooth sizes (largest prime
-    /// factor <= 13) use mixed-radix Cooley-Tukey; everything else uses
+    /// factor <= 13) use the mixed-radix Stockham kernel; everything else uses
     /// Bluestein.
     pub fn new(n: usize) -> Self {
         assert!(n > 0, "FFT length must be positive");
@@ -46,34 +47,53 @@ impl Fft1d {
         false
     }
 
-    /// Out-of-place forward transform: `out = DFT(input)` with the
-    /// `exp(-2*pi*i*j*k/n)` convention and no normalization.
-    pub fn forward_into(&self, input: &[Complex64], out: &mut [Complex64]) {
+    /// Transforms `batch` interleaved lines, element `i` of line `b` at
+    /// `i * batch + b`: read from `src` when given, else from `data`, and
+    /// written to `data`. `scratch` has the length of `data`. Forward is
+    /// the unnormalized `exp(-2*pi*i*j*k/n)` convention, inverse carries
+    /// `1/n`. This is the one entry point every other transform calls.
+    pub fn batch(
+        &self,
+        src: Option<&[Complex64]>,
+        data: &mut [Complex64],
+        scratch: &mut [Complex64],
+        batch: usize,
+        dir: Direction,
+    ) {
+        let inv = dir == Direction::Inverse;
         match &self.kind {
-            Kind::Mixed(p) => p.forward(input, out),
-            Kind::Bluestein(p) => p.forward(input, out),
+            Kind::Mixed(p) => p.run(src, data, scratch, batch, inv),
+            Kind::Bluestein(p) => {
+                // Line by line; inverse(x) = conj(forward(conj(x))) / n.
+                assert_eq!(data.len(), self.n * batch);
+                let conj_if = |z: Complex64| if inv { z.conj() } else { z };
+                let scale = if inv { 1.0 / self.n as f64 } else { 1.0 };
+                let mut line = vec![Complex64::ZERO; self.n];
+                let mut out = line.clone();
+                for b in 0..batch {
+                    for (i, l) in line.iter_mut().enumerate() {
+                        *l = conj_if(src.map_or(data[i * batch + b], |s| s[i * batch + b]));
+                    }
+                    p.forward(&line, &mut out);
+                    for (i, o) in out.iter().enumerate() {
+                        data[i * batch + b] = conj_if(*o).scale(scale);
+                    }
+                }
+            }
         }
     }
 
-    /// In-place forward transform; `scratch` is resized as needed.
+    /// In-place forward transform of one line; `scratch` is resized as needed.
     pub fn forward(&self, buf: &mut [Complex64], scratch: &mut Vec<Complex64>) {
-        assert_eq!(buf.len(), self.n);
-        scratch.clear();
-        scratch.extend_from_slice(buf);
-        self.forward_into(scratch, buf);
+        scratch.resize(self.n, Complex64::ZERO);
+        self.batch(None, buf, scratch, 1, Direction::Forward);
     }
 
-    /// In-place inverse transform with `1/n` normalization, so that
-    /// `inverse(forward(x)) == x`.
+    /// In-place inverse transform of one line with `1/n` normalization, so
+    /// that `inverse(forward(x)) == x`.
     pub fn inverse(&self, buf: &mut [Complex64], scratch: &mut Vec<Complex64>) {
-        assert_eq!(buf.len(), self.n);
-        scratch.clear();
-        scratch.extend(buf.iter().map(|z| z.conj()));
-        self.forward_into(scratch, buf);
-        let s = 1.0 / self.n as f64;
-        for z in buf.iter_mut() {
-            *z = z.conj().scale(s);
-        }
+        scratch.resize(self.n, Complex64::ZERO);
+        self.batch(None, buf, scratch, 1, Direction::Inverse);
     }
 }
 
@@ -89,8 +109,8 @@ mod tests {
                 (0..n).map(|i| Complex64::new((i as f64).sin(), (i as f64 * 0.5).cos())).collect();
             let expect = dft_forward(&input);
             let plan = Fft1d::new(n);
-            let mut out = vec![Complex64::ZERO; n];
-            plan.forward_into(&input, &mut out);
+            let (mut out, mut scratch) = (vec![Complex64::ZERO; n], vec![Complex64::ZERO; n]);
+            plan.batch(Some(&input), &mut out, &mut scratch, 1, Direction::Forward);
             for (a, b) in out.iter().zip(expect.iter()) {
                 assert!((*a - *b).abs() < 1e-8 * n as f64);
             }

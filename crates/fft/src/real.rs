@@ -18,6 +18,11 @@
 //! X[k] = E[k] + e^{-2 pi i k / n} O[k],   k = 0..=m  (indices mod m)
 //! ```
 //!
+//! Contiguous lines are processed [`TILE`] at a time: the pack is fused
+//! into the load that transposes the lines into the kernel's
+//! batch-innermost tile, the even/odd split into the store that transposes
+//! them back.
+//!
 //! Odd lengths (including Bluestein-sized primes) fall back to one full
 //! complex transform and keep bins `0..=(n-1)/2`; correctness over speed
 //! for the sizes the solver never uses in hot loops.
@@ -25,7 +30,7 @@
 use std::f64::consts::TAU;
 
 use crate::complex::Complex64;
-use crate::nd::{transform_strided, Direction};
+use crate::nd::{transform_outer_axes, Direction, TILE};
 use crate::plan::Fft1d;
 
 /// Number of stored half-spectrum bins for a real transform of length `n`.
@@ -119,34 +124,54 @@ impl RealFft1d {
     /// `k = 0..=n/2` (unnormalized).
     pub fn forward(&self, x: &[f64], out: &mut [Complex64], ws: &mut RealScratch) {
         assert_eq!(x.len(), self.n);
-        assert_eq!(out.len(), self.half_len());
+        self.forward_lines(x, out, ws);
+    }
+
+    /// [`Self::forward`] on every contiguous line of `x` (length `n` each)
+    /// into the matching line of `out` (length `n/2 + 1` each).
+    pub fn forward_lines(&self, x: &[f64], out: &mut [Complex64], ws: &mut RealScratch) {
+        let (n, nh) = (self.n, self.half_len());
+        assert_eq!(x.len() % n, 0);
+        assert_eq!(out.len(), x.len() / n * nh);
         match &self.kind {
             RealKind::Even { half, tw } => {
-                let m = self.n / 2;
-                ws.a.clear();
-                ws.a.resize(2 * m, Complex64::ZERO);
-                let (z, zf) = ws.a.split_at_mut(m);
-                for (j, zj) in z.iter_mut().enumerate() {
-                    *zj = Complex64::new(x[2 * j], x[2 * j + 1]);
-                }
-                half.forward_into(z, zf);
-                for (k, o) in out.iter_mut().enumerate() {
-                    let a = zf[k % m];
-                    let b = zf[(m - k) % m].conj();
-                    let even = (a + b).scale(0.5);
-                    let odd = (a - b) * Complex64::new(0.0, -0.5);
-                    *o = even + tw[k] * odd;
+                let m = n / 2;
+                ws.a.resize(m * TILE, Complex64::ZERO);
+                ws.b.resize(m * TILE, Complex64::ZERO);
+                for (xs, os) in x.chunks(n * TILE).zip(out.chunks_mut(nh * TILE)) {
+                    let b = xs.len() / n;
+                    let (z, scratch) = (&mut ws.a[..m * b], &mut ws.b[..m * b]);
+                    for (c, line) in xs.chunks_exact(n).enumerate() {
+                        for (j, pair) in line.chunks_exact(2).enumerate() {
+                            z[j * b + c] = Complex64::new(pair[0], pair[1]);
+                        }
+                    }
+                    half.batch(None, z, scratch, b, Direction::Forward);
+                    let split = |p: Complex64, q: Complex64, w: Complex64| {
+                        let even = (p + q).scale(0.5);
+                        let odd = (p - q) * Complex64::new(0.0, -0.5);
+                        even + w * odd
+                    };
+                    for (c, line) in os.chunks_exact_mut(nh).enumerate() {
+                        // Bins 0 and m both pair Z[0] with itself.
+                        line[0] = split(z[c], z[c].conj(), tw[0]);
+                        line[m] = split(z[c], z[c].conj(), tw[m]);
+                        for k in 1..m {
+                            line[k] = split(z[k * b + c], z[(m - k) * b + c].conj(), tw[k]);
+                        }
+                    }
                 }
             }
             RealKind::Full { plan } => {
-                ws.a.clear();
-                ws.a.resize(2 * self.n, Complex64::ZERO);
-                let (zin, zout) = ws.a.split_at_mut(self.n);
-                for (j, zj) in zin.iter_mut().enumerate() {
-                    *zj = Complex64::from_real(x[j]);
+                ws.a.resize(n, Complex64::ZERO);
+                ws.b.resize(n, Complex64::ZERO);
+                for (line, o) in x.chunks_exact(n).zip(out.chunks_exact_mut(nh)) {
+                    for (z, &v) in ws.a.iter_mut().zip(line) {
+                        *z = Complex64::from_real(v);
+                    }
+                    plan.batch(None, &mut ws.a, &mut ws.b, 1, Direction::Forward);
+                    o.copy_from_slice(&ws.a[..nh]);
                 }
-                plan.forward_into(zin, zout);
-                out.copy_from_slice(&zout[..self.half_len()]);
             }
         }
     }
@@ -156,36 +181,54 @@ impl RealFft1d {
     /// is assumed Hermitian-consistent (as produced by [`Self::forward`] or
     /// any real symbol applied to it).
     pub fn inverse(&self, spec: &[Complex64], out: &mut [f64], ws: &mut RealScratch) {
-        assert_eq!(spec.len(), self.half_len());
         assert_eq!(out.len(), self.n);
+        self.inverse_lines(spec, out, ws);
+    }
+
+    /// [`Self::inverse`] on every contiguous line of `spec` (length
+    /// `n/2 + 1` each) into the matching line of `out` (length `n` each).
+    pub fn inverse_lines(&self, spec: &[Complex64], out: &mut [f64], ws: &mut RealScratch) {
+        let (n, nh) = (self.n, self.half_len());
+        assert_eq!(out.len() % n, 0);
+        assert_eq!(spec.len(), out.len() / n * nh);
         match &self.kind {
             RealKind::Even { half, tw } => {
-                let m = self.n / 2;
-                ws.a.clear();
-                ws.a.resize(m, Complex64::ZERO);
-                for (k, zk) in ws.a.iter_mut().enumerate() {
-                    let xk = spec[k];
-                    let xmk = spec[m - k].conj();
-                    let even = (xk + xmk).scale(0.5);
-                    let odd = tw[k].conj() * (xk - xmk).scale(0.5);
-                    *zk = even + Complex64::I * odd;
-                }
-                half.inverse(&mut ws.a, &mut ws.b);
-                for (j, z) in ws.a.iter().enumerate() {
-                    out[2 * j] = z.re;
-                    out[2 * j + 1] = z.im;
+                let m = n / 2;
+                ws.a.resize(m * TILE, Complex64::ZERO);
+                ws.b.resize(m * TILE, Complex64::ZERO);
+                for (ss, os) in spec.chunks(nh * TILE).zip(out.chunks_mut(n * TILE)) {
+                    let b = ss.len() / nh;
+                    let (z, scratch) = (&mut ws.a[..m * b], &mut ws.b[..m * b]);
+                    for (c, line) in ss.chunks_exact(nh).enumerate() {
+                        for k in 0..m {
+                            let xk = line[k];
+                            let xmk = line[m - k].conj();
+                            let even = (xk + xmk).scale(0.5);
+                            let odd = tw[k].conj() * (xk - xmk).scale(0.5);
+                            z[k * b + c] = even + Complex64::I * odd;
+                        }
+                    }
+                    half.batch(None, z, scratch, b, Direction::Inverse);
+                    for (c, line) in os.chunks_exact_mut(n).enumerate() {
+                        for (j, pair) in line.chunks_exact_mut(2).enumerate() {
+                            let v = z[j * b + c];
+                            (pair[0], pair[1]) = (v.re, v.im);
+                        }
+                    }
                 }
             }
             RealKind::Full { plan } => {
-                ws.a.clear();
-                ws.a.resize(self.n, Complex64::ZERO);
-                ws.a[..spec.len()].copy_from_slice(spec);
-                for k in spec.len()..self.n {
-                    ws.a[k] = spec[self.n - k].conj();
-                }
-                plan.inverse(&mut ws.a, &mut ws.b);
-                for (x, z) in out.iter_mut().zip(ws.a.iter()) {
-                    *x = z.re;
+                ws.a.resize(n, Complex64::ZERO);
+                ws.b.resize(n, Complex64::ZERO);
+                for (line, o) in spec.chunks_exact(nh).zip(out.chunks_exact_mut(n)) {
+                    ws.a[..nh].copy_from_slice(line);
+                    for k in nh..n {
+                        ws.a[k] = line[n - k].conj();
+                    }
+                    plan.batch(None, &mut ws.a, &mut ws.b, 1, Direction::Inverse);
+                    for (x, z) in o.iter_mut().zip(ws.a.iter()) {
+                        *x = z.re;
+                    }
                 }
             }
         }
@@ -233,35 +276,21 @@ impl RealFft3d {
     /// Forward 3D r2c transform (unnormalized).
     pub fn forward(&self, x: &[f64]) -> Vec<Complex64> {
         let [n0, n1, n2] = self.shape;
-        let n2h = half_len(n2);
         assert_eq!(x.len(), n0 * n1 * n2);
-        let mut out = vec![Complex64::ZERO; n0 * n1 * n2h];
-        let mut ws = RealScratch::default();
-        for (line, spec) in x.chunks_exact(n2).zip(out.chunks_exact_mut(n2h)) {
-            self.r2.forward(line, spec, &mut ws);
-        }
-        let offs1 = (0..n0).flat_map(move |i0| (0..n2h).map(move |i2| i0 * n1 * n2h + i2));
-        transform_strided(&self.c1, &mut out, offs1, n2h, Direction::Forward);
-        let offs0 = (0..n1).flat_map(move |i1| (0..n2h).map(move |i2| i1 * n2h + i2));
-        transform_strided(&self.c0, &mut out, offs0, n1 * n2h, Direction::Forward);
+        let mut out = vec![Complex64::ZERO; self.spectrum_len()];
+        self.r2.forward_lines(x, &mut out, &mut RealScratch::default());
+        transform_outer_axes([&self.c0, &self.c1], &mut out, half_len(n2), Direction::Forward);
         out
     }
 
     /// Inverse 3D c2r transform (normalized by `1/(n0 n1 n2)` overall).
     pub fn inverse(&self, spec: &[Complex64]) -> Vec<f64> {
         let [n0, n1, n2] = self.shape;
-        let n2h = half_len(n2);
-        assert_eq!(spec.len(), n0 * n1 * n2h);
+        assert_eq!(spec.len(), self.spectrum_len());
         let mut buf = spec.to_vec();
-        let offs0 = (0..n1).flat_map(move |i1| (0..n2h).map(move |i2| i1 * n2h + i2));
-        transform_strided(&self.c0, &mut buf, offs0, n1 * n2h, Direction::Inverse);
-        let offs1 = (0..n0).flat_map(move |i0| (0..n2h).map(move |i2| i0 * n1 * n2h + i2));
-        transform_strided(&self.c1, &mut buf, offs1, n2h, Direction::Inverse);
+        transform_outer_axes([&self.c0, &self.c1], &mut buf, half_len(n2), Direction::Inverse);
         let mut out = vec![0.0; n0 * n1 * n2];
-        let mut ws = RealScratch::default();
-        for (line, half) in out.chunks_exact_mut(n2).zip(buf.chunks_exact(n2h)) {
-            self.r2.inverse(half, line, &mut ws);
-        }
+        self.r2.inverse_lines(&buf, &mut out, &mut RealScratch::default());
         out
     }
 }

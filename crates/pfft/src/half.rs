@@ -45,6 +45,34 @@ pub fn half_spectral_block(decomp: &Decomp, rank: usize) -> Block {
     Block { start: [0, s1, s2], count: [n[0], c1, c2] }
 }
 
+/// Calls `f(l, k, k2)` for every bin of `block` in local row-major order
+/// `l`, with `k` and `k2` as [`HalfSpectralField::map_bins`] defines them
+/// (the same walk serves the full-spectrum layout).
+pub(crate) fn for_each_bin(grid: &Grid, block: &Block, mut f: impl FnMut(usize, [f64; 3], f64)) {
+    let n = grid.n;
+    let [c0, c1, c2] = block.count;
+    let [s0, s1, s2] = block.start;
+    let mut l = 0;
+    for a0 in 0..c0 {
+        let i0 = s0 + a0;
+        let k0d = wavenumber_deriv(n[0], i0);
+        let k0 = wavenumber(n[0], i0);
+        for a1 in 0..c1 {
+            let i1 = s1 + a1;
+            let k1d = wavenumber_deriv(n[1], i1);
+            let k1 = wavenumber(n[1], i1);
+            let k01 = k0 * k0 + k1 * k1;
+            for a2 in 0..c2 {
+                let i2 = s2 + a2;
+                let k2d = wavenumber_deriv(n[2], i2);
+                let k2c = wavenumber(n[2], i2);
+                f(l, [k0d, k1d, k2d], k01 + k2c * k2c);
+                l += 1;
+            }
+        }
+    }
+}
+
 impl HalfSpectralField {
     /// Zero-initialized coefficients on `block`.
     pub fn zeros(grid: Grid, block: Block) -> Self {
@@ -57,29 +85,8 @@ impl HalfSpectralField {
     /// indices never exceed `n2/2`, so the stored wavenumbers are the
     /// non-negative half.
     pub fn map_bins(&mut self, mut f: impl FnMut(Complex64, [f64; 3], f64) -> Complex64) {
-        let n = self.grid.n;
-        let [c0, c1, c2] = self.block.count;
-        let [s0, s1, s2] = self.block.start;
-        let mut l = 0;
-        for a0 in 0..c0 {
-            let i0 = s0 + a0;
-            let k0d = wavenumber_deriv(n[0], i0);
-            let k0 = wavenumber(n[0], i0);
-            for a1 in 0..c1 {
-                let i1 = s1 + a1;
-                let k1d = wavenumber_deriv(n[1], i1);
-                let k1 = wavenumber(n[1], i1);
-                let k01 = k0 * k0 + k1 * k1;
-                for a2 in 0..c2 {
-                    let i2 = s2 + a2;
-                    let k2d = wavenumber_deriv(n[2], i2);
-                    let k2c = wavenumber(n[2], i2);
-                    let ksq = k01 + k2c * k2c;
-                    self.data[l] = f(self.data[l], [k0d, k1d, k2d], ksq);
-                    l += 1;
-                }
-            }
-        }
+        let data = &mut self.data;
+        for_each_bin(&self.grid, &self.block, |l, k, k2| data[l] = f(data[l], k, k2));
     }
 
     /// Multiplies every bin by the real symbol `sym(|k|²)`.
@@ -91,6 +98,14 @@ impl HalfSpectralField {
     pub fn differentiate(&mut self, axis: usize) {
         assert!(axis < 3);
         self.map_bins(|z, k, _| Complex64::new(-k[axis] * z.im, k[axis] * z.re));
+    }
+
+    /// Writes `i * k_axis` times every bin to `out`, leaving `self` as is.
+    pub(crate) fn differentiate_into(&self, axis: usize, out: &mut [Complex64]) {
+        assert_eq!(out.len(), self.data.len());
+        for_each_bin(&self.grid, &self.block, |l, k, _| {
+            out[l] = Complex64::new(-k[axis] * self.data[l].im, k[axis] * self.data[l].re)
+        });
     }
 
     /// Applies the translation phase `exp(-i k·s)`.

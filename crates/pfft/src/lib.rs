@@ -21,4 +21,3 @@ mod transpose;
 pub use half::{half_spectral_block, leray_project_half, HalfSpectralField};
 pub use plan::PencilFft;
 pub use spectral_field::{leray_project, SpectralField};
-pub use transpose::{fwd_mid, fwd_spec, inv_mid, inv_spec};

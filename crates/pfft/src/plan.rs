@@ -6,21 +6,35 @@
 //! FFT along axis 0. Diagonal operators act on the spectral layout; the
 //! inverse retraces the steps.
 //!
+//! Every pass hands the batched kernel of `diffreg-fft` the layout it
+//! already has. In the mid layout `(c0, n1, c2)` each `i0` slab is an
+//! `n1 x c2` batch, in the spectral layout `(n0, c1, c2)` the whole block
+//! is one `n0 x (c1 c2)` batch: transform axis slowest, batch contiguous,
+//! no gather. The contiguous axis-2 lines go through the tiled line
+//! drivers. A transpose within a group of one rank is the identity and is
+//! skipped. The `_many` transforms carry several fields through each pass
+//! and through one `alltoallv` per transpose.
+//!
 //! Timing convention matches the paper's tables: time spent inside the
 //! transposes is accumulated under `"fft_comm"`, the 1D transforms under
 //! `"fft_exec"`.
 
 use diffreg_comm::{Comm, Timers};
-use diffreg_fft::{
-    half_len, transform_lines, transform_strided, Complex64, Direction, Fft1d, RealFft1d,
-    RealScratch,
+use diffreg_fft::{half_len, transform_lines, Complex64, Direction, Fft1d, RealFft1d, RealScratch};
+use diffreg_grid::{
+    slab, take_pooled, BufferPool, Decomp, Grid, Layout, PooledVec, ScalarField, VectorField,
 };
-use diffreg_grid::{Decomp, Grid, Layout, ScalarField, VectorField};
 use diffreg_spectral::RegOrder;
 
 use crate::half::{half_spectral_block, leray_project_half, HalfSpectralField};
 use crate::spectral_field::SpectralField;
-use crate::transpose::{fwd_mid, fwd_spec, inv_mid, inv_spec};
+use crate::transpose::exchange;
+
+thread_local! {
+    /// This thread's (= this simulated rank's) arena of complex working
+    /// arrays and ping-pong scratch, the complex twin of `grid::F64_ARENA`.
+    static C64_ARENA: BufferPool<Complex64> = const { BufferPool::new() };
+}
 
 /// The row and column sub-communicators of this rank's pencil (collective).
 /// Not inlined into [`PencilFft::new`]: the analyzer resolves calls by bare
@@ -34,6 +48,23 @@ fn pencil_comms<C: Comm>(comm: &C, decomp: &Decomp) -> (C::Sub, C::Sub) {
     debug_assert_eq!(row.rank(), r2);
     debug_assert_eq!(col.rank(), r1);
     (row, col)
+}
+
+/// [`exchange`] timed as `"fft_comm"`. Skipped in a group of one, where the
+/// layouts before and after are the same array and it is the identity.
+fn transpose<S: Comm>(
+    comm: &S,
+    work: &mut [&mut Vec<Complex64>],
+    global: [usize; 3],
+    gather: usize,
+    split: usize,
+    timers: &Timers,
+) {
+    if comm.size() > 1 {
+        timers.time("fft_comm", || exchange(comm, work, global, gather, split));
+    } else {
+        debug_assert!(work.iter().all(|w| w.len() == global.iter().product::<usize>()));
+    }
 }
 
 /// A per-rank plan for distributed FFTs over a pencil decomposition.
@@ -95,37 +126,87 @@ impl<C: Comm> PencilFft<C> {
         self.decomp.block(self.rank, Layout::Spectral)
     }
 
+    /// Local extents `(c0, c2, c1s)` of the passes when axis 2 holds `nc`
+    /// bins: this rank's axis-0 slab, its axis-2 slab in the mid and
+    /// spectral layouts, its axis-1 slab in the spectral layout.
+    fn extents(&self, nc: usize) -> (usize, usize, usize) {
+        let n = self.decomp.grid.n;
+        (
+            self.spatial_block().count[0],
+            slab(nc, self.row.size(), self.row.rank()).1,
+            slab(n[1], self.col.size(), self.col.rank()).1,
+        )
+    }
+
+    /// The largest of the three layouts a working array passes through.
+    fn work_len(&self, nc: usize) -> usize {
+        let n = self.decomp.grid.n;
+        let (c0, c2, c1s) = self.extents(nc);
+        (c0 * self.spatial_block().count[1] * nc).max(c0 * n[1] * c2).max(n[0] * c1s * c2)
+    }
+
+    /// Axis-1 and axis-0 passes with their transposes, after the axis-2
+    /// pass: `(c0, c1, nc)` arrays in, spectral layout `(n0, c1s, c2)` out.
+    fn forward_passes(&self, work: &mut [&mut Vec<Complex64>], nc: usize, timers: &Timers) {
+        let n = self.decomp.grid.n;
+        let (c0, c2, c1s) = self.extents(nc);
+        transpose(&self.row, work, [c0, n[1], nc], 1, 2, timers);
+        let (slab1, spec) = (n[1] * c2, n[0] * c1s * c2);
+        // Ping-pong scratch for both passes; either can be the longer one.
+        let mut scratch = take_pooled(&C64_ARENA, slab1.max(spec));
+        timers.time("fft_exec", || {
+            for slab in work.iter_mut().flat_map(|w| w.chunks_exact_mut(slab1)) {
+                self.plans[1].batch(None, slab, &mut scratch[..slab1], c2, Direction::Forward);
+            }
+        });
+        transpose(&self.col, work, [n[0], n[1], c2], 0, 1, timers);
+        timers.time("fft_exec", || {
+            for w in work.iter_mut() {
+                self.plans[0].batch(None, w, &mut scratch[..spec], c1s * c2, Direction::Forward);
+            }
+        });
+    }
+
+    /// Mirror of [`Self::forward_passes`]: spectral layout in, `(c0, c1,
+    /// nc)` out. The axis-0 pass reads `src[i]` where given (leaving it
+    /// untouched) and `work[i]` itself otherwise.
+    fn inverse_passes(
+        &self,
+        src: &[Option<&[Complex64]>],
+        work: &mut [&mut Vec<Complex64>],
+        nc: usize,
+        timers: &Timers,
+    ) {
+        let n = self.decomp.grid.n;
+        let (c0, c2, c1s) = self.extents(nc);
+        let (slab1, spec) = (n[1] * c2, n[0] * c1s * c2);
+        let mut scratch = take_pooled(&C64_ARENA, slab1.max(spec));
+        timers.time("fft_exec", || {
+            for (w, src) in work.iter_mut().zip(src) {
+                w.resize(spec, Complex64::ZERO);
+                self.plans[0].batch(*src, w, &mut scratch[..spec], c1s * c2, Direction::Inverse);
+            }
+        });
+        transpose(&self.col, work, [n[0], n[1], c2], 1, 0, timers);
+        timers.time("fft_exec", || {
+            for slab in work.iter_mut().flat_map(|w| w.chunks_exact_mut(slab1)) {
+                self.plans[1].batch(None, slab, &mut scratch[..slab1], c2, Direction::Inverse);
+            }
+        });
+        transpose(&self.row, work, [c0, n[1], nc], 2, 1, timers);
+    }
+
     /// Forward distributed FFT of a real field (spatial layout) into
     /// spectral coefficients (spectral layout).
     pub fn forward(&self, field: &ScalarField, timers: &Timers) -> SpectralField {
         let _span = diffreg_telemetry::span("fft.forward");
-        let sb = self.spatial_block();
-        assert_eq!(field.block(), sb, "field not in this plan's spatial layout");
-        let n = self.decomp.grid.n;
-        let [c0, c1, _] = sb.count;
-
-        let mut data: Vec<Complex64> =
-            field.data().iter().map(|&v| Complex64::from_real(v)).collect();
-        // Axis 2 (contiguous lines).
+        assert_eq!(field.block(), self.spatial_block(), "field not in this plan's spatial layout");
+        let n2 = self.decomp.grid.n[2];
+        let mut data = Vec::with_capacity(self.work_len(n2));
+        data.extend(field.data().iter().map(|&v| Complex64::from_real(v)));
         timers.time("fft_exec", || transform_lines(&self.plans[2], &mut data, Direction::Forward));
-        // Row transpose: (c0, c1, n2) -> (c0, n1, c2_row).
-        let mut data = timers.time("fft_comm", || fwd_mid(&self.row, &data, c0, n[1], n[2]));
-        // Axis 1: lines of length n1, stride c2.
-        let c2 = diffreg_grid::slab(n[2], self.row.size(), self.row.rank()).1;
-        timers.time("fft_exec", || {
-            let offs = (0..c0).flat_map(move |i0| (0..c2).map(move |i2| i0 * n[1] * c2 + i2));
-            transform_strided(&self.plans[1], &mut data, offs, c2, Direction::Forward);
-        });
-        // Column transpose: (c0, n1, c2) -> (n0, c1_col, c2).
-        let mut data = timers.time("fft_comm", || fwd_spec(&self.col, &data, n[0], n[1], c2));
-        // Axis 0: lines of length n0, stride c1_col * c2.
-        let c1s = diffreg_grid::slab(n[1], self.col.size(), self.col.rank()).1;
-        timers.time("fft_exec", || {
-            let offs = (0..c1s).flat_map(move |i1| (0..c2).map(move |i2| i1 * c2 + i2));
-            transform_strided(&self.plans[0], &mut data, offs, c1s * c2, Direction::Forward);
-        });
+        self.forward_passes(&mut [&mut data], n2, timers);
         timers.count("fft_3d", 1);
-        let _ = c1; // silence in release: c1 only used in debug asserts above
         SpectralField { grid: self.decomp.grid, block: self.spectral_block(), data }
     }
 
@@ -133,26 +214,12 @@ impl<C: Comm> PencilFft<C> {
     pub fn inverse(&self, spec: &SpectralField, timers: &Timers) -> ScalarField {
         let _span = diffreg_telemetry::span("fft.inverse");
         assert_eq!(spec.block, self.spectral_block(), "coefficients not in this plan's layout");
-        let n = self.decomp.grid.n;
-        let c2 = diffreg_grid::slab(n[2], self.row.size(), self.row.rank()).1;
-        let c1s = diffreg_grid::slab(n[1], self.col.size(), self.col.rank()).1;
-        let sb = self.spatial_block();
-        let [c0, _, _] = sb.count;
-
-        let mut data = spec.data.clone();
-        timers.time("fft_exec", || {
-            let offs = (0..c1s).flat_map(move |i1| (0..c2).map(move |i2| i1 * c2 + i2));
-            transform_strided(&self.plans[0], &mut data, offs, c1s * c2, Direction::Inverse);
-        });
-        let mut data = timers.time("fft_comm", || inv_spec(&self.col, &data, n[0], n[1], c2));
-        timers.time("fft_exec", || {
-            let offs = (0..c0).flat_map(move |i0| (0..c2).map(move |i2| i0 * n[1] * c2 + i2));
-            transform_strided(&self.plans[1], &mut data, offs, c2, Direction::Inverse);
-        });
-        let mut data = timers.time("fft_comm", || inv_mid(&self.row, &data, c0, n[1], n[2]));
+        let n2 = self.decomp.grid.n[2];
+        let mut data = take_pooled(&C64_ARENA, self.work_len(n2));
+        self.inverse_passes(&[Some(&spec.data)], &mut [&mut data], n2, timers);
         timers.time("fft_exec", || transform_lines(&self.plans[2], &mut data, Direction::Inverse));
         timers.count("fft_3d", 1);
-        ScalarField::from_vec(sb, data.into_iter().map(|z| z.re).collect())
+        ScalarField::from_vec(self.spatial_block(), data.iter().map(|z| z.re).collect())
     }
 
     /// This rank's half-spectrum block (r2c layout).
@@ -162,75 +229,88 @@ impl<C: Comm> PencilFft<C> {
 
     /// Forward distributed r2c FFT into Hermitian half-spectrum
     /// coefficients: only axis-2 bins `0..=n2/2` are computed, transposed,
-    /// and stored. Same transpose routines as [`Self::forward`], with the
-    /// axis-2 extent replaced by `n2/2 + 1`.
+    /// and stored.
     pub fn forward_half(&self, field: &ScalarField, timers: &Timers) -> HalfSpectralField {
+        let [spec] = self.forward_half_many([field], timers);
+        spec
+    }
+
+    /// [`Self::forward_half`] of `K` fields through shared passes and
+    /// shared transposes; each result equals its single call bitwise.
+    pub(crate) fn forward_half_many<const K: usize>(
+        &self,
+        fields: [&ScalarField; K],
+        timers: &Timers,
+    ) -> [HalfSpectralField; K] {
         let _span = diffreg_telemetry::span("fft.forward");
         let sb = self.spatial_block();
-        assert_eq!(field.block(), sb, "field not in this plan's spatial layout");
-        let n = self.decomp.grid.n;
-        let n2h = half_len(n[2]);
-        let [c0, c1, _] = sb.count;
-
-        // Axis 2: r2c lines straight from the real data (no complex
-        // widening pass over the full field).
-        let mut data = vec![Complex64::ZERO; c0 * c1 * n2h];
+        let n2h = half_len(self.decomp.grid.n[2]);
+        let mut work = fields.map(|f| {
+            assert_eq!(f.block(), sb, "field not in this plan's spatial layout");
+            let mut w = Vec::with_capacity(self.work_len(n2h));
+            w.resize(sb.count[0] * sb.count[1] * n2h, Complex64::ZERO);
+            w
+        });
+        // Axis 2: r2c lines straight from the real data.
         timers.time("fft_exec", || {
             let mut ws = RealScratch::default();
-            for (line, spec) in field.data().chunks_exact(n[2]).zip(data.chunks_exact_mut(n2h)) {
-                self.rplan2.forward(line, spec, &mut ws);
+            for (f, w) in fields.iter().zip(&mut work) {
+                self.rplan2.forward_lines(f.data(), w, &mut ws);
             }
         });
-        // Row transpose: (c0, c1, n2h) -> (c0, n1, c2h).
-        let mut data = timers.time("fft_comm", || fwd_mid(&self.row, &data, c0, n[1], n2h));
-        let c2h = diffreg_grid::slab(n2h, self.row.size(), self.row.rank()).1;
-        timers.time("fft_exec", || {
-            let offs = (0..c0).flat_map(move |i0| (0..c2h).map(move |i2| i0 * n[1] * c2h + i2));
-            transform_strided(&self.plans[1], &mut data, offs, c2h, Direction::Forward);
-        });
-        // Column transpose: (c0, n1, c2h) -> (n0, c1_col, c2h).
-        let mut data = timers.time("fft_comm", || fwd_spec(&self.col, &data, n[0], n[1], c2h));
-        let c1s = diffreg_grid::slab(n[1], self.col.size(), self.col.rank()).1;
-        timers.time("fft_exec", || {
-            let offs = (0..c1s).flat_map(move |i1| (0..c2h).map(move |i2| i1 * c2h + i2));
-            transform_strided(&self.plans[0], &mut data, offs, c1s * c2h, Direction::Forward);
-        });
-        timers.count("fft_3d", 1);
-        HalfSpectralField { grid: self.decomp.grid, block: self.half_block(), data }
+        self.forward_passes(&mut work.each_mut(), n2h, timers);
+        timers.count("fft_3d", K as u64);
+        let (grid, block) = (self.decomp.grid, self.half_block());
+        work.map(|data| HalfSpectralField { grid, block, data })
     }
 
     /// Inverse distributed c2r FFT from half-spectrum coefficients back to
     /// a real field in the spatial layout.
     pub fn inverse_half(&self, spec: &HalfSpectralField, timers: &Timers) -> ScalarField {
-        let _span = diffreg_telemetry::span("fft.inverse");
-        assert_eq!(spec.block, self.half_block(), "coefficients not in this plan's half layout");
-        let n = self.decomp.grid.n;
-        let n2h = half_len(n[2]);
-        let c2h = diffreg_grid::slab(n2h, self.row.size(), self.row.rank()).1;
-        let c1s = diffreg_grid::slab(n[1], self.col.size(), self.col.rank()).1;
-        let sb = self.spatial_block();
-        let [c0, c1, _] = sb.count;
+        let [field] = self.inverse_half_many([spec], timers);
+        field
+    }
 
-        let mut data = spec.data.clone();
-        timers.time("fft_exec", || {
-            let offs = (0..c1s).flat_map(move |i1| (0..c2h).map(move |i2| i1 * c2h + i2));
-            transform_strided(&self.plans[0], &mut data, offs, c1s * c2h, Direction::Inverse);
+    /// [`Self::inverse_half`] of `K` spectra through shared passes and
+    /// shared transposes; each result equals its single call bitwise.
+    pub(crate) fn inverse_half_many<const K: usize>(
+        &self,
+        specs: [&HalfSpectralField; K],
+        timers: &Timers,
+    ) -> [ScalarField; K] {
+        let src = specs.map(|s| {
+            assert_eq!(s.block, self.half_block(), "coefficients not in this plan's half layout");
+            Some(&s.data[..])
         });
-        let mut data = timers.time("fft_comm", || inv_spec(&self.col, &data, n[0], n[1], c2h));
-        timers.time("fft_exec", || {
-            let offs = (0..c0).flat_map(move |i0| (0..c2h).map(move |i2| i0 * n[1] * c2h + i2));
-            transform_strided(&self.plans[1], &mut data, offs, c2h, Direction::Inverse);
-        });
-        let data = timers.time("fft_comm", || inv_mid(&self.row, &data, c0, n[1], n2h));
-        let mut out = vec![0.0; c0 * c1 * n[2]];
-        timers.time("fft_exec", || {
-            let mut ws = RealScratch::default();
-            for (line, spec) in out.chunks_exact_mut(n[2]).zip(data.chunks_exact(n2h)) {
-                self.rplan2.inverse(spec, line, &mut ws);
-            }
-        });
-        timers.count("fft_3d", 1);
-        ScalarField::from_vec(sb, out)
+        self.inverse_half_work(src, std::array::from_fn(|_| self.half_work()), timers)
+    }
+
+    /// A pooled working array for one half spectrum.
+    fn half_work(&self) -> PooledVec<Complex64> {
+        let mut w = take_pooled(&C64_ARENA, self.work_len(half_len(self.decomp.grid.n[2])));
+        w.truncate(self.half_block().len());
+        w
+    }
+
+    /// The inverse c2r transform of `src[i]` where given, else of the
+    /// spectrum the caller wrote into `work[i]`.
+    fn inverse_half_work<const K: usize>(
+        &self,
+        src: [Option<&[Complex64]>; K],
+        mut work: [PooledVec<Complex64>; K],
+        timers: &Timers,
+    ) -> [ScalarField; K] {
+        let _span = diffreg_telemetry::span("fft.inverse");
+        let sb = self.spatial_block();
+        let n2h = half_len(self.decomp.grid.n[2]);
+        self.inverse_passes(&src, &mut work.each_mut().map(|w| &mut **w), n2h, timers);
+        timers.count("fft_3d", K as u64);
+        let mut ws = RealScratch::default();
+        work.map(|w| {
+            let mut out = vec![0.0; sb.len()];
+            timers.time("fft_exec", || self.rplan2.inverse_lines(&w, &mut out, &mut ws));
+            ScalarField::from_vec(sb, out)
+        })
     }
 
     /// Applies a real diagonal symbol `sym(|k|²)` to a field (2 FFTs).
@@ -255,20 +335,20 @@ impl<C: Comm> PencilFft<C> {
     /// Gradient `∇f` (1 forward + 3 inverse FFTs).
     pub fn gradient(&self, field: &ScalarField, timers: &Timers) -> VectorField {
         let spec = self.forward_half(field, timers);
-        let comps = [0usize, 1, 2].map(|axis| {
-            let mut s = spec.clone();
-            s.differentiate(axis);
-            self.inverse_half(&s, timers)
+        // Each derivative is written straight into its working array.
+        let work = std::array::from_fn(|axis| {
+            let mut w = self.half_work();
+            spec.differentiate_into(axis, &mut w);
+            w
         });
-        VectorField { comps }
+        VectorField { comps: self.inverse_half_work([None; 3], work, timers) }
     }
 
     /// Divergence `div v` (3 forward + 1 inverse FFTs).
     pub fn divergence(&self, v: &VectorField, timers: &Timers) -> ScalarField {
-        let mut acc = self.forward_half(&v.comps[0], timers);
+        let [mut acc, s1, s2] = self.forward_half_many(v.comps.each_ref(), timers);
         acc.differentiate(0);
-        for axis in 1..3 {
-            let mut s = self.forward_half(&v.comps[axis], timers);
+        for (axis, mut s) in [(1, s1), (2, s2)] {
             s.differentiate(axis);
             acc.axpy(1.0, &s);
         }
@@ -277,19 +357,9 @@ impl<C: Comm> PencilFft<C> {
 
     /// Leray projection of a vector field onto divergence-free fields (6 FFTs).
     pub fn leray(&self, v: &VectorField, timers: &Timers) -> VectorField {
-        let mut spec = [
-            self.forward_half(&v.comps[0], timers),
-            self.forward_half(&v.comps[1], timers),
-            self.forward_half(&v.comps[2], timers),
-        ];
+        let mut spec = self.forward_half_many(v.comps.each_ref(), timers);
         leray_project_half(&mut spec);
-        VectorField {
-            comps: [
-                self.inverse_half(&spec[0], timers),
-                self.inverse_half(&spec[1], timers),
-                self.inverse_half(&spec[2], timers),
-            ],
-        }
+        VectorField { comps: self.inverse_half_many(spec.each_ref(), timers) }
     }
 
     /// Applies a real diagonal symbol componentwise to a vector field (6 FFTs).
@@ -299,13 +369,11 @@ impl<C: Comm> PencilFft<C> {
         sym: impl Fn(f64) -> f64 + Copy,
         timers: &Timers,
     ) -> VectorField {
-        VectorField {
-            comps: [
-                self.apply_symbol(&v.comps[0], sym, timers),
-                self.apply_symbol(&v.comps[1], sym, timers),
-                self.apply_symbol(&v.comps[2], sym, timers),
-            ],
+        let mut spec = self.forward_half_many(v.comps.each_ref(), timers);
+        for s in &mut spec {
+            s.apply_symbol(sym);
         }
+        VectorField { comps: self.inverse_half_many(spec.each_ref(), timers) }
     }
 
     /// Regularization operator `β (-Δ)^m v` applied to a vector field.
@@ -356,20 +424,6 @@ mod tests {
 
     fn vec_fn(x: [f64; 3]) -> [f64; 3] {
         [x[0].cos() * x[1].sin(), x[1].cos() + (2.0 * x[2]).sin() * 0.5, x[0].sin() * x[2].cos()]
-    }
-
-    /// Gathers a distributed scalar field onto every rank as a full grid array.
-    fn gather_full<C: Comm>(comm: &C, decomp: &Decomp, f: &ScalarField) -> Vec<f64> {
-        let grid = decomp.grid;
-        let all = comm.allgather(f.data().to_vec());
-        let mut out = vec![0.0; grid.total()];
-        for (r, part) in all.iter().enumerate() {
-            let b = decomp.block(r, Layout::Spatial);
-            for (l, &v) in part.iter().enumerate() {
-                out[grid.flatten(b.global_of_local(l))] = v;
-            }
-        }
-        out
     }
 
     fn run_case(grid: Grid, p1: usize, p2: usize) {
@@ -438,45 +492,26 @@ mod tests {
         }
     }
 
+    /// The three components of a vector operator share every transpose:
+    /// one message per peer and exchange, where three single transforms
+    /// send three.
     #[test]
-    fn distributed_gradient_and_leray_match_serial() {
-        let grid = Grid::new([8, 8, 8]);
-        // Serial oracle.
-        let oracle = SerialSpectral::new(grid.n);
-        let d1 = Decomp::new(grid, 1);
-        let b1 = d1.block(0, Layout::Spatial);
-        let f_full = ScalarField::from_fn(&grid, b1, test_fn);
-        let grad_oracle = oracle.gradient(f_full.data());
-        let v_full = VectorField::from_fn(&grid, b1, vec_fn);
-        let leray_oracle =
-            oracle.leray([v_full.comps[0].data(), v_full.comps[1].data(), v_full.comps[2].data()]);
-
+    fn vector_operator_sends_one_message_per_transpose() {
+        let grid = Grid::new([8, 12, 10]);
         run_threaded(4, move |comm| {
-            let decomp = Decomp::with_process_grid(grid, 2, 2);
-            let plan = PencilFft::new(comm, decomp);
-            let block = plan.spatial_block();
+            let plan = PencilFft::new(comm, Decomp::with_process_grid(grid, 2, 2));
             let timers = Timers::new();
-
-            let f = ScalarField::from_fn(&grid, block, test_fn);
-            let grad = plan.gradient(&f, &timers);
-            for (axis, oracle) in grad_oracle.iter().enumerate() {
-                let full = gather_full(comm, &decomp, &grad.comps[axis]);
-                for (a, b) in full.iter().zip(oracle) {
-                    assert!((a - b).abs() < 1e-9, "gradient axis {axis}");
-                }
+            let v = VectorField::from_fn(&grid, plan.spatial_block(), vec_fn);
+            let sent = || [plan.row.stats().messages_sent, plan.col.stats().messages_sent];
+            let before = sent();
+            plan.regularization(&v, RegOrder::H2, 1e-2, &timers);
+            // One forward and one inverse exchange with the one peer of each group.
+            assert_eq!(sent(), before.map(|n| n + 2));
+            assert_eq!(timers.get_count("fft_3d"), 6);
+            for c in &v.comps {
+                plan.apply_symbol(c, |k2| RegOrder::H2.symbol(1e-2, k2), &timers);
             }
-
-            let v = VectorField::from_fn(&grid, block, vec_fn);
-            let p = plan.leray(&v, &timers);
-            for (axis, oracle) in leray_oracle.iter().enumerate() {
-                let full = gather_full(comm, &decomp, &p.comps[axis]);
-                for (a, b) in full.iter().zip(oracle) {
-                    assert!((a - b).abs() < 1e-9, "leray axis {axis}");
-                }
-            }
-            // Divergence of the projection vanishes.
-            let div = plan.divergence(&p, &timers);
-            assert!(div.max_abs(comm) < 1e-9);
+            assert_eq!(sent(), before.map(|n| n + 2 + 6));
         });
     }
 

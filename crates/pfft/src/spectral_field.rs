@@ -3,7 +3,9 @@
 
 use diffreg_fft::Complex64;
 use diffreg_grid::{Block, Grid};
-use diffreg_spectral::{wavenumber, wavenumber_deriv};
+use diffreg_spectral::wavenumber_deriv;
+
+use crate::half::for_each_bin;
 
 /// One rank's block of spectral coefficients, in the spectral pencil layout
 /// (axis 0 full, axes 1/2 split).
@@ -27,29 +29,8 @@ impl SpectralField {
     /// signed wavenumber triple (with Nyquist zeroed, suitable for odd
     /// derivatives) and `k2` the *unzeroed* `|k|²`.
     pub fn map_bins(&mut self, mut f: impl FnMut(Complex64, [f64; 3], f64) -> Complex64) {
-        let n = self.grid.n;
-        let [c0, c1, c2] = self.block.count;
-        let [s0, s1, s2] = self.block.start;
-        let mut l = 0;
-        for a0 in 0..c0 {
-            let i0 = s0 + a0;
-            let k0d = wavenumber_deriv(n[0], i0);
-            let k0 = wavenumber(n[0], i0);
-            for a1 in 0..c1 {
-                let i1 = s1 + a1;
-                let k1d = wavenumber_deriv(n[1], i1);
-                let k1 = wavenumber(n[1], i1);
-                let k01 = k0 * k0 + k1 * k1;
-                for a2 in 0..c2 {
-                    let i2 = s2 + a2;
-                    let k2d = wavenumber_deriv(n[2], i2);
-                    let k2c = wavenumber(n[2], i2);
-                    let ksq = k01 + k2c * k2c;
-                    self.data[l] = f(self.data[l], [k0d, k1d, k2d], ksq);
-                    l += 1;
-                }
-            }
-        }
+        let data = &mut self.data;
+        for_each_bin(&self.grid, &self.block, |l, k, k2| data[l] = f(data[l], k, k2));
     }
 
     /// Multiplies every bin by the real symbol `sym(|k|²)`.

@@ -1,280 +1,139 @@
-//! Pencil transposes: the alltoallv data rearrangements between the three
-//! layouts of the distributed FFT (paper Fig. 4 b/c).
+//! The pencil transpose: the alltoallv data rearrangement between the
+//! three layouts of the distributed FFT (paper Fig. 4 b/c).
 //!
-//! All four functions operate on one rank's local array of `Complex64` and
-//! exchange sub-boxes within a row or column sub-communicator. Memory order
-//! is always row-major with the last listed axis fastest.
+//! Every transpose of the transform is one [`exchange`]: a row-major 3D
+//! array whose axis `gather` is split over the group and whose axis `split`
+//! is whole trades places, so that `gather` becomes whole and `split` is
+//! split. Several fields travel together, their sub-boxes for one
+//! destination concatenated in one message.
 
 use diffreg_comm::Comm;
 use diffreg_fft::Complex64;
 use diffreg_grid::slab;
 
-/// Spatial -> Mid: input `(a, b_me, NC)` with axis *b* split over the group
-/// and axis *c* full; output `(a, NB, c_me)` with axis *b* full and axis *c*
-/// split. The untouched axis *a* is slowest.
-///
-/// For the forward FFT this is the D0 -> D1 transpose within a row group
-/// (`a` = local axis-0 extent, `b` = axis 1, `c` = axis 2).
-pub fn fwd_mid<C: Comm>(
-    comm: &C,
-    data: &[Complex64],
-    a: usize,
-    nb: usize,
-    nc: usize,
-) -> Vec<Complex64> {
-    let p = comm.size();
-    let me = comm.rank();
-    let (_, b_me) = slab(nb, p, me);
-    let (_, c_me) = slab(nc, p, me);
-    debug_assert_eq!(data.len(), a * b_me * nc);
-
-    let mut parts: Vec<Vec<Complex64>> = Vec::with_capacity(p);
-    for d in 0..p {
-        let (sc, cc) = slab(nc, p, d);
-        let mut part = Vec::with_capacity(a * b_me * cc);
-        for i0 in 0..a {
-            for i1 in 0..b_me {
-                let base = (i0 * b_me + i1) * nc + sc;
-                part.extend_from_slice(&data[base..base + cc]);
-            }
-        }
-        parts.push(part);
+/// Row-major offsets of the contiguous last-axis runs of the sub-box
+/// `start..start + count` of an array of extents `dims`, and their length.
+fn runs(
+    dims: [usize; 3],
+    mut start: [usize; 3],
+    mut count: [usize; 3],
+) -> (impl Iterator<Item = usize> + Clone, usize) {
+    let mut d = dims;
+    if count[2] == d[2] {
+        // Whole rows: axes 1 and 2 are one contiguous run.
+        (d, start, count) = (
+            [1, d[0], d[1] * d[2]],
+            [0, start[0], start[1] * d[2]],
+            [1, count[0], count[1] * d[2]],
+        );
     }
-    let recvd = diffreg_telemetry::with_span("fft.transpose", || comm.alltoallv(parts));
-    let mut out = vec![Complex64::ZERO; a * nb * c_me];
-    for (s, part) in recvd.iter().enumerate() {
-        let (sb, cb) = slab(nb, p, s);
-        let mut off = 0usize;
-        for i0 in 0..a {
-            for i1 in 0..cb {
-                let base = (i0 * nb + sb + i1) * c_me;
-                out[base..base + c_me].copy_from_slice(&part[off..off + c_me]);
-                off += c_me;
-            }
-        }
-        debug_assert_eq!(off, part.len());
-    }
-    out
+    let offsets = (start[0]..start[0] + count[0]).flat_map(move |i0| {
+        (start[1]..start[1] + count[1]).map(move |i1| (i0 * d[1] + i1) * d[2] + start[2])
+    });
+    (offsets, count[2])
 }
 
-/// Mid -> Spatial: inverse of [`fwd_mid`]. Input `(a, NB, c_me)`, output
-/// `(a, b_me, NC)`.
-pub fn inv_mid<C: Comm>(
-    comm: &C,
-    data: &[Complex64],
-    a: usize,
-    nb: usize,
-    nc: usize,
-) -> Vec<Complex64> {
-    let p = comm.size();
-    let me = comm.rank();
-    let (_, b_me) = slab(nb, p, me);
-    let (_, c_me) = slab(nc, p, me);
-    debug_assert_eq!(data.len(), a * nb * c_me);
-
-    let mut parts: Vec<Vec<Complex64>> = Vec::with_capacity(p);
-    for d in 0..p {
-        let (sb, cb) = slab(nb, p, d);
-        let mut part = Vec::with_capacity(a * cb * c_me);
-        for i0 in 0..a {
-            for i1 in 0..cb {
-                let base = (i0 * nb + sb + i1) * c_me;
-                part.extend_from_slice(&data[base..base + c_me]);
-            }
-        }
-        parts.push(part);
-    }
-    let recvd = diffreg_telemetry::with_span("fft.transpose", || comm.alltoallv(parts));
-    let mut out = vec![Complex64::ZERO; a * b_me * nc];
-    for (s, part) in recvd.iter().enumerate() {
-        let (sc, cc) = slab(nc, p, s);
-        let mut off = 0usize;
-        for i0 in 0..a {
-            for i1 in 0..b_me {
-                let base = (i0 * b_me + i1) * nc + sc;
-                out[base..base + cc].copy_from_slice(&part[off..off + cc]);
-                off += cc;
-            }
-        }
-        debug_assert_eq!(off, part.len());
-    }
-    out
+/// `dims` with the extent of `axis` replaced by `(start, count)`.
+fn with_slab(dims: [usize; 3], axis: usize, (s, c): (usize, usize)) -> ([usize; 3], [usize; 3]) {
+    let (mut start, mut count) = ([0; 3], dims);
+    (start[axis], count[axis]) = (s, c);
+    (start, count)
 }
 
-/// Mid -> Spectral: input `(a_me, NB, c)` with axis *a* split and axis *b*
-/// full; output `(NA, b_me, c)` with axis *a* full and axis *b* split. The
-/// untouched axis *c* is fastest.
-///
-/// For the forward FFT this is the D1 -> D2 transpose within a column group
-/// (`a` = axis 0, `b` = axis 1, `c` = local axis-2 extent).
-pub fn fwd_spec<C: Comm>(
+/// Redistributes every field within `comm` (collective). `global` holds
+/// the extents of the array the group shares (the axis that takes no part
+/// at its local extent). On entry each field is this rank's slab of axis
+/// `gather`, on exit its slab of axis `split`; one `alltoallv` carries all
+/// fields. In a group of one this is the identity, and callers skip it.
+pub(crate) fn exchange<C: Comm>(
     comm: &C,
-    data: &[Complex64],
-    na: usize,
-    nb: usize,
-    c: usize,
-) -> Vec<Complex64> {
-    let p = comm.size();
-    let me = comm.rank();
-    let (_, a_me) = slab(na, p, me);
-    let (_, b_me) = slab(nb, p, me);
-    debug_assert_eq!(data.len(), a_me * nb * c);
-
-    let mut parts: Vec<Vec<Complex64>> = Vec::with_capacity(p);
-    for d in 0..p {
-        let (sb, cb) = slab(nb, p, d);
-        let mut part = Vec::with_capacity(a_me * cb * c);
-        for i0 in 0..a_me {
-            for i1 in 0..cb {
-                let base = (i0 * nb + sb + i1) * c;
-                part.extend_from_slice(&data[base..base + c]);
+    fields: &mut [&mut Vec<Complex64>],
+    global: [usize; 3],
+    gather: usize,
+    split: usize,
+) {
+    let (p, me) = (comm.size(), comm.rank());
+    let in_dims = with_slab(global, gather, slab(global[gather], p, me)).1;
+    let out_dims = with_slab(global, split, slab(global[split], p, me)).1;
+    let in_len: usize = in_dims.iter().product();
+    // The send buffers are moved into alltoallv, so they cannot be pooled.
+    let parts: Vec<Vec<Complex64>> = (0..p)
+        .map(|d| {
+            let (start, count) = with_slab(in_dims, split, slab(global[split], p, d));
+            let (offsets, run) = runs(in_dims, start, count);
+            let mut part = Vec::with_capacity(fields.len() * count.iter().product::<usize>());
+            for f in fields.iter() {
+                debug_assert_eq!(f.len(), in_len);
+                for off in offsets.clone() {
+                    part.extend_from_slice(&f[off..off + run]);
+                }
             }
-        }
-        parts.push(part);
-    }
+            part
+        })
+        .collect();
     let recvd = diffreg_telemetry::with_span("fft.transpose", || comm.alltoallv(parts));
-    let mut out = vec![Complex64::ZERO; na * b_me * c];
+    for f in fields.iter_mut() {
+        f.resize(out_dims.iter().product(), Complex64::ZERO);
+    }
     for (s, part) in recvd.iter().enumerate() {
-        let (sa, ca) = slab(na, p, s);
-        let mut off = 0usize;
-        for i0 in 0..ca {
-            for i1 in 0..b_me {
-                let base = ((sa + i0) * b_me + i1) * c;
-                out[base..base + c].copy_from_slice(&part[off..off + c]);
-                off += c;
+        let (start, count) = with_slab(out_dims, gather, slab(global[gather], p, s));
+        let (offsets, run) = runs(out_dims, start, count);
+        let mut chunks = part.chunks_exact(run.max(1));
+        for f in fields.iter_mut() {
+            for (off, chunk) in offsets.clone().zip(&mut chunks) {
+                f[off..off + run].copy_from_slice(chunk);
             }
         }
-        debug_assert_eq!(off, part.len());
+        debug_assert_eq!(part.len(), fields.len() * count.iter().product::<usize>());
     }
-    out
-}
-
-/// Spectral -> Mid: inverse of [`fwd_spec`]. Input `(NA, b_me, c)`, output
-/// `(a_me, NB, c)`.
-pub fn inv_spec<C: Comm>(
-    comm: &C,
-    data: &[Complex64],
-    na: usize,
-    nb: usize,
-    c: usize,
-) -> Vec<Complex64> {
-    let p = comm.size();
-    let me = comm.rank();
-    let (_, a_me) = slab(na, p, me);
-    let (_, b_me) = slab(nb, p, me);
-    debug_assert_eq!(data.len(), na * b_me * c);
-
-    let mut parts: Vec<Vec<Complex64>> = Vec::with_capacity(p);
-    for d in 0..p {
-        let (sa, ca) = slab(na, p, d);
-        let mut part = Vec::with_capacity(ca * b_me * c);
-        for i0 in 0..ca {
-            for i1 in 0..b_me {
-                let base = ((sa + i0) * b_me + i1) * c;
-                part.extend_from_slice(&data[base..base + c]);
-            }
-        }
-        parts.push(part);
-    }
-    let recvd = diffreg_telemetry::with_span("fft.transpose", || comm.alltoallv(parts));
-    let mut out = vec![Complex64::ZERO; a_me * nb * c];
-    for (s, part) in recvd.iter().enumerate() {
-        let (sb, cb) = slab(nb, p, s);
-        let mut off = 0usize;
-        for i0 in 0..a_me {
-            for i1 in 0..cb {
-                let base = (i0 * nb + sb + i1) * c;
-                out[base..base + c].copy_from_slice(&part[off..off + c]);
-                off += c;
-            }
-        }
-        debug_assert_eq!(off, part.len());
-    }
-    out
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use diffreg_comm::run_threaded;
+    use diffreg_comm::{run_threaded, SerialComm};
 
-    fn tag(v: f64) -> Complex64 {
-        Complex64::new(v, -v)
+    /// This rank's slab (along `axis`) of a global array whose element at
+    /// flat global index `g` is `(g + shift, -g)`.
+    fn local(global: [usize; 3], axis: usize, p: usize, me: usize, shift: f64) -> Vec<Complex64> {
+        let (start, count) = with_slab(global, axis, slab(global[axis], p, me));
+        let (offsets, run) = runs(global, start, count);
+        offsets
+            .flat_map(|off| (off..off + run).map(|g| Complex64::new(g as f64 + shift, -(g as f64))))
+            .collect()
     }
 
+    /// Placement and round trip of all four transposes of the transform
+    /// (mid: axes 1 <-> 2 of `(a, NB, NC)`; spectral: axes 0 <-> 1 of
+    /// `(NA, NB, c)`), two fields per exchange, uneven slabs.
     #[test]
-    fn mid_transpose_roundtrip_and_placement() {
-        // Global logical array (A=2, NB=5, NC=6) distributed over 3 ranks.
-        let (a, nb, nc) = (2usize, 5usize, 6usize);
-        run_threaded(3, move |comm| {
-            let p = comm.size();
-            let me = comm.rank();
-            let (sb, cb) = slab(nb, p, me);
-            // Input: (a, cb, nc) block of the global array, value = global index.
-            let mut input = Vec::with_capacity(a * cb * nc);
-            for i0 in 0..a {
-                for i1 in 0..cb {
-                    for i2 in 0..nc {
-                        input.push(tag(((i0 * nb + sb + i1) * nc + i2) as f64));
-                    }
-                }
-            }
-            let mid = fwd_mid(comm, &input, a, nb, nc);
-            // Check mid layout: (a, nb, cc_me) with axis-c offset sc.
-            let (sc, cc) = slab(nc, p, me);
-            for i0 in 0..a {
-                for i1 in 0..nb {
-                    for i2 in 0..cc {
-                        let expect = tag(((i0 * nb + i1) * nc + sc + i2) as f64);
-                        assert_eq!(mid[(i0 * nb + i1) * cc + i2], expect);
-                    }
-                }
-            }
-            let back = inv_mid(comm, &mid, a, nb, nc);
-            assert_eq!(back, input);
-        });
+    fn exchange_places_every_element_and_round_trips() {
+        for (p, global, gather, split) in
+            [(3usize, [2usize, 5, 6], 1usize, 2usize), (2, [7, 5, 3], 0, 1), (4, [3, 4, 9], 2, 1)]
+        {
+            run_threaded(p, move |comm| {
+                let me = comm.rank();
+                let mut a = local(global, gather, p, me, 0.0);
+                let mut b = local(global, gather, p, me, 0.5);
+                let input = a.clone();
+                exchange(comm, &mut [&mut a, &mut b], global, gather, split);
+                assert_eq!(a, local(global, split, p, me, 0.0));
+                assert_eq!(b, local(global, split, p, me, 0.5));
+                exchange(comm, &mut [&mut a, &mut b], global, split, gather);
+                assert_eq!(a, input);
+            });
+        }
     }
 
+    /// What the plan skips in a group of one is bitwise the identity.
     #[test]
-    fn spec_transpose_roundtrip_and_placement() {
-        let (na, nb, c) = (7usize, 5usize, 3usize);
-        run_threaded(2, move |comm| {
-            let p = comm.size();
-            let me = comm.rank();
-            let (sa, ca) = slab(na, p, me);
-            // Input: (ca, nb, c), value = global index over (na, nb, c).
-            let mut input = Vec::with_capacity(ca * nb * c);
-            for i0 in 0..ca {
-                for i1 in 0..nb {
-                    for i2 in 0..c {
-                        input.push(tag((((sa + i0) * nb + i1) * c + i2) as f64));
-                    }
-                }
-            }
-            let spec = fwd_spec(comm, &input, na, nb, c);
-            let (sb, cb) = slab(nb, p, me);
-            for i0 in 0..na {
-                for i1 in 0..cb {
-                    for i2 in 0..c {
-                        let expect = tag(((i0 * nb + sb + i1) * c + i2) as f64);
-                        assert_eq!(spec[(i0 * cb + i1) * c + i2], expect);
-                    }
-                }
-            }
-            let back = inv_spec(comm, &spec, na, nb, c);
-            assert_eq!(back, input);
-        });
-    }
-
-    #[test]
-    fn single_rank_transposes_are_reshapes() {
-        use diffreg_comm::SerialComm;
-        let comm = SerialComm::new();
-        let (a, nb, nc) = (2usize, 3usize, 4usize);
-        let input: Vec<Complex64> = (0..a * nb * nc).map(|i| tag(i as f64)).collect();
-        let mid = fwd_mid(&comm, &input, a, nb, nc);
-        assert_eq!(mid, input); // p = 1: identical layout
-        let back = inv_mid(&comm, &mid, a, nb, nc);
-        assert_eq!(back, input);
+    fn single_rank_exchange_is_the_identity() {
+        let global = [2usize, 3, 4];
+        let input = local(global, 1, 1, 0, 0.0);
+        for (gather, split) in [(1, 2), (2, 1), (0, 1), (1, 0)] {
+            let mut data = input.clone();
+            exchange(&SerialComm::new(), &mut [&mut data], global, gather, split);
+            assert_eq!(data, input);
+        }
     }
 }

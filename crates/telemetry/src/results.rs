@@ -2,7 +2,7 @@
 //! the CI perf gate: a suite of named records (median / min / samples), with
 //! host + git metadata, serialized through the in-tree [`Json`] value (no
 //! serde). The gate compares two suites record-by-record and fails on a
-//! median regression beyond a threshold.
+//! regression of the fastest sample beyond a threshold.
 
 use crate::json::Json;
 
@@ -203,9 +203,9 @@ impl BenchSuite {
 pub struct GateFinding {
     /// Record name.
     pub name: String,
-    /// Baseline median in seconds.
+    /// Baseline fastest sample in seconds.
     pub baseline_s: f64,
-    /// Current median in seconds.
+    /// Current fastest sample in seconds.
     pub current_s: f64,
     /// Relative change `(current - baseline) / baseline`.
     pub rel_change: f64,
@@ -216,7 +216,7 @@ pub struct GateFinding {
 /// Outcome of comparing a current suite against a baseline.
 #[derive(Debug, Clone, PartialEq)]
 pub struct GateReport {
-    /// Regression threshold used (e.g. 0.25 = fail on >25% slower median).
+    /// Regression threshold used (e.g. 0.25 = fail on >25% slower fastest sample).
     pub threshold: f64,
     /// Whether hosts matched (comparison is advisory when they differ).
     pub host_match: bool,
@@ -262,8 +262,11 @@ impl GateReport {
     }
 }
 
-/// Compares `current` against `baseline`: a record fails when its median is
-/// more than `threshold` (relative) slower than the baseline median. Records
+/// Compares `current` against `baseline`: a record fails when its fastest
+/// sample is more than `threshold` (relative) slower than the baseline's.
+/// Interference on a shared host only ever adds time, so the fastest of K
+/// repeats about twice as well as the median (`benchmark/README.md`,
+/// "Noise"); the median stays in the file for reading. Records
 /// only in `current` are ignored (new benches don't fail the gate); records
 /// only in `baseline` are reported missing.
 pub fn compare_suites(baseline: &BenchSuite, current: &BenchSuite, threshold: f64) -> GateReport {
@@ -272,13 +275,12 @@ pub fn compare_suites(baseline: &BenchSuite, current: &BenchSuite, threshold: f6
     for b in &baseline.records {
         match current.record(&b.name) {
             Some(c) => {
-                let b_med = b.median_s();
-                let c_med = c.median_s();
-                let rel = if b_med > 0.0 { (c_med - b_med) / b_med } else { 0.0 };
+                let (b_min, c_min) = (b.min_s(), c.min_s());
+                let rel = if b_min > 0.0 { (c_min - b_min) / b_min } else { 0.0 };
                 findings.push(GateFinding {
                     name: b.name.clone(),
-                    baseline_s: b_med,
-                    current_s: c_med,
+                    baseline_s: b_min,
+                    current_s: c_min,
                     rel_change: rel,
                     regressed: rel > threshold,
                 });

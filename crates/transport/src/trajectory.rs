@@ -109,12 +109,16 @@ fn compute_trajectory_pair<C: Comm>(
         ]);
     }
 
-    // v_departure(X*) via a throwaway scatter plan.
-    let plan_star = ScatterPlan::build(ws.comm, ws.decomp, &star, ws.timers);
-    let g0 = ghosted(ws.comm, ws.decomp, &v_departure.comps[0]);
-    let g1 = ghosted(ws.comm, ws.decomp, &v_departure.comps[1]);
-    let g2 = ghosted(ws.comm, ws.decomp, &v_departure.comps[2]);
-    let v_star = plan_star.interpolate_many(ws.comm, &[&g0, &g1, &g2], ws.kernel, ws.timers);
+    // v_departure(X*) via a throwaway scatter plan; the plan, the ghosted
+    // velocity and X* are dropped before the final plan is built.
+    let v_star = {
+        let plan_star = ScatterPlan::build(ws.comm, ws.decomp, &star, ws.timers);
+        drop(star);
+        let g0 = ghosted(ws.comm, ws.decomp, &v_departure.comps[0]);
+        let g1 = ghosted(ws.comm, ws.decomp, &v_departure.comps[1]);
+        let g2 = ghosted(ws.comm, ws.decomp, &v_departure.comps[2]);
+        plan_star.interpolate_many(ws.comm, &[&g0, &g1, &g2], ws.kernel, ws.timers)
+    };
 
     // Midpoint corrector X = x − s·δt/2·(v_arrival(x) + v_departure(X*)).
     let half = 0.5 * s;

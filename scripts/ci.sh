@@ -162,9 +162,9 @@ for d in target/incident-drill/run1/incident-*; do
 done
 echo "    incident drill ok ($drill_count bundles gated, replay byte-identical)"
 
-echo "==> [11/15] perf-regression gate (kernel suite medians vs baseline)"
+echo "==> [11/15] perf-regression gate (kernel suite fastest-of-K vs baseline)"
 # Full protocol: deterministic selftest, end-to-end proof that a 30%
-# synthetic slowdown trips the 25% gate, then a median-of-K comparison
+# synthetic slowdown trips the 25% gate, then a fastest-of-K comparison
 # against the checked-in BENCH_kernels.json (advisory across hosts).
 scripts/perf_gate.sh
 

@@ -8,9 +8,11 @@
 #      the same suite with `--inflate 1.3` (every sample multiplied by 1.3
 #      after measurement), and require `check --strict-host` to FAIL.
 #   3. Compare a fresh run against the checked-in baseline
-#      `BENCH_kernels.json` (median-of-K, threshold 25%). Medians are only
-#      comparable same-host, so a host mismatch downgrades the comparison
-#      to advisory — the numbers are printed but do not fail the build.
+#      `BENCH_kernels.json` (fastest-of-K `min_s`, threshold 25%: bursts on
+#      a shared host only add time, so the fastest sample repeats where the
+#      median does not). Wall clocks are only comparable same-host, so a
+#      host mismatch downgrades the comparison to advisory — the numbers
+#      are printed but do not fail the build.
 #   4. `perf_gate recorder` — flight-recorder overhead check: per-event cost
 #      from the telemetry/recorder_overhead on/off median gap must sit
 #      within a 2 us budget (missing records fail; a breach is advisory,
