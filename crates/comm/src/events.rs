@@ -7,9 +7,9 @@
 //! epoch so an offline analyzer can group the per-rank records back into one
 //! logical operation. The records are the raw material of the cross-rank
 //! wait-state doctor (`diffreg-telemetry::doctor` and the `diffreg-doctor`
-//! CLI): matched sends/receives expose late-sender and late-receiver waits,
-//! and epoch-grouped collectives expose wait-at-collective and
-//! imbalance-at-collective losses, Scalasca-style.
+//! CLI): matched sends/receives expose late-sender waits, and epoch-grouped
+//! collectives expose wait-at-collective and imbalance-at-collective losses,
+//! Scalasca-style.
 //!
 //! Timestamps are nanoseconds on the process-wide monotonic clock
 //! ([`monotonic_ns`]), the same clock the span tracer uses, so comm events
@@ -104,8 +104,8 @@ impl CommOp {
 ///   epoch)`, and a group is complete when `csize` records arrived.
 ///
 /// `blocked_ns` is the portion of `[t0_ns, t1_ns]` the rank spent blocked
-/// (receive waits, barrier waits, rendezvous send waits) — the same time
-/// that accrues into [`crate::CommStats::blocked_seconds`].
+/// (receive waits, barrier waits; always 0 on sends, which are buffered) —
+/// the same time that accrues into [`crate::CommStats::blocked_seconds`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CommEvent {
     /// Operation kind.
@@ -141,11 +141,6 @@ impl CommEvent {
     /// Operation duration in seconds.
     pub fn dur_s(&self) -> f64 {
         self.t1_ns.saturating_sub(self.t0_ns) as f64 / 1e9
-    }
-
-    /// Blocked time in seconds.
-    pub fn blocked_s(&self) -> f64 {
-        self.blocked_ns as f64 / 1e9
     }
 }
 
@@ -225,6 +220,5 @@ mod tests {
             blocked_ns: 2_000_000_000,
         };
         assert!((e.dur_s() - 2.5).abs() < 1e-12);
-        assert!((e.blocked_s() - 2.0).abs() < 1e-12);
     }
 }

@@ -27,10 +27,17 @@
 //! * a collective-contract checker (on under `debug_assertions`, env
 //!   `DIFFREG_COMM_CONTRACT`) that reports mismatched collective ordering
 //!   across ranks as [`CommError::ContractViolation`];
-//! * [`run_threaded_checked`], which contains a panicking rank as a
-//!   [`RankFailure`] and unblocks its peers;
+//! * one containment body, [`run_gang`], under every rank closure: a
+//!   panicking rank becomes a [`RankFailure`] and its peers are unblocked —
+//!   [`run_threaded_checked`] returns the reports, [`run_threaded`] re-raises
+//!   the first, neither can hang on a dead rank;
 //! * [`ChaosComm`], a seeded chaos-injection decorator (latency, tag-safe
 //!   reordering, stalls, kills) for deterministic fault drills.
+//!
+//! Those two variables are the only configuration this crate takes from the
+//! environment — everything else is an argument or a setter on the endpoint
+//! — and a value either cannot parse aborts at world creation, naming the
+//! variable, instead of silently switching the fault detector off.
 //!
 //! ```
 //! use diffreg_comm::{run_threaded, Comm};

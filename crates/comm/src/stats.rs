@@ -21,9 +21,8 @@ pub struct CommStats {
     pub messages_received: u64,
     /// Payload bytes received.
     pub bytes_received: u64,
-    /// Wall-clock seconds this rank spent blocked in receives, barriers, and
-    /// rendezvous sends (send-side waits accrue when an eager limit is set;
-    /// see `ThreadComm::set_eager_limit`).
+    /// Wall-clock seconds this rank spent blocked in receives and barriers
+    /// (sends are buffered and never block).
     pub blocked_seconds: f64,
 }
 

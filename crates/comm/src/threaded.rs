@@ -6,7 +6,9 @@
 //! broadcast, allgather, alltoallv, allreduce, and communicator splits — on
 //! shared memory, with per-rank traffic counters so the benchmark harness
 //! can report communication volume and apply the paper's latency/bandwidth
-//! model.
+//! model. Sends are eager, always: the paper's model (§III-C4) charges t_s
+//! per message and t_w per byte and knows no second send protocol, so
+//! neither does this runtime.
 //!
 //! ## Fault tolerance
 //!
@@ -24,14 +26,17 @@
 //!   ranks calling collectives in different orders are reported as a precise
 //!   [`CommError::ContractViolation`] instead of a type-mismatch panic deep
 //!   inside `recv`.
-//! * **Rank-failure containment** — [`run_threaded_checked`] catches a
-//!   panicking rank, converts it into a [`RankFailure`] report, poisons the
-//!   barrier and drops the rank's endpoints so blocked peers observe
-//!   [`CommError::PeerGone`] instead of hanging forever.
+//! * **Rank-failure containment** — every rank closure runs under
+//!   [`run_gang`]: a panicking rank becomes a [`RankFailure`] report, its
+//!   barrier is poisoned and its endpoints are dropped, so blocked peers
+//!   observe [`CommError::PeerGone`] instead of hanging forever.
+//!   [`run_threaded_checked`] returns the per-rank reports; [`run_threaded`]
+//!   re-raises the first one.
 
 use std::any::Any;
 use std::cell::{Cell, RefCell};
 use std::collections::{BTreeMap, VecDeque};
+use std::env::VarError;
 use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
 use std::sync::{Arc, Condvar, Mutex, OnceLock};
 use std::time::{Duration, Instant};
@@ -59,82 +64,30 @@ enum BlockedOn {
     Running,
     /// Blocked in `recv(src, tag)`.
     Recv { src: usize, tag: u64 },
-    /// Blocked in a rendezvous `send(dst, tag)` waiting for the receiver.
-    Send { dst: usize, tag: u64 },
     /// Blocked in `barrier`.
     Barrier,
-    /// The rank's closure panicked ([`run_threaded_checked`] containment).
+    /// The rank's closure panicked ([`run_gang`] containment).
     Dead,
 }
 
-/// Why a rendezvous send wait ended without the receiver being ready.
-enum SendWait {
-    /// The receiver is blocked in the matching `recv` — deliver now.
-    Ready,
-    /// The receiver's rank died.
-    PeerDead,
-    /// The watchdog timeout expired first.
-    TimedOut,
-}
-
-/// Shared per-communicator blocked-state registry (one slot per rank).
-struct Registry {
-    slots: Mutex<Vec<BlockedOn>>,
-    /// Woken on every state change, so rendezvous senders can wait for
-    /// their receiver to block in the matching `recv`.
-    cv: Condvar,
-}
+/// Shared per-communicator blocked-state table (one slot per rank): what the
+/// watchdog and the rank-failure report print.
+struct Registry(Mutex<Vec<BlockedOn>>);
 
 impl Registry {
     fn new(size: usize) -> Arc<Self> {
-        Arc::new(Self {
-            slots: Mutex::new(vec![BlockedOn::Running; size]),
-            cv: Condvar::new(),
-        })
+        Arc::new(Self(Mutex::new(vec![BlockedOn::Running; size])))
     }
 
     fn set(&self, rank: usize, state: BlockedOn) {
         // Proceed through lock poisoning: the registry must stay writable
         // and readable for the watchdog table even after a rank panicked.
-        self.slots.lock().unwrap_or_else(|e| e.into_inner())[rank] = state;
-        self.cv.notify_all();
-    }
-
-    /// Blocks until `dst` is observed blocked in `recv(src, tag)` (rendezvous
-    /// handshake), `dst` is dead, or the deadline passes.
-    fn wait_recv_ready(
-        &self,
-        dst: usize,
-        src: usize,
-        tag: u64,
-        deadline: Option<Instant>,
-    ) -> SendWait {
-        let mut slots = self.slots.lock().unwrap_or_else(|e| e.into_inner());
-        loop {
-            match slots[dst] {
-                BlockedOn::Recv { src: s, tag: t } if s == src && t == tag => {
-                    return SendWait::Ready
-                }
-                BlockedOn::Dead => return SendWait::PeerDead,
-                _ => {}
-            }
-            match deadline {
-                None => slots = self.cv.wait(slots).unwrap_or_else(|e| e.into_inner()),
-                Some(d) => {
-                    let now = Instant::now();
-                    if now >= d {
-                        return SendWait::TimedOut;
-                    }
-                    slots =
-                        self.cv.wait_timeout(slots, d - now).unwrap_or_else(|e| e.into_inner()).0;
-                }
-            }
-        }
+        self.0.lock().unwrap_or_else(|e| e.into_inner())[rank] = state;
     }
 
     /// Renders the who-waits-on-whom table, one line per rank.
     fn table(&self) -> Vec<String> {
-        self.slots
+        self.0
             .lock()
             .unwrap_or_else(|e| e.into_inner())
             .iter()
@@ -143,12 +96,6 @@ impl Registry {
                 BlockedOn::Running => format!("rank {r}: running (not blocked in comm)"),
                 BlockedOn::Recv { src, tag } => {
                     format!("rank {r}: blocked in recv(src={src}, tag={})", tag_display(*tag))
-                }
-                BlockedOn::Send { dst, tag } => {
-                    format!(
-                        "rank {r}: blocked in rendezvous send(dst={dst}, tag={})",
-                        tag_display(*tag)
-                    )
                 }
                 BlockedOn::Barrier => format!("rank {r}: blocked in barrier"),
                 BlockedOn::Dead => format!("rank {r}: dead (panicked)"),
@@ -241,98 +188,64 @@ impl SharedBarrier {
     }
 }
 
-/// Default watchdog timeout from `DIFFREG_COMM_TIMEOUT_MS` (0/unset = off).
+/// Parses `DIFFREG_COMM_TIMEOUT_MS`: unset, empty and `0` mean no watchdog;
+/// anything else must be a whole number of milliseconds.
+fn parse_timeout_ms(raw: Option<&str>) -> Result<Option<Duration>, String> {
+    match raw.map(str::trim) {
+        None | Some("") => Ok(None),
+        Some(s) => s
+            .parse::<u64>()
+            .map(|ms| (ms > 0).then(|| Duration::from_millis(ms)))
+            .map_err(|_| "a whole number of milliseconds (0 or empty = no watchdog)".into()),
+    }
+}
+
+/// Parses `DIFFREG_COMM_CONTRACT`: `0` = off, `1` = on; unset and empty mean
+/// the build profile's default (on exactly when `debug_assertions` are on).
+fn parse_contract(raw: Option<&str>) -> Result<bool, String> {
+    match raw.map(str::trim) {
+        None | Some("") => Ok(cfg!(debug_assertions)),
+        Some("0") => Ok(false),
+        Some("1") => Ok(true),
+        Some(_) => Err("0 (off) or 1 (on); empty = the build profile's default".into()),
+    }
+}
+
+/// Turns one environment read into a setting. The two variables below are
+/// fault *detectors*: a typo in one must not quietly switch it off, so a
+/// value `parse` rejects aborts, naming the variable, the value and the
+/// accepted forms.
+fn env_setting<T>(
+    name: &str,
+    read: Result<String, VarError>,
+    parse: fn(Option<&str>) -> Result<T, String>,
+) -> T {
+    let raw = match read {
+        Ok(s) => Some(s),
+        Err(VarError::NotPresent) => None,
+        Err(VarError::NotUnicode(s)) => Some(s.to_string_lossy().into_owned()),
+    };
+    parse(raw.as_deref()).unwrap_or_else(|accepted| {
+        // diffreg-allow(no-unwrap-in-lib): startup configuration error — there is no caller to hand a typed error to, and running on without the requested fault detector is the failure this guards against
+        panic!("{name}={:?} is not a valid setting: expected {accepted}", raw.unwrap_or_default())
+    })
+}
+
+/// Default watchdog timeout from `DIFFREG_COMM_TIMEOUT_MS`.
 fn default_timeout() -> Option<Duration> {
     static CACHE: OnceLock<Option<Duration>> = OnceLock::new();
     *CACHE.get_or_init(|| {
-        std::env::var("DIFFREG_COMM_TIMEOUT_MS")
-            .ok()
-            .and_then(|s| s.trim().parse::<u64>().ok())
-            .filter(|&ms| ms > 0)
-            .map(Duration::from_millis)
+        let read = std::env::var("DIFFREG_COMM_TIMEOUT_MS");
+        env_setting("DIFFREG_COMM_TIMEOUT_MS", read, parse_timeout_ms)
     })
 }
 
-/// Default contract-checking flag: `DIFFREG_COMM_CONTRACT=0|1` if set, else
-/// on exactly when `debug_assertions` are on.
+/// Default contract-checking flag from `DIFFREG_COMM_CONTRACT`.
 fn default_contract() -> bool {
     static CACHE: OnceLock<bool> = OnceLock::new();
-    *CACHE.get_or_init(|| match std::env::var("DIFFREG_COMM_CONTRACT") {
-        Ok(v) => v.trim() != "0",
-        Err(_) => cfg!(debug_assertions),
-    })
-}
-
-/// Default comm-event recording flag: on when `DIFFREG_TRACE` is set to a
-/// non-empty value other than `0` (the same convention the span tracer
-/// uses), so a traced run collects spans *and* comm events together.
-fn default_events_on() -> bool {
-    static CACHE: OnceLock<bool> = OnceLock::new();
     *CACHE.get_or_init(|| {
-        std::env::var("DIFFREG_TRACE").is_ok_and(|v| {
-            let v = v.trim();
-            !v.is_empty() && v != "0"
-        })
-    })
-}
-
-/// Default comm-event log capacity from `DIFFREG_COMM_TAP_CAP`
-/// (unset/empty/0 = unbounded, the historical behavior). A finite cap turns
-/// the per-rank event log into a flight-recorder ring: the newest events are
-/// kept, the oldest are evicted, and every eviction is counted exactly.
-fn default_event_cap() -> usize {
-    static CACHE: OnceLock<usize> = OnceLock::new();
-    *CACHE.get_or_init(|| {
-        std::env::var("DIFFREG_COMM_TAP_CAP")
-            .ok()
-            .and_then(|s| s.trim().parse::<usize>().ok())
-            .unwrap_or(0)
-    })
-}
-
-/// Per-rank comm-event log: unbounded by default, a bounded ring when a cap
-/// is set. Shared (behind `Arc<Mutex<_>>`) between an endpoint and every
-/// sub-communicator split off it, so one rank's events form one stream.
-#[derive(Debug)]
-struct EventLog {
-    buf: VecDeque<CommEvent>,
-    /// Maximum retained events; 0 = unbounded.
-    cap: usize,
-    /// Oldest-event evictions since construction (never reset — exact
-    /// lifetime drop accounting for the flight recorder).
-    dropped: u64,
-}
-
-impl EventLog {
-    fn new(cap: usize) -> Self {
-        Self { buf: VecDeque::new(), cap, dropped: 0 }
-    }
-
-    fn push(&mut self, ev: CommEvent) {
-        if self.cap > 0 && self.buf.len() >= self.cap {
-            self.buf.pop_front();
-            self.dropped += 1;
-        }
-        self.buf.push_back(ev);
-    }
-
-    fn take(&mut self) -> Vec<CommEvent> {
-        std::mem::take(&mut self.buf).into()
-    }
-
-    fn snapshot(&self) -> Vec<CommEvent> {
-        self.buf.iter().cloned().collect()
-    }
-}
-
-/// Default rendezvous eager limit from `DIFFREG_COMM_EAGER_LIMIT_BYTES`
-/// (unset/empty = eager delivery for every message, the historical behavior).
-fn default_eager_limit() -> Option<usize> {
-    static CACHE: OnceLock<Option<usize>> = OnceLock::new();
-    *CACHE.get_or_init(|| {
-        std::env::var("DIFFREG_COMM_EAGER_LIMIT_BYTES")
-            .ok()
-            .and_then(|s| s.trim().parse::<usize>().ok())
+        let read = std::env::var("DIFFREG_COMM_CONTRACT");
+        env_setting("DIFFREG_COMM_CONTRACT", read, parse_contract)
     })
 }
 
@@ -362,17 +275,11 @@ pub struct ThreadComm {
     comm_uid: u64,
     /// Per-rank comm event log, shared with sub-communicators created by
     /// this endpoint so their events land on the same per-rank stream.
-    events: Arc<Mutex<EventLog>>,
+    events: Arc<Mutex<Vec<CommEvent>>>,
     /// Whether comm calls record [`CommEvent`]s.
     events_on: Cell<bool>,
-    /// Per-`(peer, tag)` send sequence counters (p2p matching keys).
-    send_seq: RefCell<BTreeMap<(usize, u64), u64>>,
-    /// Per-`(peer, tag)` receive sequence counters (p2p matching keys).
-    recv_seq: RefCell<BTreeMap<(usize, u64), u64>>,
-    /// Rendezvous eager limit: user-tag messages strictly larger than this
-    /// many bytes block the sender until the receiver posts the matching
-    /// receive. `None` = always-eager (the historical behavior).
-    eager_limit: Cell<Option<usize>>,
+    /// Per-`(send | recv, peer, tag)` message counters (p2p matching keys).
+    p2p_seq: RefCell<BTreeMap<(CommOp, usize, u64), u64>>,
 }
 
 impl std::fmt::Debug for ThreadComm {
@@ -398,11 +305,10 @@ fn make_channel_matrix(size: usize) -> Vec<Package> {
     let mut rx: Vec<Vec<Option<Receiver<Msg>>>> =
         (0..size).map(|_| (0..size).map(|_| None).collect()).collect();
     for (src, row) in tx.iter_mut().enumerate() {
-        for (dst, dst_rx) in rx.iter_mut().enumerate() {
+        for dst_rx in rx.iter_mut() {
             let (s, r) = channel();
             row.push(s);
             dst_rx[src] = Some(r);
-            let _ = dst;
         }
     }
     let barrier = Arc::new(SharedBarrier::new(size));
@@ -437,11 +343,9 @@ impl ThreadComm {
             timeout: Cell::new(default_timeout()),
             contract: Cell::new(default_contract()),
             comm_uid: 0,
-            events: Arc::new(Mutex::new(EventLog::new(default_event_cap()))),
-            events_on: Cell::new(default_events_on()),
-            send_seq: RefCell::new(BTreeMap::new()),
-            recv_seq: RefCell::new(BTreeMap::new()),
-            eager_limit: Cell::new(default_eager_limit()),
+            events: Arc::new(Mutex::new(Vec::new())),
+            events_on: Cell::new(false),
+            p2p_seq: RefCell::new(BTreeMap::new()),
         }
     }
 
@@ -473,8 +377,7 @@ impl ThreadComm {
     }
 
     /// Enables/disables comm event recording on this endpoint (inherited by
-    /// sub-communicators created afterwards). Defaults to the `DIFFREG_TRACE`
-    /// convention so traced runs collect spans and comm events together.
+    /// sub-communicators created afterwards). Off by default.
     pub fn set_event_recording(&self, on: bool) {
         self.events_on.set(on);
     }
@@ -495,56 +398,7 @@ impl ThreadComm {
     /// Events appear in completion order. Call once per rank at the end of
     /// the SPMD closure, alongside `take_thread_trace`.
     pub fn take_events(&self) -> Vec<CommEvent> {
-        self.events.lock().unwrap_or_else(|e| e.into_inner()).take()
-    }
-
-    /// Non-destructive copy of this rank's comm event log, oldest first —
-    /// the flight-recorder read path (a later `take_events` still drains
-    /// everything). Includes events recorded on sub-communicators split off
-    /// this endpoint, which share the log.
-    pub fn snapshot_events(&self) -> Vec<CommEvent> {
-        self.events.lock().unwrap_or_else(|e| e.into_inner()).snapshot()
-    }
-
-    /// Caps this rank's comm event log at `cap` retained events (0 =
-    /// unbounded, the default unless `DIFFREG_COMM_TAP_CAP` is set). With a
-    /// finite cap the log becomes a ring: the newest events are kept, the
-    /// oldest are evicted, and [`events_dropped`](Self::events_dropped)
-    /// counts every eviction exactly. Shared with sub-communicators.
-    pub fn set_event_cap(&self, cap: usize) {
-        self.events.lock().unwrap_or_else(|e| e.into_inner()).cap = cap;
-    }
-
-    /// Current comm event log cap (0 = unbounded).
-    pub fn event_cap(&self) -> usize {
-        self.events.lock().unwrap_or_else(|e| e.into_inner()).cap
-    }
-
-    /// Oldest-event evictions from this rank's comm event log since it was
-    /// created (exact, never reset).
-    pub fn events_dropped(&self) -> u64 {
-        self.events.lock().unwrap_or_else(|e| e.into_inner()).dropped
-    }
-
-    /// Sets the rendezvous eager limit: user-tag messages strictly larger
-    /// than `limit` bytes block the sender (accounted into
-    /// [`CommStats::blocked_seconds`]) until the receiver posts the matching
-    /// receive, like MPI's rendezvous protocol. `None` (the default unless
-    /// `DIFFREG_COMM_EAGER_LIMIT_BYTES` is set) keeps every send eager.
-    ///
-    /// **Hazard**: with a finite limit, a symmetric exchange where two ranks
-    /// both send large messages and only then receive deadlocks — exactly as
-    /// it would under real MPI's rendezvous protocol. The watchdog
-    /// (`DIFFREG_COMM_TIMEOUT_MS`) turns such hangs into a
-    /// [`CommError::Timeout`] whose table shows both ranks blocked in
-    /// `rendezvous send`.
-    pub fn set_eager_limit(&self, limit: Option<usize>) {
-        self.eager_limit.set(limit);
-    }
-
-    /// Current rendezvous eager limit (`None` = always-eager).
-    pub fn eager_limit(&self) -> Option<usize> {
-        self.eager_limit.get()
+        std::mem::take(&mut *self.events.lock().unwrap_or_else(|e| e.into_inner()))
     }
 
     fn push_event(&self, ev: CommEvent) {
@@ -557,13 +411,37 @@ impl ThreadComm {
         tag < TAG_INTERNAL && self.events_on.get()
     }
 
-    /// Next sequence number on a `(peer, tag)` p2p stream.
-    fn next_seq(map: &RefCell<BTreeMap<(usize, u64), u64>>, peer: usize, tag: u64) -> u64 {
-        let mut m = map.borrow_mut();
-        let c = m.entry((peer, tag)).or_insert(0);
-        let s = *c;
-        *c += 1;
-        s
+    /// Records one completed user-tag send or receive (`op`) that started at
+    /// `t0_ns` and blocked for `blocked_s`, numbered on its `(peer, tag)` stream.
+    fn push_p2p_event(
+        &self,
+        op: CommOp,
+        peer: usize,
+        tag: u64,
+        bytes: usize,
+        t0_ns: u64,
+        blocked_s: f64,
+    ) {
+        let seq = {
+            let mut seqs = self.p2p_seq.borrow_mut();
+            let next = seqs.entry((op, peer, tag)).or_insert(0);
+            *next += 1;
+            *next - 1
+        };
+        self.push_event(CommEvent {
+            op,
+            comm: self.comm_uid,
+            csize: self.size,
+            rank: self.rank,
+            peer: Some(peer),
+            tag: Some(tag),
+            seq: Some(seq),
+            bytes: bytes as u64,
+            epoch: None,
+            t0_ns,
+            t1_ns: monotonic_ns(),
+            blocked_ns: (blocked_s * 1e9) as u64,
+        });
     }
 
     /// Records one collective wrapper event around `f`: duration, epoch (read
@@ -615,13 +493,6 @@ impl ThreadComm {
         s.bytes_received += bytes as u64;
     }
 
-    fn blocking<R>(&self, f: impl FnOnce() -> R) -> R {
-        let t0 = Instant::now();
-        let r = f();
-        self.stats.borrow_mut().blocked_seconds += t0.elapsed().as_secs_f64();
-        r
-    }
-
     /// Advances the collective epoch; returns the epoch of this collective.
     fn bump_epoch(&self) -> u64 {
         let e = self.epoch.get().wrapping_add(1);
@@ -662,21 +533,7 @@ impl ThreadComm {
                 self.record_recv(*bytes);
             }
             if record {
-                let seq = Self::next_seq(&self.recv_seq, src, tag);
-                self.push_event(CommEvent {
-                    op: CommOp::Recv,
-                    comm: self.comm_uid,
-                    csize: self.size,
-                    rank: self.rank,
-                    peer: Some(src),
-                    tag: Some(tag),
-                    seq: Some(seq),
-                    bytes: *bytes as u64,
-                    epoch: None,
-                    t0_ns,
-                    t1_ns: monotonic_ns(),
-                    blocked_ns: (waited * 1e9) as u64,
-                });
+                self.push_p2p_event(CommOp::Recv, src, tag, *bytes, t0_ns, waited);
             }
         }
         r
@@ -688,6 +545,12 @@ impl ThreadComm {
         tag: u64,
     ) -> Result<(usize, &'static str, Box<dyn Any + Send>), CommError> {
         let expect_stamped = is_stamped(tag);
+        let violation = |observed: u64| CommError::ContractViolation {
+            rank: self.rank,
+            src,
+            expected: tag_display(tag),
+            observed: tag_display(observed),
+        };
         {
             let mut pend = self.pending.borrow_mut();
             if let Some(pos) = pend[src].iter().position(|m| m.0 == tag) {
@@ -701,51 +564,36 @@ impl ThreadComm {
                 // src with a different fingerprint means the ranks' collective
                 // sequences diverged.
                 if let Some(m) = pend[src].iter().find(|m| is_stamped(m.0)) {
-                    return Err(CommError::ContractViolation {
-                        rank: self.rank,
-                        src,
-                        expected: tag_display(tag),
-                        observed: tag_display(m.0),
-                    });
+                    return Err(violation(m.0));
                 }
             }
         }
         self.registry.set(self.rank, BlockedOn::Recv { src, tag });
         let deadline = self.timeout.get().map(|t| Instant::now() + t);
+        let rx = &self.receivers[src];
         let result = loop {
-            let msg = match deadline {
-                None => match self.receivers[src].recv() {
-                    Ok(m) => m,
-                    Err(_) => break Err(CommError::PeerGone { rank: self.rank, peer: src }),
-                },
-                Some(d) => {
-                    let now = Instant::now();
-                    if now >= d {
-                        break Err(CommError::Timeout {
-                            rank: self.rank,
-                            waiting_on: format!("recv(src={src}, tag={})", tag_display(tag)),
-                            table: self.registry.table(),
-                        });
-                    }
-                    match self.receivers[src].recv_timeout(d - now) {
-                        Ok(m) => m,
-                        Err(RecvTimeoutError::Timeout) => continue,
-                        Err(RecvTimeoutError::Disconnected) => {
-                            break Err(CommError::PeerGone { rank: self.rank, peer: src })
-                        }
-                    }
+            let received = match deadline {
+                None => rx.recv().map_err(|_| RecvTimeoutError::Disconnected),
+                Some(d) => rx.recv_timeout(d.saturating_duration_since(Instant::now())),
+            };
+            let msg = match received {
+                Ok(m) => m,
+                Err(RecvTimeoutError::Disconnected) => {
+                    break Err(CommError::PeerGone { rank: self.rank, peer: src })
+                }
+                Err(RecvTimeoutError::Timeout) => {
+                    break Err(CommError::Timeout {
+                        rank: self.rank,
+                        waiting_on: format!("recv(src={src}, tag={})", tag_display(tag)),
+                        table: self.registry.table(),
+                    })
                 }
             };
             if msg.0 == tag {
                 break Ok((msg.1, msg.2, msg.3));
             }
             if expect_stamped && is_stamped(msg.0) {
-                break Err(CommError::ContractViolation {
-                    rank: self.rank,
-                    src,
-                    expected: tag_display(tag),
-                    observed: tag_display(msg.0),
-                });
+                break Err(violation(msg.0));
             }
             self.pending.borrow_mut()[src].push_back(msg);
         };
@@ -753,31 +601,36 @@ impl ThreadComm {
         result
     }
 
-    /// Body of `try_allreduce`, factored out so the collective wrapper event
-    /// (`with_coll_event`) can surround it in the trait impl.
-    fn try_allreduce_inner(&self, vals: &mut [f64], op: ReduceOp) -> Result<(), CommError> {
+    /// The one reduction behind `try_allreduce` and `allreduce_usize`: rank 0
+    /// gathers every contribution in rank order, folds them elementwise with
+    /// `combine` and sends the result back. `send` / `result` carry each
+    /// leg's contract fingerprint and its label in a length-mismatch error.
+    fn try_root_reduce<T: CommData + Copy>(
+        &self,
+        vals: &mut [T],
+        combine: impl Fn(T, T) -> T,
+        send: (CollOp, &'static str),
+        result: (CollOp, &'static str),
+    ) -> Result<(), CommError> {
         let e = self.bump_epoch();
         if self.size == 1 {
             return Ok(());
         }
-        let send_tag = self.coll_tag(CollOp::ReduceSend, e);
-        let result_tag = self.coll_tag(CollOp::ReduceResult, e);
-        // diffreg-allow(collective-consistency): interior of the collective implementation — rank 0 is the aggregation root by protocol design
+        let send_tag = self.coll_tag(send.0, e);
+        let result_tag = self.coll_tag(result.0, e);
+        let check = |src: usize, what: &'static str, expected: usize, got: usize| {
+            if expected == got {
+                return Ok(());
+            }
+            Err(CommError::LengthMismatch { rank: self.rank, src: Some(src), what, expected, got })
+        };
         if self.rank == 0 {
             let mut acc = vals.to_vec();
             for src in 1..self.size {
-                let part: Vec<f64> = self.try_recv(src, send_tag)?;
-                if part.len() != acc.len() {
-                    return Err(CommError::LengthMismatch {
-                        rank: self.rank,
-                        src: Some(src),
-                        what: "allreduce contribution",
-                        expected: acc.len(),
-                        got: part.len(),
-                    });
-                }
+                let part: Vec<T> = self.try_recv(src, send_tag)?;
+                check(src, send.1, acc.len(), part.len())?;
                 for (a, b) in acc.iter_mut().zip(part) {
-                    *a = op.apply(*a, b);
+                    *a = combine(*a, b);
                 }
             }
             for dst in 1..self.size {
@@ -786,66 +639,8 @@ impl ThreadComm {
             vals.copy_from_slice(&acc);
         } else {
             self.try_send(0, send_tag, vals.to_vec())?;
-            let acc: Vec<f64> = self.try_recv(0, result_tag)?;
-            if acc.len() != vals.len() {
-                return Err(CommError::LengthMismatch {
-                    rank: self.rank,
-                    src: Some(0),
-                    what: "allreduce result",
-                    expected: vals.len(),
-                    got: acc.len(),
-                });
-            }
-            vals.copy_from_slice(&acc);
-        }
-        Ok(())
-    }
-
-    fn try_allreduce_usize(&self, vals: &mut [usize], op: ReduceOp) -> Result<(), CommError> {
-        self.with_coll_event(CommOp::AllreduceUsize, || self.try_allreduce_usize_inner(vals, op))
-    }
-
-    fn try_allreduce_usize_inner(&self, vals: &mut [usize], op: ReduceOp) -> Result<(), CommError> {
-        let e = self.bump_epoch();
-        if self.size == 1 {
-            return Ok(());
-        }
-        let send_tag = self.coll_tag(CollOp::ReduceUsizeSend, e);
-        let result_tag = self.coll_tag(CollOp::ReduceUsizeResult, e);
-        // diffreg-allow(collective-consistency): interior of the collective implementation — rank 0 is the aggregation root by protocol design
-        if self.rank == 0 {
-            let mut acc = vals.to_vec();
-            for src in 1..self.size {
-                let part: Vec<usize> = self.try_recv(src, send_tag)?;
-                if part.len() != acc.len() {
-                    return Err(CommError::LengthMismatch {
-                        rank: self.rank,
-                        src: Some(src),
-                        what: "allreduce_usize contribution",
-                        expected: acc.len(),
-                        got: part.len(),
-                    });
-                }
-                for (a, b) in acc.iter_mut().zip(part) {
-                    *a = op.apply_usize(*a, b);
-                }
-            }
-            for dst in 1..self.size {
-                self.try_send(dst, result_tag, acc.clone())?;
-            }
-            vals.copy_from_slice(&acc);
-        } else {
-            self.try_send(0, send_tag, vals.to_vec())?;
-            let acc: Vec<usize> = self.try_recv(0, result_tag)?;
-            if acc.len() != vals.len() {
-                return Err(CommError::LengthMismatch {
-                    rank: self.rank,
-                    src: Some(0),
-                    what: "allreduce_usize result",
-                    expected: vals.len(),
-                    got: acc.len(),
-                });
-            }
+            let acc: Vec<T> = self.try_recv(0, result_tag)?;
+            check(0, result.1, vals.len(), acc.len())?;
             vals.copy_from_slice(&acc);
         }
         Ok(())
@@ -873,7 +668,9 @@ impl Comm for ThreadComm {
             self.bump_epoch();
             let timeout = self.timeout.get();
             self.registry.set(self.rank, BlockedOn::Barrier);
-            let res = self.blocking(|| self.barrier.wait(timeout));
+            let t0 = Instant::now();
+            let res = self.barrier.wait(timeout);
+            self.stats.borrow_mut().blocked_seconds += t0.elapsed().as_secs_f64();
             self.registry.set(self.rank, BlockedOn::Running);
             match res {
                 Ok(()) => Ok(()),
@@ -902,65 +699,13 @@ impl Comm for ThreadComm {
         }
         let record = self.record_p2p(tag);
         let t0 = if record { monotonic_ns() } else { 0 };
-        let mut blocked_ns = 0u64;
-        // Rendezvous protocol: user-tag messages over the eager limit wait
-        // for the receiver to post the matching receive, and the wait is
-        // accounted into `blocked_seconds` — the send-side analogue of the
-        // receive-side accounting in `try_recv_raw`.
-        if dst != self.rank && tag < TAG_INTERNAL {
-            if let Some(limit) = self.eager_limit.get() {
-                if bytes > limit {
-                    let w0 = Instant::now();
-                    self.registry.set(self.rank, BlockedOn::Send { dst, tag });
-                    let wait = self.registry.wait_recv_ready(
-                        dst,
-                        self.rank,
-                        tag,
-                        self.timeout.get().map(|t| Instant::now() + t),
-                    );
-                    self.registry.set(self.rank, BlockedOn::Running);
-                    let waited = w0.elapsed().as_secs_f64();
-                    self.stats.borrow_mut().blocked_seconds += waited;
-                    blocked_ns = (waited * 1e9) as u64;
-                    match wait {
-                        SendWait::Ready => {}
-                        SendWait::PeerDead => {
-                            return Err(CommError::PeerGone { rank: self.rank, peer: dst })
-                        }
-                        SendWait::TimedOut => {
-                            return Err(CommError::Timeout {
-                                rank: self.rank,
-                                waiting_on: format!(
-                                    "rendezvous send(dst={dst}, tag={})",
-                                    tag_display(tag)
-                                ),
-                                table: self.registry.table(),
-                            })
-                        }
-                    }
-                }
-            }
-        }
         let sent = self
             .senders[dst]
             .send((tag, bytes, std::any::type_name::<T>(), Box::new(data)))
             .map_err(|_| CommError::PeerGone { rank: self.rank, peer: dst });
         if record && sent.is_ok() {
-            let seq = Self::next_seq(&self.send_seq, dst, tag);
-            self.push_event(CommEvent {
-                op: CommOp::Send,
-                comm: self.comm_uid,
-                csize: self.size,
-                rank: self.rank,
-                peer: Some(dst),
-                tag: Some(tag),
-                seq: Some(seq),
-                bytes: bytes as u64,
-                epoch: None,
-                t0_ns: t0,
-                t1_ns: monotonic_ns(),
-                blocked_ns,
-            });
+            // Sends are buffered: they never block.
+            self.push_p2p_event(CommOp::Send, dst, tag, bytes, t0, 0.0);
         }
         sent
     }
@@ -1066,12 +811,27 @@ impl Comm for ThreadComm {
     }
 
     fn try_allreduce(&self, vals: &mut [f64], op: ReduceOp) -> Result<(), CommError> {
-        self.with_coll_event(CommOp::Allreduce, || self.try_allreduce_inner(vals, op))
+        self.with_coll_event(CommOp::Allreduce, || {
+            self.try_root_reduce(
+                vals,
+                |a, b| op.apply(a, b),
+                (CollOp::ReduceSend, "allreduce contribution"),
+                (CollOp::ReduceResult, "allreduce result"),
+            )
+        })
     }
 
     fn allreduce_usize(&self, vals: &mut [usize], op: ReduceOp) {
-        // diffreg-allow(no-unwrap-in-lib): infallible bridge — aborts with the typed error's rendering; recoverable callers use try_allreduce_usize
-        self.try_allreduce_usize(vals, op).unwrap_or_else(|e| panic!("{e}"));
+        let reduced = self.with_coll_event(CommOp::AllreduceUsize, || {
+            self.try_root_reduce(
+                vals,
+                |a, b| op.apply_usize(a, b),
+                (CollOp::ReduceUsizeSend, "allreduce_usize contribution"),
+                (CollOp::ReduceUsizeResult, "allreduce_usize result"),
+            )
+        });
+        // diffreg-allow(no-unwrap-in-lib): infallible bridge — aborts with the typed error's rendering; the trait has no fallible usize reduction
+        reduced.unwrap_or_else(|e| panic!("{e}"));
     }
 
     fn split(&self, color: usize, key: usize) -> ThreadComm {
@@ -1097,7 +857,6 @@ impl Comm for ThreadComm {
                 sub.timeout.set(self.timeout.get());
                 sub.contract.set(self.contract.get());
                 sub.events_on.set(self.events_on.get());
-                sub.eager_limit.set(self.eager_limit.get());
                 // The sub-communicator's events land on this rank's stream:
                 // the closure runs on the owning rank's thread, so sharing
                 // the log keeps it per-rank.
@@ -1151,97 +910,59 @@ fn payload_text(p: Box<dyn Any + Send>) -> String {
 /// communicator, returning the per-rank results indexed by rank.
 ///
 /// This is the `mpirun -np p` of the simulated machine. A panicking rank
-/// panics the whole run (like MPI aborting the job); use
-/// [`run_threaded_checked`] to contain and report per-rank failures instead.
+/// aborts the whole run (like MPI aborting the job): every rank runs under
+/// the containment of [`run_threaded_checked`], so peers blocked on the dead
+/// rank unwind instead of hanging, and the first [`RankFailure`] in rank
+/// order — rank, original payload, blocked-rank table — is re-raised here.
 pub fn run_threaded<R, F>(p: usize, f: F) -> Vec<R>
 where
     R: Send,
     F: Fn(&ThreadComm) -> R + Send + Sync,
 {
-    assert!(p > 0, "need at least one rank");
-    let packages = make_channel_matrix(p);
-    let f = &f;
-    let mut results: Vec<Option<R>> = (0..p).map(|_| None).collect();
-    std::thread::scope(|scope| {
-        let mut handles = Vec::with_capacity(p);
-        for pkg in packages {
-            handles.push(scope.spawn(move || {
-                let comm = ThreadComm::from_package(pkg);
-                f(&comm)
-            }));
-        }
-        for (slot, h) in results.iter_mut().zip(handles) {
-            // diffreg-allow(no-unwrap-in-lib): re-raising a rank panic is this harness's documented contract
-            *slot = Some(h.join().expect("rank thread panicked"));
-        }
-    });
-    results.into_iter().map(Option::unwrap).collect()
+    let results: Result<Vec<R>, RankFailure> = run_threaded_checked(p, f).into_iter().collect();
+    // diffreg-allow(no-unwrap-in-lib): re-raising a rank panic is this harness's documented contract
+    results.unwrap_or_else(|failure| panic!("rank thread panicked: {failure}"))
 }
 
-/// Like [`run_threaded`], but with rank-failure containment: a panicking
-/// rank is caught and reported as a [`RankFailure`] in its result slot
-/// instead of tearing down the whole run.
-///
-/// On containment the failed rank's barrier participation is poisoned and
-/// its channel endpoints are dropped, so peers blocked on it observe
-/// [`CommError::PeerGone`] (possibly cascading into their own contained
-/// failures) rather than hanging forever. Ranks that complete normally
-/// return `Ok` — their results survive a peer's death.
+/// Like [`run_threaded`], but a panicking rank is reported as a
+/// [`RankFailure`] in its result slot instead of tearing down the whole run:
+/// each rank thread runs its closure under [`run_gang`] on the world
+/// communicator. Ranks that complete normally return `Ok` — their results
+/// survive a peer's death.
 pub fn run_threaded_checked<R, F>(p: usize, f: F) -> Vec<Result<R, RankFailure>>
 where
     R: Send,
     F: Fn(&ThreadComm) -> R + Send + Sync,
 {
     assert!(p > 0, "need at least one rank");
-    let packages = make_channel_matrix(p);
+    // The world is built on the calling thread, so a malformed
+    // `DIFFREG_COMM_*` setting aborts here, before any rank starts.
+    let world: Vec<ThreadComm> =
+        make_channel_matrix(p).into_iter().map(ThreadComm::from_package).collect();
     let f = &f;
-    let mut results: Vec<Option<Result<R, RankFailure>>> = (0..p).map(|_| None).collect();
     std::thread::scope(|scope| {
-        let mut handles = Vec::with_capacity(p);
-        for pkg in packages {
-            handles.push(scope.spawn(move || {
-                let comm = ThreadComm::from_package(pkg);
-                let rank = comm.rank;
-                match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| f(&comm))) {
-                    Ok(r) => Ok(r),
-                    Err(payload) => {
-                        // Snapshot where the peers were *before* advertising
-                        // our own death, then unblock them.
-                        let context =
-                            format!("state at failure:\n  {}", comm.registry.table().join("\n  "));
-                        comm.registry.set(rank, BlockedOn::Dead);
-                        comm.barrier.poison(rank);
-                        drop(comm); // closes senders: blocked peers see PeerGone
-                        Err(RankFailure { rank, payload: payload_text(payload), context })
-                    }
-                }
-            }));
-        }
-        for (slot, h) in results.iter_mut().zip(handles) {
-            // diffreg-allow(no-unwrap-in-lib): catch_unwind already contains rank panics; a panic here is a harness bug
-            *slot = Some(h.join().expect("rank thread panicked outside containment"));
-        }
-    });
-    results.into_iter().map(Option::unwrap).collect()
+        let handles: Vec<_> =
+            world.into_iter().map(|comm| scope.spawn(move || run_gang(comm, f))).collect();
+        // diffreg-allow(no-unwrap-in-lib): run_gang already contains rank panics; a panic here is a harness bug
+        handles.into_iter().map(|h| h.join().expect("rank panicked outside containment")).collect()
+    })
 }
 
-/// Runs `f` over an *owned* (usually split-off) communicator with rank-kill
-/// containment, without consuming the calling thread: the gang-scoped
-/// analogue of [`run_threaded_checked`].
+/// Runs `f` over an *owned* communicator with rank-kill containment, without
+/// consuming the calling thread — the one containment body: the world ranks
+/// of [`run_threaded_checked`] and the split-off gangs of a rank-pool runtime
+/// both run under it.
 ///
-/// This is the primitive a rank-pool runtime needs to survive the death of a
-/// job gang. Each pool rank calls `run_gang` on the sub-communicator it got
-/// from [`Comm::split`]; if `f` panics (an injected kill, a watchdog
-/// timeout, a solver bug), the panic is caught, the *gang's* barrier is
-/// poisoned and the gang endpoints are dropped — so gang peers blocked on
-/// the dead rank observe [`CommError::PeerGone`] and cascade into their own
-/// contained failures — while the calling thread, the parent communicator,
-/// and every sibling gang continue untouched. Sub-communicators `f` creates
-/// by splitting the gang further are unwound (and their endpoints closed)
-/// with `f`'s stack.
+/// If `f` panics (an injected kill, a watchdog timeout, a solver bug), the
+/// panic is caught, the communicator's barrier is poisoned and its endpoints
+/// are dropped — so peers blocked on the dead rank observe
+/// [`CommError::PeerGone`] and cascade into their own contained failures —
+/// while the calling thread, the parent communicator, and every sibling gang
+/// continue untouched. Sub-communicators `f` creates by splitting further
+/// are unwound (and their endpoints closed) with `f`'s stack.
 ///
-/// On success the gang communicator is dropped too: a gang is single-use,
-/// the next job gets a fresh split.
+/// On success the communicator is dropped too: a gang is single-use, the
+/// next job gets a fresh split.
 pub fn run_gang<R>(
     comm: ThreadComm,
     f: impl FnOnce(&ThreadComm) -> R,
@@ -1250,12 +971,12 @@ pub fn run_gang<R>(
     match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| f(&comm))) {
         Ok(r) => Ok(r),
         Err(payload) => {
-            // Snapshot where the gang peers were *before* advertising our
-            // own death, then unblock them.
+            // Snapshot where the peers were *before* advertising our own
+            // death, then unblock them.
             let context = format!("state at failure:\n  {}", comm.registry.table().join("\n  "));
             comm.registry.set(rank, BlockedOn::Dead);
             comm.barrier.poison(rank);
-            drop(comm); // closes senders: blocked gang peers see PeerGone
+            drop(comm); // closes senders: blocked peers see PeerGone
             Err(RankFailure { rank, payload: payload_text(payload), context })
         }
     }
@@ -1339,6 +1060,15 @@ mod tests {
             let mut u = vec![c.rank() + 1];
             c.allreduce_usize(&mut u, ReduceOp::Min);
             assert_eq!(u, vec![1]);
+        });
+        run_threaded(3, |c| {
+            for (op, expect) in
+                [(ReduceOp::Min, [2, 5]), (ReduceOp::Max, [4, 7]), (ReduceOp::Sum, [9, 18])]
+            {
+                let mut u = vec![c.rank() + 2, 7 - c.rank()];
+                c.allreduce_usize(&mut u, op);
+                assert_eq!(u, expect, "{op:?}");
+            }
         });
     }
 
@@ -1463,15 +1193,50 @@ mod tests {
 
     #[test]
     fn allreduce_length_mismatch_is_structured() {
-        let errs = run_threaded_checked(2, |c| {
-            c.set_contract_checking(false);
-            let mut v = if c.rank() == 0 { vec![0.0f64; 2] } else { vec![0.0f64; 3] };
-            c.allreduce(&mut v, ReduceOp::Sum);
-        });
-        // Rank 0 detects the bad contribution length from rank 1.
-        let failure = errs[0].as_ref().unwrap_err();
-        assert!(failure.payload.contains("length mismatch"), "{}", failure.payload);
-        assert!(failure.payload.contains("expected 2, got 3"), "{}", failure.payload);
+        for (usize_flavour, what) in
+            [(false, "allreduce contribution"), (true, "allreduce_usize contribution")]
+        {
+            let errs = run_threaded_checked(2, |c| {
+                c.set_contract_checking(false);
+                let len = 2 + c.rank();
+                if usize_flavour {
+                    c.allreduce_usize(&mut vec![0usize; len], ReduceOp::Sum);
+                } else {
+                    c.allreduce(&mut vec![0.0f64; len], ReduceOp::Sum);
+                }
+            });
+            // Rank 0 detects the bad contribution length from rank 1.
+            let failure = errs[0].as_ref().unwrap_err();
+            assert!(failure.payload.contains(&format!("{what} length mismatch")), "{failure}");
+            assert!(failure.payload.contains("rank 1): expected 2, got 3"), "{failure}");
+        }
+    }
+
+    #[test]
+    fn env_settings_parse_or_say_why_not() {
+        assert_eq!(parse_timeout_ms(Some("2500")), Ok(Some(Duration::from_millis(2500))));
+        assert_eq!(parse_timeout_ms(Some(" 40 ")), Ok(Some(Duration::from_millis(40))));
+        for off in [None, Some(""), Some("  "), Some("0")] {
+            assert_eq!(parse_timeout_ms(off), Ok(None), "{off:?}");
+        }
+        for bad in ["30s", "abc", "-5", "1.5"] {
+            let why = parse_timeout_ms(Some(bad)).unwrap_err();
+            assert!(why.contains("milliseconds"), "{bad}: {why}");
+        }
+        assert_eq!(parse_contract(Some("0")), Ok(false));
+        assert_eq!(parse_contract(Some("1 ")), Ok(true));
+        for default in [None, Some("")] {
+            assert_eq!(parse_contract(default), Ok(cfg!(debug_assertions)), "{default:?}");
+        }
+        for bad in ["true", "off", "-1", "2"] {
+            assert!(parse_contract(Some(bad)).is_err(), "{bad}");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "DIFFREG_COMM_TIMEOUT_MS=\"30s\" is not a valid setting")]
+    fn malformed_env_setting_aborts_naming_the_variable() {
+        env_setting("DIFFREG_COMM_TIMEOUT_MS", Ok("30s".into()), parse_timeout_ms);
     }
 
     #[test]
@@ -1616,84 +1381,6 @@ mod tests {
             c.take_events()
         });
         assert!(logs.iter().all(Vec::is_empty), "no recording unless enabled");
-    }
-
-    #[test]
-    fn capped_event_log_keeps_newest_and_counts_drops_exactly() {
-        let out = run_threaded(2, |c| {
-            c.set_event_recording(true);
-            c.set_event_cap(4);
-            assert_eq!(c.event_cap(), 4);
-            // 10 collective wrapper events per rank; only the newest 4 stay.
-            for _ in 0..10 {
-                c.barrier();
-            }
-            let snap = c.snapshot_events();
-            let dropped = c.events_dropped();
-            let drained = c.take_events();
-            // A snapshot does not drain; the drain returns the same window.
-            assert_eq!(snap.len(), drained.len());
-            assert!(c.take_events().is_empty(), "drained");
-            (drained, dropped)
-        });
-        for (events, dropped) in &out {
-            assert_eq!(events.len(), 4, "ring keeps exactly the cap");
-            assert_eq!(*dropped, 6, "every eviction is counted");
-            // Newest events survive: the retained epochs are the last four.
-            let epochs: Vec<u64> = events.iter().map(|e| e.epoch.unwrap()).collect();
-            let max = *epochs.iter().max().unwrap();
-            assert_eq!(epochs, (max - 3..=max).collect::<Vec<_>>());
-        }
-    }
-
-    #[test]
-    fn rendezvous_send_accounts_blocked_time_under_slow_receiver() {
-        // Satellite pin: send-side waits must accrue into
-        // `CommStats.blocked_seconds` (historically only recv/barrier did).
-        let out = run_threaded(2, |c| {
-            c.set_event_recording(true);
-            if c.rank() == 0 {
-                c.set_eager_limit(Some(0));
-                c.send(1, 5, vec![0u8; 64]);
-            } else {
-                // Deliberately slow receiver: the sender must block ~60ms in
-                // the rendezvous handshake before the channel send happens.
-                std::thread::sleep(Duration::from_millis(60));
-                let _: Vec<u8> = c.recv(0, 5);
-            }
-            (c.stats(), c.take_events())
-        });
-        let (s0, ev0) = &out[0];
-        assert!(
-            s0.blocked_seconds >= 0.04,
-            "send-side blocked time must accrue: {}",
-            s0.blocked_seconds
-        );
-        let send = ev0.iter().find(|e| e.op == CommOp::Send).unwrap();
-        assert!(send.blocked_ns >= 40_000_000, "event blocked_ns: {}", send.blocked_ns);
-        assert!(send.t1_ns - send.t0_ns >= send.blocked_ns);
-        // The receiver was the late party; it barely blocked at all.
-        let (s1, _) = &out[1];
-        assert!(s1.blocked_seconds < s0.blocked_seconds);
-    }
-
-    #[test]
-    fn rendezvous_send_times_out_with_table() {
-        let out = run_threaded(2, |c| {
-            if c.rank() == 0 {
-                c.set_timeout(Some(Duration::from_millis(80)));
-                c.set_eager_limit(Some(0));
-                let err = c.try_send(1, 6, vec![0u8; 32]).unwrap_err();
-                Some(err.to_string())
-            } else {
-                // Never posts the receive inside the sender's watchdog window.
-                std::thread::sleep(Duration::from_millis(250));
-                None
-            }
-        });
-        let msg = out[0].clone().unwrap();
-        assert!(msg.contains("rendezvous send"), "{msg}");
-        assert!(msg.contains("blocked-rank table"), "{msg}");
     }
 
     #[test]

@@ -11,12 +11,14 @@
 //!   untouched, bit for bit;
 //! * the parent (world) communicator survives: after the gang attempt every
 //!   pool rank — including the one whose closure was killed — still
-//!   participates in world collectives.
+//!   participates in world collectives;
+//! * the world ranks of a plain `run_threaded` run under the same
+//!   containment: a panicking rank aborts the run, it cannot strand a peer.
 
 use std::time::Duration;
 
 use diffreg_comm::{
-    run_gang, run_threaded, ChaosComm, ChaosConfig, Comm, ReduceOp,
+    run_gang, run_threaded, ChaosComm, ChaosConfig, Comm, ReduceOp, ThreadComm,
 };
 
 /// The core containment drill. 4 world ranks split into two 2-rank gangs;
@@ -147,5 +149,39 @@ fn kill_inside_nested_split_is_contained_by_the_gang() {
                 e.payload
             );
         }
+    }
+}
+
+/// `run_threaded` with rank 0 panicking while rank 1 sits in `blocked`:
+/// returns the re-raised panic message. Driven from a helper thread, so a
+/// runtime that strands rank 1 fails this test after 10 s instead of hanging
+/// the suite.
+fn abort_message(blocked: fn(&ThreadComm)) -> String {
+    let (tx, rx) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        let run = std::panic::catch_unwind(|| {
+            run_threaded(2, |c| {
+                if c.rank() == 0 {
+                    panic!("boom on zero");
+                }
+                blocked(c);
+            })
+        });
+        let payload = run.expect_err("a rank panic must abort the run");
+        let _ = tx.send(payload.downcast::<String>().map(|s| *s).unwrap_or_default());
+    });
+    rx.recv_timeout(Duration::from_secs(10)).expect("run_threaded hung on a dead rank")
+}
+
+/// A rank that dies must abort the run, not strand its peers — whether they
+/// sit in a barrier (which has to be poisoned) or in a receive — and the
+/// re-raised message carries the failing rank, its payload and where the
+/// peers were.
+#[test]
+fn run_threaded_aborts_instead_of_hanging_when_a_rank_panics() {
+    for blocked in [|c: &ThreadComm| c.barrier(), |c: &ThreadComm| drop(c.recv::<u8>(0, 5))] {
+        let msg = abort_message(blocked);
+        assert!(msg.starts_with("rank thread panicked: rank 0 failed: boom on zero"), "{msg}");
+        assert!(msg.contains("state at failure:"), "{msg}");
     }
 }

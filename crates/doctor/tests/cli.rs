@@ -55,8 +55,8 @@ fn write_test_bundle(base: &PathBuf) -> PathBuf {
         stride: 1,
     };
     let captures = vec![
-        RankCapture { gang_rank: 0, events: vec![ev(0, 0)], events_dropped: 0, recorder: rec(1) },
-        RankCapture { gang_rank: 1, events: vec![ev(1, 100)], events_dropped: 0, recorder: rec(2) },
+        RankCapture { gang_rank: 0, events: vec![ev(0, 0)], recorder: rec(1) },
+        RankCapture { gang_rank: 1, events: vec![ev(1, 100)], recorder: rec(2) },
     ];
     let header = IncidentHeader {
         seq: 0,
@@ -70,7 +70,6 @@ fn write_test_bundle(base: &PathBuf) -> PathBuf {
         gang_ranks: vec![0, 1],
         slo_firing: Vec::new(),
         comm_events: 0,
-        comm_dropped: 0,
         rec_seen: 0,
         rec_recorded: 0,
         rec_sampled_out: 0,

@@ -28,9 +28,7 @@ pub use factor::{factorize, is_smooth, next_pow2, MAX_RADIX};
 pub use mixed::MixedRadixPlan;
 pub use nd::{transform_lines, Direction, Fft3d};
 pub use plan::Fft1d;
-pub use real::{
-    half_len, pack_half_spectrum, unpack_half_spectrum, RealFft1d, RealFft3d, RealScratch,
-};
+pub use real::{half_len, RealFft1d, RealScratch};
 
 /// Estimated floating-point operation count of one complex FFT of length `n`
 /// (the standard `5 n log2 n` model used in the paper's complexity analysis).

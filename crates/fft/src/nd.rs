@@ -47,7 +47,7 @@ pub fn transform_lines(plan: &Fft1d, data: &mut [Complex64], dir: Direction) {
 
 /// Transforms axes 1 then 0 (forward) or 0 then 1 (inverse) of a row-major
 /// `[n0, n1, c]` array whose last axis is the batch.
-pub(crate) fn transform_outer_axes(
+fn transform_outer_axes(
     plans: [&Fft1d; 2],
     data: &mut [Complex64],
     c: usize,

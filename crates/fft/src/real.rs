@@ -30,31 +30,12 @@
 use std::f64::consts::TAU;
 
 use crate::complex::Complex64;
-use crate::nd::{transform_outer_axes, Direction, TILE};
+use crate::nd::{Direction, TILE};
 use crate::plan::Fft1d;
 
 /// Number of stored half-spectrum bins for a real transform of length `n`.
 pub fn half_len(n: usize) -> usize {
     n / 2 + 1
-}
-
-/// Extracts the stored half spectrum (bins `0..=n/2`) from a full complex
-/// spectrum of length `n`. The copy is bitwise.
-pub fn pack_half_spectrum(full: &[Complex64]) -> Vec<Complex64> {
-    full[..half_len(full.len())].to_vec()
-}
-
-/// Reconstructs the full Hermitian-symmetric spectrum from half storage:
-/// bins `0..=n/2` are copied bitwise, bins `k > n/2` are set to
-/// `conj(half[n-k])` (exact — conjugation only flips a sign bit).
-pub fn unpack_half_spectrum(half: &[Complex64], n: usize) -> Vec<Complex64> {
-    assert_eq!(half.len(), half_len(n), "half spectrum has n/2+1 bins");
-    let mut full = vec![Complex64::ZERO; n];
-    full[..half.len()].copy_from_slice(half);
-    for k in half.len()..n {
-        full[k] = half[n - k].conj();
-    }
-    full
 }
 
 /// Reusable scratch for [`RealFft1d`]; pass one per thread and the plan
@@ -235,74 +216,32 @@ impl RealFft1d {
     }
 }
 
-/// A serial 3D r2c/c2r plan for a row-major real array of shape
-/// `[n0, n1, n2]` (axis 2 fastest). The spectrum is stored with axis 2
-/// halved: shape `[n0, n1, n2/2 + 1]`, global bin `(k0, k1, k2)` holding
-/// `X[k0, k1, k2]` for `k2 <= n2/2`.
-#[derive(Debug, Clone)]
-pub struct RealFft3d {
-    shape: [usize; 3],
-    r2: RealFft1d,
-    c1: Fft1d,
-    c0: Fft1d,
-}
-
-impl RealFft3d {
-    /// Plans a 3D real transform for the given shape.
-    pub fn new(shape: [usize; 3]) -> Self {
-        Self {
-            shape,
-            r2: RealFft1d::new(shape[2]),
-            c1: Fft1d::new(shape[1]),
-            c0: Fft1d::new(shape[0]),
-        }
-    }
-
-    /// Real-space shape `[n0, n1, n2]`.
-    pub fn shape(&self) -> [usize; 3] {
-        self.shape
-    }
-
-    /// Half-spectrum shape `[n0, n1, n2/2 + 1]`.
-    pub fn half_shape(&self) -> [usize; 3] {
-        [self.shape[0], self.shape[1], half_len(self.shape[2])]
-    }
-
-    /// Number of stored spectrum bins.
-    pub fn spectrum_len(&self) -> usize {
-        self.half_shape().iter().product()
-    }
-
-    /// Forward 3D r2c transform (unnormalized).
-    pub fn forward(&self, x: &[f64]) -> Vec<Complex64> {
-        let [n0, n1, n2] = self.shape;
-        assert_eq!(x.len(), n0 * n1 * n2);
-        let mut out = vec![Complex64::ZERO; self.spectrum_len()];
-        self.r2.forward_lines(x, &mut out, &mut RealScratch::default());
-        transform_outer_axes([&self.c0, &self.c1], &mut out, half_len(n2), Direction::Forward);
-        out
-    }
-
-    /// Inverse 3D c2r transform (normalized by `1/(n0 n1 n2)` overall).
-    pub fn inverse(&self, spec: &[Complex64]) -> Vec<f64> {
-        let [n0, n1, n2] = self.shape;
-        assert_eq!(spec.len(), self.spectrum_len());
-        let mut buf = spec.to_vec();
-        transform_outer_axes([&self.c0, &self.c1], &mut buf, half_len(n2), Direction::Inverse);
-        let mut out = vec![0.0; n0 * n1 * n2];
-        self.r2.inverse_lines(&buf, &mut out, &mut RealScratch::default());
-        out
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::dft::dft_forward;
-    use crate::nd::Fft3d;
 
     fn bits(z: Complex64) -> (u64, u64) {
         (z.re.to_bits(), z.im.to_bits())
+    }
+
+    /// Extracts the stored half spectrum (bins `0..=n/2`) from a full complex
+    /// spectrum of length `n`. The copy is bitwise.
+    fn pack_half_spectrum(full: &[Complex64]) -> Vec<Complex64> {
+        full[..half_len(full.len())].to_vec()
+    }
+
+    /// Reconstructs the full Hermitian-symmetric spectrum from half storage:
+    /// bins `0..=n/2` are copied bitwise, bins `k > n/2` are set to
+    /// `conj(half[n-k])` (exact — conjugation only flips a sign bit).
+    fn unpack_half_spectrum(half: &[Complex64], n: usize) -> Vec<Complex64> {
+        assert_eq!(half.len(), half_len(n), "half spectrum has n/2+1 bins");
+        let mut full = vec![Complex64::ZERO; n];
+        full[..half.len()].copy_from_slice(half);
+        for k in half.len()..n {
+            full[k] = half[n - k].conj();
+        }
+        full
     }
 
     #[test]
@@ -386,39 +325,5 @@ mod tests {
                 assert!((*a - *b).abs() < 1e-10 * n as f64, "n={n}");
             }
         });
-    }
-
-    #[test]
-    fn fft3d_r2c_matches_c2c() {
-        for shape in [[4, 4, 4], [2, 3, 5], [5, 4, 17], [8, 12, 10], [7, 6, 4]] {
-            let total: usize = shape.iter().product();
-            let x: Vec<f64> = (0..total).map(|i| (i as f64 * 0.29).sin() + 0.1).collect();
-            let rplan = RealFft3d::new(shape);
-            let half = rplan.forward(&x);
-
-            let cplan = Fft3d::new(shape);
-            let mut full: Vec<Complex64> = x.iter().map(|&v| Complex64::from_real(v)).collect();
-            cplan.forward(&mut full);
-
-            let [n0, n1, n2] = shape;
-            let n2h = half_len(n2);
-            for i0 in 0..n0 {
-                for i1 in 0..n1 {
-                    for i2 in 0..n2h {
-                        let a = half[(i0 * n1 + i1) * n2h + i2];
-                        let b = full[(i0 * n1 + i1) * n2 + i2];
-                        assert!(
-                            (a - b).abs() < 1e-9 * total as f64,
-                            "shape {shape:?} bin ({i0},{i1},{i2}): {a:?} vs {b:?}"
-                        );
-                    }
-                }
-            }
-
-            let back = rplan.inverse(&half);
-            for (a, b) in back.iter().zip(x.iter()) {
-                assert!((a - b).abs() < 1e-12 * total as f64, "shape {shape:?}");
-            }
-        }
     }
 }

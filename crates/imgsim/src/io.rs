@@ -1,5 +1,5 @@
 //! Minimal image output for the figure-regeneration binaries: binary PGM
-//! (P5) axial slices and raw f64 volume dumps.
+//! (P5) axial slices.
 
 use std::io::Write;
 use std::path::Path;
@@ -34,36 +34,6 @@ pub fn write_pgm(
     Ok(())
 }
 
-/// Writes a full scalar volume as little-endian f64 with a tiny text header
-/// sidecar (`<path>.meta` records the extents).
-pub fn write_raw_volume(path: impl AsRef<Path>, full: &[f64], grid: &Grid) -> std::io::Result<()> {
-    assert_eq!(full.len(), grid.total());
-    let path = path.as_ref();
-    let mut f = std::io::BufWriter::new(std::fs::File::create(path)?);
-    for v in full {
-        f.write_all(&v.to_le_bytes())?;
-    }
-    std::fs::write(
-        path.with_extension("meta"),
-        format!("{} {} {} f64-le\n", grid.n[0], grid.n[1], grid.n[2]),
-    )
-}
-
-/// Reads back a raw volume written by [`write_raw_volume`].
-pub fn read_raw_volume(path: impl AsRef<Path>, grid: &Grid) -> std::io::Result<Vec<f64>> {
-    let bytes = std::fs::read(path)?;
-    if bytes.len() != grid.total() * 8 {
-        return Err(std::io::Error::new(
-            std::io::ErrorKind::InvalidData,
-            format!("expected {} bytes, found {}", grid.total() * 8, bytes.len()),
-        ));
-    }
-    Ok(bytes
-        .chunks_exact(8)
-        .map(|c| f64::from_le_bytes(c.try_into().unwrap()))
-        .collect())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -80,20 +50,6 @@ mod tests {
         let data = &bytes[bytes.len() - 4..];
         assert_eq!(data[0], 0);
         assert_eq!(data[2], 255);
-    }
-
-    #[test]
-    fn raw_volume_roundtrip() {
-        let dir = std::env::temp_dir().join("diffreg_io_test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let p = dir.join("v.raw");
-        let grid = Grid::new([2, 3, 4]);
-        let vol: Vec<f64> = (0..grid.total()).map(|i| i as f64 * 0.5 - 3.0).collect();
-        write_raw_volume(&p, &vol, &grid).unwrap();
-        let back = read_raw_volume(&p, &grid).unwrap();
-        assert_eq!(vol, back);
-        let meta = std::fs::read_to_string(p.with_extension("meta")).unwrap();
-        assert_eq!(meta.trim(), "2 3 4 f64-le");
     }
 
     #[test]

@@ -12,14 +12,11 @@
 mod brain;
 mod io;
 mod metrics;
-mod padding;
 mod synthetic;
 
 pub use brain::{two_subject_pair, BrainSubject, SUBJECT_A_SEED, SUBJECT_B_SEED};
-pub use io::{axial_slice, read_raw_volume, write_pgm, write_raw_volume};
-pub use metrics::{correlation, max_abs_diff, relative_residual, ssd};
-pub use padding::{crop_padded, embed_padded, PaddedImage};
+pub use io::{axial_slice, write_pgm};
+pub use metrics::{correlation, max_abs_diff, ssd};
 pub use synthetic::{
-    exact_velocity, exact_velocity_divfree, gather_full, template, template_fn, velocity_divfree_fn,
-    velocity_fn,
+    exact_velocity, exact_velocity_divfree, gather_full, template, template_fn, velocity_fn,
 };

@@ -10,23 +10,6 @@ pub fn ssd<C: Comm>(a: &ScalarField, b: &ScalarField, grid: &Grid, comm: &C) -> 
     0.5 * r.inner(&r, grid, comm)
 }
 
-/// Relative residual `||a − b|| / ||a₀ − b||` (1.0 = no improvement,
-/// 0.0 = perfect match). `a0` is the pre-registration image.
-pub fn relative_residual<C: Comm>(
-    a: &ScalarField,
-    a0: &ScalarField,
-    b: &ScalarField,
-    grid: &Grid,
-    comm: &C,
-) -> f64 {
-    let den = ssd(a0, b, grid, comm);
-    // diffreg-allow(float-eq): exact-zero guard against division by zero — any nonzero denominator is usable
-    if den == 0.0 {
-        return 0.0;
-    }
-    (ssd(a, b, grid, comm) / den).sqrt()
-}
-
 /// Pointwise maximum absolute difference (global).
 pub fn max_abs_diff<C: Comm>(a: &ScalarField, b: &ScalarField, comm: &C) -> f64 {
     let mut r = a.clone();
@@ -71,14 +54,6 @@ mod tests {
         let comm = SerialComm::new();
         assert_eq!(ssd(&a, &a, &grid, &comm), 0.0);
         assert_eq!(max_abs_diff(&a, &a, &comm), 0.0);
-    }
-
-    #[test]
-    fn relative_residual_baseline_is_one() {
-        let (grid, a, c) = fields();
-        let comm = SerialComm::new();
-        assert!((relative_residual(&a, &a, &c, &grid, &comm) - 1.0).abs() < 1e-14);
-        assert_eq!(relative_residual(&c, &a, &c, &grid, &comm), 0.0);
     }
 
     #[test]

@@ -25,7 +25,7 @@ pub fn velocity_fn(x: [f64; 3], amplitude: f64) -> [f64; 3] {
 /// A divergence-free exact velocity for the incompressible experiments
 /// (paper footnote 5: "for the incompressible case we use a similar but
 /// divergence free velocity field").
-pub fn velocity_divfree_fn(x: [f64; 3], amplitude: f64) -> [f64; 3] {
+fn velocity_divfree_fn(x: [f64; 3], amplitude: f64) -> [f64; 3] {
     [
         amplitude * x[0].cos() * x[1].sin(),
         -amplitude * x[0].sin() * x[1].cos(),

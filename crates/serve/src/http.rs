@@ -1,8 +1,8 @@
 //! Zero-dependency live observability endpoints for the serve runtime.
 //!
 //! A minimal read-only HTTP/1.1 server over `std::net::TcpListener`:
-//! rank 0 starts it when [`ServeConfig::http_addr`](crate::ServeConfig)
-//! (or `DIFFREG_HTTP_ADDR`) is set, and publishes an immutable
+//! rank 0 starts it when [`ServeConfig::http_addr`](crate::ServeConfig) is
+//! set, and publishes an immutable
 //! [`ObsSnapshot`] at every scheduler round boundary. Requests only ever
 //! read the latest snapshot `Arc`, so serving can never perturb the
 //! replicated scheduler state — the digest-parity load test pins that.

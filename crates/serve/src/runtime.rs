@@ -82,6 +82,13 @@ fn lock<'a, T>(m: &'a Mutex<T>) -> std::sync::MutexGuard<'a, T> {
     m.lock().unwrap_or_else(|e| e.into_inner())
 }
 
+/// Sleep per empty round while intake is open (keeps an idle pool from
+/// hot-spinning).
+const IDLE_SLEEP: Duration = Duration::from_millis(1);
+
+/// Convergence-log entries captured into each incident bundle's tail.
+const INCIDENT_TAIL: usize = 64;
+
 /// Serving-runtime configuration.
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
@@ -104,9 +111,6 @@ pub struct ServeConfig {
     /// [`ServeHarness::write_traced_job_bundle`] can emit a doctor-readable
     /// trace bundle.
     pub trace_job: Option<JobId>,
-    /// Sleep per empty round while intake is open (keeps an idle pool from
-    /// hot-spinning).
-    pub idle_sleep: Duration,
     /// When set, every incident trigger writes a doctor-readable bundle
     /// under this directory (rank 0 writes; triggers themselves are
     /// computed on every rank and land in the replicated summary). Also
@@ -114,13 +118,10 @@ pub struct ServeConfig {
     pub incident_dir: Option<PathBuf>,
     /// Per-tenant SLO policy; `None` disables the SLO engine.
     pub slo: Option<SloPolicy>,
-    /// Convergence-log entries captured into each incident bundle's tail.
-    pub incident_tail: usize,
-    /// Live observability endpoints: when set (or when `DIFFREG_HTTP_ADDR`
-    /// is in the environment), rank 0 binds a read-only HTTP/1.1 server on
-    /// this address (`127.0.0.1:0` for an ephemeral loopback port) and
-    /// publishes a snapshot at every round boundary. Serving never touches
-    /// replicated state. See [`crate::http`].
+    /// Live observability endpoints: when set, rank 0 binds a read-only
+    /// HTTP/1.1 server on this address (`127.0.0.1:0` for an ephemeral
+    /// loopback port) and publishes a snapshot at every round boundary.
+    /// Serving never touches replicated state. See [`crate::http`].
     pub http_addr: Option<String>,
 }
 
@@ -133,10 +134,8 @@ impl Default for ServeConfig {
             watchdog: Some(Duration::from_secs(30)),
             checkpoint_dir: None,
             trace_job: None,
-            idle_sleep: Duration::from_millis(1),
             incident_dir: None,
             slo: None,
-            incident_tail: 64,
             http_addr: None,
         }
     }
@@ -463,11 +462,7 @@ impl ServeHarness {
         // server thread sees nothing but published snapshot Arcs, so it
         // cannot perturb the replicated schedule (digest parity with HTTP
         // disabled is pinned by the load test).
-        let http_spec = self
-            .cfg
-            .http_addr
-            .clone()
-            .or_else(|| std::env::var("DIFFREG_HTTP_ADDR").ok());
+        let http_spec = self.cfg.http_addr.clone();
         let http = if me == 0 {
             http_spec.and_then(|spec| match HttpServer::start(&spec, Arc::clone(&self.obs)) {
                 Ok(server) => {
@@ -624,13 +619,12 @@ impl ServeHarness {
             drop(plan_span);
 
             if plan.is_empty() && open {
-                std::thread::sleep(self.cfg.idle_sleep);
+                std::thread::sleep(IDLE_SLEEP);
             }
 
             // 5. split into gangs (the plan IS the coloring) and execute.
             let mine = plan.iter().position(|a| a.ranks.contains(&me));
             let color = mine.unwrap_or(plan.len());
-            let drops_before = if capture_on { world.events_dropped() } else { 0 };
             let sub = world.split(color, me);
             let report = match mine {
                 Some(ai) => {
@@ -657,7 +651,6 @@ impl ServeHarness {
                     let a = &plan[ai];
                     if let Some(rec) = table.get(&a.job) {
                         let events = world.take_events();
-                        let dropped = world.events_dropped().saturating_sub(drops_before);
                         let mut per_op: BTreeMap<&'static str, (u64, u64)> = BTreeMap::new();
                         for e in &events {
                             let p = per_op.entry(e.op.name()).or_insert((0, 0));
@@ -685,7 +678,7 @@ impl ServeHarness {
                             a.ranks.iter().position(|r| *r == me).unwrap_or(0);
                         lock(&self.stage).entry((a.job, rec.attempts)).or_default().insert(
                             gang_rank,
-                            RankCapture { gang_rank, events, events_dropped: dropped, recorder },
+                            RankCapture { gang_rank, events, recorder },
                         );
                     }
                 }
@@ -1154,7 +1147,7 @@ impl ServeHarness {
             .get(&(ctx.job, ctx.attempt))
             .map(|m| m.values().cloned().collect())
             .unwrap_or_default();
-        let tail = lock(&self.logs).get(&ctx.job).map(|l| l.tail(self.cfg.incident_tail));
+        let tail = lock(&self.logs).get(&ctx.job).map(|l| l.tail(INCIDENT_TAIL));
         let metrics = lock(&self.metrics).clone();
         let header = IncidentHeader {
             seq,
@@ -1168,7 +1161,6 @@ impl ServeHarness {
             gang_ranks: ctx.gang_ranks.to_vec(),
             slo_firing: slo_firing.to_vec(),
             comm_events: 0,
-            comm_dropped: 0,
             rec_seen: 0,
             rec_recorded: 0,
             rec_sampled_out: 0,

@@ -13,13 +13,11 @@
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
 
-mod real;
 mod resample;
 mod serial;
 mod symbols;
 mod wavenumbers;
 
-pub use real::RealSpectral;
 pub use resample::{coarsen_extents, spectral_resample};
 pub use serial::SerialSpectral;
 pub use symbols::{biharmonic, gaussian, inv_biharmonic, inv_laplacian, laplacian, RegOrder};

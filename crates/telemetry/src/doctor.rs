@@ -38,8 +38,6 @@
 //!
 //! * **late-sender** — a receive blocked because the matching send finished
 //!   after the receive started: wait = `min(send.t1, recv.t1) − recv.t0`.
-//! * **late-receiver** — a (rendezvous) send blocked because the matching
-//!   receive was posted late: wait = the send's blocked interval.
 //! * **wait-at-collective** — a member entered a collective before the last
 //!   arrival: wait = `last_arrival.t0 − member.t0` (clamped to the member's
 //!   own interval), culprit = the latest-arriving rank.
@@ -384,8 +382,6 @@ impl CollectiveGroup {
 pub enum WaitKind {
     /// Receive blocked on a send that completed late.
     LateSender,
-    /// Rendezvous send blocked on a receive that was posted late.
-    LateReceiver,
     /// Collective member waited for the last arrival.
     WaitAtCollective,
     /// Arrival spread of one collective (first vs last member).
@@ -397,7 +393,6 @@ impl WaitKind {
     pub fn name(self) -> &'static str {
         match self {
             WaitKind::LateSender => "late-sender",
-            WaitKind::LateReceiver => "late-receiver",
             WaitKind::WaitAtCollective => "wait-at-collective",
             WaitKind::ImbalanceAtCollective => "imbalance-at-collective",
         }
@@ -687,17 +682,6 @@ pub fn analyze(input: &DoctorInput) -> DoctorReport {
                     t_ns: m.recv.t0_ns,
                 });
             }
-        }
-        if m.send.blocked_ns > 0 && m.recv.t0_ns > m.send.t0_ns {
-            waits.push(WaitState {
-                kind: WaitKind::LateReceiver,
-                op: CommOp::Send,
-                phase: phase_at(timeline(m.send_rank), m.send.t0_ns).to_string(),
-                waiter: m.send_rank,
-                culprit: m.recv_rank,
-                wait_s: m.send.blocked_s(),
-                t_ns: m.send.t0_ns,
-            });
         }
     }
     for g in collectives.iter().filter(|g| g.is_complete() && g.members.len() > 1) {
@@ -1246,27 +1230,6 @@ mod tests {
             .map(|(_, v)| *v)
             .unwrap_or(0.0);
         assert!(send_total > 0.0, "sender's send is on the path: {:?}", rep.path_totals);
-    }
-
-    #[test]
-    fn late_receiver_is_classified() {
-        // Rendezvous send blocks 80 ms because the recv posts late.
-        let send = p2p(CommOp::Send, 0, 1, 3, 0, 0, 90, 80);
-        let recv = p2p(CommOp::Recv, 1, 0, 3, 0, 80, 95, 10);
-        let input = DoctorInput {
-            ranks: vec![
-                RankRecord { rank: 0, events: vec![send], spans: vec![] },
-                RankRecord { rank: 1, events: vec![recv], spans: vec![] },
-            ],
-            metrics: MetricsRegistry::new(),
-            trace_dropped: 0,
-        };
-        let rep = analyze(&input);
-        let lr: Vec<&WaitState> =
-            rep.waits.iter().filter(|w| w.kind == WaitKind::LateReceiver).collect();
-        assert_eq!(lr.len(), 1);
-        assert_eq!((lr[0].waiter, lr[0].culprit), (0, 1));
-        assert!((lr[0].wait_s - 0.080).abs() < 1e-9);
     }
 
     #[test]

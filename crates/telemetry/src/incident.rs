@@ -3,7 +3,7 @@
 //!
 //! When something goes wrong in the serve runtime (a watchdog timeout, a
 //! failed attempt, an SLO burn-rate breach, ...), the incident engine
-//! snapshots each gang rank's comm-event ring, flight-recorder ring, and the
+//! snapshots each gang rank's comm-event log, flight-recorder ring, and the
 //! job's recent convergence history into one on-disk bundle:
 //!
 //! ```text
@@ -11,7 +11,7 @@
 //!   incident.json           deterministic header: trigger, job, attempt,
 //!                           round, tenant, gang, exact capture accounting,
 //!                           firing SLO alerts, and the capture digest
-//!   events-rank<k>.jsonl    gang rank k's captured comm events (ring window)
+//!   events-rank<k>.jsonl    gang rank k's comm events of the attempt
 //!   recorder-rank<k>.jsonl  gang rank k's flight-recorder window + counters
 //!   trace.json              Chrome trace synthesized from the recorder's
 //!                           span stream + the comm capture (doctor/Perfetto
@@ -91,16 +91,14 @@ impl IncidentTrigger {
     }
 }
 
-/// One gang rank's contribution to a capture: its comm-event ring window
-/// and its flight-recorder window, with exact drop accounting for both.
+/// One gang rank's contribution to a capture: every comm event of the
+/// attempt, and its flight-recorder window with exact drop accounting.
 #[derive(Debug, Clone, Default)]
 pub struct RankCapture {
     /// Gang-local rank (0-based; bundle files are keyed by this).
     pub gang_rank: usize,
     /// Captured comm events, oldest first.
     pub events: Vec<CommEvent>,
-    /// Comm events evicted from the ring before the capture.
-    pub events_dropped: u64,
     /// The rank's flight-recorder window.
     pub recorder: RecorderSnapshot,
 }
@@ -132,8 +130,6 @@ pub struct IncidentHeader {
     pub slo_firing: Vec<String>,
     /// Total captured comm events across the gang.
     pub comm_events: u64,
-    /// Comm events evicted from rings before capture (exact).
-    pub comm_dropped: u64,
     /// Summed flight-recorder counters across the gang.
     pub rec_seen: u64,
     /// Recorder events written into rings.
@@ -339,7 +335,6 @@ impl IncidentHeader {
                 "capture",
                 Json::obj()
                     .set("comm_events", self.comm_events)
-                    .set("comm_dropped", self.comm_dropped)
                     .set("rec_seen", self.rec_seen)
                     .set("rec_recorded", self.rec_recorded)
                     .set("rec_sampled_out", self.rec_sampled_out)
@@ -403,7 +398,6 @@ impl IncidentHeader {
             gang_ranks,
             slo_firing,
             comm_events: cu("comm_events")?,
-            comm_dropped: cu("comm_dropped")?,
             rec_seen: cu("rec_seen")?,
             rec_recorded: cu("rec_recorded")?,
             rec_sampled_out: cu("rec_sampled_out")?,
@@ -530,7 +524,6 @@ pub fn write_incident_bundle(
     sorted.sort_by_key(|c| c.gang_rank);
 
     header.comm_events = sorted.iter().map(|c| c.events.len() as u64).sum();
-    header.comm_dropped = sorted.iter().map(|c| c.events_dropped).sum();
     header.rec_seen = sorted.iter().map(|c| c.recorder.seen).sum();
     header.rec_recorded = sorted.iter().map(|c| c.recorder.recorded).sum();
     header.rec_sampled_out = sorted.iter().map(|c| c.recorder.sampled_out).sum();
@@ -772,12 +765,11 @@ pub fn analyze_incident(bundle: &IncidentBundle, top_k: usize) -> IncidentAnalys
     }
     let _ = writeln!(
         out,
-        "  gang: world ranks {:?}; capture: {} comm events ({} evicted pre-capture), \
+        "  gang: world ranks {:?}; capture: {} comm events, \
          recorder {}/{} kept ({} sampled out, {} overwritten, stride {}), \
          convergence tail {} entries ({} before the tail)",
         h.gang_ranks,
         h.comm_events,
-        h.comm_dropped,
         h.rec_recorded - h.rec_overwritten,
         h.rec_seen,
         h.rec_sampled_out,
@@ -1041,7 +1033,6 @@ mod tests {
         RankCapture {
             gang_rank: rank,
             events,
-            events_dropped: 0,
             recorder: RecorderSnapshot {
                 thread: rank as u64,
                 events: vec![RecEvent {
@@ -1073,7 +1064,6 @@ mod tests {
             gang_ranks: vec![2, 3],
             slo_firing: vec!["imaging/success-rate".into()],
             comm_events: 0,
-            comm_dropped: 0,
             rec_seen: 0,
             rec_recorded: 0,
             rec_sampled_out: 0,

@@ -8,7 +8,8 @@
 //!   `trace_event` JSON exporter (one `pid` per rank, one `tid` per
 //!   thread; load the file in Perfetto / `chrome://tracing`). Near-zero
 //!   cost when disabled: a single relaxed atomic load per [`span()`] call.
-//!   Enable with `DIFFREG_TRACE=1` or [`set_trace_enabled`].
+//!   Off until the caller that will export the trace calls
+//!   [`set_trace_enabled`]; no environment variable is read.
 //! * [`report`] — rank-aggregated phase report: every `Timers` /
 //!   `CommStats` key reduced to min/mean/max/imbalance across ranks
 //!   (allreduce-based, collective) and rendered as the paper's
@@ -28,8 +29,8 @@
 //! * [`doctor`] — the cross-rank wait-state doctor: merges every rank's
 //!   comm event stream (see `diffreg_comm::CommEvent`) and span trace,
 //!   matches sends to receives, groups collectives by epoch, classifies
-//!   late-sender / late-receiver / wait-at-collective /
-//!   imbalance-at-collective losses, walks the cross-rank critical path,
+//!   late-sender / wait-at-collective / imbalance-at-collective losses,
+//!   walks the cross-rank critical path,
 //!   and renders a deterministic report (the `diffreg-doctor` CLI is a thin
 //!   wrapper over it).
 //!
@@ -57,8 +58,8 @@ pub mod span;
 pub use convergence::{ConvergenceLog, IterRecord, SolverEvent, StreamEntry};
 pub use json::Json;
 pub use recorder::{
-    record_comm_summary, record_event, recorder_enabled, set_recorder_cap, set_recorder_enabled,
-    snapshot_recorder, take_recorder, RecEvent, RecKind, RecorderSnapshot,
+    record_comm_summary, record_event, recorder_enabled, set_recorder_enabled, snapshot_recorder,
+    take_recorder, RecEvent, RecKind, RecorderSnapshot,
 };
 pub use metrics::{
     count_global, escape_label_value, observe_global, take_global_metrics, Histogram,

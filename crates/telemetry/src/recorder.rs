@@ -12,10 +12,10 @@
 //!
 //! Design constraints (ISSUE 8 tentpole):
 //! * **Always on, near-zero cost.** Enabled by default; disable with
-//!   `DIFFREG_RECORDER=0` or [`set_recorder_enabled`]. The per-event cost is
-//!   gated by the `telemetry/recorder_overhead` bench records.
-//! * **Fixed memory.** Each thread's ring holds at most
-//!   `DIFFREG_RECORDER_CAP` events (default 2048); the ring never grows.
+//!   [`set_recorder_enabled`]. The per-event cost is gated by the
+//!   `telemetry/recorder_overhead` bench records.
+//! * **Fixed memory.** Each thread's ring holds at most 2048 events; the
+//!   ring never grows.
 //! * **Adaptive sampling.** Only the span stream is sampled: when the ring
 //!   keeps wrapping at the current stride, the stride doubles (up to
 //!   [`MAX_STRIDE`]), widening the time window the ring covers; a drain
@@ -28,8 +28,7 @@
 //!   reproduces identical counter values (timestamps excepted).
 
 use std::cell::RefCell;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::OnceLock;
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
 use diffreg_comm::monotonic_ns;
 
@@ -112,48 +111,22 @@ impl RecorderSnapshot {
     }
 }
 
-static REC_ENABLED: AtomicBool = AtomicBool::new(false);
-static REC_INIT: OnceLock<()> = OnceLock::new();
+static REC_ENABLED: AtomicBool = AtomicBool::new(true);
 static NEXT_REC_THREAD: AtomicU64 = AtomicU64::new(0);
-/// Ring capacity for rings created after this value changes; initialized
-/// from `DIFFREG_RECORDER_CAP` on first use.
-static REC_CAP: AtomicUsize = AtomicUsize::new(0);
 
-fn init_from_env() {
-    REC_INIT.get_or_init(|| {
-        // Always-on default: off only when DIFFREG_RECORDER is explicitly 0.
-        let on = std::env::var("DIFFREG_RECORDER").map_or(true, |v| v.trim() != "0");
-        REC_ENABLED.store(on, Ordering::Relaxed);
-        let cap = std::env::var("DIFFREG_RECORDER_CAP")
-            .ok()
-            .and_then(|s| s.trim().parse::<usize>().ok())
-            .filter(|&c| c > 0)
-            .unwrap_or(2048);
-        REC_CAP.store(cap, Ordering::Relaxed);
-        let _ = monotonic_ns();
-    });
-}
+/// Events one thread's ring holds.
+const REC_CAP: usize = 2048;
 
 /// Whether the flight recorder is currently capturing (default **on**;
-/// `DIFFREG_RECORDER=0` or [`set_recorder_enabled`]`(false)` disables).
+/// [`set_recorder_enabled`]`(false)` disables).
 #[inline]
 pub fn recorder_enabled() -> bool {
-    init_from_env();
     REC_ENABLED.load(Ordering::Relaxed)
 }
 
-/// Programmatically enables/disables the recorder for the whole process.
+/// Enables/disables the recorder for the whole process.
 pub fn set_recorder_enabled(on: bool) {
-    init_from_env();
     REC_ENABLED.store(on, Ordering::Relaxed);
-}
-
-/// Sets the ring capacity for recorder rings created *afterwards* (a
-/// thread's ring is sized on its first recorded event and never resized).
-/// Overrides `DIFFREG_RECORDER_CAP`.
-pub fn set_recorder_cap(cap: usize) {
-    init_from_env();
-    REC_CAP.store(cap.max(1), Ordering::Relaxed);
 }
 
 struct Ring {
@@ -174,10 +147,9 @@ struct Ring {
 
 impl Ring {
     fn new() -> Self {
-        init_from_env();
         Self {
             thread: NEXT_REC_THREAD.fetch_add(1, Ordering::Relaxed),
-            cap: REC_CAP.load(Ordering::Relaxed).max(1),
+            cap: REC_CAP,
             buf: Vec::new(),
             head: 0,
             seen: 0,
@@ -303,12 +275,13 @@ mod tests {
     // The recorder flag is process-global; share the span tests' lock.
     use crate::span::TEST_TRACE_LOCK as LOCK;
 
-    /// Runs `f` on a fresh thread whose ring is created at `cap`.
+    /// Runs `f` on a fresh thread whose (still empty) ring is sized to `cap`.
     fn on_fresh_thread<R: Send + 'static>(cap: usize, f: impl FnOnce() -> R + Send + 'static) -> R {
-        set_recorder_cap(cap);
-        let out = std::thread::spawn(f).join().unwrap();
-        set_recorder_cap(2048);
-        out
+        let sized = move || {
+            RING.with(|r| r.borrow_mut().cap = cap);
+            f()
+        };
+        std::thread::spawn(sized).join().unwrap()
     }
 
     #[test]

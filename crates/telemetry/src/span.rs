@@ -3,11 +3,12 @@
 //!
 //! Design constraints (ISSUE 3 tentpole):
 //! * **Zero cost when off.** [`span`] first reads one process-global relaxed
-//!   `AtomicBool`; when tracing is disabled (the default unless
-//!   `DIFFREG_TRACE=1`) the guard is inert and no thread-local is touched.
+//!   `AtomicBool`; when tracing is disabled (the default, until a caller
+//!   that will export the trace calls [`set_trace_enabled`]) the guard is
+//!   inert and no thread-local is touched.
 //! * **Bounded memory.** Each thread records into its own buffer capped at
-//!   `DIFFREG_TRACE_CAP` events (default 65 536); overflow increments a
-//!   dropped-events counter instead of growing.
+//!   65 536 events; overflow increments a dropped-events counter instead of
+//!   growing.
 //! * **Rank-aware.** In the simulated MPI runtime every rank is one thread:
 //!   the rank's SPMD closure calls [`take_thread_trace`] before returning
 //!   and the harness maps trace → `pid = rank` at export time, producing a
@@ -20,7 +21,6 @@
 
 use std::cell::RefCell;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::OnceLock;
 
 use diffreg_comm::monotonic_ns;
 
@@ -53,49 +53,23 @@ pub struct ThreadTrace {
 }
 
 /// Process-global enable flag: a single relaxed load gates every `span()`
-/// call, so disabled tracing costs one atomic read and nothing else.
-/// Initialized once from `DIFFREG_TRACE` (see [`init_from_env`]); flippable
-/// at runtime with [`set_trace_enabled`].
+/// call, so disabled tracing costs one atomic read and nothing else. Off
+/// until [`set_trace_enabled`] turns it on.
 static ENABLED: AtomicBool = AtomicBool::new(false);
-static ENABLED_INIT: OnceLock<()> = OnceLock::new();
 static NEXT_THREAD: AtomicU64 = AtomicU64::new(0);
 
-fn trace_cap() -> usize {
-    static CAP: OnceLock<usize> = OnceLock::new();
-    *CAP.get_or_init(|| {
-        std::env::var("DIFFREG_TRACE_CAP")
-            .ok()
-            .and_then(|s| s.trim().parse::<usize>().ok())
-            .filter(|&c| c > 0)
-            .unwrap_or(1 << 16)
-    })
-}
+/// Events one thread's buffer holds before it counts drops instead.
+const TRACE_CAP: usize = 1 << 16;
 
-fn init_from_env() {
-    ENABLED_INIT.get_or_init(|| {
-        let on = std::env::var("DIFFREG_TRACE").is_ok_and(|v| {
-            let v = v.trim();
-            !v.is_empty() && v != "0"
-        });
-        ENABLED.store(on, Ordering::Relaxed);
-        // Pin the shared epoch while we are single-threaded-ish so early
-        // spans never see a later epoch than the exporter.
-        let _ = monotonic_ns();
-    });
-}
-
-/// Whether span tracing is currently enabled (`DIFFREG_TRACE=1` or a prior
-/// [`set_trace_enabled`] call).
+/// Whether span tracing is currently enabled.
 #[inline]
 pub fn trace_enabled() -> bool {
-    init_from_env();
     ENABLED.load(Ordering::Relaxed)
 }
 
-/// Programmatically enables/disables tracing for the whole process,
-/// overriding `DIFFREG_TRACE`. Spans already open keep recording.
+/// Enables/disables tracing for the whole process. Spans already open keep
+/// recording.
 pub fn set_trace_enabled(on: bool) {
-    init_from_env();
     ENABLED.store(on, Ordering::Relaxed);
 }
 
@@ -165,7 +139,7 @@ impl Drop for SpanGuard {
         BUFFER.with(|b| {
             let mut b = b.borrow_mut();
             b.depth = b.depth.saturating_sub(1);
-            if b.events.len() < trace_cap() {
+            if b.events.len() < TRACE_CAP {
                 b.events.push(SpanEvent { name: self.name, t0_ns, dur_ns, depth: self.depth });
             } else {
                 b.dropped += 1;

@@ -28,8 +28,8 @@
 #  11. perf-regression gate over the kernel suite (scripts/perf_gate.sh)
 #  12. static analysis: the in-tree analyzer must report zero findings and
 #      its fixture suite must pass; every library root must forbid unsafe
-#      code; no pipeline switch may reappear; workspace line count, solver
-#      vs chassis
+#      code; no pipeline switch, removed runtime switch or new env::var read
+#      in library code may reappear; workspace line count, solver vs chassis
 #  13. clippy clean under -D warnings (skipped if clippy is not installed)
 #  14. smoke-test the individual crates a distributed solve flows through
 #  15. fail if Cargo.lock ever acquires a registry (non-path) dependency
@@ -212,6 +212,21 @@ done
 if grep -rnE 'DIFFREG_(SPECTRAL|INTERP|PRECISION)|Spectral[P]ath|Interp[M]ode|with_[p]recision' \
         crates src scripts examples tests README.md DESIGN.md; then
     echo "ERROR: a pipeline switch (second FFT / interpolation / reduction path) reappeared" >&2
+    exit 1
+fi
+# Configuration is an argument: the second send protocol, the capped event
+# log and the env switches for tracing / recorder / HTTP must not come back
+# (DIFFREG_SERVE_TRACE_DIR is a test's output path and stays legal).
+if grep -rnE 'DIFFREG_(COMM_[E]AGER|COMM_[T]AP|[T]RACE|[R]ECORDER|[H]TTP)|set_[e]ager_limit|set_[e]vent_cap|Late[R]eceiver' \
+        crates src scripts examples tests README.md DESIGN.md EXPERIMENTS.md; then
+    echo "ERROR: a removed runtime switch (send protocol / event cap / env toggle) reappeared" >&2
+    exit 1
+fi
+# Library code reads four variables from the environment and no more: the
+# two comm fault detectors, the bench output directory, and HOSTNAME.
+if grep -rn 'env::var' crates/*/src src | grep -vE '^crates/(analyzer|testkit)/' \
+        | grep -vE '"(DIFFREG_COMM_TIMEOUT_MS|DIFFREG_COMM_CONTRACT|DIFFREG_RESULTS_DIR|HOSTNAME)"'; then
+    echo "ERROR: library code reads an environment variable outside the allowlist" >&2
     exit 1
 fi
 # The workspace line count is tracked like a benchmark (ROADMAP aim 2).
