@@ -135,6 +135,11 @@ fn bench_interp(suite: &mut BenchSuite, warmup: usize, k: usize, sizes: &[usize]
                 plan.interpolate(&ctx.comm, &ghost, kernel, &timers);
             });
         }
+        // Three fields in one walk over the stencil table (the velocity
+        // components of the trajectory predictor, the displacement solve).
+        push(suite, &format!("interpolation/Tricubic3/{n}"), warmup, k, || {
+            plan.interpolate_many(&ctx.comm, &[&ghost; 3], Kernel::Tricubic, &timers);
+        });
     }
 }
 
@@ -158,6 +163,11 @@ fn bench_transport(suite: &mut BenchSuite, warmup: usize, k: usize) {
     let lam1 = rho0.clone();
     push(suite, "transport/adjoint_solve_nt4/32", warmup, k, || {
         sl.solve_adjoint(&ws, &lam1);
+    });
+    let grads: Vec<VectorField> =
+        sl.solve_state(&ws, &rho0).iter().map(|r| fft.gradient(r, &timers)).collect();
+    push(suite, "transport/incremental_state_nt4/32", warmup, k, || {
+        sl.solve_incremental_state(&ws, &v, &grads);
     });
 }
 

@@ -109,14 +109,9 @@ impl<'a, C: Comm> RegProblem<'a, C> {
     /// Data term `1/2 ||ρ(1) − ρ_R||²` for a given velocity, using only the
     /// forward trajectory (the cheap path for line-search evaluations).
     fn data_term(&self, v: &VectorField) -> f64 {
-        let dt = 1.0 / self.cfg.nt as f64;
-        let traj = compute_trajectory(&self.ws, v, dt, 1.0);
-        let mut rho = self.rho_t.clone();
-        for _ in 0..self.cfg.nt {
-            let g = diffreg_interp::ghosted(self.ws.comm, self.ws.decomp, &rho);
-            let vals = traj.plan.interpolate(self.ws.comm, &g, self.ws.kernel, self.ws.timers);
-            rho = ScalarField::from_vec(rho.block(), vals);
-        }
+        let nt = self.cfg.nt;
+        let traj = compute_trajectory(&self.ws, v, 1.0 / nt as f64, 1.0);
+        let rho = traj.advect(&self.ws, &self.rho_t, nt);
         self.cfg.distance.evaluate(&rho, &self.rho_r, &self.ws.grid(), self.ws.comm)
     }
 

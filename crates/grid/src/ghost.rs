@@ -6,7 +6,9 @@
 //! across ranks, so ghost planes are exchanged with the four pencil
 //! neighbors; corners are obtained for free by exchanging axis 1 *after*
 //! extending axis 0 (the paper's message-ordering trick). Axis 2 is fully
-//! local and wraps periodically in place.
+//! local: its periodic halo is filled by local copies after the two
+//! exchanges (no message grows), so that a stencil is a contiguous run on
+//! axis 2 instead of four wrapped gathers.
 
 use diffreg_comm::Comm;
 
@@ -19,16 +21,16 @@ const TAG_GHOST_DOWN: u64 = (1 << 59) + 2;
 const TAG_GHOST_LEFT: u64 = (1 << 59) + 3;
 const TAG_GHOST_RIGHT: u64 = (1 << 59) + 4;
 
-/// A rank's spatial block extended by `g` ghost planes on axes 0 and 1.
+/// A rank's spatial block extended by `g` ghost planes on every axis.
 #[derive(Debug, Clone)]
 pub struct GhostField {
     /// Global index of element `[0,0,0]` of the extended array on axes 0, 1
     /// (can be negative: ghost planes wrap around the periodic domain).
     origin: [isize; 2],
-    /// Extents of the extended array.
+    /// Extents of the extended array: `[c0 + 2g, c1 + 2g, n2 + 2g]`.
     ext: [usize; 3],
-    /// Global extent of axis 2 (fully local; periodic wrap is index math).
-    n2: usize,
+    /// Ghost width: global axis-2 index `i2 ∈ [0, n2)` sits at `i2 + g` of a row.
+    g: usize,
     /// Arena-backed so the per-step exchanges of the semi-Lagrangian loops
     /// recycle one allocation per capacity class.
     data: PooledVec<f64>,
@@ -42,7 +44,9 @@ impl GhostField {
 
     /// Value at global indices `(i0, i1, i2)`. `i0`/`i1` must lie within the
     /// extended range of this rank (owned ± ghost width, in unwrapped global
-    /// coordinates relative to the owned slab); `i2` is wrapped periodically.
+    /// coordinates relative to the owned slab); `i2` is wrapped periodically
+    /// into the owned part of the row, so this accessor never reads the
+    /// axis-2 halo and serves as the oracle for code that does.
     #[inline]
     pub fn value(&self, i0: isize, i1: isize, i2: isize) -> f64 {
         let r0 = i0 - self.origin[0];
@@ -53,11 +57,12 @@ impl GhostField {
             self.origin,
             self.ext
         );
-        let r2 = i2.rem_euclid(self.n2 as isize) as usize;
+        let n2 = self.ext[2] - 2 * self.g;
+        let r2 = i2.rem_euclid(n2 as isize) as usize + self.g;
         self.data[(r0 as usize * self.ext[1] + r1 as usize) * self.ext[2] + r2]
     }
 
-    /// Raw extended data (row-major, axis 2 fastest).
+    /// Raw extended data (row-major, axis 2 fastest, halo included).
     pub fn data(&self) -> &[f64] {
         &self.data
     }
@@ -83,8 +88,21 @@ fn slice_axis1(data: &[f64], c: [usize; 3], lo: usize, hi: usize) -> Vec<f64> {
     out
 }
 
+/// Copies rows of `n2` values from `src` into rows of `n2 + 2g` of `dst`,
+/// filling the periodic axis-2 halo on both sides (modulo `n2`, so grids
+/// with `n2 < g` wrap more than once).
+fn put_rows(dst: &mut [f64], src: &[f64], n2: usize, g: usize) {
+    for (d, s) in dst.chunks_exact_mut(n2 + 2 * g).zip(src.chunks_exact(n2)) {
+        d[g..g + n2].copy_from_slice(s);
+        for k in 0..g {
+            d[k] = s[(k + g * n2 - g) % n2];
+            d[g + n2 + k] = s[k % n2];
+        }
+    }
+}
+
 /// Performs the two-phase ghost exchange for one scalar field in the spatial
-/// layout, returning the extended array.
+/// layout and fills the local axis-2 halo, returning the extended array.
 ///
 /// `comm` must be the communicator the decomposition was built for and
 /// `field.block()` must equal `decomp.block(comm.rank(), Layout::Spatial)`.
@@ -131,21 +149,21 @@ pub fn exchange_ghost<C: Comm>(comm: &C, decomp: &Decomp, field: &ScalarField, g
         let r = comm.sendrecv(left, leftmost, right, TAG_GHOST_RIGHT);
         (l, r)
     };
+    // ---- Assemble (c0 + 2g, c1 + 2g, n2 + 2g); the axis-2 halo is local. ----
     let e1 = c1 + 2 * g;
-    let mut data = arena_f64(e0 * e1 * n2);
+    let e2 = n2 + 2 * g;
+    let mut data = arena_f64(e0 * e1 * e2);
     for i0 in 0..e0 {
-        let dst = i0 * e1 * n2;
-        data[dst..dst + g * n2].copy_from_slice(&ghost_left[i0 * g * n2..(i0 + 1) * g * n2]);
-        data[dst + g * n2..dst + (g + c1) * n2]
-            .copy_from_slice(&phase1[i0 * c1 * n2..(i0 + 1) * c1 * n2]);
-        data[dst + (g + c1) * n2..dst + e1 * n2]
-            .copy_from_slice(&ghost_right[i0 * g * n2..(i0 + 1) * g * n2]);
+        let dst = &mut data[i0 * e1 * e2..(i0 + 1) * e1 * e2];
+        put_rows(&mut dst[..g * e2], &ghost_left[i0 * g * n2..(i0 + 1) * g * n2], n2, g);
+        put_rows(&mut dst[g * e2..(g + c1) * e2], &phase1[i0 * c1 * n2..(i0 + 1) * c1 * n2], n2, g);
+        put_rows(&mut dst[(g + c1) * e2..], &ghost_right[i0 * g * n2..(i0 + 1) * g * n2], n2, g);
     }
 
     GhostField {
         origin: [block.start[0] as isize - g as isize, block.start[1] as isize - g as isize],
-        ext: [e0, e1, n2],
-        n2,
+        ext: [e0, e1, e2],
+        g,
         data,
     }
 }
@@ -187,13 +205,28 @@ mod tests {
                 }
             }
         }
+        // The raw array over the full extended box, axis-2 halo included:
+        // what the contiguous stencil loads read without going through
+        // `value`'s wrap.
+        let ext = ghost.ext();
+        assert_eq!(ext, [block.count[0] + 2 * g, block.count[1] + 2 * g, grid.n[2] + 2 * g]);
+        assert_eq!(ghost.data().len(), ext[0] * ext[1] * ext[2]);
+        let gi = g as isize;
+        for (l, &got) in ghost.data().iter().enumerate() {
+            let r = [l / (ext[1] * ext[2]), l / ext[2] % ext[1], l % ext[2]];
+            let (i0, i1, i2) = (s0 - gi + r[0] as isize, s1 - gi + r[1] as isize, r[2] as isize - gi);
+            assert_eq!(got, probe(&grid, i0, i1, i2), "rank {} raw {r:?}", comm.rank());
+        }
     }
 
     #[test]
     fn serial_ghost_wraps_periodically() {
-        let grid = Grid::new([5, 6, 4]);
-        let decomp = Decomp::new(grid, 1);
-        check_ghost(&SerialComm::new(), grid, decomp, 2);
+        // The last grid has a single axis-2 plane: the halo wraps twice.
+        for gdims in [[5, 6, 4], [4, 5, 1]] {
+            let grid = Grid::new(gdims);
+            let decomp = Decomp::new(grid, 1);
+            check_ghost(&SerialComm::new(), grid, decomp, 2);
+        }
     }
 
     #[test]

@@ -42,56 +42,69 @@ pub fn cubic_weights(t: f64) -> [f64; 4] {
     ]
 }
 
+/// The two linear weights `[1 − t, t]` recovered from the cubic weights of
+/// the same fractional position: `t` is their first moment over the nodes
+/// −1, 0, 1, 2. The stencil table stores only the cubic weights, so both the
+/// table path and the scalar [`trilinear`] take `t` from here (exact at
+/// `t = 0` and `t = 1`, within one rounding of `t` in between).
+#[inline]
+pub(crate) fn linear_weights(w: &[f64; 4]) -> [f64; 2] {
+    let t = (w[2] - w[0]) + 2.0 * w[3];
+    [1.0 - t, t]
+}
+
+/// `Σ_k a[k] · b[k]`, summed left to right.
+#[inline]
+pub(crate) fn dot<const W: usize>(a: &[f64; W], b: &[f64; W]) -> f64 {
+    let mut s = 0.0;
+    for k in 0..W {
+        s += a[k] * b[k];
+    }
+    s
+}
+
+/// Tensor-product interpolation over a `W³` stencil whose first node is at
+/// global index `first`, with per-axis weights `w`.
+///
+/// The summation order is the one the stencil table vectorizes
+/// ([`crate::soa`]): each of the `W²` axis-2 runs is accumulated into `W`
+/// lanes scaled by its `w0[i] · w1[j]`, and the lanes are contracted with the
+/// axis-2 weights once at the end. This scalar form is the oracle the table
+/// path is tested against bit for bit.
+fn tensor<const W: usize>(ghost: &GhostField, first: [isize; 3], w: &[[f64; W]; 3]) -> f64 {
+    let mut acc = [0.0; W];
+    for (i, &wi) in w[0].iter().enumerate() {
+        for (j, &wj) in w[1].iter().enumerate() {
+            let wij = wi * wj;
+            for (k, a) in acc.iter_mut().enumerate() {
+                *a += wij
+                    * ghost.value(first[0] + i as isize, first[1] + j as isize, first[2] + k as isize);
+            }
+        }
+    }
+    dot(&acc, &w[2])
+}
+
+/// Base indices and cubic weights of physical point `x` on `grid`, per axis.
+#[inline]
+pub(crate) fn base_and_weights(grid: &Grid, x: [f64; 3]) -> ([usize; 3], [[f64; 4]; 3]) {
+    let bt: [(usize, f64); 3] = std::array::from_fn(|a| base_and_frac(x[a], grid.n[a]));
+    (bt.map(|(b, _)| b), bt.map(|(_, t)| cubic_weights(t)))
+}
+
 /// Tricubic Lagrange interpolation of a ghosted field at physical point `x`.
 ///
 /// The base index of `x` must lie inside this rank's owned slab (guaranteed
 /// when the point arrived through the scatter plan).
 pub fn tricubic(ghost: &GhostField, grid: &Grid, x: [f64; 3]) -> f64 {
-    let (b0, t0) = base_and_frac(x[0], grid.n[0]);
-    let (b1, t1) = base_and_frac(x[1], grid.n[1]);
-    let (b2, t2) = base_and_frac(x[2], grid.n[2]);
-    let w0 = cubic_weights(t0);
-    let w1 = cubic_weights(t1);
-    let w2 = cubic_weights(t2);
-    let mut acc = 0.0;
-    for (i, &wi) in w0.iter().enumerate() {
-        let gi0 = b0 as isize + i as isize - 1;
-        for (j, &wj) in w1.iter().enumerate() {
-            let gi1 = b1 as isize + j as isize - 1;
-            let wij = wi * wj;
-            let mut line = 0.0;
-            for (k, &wk) in w2.iter().enumerate() {
-                let gi2 = b2 as isize + k as isize - 1;
-                line += wk * ghost.value(gi0, gi1, gi2);
-            }
-            acc += wij * line;
-        }
-    }
-    acc
+    let (b, w) = base_and_weights(grid, x);
+    tensor(ghost, b.map(|b| b as isize - 1), &w)
 }
 
 /// Trilinear interpolation of a ghosted field at physical point `x`.
 pub fn trilinear(ghost: &GhostField, grid: &Grid, x: [f64; 3]) -> f64 {
-    let (b0, t0) = base_and_frac(x[0], grid.n[0]);
-    let (b1, t1) = base_and_frac(x[1], grid.n[1]);
-    let (b2, t2) = base_and_frac(x[2], grid.n[2]);
-    let mut acc = 0.0;
-    for i in 0..2 {
-        let wi = if i == 0 { 1.0 - t0 } else { t0 };
-        for j in 0..2 {
-            let wj = if j == 0 { 1.0 - t1 } else { t1 };
-            for k in 0..2 {
-                let wk = if k == 0 { 1.0 - t2 } else { t2 };
-                acc += wi * wj * wk
-                    * ghost.value(
-                        b0 as isize + i as isize,
-                        b1 as isize + j as isize,
-                        b2 as isize + k as isize,
-                    );
-            }
-        }
-    }
-    acc
+    let (b, w) = base_and_weights(grid, x);
+    tensor(ghost, b.map(|b| b as isize), &w.map(|a| linear_weights(&a)))
 }
 
 /// Interpolation kernel selector.

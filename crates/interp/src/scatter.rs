@@ -10,26 +10,27 @@
 //! results back, which the requester scatters into original point order.
 
 use diffreg_comm::{Comm, Timers};
-use diffreg_grid::{exchange_ghost, Decomp, GhostField, Grid, Layout, ScalarField};
+use diffreg_grid::{exchange_ghost, Decomp, GhostField, Layout, ScalarField};
 
 use crate::kernel::{base_and_frac, Kernel, GHOST_WIDTH};
 use crate::soa::SoaStencils;
 
 /// A built communication plan for one set of departure points.
+///
+/// Resident size: 8 bytes per requested point (`owner_of`, `slot_of`) plus
+/// 100 per assigned point (the stencil table); the routed coordinates
+/// themselves are consumed by the table build and not kept.
 #[derive(Debug, Clone)]
 pub struct ScatterPlan {
-    grid: Grid,
-    /// Number of points this rank requested.
-    n_local: usize,
     /// For each local point: which rank owns it.
-    owner_of: Vec<usize>,
+    owner_of: Vec<u32>,
     /// For each local point: its slot within the batch sent to its owner.
-    slot_of: Vec<usize>,
-    /// Points this rank must interpolate, grouped by requesting rank.
-    assigned: Vec<Vec<[f64; 3]>>,
-    /// Start of each assigned batch within the flattened SoA stencils.
+    slot_of: Vec<u32>,
+    /// Start of each requesting rank's batch within the stencil table
+    /// (`size + 1` entries).
     batch_off: Vec<usize>,
-    /// Precomputed branch-free stencils over the flattened assigned points.
+    /// Precomputed stencils of the points this rank must interpolate,
+    /// grouped by requesting rank.
     soa: SoaStencils,
 }
 
@@ -45,6 +46,10 @@ impl ScatterPlan {
         let _span = diffreg_telemetry::span("interp.plan");
         let grid = decomp.grid;
         let p = comm.size();
+        assert!(
+            p <= u32::MAX as usize && points.len() <= u32::MAX as usize,
+            "rank and slot indices are stored as u32"
+        );
         let mut owner_of = Vec::with_capacity(points.len());
         let mut slot_of = Vec::with_capacity(points.len());
         let mut outgoing: Vec<Vec<[f64; 3]>> = vec![Vec::new(); p];
@@ -52,8 +57,8 @@ impl ScatterPlan {
             let (b0, _) = base_and_frac(x[0], grid.n[0]);
             let (b1, _) = base_and_frac(x[1], grid.n[1]);
             let owner = decomp.owner_spatial([b0, b1, 0]);
-            owner_of.push(owner);
-            slot_of.push(outgoing[owner].len());
+            owner_of.push(owner as u32);
+            slot_of.push(outgoing[owner].len() as u32);
             outgoing[owner].push(x);
         }
         let assigned = timers.time("interp_comm", || {
@@ -68,9 +73,6 @@ impl ScatterPlan {
             "diffreg_interp_scatter_bytes",
             std::mem::size_of_val(points) as f64,
         );
-        // Hoist the per-point stencil math out of the evaluation loops: the
-        // plan is reused across every field and time step of a transport
-        // solve, so the precompute amortizes to nothing.
         let mut batch_off = Vec::with_capacity(assigned.len() + 1);
         let mut off = 0;
         for pts in &assigned {
@@ -78,43 +80,37 @@ impl ScatterPlan {
             off += pts.len();
         }
         batch_off.push(off);
+        // Hoist the per-point stencil math out of the evaluation loops: the
+        // plan is reused across every field and time step of a transport
+        // solve, so the precompute amortizes to nothing. The received
+        // coordinates are consumed here.
         let soa = timers.time("interp_exec", || {
-            let block = decomp.block(comm.rank(), Layout::Spatial);
-            let origin = [
-                block.start[0] as isize - GHOST_WIDTH as isize,
-                block.start[1] as isize - GHOST_WIDTH as isize,
-            ];
-            let mut flat = Vec::with_capacity(off);
-            for pts in &assigned {
-                flat.extend_from_slice(pts);
-            }
-            SoaStencils::build(&grid, origin, &flat)
+            SoaStencils::build(&grid, &decomp.block(comm.rank(), Layout::Spatial), assigned)
         });
-        Self { grid, n_local: points.len(), owner_of, slot_of, assigned, batch_off, soa }
+        Self { owner_of, slot_of, batch_off, soa }
     }
 
     /// Number of points this rank requested.
     pub fn len(&self) -> usize {
-        self.n_local
+        self.owner_of.len()
     }
 
     /// True if this rank requested no points.
     pub fn is_empty(&self) -> bool {
-        self.n_local == 0
+        self.owner_of.is_empty()
     }
 
     /// Number of points this rank will interpolate for others (and itself).
     pub fn assigned_len(&self) -> usize {
-        self.assigned.iter().map(Vec::len).sum()
+        self.soa.len()
     }
 
     /// Global fraction of requested points that had to be routed to another
     /// rank — the "leak" of the performance model's scatter term, and a
     /// direct measure of how far departure points travel (CFL-dependent).
     pub fn off_rank_fraction<C: Comm>(&self, comm: &C) -> f64 {
-        let me = comm.rank();
-        let mut counts =
-            [self.owner_of.iter().filter(|&&o| o != me).count(), self.n_local];
+        let me = comm.rank() as u32;
+        let mut counts = [self.owner_of.iter().filter(|&&o| o != me).count(), self.len()];
         comm.allreduce_usize(&mut counts, diffreg_comm::ReduceOp::Sum);
         if counts[1] == 0 {
             0.0
@@ -123,8 +119,10 @@ impl ScatterPlan {
         }
     }
 
-    /// Interpolates several fields at the planned points with one value
-    /// exchange (values of all fields are batched per point).
+    /// Interpolates several fields at the planned points with one walk over
+    /// the stencil table and one value exchange (values of all fields are
+    /// batched per point). Each field's values are bit-identical to a
+    /// single-field call.
     ///
     /// `ghosts` are the ghosted local fields; the result contains one value
     /// vector per field, each in the original point order.
@@ -139,27 +137,13 @@ impl ScatterPlan {
         let nf = ghosts.len();
         assert!(nf > 0, "need at least one field");
         // Owners evaluate; values interleaved per point: [f0, f1, ..] per point.
-        // The SoA stencils are tricubic; trilinear runs the scalar loop.
-        let use_soa = kernel == Kernel::Tricubic;
         let values: Vec<Vec<f64>> = timers.time("interp_exec", || {
-            self.assigned
-                .iter()
-                .enumerate()
-                .map(|(batch, pts)| {
+            self.batch_off
+                .windows(2)
+                .map(|b| {
                     // diffreg-allow(alloc-in-hot-path): per-batch send buffers are moved into alltoallv — ownership transfer precludes arena pooling
-                    let mut vals = vec![0.0; pts.len() * nf];
-                    if use_soa {
-                        let (lo, hi) = (self.batch_off[batch], self.batch_off[batch + 1]);
-                        for (f, g) in ghosts.iter().enumerate() {
-                            self.soa.eval_strided(g, lo, hi, &mut vals, nf, f);
-                        }
-                    } else {
-                        for (i, &x) in pts.iter().enumerate() {
-                            for (f, g) in ghosts.iter().enumerate() {
-                                vals[i * nf + f] = kernel.eval(g, &self.grid, x);
-                            }
-                        }
-                    }
+                    let mut vals = vec![0.0; (b[1] - b[0]) * nf];
+                    self.soa.eval(ghosts, kernel, b[0]..b[1], &mut vals);
                     vals
                 })
                 // diffreg-allow(alloc-in-hot-path): collects the per-batch send buffers moved into alltoallv — ownership transfer precludes arena pooling
@@ -175,12 +159,11 @@ impl ScatterPlan {
         });
         // Unscatter into original order.
         // diffreg-allow(alloc-in-hot-path): result buffers are returned to the caller — ownership transfer precludes arena pooling
-        let mut out = vec![vec![0.0; self.n_local]; nf];
-        for i in 0..self.n_local {
-            let owner = self.owner_of[i];
-            let slot = self.slot_of[i];
-            for (f, o) in out.iter_mut().enumerate() {
-                o[i] = returned[owner][slot * nf + f];
+        let mut out = vec![vec![0.0; self.len()]; nf];
+        for (i, (&owner, &slot)) in self.owner_of.iter().zip(&self.slot_of).enumerate() {
+            let vals = &returned[owner as usize][slot as usize * nf..][..nf];
+            for (o, &v) in out.iter_mut().zip(vals) {
+                o[i] = v;
             }
         }
         out
@@ -208,7 +191,7 @@ pub fn ghosted<C: Comm>(comm: &C, decomp: &Decomp, field: &ScalarField) -> Ghost
 mod tests {
     use super::*;
     use diffreg_comm::{run_threaded, SerialComm};
-    use diffreg_grid::Layout;
+    use diffreg_grid::Grid;
     use std::f64::consts::TAU;
 
     fn probe(x: [f64; 3]) -> f64 {
@@ -270,15 +253,15 @@ mod tests {
 
     #[test]
     fn batched_multi_field_matches_single() {
+        // One fused pass over k fields (1, 2, 3 in one walk; 4 = 3 + 1) is
+        // bitwise k single-field calls.
         let grid = Grid::new([8, 8, 8]);
         let points = test_points(77);
         run_threaded(4, move |comm| {
             let d = Decomp::with_process_grid(grid, 2, 2);
             let b = d.block(comm.rank(), Layout::Spatial);
-            let f1 = ScalarField::from_fn(&grid, b, probe);
-            let f2 = ScalarField::from_fn(&grid, b, probe2);
-            let g1 = ghosted(comm, &d, &f1);
-            let g2 = ghosted(comm, &d, &f2);
+            let probes = [probe, probe2, |x| probe(x) * probe2(x), |x| probe2(x) + x[1].cos()];
+            let ghosts = probes.map(|f| ghosted(comm, &d, &ScalarField::from_fn(&grid, b, f)));
             let timers = Timers::new();
             let mine: Vec<[f64; 3]> = points
                 .iter()
@@ -287,11 +270,14 @@ mod tests {
                 .copied()
                 .collect();
             let plan = ScatterPlan::build(comm, &d, &mine, &timers);
-            let both = plan.interpolate_many(comm, &[&g1, &g2], Kernel::Tricubic, &timers);
-            let only1 = plan.interpolate(comm, &g1, Kernel::Tricubic, &timers);
-            let only2 = plan.interpolate(comm, &g2, Kernel::Tricubic, &timers);
-            assert_eq!(both[0], only1);
-            assert_eq!(both[1], only2);
+            for kernel in [Kernel::Tricubic, Kernel::Trilinear] {
+                let single = ghosts.each_ref().map(|g| plan.interpolate(comm, g, kernel, &timers));
+                for k in 1..=4 {
+                    let fields: Vec<&GhostField> = ghosts[..k].iter().collect();
+                    let many = plan.interpolate_many(comm, &fields, kernel, &timers);
+                    assert_eq!(many, single[..k], "{kernel:?}, {k} fields");
+                }
+            }
         });
     }
 

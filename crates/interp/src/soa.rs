@@ -1,122 +1,168 @@
-//! Branch-free structure-of-arrays tricubic evaluation.
+//! The per-plan stencil table and its fused, contiguous evaluation loop.
 //!
-//! The scalar kernel in [`crate::kernel`] recomputes base indices, cubic
-//! weights, and wrapped ghost offsets per point per field, and every
-//! `GhostField::value` call re-derives its flat index (with a `rem_euclid`
-//! on the hot path). For plan reuse — the common case in the
-//! semi-Lagrangian loops, where one set of departure points is evaluated
-//! against many fields — all of that is loop-invariant. [`SoaStencils`]
-//! hoists it: one flat precompute pass per plan stores, per point, the
-//! extended-array row/column of the stencil origin, the four wrapped
-//! axis-2 offsets, and the twelve cubic weights. Evaluation is then a pure
-//! gather + multiply-add loop with no branches, no index wrapping, and no
-//! per-point trigonometry, in the exact arithmetic order of the scalar
-//! kernel (so results are bit-identical and differentially testable).
+//! The scalar kernels in [`crate::kernel`] recompute base indices and cubic
+//! weights per point per field, and every `GhostField::value` call
+//! re-derives its flat index (with a `rem_euclid` on the hot path). For plan
+//! reuse — the common case in the semi-Lagrangian loops, where one set of
+//! departure points is evaluated against many fields — all of that is
+//! loop-invariant. [`SoaStencils`] hoists it: one precompute pass per plan
+//! stores, per point, the flat offset of the stencil's first node in the
+//! extended array (a `u32`) and the twelve cubic weights — 100 bytes.
+//!
+//! Because `exchange_ghost` materialises the periodic halo on axis 2 as
+//! well, a 4³ stencil is sixteen contiguous runs of four values at
+//! `off + i·plane + j·row`: no wrapped index, one bounds check per run.
+//! Evaluation walks the table **once per call** for all fields of the call:
+//! per `(i, j)` one product `w0[i]·w1[j]` shared by every field, four
+//! independent lanes `acc[k] += wij · run[k]` per field (which the compiler
+//! keeps in vector registers), and one final contraction with the axis-2
+//! weights. That is the exact arithmetic order of the scalar kernels
+//! (`kernel::tensor`), so results are bit-identical and differentially
+//! testable. The trilinear kernel reads the same table: its 2³ corner is
+//! `off + plane + row + 1` and its weights are recombined from the cubic
+//! ones (`kernel::linear_weights`).
 
-use diffreg_grid::GhostField;
-use diffreg_grid::Grid;
+use std::ops::Range;
 
-use crate::kernel::{base_and_frac, cubic_weights};
+use diffreg_grid::{Block, GhostField, Grid};
+
+use crate::kernel::{base_and_weights, dot, linear_weights, Kernel, GHOST_WIDTH};
 
 /// Precomputed per-point stencil data for a fixed set of points, valid for
 /// any ghost field exchanged on the same decomposition (the extended-array
-/// geometry is a function of the decomposition alone).
+/// geometry is a function of the rank's block alone).
 #[derive(Debug, Clone, Default)]
 pub struct SoaStencils {
-    /// Extended-array axis-0 index of stencil row 0 (`b0 - origin0 - 1`).
-    row0: Vec<u32>,
-    /// Extended-array axis-1 index of stencil column 0.
-    col0: Vec<u32>,
-    /// Four wrapped axis-2 indices per point.
-    i2: Vec<[u32; 4]>,
+    /// Extended-array stride of one axis-0 plane, `(c1 + 2g)(n2 + 2g)`.
+    plane: usize,
+    /// Extended-array stride of one axis-1 row, `n2 + 2g`.
+    row: usize,
+    /// Flat extended-array offset of stencil node `(−1, −1, −1)` per point.
+    off: Vec<u32>,
     /// Cubic weights per point: axis 0, axis 1, axis 2.
-    w0: Vec<[f64; 4]>,
-    w1: Vec<[f64; 4]>,
-    w2: Vec<[f64; 4]>,
+    w: Vec<[[f64; 4]; 3]>,
 }
 
 impl SoaStencils {
-    /// Precomputes stencils for `points` interpolated on `grid` with ghost
-    /// origin `origin` (axes 0 and 1; `start - GHOST_WIDTH`).
-    pub fn build(grid: &Grid, origin: [isize; 2], points: &[[f64; 3]]) -> Self {
-        let n = grid.n;
+    /// Precomputes stencils for the points of `batches` (consumed batch by
+    /// batch, in order) interpolated on `grid` by the rank that owns
+    /// `block`: every base index on axes 0 and 1 must lie inside the block.
+    pub fn build(grid: &Grid, block: &Block, batches: Vec<Vec<[f64; 3]>>) -> Self {
+        let g = GHOST_WIDTH;
+        let (e0, e1, e2) = (block.count[0] + 2 * g, block.count[1] + 2 * g, grid.n[2] + 2 * g);
+        assert!(e0 * e1 * e2 <= u32::MAX as usize, "extended block too large for u32 stencil offsets");
+        let total = batches.iter().map(Vec::len).sum();
         let mut s = Self {
-            row0: Vec::with_capacity(points.len()),
-            col0: Vec::with_capacity(points.len()),
-            i2: Vec::with_capacity(points.len()),
-            w0: Vec::with_capacity(points.len()),
-            w1: Vec::with_capacity(points.len()),
-            w2: Vec::with_capacity(points.len()),
+            plane: e1 * e2,
+            row: e2,
+            off: Vec::with_capacity(total),
+            w: Vec::with_capacity(total),
         };
-        for &x in points {
-            let (b0, t0) = base_and_frac(x[0], n[0]);
-            let (b1, t1) = base_and_frac(x[1], n[1]);
-            let (b2, t2) = base_and_frac(x[2], n[2]);
-            let r0 = b0 as isize - origin[0] - 1;
-            let c0 = b1 as isize - origin[1] - 1;
-            debug_assert!(r0 >= 0 && c0 >= 0, "stencil origin outside extended array");
-            s.row0.push(r0 as u32);
-            s.col0.push(c0 as u32);
-            let wrap =
-                |k: isize| (b2 as isize + k - 1).rem_euclid(n[2] as isize) as u32;
-            s.i2.push([wrap(0), wrap(1), wrap(2), wrap(3)]);
-            s.w0.push(cubic_weights(t0));
-            s.w1.push(cubic_weights(t1));
-            s.w2.push(cubic_weights(t2));
+        for x in batches.into_iter().flatten() {
+            let ([b0, b1, b2], w) = base_and_weights(grid, x);
+            debug_assert!(
+                b0.wrapping_sub(block.start[0]) < block.count[0]
+                    && b1.wrapping_sub(block.start[1]) < block.count[1],
+                "point routed to a rank that does not own its base cell"
+            );
+            // Extended index of node −1: global − (start − g) − 1 on axes
+            // 0 and 1, global + g − 1 on axis 2.
+            let (r0, r1) = (b0 - block.start[0] + g - 1, b1 - block.start[1] + g - 1);
+            s.off.push(((r0 * e1 + r1) * e2 + b2 + g - 1) as u32);
+            s.w.push(w);
         }
         s
     }
 
     /// Number of precomputed points.
     pub fn len(&self) -> usize {
-        self.row0.len()
+        self.off.len()
     }
 
     /// True if no points were precomputed.
     pub fn is_empty(&self) -> bool {
-        self.row0.is_empty()
+        self.off.is_empty()
     }
 
-    /// Evaluates point `p` against one ghosted field — bit-identical to the
-    /// scalar tricubic kernel (same summation order: axis-2 line first,
-    /// then row-column accumulation).
-    #[inline]
-    fn eval_point(&self, data: &[f64], e1: usize, e2: usize, p: usize) -> f64 {
-        let r0 = self.row0[p] as usize;
-        let c0 = self.col0[p] as usize;
-        let i2 = self.i2[p];
-        let (w0, w1, w2) = (self.w0[p], self.w1[p], self.w2[p]);
-        let mut acc = 0.0;
-        for (i, &wi) in w0.iter().enumerate() {
-            let row = &data[(r0 + i) * e1 * e2..];
-            for (j, &wj) in w1.iter().enumerate() {
-                let plane = &row[(c0 + j) * e2..(c0 + j) * e2 + e2];
-                let line = w2[0] * plane[i2[0] as usize]
-                    + w2[1] * plane[i2[1] as usize]
-                    + w2[2] * plane[i2[2] as usize]
-                    + w2[3] * plane[i2[3] as usize];
-                acc += (wi * wj) * line;
+    /// Evaluates points `range` against every field of `ghosts` in one walk
+    /// over the table, into `out[(p − range.start) · nf + f]` — the
+    /// interleaved per-point layout the scatter plan sends over the wire.
+    /// Bit-identical to [`Kernel::eval`] per point and field.
+    pub fn eval(&self, ghosts: &[&GhostField], kernel: Kernel, range: Range<usize>, out: &mut [f64]) {
+        let nf = ghosts.len();
+        for g in ghosts {
+            let ext = g.ext();
+            assert_eq!(
+                [ext[1] * ext[2], ext[2]],
+                [self.plane, self.row],
+                "ghost field was not exchanged on this plan's block with GHOST_WIDTH"
+            );
+        }
+        // Up to three fields share one pass; more go three at a time.
+        for (c, chunk) in ghosts.chunks(3).enumerate() {
+            let out = &mut out[3 * c..];
+            match chunk.len() {
+                1 => self.pass::<1>(chunk, kernel, range.clone(), out, nf),
+                2 => self.pass::<2>(chunk, kernel, range.clone(), out, nf),
+                _ => self.pass::<3>(chunk, kernel, range.clone(), out, nf),
             }
         }
-        acc
     }
 
-    /// Evaluates points `lo..hi` into `out[(p - lo) * stride + offset]` —
-    /// the interleaved per-point layout the scatter plan sends over the
-    /// wire when batching several fields.
-    pub fn eval_strided(
+    fn pass<const NF: usize>(
         &self,
-        ghost: &GhostField,
-        lo: usize,
-        hi: usize,
+        fields: &[&GhostField],
+        kernel: Kernel,
+        range: Range<usize>,
         out: &mut [f64],
         stride: usize,
-        offset: usize,
     ) {
-        let ext = ghost.ext();
-        let data = ghost.data();
-        for p in lo..hi {
-            out[(p - lo) * stride + offset] = self.eval_point(data, ext[1], ext[2], p);
+        let data: [&[f64]; NF] = std::array::from_fn(|f| fields[f].data());
+        match kernel {
+            Kernel::Tricubic => self.run(data, 0, |w| *w, range, out, stride),
+            Kernel::Trilinear => self.run(
+                data,
+                self.plane + self.row + 1,
+                |w| w.map(|a| linear_weights(&a)),
+                range,
+                out,
+                stride,
+            ),
+        }
+    }
+
+    /// The one evaluation loop: a `W³` stencil starting `shift` past the
+    /// stored offset, weights derived from the stored cubic ones.
+    fn run<const NF: usize, const W: usize>(
+        &self,
+        data: [&[f64]; NF],
+        shift: usize,
+        weights: impl Fn(&[[f64; 4]; 3]) -> [[f64; W]; 3],
+        range: Range<usize>,
+        out: &mut [f64],
+        stride: usize,
+    ) {
+        let (plane, row) = (self.plane, self.row);
+        let table = self.off[range.clone()].iter().zip(&self.w[range]);
+        for (p, (&off, w)) in table.enumerate() {
+            let [w0, w1, w2] = weights(w);
+            let first = off as usize + shift;
+            let mut acc = [[0.0; W]; NF];
+            for (i, &wi) in w0.iter().enumerate() {
+                for (j, &wj) in w1.iter().enumerate() {
+                    let wij = wi * wj;
+                    let o = first + i * plane + j * row;
+                    for (f, a) in acc.iter_mut().enumerate() {
+                        let s = &data[f][o..o + W];
+                        for k in 0..W {
+                            a[k] += wij * s[k];
+                        }
+                    }
+                }
+            }
+            for (f, a) in acc.iter().enumerate() {
+                out[p * stride + f] = dot(a, &w2);
+            }
         }
     }
 }
@@ -124,7 +170,7 @@ impl SoaStencils {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::kernel::{tricubic, GHOST_WIDTH};
+    use crate::kernel::tricubic;
     use diffreg_comm::SerialComm;
     use diffreg_grid::{exchange_ghost, Decomp, Layout, ScalarField};
     use std::f64::consts::TAU;
@@ -148,9 +194,9 @@ mod tests {
                     ]
                 })
                 .collect();
-            let soa = SoaStencils::build(&grid, ghost.origin(), &points);
+            let soa = SoaStencils::build(&grid, &b, vec![points.clone()]);
             let mut got = vec![0.0; points.len()];
-            soa.eval_strided(&ghost, 0, points.len(), &mut got, 1, 0);
+            soa.eval(&[&ghost], Kernel::Tricubic, 0..points.len(), &mut got);
             for (x, v) in points.iter().zip(&got) {
                 let expect = tricubic(&ghost, &grid, *x);
                 assert_eq!(*v, expect, "SoA diverged from scalar kernel at {x:?}");

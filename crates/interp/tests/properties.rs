@@ -6,6 +6,7 @@
 use diffreg_comm::{run_threaded, Comm, SerialComm, Timers};
 use diffreg_grid::{Decomp, Grid, Layout, ScalarField};
 use diffreg_interp::{cubic_weights, ghosted, Kernel, ScatterPlan};
+use diffreg_testkit::oracle::PlaneWave;
 use diffreg_testkit::{prop_check, Rng};
 use std::f64::consts::TAU;
 
@@ -163,6 +164,49 @@ fn periodic_wrap_consistency() {
             assert!((x - y).abs() < 1e-10);
         }
     });
+}
+
+/// Interpolation is linear in the field, `I[a·f + b·g] = a·I[f] + b·I[g]`
+/// up to rounding — the identity the transport solvers rely on when they
+/// interpolate a linear combination once instead of each term.
+#[test]
+fn interpolation_is_linear_in_the_field() {
+    for p in [1usize, 4] {
+        prop_check!(cases = 8, |rng| {
+            let (a, b) = (rng.uniform(-2.0, 2.0), rng.uniform(-2.0, 2.0));
+            let modes: [[PlaneWave; 2]; 2] =
+                [0, 1].map(|_| [PlaneWave::random(rng, 2), PlaneWave::random(rng, 2)]);
+            let npts = rng.len_scaled(4, 60);
+            let seed = rng.next_u64();
+            let grid = Grid::new([10, 8, 9]);
+            run_threaded(p, move |comm| {
+                let d = Decomp::new(grid, comm.size());
+                let block = d.block(comm.rank(), Layout::Spatial);
+                let smooth = |m: [PlaneWave; 2]| {
+                    ScalarField::from_fn(&grid, block, |x| m[0].eval(x) + m[1].eval(x))
+                };
+                let (f, g) = (smooth(modes[0]), smooth(modes[1]));
+                let mut comb = f.clone();
+                comb.scale(a);
+                comb.axpy(b, &g);
+                let mut rr = Rng::new(seed ^ comm.rank() as u64);
+                let pts: Vec<[f64; 3]> = (0..npts).map(|_| rr.point_2pi()).collect();
+                let timers = Timers::new();
+                let plan = ScatterPlan::build(comm, &d, &pts, &timers);
+                for kernel in [Kernel::Tricubic, Kernel::Trilinear] {
+                    let at = |field: &ScalarField| {
+                        plan.interpolate(comm, &ghosted(comm, &d, field), kernel, &timers)
+                    };
+                    let (i_f, i_g, i_comb) = (at(&f), at(&g), at(&comb));
+                    for ((vf, vg), vc) in i_f.iter().zip(&i_g).zip(&i_comb) {
+                        let want = a * vf + b * vg;
+                        let scale = (a * vf).abs() + (b * vg).abs() + 1.0;
+                        assert!((vc - want).abs() < 1e-13 * scale, "{kernel:?}: {vc} vs {want}");
+                    }
+                }
+            });
+        });
+    }
 }
 
 #[test]

@@ -10,7 +10,7 @@ use diffreg_comm::Comm;
 use diffreg_grid::{ScalarField, VectorField};
 use diffreg_interp::ghosted;
 
-use crate::trajectory::{compute_trajectory, Trajectory};
+use crate::trajectory::{compute_trajectories, Trajectory};
 use crate::workspace::Workspace;
 
 /// Cached semi-Lagrangian state for one stationary velocity field.
@@ -27,14 +27,14 @@ pub struct SemiLagrangian {
 }
 
 impl SemiLagrangian {
-    /// Builds departure points for `v` (both directions), the divergence
-    /// field, and its interpolant at the backward points. Collective.
+    /// Builds departure points for `v` (both directions, from one ghosted
+    /// copy of `v` and one finiteness check), the divergence field, and its
+    /// interpolant at the backward points. Collective.
     pub fn new<C: Comm>(ws: &Workspace<C>, v: &VectorField, nt: usize) -> Self {
         let _span = diffreg_telemetry::span("transport.setup");
         assert!(nt > 0, "need at least one time step");
         let dt = 1.0 / nt as f64;
-        let fwd = compute_trajectory(ws, v, dt, 1.0);
-        let bwd = compute_trajectory(ws, v, dt, -1.0);
+        let [fwd, bwd] = compute_trajectories(ws, v, [dt, -dt]);
         let divv = ws.fft.divergence(v, ws.timers);
         let gd = ghosted(ws.comm, ws.decomp, &divv);
         let divv_at_bwd = bwd.plan.interpolate(ws.comm, &gd, ws.kernel, ws.timers);
@@ -80,10 +80,8 @@ impl SemiLagrangian {
         hist.push(rho0.clone());
         for _ in 0..self.nt {
             // diffreg-allow(no-unwrap-in-lib): hist is seeded with rho0 before the loop, so last() is always Some
-            let prev = hist.last().unwrap();
-            let g = ghosted(ws.comm, ws.decomp, prev);
-            let vals = self.fwd.plan.interpolate(ws.comm, &g, ws.kernel, ws.timers);
-            hist.push(ScalarField::from_vec(prev.block(), vals));
+            let next = self.fwd.advect_step(ws, hist.last().unwrap());
+            hist.push(next);
         }
         hist
     }
@@ -92,8 +90,7 @@ impl SemiLagrangian {
     /// `∂τ ν + (−v)·∇ν = ν div v` (the adjoint and incremental adjoint in
     /// reversed time), via the RK2 scheme of paper eq. (7) with `f = ν w`.
     fn step_continuity<C: Comm>(&self, ws: &Workspace<C>, nu: &ScalarField) -> ScalarField {
-        let g = ghosted(ws.comm, ws.decomp, nu);
-        let nu0x = self.bwd.plan.interpolate(ws.comm, &g, ws.kernel, ws.timers);
+        let nu0x = self.bwd.advect_step(ws, nu).into_vec();
         let w = self.divv.data();
         let wx = &self.divv_at_bwd;
         let dt = self.dt;
@@ -159,32 +156,27 @@ impl SemiLagrangian {
         // keep the triple product branch- and bounds-check-free).
         let (vt0, vt1, vt2) =
             (vtilde.comps[0].data(), vtilde.comps[1].data(), vtilde.comps[2].data());
-        let source = |i: usize| -> Vec<f64> {
+        let source = |i: usize| -> ScalarField {
             let g = &grad_state[i];
             let (g0, g1, g2) = (g.comps[0].data(), g.comps[1].data(), g.comps[2].data());
-            (0..nloc).map(|l| -(vt0[l] * g0[l] + vt1[l] * g1[l] + vt2[l] * g2[l])).collect()
+            let f = (0..nloc).map(|l| -(vt0[l] * g0[l] + vt1[l] * g1[l] + vt2[l] * g2[l])).collect();
+            ScalarField::from_vec(block, f)
         };
         let mut hist = Vec::with_capacity(self.nt + 1);
         hist.push(ScalarField::zeros(block));
+        let half_dt = 0.5 * self.dt;
         let mut f_cur = source(0);
         for i in 0..self.nt {
-            // Batched interpolation of ρ̃ and f_i at the departure points.
+            // RK2 step ρ̃(x) ← I[ρ̃](X) + δt/2·(I[f_i](X) + f_{i+1}(x)).
+            // Interpolation is linear, so the two interpolants are one,
+            // I[ρ̃ + δt/2·f_i](X): one ghost exchange, one field.
             // diffreg-allow(no-unwrap-in-lib): hist is seeded with the zero field before the loop, so last() is always Some
-            let g_rho = ghosted(ws.comm, ws.decomp, hist.last().unwrap());
-            let f_field = ScalarField::from_vec(block, f_cur);
-            let g_f = ghosted(ws.comm, ws.decomp, &f_field);
-            let interp =
-                self.fwd.plan.interpolate_many(ws.comm, &[&g_rho, &g_f], ws.kernel, ws.timers);
-            let f_next = source(i + 1);
-            let half_dt = 0.5 * self.dt;
-            let out = interp[0]
-                .iter()
-                .zip(&interp[1])
-                .zip(&f_next)
-                .map(|((&r, &fx), &fn_)| r + half_dt * (fx + fn_))
-                .collect();
-            hist.push(ScalarField::from_vec(block, out));
-            f_cur = f_next;
+            let mut combined = hist.last().unwrap().clone();
+            combined.axpy(half_dt, &f_cur);
+            let mut next = self.fwd.advect_step(ws, &combined);
+            f_cur = source(i + 1);
+            next.axpy(half_dt, &f_cur);
+            hist.push(next);
         }
         hist
     }
@@ -256,36 +248,21 @@ impl SemiLagrangian {
     /// `∂t u + v·∇u = −v`, `u(x,0) = 0`, so that `y(x,1) = x + u(x,1)`.
     /// Solving for the displacement keeps the transported quantity periodic.
     pub fn solve_displacement<C: Comm>(&self, ws: &Workspace<C>, v: &VectorField) -> VectorField {
-        let block = ws.block();
-        // Static source s = −v: interpolate once at the forward points.
-        let gv: [_; 3] = [
-            ghosted(ws.comm, ws.decomp, &v.comps[0]),
-            ghosted(ws.comm, ws.decomp, &v.comps[1]),
-            ghosted(ws.comm, ws.decomp, &v.comps[2]),
-        ];
-        let v_at_x =
-            self.fwd.plan.interpolate_many(ws.comm, &[&gv[0], &gv[1], &gv[2]], ws.kernel, ws.timers);
-        let mut u = VectorField::zeros(block);
+        // RK2 step u(x) ← I[u](X) − δt/2·(I[v](X) + v(x)) with the static
+        // source −v; by linearity the two interpolants are I[u − δt/2·v](X).
+        let half_dt = 0.5 * self.dt;
+        let mut u = VectorField::zeros(ws.block());
         for _ in 0..self.nt {
-            let gu: [_; 3] = [
-                ghosted(ws.comm, ws.decomp, &u.comps[0]),
-                ghosted(ws.comm, ws.decomp, &u.comps[1]),
-                ghosted(ws.comm, ws.decomp, &u.comps[2]),
-            ];
-            let u0x = self
+            u.axpy(-half_dt, v);
+            let gu = u.comps.each_ref().map(|c| ghosted(ws.comm, ws.decomp, c));
+            let at_x = self
                 .fwd
                 .plan
                 .interpolate_many(ws.comm, &[&gu[0], &gu[1], &gu[2]], ws.kernel, ws.timers);
-            let half_dt = 0.5 * self.dt;
-            for a in 0..3 {
-                let va = v.comps[a].data();
-                let data = u.comps[a].data_mut();
-                for ((d, (&u0, &vx)), &vl) in
-                    data.iter_mut().zip(u0x[a].iter().zip(&v_at_x[a])).zip(va)
-                {
-                    *d = u0 - half_dt * (vx + vl);
-                }
+            for (comp, vals) in u.comps.iter_mut().zip(at_x) {
+                *comp = ScalarField::from_vec(comp.block(), vals);
             }
+            u.axpy(-half_dt, v);
         }
         u
     }
@@ -406,6 +383,63 @@ mod tests {
             }
             assert!(err < 0.02 * scale.max(1.0), "linearization error {err} (scale {scale})");
         });
+    }
+
+    /// Paper Algorithm 2 as written: ρ̃ and its source interpolated as two
+    /// fields per step. `solve_incremental_state` interpolates their linear
+    /// combination once; the two must agree to rounding on every
+    /// decomposition, cubic grid or not.
+    #[test]
+    fn fused_incremental_state_matches_two_field_reference() {
+        let cases = [[16, 16, 16], [24, 30, 24]]
+            .into_iter()
+            .flat_map(|dims| [(1, 1), (2, 1), (2, 2)].map(|pgrid| (dims, pgrid)));
+        for (dims, pgrid) in cases {
+            let grid = Grid::new(dims);
+            run_threaded(pgrid.0 * pgrid.1, move |comm| {
+                let decomp = Decomp::with_process_grid(grid, pgrid.0, pgrid.1);
+                let fft = PencilFft::new(comm, decomp);
+                let timers = Timers::new();
+                let ws = Workspace::new(comm, &decomp, &fft, &timers);
+                let block = ws.block();
+                let v = VectorField::from_fn(&grid, block, |x| {
+                    [x[1].sin() * 0.4, x[0].cos() * 0.4, 0.2 * x[2].sin()]
+                });
+                let vt = VectorField::from_fn(&grid, block, |x| {
+                    [0.3 * x[2].cos(), 0.2 * (x[0] + x[1]).sin(), -0.1 * x[1].cos()]
+                });
+                let rho0 =
+                    ScalarField::from_fn(&grid, block, |x| x[0].sin() * x[1].cos() + 0.3 * x[2].sin());
+                let nt = 4;
+                let sl = SemiLagrangian::new(&ws, &v, nt);
+                let grads: Vec<VectorField> =
+                    sl.solve_state(&ws, &rho0).iter().map(|r| fft.gradient(r, &timers)).collect();
+                let fused = sl.solve_incremental_state(&ws, &vt, &grads);
+
+                let source = |i: usize| {
+                    let mut f = ScalarField::zeros(block);
+                    for a in 0..3 {
+                        let (vta, ga) = (vt.comps[a].data(), grads[i].comps[a].data());
+                        for (f, (t, g)) in f.data_mut().iter_mut().zip(vta.iter().zip(ga)) {
+                            *f -= t * g;
+                        }
+                    }
+                    f
+                };
+                let mut rho = ScalarField::zeros(block);
+                for i in 0..nt {
+                    let (g_rho, g_f) = (ghosted(comm, &decomp, &rho), ghosted(comm, &decomp, &source(i)));
+                    let at_x = sl.fwd.plan.interpolate_many(comm, &[&g_rho, &g_f], ws.kernel, &timers);
+                    let f_next = source(i + 1);
+                    for (l, r) in rho.data_mut().iter_mut().enumerate() {
+                        *r = at_x[0][l] + 0.5 * sl.dt * (at_x[1][l] + f_next.data()[l]);
+                    }
+                }
+                for (got, want) in fused.data().iter().zip(rho.data()) {
+                    assert!((got - want).abs() < 1e-12, "{dims:?} on {pgrid:?}: {got} vs {want}");
+                }
+            });
+        }
     }
 
     #[test]

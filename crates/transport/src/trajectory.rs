@@ -15,7 +15,7 @@
 //! needs to be done once per field per Newton iteration").
 
 use diffreg_comm::Comm;
-use diffreg_grid::VectorField;
+use diffreg_grid::{GhostField, ScalarField, VectorField};
 use diffreg_interp::{ghosted, ScatterPlan};
 
 use crate::workspace::Workspace;
@@ -27,6 +27,28 @@ pub struct Trajectory {
     pub plan: ScatterPlan,
     /// Departure point of every local grid point, in local point order.
     pub points: Vec<[f64; 3]>,
+}
+
+impl Trajectory {
+    /// One semi-Lagrangian step of pure advection: `field` interpolated at
+    /// the departure points (one ghost exchange, one interpolation).
+    pub(crate) fn advect_step<C: Comm>(&self, ws: &Workspace<C>, field: &ScalarField) -> ScalarField {
+        let g = ghosted(ws.comm, ws.decomp, field);
+        let vals = self.plan.interpolate(ws.comm, &g, ws.kernel, ws.timers);
+        ScalarField::from_vec(field.block(), vals)
+    }
+
+    /// Advects `field` for `nt ≥ 1` steps along this trajectory and returns
+    /// the last time level only (the state equation without its history —
+    /// what a line-search objective needs). Collective.
+    pub fn advect<C: Comm>(&self, ws: &Workspace<C>, field: &ScalarField, nt: usize) -> ScalarField {
+        assert!(nt > 0, "need at least one time step");
+        let mut rho = self.advect_step(ws, field);
+        for _ in 1..nt {
+            rho = self.advect_step(ws, &rho);
+        }
+        rho
+    }
 }
 
 /// Collective finiteness check for a velocity field: `true` iff every
@@ -67,71 +89,76 @@ pub fn compute_trajectory<C: Comm>(
     dt: f64,
     sign: f64,
 ) -> Trajectory {
-    compute_trajectory_pair(ws, v, v, dt, sign)
+    let [traj] = compute_trajectories(ws, v, [sign * dt]);
+    traj
 }
 
-/// RK2 departure points for a *non-stationary* velocity: `v_arrival` is the
-/// velocity at the arrival time level (used for the Euler predictor and the
-/// arrival half of the midpoint rule), `v_departure` the velocity at the
-/// departure time level (interpolated at the predictor point). With
-/// `v_arrival == v_departure` this reduces to the stationary scheme of
-/// paper eq. (6).
-fn compute_trajectory_pair<C: Comm>(
+/// One [`Trajectory`] per signed time step in `steps`, all for the same
+/// stationary `v`: the finiteness guard, the ghost exchange of the three
+/// velocity components and the local grid coordinates are shared by every
+/// direction.
+pub(crate) fn compute_trajectories<C: Comm, const N: usize>(
     ws: &Workspace<C>,
-    v_arrival: &VectorField,
-    v_departure: &VectorField,
-    dt: f64,
-    sign: f64,
-) -> Trajectory {
+    v: &VectorField,
+    steps: [f64; N],
+) -> [Trajectory; N] {
     let xs = local_grid_points(ws);
-    let n = xs.len();
-    assert_eq!(v_arrival.local_len(), n, "velocity not on this rank's block");
-    assert_eq!(v_departure.local_len(), n, "velocity not on this rank's block");
+    assert_eq!(v.local_len(), xs.len(), "velocity not on this rank's block");
     // Guard the semi-Lagrangian step against a poisoned velocity: a single
     // NaN/Inf component would silently corrupt every departure point and the
     // scatter plan built from them. Fail loudly and identically on all ranks
     // (the check is collective) instead — see README "Fault model & runbook".
     assert!(
-        velocity_is_finite(ws, v_arrival) && velocity_is_finite(ws, v_departure),
+        velocity_is_finite(ws, v),
         "non-finite velocity entering the semi-Lagrangian trajectory step \
          (rank {}); see the \"Fault model & runbook\" section of the README",
         ws.comm.rank(),
     );
+    let gv = v.comps.each_ref().map(|c| ghosted(ws.comm, ws.decomp, c));
+    steps.map(|s| departure(ws, &xs, v, &gv, s))
+}
 
-    // Euler predictor X* = x − s·δt·v_arrival(x).
-    let s = sign * dt;
-    let mut star = Vec::with_capacity(n);
-    for (l, &x) in xs.iter().enumerate() {
-        star.push([
-            x[0] - s * v_arrival.comps[0].data()[l],
-            x[1] - s * v_arrival.comps[1].data()[l],
-            x[2] - s * v_arrival.comps[2].data()[l],
-        ]);
-    }
-
-    // v_departure(X*) via a throwaway scatter plan; the plan, the ghosted
-    // velocity and X* are dropped before the final plan is built.
-    let v_star = {
-        let plan_star = ScatterPlan::build(ws.comm, ws.decomp, &star, ws.timers);
-        drop(star);
-        let g0 = ghosted(ws.comm, ws.decomp, &v_departure.comps[0]);
-        let g1 = ghosted(ws.comm, ws.decomp, &v_departure.comps[1]);
-        let g2 = ghosted(ws.comm, ws.decomp, &v_departure.comps[2]);
-        plan_star.interpolate_many(ws.comm, &[&g0, &g1, &g2], ws.kernel, ws.timers)
-    };
-
-    // Midpoint corrector X = x − s·δt/2·(v_arrival(x) + v_departure(X*)).
+/// RK2 departure points (paper eq. 6) of the grid points `xs` for the signed
+/// step `s = ±δt`, and their scatter plan; `gv` is `v` ghosted.
+fn departure<C: Comm>(
+    ws: &Workspace<C>,
+    xs: &[[f64; 3]],
+    v: &VectorField,
+    gv: &[GhostField; 3],
+    s: f64,
+) -> Trajectory {
+    let [v0, v1, v2] = v.comps.each_ref().map(|c| c.data());
+    // Euler predictor X* = x − s·v(x).
+    let star: Vec<[f64; 3]> = xs
+        .iter()
+        .enumerate()
+        .map(|(l, x)| [x[0] - s * v0[l], x[1] - s * v1[l], x[2] - s * v2[l]])
+        .collect();
+    // v(X*) via a throwaway scatter plan, dropped with X* before the final
+    // plan is built.
+    let v_star = ScatterPlan::build(ws.comm, ws.decomp, &star, ws.timers).interpolate_many(
+        ws.comm,
+        &[&gv[0], &gv[1], &gv[2]],
+        ws.kernel,
+        ws.timers,
+    );
+    drop(star);
+    // Midpoint corrector X = x − s/2·(v(x) + v(X*)).
     let half = 0.5 * s;
-    let mut pts = Vec::with_capacity(n);
-    for (l, &x) in xs.iter().enumerate() {
-        pts.push([
-            x[0] - half * (v_arrival.comps[0].data()[l] + v_star[0][l]),
-            x[1] - half * (v_arrival.comps[1].data()[l] + v_star[1][l]),
-            x[2] - half * (v_arrival.comps[2].data()[l] + v_star[2][l]),
-        ]);
-    }
-    let plan = ScatterPlan::build(ws.comm, ws.decomp, &pts, ws.timers);
-    Trajectory { plan, points: pts }
+    let points: Vec<[f64; 3]> = xs
+        .iter()
+        .enumerate()
+        .map(|(l, x)| {
+            [
+                x[0] - half * (v0[l] + v_star[0][l]),
+                x[1] - half * (v1[l] + v_star[1][l]),
+                x[2] - half * (v2[l] + v_star[2][l]),
+            ]
+        })
+        .collect();
+    drop(v_star);
+    let plan = ScatterPlan::build(ws.comm, ws.decomp, &points, ws.timers);
+    Trajectory { plan, points }
 }
 
 #[cfg(test)]
