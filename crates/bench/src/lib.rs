@@ -17,10 +17,11 @@ pub mod results;
 
 pub use results::{results_dir, row_record, write_suite};
 
-use diffreg_comm::{run_threaded, Comm, SerialComm, Timers};
-use diffreg_core::{register, RegistrationConfig, RegistrationOutcome};
+use diffreg_comm::{run_threaded, Comm, Timers};
+use diffreg_core::{register, RegistrationConfig};
 use diffreg_grid::{Decomp, Grid, ScalarField};
 use diffreg_pfft::PencilFft;
+use diffreg_telemetry::collect_phase_report;
 use diffreg_transport::{SemiLagrangian, Workspace};
 
 /// One row of a scaling table (measured or modeled).
@@ -95,101 +96,43 @@ pub struct Measured {
     pub newton_iters: usize,
 }
 
-fn run_on_rank<C: Comm>(
-    comm: &C,
-    decomp: &Decomp,
-    problem: Problem,
-    cfg: RegistrationConfig,
-) -> (RegistrationOutcome, [f64; 4], f64) {
-    let fft = PencilFft::new(comm, *decomp);
-    let timers = Timers::new();
-    let ws = Workspace::new(comm, decomp, &fft, &timers);
-    let (t, r) = build_images(&ws, problem);
-    // Time only the solve (image construction is experimental setup).
-    timers.reset();
-    comm.barrier();
-    let t0 = std::time::Instant::now();
-    let out = register(&ws, &t, &r, cfg);
-    comm.barrier();
-    let wall = t0.elapsed().as_secs_f64();
-    let phases = [
-        timers.get("fft_comm"),
-        timers.get("fft_exec"),
-        timers.get("interp_comm"),
-        timers.get("interp_exec"),
-    ];
-    (out, phases, wall)
-}
-
 /// Runs one measured registration on `p` simulated ranks and returns the
 /// table row (phase timings are the max over ranks).
 pub fn measured_run(n: [usize; 3], p: usize, problem: Problem, cfg: RegistrationConfig) -> Measured {
     let grid = Grid::new(n);
-    if p == 1 {
-        let comm = SerialComm::new();
-        let decomp = Decomp::new(grid, 1);
-        let (out, phases, wall) = run_on_rank(&comm, &decomp, problem, cfg);
-        return assemble(n, 1, &out, phases, wall);
-    }
-    let results = run_threaded(p, move |comm| {
+    let per_rank = run_threaded(p, move |comm| {
         let decomp = Decomp::new(grid, p);
-        let (out, phases, wall) = run_on_rank(comm, &decomp, problem, cfg);
-        (
-            out.hessian_matvecs,
-            out.report.iterations.len(),
-            out.relative_mismatch(),
-            phases,
-            wall,
-        )
-    });
-    let mut phases = [0.0f64; 4];
-    let mut wall: f64 = 0.0;
-    for r in &results {
-        for (a, b) in phases.iter_mut().zip(r.3) {
-            *a = a.max(b);
+        let fft = PencilFft::new(comm, decomp);
+        let timers = Timers::new();
+        let ws = Workspace::new(comm, &decomp, &fft, &timers);
+        let (t, r) = build_images(&ws, problem);
+        // Time only the solve (image construction is experimental setup).
+        timers.reset();
+        comm.barrier();
+        let t0 = std::time::Instant::now();
+        let out = register(&ws, &t, &r, cfg);
+        comm.barrier();
+        timers.add("time_to_solution", t0.elapsed().as_secs_f64());
+        let report = collect_phase_report(comm, &timers, &comm.stats());
+        let max = |key: &str| report.phase(key).map_or(0.0, |e| e.max);
+        Measured {
+            row: Row {
+                n,
+                nodes: 1,
+                tasks: p,
+                time_to_solution: max("time_to_solution"),
+                fft_comm: max("fft_comm"),
+                fft_exec: max("fft_exec"),
+                interp_comm: max("interp_comm"),
+                interp_exec: max("interp_exec"),
+                matvecs: out.hessian_matvecs,
+                rel_mismatch: out.relative_mismatch(),
+            },
+            newton_iters: out.report.iterations.len(),
         }
-        wall = wall.max(r.4);
-    }
-    let (matvecs, iters, rel, _, _) = results[0];
-    Measured {
-        row: Row {
-            n,
-            nodes: 1,
-            tasks: p,
-            time_to_solution: wall,
-            fft_comm: phases[0],
-            fft_exec: phases[1],
-            interp_comm: phases[2],
-            interp_exec: phases[3],
-            matvecs,
-            rel_mismatch: rel,
-        },
-        newton_iters: iters,
-    }
-}
-
-fn assemble(
-    n: [usize; 3],
-    p: usize,
-    out: &RegistrationOutcome,
-    phases: [f64; 4],
-    wall: f64,
-) -> Measured {
-    Measured {
-        row: Row {
-            n,
-            nodes: 1,
-            tasks: p,
-            time_to_solution: wall,
-            fft_comm: phases[0],
-            fft_exec: phases[1],
-            interp_comm: phases[2],
-            interp_exec: phases[3],
-            matvecs: out.hessian_matvecs,
-            rel_mismatch: out.relative_mismatch(),
-        },
-        newton_iters: out.report.iterations.len(),
-    }
+    });
+    // The report and the outcome are replicated: every rank built this row.
+    per_rank[0]
 }
 
 /// Converts a perfmodel breakdown into a table row for machine `m`.

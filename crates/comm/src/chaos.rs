@@ -331,18 +331,15 @@ impl<C: Comm> Comm for ChaosComm<C> {
         self.inner.size()
     }
 
-    fn barrier(&self) {
-        self.chaos_point("barrier", true);
-        self.flush_outbox();
-        self.inner.barrier();
-    }
-
     fn try_barrier(&self) -> Result<(), CommError> {
         self.chaos_point("barrier", true);
         self.flush_outbox();
         self.inner.try_barrier()
     }
 
+    /// The one infallible method a backend overrides: under the reorder
+    /// fault it may park the message in the outbox, where
+    /// [`Comm::try_send`] deliberately never defers.
     fn send<T: CommData>(&self, dst: usize, tag: u64, data: Vec<T>) {
         self.chaos_point(&format!("send(dst={dst}, tag={tag})"), false);
         let reorder_hit = self.rng.borrow_mut().chance(self.cfg.reorder_prob);
@@ -371,12 +368,6 @@ impl<C: Comm> Comm for ChaosComm<C> {
         self.inner.try_send(dst, tag, data)
     }
 
-    fn recv<T: CommData>(&self, src: usize, tag: u64) -> Vec<T> {
-        self.chaos_point(&format!("recv(src={src}, tag={tag})"), false);
-        self.flush_outbox();
-        self.inner.recv(src, tag)
-    }
-
     fn try_recv<T: CommData>(&self, src: usize, tag: u64) -> Result<Vec<T>, CommError> {
         self.chaos_point(&format!("recv(src={src}, tag={tag})"), false);
         self.flush_outbox();
@@ -395,22 +386,10 @@ impl<C: Comm> Comm for ChaosComm<C> {
         self.inner.allgather(data)
     }
 
-    fn alltoallv<T: CommData>(&self, parts: Vec<Vec<T>>) -> Vec<Vec<T>> {
-        self.chaos_point("alltoallv", true);
-        self.flush_outbox();
-        self.inner.alltoallv(parts)
-    }
-
     fn try_alltoallv<T: CommData>(&self, parts: Vec<Vec<T>>) -> Result<Vec<Vec<T>>, CommError> {
         self.chaos_point("alltoallv", true);
         self.flush_outbox();
         self.inner.try_alltoallv(parts)
-    }
-
-    fn allreduce(&self, vals: &mut [f64], op: ReduceOp) {
-        self.chaos_point("allreduce", true);
-        self.flush_outbox();
-        self.inner.allreduce(vals, op);
     }
 
     fn try_allreduce(&self, vals: &mut [f64], op: ReduceOp) -> Result<(), CommError> {

@@ -40,9 +40,11 @@ impl Comm for SerialComm {
         1
     }
 
-    fn barrier(&self) {}
+    fn try_barrier(&self) -> Result<(), CommError> {
+        Ok(())
+    }
 
-    fn send<T: CommData>(&self, dst: usize, tag: u64, data: Vec<T>) {
+    fn try_send<T: CommData>(&self, dst: usize, tag: u64, data: Vec<T>) -> Result<(), CommError> {
         assert_eq!(dst, 0, "serial communicator has a single rank");
         let bytes = data.len() * std::mem::size_of::<T>();
         self.self_queue.borrow_mut().push_back((
@@ -51,11 +53,7 @@ impl Comm for SerialComm {
             std::any::type_name::<T>(),
             Box::new(data),
         ));
-    }
-
-    fn recv<T: CommData>(&self, src: usize, tag: u64) -> Vec<T> {
-        // diffreg-allow(no-unwrap-in-lib): infallible bridge — aborts with the typed error's rendering; recoverable callers use try_recv
-        self.try_recv(src, tag).unwrap_or_else(|e| panic!("{e}"))
+        Ok(())
     }
 
     fn try_recv<T: CommData>(&self, src: usize, tag: u64) -> Result<Vec<T>, CommError> {
@@ -89,11 +87,6 @@ impl Comm for SerialComm {
         vec![data]
     }
 
-    fn alltoallv<T: CommData>(&self, parts: Vec<Vec<T>>) -> Vec<Vec<T>> {
-        // diffreg-allow(no-unwrap-in-lib): infallible bridge — aborts with the typed error's rendering; recoverable callers use try_alltoallv
-        self.try_alltoallv(parts).unwrap_or_else(|e| panic!("{e}"))
-    }
-
     fn try_alltoallv<T: CommData>(&self, parts: Vec<Vec<T>>) -> Result<Vec<Vec<T>>, CommError> {
         if parts.len() != 1 {
             return Err(CommError::LengthMismatch {
@@ -107,7 +100,9 @@ impl Comm for SerialComm {
         Ok(parts)
     }
 
-    fn allreduce(&self, _vals: &mut [f64], _op: ReduceOp) {}
+    fn try_allreduce(&self, _vals: &mut [f64], _op: ReduceOp) -> Result<(), CommError> {
+        Ok(())
+    }
 
     fn allreduce_usize(&self, _vals: &mut [usize], _op: ReduceOp) {}
 

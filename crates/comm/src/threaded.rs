@@ -658,11 +658,6 @@ impl Comm for ThreadComm {
         self.size
     }
 
-    fn barrier(&self) {
-        // diffreg-allow(no-unwrap-in-lib): infallible bridge — aborts with the typed error's rendering; recoverable callers use try_barrier
-        self.try_barrier().unwrap_or_else(|e| panic!("{e}"));
-    }
-
     fn try_barrier(&self) -> Result<(), CommError> {
         self.with_coll_event(CommOp::Barrier, || {
             self.bump_epoch();
@@ -686,11 +681,6 @@ impl Comm for ThreadComm {
         })
     }
 
-    fn send<T: CommData>(&self, dst: usize, tag: u64, data: Vec<T>) {
-        // diffreg-allow(no-unwrap-in-lib): infallible bridge — aborts with the typed error's rendering; recoverable callers use try_send
-        self.try_send(dst, tag, data).unwrap_or_else(|e| panic!("{e}"));
-    }
-
     fn try_send<T: CommData>(&self, dst: usize, tag: u64, data: Vec<T>) -> Result<(), CommError> {
         assert!(dst < self.size, "send to out-of-range rank {dst}");
         let bytes = data.len() * std::mem::size_of::<T>();
@@ -708,11 +698,6 @@ impl Comm for ThreadComm {
             self.push_p2p_event(CommOp::Send, dst, tag, bytes, t0, 0.0);
         }
         sent
-    }
-
-    fn recv<T: CommData>(&self, src: usize, tag: u64) -> Vec<T> {
-        // diffreg-allow(no-unwrap-in-lib): infallible bridge — aborts with the typed error's rendering; recoverable callers use try_recv
-        self.try_recv(src, tag).unwrap_or_else(|e| panic!("{e}"))
     }
 
     fn try_recv<T: CommData>(&self, src: usize, tag: u64) -> Result<Vec<T>, CommError> {
@@ -767,11 +752,6 @@ impl Comm for ThreadComm {
         })
     }
 
-    fn alltoallv<T: CommData>(&self, parts: Vec<Vec<T>>) -> Vec<Vec<T>> {
-        // diffreg-allow(no-unwrap-in-lib): infallible bridge — aborts with the typed error's rendering; recoverable callers use try_alltoallv
-        self.try_alltoallv(parts).unwrap_or_else(|e| panic!("{e}"))
-    }
-
     fn try_alltoallv<T: CommData>(&self, parts: Vec<Vec<T>>) -> Result<Vec<Vec<T>>, CommError> {
         self.with_coll_event(CommOp::Alltoallv, || {
             let e = self.bump_epoch();
@@ -803,11 +783,6 @@ impl Comm for ThreadComm {
             }
             Ok(out)
         })
-    }
-
-    fn allreduce(&self, vals: &mut [f64], op: ReduceOp) {
-        // diffreg-allow(no-unwrap-in-lib): infallible bridge — aborts with the typed error's rendering; recoverable callers use try_allreduce
-        self.try_allreduce(vals, op).unwrap_or_else(|e| panic!("{e}"));
     }
 
     fn try_allreduce(&self, vals: &mut [f64], op: ReduceOp) -> Result<(), CommError> {

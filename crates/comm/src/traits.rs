@@ -44,12 +44,24 @@ impl ReduceOp {
     }
 }
 
+/// The infallible half of every `try_*` pair: a failed operation aborts the
+/// rank with the typed error's rendering.
+fn or_abort<T>(res: Result<T, CommError>) -> T {
+    // diffreg-allow(no-unwrap-in-lib): infallible bridge — aborts with the typed error's rendering; recoverable callers use the try_* twin
+    res.unwrap_or_else(|e| panic!("{e}"))
+}
+
 /// An MPI-communicator-like handle for one rank of an SPMD program.
 ///
 /// All methods are *collective* unless stated otherwise: every rank of the
 /// communicator must call them in the same order (the usual MPI contract).
 /// Sends are buffered and never block; receives block until the matching
 /// message arrives.
+///
+/// A backend implements each operation once, as the fallible `try_*` method
+/// returning a structured [`CommError`] (peer gone, type mismatch, watchdog
+/// timeout, contract violation, serial deadlock); the infallible twin is
+/// provided here and panics with that error's rendering.
 pub trait Comm: Sized {
     /// Communicator type produced by [`Comm::split`].
     type Sub: Comm;
@@ -60,49 +72,49 @@ pub trait Comm: Sized {
     /// Number of ranks in the communicator.
     fn size(&self) -> usize;
 
-    /// Blocks until every rank has entered the barrier.
-    fn barrier(&self);
+    /// Blocks until every rank has entered the barrier (watchdog-aware
+    /// backends return [`CommError::Timeout`] instead of blocking forever).
+    fn try_barrier(&self) -> Result<(), CommError>;
 
     /// Point-to-point: buffered send of `data` to `dst` with a message `tag`.
     /// Not collective.
-    fn send<T: CommData>(&self, dst: usize, tag: u64, data: Vec<T>);
+    fn try_send<T: CommData>(&self, dst: usize, tag: u64, data: Vec<T>) -> Result<(), CommError>;
 
     /// Point-to-point: blocking receive of a message from `src` with `tag`.
     /// Not collective.
-    fn recv<T: CommData>(&self, src: usize, tag: u64) -> Vec<T>;
+    fn try_recv<T: CommData>(&self, src: usize, tag: u64) -> Result<Vec<T>, CommError>;
 
-    /// Fallible variant of [`Comm::send`].
-    ///
-    /// Backends that can observe delivery failure (peer gone, watchdog)
-    /// override this; the default delegates to the infallible method.
-    fn try_send<T: CommData>(&self, dst: usize, tag: u64, data: Vec<T>) -> Result<(), CommError> {
-        self.send(dst, tag, data);
-        Ok(())
+    /// Personalized all-to-all: `parts[d]` is sent to rank `d`; the return
+    /// value's entry `s` is what rank `s` sent here. Equivalent to
+    /// MPI_Alltoallv. `parts.len()` must equal `size()`.
+    fn try_alltoallv<T: CommData>(&self, parts: Vec<Vec<T>>) -> Result<Vec<Vec<T>>, CommError>;
+
+    /// Elementwise reduction of `vals` across ranks; result replicated on all.
+    fn try_allreduce(&self, vals: &mut [f64], op: ReduceOp) -> Result<(), CommError>;
+
+    /// Infallible [`Comm::try_barrier`].
+    fn barrier(&self) {
+        or_abort(self.try_barrier())
     }
 
-    /// Fallible variant of [`Comm::recv`]: returns a structured
-    /// [`CommError`] (peer gone, type mismatch, watchdog timeout, contract
-    /// violation, serial deadlock) instead of panicking or hanging.
-    fn try_recv<T: CommData>(&self, src: usize, tag: u64) -> Result<Vec<T>, CommError> {
-        Ok(self.recv(src, tag))
+    /// Infallible [`Comm::try_send`].
+    fn send<T: CommData>(&self, dst: usize, tag: u64, data: Vec<T>) {
+        or_abort(self.try_send(dst, tag, data))
     }
 
-    /// Fallible variant of [`Comm::barrier`] (watchdog-aware backends return
-    /// [`CommError::Timeout`] instead of blocking forever).
-    fn try_barrier(&self) -> Result<(), CommError> {
-        self.barrier();
-        Ok(())
+    /// Infallible [`Comm::try_recv`].
+    fn recv<T: CommData>(&self, src: usize, tag: u64) -> Vec<T> {
+        or_abort(self.try_recv(src, tag))
     }
 
-    /// Fallible variant of [`Comm::allreduce`].
-    fn try_allreduce(&self, vals: &mut [f64], op: ReduceOp) -> Result<(), CommError> {
-        self.allreduce(vals, op);
-        Ok(())
+    /// Infallible [`Comm::try_alltoallv`].
+    fn alltoallv<T: CommData>(&self, parts: Vec<Vec<T>>) -> Vec<Vec<T>> {
+        or_abort(self.try_alltoallv(parts))
     }
 
-    /// Fallible variant of [`Comm::alltoallv`].
-    fn try_alltoallv<T: CommData>(&self, parts: Vec<Vec<T>>) -> Result<Vec<Vec<T>>, CommError> {
-        Ok(self.alltoallv(parts))
+    /// Infallible [`Comm::try_allreduce`].
+    fn allreduce(&self, vals: &mut [f64], op: ReduceOp) {
+        or_abort(self.try_allreduce(vals, op))
     }
 
     /// Combined exchange: sends `data` to `dst` and receives from `src`.
@@ -120,14 +132,6 @@ pub trait Comm: Sized {
     /// Gathers every rank's `data`; returns the per-rank contributions
     /// indexed by source rank. Equivalent to MPI_Allgatherv.
     fn allgather<T: CommData + Clone>(&self, data: Vec<T>) -> Vec<Vec<T>>;
-
-    /// Personalized all-to-all: `parts[d]` is sent to rank `d`; the return
-    /// value's entry `s` is what rank `s` sent here. Equivalent to
-    /// MPI_Alltoallv. `parts.len()` must equal `size()`.
-    fn alltoallv<T: CommData>(&self, parts: Vec<Vec<T>>) -> Vec<Vec<T>>;
-
-    /// Elementwise reduction of `vals` across ranks; result replicated on all.
-    fn allreduce(&self, vals: &mut [f64], op: ReduceOp);
 
     /// Elementwise reduction of usize values across ranks.
     fn allreduce_usize(&self, vals: &mut [usize], op: ReduceOp);
@@ -181,16 +185,14 @@ impl<C: Comm> Comm for &C {
         (**self).size()
     }
 
-    fn barrier(&self) {
-        (**self).barrier()
+    fn try_barrier(&self) -> Result<(), CommError> {
+        (**self).try_barrier()
     }
 
+    /// Forwarded, not inherited: [`crate::ChaosComm`] overrides `send`, and
+    /// the override must stay reachable through a reference.
     fn send<T: CommData>(&self, dst: usize, tag: u64, data: Vec<T>) {
         (**self).send(dst, tag, data)
-    }
-
-    fn recv<T: CommData>(&self, src: usize, tag: u64) -> Vec<T> {
-        (**self).recv(src, tag)
     }
 
     fn try_send<T: CommData>(&self, dst: usize, tag: u64, data: Vec<T>) -> Result<(), CommError> {
@@ -201,20 +203,12 @@ impl<C: Comm> Comm for &C {
         (**self).try_recv(src, tag)
     }
 
-    fn try_barrier(&self) -> Result<(), CommError> {
-        (**self).try_barrier()
-    }
-
-    fn try_allreduce(&self, vals: &mut [f64], op: ReduceOp) -> Result<(), CommError> {
-        (**self).try_allreduce(vals, op)
-    }
-
     fn try_alltoallv<T: CommData>(&self, parts: Vec<Vec<T>>) -> Result<Vec<Vec<T>>, CommError> {
         (**self).try_alltoallv(parts)
     }
 
-    fn sendrecv<T: CommData>(&self, dst: usize, data: Vec<T>, src: usize, tag: u64) -> Vec<T> {
-        (**self).sendrecv(dst, data, src, tag)
+    fn try_allreduce(&self, vals: &mut [f64], op: ReduceOp) -> Result<(), CommError> {
+        (**self).try_allreduce(vals, op)
     }
 
     fn broadcast<T: CommData + Clone>(&self, root: usize, data: &mut Vec<T>) {
@@ -223,14 +217,6 @@ impl<C: Comm> Comm for &C {
 
     fn allgather<T: CommData + Clone>(&self, data: Vec<T>) -> Vec<Vec<T>> {
         (**self).allgather(data)
-    }
-
-    fn alltoallv<T: CommData>(&self, parts: Vec<Vec<T>>) -> Vec<Vec<T>> {
-        (**self).alltoallv(parts)
-    }
-
-    fn allreduce(&self, vals: &mut [f64], op: ReduceOp) {
-        (**self).allreduce(vals, op)
     }
 
     fn allreduce_usize(&self, vals: &mut [usize], op: ReduceOp) {

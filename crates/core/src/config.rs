@@ -36,9 +36,6 @@ pub struct RegistrationConfig {
     pub incompressible: bool,
     /// Interpolation kernel for the semi-Lagrangian scheme.
     pub kernel: Kernel,
-    /// Spectrally smooth the input images with a Gaussian of one grid cell
-    /// bandwidth before solving (paper §III-B1).
-    pub smooth_images: bool,
     /// Gauss-Newton (paper default) or full Newton second-order operator.
     pub hessian: HessianKind,
     /// Image distance measure for the data term (SSD in the paper; NCC is
@@ -65,7 +62,6 @@ impl Default for RegistrationConfig {
             nt: 4,
             incompressible: false,
             kernel: Kernel::Tricubic,
-            smooth_images: true,
             hessian: HessianKind::GaussNewton,
             distance: Distance::Ssd,
             precondition: true,

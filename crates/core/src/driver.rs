@@ -21,7 +21,9 @@ pub struct RegistrationOutcome {
     pub velocity: VectorField,
     /// The Newton-Krylov solve report (per-iteration stats, matvec counts).
     pub report: NewtonReport,
-    /// Total Hessian matvecs across the solve (Table V metric).
+    /// Hessian matvecs of the last β level (Table V metric; the `summary`
+    /// event carries the same number). Earlier levels of a continuation are
+    /// in the per-level reports.
     pub hessian_matvecs: usize,
     /// `1/2 ||ρ_T − ρ_R||²` before registration (after smoothing).
     pub initial_mismatch: f64,
@@ -72,8 +74,9 @@ pub fn register_with_continuation<C: Comm>(
 
 /// A failed checkpoint save must not abort a long solve (the run merely
 /// loses restartability since the last good generation), but it must not
-/// vanish either: it lands on the metrics surface where operators alert on
-/// it.
+/// vanish either: the `"checkpoint"` stream event says `save-failed`, which
+/// is what `diffreg-serve` counts onto `/metrics`. The counter here is
+/// trace-gated and drained only by tests.
 fn note_save_failure(r: &Result<(), CheckpointError>) {
     if r.is_err() {
         diffreg_telemetry::count_global("diffreg_checkpoint_save_failures", 1);

@@ -30,9 +30,9 @@ pub struct RegProblem<'a, C: Comm> {
     /// The caller's workspace with `kernel` replaced by `cfg.kernel`.
     pub(crate) ws: Workspace<'a, C>,
     cfg: RegistrationConfig,
-    /// Template image (possibly smoothed), the transport initial condition.
+    /// Smoothed template image, the transport initial condition.
     rho_t: ScalarField,
-    /// Reference image (possibly smoothed).
+    /// Smoothed reference image.
     rho_r: ScalarField,
     ops: FieldOps<'a, C>,
     lin: Option<Linearization>,
@@ -41,10 +41,10 @@ pub struct RegProblem<'a, C: Comm> {
 }
 
 impl<'a, C: Comm> RegProblem<'a, C> {
-    /// Sets up the problem; smooths the images spectrally when configured
-    /// (Gaussian with one-grid-cell bandwidth, paper §III-B1). The
-    /// config's kernel choice wins over whatever `ws` carries, so
-    /// `RegistrationConfig { kernel, .. }` behaves as documented.
+    /// Sets up the problem; smooths the images spectrally (Gaussian with
+    /// one-grid-cell bandwidth, paper §III-B1). The config's kernel choice
+    /// wins over whatever `ws` carries, so `RegistrationConfig { kernel, .. }`
+    /// behaves as documented.
     pub fn new(
         ws: &Workspace<'a, C>,
         rho_t: &ScalarField,
@@ -54,16 +54,10 @@ impl<'a, C: Comm> RegProblem<'a, C> {
         assert!(cfg.nt > 0, "need at least one time step");
         assert!(cfg.beta > 0.0, "regularization weight must be positive");
         let ws = Workspace { kernel: cfg.kernel, ..*ws };
-        let (rho_t, rho_r) = if cfg.smooth_images {
-            let h = ws.grid().spacing();
-            let sigma = (h[0] + h[1] + h[2]) / 3.0;
-            (
-                ws.fft.gaussian_smooth(rho_t, sigma, ws.timers),
-                ws.fft.gaussian_smooth(rho_r, sigma, ws.timers),
-            )
-        } else {
-            (rho_t.clone(), rho_r.clone())
-        };
+        let h = ws.grid().spacing();
+        let sigma = (h[0] + h[1] + h[2]) / 3.0;
+        let rho_t = ws.fft.gaussian_smooth(rho_t, sigma, ws.timers);
+        let rho_r = ws.fft.gaussian_smooth(rho_r, sigma, ws.timers);
         let ops = FieldOps::new(ws.comm, ws.grid());
         Self { ws, cfg, rho_t, rho_r, ops, lin: None, hessian_matvecs: 0 }
     }

@@ -14,10 +14,9 @@
 //! one rank's send and checks the doctor pins the resulting late-sender wait
 //! on the right (waiter, op, culprit) triple with the right phase.
 //!
-//! Grid size defaults to 16³ so debug-mode tier-1 stays fast; the release CI
-//! smoke step sets `DIFFREG_DOCTOR_SMOKE_SIZE=32` and
-//! `DIFFREG_DOCTOR_DIR=target/doctor-smoke` to also write the on-disk bundle
-//! that `diffreg-doctor analyze --gate` then consumes.
+//! The grid is 16³ in debug builds so tier-1 stays fast and 32³ in release.
+//! The first test also writes its trace bundle to `target/tmp/doctor-smoke`,
+//! which `scripts/ci.sh` hands to `diffreg-doctor analyze --gate`.
 
 use diffreg_comm::{
     run_threaded, ChaosComm, ChaosConfig, Comm, CommEvent, CommOp, Timers,
@@ -33,10 +32,7 @@ use diffreg_telemetry::{
 use diffreg_transport::{SemiLagrangian, Workspace};
 
 fn smoke_size() -> usize {
-    std::env::var("DIFFREG_DOCTOR_SMOKE_SIZE")
-        .ok()
-        .and_then(|s| s.trim().parse().ok())
-        .unwrap_or(16)
+    if cfg!(debug_assertions) { 16 } else { 32 }
 }
 
 fn synthetic_pair<C: Comm>(ws: &Workspace<C>) -> (ScalarField, ScalarField) {
@@ -98,13 +94,10 @@ fn doctor_explains_a_traced_registration() {
         metrics.merge(m);
     }
 
-    // CI sets DIFFREG_DOCTOR_DIR so the `diffreg-doctor` CLI can re-analyze
-    // the exact same run from disk and hard-gate on it.
-    if let Ok(dir) = std::env::var("DIFFREG_DOCTOR_DIR") {
-        write_trace_bundle(&dir, &traces, &events, Some(&metrics))
-            .expect("write trace bundle");
-        println!("wrote doctor trace bundle to {dir}");
-    }
+    // Left on disk so the `diffreg-doctor` CLI can re-analyze the exact same
+    // run from the files alone and hard-gate on it (scripts/ci.sh).
+    let dir = concat!(env!("CARGO_TARGET_TMPDIR"), "/doctor-smoke");
+    write_trace_bundle(dir, &traces, &events, Some(&metrics)).expect("write trace bundle");
 
     let input = DoctorInput::from_memory(&traces, &events, Some(&metrics));
     let report = analyze(&input);

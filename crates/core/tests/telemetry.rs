@@ -8,8 +8,7 @@
 //! * a JSON-lines convergence log with exactly one record per accepted
 //!   Newton iteration, interleaved with solver events.
 //!
-//! Grid size defaults to 16³ so debug-mode tier-1 stays fast; the release
-//! CI smoke step sets `DIFFREG_TELEMETRY_SMOKE_SIZE=32`.
+//! The grid is 16³ in debug builds so tier-1 stays fast and 32³ in release.
 
 use diffreg_comm::{run_threaded, Comm, Timers};
 use diffreg_core::{register_solve, CheckpointStore, RegistrationConfig};
@@ -22,10 +21,7 @@ use diffreg_telemetry::{
 use diffreg_transport::{SemiLagrangian, Workspace};
 
 fn smoke_size() -> usize {
-    std::env::var("DIFFREG_TELEMETRY_SMOKE_SIZE")
-        .ok()
-        .and_then(|s| s.trim().parse().ok())
-        .unwrap_or(16)
+    if cfg!(debug_assertions) { 16 } else { 32 }
 }
 
 fn synthetic_pair<C: Comm>(ws: &Workspace<C>) -> (ScalarField, ScalarField) {

@@ -12,7 +12,6 @@
 //! diffreg-doctor incident --dir target/incidents/incident-000-watchdog-timeout
 //!                         [--top 10] [--gate]
 //! diffreg-doctor profile --dir target/doctor-smoke [--baseline OTHER_DIR] [--top 10]
-//! diffreg-doctor selftest
 //! ```
 //!
 //! With `--grid N` the report includes the paper's §III-C4 performance-model
@@ -21,12 +20,9 @@
 
 use std::process::ExitCode;
 
-use diffreg_comm::{CommEvent, CommOp};
-use diffreg_telemetry::doctor::{
-    analyze, DoctorInput, RankRecord, Span, WaitKind,
-};
+use diffreg_telemetry::doctor::{analyze, DoctorInput};
 use diffreg_telemetry::incident::{analyze_incident, gate_incident, load_incident_bundle};
-use diffreg_telemetry::{diff_phases, render_diff, MetricsRegistry, PredictedPhases, Profile};
+use diffreg_telemetry::{diff_phases, render_diff, PredictedPhases, Profile};
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -44,7 +40,6 @@ fn run(args: &[String]) -> Result<(), String> {
         Some("analyze") => cmd_analyze(&args[1..]),
         Some("incident") => cmd_incident(&args[1..]),
         Some("profile") => cmd_profile(&args[1..]),
-        Some("selftest") => cmd_selftest(),
         Some("--help" | "-h" | "help") | None => {
             println!("{USAGE}");
             Ok(())
@@ -57,7 +52,6 @@ const USAGE: &str = "usage:
   diffreg-doctor analyze --dir <bundle-dir> [--top K] [--grid N] [--gate] [--min-coverage F]
   diffreg-doctor incident --dir <incident-bundle-dir> [--top K] [--gate]
   diffreg-doctor profile --dir <bundle-dir> [--baseline <bundle-dir>] [--top K]
-  diffreg-doctor selftest
 
 analyze reads a trace bundle (trace.json + events-rank<k>.jsonl [+ metrics.json]),
 writes doctor-report.txt and metrics.prom into the bundle directory, and prints
@@ -267,81 +261,5 @@ fn cmd_profile(args: &[String]) -> Result<(), String> {
         print!("{text}");
         println!("wrote {}", dir_path.join("profile-diff.txt").display());
     }
-    Ok(())
-}
-
-/// Synthetic two-rank late-sender scenario: the analysis pipeline must match
-/// the pair, classify the wait, and explain the whole wall clock.
-fn cmd_selftest() -> Result<(), String> {
-    let ms = 1_000_000u64;
-    let recv = CommEvent {
-        op: CommOp::Recv,
-        comm: 0,
-        csize: 2,
-        rank: 0,
-        peer: Some(1),
-        tag: Some(7),
-        seq: Some(0),
-        bytes: 256,
-        epoch: None,
-        t0_ns: 0,
-        t1_ns: 120 * ms,
-        blocked_ns: 120 * ms,
-    };
-    let send = CommEvent {
-        op: CommOp::Send,
-        comm: 0,
-        csize: 2,
-        rank: 1,
-        peer: Some(0),
-        tag: Some(7),
-        seq: Some(0),
-        bytes: 256,
-        epoch: None,
-        t0_ns: 100 * ms,
-        t1_ns: 120 * ms,
-        blocked_ns: 0,
-    };
-    let input = DoctorInput {
-        ranks: vec![
-            RankRecord {
-                rank: 0,
-                events: vec![recv],
-                spans: vec![Span { name: "newton.pcg".into(), t0_ns: 0, t1_ns: 130 * ms }],
-            },
-            RankRecord { rank: 1, events: vec![send], spans: vec![] },
-        ],
-        metrics: MetricsRegistry::new(),
-        trace_dropped: 0,
-    };
-    let report = analyze(&input);
-    if report.matched.len() != 1 || report.unmatched_sends + report.unmatched_recvs != 0 {
-        return Err(format!(
-            "selftest: matching failed ({} matched, {} unmatched)",
-            report.matched.len(),
-            report.unmatched_sends + report.unmatched_recvs
-        ));
-    }
-    let late = report
-        .waits
-        .iter()
-        .find(|w| w.kind == WaitKind::LateSender)
-        .ok_or("selftest: no late-sender finding")?;
-    if (late.waiter, late.culprit) != (0, 1) || late.phase != "newton.pcg" {
-        return Err(format!(
-            "selftest: late-sender misattributed (waiter {}, culprit {}, phase {})",
-            late.waiter, late.culprit, late.phase
-        ));
-    }
-    report.gate(0.9).map_err(|e| format!("selftest: {e}"))?;
-    let prom = report.prometheus();
-    if !prom.contains("diffreg_comm_wait_seconds_bucket{kind=\"late-sender\"") {
-        return Err("selftest: wait histogram missing from Prometheus snapshot".into());
-    }
-    println!(
-        "selftest ok: late-sender {:.3} s attributed to rank 1, coverage {:.1}%",
-        late.wait_s,
-        report.coverage * 100.0
-    );
     Ok(())
 }

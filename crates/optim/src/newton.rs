@@ -34,33 +34,31 @@ pub struct NewtonOptions {
     /// Relative gradient tolerance: stop when `‖g‖ ≤ gtol ‖g₀‖`
     /// (the paper's `gtol = 1e-2`).
     pub gtol: f64,
-    /// Absolute gradient tolerance.
-    pub gatol: f64,
     /// Maximum outer (Newton) iterations.
     pub max_iter: usize,
     /// Maximum Krylov iterations per Newton step.
     pub max_krylov: usize,
     /// Forcing sequence for the inner solves.
     pub forcing: Forcing,
-    /// Cap on the forcing term.
-    pub eta_max: f64,
-    /// Armijo sufficient-decrease constant.
-    pub armijo_c: f64,
-    /// Maximum line-search backtracking steps.
-    pub max_linesearch: usize,
 }
+
+/// Absolute gradient tolerance: a gradient this small is converged whatever
+/// it started from.
+const GATOL: f64 = 1e-12;
+/// Cap on the forcing term.
+const ETA_MAX: f64 = 0.5;
+/// Armijo sufficient-decrease constant.
+const ARMIJO_C: f64 = 1e-4;
+/// Maximum line-search backtracking steps.
+const MAX_LINESEARCH: usize = 30;
 
 impl Default for NewtonOptions {
     fn default() -> Self {
         Self {
             gtol: 1e-2,
-            gatol: 1e-12,
             max_iter: 50,
             max_krylov: 500,
             forcing: Forcing::Quadratic,
-            eta_max: 0.5,
-            armijo_c: 1e-4,
-            max_linesearch: 30,
         }
     }
 }
@@ -233,7 +231,7 @@ pub fn gauss_newton_observed<P: GaussNewtonProblem>(
 
     for it in start_iter..opts.max_iter {
         let _iter_span = diffreg_telemetry::span("newton.iter");
-        if gnorm <= opts.gatol || gnorm <= opts.gtol * g0norm {
+        if gnorm <= GATOL || gnorm <= opts.gtol * g0norm {
             status = NewtonStatus::Converged;
             break;
         }
@@ -243,7 +241,7 @@ pub fn gauss_newton_observed<P: GaussNewtonProblem>(
             break;
         }
         let rel = if g0norm > 0.0 { gnorm / g0norm } else { 0.0 };
-        let eta = opts.forcing.eta(rel, opts.eta_max);
+        let eta = opts.forcing.eta(rel, ETA_MAX);
 
         // Newton step: H d = −g.
         let mut rhs = g.clone();
@@ -291,11 +289,11 @@ pub fn gauss_newton_observed<P: GaussNewtonProblem>(
         let _ls_span = diffreg_telemetry::span("newton.linesearch");
         let mut t = 1.0;
         let mut accepted = false;
-        for _ in 0..opts.max_linesearch {
+        for _ in 0..MAX_LINESEARCH {
             let mut trial = v.clone();
             problem.ops().axpy(&mut trial, t, &dir);
             let jt = problem.objective(&trial);
-            if jt.is_finite() && jt <= j + opts.armijo_c * t * gd {
+            if jt.is_finite() && jt <= j + ARMIJO_C * t * gd {
                 iterations.push(IterationStats {
                     objective: j,
                     grad_norm: gnorm,
@@ -334,7 +332,7 @@ pub fn gauss_newton_observed<P: GaussNewtonProblem>(
         g = gn;
         gnorm = problem.ops().norm(&g);
     }
-    if status == NewtonStatus::MaxIterations && (gnorm <= opts.gatol || gnorm <= opts.gtol * g0norm) {
+    if status == NewtonStatus::MaxIterations && (gnorm <= GATOL || gnorm <= opts.gtol * g0norm) {
         status = NewtonStatus::Converged;
     }
     (

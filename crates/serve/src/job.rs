@@ -262,39 +262,21 @@ impl JobRecord {
     }
 }
 
-/// Bounded exponential backoff with seeded jitter, measured in scheduler
-/// rounds so every pool rank computes the identical delay.
-#[derive(Debug, Clone, PartialEq)]
-pub struct RetryPolicy {
-    /// Delay after the first failure, in rounds.
-    pub base_rounds: u64,
-    /// Cap on the exponential delay.
-    pub cap_rounds: u64,
-    /// Maximum extra jitter rounds (inclusive).
-    pub jitter_rounds: u64,
-    /// Seed for the per-(job, attempt) jitter draw.
-    pub seed: u64,
-}
+/// Cap on the exponential part of the retry delay, in rounds.
+const BACKOFF_CAP_ROUNDS: u64 = 8;
+/// Maximum extra jitter rounds (inclusive).
+const BACKOFF_JITTER_ROUNDS: u64 = 2;
+/// Seed for the per-(job, attempt) jitter draw.
+const BACKOFF_SEED: u64 = 0x5e12e;
 
-impl Default for RetryPolicy {
-    fn default() -> Self {
-        Self { base_rounds: 1, cap_rounds: 8, jitter_rounds: 2, seed: 0x5e12e }
-    }
-}
-
-impl RetryPolicy {
-    /// Backoff after `attempt` (1-based) failures of `job`:
-    /// `min(base·2^(attempt−1), cap) + jitter(job, attempt)`. Pure —
-    /// identical on every rank.
-    pub fn backoff_rounds(&self, job: JobId, attempt: u32) -> u64 {
-        let exp = self
-            .base_rounds
-            .saturating_mul(1u64 << (attempt.saturating_sub(1)).min(20))
-            .min(self.cap_rounds);
-        let mut rng = Rng::new(self.seed).fork(job).fork(u64::from(attempt));
-        let jitter = rng.index(self.jitter_rounds as usize + 1) as u64;
-        (exp + jitter).max(1)
-    }
+/// Bounded exponential backoff with seeded jitter after `attempt` (1-based)
+/// failures of `job`: `min(2^(attempt−1), cap) + jitter(job, attempt)`,
+/// measured in scheduler rounds. Pure — identical on every rank.
+pub(crate) fn backoff_rounds(job: JobId, attempt: u32) -> u64 {
+    let exp = (1u64 << attempt.saturating_sub(1).min(20)).min(BACKOFF_CAP_ROUNDS);
+    let mut rng = Rng::new(BACKOFF_SEED).fork(job).fork(u64::from(attempt));
+    let jitter = rng.index(BACKOFF_JITTER_ROUNDS as usize + 1) as u64;
+    exp + jitter
 }
 
 // ---------------------------------------------------------------------------
@@ -440,16 +422,16 @@ mod tests {
 
     #[test]
     fn backoff_is_deterministic_bounded_and_grows() {
-        let p = RetryPolicy::default();
-        let a = p.backoff_rounds(42, 1);
-        assert_eq!(a, p.backoff_rounds(42, 1), "same (job, attempt) must agree");
+        let a = backoff_rounds(42, 1);
+        assert_eq!(a, backoff_rounds(42, 1), "same (job, attempt) must agree");
         for attempt in 1..8 {
-            let d = p.backoff_rounds(42, attempt);
-            assert!(d >= 1 && d <= p.cap_rounds + p.jitter_rounds, "delay {d} out of bounds");
+            let d = backoff_rounds(42, attempt);
+            let bounds = 1..=BACKOFF_CAP_ROUNDS + BACKOFF_JITTER_ROUNDS;
+            assert!(bounds.contains(&d), "delay {d} out of bounds");
         }
         // The exponential part dominates: attempt 4's floor exceeds
         // attempt 1's ceiling.
-        assert!(p.backoff_rounds(7, 4) >= 4);
+        assert!(backoff_rounds(7, 4) >= 4);
     }
 
     #[test]

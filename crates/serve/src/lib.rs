@@ -59,7 +59,7 @@ pub mod slo;
 
 pub use faults::{AttemptFaults, FaultInjector, NoFaults, PlannedFaults, SeededFaults};
 pub use http::{HttpServer, ObsSnapshot};
-pub use job::{JobId, JobRecord, JobResult, JobSpec, JobState, RetryPolicy};
+pub use job::{JobId, JobRecord, JobResult, JobSpec, JobState};
 pub use runtime::{
     attempt_epoch_count, reference_digest, synthetic_pair, ProgressEvent, ServeConfig,
     ServeHarness, ServeSummary,

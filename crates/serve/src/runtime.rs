@@ -69,8 +69,8 @@ use crate::faults::{AttemptFaults, FaultInjector};
 use crate::http::{HttpServer, ObsSlot, ObsSnapshot};
 use crate::incident::{failure_trigger, CaptureStage, IncidentRecord, IncidentTrigger};
 use crate::job::{
-    decode_intake, encode_intake, fnv_fold_u64, JobId, JobRecord, JobResult, JobSpec, JobState,
-    RetryPolicy, FNV_OFFSET,
+    backoff_rounds, decode_intake, encode_intake, fnv_fold_u64, JobId, JobRecord, JobResult,
+    JobSpec, JobState, FNV_OFFSET,
 };
 use crate::scheduler::{plan_round, Assignment};
 use crate::slo::{AlertState, SloEngine, SloPolicy};
@@ -86,6 +86,10 @@ fn lock<'a, T>(m: &'a Mutex<T>) -> std::sync::MutexGuard<'a, T> {
 /// hot-spinning).
 const IDLE_SLEEP: Duration = Duration::from_millis(1);
 
+/// Graceful degradation: once a job has failed this many attempts without
+/// ever resuming from a checkpoint, halve its gang size.
+const DEGRADE_AFTER: u32 = 2;
+
 /// Convergence-log entries captured into each incident bundle's tail.
 const INCIDENT_TAIL: usize = 64;
 
@@ -95,11 +99,6 @@ pub struct ServeConfig {
     /// Admission control: jobs beyond this many waiting (queued + backed
     /// off) are rejected at intake.
     pub queue_capacity: usize,
-    /// Retry backoff policy (rounds).
-    pub retry: RetryPolicy,
-    /// Graceful degradation: once a job has failed this many attempts
-    /// without ever resuming from a checkpoint, halve its gang size.
-    pub degrade_after: u32,
     /// Gang watchdog — turns a stalled or orphaned gang collective into a
     /// contained timeout failure instead of a pool hang.
     pub watchdog: Option<Duration>,
@@ -129,8 +128,6 @@ impl Default for ServeConfig {
     fn default() -> Self {
         Self {
             queue_capacity: 1024,
-            retry: RetryPolicy::default(),
-            degrade_after: 2,
             watchdog: Some(Duration::from_secs(30)),
             checkpoint_dir: None,
             trace_job: None,
@@ -1083,7 +1080,7 @@ impl ServeHarness {
                 if me == 0 {
                     lock(&self.metrics).inc_counter("serve_jobs_retried_total", 1);
                 }
-                if rec.attempts >= self.cfg.degrade_after
+                if rec.attempts >= DEGRADE_AFTER
                     && rec.resumed_attempts == 0
                     && rec.gang_size > 1
                 {
@@ -1110,7 +1107,7 @@ impl ServeHarness {
                         },
                     );
                 }
-                let delay = self.cfg.retry.backoff_rounds(a.job, rec.attempts);
+                let delay = backoff_rounds(a.job, rec.attempts);
                 rec.state = JobState::Backoff { until_round: round + delay };
             }
         }
@@ -1264,9 +1261,15 @@ impl ServeHarness {
             // The job log takes the per-iteration records; resume and
             // fallback are logged above as serve-* events, after the
             // gang-wide agreement the solver's own events know nothing of.
-            let (digest, mismatch_bits) = solve_once(&chaos, &spec, &store, |entry| {
-                let StreamEntry::Iter(it) = entry else { return };
-                if chaos.rank() == 0 {
+            // Every member writes its own checkpoint file, so every member
+            // counts its own failed writes.
+            let (digest, mismatch_bits) = solve_once(&chaos, &spec, &store, |entry| match entry {
+                StreamEntry::Event(e)
+                    if e.kind == "checkpoint" && e.detail.starts_with("save-failed:") =>
+                {
+                    lock(&self.metrics).inc_counter("serve_checkpoint_save_failures_total", 1);
+                }
+                StreamEntry::Iter(it) if chaos.rank() == 0 => {
                     lock(&self.progress).push(ProgressEvent {
                         job: spec.id,
                         attempt,
@@ -1279,6 +1282,7 @@ impl ServeHarness {
                         log.record(it);
                     }
                 }
+                _ => {}
             });
 
             if tracing {

@@ -5,15 +5,16 @@
 //! export deterministic recovery counters (plus queue-latency quantiles)
 //! through the Prometheus dashboard.
 //!
-//! Two tiers share one campaign builder:
+//! Three tiers share one campaign builder:
 //!
 //! * [`small_chaos_campaign_is_lossless_and_replays`] — always on, 8³ jobs,
-//!   fast enough for debug-mode tier-1; also the CI release smoke (set
-//!   `DIFFREG_SERVE_TRACE_DIR` to emit one served job's doctor-readable
-//!   trace bundle).
-//! * [`full_load_200_jobs_on_4_rank_pool`] — `#[ignore]`d; the CI release
-//!   step runs it with `--ignored`: ≥200 queued 32³ jobs (scale with
-//!   `DIFFREG_SERVE_LOAD_JOBS` / `DIFFREG_SERVE_LOAD_GRID`).
+//!   fast enough for debug-mode tier-1; also leaves one served job's
+//!   doctor-readable trace bundle in `target/tmp/serve-smoke` for the
+//!   `diffreg-doctor` gates of `scripts/ci.sh`.
+//! * [`load_48_jobs_on_4_rank_pool`] — 48 queued 16³ jobs, release builds
+//!   only.
+//! * [`full_load_200_jobs_on_4_rank_pool`] — `#[ignore]`d: ≥200 queued 32³
+//!   jobs.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -257,50 +258,56 @@ fn verify_campaign(c: &Campaign, s: &ServeSummary, harness: &ServeHarness) {
     );
 }
 
+/// The small tier switches the process-wide trace flag on for its first
+/// campaign; the tiers take turns so the other one is not traced halfway.
+static TRACE_FLAG: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
 /// Always-on small tier: 32 jobs of 8³ under the full fault mix, twice —
 /// the second run must replay the first bit-for-bit (states, attempts,
-/// digests, rounds).
+/// digests, rounds). The first run traces the checkpoint-resume drill job
+/// (slot 0) and leaves its doctor bundle on disk.
 #[test]
 fn small_chaos_campaign_is_lossless_and_replays() {
+    let _turn = TRACE_FLAG.lock().unwrap_or_else(|e| e.into_inner());
     let c = build_campaign(32, 8, 4, 1500);
-    let trace_dir = std::env::var("DIFFREG_SERVE_TRACE_DIR").ok();
-    // Trace the checkpoint-resume drill job (slot 0) when asked to emit a
-    // doctor bundle (CI release smoke).
-    let trace_job = trace_dir.as_ref().map(|_| 1 as JobId);
-    let (s1, h1) = run_campaign(&c, 4, 400, trace_job);
+    let (s1, h1) = run_campaign(&c, 4, 400, Some(1));
     verify_campaign(&c, &s1, &h1);
 
-    if let Some(dir) = trace_dir {
-        let gang = h1.write_traced_job_bundle(&dir).expect("trace bundle");
-        assert!(gang > 0, "traced job produced no per-rank traces");
-        eprintln!("serve trace bundle for job 1 ({gang} ranks) written to {dir}");
-    }
+    let dir = concat!(env!("CARGO_TARGET_TMPDIR"), "/serve-smoke");
+    let gang = h1.write_traced_job_bundle(dir).expect("trace bundle");
+    assert!(gang > 0, "traced job produced no per-rank traces");
 
     let (s2, h2) = run_campaign(&c, 4, 400, None);
     verify_campaign(&c, &s2, &h2);
     assert_eq!(s1, s2, "chaos campaign must replay deterministically");
 }
 
-/// The full acceptance campaign: ≥200 queued 32³ jobs on a 4-rank pool.
-/// Run in release (`cargo test -p diffreg-serve --release --test load --
-/// --ignored`); scale with `DIFFREG_SERVE_LOAD_JOBS` and
-/// `DIFFREG_SERVE_LOAD_GRID`.
-#[test]
-#[ignore = "release-scale campaign; run explicitly or via scripts/ci.sh"]
-fn full_load_200_jobs_on_4_rank_pool() {
-    let jobs: usize = std::env::var("DIFFREG_SERVE_LOAD_JOBS")
-        .ok()
-        .and_then(|s| s.trim().parse().ok())
-        .unwrap_or(200);
-    let n: usize = std::env::var("DIFFREG_SERVE_LOAD_GRID")
-        .ok()
-        .and_then(|s| s.trim().parse().ok())
-        .unwrap_or(32);
+fn load_campaign(jobs: usize, n: usize) {
     let c = build_campaign(jobs, n, 4, 900);
     let (s, h) = run_campaign(&c, 4, 300, None);
     verify_campaign(&c, &s, &h);
     eprintln!(
-        "full load: {} jobs, {} rounds, {} resumed, {} fallbacks, {} timeouts",
+        "load: {} jobs of {n}^3, {} rounds, {} resumed, {} fallbacks, {} timeouts",
         jobs, s.rounds, c.expect_resumes, c.expect_fallbacks, c.expect_timeouts
     );
+}
+
+/// The release-scale campaign: 48 queued 16³ jobs on a 4-rank pool. Too
+/// slow for a debug build, which the small tier covers.
+#[test]
+fn load_48_jobs_on_4_rank_pool() {
+    if cfg!(debug_assertions) {
+        return;
+    }
+    let _turn = TRACE_FLAG.lock().unwrap_or_else(|e| e.into_inner());
+    load_campaign(48, 16);
+}
+
+/// The full acceptance campaign: ≥200 queued 32³ jobs on a 4-rank pool.
+/// Run in release (`cargo test -p diffreg-serve --release --test load --
+/// --ignored`).
+#[test]
+#[ignore = "release-scale campaign; run explicitly"]
+fn full_load_200_jobs_on_4_rank_pool() {
+    load_campaign(200, 32);
 }

@@ -152,8 +152,8 @@ fn stall_past_the_watchdog_is_a_contained_timeout_and_recovers() {
 
 #[test]
 fn repeated_fresh_kills_degrade_the_gang_and_still_deliver() {
-    // Kill the first two attempts of an uncheckpointed 4-rank job; with
-    // degrade_after = 2 the gang halves to 2 after the second death, and
+    // Kill the first two attempts of an uncheckpointed 4-rank job; the gang
+    // halves to 2 after the second fresh death (`DEGRADE_AFTER`), and
     // the final result must match the reference AT THE DEGRADED SIZE.
     let faults = PlannedFaults::new()
         .with(1, 1, AttemptFaults { kill_at_epoch: Some((2, 4)), ..AttemptFaults::none() })
@@ -293,6 +293,26 @@ fn torn_checkpoint_falls_back_a_generation_and_still_matches_reference() {
     assert_eq!(harness.counter("serve_checkpoint_fallback_total"), 1);
     let log = harness.job_log(1).expect("job log");
     assert!(log.events().any(|e| e.kind == "serve-fallback"));
+}
+
+#[test]
+fn failed_checkpoint_saves_reach_the_metrics_surface() {
+    // The checkpoint directory is a regular file, so every member's every
+    // save fails. The job must still complete, and each failed write must
+    // show up on the registry `/metrics` renders.
+    let blocker = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join("not-a-directory");
+    std::fs::write(&blocker, b"not a directory").unwrap();
+    let cfg = ServeConfig { checkpoint_dir: Some(blocker), ..ServeConfig::default() };
+    let harness = ServeHarness::new(cfg, Arc::new(NoFaults));
+    harness.submit(quick_job(1, 2).with_newton_iters(2).with_checkpoint_every(1));
+    harness.close_intake();
+    let summaries = serve(&harness, 2);
+    assert_eq!(summaries[0].records[&1].state, JobState::Completed);
+    // checkpoint_every = 1: one due save per accepted step per gang member.
+    let steps = harness.progress().len() as u64;
+    assert!(steps > 0);
+    assert_eq!(harness.counter("serve_checkpoint_save_failures_total"), 2 * steps);
+    assert!(harness.render_prometheus().contains("serve_checkpoint_save_failures_total"));
 }
 
 #[test]
