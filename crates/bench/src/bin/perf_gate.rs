@@ -19,10 +19,10 @@
 //!
 //! Used by `scripts/perf_gate.sh`; the checked-in baseline lives at
 //! `BENCH_kernels.json`. The gate arithmetic is unit-tested in
-//! `diffreg_telemetry::results`, the recorder budget below.
+//! `diffreg_bench::results`, the recorder budget below.
 
 use diffreg_bench::kernels::{run_kernel_suite, K, RECORDER_BENCH_EVENTS, WARMUP};
-use diffreg_telemetry::{compare_suites, BenchSuite};
+use diffreg_bench::{compare_suites, BenchSuite};
 use std::process::ExitCode;
 
 fn arg_value(args: &[String], key: &str) -> Option<String> {
@@ -188,7 +188,7 @@ fn main() -> ExitCode {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use diffreg_telemetry::BenchRecord;
+    use diffreg_bench::BenchRecord;
 
     fn recorder_suite(gap_ns: f64) -> BenchSuite {
         let mut s = BenchSuite::new("kernels");

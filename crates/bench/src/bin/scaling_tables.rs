@@ -22,12 +22,11 @@
 
 use diffreg_bench::{
     arg_flag, arg_list, measured_run, modeled_row, print_header, print_row, row_record, sci,
-    write_suite, Problem,
+    write_suite, BenchSuite, Problem,
 };
 use diffreg_core::RegistrationConfig;
 use diffreg_optim::NewtonOptions;
 use diffreg_perfmodel::{strong_efficiency, Machine, SolveShape};
-use diffreg_telemetry::BenchSuite;
 
 /// The paper grid of Table IV; its measured rows run on this divided by
 /// `--scale`.

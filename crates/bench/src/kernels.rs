@@ -19,11 +19,12 @@ use diffreg_optim::GaussNewtonProblem;
 use diffreg_pfft::PencilFft;
 use diffreg_spectral::RegOrder;
 use diffreg_telemetry::{
-    record_event, recorder_enabled, set_recorder_enabled, take_recorder, BenchRecord,
-    BenchSuite, RecKind,
+    record_event, recorder_enabled, set_recorder_enabled, take_recorder, RecKind,
 };
 use diffreg_testkit::bench_named;
 use diffreg_transport::{SemiLagrangian, Workspace};
+
+use crate::{BenchRecord, BenchSuite};
 
 /// Default warmup runs per benchmark.
 pub const WARMUP: usize = 2;

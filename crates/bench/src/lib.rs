@@ -15,7 +15,10 @@
 pub mod kernels;
 pub mod results;
 
-pub use results::{results_dir, row_record, write_suite};
+pub use results::{
+    compare_suites, hostname, results_dir, row_record, write_suite, BenchRecord, BenchSuite,
+    GateFinding, GateReport,
+};
 
 use diffreg_comm::{run_threaded, Comm, Timers};
 use diffreg_core::{register, RegistrationConfig};

@@ -396,7 +396,7 @@ impl ThreadComm {
     /// Drains this *rank's* comm event log — including events recorded on
     /// sub-communicators split off this endpoint, which share the log.
     /// Events appear in completion order. Call once per rank at the end of
-    /// the SPMD closure, alongside `take_thread_trace`.
+    /// the SPMD closure, alongside `diffreg_telemetry::take_recorder`.
     pub fn take_events(&self) -> Vec<CommEvent> {
         std::mem::take(&mut *self.events.lock().unwrap_or_else(|e| e.into_inner()))
     }

@@ -18,16 +18,15 @@
 //! The first test also writes its trace bundle to `target/tmp/doctor-smoke`,
 //! which `scripts/ci.sh` hands to `diffreg-doctor analyze --gate`.
 
-use diffreg_comm::{
-    run_threaded, ChaosComm, ChaosConfig, Comm, CommEvent, CommOp, Timers,
-};
+use diffreg_comm::{run_threaded, ChaosComm, ChaosConfig, Comm, CommOp, Timers};
 use diffreg_core::{register_solve, CheckpointStore, RegistrationConfig};
 use diffreg_grid::{Decomp, Grid, ScalarField, VectorField};
 use diffreg_pfft::PencilFft;
-use diffreg_telemetry::doctor::{analyze, write_trace_bundle, DoctorInput, WaitKind};
+use diffreg_telemetry::doctor::{
+    analyze, write_trace_bundle, DoctorInput, RankCapture, WaitKind,
+};
 use diffreg_telemetry::{
-    set_trace_enabled, take_global_metrics, take_thread_trace, ConvergenceLog,
-    MetricsRegistry, ThreadTrace,
+    set_trace_enabled, take_global_metrics, take_recorder, ConvergenceLog, MetricsRegistry,
 };
 use diffreg_transport::{SemiLagrangian, Workspace};
 
@@ -65,7 +64,7 @@ fn doctor_explains_a_traced_registration() {
     let betas = [1e-2, 1e-3];
 
     set_trace_enabled(true);
-    let per_rank: Vec<(ThreadTrace, Vec<CommEvent>, MetricsRegistry)> =
+    let per_rank: Vec<(RankCapture, MetricsRegistry)> =
         run_threaded(RANKS, move |comm| {
             comm.set_event_recording(true);
             let decomp = Decomp::with_process_grid(grid, 2, 2);
@@ -81,25 +80,28 @@ fn doctor_explains_a_traced_registration() {
             let store = CheckpointStore::Disabled;
             let _ = register_solve(&ws, &t, &r, cfg, &betas, None, &store, |e| log.push(e));
             comm.barrier();
-            (take_thread_trace(), comm.take_events(), take_global_metrics())
+            let capture =
+                RankCapture { rank: comm.rank(), events: comm.take_events(), recorder: take_recorder() };
+            (capture, take_global_metrics())
         });
     set_trace_enabled(false);
 
-    let traces: Vec<(usize, ThreadTrace)> =
-        per_rank.iter().enumerate().map(|(r, t)| (r, t.0.clone())).collect();
-    let events: Vec<(usize, Vec<CommEvent>)> =
-        per_rank.iter().enumerate().map(|(r, t)| (r, t.1.clone())).collect();
     let mut metrics = MetricsRegistry::new();
-    for (_, _, m) in &per_rank {
+    for (_, m) in &per_rank {
         metrics.merge(m);
     }
+    let captures: Vec<RankCapture> = per_rank.into_iter().map(|(c, _)| c).collect();
+    assert!(
+        captures.iter().all(|c| c.recorder.dropped() == 0),
+        "a keep-all window holds the whole smoke run"
+    );
 
     // Left on disk so the `diffreg-doctor` CLI can re-analyze the exact same
     // run from the files alone and hard-gate on it (scripts/ci.sh).
     let dir = concat!(env!("CARGO_TARGET_TMPDIR"), "/doctor-smoke");
-    write_trace_bundle(dir, &traces, &events, Some(&metrics)).expect("write trace bundle");
+    write_trace_bundle(dir, &captures, Some(&metrics)).expect("write trace bundle");
 
-    let input = DoctorInput::from_memory(&traces, &events, Some(&metrics));
+    let input = DoctorInput { ranks: captures, metrics };
     let report = analyze(&input);
 
     // --- Matching: every p2p send pairs with exactly one receive. ---
@@ -162,7 +164,7 @@ fn doctor_explains_a_traced_registration() {
 fn doctor_attributes_injected_stall_to_culprit_rank() {
     let _turn = TRACE_FLAG.lock().unwrap_or_else(|e| e.into_inner());
     set_trace_enabled(true);
-    let per_rank: Vec<(ThreadTrace, Vec<CommEvent>)> = run_threaded(2, move |comm| {
+    let ranks: Vec<RankCapture> = run_threaded(2, move |comm| {
         comm.set_event_recording(true);
         // Rank 1 stalls 80 ms at its 2nd comm call — the send below.
         let chaos = ChaosComm::new(comm, ChaosConfig::seeded(1).with_stall(1, 2, 80));
@@ -176,16 +178,11 @@ fn doctor_attributes_injected_stall_to_culprit_rank() {
             assert_eq!(v.len(), 64);
         }
         chaos.barrier();
-        (take_thread_trace(), comm.take_events())
+        RankCapture { rank: comm.rank(), events: comm.take_events(), recorder: take_recorder() }
     });
     set_trace_enabled(false);
 
-    let traces: Vec<(usize, ThreadTrace)> =
-        per_rank.iter().enumerate().map(|(r, t)| (r, t.0.clone())).collect();
-    let events: Vec<(usize, Vec<CommEvent>)> =
-        per_rank.iter().enumerate().map(|(r, t)| (r, t.1.clone())).collect();
-    let input = DoctorInput::from_memory(&traces, &events, None);
-    let report = analyze(&input);
+    let report = analyze(&DoctorInput { ranks, metrics: MetricsRegistry::new() });
 
     assert_eq!(report.matched.len(), 1, "the one p2p message matches");
     assert_eq!(report.unmatched_sends + report.unmatched_recvs, 0);

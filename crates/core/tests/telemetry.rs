@@ -14,9 +14,11 @@ use diffreg_comm::{run_threaded, Comm, Timers};
 use diffreg_core::{register_solve, CheckpointStore, RegistrationConfig};
 use diffreg_grid::{Decomp, Grid, ScalarField, VectorField};
 use diffreg_pfft::PencilFft;
+use diffreg_telemetry::doctor::RankCapture;
 use diffreg_telemetry::{
-    chrome_trace, collect_phase_report, set_trace_enabled, take_thread_trace,
-    validate_chrome_trace, ConvergenceLog, Json, PhaseReport, PredictedPhases, ThreadTrace,
+    chrome_trace, collect_phase_report, set_recorder_enabled, set_trace_enabled, take_recorder,
+    validate_chrome_trace, ConvergenceLog, Json, PhaseReport, PredictedPhases,
+    RecorderSnapshot,
 };
 use diffreg_transport::{SemiLagrangian, Workspace};
 
@@ -54,7 +56,7 @@ fn traced_registration_produces_all_three_artifacts() {
     let betas = [1e-2, 1e-3];
 
     set_trace_enabled(true);
-    let per_rank: Vec<(ThreadTrace, PhaseReport, ConvergenceLog, usize)> =
+    let per_rank: Vec<(RecorderSnapshot, PhaseReport, ConvergenceLog, usize)> =
         run_threaded(RANKS, move |comm| {
             let decomp = Decomp::with_process_grid(grid, 2, 2);
             let fft = PencilFft::new(comm, decomp);
@@ -71,13 +73,16 @@ fn traced_registration_produces_all_three_artifacts() {
                 register_solve(&ws, &t, &r, cfg, &betas, None, &store, |e| log.push(e));
             let report = collect_phase_report(comm, &timers, &comm.stats());
             let iters: usize = reports.iter().map(|r| r.outer_iterations()).sum();
-            (take_thread_trace(), report, log, iters)
+            (take_recorder(), report, log, iters)
         });
     set_trace_enabled(false);
 
     // --- Chrome trace: one pid per rank, spans nest, expected names. ---
-    let traces: Vec<(usize, ThreadTrace)> =
-        per_rank.iter().enumerate().map(|(r, t)| (r, t.0.clone())).collect();
+    let traces: Vec<RankCapture> = per_rank
+        .iter()
+        .enumerate()
+        .map(|(rank, t)| RankCapture { rank, events: Vec::new(), recorder: t.0.clone() })
+        .collect();
     let text = chrome_trace(&traces).to_string();
     let summary = validate_chrome_trace(&text).expect("trace must validate");
     assert_eq!(summary.pids, (0..RANKS).collect::<Vec<_>>(), "one pid per rank");
@@ -144,12 +149,14 @@ fn traced_registration_produces_all_three_artifacts() {
     assert!(table.contains("||g||_rel") && table.contains("PCG"), "{table}");
 }
 
-/// With tracing disabled (the default), running the same solve must record
-/// nothing — the disabled path is a single atomic load.
+/// With tracing disabled (the default) and the flight recorder switched
+/// off, running the same solve must record nothing — the disabled path is
+/// two atomic loads.
 #[test]
 fn untraced_registration_records_nothing() {
     let _turn = TRACE_FLAG.lock().unwrap_or_else(|e| e.into_inner());
     let grid = Grid::cubic(12);
+    set_recorder_enabled(false);
     let traces = run_threaded(2, move |comm| {
         // Explicitly off (the other test may have toggled the global flag;
         // the flag is process-wide, but traces are per-thread and these
@@ -167,10 +174,11 @@ fn untraced_registration_records_nothing() {
             ..Default::default()
         };
         let _ = diffreg_core::register(&ws, &t, &r, cfg);
-        Some(take_thread_trace())
+        Some(take_recorder())
     });
+    set_recorder_enabled(true);
     for t in traces.into_iter().flatten() {
         assert!(t.events.is_empty(), "disabled tracing must record no spans");
-        assert_eq!(t.dropped, 0);
+        assert_eq!((t.seen, t.dropped()), (0, 0));
     }
 }

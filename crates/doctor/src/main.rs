@@ -1,7 +1,7 @@
 //! `diffreg-doctor` — the cross-rank wait-state doctor CLI.
 //!
-//! Thin wrapper over `diffreg_telemetry::doctor`: loads a trace bundle
-//! directory (written by a traced run via `doctor::write_trace_bundle`),
+//! Thin wrapper over `diffreg_telemetry::doctor`: loads a bundle directory
+//! (written by a traced run via `doctor::write_trace_bundle`),
 //! runs the merge/match/classify/critical-path analysis, writes
 //! `doctor-report.txt` and `metrics.prom` back into the bundle directory,
 //! and optionally hard-gates on analysis health.
@@ -10,7 +10,7 @@
 //! diffreg-doctor analyze --dir target/doctor-smoke [--top 10] [--grid 32]
 //!                        [--gate] [--min-coverage 0.9]
 //! diffreg-doctor incident --dir target/incidents/incident-000-watchdog-timeout
-//!                         [--top 10] [--gate]
+//!                         [--gate]
 //! diffreg-doctor profile --dir target/doctor-smoke [--baseline OTHER_DIR] [--top 10]
 //! ```
 //!
@@ -20,7 +20,7 @@
 
 use std::process::ExitCode;
 
-use diffreg_telemetry::doctor::{analyze, DoctorInput};
+use diffreg_telemetry::doctor::{analyze, BundleError, DoctorInput};
 use diffreg_telemetry::incident::{analyze_incident, gate_incident, load_incident_bundle};
 use diffreg_telemetry::{diff_phases, render_diff, PredictedPhases, Profile};
 
@@ -50,13 +50,14 @@ fn run(args: &[String]) -> Result<(), String> {
 
 const USAGE: &str = "usage:
   diffreg-doctor analyze --dir <bundle-dir> [--top K] [--grid N] [--gate] [--min-coverage F]
-  diffreg-doctor incident --dir <incident-bundle-dir> [--top K] [--gate]
+  diffreg-doctor incident --dir <incident-bundle-dir> [--gate]
   diffreg-doctor profile --dir <bundle-dir> [--baseline <bundle-dir>] [--top K]
 
-analyze reads a trace bundle (trace.json + events-rank<k>.jsonl [+ metrics.json]),
-writes doctor-report.txt and metrics.prom into the bundle directory, and prints
-the report. --gate exits nonzero unless every p2p message matched, no collective
-group is incomplete, and critical-path coverage meets --min-coverage (default 0.9).
+analyze reads a bundle (events-rank<k>.jsonl + recorder-rank<k>.jsonl
+[+ metrics.json]; an incident bundle is one too), writes doctor-report.txt
+and metrics.prom into the bundle directory, and prints the report. --gate
+exits nonzero unless every p2p message matched, no collective group is
+incomplete, and critical-path coverage meets --min-coverage (default 0.9).
 --grid N adds the paper's performance-model predicted column for an N^3 grid.
 
 incident reads one incident bundle written by the serve runtime
@@ -66,8 +67,8 @@ incident-report.txt into the bundle directory, and prints the triage
 summary. --gate additionally exits nonzero unless the digest matches, the
 capture accounting is exact, and culprit-bearing triggers name a culprit.
 
-profile folds a trace bundle's spans (or an incident bundle's recorder
-windows) into a flamegraph: writes profile.folded (count-weighted, the
+profile folds the spans in a bundle's recorder-rank<k>.jsonl files (either
+bundle flavour) into a flamegraph: writes profile.folded (count-weighted, the
 replay-stable projection) and profile-selftime.folded (self-nanosecond
 weights, for inferno/speedscope) into the bundle directory and prints the
 top-K self-time table with dropped-span accounting. --baseline loads a
@@ -119,8 +120,7 @@ fn parse_analyze(args: &[String]) -> Result<AnalyzeOpts, String> {
 fn cmd_analyze(args: &[String]) -> Result<(), String> {
     let opts = parse_analyze(args)?;
     let dir = opts.dir.ok_or(format!("analyze needs --dir\n{USAGE}"))?;
-    let input = DoctorInput::load_dir(&dir)?;
-    let report = analyze(&input);
+    let report = analyze(&load_bundle(&dir)?);
     let predicted = opts.grid.map(|n| {
         let shape = diffreg_perfmodel::SolveShape::paper_scaling();
         let b = diffreg_perfmodel::model_solve(
@@ -164,20 +164,11 @@ fn cmd_analyze(args: &[String]) -> Result<(), String> {
 
 fn cmd_incident(args: &[String]) -> Result<(), String> {
     let mut dir: Option<String> = None;
-    let mut top = 10usize;
     let mut gate = false;
     let mut it = args.iter();
     while let Some(a) = it.next() {
-        let mut value = |flag: &str| -> Result<&String, String> {
-            it.next().ok_or_else(|| format!("{flag} needs a value"))
-        };
         match a.as_str() {
-            "--dir" => dir = Some(value("--dir")?.clone()),
-            "--top" => {
-                top = value("--top")?
-                    .parse()
-                    .map_err(|_| "--top needs an integer".to_string())?;
-            }
+            "--dir" => dir = Some(it.next().ok_or("--dir needs a value")?.clone()),
             "--gate" => gate = true,
             other => return Err(format!("unknown flag '{other}'\n{USAGE}")),
         }
@@ -186,7 +177,7 @@ fn cmd_incident(args: &[String]) -> Result<(), String> {
     // The typed load errors (missing bundle, truncated file) surface here
     // as the process's non-zero exit and pinned message.
     let bundle = load_incident_bundle(&dir).map_err(|e| e.to_string())?;
-    let analysis = analyze_incident(&bundle, top);
+    let analysis = analyze_incident(&bundle);
     let dir_path = std::path::Path::new(&dir);
     std::fs::write(dir_path.join("incident-report.txt"), &analysis.summary)
         .map_err(|e| format!("write incident-report.txt: {e}"))?;
@@ -199,23 +190,28 @@ fn cmd_incident(args: &[String]) -> Result<(), String> {
              convergence line(s)",
             bundle.header.capture_digest,
             bundle.header.comm_events,
-            bundle.events.len(),
+            bundle.input.ranks.len(),
             bundle.convergence_lines
         );
     }
     Ok(())
 }
 
-/// Loads a profile from either bundle flavor: incident bundles (detected
-/// by `incident.json`) fold their captured flight-recorder windows; trace
-/// bundles fold the spans in `trace.json`.
-fn load_profile(dir: &str) -> Result<Profile, String> {
-    if std::path::Path::new(dir).join("incident.json").is_file() {
-        let bundle = load_incident_bundle(dir).map_err(|e| e.to_string())?;
-        Ok(Profile::from_recorder_files(&bundle.recorder))
-    } else {
-        Ok(Profile::from_doctor(&DoctorInput::load_dir(dir)?))
+/// Loads either bundle flavour through the one reader. A directory that is
+/// missing or holds no capture files is the same mistake: wrong `--dir`.
+fn load_bundle(dir: &str) -> Result<DoctorInput, String> {
+    match DoctorInput::load_dir(dir) {
+        Ok(input) if !input.ranks.is_empty() => Ok(input),
+        Ok(_) | Err(BundleError::MissingBundle(_)) => Err(format!(
+            "doctor: no events-rank<k>.jsonl or recorder-rank<k>.jsonl files in {dir}"
+        )),
+        Err(e) => Err(format!("doctor: {e}")),
     }
+}
+
+fn load_profile(dir: &str) -> Result<Profile, String> {
+    let input = load_bundle(dir)?;
+    Ok(Profile::from_recorders(input.ranks.iter().map(|c| (c.rank, &c.recorder))))
 }
 
 fn cmd_profile(args: &[String]) -> Result<(), String> {

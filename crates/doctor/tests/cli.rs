@@ -6,9 +6,8 @@ use std::path::PathBuf;
 use std::process::Command;
 
 use diffreg_comm::{CommEvent, CommOp};
-use diffreg_telemetry::incident::{
-    write_incident_bundle, IncidentHeader, IncidentTrigger, RankCapture,
-};
+use diffreg_telemetry::doctor::RankCapture;
+use diffreg_telemetry::incident::{write_incident_bundle, IncidentHeader, IncidentTrigger};
 use diffreg_telemetry::recorder::{RecEvent, RecKind, RecorderSnapshot};
 
 fn doctor() -> Command {
@@ -44,7 +43,7 @@ fn write_test_bundle(base: &PathBuf) -> PathBuf {
         events: vec![RecEvent {
             t_ns: 9_000_000,
             kind: RecKind::Serve,
-            name: "serve.attempt-failed",
+            name: "serve.attempt-failed".into(),
             a: reason,
             b: 0,
         }],
@@ -55,8 +54,8 @@ fn write_test_bundle(base: &PathBuf) -> PathBuf {
         stride: 1,
     };
     let captures = vec![
-        RankCapture { gang_rank: 0, events: vec![ev(0, 0)], recorder: rec(1) },
-        RankCapture { gang_rank: 1, events: vec![ev(1, 100)], recorder: rec(2) },
+        RankCapture { rank: 0, events: vec![ev(0, 0)], recorder: rec(1) },
+        RankCapture { rank: 1, events: vec![ev(1, 100)], recorder: rec(2) },
     ];
     let header = IncidentHeader {
         seq: 0,

@@ -5,8 +5,8 @@ use std::path::{Path, PathBuf};
 use std::process::Command;
 
 use diffreg_comm::{CommEvent, CommOp};
-use diffreg_telemetry::doctor::write_trace_bundle;
-use diffreg_telemetry::{SpanEvent, ThreadTrace};
+use diffreg_telemetry::doctor::{write_trace_bundle, RankCapture};
+use diffreg_telemetry::{RecEvent, RecKind, RecorderSnapshot};
 
 fn bin() -> &'static str {
     env!("CARGO_BIN_EXE_diffreg-doctor")
@@ -19,7 +19,7 @@ fn scratch(name: &str) -> PathBuf {
     dir
 }
 
-/// One synthetic comm event so `DoctorInput::load_dir` sees the rank.
+/// One synthetic comm event per rank, as a traced run would leave.
 fn dummy_event(rank: usize) -> CommEvent {
     CommEvent {
         op: CommOp::Allreduce,
@@ -37,34 +37,42 @@ fn dummy_event(rank: usize) -> CommEvent {
     }
 }
 
+/// One rank's capture: a complete keep-all window holding the given
+/// `(name, t0_ns, dur_ns, depth)` spans (close order: children first) and
+/// one comm event.
+fn rank_capture(rank: usize, spans: &[(&'static str, u64, u64, u64)]) -> RankCapture {
+    let events: Vec<RecEvent> = spans
+        .iter()
+        .map(|&(name, t_ns, a, b)| RecEvent { t_ns, kind: RecKind::Span, name: name.into(), a, b })
+        .collect();
+    let n = events.len() as u64;
+    RankCapture {
+        rank,
+        events: vec![dummy_event(rank)],
+        recorder: RecorderSnapshot {
+            thread: rank as u64,
+            events,
+            seen: n,
+            recorded: n,
+            stride: 1,
+            ..Default::default()
+        },
+    }
+}
+
 /// A two-rank trace bundle whose `transport.semilag` spans are `slow`×
-/// longer than the baseline's. Span timestamps are microsecond-quantized
-/// (the chrome-trace writer rounds to µs), so durations are multiples of
-/// 1000 ns.
+/// longer than the baseline's. The reader takes spans from the recorder
+/// files at nanosecond resolution, so durations need not be whole
+/// microseconds.
 fn write_bundle(dir: &Path, slow: u64) {
     let us = 1_000u64;
-    let mk_rank = |thread: u64| -> ThreadTrace {
-        // Close order: children close before parents.
-        let events = vec![
-            SpanEvent { name: "fft.forward", t0_ns: 10 * us, dur_ns: 100 * us, depth: 1 },
-            SpanEvent {
-                name: "transport.semilag",
-                t0_ns: 120 * us,
-                dur_ns: 200 * us * slow,
-                depth: 1,
-            },
-            SpanEvent {
-                name: "newton.step",
-                t0_ns: 0,
-                dur_ns: (400 + 200 * (slow - 1)) * us,
-                depth: 0,
-            },
-        ];
-        ThreadTrace { thread, events, dropped: 0 }
-    };
-    let traces = vec![(0usize, mk_rank(0)), (1usize, mk_rank(1))];
-    let events = vec![(0usize, vec![dummy_event(0)]), (1usize, vec![dummy_event(1)])];
-    write_trace_bundle(dir, &traces, &events, None).expect("write bundle");
+    let spans = [
+        ("fft.forward", 10 * us, 100 * us + 1, 1),
+        ("transport.semilag", 120 * us, 200 * us * slow + 7, 1),
+        ("newton.step", 0, (400 + 200 * (slow - 1)) * us + 9, 0),
+    ];
+    let captures = [rank_capture(0, &spans), rank_capture(1, &spans)];
+    write_trace_bundle(dir, &captures, None).expect("write bundle");
 }
 
 fn run_profile(args: &[&str]) -> (String, bool) {
@@ -102,35 +110,25 @@ fn replayed_bundles_with_different_wall_clocks_fold_identically() {
     let b = scratch("profile-replay-b");
     write_bundle(&a, 1);
     let us = 1_000u64;
-    let shifted = vec![(0usize, ThreadTrace {
-        thread: 0,
-        events: vec![
-            SpanEvent { name: "fft.forward", t0_ns: 5_010 * us, dur_ns: 170 * us, depth: 1 },
-            SpanEvent {
-                name: "transport.semilag",
-                t0_ns: 5_200 * us,
-                dur_ns: 130 * us,
-                depth: 1,
-            },
-            SpanEvent { name: "newton.step", t0_ns: 5_000 * us, dur_ns: 777 * us, depth: 0 },
-        ],
-        dropped: 0,
-    }), (1usize, ThreadTrace {
-        thread: 1,
-        events: vec![
-            SpanEvent { name: "fft.forward", t0_ns: 9_010 * us, dur_ns: 42 * us, depth: 1 },
-            SpanEvent {
-                name: "transport.semilag",
-                t0_ns: 9_100 * us,
-                dur_ns: 260 * us,
-                depth: 1,
-            },
-            SpanEvent { name: "newton.step", t0_ns: 9_000 * us, dur_ns: 500 * us, depth: 0 },
-        ],
-        dropped: 0,
-    })];
-    let events = vec![(0usize, vec![dummy_event(0)]), (1usize, vec![dummy_event(1)])];
-    write_trace_bundle(&b, &shifted, &events, None).expect("write shifted bundle");
+    let shifted = [
+        rank_capture(
+            0,
+            &[
+                ("fft.forward", 5_010 * us, 170 * us, 1),
+                ("transport.semilag", 5_200 * us, 130 * us, 1),
+                ("newton.step", 5_000 * us, 777 * us, 0),
+            ],
+        ),
+        rank_capture(
+            1,
+            &[
+                ("fft.forward", 9_010 * us, 42 * us, 1),
+                ("transport.semilag", 9_100 * us, 260 * us, 1),
+                ("newton.step", 9_000 * us, 500 * us, 0),
+            ],
+        ),
+    ];
+    write_trace_bundle(&b, &shifted, None).expect("write shifted bundle");
     let (_, ok) = run_profile(&["profile", "--dir", a.to_str().unwrap()]);
     assert!(ok);
     let (_, ok) = run_profile(&["profile", "--dir", b.to_str().unwrap()]);

@@ -11,7 +11,7 @@
 
 use std::collections::BTreeMap;
 
-use diffreg_telemetry::incident::RankCapture;
+use diffreg_telemetry::doctor::RankCapture;
 
 use crate::job::JobId;
 
@@ -35,9 +35,11 @@ pub struct IncidentRecord {
     pub reason: String,
 }
 
-/// Per-round capture staging: `(job, attempt) → gang rank → capture`.
+/// Capture staging: `(job, attempt) → gang rank → capture`, the one place an
+/// attempt's capture waits for an incident bundle or the traced-job bundle.
 /// Shared across all pool ranks (they are threads of one process); rank 0
-/// drains it when writing bundles and clears it at the end of each fold.
+/// reads it when writing bundles and, at the end of each fold, drops every
+/// entry but the traced job's.
 pub(crate) type CaptureStage = BTreeMap<(JobId, u32), BTreeMap<usize, RankCapture>>;
 
 /// The incident trigger for a failed attempt with the given reason label.

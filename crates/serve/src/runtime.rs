@@ -50,18 +50,17 @@ use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use diffreg_comm::{
-    run_gang, run_threaded, ChaosComm, ChaosConfig, Comm, CommEvent, ThreadComm, Timers,
+    run_gang, run_threaded, ChaosComm, ChaosConfig, Comm, ThreadComm, Timers,
 };
 use diffreg_core::{register_solve, CheckpointStore, RegistrationConfig};
 use diffreg_grid::{Decomp, Grid, ScalarField, VectorField};
 use diffreg_optim::NewtonOptions;
 use diffreg_pfft::PencilFft;
-use diffreg_telemetry::doctor::write_trace_bundle;
-use diffreg_telemetry::incident::{write_incident_bundle, IncidentHeader, RankCapture};
+use diffreg_telemetry::doctor::{write_trace_bundle, RankCapture};
+use diffreg_telemetry::incident::{write_incident_bundle, IncidentHeader};
 use diffreg_telemetry::{
     record_comm_summary, record_event, set_trace_enabled, snapshot_recorder, span, take_recorder,
-    take_thread_trace, ConvergenceLog, Json, MetricsRegistry, Profile, RecKind,
-    StreamEntry, ThreadTrace,
+    ConvergenceLog, Json, MetricsRegistry, Profile, RecKind, StreamEntry,
 };
 use diffreg_transport::{SemiLagrangian, Workspace};
 
@@ -106,14 +105,14 @@ pub struct ServeConfig {
     /// directory (exercising the hardened DRCK format on disk); otherwise
     /// they are shared in-memory stores.
     pub checkpoint_dir: Option<PathBuf>,
-    /// Record one job's gang through the span/event tracer so
-    /// [`ServeHarness::write_traced_job_bundle`] can emit a doctor-readable
-    /// trace bundle.
+    /// Run the pool with full tracing and keep this job's staged captures
+    /// so [`ServeHarness::write_traced_job_bundle`] can emit a
+    /// doctor-readable trace bundle of its last attempt.
     pub trace_job: Option<JobId>,
     /// When set, every incident trigger writes a doctor-readable bundle
     /// under this directory (rank 0 writes; triggers themselves are
     /// computed on every rank and land in the replicated summary). Also
-    /// turns on per-attempt comm-event + flight-recorder capture staging.
+    /// stages every attempt's comm events + flight-recorder window.
     pub incident_dir: Option<PathBuf>,
     /// Per-tenant SLO policy; `None` disables the SLO engine.
     pub slo: Option<SloPolicy>,
@@ -279,11 +278,6 @@ fn reason_label(reason: u64) -> &'static str {
 // The harness
 // ---------------------------------------------------------------------------
 
-/// Captured per-gang-rank traces of the traced job, keyed
-/// `(attempt, gang rank)` — later attempts supersede earlier ones when the
-/// bundle is written.
-type TraceMap = BTreeMap<(u32, usize), (ThreadTrace, Vec<CommEvent>)>;
-
 /// Shared state of one serving deployment: submission inboxes, per-job
 /// checkpoint stores, the progress stream, and the metrics dashboard.
 ///
@@ -302,7 +296,6 @@ pub struct ServeHarness {
     progress: Arc<Mutex<Vec<ProgressEvent>>>,
     logs: Arc<Mutex<HashMap<JobId, ConvergenceLog>>>,
     metrics: Arc<Mutex<MetricsRegistry>>,
-    traces: Arc<Mutex<TraceMap>>,
     stage: Arc<Mutex<CaptureStage>>,
     obs: ObsSlot,
     http_bound: Arc<Mutex<Option<std::net::SocketAddr>>>,
@@ -335,7 +328,6 @@ impl ServeHarness {
             progress: Arc::new(Mutex::new(Vec::new())),
             logs: Arc::new(Mutex::new(HashMap::new())),
             metrics: Arc::new(Mutex::new(MetricsRegistry::new())),
-            traces: Arc::new(Mutex::new(BTreeMap::new())),
             stage: Arc::new(Mutex::new(BTreeMap::new())),
             obs: Arc::new(Mutex::new(Arc::new(ObsSnapshot::default()))),
             http_bound: Arc::new(Mutex::new(None)),
@@ -411,26 +403,28 @@ impl ServeHarness {
             .clone()
     }
 
+    /// Whether attempts of `job` stage their capture (comm events +
+    /// flight-recorder window) for an incident bundle or the traced-job
+    /// bundle.
+    fn stages(&self, job: JobId) -> bool {
+        self.cfg.incident_dir.is_some() || self.cfg.trace_job == Some(job)
+    }
+
     /// Writes the traced job's final attempt as a doctor-readable trace
-    /// bundle (`trace.json`, `events-rank*.jsonl`, `metrics.prom`). Call
-    /// after the pool has drained. Returns the gang size written, or 0 when
-    /// nothing was traced.
+    /// bundle (`events-rank*.jsonl`, `recorder-rank*.jsonl`, `metrics.json`,
+    /// `trace.json`). Call after the pool has drained. Returns the gang size
+    /// written, or 0 when nothing was traced.
     pub fn write_traced_job_bundle(&self, dir: impl AsRef<std::path::Path>) -> std::io::Result<usize> {
-        let map = lock(&self.traces);
-        let Some(last_attempt) = map.keys().map(|(a, _)| *a).max() else {
+        let Some(job) = self.cfg.trace_job else { return Ok(0) };
+        let stage = lock(&self.stage);
+        // Ordered by (job, attempt): the job's last entry is its last attempt.
+        let Some((_, captures)) = stage.range((job, 0)..=(job, u32::MAX)).next_back() else {
             return Ok(0);
         };
-        let mut traces: Vec<(usize, ThreadTrace)> = Vec::new();
-        let mut events: Vec<(usize, Vec<CommEvent>)> = Vec::new();
-        for ((a, rank), (t, e)) in map.iter() {
-            if *a == last_attempt {
-                traces.push((*rank, t.clone()));
-                events.push((*rank, e.clone()));
-            }
-        }
+        let captures: Vec<RankCapture> = captures.values().cloned().collect();
         let metrics = lock(&self.metrics).clone();
-        write_trace_bundle(dir, &traces, &events, Some(&metrics))?;
-        Ok(traces.len())
+        write_trace_bundle(dir, &captures, Some(&metrics))?;
+        Ok(captures.len())
     }
 
     // -- the SPMD loop ------------------------------------------------------
@@ -447,7 +441,6 @@ impl ServeHarness {
         let mut round: u64 = 0;
         let mut slo: Option<SloEngine> = self.cfg.slo.clone().map(SloEngine::new);
         let mut incidents: Vec<IncidentRecord> = Vec::new();
-        let capture_on = self.cfg.incident_dir.is_some();
         if me == 0 {
             let mut m = lock(&self.metrics);
             m.set_gauge("serve_pool_ranks", pool as f64);
@@ -643,42 +636,33 @@ impl ServeHarness {
             // attempt since its start-of-attempt reset. The allgather below
             // is the barrier that makes every gang member's insert visible
             // to rank 0's fold.
-            if capture_on {
-                if let Some(ai) = mine {
-                    let a = &plan[ai];
-                    if let Some(rec) = table.get(&a.job) {
-                        let events = world.take_events();
-                        let mut per_op: BTreeMap<&'static str, (u64, u64)> = BTreeMap::new();
-                        for e in &events {
-                            let p = per_op.entry(e.op.name()).or_insert((0, 0));
-                            p.0 += 1;
-                            p.1 += e.bytes;
-                        }
-                        for (op, (n, bytes)) in per_op {
-                            record_comm_summary(op, n, bytes);
-                        }
-                        // This rank's own failure reason is the triage's
-                        // strongest culprit signal (comm streams truncate
-                        // symmetrically on gang-fatal faults): the killed
-                        // rank reports the kill, the stalled rank reports
-                        // peer-gone while its waiters report timeout.
-                        if report.kind == KIND_FAIL {
-                            record_event(
-                                RecKind::Serve,
-                                "serve.attempt-failed",
-                                report.reason,
-                                a.ranks.iter().position(|r| *r == me).unwrap_or(0) as u64,
-                            );
-                        }
-                        let recorder = take_recorder();
-                        let gang_rank =
-                            a.ranks.iter().position(|r| *r == me).unwrap_or(0);
-                        lock(&self.stage).entry((a.job, rec.attempts)).or_default().insert(
-                            gang_rank,
-                            RankCapture { gang_rank, events, recorder },
-                        );
-                    }
+            let staged = mine.map(|ai| &plan[ai]).filter(|a| self.stages(a.job));
+            if let Some((a, rec)) = staged.and_then(|a| Some((a, table.get(&a.job)?))) {
+                let events = world.take_events();
+                let mut per_op: BTreeMap<&'static str, (u64, u64)> = BTreeMap::new();
+                for e in &events {
+                    let p = per_op.entry(e.op.name()).or_insert((0, 0));
+                    p.0 += 1;
+                    p.1 += e.bytes;
                 }
+                for (op, (n, bytes)) in per_op {
+                    record_comm_summary(op, n, bytes);
+                }
+                let gang_rank = a.ranks.iter().position(|r| *r == me).unwrap_or(0);
+                // This rank's own failure reason is the triage's strongest
+                // culprit signal (comm streams truncate symmetrically on
+                // gang-fatal faults): the killed rank reports the kill, the
+                // stalled rank reports peer-gone while its waiters report
+                // timeout.
+                if report.kind == KIND_FAIL {
+                    let name = "serve.attempt-failed";
+                    record_event(RecKind::Serve, name, report.reason, gang_rank as u64);
+                }
+                let recorder = take_recorder();
+                lock(&self.stage).entry((a.job, rec.attempts)).or_default().insert(
+                    gang_rank,
+                    RankCapture { rank: gang_rank, events, recorder },
+                );
             }
 
             // 6. outcome allgather + deterministic fold.
@@ -732,8 +716,8 @@ impl ServeHarness {
                     s.export(round, &mut lock(&self.metrics));
                 }
             }
-            if capture_on && me == 0 {
-                lock(&self.stage).clear();
+            if me == 0 {
+                lock(&self.stage).retain(|(job, _), _| self.cfg.trace_job == Some(*job));
             }
 
             // Round boundary: rank 0 publishes the observability snapshot
@@ -866,7 +850,7 @@ impl ServeHarness {
                 .collect();
             Json::obj().set("round", round).set("incidents", items).to_string()
         };
-        let profile = Profile::from_recorders(&[(0, snapshot_recorder())]);
+        let profile = Profile::from_recorders([(0, &snapshot_recorder())]);
         let snap = ObsSnapshot {
             round,
             ready: true,
@@ -1180,16 +1164,9 @@ impl ServeHarness {
         let gang_size = a.ranks.len();
         let faults = self.injector.faults(spec.id, attempt);
         let store = self.store_for(&spec);
-        let tracing = self.cfg.trace_job == Some(spec.id);
-        let capture_on = self.cfg.incident_dir.is_some();
         sub.set_timeout(self.cfg.watchdog);
-        if tracing || capture_on {
+        if self.stages(spec.id) {
             sub.set_event_recording(true);
-        }
-        if tracing {
-            let _ = take_thread_trace(); // drop spans from earlier attempts
-        }
-        if capture_on {
             // Reset both capture windows so the staged snapshot — and its
             // adaptive-sampling counters — covers exactly this attempt
             // (replay-deterministic: the stride depends only on counts).
@@ -1285,11 +1262,6 @@ impl ServeHarness {
                 _ => {}
             });
 
-            if tracing {
-                let events = gang.take_events();
-                let trace = take_thread_trace();
-                lock(&self.traces).insert((attempt, gang.rank()), (trace, events));
-            }
             (digest, mismatch_bits, resumed, fell_back)
         });
 

@@ -250,7 +250,7 @@ fn chaos_drill_emits_expected_gated_bundles_and_replays_byte_identically() {
         for dir in [&dir1, &dir2] {
             let bundle = load_incident_bundle(dir)
                 .unwrap_or_else(|e| panic!("load {}: {e}", dir.display()));
-            let analysis = analyze_incident(&bundle, 5);
+            let analysis = analyze_incident(&bundle);
             gate_incident(&bundle, &analysis)
                 .unwrap_or_else(|e| panic!("gate {}: {e}", dir.display()));
             assert!(
@@ -280,7 +280,7 @@ fn chaos_drill_emits_expected_gated_bundles_and_replays_byte_identically() {
     assert_eq!(watchdog.job, 2);
     assert_eq!(watchdog.reason, "timeout");
     let bundle = load_incident_bundle(bundle_dir(&run1, watchdog)).unwrap();
-    let analysis = analyze_incident(&bundle, 5);
+    let analysis = analyze_incident(&bundle);
     let culprit = analysis.culprit.expect("watchdog triage must name a culprit");
     assert_eq!(culprit.rank, 1, "stalled gang rank: {}", culprit.detail);
 
@@ -291,7 +291,7 @@ fn chaos_drill_emits_expected_gated_bundles_and_replays_byte_identically() {
         .expect("job-1 kill incident");
     assert_eq!(kill.reason, "kill");
     let bundle = load_incident_bundle(bundle_dir(&run1, kill)).unwrap();
-    let analysis = analyze_incident(&bundle, 5);
+    let analysis = analyze_incident(&bundle);
     let culprit = analysis.culprit.expect("kill triage must name a culprit");
     assert_eq!(culprit.rank, 0, "killed gang rank: {}", culprit.detail);
     assert!(culprit.detail.contains("kill"), "detail: {}", culprit.detail);
@@ -304,8 +304,8 @@ fn chaos_drill_emits_expected_gated_bundles_and_replays_byte_identically() {
         .expect("deadline incident");
     assert_eq!(expiry.job, 5);
     let bundle = load_incident_bundle(bundle_dir(&run1, expiry)).unwrap();
-    assert!(bundle.events.iter().all(|(_, e)| e.is_empty()));
-    let analysis = analyze_incident(&bundle, 5);
+    assert!(bundle.input.ranks.iter().all(|c| c.events.is_empty()));
+    let analysis = analyze_incident(&bundle);
     gate_incident(&bundle, &analysis).unwrap();
 }
 

@@ -5,15 +5,23 @@
 //!
 //! ## Inputs
 //!
-//! A *trace bundle* directory written by [`write_trace_bundle`]:
+//! A *bundle* directory written by [`write_trace_bundle`] and read back by
+//! [`DoctorInput::load_dir`], the one bundle reader:
 //!
-//! * `trace.json` — the Chrome trace (spans + comm tracks) from
-//!   [`crate::chrome_trace_full`]; the doctor reads the span events back for
-//!   phase attribution.
 //! * `events-rank<k>.jsonl` — rank `k`'s compact comm event stream, one JSON
-//!   object per line (schema below).
+//!   object per line (schema below); absent for a rank that recorded none.
+//! * `recorder-rank<k>.jsonl` — rank `k`'s event ring
+//!   ([`RecorderSnapshot`]): one header line with the exact drop accounting,
+//!   then one line per retained event. Its span events give the doctor its
+//!   phase attribution, to the nanosecond.
 //! * `metrics.json` — optional [`MetricsRegistry`] snapshot (e.g. interp
 //!   scatter sizes recorded during the run).
+//! * `trace.json` — the Chrome trace of the same capture
+//!   ([`crate::chrome_trace`]) for Perfetto. Write-only: nothing reads it
+//!   back.
+//!
+//! An incident bundle (see [`crate::incident`]) is the same files plus
+//! `incident.json` and `convergence.jsonl`.
 //!
 //! ## Event JSONL schema (one object per line)
 //!
@@ -49,14 +57,14 @@
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
-use std::path::Path;
+use std::path::{Path, PathBuf};
 
 use diffreg_comm::{CommEvent, CommOp};
 
 use crate::json::Json;
 use crate::metrics::MetricsRegistry;
+use crate::recorder::RecorderSnapshot;
 use crate::report::PredictedPhases;
-use crate::span::ThreadTrace;
 
 /// Phase label for time not covered by any span.
 pub const UNTRACED: &str = "(untraced)";
@@ -66,7 +74,7 @@ pub const UNTRACED: &str = "(untraced)";
 // ---------------------------------------------------------------------------
 
 /// Serializes one comm event as the doctor's JSONL object.
-pub fn event_to_json(e: &CommEvent) -> Json {
+fn event_to_json(e: &CommEvent) -> Json {
     let mut j = Json::obj()
         .set("type", "comm")
         .set("op", e.op.name())
@@ -98,7 +106,7 @@ pub fn event_to_json(e: &CommEvent) -> Json {
 }
 
 /// Parses one JSONL object back into a comm event.
-pub fn event_from_json(j: &Json) -> Result<CommEvent, String> {
+fn event_from_json(j: &Json) -> Result<CommEvent, String> {
     if j.get("type").and_then(Json::as_str) != Some("comm") {
         return Err("event: missing type=\"comm\"".into());
     }
@@ -122,8 +130,9 @@ pub fn event_from_json(j: &Json) -> Result<CommEvent, String> {
             Some(Json::Str(s)) => Some(
                 u64::from_str_radix(s, 16).map_err(|_| format!("event: bad tag '{s}'"))?,
             ),
-            // Legacy numeric form (pre-hex bundles); exact only below 2^53.
-            Some(v) => v.as_f64().map(|v| v as u64),
+            // A JSON number is a double: above 2^53 it would silently merge
+            // distinct match keys, so only the hex string is a tag.
+            Some(v) => return Err(format!("event: tag must be a hex string, found {v}")),
         },
         seq: opt("seq").map(|v| v as u64),
         bytes: num("bytes")? as u64,
@@ -156,20 +165,39 @@ pub fn events_from_jsonl(text: &str) -> Result<Vec<CommEvent>, String> {
     Ok(out)
 }
 
-/// Writes a full trace bundle (`trace.json`, `events-rank<k>.jsonl`, and —
-/// when provided — `metrics.json`) into `dir`, creating it if necessary.
+/// One rank's contribution to a capture: its comm events and its event
+/// ring. Bundle files are keyed by `rank` — the world rank of a solver run,
+/// the gang-local rank of a serve attempt.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct RankCapture {
+    /// Rank within the captured communicator (0-based).
+    pub rank: usize,
+    /// The rank's comm events, in recorded order.
+    pub events: Vec<CommEvent>,
+    /// The rank's event ring with exact drop accounting; its span events
+    /// are the doctor's phase timeline.
+    pub recorder: RecorderSnapshot,
+}
+
+/// Writes a bundle (`events-rank<k>.jsonl` for every rank that has comm
+/// events, `recorder-rank<k>.jsonl`, the `trace.json` export and — when
+/// provided — `metrics.json`) into `dir`, creating it if necessary.
 pub fn write_trace_bundle(
     dir: impl AsRef<Path>,
-    traces: &[(usize, ThreadTrace)],
-    events: &[(usize, Vec<CommEvent>)],
+    captures: &[RankCapture],
     metrics: Option<&MetricsRegistry>,
 ) -> std::io::Result<()> {
     let dir = dir.as_ref();
     std::fs::create_dir_all(dir)?;
-    let trace = crate::span::chrome_trace_full(traces, events);
-    std::fs::write(dir.join("trace.json"), trace.to_string())?;
-    for (rank, evs) in events {
-        std::fs::write(dir.join(format!("events-rank{rank}.jsonl")), events_to_jsonl(evs))?;
+    for c in captures {
+        if !c.events.is_empty() {
+            let name = format!("events-rank{}.jsonl", c.rank);
+            std::fs::write(dir.join(name), events_to_jsonl(&c.events))?;
+        }
+        std::fs::write(dir.join(format!("recorder-rank{}.jsonl", c.rank)), c.recorder.to_jsonl())?;
+    }
+    if !captures.is_empty() {
+        std::fs::write(dir.join("trace.json"), crate::span::chrome_trace(captures).to_string())?;
     }
     if let Some(m) = metrics {
         std::fs::write(dir.join("metrics.json"), m.to_json().to_string())?;
@@ -181,160 +209,96 @@ pub fn write_trace_bundle(
 // Doctor input
 // ---------------------------------------------------------------------------
 
-/// One span interval parsed back from a trace (names are owned because they
-/// come from JSON).
+/// Why a bundle could not be loaded. The doctor CLI maps these to its typed
+/// exit errors, so the variants (and their rendered messages) are pinned by
+/// tests.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Span {
-    /// Span name (e.g. `"fft.transpose"`).
-    pub name: String,
-    /// Start, ns on the shared monotonic clock.
-    pub t0_ns: u64,
-    /// End, ns on the shared monotonic clock.
-    pub t1_ns: u64,
+pub enum BundleError {
+    /// The bundle directory (or an incident bundle's `incident.json`) does
+    /// not exist.
+    MissingBundle(PathBuf),
+    /// A bundle file exists but is truncated or unparseable.
+    Truncated {
+        /// File name within the bundle.
+        file: String,
+        /// What failed.
+        detail: String,
+    },
 }
 
-/// Everything the doctor knows about one rank.
-#[derive(Debug, Clone, Default)]
-pub struct RankRecord {
-    /// World rank.
-    pub rank: usize,
-    /// The rank's comm events, in recorded order.
-    pub events: Vec<CommEvent>,
-    /// The rank's spans.
-    pub spans: Vec<Span>,
+impl std::fmt::Display for BundleError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            BundleError::MissingBundle(p) => {
+                write!(f, "no incident bundle at {} (missing incident.json)", p.display())
+            }
+            BundleError::Truncated { file, detail } => {
+                write!(f, "bundle file {file} is truncated or malformed: {detail}")
+            }
+        }
+    }
 }
 
-/// The merged multi-rank input to [`analyze`].
+impl std::error::Error for BundleError {}
+
+/// Reads `dir/name` and parses it, naming the file in either failure.
+pub(crate) fn read_bundle_file<T>(
+    dir: &Path,
+    name: &str,
+    parse: impl FnOnce(&str) -> Result<T, String>,
+) -> Result<T, BundleError> {
+    let truncated = |detail: String| BundleError::Truncated { file: name.to_string(), detail };
+    let text = std::fs::read_to_string(dir.join(name)).map_err(|e| truncated(e.to_string()))?;
+    parse(&text).map_err(truncated)
+}
+
+/// The merged multi-rank input to [`analyze`]: what a run captured, from
+/// memory or from a bundle directory.
 #[derive(Debug, Clone, Default)]
 pub struct DoctorInput {
-    /// Per-rank records, sorted by world rank.
-    pub ranks: Vec<RankRecord>,
+    /// Per-rank captures, sorted by rank.
+    pub ranks: Vec<RankCapture>,
     /// Run-recorded metrics (merged across ranks), if any.
     pub metrics: MetricsRegistry,
-    /// Events the per-thread trace buffers dropped at capacity, summed
-    /// across threads (from `trace.json`'s `otherData.dropped_events` or
-    /// the in-memory [`ThreadTrace`] counters). Exact accounting of what
-    /// the spans below do NOT show.
-    pub trace_dropped: u64,
 }
 
 impl DoctorInput {
-    /// Builds the input directly from in-memory run artifacts.
-    pub fn from_memory(
-        traces: &[(usize, ThreadTrace)],
-        events: &[(usize, Vec<CommEvent>)],
-        metrics: Option<&MetricsRegistry>,
-    ) -> DoctorInput {
-        let mut ranks: BTreeMap<usize, RankRecord> = BTreeMap::new();
-        for (rank, evs) in events {
-            let r = ranks.entry(*rank).or_default();
-            r.rank = *rank;
-            r.events.extend_from_slice(evs);
-        }
-        for (rank, trace) in traces {
-            let r = ranks.entry(*rank).or_default();
-            r.rank = *rank;
-            for e in &trace.events {
-                r.spans.push(Span {
-                    name: e.name.to_string(),
-                    t0_ns: e.t0_ns,
-                    t1_ns: e.t0_ns + e.dur_ns,
-                });
-            }
-        }
-        let trace_dropped = traces.iter().map(|(_, t)| t.dropped).sum();
-        DoctorInput {
-            ranks: ranks.into_values().collect(),
-            metrics: metrics.cloned().unwrap_or_default(),
-            trace_dropped,
-        }
-    }
-
-    /// Loads a trace bundle directory written by [`write_trace_bundle`].
-    pub fn load_dir(dir: impl AsRef<Path>) -> Result<DoctorInput, String> {
+    /// Loads a bundle directory written by [`write_trace_bundle`] (or the
+    /// capture part of an incident bundle): every `events-rank<k>.jsonl`
+    /// and `recorder-rank<k>.jsonl`, plus `metrics.json` when present. A
+    /// directory with none of them loads as zero ranks.
+    pub fn load_dir(dir: impl AsRef<Path>) -> Result<DoctorInput, BundleError> {
         let dir = dir.as_ref();
-        let mut ranks: BTreeMap<usize, RankRecord> = BTreeMap::new();
-        let entries = std::fs::read_dir(dir)
-            .map_err(|e| format!("doctor: cannot read {}: {e}", dir.display()))?;
+        let missing = |_| BundleError::MissingBundle(dir.to_path_buf());
         let mut names: Vec<String> = Vec::new();
-        for entry in entries {
-            let entry = entry.map_err(|e| format!("doctor: {e}"))?;
-            if let Some(name) = entry.file_name().to_str() {
+        for entry in std::fs::read_dir(dir).map_err(missing)? {
+            if let Some(name) = entry.map_err(missing)?.file_name().to_str() {
                 names.push(name.to_string());
             }
         }
         names.sort();
-        let mut saw_events = false;
+        let rank_of = |name: &str, prefix: &str| -> Option<usize> {
+            name.strip_prefix(prefix)?.strip_suffix(".jsonl")?.parse().ok()
+        };
+        let mut ranks: BTreeMap<usize, RankCapture> = BTreeMap::new();
         for name in &names {
-            let Some(rank) = name
-                .strip_prefix("events-rank")
-                .and_then(|s| s.strip_suffix(".jsonl"))
-                .and_then(|s| s.parse::<usize>().ok())
-            else {
-                continue;
-            };
-            saw_events = true;
-            let text = std::fs::read_to_string(dir.join(name))
-                .map_err(|e| format!("doctor: read {name}: {e}"))?;
-            let events = events_from_jsonl(&text).map_err(|e| format!("doctor: {name}: {e}"))?;
-            let r = ranks.entry(rank).or_default();
-            r.rank = rank;
-            r.events = events;
-        }
-        if !saw_events {
-            return Err(format!(
-                "doctor: no events-rank<k>.jsonl files in {}",
-                dir.display()
-            ));
-        }
-        // Spans from trace.json (category "diffreg" only; the comm track is
-        // redundant with the JSONL streams).
-        let mut trace_dropped = 0u64;
-        let trace_path = dir.join("trace.json");
-        if trace_path.exists() {
-            let text = std::fs::read_to_string(&trace_path)
-                .map_err(|e| format!("doctor: read trace.json: {e}"))?;
-            let doc = Json::parse(&text).map_err(|e| format!("doctor: trace.json: {e}"))?;
-            trace_dropped = doc
-                .get("otherData")
-                .and_then(|o| o.get("dropped_events"))
-                .and_then(Json::as_f64)
-                .unwrap_or(0.0) as u64;
-            let events = doc
-                .get("traceEvents")
-                .and_then(Json::as_arr)
-                .ok_or("doctor: trace.json missing traceEvents")?;
-            for e in events {
-                if e.get("ph").and_then(Json::as_str) != Some("X")
-                    || e.get("cat").and_then(Json::as_str) != Some("diffreg")
-                {
-                    continue;
-                }
-                let (Some(pid), Some(ts), Some(dur), Some(name)) = (
-                    e.get("pid").and_then(Json::as_f64),
-                    e.get("ts").and_then(Json::as_f64),
-                    e.get("dur").and_then(Json::as_f64),
-                    e.get("name").and_then(Json::as_str),
-                ) else {
-                    return Err("doctor: trace.json span missing pid/ts/dur/name".into());
-                };
-                let t0_ns = (ts * 1e3).round() as u64;
-                let t1_ns = t0_ns + (dur * 1e3).round() as u64;
-                let r = ranks.entry(pid as usize).or_default();
-                r.rank = pid as usize;
-                r.spans.push(Span { name: name.to_string(), t0_ns, t1_ns });
+            if let Some(rank) = rank_of(name, "events-rank") {
+                ranks.entry(rank).or_default().events =
+                    read_bundle_file(dir, name, events_from_jsonl)?;
+            } else if let Some(rank) = rank_of(name, "recorder-rank") {
+                ranks.entry(rank).or_default().recorder =
+                    read_bundle_file(dir, name, RecorderSnapshot::from_jsonl)?;
             }
         }
-        let metrics_path = dir.join("metrics.json");
-        let metrics = if metrics_path.exists() {
-            let text = std::fs::read_to_string(&metrics_path)
-                .map_err(|e| format!("doctor: read metrics.json: {e}"))?;
-            let j = Json::parse(&text).map_err(|e| format!("doctor: metrics.json: {e}"))?;
-            MetricsRegistry::from_json(&j).map_err(|e| format!("doctor: metrics.json: {e}"))?
+        let metrics = if dir.join("metrics.json").is_file() {
+            read_bundle_file(dir, "metrics.json", |text| {
+                MetricsRegistry::from_json(&Json::parse(text)?)
+            })?
         } else {
             MetricsRegistry::new()
         };
-        Ok(DoctorInput { ranks: ranks.into_values().collect(), metrics, trace_dropped })
+        let ranks = ranks.into_iter().map(|(rank, c)| RankCapture { rank, ..c }).collect();
+        Ok(DoctorInput { ranks, metrics })
     }
 }
 
@@ -486,8 +450,8 @@ pub struct DoctorReport {
     /// Derived metrics (op latencies, wait histograms) merged with the
     /// run-recorded registry.
     pub metrics: MetricsRegistry,
-    /// Events dropped by per-thread trace buffers at capacity (summed) —
-    /// the spans above are missing exactly this many events.
+    /// Events the per-thread rings did not keep (sampled out or
+    /// overwritten, summed) — the spans above are missing at most this many.
     pub trace_dropped: u64,
 }
 
@@ -498,16 +462,16 @@ pub struct DoctorReport {
 /// Flattens a rank's (possibly nested) spans into disjoint segments labeled
 /// with the innermost open span. Gaps between spans get no segment (callers
 /// treat them as [`UNTRACED`]).
-fn flatten_spans(spans: &[Span]) -> Vec<(u64, u64, String)> {
-    let mut sorted: Vec<&Span> = spans.iter().collect();
-    sorted.sort_by(|a, b| a.t0_ns.cmp(&b.t0_ns).then(b.t1_ns.cmp(&a.t1_ns)));
+fn flatten_spans(recorder: &RecorderSnapshot) -> Vec<(u64, u64, String)> {
+    let mut sorted: Vec<(u64, u64, &str)> = recorder.spans().collect();
+    sorted.sort_by(|a, b| a.0.cmp(&b.0).then(b.1.cmp(&a.1)));
     let mut out: Vec<(u64, u64, String)> = Vec::new();
     let mut stack: Vec<(u64, &str)> = Vec::new(); // (t1, name)
     let mut cursor = 0u64;
-    for s in sorted {
+    for (t0_ns, t1_ns, name) in sorted {
         // Close everything that ends before this span starts.
         while let Some(&(top_t1, top_name)) = stack.last() {
-            if top_t1 > s.t0_ns {
+            if top_t1 > t0_ns {
                 break;
             }
             stack.pop();
@@ -518,14 +482,14 @@ fn flatten_spans(spans: &[Span]) -> Vec<(u64, u64, String)> {
         }
         // The stretch up to this span's start belongs to the enclosing span
         // (if any); gaps stay unlabeled.
-        if s.t0_ns > cursor {
-            if let Some(&(_, name)) = stack.last() {
-                out.push((cursor, s.t0_ns, name.to_string()));
+        if t0_ns > cursor {
+            if let Some(&(_, parent)) = stack.last() {
+                out.push((cursor, t0_ns, parent.to_string()));
             }
-            cursor = s.t0_ns;
+            cursor = t0_ns;
         }
-        cursor = cursor.max(s.t0_ns);
-        stack.push((s.t1_ns, &s.name));
+        cursor = cursor.max(t0_ns);
+        stack.push((t1_ns, name));
     }
     while let Some((top_t1, top_name)) = stack.pop() {
         if top_t1 > cursor {
@@ -595,7 +559,7 @@ pub fn analyze(input: &DoctorInput) -> DoctorReport {
 
     // Per-rank phase timelines.
     let timelines: BTreeMap<usize, Vec<(u64, u64, String)>> =
-        input.ranks.iter().map(|r| (r.rank, flatten_spans(&r.spans))).collect();
+        input.ranks.iter().map(|r| (r.rank, flatten_spans(&r.recorder))).collect();
     let empty_timeline: Vec<(u64, u64, String)> = Vec::new();
     let timeline = |rank: usize| timelines.get(&rank).unwrap_or(&empty_timeline);
 
@@ -608,7 +572,7 @@ pub fn analyze(input: &DoctorInput) -> DoctorReport {
     // pairing is ambiguous; count each extra event as unmatched so the gate
     // sees the corruption instead of a silent overwrite hiding it.
     let (mut dup_sends, mut dup_recvs) = (0usize, 0usize);
-    let mut groups: BTreeMap<(u64, u64, u64), CollectiveGroup> = BTreeMap::new();
+    let mut groups: BTreeMap<(u64, CommOp, u64), CollectiveGroup> = BTreeMap::new();
     for r in &input.ranks {
         for e in &r.events {
             match e.op {
@@ -630,7 +594,7 @@ pub fn analyze(input: &DoctorInput) -> DoctorReport {
                 }
                 op => {
                     let epoch = e.epoch.unwrap_or(0);
-                    let g = groups.entry((e.comm, op_code(op), epoch)).or_insert_with(|| {
+                    let g = groups.entry((e.comm, op, epoch)).or_insert_with(|| {
                         CollectiveGroup {
                             comm: e.comm,
                             op,
@@ -759,7 +723,7 @@ pub fn analyze(input: &DoctorInput) -> DoctorReport {
         recv_to_sender
             .insert((m.recv_rank, m.recv.t0_ns, m.recv.t1_ns), (m.send_rank, m.send));
     }
-    let mut coll_last: BTreeMap<(u64, u64, u64), (usize, u64)> = BTreeMap::new();
+    let mut coll_last: BTreeMap<(u64, CommOp, u64), (usize, u64)> = BTreeMap::new();
     for g in collectives.iter().filter(|g| g.is_complete() && g.members.len() > 1) {
         if let Some((r, t0)) = g
             .members
@@ -767,7 +731,7 @@ pub fn analyze(input: &DoctorInput) -> DoctorReport {
             .map(|(r, e)| (*r, e.t0_ns))
             .max_by(|a, b| a.1.cmp(&b.1).then(b.0.cmp(&a.0)))
         {
-            coll_last.insert((g.comm, op_code(g.op), g.epoch), (r, t0));
+            coll_last.insert((g.comm, g.op, g.epoch), (r, t0));
         }
     }
     // Per-rank events sorted by end time.
@@ -787,10 +751,10 @@ pub fn analyze(input: &DoctorInput) -> DoctorReport {
                 end_rank = r.rank;
             }
         }
-        for s in &r.spans {
-            t_begin = t_begin.min(s.t0_ns);
-            if s.t1_ns > t_end {
-                t_end = s.t1_ns;
+        for (t0_ns, t1_ns, _) in r.recorder.spans() {
+            t_begin = t_begin.min(t0_ns);
+            if t1_ns > t_end {
+                t_end = t1_ns;
                 end_rank = r.rank;
             }
         }
@@ -846,7 +810,7 @@ pub fn analyze(input: &DoctorInput) -> DoctorReport {
         }
         if !ev.op.is_p2p() && ev.blocked_ns > 0 {
             if let Some(&(l_rank, l_t0)) =
-                coll_last.get(&(ev.comm, op_code(ev.op), ev.epoch.unwrap_or(0)))
+                coll_last.get(&(ev.comm, ev.op, ev.epoch.unwrap_or(0)))
             {
                 if l_rank != cur_rank {
                     let jump_t = l_t0.clamp(ev.t0_ns, ev.t1_ns).min(cur_t);
@@ -918,7 +882,8 @@ pub fn analyze(input: &DoctorInput) -> DoctorReport {
     metrics.inc_counter("diffreg_doctor_collectives_total", collectives.len() as u64);
     metrics
         .inc_counter("diffreg_doctor_collectives_incomplete_total", incomplete_collectives as u64);
-    metrics.inc_counter("diffreg_trace_dropped_events_total", input.trace_dropped);
+    let trace_dropped: u64 = input.ranks.iter().map(|r| r.recorder.dropped()).sum();
+    metrics.inc_counter("diffreg_trace_dropped_events_total", trace_dropped);
 
     DoctorReport {
         ranks: nranks,
@@ -937,22 +902,7 @@ pub fn analyze(input: &DoctorInput) -> DoctorReport {
         coverage,
         phase_rank_seconds,
         metrics,
-        trace_dropped: input.trace_dropped,
-    }
-}
-
-/// Stable numeric code for grouping ops in map keys.
-fn op_code(op: CommOp) -> u64 {
-    match op {
-        CommOp::Send => 0,
-        CommOp::Recv => 1,
-        CommOp::Barrier => 2,
-        CommOp::Broadcast => 3,
-        CommOp::Allgather => 4,
-        CommOp::Alltoallv => 5,
-        CommOp::Allreduce => 6,
-        CommOp::AllreduceUsize => 7,
-        CommOp::Split => 8,
+        trace_dropped,
     }
 }
 
@@ -1124,6 +1074,33 @@ impl DoctorReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::recorder::{RecEvent, RecKind};
+
+    /// A complete keep-all window holding the given `(name, t0_ns, t1_ns)`
+    /// spans.
+    fn spans(spans: &[(&'static str, u64, u64)]) -> RecorderSnapshot {
+        let events: Vec<RecEvent> = spans
+            .iter()
+            .map(|&(name, t0, t1)| RecEvent {
+                t_ns: t0,
+                kind: RecKind::Span,
+                name: name.into(),
+                a: t1 - t0,
+                b: 0,
+            })
+            .collect();
+        let n = events.len() as u64;
+        RecorderSnapshot { events, seen: n, recorded: n, stride: 1, ..Default::default() }
+    }
+
+    fn input(ranks: Vec<(Vec<CommEvent>, RecorderSnapshot)>) -> DoctorInput {
+        let ranks = ranks
+            .into_iter()
+            .enumerate()
+            .map(|(rank, (events, recorder))| RankCapture { rank, events, recorder })
+            .collect();
+        DoctorInput { ranks, metrics: MetricsRegistry::new() }
+    }
 
     fn ev(op: CommOp, rank: usize, t0_ms: u64, t1_ms: u64, blocked_ms: u64) -> CommEvent {
         CommEvent {
@@ -1182,6 +1159,11 @@ mod tests {
         let back = events_from_jsonl(&text).unwrap();
         assert_eq!(back, vec![e, hi, hi2, coll_e]);
         assert_ne!(back[1].tag, back[2].tag, "high tag bits must survive");
+        // A numeric tag is what a double would have rounded: rejected.
+        let numeric = text.lines().next().unwrap().replace("\"tag\":\"7\"", "\"tag\":7");
+        assert_ne!(numeric, text.lines().next().unwrap());
+        let err = events_from_jsonl(&numeric).unwrap_err();
+        assert!(err.contains("line 1: event: tag must be a hex string, found 7"), "{err}");
     }
 
     #[test]
@@ -1189,22 +1171,10 @@ mod tests {
         // Rank 0 posts its recv at t=0 and blocks; rank 1 sends at t=100.
         let recv = p2p(CommOp::Recv, 0, 1, 7, 0, 0, 150, 150);
         let send = p2p(CommOp::Send, 1, 0, 7, 0, 100, 150, 0);
-        let input = DoctorInput {
-            ranks: vec![
-                RankRecord {
-                    rank: 0,
-                    events: vec![recv],
-                    spans: vec![Span {
-                        name: "newton.pcg".into(),
-                        t0_ns: 0,
-                        t1_ns: 200_000_000,
-                    }],
-                },
-                RankRecord { rank: 1, events: vec![send], spans: vec![] },
-            ],
-            metrics: MetricsRegistry::new(),
-            trace_dropped: 0,
-        };
+        let input = input(vec![
+            (vec![recv], spans(&[("newton.pcg", 0, 200_000_000)])),
+            (vec![send], spans(&[])),
+        ]);
         let rep = analyze(&input);
         assert_eq!(rep.matched.len(), 1);
         assert_eq!(rep.unmatched_sends + rep.unmatched_recvs, 0);
@@ -1236,14 +1206,12 @@ mod tests {
     fn trace_drop_counter_reaches_report_header_and_prometheus() {
         let a = coll(CommOp::Barrier, 0, 1, 0, 105);
         let b = coll(CommOp::Barrier, 1, 1, 100, 105);
-        let input = DoctorInput {
-            ranks: vec![
-                RankRecord { rank: 0, events: vec![a], spans: vec![] },
-                RankRecord { rank: 1, events: vec![b], spans: vec![] },
-            ],
-            metrics: MetricsRegistry::new(),
-            trace_dropped: 7,
-        };
+        // A keep-all window that overflowed by 4 and a sampled one that
+        // skipped 2 and evicted 1: 7 events the capture does not hold.
+        let overflowed = RecorderSnapshot { seen: 4, recorded: 4, overwritten: 4, stride: 1, ..spans(&[]) };
+        let sampled =
+            RecorderSnapshot { seen: 3, recorded: 1, sampled_out: 2, overwritten: 1, stride: 2, ..spans(&[]) };
+        let input = input(vec![(vec![a], overflowed), (vec![b], sampled)]);
         let rep = analyze(&input);
         assert_eq!(rep.trace_dropped, 7);
         assert!(
@@ -1263,14 +1231,7 @@ mod tests {
         // Rank 0 arrives at t=0, rank 1 at t=100; both leave at t=105.
         let a = coll(CommOp::Barrier, 0, 1, 0, 105);
         let b = coll(CommOp::Barrier, 1, 1, 100, 105);
-        let input = DoctorInput {
-            ranks: vec![
-                RankRecord { rank: 0, events: vec![a], spans: vec![] },
-                RankRecord { rank: 1, events: vec![b], spans: vec![] },
-            ],
-            metrics: MetricsRegistry::new(),
-            trace_dropped: 0,
-        };
+        let input = input(vec![(vec![a], spans(&[])), (vec![b], spans(&[]))]);
         let rep = analyze(&input);
         assert_eq!(rep.collectives.len(), 1);
         assert_eq!(rep.incomplete_collectives, 0);
@@ -1292,11 +1253,7 @@ mod tests {
     fn unmatched_and_incomplete_fail_the_gate() {
         let send = p2p(CommOp::Send, 0, 1, 9, 0, 0, 10, 0);
         let half = coll(CommOp::Allreduce, 0, 4, 0, 10); // csize 2, one record
-        let input = DoctorInput {
-            ranks: vec![RankRecord { rank: 0, events: vec![send, half], spans: vec![] }],
-            metrics: MetricsRegistry::new(),
-            trace_dropped: 0,
-        };
+        let input = input(vec![(vec![send, half], spans(&[]))]);
         let rep = analyze(&input);
         assert_eq!(rep.unmatched_sends, 1);
         assert_eq!(rep.incomplete_collectives, 1);
@@ -1307,11 +1264,7 @@ mod tests {
 
     #[test]
     fn flatten_spans_labels_innermost() {
-        let spans = vec![
-            Span { name: "outer".into(), t0_ns: 0, t1_ns: 100 },
-            Span { name: "inner".into(), t0_ns: 20, t1_ns: 50 },
-        ];
-        let segs = flatten_spans(&spans);
+        let segs = flatten_spans(&spans(&[("outer", 0, 100), ("inner", 20, 50)]));
         assert_eq!(phase_at(&segs, 10), "outer");
         assert_eq!(phase_at(&segs, 30), "inner");
         assert_eq!(phase_at(&segs, 70), "outer");
@@ -1327,26 +1280,10 @@ mod tests {
         let send = p2p(CommOp::Send, 1, 0, 7, 0, 100, 150, 0);
         let a = coll(CommOp::Allreduce, 0, 2, 150, 260);
         let b = coll(CommOp::Allreduce, 1, 2, 250, 260);
-        let input = DoctorInput {
-            ranks: vec![
-                RankRecord {
-                    rank: 0,
-                    events: vec![recv, a],
-                    spans: vec![Span { name: "newton.pcg".into(), t0_ns: 0, t1_ns: 260_000_000 }],
-                },
-                RankRecord {
-                    rank: 1,
-                    events: vec![send, b],
-                    spans: vec![Span {
-                        name: "fft.transpose".into(),
-                        t0_ns: 0,
-                        t1_ns: 250_000_000,
-                    }],
-                },
-            ],
-            metrics: MetricsRegistry::new(),
-            trace_dropped: 0,
-        };
+        let input = input(vec![
+            (vec![recv, a], spans(&[("newton.pcg", 0, 260_000_000)])),
+            (vec![send, b], spans(&[("fft.transpose", 0, 250_000_000)])),
+        ]);
         let r1 = analyze(&input);
         let r2 = analyze(&input);
         assert_eq!(r1.render(8, None), r2.render(8, None));
@@ -1360,11 +1297,11 @@ mod tests {
     fn bundle_roundtrips_through_disk() {
         let recv = p2p(CommOp::Recv, 0, 1, 5, 0, 0, 40, 30);
         let send = p2p(CommOp::Send, 1, 0, 5, 0, 30, 40, 0);
-        let traces = vec![
-            (0usize, ThreadTrace::default()),
-            (1usize, ThreadTrace::default()),
+        // Span names with quotes, backslashes and non-ASCII survive the disk.
+        let captures = vec![
+            RankCapture { rank: 0, events: vec![recv], recorder: spans(&[("q\"\\é", 3, 1_234_567)]) },
+            RankCapture { rank: 1, events: vec![send], recorder: spans(&[]) },
         ];
-        let events = vec![(0usize, vec![recv]), (1usize, vec![send])];
         let mut metrics = MetricsRegistry::new();
         metrics.observe("diffreg_interp_scatter_points", 128.0);
         let dir = std::env::temp_dir().join(format!(
@@ -1372,11 +1309,9 @@ mod tests {
             std::process::id(),
             diffreg_comm::monotonic_ns()
         ));
-        write_trace_bundle(&dir, &traces, &events, Some(&metrics)).unwrap();
+        write_trace_bundle(&dir, &captures, Some(&metrics)).unwrap();
         let input = DoctorInput::load_dir(&dir).unwrap();
-        assert_eq!(input.ranks.len(), 2);
-        assert_eq!(input.ranks[0].events, vec![recv]);
-        assert_eq!(input.ranks[1].events, vec![send]);
+        assert_eq!(input.ranks, captures, "events and nanosecond spans read back exactly");
         assert_eq!(input.metrics.histogram("diffreg_interp_scatter_points").unwrap().count(), 1);
         let rep = analyze(&input);
         assert_eq!(rep.matched.len(), 1);

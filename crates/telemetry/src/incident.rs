@@ -4,20 +4,20 @@
 //! When something goes wrong in the serve runtime (a watchdog timeout, a
 //! failed attempt, an SLO burn-rate breach, ...), the incident engine
 //! snapshots each gang rank's comm-event log, flight-recorder ring, and the
-//! job's recent convergence history into one on-disk bundle:
+//! job's recent convergence history into one on-disk bundle — a trace bundle
+//! (see [`crate::doctor`]) plus a header and the convergence tail:
 //!
 //! ```text
 //! <dir>/incident-<seq>-<trigger>/
 //!   incident.json           deterministic header: trigger, job, attempt,
 //!                           round, tenant, gang, exact capture accounting,
 //!                           firing SLO alerts, and the capture digest
+//!   convergence.jsonl       tail of the job's convergence log
 //!   events-rank<k>.jsonl    gang rank k's comm events of the attempt
 //!   recorder-rank<k>.jsonl  gang rank k's flight-recorder window + counters
-//!   trace.json              Chrome trace synthesized from the recorder's
-//!                           span stream + the comm capture (doctor/Perfetto
-//!                           compatible)
-//!   convergence.jsonl       tail of the job's convergence log
 //!   metrics.json            MetricsRegistry snapshot at trigger time
+//!   trace.json              Chrome trace of the capture, for Perfetto
+//!                           (an export: nothing reads it back)
 //! ```
 //!
 //! **Determinism.** Under a seeded chaos replay the captured *sequence* of
@@ -35,11 +35,13 @@ use std::path::{Path, PathBuf};
 use diffreg_comm::CommEvent;
 
 use crate::convergence::ConvergenceLog;
-use crate::doctor::{analyze, events_to_jsonl, DoctorInput, DoctorReport};
+use crate::doctor::{
+    analyze, read_bundle_file, write_trace_bundle, BundleError, DoctorInput, DoctorReport,
+    RankCapture,
+};
 use crate::json::Json;
 use crate::metrics::MetricsRegistry;
-use crate::recorder::{RecKind, RecorderSnapshot};
-use crate::span::{chrome_trace_full, SpanEvent, ThreadTrace};
+use crate::recorder::RecKind;
 
 /// What fired the capture.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
@@ -89,18 +91,6 @@ impl IncidentTrigger {
     pub fn wants_culprit(self) -> bool {
         matches!(self, IncidentTrigger::WatchdogTimeout | IncidentTrigger::AttemptFailure)
     }
-}
-
-/// One gang rank's contribution to a capture: every comm event of the
-/// attempt, and its flight-recorder window with exact drop accounting.
-#[derive(Debug, Clone, Default)]
-pub struct RankCapture {
-    /// Gang-local rank (0-based; bundle files are keyed by this).
-    pub gang_rank: usize,
-    /// Captured comm events, oldest first.
-    pub events: Vec<CommEvent>,
-    /// The rank's flight-recorder window.
-    pub recorder: RecorderSnapshot,
 }
 
 /// The deterministic `incident.json` header.
@@ -198,22 +188,6 @@ fn fold_comm_event(d: &mut Digest, e: &CommEvent) {
     // t0_ns / t1_ns / blocked_ns are wall-clock: excluded by design.
 }
 
-/// One parsed recorder event with owned strings (the load-side mirror of
-/// [`crate::recorder::RecEvent`]).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct RecLine {
-    /// Wall-clock timestamp (triage evidence only; never in the digest).
-    pub t_ns: u64,
-    /// Event kind name.
-    pub kind: String,
-    /// Event name.
-    pub name: String,
-    /// First payload word.
-    pub a: u64,
-    /// Second payload word.
-    pub b: u64,
-}
-
 /// Failure-reason codes the serve runtime records in
 /// `serve.attempt-failed` recorder events (`a` payload word). Kept in sync
 /// with the serve crate's outcome-allgather wire codes.
@@ -236,36 +210,26 @@ pub fn fail_label(code: u64) -> &'static str {
     }
 }
 
-fn fold_rec_fields(d: &mut Digest, kind: &str, name: &str, a: u64, b: u64) {
-    d.str(kind);
-    d.str(name);
-    // A span's `a` is its wall-clock duration: excluded. Everything else
-    // (comm summary counts/bytes, serve job/round words) is deterministic.
-    if kind != "span" {
-        d.u64(a);
-    }
-    d.u64(b);
-}
-
-/// The write-side digest: folds the timestamp-free projection of `captures`
-/// (sorted by gang rank) exactly as [`load_incident_bundle`] refolds it from
-/// the files.
+/// The capture digest: folds the timestamp-free projection of `captures`
+/// (sorted by rank). The writer folds what it is about to write and the
+/// gate refolds what [`load_incident_bundle`] read — the same function over
+/// the same type.
 pub fn capture_digest(captures: &[RankCapture]) -> u64 {
     let mut sorted: Vec<&RankCapture> = captures.iter().collect();
-    sorted.sort_by_key(|c| c.gang_rank);
+    sorted.sort_by_key(|c| c.rank);
     let mut d = Digest::new();
     for c in &sorted {
         if c.events.is_empty() {
             continue; // no events file is written for this rank
         }
-        d.u64(c.gang_rank as u64);
+        d.u64(c.rank as u64);
         d.u64(c.events.len() as u64);
         for e in &c.events {
             fold_comm_event(&mut d, e);
         }
     }
     for c in &sorted {
-        d.u64(c.gang_rank as u64);
+        d.u64(c.rank as u64);
         let r = &c.recorder;
         d.u64(r.seen);
         d.u64(r.recorded);
@@ -273,36 +237,15 @@ pub fn capture_digest(captures: &[RankCapture]) -> u64 {
         d.u64(r.overwritten);
         d.u64(r.stride);
         for e in &r.events {
-            fold_rec_fields(&mut d, e.kind.name(), e.name, e.a, e.b);
-        }
-    }
-    d.0
-}
-
-fn digest_from_loaded(
-    events: &[(usize, Vec<CommEvent>)],
-    recorder: &[(usize, RecorderFile)],
-) -> u64 {
-    let mut d = Digest::new();
-    for (rank, evs) in events {
-        if evs.is_empty() {
-            continue;
-        }
-        d.u64(*rank as u64);
-        d.u64(evs.len() as u64);
-        for e in evs {
-            fold_comm_event(&mut d, e);
-        }
-    }
-    for (rank, r) in recorder {
-        d.u64(*rank as u64);
-        d.u64(r.seen);
-        d.u64(r.recorded);
-        d.u64(r.sampled_out);
-        d.u64(r.overwritten);
-        d.u64(r.stride);
-        for e in &r.events {
-            fold_rec_fields(&mut d, &e.kind, &e.name, e.a, e.b);
+            d.str(e.kind.name());
+            d.str(&e.name);
+            // A span's `a` is its wall-clock duration: excluded. Everything
+            // else (comm summary counts/bytes, serve job/round words) is
+            // deterministic.
+            if e.kind != RecKind::Span {
+                d.u64(e.a);
+            }
+            d.u64(e.b);
         }
     }
     d.0
@@ -409,100 +352,6 @@ impl IncidentHeader {
     }
 }
 
-fn recorder_jsonl(snap: &RecorderSnapshot) -> String {
-    let mut out = String::new();
-    let head = Json::obj()
-        .set("type", "recorder")
-        .set("thread", snap.thread)
-        .set("seen", snap.seen)
-        .set("recorded", snap.recorded)
-        .set("sampled_out", snap.sampled_out)
-        .set("overwritten", snap.overwritten)
-        .set("stride", snap.stride);
-    out.push_str(&head.to_string());
-    out.push('\n');
-    for e in &snap.events {
-        let line = Json::obj()
-            .set("type", "event")
-            .set("t_ns", e.t_ns)
-            .set("kind", e.kind.name())
-            .set("name", e.name)
-            .set("a", e.a)
-            .set("b", e.b);
-        out.push_str(&line.to_string());
-        out.push('\n');
-    }
-    out
-}
-
-/// One parsed `recorder-rank<k>.jsonl`.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct RecorderFile {
-    /// Recorder thread index.
-    pub thread: u64,
-    /// Counter: events offered.
-    pub seen: u64,
-    /// Counter: events written to the ring.
-    pub recorded: u64,
-    /// Counter: spans skipped by sampling.
-    pub sampled_out: u64,
-    /// Counter: ring-wrap evictions.
-    pub overwritten: u64,
-    /// Sampling stride at capture.
-    pub stride: u64,
-    /// Retained events, oldest first.
-    pub events: Vec<RecLine>,
-}
-
-fn parse_recorder_jsonl(text: &str) -> Result<RecorderFile, String> {
-    let mut out = RecorderFile::default();
-    let mut saw_header = false;
-    for (i, line) in text.lines().enumerate() {
-        if line.trim().is_empty() {
-            continue;
-        }
-        let j = Json::parse(line).map_err(|e| format!("line {}: {e}", i + 1))?;
-        let ty = j.get("type").and_then(Json::as_str).unwrap_or("");
-        let u = |key: &str| -> Result<u64, String> {
-            j.get(key)
-                .and_then(Json::as_f64)
-                .map(|v| v as u64)
-                .ok_or(format!("line {}: missing {key}", i + 1))
-        };
-        match ty {
-            "recorder" => {
-                saw_header = true;
-                out.thread = u("thread")?;
-                out.seen = u("seen")?;
-                out.recorded = u("recorded")?;
-                out.sampled_out = u("sampled_out")?;
-                out.overwritten = u("overwritten")?;
-                out.stride = u("stride")?;
-            }
-            "event" => out.events.push(RecLine {
-                t_ns: u("t_ns")?,
-                kind: j
-                    .get("kind")
-                    .and_then(Json::as_str)
-                    .ok_or(format!("line {}: missing kind", i + 1))?
-                    .to_string(),
-                name: j
-                    .get("name")
-                    .and_then(Json::as_str)
-                    .ok_or(format!("line {}: missing name", i + 1))?
-                    .to_string(),
-                a: u("a")?,
-                b: u("b")?,
-            }),
-            other => return Err(format!("line {}: unknown type \"{other}\"", i + 1)),
-        }
-    }
-    if !saw_header {
-        return Err("missing recorder header line".into());
-    }
-    Ok(out)
-}
-
 // -- Bundle writer ----------------------------------------------------------
 
 /// Writes one incident bundle under `base`, returning the bundle directory
@@ -520,14 +369,11 @@ pub fn write_incident_bundle(
         base.as_ref().join(format!("incident-{:03}-{}", header.seq, header.trigger.name()));
     std::fs::create_dir_all(&dir)?;
 
-    let mut sorted: Vec<&RankCapture> = captures.iter().collect();
-    sorted.sort_by_key(|c| c.gang_rank);
-
-    header.comm_events = sorted.iter().map(|c| c.events.len() as u64).sum();
-    header.rec_seen = sorted.iter().map(|c| c.recorder.seen).sum();
-    header.rec_recorded = sorted.iter().map(|c| c.recorder.recorded).sum();
-    header.rec_sampled_out = sorted.iter().map(|c| c.recorder.sampled_out).sum();
-    header.rec_overwritten = sorted.iter().map(|c| c.recorder.overwritten).sum();
+    header.comm_events = captures.iter().map(|c| c.events.len() as u64).sum();
+    header.rec_seen = captures.iter().map(|c| c.recorder.seen).sum();
+    header.rec_recorded = captures.iter().map(|c| c.recorder.recorded).sum();
+    header.rec_sampled_out = captures.iter().map(|c| c.recorder.sampled_out).sum();
+    header.rec_overwritten = captures.iter().map(|c| c.recorder.overwritten).sum();
     header.convergence_entries = tail.map_or(0, |t| t.entries.len() as u64);
     header.convergence_evicted = tail.map_or(0, |t| t.evicted);
     header.capture_digest = capture_digest(captures);
@@ -536,182 +382,46 @@ pub fn write_incident_bundle(
     if let Some(t) = tail {
         std::fs::write(dir.join("convergence.jsonl"), t.to_jsonl())?;
     }
-    let mut traces: Vec<(usize, ThreadTrace)> = Vec::new();
-    let mut comm_events: Vec<(usize, Vec<CommEvent>)> = Vec::new();
-    for c in &sorted {
-        if !c.events.is_empty() {
-            std::fs::write(
-                dir.join(format!("events-rank{}.jsonl", c.gang_rank)),
-                events_to_jsonl(&c.events),
-            )?;
-            comm_events.push((c.gang_rank, c.events.clone()));
-        }
-        std::fs::write(
-            dir.join(format!("recorder-rank{}.jsonl", c.gang_rank)),
-            recorder_jsonl(&c.recorder),
-        )?;
-        // The recorder's downsampled span stream doubles as the bundle's
-        // span trace: enough for the doctor's phase attribution.
-        let spans: Vec<SpanEvent> = c
-            .recorder
-            .events
-            .iter()
-            .filter(|e| e.kind == RecKind::Span)
-            .map(|e| SpanEvent { name: e.name, t0_ns: e.t_ns, dur_ns: e.a, depth: e.b as u32 })
-            .collect();
-        traces.push((
-            c.gang_rank,
-            ThreadTrace {
-                thread: c.gang_rank as u64,
-                events: spans,
-                dropped: c.recorder.sampled_out + c.recorder.overwritten,
-            },
-        ));
-    }
-    if !comm_events.is_empty() {
-        std::fs::write(
-            dir.join("trace.json"),
-            chrome_trace_full(&traces, &comm_events).to_string(),
-        )?;
-    }
-    if let Some(m) = metrics {
-        std::fs::write(dir.join("metrics.json"), m.to_json().to_string())?;
-    }
+    write_trace_bundle(&dir, captures, metrics)?;
     Ok(dir)
 }
 
 // -- Bundle loader ----------------------------------------------------------
 
-/// Why a bundle could not be loaded. The doctor CLI maps these to its typed
-/// exit errors, so the variants (and their rendered messages) are pinned by
-/// tests.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum IncidentError {
-    /// The bundle directory (or its `incident.json`) does not exist.
-    MissingBundle(PathBuf),
-    /// A bundle file exists but is truncated or unparseable.
-    Truncated {
-        /// File name within the bundle.
-        file: String,
-        /// What failed.
-        detail: String,
-    },
-}
-
-impl std::fmt::Display for IncidentError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            IncidentError::MissingBundle(p) => {
-                write!(f, "no incident bundle at {} (missing incident.json)", p.display())
-            }
-            IncidentError::Truncated { file, detail } => {
-                write!(f, "incident bundle file {file} is truncated or malformed: {detail}")
-            }
-        }
-    }
-}
-
-impl std::error::Error for IncidentError {}
-
 /// One loaded bundle, ready for [`analyze_incident`].
 #[derive(Debug, Clone)]
 pub struct IncidentBundle {
-    /// Bundle directory.
-    pub dir: PathBuf,
     /// The parsed header.
     pub header: IncidentHeader,
-    /// Captured comm events per gang rank (empty when no attempt ran).
-    pub events: Vec<(usize, Vec<CommEvent>)>,
-    /// Parsed recorder files per gang rank.
-    pub recorder: Vec<(usize, RecorderFile)>,
+    /// The capture: comm events and recorder window per gang rank (no ranks
+    /// when no attempt ran) and the metrics snapshot, when bundled.
+    pub input: DoctorInput,
     /// Lines in `convergence.jsonl` (0 when absent).
     pub convergence_lines: u64,
-    /// Metrics snapshot, when bundled.
-    pub metrics: Option<MetricsRegistry>,
 }
 
-/// Loads and structurally validates one bundle directory.
-pub fn load_incident_bundle(dir: impl AsRef<Path>) -> Result<IncidentBundle, IncidentError> {
+/// Loads and structurally validates one bundle directory: the header, the
+/// capture through the common bundle reader, and the convergence tail.
+pub fn load_incident_bundle(dir: impl AsRef<Path>) -> Result<IncidentBundle, BundleError> {
     let dir = dir.as_ref().to_path_buf();
-    let header_path = dir.join("incident.json");
-    if !header_path.is_file() {
-        return Err(IncidentError::MissingBundle(dir));
+    if !dir.join("incident.json").is_file() {
+        return Err(BundleError::MissingBundle(dir));
     }
-    let read = |name: &str| -> Result<String, IncidentError> {
-        std::fs::read_to_string(dir.join(name)).map_err(|e| IncidentError::Truncated {
-            file: name.to_string(),
-            detail: e.to_string(),
-        })
-    };
-    let text = read("incident.json")?;
-    let json = Json::parse(&text).map_err(|detail| IncidentError::Truncated {
-        file: "incident.json".to_string(),
-        detail,
+    let header = read_bundle_file(&dir, "incident.json", |text| {
+        IncidentHeader::from_json(&Json::parse(text)?)
     })?;
-    let header = IncidentHeader::from_json(&json).map_err(|detail| IncidentError::Truncated {
-        file: "incident.json".to_string(),
-        detail,
-    })?;
-
-    let mut names: Vec<String> = Vec::new();
-    if let Ok(entries) = std::fs::read_dir(&dir) {
-        for entry in entries.flatten() {
-            if let Some(n) = entry.file_name().to_str() {
-                names.push(n.to_string());
+    let input = DoctorInput::load_dir(&dir)?;
+    let convergence_lines = if dir.join("convergence.jsonl").is_file() {
+        read_bundle_file(&dir, "convergence.jsonl", |text| {
+            for (i, line) in text.lines().enumerate() {
+                Json::parse(line).map_err(|e| format!("line {}: {e}", i + 1))?;
             }
-        }
-    }
-    names.sort();
-
-    let mut events: Vec<(usize, Vec<CommEvent>)> = Vec::new();
-    let mut recorder: Vec<(usize, RecorderFile)> = Vec::new();
-    for name in &names {
-        if let Some(rank) = name
-            .strip_prefix("events-rank")
-            .and_then(|s| s.strip_suffix(".jsonl"))
-            .and_then(|s| s.parse::<usize>().ok())
-        {
-            let evs = crate::doctor::events_from_jsonl(&read(name)?).map_err(|detail| {
-                IncidentError::Truncated { file: name.clone(), detail }
-            })?;
-            events.push((rank, evs));
-        } else if let Some(rank) = name
-            .strip_prefix("recorder-rank")
-            .and_then(|s| s.strip_suffix(".jsonl"))
-            .and_then(|s| s.parse::<usize>().ok())
-        {
-            let rf = parse_recorder_jsonl(&read(name)?).map_err(|detail| {
-                IncidentError::Truncated { file: name.clone(), detail }
-            })?;
-            recorder.push((rank, rf));
-        }
-    }
-
-    let mut convergence_lines = 0u64;
-    if dir.join("convergence.jsonl").is_file() {
-        let text = read("convergence.jsonl")?;
-        for (i, line) in text.lines().enumerate() {
-            Json::parse(line).map_err(|e| IncidentError::Truncated {
-                file: "convergence.jsonl".to_string(),
-                detail: format!("line {}: {e}", i + 1),
-            })?;
-            convergence_lines += 1;
-        }
-    }
-    let metrics = if dir.join("metrics.json").is_file() {
-        let text = read("metrics.json")?;
-        let j = Json::parse(&text).map_err(|detail| IncidentError::Truncated {
-            file: "metrics.json".to_string(),
-            detail,
-        })?;
-        Some(MetricsRegistry::from_json(&j).map_err(|detail| IncidentError::Truncated {
-            file: "metrics.json".to_string(),
-            detail,
-        })?)
+            Ok(text.lines().count() as u64)
+        })?
     } else {
-        None
+        0
     };
-    Ok(IncidentBundle { dir, header, events, recorder, convergence_lines, metrics })
+    Ok(IncidentBundle { header, input, convergence_lines })
 }
 
 // -- Triage -----------------------------------------------------------------
@@ -744,10 +454,11 @@ pub struct IncidentAnalysis {
 /// wait-state doctor over the captured window, attributes a culprit (an
 /// incomplete collective's missing rank, or the largest attribution cell),
 /// and renders the trigger-named triage summary.
-pub fn analyze_incident(bundle: &IncidentBundle, top_k: usize) -> IncidentAnalysis {
+pub fn analyze_incident(bundle: &IncidentBundle) -> IncidentAnalysis {
     use std::fmt::Write;
     let h = &bundle.header;
-    let recomputed_digest = digest_from_loaded(&bundle.events, &bundle.recorder);
+    let ranks = &bundle.input.ranks;
+    let recomputed_digest = capture_digest(ranks);
 
     let mut out = String::new();
     let _ = writeln!(
@@ -774,7 +485,7 @@ pub fn analyze_incident(bundle: &IncidentBundle, top_k: usize) -> IncidentAnalys
         h.rec_seen,
         h.rec_sampled_out,
         h.rec_overwritten,
-        bundle.recorder.iter().map(|(_, r)| r.stride).max().unwrap_or(1),
+        ranks.iter().map(|c| c.recorder.stride).max().unwrap_or(1),
         h.convergence_entries,
         h.convergence_evicted
     );
@@ -799,18 +510,14 @@ pub fn analyze_incident(bundle: &IncidentBundle, top_k: usize) -> IncidentAnalys
     // reports the kill, the late rank reports peer-gone, the innocent
     // waiters report timeout.
     let mut fails: Vec<(usize, u64, u64)> = Vec::new();
-    for (rank, rf) in &bundle.recorder {
-        for e in &rf.events {
-            if e.kind == "serve" && e.name == "serve.attempt-failed" {
-                fails.push((*rank, e.a, e.t_ns));
+    for c in ranks {
+        for e in &c.recorder.events {
+            if e.kind == RecKind::Serve && e.name == "serve.attempt-failed" {
+                fails.push((c.rank, e.a, e.t_ns));
             }
         }
     }
-    let max_epoch = bundle
-        .events
-        .iter()
-        .flat_map(|(_, evs)| evs.iter().filter_map(|e| e.epoch))
-        .max();
+    let max_epoch = ranks.iter().flat_map(|c| c.events.iter().filter_map(|e| e.epoch)).max();
     let frontier_op = |report: &DoctorReport| -> String {
         report
             .collectives
@@ -823,12 +530,8 @@ pub fn analyze_incident(bundle: &IncidentBundle, top_k: usize) -> IncidentAnalys
                 None => "gang collective".to_string(),
             })
     };
-    let report = if bundle.events.iter().any(|(_, e)| !e.is_empty()) {
-        let input = DoctorInput::load_dir(&bundle.dir).ok();
-        let input = input.unwrap_or_else(|| {
-            DoctorInput::from_memory(&[], &bundle.events, bundle.metrics.as_ref())
-        });
-        let report = analyze(&input);
+    let report = if ranks.iter().any(|c| !c.events.is_empty()) {
+        let report = analyze(&bundle.input);
 
         if let Some((rank, _, _)) = fails.iter().find(|(_, r, _)| *r == FAIL_KILL) {
             culprit = Some(Culprit {
@@ -943,9 +646,10 @@ pub fn analyze_incident(bundle: &IncidentBundle, top_k: usize) -> IncidentAnalys
             }
         }
         if !report.waits.is_empty() {
-            out.push_str(&indent(&report.render_wait_table(), "  "));
+            for line in report.render_wait_table().lines() {
+                let _ = writeln!(out, "  {line}");
+            }
         }
-        let _ = top_k;
         Some(report)
     } else {
         let _ = writeln!(
@@ -957,16 +661,6 @@ pub fn analyze_incident(bundle: &IncidentBundle, top_k: usize) -> IncidentAnalys
     };
 
     IncidentAnalysis { recomputed_digest, report, culprit, summary: out }
-}
-
-fn indent(text: &str, pad: &str) -> String {
-    let mut out = String::new();
-    for line in text.lines() {
-        out.push_str(pad);
-        out.push_str(line);
-        out.push('\n');
-    }
-    out
 }
 
 /// The incident gate: structural integrity plus trigger-specific triage
@@ -984,7 +678,7 @@ pub fn gate_incident(
             h.capture_digest, analysis.recomputed_digest
         ));
     }
-    let captured: u64 = bundle.events.iter().map(|(_, e)| e.len() as u64).sum();
+    let captured: u64 = bundle.input.ranks.iter().map(|c| c.events.len() as u64).sum();
     if captured != h.comm_events {
         return Err(format!(
             "header claims {} comm events, files hold {captured}",
@@ -1009,7 +703,7 @@ pub fn gate_incident(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::recorder::RecEvent;
+    use crate::recorder::{RecEvent, RecorderSnapshot};
     use diffreg_comm::CommOp;
 
     fn ev(op: CommOp, rank: usize, epoch: u64, blocked_ns: u64) -> CommEvent {
@@ -1031,14 +725,14 @@ mod tests {
 
     fn capture(rank: usize, events: Vec<CommEvent>) -> RankCapture {
         RankCapture {
-            gang_rank: rank,
+            rank,
             events,
             recorder: RecorderSnapshot {
                 thread: rank as u64,
                 events: vec![RecEvent {
                     t_ns: 500,
                     kind: RecKind::Serve,
-                    name: "attempt-start",
+                    name: "attempt-start".into(),
                     a: 5,
                     b: 1,
                 }],
@@ -1103,7 +797,7 @@ mod tests {
         with_span[0].recorder.events.push(RecEvent {
             t_ns: 1,
             kind: RecKind::Span,
-            name: "fft.forward",
+            name: "fft.forward".into(),
             a: 111,
             b: 0,
         });
@@ -1148,7 +842,7 @@ mod tests {
         assert_eq!(bundle.header.comm_events, 3);
         assert_eq!(bundle.header.convergence_entries, 4);
         assert_eq!(bundle.header.convergence_evicted, 2);
-        let analysis = analyze_incident(&bundle, 5);
+        let analysis = analyze_incident(&bundle);
         assert_eq!(analysis.recomputed_digest, bundle.header.capture_digest);
         let culprit = analysis.culprit.as_ref().expect("stall must be attributed");
         assert_eq!(culprit.rank, 1, "the rank missing from the group is the culprit");
@@ -1163,7 +857,7 @@ mod tests {
         assert!(text.contains("\"bytes\":64"), "{text}");
         std::fs::write(&ev_file, text.replacen("\"bytes\":64", "\"bytes\":65", 1)).unwrap();
         let tampered = load_incident_bundle(&dir).unwrap();
-        let re = analyze_incident(&tampered, 5);
+        let re = analyze_incident(&tampered);
         let err = gate_incident(&tampered, &re).unwrap_err();
         assert!(err.contains("digest mismatch"), "{err}");
 
@@ -1176,13 +870,13 @@ mod tests {
             std::env::temp_dir().join(format!("diffreg-incident-miss-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&tmp);
         match load_incident_bundle(&tmp) {
-            Err(IncidentError::MissingBundle(p)) => assert_eq!(p, tmp),
+            Err(BundleError::MissingBundle(p)) => assert_eq!(p, tmp),
             other => panic!("expected MissingBundle, got {other:?}"),
         }
         std::fs::create_dir_all(&tmp).unwrap();
         std::fs::write(tmp.join("incident.json"), "{\"schema\":\"diffreg-inci").unwrap();
         match load_incident_bundle(&tmp) {
-            Err(IncidentError::Truncated { file, .. }) => assert_eq!(file, "incident.json"),
+            Err(BundleError::Truncated { file, .. }) => assert_eq!(file, "incident.json"),
             other => panic!("expected Truncated, got {other:?}"),
         }
         let _ = std::fs::remove_dir_all(&tmp);
@@ -1202,7 +896,7 @@ mod tests {
         )
         .unwrap();
         let bundle = load_incident_bundle(&dir).unwrap();
-        let analysis = analyze_incident(&bundle, 5);
+        let analysis = analyze_incident(&bundle);
         assert!(analysis.report.is_none());
         assert!(analysis.summary.contains("no comm capture"), "{}", analysis.summary);
         gate_incident(&bundle, &analysis).unwrap();

@@ -1,15 +1,16 @@
 //! Rank-aware telemetry for the distributed diffeomorphic registration
 //! solver.
 //!
-//! Four pieces, all zero-dependency (the only workspace dep is
+//! Its pieces, all zero-dependency (the only workspace dep is
 //! `diffreg-comm`, for the collective phase-report reduction):
 //!
-//! * [`span`] — hierarchical RAII span tracing with a Chrome
+//! * [`span`] + [`recorder`] — hierarchical RAII span tracing into one
+//!   per-thread event ring: an always-on sampled flight recorder that
+//!   [`set_trace_enabled`] switches to keep-everything mode, with a Chrome
 //!   `trace_event` JSON exporter (one `pid` per rank, one `tid` per
 //!   thread; load the file in Perfetto / `chrome://tracing`). Near-zero
-//!   cost when disabled: a single relaxed atomic load per [`span()`] call.
-//!   Off until the caller that will export the trace calls
-//!   [`set_trace_enabled`]; no environment variable is read.
+//!   cost when disabled: two relaxed atomic loads per [`span()`] call. No
+//!   environment variable is read.
 //! * [`report`] — rank-aggregated phase report: every `Timers` /
 //!   `CommStats` key reduced to min/mean/max/imbalance across ranks
 //!   (allreduce-based, collective) and rendered as the paper's
@@ -19,15 +20,12 @@
 //!   per Newton iteration plus discrete events (checkpoint, resume, level
 //!   transitions, faults), as JSON-lines and the paper's convergence-table
 //!   text format.
-//! * [`results`] — the canonical benchmark-results schema
-//!   (`results/<suite>.json`) shared by every bench binary and the CI
-//!   perf-regression gate, plus the gate comparison itself.
 //! * [`metrics`] — counters, gauges, and log₂-bucket [`Histogram`]s with a
 //!   deterministic Prometheus text-exposition renderer; the doctor derives
 //!   comm-op latency distributions into it and the interp scatter records
 //!   its per-exchange sizes.
 //! * [`doctor`] — the cross-rank wait-state doctor: merges every rank's
-//!   comm event stream (see `diffreg_comm::CommEvent`) and span trace,
+//!   comm event stream (see `diffreg_comm::CommEvent`) and event ring,
 //!   matches sends to receives, groups collectives by epoch, classifies
 //!   late-sender / wait-at-collective / imbalance-at-collective losses,
 //!   walks the cross-rank critical path,
@@ -37,9 +35,9 @@
 //! JSON is hand-rolled in [`json`] (deterministic serialization, strict
 //! parser) — no serde anywhere.
 //!
-//! [`profile`] folds the span streams above (trace buffers, flight
-//! recorder, doctor bundles) into exact self/child wall-time profiles and
-//! deterministic collapsed-stack flamegraphs with a differential mode.
+//! [`profile`] folds the rings' span stream (live, or read back from a
+//! bundle) into exact self/child wall-time profiles and deterministic
+//! collapsed-stack flamegraphs with a differential mode.
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
@@ -52,7 +50,6 @@ pub mod metrics;
 pub mod profile;
 pub mod recorder;
 pub mod report;
-pub mod results;
 pub mod span;
 
 pub use convergence::{ConvergenceLog, IterRecord, SolverEvent, StreamEntry};
@@ -67,11 +64,7 @@ pub use metrics::{
 };
 pub use profile::{diff_phases, render_diff, PhaseDelta, PhaseRow, Profile, StackStat};
 pub use report::{collect_phase_report, PhaseEntry, PhaseReport, PredictedPhases};
-pub use results::{
-    compare_suites, hostname, BenchRecord, BenchSuite, GateFinding, GateReport,
-};
 pub use span::{
-    chrome_trace, chrome_trace_full, set_trace_enabled, span, take_thread_trace, trace_enabled,
-    validate_chrome_trace, with_span, write_chrome_trace, SpanEvent, SpanGuard, ThreadTrace,
-    TraceSummary, COMM_TRACK_TID,
+    chrome_trace, set_trace_enabled, span, trace_enabled, validate_chrome_trace, with_span,
+    SpanGuard, TraceSummary, COMM_TRACK_TID,
 };

@@ -1,10 +1,10 @@
 //! Span-derived continuous profiler.
 //!
-//! Folds the span streams the chassis already produces — flight-recorder
-//! windows ([`RecorderSnapshot`] / loaded [`RecorderFile`]s) and doctor
-//! bundles ([`DoctorInput`]) — into exact self/child wall-time profiles per
-//! (rank, stack) and exports deterministic collapsed-stack flamegraphs
-//! (`.folded`, the speedscope/inferno interchange format).
+//! Folds the span stream of per-rank event rings ([`RecorderSnapshot`] —
+//! live, or read back from either bundle flavour) into exact self/child
+//! wall-time profiles per (rank, stack) and exports deterministic
+//! collapsed-stack flamegraphs (`.folded`, the speedscope/inferno
+//! interchange format).
 //!
 //! Two projections of the same profile exist on purpose:
 //!
@@ -18,15 +18,13 @@
 //!   human reads to find where the wall clock went; it is *not*
 //!   replay-stable.
 //!
-//! Dropped-span accounting rides along: trace-buffer drops and recorder
-//! sampling/evictions are folded into a synthetic `[dropped]` frame so a
-//! profile can never silently claim full coverage.
+//! Dropped-span accounting rides along: the rings' sampling and eviction
+//! counts are folded into a synthetic `[dropped]` frame so a profile can
+//! never silently claim full coverage.
 
 use std::collections::BTreeMap;
 
-use crate::doctor::DoctorInput;
-use crate::incident::RecorderFile;
-use crate::recorder::{RecKind, RecorderSnapshot};
+use crate::recorder::RecorderSnapshot;
 
 /// Aggregate statistics for one exact call stack.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -75,8 +73,8 @@ pub struct PhaseDelta {
 pub struct Profile {
     /// Stack key → aggregate stats.
     pub stacks: BTreeMap<String, StackStat>,
-    /// Spans (and recorder events) not represented in `stacks`:
-    /// trace-buffer drops plus recorder sampling/eviction counts.
+    /// Spans (and recorder events) not represented in `stacks`: the rings'
+    /// sampling and eviction counts.
     pub dropped: u64,
 }
 
@@ -134,53 +132,17 @@ impl Profile {
         st.self_ns += f.dur.saturating_sub(f.child_ns);
     }
 
-    /// Folds a doctor input (trace bundle or in-memory capture): every
-    /// rank's spans plus the bundle's trace-drop counter.
-    pub fn from_doctor(input: &DoctorInput) -> Profile {
-        let mut p = Profile::new();
-        for rank in &input.ranks {
-            let iv = rank
-                .spans
-                .iter()
-                .map(|s| (s.t0_ns, s.t1_ns, s.name.clone()))
-                .collect();
-            p.add_rank_intervals(rank.rank, iv);
-        }
-        p.dropped += input.trace_dropped;
-        p
-    }
-
-    /// Folds live flight-recorder windows, one `(rank, snapshot)` pair
-    /// each. Only `Span` events contribute stacks; sampling and
-    /// ring-eviction counters feed the `[dropped]` accounting.
-    pub fn from_recorders(recs: &[(usize, RecorderSnapshot)]) -> Profile {
+    /// Folds per-rank event rings, one `(rank, snapshot)` pair each. Only
+    /// `Span` events contribute stacks; sampling and ring-eviction counters
+    /// feed the `[dropped]` accounting.
+    pub fn from_recorders<'a>(
+        recs: impl IntoIterator<Item = (usize, &'a RecorderSnapshot)>,
+    ) -> Profile {
         let mut p = Profile::new();
         for (rank, snap) in recs {
-            let iv = snap
-                .events
-                .iter()
-                .filter(|e| e.kind == RecKind::Span)
-                .map(|e| (e.t_ns, e.t_ns + e.a, e.name.to_string()))
-                .collect();
-            p.add_rank_intervals(*rank, iv);
-            p.dropped += snap.sampled_out + snap.overwritten;
-        }
-        p
-    }
-
-    /// Folds recorder files loaded from an incident bundle, one
-    /// `(rank, file)` pair each (span lines carry `a` = duration ns).
-    pub fn from_recorder_files(files: &[(usize, RecorderFile)]) -> Profile {
-        let mut p = Profile::new();
-        for (rank, file) in files {
-            let iv = file
-                .events
-                .iter()
-                .filter(|e| e.kind == "span")
-                .map(|e| (e.t_ns, e.t_ns + e.a, e.name.clone()))
-                .collect();
-            p.add_rank_intervals(*rank, iv);
-            p.dropped += file.sampled_out + file.overwritten;
+            let iv = snap.spans().map(|(t0, t1, name)| (t0, t1, name.to_string())).collect();
+            p.add_rank_intervals(rank, iv);
+            p.dropped += snap.dropped();
         }
         p
     }

@@ -1,65 +1,36 @@
-//! Hierarchical span tracing: RAII guards, per-rank + per-thread buffers,
-//! monotonic clocks, and a Chrome `trace_event` exporter.
+//! Hierarchical span tracing: RAII guards over the per-thread event ring
+//! (see [`crate::recorder`]), monotonic clocks, and a Chrome `trace_event`
+//! exporter.
 //!
 //! Design constraints (ISSUE 3 tentpole):
-//! * **Zero cost when off.** [`span`] first reads one process-global relaxed
-//!   `AtomicBool`; when tracing is disabled (the default, until a caller
-//!   that will export the trace calls [`set_trace_enabled`]) the guard is
-//!   inert and no thread-local is touched.
-//! * **Bounded memory.** Each thread records into its own buffer capped at
-//!   65 536 events; overflow increments a dropped-events counter instead of
-//!   growing.
+//! * **Zero cost when off.** [`span`] first reads two process-global relaxed
+//!   `AtomicBool`s; with tracing off (the default, until a caller that will
+//!   export the trace calls [`set_trace_enabled`]) and the recorder off the
+//!   guard is inert and no thread-local is touched.
+//! * **One sink.** A closed span is appended to the thread's ring and
+//!   nowhere else. Tracing does not add a second buffer: it puts the ring's
+//!   next window in keep-all mode (65 536 events, no sampling, overflow
+//!   counted) and records nesting depths.
 //! * **Rank-aware.** In the simulated MPI runtime every rank is one thread:
-//!   the rank's SPMD closure calls [`take_thread_trace`] before returning
-//!   and the harness maps trace → `pid = rank` at export time, producing a
-//!   Chrome/Perfetto trace with one process per rank and one thread track
+//!   the rank's SPMD closure calls [`crate::take_recorder`] before returning
+//!   and the harness pairs the snapshot with the rank id, so the exported
+//!   Chrome/Perfetto trace has one process per rank and one thread track
 //!   per OS thread.
 //! * **Monotonic shared clock.** Timestamps are nanoseconds on
 //!   [`diffreg_comm::monotonic_ns`] — the same process-wide epoch the comm
 //!   event recorder uses — so spans and comm events from different ranks
 //!   align on one timeline.
 
-use std::cell::RefCell;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 
 use diffreg_comm::monotonic_ns;
 
+use crate::doctor::RankCapture;
 use crate::json::Json;
+use crate::recorder::{enter_span, offer_span, recorder_enabled};
 
-/// One closed span: `[t0_ns, t0_ns + dur_ns)` at nesting `depth` on the
-/// recording thread.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SpanEvent {
-    /// Static span name (e.g. `"fft.forward"`).
-    pub name: &'static str,
-    /// Start, nanoseconds since the process trace epoch.
-    pub t0_ns: u64,
-    /// Duration in nanoseconds.
-    pub dur_ns: u64,
-    /// Nesting depth at which the span was opened (0 = top level).
-    pub depth: u32,
-}
-
-/// Everything one thread recorded: its events (in close order), its stable
-/// thread index, and how many events overflowed the bounded buffer.
-#[derive(Debug, Clone, Default)]
-pub struct ThreadTrace {
-    /// Small stable per-process thread index (not the OS tid).
-    pub thread: u64,
-    /// Closed spans in the order they *closed* (children before parents).
-    pub events: Vec<SpanEvent>,
-    /// Events discarded because the ring buffer was full.
-    pub dropped: u64,
-}
-
-/// Process-global enable flag: a single relaxed load gates every `span()`
-/// call, so disabled tracing costs one atomic read and nothing else. Off
-/// until [`set_trace_enabled`] turns it on.
+/// Process-global trace flag, off until [`set_trace_enabled`] turns it on.
 static ENABLED: AtomicBool = AtomicBool::new(false);
-static NEXT_THREAD: AtomicU64 = AtomicU64::new(0);
-
-/// Events one thread's buffer holds before it counts drops instead.
-const TRACE_CAP: usize = 1 << 16;
 
 /// Whether span tracing is currently enabled.
 #[inline]
@@ -67,51 +38,24 @@ pub fn trace_enabled() -> bool {
     ENABLED.load(Ordering::Relaxed)
 }
 
-/// Enables/disables tracing for the whole process. Spans already open keep
-/// recording.
+/// Enables/disables tracing for the whole process. A thread's ring reads
+/// the flag at the first event of each window (thread start, or after a
+/// [`crate::take_recorder`]); spans already open keep their depth.
 pub fn set_trace_enabled(on: bool) {
     ENABLED.store(on, Ordering::Relaxed);
 }
 
-struct Buffer {
-    thread: u64,
-    depth: u32,
-    events: Vec<SpanEvent>,
-    dropped: u64,
-}
-
-thread_local! {
-    static BUFFER: RefCell<Buffer> = RefCell::new(Buffer {
-        thread: NEXT_THREAD.fetch_add(1, Ordering::Relaxed),
-        depth: 0,
-        events: Vec::new(),
-        dropped: 0,
-    });
-}
-
 /// Opens a span; the span closes (and is recorded) when the returned guard
-/// drops. Spans nest: guards created inside an open span record a larger
-/// `depth`. Closed spans feed two consumers independently: the full-fidelity
-/// trace buffer (when tracing is on) and the always-on flight recorder's
-/// downsampled stream (see [`crate::recorder`]). When both are disabled this
-/// is two relaxed atomic loads and nothing else.
+/// drops. Spans nest: while tracing, guards created inside an open span
+/// record a larger `depth`. With tracing and the recorder both off this is
+/// two relaxed atomic loads and nothing else.
 #[inline]
 pub fn span(name: &'static str) -> SpanGuard {
     let traced = trace_enabled();
-    let recorded = crate::recorder::recorder_enabled();
-    if !traced && !recorded {
+    if !traced && !recorder_enabled() {
         return SpanGuard { name, t0_ns: None, traced: false, depth: 0 };
     }
-    let depth = if traced {
-        BUFFER.with(|b| {
-            let mut b = b.borrow_mut();
-            let d = b.depth;
-            b.depth += 1;
-            d
-        })
-    } else {
-        0
-    };
+    let depth = if traced { enter_span() } else { 0 };
     SpanGuard { name, t0_ns: Some(monotonic_ns()), traced, depth }
 }
 
@@ -120,8 +64,8 @@ pub fn span(name: &'static str) -> SpanGuard {
 pub struct SpanGuard {
     name: &'static str,
     t0_ns: Option<u64>,
-    /// Whether the full tracer was on at open (the flight recorder side is
-    /// re-checked at close; the trace buffer must stay depth-consistent).
+    /// Whether tracing was on at open (the recorder flag is re-checked at
+    /// close; the ring's depth counter must stay consistent).
     traced: bool,
     depth: u32,
 }
@@ -129,22 +73,10 @@ pub struct SpanGuard {
 impl Drop for SpanGuard {
     fn drop(&mut self) {
         let Some(t0_ns) = self.t0_ns else { return };
-        let dur_ns = monotonic_ns().saturating_sub(t0_ns);
-        if crate::recorder::recorder_enabled() {
-            crate::recorder::offer_span(self.name, t0_ns, dur_ns, self.depth);
+        if self.traced || recorder_enabled() {
+            let dur_ns = monotonic_ns().saturating_sub(t0_ns);
+            offer_span(self.name, t0_ns, dur_ns, self.depth, self.traced);
         }
-        if !self.traced {
-            return;
-        }
-        BUFFER.with(|b| {
-            let mut b = b.borrow_mut();
-            b.depth = b.depth.saturating_sub(1);
-            if b.events.len() < TRACE_CAP {
-                b.events.push(SpanEvent { name: self.name, t0_ns, dur_ns, depth: self.depth });
-            } else {
-                b.dropped += 1;
-            }
-        });
     }
 }
 
@@ -155,129 +87,72 @@ pub fn with_span<R>(name: &'static str, f: impl FnOnce() -> R) -> R {
     f()
 }
 
-/// Drains and returns everything the *current thread* has recorded. In the
-/// rank-per-thread runtime each rank calls this at the end of its SPMD
-/// closure and returns the trace to the harness, which pairs it with the
-/// rank id for [`chrome_trace`].
-pub fn take_thread_trace() -> ThreadTrace {
-    BUFFER.with(|b| {
-        let mut b = b.borrow_mut();
-        ThreadTrace {
-            thread: b.thread,
-            events: std::mem::take(&mut b.events),
-            dropped: std::mem::take(&mut b.dropped),
-        }
-    })
-}
-
-/// Assembles per-rank thread traces into a Chrome `trace_event` JSON
-/// document (the "JSON Array Format" object flavor with `traceEvents`),
-/// loadable in `chrome://tracing` and Perfetto: one `pid` per rank, one
-/// `tid` per recording thread, complete (`"ph":"X"`) events with
-/// microsecond timestamps.
-pub fn chrome_trace(traces: &[(usize, ThreadTrace)]) -> Json {
-    chrome_trace_full(traces, &[])
-}
-
 /// The `tid` of the dedicated per-rank comm track in exported traces. Comm
 /// events live on their own track so they cannot partially overlap the span
 /// track (they time the *same* wall-clock intervals from a different
 /// vantage point).
 pub const COMM_TRACK_TID: u64 = 1_000_000;
 
-/// Like [`chrome_trace`], but additionally exports per-rank comm event
-/// records (see `diffreg_comm::CommEvent`) as complete events on a dedicated
-/// `comm` track per rank: name `comm.<op>`, category `"comm"`, and the
+/// Assembles per-rank captures into a Chrome `trace_event` JSON document
+/// (the "JSON Array Format" object flavor with `traceEvents`), loadable in
+/// `chrome://tracing` and Perfetto: one `pid` per rank; the rank's spans as
+/// complete (`"ph":"X"`) events with microsecond timestamps on the `tid` of
+/// the recording thread; its comm events (see `diffreg_comm::CommEvent`) on
+/// a dedicated `comm` track, name `comm.<op>`, category `"comm"`, with the
 /// matching metadata (`peer`, `tag`, `seq`, `bytes`, `epoch`, `comm`,
-/// `csize`, `blocked_us`) in `args`.
-pub fn chrome_trace_full(
-    traces: &[(usize, ThreadTrace)],
-    comm_events: &[(usize, Vec<diffreg_comm::CommEvent>)],
-) -> Json {
+/// `csize`, `blocked_us`) in `args`. An export for people: no code reads it
+/// back, and the microsecond doubles round the nanosecond source.
+pub fn chrome_trace(captures: &[RankCapture]) -> Json {
+    let track = |kind: &str, pid: usize, tid: u64, name: String| {
+        let args = Json::obj().set("name", name);
+        Json::obj().set("name", kind).set("ph", "M").set("pid", pid).set("tid", tid).set("args", args)
+    };
+    let complete = |name: String, cat: &str, pid: usize, tid: u64, t0_ns: u64, dur_ns: u64| {
+        Json::obj()
+            .set("name", name)
+            .set("cat", cat)
+            .set("ph", "X")
+            .set("pid", pid)
+            .set("tid", tid)
+            .set("ts", t0_ns as f64 / 1e3)
+            .set("dur", dur_ns as f64 / 1e3)
+    };
     let mut events: Vec<Json> = Vec::new();
-    for (rank, evs) in comm_events {
-        events.push(
-            Json::obj()
-                .set("name", "thread_name")
-                .set("ph", "M")
-                .set("pid", *rank)
-                .set("tid", COMM_TRACK_TID)
-                .set("args", Json::obj().set("name", "comm")),
-        );
-        for e in evs {
+    for c in captures.iter().filter(|c| !c.events.is_empty()) {
+        events.push(track("thread_name", c.rank, COMM_TRACK_TID, "comm".into()));
+        for e in &c.events {
             let mut args = Json::obj()
                 .set("comm", e.comm)
                 .set("csize", e.csize)
                 .set("lrank", e.rank)
                 .set("bytes", e.bytes)
                 .set("blocked_us", e.blocked_ns as f64 / 1e3);
-            if let Some(p) = e.peer {
-                args = args.set("peer", p);
+            let peer = e.peer.map(|p| p as u64);
+            for (key, value) in [("peer", peer), ("tag", e.tag), ("seq", e.seq), ("epoch", e.epoch)] {
+                if let Some(v) = value {
+                    args = args.set(key, v);
+                }
             }
-            if let Some(t) = e.tag {
-                args = args.set("tag", t);
-            }
-            if let Some(s) = e.seq {
-                args = args.set("seq", s);
-            }
-            if let Some(ep) = e.epoch {
-                args = args.set("epoch", ep);
-            }
-            events.push(
-                Json::obj()
-                    .set("name", format!("comm.{}", e.op.name()))
-                    .set("cat", "comm")
-                    .set("ph", "X")
-                    .set("pid", *rank)
-                    .set("tid", COMM_TRACK_TID)
-                    .set("ts", e.t0_ns as f64 / 1e3)
-                    .set("dur", e.t1_ns.saturating_sub(e.t0_ns) as f64 / 1e3)
-                    .set("args", args),
-            );
+            let name = format!("comm.{}", e.op.name());
+            let dur_ns = e.t1_ns.saturating_sub(e.t0_ns);
+            let x = complete(name, "comm", c.rank, COMM_TRACK_TID, e.t0_ns, dur_ns);
+            events.push(x.set("args", args));
         }
     }
-    for (rank, trace) in traces {
+    for c in captures {
+        let tid = c.recorder.thread;
         // Process metadata so the Perfetto sidebar names tracks by rank.
-        events.push(
-            Json::obj()
-                .set("name", "process_name")
-                .set("ph", "M")
-                .set("pid", *rank)
-                .set("tid", trace.thread)
-                .set("args", Json::obj().set("name", format!("rank {rank}"))),
-        );
-        for e in &trace.events {
-            events.push(
-                Json::obj()
-                    .set("name", e.name)
-                    .set("cat", "diffreg")
-                    .set("ph", "X")
-                    .set("pid", *rank)
-                    .set("tid", trace.thread)
-                    .set("ts", e.t0_ns as f64 / 1e3)
-                    .set("dur", e.dur_ns as f64 / 1e3)
-                    .set("args", Json::obj().set("depth", e.depth)),
-            );
+        events.push(track("process_name", c.rank, tid, format!("rank {}", c.rank)));
+        for e in c.recorder.events.iter().filter(|e| e.kind == crate::RecKind::Span) {
+            let x = complete(e.name.to_string(), "diffreg", c.rank, tid, e.t_ns, e.a);
+            events.push(x.set("args", Json::obj().set("depth", e.b)));
         }
     }
-    let dropped: u64 = traces.iter().map(|(_, t)| t.dropped).sum();
+    let dropped: u64 = captures.iter().map(|c| c.recorder.dropped()).sum();
     Json::obj()
         .set("traceEvents", Json::Arr(events))
         .set("displayTimeUnit", "ms")
         .set("otherData", Json::obj().set("dropped_events", dropped))
-}
-
-/// [`chrome_trace`] serialized and written to `path` (parent directories
-/// created).
-pub fn write_chrome_trace(
-    path: impl AsRef<std::path::Path>,
-    traces: &[(usize, ThreadTrace)],
-) -> std::io::Result<()> {
-    let path = path.as_ref();
-    if let Some(dir) = path.parent() {
-        std::fs::create_dir_all(dir)?;
-    }
-    std::fs::write(path, chrome_trace(traces).to_string())
 }
 
 /// Summary of a validated Chrome trace (see [`validate_chrome_trace`]).
@@ -298,7 +173,7 @@ pub struct TraceSummary {
 /// `(pid, tid)` track the spans *nest* — any two either do not overlap or
 /// one contains the other (no partial overlap). Events in the `"comm"`
 /// category must additionally carry the comm-event metadata exported by
-/// [`chrome_trace_full`]: a numeric `args.csize`, and — for p2p events — an
+/// [`chrome_trace`]: a numeric `args.csize`, and — for p2p events — an
 /// `args.peer` rank *inside* the communicator (`peer < csize`); a p2p event
 /// whose matched-peer rank is out of range is rejected. Returns a summary or
 /// a description of the first violation.
@@ -401,28 +276,20 @@ pub(crate) static TEST_TRACE_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{take_recorder, RecorderSnapshot};
 
     // Tests share one process-global tracer; serialize them.
     use super::TEST_TRACE_LOCK as LOCK;
 
-    #[test]
-    fn disabled_span_records_nothing() {
-        let _l = LOCK.lock().unwrap();
-        set_trace_enabled(false);
-        let _ = take_thread_trace();
-        {
-            let _g = span("invisible");
-        }
-        let t = take_thread_trace();
-        assert!(t.events.is_empty());
-        assert_eq!(t.dropped, 0);
+    fn capture(rank: usize, recorder: RecorderSnapshot) -> RankCapture {
+        RankCapture { rank, events: Vec::new(), recorder }
     }
 
     #[test]
     fn spans_nest_and_export_parses() {
         let _l = LOCK.lock().unwrap();
         set_trace_enabled(true);
-        let _ = take_thread_trace();
+        let _ = take_recorder();
         {
             let _outer = span("outer");
             {
@@ -432,19 +299,19 @@ mod tests {
             let _sibling = span("sibling");
         }
         set_trace_enabled(false);
-        let t = take_thread_trace();
+        let t = take_recorder();
         assert_eq!(t.events.len(), 3);
+        assert_eq!(t.dropped(), 0);
         // Close order: inner, sibling, outer.
         assert_eq!(t.events[0].name, "inner");
-        assert_eq!(t.events[0].depth, 1);
+        assert_eq!(t.events[0].b, 1);
         assert_eq!(t.events[2].name, "outer");
-        assert_eq!(t.events[2].depth, 0);
-        let outer = t.events[2];
-        let inner = t.events[0];
-        assert!(inner.t0_ns >= outer.t0_ns);
-        assert!(inner.t0_ns + inner.dur_ns <= outer.t0_ns + outer.dur_ns);
+        assert_eq!(t.events[2].b, 0);
+        let (outer, inner) = (&t.events[2], &t.events[0]);
+        assert!(inner.t_ns >= outer.t_ns);
+        assert!(inner.t_ns + inner.a <= outer.t_ns + outer.a);
 
-        let text = chrome_trace(&[(0, t)]).to_string();
+        let text = chrome_trace(&[capture(0, t)]).to_string();
         let summary = validate_chrome_trace(&text).unwrap();
         assert_eq!(summary.pids, vec![0]);
         assert_eq!(summary.events, 3);
@@ -452,23 +319,22 @@ mod tests {
     }
 
     #[test]
-    fn per_thread_buffers_are_independent() {
+    fn per_thread_rings_are_independent() {
         let _l = LOCK.lock().unwrap();
         set_trace_enabled(true);
-        let _ = take_thread_trace();
         let handles: Vec<_> = (0..3)
             .map(|_| {
                 std::thread::spawn(|| {
                     let _g = span("worker");
                     drop(span("child"));
                     drop(_g);
-                    take_thread_trace()
+                    take_recorder()
                 })
             })
             .collect();
-        let traces: Vec<ThreadTrace> = handles.into_iter().map(|h| h.join().unwrap()).collect();
+        let traces: Vec<RecorderSnapshot> =
+            handles.into_iter().map(|h| h.join().unwrap()).collect();
         set_trace_enabled(false);
-        let _ = take_thread_trace();
         let mut tids: Vec<u64> = traces.iter().map(|t| t.thread).collect();
         tids.sort_unstable();
         tids.dedup();

@@ -17,7 +17,8 @@
 #   4. full workspace test suite in debug, collective-contract checker on
 #   5. static analysis: the in-tree analyzer must report zero findings;
 #      every library root must forbid unsafe code; no pipeline switch,
-#      removed knob or new env::var read may reappear; workspace line count
+#      removed knob, removed telemetry type or new env::var read may
+#      reappear; workspace line count
 #   6. clippy clean under -D warnings (skipped if clippy is not installed)
 #   7. fail if Cargo.lock ever acquires a registry (non-path) dependency
 #   8. kernel suite vs BENCH_kernels.json (scripts/perf_gate.sh), advisory
@@ -90,6 +91,14 @@ if grep -rnE 'DIFFREG_([A-Z]+_SMOKE_[S]IZE|SERVE_LOAD_[JG]|DOCTOR_[D]IR|SERVE_TR
     echo "ERROR: a test-steering variable, gate tunable or proof mode reappeared" >&2
     exit 1
 fi
+# Telemetry stores each fact once: the second span buffer, the load-side
+# mirrors of the event types, the second digest and the per-flavour profile
+# constructors. (This one skips scripts/: the pattern lives here.)
+if grep -rnE 'Thread[T]race|Span[E]vent|Rec[L]ine|Recorder[F]ile|take_thread_[t]race|digest_from_[l]oaded|from_recorder_[f]iles|from_[d]octor' \
+        crates src tests examples README.md DESIGN.md EXPERIMENTS.md .claude; then
+    echo "ERROR: a removed telemetry type, buffer or loader reappeared" >&2
+    exit 1
+fi
 # The tree reads four variables from the environment and no more: the two
 # comm fault detectors, the bench output directory, and HOSTNAME (testkit's
 # seed / case-count overrides aside).
@@ -104,6 +113,7 @@ all_rs=$(find crates src tests examples -name '*.rs')
 echo "    Rust lines, solver:  $(echo "$all_rs" | grep -E "$solver" | xargs cat | wc -l)"
 echo "    Rust lines, chassis: $(echo "$all_rs" | grep -vE "$solver" | xargs cat | wc -l)"
 echo "    Rust lines, total:   $(echo "$all_rs" | xargs cat | wc -l)"
+echo "    Rust lines, crates/telemetry: $(echo "$all_rs" | grep '^crates/telemetry/' | xargs cat | wc -l)"
 
 echo "==> [6/8] cargo clippy -- -D warnings"
 if cargo clippy --version >/dev/null 2>&1; then
