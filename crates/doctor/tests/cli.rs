@@ -7,7 +7,7 @@ use std::process::Command;
 
 use diffreg_comm::{CommEvent, CommOp};
 use diffreg_telemetry::doctor::RankCapture;
-use diffreg_telemetry::incident::{write_incident_bundle, IncidentHeader, IncidentTrigger};
+use diffreg_telemetry::incident::{write_incident_bundle, IncidentContext, IncidentTrigger};
 use diffreg_telemetry::recorder::{RecEvent, RecKind, RecorderSnapshot};
 
 fn doctor() -> Command {
@@ -57,7 +57,7 @@ fn write_test_bundle(base: &PathBuf) -> PathBuf {
         RankCapture { rank: 0, events: vec![ev(0, 0)], recorder: rec(1) },
         RankCapture { rank: 1, events: vec![ev(1, 100)], recorder: rec(2) },
     ];
-    let header = IncidentHeader {
+    let header = IncidentContext {
         seq: 0,
         trigger: IncidentTrigger::AttemptFailure,
         job: 7,
@@ -68,14 +68,6 @@ fn write_test_bundle(base: &PathBuf) -> PathBuf {
         detail: "cli test".to_string(),
         gang_ranks: vec![0, 1],
         slo_firing: Vec::new(),
-        comm_events: 0,
-        rec_seen: 0,
-        rec_recorded: 0,
-        rec_sampled_out: 0,
-        rec_overwritten: 0,
-        convergence_entries: 0,
-        convergence_evicted: 0,
-        capture_digest: 0,
     };
     write_incident_bundle(base, header, &captures, None, None).unwrap()
 }

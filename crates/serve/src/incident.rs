@@ -42,11 +42,3 @@ pub struct IncidentRecord {
 /// entry but the traced job's.
 pub(crate) type CaptureStage = BTreeMap<(JobId, u32), BTreeMap<usize, RankCapture>>;
 
-/// The incident trigger for a failed attempt with the given reason label.
-pub fn failure_trigger(reason: &str) -> IncidentTrigger {
-    if reason == "timeout" {
-        IncidentTrigger::WatchdogTimeout
-    } else {
-        IncidentTrigger::AttemptFailure
-    }
-}

@@ -1,11 +1,11 @@
-//! Job specifications, the per-job robustness state machine, and the wire
-//! format the pool uses to replicate intake across ranks.
+//! Job specifications and the per-job robustness state machine.
 //!
 //! Every pool rank holds an identical copy of the job table; all mutations
 //! derive from broadcast intake and allgathered attempt outcomes, so the
 //! table (and every scheduling decision computed from it) is replicated
 //! deterministically without a coordinator.
 
+use diffreg_telemetry::incident::Failure;
 use diffreg_testkit::Rng;
 
 /// Unique job identifier, assigned by the submitter.
@@ -190,6 +190,20 @@ impl JobState {
     pub fn is_waiting(self) -> bool {
         matches!(self, JobState::Queued | JobState::Backoff { .. })
     }
+
+    /// The state's name: the `/jobs` field and, for a terminal state, the
+    /// `serve_jobs_<name>_total` counter.
+    pub(crate) fn name(self) -> &'static str {
+        match self {
+            JobState::Queued => "queued",
+            JobState::Running => "running",
+            JobState::Backoff { .. } => "backoff",
+            JobState::Completed => "completed",
+            JobState::Cancelled => "cancelled",
+            JobState::Expired => "expired",
+            JobState::Failed => "failed",
+        }
+    }
 }
 
 /// The recorded outcome of a completed job.
@@ -237,8 +251,8 @@ pub struct JobRecord {
     pub cancel_requested: bool,
     /// The result, once `Completed`.
     pub result: Option<JobResult>,
-    /// Reason string of the most recent failed attempt.
-    pub last_failure: Option<String>,
+    /// Why the most recent failed attempt failed.
+    pub last_failure: Option<Failure>,
 }
 
 impl JobRecord {
@@ -260,6 +274,11 @@ impl JobRecord {
             last_failure: None,
         }
     }
+
+    /// The job's deadline, once `round` has reached it.
+    pub(crate) fn deadline_passed(&self, round: u64) -> Option<u64> {
+        self.spec.deadline_rounds.filter(|&d| round.saturating_sub(self.submit_round) >= d)
+    }
 }
 
 /// Cap on the exponential part of the retry delay, in rounds.
@@ -279,146 +298,9 @@ pub(crate) fn backoff_rounds(job: JobId, attempt: u32) -> u64 {
     exp + jitter
 }
 
-// ---------------------------------------------------------------------------
-// Intake wire format: rank 0 drains the submission/cancel inboxes and
-// broadcasts one byte blob per round; every rank decodes the identical
-// intake and applies it to its table copy.
-// ---------------------------------------------------------------------------
-
-fn push_u64(out: &mut Vec<u8>, v: u64) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn push_str(out: &mut Vec<u8>, s: &str) {
-    push_u64(out, s.len() as u64);
-    out.extend_from_slice(s.as_bytes());
-}
-
-struct Reader<'a> {
-    buf: &'a [u8],
-    at: usize,
-}
-
-impl<'a> Reader<'a> {
-    fn u64(&mut self) -> u64 {
-        let mut b = [0u8; 8];
-        b.copy_from_slice(&self.buf[self.at..self.at + 8]);
-        self.at += 8;
-        u64::from_le_bytes(b)
-    }
-
-    fn str(&mut self) -> String {
-        let n = self.u64() as usize;
-        let s = String::from_utf8_lossy(&self.buf[self.at..self.at + n]).into_owned();
-        self.at += n;
-        s
-    }
-}
-
-fn encode_spec(out: &mut Vec<u8>, s: &JobSpec) {
-    push_u64(out, s.id);
-    push_str(out, &s.tenant);
-    push_u64(out, s.grid_n as u64);
-    push_u64(out, s.gang as u64);
-    push_u64(out, u64::from(s.priority));
-    push_u64(out, s.amplitude.to_bits());
-    push_u64(out, s.betas.len() as u64);
-    for b in &s.betas {
-        push_u64(out, b.to_bits());
-    }
-    push_u64(out, s.newton_iters as u64);
-    push_u64(out, s.nt as u64);
-    push_u64(out, s.checkpoint_every as u64);
-    push_u64(out, u64::from(s.max_retries));
-    match s.deadline_rounds {
-        Some(d) => {
-            push_u64(out, 1);
-            push_u64(out, d);
-        }
-        None => push_u64(out, 0),
-    }
-}
-
-fn decode_spec(r: &mut Reader<'_>) -> JobSpec {
-    let id = r.u64();
-    let tenant = r.str();
-    let grid_n = r.u64() as usize;
-    let gang = r.u64() as usize;
-    let priority = r.u64() as u8;
-    let amplitude = f64::from_bits(r.u64());
-    let nb = r.u64() as usize;
-    let betas: Vec<f64> = (0..nb).map(|_| f64::from_bits(r.u64())).collect();
-    let newton_iters = r.u64() as usize;
-    let nt = r.u64() as usize;
-    let checkpoint_every = r.u64() as usize;
-    let max_retries = r.u64() as u32;
-    let deadline_rounds = if r.u64() == 1 { Some(r.u64()) } else { None };
-    JobSpec {
-        id,
-        tenant,
-        grid_n,
-        gang,
-        priority,
-        amplitude,
-        betas,
-        newton_iters,
-        nt,
-        checkpoint_every,
-        max_retries,
-        deadline_rounds,
-    }
-}
-
-/// Serializes one round of intake (submissions, cancellations, whether the
-/// intake is still open) for broadcast.
-pub(crate) fn encode_intake(specs: &[JobSpec], cancels: &[JobId], open: bool) -> Vec<u8> {
-    let mut out = Vec::new();
-    push_u64(&mut out, u64::from(open));
-    push_u64(&mut out, specs.len() as u64);
-    for s in specs {
-        encode_spec(&mut out, s);
-    }
-    push_u64(&mut out, cancels.len() as u64);
-    for c in cancels {
-        push_u64(&mut out, *c);
-    }
-    out
-}
-
-/// Inverse of [`encode_intake`].
-pub(crate) fn decode_intake(buf: &[u8]) -> (Vec<JobSpec>, Vec<JobId>, bool) {
-    let mut r = Reader { buf, at: 0 };
-    let open = r.u64() == 1;
-    let ns = r.u64() as usize;
-    let specs: Vec<JobSpec> = (0..ns).map(|_| decode_spec(&mut r)).collect();
-    let nc = r.u64() as usize;
-    let cancels: Vec<JobId> = (0..nc).map(|_| r.u64()).collect();
-    (specs, cancels, open)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn intake_round_trips_through_the_wire() {
-        let specs = vec![
-            JobSpec::new(7, 16)
-                .with_tenant("radiology")
-                .with_gang(4)
-                .with_priority(3)
-                .with_betas(&[1e-2, 1e-3])
-                .with_checkpoint_every(1)
-                .with_deadline_rounds(40),
-            JobSpec::new(8, 32).with_amplitude(0.55),
-        ];
-        let cancels = vec![3, 9];
-        let wire = encode_intake(&specs, &cancels, true);
-        let (s2, c2, open) = decode_intake(&wire);
-        assert_eq!(s2, specs);
-        assert_eq!(c2, cancels);
-        assert!(open);
-    }
 
     #[test]
     fn backoff_is_deterministic_bounded_and_grows() {

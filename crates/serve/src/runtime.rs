@@ -6,12 +6,13 @@
 //!
 //! [`ServeHarness::serve_pool`] runs on **every** pool rank (inside
 //! `run_threaded`). The scheduler has no coordinator: each rank holds an
-//! identical replica of the job table and advances it in lock-step rounds:
+//! identical replica of the serving state and advances it in lock-step
+//! rounds:
 //!
-//! 1. **intake** — rank 0 drains the submission/cancel inboxes and
-//!    broadcasts one blob; every rank applies the identical admissions
-//!    (with capacity-based rejection), cancellations, backoff releases, and
-//!    deadline sweeps;
+//! 1. **intake** — rank 0 drains the submission/cancel inboxes into one
+//!    typed `Intake` and broadcasts it; every rank applies the identical
+//!    admissions (with capacity-based rejection), cancellations, backoff
+//!    releases, and deadline sweeps;
 //! 2. **plan** — every rank evaluates the pure
 //!    [`plan_round`](crate::scheduler::plan_round) packing on its replica
 //!    and obtains the identical gang layout;
@@ -20,15 +21,16 @@
 //!    a [`ChaosComm`] carrying the attempt's planned faults. A rank killed
 //!    inside a gang unwinds into a structured failure; the pool rank
 //!    survives and rejoins the world;
-//! 4. **outcome allgather + fold** — every rank hears every gang member's
-//!    report and folds the identical state transition: complete, cancel,
-//!    expire, fail (budget exhausted), or back off and retry — resuming
-//!    from the job's checkpoint when one exists, degrading the gang size
-//!    when fresh restarts keep dying.
+//! 4. **outcome allgather + fold** — every rank hears every pool rank's
+//!    typed `Outcome` and folds the identical state transition: complete,
+//!    cancel, expire, fail (budget exhausted), or back off and retry —
+//!    resuming from the job's checkpoint when one exists, degrading the
+//!    gang size when fresh restarts keep dying.
 //!
 //! Because every state transition derives from broadcast or allgathered
 //! data, replicas can never diverge — and the whole campaign replays
-//! bit-identically under a fixed fault plan.
+//! bit-identically under a fixed fault plan. DESIGN.md §13 describes the
+//! round, the replicated state and the one terminal transition.
 //!
 //! ## Checkpoint recovery
 //!
@@ -46,7 +48,7 @@
 use std::collections::{BTreeMap, HashMap};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
 use diffreg_comm::{
@@ -57,7 +59,7 @@ use diffreg_grid::{Decomp, Grid, ScalarField, VectorField};
 use diffreg_optim::NewtonOptions;
 use diffreg_pfft::PencilFft;
 use diffreg_telemetry::doctor::{write_trace_bundle, RankCapture};
-use diffreg_telemetry::incident::{write_incident_bundle, IncidentHeader};
+use diffreg_telemetry::incident::{write_incident_bundle, Failure, IncidentContext};
 use diffreg_telemetry::{
     record_comm_summary, record_event, set_trace_enabled, snapshot_recorder, span, take_recorder,
     ConvergenceLog, Json, MetricsRegistry, Profile, RecKind, StreamEntry,
@@ -66,10 +68,9 @@ use diffreg_transport::{SemiLagrangian, Workspace};
 
 use crate::faults::{AttemptFaults, FaultInjector};
 use crate::http::{HttpServer, ObsSlot, ObsSnapshot};
-use crate::incident::{failure_trigger, CaptureStage, IncidentRecord, IncidentTrigger};
+use crate::incident::{CaptureStage, IncidentRecord, IncidentTrigger};
 use crate::job::{
-    backoff_rounds, decode_intake, encode_intake, fnv_fold_u64, JobId, JobRecord, JobResult,
-    JobSpec, JobState, FNV_OFFSET,
+    backoff_rounds, fnv_fold_u64, JobId, JobRecord, JobResult, JobSpec, JobState, FNV_OFFSET,
 };
 use crate::scheduler::{plan_round, Assignment};
 use crate::slo::{AlertState, SloEngine, SloPolicy};
@@ -77,7 +78,7 @@ use crate::slo::{AlertState, SloEngine, SloPolicy};
 /// Locks a mutex, riding through poisoning (a contained gang kill may have
 /// unwound while holding a side-store lock; the data is still consistent —
 /// each protected value is only ever appended to or overwritten whole).
-fn lock<'a, T>(m: &'a Mutex<T>) -> std::sync::MutexGuard<'a, T> {
+fn lock<'a, T>(m: &'a Mutex<T>) -> MutexGuard<'a, T> {
     m.lock().unwrap_or_else(|e| e.into_inner())
 }
 
@@ -190,87 +191,40 @@ impl ServeSummary {
 }
 
 // ---------------------------------------------------------------------------
-// Attempt reports (the outcome-allgather wire format)
+// The round's two collectives
 // ---------------------------------------------------------------------------
 
-const KIND_IDLE: u64 = 0;
-const KIND_OK: u64 = 1;
-const KIND_FAIL: u64 = 2;
-
-const REASON_KILL: u64 = 1;
-const REASON_TIMEOUT: u64 = 2;
-const REASON_PEER: u64 = 3;
-const REASON_OTHER: u64 = 4;
-
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct AttemptReport {
-    kind: u64,
-    job: JobId,
-    reason: u64,
-    digest: u64,
-    mismatch_bits: u64,
-    resumed: bool,
-    fell_back: bool,
+/// One round of intake: rank 0 drains the inboxes into it and broadcasts it.
+#[derive(Clone, Default)]
+struct Intake {
+    specs: Vec<JobSpec>,
+    cancels: Vec<JobId>,
+    /// Whether intake is still open.
+    open: bool,
 }
 
-impl AttemptReport {
-    fn idle() -> Self {
-        Self {
-            kind: KIND_IDLE,
-            job: 0,
-            reason: 0,
-            digest: 0,
-            mismatch_bits: 0,
-            resumed: false,
-            fell_back: false,
-        }
-    }
-
-    fn encode(&self) -> Vec<u64> {
-        vec![
-            self.kind,
-            self.job,
-            self.reason,
-            self.digest,
-            self.mismatch_bits,
-            u64::from(self.resumed),
-            u64::from(self.fell_back),
-        ]
-    }
-
-    fn decode(w: &[u64]) -> Self {
-        Self {
-            kind: w[0],
-            job: w[1],
-            reason: w[2],
-            digest: w[3],
-            mismatch_bits: w[4],
-            resumed: w[5] == 1,
-            fell_back: w[6] == 1,
-        }
-    }
+/// One pool rank's part of the outcome allgather.
+#[derive(Clone, Copy)]
+enum Outcome {
+    /// The rank sat this round out.
+    Idle,
+    /// Its gang's attempt finished.
+    Done { digest: u64, mismatch_bits: u64, resumed: bool, fell_back: bool },
+    /// Its gang's attempt failed, as this rank saw it.
+    Failed(Failure),
 }
 
-/// Maps a contained panic payload to a failure-reason code.
-fn classify_failure(payload: &str) -> u64 {
+/// Maps a contained panic payload to the failure it reports.
+fn classify(payload: &str) -> Failure {
     let p = payload.to_lowercase();
     if p.contains("injected kill") {
-        REASON_KILL
+        Failure::Kill
     } else if p.contains("timeout") || p.contains("watchdog") {
-        REASON_TIMEOUT
+        Failure::Timeout
     } else if p.contains("peer") {
-        REASON_PEER
+        Failure::PeerGone
     } else {
-        REASON_OTHER
-    }
-}
-
-fn reason_label(reason: u64) -> &'static str {
-    match reason {
-        REASON_KILL => "kill",
-        REASON_TIMEOUT => "timeout",
-        REASON_PEER => "peer-gone",
-        _ => "other",
+        Failure::Other
     }
 }
 
@@ -299,19 +253,6 @@ pub struct ServeHarness {
     stage: Arc<Mutex<CaptureStage>>,
     obs: ObsSlot,
     http_bound: Arc<Mutex<Option<std::net::SocketAddr>>>,
-}
-
-/// Context for one incident trigger (everything
-/// [`ServeHarness::record_incident`] needs beyond the shared state).
-struct IncidentCtx<'a> {
-    trigger: IncidentTrigger,
-    job: JobId,
-    attempt: u32,
-    tenant: &'a str,
-    round: u64,
-    gang_ranks: &'a [usize],
-    reason: &'a str,
-    detail: String,
 }
 
 impl ServeHarness {
@@ -427,22 +368,16 @@ impl ServeHarness {
         Ok(captures.len())
     }
 
+
     // -- the SPMD loop ------------------------------------------------------
 
     /// Runs the serving loop on this pool rank. Call from **every** rank of
     /// a `run_threaded` world; returns when intake is closed and every
     /// admitted job is terminal. All ranks return the identical summary.
     pub fn serve_pool(&self, world: &ThreadComm) -> ServeSummary {
-        let me = world.rank();
-        let pool = world.size();
-        let mut table: BTreeMap<JobId, JobRecord> = BTreeMap::new();
-        let mut rejected: Vec<JobId> = Vec::new();
-        let mut submit_times: HashMap<JobId, Instant> = HashMap::new();
-        let mut round: u64 = 0;
-        let mut slo: Option<SloEngine> = self.cfg.slo.clone().map(SloEngine::new);
-        let mut incidents: Vec<IncidentRecord> = Vec::new();
-        if me == 0 {
-            let mut m = lock(&self.metrics);
+        let (me, pool) = (world.rank(), world.size());
+        let mut rs = Replica::new(self, me, pool);
+        if let Some(mut m) = rs.metrics() {
             m.set_gauge("serve_pool_ranks", pool as f64);
         }
         if self.cfg.trace_job.is_some() {
@@ -470,695 +405,124 @@ impl ServeHarness {
         };
 
         loop {
-            // 1. intake: rank 0 drains, everyone applies the same blob.
+            // 1. intake: rank 0 drains, everyone applies the same `Intake`;
+            // then backoff release and the deadline sweep.
             let intake_span = span("serve.intake");
-            let mut wire: Vec<u8> = if me == 0 {
-                let specs: Vec<JobSpec> = std::mem::take(&mut *lock(&self.inbox));
-                let cancels: Vec<JobId> = std::mem::take(&mut *lock(&self.cancel_inbox));
-                let open = self.intake_open.load(Ordering::SeqCst);
-                encode_intake(&specs, &cancels, open)
-            } else {
-                Vec::new()
-            };
+            let mut wire = Vec::new();
+            if me == 0 {
+                wire.push(Intake {
+                    specs: std::mem::take(&mut *lock(&self.inbox)),
+                    cancels: std::mem::take(&mut *lock(&self.cancel_inbox)),
+                    open: self.intake_open.load(Ordering::SeqCst),
+                });
+            }
             world.broadcast(0, &mut wire);
-            let (specs, cancels, open) = decode_intake(&wire);
-
-            for spec in specs {
-                let id = spec.id;
-                if me == 0 {
-                    lock(&self.metrics).inc_counter("serve_jobs_submitted_total", 1);
-                }
-                let waiting = table.values().filter(|r| r.state.is_waiting()).count();
-                if waiting >= self.cfg.queue_capacity || table.contains_key(&id) {
-                    rejected.push(id);
-                    if me == 0 {
-                        lock(&self.metrics).inc_counter("serve_jobs_rejected_total", 1);
-                    }
-                    continue;
-                }
-                if me == 0 {
-                    submit_times.insert(id, Instant::now());
-                }
-                table.insert(id, JobRecord::new(spec, round, pool));
-            }
-            for id in cancels {
-                if let Some(rec) = table.get_mut(&id) {
-                    match rec.state {
-                        JobState::Queued | JobState::Backoff { .. } => {
-                            rec.state = JobState::Cancelled;
-                            rec.finish_round = Some(round);
-                            if me == 0 {
-                                lock(&self.metrics).inc_counter("serve_jobs_cancelled_total", 1);
-                            }
-                        }
-                        JobState::Running => rec.cancel_requested = true,
-                        _ => {}
-                    }
-                }
-            }
-
-            // 2. backoff release + deadline sweep.
-            for rec in table.values_mut() {
-                if let JobState::Backoff { until_round } = rec.state {
-                    if round >= until_round {
-                        rec.state = JobState::Queued;
-                    }
-                }
-                if rec.state.is_waiting() {
-                    if let Some(d) = rec.spec.deadline_rounds {
-                        if round.saturating_sub(rec.submit_round) >= d {
-                            rec.state = JobState::Expired;
-                            rec.finish_round = Some(round);
-                            if me == 0 {
-                                lock(&self.metrics).inc_counter("serve_jobs_expired_total", 1);
-                            }
-                            let qw = rec
-                                .first_start_round
-                                .unwrap_or(round)
-                                .saturating_sub(rec.submit_round);
-                            if let Some(s) = slo.as_mut() {
-                                s.observe_terminal(
-                                    &rec.spec.tenant,
-                                    round,
-                                    qw,
-                                    round.saturating_sub(rec.submit_round),
-                                    false,
-                                );
-                            }
-                            let firing =
-                                slo.as_ref().map(|s| s.firing()).unwrap_or_default();
-                            self.record_incident(
-                                &mut incidents,
-                                &firing,
-                                me,
-                                IncidentCtx {
-                                    trigger: IncidentTrigger::DeadlineExpiry,
-                                    job: rec.spec.id,
-                                    attempt: rec.attempts,
-                                    tenant: &rec.spec.tenant,
-                                    round,
-                                    gang_ranks: &[],
-                                    reason: "deadline",
-                                    detail: format!(
-                                        "deadline of {d} rounds passed while waiting in queue"
-                                    ),
-                                },
-                            );
-                        }
-                    }
-                }
-            }
-
+            let open = rs.admit(wire.pop().unwrap_or_default());
+            rs.sweep();
             drop(intake_span);
 
-            // 3. termination: replicated decision (open and the table are
+            // 2. termination: replicated decision (open and the table are
             // identical on every rank).
-            if !open && table.values().all(|r| r.state.is_terminal()) {
+            if !open && rs.table.values().all(|r| r.state.is_terminal()) {
                 break;
             }
 
-            // 4. plan, mark running, account attempts.
+            // 3. plan, mark running, account attempts.
             let plan_span = span("serve.plan");
-            let plan = plan_round(&table, pool);
-            for a in &plan {
-                if let Some(rec) = table.get_mut(&a.job) {
-                    rec.state = JobState::Running;
-                    rec.attempts += 1;
-                    if rec.first_start_round.is_none() {
-                        rec.first_start_round = Some(round);
-                        if me == 0 {
-                            if let Some(t0) = submit_times.get(&a.job) {
-                                let wait = t0.elapsed().as_secs_f64();
-                                lock(&self.metrics).observe("serve_queue_wait_seconds", wait);
-                            }
-                        }
-                    }
-                    if me == 0 {
-                        lock(&self.metrics).inc_counter("serve_attempts_total", 1);
-                    }
-                }
-            }
-            if me == 0 {
-                let mut m = lock(&self.metrics);
-                let waiting = table.values().filter(|r| r.state.is_waiting()).count();
-                m.set_gauge("serve_queue_depth", waiting as f64);
-                m.set_gauge("serve_running_jobs", plan.len() as f64);
-                m.inc_counter("serve_rounds_total", 1);
-            }
-
+            let plan = plan_round(&rs.table, pool);
+            rs.start(&plan);
             drop(plan_span);
-
             if plan.is_empty() && open {
                 std::thread::sleep(IDLE_SLEEP);
             }
 
-            // 5. split into gangs (the plan IS the coloring) and execute.
-            let mine = plan.iter().position(|a| a.ranks.contains(&me));
-            let color = mine.unwrap_or(plan.len());
-            let sub = world.split(color, me);
-            let report = match mine {
-                Some(ai) => {
-                    let a = &plan[ai];
-                    match table.get(&a.job) {
-                        Some(rec) => self.run_attempt(sub, a, rec),
-                        None => AttemptReport::idle(),
-                    }
-                }
+            // 4. split into gangs (the plan IS the coloring) and execute.
+            let ai = plan.iter().position(|a| a.ranks.contains(&me));
+            let sub = world.split(ai.unwrap_or(plan.len()), me);
+            let mine = ai.and_then(|ai| Some((&plan[ai], rs.table.get(&plan[ai].job)?)));
+            let outcome = match mine {
+                Some((a, rec)) => self.run_attempt(sub, a, rec),
                 None => {
                     drop(sub);
-                    AttemptReport::idle()
+                    Outcome::Idle
                 }
             };
-
-            // Stage this rank's capture before the allgather: the gang's
-            // comm events landed on this pool rank's shared event log (the
-            // split shares it), and the flight-recorder window covers the
-            // attempt since its start-of-attempt reset. The allgather below
-            // is the barrier that makes every gang member's insert visible
-            // to rank 0's fold.
-            let staged = mine.map(|ai| &plan[ai]).filter(|a| self.stages(a.job));
-            if let Some((a, rec)) = staged.and_then(|a| Some((a, table.get(&a.job)?))) {
-                let events = world.take_events();
-                let mut per_op: BTreeMap<&'static str, (u64, u64)> = BTreeMap::new();
-                for e in &events {
-                    let p = per_op.entry(e.op.name()).or_insert((0, 0));
-                    p.0 += 1;
-                    p.1 += e.bytes;
-                }
-                for (op, (n, bytes)) in per_op {
-                    record_comm_summary(op, n, bytes);
-                }
-                let gang_rank = a.ranks.iter().position(|r| *r == me).unwrap_or(0);
-                // This rank's own failure reason is the triage's strongest
-                // culprit signal (comm streams truncate symmetrically on
-                // gang-fatal faults): the killed rank reports the kill, the
-                // stalled rank reports peer-gone while its waiters report
-                // timeout.
-                if report.kind == KIND_FAIL {
-                    let name = "serve.attempt-failed";
-                    record_event(RecKind::Serve, name, report.reason, gang_rank as u64);
-                }
-                let recorder = take_recorder();
-                lock(&self.stage).entry((a.job, rec.attempts)).or_default().insert(
-                    gang_rank,
-                    RankCapture { rank: gang_rank, events, recorder },
-                );
+            if let Some((a, rec)) = mine.filter(|(a, _)| self.stages(a.job)) {
+                self.stage_capture(world, a, rec.attempts, outcome);
             }
 
-            // 6. outcome allgather + deterministic fold.
+            // 5. outcome allgather + deterministic fold.
             let fold_span = span("serve.outcome-fold");
-            let gathered = world.allgather(report.encode());
-            let reports: Vec<AttemptReport> =
-                gathered.iter().map(|w| AttemptReport::decode(w)).collect();
-            self.fold_outcomes(
-                &mut table,
-                &plan,
-                &reports,
-                round,
-                me,
-                &submit_times,
-                &mut slo,
-                &mut incidents,
-            );
+            let outcomes: Vec<Outcome> =
+                world.allgather(vec![outcome]).into_iter().flatten().collect();
+            rs.fold(&plan, &outcomes);
             drop(fold_span);
 
-            // 7. SLO window rotation + alert transitions (replicated), and
+            // 6. SLO window rotation + alert transitions (replicated), and
             // per-round capture-stage cleanup. Rank 0 reaches this only
             // after writing any bundles; the other ranks cannot start the
             // next round's attempts before rank 0's intake broadcast, so
             // clearing here cannot race new inserts.
-            if let Some(s) = slo.as_mut() {
-                let alerts = s.advance_round(round);
-                let firing = s.firing();
-                for al in &alerts {
-                    if me == 0 {
-                        lock(&self.metrics).inc_counter("serve_slo_transitions_total", 1);
-                    }
-                    if al.state == AlertState::Firing {
-                        self.record_incident(
-                            &mut incidents,
-                            &firing,
-                            me,
-                            IncidentCtx {
-                                trigger: IncidentTrigger::SloBurnRate,
-                                job: 0,
-                                attempt: 0,
-                                tenant: &al.tenant,
-                                round,
-                                gang_ranks: &[],
-                                reason: "slo",
-                                detail: al.render(),
-                            },
-                        );
-                    }
-                }
-                if me == 0 {
-                    s.export(round, &mut lock(&self.metrics));
-                }
-            }
+            rs.advance_slo();
             if me == 0 {
                 lock(&self.stage).retain(|(job, _), _| self.cfg.trace_job == Some(*job));
             }
-
-            // Round boundary: rank 0 publishes the observability snapshot
-            // (pure reads of replicated/fold-derived state; the HTTP thread
-            // only ever swaps snapshot Arcs).
-            if me == 0 && http.is_some() {
-                self.publish_obs(round, &table, slo.as_ref(), &incidents);
+            // Round boundary: rank 0 publishes the observability snapshot.
+            if http.is_some() {
+                rs.publish();
             }
-
-            round += 1;
+            rs.round += 1;
         }
 
         if let Some(server) = http {
-            self.publish_obs(round, &table, slo.as_ref(), &incidents);
+            rs.publish();
             server.stop();
         }
         if self.cfg.trace_job.is_some() {
             set_trace_enabled(false);
         }
-        if me == 0 {
-            let mut m = lock(&self.metrics);
+        if let Some(mut m) = rs.metrics() {
             m.set_gauge("serve_queue_depth", 0.0);
             m.set_gauge("serve_running_jobs", 0.0);
         }
-        ServeSummary {
-            rounds: round,
-            rejected,
-            records: table,
-            incidents,
-            slo_alerts: slo.as_ref().map(|s| s.render_alert_log()).unwrap_or_default(),
-            slo_digest: slo.as_ref().map(|s| s.state_digest()).unwrap_or(0),
-        }
+        rs.into_summary()
     }
 
-    /// Rebuilds and publishes the observability snapshot (rank 0, round
-    /// boundary). Everything here is a *read*: the replicated job table,
-    /// the fold-derived SLO/incident state, the metrics dashboard, the
-    /// convergence logs, and this rank's flight-recorder window (a
-    /// non-draining snapshot — attempt capture accounting is untouched).
-    fn publish_obs(
-        &self,
-        round: u64,
-        table: &BTreeMap<JobId, JobRecord>,
-        slo: Option<&SloEngine>,
-        incidents: &[IncidentRecord],
-    ) {
-        let state_label = |s: &JobState| -> String {
-            match s {
-                JobState::Queued => "queued".to_string(),
-                JobState::Running => "running".to_string(),
-                JobState::Backoff { until_round } => format!("backoff(until={until_round})"),
-                JobState::Completed => "completed".to_string(),
-                JobState::Cancelled => "cancelled".to_string(),
-                JobState::Expired => "expired".to_string(),
-                JobState::Failed => "failed".to_string(),
-            }
-        };
-        let jobs_json = {
-            let logs = lock(&self.logs);
-            let mut jobs: Vec<Json> = Vec::with_capacity(table.len());
-            for rec in table.values() {
-                let mut j = Json::obj()
-                    .set("id", rec.spec.id)
-                    .set("tenant", rec.spec.tenant.as_str())
-                    .set("state", state_label(&rec.state))
-                    .set("gang_size", rec.gang_size)
-                    .set("attempts", rec.attempts)
-                    .set("resumed_attempts", rec.resumed_attempts)
-                    .set("submit_round", rec.submit_round)
-                    .set(
-                        "first_start_round",
-                        rec.first_start_round.map(Json::from).unwrap_or(Json::Null),
-                    )
-                    .set("finish_round", rec.finish_round.map(Json::from).unwrap_or(Json::Null));
-                if let Some(res) = &rec.result {
-                    j = j
-                        .set("digest", format!("{:016x}", res.digest))
-                        .set("result_gang_size", res.gang_size)
-                        .set("resumed", res.resumed);
-                }
-                let last_iter = logs.get(&rec.spec.id).and_then(|log| {
-                    log.entries.iter().rev().find_map(|e| match e {
-                        StreamEntry::Iter(it) => Some(it),
-                        _ => None,
-                    })
-                });
-                if let Some(it) = last_iter {
-                    j = j.set(
-                        "last_iter",
-                        Json::obj()
-                            .set("level", it.level)
-                            .set("iter", it.iter)
-                            .set("objective", it.objective)
-                            .set("grad_norm", it.grad_norm)
-                            .set("rel_grad", it.rel_grad)
-                            .set("pcg_iters", it.pcg_iters),
-                    );
-                }
-                jobs.push(j);
-            }
-            Json::obj().set("round", round).set("jobs", jobs).to_string()
-        };
-        let slo_json = match slo {
-            Some(s) => Json::obj()
-                .set("round", round)
-                .set("digest", format!("{:016x}", s.state_digest()))
-                .set(
-                    "firing",
-                    s.firing().into_iter().map(Json::from).collect::<Vec<Json>>(),
-                )
-                .set(
-                    "alerts",
-                    s.render_alert_log().into_iter().map(Json::from).collect::<Vec<Json>>(),
-                )
-                .to_string(),
-            None => Json::obj().set("round", round).set("disabled", true).to_string(),
-        };
-        let incidents_json = {
-            let items: Vec<Json> = incidents
-                .iter()
-                .map(|i| {
-                    Json::obj()
-                        .set("seq", i.seq)
-                        .set("trigger", i.trigger.name())
-                        .set("job", i.job)
-                        .set("attempt", i.attempt)
-                        .set("round", i.round)
-                        .set("reason", i.reason.as_str())
-                })
-                .collect();
-            Json::obj().set("round", round).set("incidents", items).to_string()
-        };
-        let profile = Profile::from_recorders([(0, &snapshot_recorder())]);
-        let snap = ObsSnapshot {
-            round,
-            ready: true,
-            metrics_text: lock(&self.metrics).render_prometheus(),
-            jobs_json,
-            slo_json,
-            incidents_json,
-            profile_folded: profile.render_folded(),
-        };
-        *lock(&self.obs) = Arc::new(snap);
-    }
-
-    /// Folds one round's allgathered gang outcomes into the replicated
-    /// table, feeding the SLO engine and the incident sequence (both
-    /// fold-derived, so identical on every rank). Pure with respect to the
-    /// replicated inputs; rank 0 additionally records metrics and writes
-    /// incident bundles.
-    #[allow(clippy::too_many_arguments)]
-    fn fold_outcomes(
-        &self,
-        table: &mut BTreeMap<JobId, JobRecord>,
-        plan: &[Assignment],
-        reports: &[AttemptReport],
-        round: u64,
-        me: usize,
-        submit_times: &HashMap<JobId, Instant>,
-        slo: &mut Option<SloEngine>,
-        incidents: &mut Vec<IncidentRecord>,
-    ) {
-        // Alert state only transitions in `advance_round`, so one snapshot
-        // serves every bundle header written this fold.
-        let firing: Vec<String> = slo.as_ref().map(|s| s.firing()).unwrap_or_default();
-        for a in plan {
-            let members: Vec<&AttemptReport> = a.ranks.iter().map(|r| &reports[*r]).collect();
-            let Some(rec) = table.get_mut(&a.job) else { continue };
-            let all_ok = members.iter().all(|m| m.kind == KIND_OK);
-            if all_ok {
-                let lead = members[0];
-                if lead.resumed {
-                    rec.resumed_attempts += 1;
-                }
-                if lead.fell_back {
-                    rec.fallbacks += 1;
-                }
-                rec.state = JobState::Completed;
-                rec.finish_round = Some(round);
-                rec.result = Some(JobResult {
-                    digest: lead.digest,
-                    final_mismatch_bits: lead.mismatch_bits,
-                    gang_size: a.ranks.len(),
-                    attempt: rec.attempts,
-                    resumed: lead.resumed,
-                });
-                if let Some(s) = slo.as_mut() {
-                    let qw = rec
-                        .first_start_round
-                        .unwrap_or(round)
-                        .saturating_sub(rec.submit_round);
-                    s.observe_terminal(
-                        &rec.spec.tenant,
-                        round,
-                        qw,
-                        round.saturating_sub(rec.submit_round),
-                        true,
-                    );
-                }
-                if lead.fell_back {
-                    self.record_incident(
-                        incidents,
-                        &firing,
-                        me,
-                        IncidentCtx {
-                            trigger: IncidentTrigger::CheckpointFallback,
-                            job: a.job,
-                            attempt: rec.attempts,
-                            tenant: &rec.spec.tenant,
-                            round,
-                            gang_ranks: &a.ranks,
-                            reason: "",
-                            detail: "resume fell back to the previous checkpoint generation \
-                                     (current generation torn)"
-                                .to_string(),
-                        },
-                    );
-                }
-                if me == 0 {
-                    let mut m = lock(&self.metrics);
-                    m.inc_counter("serve_jobs_completed_total", 1);
-                    if lead.resumed {
-                        m.inc_counter("serve_jobs_recovered_total", 1);
-                    }
-                    if lead.fell_back {
-                        m.inc_counter("serve_checkpoint_fallback_total", 1);
-                    }
-                    if let Some(t0) = submit_times.get(&a.job) {
-                        m.observe("serve_job_e2e_seconds", t0.elapsed().as_secs_f64());
-                    }
-                }
-                continue;
-            }
-
-            // Failure: pick the highest-precedence cause among the members
-            // (kill > timeout > peer-gone > other).
-            let reason = members
-                .iter()
-                .filter(|m| m.kind == KIND_FAIL && m.reason != 0)
-                .map(|m| m.reason)
-                .min()
-                .unwrap_or(REASON_OTHER);
-            rec.last_failure = Some(reason_label(reason).to_string());
-            if me == 0 {
-                lock(&self.metrics).inc_counter(
-                    &format!("serve_attempts_failed_total{{reason=\"{}\"}}", reason_label(reason)),
-                    1,
-                );
-            }
-            // Every failed attempt is an incident: a watchdog timeout gets
-            // its own trigger (the triage hunts for the stalled rank), any
-            // other contained failure files as attempt-failure.
-            self.record_incident(
-                incidents,
-                &firing,
-                me,
-                IncidentCtx {
-                    trigger: failure_trigger(reason_label(reason)),
-                    job: a.job,
-                    attempt: rec.attempts,
-                    tenant: &rec.spec.tenant,
-                    round,
-                    gang_ranks: &a.ranks,
-                    reason: reason_label(reason),
-                    detail: format!(
-                        "attempt {} failed on a gang of {} (reason: {})",
-                        rec.attempts,
-                        a.ranks.len(),
-                        reason_label(reason)
-                    ),
-                },
-            );
-            let deadline_hit = rec
-                .spec
-                .deadline_rounds
-                .is_some_and(|d| round.saturating_sub(rec.submit_round) >= d);
-            if rec.cancel_requested {
-                rec.state = JobState::Cancelled;
-                rec.finish_round = Some(round);
-                if me == 0 {
-                    lock(&self.metrics).inc_counter("serve_jobs_cancelled_total", 1);
-                }
-            } else if deadline_hit {
-                rec.state = JobState::Expired;
-                rec.finish_round = Some(round);
-                if me == 0 {
-                    lock(&self.metrics).inc_counter("serve_jobs_expired_total", 1);
-                }
-                if let Some(s) = slo.as_mut() {
-                    let qw = rec
-                        .first_start_round
-                        .unwrap_or(round)
-                        .saturating_sub(rec.submit_round);
-                    s.observe_terminal(
-                        &rec.spec.tenant,
-                        round,
-                        qw,
-                        round.saturating_sub(rec.submit_round),
-                        false,
-                    );
-                }
-                self.record_incident(
-                    incidents,
-                    &firing,
-                    me,
-                    IncidentCtx {
-                        trigger: IncidentTrigger::DeadlineExpiry,
-                        job: a.job,
-                        attempt: rec.attempts,
-                        tenant: &rec.spec.tenant,
-                        round,
-                        gang_ranks: &a.ranks,
-                        reason: reason_label(reason),
-                        detail: format!(
-                            "deadline passed after attempt {} failed",
-                            rec.attempts
-                        ),
-                    },
-                );
-            } else if rec.attempts > rec.spec.max_retries {
-                rec.state = JobState::Failed;
-                rec.finish_round = Some(round);
-                if me == 0 {
-                    lock(&self.metrics).inc_counter("serve_jobs_failed_total", 1);
-                }
-                if let Some(s) = slo.as_mut() {
-                    let qw = rec
-                        .first_start_round
-                        .unwrap_or(round)
-                        .saturating_sub(rec.submit_round);
-                    s.observe_terminal(
-                        &rec.spec.tenant,
-                        round,
-                        qw,
-                        round.saturating_sub(rec.submit_round),
-                        false,
-                    );
-                }
-            } else {
-                // Retry. Keep the gang size while checkpoint resume has a
-                // chance (the decomposition must match for a bitwise
-                // resume); degrade only a job that keeps dying without ever
-                // resuming.
-                if me == 0 {
-                    lock(&self.metrics).inc_counter("serve_jobs_retried_total", 1);
-                }
-                if rec.attempts >= DEGRADE_AFTER
-                    && rec.resumed_attempts == 0
-                    && rec.gang_size > 1
-                {
-                    rec.gang_size /= 2;
-                    if me == 0 {
-                        lock(&self.metrics).inc_counter("serve_jobs_degraded_total", 1);
-                    }
-                    self.record_incident(
-                        incidents,
-                        &firing,
-                        me,
-                        IncidentCtx {
-                            trigger: IncidentTrigger::GangDegraded,
-                            job: a.job,
-                            attempt: rec.attempts,
-                            tenant: &rec.spec.tenant,
-                            round,
-                            gang_ranks: &a.ranks,
-                            reason: reason_label(reason),
-                            detail: format!(
-                                "gang halved to {} after {} fresh-start failures",
-                                rec.gang_size, rec.attempts
-                            ),
-                        },
-                    );
-                }
-                let delay = backoff_rounds(a.job, rec.attempts);
-                rec.state = JobState::Backoff { until_round: round + delay };
-            }
+    /// Stages this rank's capture of its gang attempt. It runs before the
+    /// outcome allgather, the barrier that makes every member's insert
+    /// visible to rank 0's fold: the gang's comm events (left on this pool
+    /// rank's event log, which the split shares) and the flight-recorder
+    /// window since the attempt's start-of-attempt reset.
+    fn stage_capture(&self, world: &ThreadComm, a: &Assignment, attempt: u32, outcome: Outcome) {
+        let events = world.take_events();
+        let mut per_op: BTreeMap<&'static str, (u64, u64)> = BTreeMap::new();
+        for e in &events {
+            let p = per_op.entry(e.op.name()).or_insert((0, 0));
+            p.0 += 1;
+            p.1 += e.bytes;
         }
-    }
-
-    /// Appends one fold-derived incident record (every rank, deterministic)
-    /// and — on rank 0 with an `incident_dir` — writes the doctor-readable
-    /// bundle from the staged gang captures.
-    fn record_incident(
-        &self,
-        incidents: &mut Vec<IncidentRecord>,
-        slo_firing: &[String],
-        me: usize,
-        ctx: IncidentCtx<'_>,
-    ) {
-        let seq = incidents.len() as u64;
-        incidents.push(IncidentRecord {
-            seq,
-            trigger: ctx.trigger,
-            job: ctx.job,
-            attempt: ctx.attempt,
-            round: ctx.round,
-            reason: ctx.reason.to_string(),
-        });
-        if me != 0 {
-            return;
+        for (op, (n, bytes)) in per_op {
+            record_comm_summary(op, n, bytes);
         }
-        lock(&self.metrics).inc_counter(
-            &format!("serve_incidents_total{{trigger=\"{}\"}}", ctx.trigger.name()),
-            1,
-        );
-        let Some(dir) = &self.cfg.incident_dir else { return };
-        let captures: Vec<RankCapture> = lock(&self.stage)
-            .get(&(ctx.job, ctx.attempt))
-            .map(|m| m.values().cloned().collect())
-            .unwrap_or_default();
-        let tail = lock(&self.logs).get(&ctx.job).map(|l| l.tail(INCIDENT_TAIL));
-        let metrics = lock(&self.metrics).clone();
-        let header = IncidentHeader {
-            seq,
-            trigger: ctx.trigger,
-            job: ctx.job,
-            attempt: ctx.attempt,
-            round: ctx.round,
-            tenant: ctx.tenant.to_string(),
-            reason: ctx.reason.to_string(),
-            detail: ctx.detail,
-            gang_ranks: ctx.gang_ranks.to_vec(),
-            slo_firing: slo_firing.to_vec(),
-            comm_events: 0,
-            rec_seen: 0,
-            rec_recorded: 0,
-            rec_sampled_out: 0,
-            rec_overwritten: 0,
-            convergence_entries: 0,
-            convergence_evicted: 0,
-            capture_digest: 0,
-        };
-        if write_incident_bundle(dir, header, &captures, tail.as_ref(), Some(&metrics)).is_err() {
-            lock(&self.metrics).inc_counter("serve_incident_write_errors_total", 1);
+        let gang_rank = a.ranks.iter().position(|r| *r == world.rank()).unwrap_or(0);
+        // This rank's own failure is the triage's strongest culprit signal
+        // (comm streams truncate symmetrically on gang-fatal faults): the
+        // killed rank reports the kill, the stalled rank reports peer-gone
+        // while its waiters report timeout.
+        if let Outcome::Failed(f) = outcome {
+            record_event(RecKind::Serve, "serve.attempt-failed", f.code(), gang_rank as u64);
         }
+        let recorder = take_recorder();
+        lock(&self.stage)
+            .entry((a.job, attempt))
+            .or_default()
+            .insert(gang_rank, RankCapture { rank: gang_rank, events, recorder });
     }
 
     /// Runs one gang attempt under containment. `sub` is this rank's gang
-    /// communicator from the round's split; the returned report is this
-    /// member's contribution to the outcome allgather.
-    fn run_attempt(&self, sub: ThreadComm, a: &Assignment, rec: &JobRecord) -> AttemptReport {
+    /// communicator from the round's split; the returned outcome is this
+    /// member's part of the outcome allgather.
+    fn run_attempt(&self, sub: ThreadComm, a: &Assignment, rec: &JobRecord) -> Outcome {
         let spec = rec.spec.clone();
         let attempt = rec.attempts;
         let gang_size = a.ranks.len();
@@ -1177,7 +541,7 @@ impl ServeHarness {
             record_event(RecKind::Serve, "serve.attempt", spec.id, u64::from(attempt));
         }
 
-        let outcome = run_gang(sub, |gang| {
+        run_gang(sub, |gang| {
             let chaos = ChaosComm::new(gang, chaos_config(&faults, &spec));
             // Torn-write drill: gang rank 0 tears every member's current
             // generation before anyone reads, so all members fall back to
@@ -1262,28 +626,439 @@ impl ServeHarness {
                 _ => {}
             });
 
-            (digest, mismatch_bits, resumed, fell_back)
-        });
+            Outcome::Done { digest, mismatch_bits, resumed, fell_back }
+        })
+        .unwrap_or_else(|failure| Outcome::Failed(classify(&failure.payload)))
+    }
+}
 
-        match outcome {
-            Ok((digest, mismatch_bits, resumed, fell_back)) => AttemptReport {
-                kind: KIND_OK,
-                job: spec.id,
-                reason: 0,
-                digest,
-                mismatch_bits,
-                resumed,
-                fell_back,
-            },
-            Err(failure) => AttemptReport {
-                kind: KIND_FAIL,
-                job: spec.id,
-                reason: classify_failure(&failure.payload),
-                digest: 0,
-                mismatch_bits: 0,
-                resumed: false,
-                fell_back: false,
-            },
+// ---------------------------------------------------------------------------
+// The replicated state machine
+// ---------------------------------------------------------------------------
+
+/// An incident about to be filed: what fired, why, and the gang it names.
+struct Incident<'a> {
+    trigger: IncidentTrigger,
+    reason: &'a str,
+    detail: String,
+    gang: &'a [usize],
+}
+
+/// One pool rank's replica of the serving state. Every rank advances it
+/// identically from the broadcast intake and the allgathered outcomes; the
+/// dashboard, incident bundles and wall-clock timestamps are rank 0's side
+/// effects and never feed back into it.
+struct Replica<'h> {
+    h: &'h ServeHarness,
+    me: usize,
+    pool: usize,
+    round: u64,
+    table: BTreeMap<JobId, JobRecord>,
+    rejected: Vec<JobId>,
+    incidents: Vec<IncidentRecord>,
+    slo: Option<SloEngine>,
+    /// Rank 0 only: submission instants, for the latency histograms.
+    submitted: HashMap<JobId, Instant>,
+}
+
+impl<'h> Replica<'h> {
+    fn new(h: &'h ServeHarness, me: usize, pool: usize) -> Self {
+        Self {
+            h,
+            me,
+            pool,
+            round: 0,
+            table: BTreeMap::new(),
+            rejected: Vec::new(),
+            incidents: Vec::new(),
+            slo: h.cfg.slo.clone().map(SloEngine::new),
+            submitted: HashMap::new(),
+        }
+    }
+
+    /// The dashboard, on rank 0 only: every metric is a rank-0 side effect.
+    fn metrics(&self) -> Option<MutexGuard<'h, MetricsRegistry>> {
+        (self.me == 0).then(|| lock(&self.h.metrics))
+    }
+
+    fn count(&self, name: &str) {
+        if let Some(mut m) = self.metrics() {
+            m.inc_counter(name, 1);
+        }
+    }
+
+    fn waiting(&self) -> usize {
+        self.table.values().filter(|r| r.state.is_waiting()).count()
+    }
+
+    /// Applies one round's intake — admissions (rejecting duplicates and
+    /// whatever exceeds the queue capacity), then cancellations — and
+    /// returns whether intake is still open.
+    fn admit(&mut self, intake: Intake) -> bool {
+        for spec in intake.specs {
+            self.count("serve_jobs_submitted_total");
+            if self.waiting() >= self.h.cfg.queue_capacity || self.table.contains_key(&spec.id) {
+                self.rejected.push(spec.id);
+                self.count("serve_jobs_rejected_total");
+                continue;
+            }
+            if self.me == 0 {
+                self.submitted.insert(spec.id, Instant::now());
+            }
+            self.table.insert(spec.id, JobRecord::new(spec, self.round, self.pool));
+        }
+        for id in intake.cancels {
+            let Some(rec) = self.table.get_mut(&id) else { continue };
+            if rec.state.is_waiting() {
+                self.finish(id, JobState::Cancelled, None);
+            } else if rec.state == JobState::Running {
+                rec.cancel_requested = true; // applied at the attempt boundary
+            }
+        }
+        intake.open
+    }
+
+    /// Releases finished backoffs, then expires every waiting job whose
+    /// deadline has passed.
+    fn sweep(&mut self) {
+        let round = self.round;
+        let mut expired = Vec::new();
+        for rec in self.table.values_mut() {
+            if let JobState::Backoff { until_round } = rec.state {
+                if round >= until_round {
+                    rec.state = JobState::Queued;
+                }
+            }
+            if let Some(d) = rec.deadline_passed(round).filter(|_| rec.state.is_waiting()) {
+                expired.push((rec.spec.id, d));
+            }
+        }
+        for (id, d) in expired {
+            let detail = format!("deadline of {d} rounds passed while waiting in queue");
+            let trigger = IncidentTrigger::DeadlineExpiry;
+            let inc = Incident { trigger, reason: "deadline", detail, gang: &[] };
+            self.finish(id, JobState::Expired, Some(inc));
+        }
+    }
+
+    /// Marks the planned jobs running and accounts their attempts.
+    fn start(&mut self, plan: &[Assignment]) {
+        for a in plan {
+            let Some(rec) = self.table.get_mut(&a.job) else { continue };
+            rec.state = JobState::Running;
+            rec.attempts += 1;
+            let first = rec.first_start_round.is_none();
+            rec.first_start_round.get_or_insert(self.round);
+            if let Some(mut m) = self.metrics() {
+                if let Some(t0) = self.submitted.get(&a.job).filter(|_| first) {
+                    m.observe("serve_queue_wait_seconds", t0.elapsed().as_secs_f64());
+                }
+                m.inc_counter("serve_attempts_total", 1);
+            }
+        }
+        if let Some(mut m) = self.metrics() {
+            m.set_gauge("serve_queue_depth", self.waiting() as f64);
+            m.set_gauge("serve_running_jobs", plan.len() as f64);
+            m.inc_counter("serve_rounds_total", 1);
+        }
+    }
+
+    /// Folds one round's allgathered outcomes: a gang whose members all
+    /// finished completes its job; otherwise the job fails with the
+    /// strongest failure among its members.
+    fn fold(&mut self, plan: &[Assignment], outcomes: &[Outcome]) {
+        for a in plan {
+            let cause = a
+                .ranks
+                .iter()
+                .filter_map(|&r| match outcomes[r] {
+                    Outcome::Done { .. } => None,
+                    Outcome::Failed(f) => Some(f),
+                    Outcome::Idle => Some(Failure::Other),
+                })
+                .min();
+            match (cause, outcomes[a.ranks[0]]) {
+                (None, Outcome::Done { digest, mismatch_bits, resumed, fell_back }) => {
+                    self.complete(a, digest, mismatch_bits, resumed, fell_back)
+                }
+                (cause, _) => self.fail(a, cause.unwrap_or(Failure::Other)),
+            }
+        }
+    }
+
+    /// Records the gang's result and completes the job; a resume that fell
+    /// back a checkpoint generation files its incident first.
+    fn complete(
+        &mut self,
+        a: &Assignment,
+        digest: u64,
+        final_mismatch_bits: u64,
+        resumed: bool,
+        fell_back: bool,
+    ) {
+        let Some(rec) = self.table.get_mut(&a.job) else { return };
+        rec.resumed_attempts += u32::from(resumed);
+        rec.fallbacks += u32::from(fell_back);
+        let (gang_size, attempt) = (a.ranks.len(), rec.attempts);
+        rec.result = Some(JobResult { digest, final_mismatch_bits, gang_size, attempt, resumed });
+        if fell_back {
+            let detail = "resume fell back to the previous checkpoint generation \
+                          (current generation torn)"
+                .to_string();
+            let trigger = IncidentTrigger::CheckpointFallback;
+            self.file_for(a.job, Incident { trigger, reason: "", detail, gang: &a.ranks });
+        }
+        self.finish(a.job, JobState::Completed, None);
+        if let Some(mut m) = self.metrics() {
+            if resumed {
+                m.inc_counter("serve_jobs_recovered_total", 1);
+            }
+            if fell_back {
+                m.inc_counter("serve_checkpoint_fallback_total", 1);
+            }
+            if let Some(t0) = self.submitted.get(&a.job) {
+                m.observe("serve_job_e2e_seconds", t0.elapsed().as_secs_f64());
+            }
+        }
+    }
+
+    /// Every failed attempt is counted and filed; then the job is
+    /// cancelled, expired, failed out (retry budget spent) or retried.
+    fn fail(&mut self, a: &Assignment, cause: Failure) {
+        let round = self.round;
+        let Some(rec) = self.table.get_mut(&a.job) else { return };
+        rec.last_failure = Some(cause);
+        let attempt = rec.attempts;
+        let expired = rec.deadline_passed(round).is_some();
+        let (cancelled, exhausted) = (rec.cancel_requested, attempt > rec.spec.max_retries);
+        let reason = cause.label();
+        self.count(&format!("serve_attempts_failed_total{{reason=\"{reason}\"}}"));
+        let gang = &a.ranks;
+        let detail =
+            format!("attempt {attempt} failed on a gang of {} (reason: {reason})", gang.len());
+        self.file_for(a.job, Incident { trigger: cause.trigger(), reason, detail, gang });
+        if cancelled {
+            self.finish(a.job, JobState::Cancelled, None);
+        } else if expired {
+            let detail = format!("deadline passed after attempt {attempt} failed");
+            let trigger = IncidentTrigger::DeadlineExpiry;
+            self.finish(a.job, JobState::Expired, Some(Incident { trigger, reason, detail, gang }));
+        } else if exhausted {
+            self.finish(a.job, JobState::Failed, None);
+        } else {
+            self.retry(a, reason);
+        }
+    }
+
+    /// Backs a failed job off. The gang size stays while a checkpoint
+    /// resume has a chance (a bitwise resume needs the same decomposition);
+    /// a job that keeps dying without ever resuming has its gang halved.
+    fn retry(&mut self, a: &Assignment, reason: &str) {
+        self.count("serve_jobs_retried_total");
+        let round = self.round;
+        let Some(rec) = self.table.get_mut(&a.job) else { return };
+        let attempts = rec.attempts;
+        let degrade = attempts >= DEGRADE_AFTER && rec.resumed_attempts == 0 && rec.gang_size > 1;
+        if degrade {
+            rec.gang_size /= 2;
+        }
+        rec.state = JobState::Backoff { until_round: round + backoff_rounds(a.job, attempts) };
+        if degrade {
+            let detail =
+                format!("gang halved to {} after {attempts} fresh-start failures", rec.gang_size);
+            self.count("serve_jobs_degraded_total");
+            let trigger = IncidentTrigger::GangDegraded;
+            self.file_for(a.job, Incident { trigger, reason, detail, gang: &a.ranks });
+        }
+    }
+
+    /// The one terminal transition: sets the state and finish round, feeds
+    /// the SLO engine (a cancellation is neither a success nor a failure),
+    /// counts `serve_jobs_<state>_total` and files the incident, if any.
+    fn finish(&mut self, id: JobId, state: JobState, incident: Option<Incident<'_>>) {
+        let round = self.round;
+        let Some(rec) = self.table.get_mut(&id) else { return };
+        rec.state = state;
+        rec.finish_round = Some(round);
+        if let Some(slo) = self.slo.as_mut().filter(|_| state != JobState::Cancelled) {
+            let since = |r: u64| r.saturating_sub(rec.submit_round);
+            let (queue_wait, e2e) = (since(rec.first_start_round.unwrap_or(round)), since(round));
+            let success = state == JobState::Completed;
+            slo.observe_terminal(&rec.spec.tenant, round, queue_wait, e2e, success);
+        }
+        self.count(&format!("serve_jobs_{}_total", state.name()));
+        if let Some(inc) = incident {
+            self.file_for(id, inc);
+        }
+    }
+
+    /// Files an incident against `job`'s current attempt.
+    fn file_for(&mut self, job: JobId, inc: Incident<'_>) {
+        let Some(rec) = self.table.get(&job) else { return };
+        let (attempt, tenant) = (rec.attempts, rec.spec.tenant.clone());
+        self.file(job, attempt, &tenant, inc);
+    }
+
+    /// Files one incident: the replicated record on every rank; on rank 0
+    /// its `serve_incidents_total` count and, with an `incident_dir`, its
+    /// bundle, written from the attempt's staged captures.
+    fn file(&mut self, job: JobId, attempt: u32, tenant: &str, inc: Incident<'_>) {
+        let (seq, trigger, round) = (self.incidents.len() as u64, inc.trigger, self.round);
+        let reason = inc.reason.to_string();
+        let record = IncidentRecord { seq, trigger, job, attempt, round, reason: reason.clone() };
+        self.incidents.push(record);
+        if self.me != 0 {
+            return;
+        }
+        self.count(&format!("serve_incidents_total{{trigger=\"{}\"}}", trigger.name()));
+        let Some(dir) = &self.h.cfg.incident_dir else { return };
+        let captures: Vec<RankCapture> = lock(&self.h.stage)
+            .get(&(job, attempt))
+            .map(|m| m.values().cloned().collect())
+            .unwrap_or_default();
+        let tail = lock(&self.h.logs).get(&job).map(|l| l.tail(INCIDENT_TAIL));
+        let metrics = lock(&self.h.metrics).clone();
+        let context = IncidentContext {
+            seq,
+            trigger,
+            job,
+            attempt,
+            round,
+            tenant: tenant.to_string(),
+            reason,
+            detail: inc.detail,
+            gang_ranks: inc.gang.to_vec(),
+            slo_firing: self.slo.as_ref().map(SloEngine::firing).unwrap_or_default(),
+        };
+        if write_incident_bundle(dir, context, &captures, tail.as_ref(), Some(&metrics)).is_err() {
+            self.count("serve_incident_write_errors_total");
+        }
+    }
+
+    /// Ends the round for the SLO engine: windows rotate, alert
+    /// transitions are counted, and each alert that fires files an incident.
+    fn advance_slo(&mut self) {
+        let Some(slo) = self.slo.as_mut() else { return };
+        for al in slo.advance_round(self.round) {
+            self.count("serve_slo_transitions_total");
+            if al.state == AlertState::Firing {
+                let (trigger, detail) = (IncidentTrigger::SloBurnRate, al.render());
+                self.file(0, 0, &al.tenant, Incident { trigger, reason: "slo", detail, gang: &[] });
+            }
+        }
+        if let (Some(mut m), Some(slo)) = (self.metrics(), &self.slo) {
+            slo.export(self.round, &mut m);
+        }
+    }
+
+    /// Rebuilds and publishes the observability snapshot (rank 0, round
+    /// boundary). Everything here is a *read*: the replica, the metrics
+    /// dashboard, the convergence logs, and this rank's flight-recorder
+    /// window (a non-draining snapshot — attempt capture accounting is
+    /// untouched).
+    fn publish(&self) {
+        let round = self.round;
+        let jobs_json = {
+            let logs = lock(&self.h.logs);
+            let mut jobs: Vec<Json> = Vec::with_capacity(self.table.len());
+            for rec in self.table.values() {
+                let state = match rec.state {
+                    JobState::Backoff { until_round } => format!("backoff(until={until_round})"),
+                    s => s.name().to_string(),
+                };
+                let mut j = Json::obj()
+                    .set("id", rec.spec.id)
+                    .set("tenant", rec.spec.tenant.as_str())
+                    .set("state", state)
+                    .set("gang_size", rec.gang_size)
+                    .set("attempts", rec.attempts)
+                    .set("resumed_attempts", rec.resumed_attempts)
+                    .set("submit_round", rec.submit_round)
+                    .set(
+                        "first_start_round",
+                        rec.first_start_round.map(Json::from).unwrap_or(Json::Null),
+                    )
+                    .set("finish_round", rec.finish_round.map(Json::from).unwrap_or(Json::Null));
+                if let Some(res) = &rec.result {
+                    j = j
+                        .set("digest", format!("{:016x}", res.digest))
+                        .set("result_gang_size", res.gang_size)
+                        .set("resumed", res.resumed);
+                }
+                let last_iter = logs.get(&rec.spec.id).and_then(|log| {
+                    log.entries.iter().rev().find_map(|e| match e {
+                        StreamEntry::Iter(it) => Some(it),
+                        _ => None,
+                    })
+                });
+                if let Some(it) = last_iter {
+                    j = j.set(
+                        "last_iter",
+                        Json::obj()
+                            .set("level", it.level)
+                            .set("iter", it.iter)
+                            .set("objective", it.objective)
+                            .set("grad_norm", it.grad_norm)
+                            .set("rel_grad", it.rel_grad)
+                            .set("pcg_iters", it.pcg_iters),
+                    );
+                }
+                jobs.push(j);
+            }
+            Json::obj().set("round", round).set("jobs", jobs).to_string()
+        };
+        let slo_json = match &self.slo {
+            Some(s) => Json::obj()
+                .set("round", round)
+                .set("digest", format!("{:016x}", s.state_digest()))
+                .set(
+                    "firing",
+                    s.firing().into_iter().map(Json::from).collect::<Vec<Json>>(),
+                )
+                .set(
+                    "alerts",
+                    s.render_alert_log().into_iter().map(Json::from).collect::<Vec<Json>>(),
+                )
+                .to_string(),
+            None => Json::obj().set("round", round).set("disabled", true).to_string(),
+        };
+        let incidents_json = {
+            let items: Vec<Json> = self
+                .incidents
+                .iter()
+                .map(|i| {
+                    Json::obj()
+                        .set("seq", i.seq)
+                        .set("trigger", i.trigger.name())
+                        .set("job", i.job)
+                        .set("attempt", i.attempt)
+                        .set("round", i.round)
+                        .set("reason", i.reason.as_str())
+                })
+                .collect();
+            Json::obj().set("round", round).set("incidents", items).to_string()
+        };
+        let profile = Profile::from_recorders([(0, &snapshot_recorder())]);
+        let snap = ObsSnapshot {
+            round,
+            ready: true,
+            metrics_text: lock(&self.h.metrics).render_prometheus(),
+            jobs_json,
+            slo_json,
+            incidents_json,
+            profile_folded: profile.render_folded(),
+        };
+        *lock(&self.h.obs) = Arc::new(snap);
+    }
+
+    fn into_summary(self) -> ServeSummary {
+        ServeSummary {
+            rounds: self.round,
+            slo_alerts: self.slo.as_ref().map(SloEngine::render_alert_log).unwrap_or_default(),
+            slo_digest: self.slo.as_ref().map_or(0, SloEngine::state_digest),
+            rejected: self.rejected,
+            records: self.table,
+            incidents: self.incidents,
         }
     }
 }
@@ -1392,4 +1167,35 @@ pub fn reference_digest(spec: &JobSpec, gang_size: usize) -> (u64, u64) {
         solve_once(comm, &spec, &CheckpointStore::Disabled, |_| {})
     });
     per_rank[0]
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use diffreg_comm::{run_threaded_checked, CommError};
+
+    /// The classifier matches substrings of panic text, so it is fed the
+    /// real payloads: a reworded message fails here instead of quietly
+    /// moving failures into `other`.
+    #[test]
+    fn real_panic_payloads_classify_as_their_failure() {
+        let payload = |f: fn(&ThreadComm)| {
+            run_threaded_checked(1, f).pop().and_then(Result::err).map(|e| e.payload)
+        };
+        let kill = payload(|c| {
+            ChaosComm::new(c, ChaosConfig::seeded(0).with_kill_at_epoch(0, 1)).barrier();
+        });
+        let assertion = payload(|c| assert_eq!(c.size(), 2, "residual diverged"));
+        let table = vec!["rank 0: blocked in barrier".to_string()];
+        let timeout = CommError::Timeout { rank: 1, waiting_on: "barrier".into(), table };
+        let peer_gone = CommError::PeerGone { rank: 1, peer: 0 };
+        for (payload, want) in [
+            (kill.expect("the injected kill panics"), Failure::Kill),
+            (timeout.to_string(), Failure::Timeout),
+            (peer_gone.to_string(), Failure::PeerGone),
+            (assertion.expect("the assertion panics"), Failure::Other),
+        ] {
+            assert_eq!(classify(&payload), want, "{payload}");
+        }
+    }
 }

@@ -114,7 +114,7 @@ fn injected_kill_is_retried_and_the_whole_campaign_replays_bitwise() {
     let rec = &a[0].records[&1];
     assert_eq!(rec.state, JobState::Completed);
     assert_eq!(rec.attempts, 2, "one killed attempt, one clean retry");
-    assert_eq!(rec.last_failure.as_deref(), Some("kill"));
+    assert_eq!(rec.last_failure.map(|f| f.label()), Some("kill"));
     assert_eq!(retried_a, 1);
     assert_eq!(kills_a, 1);
     // The victim's result is still bitwise the uninterrupted reference.
@@ -146,7 +146,7 @@ fn stall_past_the_watchdog_is_a_contained_timeout_and_recovers() {
     let rec = &summaries[0].records[&1];
     assert_eq!(rec.state, JobState::Completed);
     assert_eq!(rec.attempts, 2);
-    assert_eq!(rec.last_failure.as_deref(), Some("timeout"));
+    assert_eq!(rec.last_failure.map(|f| f.label()), Some("timeout"));
     assert_eq!(harness.counter("serve_attempts_failed_total{reason=\"timeout\"}"), 1);
 }
 

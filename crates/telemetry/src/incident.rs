@@ -93,17 +93,61 @@ impl IncidentTrigger {
     }
 }
 
-/// The deterministic `incident.json` header.
+/// Why a gang attempt failed, as one member saw it. Declaration order is
+/// precedence: a gang's cause is the least (strongest) of its members'.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+pub enum Failure {
+    /// This rank was killed.
+    Kill = 1,
+    /// The watchdog fired while this rank was *waiting*.
+    Timeout = 2,
+    /// A gang peer died under this rank's operation.
+    PeerGone = 3,
+    /// Any other contained failure.
+    Other = 4,
+}
+
+impl Failure {
+    /// Every failure, strongest first.
+    pub const ALL: [Failure; 4] =
+        [Failure::Kill, Failure::Timeout, Failure::PeerGone, Failure::Other];
+
+    /// The `serve.attempt-failed` recorder word (`a`): 1–4 in declaration order.
+    pub fn code(self) -> u64 {
+        self as u64
+    }
+
+    /// The `reason` label of metrics, incident headers and job records.
+    pub fn label(self) -> &'static str {
+        match self {
+            Failure::Kill => "kill",
+            Failure::Timeout => "timeout",
+            Failure::PeerGone => "peer-gone",
+            Failure::Other => "other",
+        }
+    }
+
+    /// The incident a failed attempt files: a timeout has its own (the
+    /// triage hunts for the stalled rank); the rest are attempt failures.
+    pub fn trigger(self) -> IncidentTrigger {
+        match self {
+            Failure::Timeout => IncidentTrigger::WatchdogTimeout,
+            _ => IncidentTrigger::AttemptFailure,
+        }
+    }
+}
+
+/// What the caller of [`write_incident_bundle`] knows about the trigger:
+/// every `incident.json` field but the capture section.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct IncidentHeader {
+pub struct IncidentContext {
     /// Incident sequence number within the campaign (deterministic).
     pub seq: u64,
     /// What fired the capture.
     pub trigger: IncidentTrigger,
     /// Job the incident belongs to.
     pub job: u64,
-    /// 1-based attempt at trigger time (0 when no attempt ran, e.g. a
-    /// deadline expiring in the queue).
+    /// 1-based attempt at trigger time (0 when no attempt ran).
     pub attempt: u32,
     /// Scheduler round the trigger fired in.
     pub round: u64,
@@ -113,11 +157,18 @@ pub struct IncidentHeader {
     pub reason: String,
     /// Free-form detail line.
     pub detail: String,
-    /// World ranks of the gang whose attempt was captured (empty when no
-    /// attempt ran).
+    /// World ranks of the captured attempt's gang (empty when none ran).
     pub gang_ranks: Vec<usize>,
     /// `tenant/objective` names of SLO alerts firing at trigger time.
     pub slo_firing: Vec<String>,
+}
+
+/// The deterministic `incident.json` header: the caller's context plus the
+/// capture section the writer derives from what it writes.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct IncidentHeader {
+    /// The trigger context.
+    pub context: IncidentContext,
     /// Total captured comm events across the gang.
     pub comm_events: u64,
     /// Summed flight-recorder counters across the gang.
@@ -132,8 +183,7 @@ pub struct IncidentHeader {
     pub convergence_entries: u64,
     /// Convergence entries not in the tail (evictions + truncation).
     pub convergence_evicted: u64,
-    /// FNV-1a fold of every timestamp-free field of the capture (see module
-    /// docs); recomputed and checked at load time.
+    /// FNV-1a fold of the capture's timestamp-free fields (module docs).
     pub capture_digest: u64,
 }
 
@@ -157,12 +207,9 @@ impl Digest {
     }
 
     fn opt(&mut self, v: Option<u64>) {
-        match v {
-            Some(v) => {
-                self.u64(1);
-                self.u64(v);
-            }
-            None => self.u64(0),
+        self.u64(u64::from(v.is_some()));
+        if let Some(v) = v {
+            self.u64(v);
         }
     }
 
@@ -186,28 +233,6 @@ fn fold_comm_event(d: &mut Digest, e: &CommEvent) {
     d.u64(e.bytes);
     d.opt(e.epoch);
     // t0_ns / t1_ns / blocked_ns are wall-clock: excluded by design.
-}
-
-/// Failure-reason codes the serve runtime records in
-/// `serve.attempt-failed` recorder events (`a` payload word). Kept in sync
-/// with the serve crate's outcome-allgather wire codes.
-pub const FAIL_KILL: u64 = 1;
-/// Watchdog timeout — this rank was *waiting* when the watchdog fired.
-pub const FAIL_TIMEOUT: u64 = 2;
-/// A gang peer died under this rank's operation.
-pub const FAIL_PEER: u64 = 3;
-/// Any other contained failure.
-pub const FAIL_OTHER: u64 = 4;
-
-/// Human label for a `FAIL_*` code.
-pub fn fail_label(code: u64) -> &'static str {
-    match code {
-        FAIL_KILL => "kill",
-        FAIL_TIMEOUT => "timeout",
-        FAIL_PEER => "peer-gone",
-        FAIL_OTHER => "other",
-        _ => "unknown",
-    }
 }
 
 /// The capture digest: folds the timestamp-free projection of `captures`
@@ -259,20 +284,21 @@ impl IncidentHeader {
     /// Serializes the header (deterministic key order, no wall-clock
     /// fields — byte-identical under seeded replay).
     pub fn to_json(&self) -> Json {
+        let c = &self.context;
         Json::obj()
             .set("schema", SCHEMA)
-            .set("seq", self.seq)
-            .set("trigger", self.trigger.name())
-            .set("job", self.job)
-            .set("attempt", u64::from(self.attempt))
-            .set("round", self.round)
-            .set("tenant", self.tenant.as_str())
-            .set("reason", self.reason.as_str())
-            .set("detail", self.detail.as_str())
-            .set("gang_ranks", Json::Arr(self.gang_ranks.iter().map(|&r| Json::from(r)).collect()))
+            .set("seq", c.seq)
+            .set("trigger", c.trigger.name())
+            .set("job", c.job)
+            .set("attempt", u64::from(c.attempt))
+            .set("round", c.round)
+            .set("tenant", c.tenant.as_str())
+            .set("reason", c.reason.as_str())
+            .set("detail", c.detail.as_str())
+            .set("gang_ranks", Json::Arr(c.gang_ranks.iter().map(|&r| Json::from(r)).collect()))
             .set(
                 "slo_firing",
-                Json::Arr(self.slo_firing.iter().map(|s| Json::from(s.as_str())).collect()),
+                Json::Arr(c.slo_firing.iter().map(|s| Json::from(s.as_str())).collect()),
             )
             .set(
                 "capture",
@@ -330,16 +356,18 @@ impl IncidentHeader {
         let capture_digest = u64::from_str_radix(digest_hex, 16)
             .map_err(|_| format!("bad capture.digest \"{digest_hex}\""))?;
         Ok(IncidentHeader {
-            seq: u("seq")?,
-            trigger,
-            job: u("job")?,
-            attempt: u("attempt")? as u32,
-            round: u("round")?,
-            tenant: s("tenant")?,
-            reason: s("reason")?,
-            detail: s("detail")?,
-            gang_ranks,
-            slo_firing,
+            context: IncidentContext {
+                seq: u("seq")?,
+                trigger,
+                job: u("job")?,
+                attempt: u("attempt")? as u32,
+                round: u("round")?,
+                tenant: s("tenant")?,
+                reason: s("reason")?,
+                detail: s("detail")?,
+                gang_ranks,
+                slo_firing,
+            },
             comm_events: cu("comm_events")?,
             rec_seen: cu("rec_seen")?,
             rec_recorded: cu("rec_recorded")?,
@@ -355,29 +383,28 @@ impl IncidentHeader {
 // -- Bundle writer ----------------------------------------------------------
 
 /// Writes one incident bundle under `base`, returning the bundle directory
-/// (`incident-<seq:03>-<trigger>`). Fills the header's capture-accounting
-/// fields and digest from `captures`/`tail`; the caller provides the
-/// trigger-context fields.
+/// (`incident-<seq:03>-<trigger>`). The header's capture section is derived
+/// here, from `captures` and `tail`.
 pub fn write_incident_bundle(
     base: impl AsRef<Path>,
-    mut header: IncidentHeader,
+    context: IncidentContext,
     captures: &[RankCapture],
     tail: Option<&ConvergenceLog>,
     metrics: Option<&MetricsRegistry>,
 ) -> std::io::Result<PathBuf> {
-    let dir =
-        base.as_ref().join(format!("incident-{:03}-{}", header.seq, header.trigger.name()));
+    let dir = base.as_ref().join(format!("incident-{:03}-{}", context.seq, context.trigger.name()));
     std::fs::create_dir_all(&dir)?;
-
-    header.comm_events = captures.iter().map(|c| c.events.len() as u64).sum();
-    header.rec_seen = captures.iter().map(|c| c.recorder.seen).sum();
-    header.rec_recorded = captures.iter().map(|c| c.recorder.recorded).sum();
-    header.rec_sampled_out = captures.iter().map(|c| c.recorder.sampled_out).sum();
-    header.rec_overwritten = captures.iter().map(|c| c.recorder.overwritten).sum();
-    header.convergence_entries = tail.map_or(0, |t| t.entries.len() as u64);
-    header.convergence_evicted = tail.map_or(0, |t| t.evicted);
-    header.capture_digest = capture_digest(captures);
-
+    let header = IncidentHeader {
+        context,
+        comm_events: captures.iter().map(|c| c.events.len() as u64).sum(),
+        rec_seen: captures.iter().map(|c| c.recorder.seen).sum(),
+        rec_recorded: captures.iter().map(|c| c.recorder.recorded).sum(),
+        rec_sampled_out: captures.iter().map(|c| c.recorder.sampled_out).sum(),
+        rec_overwritten: captures.iter().map(|c| c.recorder.overwritten).sum(),
+        convergence_entries: tail.map_or(0, |t| t.entries.len() as u64),
+        convergence_evicted: tail.map_or(0, |t| t.evicted),
+        capture_digest: capture_digest(captures),
+    };
     std::fs::write(dir.join("incident.json"), format!("{}\n", header.to_json()))?;
     if let Some(t) = tail {
         std::fs::write(dir.join("convergence.jsonl"), t.to_jsonl())?;
@@ -456,7 +483,7 @@ pub struct IncidentAnalysis {
 /// and renders the trigger-named triage summary.
 pub fn analyze_incident(bundle: &IncidentBundle) -> IncidentAnalysis {
     use std::fmt::Write;
-    let h = &bundle.header;
+    let (h, ctx) = (&bundle.header, &bundle.header.context);
     let ranks = &bundle.input.ranks;
     let recomputed_digest = capture_digest(ranks);
 
@@ -464,22 +491,22 @@ pub fn analyze_incident(bundle: &IncidentBundle) -> IncidentAnalysis {
     let _ = writeln!(
         out,
         "incident #{:03}: {} — job {} attempt {} (tenant {}), round {}",
-        h.seq,
-        h.trigger.name(),
-        h.job,
-        h.attempt,
-        h.tenant,
-        h.round
+        ctx.seq,
+        ctx.trigger.name(),
+        ctx.job,
+        ctx.attempt,
+        ctx.tenant,
+        ctx.round
     );
-    if !h.reason.is_empty() || !h.detail.is_empty() {
-        let _ = writeln!(out, "  cause: {} — {}", h.reason, h.detail);
+    if !ctx.reason.is_empty() || !ctx.detail.is_empty() {
+        let _ = writeln!(out, "  cause: {} — {}", ctx.reason, ctx.detail);
     }
     let _ = writeln!(
         out,
         "  gang: world ranks {:?}; capture: {} comm events, \
          recorder {}/{} kept ({} sampled out, {} overwritten, stride {}), \
          convergence tail {} entries ({} before the tail)",
-        h.gang_ranks,
+        ctx.gang_ranks,
         h.comm_events,
         h.rec_recorded - h.rec_overwritten,
         h.rec_seen,
@@ -489,10 +516,10 @@ pub fn analyze_incident(bundle: &IncidentBundle) -> IncidentAnalysis {
         h.convergence_entries,
         h.convergence_evicted
     );
-    if h.slo_firing.is_empty() {
+    if ctx.slo_firing.is_empty() {
         let _ = writeln!(out, "  slo: no alerts firing at trigger time");
     } else {
-        let _ = writeln!(out, "  slo: firing {:?}", h.slo_firing);
+        let _ = writeln!(out, "  slo: firing {:?}", ctx.slo_firing);
     }
     let digest_ok = recomputed_digest == h.capture_digest;
     let _ = writeln!(
@@ -509,14 +536,12 @@ pub fn analyze_incident(bundle: &IncidentBundle) -> IncidentAnalysis {
     // completion) while the *reasons* stay asymmetric: the killed rank
     // reports the kill, the late rank reports peer-gone, the innocent
     // waiters report timeout.
-    let mut fails: Vec<(usize, u64, u64)> = Vec::new();
-    for c in ranks {
-        for e in &c.recorder.events {
-            if e.kind == RecKind::Serve && e.name == "serve.attempt-failed" {
-                fails.push((c.rank, e.a, e.t_ns));
-            }
-        }
-    }
+    let fails: Vec<(usize, Option<Failure>, u64)> = ranks
+        .iter()
+        .flat_map(|c| c.recorder.events.iter().map(move |e| (c.rank, e)))
+        .filter(|(_, e)| e.kind == RecKind::Serve && e.name == "serve.attempt-failed")
+        .map(|(rank, e)| (rank, Failure::ALL.into_iter().find(|f| f.code() == e.a), e.t_ns))
+        .collect();
     let max_epoch = ranks.iter().flat_map(|c| c.events.iter().filter_map(|e| e.epoch)).max();
     let frontier_op = |report: &DoctorReport| -> String {
         report
@@ -525,29 +550,26 @@ pub fn analyze_incident(bundle: &IncidentBundle) -> IncidentAnalysis {
             .filter(|g| !g.is_complete())
             .map(|g| g.op.name().to_string())
             .next()
-            .unwrap_or_else(|| match max_epoch {
-                Some(e) => format!("collective after epoch {e}"),
-                None => "gang collective".to_string(),
+            .unwrap_or_else(|| {
+                let after = |e| format!("collective after epoch {e}");
+                max_epoch.map_or("gang collective".into(), after)
             })
     };
     let report = if ranks.iter().any(|c| !c.events.is_empty()) {
         let report = analyze(&bundle.input);
 
-        if let Some((rank, _, _)) = fails.iter().find(|(_, r, _)| *r == FAIL_KILL) {
+        if let Some((rank, _, _)) = fails.iter().find(|(_, r, _)| *r == Some(Failure::Kill)) {
             culprit = Some(Culprit {
                 rank: *rank,
                 op: frontier_op(&report),
                 detail: format!(
                     "gang rank {rank} reported the contained kill; its stream ends at {}",
-                    match max_epoch {
-                        Some(e) => format!("epoch {e}"),
-                        None => "the attempt start".to_string(),
-                    }
+                    max_epoch.map_or("the attempt start".into(), |e| format!("epoch {e}"))
                 ),
             });
-        } else if h.trigger == IncidentTrigger::WatchdogTimeout && !fails.is_empty() {
-            let non_timeout: Vec<&(usize, u64, u64)> =
-                fails.iter().filter(|(_, r, _)| *r != FAIL_TIMEOUT).collect();
+        } else if ctx.trigger == IncidentTrigger::WatchdogTimeout && !fails.is_empty() {
+            let non_timeout: Vec<&(usize, Option<Failure>, u64)> =
+                fails.iter().filter(|(_, r, _)| *r != Some(Failure::Timeout)).collect();
             if non_timeout.len() == 1 {
                 let (rank, reason, _) = *non_timeout[0];
                 culprit = Some(Culprit {
@@ -556,7 +578,7 @@ pub fn analyze_incident(bundle: &IncidentBundle) -> IncidentAnalysis {
                     detail: format!(
                         "gang rank {rank} reported {} while {} peer(s) timed out waiting on \
                          the gang — it arrived late at the stalled collective",
-                        fail_label(reason),
+                        reason.map_or("unknown", Failure::label),
                         fails.len() - 1
                     ),
                 });
@@ -691,10 +713,10 @@ pub fn gate_incident(
             h.convergence_entries, bundle.convergence_lines
         ));
     }
-    if h.trigger.wants_culprit() && captured > 0 && analysis.culprit.is_none() {
+    if h.context.trigger.wants_culprit() && captured > 0 && analysis.culprit.is_none() {
         return Err(format!(
             "trigger {} with a comm capture but no culprit attributed",
-            h.trigger.name()
+            h.context.trigger.name()
         ));
     }
     Ok(())
@@ -745,8 +767,8 @@ mod tests {
         }
     }
 
-    fn header(trigger: IncidentTrigger) -> IncidentHeader {
-        IncidentHeader {
+    fn context(trigger: IncidentTrigger) -> IncidentContext {
+        IncidentContext {
             seq: 3,
             trigger,
             job: 5,
@@ -757,22 +779,22 @@ mod tests {
             detail: "watchdog fired in gang collective".into(),
             gang_ranks: vec![2, 3],
             slo_firing: vec!["imaging/success-rate".into()],
-            comm_events: 0,
+        }
+    }
+
+    #[test]
+    fn header_round_trips_and_is_deterministic() {
+        let h = IncidentHeader {
+            context: context(IncidentTrigger::WatchdogTimeout),
+            comm_events: 9,
             rec_seen: 0,
             rec_recorded: 0,
             rec_sampled_out: 0,
             rec_overwritten: 0,
             convergence_entries: 0,
             convergence_evicted: 0,
-            capture_digest: 0,
-        }
-    }
-
-    #[test]
-    fn header_round_trips_and_is_deterministic() {
-        let mut h = header(IncidentTrigger::WatchdogTimeout);
-        h.comm_events = 9;
-        h.capture_digest = 0xdead_beef_0123_4567;
+            capture_digest: 0xdead_beef_0123_4567,
+        };
         let j = h.to_json();
         let back = IncidentHeader::from_json(&j).unwrap();
         assert_eq!(back, h);
@@ -830,7 +852,7 @@ mod tests {
         }
         let dir = write_incident_bundle(
             &tmp,
-            header(IncidentTrigger::WatchdogTimeout),
+            context(IncidentTrigger::WatchdogTimeout),
             &captures,
             Some(&tail),
             Some(&MetricsRegistry::new()),
@@ -889,7 +911,7 @@ mod tests {
         let _ = std::fs::remove_dir_all(&tmp);
         let dir = write_incident_bundle(
             &tmp,
-            IncidentHeader { attempt: 0, gang_ranks: vec![], ..header(IncidentTrigger::DeadlineExpiry) },
+            IncidentContext { attempt: 0, gang_ranks: vec![], ..context(IncidentTrigger::DeadlineExpiry) },
             &[],
             None,
             None,
@@ -901,5 +923,26 @@ mod tests {
         assert!(analysis.summary.contains("no comm capture"), "{}", analysis.summary);
         gate_incident(&bundle, &analysis).unwrap();
         let _ = std::fs::remove_dir_all(&tmp);
+    }
+
+    #[test]
+    fn failure_codes_labels_triggers_and_precedence_are_pinned() {
+        use IncidentTrigger::{AttemptFailure, WatchdogTimeout};
+        let table = [
+            (Failure::Kill, 1, "kill", AttemptFailure),
+            (Failure::Timeout, 2, "timeout", WatchdogTimeout),
+            (Failure::PeerGone, 3, "peer-gone", AttemptFailure),
+            (Failure::Other, 4, "other", AttemptFailure),
+        ];
+        for (i, (f, code, label, trigger)) in table.into_iter().enumerate() {
+            assert_eq!(Failure::ALL[i], f, "ALL lists the failures strongest first");
+            assert_eq!((f.code(), f.label(), f.trigger()), (code, label, trigger));
+        }
+        // kill > timeout > peer-gone > other: a gang's cause is the least.
+        assert!(Failure::ALL.windows(2).all(|w| w[0] < w[1]));
+        use Failure::{Kill, Other, PeerGone, Timeout};
+        let cause = |fs: &[Failure]| fs.iter().copied().min();
+        assert_eq!(cause(&[Other, PeerGone, Timeout]), Some(Timeout));
+        assert_eq!(cause(&[PeerGone, Kill, Timeout]), Some(Kill));
     }
 }

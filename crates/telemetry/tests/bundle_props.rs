@@ -77,7 +77,7 @@ fn damaged_bundle_files_are_refused_with_a_typed_error_or_by_the_gate() {
     });
     let header = IncidentHeader::from_json(&Json::parse(HEADER).unwrap()).unwrap();
     let base = scratch("damage");
-    let dir = write_incident_bundle(&base, header, &captures, None, None).expect("write bundle");
+    let dir = write_incident_bundle(&base, header.context, &captures, None, None).expect("write bundle");
     let original = load_incident_bundle(&dir).expect("the valid bundle loads");
     gate_incident(&original, &analyze_incident(&original)).expect("and gates");
     let o = &original.header;

@@ -17,8 +17,8 @@
 #   4. full workspace test suite in debug, collective-contract checker on
 #   5. static analysis: the in-tree analyzer must report zero findings;
 #      every library root must forbid unsafe code; no pipeline switch,
-#      removed knob, removed telemetry type or new env::var read may
-#      reappear; workspace line count
+#      removed knob, removed telemetry type, second failure taxonomy, serve
+#      wire codec or new env::var read may reappear; workspace line count
 #   6. clippy clean under -D warnings (skipped if clippy is not installed)
 #   7. fail if Cargo.lock ever acquires a registry (non-path) dependency
 #   8. kernel suite vs BENCH_kernels.json (scripts/perf_gate.sh), advisory
@@ -97,6 +97,12 @@ fi
 if grep -rnE 'Thread[T]race|Span[E]vent|Rec[L]ine|Recorder[F]ile|take_thread_[t]race|digest_from_[l]oaded|from_recorder_[f]iles|from_[d]octor' \
         crates src tests examples README.md DESIGN.md EXPERIMENTS.md .claude; then
     echo "ERROR: a removed telemetry type, buffer or loader reappeared" >&2
+    exit 1
+fi
+# The serve fold says each thing once: one failure type shared with the
+# triage, and typed collectives instead of hand-rolled wire codecs.
+if grep -rnE 'R[E]ASON_|F[A]IL_(KILL|TIMEOUT|PEER|OTHER)|fail_[l]abel|reason_[l]abel|failure_[t]rigger|encode_[i]ntake|decode_[i]ntake|K[I]ND_(IDLE|OK|FAIL)' $everywhere; then
+    echo "ERROR: a second failure taxonomy or a serve wire codec reappeared" >&2
     exit 1
 fi
 # The tree reads four variables from the environment and no more: the two
