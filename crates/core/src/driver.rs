@@ -5,13 +5,13 @@
 
 use diffreg_comm::Comm;
 use diffreg_grid::{ScalarField, VectorField};
-use diffreg_optim::{gauss_newton_observed, GaussNewtonProblem, NewtonReport, NewtonResume};
+use diffreg_optim::{gauss_newton_observed, NewtonReport, NewtonResume};
 use diffreg_telemetry::{IterRecord, SolverEvent, StreamEntry};
 use diffreg_transport::Workspace;
 
 use crate::checkpoint::{CheckpointError, CheckpointStore, SolverCheckpoint};
 use crate::config::RegistrationConfig;
-use crate::jacobian::{det_deformation_gradient, det_stats, displacement, DetGradStats};
+use crate::jacobian::{det_deformation_gradient, det_stats, DetGradStats};
 use crate::problem::RegProblem;
 
 /// Everything a registration run produces.
@@ -171,6 +171,8 @@ pub fn register_solve<C: Comm>(
     let every = cfg.checkpoint_every;
     let persist = every > 0 && store.is_enabled();
     for (li, &beta) in betas.iter().enumerate().skip(start_level) {
+        // A finished level lives on only as the warm start `v`.
+        drop(outcome.take());
         let out = {
             let _span = diffreg_telemetry::span("registration");
             let cfg = RegistrationConfig { beta, ..cfg };
@@ -181,9 +183,16 @@ pub fn register_solve<C: Comm>(
             let initial_mismatch = prob.initial_data_term();
             // Keep the iterate in the divergence-free subspace from the
             // start. On resume the checkpointed iterate is already in the
-            // subspace and must pass through untouched (bitwise).
+            // subspace and must pass through untouched (bitwise). Either
+            // way the warm start is not kept beside the iterate.
             let resume = resume.take();
-            let v0 = if resume.is_some() { v } else { prob.project(&v) };
+            let v0 = if resume.is_some() {
+                v
+            } else {
+                let v0 = prob.project(&v);
+                drop(v);
+                v0
+            };
             let mut first_step = true;
             let (velocity, report) =
                 gauss_newton_observed(&mut prob, v0, &cfg.newton, resume, |vel, cur| {
@@ -218,19 +227,18 @@ pub fn register_solve<C: Comm>(
                     }
                 });
 
-            // Final diagnostics at the converged velocity.
-            let (_, _) = prob.linearize(&velocity);
-            // diffreg-allow(no-unwrap-in-lib): linearize on the line above populates the cache; None is unreachable
-            let deformed_template = prob.deformed_template().unwrap().clone();
+            // Final diagnostics at the converged velocity, from the Newton
+            // loop's last linearization.
+            let (sl, deformed_template) = prob.take_linearization(&velocity);
             let mut resid = deformed_template.clone();
             resid.axpy(-1.0, prob.reference());
             let final_mismatch = 0.5 * resid.inner(&resid, &ws.grid(), ws.comm);
-            // Free the linearization before the displacement solve builds
-            // its own semi-Lagrangian plans.
             let hessian_matvecs = prob.hessian_matvecs;
             drop(prob);
 
-            let displacement = displacement(&ws, &velocity, cfg.nt);
+            // The map y₁ is transported along the same forward plans.
+            let displacement = sl.solve_displacement(&ws, &velocity);
+            drop(sl);
             let det = det_deformation_gradient(&ws, &displacement);
             let det_grad = det_stats(&ws, &det);
 

@@ -2,10 +2,10 @@
 //! Gauss-Newton-Krylov driver: objective, reduced adjoint gradient (eq. 4),
 //! Gauss-Newton Hessian matvec (eq. 5), and the spectral preconditioner.
 
-use diffreg_comm::Comm;
+use diffreg_comm::{Comm, ReduceOp};
 use diffreg_grid::{ScalarField, VectorField};
 use diffreg_optim::GaussNewtonProblem;
-use diffreg_transport::{compute_trajectory, SemiLagrangian, Workspace};
+use diffreg_transport::{compute_trajectory, SemiLagrangian, Trajectory, Workspace};
 
 use crate::config::{HessianKind, RegistrationConfig};
 use crate::distance::Distance;
@@ -13,16 +13,41 @@ use crate::fieldops::FieldOps;
 
 /// Cached linearization state: everything the Hessian matvec reuses within
 /// one Newton iteration (paper §III-C2: trajectories and plans are built
-/// once per velocity).
+/// once per velocity). It lives from `linearize` to the next `objective`:
+/// the line search leaves the linearization point for good.
 struct Linearization {
     sl: SemiLagrangian,
     /// `∇ρ(t_i)` for every time level (cached so the incremental solves and
     /// the time integrals need no further FFTs inside the Krylov loop).
     grads: Vec<VectorField>,
-    /// Adjoint history `λ(t_i)` — needed by the full Newton matvec only.
+    /// Adjoint history `λ(t_i)`, kept for the full Newton matvec only (empty
+    /// under Gauss-Newton, which never reads it).
     adj: Vec<ScalarField>,
     /// Deformed template `ρ(1)`.
     rho1: ScalarField,
+}
+
+/// The forward work of the last `objective` call, which `linearize` adopts
+/// when it is called at the same velocity bit for bit — the accepted
+/// line-search trial, since Newton re-linearizes at exactly that iterate.
+struct Trial {
+    /// The trial velocity, the cache key.
+    v: VectorField,
+    /// Forward departure points and plan of `v`.
+    fwd: Trajectory,
+    /// State history `ρ(t_0..t_nt)`.
+    state: Vec<ScalarField>,
+    /// `β(-Δ)^m v`.
+    av: VectorField,
+}
+
+/// Bitwise equality of this rank's slab (`==` would equate `-0.0` and
+/// `0.0`, which the transport does not).
+fn same_bits(a: &VectorField, b: &VectorField) -> bool {
+    a.comps.iter().zip(&b.comps).all(|(x, y)| {
+        x.data().len() == y.data().len()
+            && x.data().iter().zip(y.data()).all(|(p, q)| p.to_bits() == q.to_bits())
+    })
 }
 
 /// The registration problem at fixed images and configuration.
@@ -36,6 +61,9 @@ pub struct RegProblem<'a, C: Comm> {
     rho_r: ScalarField,
     ops: FieldOps<'a, C>,
     lin: Option<Linearization>,
+    /// At most one trial is alive: each `objective` replaces it, and
+    /// `linearize` consumes it.
+    trial: Option<Trial>,
     /// Cumulative Hessian matvec count (the paper's Table V metric).
     pub hessian_matvecs: usize,
 }
@@ -59,7 +87,7 @@ impl<'a, C: Comm> RegProblem<'a, C> {
         let rho_t = ws.fft.gaussian_smooth(rho_t, sigma, ws.timers);
         let rho_r = ws.fft.gaussian_smooth(rho_r, sigma, ws.timers);
         let ops = FieldOps::new(ws.comm, ws.grid());
-        Self { ws, cfg, rho_t, rho_r, ops, lin: None, hessian_matvecs: 0 }
+        Self { ws, cfg, rho_t, rho_r, ops, lin: None, trial: None, hessian_matvecs: 0 }
     }
 
     /// The configuration in effect.
@@ -94,19 +122,44 @@ impl<'a, C: Comm> RegProblem<'a, C> {
         }
     }
 
-    /// Regularization energy `β/2 ⟨(-Δ)^m v, v⟩`.
-    fn reg_energy(&self, v: &VectorField) -> f64 {
-        let av = self.ws.fft.regularization(v, self.cfg.reg, self.cfg.beta, self.ws.timers);
-        0.5 * av.inner(v, &self.ws.grid(), self.ws.comm)
+    /// `g += P b` without copying `b` when `P` is the identity.
+    fn add_projected(&self, g: &mut VectorField, b: &VectorField) {
+        if self.cfg.incompressible {
+            g.axpy(1.0, &self.ws.fft.leray(b, self.ws.timers));
+        } else {
+            g.axpy(1.0, b);
+        }
     }
 
-    /// Data term `1/2 ||ρ(1) − ρ_R||²` for a given velocity, using only the
-    /// forward trajectory (the cheap path for line-search evaluations).
-    fn data_term(&self, v: &VectorField) -> f64 {
-        let nt = self.cfg.nt;
-        let traj = compute_trajectory(&self.ws, v, 1.0 / nt as f64, 1.0);
-        let rho = traj.advect(&self.ws, &self.rho_t, nt);
-        self.cfg.distance.evaluate(&rho, &self.rho_r, &self.ws.grid(), self.ws.comm)
+    /// `J = D(ρ(1), ρ_R) + 1/2 ⟨β(-Δ)^m v, v⟩` from the deformed template
+    /// and `av = β(-Δ)^m v`.
+    fn objective_value(&self, rho1: &ScalarField, av: &VectorField, v: &VectorField) -> f64 {
+        let (grid, comm) = (self.ws.grid(), self.ws.comm);
+        self.cfg.distance.evaluate(rho1, &self.rho_r, &grid, comm) + 0.5 * av.inner(v, &grid, comm)
+    }
+
+    /// Takes the trial if it was built at `v` bit for bit. The verdict is
+    /// reduced over the ranks: a hit skips collectives that a miss runs.
+    fn take_trial(&mut self, v: &VectorField) -> Option<Trial> {
+        let trial = self.trial.take()?;
+        let mut misses = [usize::from(!same_bits(&trial.v, v))];
+        self.ws.comm.allreduce_usize(&mut misses, ReduceOp::Sum);
+        (misses[0] == 0).then_some(trial)
+    }
+
+    /// Hands the linearization at `v` over to post-processing: its
+    /// semi-Lagrangian plans and deformed template `ρ(1)`, with the rest (the
+    /// cached `∇ρ(t_i)` first of all) freed. When `linearize` was the last
+    /// call its cache is used, and the caller vouches that it was at `v`
+    /// (after `gauss_newton_observed` it is, by its exit contract); after a
+    /// line search that failed it is rebuilt. Collective.
+    pub(crate) fn take_linearization(&mut self, v: &VectorField) -> (SemiLagrangian, ScalarField) {
+        if self.lin.is_none() {
+            let _ = self.linearize(v);
+        }
+        // diffreg-allow(no-unwrap-in-lib): the branch above linearizes when nothing is cached
+        let lin = self.lin.take().expect("a linearization is cached");
+        (lin.sl, lin.rho1)
     }
 
     /// Trapezoidal time integral `∫ λ(t) ∇ρ(t) dt` (the field `b` of the
@@ -132,7 +185,7 @@ impl<'a, C: Comm> RegProblem<'a, C> {
     }
 
     /// Access to the deformed template `ρ(1)` at the current linearization
-    /// point (available after `linearize`).
+    /// point (available from `linearize` to the next `objective`).
     pub fn deformed_template(&self) -> Option<&ScalarField> {
         self.lin.as_ref().map(|l| &l.rho1)
     }
@@ -148,25 +201,42 @@ impl<'a, C: Comm> GaussNewtonProblem for RegProblem<'a, C> {
     }
 
     fn objective(&mut self, v: &VectorField) -> f64 {
-        self.data_term(v) + self.reg_energy(v)
+        // Neither the linearization nor the previous trial outlives the
+        // build of this one.
+        self.lin = None;
+        self.trial = None;
+        let ws = &self.ws;
+        let nt = self.cfg.nt;
+        let fwd = compute_trajectory(ws, v, 1.0 / nt as f64, 1.0);
+        let state = fwd.advect(ws, &self.rho_t, nt);
+        let av = ws.fft.regularization(v, self.cfg.reg, self.cfg.beta, ws.timers);
+        let j = self.objective_value(&state[nt], &av, v);
+        self.trial = Some(Trial { v: v.clone(), fwd, state, av });
+        j
     }
 
     fn linearize(&mut self, v: &VectorField) -> (f64, VectorField) {
         let _span = diffreg_telemetry::span("reg.linearize");
         // The stale linearization must not outlive the build of its successor.
         self.lin = None;
+        let trial = self.take_trial(v);
         let ws = &self.ws;
-        // Forward (state) solve with full history.
-        let sl = SemiLagrangian::new(ws, v, self.cfg.nt);
-        let state = sl.solve_state(ws, &self.rho_t);
-        // diffreg-allow(no-unwrap-in-lib): solve_state seeds the history with rho0, so last() is always Some
-        let rho1 = state.last().unwrap().clone();
-
-        // Objective.
-        // β(-Δ)^m v serves both the energy β/2 ⟨(-Δ)^m v, v⟩ and the gradient.
-        let jdata = self.cfg.distance.evaluate(&rho1, &self.rho_r, &ws.grid(), ws.comm);
-        let mut g = ws.fft.regularization(v, self.cfg.reg, self.cfg.beta, ws.timers);
-        let j = jdata + 0.5 * g.inner(v, &ws.grid(), ws.comm);
+        let nt = self.cfg.nt;
+        // Forward (state) solve with full history, and β(-Δ)^m v, which
+        // serves both the energy β/2 ⟨(-Δ)^m v, v⟩ and the gradient: the
+        // trial's when it was at this velocity, otherwise built here.
+        let (sl, state, mut g) = match trial {
+            Some(Trial { fwd, state, av, .. }) => {
+                (SemiLagrangian::with_forward(ws, v, nt, Some(fwd)), state, av)
+            }
+            None => {
+                let sl = SemiLagrangian::new(ws, v, nt);
+                let state = sl.solve_state(ws, &self.rho_t);
+                (sl, state, ws.fft.regularization(v, self.cfg.reg, self.cfg.beta, ws.timers))
+            }
+        };
+        let rho1 = state[nt].clone();
+        let j = self.objective_value(&rho1, &g, v);
 
         // Adjoint solve with the measure's terminal condition
         // (SSD: λ(1) = ρ_R − ρ(1), paper eq. 3).
@@ -174,12 +244,17 @@ impl<'a, C: Comm> GaussNewtonProblem for RegProblem<'a, C> {
         let adj = sl.solve_adjoint(ws, &lam1);
 
         // Cache ∇ρ(t_i) — reused by every Hessian matvec this iteration.
-        let grads: Vec<VectorField> = state.iter().map(|r| ws.fft.gradient(r, ws.timers)).collect();
+        let grads: Vec<VectorField> =
+            state.into_iter().map(|r| ws.fft.gradient(&r, ws.timers)).collect();
 
         // Reduced gradient g = β(-Δ)^m v + P ∫ λ ∇ρ dt.
         let b = self.time_integral(&adj, &grads);
-        g.axpy(1.0, &self.project(&b));
+        self.add_projected(&mut g, &b);
 
+        let adj = match self.cfg.hessian {
+            HessianKind::FullNewton => adj,
+            HessianKind::GaussNewton => Vec::new(),
+        };
         self.lin = Some(Linearization { sl, grads, adj, rho1 });
         (j, g)
     }
@@ -188,10 +263,11 @@ impl<'a, C: Comm> GaussNewtonProblem for RegProblem<'a, C> {
         let _span = diffreg_telemetry::span("hessian.matvec");
         self.hessian_matvecs += 1;
         let ws = &self.ws;
-        // diffreg-allow(no-unwrap-in-lib): documented API contract: hessian_vec requires a prior linearize; the expect message states it
-        let lin = self.lin.as_ref().expect("hessian_vec called before linearize");
-        let mut h = ws.fft.regularization(d, self.cfg.reg, self.cfg.beta, ws.timers);
-        match self.cfg.hessian {
+        // diffreg-allow(no-unwrap-in-lib): documented API contract: hessian_vec requires a linearize after the last objective; the expect message states it
+        let lin = self.lin.as_ref().expect("hessian_vec needs a linearize after the last objective");
+        // P b̃ first, then β(-Δ)^m d: the transport's histories are gone
+        // before the spectral operator's field is allocated.
+        let b_tilde = match self.cfg.hessian {
             HessianKind::GaussNewton => {
                 // Incremental state (5a) forward, then incremental adjoint
                 // (5c without the λ terms) backward;
@@ -204,9 +280,10 @@ impl<'a, C: Comm> GaussNewtonProblem for RegProblem<'a, C> {
                     &ws.grid(),
                     ws.comm,
                 );
+                drop(rho_tilde1);
                 let adj_tilde = lin.sl.solve_adjoint(ws, &lam_tilde1);
-                let b_tilde = self.time_integral(&adj_tilde, &lin.grads);
-                h.axpy(1.0, &self.project(&b_tilde));
+                drop(lam_tilde1);
+                self.time_integral(&adj_tilde, &lin.grads)
             }
             HessianKind::FullNewton => {
                 assert_eq!(
@@ -240,9 +317,11 @@ impl<'a, C: Comm> GaussNewtonProblem for RegProblem<'a, C> {
                 let grad_rho_tilde: Vec<VectorField> =
                     rho_tilde.iter().map(|r| ws.fft.gradient(r, ws.timers)).collect();
                 b_tilde.axpy(1.0, &self.time_integral(&lin.adj, &grad_rho_tilde));
-                h.axpy(1.0, &self.project(&b_tilde));
+                b_tilde
             }
-        }
+        };
+        let mut h = ws.fft.regularization(d, self.cfg.reg, self.cfg.beta, ws.timers);
+        self.add_projected(&mut h, &b_tilde);
         h
     }
 

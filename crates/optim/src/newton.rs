@@ -208,6 +208,15 @@ pub fn gauss_newton<P: GaussNewtonProblem>(
 /// re-linearization — so a checkpoint taken there and resumed reproduces the
 /// uninterrupted run bitwise (the linearization is a pure function of the
 /// iterate).
+///
+/// **Exit contract.** On every exit — converged, iteration cap (a resume
+/// with `completed_iters == max_iter` included), failed line search,
+/// breakdown — the last [`GaussNewtonProblem::linearize`] call was at the
+/// returned iterate, bit for bit; only [`GaussNewtonProblem::objective`]
+/// calls (a failed line search) may follow it. A problem may therefore
+/// post-process from its last linearization instead of repeating it. An
+/// accepted step is taken in place (`v += t·d`, the very arithmetic of the
+/// trial), so the iterate keeps `v0`'s storage throughout.
 pub fn gauss_newton_observed<P: GaussNewtonProblem>(
     problem: &mut P,
     v0: P::Vec,
@@ -243,8 +252,10 @@ pub fn gauss_newton_observed<P: GaussNewtonProblem>(
         let rel = if g0norm > 0.0 { gnorm / g0norm } else { 0.0 };
         let eta = opts.forcing.eta(rel, ETA_MAX);
 
-        // Newton step: H d = −g.
-        let mut rhs = g.clone();
+        // Newton step: H d = −g. The gradient itself becomes the right-hand
+        // side (negation is exact, so ⟨g, d⟩ = −⟨−g, d⟩ bit for bit) rather
+        // than a third copy beside the Krylov vectors.
+        let mut rhs = g;
         problem.ops().scale(&mut rhs, -1.0);
         let pcg_opts = PcgOptions { rtol: eta, atol: 0.0, max_iter: opts.max_krylov };
         let (d, rep) = {
@@ -268,10 +279,10 @@ pub fn gauss_newton_observed<P: GaussNewtonProblem>(
         // non-descent step, truncate to the preconditioned steepest descent
         // direction for this one step.
         let mut dir = d;
-        let mut gd = problem.ops().dot(&g, &dir);
+        let mut gd = -problem.ops().dot(&rhs, &dir);
         if !gd.is_finite() || gd >= 0.0 || rep.status == PcgStatus::ZeroRhs {
             dir = problem.precondition(&rhs);
-            gd = problem.ops().dot(&g, &dir);
+            gd = -problem.ops().dot(&rhs, &dir);
             fallback_steps += 1;
             if !gd.is_finite() {
                 status = NewtonStatus::Breakdown;
@@ -301,7 +312,10 @@ pub fn gauss_newton_observed<P: GaussNewtonProblem>(
                     matvecs: rep.iterations,
                     step_length: t,
                 });
-                v = trial;
+                // The trial's own arithmetic, in place: the iterate keeps
+                // v0's storage, so a caller that keeps solutions does not
+                // pin buffers allocated amid the solve's working set.
+                problem.ops().axpy(&mut v, t, &dir);
                 accepted = true;
                 break;
             }
@@ -608,6 +622,104 @@ mod tests {
             rep_full.outer_iterations(),
             "resume must not repeat completed iterations"
         );
+    }
+
+    /// Records the argument of every `linearize` call of the wrapped problem.
+    struct Recording<P> {
+        inner: P,
+        linearized: Vec<Vec<f64>>,
+    }
+
+    impl<P: GaussNewtonProblem<Vec = Vec<f64>, Ops = DenseOps>> GaussNewtonProblem for Recording<P> {
+        type Vec = Vec<f64>;
+        type Ops = DenseOps;
+        fn ops(&self) -> &DenseOps {
+            self.inner.ops()
+        }
+        fn objective(&mut self, v: &Vec<f64>) -> f64 {
+            self.inner.objective(v)
+        }
+        fn linearize(&mut self, v: &Vec<f64>) -> (f64, Vec<f64>) {
+            self.linearized.push(v.clone());
+            self.inner.linearize(v)
+        }
+        fn hessian_vec(&mut self, d: &Vec<f64>) -> Vec<f64> {
+            self.inner.hessian_vec(d)
+        }
+        fn precondition(&mut self, r: &Vec<f64>) -> Vec<f64> {
+            self.inner.precondition(r)
+        }
+    }
+
+    /// Cubefit whose line-search objective (`at_linearize: false`) or
+    /// linearized objective (`true`) turns NaN from the `after`-th
+    /// linearization on.
+    struct PoisonAfter {
+        inner: Cubefit,
+        after: usize,
+        at_linearize: bool,
+        linearizes: usize,
+    }
+
+    impl GaussNewtonProblem for PoisonAfter {
+        type Vec = Vec<f64>;
+        type Ops = DenseOps;
+        fn ops(&self) -> &DenseOps {
+            &self.inner.ops
+        }
+        fn objective(&mut self, v: &Vec<f64>) -> f64 {
+            let poisoned = !self.at_linearize && self.linearizes >= self.after;
+            if poisoned { f64::NAN } else { self.inner.objective(v) }
+        }
+        fn linearize(&mut self, v: &Vec<f64>) -> (f64, Vec<f64>) {
+            self.linearizes += 1;
+            let (j, g) = self.inner.linearize(v);
+            let poisoned = self.at_linearize && self.linearizes >= self.after;
+            (if poisoned { f64::NAN } else { j }, g)
+        }
+        fn hessian_vec(&mut self, d: &Vec<f64>) -> Vec<f64> {
+            self.inner.hessian_vec(d)
+        }
+        fn precondition(&mut self, r: &Vec<f64>) -> Vec<f64> {
+            self.inner.precondition(r)
+        }
+    }
+
+    fn run_recorded<P: GaussNewtonProblem<Vec = Vec<f64>, Ops = DenseOps>>(
+        inner: P,
+        opts: NewtonOptions,
+        resume: Option<NewtonResume>,
+    ) -> (Vec<f64>, NewtonStatus, Vec<Vec<f64>>) {
+        let mut rec = Recording { inner, linearized: vec![] };
+        let (v, rep) = gauss_newton_observed(&mut rec, vec![1.5, 2.5, 0.5], &opts, resume, |_, _| {});
+        (v, rep.status, rec.linearized)
+    }
+
+    /// The exit contract of [`gauss_newton_observed`]: on every exit the
+    /// last linearization was at the returned iterate, bit for bit.
+    #[test]
+    fn last_linearization_is_at_the_returned_iterate_on_every_exit() {
+        use NewtonStatus::*;
+        let cubefit = || Cubefit { t: vec![8.0, 27.0, 1.0], lin: vec![], ops: DenseOps };
+        let poison =
+            |after, at_linearize| PoisonAfter { inner: cubefit(), after, at_linearize, linearizes: 0 };
+        let opts = |gtol, max_iter| NewtonOptions { gtol, max_iter, ..NewtonOptions::default() };
+        let at_cap = Some(NewtonResume { completed_iters: 5, g0norm: 1.0 });
+        let runs = [
+            (run_recorded(cubefit(), opts(1e-10, 100), None), Converged),
+            (run_recorded(cubefit(), opts(1e-14, 2), None), MaxIterations),
+            (run_recorded(poison(2, false), opts(1e-14, 50), None), LineSearchFailed),
+            (run_recorded(poison(3, true), opts(1e-14, 50), None), Breakdown),
+            (run_recorded(cubefit(), opts(1e-14, 5), at_cap), MaxIterations),
+        ];
+        let bits = |x: &[f64]| x.iter().map(|e| e.to_bits()).collect::<Vec<_>>();
+        for (i, ((v, status, linearized), expect)) in runs.into_iter().enumerate() {
+            assert_eq!(status, expect, "run {i}");
+            // Only the resume at the cap exits before its first step.
+            assert_eq!(linearized.len() == 1, i == 4, "run {i}: {} linearizations", linearized.len());
+            let last = linearized.last().expect("linearize runs before the first exit test");
+            assert_eq!(bits(last), bits(&v), "run {i} ({expect:?}): last linearize is not the iterate");
+        }
     }
 
     #[test]

@@ -76,9 +76,9 @@ pub fn pcg<V: Clone, S: VectorOps<V>>(
     let tol = (opts.rtol * bnorm).max(opts.atol);
 
     let mut r = b.clone();
-    let mut z = apply_minv(&r);
-    let mut p = z.clone();
-    let mut rz = space.dot(&r, &z);
+    // The first search direction is the preconditioned residual itself.
+    let mut p = apply_minv(&r);
+    let mut rz = space.dot(&r, &p);
     if !rz.is_finite() {
         // The preconditioner produced NaN/Inf.
         return (x, PcgReport { status: PcgStatus::NonFinite, iterations: 0, residual: bnorm });
@@ -103,9 +103,10 @@ pub fn pcg<V: Clone, S: VectorOps<V>>(
         }
         if pap <= 0.0 {
             // Non-positive curvature: fall back to the current iterate (or
-            // the preconditioned gradient if nothing has been accumulated).
+            // the preconditioned gradient, still `p`, if nothing has been
+            // accumulated).
             if iters == 1 {
-                x = z.clone();
+                x = p;
             }
             return (
                 x,
@@ -113,19 +114,19 @@ pub fn pcg<V: Clone, S: VectorOps<V>>(
             );
         }
         let alpha = rz / pap;
-        let x_prev = x.clone();
-        space.axpy(&mut x, alpha, &p);
         space.axpy(&mut r, -alpha, &ap);
+        drop(ap);
         rnorm = space.norm(&r);
         if !rnorm.is_finite() {
             // The update poisoned the residual: truncate to the last good
-            // iterate.
+            // iterate, which `x` still is.
             return (
-                x_prev,
+                x,
                 PcgReport { status: PcgStatus::NonFinite, iterations: iters, residual: rnorm },
             );
         }
-        z = apply_minv(&r);
+        space.axpy(&mut x, alpha, &p);
+        let z = apply_minv(&r);
         let rz_new = space.dot(&r, &z);
         if !rz_new.is_finite() {
             return (

@@ -8,7 +8,9 @@
 //! Departure points are computed once per stationary velocity per direction
 //! and their distributed interpolation plans are reused across all solves —
 //! the paper's "interpolation planner" optimization. Both directions share
-//! one finiteness check and one ghosted copy of the velocity.
+//! one finiteness check and one ghosted copy of the velocity, unless the
+//! caller already holds the forward trajectory (a line-search trial at the
+//! same velocity), which [`SemiLagrangian::with_forward`] adopts.
 //!
 //! Interpolation is linear in the field, so every RK2 step interpolates
 //! its linear combination once: the incremental state evaluates

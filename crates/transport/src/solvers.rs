@@ -31,10 +31,32 @@ impl SemiLagrangian {
     /// copy of `v` and one finiteness check), the divergence field, and its
     /// interpolant at the backward points. Collective.
     pub fn new<C: Comm>(ws: &Workspace<C>, v: &VectorField, nt: usize) -> Self {
+        Self::with_forward(ws, v, nt, None)
+    }
+
+    /// [`SemiLagrangian::new`], adopting `fwd` as the forward trajectory
+    /// when given: only the backward one is built. `fwd` must be
+    /// `compute_trajectory(ws, v, 1/nt, 1.0)` for this very `v`, which then
+    /// makes the result bit-identical to `new`'s. Collective.
+    pub fn with_forward<C: Comm>(
+        ws: &Workspace<C>,
+        v: &VectorField,
+        nt: usize,
+        fwd: Option<Trajectory>,
+    ) -> Self {
         let _span = diffreg_telemetry::span("transport.setup");
         assert!(nt > 0, "need at least one time step");
         let dt = 1.0 / nt as f64;
-        let [fwd, bwd] = compute_trajectories(ws, v, [dt, -dt]);
+        let (fwd, bwd) = match fwd {
+            Some(fwd) => {
+                let [bwd] = compute_trajectories(ws, v, [-dt]);
+                (fwd, bwd)
+            }
+            None => {
+                let [fwd, bwd] = compute_trajectories(ws, v, [dt, -dt]);
+                (fwd, bwd)
+            }
+        };
         let divv = ws.fft.divergence(v, ws.timers);
         let gd = ghosted(ws.comm, ws.decomp, &divv);
         let divv_at_bwd = bwd.plan.interpolate(ws.comm, &gd, ws.kernel, ws.timers);
@@ -76,14 +98,7 @@ impl SemiLagrangian {
     /// Returns the full history `ρ(t_i)`, `i = 0..=nt`.
     pub fn solve_state<C: Comm>(&self, ws: &Workspace<C>, rho0: &ScalarField) -> Vec<ScalarField> {
         let _span = diffreg_telemetry::span("transport.state");
-        let mut hist = Vec::with_capacity(self.nt + 1);
-        hist.push(rho0.clone());
-        for _ in 0..self.nt {
-            // diffreg-allow(no-unwrap-in-lib): hist is seeded with rho0 before the loop, so last() is always Some
-            let next = self.fwd.advect_step(ws, hist.last().unwrap());
-            hist.push(next);
-        }
-        hist
+        self.fwd.advect(ws, rho0, self.nt)
     }
 
     /// One step of the continuity-form equation family

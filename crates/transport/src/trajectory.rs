@@ -38,16 +38,18 @@ impl Trajectory {
         ScalarField::from_vec(field.block(), vals)
     }
 
-    /// Advects `field` for `nt ≥ 1` steps along this trajectory and returns
-    /// the last time level only (the state equation without its history —
-    /// what a line-search objective needs). Collective.
-    pub fn advect<C: Comm>(&self, ws: &Workspace<C>, field: &ScalarField, nt: usize) -> ScalarField {
-        assert!(nt > 0, "need at least one time step");
-        let mut rho = self.advect_step(ws, field);
-        for _ in 1..nt {
-            rho = self.advect_step(ws, &rho);
+    /// Advects `field` for `nt` steps along this trajectory (the state
+    /// equation) and returns the history: `nt + 1` fields, `field` first.
+    /// Collective.
+    pub fn advect<C: Comm>(&self, ws: &Workspace<C>, field: &ScalarField, nt: usize) -> Vec<ScalarField> {
+        let mut hist = Vec::with_capacity(nt + 1);
+        hist.push(field.clone());
+        for _ in 0..nt {
+            // diffreg-allow(no-unwrap-in-lib): hist is seeded with field before the loop, so last() is always Some
+            let next = self.advect_step(ws, hist.last().unwrap());
+            hist.push(next);
         }
-        rho
+        hist
     }
 }
 

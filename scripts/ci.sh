@@ -21,17 +21,19 @@
 #      wire codec or new env::var read may reappear; workspace line count
 #   6. clippy clean under -D warnings (skipped if clippy is not installed)
 #   7. fail if Cargo.lock ever acquires a registry (non-path) dependency
-#   8. kernel suite vs BENCH_kernels.json (scripts/perf_gate.sh), advisory
+#   8. the repo benchmark in smoke mode: every workload untraced and traced,
+#      whose velocity digests must agree
+#   9. kernel suite vs BENCH_kernels.json (scripts/perf_gate.sh), advisory
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-echo "==> [1/8] cargo build --release --offline"
+echo "==> [1/9] cargo build --release --offline"
 cargo build --workspace --release --offline
 
-echo "==> [2/8] cargo test --offline (workspace, release)"
+echo "==> [2/9] cargo test --offline (workspace, release)"
 cargo test --workspace --release -q --offline
 
-echo "==> [3/8] diffreg-doctor gates over the bundles the tests left in target/tmp"
+echo "==> [3/9] diffreg-doctor gates over the bundles the tests left in target/tmp"
 # The tests assert matching / classification / triage / byte-identical
 # replay in memory; this step is the CLI doing the same from disk.
 doctor=target/release/diffreg-doctor
@@ -43,13 +45,13 @@ for d in target/tmp/incident-drill/run1/incident-*; do
 done
 echo "    doctor gates ok (reports: target/tmp/{doctor,serve}-smoke/doctor-report.txt)"
 
-echo "==> [4/8] cargo test --offline (workspace, debug: contract checker on)"
+echo "==> [4/9] cargo test --offline (workspace, debug: contract checker on)"
 # Debug builds default the collective-ordering contract checker to ON
 # (debug_assertions); force it explicitly so the gate survives profile
 # tweaks. This continuously proves the whole solver stack is contract-clean.
 DIFFREG_COMM_CONTRACT=1 cargo test --workspace -q --offline
 
-echo "==> [5/8] static analysis (in-tree analyzer: AST/CFG dataflow lints)"
+echo "==> [5/9] static analysis (in-tree analyzer: AST/CFG dataflow lints)"
 # Hard gate: zero findings anywhere in the workspace, the analyzer's own
 # crate included (exit code) — every finding is either fixed or carries a
 # reasoned allow at its site. The --json report must carry its schema tag
@@ -121,14 +123,14 @@ echo "    Rust lines, chassis: $(echo "$all_rs" | grep -vE "$solver" | xargs cat
 echo "    Rust lines, total:   $(echo "$all_rs" | xargs cat | wc -l)"
 echo "    Rust lines, crates/telemetry: $(echo "$all_rs" | grep '^crates/telemetry/' | xargs cat | wc -l)"
 
-echo "==> [6/8] cargo clippy -- -D warnings"
+echo "==> [6/9] cargo clippy -- -D warnings"
 if cargo clippy --version >/dev/null 2>&1; then
     cargo clippy --workspace --all-targets --offline -- -D warnings
 else
     echo "    clippy not installed; skipping lint gate"
 fi
 
-echo "==> [7/8] dependency audit (no external crates allowed)"
+echo "==> [7/9] dependency audit (no external crates allowed)"
 # Every package in Cargo.lock must be one of ours (path deps carry no
 # `source =` line; registry/git deps do).
 if grep -q '^source = ' Cargo.lock; then
@@ -143,7 +145,13 @@ if grep -nE '^\s*(proptest|criterion|crossbeam|rand|serde|parking_lot)\b' \
 fi
 echo "    Cargo.lock and manifests are dependency-free"
 
-echo "==> [8/8] kernel suite vs BENCH_kernels.json (advisory)"
+echo "==> [8/9] benchmark/run.sh --smoke (traced vs untraced digests)"
+# The benchmark times the library's own driver untraced and re-assembles it
+# from public pieces when traced; a library change that makes the two
+# disagree fails here rather than in the next benchmark run.
+benchmark/run.sh --smoke --out target/benchmark-smoke
+
+echo "==> [9/9] kernel suite vs BENCH_kernels.json (advisory)"
 # Printed, never failing the build: identical instructions have read 30-50%
 # slower under host bursts. The gate on speed is the repo benchmark
 # (benchmark/run.sh --compare, parent vs change); this is the same-host
