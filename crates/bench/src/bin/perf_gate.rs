@@ -1,4 +1,5 @@
-//! CI performance-regression gate over the kernel microbenchmark suite.
+//! Same-host before/after tool over the kernel microbenchmark suite, and the
+//! producer of `BENCH_kernels.json`.
 //!
 //! Three modes:
 //!
@@ -17,8 +18,8 @@
 //!   median gap and compare it against a 2 µs budget. Missing records fail;
 //!   a budget breach is advisory (wall-clock verdicts are host-dependent).
 //!
-//! Used by `scripts/perf_gate.sh`; the checked-in baseline lives at
-//! `BENCH_kernels.json`. The gate arithmetic is unit-tested in
+//! The checked-in baseline is written by
+//! `perf_gate emit --out BENCH_kernels.json`. The gate arithmetic is unit-tested in
 //! `diffreg_bench::results`, the recorder budget below.
 
 use diffreg_bench::kernels::{run_kernel_suite, K, RECORDER_BENCH_EVENTS, WARMUP};

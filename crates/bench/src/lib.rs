@@ -10,7 +10,8 @@
 //! grid sizes using `diffreg-perfmodel` (DESIGN.md substitution #1/#6).
 
 #![forbid(unsafe_code)]
-#![deny(missing_docs)]
+#![deny(missing_docs, clippy::allow_attributes, clippy::allow_attributes_without_reason)]
+#![cfg_attr(not(test), deny(clippy::float_cmp))]
 
 pub mod kernels;
 pub mod results;

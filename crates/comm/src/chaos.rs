@@ -205,6 +205,10 @@ impl<C: Comm> ChaosComm<C> {
     /// and records the schedule line. Epoch-keyed faults only ever trigger
     /// at collective points — every rank of a correct SPMD program counts
     /// collectives identically, which is what makes their placement exact.
+    #[expect(
+        clippy::panic,
+        reason = "the injected kill IS the fault under test — panicking here is the feature"
+    )]
     fn chaos_point(&self, desc: &str, collective: bool) {
         let op = self.ops.get() + 1;
         self.ops.set(op);
@@ -224,12 +228,10 @@ impl<C: Comm> ChaosComm<C> {
         };
         if self.cfg.kill_rank == Some(rank) && op == self.cfg.kill_at_op {
             self.log.borrow_mut().push(format!("op{op} {desc} KILL"));
-            // diffreg-allow(no-unwrap-in-lib): the injected kill IS the fault under test — panicking here is the feature
             panic!("chaos: injected kill on rank {rank} at op {op} ({desc})");
         }
         if collective && self.cfg.kill_rank_at_epoch == Some((rank, epoch)) {
             self.log.borrow_mut().push(format!("op{op} epoch{epoch} {desc} KILL"));
-            // diffreg-allow(no-unwrap-in-lib): the injected kill IS the fault under test — panicking here is the feature
             panic!("chaos: injected kill on rank {rank} at collective epoch {epoch} ({desc})");
         }
         let stalled = (self.cfg.stall_rank == Some(rank) && op == self.cfg.stall_at_op)
@@ -287,7 +289,10 @@ impl<C: Comm> ChaosComm<C> {
         ));
         let mut buckets: Vec<Vec<Deferred<C>>> = groups.iter().map(|_| Vec::new()).collect();
         for d in deferred {
-            // diffreg-allow(no-unwrap-in-lib): `groups` was built from this same deferred set — every (dst, tag) is present
+            #[expect(
+                clippy::unwrap_used,
+                reason = "`groups` was built from this same deferred set — every (dst, tag) is present"
+            )]
             let gi = groups.iter().position(|&g| g == (d.dst, d.tag)).unwrap();
             buckets[gi].push(d);
         }

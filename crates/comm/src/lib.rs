@@ -47,7 +47,8 @@
 //! ```
 
 #![forbid(unsafe_code)]
-#![deny(missing_docs)]
+#![deny(missing_docs, clippy::allow_attributes, clippy::allow_attributes_without_reason)]
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::float_cmp, clippy::let_underscore_must_use))]
 
 mod chaos;
 mod error;

@@ -67,7 +67,10 @@ impl Comm for SerialComm {
                 queued: if queued.is_empty() { "<empty>".into() } else { queued.join(", ") },
             }
         })?;
-        // diffreg-allow(no-unwrap-in-lib): `pos` was produced by `position` on the same queue just above
+        #[expect(
+            clippy::unwrap_used,
+            reason = "`pos` was produced by `position` on the same queue just above"
+        )]
         let (_, bytes, type_name, boxed) = q.remove(pos).unwrap();
         boxed.downcast::<Vec<T>>().map(|b| *b).map_err(|_| CommError::TypeMismatch {
             rank: 0,

@@ -215,6 +215,10 @@ fn parse_contract(raw: Option<&str>) -> Result<bool, String> {
 /// fault *detectors*: a typo in one must not quietly switch it off, so a
 /// value `parse` rejects aborts, naming the variable, the value and the
 /// accepted forms.
+#[expect(
+    clippy::panic,
+    reason = "startup configuration error — there is no caller to hand a typed error to, and running on without the requested fault detector is the failure this guards against"
+)]
 fn env_setting<T>(
     name: &str,
     read: Result<String, VarError>,
@@ -226,7 +230,6 @@ fn env_setting<T>(
         Err(VarError::NotUnicode(s)) => Some(s.to_string_lossy().into_owned()),
     };
     parse(raw.as_deref()).unwrap_or_else(|accepted| {
-        // diffreg-allow(no-unwrap-in-lib): startup configuration error — there is no caller to hand a typed error to, and running on without the requested fault detector is the failure this guards against
         panic!("{name}={:?} is not a valid setting: expected {accepted}", raw.unwrap_or_default())
     })
 }
@@ -554,7 +557,10 @@ impl ThreadComm {
         {
             let mut pend = self.pending.borrow_mut();
             if let Some(pos) = pend[src].iter().position(|m| m.0 == tag) {
-                // diffreg-allow(no-unwrap-in-lib): `pos` was produced by `position` on the same deque one line up
+                #[expect(
+                    clippy::unwrap_used,
+                    reason = "`pos` was produced by `position` on the same deque one line up"
+                )]
                 let (_, bytes, name, payload) = pend[src].remove(pos).unwrap();
                 return Ok((bytes, name, payload));
             }
@@ -805,10 +811,14 @@ impl Comm for ThreadComm {
                 (CollOp::ReduceUsizeResult, "allreduce_usize result"),
             )
         });
-        // diffreg-allow(no-unwrap-in-lib): infallible bridge — aborts with the typed error's rendering; the trait has no fallible usize reduction
+        #[expect(
+            clippy::panic,
+            reason = "infallible bridge — aborts with the typed error's rendering; the trait has no fallible usize reduction"
+        )]
         reduced.unwrap_or_else(|e| panic!("{e}"));
     }
 
+    #[expect(clippy::unwrap_used, reason = "the leader sends exactly one package per member")]
     fn split(&self, color: usize, key: usize) -> ThreadComm {
         self.with_coll_event(CommOp::Split, || {
             // Gather (color, key, old_rank) from everyone, compute the group
@@ -818,7 +828,10 @@ impl Comm for ThreadComm {
             let mut group: Vec<(usize, usize, usize)> =
                 infos.into_iter().map(|v| v[0]).filter(|&(c, _, _)| c == color).collect();
             group.sort_by_key(|&(_, k, r)| (k, r));
-            // diffreg-allow(no-unwrap-in-lib): self.rank is in `group` by construction — its (color, key, rank) triple was allgathered above
+            #[expect(
+                clippy::unwrap_used,
+                reason = "self.rank is in `group` by construction — its (color, key, rank) triple was allgathered above"
+            )]
             let my_new_rank = group.iter().position(|&(_, _, r)| r == self.rank).unwrap();
             let leader_old_rank = group[0].2;
             // Every rank bumps the Split epoch, senders and receivers alike, so
@@ -844,7 +857,10 @@ impl Comm for ThreadComm {
                 // Hand out packages to the other members in reverse so that
                 // `pop` yields the highest new rank first.
                 for (new_rank, &(_, _, old_rank)) in group.iter().enumerate().rev() {
-                    // diffreg-allow(no-unwrap-in-lib): make_channel_matrix returns exactly group.len() packages, popped once per member
+                    #[expect(
+                        clippy::unwrap_used,
+                        reason = "make_channel_matrix returns exactly group.len() packages, popped once per member"
+                    )]
                     let pkg = packages.pop().unwrap();
                     debug_assert_eq!(pkg.rank, new_rank);
                     if new_rank == 0 {
@@ -855,7 +871,6 @@ impl Comm for ThreadComm {
                 unreachable!("leader always returns its own package");
             } else {
                 let mut pkgs: Vec<Package> = self.recv(leader_old_rank, tag);
-                // diffreg-allow(no-unwrap-in-lib): the leader sends exactly one package per member
                 inherit(ThreadComm::from_package(pkgs.pop().unwrap()))
             }
         })
@@ -889,13 +904,13 @@ fn payload_text(p: Box<dyn Any + Send>) -> String {
 /// the containment of [`run_threaded_checked`], so peers blocked on the dead
 /// rank unwind instead of hanging, and the first [`RankFailure`] in rank
 /// order — rank, original payload, blocked-rank table — is re-raised here.
+#[expect(clippy::panic, reason = "re-raising a rank panic is this harness's documented contract")]
 pub fn run_threaded<R, F>(p: usize, f: F) -> Vec<R>
 where
     R: Send,
     F: Fn(&ThreadComm) -> R + Send + Sync,
 {
     let results: Result<Vec<R>, RankFailure> = run_threaded_checked(p, f).into_iter().collect();
-    // diffreg-allow(no-unwrap-in-lib): re-raising a rank panic is this harness's documented contract
     results.unwrap_or_else(|failure| panic!("rank thread panicked: {failure}"))
 }
 
@@ -904,6 +919,10 @@ where
 /// each rank thread runs its closure under [`run_gang`] on the world
 /// communicator. Ranks that complete normally return `Ok` — their results
 /// survive a peer's death.
+#[expect(
+    clippy::expect_used,
+    reason = "run_gang already contains rank panics; a panic here is a harness bug"
+)]
 pub fn run_threaded_checked<R, F>(p: usize, f: F) -> Vec<Result<R, RankFailure>>
 where
     R: Send,
@@ -918,7 +937,6 @@ where
     std::thread::scope(|scope| {
         let handles: Vec<_> =
             world.into_iter().map(|comm| scope.spawn(move || run_gang(comm, f))).collect();
-        // diffreg-allow(no-unwrap-in-lib): run_gang already contains rank panics; a panic here is a harness bug
         handles.into_iter().map(|h| h.join().expect("rank panicked outside containment")).collect()
     })
 }

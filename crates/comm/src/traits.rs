@@ -46,8 +46,11 @@ impl ReduceOp {
 
 /// The infallible half of every `try_*` pair: a failed operation aborts the
 /// rank with the typed error's rendering.
+#[expect(
+    clippy::panic,
+    reason = "infallible bridge — aborts with the typed error's rendering; recoverable callers use the try_* twin"
+)]
 fn or_abort<T>(res: Result<T, CommError>) -> T {
-    // diffreg-allow(no-unwrap-in-lib): infallible bridge — aborts with the typed error's rendering; recoverable callers use the try_* twin
     res.unwrap_or_else(|e| panic!("{e}"))
 }
 

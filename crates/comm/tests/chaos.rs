@@ -98,7 +98,7 @@ fn collectives_under_chaos_match_fault_free_bitwise() {
 fn mismatched_collectives_are_reported_precisely() {
     let out = run_threaded_checked(2, |c| {
         c.set_contract_checking(true);
-        // diffreg-allow(collective-consistency): deliberate mismatch — the contract checker must report it
+        // Deliberate mismatch: the contract checker must report it.
         if c.rank() == 0 {
             let mut v = vec![0.0f64];
             c.allreduce(&mut v, ReduceOp::Sum); // rank 0 reduces…
@@ -130,7 +130,7 @@ fn watchdog_fires_on_mismatched_collective_without_checker() {
         } else {
             Duration::from_millis(600)
         }));
-        // diffreg-allow(collective-consistency): deliberate mismatch — the watchdog must convert it to a timeout
+        // Deliberate mismatch: the watchdog must convert it to a timeout.
         if c.rank() == 0 {
             let mut v = vec![0.0f64];
             c.try_allreduce(&mut v, ReduceOp::Sum).unwrap_err()

@@ -379,6 +379,10 @@ impl CheckpointStore {
                     // Rotate before publishing; if the process dies between
                     // the two renames the previous generation still holds a
                     // good checkpoint.
+                    #[expect(
+                        clippy::let_underscore_must_use,
+                        reason = "best effort: if the rotation fails, the publish below still replaces the current generation"
+                    )]
                     let _ = std::fs::rename(&path, Self::prev_path(dir, rank));
                 }
                 let tmp = path.with_extension("drck.tmp");
@@ -484,6 +488,10 @@ impl CheckpointStore {
 
     /// Drops `rank`'s checkpoint generations (after a successful run, so a
     /// later solve does not accidentally resume from a stale snapshot).
+    #[expect(
+        clippy::let_underscore_must_use,
+        reason = "best effort: a generation that is already gone is the state this asks for"
+    )]
     pub fn clear(&self, rank: usize) {
         match self {
             CheckpointStore::Disabled => {}

@@ -77,6 +77,10 @@ pub fn continuation_grids(fine: Grid, levels: usize, min_extent: usize) -> Vec<G
 /// (coarsest first).
 ///
 /// Panics if `comm` has more than one rank (see module docs).
+#[expect(
+    clippy::unwrap_used,
+    reason = "continuation_grids always returns at least the fine grid, so the loop always sets outcome"
+)]
 pub fn register_multilevel<C: Comm>(
     comm: &C,
     fine_grid: Grid,
@@ -114,7 +118,6 @@ pub fn register_multilevel<C: Comm>(
         velocity = Some((*grid, out.velocity.clone()));
         outcome = Some(out);
     }
-    // diffreg-allow(no-unwrap-in-lib): continuation_grids always returns at least the fine grid, so the loop always sets outcome
     (outcome.unwrap(), reports)
 }
 

@@ -157,7 +157,7 @@ impl<'a, C: Comm> RegProblem<'a, C> {
         if self.lin.is_none() {
             let _ = self.linearize(v);
         }
-        // diffreg-allow(no-unwrap-in-lib): the branch above linearizes when nothing is cached
+        #[expect(clippy::expect_used, reason = "the branch above linearizes when nothing is cached")]
         let lin = self.lin.take().expect("a linearization is cached");
         (lin.sl, lin.rho1)
     }
@@ -263,7 +263,10 @@ impl<'a, C: Comm> GaussNewtonProblem for RegProblem<'a, C> {
         let _span = diffreg_telemetry::span("hessian.matvec");
         self.hessian_matvecs += 1;
         let ws = &self.ws;
-        // diffreg-allow(no-unwrap-in-lib): documented API contract: hessian_vec requires a linearize after the last objective; the expect message states it
+        #[expect(
+            clippy::expect_used,
+            reason = "documented API contract: hessian_vec requires a linearize after the last objective; the expect message states it"
+        )]
         let lin = self.lin.as_ref().expect("hessian_vec needs a linearize after the last objective");
         // P b̃ first, then β(-Δ)^m d: the transport's histories are gone
         // before the spectral operator's field is allocated.
@@ -310,8 +313,11 @@ impl<'a, C: Comm> GaussNewtonProblem for RegProblem<'a, C> {
                         ws.fft.divergence(&lv, ws.timers)
                     })
                     .collect();
+                #[expect(
+                    clippy::unwrap_used,
+                    reason = "rho_tilde is seeded with the zero field before the time loop, so last() is always Some"
+                )]
                 let adj_tilde =
-                    // diffreg-allow(no-unwrap-in-lib): rho_tilde is seeded with the zero field before the time loop, so last() is always Some
                     lin.sl.solve_incremental_adjoint_full(ws, rho_tilde.last().unwrap(), &source);
                 let mut b_tilde = self.time_integral(&adj_tilde, &lin.grads);
                 let grad_rho_tilde: Vec<VectorField> =

@@ -169,7 +169,8 @@ fn doctor_attributes_injected_stall_to_culprit_rank() {
         // Rank 1 stalls 80 ms at its 2nd comm call — the send below.
         let chaos = ChaosComm::new(comm, ChaosConfig::seeded(1).with_stall(1, 2, 80));
         chaos.barrier(); // op 1 on both ranks
-        // diffreg-allow(collective-consistency): deliberately asymmetric point-to-point exchange around an injected stall — the doctor must attribute it
+        // Deliberately asymmetric point-to-point exchange around an injected
+        // stall: the doctor must attribute it.
         if chaos.rank() == 1 {
             chaos.send(0, 7, vec![1.0f64; 64]); // op 2: stall fires here
         } else {

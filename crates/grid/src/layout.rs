@@ -183,7 +183,10 @@ impl Decomp {
                 best = Some((p1, p2));
             }
         }
-        // diffreg-allow(no-unwrap-in-lib): an infeasible rank/grid combination is a startup configuration error; aborting with the shape in the message is the intended behavior
+        #[expect(
+            clippy::panic,
+            reason = "an infeasible rank/grid combination is a startup configuration error; aborting with the shape in the message is the intended behavior"
+        )]
         let (p1, p2) = best.unwrap_or_else(|| panic!("cannot lay out {p} ranks on grid {:?}", grid.n));
         Self::with_process_grid(grid, p1, p2)
     }

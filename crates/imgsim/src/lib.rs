@@ -7,7 +7,8 @@
 //! metrics, and minimal image IO for the figure binaries.
 
 #![forbid(unsafe_code)]
-#![deny(missing_docs)]
+#![deny(missing_docs, clippy::allow_attributes, clippy::allow_attributes_without_reason)]
+#![cfg_attr(not(test), deny(clippy::float_cmp))]
 
 mod brain;
 mod io;

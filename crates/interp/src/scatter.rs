@@ -141,12 +141,10 @@ impl ScatterPlan {
             self.batch_off
                 .windows(2)
                 .map(|b| {
-                    // diffreg-allow(alloc-in-hot-path): per-batch send buffers are moved into alltoallv — ownership transfer precludes arena pooling
                     let mut vals = vec![0.0; (b[1] - b[0]) * nf];
                     self.soa.eval(ghosts, kernel, b[0]..b[1], &mut vals);
                     vals
                 })
-                // diffreg-allow(alloc-in-hot-path): collects the per-batch send buffers moved into alltoallv — ownership transfer precludes arena pooling
                 .collect()
         });
         timers.count("interp_points_evaluated", (self.assigned_len() * nf) as u64);
@@ -158,7 +156,6 @@ impl ScatterPlan {
             diffreg_telemetry::with_span("interp.scatter", || comm.alltoallv(values))
         });
         // Unscatter into original order.
-        // diffreg-allow(alloc-in-hot-path): result buffers are returned to the caller — ownership transfer precludes arena pooling
         let mut out = vec![vec![0.0; self.len()]; nf];
         for (i, (&owner, &slot)) in self.owner_of.iter().zip(&self.slot_of).enumerate() {
             let vals = &returned[owner as usize][slot as usize * nf..][..nf];
@@ -170,6 +167,10 @@ impl ScatterPlan {
     }
 
     /// Interpolates a single field at the planned points.
+    #[expect(
+        clippy::unwrap_used,
+        reason = "interpolate_many returns exactly one Vec per ghost field passed in"
+    )]
     pub fn interpolate<C: Comm>(
         &self,
         comm: &C,
@@ -177,7 +178,6 @@ impl ScatterPlan {
         kernel: Kernel,
         timers: &Timers,
     ) -> Vec<f64> {
-        // diffreg-allow(no-unwrap-in-lib): interpolate_many returns exactly one Vec per ghost field passed in
         self.interpolate_many(comm, &[ghost], kernel, timers).pop().unwrap()
     }
 }

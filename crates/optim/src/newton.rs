@@ -232,7 +232,6 @@ pub fn gauss_newton_observed<P: GaussNewtonProblem>(
         None => (fresh_gnorm, 0),
     };
     let mut gnorm = fresh_gnorm;
-    // diffreg-allow(alloc-in-hot-path): once-per-solve report accumulator allocated outside the iteration loop; the newton.iter span only covers the loop body
     let mut iterations = Vec::new();
     let mut total_matvecs = 0;
     let mut fallback_steps = 0;
@@ -584,6 +583,37 @@ mod tests {
             "{rep:?}"
         );
         assert_eq!(v, vec![0.5, 0.5], "last finite iterate is returned untouched");
+    }
+
+    /// A finite objective with a NaN gradient: its norm is NaN, not zero, so
+    /// the driver reports a breakdown instead of convergence.
+    struct NanGradient;
+
+    impl GaussNewtonProblem for NanGradient {
+        type Vec = Vec<f64>;
+        type Ops = DenseOps;
+        fn ops(&self) -> &DenseOps {
+            &DenseOps
+        }
+        fn objective(&mut self, _v: &Vec<f64>) -> f64 {
+            1.0
+        }
+        fn linearize(&mut self, _v: &Vec<f64>) -> (f64, Vec<f64>) {
+            (1.0, vec![f64::NAN, 1.0])
+        }
+        fn hessian_vec(&mut self, d: &Vec<f64>) -> Vec<f64> {
+            d.clone()
+        }
+        fn precondition(&mut self, r: &Vec<f64>) -> Vec<f64> {
+            r.clone()
+        }
+    }
+
+    #[test]
+    fn nan_gradient_is_a_breakdown_not_convergence() {
+        let (v, rep) = gauss_newton(&mut NanGradient, vec![0.5, 0.5], &NewtonOptions::default());
+        assert_eq!(rep.status, NewtonStatus::Breakdown, "{rep:?}");
+        assert_eq!(v, vec![0.5, 0.5]);
     }
 
     /// Checkpoint/restart oracle at the optimizer level: interrupt after the

@@ -65,7 +65,6 @@ pub fn pcg<V: Clone, S: VectorOps<V>>(
 ) -> (V, PcgReport) {
     let bnorm = space.norm(b);
     let mut x = space.zero_like(b);
-    // diffreg-allow(float-eq): exact-zero RHS detection — norms are >= 0 and only an identically zero b gives 0.0
     if bnorm == 0.0 {
         return (x, PcgReport { status: PcgStatus::ZeroRhs, iterations: 0, residual: 0.0 });
     }

@@ -14,9 +14,10 @@ pub trait VectorOps<V> {
     /// A zero vector with the same shape as `v`.
     fn zero_like(&self, v: &V) -> V;
 
-    /// Norm induced by [`VectorOps::dot`].
+    /// Norm induced by [`VectorOps::dot`]. A non-finite component makes it
+    /// NaN or infinite, never zero.
     fn norm(&self, a: &V) -> f64 {
-        self.dot(a, a).max(0.0).sqrt()
+        self.dot(a, a).sqrt()
     }
 }
 

@@ -19,7 +19,8 @@
 //! 50-70% band the paper reports.
 
 #![forbid(unsafe_code)]
-#![deny(missing_docs)]
+#![deny(missing_docs, clippy::allow_attributes, clippy::allow_attributes_without_reason)]
+#![cfg_attr(not(test), deny(clippy::float_cmp))]
 
 /// A machine model: effective per-task flop rate and network parameters.
 #[derive(Debug, Clone, Copy, PartialEq)]

@@ -36,20 +36,6 @@ thread_local! {
     static C64_ARENA: BufferPool<Complex64> = const { BufferPool::new() };
 }
 
-/// The row and column sub-communicators of this rank's pencil (collective).
-/// Not inlined into [`PencilFft::new`]: the analyzer resolves calls by bare
-/// name, and a collective directly inside any `new` would make every
-/// ambiguous `::new` call in the workspace an opaque maybe-collective.
-fn pencil_comms<C: Comm>(comm: &C, decomp: &Decomp) -> (C::Sub, C::Sub) {
-    let (r1, r2) = decomp.coords(comm.rank());
-    // Row group: fixed r1, new rank = r2. Column group: fixed r2, new rank = r1.
-    let row = comm.split(r1, r2);
-    let col = comm.split(r2, r1);
-    debug_assert_eq!(row.rank(), r2);
-    debug_assert_eq!(col.rank(), r1);
-    (row, col)
-}
-
 /// [`exchange`] timed as `"fft_comm"`. Skipped in a group of one, where the
 /// layouts before and after are the same array and it is the identity.
 fn transpose<S: Comm>(
@@ -94,7 +80,12 @@ impl<C: Comm> PencilFft<C> {
     pub fn new(comm: &C, decomp: Decomp) -> Self {
         assert_eq!(comm.size(), decomp.size(), "communicator does not match decomposition");
         let rank = comm.rank();
-        let (row, col) = pencil_comms(comm, &decomp);
+        let (r1, r2) = decomp.coords(rank);
+        // Row group: fixed r1, new rank = r2. Column group: fixed r2, new rank = r1.
+        let row = comm.split(r1, r2);
+        let col = comm.split(r2, r1);
+        debug_assert_eq!(row.rank(), r2);
+        debug_assert_eq!(col.rank(), r1);
         let n = decomp.grid.n;
         Self {
             decomp,

@@ -89,6 +89,10 @@ impl HttpServer {
                     if let Ok(stream) = conn {
                         // Serve inline: responses are prebuilt strings, so a
                         // request is bounded work and one thread suffices.
+                        #[expect(
+                            clippy::let_underscore_must_use,
+                            reason = "a client that hangs up loses only its own response; the loop serves the next"
+                        )]
                         let _ = handle_conn(stream, &slot);
                     }
                 }
@@ -109,8 +113,13 @@ impl HttpServer {
     fn shutdown_and_join(&mut self) {
         self.shutdown.store(true, Ordering::SeqCst);
         // Unblock the (blocking) accept with a throwaway connection.
+        #[expect(
+            clippy::let_underscore_must_use,
+            reason = "the connection exists only to wake the accept loop, which checks the flag either way"
+        )]
         let _ = TcpStream::connect_timeout(&self.addr, IO_TIMEOUT);
         if let Some(h) = self.handle.take() {
+            #[expect(clippy::let_underscore_must_use, reason = "runs in Drop, which must not panic")]
             let _ = h.join();
         }
     }

@@ -11,7 +11,8 @@
 //! correctness oracle for the distributed implementation in `diffreg-pfft`.
 
 #![forbid(unsafe_code)]
-#![deny(missing_docs)]
+#![deny(missing_docs, clippy::allow_attributes, clippy::allow_attributes_without_reason)]
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::float_cmp))]
 
 mod resample;
 mod serial;

@@ -162,7 +162,6 @@ impl SerialSpectral {
                 wavenumber_deriv(self.n[2], i[2]),
             ];
             let k2 = k[0] * k[0] + k[1] * k[1] + k[2] * k[2];
-            // diffreg-allow(float-eq): zero-mode projection — k2 is exactly 0.0 only at the k=0 mode
             if k2 == 0.0 {
                 return;
             }

@@ -56,7 +56,6 @@ pub fn laplacian(k2: f64) -> f64 {
 /// Symbol of the inverse Laplacian with the zero mode projected out.
 #[inline]
 pub fn inv_laplacian(k2: f64) -> f64 {
-    // diffreg-allow(float-eq): zero-mode projection — k2 is exactly 0.0 only at the k=0 mode
     if k2 == 0.0 {
         0.0
     } else {
@@ -73,7 +72,6 @@ pub fn biharmonic(k2: f64) -> f64 {
 /// Symbol of the inverse biharmonic with the zero mode projected out.
 #[inline]
 pub fn inv_biharmonic(k2: f64) -> f64 {
-    // diffreg-allow(float-eq): zero-mode projection — k2 is exactly 0.0 only at the k=0 mode
     if k2 == 0.0 {
         0.0
     } else {

@@ -79,6 +79,7 @@ impl Json {
         }
     }
 
+    #[expect(clippy::float_cmp, reason = "exact integrality test: x == trunc(x) only for whole numbers")]
     fn write(&self, out: &mut String) {
         match self {
             Json::Null => out.push_str("null"),
@@ -86,7 +87,6 @@ impl Json {
             Json::Num(x) => {
                 if !x.is_finite() {
                     out.push_str("null");
-                // diffreg-allow(float-eq): exact zero test — negative zero must keep its sign through the integral fast path
                 } else if *x == 0.0 && x.is_sign_negative() {
                     // `-0.0 as i64` is 0, which would silently drop the sign;
                     // "-0" parses back to -0.0, so the bit pattern survives.

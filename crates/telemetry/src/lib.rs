@@ -40,7 +40,8 @@
 //! collapsed-stack flamegraphs with a differential mode.
 
 #![forbid(unsafe_code)]
-#![deny(missing_docs)]
+#![deny(missing_docs, clippy::allow_attributes, clippy::allow_attributes_without_reason)]
+#![cfg_attr(not(test), deny(clippy::float_cmp))]
 
 pub mod convergence;
 pub mod doctor;

@@ -469,6 +469,7 @@ fn labels_or_empty(labels: &str) -> String {
 /// Fixed numeric formatting for the Prometheus snapshot: integral values
 /// print without a fraction; everything else uses Rust's shortest
 /// round-trip float formatting (deterministic across platforms).
+#[expect(clippy::float_cmp, reason = "exact integrality test: v == trunc(v) only for whole numbers")]
 fn fmt_num(v: f64) -> String {
     if v.is_finite() && v == v.trunc() && v.abs() < 1e15 {
         format!("{}", v as i64)

@@ -133,7 +133,10 @@ impl SemiLagrangian {
         let mut rev = Vec::with_capacity(self.nt + 1);
         rev.push(lambda1.clone());
         for _ in 0..self.nt {
-            // diffreg-allow(no-unwrap-in-lib): rev is seeded with lambda1 before the loop, so last() is always Some
+            #[expect(
+                clippy::unwrap_used,
+                reason = "rev is seeded with lambda1 before the loop, so last() is always Some"
+            )]
             let next = self.step_continuity(ws, rev.last().unwrap());
             rev.push(next);
         }
@@ -145,13 +148,16 @@ impl SemiLagrangian {
     /// (paper Algorithm 2). `grad_state[i]` must hold `∇ρ(t_i)` for the state
     /// history the Hessian is linearized at. Returns `ρ̃(1)` only (the full
     /// incremental history is not needed by the Gauss-Newton matvec).
+    #[expect(
+        clippy::unwrap_used,
+        reason = "solve_incremental_state_history returns nt+1 >= 1 states"
+    )]
     pub fn solve_incremental_state<C: Comm>(
         &self,
         ws: &Workspace<C>,
         vtilde: &VectorField,
         grad_state: &[VectorField],
     ) -> ScalarField {
-        // diffreg-allow(no-unwrap-in-lib): solve_incremental_state_history returns nt+1 >= 1 states
         self.solve_incremental_state_history(ws, vtilde, grad_state).pop().unwrap()
     }
 
@@ -185,7 +191,10 @@ impl SemiLagrangian {
             // RK2 step ρ̃(x) ← I[ρ̃](X) + δt/2·(I[f_i](X) + f_{i+1}(x)).
             // Interpolation is linear, so the two interpolants are one,
             // I[ρ̃ + δt/2·f_i](X): one ghost exchange, one field.
-            // diffreg-allow(no-unwrap-in-lib): hist is seeded with the zero field before the loop, so last() is always Some
+            #[expect(
+                clippy::unwrap_used,
+                reason = "hist is seeded with the zero field before the loop, so last() is always Some"
+            )]
             let mut combined = hist.last().unwrap().clone();
             combined.axpy(half_dt, &f_cur);
             let mut next = self.fwd.advect_step(ws, &combined);
@@ -220,7 +229,10 @@ impl SemiLagrangian {
         // τ step j advances from t index i = nt − j to i − 1.
         for j in 0..self.nt {
             let i = self.nt - j;
-            // diffreg-allow(no-unwrap-in-lib): rev is seeded with the terminal condition before the loop, so last() is always Some
+            #[expect(
+                clippy::unwrap_used,
+                reason = "rev is seeded with the terminal condition before the loop, so last() is always Some"
+            )]
             let nu = rev.last().unwrap();
             let g_nu = ghosted(ws.comm, ws.decomp, nu);
             let g_s = ghosted(ws.comm, ws.decomp, &source[i]);

@@ -45,7 +45,10 @@ impl Trajectory {
         let mut hist = Vec::with_capacity(nt + 1);
         hist.push(field.clone());
         for _ in 0..nt {
-            // diffreg-allow(no-unwrap-in-lib): hist is seeded with field before the loop, so last() is always Some
+            #[expect(
+                clippy::unwrap_used,
+                reason = "hist is seeded with field before the loop, so last() is always Some"
+            )]
             let next = self.advect_step(ws, hist.last().unwrap());
             hist.push(next);
         }
@@ -66,7 +69,6 @@ pub fn velocity_is_finite<C: Comm>(ws: &Workspace<C>, v: &VectorField) -> bool {
     let bad_local = v.comps.iter().any(|c| c.data().iter().any(|x| !x.is_finite()));
     let mut flag = [if bad_local { 1.0 } else { 0.0 }];
     ws.comm.allreduce(&mut flag, diffreg_comm::ReduceOp::Sum);
-    // diffreg-allow(float-eq): the flags are exact 0.0/1.0 values; small integer sums are exact in f64
     flag[0] == 0.0
 }
 

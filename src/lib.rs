@@ -39,7 +39,8 @@
 //! ```
 
 #![forbid(unsafe_code)]
-#![deny(missing_docs)]
+#![deny(missing_docs, clippy::allow_attributes, clippy::allow_attributes_without_reason)]
+#![cfg_attr(not(test), deny(clippy::float_cmp))]
 
 pub use diffreg_comm as comm;
 pub use diffreg_core as core;
