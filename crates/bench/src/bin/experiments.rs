@@ -42,14 +42,13 @@
 //! Usage: `experiments --study <name> [study options]`
 
 use diffreg_bench::{arg_list, sci, write_suite, BenchRecord, BenchSuite};
-use diffreg_comm::{SerialComm, Timers};
+use diffreg_comm::SerialComm;
 use diffreg_core::{det_deformation_gradient, register, HessianKind, RegistrationConfig};
-use diffreg_grid::{Decomp, Grid, ScalarField};
+use diffreg_grid::{Grid, ScalarField};
 use diffreg_imgsim::{axial_slice, gather_full, write_pgm};
 use diffreg_optim::{Forcing, NewtonOptions};
-use diffreg_pfft::PencilFft;
 use diffreg_spectral::RegOrder;
-use diffreg_transport::{SemiLagrangian, Workspace};
+use diffreg_transport::{SemiLagrangian, SessionParts, Workspace};
 
 type Ws<'a> = Workspace<'a, SerialComm>;
 
@@ -57,10 +56,7 @@ type Ws<'a> = Workspace<'a, SerialComm>;
 fn serial<R>(n: usize, f: impl FnOnce(&Ws<'_>, &SerialComm, &Grid) -> R) -> R {
     let grid = Grid::cubic(n);
     let comm = SerialComm::new();
-    let decomp = Decomp::new(grid, 1);
-    let fft = PencilFft::new(&comm, decomp);
-    let timers = Timers::new();
-    f(&Workspace::new(&comm, &decomp, &fft, &timers), &comm, &grid)
+    f(&SessionParts::new(&comm, grid).workspace(&comm), &comm, &grid)
 }
 
 /// The value following `key`, if present.

@@ -10,19 +10,18 @@
 //! `testkit::bench_named` (median-of-K wall clock after warmup); results
 //! come back as a [`BenchSuite`] in the canonical results schema.
 
-use diffreg_comm::{SerialComm, Timers};
+use diffreg_comm::SerialComm;
 use diffreg_core::{RegProblem, RegistrationConfig};
 use diffreg_fft::{transform_lines, Complex64, Direction, Fft1d};
-use diffreg_grid::{Decomp, Grid, ScalarField, VectorField};
+use diffreg_grid::{Grid, ScalarField, VectorField};
 use diffreg_interp::{ghosted, Kernel, ScatterPlan};
 use diffreg_optim::GaussNewtonProblem;
-use diffreg_pfft::PencilFft;
 use diffreg_spectral::RegOrder;
 use diffreg_telemetry::{
     record_event, recorder_enabled, set_recorder_enabled, take_recorder, RecKind,
 };
 use diffreg_testkit::bench_named;
-use diffreg_transport::{SemiLagrangian, Workspace};
+use diffreg_transport::{SemiLagrangian, SessionParts, Workspace};
 
 use crate::{BenchRecord, BenchSuite};
 
@@ -34,15 +33,19 @@ pub const K: usize = 9;
 struct Ctx {
     grid: Grid,
     comm: SerialComm,
-    decomp: Decomp,
+    parts: SessionParts<SerialComm>,
 }
 
 impl Ctx {
     fn new(n: usize) -> Self {
         let grid = Grid::cubic(n);
         let comm = SerialComm::new();
-        let decomp = Decomp::new(grid, 1);
-        Self { grid, comm, decomp }
+        let parts = SessionParts::new(&comm, grid);
+        Self { grid, comm, parts }
+    }
+
+    fn ws(&self) -> Workspace<'_, SerialComm> {
+        self.parts.workspace(&self.comm)
     }
 }
 
@@ -54,30 +57,29 @@ fn push(suite: &mut BenchSuite, name: &str, warmup: usize, k: usize, f: impl FnM
 fn bench_fft(suite: &mut BenchSuite, warmup: usize, k: usize, sizes: &[usize]) {
     for &n in sizes {
         let ctx = Ctx::new(n);
-        let fft = PencilFft::new(&ctx.comm, ctx.decomp);
-        let timers = Timers::new();
+        let Workspace { fft, timers, .. } = ctx.ws();
         let field = ScalarField::from_fn(&ctx.grid, fft.spatial_block(), |x| {
             x[0].sin() + x[1].cos() * x[2].sin()
         });
         push(suite, &format!("fft3d/forward/{n}"), warmup, k, || {
-            fft.forward(&field, &timers);
+            fft.forward(&field, timers);
         });
-        let spec = fft.forward(&field, &timers);
+        let spec = fft.forward(&field, timers);
         push(suite, &format!("fft3d/inverse/{n}"), warmup, k, || {
-            fft.inverse(&spec, &timers);
+            fft.inverse(&spec, timers);
         });
         push(suite, &format!("fft3d/gradient/{n}"), warmup, k, || {
-            fft.gradient(&field, &timers);
+            fft.gradient(&field, timers);
         });
         // Explicit half-spectrum (r2c) transform records: the public
         // forward/inverse above keep the full c2c layout, so the r2c wins
         // only show up in the operator records unless pinned here.
         push(suite, &format!("fft3d/forward_r2c/{n}"), warmup, k, || {
-            fft.forward_half(&field, &timers);
+            fft.forward_half(&field, timers);
         });
-        let half = fft.forward_half(&field, &timers);
+        let half = fft.forward_half(&field, timers);
         push(suite, &format!("fft3d/inverse_r2c/{n}"), warmup, k, || {
-            fft.inverse_half(&half, &timers);
+            fft.inverse_half(&half, timers);
         });
     }
 }
@@ -98,27 +100,25 @@ fn bench_lines_and_operators(suite: &mut BenchSuite, warmup: usize, k: usize) {
         });
     }
     let ctx = Ctx::new(32);
-    let fft = PencilFft::new(&ctx.comm, ctx.decomp);
-    let timers = Timers::new();
+    let Workspace { fft, timers, .. } = ctx.ws();
     let v = VectorField::from_fn(&ctx.grid, fft.spatial_block(), |x| {
         [0.4 * x[1].sin(), 0.3 * x[0].cos(), 0.2 * x[2].sin()]
     });
     push(suite, "spectral/regularization/32", warmup, k, || {
-        fft.regularization(&v, RegOrder::H2, 1e-2, &timers);
+        fft.regularization(&v, RegOrder::H2, 1e-2, timers);
     });
     push(suite, "spectral/precondition/32", warmup, k, || {
-        fft.precondition(&v, RegOrder::H2, 1e-2, &timers);
+        fft.precondition(&v, RegOrder::H2, 1e-2, timers);
     });
 }
 
 fn bench_interp(suite: &mut BenchSuite, warmup: usize, k: usize, sizes: &[usize]) {
     for &n in sizes {
         let ctx = Ctx::new(n);
-        let timers = Timers::new();
-        let decomp = ctx.decomp;
+        let Workspace { decomp, timers, .. } = ctx.ws();
         let block = decomp.block(0, diffreg_grid::Layout::Spatial);
         let field = ScalarField::from_fn(&ctx.grid, block, |x| x[0].sin() * x[1].cos());
-        let ghost = ghosted(&ctx.comm, &decomp, &field);
+        let ghost = ghosted(&ctx.comm, decomp, &field);
         // Departure-like points: every grid point shifted by a fraction of a cell.
         let pts: Vec<[f64; 3]> = (0..block.len())
             .map(|l| {
@@ -130,16 +130,16 @@ fn bench_interp(suite: &mut BenchSuite, warmup: usize, k: usize, sizes: &[usize]
                 ]
             })
             .collect();
-        let plan = ScatterPlan::build(&ctx.comm, &decomp, &pts, &timers);
+        let plan = ScatterPlan::build(&ctx.comm, decomp, &pts, timers);
         for kernel in [Kernel::Tricubic, Kernel::Trilinear] {
             push(suite, &format!("interpolation/{kernel:?}/{n}"), warmup, k, || {
-                plan.interpolate(&ctx.comm, &ghost, kernel, &timers);
+                plan.interpolate(&ctx.comm, &ghost, kernel, timers);
             });
         }
         // Three fields in one walk over the stencil table (the velocity
         // components of the trajectory predictor, the displacement solve).
         push(suite, &format!("interpolation/Tricubic3/{n}"), warmup, k, || {
-            plan.interpolate_many(&ctx.comm, &[&ghost; 3], Kernel::Tricubic, &timers);
+            plan.interpolate_many(&ctx.comm, &[&ghost; 3], Kernel::Tricubic, timers);
         });
     }
 }
@@ -147,9 +147,7 @@ fn bench_interp(suite: &mut BenchSuite, warmup: usize, k: usize, sizes: &[usize]
 fn bench_transport(suite: &mut BenchSuite, warmup: usize, k: usize) {
     let n = 32;
     let ctx = Ctx::new(n);
-    let fft = PencilFft::new(&ctx.comm, ctx.decomp);
-    let timers = Timers::new();
-    let ws = Workspace::new(&ctx.comm, &ctx.decomp, &fft, &timers);
+    let ws = ctx.ws();
     let v = VectorField::from_fn(&ctx.grid, ws.block(), |x| {
         [0.4 * x[1].sin(), 0.3 * x[0].cos(), 0.2 * x[2].sin()]
     });
@@ -166,7 +164,7 @@ fn bench_transport(suite: &mut BenchSuite, warmup: usize, k: usize) {
         sl.solve_adjoint(&ws, &lam1);
     });
     let grads: Vec<VectorField> =
-        sl.solve_state(&ws, &rho0).iter().map(|r| fft.gradient(r, &timers)).collect();
+        sl.solve_state(&ws, &rho0).iter().map(|r| ws.fft.gradient(r, ws.timers)).collect();
     push(suite, "transport/incremental_state_nt4/32", warmup, k, || {
         sl.solve_incremental_state(&ws, &v, &grads);
     });
@@ -175,9 +173,7 @@ fn bench_transport(suite: &mut BenchSuite, warmup: usize, k: usize) {
 fn bench_solver(suite: &mut BenchSuite, warmup: usize, k: usize) {
     let n = 16;
     let ctx = Ctx::new(n);
-    let fft = PencilFft::new(&ctx.comm, ctx.decomp);
-    let timers = Timers::new();
-    let ws = Workspace::new(&ctx.comm, &ctx.decomp, &fft, &timers);
+    let ws = ctx.ws();
     let t = diffreg_imgsim::template(&ctx.grid, ws.block());
     let v_star = diffreg_imgsim::exact_velocity(&ctx.grid, ws.block(), 0.5);
     let sl = SemiLagrangian::new(&ws, &v_star, 4);

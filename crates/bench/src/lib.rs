@@ -21,12 +21,11 @@ pub use results::{
     GateFinding, GateReport,
 };
 
-use diffreg_comm::{run_threaded, Comm, Timers};
+use diffreg_comm::{run_threaded, Comm};
 use diffreg_core::{register, RegistrationConfig};
-use diffreg_grid::{Decomp, Grid, ScalarField};
-use diffreg_pfft::PencilFft;
+use diffreg_grid::{Grid, ScalarField};
 use diffreg_telemetry::collect_phase_report;
-use diffreg_transport::{SemiLagrangian, Workspace};
+use diffreg_transport::{SemiLagrangian, SessionParts, Workspace};
 
 /// One row of a scaling table (measured or modeled).
 #[derive(Debug, Clone, Copy)]
@@ -105,19 +104,17 @@ pub struct Measured {
 pub fn measured_run(n: [usize; 3], p: usize, problem: Problem, cfg: RegistrationConfig) -> Measured {
     let grid = Grid::new(n);
     let per_rank = run_threaded(p, move |comm| {
-        let decomp = Decomp::new(grid, p);
-        let fft = PencilFft::new(comm, decomp);
-        let timers = Timers::new();
-        let ws = Workspace::new(comm, &decomp, &fft, &timers);
+        let parts = SessionParts::new(comm, grid);
+        let ws = parts.workspace(comm);
         let (t, r) = build_images(&ws, problem);
         // Time only the solve (image construction is experimental setup).
-        timers.reset();
+        ws.timers.reset();
         comm.barrier();
         let t0 = std::time::Instant::now();
         let out = register(&ws, &t, &r, cfg);
         comm.barrier();
-        timers.add("time_to_solution", t0.elapsed().as_secs_f64());
-        let report = collect_phase_report(comm, &timers, &comm.stats());
+        ws.timers.add("time_to_solution", t0.elapsed().as_secs_f64());
+        let report = collect_phase_report(comm, ws.timers, &comm.stats());
         let max = |key: &str| report.phase(key).map_or(0.0, |e| e.max);
         Measured {
             row: Row {

@@ -9,7 +9,7 @@
 //!
 //! * [`CommError`] — what went wrong at a single communication call site
 //!   (peer death, payload type/length mismatch, watchdog timeout, collective
-//!   contract violation, serial-queue deadlock).
+//!   contract violation, self-receive deadlock).
 //! * [`RankFailure`] — a contained per-rank panic report produced by
 //!   [`crate::run_threaded_checked`].
 //! * [`CollOp`] — the collective-operation fingerprint the contract checker
@@ -177,10 +177,11 @@ pub enum CommError {
         /// The collective the peer's message belongs to.
         observed: String,
     },
-    /// A single-rank (serial) receive found no matching queued message:
-    /// a guaranteed deadlock, reported instead of blocking forever.
+    /// A receive from this rank itself found no matching queued message.
+    /// Nothing else can send on a rank's self-channel, so the self-receive
+    /// would deadlock; it is reported instead of blocking forever.
     Deadlock {
-        /// The rank that would deadlock (always 0 for [`crate::SerialComm`]).
+        /// The rank that would deadlock.
         rank: usize,
         /// The `(src, tag)` the receive was waiting for.
         waiting_on: String,
@@ -236,7 +237,7 @@ impl fmt::Display for CommError {
             CommError::Deadlock { rank, waiting_on, queued } => {
                 write!(
                     f,
-                    "comm error on rank {rank}: serial recv would deadlock: waiting on \
+                    "comm error on rank {rank}: self-receive would deadlock: waiting on \
                      {waiting_on}, but queued messages are [{queued}]"
                 )
             }

@@ -10,6 +10,12 @@
 //! splits (needed for the row/column sub-communicators of the pencil
 //! decomposition) — with one OS thread per rank on shared memory.
 //!
+//! There is one backend, [`ThreadComm`]. A single rank is that same
+//! backend on a world of one: [`ThreadComm::new`] (alias [`SerialComm`])
+//! builds it on the calling thread, its collectives short-circuit, and a
+//! receive from itself that nothing queued can ever satisfy returns
+//! [`CommError::Deadlock`] at once.
+//!
 //! Every rank's endpoint counts its traffic ([`CommStats`]) so the benchmark
 //! harness can report communication volume and apply the paper's
 //! latency/bandwidth performance model to project cluster-scale timings.
@@ -53,7 +59,6 @@
 mod chaos;
 mod error;
 mod events;
-mod serial;
 mod stats;
 mod threaded;
 mod traits;
@@ -61,7 +66,9 @@ mod traits;
 pub use chaos::{ChaosComm, ChaosConfig};
 pub use error::{tag_display, CollOp, CommError, RankFailure, TAG_INTERNAL};
 pub use events::{monotonic_ns, CommEvent, CommOp};
-pub use serial::SerialComm;
 pub use stats::{CommStats, Timers};
 pub use threaded::{run_gang, run_threaded, run_threaded_checked, ThreadComm};
 pub use traits::{Comm, CommData, ReduceOp};
+
+/// A single rank: the one backend on a world of one ([`ThreadComm::new`]).
+pub type SerialComm = ThreadComm;

@@ -255,7 +255,8 @@ fn default_contract() -> bool {
 /// One rank's endpoint of a simulated MPI communicator.
 ///
 /// Created by [`run_threaded`] / [`run_threaded_checked`] (the world
-/// communicator) or [`Comm::split`]. The endpoint is `Send` so it can be
+/// communicator), [`ThreadComm::new`] (a world of one on the calling
+/// thread) or [`Comm::split`]. The endpoint is `Send` so it can be
 /// moved into its rank's thread, but it is not `Sync`: each rank owns its
 /// endpoint exclusively, exactly like an MPI process owns `MPI_COMM_WORLD`.
 pub struct ThreadComm {
@@ -330,7 +331,20 @@ fn make_channel_matrix(size: usize) -> Vec<Package> {
         .collect()
 }
 
+impl Default for ThreadComm {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
 impl ThreadComm {
+    /// A one-rank world on the calling thread: `mpirun -np 1` without a
+    /// spawned thread. Its collectives short-circuit, and a receive from
+    /// itself that nothing queued can satisfy is a [`CommError::Deadlock`].
+    pub fn new() -> Self {
+        Self::from_package(make_channel_matrix(1).swap_remove(0))
+    }
+
     fn from_package(p: Package) -> Self {
         let size = p.size;
         Self {
@@ -574,6 +588,9 @@ impl ThreadComm {
                 }
             }
         }
+        if src == self.rank {
+            return self.try_recv_self(tag);
+        }
         self.registry.set(self.rank, BlockedOn::Recv { src, tag });
         let deadline = self.timeout.get().map(|t| Instant::now() + t);
         let rx = &self.receivers[src];
@@ -605,6 +622,28 @@ impl ThreadComm {
         };
         self.registry.set(self.rank, BlockedOn::Running);
         result
+    }
+
+    /// A receive from this rank itself, once the pending queue holds no
+    /// match. Only this rank holds the sender of its self-channel, so what
+    /// the channel does not hold now can never arrive: drain it into the
+    /// pending queue, and a receive still unmatched is a deadlock, reported
+    /// at once on every world size.
+    fn try_recv_self(&self, tag: u64) -> Result<(usize, &'static str, Box<dyn Any + Send>), CommError> {
+        let rank = self.rank;
+        let mut pend = self.pending.borrow_mut();
+        while let Ok(msg) = self.receivers[rank].try_recv() {
+            if msg.0 == tag {
+                return Ok((msg.1, msg.2, msg.3));
+            }
+            pend[rank].push_back(msg);
+        }
+        let queued: Vec<String> = pend[rank].iter().map(|m| tag_display(m.0)).collect();
+        Err(CommError::Deadlock {
+            rank,
+            waiting_on: format!("(src={rank}, tag={})", tag_display(tag)),
+            queued: if queued.is_empty() { "<empty>".into() } else { queued.join(", ") },
+        })
     }
 
     /// The one reduction behind `try_allreduce` and `allreduce_usize`: rank 0
@@ -1140,6 +1179,46 @@ mod tests {
         assert_eq!(stats[0].messages_sent, 0);
         assert_eq!(stats[0].messages_received, 0);
         assert_eq!(stats[0].bytes_received, 0);
+    }
+
+    #[test]
+    fn one_rank_self_messages_match_mismatch_and_deadlock() {
+        let c = ThreadComm::new();
+        c.send(0, 4, vec![1u8]);
+        c.send(0, 9, vec![2u32, 3, 4]);
+        let err = c.try_recv::<u8>(0, 7).unwrap_err();
+        let (waiting_on, queued) = ("(src=0, tag=7)".into(), "4, 9".into());
+        assert_eq!(err, CommError::Deadlock { rank: 0, waiting_on, queued });
+        assert!(err.to_string().contains("self-receive would deadlock"), "{err}");
+        // The drained messages still match, out of tag order; a wrong element
+        // type reports the sender's byte count.
+        let err = c.try_recv::<f64>(0, 9).unwrap_err();
+        assert!(matches!(err, CommError::TypeMismatch { found_bytes: 12, .. }), "{err:?}");
+        assert_eq!(c.recv::<u8>(0, 4), vec![1]);
+        let err = c.try_alltoallv(vec![vec![1u8], vec![2u8]]).unwrap_err();
+        assert!(matches!(err, CommError::LengthMismatch { expected: 1, got: 2, .. }), "{err:?}");
+    }
+
+    #[test]
+    fn self_receive_with_nothing_queued_is_a_deadlock_on_two_ranks_too() {
+        // A blocking receive would end in the watchdog's Timeout instead.
+        let errs = run_threaded(2, |c| {
+            c.set_timeout(Some(Duration::from_millis(50)));
+            c.try_recv::<u8>(c.rank(), 5).unwrap_err()
+        });
+        for (rank, err) in errs.into_iter().enumerate() {
+            let (waiting_on, queued) = (format!("(src={rank}, tag=5)"), "<empty>".into());
+            assert_eq!(err, CommError::Deadlock { rank, waiting_on, queued });
+        }
+    }
+
+    #[test]
+    fn max_and_min_keep_a_nan_from_another_rank() {
+        let out = run_threaded(2, |c| {
+            let v = if c.rank() == 1 { f64::NAN } else { 1.0 };
+            (c.max_f64(v), c.min_f64(v))
+        });
+        assert!(out.iter().all(|(max, min)| max.is_nan() && min.is_nan()), "{out:?}");
     }
 
     #[test]

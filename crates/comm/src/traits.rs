@@ -1,5 +1,5 @@
-//! The communicator abstraction shared by the serial and the simulated
-//! distributed-memory backends.
+//! The communicator abstraction: the one simulated distributed-memory
+//! backend, the chaos decorator, and shared references to either.
 
 use crate::error::CommError;
 use crate::stats::CommStats;
@@ -23,11 +23,13 @@ pub enum ReduceOp {
 }
 
 impl ReduceOp {
-    /// Applies the operator to two f64 operands.
+    /// Applies the operator to two f64 operands. A NaN on either side wins,
+    /// as it does for `Sum`: `f64::max` / `f64::min` would drop it.
     #[inline]
     pub fn apply(self, a: f64, b: f64) -> f64 {
         match self {
             ReduceOp::Sum => a + b,
+            ReduceOp::Max | ReduceOp::Min if a.is_nan() || b.is_nan() => f64::NAN,
             ReduceOp::Max => a.max(b),
             ReduceOp::Min => a.min(b),
         }
@@ -63,7 +65,7 @@ fn or_abort<T>(res: Result<T, CommError>) -> T {
 ///
 /// A backend implements each operation once, as the fallible `try_*` method
 /// returning a structured [`CommError`] (peer gone, type mismatch, watchdog
-/// timeout, contract violation, serial deadlock); the infallible twin is
+/// timeout, contract violation, self-receive deadlock); the infallible twin is
 /// provided here and panics with that error's rendering.
 pub trait Comm: Sized {
     /// Communicator type produced by [`Comm::split`].

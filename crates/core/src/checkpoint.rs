@@ -240,11 +240,13 @@ impl SolverCheckpoint {
         let beta = f64::from_le_bytes(take_array::<8>(bytes, &mut off)?);
         let g0norm = f64::from_le_bytes(take_array::<8>(bytes, &mut off)?);
         let n = u64_at(&mut off)? as usize;
-        // The slab length must be consistent with the checksummed payload
-        // length, or the reserve below could balloon on a hostile header.
-        let body = payload_len.saturating_sub(8 * 5);
-        if body != 24 * n {
-            return Err(CheckpointError::LengthMismatch { expect: 8 * 5 + 24 * n, got: payload_len });
+        // The slab length must account for the checksummed payload length
+        // exactly, or the reserve below could balloon on a hostile header.
+        // `n` is untrusted, so the arithmetic is checked.
+        let expect = n.checked_mul(24).and_then(|body| body.checked_add(8 * 5));
+        if expect != Some(payload_len) {
+            let expect = expect.unwrap_or(usize::MAX);
+            return Err(CheckpointError::LengthMismatch { expect, got: payload_len });
         }
         let mut velocity: [Vec<f64>; 3] = [vec![], vec![], vec![]];
         for comp in velocity.iter_mut() {
@@ -583,6 +585,57 @@ mod tests {
             SolverCheckpoint::from_bytes(&bytes).unwrap_err(),
             CheckpointError::ChecksumMismatch { .. }
         ));
+    }
+
+    /// Rewrites the header checksum over the payload the header declares (as
+    /// much of it as is present), so a mutation reaches the later checks.
+    fn reseal(bytes: &mut [u8]) {
+        if bytes.len() < HEADER_LEN {
+            return;
+        }
+        let declared = u64::from_le_bytes(bytes[8..16].try_into().unwrap()) as usize;
+        let end = HEADER_LEN.saturating_add(declared).min(bytes.len());
+        let sum = fnv1a64(&bytes[HEADER_LEN..end]);
+        bytes[16..24].copy_from_slice(&sum.to_le_bytes());
+    }
+
+    #[test]
+    fn crafted_slab_length_is_a_typed_error() {
+        let velocity = [vec![1.0, 2.0], vec![3.0, 4.0], vec![5.0, 6.0]];
+        let mut bytes = SolverCheckpoint { velocity, ..sample() }.to_bytes();
+        // 24 · (2 + 2^61) wraps to 48, the true body length of n = 2.
+        let n = 2u64 + (1 << 61);
+        bytes[HEADER_LEN + 32..HEADER_LEN + 40].copy_from_slice(&n.to_le_bytes());
+        reseal(&mut bytes);
+        let err = SolverCheckpoint::from_bytes(&bytes).unwrap_err();
+        assert_eq!(err, CheckpointError::LengthMismatch { expect: usize::MAX, got: 88 });
+    }
+
+    /// Hostile input: truncations, bit flips and random values in the u64
+    /// fields, each resealed. The decoder answers with a typed error, or
+    /// accepts bytes that re-encode exactly; it never panics.
+    #[test]
+    fn hostile_bytes_give_a_typed_error_or_an_exact_round_trip() {
+        diffreg_testkit::prop_check!(cases = 256, |rng| {
+            let n = rng.len_scaled(0, 6);
+            let velocity = [(); 3].map(|_| rng.vec_uniform(n, -1.0, 1.0));
+            let mut bytes = SolverCheckpoint { velocity, ..sample() }.to_bytes();
+            // Payload length, level, iterations, β, ‖g₀‖, slab length.
+            let at = [8, 24, 32, 40, 48, 56][rng.index(6)];
+            let v = match rng.index(3) {
+                0 => rng.next_u64() >> rng.index(64),
+                1 => (n as u64).wrapping_add(1 << (58 + rng.index(6))),
+                _ => u64::from_le_bytes(bytes[at..at + 8].try_into().unwrap()) ^ 1 << rng.index(64),
+            };
+            bytes[at..at + 8].copy_from_slice(&v.to_le_bytes());
+            if rng.chance(0.3) {
+                bytes.truncate(rng.index(bytes.len()));
+            }
+            reseal(&mut bytes);
+            if let Ok(back) = SolverCheckpoint::from_bytes(&bytes) {
+                assert!(back.to_bytes() == bytes, "accepted bytes must re-encode exactly");
+            }
+        });
     }
 
     #[test]

@@ -290,10 +290,9 @@ pub fn register_solve<C: Comm>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use diffreg_comm::{run_threaded, SerialComm, Timers};
+    use diffreg_comm::{run_threaded, SerialComm};
     use diffreg_grid::{Decomp, Grid};
-    use diffreg_pfft::PencilFft;
-    use diffreg_transport::SemiLagrangian;
+    use diffreg_transport::{SemiLagrangian, SessionParts};
 
     /// The paper's synthetic problem (§IV-A1): template is a sin² bump sum,
     /// the reference is the template transported by a known velocity v*.
@@ -321,10 +320,8 @@ mod tests {
     fn registration_reduces_mismatch_substantially() {
         let grid = Grid::cubic(16);
         let comm = SerialComm::new();
-        let decomp = Decomp::new(grid, 1);
-        let fft = PencilFft::new(&comm, decomp);
-        let timers = Timers::new();
-        let ws = Workspace::new(&comm, &decomp, &fft, &timers);
+        let parts = SessionParts::new(&comm, grid);
+        let ws = parts.workspace(&comm);
         let (t, r, _) = synthetic_pair(&ws, 0.5);
         let cfg = RegistrationConfig { beta: 1e-3, ..Default::default() };
         let out = register(&ws, &t, &r, cfg);
@@ -342,10 +339,8 @@ mod tests {
     fn incompressible_registration_preserves_volume() {
         let grid = Grid::cubic(16);
         let comm = SerialComm::new();
-        let decomp = Decomp::new(grid, 1);
-        let fft = PencilFft::new(&comm, decomp);
-        let timers = Timers::new();
-        let ws = Workspace::new(&comm, &decomp, &fft, &timers);
+        let parts = SessionParts::new(&comm, grid);
+        let ws = parts.workspace(&comm);
         // Build the reference with a divergence-free v* (paper footnote 5).
         let grid2 = grid;
         let rho_t = ScalarField::from_fn(&grid2, ws.block(), |x| {
@@ -376,10 +371,8 @@ mod tests {
     fn continuation_reaches_target_beta() {
         let grid = Grid::cubic(12);
         let comm = SerialComm::new();
-        let decomp = Decomp::new(grid, 1);
-        let fft = PencilFft::new(&comm, decomp);
-        let timers = Timers::new();
-        let ws = Workspace::new(&comm, &decomp, &fft, &timers);
+        let parts = SessionParts::new(&comm, grid);
+        let ws = parts.workspace(&comm);
         let (t, r, _) = synthetic_pair(&ws, 0.4);
         let cfg = RegistrationConfig::default();
         let (out, reports) = register_with_continuation(&ws, &t, &r, cfg, &[1e-2, 1e-3]);
@@ -392,10 +385,8 @@ mod tests {
         let grid = Grid::cubic(12);
         let serial = {
             let comm = SerialComm::new();
-            let decomp = Decomp::new(grid, 1);
-            let fft = PencilFft::new(&comm, decomp);
-            let timers = Timers::new();
-            let ws = Workspace::new(&comm, &decomp, &fft, &timers);
+            let parts = SessionParts::new(&comm, grid);
+            let ws = parts.workspace(&comm);
             let (t, r, _) = synthetic_pair(&ws, 0.4);
             let cfg = RegistrationConfig {
                 newton: diffreg_optim::NewtonOptions { max_iter: 2, ..Default::default() },
@@ -405,10 +396,8 @@ mod tests {
             (out.final_mismatch, out.report.grad_norm)
         };
         run_threaded(4, move |comm| {
-            let decomp = Decomp::with_process_grid(grid, 2, 2);
-            let fft = PencilFft::new(comm, decomp);
-            let timers = Timers::new();
-            let ws = Workspace::new(comm, &decomp, &fft, &timers);
+            let parts = SessionParts::with_decomp(comm, Decomp::with_process_grid(grid, 2, 2));
+            let ws = parts.workspace(comm);
             let (t, r, _) = synthetic_pair(&ws, 0.4);
             let cfg = RegistrationConfig {
                 newton: diffreg_optim::NewtonOptions { max_iter: 2, ..Default::default() },

@@ -93,9 +93,9 @@ pub fn det_stats<C: Comm>(ws: &Workspace<C>, det: &ScalarField) -> DetGradStats 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use diffreg_comm::{SerialComm, Timers};
-    use diffreg_grid::{Decomp, Grid};
-    use diffreg_pfft::PencilFft;
+    use diffreg_comm::SerialComm;
+    use diffreg_grid::Grid;
+    use diffreg_transport::SessionParts;
 
     #[test]
     fn classification_regimes() {
@@ -111,10 +111,8 @@ mod tests {
     fn identity_map_has_unit_determinant() {
         let grid = Grid::cubic(8);
         let comm = SerialComm::new();
-        let decomp = Decomp::new(grid, 1);
-        let fft = PencilFft::new(&comm, decomp);
-        let timers = Timers::new();
-        let ws = Workspace::new(&comm, &decomp, &fft, &timers);
+        let parts = SessionParts::new(&comm, grid);
+        let ws = parts.workspace(&comm);
         let u = VectorField::zeros(ws.block());
         let det = det_deformation_gradient(&ws, &u);
         for v in det.data() {
@@ -126,15 +124,24 @@ mod tests {
     }
 
     #[test]
+    fn a_nan_determinant_is_not_diffeomorphic() {
+        let comm = SerialComm::new();
+        let parts = SessionParts::new(&comm, Grid::cubic(4));
+        let ws = parts.workspace(&comm);
+        let mut det = det_deformation_gradient(&ws, &VectorField::zeros(ws.block()));
+        det.data_mut()[3] = f64::NAN;
+        let s = det_stats(&ws, &det);
+        assert!(!s.diffeomorphic && s.min.is_nan() && s.max.is_nan(), "{s:?}");
+    }
+
+    #[test]
     fn analytic_displacement_determinant() {
         // u = (a sin(x0), 0, 0): F = diag(1 + a cos(x0), 1, 1),
         // det = 1 + a cos(x0).
         let grid = Grid::cubic(16);
         let comm = SerialComm::new();
-        let decomp = Decomp::new(grid, 1);
-        let fft = PencilFft::new(&comm, decomp);
-        let timers = Timers::new();
-        let ws = Workspace::new(&comm, &decomp, &fft, &timers);
+        let parts = SessionParts::new(&comm, grid);
+        let ws = parts.workspace(&comm);
         let a = 0.3;
         let u = VectorField::from_fn(&grid, ws.block(), |x| [a * x[0].sin(), 0.0, 0.0]);
         let det = det_deformation_gradient(&ws, &u);
@@ -149,10 +156,8 @@ mod tests {
         // div-free velocity: det(∇y₁) ≈ 1 everywhere (paper §II-A).
         let grid = Grid::cubic(16);
         let comm = SerialComm::new();
-        let decomp = Decomp::new(grid, 1);
-        let fft = PencilFft::new(&comm, decomp);
-        let timers = Timers::new();
-        let ws = Workspace::new(&comm, &decomp, &fft, &timers);
+        let parts = SessionParts::new(&comm, grid);
+        let ws = parts.workspace(&comm);
         let v = VectorField::from_fn(&grid, ws.block(), |x| {
             [0.3 * x[0].cos() * x[1].sin(), -0.3 * x[0].sin() * x[1].cos(), 0.0]
         });
@@ -171,10 +176,8 @@ mod tests {
     fn compressible_velocity_changes_volume() {
         let grid = Grid::cubic(16);
         let comm = SerialComm::new();
-        let decomp = Decomp::new(grid, 1);
-        let fft = PencilFft::new(&comm, decomp);
-        let timers = Timers::new();
-        let ws = Workspace::new(&comm, &decomp, &fft, &timers);
+        let parts = SessionParts::new(&comm, grid);
+        let ws = parts.workspace(&comm);
         let v = VectorField::from_fn(&grid, ws.block(), |x| [0.4 * x[0].sin(), 0.0, 0.0]);
         let u = displacement(&ws, &v, 8);
         let det = det_deformation_gradient(&ws, &u);

@@ -14,18 +14,15 @@
 //! * deformation-map diagnostics (`det(∇y₁)`, diffeomorphy checks).
 //!
 //! ```no_run
-//! use diffreg_comm::{SerialComm, Timers};
-//! use diffreg_grid::{Decomp, Grid, ScalarField};
-//! use diffreg_pfft::PencilFft;
-//! use diffreg_transport::Workspace;
+//! use diffreg_comm::SerialComm;
+//! use diffreg_grid::{Grid, ScalarField};
+//! use diffreg_transport::SessionParts;
 //! use diffreg_core::{register, RegistrationConfig};
 //!
 //! let grid = Grid::cubic(64);
-//! let comm = SerialComm::new();
-//! let decomp = Decomp::new(grid, 1);
-//! let fft = PencilFft::new(&comm, decomp);
-//! let timers = Timers::new();
-//! let ws = Workspace::new(&comm, &decomp, &fft, &timers);
+//! let comm = SerialComm::new(); // a one-rank world
+//! let parts = SessionParts::new(&comm, grid);
+//! let ws = parts.workspace(&comm);
 //! let template = ScalarField::from_fn(&grid, ws.block(), |x| x[0].sin());
 //! let reference = ScalarField::from_fn(&grid, ws.block(), |x| (x[0] - 0.2).sin());
 //! let outcome = register(&ws, &template, &reference, RegistrationConfig::default());

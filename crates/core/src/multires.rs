@@ -12,12 +12,11 @@
 //! single-rank (node-local) feature; the per-level solves use the same
 //! distributed-capable code paths with a one-rank communicator.
 
-use diffreg_comm::{Comm, Timers};
+use diffreg_comm::Comm;
 use diffreg_grid::{Decomp, Grid, Layout, ScalarField, VectorField};
 use diffreg_optim::NewtonReport;
-use diffreg_pfft::PencilFft;
 use diffreg_spectral::{coarsen_extents, spectral_resample};
-use diffreg_transport::Workspace;
+use diffreg_transport::SessionParts;
 
 use crate::config::RegistrationConfig;
 use crate::checkpoint::CheckpointStore;
@@ -99,10 +98,8 @@ pub fn register_multilevel<C: Comm>(
     for grid in &grids {
         let t_level = resample_scalar(rho_t, &fine_grid, grid);
         let r_level = resample_scalar(rho_r, &fine_grid, grid);
-        let decomp = Decomp::new(*grid, 1);
-        let fft = PencilFft::new(comm, decomp);
-        let timers = Timers::new();
-        let ws = Workspace::new(comm, &decomp, &fft, &timers);
+        let parts = SessionParts::new(comm, *grid);
+        let ws = parts.workspace(comm);
         let v0 = velocity.as_ref().map(|(from, v)| resample_vector(v, from, grid));
         let (out, _) = register_solve(
             &ws,
@@ -145,10 +142,8 @@ mod tests {
     fn multilevel_matches_or_beats_single_level_quality() {
         let comm = SerialComm::new();
         let fine = Grid::cubic(16);
-        let decomp = Decomp::new(fine, 1);
-        let fft = PencilFft::new(&comm, decomp);
-        let timers = Timers::new();
-        let ws = Workspace::new(&comm, &decomp, &fft, &timers);
+        let parts = SessionParts::new(&comm, fine);
+        let ws = parts.workspace(&comm);
         let t = ScalarField::from_fn(&fine, ws.block(), |x| {
             (x[0].sin().powi(2) + x[1].sin().powi(2) + x[2].sin().powi(2)) / 3.0
         });
@@ -194,8 +189,8 @@ mod tests {
     #[test]
     #[should_panic(expected = "rank thread panicked")]
     fn rejects_multirank_comm() {
-        // A SerialComm is fine; fake a failure by calling with a distributed
-        // communicator inside run_threaded.
+        // A one-rank world is fine; fake a failure by calling with a
+        // two-rank communicator inside run_threaded.
         diffreg_comm::run_threaded(2, |comm| {
             let grid = Grid::cubic(8);
             let block = Decomp::new(grid, 1).block(0, Layout::Spatial);

@@ -343,15 +343,15 @@ impl<'a, C: Comm> GaussNewtonProblem for RegProblem<'a, C> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use diffreg_comm::{SerialComm, Timers};
-    use diffreg_grid::{Decomp, Grid};
+    use diffreg_comm::SerialComm;
+    use diffreg_grid::Grid;
     use diffreg_optim::VectorOps;
-    use diffreg_pfft::PencilFft;
+    use diffreg_transport::SessionParts;
 
-    fn setup(
-        grid: Grid,
-    ) -> (SerialComm, Decomp, Timers) {
-        (SerialComm::new(), Decomp::new(grid, 1), Timers::new())
+    fn setup(grid: Grid) -> (SerialComm, SessionParts<SerialComm>) {
+        let comm = SerialComm::new();
+        let parts = SessionParts::new(&comm, grid);
+        (comm, parts)
     }
 
     fn images<C: Comm>(ws: &Workspace<C>) -> (ScalarField, ScalarField) {
@@ -375,9 +375,8 @@ mod tests {
     #[test]
     fn gradient_matches_finite_differences() {
         let grid = Grid::cubic(12);
-        let (comm, decomp, timers) = setup(grid);
-        let fft = PencilFft::new(&comm, decomp);
-        let ws = Workspace::new(&comm, &decomp, &fft, &timers);
+        let (comm, parts) = setup(grid);
+        let ws = parts.workspace(&comm);
         let (t, r) = images(&ws);
         let cfg = RegistrationConfig { nt: 4, beta: 1e-2, ..Default::default() };
         let mut prob = RegProblem::new(&ws, &t, &r, cfg);
@@ -409,9 +408,8 @@ mod tests {
     #[test]
     fn hessian_is_nearly_symmetric_and_psd() {
         let grid = Grid::cubic(10);
-        let (comm, decomp, timers) = setup(grid);
-        let fft = PencilFft::new(&comm, decomp);
-        let ws = Workspace::new(&comm, &decomp, &fft, &timers);
+        let (comm, parts) = setup(grid);
+        let ws = parts.workspace(&comm);
         let (t, r) = images(&ws);
         let cfg = RegistrationConfig { nt: 4, beta: 1e-2, ..Default::default() };
         let mut prob = RegProblem::new(&ws, &t, &r, cfg);
@@ -450,9 +448,8 @@ mod tests {
         // 0.18/0.046 at N = 12/16/24/32 — while err_GN plateaus at the
         // dropped-term difference.)
         let grid = Grid::cubic(24);
-        let (comm, decomp, timers) = setup(grid);
-        let fft = PencilFft::new(&comm, decomp);
-        let ws = Workspace::new(&comm, &decomp, &fft, &timers);
+        let (comm, parts) = setup(grid);
+        let ws = parts.workspace(&comm);
         let (t, r) = images(&ws);
         let v = probe_dir(&ws);
         let d = VectorField::from_fn(&grid, ws.block(), |x| {
@@ -502,9 +499,8 @@ mod tests {
     #[test]
     fn full_newton_registration_converges() {
         let grid = Grid::cubic(12);
-        let (comm, decomp, timers) = setup(grid);
-        let fft = PencilFft::new(&comm, decomp);
-        let ws = Workspace::new(&comm, &decomp, &fft, &timers);
+        let (comm, parts) = setup(grid);
+        let ws = parts.workspace(&comm);
         let (t, r) = images(&ws);
         let cfg = RegistrationConfig {
             beta: 1e-2,
@@ -522,9 +518,8 @@ mod tests {
         // At v = 0 the regularization gradient vanishes; for identical
         // images the full gradient must vanish too.
         let grid = Grid::cubic(8);
-        let (comm, decomp, timers) = setup(grid);
-        let fft = PencilFft::new(&comm, decomp);
-        let ws = Workspace::new(&comm, &decomp, &fft, &timers);
+        let (comm, parts) = setup(grid);
+        let ws = parts.workspace(&comm);
         let t = ScalarField::from_fn(&grid, ws.block(), |x| x[0].sin());
         let cfg = RegistrationConfig::default();
         let mut prob = RegProblem::new(&ws, &t, &t.clone(), cfg);
@@ -537,9 +532,8 @@ mod tests {
     #[test]
     fn incompressible_gradient_is_divergence_free() {
         let grid = Grid::cubic(10);
-        let (comm, decomp, timers) = setup(grid);
-        let fft = PencilFft::new(&comm, decomp);
-        let ws = Workspace::new(&comm, &decomp, &fft, &timers);
+        let (comm, parts) = setup(grid);
+        let ws = parts.workspace(&comm);
         let (t, r) = images(&ws);
         let cfg = RegistrationConfig { incompressible: true, ..Default::default() };
         let mut prob = RegProblem::new(&ws, &t, &r, cfg);

@@ -80,20 +80,16 @@ pub fn register_translation<C: Comm>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use diffreg_comm::{SerialComm, Timers};
-    use diffreg_grid::{Decomp, Grid};
-    use diffreg_pfft::PencilFft;
-
-    fn setup(grid: Grid) -> (SerialComm, Decomp, Timers) {
-        (SerialComm::new(), Decomp::new(grid, 1), Timers::new())
-    }
+    use diffreg_comm::SerialComm;
+    use diffreg_grid::Grid;
+    use diffreg_transport::SessionParts;
 
     #[test]
     fn recovers_pure_translation() {
         let grid = Grid::cubic(16);
-        let (comm, decomp, timers) = setup(grid);
-        let fft = PencilFft::new(&comm, decomp);
-        let ws = Workspace::new(&comm, &decomp, &fft, &timers);
+        let comm = SerialComm::new();
+        let parts = SessionParts::new(&comm, grid);
+        let ws = parts.workspace(&comm);
         let true_shift = [0.5, -0.3, 0.2];
         let img = |x: [f64; 3]| x[0].sin() * x[1].cos() + 0.4 * (x[2] + 2.0 * x[0]).sin();
         let rho_t = ScalarField::from_fn(&grid, ws.block(), img);
@@ -117,9 +113,9 @@ mod tests {
         // The Fig. 1 story: a translation helps, but a genuinely deformable
         // warp leaves substantial residual behind.
         let grid = Grid::cubic(16);
-        let (comm, decomp, timers) = setup(grid);
-        let fft = PencilFft::new(&comm, decomp);
-        let ws = Workspace::new(&comm, &decomp, &fft, &timers);
+        let comm = SerialComm::new();
+        let parts = SessionParts::new(&comm, grid);
+        let ws = parts.workspace(&comm);
         let rho_t = ScalarField::from_fn(&grid, ws.block(), |x| {
             (x[0].sin().powi(2) + x[1].sin().powi(2) + x[2].sin().powi(2)) / 3.0
         });

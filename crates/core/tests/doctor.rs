@@ -18,17 +18,16 @@
 //! The first test also writes its trace bundle to `target/tmp/doctor-smoke`,
 //! which `scripts/ci.sh` hands to `diffreg-doctor analyze --gate`.
 
-use diffreg_comm::{run_threaded, ChaosComm, ChaosConfig, Comm, CommOp, Timers};
+use diffreg_comm::{run_threaded, ChaosComm, ChaosConfig, Comm, CommOp};
 use diffreg_core::{register_solve, CheckpointStore, RegistrationConfig};
 use diffreg_grid::{Decomp, Grid, ScalarField, VectorField};
-use diffreg_pfft::PencilFft;
 use diffreg_telemetry::doctor::{
     analyze, write_trace_bundle, DoctorInput, RankCapture, WaitKind,
 };
 use diffreg_telemetry::{
     set_trace_enabled, take_global_metrics, take_recorder, ConvergenceLog, MetricsRegistry,
 };
-use diffreg_transport::{SemiLagrangian, Workspace};
+use diffreg_transport::{SemiLagrangian, SessionParts, Workspace};
 
 fn smoke_size() -> usize {
     if cfg!(debug_assertions) { 16 } else { 32 }
@@ -67,10 +66,8 @@ fn doctor_explains_a_traced_registration() {
     let per_rank: Vec<(RankCapture, MetricsRegistry)> =
         run_threaded(RANKS, move |comm| {
             comm.set_event_recording(true);
-            let decomp = Decomp::with_process_grid(grid, 2, 2);
-            let fft = PencilFft::new(comm, decomp);
-            let timers = Timers::new();
-            let ws = Workspace::new(comm, &decomp, &fft, &timers);
+            let parts = SessionParts::with_decomp(comm, Decomp::with_process_grid(grid, 2, 2));
+            let ws = parts.workspace(comm);
             let (t, r) = synthetic_pair(&ws);
             let cfg = RegistrationConfig {
                 newton: diffreg_optim::NewtonOptions { max_iter: 3, ..Default::default() },

@@ -4,22 +4,17 @@
 //! checks, and a registration problem with a known ground-truth solution
 //! (testkit's `GaussianPair`).
 
-use diffreg_comm::{SerialComm, Timers};
+use diffreg_comm::SerialComm;
 use diffreg_core::{register, register_translation, RegProblem, RegistrationConfig};
-use diffreg_grid::{Decomp, Grid, ScalarField, VectorField};
+use diffreg_grid::{Grid, ScalarField, VectorField};
 use diffreg_optim::{GaussNewtonProblem, VectorOps};
-use diffreg_pfft::PencilFft;
 use diffreg_testkit::oracle::{adjoint_asymmetry, GaussianPair, PlaneWave};
 use diffreg_testkit::prop_check;
-use diffreg_transport::Workspace;
+use diffreg_transport::{SessionParts, Workspace};
 
 fn with_serial_ws<R>(grid: Grid, f: impl FnOnce(&Workspace<SerialComm>) -> R) -> R {
     let comm = SerialComm::new();
-    let decomp = Decomp::new(grid, 1);
-    let fft = PencilFft::new(&comm, decomp);
-    let timers = Timers::new();
-    let ws = Workspace::new(&comm, &decomp, &fft, &timers);
-    f(&ws)
+    f(&SessionParts::new(&comm, grid).workspace(&comm))
 }
 
 fn random_scalar(

@@ -3,17 +3,14 @@
 //! communication chaos, and a run killed mid-continuation must resume from
 //! its checkpoint to the uninterrupted solve's answer.
 
-use diffreg_comm::{
-    run_threaded, run_threaded_checked, ChaosComm, ChaosConfig, Comm, SerialComm, Timers,
-};
+use diffreg_comm::{run_threaded, run_threaded_checked, ChaosComm, ChaosConfig, Comm, SerialComm};
 use diffreg_core::{
     register, register_solve, register_with_continuation, CheckpointStore, RegistrationConfig,
 };
 use diffreg_grid::{Decomp, Grid, ScalarField, VectorField};
 use diffreg_optim::NewtonOptions;
-use diffreg_pfft::PencilFft;
 use diffreg_telemetry::StreamEntry;
-use diffreg_transport::{SemiLagrangian, Workspace};
+use diffreg_transport::{SemiLagrangian, SessionParts, Workspace};
 
 /// The paper's synthetic problem (§IV-A1): template is a sin² bump sum, the
 /// reference is the template transported by a known velocity.
@@ -50,10 +47,8 @@ fn chaos_does_not_change_registration_results() {
     let grid = Grid::cubic(12);
     let solve_clean = move || -> Vec<(u64, u64)> {
         run_threaded(4, move |comm| {
-            let decomp = Decomp::with_process_grid(grid, 2, 2);
-            let fft = PencilFft::new(comm, decomp);
-            let timers = Timers::new();
-            let ws = Workspace::new(comm, &decomp, &fft, &timers);
+            let parts = SessionParts::with_decomp(comm, Decomp::with_process_grid(grid, 2, 2));
+            let ws = parts.workspace(comm);
             let (t, r) = synthetic_pair(&ws, 0.4);
             let out = register(&ws, &t, &r, small_cfg());
             (out.final_mismatch.to_bits(), out.report.grad_norm.to_bits())
@@ -66,10 +61,8 @@ fn chaos_does_not_change_registration_results() {
                 comm,
                 ChaosConfig::seeded(seed).with_latency(0.25, 60).with_reorder(0.4),
             );
-            let decomp = Decomp::with_process_grid(grid, 2, 2);
-            let fft = PencilFft::new(&chaos, decomp);
-            let timers = Timers::new();
-            let ws = Workspace::new(&chaos, &decomp, &fft, &timers);
+            let parts = SessionParts::with_decomp(&chaos, Decomp::with_process_grid(grid, 2, 2));
+            let ws = parts.workspace(&chaos);
             let (t, r) = synthetic_pair(&ws, 0.4);
             let out = register(&ws, &t, &r, small_cfg());
             (out.final_mismatch.to_bits(), out.report.grad_norm.to_bits())
@@ -95,10 +88,8 @@ fn killed_continuation_resumes_from_checkpoint_exactly() {
 
     // Uninterrupted reference (checkpointing disabled).
     let reference = run_threaded(4, move |comm| {
-        let decomp = Decomp::with_process_grid(grid, 2, 2);
-        let fft = PencilFft::new(comm, decomp);
-        let timers = Timers::new();
-        let ws = Workspace::new(comm, &decomp, &fft, &timers);
+        let parts = SessionParts::with_decomp(comm, Decomp::with_process_grid(grid, 2, 2));
+        let ws = parts.workspace(comm);
         let (t, r) = synthetic_pair(&ws, 0.4);
         let (out, reports) =
             register_solve(&ws, &t, &r, cfg, &betas, None, &CheckpointStore::Disabled, |_| {});
@@ -111,10 +102,8 @@ fn killed_continuation_resumes_from_checkpoint_exactly() {
     let store = CheckpointStore::memory();
     let store_for_kill = store.clone();
     let killed = run_threaded_checked(4, move |comm| {
-        let decomp = Decomp::with_process_grid(grid, 2, 2);
-        let fft = PencilFft::new(comm, decomp);
-        let timers = Timers::new();
-        let ws = Workspace::new(comm, &decomp, &fft, &timers);
+        let parts = SessionParts::with_decomp(comm, Decomp::with_process_grid(grid, 2, 2));
+        let ws = parts.workspace(comm);
         let (t, r) = synthetic_pair(&ws, 0.4);
         register_solve(&ws, &t, &r, cfg, &betas, None, &store_for_kill, |entry| {
             if matches!(entry, StreamEntry::Iter(it) if it.level == 0 && it.iter == 1) {
@@ -137,10 +126,8 @@ fn killed_continuation_resumes_from_checkpoint_exactly() {
     // Run 2: resume from the checkpoints and finish the solve.
     let store_for_resume = store.clone();
     let resumed = run_threaded(4, move |comm| {
-        let decomp = Decomp::with_process_grid(grid, 2, 2);
-        let fft = PencilFft::new(comm, decomp);
-        let timers = Timers::new();
-        let ws = Workspace::new(comm, &decomp, &fft, &timers);
+        let parts = SessionParts::with_decomp(comm, Decomp::with_process_grid(grid, 2, 2));
+        let ws = parts.workspace(comm);
         let (t, r) = synthetic_pair(&ws, 0.4);
         let (out, _) =
             register_solve(&ws, &t, &r, cfg, &betas, None, &store_for_resume, |_| {});
@@ -171,10 +158,8 @@ fn killed_continuation_resumes_from_checkpoint_exactly() {
 fn checkpointed_driver_matches_plain_continuation_bitwise() {
     let grid = Grid::cubic(12);
     let comm = SerialComm::new();
-    let decomp = Decomp::new(grid, 1);
-    let fft = PencilFft::new(&comm, decomp);
-    let timers = Timers::new();
-    let ws = Workspace::new(&comm, &decomp, &fft, &timers);
+    let parts = SessionParts::new(&comm, grid);
+    let ws = parts.workspace(&comm);
     let (t, r) = synthetic_pair(&ws, 0.4);
     let betas = [1e-2, 1e-3];
 

@@ -14,9 +14,8 @@ use diffreg_core::{
 };
 use diffreg_grid::{Decomp, Grid, ScalarField, VectorField};
 use diffreg_optim::{gauss_newton_observed, GaussNewtonProblem, NewtonOptions, NewtonStatus};
-use diffreg_pfft::PencilFft;
 use diffreg_telemetry::{set_trace_enabled, take_recorder, RecKind};
-use diffreg_transport::{SemiLagrangian, Workspace};
+use diffreg_transport::{SemiLagrangian, SessionParts, Workspace};
 
 const ROUTED: &str = "interp_points_routed";
 
@@ -44,10 +43,9 @@ fn on_grids(body: impl Fn(&Workspace<ThreadComm>, &Timers) + Send + Sync + Copy)
     for (dims, (p1, p2)) in [([12, 12, 12], (1, 1)), ([24, 30, 24], (2, 2))] {
         run_threaded(p1 * p2, move |comm| {
             let decomp = Decomp::with_process_grid(Grid::new(dims), p1, p2);
-            let fft = PencilFft::new(comm, decomp);
-            let timers = Timers::new();
-            let ws = Workspace::new(comm, &decomp, &fft, &timers);
-            body(&ws, &timers);
+            let parts = SessionParts::with_decomp(comm, decomp);
+            let ws = parts.workspace(comm);
+            body(&ws, ws.timers);
         });
     }
 }
@@ -197,9 +195,8 @@ fn register_solve_post_processing_matches_public_pieces() {
     for (dims, (p1, p2), betas, newton, expect) in cases {
         run_threaded(p1 * p2, move |comm| {
             let decomp = Decomp::with_process_grid(Grid::new(dims), p1, p2);
-            let fft = PencilFft::new(comm, decomp);
-            let timers = Timers::new();
-            let ws = Workspace::new(comm, &decomp, &fft, &timers);
+            let parts = SessionParts::with_decomp(comm, decomp);
+            let ws = parts.workspace(comm);
             let (t, r) = synthetic_pair(&ws);
             let cfg = RegistrationConfig { newton, ..Default::default() };
             let (want, status) = public_pieces(&ws, &t, &r, cfg, betas);
@@ -240,12 +237,10 @@ fn register_solve_post_processing_matches_public_pieces() {
 fn one_register_builds_each_velocity_once() {
     set_trace_enabled(true);
     let (linearize_spans, routed, steps) = run_threaded(1, |comm| {
-        let decomp = Decomp::new(Grid::cubic(16), 1);
-        let fft = PencilFft::new(comm, decomp);
-        let timers = Timers::new();
-        let ws = Workspace::new(comm, &decomp, &fft, &timers);
+        let parts = SessionParts::new(comm, Grid::cubic(16));
+        let ws = parts.workspace(comm);
         let (t, r) = synthetic_pair(&ws);
-        timers.reset();
+        ws.timers.reset();
         let _ = take_recorder();
         let out = register(&ws, &t, &r, RegistrationConfig::default());
         let snap = take_recorder();
@@ -256,7 +251,7 @@ fn one_register_builds_each_velocity_once() {
             .filter(|e| e.kind == RecKind::Span && e.name == "reg.linearize")
             .count();
         let steps: Vec<f64> = out.report.iterations.iter().map(|s| s.step_length).collect();
-        (spans, timers.get_count(ROUTED), steps)
+        (spans, ws.timers.get_count(ROUTED), steps)
     })
     .pop()
     .unwrap();

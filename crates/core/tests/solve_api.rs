@@ -7,17 +7,16 @@
 //! `register_with_continuation_logged` wrote for the same problem
 //! (`tests/golden/`, captured at the parent commit of the merge).
 
-use diffreg_comm::{run_threaded, Comm, SerialComm, Timers};
+use diffreg_comm::{run_threaded, Comm, SerialComm};
 use diffreg_core::{
     register, register_solve, register_with_continuation, CheckpointStore, RegProblem,
     RegistrationConfig, RegistrationOutcome,
 };
-use diffreg_grid::{Decomp, Grid, ScalarField, VectorField};
+use diffreg_grid::{Grid, ScalarField, VectorField};
 use diffreg_interp::Kernel;
 use diffreg_optim::{GaussNewtonProblem, NewtonOptions, NewtonReport, NewtonStatus};
-use diffreg_pfft::PencilFft;
 use diffreg_telemetry::{ConvergenceLog, StreamEntry};
-use diffreg_transport::{SemiLagrangian, Workspace};
+use diffreg_transport::{SemiLagrangian, SessionParts, Workspace};
 
 const BETAS: [f64; 2] = [1e-2, 1e-3];
 
@@ -41,10 +40,8 @@ fn on_problem<R>(
 ) -> R {
     let grid = Grid::cubic(12);
     let comm = SerialComm::new();
-    let decomp = Decomp::new(grid, 1);
-    let fft = PencilFft::new(&comm, decomp);
-    let timers = Timers::new();
-    let ws = Workspace::new(&comm, &decomp, &fft, &timers);
+    let parts = SessionParts::new(&comm, grid);
+    let ws = parts.workspace(&comm);
     let (rho_t, rho_r) = synthetic_pair(&ws);
     body(&ws, &rho_t, &rho_r)
 }
@@ -237,10 +234,8 @@ fn non_cubic_solve_is_diffeomorphic_and_agrees_across_rank_counts() {
     // The velocity on the whole grid, assembled from the ranks' blocks.
     let solve = |p: usize, betas: &'static [f64], expect: &'static [NewtonStatus]| -> Vec<f64> {
         let per_rank = run_threaded(p, move |comm| {
-            let decomp = Decomp::new(grid, p);
-            let fft = PencilFft::new(comm, decomp);
-            let timers = Timers::new();
-            let ws = Workspace::new(comm, &decomp, &fft, &timers);
+            let parts = SessionParts::new(comm, grid);
+            let ws = parts.workspace(comm);
             let (t, r) = synthetic_pair(&ws);
             let cfg = RegistrationConfig::default();
             let store = CheckpointStore::Disabled;

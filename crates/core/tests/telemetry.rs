@@ -10,17 +10,16 @@
 //!
 //! The grid is 16³ in debug builds so tier-1 stays fast and 32³ in release.
 
-use diffreg_comm::{run_threaded, Comm, Timers};
+use diffreg_comm::{run_threaded, Comm};
 use diffreg_core::{register_solve, CheckpointStore, RegistrationConfig};
 use diffreg_grid::{Decomp, Grid, ScalarField, VectorField};
-use diffreg_pfft::PencilFft;
 use diffreg_telemetry::doctor::RankCapture;
 use diffreg_telemetry::{
     chrome_trace, collect_phase_report, set_recorder_enabled, set_trace_enabled, take_recorder,
     validate_chrome_trace, ConvergenceLog, Json, PhaseReport, PredictedPhases,
     RecorderSnapshot,
 };
-use diffreg_transport::{SemiLagrangian, Workspace};
+use diffreg_transport::{SemiLagrangian, SessionParts, Workspace};
 
 fn smoke_size() -> usize {
     if cfg!(debug_assertions) { 16 } else { 32 }
@@ -58,10 +57,8 @@ fn traced_registration_produces_all_three_artifacts() {
     set_trace_enabled(true);
     let per_rank: Vec<(RecorderSnapshot, PhaseReport, ConvergenceLog, usize)> =
         run_threaded(RANKS, move |comm| {
-            let decomp = Decomp::with_process_grid(grid, 2, 2);
-            let fft = PencilFft::new(comm, decomp);
-            let timers = Timers::new();
-            let ws = Workspace::new(comm, &decomp, &fft, &timers);
+            let parts = SessionParts::with_decomp(comm, Decomp::with_process_grid(grid, 2, 2));
+            let ws = parts.workspace(comm);
             let (t, r) = synthetic_pair(&ws);
             let cfg = RegistrationConfig {
                 newton: diffreg_optim::NewtonOptions { max_iter: 3, ..Default::default() },
@@ -71,7 +68,7 @@ fn traced_registration_produces_all_three_artifacts() {
             let store = CheckpointStore::Disabled;
             let (_out, reports) =
                 register_solve(&ws, &t, &r, cfg, &betas, None, &store, |e| log.push(e));
-            let report = collect_phase_report(comm, &timers, &comm.stats());
+            let report = collect_phase_report(comm, ws.timers, &comm.stats());
             let iters: usize = reports.iter().map(|r| r.outer_iterations()).sum();
             (take_recorder(), report, log, iters)
         });
@@ -164,10 +161,8 @@ fn untraced_registration_records_nothing() {
         if diffreg_telemetry::trace_enabled() {
             return None;
         }
-        let decomp = Decomp::new(grid, 2);
-        let fft = PencilFft::new(comm, decomp);
-        let timers = Timers::new();
-        let ws = Workspace::new(comm, &decomp, &fft, &timers);
+        let parts = SessionParts::new(comm, grid);
+        let ws = parts.workspace(comm);
         let (t, r) = synthetic_pair(&ws);
         let cfg = RegistrationConfig {
             newton: diffreg_optim::NewtonOptions { max_iter: 1, ..Default::default() },

@@ -11,23 +11,20 @@
 //! flag and drains the thread-local metrics registry, which must not race
 //! with other telemetry-sensitive tests in the same binary.
 
-use diffreg_comm::{SerialComm, Timers};
+use diffreg_comm::SerialComm;
 use diffreg_core::{RegProblem, RegistrationConfig};
-use diffreg_grid::{Decomp, Grid, ScalarField, VectorField, ARENA_HIT_COUNTER, ARENA_MISS_COUNTER};
+use diffreg_grid::{Grid, ScalarField, VectorField, ARENA_HIT_COUNTER, ARENA_MISS_COUNTER};
 use diffreg_optim::GaussNewtonProblem;
-use diffreg_pfft::PencilFft;
 use diffreg_testkit::oracle::GaussianPair;
-use diffreg_transport::Workspace;
+use diffreg_transport::SessionParts;
 
 #[test]
 fn warm_arena_newton_iteration_allocates_nothing() {
     let grid = Grid::cubic(12);
     let pair = GaussianPair::new([0.4, -0.2, 0.1], 0.8);
     let comm = SerialComm::new();
-    let decomp = Decomp::new(grid, 1);
-    let fft = PencilFft::new(&comm, decomp);
-    let timers = Timers::new();
-    let ws = Workspace::new(&comm, &decomp, &fft, &timers);
+    let parts = SessionParts::new(&comm, grid);
+    let ws = parts.workspace(&comm);
     let rho_t = ScalarField::from_fn(&grid, ws.block(), |x| pair.template(x));
     let rho_r = ScalarField::from_fn(&grid, ws.block(), |x| pair.reference(x));
     let v = VectorField::from_fn(&grid, ws.block(), |x| {
@@ -45,8 +42,8 @@ fn warm_arena_newton_iteration_allocates_nothing() {
         // The two spectral operators of the Krylov loop, called directly:
         // their complex working arrays and scratch are arena buffers too.
         let cfg = *prob.config();
-        let _ = fft.regularization(&d, cfg.reg, cfg.beta, &timers);
-        let _ = fft.precondition(&d, cfg.reg, cfg.beta, &timers);
+        let _ = ws.fft.regularization(&d, cfg.reg, cfg.beta, ws.timers);
+        let _ = ws.fft.precondition(&d, cfg.reg, cfg.beta, ws.timers);
     };
 
     // Warm-up: populate every arena capacity class the iteration touches.

@@ -4,7 +4,7 @@
 //! A field stores only its rank's local block (row-major, axis 2 fastest).
 //! Global reductions go through the communicator.
 
-use diffreg_comm::Comm;
+use diffreg_comm::{Comm, ReduceOp};
 
 use crate::layout::{Block, Decomp, Grid, Layout};
 
@@ -99,22 +99,23 @@ impl ScalarField {
 
     /// Global L² norm.
     pub fn norm<C: Comm>(&self, grid: &Grid, comm: &C) -> f64 {
-        self.inner(self, grid, comm).max(0.0).sqrt()
+        self.inner(self, grid, comm).sqrt()
     }
 
-    /// Global maximum absolute value.
+    /// Global maximum absolute value (NaN if any entry is NaN, like every
+    /// reduction below).
     pub fn max_abs<C: Comm>(&self, comm: &C) -> f64 {
-        comm.max_f64(self.data.iter().fold(0.0_f64, |m, v| m.max(v.abs())))
+        comm.max_f64(self.data.iter().fold(0.0_f64, |m, v| ReduceOp::Max.apply(m, v.abs())))
     }
 
     /// Global minimum value.
     pub fn min<C: Comm>(&self, comm: &C) -> f64 {
-        comm.min_f64(self.data.iter().fold(f64::INFINITY, |m, &v| m.min(v)))
+        comm.min_f64(self.data.iter().fold(f64::INFINITY, |m, &v| ReduceOp::Min.apply(m, v)))
     }
 
     /// Global maximum value.
     pub fn max<C: Comm>(&self, comm: &C) -> f64 {
-        comm.max_f64(self.data.iter().fold(f64::NEG_INFINITY, |m, &v| m.max(v)))
+        comm.max_f64(self.data.iter().fold(f64::NEG_INFINITY, |m, &v| ReduceOp::Max.apply(m, v)))
     }
 
     /// Global mean value.
@@ -197,7 +198,7 @@ impl VectorField {
 
     /// Global L² norm.
     pub fn norm<C: Comm>(&self, grid: &Grid, comm: &C) -> f64 {
-        self.inner(self, grid, comm).max(0.0).sqrt()
+        self.inner(self, grid, comm).sqrt()
     }
 
     /// Global maximum pointwise Euclidean magnitude (used for CFL numbers).
@@ -207,7 +208,7 @@ impl VectorField {
             let v0 = self.comps[0].data()[l];
             let v1 = self.comps[1].data()[l];
             let v2 = self.comps[2].data()[l];
-            m = m.max((v0 * v0 + v1 * v1 + v2 * v2).sqrt());
+            m = ReduceOp::Max.apply(m, (v0 * v0 + v1 * v1 + v2 * v2).sqrt());
         }
         comm.max_f64(m)
     }
@@ -310,5 +311,17 @@ mod tests {
         let mean = f.mean(&grid, &comm);
         // mean of {0, π/2, π, 3π/2} = 3π/4
         assert!((mean - 3.0 * std::f64::consts::PI / 4.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn reductions_propagate_nan() {
+        let (grid, block) = serial_setup();
+        let comm = SerialComm::new();
+        let mut f = ScalarField::from_fn(&grid, block, |x| x[0] + 1.0);
+        f.data_mut()[5] = f64::NAN;
+        let v = VectorField { comps: [f.clone(), f.clone(), f.clone()] };
+        let (g, c) = (&grid, &comm);
+        let all = [f.min(c), f.max(c), f.max_abs(c), f.norm(g, c), v.max_magnitude(c), v.norm(g, c)];
+        assert!(all.iter().all(|r| r.is_nan()), "{all:?}");
     }
 }

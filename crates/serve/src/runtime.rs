@@ -51,20 +51,17 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
-use diffreg_comm::{
-    run_gang, run_threaded, ChaosComm, ChaosConfig, Comm, ThreadComm, Timers,
-};
+use diffreg_comm::{run_gang, run_threaded, ChaosComm, ChaosConfig, Comm, ThreadComm};
 use diffreg_core::{register_solve, CheckpointStore, RegistrationConfig};
-use diffreg_grid::{Decomp, Grid, ScalarField, VectorField};
+use diffreg_grid::{Grid, ScalarField, VectorField};
 use diffreg_optim::NewtonOptions;
-use diffreg_pfft::PencilFft;
 use diffreg_telemetry::doctor::{write_trace_bundle, RankCapture};
 use diffreg_telemetry::incident::{write_incident_bundle, Failure, IncidentContext};
 use diffreg_telemetry::{
     record_comm_summary, record_event, set_trace_enabled, snapshot_recorder, span, take_recorder,
     ConvergenceLog, Json, MetricsRegistry, Profile, RecKind, StreamEntry,
 };
-use diffreg_transport::{SemiLagrangian, Workspace};
+use diffreg_transport::{SemiLagrangian, SessionParts, Workspace};
 
 use crate::faults::{AttemptFaults, FaultInjector};
 use crate::http::{HttpServer, ObsSlot, ObsSnapshot};
@@ -1109,10 +1106,8 @@ fn solve_once<C: Comm>(
     observer: impl FnMut(StreamEntry),
 ) -> (u64, u64) {
     let grid = Grid::cubic(spec.grid_n);
-    let decomp = Decomp::new(grid, comm.size());
-    let fft = PencilFft::new(comm, decomp);
-    let timers = Timers::new();
-    let ws = Workspace::new(comm, &decomp, &fft, &timers);
+    let parts = SessionParts::new(comm, grid);
+    let ws = parts.workspace(comm);
     let (rho_t, rho_r) = synthetic_pair(&ws, spec.amplitude);
     let cfg = RegistrationConfig {
         nt: spec.nt,

@@ -28,4 +28,4 @@ mod workspace;
 
 pub use solvers::SemiLagrangian;
 pub use trajectory::{compute_trajectory, local_grid_points, velocity_is_finite, Trajectory};
-pub use workspace::Workspace;
+pub use workspace::{SessionParts, Workspace};

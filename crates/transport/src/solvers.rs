@@ -298,17 +298,13 @@ impl SemiLagrangian {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use diffreg_comm::{run_threaded, Comm, SerialComm, Timers};
+    use crate::SessionParts;
+    use diffreg_comm::{run_threaded, Comm, SerialComm};
     use diffreg_grid::{Decomp, Grid};
-    use diffreg_pfft::PencilFft;
 
     fn with_serial_ws<R>(grid: Grid, f: impl FnOnce(&Workspace<SerialComm>) -> R) -> R {
         let comm = SerialComm::new();
-        let decomp = Decomp::new(grid, 1);
-        let fft = PencilFft::new(&comm, decomp);
-        let timers = Timers::new();
-        let ws = Workspace::new(&comm, &decomp, &fft, &timers);
-        f(&ws)
+        f(&SessionParts::new(&comm, grid).workspace(&comm))
     }
 
     #[test]
@@ -424,11 +420,10 @@ mod tests {
         for (dims, pgrid) in cases {
             let grid = Grid::new(dims);
             run_threaded(pgrid.0 * pgrid.1, move |comm| {
-                let decomp = Decomp::with_process_grid(grid, pgrid.0, pgrid.1);
-                let fft = PencilFft::new(comm, decomp);
-                let timers = Timers::new();
-                let ws = Workspace::new(comm, &decomp, &fft, &timers);
-                let block = ws.block();
+                let parts =
+                    SessionParts::with_decomp(comm, Decomp::with_process_grid(grid, pgrid.0, pgrid.1));
+                let ws = parts.workspace(comm);
+                let (block, decomp, timers) = (ws.block(), ws.decomp, ws.timers);
                 let v = VectorField::from_fn(&grid, block, |x| {
                     [x[1].sin() * 0.4, x[0].cos() * 0.4, 0.2 * x[2].sin()]
                 });
@@ -440,7 +435,7 @@ mod tests {
                 let nt = 4;
                 let sl = SemiLagrangian::new(&ws, &v, nt);
                 let grads: Vec<VectorField> =
-                    sl.solve_state(&ws, &rho0).iter().map(|r| fft.gradient(r, &timers)).collect();
+                    sl.solve_state(&ws, &rho0).iter().map(|r| ws.fft.gradient(r, timers)).collect();
                 let fused = sl.solve_incremental_state(&ws, &vt, &grads);
 
                 let source = |i: usize| {
@@ -455,8 +450,8 @@ mod tests {
                 };
                 let mut rho = ScalarField::zeros(block);
                 for i in 0..nt {
-                    let (g_rho, g_f) = (ghosted(comm, &decomp, &rho), ghosted(comm, &decomp, &source(i)));
-                    let at_x = sl.fwd.plan.interpolate_many(comm, &[&g_rho, &g_f], ws.kernel, &timers);
+                    let (g_rho, g_f) = (ghosted(comm, decomp, &rho), ghosted(comm, decomp, &source(i)));
+                    let at_x = sl.fwd.plan.interpolate_many(comm, &[&g_rho, &g_f], ws.kernel, timers);
                     let f_next = source(i + 1);
                     for (l, r) in rho.data_mut().iter_mut().enumerate() {
                         *r = at_x[0][l] + 0.5 * sl.dt * (at_x[1][l] + f_next.data()[l]);
@@ -489,10 +484,8 @@ mod tests {
     fn cfl_and_off_rank_diagnostics() {
         let grid = Grid::cubic(16);
         let comm = SerialComm::new();
-        let decomp = Decomp::new(grid, 1);
-        let fft = PencilFft::new(&comm, decomp);
-        let timers = Timers::new();
-        let ws = Workspace::new(&comm, &decomp, &fft, &timers);
+        let parts = SessionParts::new(&comm, grid);
+        let ws = parts.workspace(&comm);
         // |v| = 1 everywhere, δt = 1/4, h = 2π/16 -> CFL = (1/4)/(π/8) ≈ 0.64.
         let v = VectorField::from_fn(&grid, ws.block(), |_| [1.0, 0.0, 0.0]);
         let sl = SemiLagrangian::new(&ws, &v, 4);
@@ -506,10 +499,8 @@ mod tests {
     fn off_rank_fraction_grows_with_velocity() {
         let grid = Grid::cubic(8);
         run_threaded(4, move |comm| {
-            let decomp = Decomp::with_process_grid(grid, 2, 2);
-            let fft = PencilFft::new(comm, decomp);
-            let timers = Timers::new();
-            let ws = Workspace::new(comm, &decomp, &fft, &timers);
+            let parts = SessionParts::with_decomp(comm, Decomp::with_process_grid(grid, 2, 2));
+            let ws = parts.workspace(comm);
             // A sub-cell positive shift keeps every departure point in its
             // own cell (grid points sit at cell lower corners), so nothing
             // leaks; a multi-slab shift routes everything.
@@ -536,10 +527,8 @@ mod tests {
             sl.solve_state(ws, &rho0).pop().unwrap().into_vec()
         });
         run_threaded(4, move |comm| {
-            let decomp = Decomp::with_process_grid(grid, 2, 2);
-            let fft = PencilFft::new(comm, decomp);
-            let timers = Timers::new();
-            let ws = Workspace::new(comm, &decomp, &fft, &timers);
+            let parts = SessionParts::with_decomp(comm, Decomp::with_process_grid(grid, 2, 2));
+            let ws = parts.workspace(comm);
             let v = VectorField::from_fn(&grid, ws.block(), vfun);
             let rho0 = ScalarField::from_fn(&grid, ws.block(), rfun);
             let sl = SemiLagrangian::new(&ws, &v, 3);

@@ -168,18 +168,16 @@ fn departure<C: Comm>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use diffreg_comm::{SerialComm, Timers};
-    use diffreg_grid::{Decomp, Grid};
-    use diffreg_pfft::PencilFft;
+    use crate::SessionParts;
+    use diffreg_comm::SerialComm;
+    use diffreg_grid::Grid;
 
     #[test]
     fn constant_velocity_departure_is_exact_shift() {
         let grid = Grid::cubic(8);
         let comm = SerialComm::new();
-        let decomp = Decomp::new(grid, 1);
-        let fft = PencilFft::new(&comm, decomp);
-        let timers = Timers::new();
-        let ws = Workspace::new(&comm, &decomp, &fft, &timers);
+        let parts = SessionParts::new(&comm, grid);
+        let ws = parts.workspace(&comm);
         let v = VectorField::from_fn(&grid, ws.block(), |_| [0.3, -0.2, 0.1]);
         let traj = compute_trajectory(&ws, &v, 0.25, 1.0);
         let xs = local_grid_points(&ws);
@@ -199,10 +197,8 @@ mod tests {
     fn non_finite_velocity_is_rejected_loudly() {
         let grid = Grid::cubic(6);
         let comm = SerialComm::new();
-        let decomp = Decomp::new(grid, 1);
-        let fft = PencilFft::new(&comm, decomp);
-        let timers = Timers::new();
-        let ws = Workspace::new(&comm, &decomp, &fft, &timers);
+        let parts = SessionParts::new(&comm, grid);
+        let ws = parts.workspace(&comm);
         let mut v = VectorField::zeros(ws.block());
         assert!(velocity_is_finite(&ws, &v));
         v.comps[1].data_mut()[3] = f64::NAN;
@@ -224,10 +220,8 @@ mod tests {
     fn zero_velocity_departure_is_identity() {
         let grid = Grid::cubic(6);
         let comm = SerialComm::new();
-        let decomp = Decomp::new(grid, 1);
-        let fft = PencilFft::new(&comm, decomp);
-        let timers = Timers::new();
-        let ws = Workspace::new(&comm, &decomp, &fft, &timers);
+        let parts = SessionParts::new(&comm, grid);
+        let ws = parts.workspace(&comm);
         let v = VectorField::zeros(ws.block());
         let traj = compute_trajectory(&ws, &v, 0.5, 1.0);
         let xs = local_grid_points(&ws);

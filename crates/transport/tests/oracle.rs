@@ -4,22 +4,17 @@
 //! an exact invariant, and a stationary shear whose characteristics are
 //! straight lines — so the scheme's only error source is interpolation.
 
-use diffreg_comm::{SerialComm, Timers};
-use diffreg_grid::{Decomp, Grid, ScalarField, VectorField};
-use diffreg_pfft::PencilFft;
+use diffreg_comm::SerialComm;
+use diffreg_grid::{Grid, ScalarField, VectorField};
 use diffreg_testkit::oracle::{
     shear_transported, shear_velocity, taylor_green_invariant, taylor_green_velocity, Translation,
 };
 use diffreg_testkit::prop_check;
-use diffreg_transport::{SemiLagrangian, Workspace};
+use diffreg_transport::{SemiLagrangian, SessionParts, Workspace};
 
 fn with_serial_ws<R>(grid: Grid, f: impl FnOnce(&Workspace<SerialComm>) -> R) -> R {
     let comm = SerialComm::new();
-    let decomp = Decomp::new(grid, 1);
-    let fft = PencilFft::new(&comm, decomp);
-    let timers = Timers::new();
-    let ws = Workspace::new(&comm, &decomp, &fft, &timers);
-    f(&ws)
+    f(&SessionParts::new(&comm, grid).workspace(&comm))
 }
 
 /// Band-limited test state with O(1) values and low wavenumbers, so the

@@ -18,8 +18,9 @@
 #      (both suites run under a 120 s comm watchdog)
 #   5. static checks: every library root must forbid unsafe code and declare
 #      its lint levels; no pipeline switch, removed knob, removed telemetry
-#      type, second failure taxonomy, serve wire codec, in-tree analyzer or
-#      new env::var read may reappear; workspace line count
+#      type, second failure taxonomy, serve wire codec, in-tree analyzer,
+#      second Comm backend, hand-built workspace or new env::var read may
+#      reappear; workspace line count
 #   6. clippy clean under -D warnings: it enforces step 5's lint levels and
 #      rejects a stale #[expect], so a missing clippy fails the build
 #   7. fail if Cargo.lock ever acquires a registry (non-path) dependency
@@ -121,6 +122,16 @@ fi
 # and the advisory sanitizer and kernel-gate scripts are gone.
 if grep -rnE 'diffreg-[a]llow|diffreg[-_][a]nalyzer|[s]anitizers\.sh|perf_[g]ate\.sh' $everywhere; then
     echo "ERROR: the in-tree analyzer or one of its scripts reappeared" >&2
+    exit 1
+fi
+# One way to stand up a rank: a single rank is a one-rank ThreadComm, not a
+# second Comm backend, and SessionParts is the only caller of Workspace::new.
+if grep -rn 'impl Comm for S[e]rialComm' $everywhere || grep -rn 'mod s[e]rial' crates/comm; then
+    echo "ERROR: a second Comm backend reappeared" >&2
+    exit 1
+fi
+if grep -rn 'Workspace::n[e]w(' crates src tests examples | grep -v '^crates/transport/src/'; then
+    echo "ERROR: a workspace is built by hand; use SessionParts" >&2
     exit 1
 fi
 # The workspace line count is tracked like a benchmark (ROADMAP aim 2).

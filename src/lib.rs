@@ -4,16 +4,18 @@
 //! — a from-scratch Rust reproduction of Mang, Gholami & Biros (SC16), the
 //! precursor of CLAIRE.
 //!
-//! This umbrella crate re-exports the whole stack and adds the
-//! [`session`] convenience layer used by the examples:
+//! This umbrella crate re-exports the whole stack; [`session`] re-exports
+//! the one recipe that stands up a rank, on one rank or many. The crates:
 //!
 //! * [`fft`] — serial FFT kernels (mixed-radix + Bluestein);
-//! * [`comm`] — the simulated MPI runtime (rank-per-thread SPMD);
+//! * [`comm`] — the simulated MPI runtime (rank-per-thread SPMD; a single
+//!   rank is a world of one);
 //! * [`grid`] — pencil decomposition, fields, ghost exchange;
 //! * [`spectral`] — operator symbols and the serial spectral toolbox;
 //! * [`pfft`] — the distributed 3D FFT and spectral operators;
 //! * [`interp`] — tricubic interpolation and the scatter plan;
-//! * [`transport`] — semi-Lagrangian transport solvers;
+//! * [`transport`] — semi-Lagrangian transport solvers, and the
+//!   `SessionParts` / `Workspace` pair every solver call runs on;
 //! * [`optim`] — PCG and the inexact Gauss-Newton-Krylov driver;
 //! * [`core`] — the registration problem, gradient/Hessian, and the three
 //!   solve entry points `register`, `register_with_continuation`,
@@ -29,7 +31,7 @@
 //! use diffreg::grid::{Grid, ScalarField};
 //! use diffreg::core::{register, RegistrationConfig};
 //!
-//! let comm = SerialComm::new();
+//! let comm = SerialComm::new(); // a one-rank world
 //! let parts = SessionParts::new(&comm, Grid::cubic(12));
 //! let ws = parts.workspace(&comm);
 //! let template = ScalarField::from_fn(&parts.grid(), ws.block(), |x| x[0].sin());
@@ -54,53 +56,11 @@ pub use diffreg_pfft as pfft;
 pub use diffreg_spectral as spectral;
 pub use diffreg_transport as transport;
 
-/// Convenience bundle of the per-rank solver state (decomposition, FFT
-/// plan, timers), so examples and applications can build a
-/// [`transport::Workspace`] in two lines for both serial and simulated-MPI
-/// execution.
+/// The per-rank solver state (FFT plan with its decomposition, timers) and
+/// the [`transport::Workspace`] it lends, for serial and simulated-MPI
+/// execution alike.
 pub mod session {
-    use diffreg_comm::{Comm, Timers};
-    use diffreg_grid::{Decomp, Grid};
-    use diffreg_pfft::PencilFft;
-    use diffreg_transport::Workspace;
-
-    /// Owns everything a rank needs besides its communicator.
-    pub struct SessionParts<C: Comm> {
-        decomp: Decomp,
-        fft: PencilFft<C>,
-        timers: Timers,
-    }
-
-    impl<C: Comm> SessionParts<C> {
-        /// Builds the decomposition and FFT plan for `grid` over
-        /// `comm.size()` ranks (collective).
-        pub fn new(comm: &C, grid: Grid) -> Self {
-            let decomp = Decomp::new(grid, comm.size());
-            let fft = PencilFft::new(comm, decomp);
-            Self { decomp, fft, timers: Timers::new() }
-        }
-
-        /// The global grid.
-        pub fn grid(&self) -> Grid {
-            self.decomp.grid
-        }
-
-        /// The decomposition.
-        pub fn decomp(&self) -> &Decomp {
-            &self.decomp
-        }
-
-        /// The phase timers accumulated by every operation run through the
-        /// workspace.
-        pub fn timers(&self) -> &Timers {
-            &self.timers
-        }
-
-        /// Borrows a workspace for solver calls.
-        pub fn workspace<'a>(&'a self, comm: &'a C) -> Workspace<'a, C> {
-            Workspace::new(comm, &self.decomp, &self.fft, &self.timers)
-        }
-    }
+    pub use diffreg_transport::SessionParts;
 }
 
 #[cfg(test)]
