@@ -16,10 +16,7 @@
 pub mod kernels;
 pub mod results;
 
-pub use results::{
-    compare_suites, hostname, results_dir, row_record, write_suite, BenchRecord, BenchSuite,
-    GateFinding, GateReport,
-};
+pub use results::{hostname, results_dir, row_record, write_suite, BenchRecord, BenchSuite};
 
 use diffreg_comm::{run_threaded, Comm};
 use diffreg_core::{register, RegistrationConfig};

@@ -29,11 +29,8 @@ pub(crate) const OP_SHIFT: u64 = 52;
 /// Mask selecting the collective epoch inside an internal tag.
 pub(crate) const EPOCH_MASK: u64 = (1 << OP_SHIFT) - 1;
 
-/// The kind of collective operation a message belongs to.
-///
-/// The discriminants match the legacy `TAG_INTERNAL + k` offsets so that the
-/// wire format with contract checking *disabled* is byte-identical to the
-/// original runtime.
+/// The kind of collective operation a message belongs to: the fingerprint
+/// every internal message carries at [`OP_SHIFT`], beside its epoch.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[repr(u8)]
 pub enum CollOp {
@@ -53,6 +50,8 @@ pub enum CollOp {
     ReduceUsizeResult = 7,
     /// `split` endpoint package from the group leader.
     Split = 8,
+    /// `barrier` token: empty, one to every peer.
+    Barrier = 9,
 }
 
 impl CollOp {
@@ -67,6 +66,7 @@ impl CollOp {
             6 => CollOp::ReduceUsizeSend,
             7 => CollOp::ReduceUsizeResult,
             8 => CollOp::Split,
+            9 => CollOp::Barrier,
             _ => return None,
         })
     }
@@ -83,32 +83,23 @@ impl fmt::Display for CollOp {
             CollOp::ReduceUsizeSend => "AllreduceUsize(send)",
             CollOp::ReduceUsizeResult => "AllreduceUsize(result)",
             CollOp::Split => "Split",
+            CollOp::Barrier => "Barrier",
         };
         f.write_str(name)
     }
 }
 
-/// Renders a message tag for diagnostics, decoding internal encodings.
-///
-/// Internal tags come in two shapes: the legacy `TAG_INTERNAL + k` constants
-/// (contract checking off) and the epoch-stamped `TAG_INTERNAL | op<<52 |
-/// epoch` form (contract checking on). User tags print as plain numbers.
+/// Renders a message tag for diagnostics: user tags as plain numbers,
+/// internal ones decoded from their `TAG_INTERNAL | op<<52 | epoch` stamp.
 pub fn tag_display(tag: u64) -> String {
     if tag < TAG_INTERNAL {
         return format!("{tag}");
     }
     let low = tag & !TAG_INTERNAL;
     let op_bits = low >> OP_SHIFT;
-    if op_bits != 0 {
-        match CollOp::from_bits(op_bits) {
-            Some(op) => format!("internal:{op}@epoch{}", low & EPOCH_MASK),
-            None => format!("internal:op?{op_bits}@epoch{}", low & EPOCH_MASK),
-        }
-    } else {
-        match CollOp::from_bits(low) {
-            Some(op) => format!("internal:{op}"),
-            None => format!("internal:+{low}"),
-        }
+    match CollOp::from_bits(op_bits) {
+        Some(op) => format!("internal:{op}@epoch{}", low & EPOCH_MASK),
+        None => format!("internal:op?{op_bits}@epoch{}", low & EPOCH_MASK),
     }
 }
 
@@ -155,7 +146,8 @@ pub enum CommError {
         /// The length actually supplied.
         got: usize,
     },
-    /// The watchdog expired while blocked in a receive or barrier.
+    /// The watchdog expired while blocked in a receive (a barrier's
+    /// included).
     Timeout {
         /// The rank whose watchdog fired.
         rank: usize,
@@ -279,10 +271,8 @@ mod tests {
     #[test]
     fn tag_display_decodes_all_encodings() {
         assert_eq!(tag_display(7), "7");
-        assert_eq!(tag_display(TAG_INTERNAL + 2), "internal:Allgather");
         let stamped = TAG_INTERNAL | (3 << OP_SHIFT) | 41;
         assert_eq!(tag_display(stamped), "internal:Alltoallv@epoch41");
-        assert_eq!(tag_display(TAG_INTERNAL + 9), "internal:+9");
     }
 
     #[test]
@@ -303,7 +293,7 @@ mod tests {
         let t = CommError::Timeout {
             rank: 1,
             waiting_on: "recv(src=0, tag=3)".into(),
-            table: vec!["rank 0: blocked in barrier".into()],
+            table: vec!["rank 0: blocked in recv(src=1, tag=internal:Barrier@epoch1)".into()],
         };
         let s = t.to_string();
         assert!(s.contains("blocked-rank table"), "{s}");

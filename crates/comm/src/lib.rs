@@ -30,9 +30,9 @@
 //!   calls, instead of opaque panics;
 //! * a watchdog (`DIFFREG_COMM_TIMEOUT_MS`) that turns deadlocks into
 //!   [`CommError::Timeout`] reports carrying a who-waits-on-whom table;
-//! * a collective-contract checker (on under `debug_assertions`, env
-//!   `DIFFREG_COMM_CONTRACT`) that reports mismatched collective ordering
-//!   across ranks as [`CommError::ContractViolation`];
+//! * a collective-contract checker, on in every build, that reports
+//!   mismatched collective ordering across ranks (the barrier included) as
+//!   [`CommError::ContractViolation`];
 //! * one containment body, [`run_gang`], under every rank closure: a
 //!   panicking rank becomes a [`RankFailure`] and its peers are unblocked —
 //!   [`run_threaded_checked`] returns the reports, [`run_threaded`] re-raises
@@ -40,10 +40,10 @@
 //! * [`ChaosComm`], a seeded chaos-injection decorator (latency, tag-safe
 //!   reordering, stalls, kills) for deterministic fault drills.
 //!
-//! Those two variables are the only configuration this crate takes from the
-//! environment — everything else is an argument or a setter on the endpoint
-//! — and a value either cannot parse aborts at world creation, naming the
-//! variable, instead of silently switching the fault detector off.
+//! The watchdog's variable is the only configuration this crate takes from
+//! the environment — everything else is an argument or a setter on the
+//! endpoint — and a value it cannot parse aborts at world creation, naming
+//! the variable, instead of silently switching the fault detector off.
 //!
 //! ```
 //! use diffreg_comm::{run_threaded, Comm};

@@ -14,31 +14,34 @@
 //!
 //! Three hardening layers live here (see README "Fault model & runbook"):
 //!
-//! * **Watchdog** — every blocking receive and barrier honors an optional
-//!   timeout (env `DIFFREG_COMM_TIMEOUT_MS`, or [`ThreadComm::set_timeout`]).
-//!   On expiry the call returns [`CommError::Timeout`] carrying a
-//!   who-waits-on-whom table snapshotted from the communicator's shared
-//!   blocked-state registry, instead of deadlocking the run.
-//! * **Collective-contract checker** — on by default under
-//!   `debug_assertions` (override with env `DIFFREG_COMM_CONTRACT=0|1` or
-//!   [`ThreadComm::set_contract_checking`]). Every collective stamps its
-//!   internal messages with an op fingerprint and a per-communicator epoch;
-//!   ranks calling collectives in different orders are reported as a precise
+//! * **Watchdog** — every blocking receive honors an optional timeout (env
+//!   `DIFFREG_COMM_TIMEOUT_MS`, or [`ThreadComm::set_timeout`]). On expiry
+//!   the call returns [`CommError::Timeout`] carrying a who-waits-on-whom
+//!   table snapshotted from the communicator's shared blocked-state
+//!   registry, instead of deadlocking the run.
+//! * **Collective-contract checker** — on in every build. Every collective,
+//!   the barrier included, stamps its internal messages with an op
+//!   fingerprint and a per-communicator epoch; ranks calling collectives in
+//!   different orders are reported as a precise
 //!   [`CommError::ContractViolation`] instead of a type-mismatch panic deep
-//!   inside `recv`.
+//!   inside `recv`. A collective facing point-to-point traffic on user tags
+//!   is beyond it; the watchdog catches that.
 //! * **Rank-failure containment** — every rank closure runs under
-//!   [`run_gang`]: a panicking rank becomes a [`RankFailure`] report, its
-//!   barrier is poisoned and its endpoints are dropped, so blocked peers
-//!   observe [`CommError::PeerGone`] instead of hanging forever.
-//!   [`run_threaded_checked`] returns the per-rank reports; [`run_threaded`]
-//!   re-raises the first one.
+//!   [`run_gang`]: a panicking rank becomes a [`RankFailure`] report and its
+//!   endpoints are dropped, so blocked peers observe [`CommError::PeerGone`]
+//!   instead of hanging forever. [`run_threaded_checked`] returns the
+//!   per-rank reports; [`run_threaded`] re-raises the first one.
+//!
+//! There is one way to wait, a channel receive: a barrier is a stamped
+//! all-to-all of empty tokens, so it shares the watchdog and `PeerGone`
+//! with every other collective.
 
 use std::any::Any;
 use std::cell::{Cell, RefCell};
 use std::collections::{BTreeMap, VecDeque};
 use std::env::VarError;
 use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
-use std::sync::{Arc, Condvar, Mutex, OnceLock};
+use std::sync::{Arc, Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
 use crate::error::{tag_display, CollOp, CommError, RankFailure, EPOCH_MASK, OP_SHIFT, TAG_INTERNAL};
@@ -52,9 +55,15 @@ type Msg = (u64, usize, &'static str, Box<dyn Any + Send>);
 /// Out-of-order buffer entries awaiting a matching-tag receive.
 type PendingQueue = VecDeque<Msg>;
 
-/// True if `tag` carries a collective op fingerprint (contract checking on).
+/// True if `tag` is a collective's internal message: every one carries an
+/// op fingerprint and an epoch.
 fn is_stamped(tag: u64) -> bool {
-    tag >= TAG_INTERNAL && ((tag & !TAG_INTERNAL) >> OP_SHIFT) != 0
+    tag >= TAG_INTERNAL
+}
+
+/// The wire tag for a collective message: its op fingerprint and epoch.
+fn coll_tag(op: CollOp, epoch: u64) -> u64 {
+    TAG_INTERNAL | ((op as u64) << OP_SHIFT) | (epoch & EPOCH_MASK)
 }
 
 /// What a rank is currently blocked on, for the watchdog's table.
@@ -64,8 +73,6 @@ enum BlockedOn {
     Running,
     /// Blocked in `recv(src, tag)`.
     Recv { src: usize, tag: u64 },
-    /// Blocked in `barrier`.
-    Barrier,
     /// The rank's closure panicked ([`run_gang`] containment).
     Dead,
 }
@@ -97,94 +104,9 @@ impl Registry {
                 BlockedOn::Recv { src, tag } => {
                     format!("rank {r}: blocked in recv(src={src}, tag={})", tag_display(*tag))
                 }
-                BlockedOn::Barrier => format!("rank {r}: blocked in barrier"),
                 BlockedOn::Dead => format!("rank {r}: dead (panicked)"),
             })
             .collect()
-    }
-}
-
-/// Why a [`SharedBarrier::wait`] did not complete normally.
-enum BarrierFail {
-    /// A peer poisoned the barrier (its closure panicked); carries its rank.
-    Poisoned(usize),
-    /// The watchdog timeout expired before all ranks arrived.
-    TimedOut,
-}
-
-/// A poisonable, timeout-aware replacement for `std::sync::Barrier`.
-///
-/// `std::sync::Barrier` can neither time out nor be poisoned, so a single
-/// dead rank would strand every peer inside `wait()` forever. This one backs
-/// out cleanly on timeout and wakes all waiters on poison.
-struct SharedBarrier {
-    n: usize,
-    state: Mutex<BarState>,
-    cv: Condvar,
-}
-
-struct BarState {
-    count: usize,
-    generation: u64,
-    poisoned: Option<usize>,
-}
-
-impl SharedBarrier {
-    fn new(n: usize) -> Self {
-        Self {
-            n,
-            state: Mutex::new(BarState { count: 0, generation: 0, poisoned: None }),
-            cv: Condvar::new(),
-        }
-    }
-
-    fn wait(&self, timeout: Option<Duration>) -> Result<(), BarrierFail> {
-        // Lock poisoning carries no information here: the explicit
-        // `poisoned` field is the failure channel, and `BarState` is valid
-        // after any partial update.
-        let mut st = self.state.lock().unwrap_or_else(|e| e.into_inner());
-        if let Some(r) = st.poisoned {
-            return Err(BarrierFail::Poisoned(r));
-        }
-        st.count += 1;
-        if st.count == self.n {
-            st.count = 0;
-            st.generation = st.generation.wrapping_add(1);
-            self.cv.notify_all();
-            return Ok(());
-        }
-        let gen = st.generation;
-        let deadline = timeout.map(|t| Instant::now() + t);
-        loop {
-            if st.generation != gen {
-                return Ok(());
-            }
-            if let Some(r) = st.poisoned {
-                st.count = st.count.saturating_sub(1);
-                return Err(BarrierFail::Poisoned(r));
-            }
-            match deadline {
-                None => st = self.cv.wait(st).unwrap_or_else(|e| e.into_inner()),
-                Some(d) => {
-                    let now = Instant::now();
-                    if now >= d {
-                        // Back out so a later complete barrier still works.
-                        st.count = st.count.saturating_sub(1);
-                        return Err(BarrierFail::TimedOut);
-                    }
-                    st = self.cv.wait_timeout(st, d - now).unwrap_or_else(|e| e.into_inner()).0;
-                }
-            }
-        }
-    }
-
-    /// Marks the barrier poisoned by `rank` and wakes all waiters.
-    fn poison(&self, rank: usize) {
-        let mut st = self.state.lock().unwrap_or_else(|e| e.into_inner());
-        if st.poisoned.is_none() {
-            st.poisoned = Some(rank);
-        }
-        self.cv.notify_all();
     }
 }
 
@@ -200,21 +122,10 @@ fn parse_timeout_ms(raw: Option<&str>) -> Result<Option<Duration>, String> {
     }
 }
 
-/// Parses `DIFFREG_COMM_CONTRACT`: `0` = off, `1` = on; unset and empty mean
-/// the build profile's default (on exactly when `debug_assertions` are on).
-fn parse_contract(raw: Option<&str>) -> Result<bool, String> {
-    match raw.map(str::trim) {
-        None | Some("") => Ok(cfg!(debug_assertions)),
-        Some("0") => Ok(false),
-        Some("1") => Ok(true),
-        Some(_) => Err("0 (off) or 1 (on); empty = the build profile's default".into()),
-    }
-}
-
-/// Turns one environment read into a setting. The two variables below are
-/// fault *detectors*: a typo in one must not quietly switch it off, so a
-/// value `parse` rejects aborts, naming the variable, the value and the
-/// accepted forms.
+/// Turns one environment read into a setting. The variable below is a fault
+/// *detector*: a typo in it must not quietly switch it off, so a value
+/// `parse` rejects aborts, naming the variable, the value and the accepted
+/// forms.
 #[expect(
     clippy::panic,
     reason = "startup configuration error — there is no caller to hand a typed error to, and running on without the requested fault detector is the failure this guards against"
@@ -243,15 +154,6 @@ fn default_timeout() -> Option<Duration> {
     })
 }
 
-/// Default contract-checking flag from `DIFFREG_COMM_CONTRACT`.
-fn default_contract() -> bool {
-    static CACHE: OnceLock<bool> = OnceLock::new();
-    *CACHE.get_or_init(|| {
-        let read = std::env::var("DIFFREG_COMM_CONTRACT");
-        env_setting("DIFFREG_COMM_CONTRACT", read, parse_contract)
-    })
-}
-
 /// One rank's endpoint of a simulated MPI communicator.
 ///
 /// Created by [`run_threaded`] / [`run_threaded_checked`] (the world
@@ -266,15 +168,12 @@ pub struct ThreadComm {
     receivers: Vec<Receiver<Msg>>,
     /// Out-of-order buffer per source rank for tag matching.
     pending: RefCell<Vec<PendingQueue>>,
-    barrier: Arc<SharedBarrier>,
     registry: Arc<Registry>,
     stats: RefCell<CommStats>,
     /// Collective epoch counter (contract checker).
     epoch: Cell<u64>,
-    /// Watchdog timeout for receives and barriers (None = wait forever).
+    /// Watchdog timeout for receives (None = wait forever).
     timeout: Cell<Option<Duration>>,
-    /// Whether collective messages carry op/epoch fingerprints.
-    contract: Cell<bool>,
     /// Communicator uid for event records (0 = world; splits derive theirs).
     comm_uid: u64,
     /// Per-rank comm event log, shared with sub-communicators created by
@@ -299,7 +198,6 @@ struct Package {
     size: usize,
     senders: Vec<Sender<Msg>>,
     receivers: Vec<Receiver<Msg>>,
-    barrier: Arc<SharedBarrier>,
     registry: Arc<Registry>,
 }
 
@@ -315,7 +213,6 @@ fn make_channel_matrix(size: usize) -> Vec<Package> {
             dst_rx[src] = Some(r);
         }
     }
-    let barrier = Arc::new(SharedBarrier::new(size));
     let registry = Registry::new(size);
     tx.into_iter()
         .zip(rx)
@@ -325,7 +222,6 @@ fn make_channel_matrix(size: usize) -> Vec<Package> {
             size,
             senders,
             receivers: receivers.into_iter().map(Option::unwrap).collect(),
-            barrier: barrier.clone(),
             registry: registry.clone(),
         })
         .collect()
@@ -353,12 +249,10 @@ impl ThreadComm {
             senders: p.senders,
             receivers: p.receivers,
             pending: RefCell::new((0..size).map(|_| VecDeque::new()).collect()),
-            barrier: p.barrier,
             registry: p.registry,
             stats: RefCell::new(CommStats::default()),
             epoch: Cell::new(0),
             timeout: Cell::new(default_timeout()),
-            contract: Cell::new(default_contract()),
             comm_uid: 0,
             events: Arc::new(Mutex::new(Vec::new())),
             events_on: Cell::new(false),
@@ -366,10 +260,10 @@ impl ThreadComm {
         }
     }
 
-    /// Sets the watchdog timeout for receives and barriers (`None` = wait
-    /// forever). Must be called *collectively* (same value on every rank)
-    /// before the ranks exchange traffic; defaults to
-    /// `DIFFREG_COMM_TIMEOUT_MS` from the environment.
+    /// Sets the watchdog timeout for receives (`None` = wait forever). Must
+    /// be called *collectively* (same value on every rank) before the ranks
+    /// exchange traffic; defaults to `DIFFREG_COMM_TIMEOUT_MS` from the
+    /// environment.
     pub fn set_timeout(&self, timeout: Option<Duration>) {
         self.timeout.set(timeout);
     }
@@ -377,20 +271,6 @@ impl ThreadComm {
     /// Current watchdog timeout.
     pub fn timeout(&self) -> Option<Duration> {
         self.timeout.get()
-    }
-
-    /// Enables/disables the collective-contract checker. Must be called
-    /// *collectively* (same value on every rank) before any collective;
-    /// mixing checked and unchecked ranks is itself a contract violation.
-    /// Defaults to on under `debug_assertions`, overridable with
-    /// `DIFFREG_COMM_CONTRACT=0|1`.
-    pub fn set_contract_checking(&self, on: bool) {
-        self.contract.set(on);
-    }
-
-    /// Whether collective messages carry op/epoch fingerprints.
-    pub fn contract_checking(&self) -> bool {
-        self.contract.get()
     }
 
     /// Enables/disables comm event recording on this endpoint (inherited by
@@ -515,17 +395,6 @@ impl ThreadComm {
         let e = self.epoch.get().wrapping_add(1);
         self.epoch.set(e);
         e
-    }
-
-    /// The wire tag for a collective message. With contract checking on the
-    /// tag carries the op fingerprint and epoch; off, it is the legacy
-    /// `TAG_INTERNAL + op` constant (byte-identical to the original runtime).
-    fn coll_tag(&self, op: CollOp, epoch: u64) -> u64 {
-        if self.contract.get() {
-            TAG_INTERNAL | ((op as u64) << OP_SHIFT) | (epoch & EPOCH_MASK)
-        } else {
-            TAG_INTERNAL + op as u64
-        }
     }
 
     /// Receives the raw payload for `(src, tag)`. The *entire* call — pending
@@ -661,8 +530,8 @@ impl ThreadComm {
         if self.size == 1 {
             return Ok(());
         }
-        let send_tag = self.coll_tag(send.0, e);
-        let result_tag = self.coll_tag(result.0, e);
+        let send_tag = coll_tag(send.0, e);
+        let result_tag = coll_tag(result.0, e);
         let check = |src: usize, what: &'static str, expected: usize, got: usize| {
             if expected == got {
                 return Ok(());
@@ -705,24 +574,18 @@ impl Comm for ThreadComm {
 
     fn try_barrier(&self) -> Result<(), CommError> {
         self.with_coll_event(CommOp::Barrier, || {
-            self.bump_epoch();
-            let timeout = self.timeout.get();
-            self.registry.set(self.rank, BlockedOn::Barrier);
-            let t0 = Instant::now();
-            let res = self.barrier.wait(timeout);
-            self.stats.borrow_mut().blocked_seconds += t0.elapsed().as_secs_f64();
-            self.registry.set(self.rank, BlockedOn::Running);
-            match res {
-                Ok(()) => Ok(()),
-                Err(BarrierFail::Poisoned(peer)) => {
-                    Err(CommError::PeerGone { rank: self.rank, peer })
-                }
-                Err(BarrierFail::TimedOut) => Err(CommError::Timeout {
-                    rank: self.rank,
-                    waiting_on: "barrier".into(),
-                    table: self.registry.table(),
-                }),
+            let tag = coll_tag(CollOp::Barrier, self.bump_epoch());
+            let peers = || (0..self.size).filter(|&r| r != self.rank);
+            // Every rank waits on every peer directly, so a dead peer wakes
+            // each waiter with `PeerGone` naming it. A failed send does not
+            // stop the others: the live peers still get their tokens.
+            let sent = peers()
+                .map(|dst| self.try_send(dst, tag, Vec::<u8>::new()))
+                .fold(Ok(()), Result::and);
+            for src in peers() {
+                self.try_recv::<u8>(src, tag)?;
             }
+            sent
         })
     }
 
@@ -763,7 +626,7 @@ impl Comm for ThreadComm {
             if self.size == 1 {
                 return;
             }
-            let tag = self.coll_tag(CollOp::Broadcast, e);
+            let tag = coll_tag(CollOp::Broadcast, e);
             if self.rank == root {
                 for dst in 0..self.size {
                     if dst != root {
@@ -779,7 +642,7 @@ impl Comm for ThreadComm {
     fn allgather<T: CommData + Clone>(&self, data: Vec<T>) -> Vec<Vec<T>> {
         self.with_coll_event(CommOp::Allgather, || {
             let e = self.bump_epoch();
-            let tag = self.coll_tag(CollOp::Allgather, e);
+            let tag = coll_tag(CollOp::Allgather, e);
             let mut out: Vec<Vec<T>> = Vec::with_capacity(self.size);
             for dst in 0..self.size {
                 if dst != self.rank {
@@ -809,7 +672,7 @@ impl Comm for ThreadComm {
                     got: parts.len(),
                 });
             }
-            let tag = self.coll_tag(CollOp::Alltoallv, e);
+            let tag = coll_tag(CollOp::Alltoallv, e);
             let mut own: Vec<T> = Vec::new();
             for (dst, part) in parts.into_iter().enumerate() {
                 if dst == self.rank {
@@ -876,13 +739,12 @@ impl Comm for ThreadComm {
             // Every rank bumps the Split epoch, senders and receivers alike, so
             // the epoch counters stay aligned across the communicator.
             let e = self.bump_epoch();
-            let tag = self.coll_tag(CollOp::Split, e);
+            let tag = coll_tag(CollOp::Split, e);
             // Member-stable sub-communicator uid: every member shares
             // (parent uid, split epoch, color), so all derive the same uid.
             let sub_uid = derive_comm_uid(self.comm_uid, e, color);
             let inherit = |mut sub: ThreadComm| {
                 sub.timeout.set(self.timeout.get());
-                sub.contract.set(self.contract.get());
                 sub.events_on.set(self.events_on.get());
                 // The sub-communicator's events land on this rank's stream:
                 // the closure runs on the owning rank's thread, so sharing
@@ -986,11 +848,10 @@ where
 /// both run under it.
 ///
 /// If `f` panics (an injected kill, a watchdog timeout, a solver bug), the
-/// panic is caught, the communicator's barrier is poisoned and its endpoints
-/// are dropped — so peers blocked on the dead rank observe
-/// [`CommError::PeerGone`] and cascade into their own contained failures —
-/// while the calling thread, the parent communicator, and every sibling gang
-/// continue untouched. Sub-communicators `f` creates by splitting further
+/// panic is caught and the communicator's endpoints are dropped — so peers
+/// blocked on the dead rank observe [`CommError::PeerGone`] and end in their
+/// own contained failures — while the calling thread, the parent
+/// communicator, and every sibling gang continue untouched. Sub-communicators `f` creates by splitting further
 /// are unwound (and their endpoints closed) with `f`'s stack.
 ///
 /// On success the communicator is dropped too: a gang is single-use, the
@@ -1007,7 +868,6 @@ pub fn run_gang<R>(
             // death, then unblock them.
             let context = format!("state at failure:\n  {}", comm.registry.table().join("\n  "));
             comm.registry.set(rank, BlockedOn::Dead);
-            comm.barrier.poison(rank);
             drop(comm); // closes senders: blocked peers see PeerGone
             Err(RankFailure { rank, payload: payload_text(payload), context })
         }
@@ -1232,22 +1092,6 @@ mod tests {
     }
 
     #[test]
-    fn collectives_work_with_contract_checking_forced_on() {
-        run_threaded(4, |c| {
-            c.set_contract_checking(true);
-            c.barrier();
-            let mut v = vec![c.rank() as f64];
-            c.allreduce(&mut v, ReduceOp::Sum);
-            assert_eq!(v, vec![6.0]);
-            let g = c.allgather(vec![c.rank()]);
-            assert_eq!(g.len(), 4);
-            let sub = c.split(c.rank() % 2, c.rank() / 2);
-            assert!(sub.contract_checking());
-            assert_eq!(sub.sum_f64(1.0), 2.0);
-        });
-    }
-
-    #[test]
     fn type_mismatch_carries_sender_byte_count() {
         let out = run_threaded(2, |c| {
             if c.rank() == 0 {
@@ -1269,7 +1113,6 @@ mod tests {
             [(false, "allreduce contribution"), (true, "allreduce_usize contribution")]
         {
             let errs = run_threaded_checked(2, |c| {
-                c.set_contract_checking(false);
                 let len = 2 + c.rank();
                 if usize_flavour {
                     c.allreduce_usize(&mut vec![0usize; len], ReduceOp::Sum);
@@ -1294,14 +1137,6 @@ mod tests {
         for bad in ["30s", "abc", "-5", "1.5"] {
             let why = parse_timeout_ms(Some(bad)).unwrap_err();
             assert!(why.contains("milliseconds"), "{bad}: {why}");
-        }
-        assert_eq!(parse_contract(Some("0")), Ok(false));
-        assert_eq!(parse_contract(Some("1 ")), Ok(true));
-        for default in [None, Some("")] {
-            assert_eq!(parse_contract(default), Ok(cfg!(debug_assertions)), "{default:?}");
-        }
-        for bad in ["true", "off", "-1", "2"] {
-            assert!(parse_contract(Some(bad)).is_err(), "{bad}");
         }
     }
 
@@ -1453,19 +1288,5 @@ mod tests {
             c.take_events()
         });
         assert!(logs.iter().all(Vec::is_empty), "no recording unless enabled");
-    }
-
-    #[test]
-    fn shared_barrier_timeout_backs_out() {
-        let b = SharedBarrier::new(2);
-        assert!(matches!(
-            b.wait(Some(Duration::from_millis(20))),
-            Err(BarrierFail::TimedOut)
-        ));
-        // After backing out, a complete barrier still works.
-        std::thread::scope(|s| {
-            s.spawn(|| b.wait(None).map_err(|_| ()).unwrap());
-            b.wait(None).map_err(|_| ()).unwrap();
-        });
     }
 }

@@ -6,7 +6,7 @@
 //! replays of the seed. Injected stalls and kills must surface as structured
 //! [`CommError`] / rank-failure reports instead of hangs.
 
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use diffreg_comm::{
     run_threaded, run_threaded_checked, ChaosComm, ChaosConfig, Comm, CommError, ReduceOp,
@@ -97,7 +97,6 @@ fn collectives_under_chaos_match_fault_free_bitwise() {
 #[test]
 fn mismatched_collectives_are_reported_precisely() {
     let out = run_threaded_checked(2, |c| {
-        c.set_contract_checking(true);
         // Deliberate mismatch: the contract checker must report it.
         if c.rank() == 0 {
             let mut v = vec![0.0f64];
@@ -116,21 +115,15 @@ fn mismatched_collectives_are_reported_precisely() {
     assert!(violation.payload.contains("different orders"), "{}", violation.payload);
 }
 
-/// With the contract checker off, the same mismatch becomes a deadlock —
-/// which the watchdog converts into structured timeouts on both ranks
-/// instead of hanging the suite.
+/// A barrier is a stamped collective too: facing another collective it is a
+/// contract violation at once, not a deadlock left to the watchdog. The
+/// violating rank then returns, so its peer sees it gone.
 #[test]
-fn watchdog_fires_on_mismatched_collective_without_checker() {
+fn a_barrier_against_another_collective_is_a_contract_violation() {
+    let t0 = Instant::now();
     let out = run_threaded(2, |c| {
-        c.set_contract_checking(false);
-        // Rank 1 outlives rank 0's watchdog so rank 0's table still shows it
-        // blocked in the barrier.
-        c.set_timeout(Some(if c.rank() == 0 {
-            Duration::from_millis(150)
-        } else {
-            Duration::from_millis(600)
-        }));
-        // Deliberate mismatch: the watchdog must convert it to a timeout.
+        c.set_timeout(Some(Duration::from_secs(3)));
+        // Deliberate mismatch: the contract checker must report it.
         if c.rank() == 0 {
             let mut v = vec![0.0f64];
             c.try_allreduce(&mut v, ReduceOp::Sum).unwrap_err()
@@ -139,17 +132,31 @@ fn watchdog_fires_on_mismatched_collective_without_checker() {
         }
     });
     match &out[0] {
-        CommError::Timeout { rank, waiting_on, table } => {
-            assert_eq!(*rank, 0);
-            assert!(waiting_on.contains("recv"), "{waiting_on}");
-            assert!(
-                table.iter().any(|l| l.contains("rank 1") && l.contains("barrier")),
-                "table must show rank 1 blocked in barrier: {table:?}"
-            );
+        CommError::ContractViolation { rank: 0, src: 1, expected, observed } => {
+            assert!(expected.contains("Allreduce(send)"), "{expected}");
+            assert!(observed.contains("Barrier"), "{observed}");
         }
-        other => panic!("expected Timeout on rank 0, got {other:?}"),
+        other => panic!("expected ContractViolation on rank 0, got {other:?}"),
     }
-    assert!(matches!(&out[1], CommError::Timeout { .. }), "{:?}", out[1]);
+    assert_eq!(out[1], CommError::PeerGone { rank: 1, peer: 0 });
+    assert!(t0.elapsed() < Duration::from_secs(1), "{:?}", t0.elapsed());
+}
+
+/// A barrier waits on every peer directly, so a peer that has already
+/// returned is `PeerGone` at once, long before the watchdog.
+#[test]
+fn a_barrier_whose_peer_has_returned_is_peer_gone() {
+    let out = run_threaded(2, |c| {
+        c.set_timeout(Some(Duration::from_secs(3)));
+        if c.rank() == 1 {
+            return None;
+        }
+        let t0 = Instant::now();
+        Some((c.try_barrier().unwrap_err(), t0.elapsed()))
+    });
+    let (err, elapsed) = out[0].clone().unwrap();
+    assert_eq!(err, CommError::PeerGone { rank: 0, peer: 1 });
+    assert!(elapsed < Duration::from_secs(1), "{elapsed:?}");
 }
 
 /// An injected rank stall is reported as `CommError::Timeout` with the
@@ -188,8 +195,8 @@ fn injected_stall_surfaces_as_timeout_with_table() {
 }
 
 /// A kill-at-Nth-op fault is contained by `run_threaded_checked`: the killed
-/// rank reports the injected kill, every peer unblocks (PeerGone / poisoned
-/// barrier) and nothing hangs.
+/// rank reports the injected kill, every peer unblocks (PeerGone) and
+/// nothing hangs.
 #[test]
 fn chaos_kill_is_contained_without_hanging_peers() {
     let out = run_threaded_checked(4, |c| {

@@ -174,7 +174,7 @@ fn abort_message(blocked: fn(&ThreadComm)) -> String {
 }
 
 /// A rank that dies must abort the run, not strand its peers — whether they
-/// sit in a barrier (which has to be poisoned) or in a receive — and the
+/// sit in a barrier or in a receive — and the
 /// re-raised message carries the failing rank, its payload and where the
 /// peers were.
 #[test]

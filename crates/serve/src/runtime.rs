@@ -1181,8 +1181,12 @@ mod tests {
             ChaosComm::new(c, ChaosConfig::seeded(0).with_kill_at_epoch(0, 1)).barrier();
         });
         let assertion = payload(|c| assert_eq!(c.size(), 2, "residual diverged"));
-        let table = vec!["rank 0: blocked in barrier".to_string()];
-        let timeout = CommError::Timeout { rank: 1, waiting_on: "barrier".into(), table };
+        let table = vec!["rank 0: blocked in recv(src=1, tag=internal:Barrier@epoch1)".to_string()];
+        let timeout = CommError::Timeout {
+            rank: 1,
+            waiting_on: "recv(src=0, tag=internal:Barrier@epoch1)".into(),
+            table,
+        };
         let peer_gone = CommError::PeerGone { rank: 1, peer: 0 };
         for (payload, want) in [
             (kill.expect("the injected kill panics"), Failure::Kill),

@@ -3,8 +3,8 @@
 //!
 //! This is the one serializer every telemetry artifact flows through — the
 //! Chrome trace exporter, the phase report, the convergence JSON-lines
-//! stream, the `results/<name>.json` table dumps, and the perf-gate
-//! `BENCH_kernels.json` schema — so all of them stay mutually parseable
+//! stream, the `results/<name>.json` table dumps, and the kernel suite's
+//! `BENCH_kernels.json` — so all of them stay mutually parseable
 //! without `serde`. The parser exists so tests and the CI smoke step can
 //! validate that emitted artifacts round-trip.
 

@@ -14,13 +14,14 @@
 #      target/tmp: analyze --gate on the solver and serve bundles (100% p2p
 #      matched, all collectives complete, critical-path coverage >= 90%),
 #      profile on the serve bundle, incident --gate on every drill bundle
-#   4. full workspace test suite in debug, collective-contract checker on
-#      (both suites run under a 120 s comm watchdog)
+#   4. full workspace test suite in debug (both suites run under a 120 s
+#      comm watchdog; the collective-contract checker is on in every build)
 #   5. static checks: every library root must forbid unsafe code and declare
 #      its lint levels; no pipeline switch, removed knob, removed telemetry
 #      type, second failure taxonomy, serve wire codec, in-tree analyzer,
-#      second Comm backend, hand-built workspace or new env::var read may
-#      reappear; workspace line count
+#      second Comm backend, hand-built workspace, second barrier, contract
+#      switch, kernel gate or new env::var read may reappear; workspace line
+#      count
 #   6. clippy clean under -D warnings: it enforces step 5's lint levels and
 #      rejects a stale #[expect], so a missing clippy fails the build
 #   7. fail if Cargo.lock ever acquires a registry (non-path) dependency
@@ -34,8 +35,9 @@ cargo build --workspace --release --offline
 
 echo "==> [2/8] cargo test --offline (workspace, release)"
 # The comm watchdog is on in both suites: a deadlock the contract checker
-# cannot see (a rank-gated barrier, say, which exchanges no message) fails
-# with a CommError::Timeout naming every blocked rank instead of hanging.
+# cannot see (a collective facing point-to-point traffic on user tags, say)
+# fails with a CommError::Timeout naming every blocked rank instead of
+# hanging.
 DIFFREG_COMM_TIMEOUT_MS=120000 cargo test --workspace --release -q --offline
 
 echo "==> [3/8] diffreg-doctor gates over the bundles the tests left in target/tmp"
@@ -50,11 +52,9 @@ for d in target/tmp/incident-drill/run1/incident-*; do
 done
 echo "    doctor gates ok (reports: target/tmp/{doctor,serve}-smoke/doctor-report.txt)"
 
-echo "==> [4/8] cargo test --offline (workspace, debug: contract checker on)"
-# Debug builds default the collective-ordering contract checker to ON
-# (debug_assertions); force it explicitly so the gate survives profile
-# tweaks. This continuously proves the whole solver stack is contract-clean.
-DIFFREG_COMM_CONTRACT=1 DIFFREG_COMM_TIMEOUT_MS=120000 cargo test --workspace -q --offline
+echo "==> [4/8] cargo test --offline (workspace, debug)"
+# The same suite with debug_assertions and overflow checks on.
+DIFFREG_COMM_TIMEOUT_MS=120000 cargo test --workspace -q --offline
 
 echo "==> [5/8] static checks (lint levels, removed code, line count)"
 # rustc and clippy enforce lint levels wherever they are declared; what they
@@ -110,17 +110,17 @@ if grep -rnE 'R[E]ASON_|F[A]IL_(KILL|TIMEOUT|PEER|OTHER)|fail_[l]abel|reason_[l]
     echo "ERROR: a second failure taxonomy or a serve wire codec reappeared" >&2
     exit 1
 fi
-# The tree reads four variables from the environment and no more: the two
-# comm fault detectors, the bench output directory, and HOSTNAME (testkit's
-# seed / case-count overrides aside).
+# The tree reads three variables from the environment and no more: the comm
+# watchdog, the bench output directory, and HOSTNAME (testkit's seed /
+# case-count overrides aside).
 if grep -rn 'env::var' crates src tests examples | grep -v '^crates/testkit/' \
-        | grep -vE '"(DIFFREG_COMM_TIMEOUT_MS|DIFFREG_COMM_CONTRACT|DIFFREG_RESULTS_DIR|HOSTNAME)"'; then
+        | grep -vE '"(DIFFREG_COMM_TIMEOUT_MS|DIFFREG_RESULTS_DIR|HOSTNAME)"'; then
     echo "ERROR: an environment variable outside the allowlist is read" >&2
     exit 1
 fi
 # The compiler is the linter: the in-tree analyzer, its suppression comments
-# and the advisory sanitizer and kernel-gate scripts are gone.
-if grep -rnE 'diffreg-[a]llow|diffreg[-_][a]nalyzer|[s]anitizers\.sh|perf_[g]ate\.sh' $everywhere; then
+# and the advisory sanitizer script are gone.
+if grep -rnE 'diffreg-[a]llow|diffreg[-_][a]nalyzer|[s]anitizers\.sh' $everywhere; then
     echo "ERROR: the in-tree analyzer or one of its scripts reappeared" >&2
     exit 1
 fi
@@ -132,6 +132,13 @@ if grep -rn 'impl Comm for S[e]rialComm' $everywhere || grep -rn 'mod s[e]rial' 
 fi
 if grep -rn 'Workspace::n[e]w(' crates src tests examples | grep -v '^crates/transport/src/'; then
     echo "ERROR: a workspace is built by hand; use SessionParts" >&2
+    exit 1
+fi
+# A barrier is a collective like the others: one wait mechanism (a channel
+# receive), one stamped tag format with no switch for the contract checker,
+# and one before/after comparator (benchmark/run.sh --compare).
+if grep -rnE 'DIFFREG_COMM_[C]ONTRACT|set_contract_[c]hecking|Shared[B]arrier|perf_[g]ate' $everywhere; then
+    echo "ERROR: a second barrier, the contract switch or the kernel gate reappeared" >&2
     exit 1
 fi
 # The workspace line count is tracked like a benchmark (ROADMAP aim 2).
