@@ -47,7 +47,7 @@ use std::time::{Duration, Instant};
 use crate::error::{tag_display, CollOp, CommError, RankFailure, EPOCH_MASK, OP_SHIFT, TAG_INTERNAL};
 use crate::events::{derive_comm_uid, monotonic_ns, CommEvent, CommOp};
 use crate::stats::CommStats;
-use crate::traits::{Comm, CommData, ReduceOp};
+use crate::traits::{or_abort, Comm, CommData, ReduceOp};
 
 /// A message on the wire: tag, payload byte count, element type name, payload.
 type Msg = (u64, usize, &'static str, Box<dyn Any + Send>);
@@ -397,6 +397,34 @@ impl ThreadComm {
         e
     }
 
+    /// [`Comm::try_send`] that counts `bytes` as the payload. Every send
+    /// counts its data's size except a split's endpoint hand-off, which
+    /// moves channel handles, not data, and counts 0 (it stays one
+    /// message).
+    fn try_send_counted<T: CommData>(
+        &self,
+        dst: usize,
+        tag: u64,
+        data: Vec<T>,
+        bytes: usize,
+    ) -> Result<(), CommError> {
+        assert!(dst < self.size, "send to out-of-range rank {dst}");
+        if dst != self.rank {
+            self.record_send(bytes);
+        }
+        let record = self.record_p2p(tag);
+        let t0 = if record { monotonic_ns() } else { 0 };
+        let sent = self
+            .senders[dst]
+            .send((tag, bytes, std::any::type_name::<T>(), Box::new(data)))
+            .map_err(|_| CommError::PeerGone { rank: self.rank, peer: dst });
+        if record && sent.is_ok() {
+            // Sends are buffered: they never block.
+            self.push_p2p_event(CommOp::Send, dst, tag, bytes, t0, 0.0);
+        }
+        sent
+    }
+
     /// Receives the raw payload for `(src, tag)`. The *entire* call — pending
     /// scan included — is accounted to `blocked_seconds`.
     fn try_recv_raw(
@@ -590,22 +618,8 @@ impl Comm for ThreadComm {
     }
 
     fn try_send<T: CommData>(&self, dst: usize, tag: u64, data: Vec<T>) -> Result<(), CommError> {
-        assert!(dst < self.size, "send to out-of-range rank {dst}");
         let bytes = data.len() * std::mem::size_of::<T>();
-        if dst != self.rank {
-            self.record_send(bytes);
-        }
-        let record = self.record_p2p(tag);
-        let t0 = if record { monotonic_ns() } else { 0 };
-        let sent = self
-            .senders[dst]
-            .send((tag, bytes, std::any::type_name::<T>(), Box::new(data)))
-            .map_err(|_| CommError::PeerGone { rank: self.rank, peer: dst });
-        if record && sent.is_ok() {
-            // Sends are buffered: they never block.
-            self.push_p2p_event(CommOp::Send, dst, tag, bytes, t0, 0.0);
-        }
-        sent
+        self.try_send_counted(dst, tag, data, bytes)
     }
 
     fn try_recv<T: CommData>(&self, src: usize, tag: u64) -> Result<Vec<T>, CommError> {
@@ -767,7 +781,7 @@ impl Comm for ThreadComm {
                     if new_rank == 0 {
                         return inherit(ThreadComm::from_package(pkg));
                     }
-                    self.send(old_rank, tag, vec![pkg]);
+                    or_abort(self.try_send_counted(old_rank, tag, vec![pkg], 0));
                 }
                 unreachable!("leader always returns its own package");
             } else {
@@ -978,6 +992,23 @@ mod tests {
             let expect = if row == 0 { 0.0 + 1.0 } else { 2.0 + 3.0 };
             assert_eq!(s, expect);
         });
+    }
+
+    /// A split's bytes are its `(color, key, rank)` allgather, 24 bytes to
+    /// each peer, on every member: the leader's endpoint hand-off is a
+    /// message without payload.
+    #[test]
+    fn split_bytes_are_its_allgather_on_every_member() {
+        let events = run_threaded(4, |c| {
+            c.set_event_recording(true);
+            let _row = c.split(c.rank() / 2, c.rank() % 2);
+            c.take_events()
+        });
+        for (rank, evs) in events.iter().enumerate() {
+            let split: Vec<u64> =
+                evs.iter().filter(|e| e.op == CommOp::Split).map(|e| e.bytes).collect();
+            assert_eq!(split, [24 * 3], "rank {rank}");
+        }
     }
 
     #[test]

@@ -52,7 +52,7 @@ impl ReduceOp {
     clippy::panic,
     reason = "infallible bridge — aborts with the typed error's rendering; recoverable callers use the try_* twin"
 )]
-fn or_abort<T>(res: Result<T, CommError>) -> T {
+pub(crate) fn or_abort<T>(res: Result<T, CommError>) -> T {
     res.unwrap_or_else(|e| panic!("{e}"))
 }
 

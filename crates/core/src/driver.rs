@@ -9,7 +9,7 @@ use diffreg_optim::{gauss_newton_observed, NewtonReport, NewtonResume};
 use diffreg_telemetry::{IterRecord, SolverEvent, StreamEntry};
 use diffreg_transport::Workspace;
 
-use crate::checkpoint::{CheckpointError, CheckpointStore, SolverCheckpoint};
+use crate::checkpoint::{CheckpointStore, SolverCheckpoint};
 use crate::config::RegistrationConfig;
 use crate::jacobian::{det_deformation_gradient, det_stats, DetGradStats};
 use crate::problem::RegProblem;
@@ -72,17 +72,6 @@ pub fn register_with_continuation<C: Comm>(
     register_solve(ws, rho_t, rho_r, cfg, betas, None, &CheckpointStore::Disabled, |_| {})
 }
 
-/// A failed checkpoint save must not abort a long solve (the run merely
-/// loses restartability since the last good generation), but it must not
-/// vanish either: the `"checkpoint"` stream event says `save-failed`, which
-/// is what `diffreg-serve` counts onto `/metrics`. The counter here is
-/// trace-gated and drained only by tests.
-fn note_save_failure(r: &Result<(), CheckpointError>) {
-    if r.is_err() {
-        diffreg_telemetry::count_global("diffreg_checkpoint_save_failures", 1);
-    }
-}
-
 fn event(kind: &str, level: usize, iter: usize, detail: String) -> StreamEntry {
     StreamEntry::Event(SolverEvent { kind: kind.to_string(), level, iter, detail })
 }
@@ -113,7 +102,10 @@ fn event(kind: &str, level: usize, iter: usize, detail: String) -> StreamEntry {
 /// order is: checkpoint write (if due), level event (first step of a level),
 /// iteration record, checkpoint event — so an observer that panics on an
 /// iteration record (fault-injection tests) leaves that step's checkpoint
-/// behind. Each rank sees its own (identical) stream.
+/// behind. The level-boundary save adds a `"checkpoint"` event only when it
+/// fails (`save-failed: <error>`, at the next level's iteration 0). A failed
+/// save never aborts the solve: the run merely loses restartability since
+/// the last good generation. Each rank sees its own (identical) stream.
 ///
 /// Collective over `ws.comm`.
 #[expect(
@@ -202,9 +194,7 @@ pub fn register_solve<C: Comm>(
                     let iter = cur.completed_iters;
                     let saved = (persist && iter % every == 0).then(|| {
                         let ck = SolverCheckpoint::capture(li, beta, iter, cur.g0norm, vel);
-                        let r = store.save(rank, &ck.to_bytes());
-                        note_save_failure(&r);
-                        r
+                        store.save(rank, &ck.to_bytes())
                     });
                     if std::mem::take(&mut first_step) {
                         let detail = format!("beta={beta:e}");
@@ -263,8 +253,11 @@ pub fn register_solve<C: Comm>(
             if li + 1 < betas.len() {
                 // Level boundary: a restart warm-starts the next level from
                 // this level's solution through the ordinary entry path.
+                // It is reported only when it fails.
                 let ck = SolverCheckpoint::capture(li + 1, betas[li + 1], 0, f64::NAN, &v);
-                note_save_failure(&store.save(rank, &ck.to_bytes()));
+                if let Err(e) = store.save(rank, &ck.to_bytes()) {
+                    observer(event("checkpoint", li + 1, 0, format!("save-failed: {e}")));
+                }
             } else {
                 // Finished: drop the checkpoint so a later solve does not
                 // resume from a stale snapshot.

@@ -24,9 +24,7 @@ use diffreg_grid::{Decomp, Grid, ScalarField, VectorField};
 use diffreg_telemetry::doctor::{
     analyze, write_trace_bundle, DoctorInput, RankCapture, WaitKind,
 };
-use diffreg_telemetry::{
-    set_trace_enabled, take_global_metrics, take_recorder, ConvergenceLog, MetricsRegistry,
-};
+use diffreg_telemetry::{set_trace_enabled, take_recorder, ConvergenceLog, MetricsRegistry};
 use diffreg_transport::{SemiLagrangian, SessionParts, Workspace};
 
 fn smoke_size() -> usize {
@@ -63,7 +61,8 @@ fn doctor_explains_a_traced_registration() {
     let betas = [1e-2, 1e-3];
 
     set_trace_enabled(true);
-    let per_rank: Vec<(RankCapture, MetricsRegistry)> =
+    // Per rank: the capture and the workspace Timers' interp point counts.
+    let per_rank: Vec<(RankCapture, [u64; 2])> =
         run_threaded(RANKS, move |comm| {
             comm.set_event_recording(true);
             let parts = SessionParts::with_decomp(comm, Decomp::with_process_grid(grid, 2, 2));
@@ -79,14 +78,12 @@ fn doctor_explains_a_traced_registration() {
             comm.barrier();
             let capture =
                 RankCapture { rank: comm.rank(), events: comm.take_events(), recorder: take_recorder() };
-            (capture, take_global_metrics())
+            let points = ["interp_points_routed", "interp_points_evaluated"];
+            (capture, points.map(|k| ws.timers.get_count(k)))
         });
     set_trace_enabled(false);
 
-    let mut metrics = MetricsRegistry::new();
-    for (_, m) in &per_rank {
-        metrics.merge(m);
-    }
+    let timers_points = per_rank.iter().fold([0u64; 2], |acc, (_, p)| [acc[0] + p[0], acc[1] + p[1]]);
     let captures: Vec<RankCapture> = per_rank.into_iter().map(|(c, _)| c).collect();
     assert!(
         captures.iter().all(|c| c.recorder.dropped() == 0),
@@ -96,9 +93,9 @@ fn doctor_explains_a_traced_registration() {
     // Left on disk so the `diffreg-doctor` CLI can re-analyze the exact same
     // run from the files alone and hard-gate on it (scripts/ci.sh).
     let dir = concat!(env!("CARGO_TARGET_TMPDIR"), "/doctor-smoke");
-    write_trace_bundle(dir, &captures, Some(&metrics)).expect("write trace bundle");
+    write_trace_bundle(dir, &captures, None).expect("write trace bundle");
 
-    let input = DoctorInput { ranks: captures, metrics };
+    let input = DoctorInput { ranks: captures, metrics: MetricsRegistry::new() };
     let report = analyze(&input);
 
     // --- Matching: every p2p send pairs with exactly one receive. ---
@@ -136,12 +133,15 @@ fn doctor_explains_a_traced_registration() {
         );
     }
 
-    // --- Run-recorded metrics flowed through the global registry. ---
-    let pts = report
-        .metrics
-        .histogram("diffreg_interp_scatter_points")
-        .expect("interp scatter size histogram");
-    assert!(pts.count() > 0 && pts.sum() > 0.0);
+    // --- Span counts: the interp spans carry exactly the Timers' counts. ---
+    for (span, timers) in [("interp.plan", timers_points[0]), ("interp.eval", timers_points[1])] {
+        let h = report
+            .metrics
+            .histogram(&format!("diffreg_span_count{{span=\"{span}\"}}"))
+            .unwrap_or_else(|| panic!("no span-count histogram for {span}"));
+        assert!(timers > 0);
+        assert_eq!(h.sum(), timers as f64, "{span} counts vs the Timers' sum over ranks");
+    }
     assert!(
         report.metrics.histogram("diffreg_comm_op_seconds{op=\"alltoallv\"}").is_some(),
         "doctor must derive per-op latency histograms"

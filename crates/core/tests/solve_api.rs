@@ -163,34 +163,25 @@ fn stream_matches_pre_merge_golden_resumed_run() {
 }
 
 /// A store that cannot write (its directory path is a regular file) must
-/// neither stop the solve nor claim success: one failure counted and one
-/// `save-failed` event per due save, no `saved`.
+/// neither stop the solve nor claim success: one `save-failed` event per
+/// failed save, per-step and level-boundary alike, and no `saved`.
 #[test]
 fn failed_checkpoint_saves_are_counted_and_logged() {
     let blocker = std::env::temp_dir().join(format!("diffreg-solve-api-{}", std::process::id()));
     std::fs::write(&blocker, b"not a directory").unwrap();
     on_problem(|ws, t, r| {
-        // The failure counter is a traced metric.
-        diffreg_telemetry::set_trace_enabled(true);
-        let _ = diffreg_telemetry::take_global_metrics();
         let store = CheckpointStore::file(&blocker);
         let mut log = ConvergenceLog::new("save-failed");
         let (out, reports) = register_solve(ws, t, r, cfg(), &BETAS, None, &store, |e| log.push(e));
-        let metrics = diffreg_telemetry::take_global_metrics();
-        diffreg_telemetry::set_trace_enabled(false);
 
         assert!(out.relative_mismatch() < 0.5, "the solve must complete");
         let steps: usize = reports.iter().map(|r| r.outer_iterations()).sum();
         let checkpoints: Vec<_> = log.events().filter(|e| e.kind == "checkpoint").collect();
-        assert_eq!(checkpoints.len(), steps, "checkpoint_every = 1: one event per step");
         for e in &checkpoints {
             assert!(e.detail.starts_with("save-failed: "), "claimed success: {e:?}");
         }
-        // Per-step saves plus the level-boundary save.
-        assert_eq!(
-            metrics.counter("diffreg_checkpoint_save_failures"),
-            Some((steps + BETAS.len() - 1) as u64)
-        );
+        // checkpoint_every = 1: per-step saves plus the level-boundary save.
+        assert_eq!(checkpoints.len(), steps + BETAS.len() - 1);
     });
     let _ = std::fs::remove_file(&blocker);
 }

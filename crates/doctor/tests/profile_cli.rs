@@ -38,12 +38,12 @@ fn dummy_event(rank: usize) -> CommEvent {
 }
 
 /// One rank's capture: a complete keep-all window holding the given
-/// `(name, t0_ns, dur_ns, depth)` spans (close order: children first) and
-/// one comm event.
-fn rank_capture(rank: usize, spans: &[(&'static str, u64, u64, u64)]) -> RankCapture {
+/// `(name, t0_ns, dur_ns)` spans (close order: children first) and one comm
+/// event.
+fn rank_capture(rank: usize, spans: &[(&'static str, u64, u64)]) -> RankCapture {
     let events: Vec<RecEvent> = spans
         .iter()
-        .map(|&(name, t_ns, a, b)| RecEvent { t_ns, kind: RecKind::Span, name: name.into(), a, b })
+        .map(|&(name, t_ns, a)| RecEvent { t_ns, kind: RecKind::Span, name: name.into(), a, b: 0 })
         .collect();
     let n = events.len() as u64;
     RankCapture {
@@ -67,9 +67,9 @@ fn rank_capture(rank: usize, spans: &[(&'static str, u64, u64, u64)]) -> RankCap
 fn write_bundle(dir: &Path, slow: u64) {
     let us = 1_000u64;
     let spans = [
-        ("fft.forward", 10 * us, 100 * us + 1, 1),
-        ("transport.semilag", 120 * us, 200 * us * slow + 7, 1),
-        ("newton.step", 0, (400 + 200 * (slow - 1)) * us + 9, 0),
+        ("fft.forward", 10 * us, 100 * us + 1),
+        ("transport.semilag", 120 * us, 200 * us * slow + 7),
+        ("newton.step", 0, (400 + 200 * (slow - 1)) * us + 9),
     ];
     let captures = [rank_capture(0, &spans), rank_capture(1, &spans)];
     write_trace_bundle(dir, &captures, None).expect("write bundle");
@@ -114,17 +114,17 @@ fn replayed_bundles_with_different_wall_clocks_fold_identically() {
         rank_capture(
             0,
             &[
-                ("fft.forward", 5_010 * us, 170 * us, 1),
-                ("transport.semilag", 5_200 * us, 130 * us, 1),
-                ("newton.step", 5_000 * us, 777 * us, 0),
+                ("fft.forward", 5_010 * us, 170 * us),
+                ("transport.semilag", 5_200 * us, 130 * us),
+                ("newton.step", 5_000 * us, 777 * us),
             ],
         ),
         rank_capture(
             1,
             &[
-                ("fft.forward", 9_010 * us, 42 * us, 1),
-                ("transport.semilag", 9_100 * us, 260 * us, 1),
-                ("newton.step", 9_000 * us, 500 * us, 0),
+                ("fft.forward", 9_010 * us, 42 * us),
+                ("transport.semilag", 9_100 * us, 260 * us),
+                ("newton.step", 9_000 * us, 500 * us),
             ],
         ),
     ];

@@ -7,21 +7,15 @@
 //! worth of takes warms the pool for every following iteration — the
 //! steady state performs zero heap allocations through the arena.
 //!
-//! Every `take` increments one of two telemetry counters,
-//! `diffreg_arena_hit_total` / `diffreg_arena_miss_total` (trace-gated, so
-//! production runs pay nothing). The zero-allocation regression test pins
-//! the miss counter flat across warm iterations.
+//! Every `take`, from any pool, counts a hit (a recycled buffer) or a miss
+//! (a fresh heap allocation) in two plain per-thread counters, read with
+//! [`arena_counts`]. The zero-allocation regression test pins the miss
+//! count flat across warm iterations.
 
-use std::cell::RefCell;
+use std::cell::{Cell, RefCell};
 use std::collections::BTreeMap;
 use std::ops::{Deref, DerefMut};
 use std::thread::LocalKey;
-
-/// Name of the arena-hit counter in the metrics registry / Prometheus
-/// snapshot.
-pub const ARENA_HIT_COUNTER: &str = "diffreg_arena_hit_total";
-/// Name of the arena-miss (fresh heap allocation) counter.
-pub const ARENA_MISS_COUNTER: &str = "diffreg_arena_miss_total";
 
 /// Buffers kept per capacity class; bounds worst-case retention without
 /// affecting steady-state behavior (one iteration never holds this many
@@ -35,6 +29,15 @@ const MAX_PER_CLASS: usize = 64;
 #[derive(Debug)]
 pub struct BufferPool<T> {
     buckets: RefCell<BTreeMap<usize, Vec<Vec<T>>>>,
+}
+
+/// How this thread's pool takes were served since the thread started.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct ArenaCounts {
+    /// Takes that recycled a pooled buffer.
+    pub hits: u64,
+    /// Takes that made a fresh heap allocation.
+    pub misses: u64,
 }
 
 impl<T> Default for BufferPool<T> {
@@ -61,16 +64,16 @@ impl<T: Clone + Default> BufferPool<T> {
     pub fn take(&self, len: usize) -> Vec<T> {
         let class = Self::class_of(len);
         let recycled = self.buckets.borrow_mut().get_mut(&class).and_then(Vec::pop);
-        let mut v = match recycled {
-            Some(v) => {
-                diffreg_telemetry::count_global(ARENA_HIT_COUNTER, 1);
-                v
+        COUNTS.with(|c| {
+            let mut n = c.get();
+            if recycled.is_some() {
+                n.hits += 1;
+            } else {
+                n.misses += 1;
             }
-            None => {
-                diffreg_telemetry::count_global(ARENA_MISS_COUNTER, 1);
-                Vec::with_capacity(class)
-            }
-        };
+            c.set(n);
+        });
+        let mut v = recycled.unwrap_or_else(|| Vec::with_capacity(class));
         v.clear();
         v.resize(len, T::default());
         v
@@ -149,12 +152,19 @@ thread_local! {
     /// The shared `f64` scratch arena for this thread (= this simulated
     /// rank).
     pub static F64_ARENA: BufferPool<f64> = const { BufferPool::new() };
+    static COUNTS: Cell<ArenaCounts> = const { Cell::new(ArenaCounts { hits: 0, misses: 0 }) };
 }
 
 /// Takes a zero-initialized `f64` buffer of `len` elements from this
 /// thread's arena.
 pub fn arena_f64(len: usize) -> PooledVec<f64> {
     take_pooled(&F64_ARENA, len)
+}
+
+/// How this thread's pools (every [`BufferPool`], not only [`F64_ARENA`])
+/// served their takes so far.
+pub fn arena_counts() -> ArenaCounts {
+    COUNTS.with(Cell::get)
 }
 
 #[cfg(test)]
@@ -181,6 +191,16 @@ mod tests {
         let b = arena_f64(900);
         assert_eq!(b.as_ptr() as usize, ptr, "allocation was not recycled");
         assert!(b.iter().all(|&v| v == 0.0));
+    }
+
+    #[test]
+    fn takes_count_one_hit_or_one_miss() {
+        let before = arena_counts();
+        drop(arena_f64(3000));
+        drop(arena_f64(3000));
+        let after = arena_counts();
+        assert_eq!(after.hits + after.misses, before.hits + before.misses + 2);
+        assert!(after.hits > before.hits, "the second take recycles the first buffer");
     }
 
     #[test]

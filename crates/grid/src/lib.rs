@@ -20,8 +20,7 @@ mod ghost;
 mod layout;
 
 pub use arena::{
-    arena_f64, take_pooled, BufferPool, PooledVec, ARENA_HIT_COUNTER, ARENA_MISS_COUNTER,
-    F64_ARENA,
+    arena_counts, arena_f64, take_pooled, ArenaCounts, BufferPool, PooledVec, F64_ARENA,
 };
 pub use field::{spatial_block, ScalarField, VectorField};
 pub use ghost::{exchange_ghost, GhostField};

@@ -43,7 +43,7 @@ impl ScatterPlan {
         points: &[[f64; 3]],
         timers: &Timers,
     ) -> Self {
-        let _span = diffreg_telemetry::span("interp.plan");
+        let mut span = diffreg_telemetry::span("interp.plan");
         let grid = decomp.grid;
         let p = comm.size();
         assert!(
@@ -65,14 +65,7 @@ impl ScatterPlan {
             diffreg_telemetry::with_span("interp.scatter", || comm.alltoallv(outgoing))
         });
         timers.count("interp_points_routed", points.len() as u64);
-        diffreg_telemetry::observe_global(
-            "diffreg_interp_scatter_points",
-            points.len() as f64,
-        );
-        diffreg_telemetry::observe_global(
-            "diffreg_interp_scatter_bytes",
-            std::mem::size_of_val(points) as f64,
-        );
+        span.count(points.len() as u64);
         let mut batch_off = Vec::with_capacity(assigned.len() + 1);
         let mut off = 0;
         for pts in &assigned {
@@ -133,7 +126,7 @@ impl ScatterPlan {
         kernel: Kernel,
         timers: &Timers,
     ) -> Vec<Vec<f64>> {
-        let _span = diffreg_telemetry::span("interp.eval");
+        let mut span = diffreg_telemetry::span("interp.eval");
         let nf = ghosts.len();
         assert!(nf > 0, "need at least one field");
         // Owners evaluate; values interleaved per point: [f0, f1, ..] per point.
@@ -148,10 +141,7 @@ impl ScatterPlan {
                 .collect()
         });
         timers.count("interp_points_evaluated", (self.assigned_len() * nf) as u64);
-        diffreg_telemetry::observe_global(
-            "diffreg_interp_scatter_values",
-            (self.assigned_len() * nf) as f64,
-        );
+        span.count((self.assigned_len() * nf) as u64);
         let returned = timers.time("interp_comm", || {
             diffreg_telemetry::with_span("interp.scatter", || comm.alltoallv(values))
         });

@@ -22,8 +22,8 @@
 //!   with checkpoints resume *bitwise* identically to an uninterrupted
 //!   solve, including torn-write fallback to the previous checkpoint
 //!   generation ([`runtime`]);
-//! * **observability** — per-job streamed iteration progress, convergence
-//!   logs with serve-side events, a Prometheus-rendered dashboard of
+//! * **observability** — per-job convergence logs that stream each
+//!   iteration as it lands, with serve-side events, a Prometheus-rendered dashboard of
 //!   queue depth, retry/recovery counters, and latency histograms, and an
 //!   opt-in read-only HTTP plane ([`http`]) serving metrics, the live job
 //!   table, SLO state, incidents, and flamegraph snapshots from
@@ -62,8 +62,7 @@ pub use faults::{AttemptFaults, FaultInjector, NoFaults, PlannedFaults, SeededFa
 pub use http::{HttpServer, ObsSnapshot};
 pub use job::{JobId, JobRecord, JobResult, JobSpec, JobState};
 pub use runtime::{
-    attempt_epoch_count, reference_digest, synthetic_pair, ProgressEvent, ServeConfig,
-    ServeHarness, ServeSummary,
+    attempt_epoch_count, reference_digest, synthetic_pair, ServeConfig, ServeHarness, ServeSummary,
 };
 pub use incident::IncidentRecord;
 pub use scheduler::{plan_round, Assignment};

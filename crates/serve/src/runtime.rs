@@ -58,7 +58,7 @@ use diffreg_optim::NewtonOptions;
 use diffreg_telemetry::doctor::{write_trace_bundle, RankCapture};
 use diffreg_telemetry::incident::{write_incident_bundle, Failure, IncidentContext};
 use diffreg_telemetry::{
-    record_comm_summary, record_event, set_trace_enabled, snapshot_recorder, span, take_recorder,
+    record_event, set_trace_enabled, snapshot_recorder, span, take_recorder,
     ConvergenceLog, Json, MetricsRegistry, Profile, RecKind, StreamEntry,
 };
 use diffreg_transport::{SemiLagrangian, SessionParts, Workspace};
@@ -133,24 +133,6 @@ impl Default for ServeConfig {
             http_addr: None,
         }
     }
-}
-
-/// One streamed solver-progress sample (gang rank 0 of the owning gang
-/// forwards every Newton iteration as it lands).
-#[derive(Debug, Clone, PartialEq)]
-pub struct ProgressEvent {
-    /// Job id.
-    pub job: JobId,
-    /// 1-based attempt.
-    pub attempt: u32,
-    /// β-continuation level.
-    pub level: usize,
-    /// Accepted Newton iterations completed at this level.
-    pub iter: usize,
-    /// Objective value.
-    pub objective: f64,
-    /// Gradient norm.
-    pub grad_norm: f64,
 }
 
 /// Final, replicated summary of one `serve_pool` run. Every pool rank
@@ -230,7 +212,8 @@ fn classify(payload: &str) -> Failure {
 // ---------------------------------------------------------------------------
 
 /// Shared state of one serving deployment: submission inboxes, per-job
-/// checkpoint stores, the progress stream, and the metrics dashboard.
+/// checkpoint stores, the per-job logs (the progress stream), and the
+/// metrics dashboard.
 ///
 /// Clone freely — clones share state. Submit and cancel from any thread
 /// (including while the pool is running); call
@@ -244,7 +227,6 @@ pub struct ServeHarness {
     cancel_inbox: Arc<Mutex<Vec<JobId>>>,
     intake_open: Arc<AtomicBool>,
     stores: Arc<Mutex<HashMap<JobId, CheckpointStore>>>,
-    progress: Arc<Mutex<Vec<ProgressEvent>>>,
     logs: Arc<Mutex<HashMap<JobId, ConvergenceLog>>>,
     metrics: Arc<Mutex<MetricsRegistry>>,
     stage: Arc<Mutex<CaptureStage>>,
@@ -263,7 +245,6 @@ impl ServeHarness {
             cancel_inbox: Arc::new(Mutex::new(Vec::new())),
             intake_open: Arc::new(AtomicBool::new(true)),
             stores: Arc::new(Mutex::new(HashMap::new())),
-            progress: Arc::new(Mutex::new(Vec::new())),
             logs: Arc::new(Mutex::new(HashMap::new())),
             metrics: Arc::new(Mutex::new(MetricsRegistry::new())),
             stage: Arc::new(Mutex::new(BTreeMap::new())),
@@ -302,13 +283,10 @@ impl ServeHarness {
         self.intake_open.store(false, Ordering::SeqCst);
     }
 
-    /// Snapshot of the streamed progress events so far.
-    pub fn progress(&self) -> Vec<ProgressEvent> {
-        lock(&self.progress).clone()
-    }
-
-    /// Per-job convergence log (iteration records plus serve-side events:
-    /// attempts, resumes, fallbacks, checkpoint drops).
+    /// Per-job convergence log, the job's progress stream: gang rank 0
+    /// appends each attempt's `serve-attempt` event (plus resume, fallback
+    /// or checkpoint-drop events) and then every accepted Newton
+    /// iteration's record as it lands.
     pub fn job_log(&self, id: JobId) -> Option<ConvergenceLog> {
         lock(&self.logs).get(&id).cloned()
     }
@@ -492,15 +470,6 @@ impl ServeHarness {
     /// window since the attempt's start-of-attempt reset.
     fn stage_capture(&self, world: &ThreadComm, a: &Assignment, attempt: u32, outcome: Outcome) {
         let events = world.take_events();
-        let mut per_op: BTreeMap<&'static str, (u64, u64)> = BTreeMap::new();
-        for e in &events {
-            let p = per_op.entry(e.op.name()).or_insert((0, 0));
-            p.0 += 1;
-            p.1 += e.bytes;
-        }
-        for (op, (n, bytes)) in per_op {
-            record_comm_summary(op, n, bytes);
-        }
         let gang_rank = a.ranks.iter().position(|r| *r == world.rank()).unwrap_or(0);
         // This rank's own failure is the triage's strongest culprit signal
         // (comm streams truncate symmetrically on gang-fatal faults): the
@@ -608,14 +577,6 @@ impl ServeHarness {
                     lock(&self.metrics).inc_counter("serve_checkpoint_save_failures_total", 1);
                 }
                 StreamEntry::Iter(it) if chaos.rank() == 0 => {
-                    lock(&self.progress).push(ProgressEvent {
-                        job: spec.id,
-                        attempt,
-                        level: it.level,
-                        iter: it.iter,
-                        objective: it.objective,
-                        grad_norm: it.grad_norm,
-                    });
                     if let Some(log) = lock(&self.logs).get_mut(&spec.id) {
                         log.record(it);
                     }

@@ -11,6 +11,7 @@ use diffreg_serve::{
     attempt_epoch_count, reference_digest, AttemptFaults, JobSpec, JobState, NoFaults,
     PlannedFaults, ServeConfig, ServeHarness, ServeSummary,
 };
+use diffreg_telemetry::StreamEntry;
 
 /// A job small enough that a 4-rank debug-mode pool chews through dozens.
 fn quick_job(id: u64, gang: usize) -> JobSpec {
@@ -250,12 +251,20 @@ fn killed_checkpointed_job_resumes_bitwise_and_streams_progress() {
     assert_eq!(res.final_mismatch_bits, ref_mm);
     assert_eq!(harness.counter("serve_jobs_recovered_total"), 1);
 
-    // Progress streamed from both attempts; the convergence log carries the
-    // serve-side resume event.
-    let progress = harness.progress();
-    assert!(progress.iter().any(|p| p.job == 1 && p.attempt == 1));
-    assert!(progress.iter().any(|p| p.job == 1 && p.attempt == 2));
+    // The job log streamed iterations from both attempts, each after its
+    // serve-attempt event, and carries the serve-side resume event.
     let log = harness.job_log(1).expect("job log");
+    // (attempt, iterations logged after its serve-attempt event)
+    let mut attempts: Vec<(usize, usize)> = Vec::new();
+    for entry in &log.entries {
+        match entry {
+            StreamEntry::Event(e) if e.kind == "serve-attempt" => attempts.push((e.iter, 0)),
+            StreamEntry::Iter(_) => attempts.last_mut().expect("attempt event first").1 += 1,
+            StreamEntry::Event(_) => {}
+        }
+    }
+    assert_eq!(attempts.iter().map(|a| a.0).collect::<Vec<_>>(), [1, 2]);
+    assert!(attempts.iter().all(|a| a.1 > 0), "every attempt streamed iterations: {attempts:?}");
     assert!(log.events().any(|e| e.kind == "serve-resume"), "log must record the resume");
 }
 
@@ -309,7 +318,7 @@ fn failed_checkpoint_saves_reach_the_metrics_surface() {
     let summaries = serve(&harness, 2);
     assert_eq!(summaries[0].records[&1].state, JobState::Completed);
     // checkpoint_every = 1: one due save per accepted step per gang member.
-    let steps = harness.progress().len() as u64;
+    let steps = harness.job_log(1).expect("job log").iterations().count() as u64;
     assert!(steps > 0);
     assert_eq!(harness.counter("serve_checkpoint_save_failures_total"), 2 * steps);
     assert!(harness.render_prometheus().contains("serve_checkpoint_save_failures_total"));

@@ -14,8 +14,9 @@
 //!   ([`RecorderSnapshot`]): one header line with the exact drop accounting,
 //!   then one line per retained event. Its span events give the doctor its
 //!   phase attribution, to the nanosecond.
-//! * `metrics.json` — optional [`MetricsRegistry`] snapshot (e.g. interp
-//!   scatter sizes recorded during the run).
+//! * `metrics.json` — optional [`MetricsRegistry`] snapshot the run exported
+//!   (the serve dashboard, say); [`analyze`] merges its derived metrics
+//!   into it.
 //! * `trace.json` — the Chrome trace of the same capture
 //!   ([`crate::chrome_trace`]) for Perfetto. Write-only: nothing reads it
 //!   back.
@@ -62,8 +63,8 @@ use std::path::{Path, PathBuf};
 use diffreg_comm::{CommEvent, CommOp};
 
 use crate::json::Json;
-use crate::metrics::MetricsRegistry;
-use crate::recorder::RecorderSnapshot;
+use crate::metrics::{escape_label_value, MetricsRegistry};
+use crate::recorder::{RecKind, RecorderSnapshot};
 use crate::report::PredictedPhases;
 
 /// Phase label for time not covered by any span.
@@ -447,8 +448,8 @@ pub struct DoctorReport {
     pub coverage: f64,
     /// Seconds per `(phase → per-rank vector)` from the span timelines.
     pub phase_rank_seconds: BTreeMap<String, Vec<f64>>,
-    /// Derived metrics (op latencies, wait histograms) merged with the
-    /// run-recorded registry.
+    /// Derived metrics (op latencies, wait histograms, span counts) merged
+    /// with the registry the bundle carried.
     pub metrics: MetricsRegistry,
     /// Events the per-thread rings did not keep (sampled out or
     /// overwritten, summed) — the spans above are missing at most this many.
@@ -865,6 +866,12 @@ pub fn analyze(input: &DoctorInput) -> DoctorReport {
             metrics.inc_counter(&format!("diffreg_comm_events_total{{op=\"{}\"}}", e.op.name()), 1);
             metrics.observe(&format!("diffreg_comm_op_seconds{{op=\"{}\"}}", e.op.name()), e.dur_s());
         }
+        // A span that counted something (interp.plan: points routed,
+        // interp.eval: values evaluated) yields one observation per call.
+        for e in r.recorder.events.iter().filter(|e| e.kind == RecKind::Span && e.b > 0) {
+            let span = escape_label_value(&e.name);
+            metrics.observe(&format!("diffreg_span_count{{span=\"{span}\"}}"), e.b as f64);
+        }
     }
     for w in &waits {
         metrics.observe(
@@ -1074,7 +1081,7 @@ impl DoctorReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::recorder::{RecEvent, RecKind};
+    use crate::recorder::RecEvent;
 
     /// A complete keep-all window holding the given `(name, t0_ns, t1_ns)`
     /// spans.
@@ -1263,6 +1270,19 @@ mod tests {
     }
 
     #[test]
+    fn counted_spans_derive_one_histogram_per_span_name() {
+        let mut rec = spans(&[("interp.plan", 0, 10), ("interp.eval", 10, 20), ("interp.eval", 20, 30)]);
+        for (e, count) in rec.events.iter_mut().zip([96, 192, 0]) {
+            e.b = count;
+        }
+        let rep = analyze(&input(vec![(Vec::new(), rec)]));
+        let plan = rep.metrics.histogram("diffreg_span_count{span=\"interp.plan\"}").unwrap();
+        assert_eq!((plan.count(), plan.sum()), (1, 96.0));
+        let eval = rep.metrics.histogram("diffreg_span_count{span=\"interp.eval\"}").unwrap();
+        assert_eq!((eval.count(), eval.sum()), (1, 192.0), "a zero count is no observation");
+    }
+
+    #[test]
     fn flatten_spans_labels_innermost() {
         let segs = flatten_spans(&spans(&[("outer", 0, 100), ("inner", 20, 50)]));
         assert_eq!(phase_at(&segs, 10), "outer");
@@ -1303,7 +1323,7 @@ mod tests {
             RankCapture { rank: 1, events: vec![send], recorder: spans(&[]) },
         ];
         let mut metrics = MetricsRegistry::new();
-        metrics.observe("diffreg_interp_scatter_points", 128.0);
+        metrics.set_gauge("serve_pool_ranks", 2.0);
         let dir = std::env::temp_dir().join(format!(
             "diffreg-doctor-test-{}-{}",
             std::process::id(),
@@ -1312,7 +1332,7 @@ mod tests {
         write_trace_bundle(&dir, &captures, Some(&metrics)).unwrap();
         let input = DoctorInput::load_dir(&dir).unwrap();
         assert_eq!(input.ranks, captures, "events and nanosecond spans read back exactly");
-        assert_eq!(input.metrics.histogram("diffreg_interp_scatter_points").unwrap().count(), 1);
+        assert_eq!(input.metrics.gauge("serve_pool_ranks"), Some(2.0));
         let rep = analyze(&input);
         assert_eq!(rep.matched.len(), 1);
         assert!(rep.gate(0.9).is_ok(), "{:?}", rep.gate(0.9));

@@ -265,8 +265,7 @@ pub fn capture_digest(captures: &[RankCapture]) -> u64 {
             d.str(e.kind.name());
             d.str(&e.name);
             // A span's `a` is its wall-clock duration: excluded. Everything
-            // else (comm summary counts/bytes, serve job/round words) is
-            // deterministic.
+            // else (a span's count, serve job/round words) is deterministic.
             if e.kind != RecKind::Span {
                 d.u64(e.a);
             }
@@ -814,7 +813,7 @@ mod tests {
         let mut other = base.clone();
         other[0].events[0].epoch = Some(5);
         assert_ne!(capture_digest(&other), d0);
-        // A span's duration word is excluded; its depth word is not.
+        // A span's duration word is excluded; its count word is not.
         let mut with_span = base.clone();
         with_span[0].recorder.events.push(RecEvent {
             t_ns: 1,

@@ -10,7 +10,8 @@
 //!   `trace_event` JSON exporter (one `pid` per rank, one `tid` per
 //!   thread; load the file in Perfetto / `chrome://tracing`). Near-zero
 //!   cost when disabled: two relaxed atomic loads per [`span()`] call. No
-//!   environment variable is read.
+//!   environment variable is read. The ring is the only per-thread store
+//!   here; a span carries at most one count ([`SpanGuard::count`]).
 //! * [`report`] — rank-aggregated phase report: every `Timers` /
 //!   `CommStats` key reduced to min/mean/max/imbalance across ranks
 //!   (allreduce-based, collective) and rendered as the paper's
@@ -21,9 +22,9 @@
 //!   transitions, faults), as JSON-lines and the paper's convergence-table
 //!   text format.
 //! * [`metrics`] — counters, gauges, and log₂-bucket [`Histogram`]s with a
-//!   deterministic Prometheus text-exposition renderer; the doctor derives
-//!   comm-op latency distributions into it and the interp scatter records
-//!   its per-exchange sizes.
+//!   deterministic Prometheus text-exposition renderer: the export type the
+//!   doctor derives comm-op latencies and span counts into, and the serve
+//!   dashboard renders.
 //! * [`doctor`] — the cross-rank wait-state doctor: merges every rank's
 //!   comm event stream (see `diffreg_comm::CommEvent`) and event ring,
 //!   matches sends to receives, groups collectives by epoch, classifies
@@ -56,13 +57,10 @@ pub mod span;
 pub use convergence::{ConvergenceLog, IterRecord, SolverEvent, StreamEntry};
 pub use json::Json;
 pub use recorder::{
-    record_comm_summary, record_event, recorder_enabled, set_recorder_enabled, snapshot_recorder,
-    take_recorder, RecEvent, RecKind, RecorderSnapshot,
+    record_event, recorder_enabled, set_recorder_enabled, snapshot_recorder, take_recorder,
+    RecEvent, RecKind, RecorderSnapshot,
 };
-pub use metrics::{
-    count_global, escape_label_value, observe_global, take_global_metrics, Histogram,
-    MetricsRegistry,
-};
+pub use metrics::{escape_label_value, Histogram, MetricsRegistry};
 pub use profile::{diff_phases, render_diff, PhaseDelta, PhaseRow, Profile, StackStat};
 pub use report::{collect_phase_report, PhaseEntry, PhaseReport, PredictedPhases};
 pub use span::{

@@ -1,9 +1,10 @@
 //! Metrics registry: named counters, gauges, and log₂-bucketed histograms
 //! with a deterministic Prometheus text-exposition renderer.
 //!
-//! The doctor report (see [`crate::doctor`]) aggregates comm-op latencies
-//! and interpolation scatter sizes into [`Histogram`]s and snapshots the
-//! whole registry to a `metrics.prom` file. Everything here is exact
+//! A registry is an export type, not a probe: the doctor report (see
+//! [`crate::doctor`]) derives comm-op latencies and span counts into
+//! [`Histogram`]s from a capture and snapshots the whole registry to a
+//! `metrics.prom` file, and the serve dashboard renders one on `/metrics`. Everything here is exact
 //! integer/bit arithmetic on top of IEEE doubles — no platform-dependent
 //! float formatting, no hashing — so two runs over the same inputs render
 //! byte-identical output.
@@ -478,40 +479,6 @@ fn fmt_num(v: f64) -> String {
     }
 }
 
-// The process-global registry: ranks record scatter sizes and similar
-// integer-valued observations here while tracing is enabled; the harness
-// drains it per rank next to the span trace.
-thread_local! {
-    static GLOBAL: std::cell::RefCell<MetricsRegistry> =
-        std::cell::RefCell::new(MetricsRegistry::new());
-}
-
-/// Records an observation into this thread's (i.e. this simulated rank's)
-/// global registry — a no-op unless tracing is enabled (same gate as
-/// [`crate::span`]). Use integer-valued observations (counts, bytes) so
-/// aggregation is exact and order-independent.
-pub fn observe_global(name: &str, v: f64) {
-    if !crate::trace_enabled() {
-        return;
-    }
-    GLOBAL.with(|g| g.borrow_mut().observe(name, v));
-}
-
-/// Adds to a counter in this thread's global registry (no-op unless tracing
-/// is enabled).
-pub fn count_global(name: &str, n: u64) {
-    if !crate::trace_enabled() {
-        return;
-    }
-    GLOBAL.with(|g| g.borrow_mut().inc_counter(name, n));
-}
-
-/// Takes and resets this thread's global registry (returns it even when
-/// tracing is disabled, so harnesses can drain unconditionally).
-pub fn take_global_metrics() -> MetricsRegistry {
-    GLOBAL.with(|g| std::mem::take(&mut *g.borrow_mut()))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -618,22 +585,6 @@ mod tests {
         assert!(a.contains("diffreg_lat_seconds_p50{op=\"recv\"}"), "{a}");
         assert!(a.contains("diffreg_msgs_total{op=\"send\"} 7"), "{a}");
         assert!(a.contains("diffreg_wall_seconds 1.5"), "{a}");
-    }
-
-    #[test]
-    fn global_registry_is_gated_and_drainable() {
-        let _l = crate::span::TEST_TRACE_LOCK.lock().unwrap();
-        crate::set_trace_enabled(false);
-        observe_global("x", 1.0);
-        assert!(take_global_metrics().is_empty(), "disabled: nothing recorded");
-        crate::set_trace_enabled(true);
-        observe_global("x", 1.0);
-        count_global("n", 2);
-        let reg = take_global_metrics();
-        assert_eq!(reg.histogram("x").unwrap().count(), 1);
-        assert_eq!(reg.counter("n"), Some(2));
-        assert!(take_global_metrics().is_empty(), "take resets");
-        crate::set_trace_enabled(false);
     }
 
     #[test]

@@ -98,7 +98,7 @@ impl Profile {
     /// Nesting is reconstructed by containment: intervals are sorted by
     /// `(t0 asc, t1 desc)` and swept with a stack, so properly nested
     /// spans (the only kind one thread produces) recover their exact
-    /// parent chain without needing recorded depths. Self time is
+    /// parent chain; spans store no depth. Self time is
     /// inclusive time minus the sum of *direct* children.
     pub fn add_rank_intervals(&mut self, rank: usize, mut intervals: Vec<(u64, u64, String)>) {
         intervals.sort_by(|x, y| x.0.cmp(&y.0).then(y.1.cmp(&x.1)).then(x.2.cmp(&y.2)));

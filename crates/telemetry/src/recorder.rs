@@ -1,7 +1,9 @@
-//! The per-thread event ring: the one place a closed span, a lifecycle
-//! event or a comm summary is stored, in one event type ([`RecEvent`]) that
-//! is also what `recorder-rank<k>.jsonl` holds and what the bundle reader
-//! returns ([`RecorderSnapshot`]).
+//! The per-thread event ring: the one place a closed span or a lifecycle
+//! event is stored, in one event type ([`RecEvent`]) that is also what
+//! `recorder-rank<k>.jsonl` holds and what the bundle reader returns
+//! ([`RecorderSnapshot`]). It is the only per-thread instrumentation store;
+//! the other two probes are the caller-owned phase `Timers` and the
+//! communicator's comm events.
 //!
 //! The ring runs in one of two modes, fixed per window (a window starts at
 //! the first event after the thread starts or after a drain, and reads the
@@ -12,9 +14,13 @@
 //!   that is cheap enough to never turn off, so when an incident fires the
 //!   last moments before it are on hand with no tracing enabled.
 //! * **keep-all** (while [`crate::set_trace_enabled`] is on): 65,536 events,
-//!   stride pinned to 1, span depths recorded — the full trace the doctor
-//!   and the Chrome export read. Overflow evicts the oldest event and is
+//!   stride pinned to 1 — the full trace the doctor and the Chrome export
+//!   read. Overflow evicts the oldest event and is
 //!   counted in `overwritten`, never silent.
+//!
+//! The ring records while tracing *or* the recorder is on ([`recording`]):
+//! spans and lifecycle events pass the same gate. Spans store no depth;
+//! readers rebuild nesting from interval containment.
 //!
 //! Invariants, both modes, at any snapshot:
 //! * **Exact accounting.** `seen = recorded + sampled_out` and
@@ -48,11 +54,10 @@ const MAX_STRIDE: u64 = 1 << 10;
 /// What an event in the recorder stream describes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum RecKind {
-    /// A closed span (`t_ns` = start, `a` = duration ns, `b` = depth; the
-    /// depth is 0 in a sampled window, which does not track nesting).
+    /// A closed span (`t_ns` = start, `a` = duration ns, `b` = the span's
+    /// count, 0 for a span that counts nothing; see
+    /// [`SpanGuard::count`](crate::SpanGuard::count)).
     Span,
-    /// A comm-op summary (`a` = op count, `b` = total bytes).
-    Comm,
     /// A serve-runtime lifecycle transition (`a`/`b` are caller-defined,
     /// typically job id and round).
     Serve,
@@ -63,14 +68,12 @@ pub enum RecKind {
 }
 
 impl RecKind {
-    const ALL: [RecKind; 5] =
-        [RecKind::Span, RecKind::Comm, RecKind::Serve, RecKind::Solver, RecKind::Mark];
+    const ALL: [RecKind; 4] = [RecKind::Span, RecKind::Serve, RecKind::Solver, RecKind::Mark];
 
     /// Stable lowercase name (serialization key).
     pub fn name(self) -> &'static str {
         match self {
             RecKind::Span => "span",
-            RecKind::Comm => "comm",
             RecKind::Serve => "serve",
             RecKind::Solver => "solver",
             RecKind::Mark => "mark",
@@ -87,7 +90,7 @@ pub struct RecEvent {
     pub t_ns: u64,
     /// Event kind.
     pub kind: RecKind,
-    /// Event name (span name, comm op, lifecycle transition).
+    /// Event name (span name, lifecycle transition).
     pub name: Cow<'static, str>,
     /// First payload word (kind-defined; see [`RecKind`]).
     pub a: u64,
@@ -229,6 +232,13 @@ pub fn set_recorder_enabled(on: bool) {
     REC_ENABLED.store(on, Ordering::Relaxed);
 }
 
+/// The one recording gate, for spans and lifecycle events alike: the ring
+/// records while tracing or the recorder is on.
+#[inline]
+pub(crate) fn recording() -> bool {
+    trace_enabled() || recorder_enabled()
+}
+
 struct Ring {
     thread: u64,
     /// Ring sizes of the two modes, indexed by `keep_all` (tests shrink them).
@@ -236,8 +246,6 @@ struct Ring {
     /// Mode of the current window, read from the trace flag at its first
     /// event.
     keep_all: bool,
-    /// Open traced spans on this thread.
-    depth: u32,
     buf: Vec<RecEvent>,
     /// Next overwrite position once `buf` is full.
     head: usize,
@@ -257,7 +265,6 @@ impl Ring {
             thread: NEXT_THREAD.fetch_add(1, Ordering::Relaxed),
             caps: [SAMPLED_CAP, KEEP_ALL_CAP],
             keep_all: false,
-            depth: 0,
             buf: Vec::new(),
             head: 0,
             seen: 0,
@@ -330,10 +337,10 @@ thread_local! {
 }
 
 /// Records one lifecycle event (never sampled — only the span stream is).
-/// A no-op when the recorder is disabled.
+/// A no-op unless tracing or the recorder is on (the gate spans use too).
 #[inline]
 pub fn record_event(kind: RecKind, name: &'static str, a: u64, b: u64) {
-    if !recorder_enabled() {
+    if !recording() {
         return;
     }
     let t_ns = monotonic_ns();
@@ -344,41 +351,20 @@ pub fn record_event(kind: RecKind, name: &'static str, a: u64, b: u64) {
     });
 }
 
-/// Records one comm-op summary (`count` ops, `bytes` total payload) under
-/// the op's name — the serve loop folds each round's drained comm events
-/// into one of these per op, so the recorder stream carries communication
-/// history without paying per-message cost.
+/// Appends one closed span carrying `count` (called from the span guard's
+/// drop). Subject to adaptive sampling in a sampled window; exact counts
+/// either way.
 #[inline]
-pub fn record_comm_summary(op: &'static str, count: u64, bytes: u64) {
-    record_event(RecKind::Comm, op, count, bytes);
-}
-
-/// Counts one traced span opening and returns the depth it opened at.
-pub(crate) fn enter_span() -> u32 {
+pub(crate) fn offer_span(name: &'static str, t_ns: u64, dur_ns: u64, count: u64) {
     RING.with(|r| {
         let mut r = r.borrow_mut();
-        r.depth += 1;
-        r.depth - 1
-    })
-}
-
-/// Appends one closed span (called from the span guard's drop; `traced`
-/// closes the [`enter_span`] it opened with). Subject to adaptive sampling
-/// in a sampled window; exact counts either way.
-#[inline]
-pub(crate) fn offer_span(name: &'static str, t_ns: u64, dur_ns: u64, depth: u32, traced: bool) {
-    RING.with(|r| {
-        let mut r = r.borrow_mut();
-        if traced {
-            r.depth = r.depth.saturating_sub(1);
-        }
         r.admit();
         if r.seen % r.stride != 0 {
             r.sampled_out += 1;
             return;
         }
         let name = Cow::Borrowed(name);
-        r.push(RecEvent { t_ns, kind: RecKind::Span, name, a: dur_ns, b: u64::from(depth) });
+        r.push(RecEvent { t_ns, kind: RecKind::Span, name, a: dur_ns, b: count });
     });
 }
 
@@ -427,13 +413,35 @@ mod tests {
         set_recorder_enabled(true);
     }
 
+    /// Tracing alone opens the gate for lifecycle events as it does for
+    /// spans: a traced window with the recorder off keeps both.
+    #[test]
+    fn tracing_with_the_recorder_off_records_spans_and_events() {
+        let _l = LOCK.lock().unwrap();
+        set_recorder_enabled(false);
+        set_trace_enabled(true);
+        let snap = std::thread::spawn(|| {
+            record_event(RecKind::Serve, "serve.attempt", 1, 1);
+            drop(crate::span("interp.eval"));
+            record_event(RecKind::Serve, "serve.attempt-failed", 1, 0);
+            take_recorder()
+        })
+        .join()
+        .unwrap();
+        set_trace_enabled(false);
+        set_recorder_enabled(true);
+        let names: Vec<&str> = snap.events.iter().map(|e| &*e.name).collect();
+        assert_eq!(names, ["serve.attempt", "interp.eval", "serve.attempt-failed"]);
+        assert_eq!((snap.seen, snap.dropped()), (3, 0));
+    }
+
     #[test]
     fn ring_wraps_with_exact_accounting_and_adaptive_stride() {
         let _l = LOCK.lock().unwrap();
         set_recorder_enabled(true);
         let snap = on_fresh_thread(8, || {
             for i in 0..1000u64 {
-                offer_span("hot", i, i, 0, false);
+                offer_span("hot", i, i, 0);
             }
             take_recorder()
         });
@@ -458,7 +466,7 @@ mod tests {
         set_trace_enabled(true);
         let window = || {
             for i in 0..70_000u64 {
-                offer_span("hot", i, i, 0, false);
+                offer_span("hot", i, i, 0);
                 if i % 10_000 == 0 {
                     record_event(RecKind::Serve, "round", i, 0);
                 }
@@ -496,7 +504,7 @@ mod tests {
                 record_event(RecKind::Serve, "job-completed", 7, 3);
             }
             let first = take_recorder();
-            record_event(RecKind::Comm, "allreduce", 4, 4096);
+            record_event(RecKind::Solver, "allreduce", 4, 4096);
             (first, take_recorder())
         });
         assert_eq!(first.recorded, 10);
@@ -529,7 +537,7 @@ mod tests {
             let run = || {
                 on_fresh_thread(16, || {
                     for i in 0..500u64 {
-                        offer_span("k", i, 10, 1, false);
+                        offer_span("k", i, 10, 1);
                         if i % 50 == 0 {
                             record_event(RecKind::Serve, "round", i, 0);
                         }

@@ -2,7 +2,7 @@
 //! (see [`crate::recorder`]), monotonic clocks, and a Chrome `trace_event`
 //! exporter.
 //!
-//! Design constraints (ISSUE 3 tentpole):
+//! Design constraints:
 //! * **Zero cost when off.** [`span`] first reads two process-global relaxed
 //!   `AtomicBool`s; with tracing off (the default, until a caller that will
 //!   export the trace calls [`set_trace_enabled`]) and the recorder off the
@@ -10,7 +10,9 @@
 //! * **One sink.** A closed span is appended to the thread's ring and
 //!   nowhere else. Tracing does not add a second buffer: it puts the ring's
 //!   next window in keep-all mode (65 536 events, no sampling, overflow
-//!   counted) and records nesting depths.
+//!   counted). A span stores no depth (readers rebuild nesting from
+//!   containment); it may carry one count ([`SpanGuard::count`]), the
+//!   per-call fact its caller measures, such as points routed.
 //! * **Rank-aware.** In the simulated MPI runtime every rank is one thread:
 //!   the rank's SPMD closure calls [`crate::take_recorder`] before returning
 //!   and the harness pairs the snapshot with the rank id, so the exported
@@ -27,7 +29,7 @@ use diffreg_comm::monotonic_ns;
 
 use crate::doctor::RankCapture;
 use crate::json::Json;
-use crate::recorder::{enter_span, offer_span, recorder_enabled};
+use crate::recorder::{offer_span, recording};
 
 /// Process-global trace flag, off until [`set_trace_enabled`] turns it on.
 static ENABLED: AtomicBool = AtomicBool::new(false);
@@ -40,42 +42,44 @@ pub fn trace_enabled() -> bool {
 
 /// Enables/disables tracing for the whole process. A thread's ring reads
 /// the flag at the first event of each window (thread start, or after a
-/// [`crate::take_recorder`]); spans already open keep their depth.
+/// [`crate::take_recorder`]).
 pub fn set_trace_enabled(on: bool) {
     ENABLED.store(on, Ordering::Relaxed);
 }
 
 /// Opens a span; the span closes (and is recorded) when the returned guard
-/// drops. Spans nest: while tracing, guards created inside an open span
-/// record a larger `depth`. With tracing and the recorder both off this is
-/// two relaxed atomic loads and nothing else.
+/// drops. Spans nest; readers recover the nesting from containment. With
+/// tracing and the recorder both off this is two relaxed atomic loads and
+/// nothing else.
 #[inline]
 pub fn span(name: &'static str) -> SpanGuard {
-    let traced = trace_enabled();
-    if !traced && !recorder_enabled() {
-        return SpanGuard { name, t0_ns: None, traced: false, depth: 0 };
-    }
-    let depth = if traced { enter_span() } else { 0 };
-    SpanGuard { name, t0_ns: Some(monotonic_ns()), traced, depth }
+    let t0_ns = recording().then(monotonic_ns);
+    SpanGuard { name, t0_ns, count: 0 }
 }
 
 /// RAII guard of one open span (see [`span`]).
 #[must_use = "a span closes when its guard drops; binding to _ closes it immediately"]
 pub struct SpanGuard {
     name: &'static str,
+    /// Open time; `None` for an inert guard (the ring was not recording).
     t0_ns: Option<u64>,
-    /// Whether tracing was on at open (the recorder flag is re-checked at
-    /// close; the ring's depth counter must stay consistent).
-    traced: bool,
-    depth: u32,
+    count: u64,
+}
+
+impl SpanGuard {
+    /// Adds `n` to the span's count, recorded with the span when it closes
+    /// (the ring event's `b` word). One counted fact per span name: the
+    /// doctor derives a `diffreg_span_count{span="<name>"}` histogram from
+    /// it.
+    pub fn count(&mut self, n: u64) {
+        self.count += n;
+    }
 }
 
 impl Drop for SpanGuard {
     fn drop(&mut self) {
-        let Some(t0_ns) = self.t0_ns else { return };
-        if self.traced || recorder_enabled() {
-            let dur_ns = monotonic_ns().saturating_sub(t0_ns);
-            offer_span(self.name, t0_ns, dur_ns, self.depth, self.traced);
+        if let Some(t0_ns) = self.t0_ns {
+            offer_span(self.name, t0_ns, monotonic_ns().saturating_sub(t0_ns), self.count);
         }
     }
 }
@@ -97,7 +101,8 @@ pub const COMM_TRACK_TID: u64 = 1_000_000;
 /// (the "JSON Array Format" object flavor with `traceEvents`), loadable in
 /// `chrome://tracing` and Perfetto: one `pid` per rank; the rank's spans as
 /// complete (`"ph":"X"`) events with microsecond timestamps on the `tid` of
-/// the recording thread; its comm events (see `diffreg_comm::CommEvent`) on
+/// the recording thread, with the span's count (when nonzero) as
+/// `args.count`; its comm events (see `diffreg_comm::CommEvent`) on
 /// a dedicated `comm` track, name `comm.<op>`, category `"comm"`, with the
 /// matching metadata (`peer`, `tag`, `seq`, `bytes`, `epoch`, `comm`,
 /// `csize`, `blocked_us`) in `args`. An export for people: no code reads it
@@ -145,7 +150,7 @@ pub fn chrome_trace(captures: &[RankCapture]) -> Json {
         events.push(track("process_name", c.rank, tid, format!("rank {}", c.rank)));
         for e in c.recorder.events.iter().filter(|e| e.kind == crate::RecKind::Span) {
             let x = complete(e.name.to_string(), "diffreg", c.rank, tid, e.t_ns, e.a);
-            events.push(x.set("args", Json::obj().set("depth", e.b)));
+            events.push(if e.b > 0 { x.set("args", Json::obj().set("count", e.b)) } else { x });
         }
     }
     let dropped: u64 = captures.iter().map(|c| c.recorder.dropped()).sum();
@@ -293,7 +298,9 @@ mod tests {
         {
             let _outer = span("outer");
             {
-                let _inner = span("inner");
+                let mut inner = span("inner");
+                inner.count(40);
+                inner.count(2);
                 std::thread::sleep(std::time::Duration::from_micros(200));
             }
             let _sibling = span("sibling");
@@ -302,17 +309,26 @@ mod tests {
         let t = take_recorder();
         assert_eq!(t.events.len(), 3);
         assert_eq!(t.dropped(), 0);
-        // Close order: inner, sibling, outer.
+        // Close order: inner, sibling, outer; only inner counted anything.
         assert_eq!(t.events[0].name, "inner");
-        assert_eq!(t.events[0].b, 1);
+        assert_eq!(t.events[0].b, 42);
         assert_eq!(t.events[2].name, "outer");
         assert_eq!(t.events[2].b, 0);
         let (outer, inner) = (&t.events[2], &t.events[0]);
         assert!(inner.t_ns >= outer.t_ns);
         assert!(inner.t_ns + inner.a <= outer.t_ns + outer.a);
 
-        let text = chrome_trace(&[capture(0, t)]).to_string();
-        let summary = validate_chrome_trace(&text).unwrap();
+        let doc = chrome_trace(&[capture(0, t)]);
+        let args: Vec<Option<f64>> = doc
+            .get("traceEvents")
+            .and_then(Json::as_arr)
+            .unwrap()
+            .iter()
+            .filter(|e| e.get("ph").and_then(Json::as_str) == Some("X"))
+            .map(|e| e.get("args").and_then(|a| a.get("count")).and_then(Json::as_f64))
+            .collect();
+        assert_eq!(args, [Some(42.0), None, None], "args.count only where nonzero");
+        let summary = validate_chrome_trace(&doc.to_string()).unwrap();
         assert_eq!(summary.pids, vec![0]);
         assert_eq!(summary.events, 3);
         assert!(summary.names.contains(&"inner".to_string()));

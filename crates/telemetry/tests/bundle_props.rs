@@ -119,8 +119,10 @@ fn ring_windows_round_trip_through_a_bundle_in_both_modes() {
         set_trace_enabled(keep_all);
         let snap = std::thread::spawn(move || {
             for (i, &p) in picks.iter().enumerate() {
-                let _outer = span(NAMES[p]);
+                let mut outer = span(NAMES[p]);
+                outer.count(i as u64 + 1);
                 drop(span(NAMES[(p + 1) % NAMES.len()]));
+                drop(outer);
                 if i % 64 == 0 {
                     record_event(RecKind::Mark, NAMES[p], i as u64, p as u64);
                 }
@@ -134,9 +136,9 @@ fn ring_windows_round_trip_through_a_bundle_in_both_modes() {
         assert_eq!(snap.events.len() as u64, snap.recorded - snap.overwritten);
         if keep_all {
             assert_eq!((snap.sampled_out, snap.stride), (0, 1));
-            let nested = |e: &RecEvent| e.kind == RecKind::Span && e.b == 1;
-            assert!(snap.events.iter().any(nested), "keep-all records span depths");
         }
+        let counted = |e: &RecEvent| e.kind == RecKind::Span && e.b > 0;
+        assert!(snap.events.iter().any(counted), "spans carry their counts");
 
         let captures = [RankCapture { rank: 3, events: Vec::new(), recorder: snap }];
         write_trace_bundle(&base, &captures, None).expect("write bundle");

@@ -20,8 +20,8 @@
 #      its lint levels; no pipeline switch, removed knob, removed telemetry
 #      type, second failure taxonomy, serve wire codec, in-tree analyzer,
 #      second Comm backend, hand-built workspace, second barrier, contract
-#      switch, kernel gate or new env::var read may reappear; workspace line
-#      count
+#      switch, kernel gate, second per-thread metrics store or new env::var
+#      read may reappear; workspace line count
 #   6. clippy clean under -D warnings: it enforces step 5's lint levels and
 #      rejects a stale #[expect], so a missing clippy fails the build
 #   7. fail if Cargo.lock ever acquires a registry (non-path) dependency
@@ -139,6 +139,13 @@ fi
 # and one before/after comparator (benchmark/run.sh --compare).
 if grep -rnE 'DIFFREG_COMM_[C]ONTRACT|set_contract_[c]hecking|Shared[B]arrier|perf_[g]ate' $everywhere; then
     echo "ERROR: a second barrier, the contract switch or the kernel gate reappeared" >&2
+    exit 1
+fi
+# Each per-call fact is recorded once: the event ring is the only per-thread
+# store (no thread-local metrics registry, no comm summaries in the ring, no
+# stored span depth), and serve's job log is its progress stream.
+if grep -rnE 'observe_[g]lobal|count_[g]lobal|take_global_[m]etrics|record_comm_[s]ummary|enter_[s]pan|Progress[E]vent' $everywhere; then
+    echo "ERROR: a second per-thread metrics store, comm summary, span depth or progress copy reappeared" >&2
     exit 1
 fi
 # The workspace line count is tracked like a benchmark (ROADMAP aim 2).
