@@ -10,7 +10,8 @@
 //! through `testkit::bench_named` (median-of-K wall clock after warmup);
 //! results come back as a [`BenchSuite`] in the canonical results schema.
 
-use diffreg_comm::SerialComm;
+use diffreg_comm::ring::record_comm;
+use diffreg_comm::{CommKey, CommOp, SerialComm, StreamPos};
 use diffreg_core::{RegProblem, RegistrationConfig};
 use diffreg_fft::{transform_lines, Complex64, Direction, Fft1d};
 use diffreg_grid::{Grid, ScalarField, VectorField};
@@ -197,31 +198,47 @@ fn bench_solver(suite: &mut BenchSuite) {
 const RECORDER_BENCH_EVENTS: u64 = 4096;
 
 /// The instrumented hot loop the flight-recorder overhead is measured on:
-/// cheap integer mixing plus one recorder offer per iteration, the shape of
-/// a solver inner loop with lifecycle markers.
-fn recorder_workload() {
+/// cheap integer mixing plus one ring offer per iteration, the shape of a
+/// solver inner loop with lifecycle markers.
+fn recorder_workload(offer: impl Fn(u64, u64)) {
     let mut acc = 0x9e37_79b9_7f4a_7c15u64;
     for i in 0..RECORDER_BENCH_EVENTS {
         acc = acc.rotate_left(7) ^ i;
-        record_event(RecKind::Solver, "bench.recorder", acc & 0xffff, i);
+        offer(acc & 0xffff, i);
     }
     std::hint::black_box(acc);
 }
 
+/// One lifecycle event (gated on the recorder flag).
+fn offer_event(a: u64, i: u64) {
+    record_event(RecKind::Solver, "bench.recorder", a, i);
+}
+
+/// One comm record, as a recorded user-tag send writes it.
+fn offer_comm(a: u64, i: u64) {
+    let pos = StreamPos::P2p { peer: 1, tag: a, seq: i };
+    record_comm(i, 1, a, CommKey { op: CommOp::Send, comm: 0, csize: 2, rank: 0, pos, blocked_ns: 0 });
+}
+
 fn bench_recorder(suite: &mut BenchSuite) {
     let was_on = recorder_enabled();
-    // "on": every offer goes through the ring (drained between samples so
-    // adaptive sampling keeps its steady-state stride). "off": the same
+    // "on": every lifecycle event goes through the ring; "comm": every
+    // offer is a comm record (drained before each so the window starts
+    // empty; the ring then wraps at its steady state). "off": the event
     // loop pays only the enabled-check fast path.
     set_recorder_enabled(true);
     let _ = take_recorder();
     push(suite, "telemetry/recorder_overhead/on", || {
-        recorder_workload();
+        recorder_workload(offer_event);
+    });
+    let _ = take_recorder();
+    push(suite, "telemetry/recorder_overhead/comm", || {
+        recorder_workload(offer_comm);
     });
     let _ = take_recorder();
     set_recorder_enabled(false);
     push(suite, "telemetry/recorder_overhead/off", || {
-        recorder_workload();
+        recorder_workload(offer_event);
     });
     set_recorder_enabled(was_on);
 }

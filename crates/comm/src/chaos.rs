@@ -465,28 +465,30 @@ mod tests {
         }
     }
 
-    /// Comm event records pass through the chaos layer untouched: the inner
+    /// Comm records pass through the chaos layer untouched: the inner
     /// communicator records them, so a chaos-wrapped program yields the same
-    /// event structure (ops, peers, tags, matching keys) as a bare one —
+    /// record structure (ops, peers, tags, matching keys) as a bare one —
     /// only the timestamps shift by the injected delays.
     #[test]
-    fn decorator_passes_comm_events_through() {
-        use crate::events::CommOp;
+    fn decorator_passes_comm_records_through() {
+        use crate::events::{CommOp, StreamPos};
+        use crate::ring::{take_recorder, TEST_RING_LOCK};
+        let _l = TEST_RING_LOCK.lock().unwrap();
         let logs = run_threaded(2, |c| {
-            c.set_event_recording(true);
             let chaos = ChaosComm::new(c, ChaosConfig::seeded(3).with_latency(1.0, 30));
             let peer = 1 - chaos.rank();
             chaos.send(peer, 9, vec![0u8; 16]);
             let _: Vec<u8> = chaos.recv(peer, 9);
             chaos.barrier();
-            c.take_events()
+            take_recorder()
         });
         for (rank, log) in logs.iter().enumerate() {
-            let send = log.iter().find(|e| e.op == CommOp::Send).expect("send event");
-            assert_eq!((send.peer, send.tag, send.seq, send.bytes), (Some(1 - rank), Some(9), Some(0), 16));
-            let recv = log.iter().find(|e| e.op == CommOp::Recv).expect("recv event");
-            assert_eq!((recv.peer, recv.tag, recv.seq), (Some(1 - rank), Some(9), Some(0)));
-            assert!(log.iter().any(|e| e.op == CommOp::Barrier && e.epoch.is_some()));
+            let key = |op| log.comm_records().find(|(_, k)| k.op == op);
+            let (send, k) = key(CommOp::Send).expect("send record");
+            assert_eq!((k.pos, send.b), (StreamPos::P2p { peer: 1 - rank, tag: 9, seq: 0 }, 16));
+            let (_, k) = key(CommOp::Recv).expect("recv record");
+            assert_eq!(k.pos, StreamPos::P2p { peer: 1 - rank, tag: 9, seq: 0 });
+            assert!(key(CommOp::Barrier).is_some_and(|(_, k)| k.epoch().is_some()));
         }
     }
 }

@@ -1,36 +1,38 @@
-//! Structured per-rank communication event records.
+//! The comm record's vocabulary: the shared clock, the op kinds and the
+//! matching key.
 //!
-//! Every user-visible communication call on a [`crate::ThreadComm`] can emit
-//! one [`CommEvent`]: point-to-point sends and receives (including messages
-//! that travel through the pending out-of-order queue) carry a `(comm, src,
-//! dst, tag, seq)` matching key, and collectives carry their communicator
-//! epoch so an offline analyzer can group the per-rank records back into one
-//! logical operation. The records are the raw material of the cross-rank
-//! wait-state doctor (`diffreg-telemetry::doctor` and the `diffreg-doctor`
-//! CLI): matched sends/receives expose late-sender waits, and epoch-grouped
-//! collectives expose wait-at-collective and imbalance-at-collective losses,
-//! Scalasca-style.
+//! Every user-visible communication call on a [`crate::ThreadComm`] writes
+//! one comm record into the calling thread's event ring
+//! ([`crate::ring`], kind [`crate::ring::RecKind::Comm`]) when it completes:
+//! point-to-point sends and receives (including messages that travel
+//! through the pending out-of-order queue) carry a `(comm, src, dst, tag,
+//! seq)` matching key, and collectives carry their communicator epoch so an
+//! offline analyzer can group the per-rank records back into one logical
+//! operation ([`CommKey`]). The records are the raw material of the
+//! cross-rank wait-state doctor (`diffreg-telemetry::doctor` and the
+//! `diffreg-doctor` CLI): matched sends/receives expose late-sender waits,
+//! and epoch-grouped collectives expose wait-at-collective and
+//! imbalance-at-collective losses, Scalasca-style.
 //!
 //! Timestamps are nanoseconds on the process-wide monotonic clock
-//! ([`monotonic_ns`]), the same clock the span tracer uses, so comm events
-//! and spans align on one timeline across every rank of the simulated
-//! machine.
+//! ([`monotonic_ns`]), the clock of every ring record, so comm records and
+//! spans align on one timeline across every rank of the simulated machine.
 
 use std::sync::OnceLock;
 use std::time::Instant;
 
 /// Nanoseconds since the process-wide monotonic epoch.
 ///
-/// The epoch is pinned on first use; every rank thread, the span tracer, and
-/// the comm event recorder all share it, so timestamps from different ranks
-/// are directly comparable.
+/// The epoch is pinned on first use; every rank thread and every ring
+/// record share it, so timestamps from different ranks are directly
+/// comparable.
 pub fn monotonic_ns() -> u64 {
     static EPOCH: OnceLock<Instant> = OnceLock::new();
     let epoch = *EPOCH.get_or_init(Instant::now);
     Instant::now().saturating_duration_since(epoch).as_nanos() as u64
 }
 
-/// The kind of communication operation a [`CommEvent`] records.
+/// The kind of communication operation a comm record ([`CommKey`]) holds.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum CommOp {
     /// Point-to-point send (user tag).
@@ -54,7 +56,7 @@ pub enum CommOp {
 }
 
 impl CommOp {
-    /// Stable lowercase wire name (used in the JSONL event stream).
+    /// Stable lowercase wire name (a comm record's name).
     pub fn name(self) -> &'static str {
         match self {
             CommOp::Send => "send",
@@ -91,24 +93,14 @@ impl CommOp {
     }
 }
 
-/// One completed communication operation on one rank.
-///
-/// * **p2p events** (`op` = [`CommOp::Send`]/[`CommOp::Recv`]) carry `peer`,
-///   `tag`, and `seq`. `seq` counts messages on the `(sender, receiver,
-///   tag)` stream, so the matching key `(comm, src, dst, tag, seq)`
-///   identifies exactly one message: channels are FIFO per `(src, dst)` pair
-///   and the pending queue preserves per-tag order, so the n-th send on a
-///   stream is the n-th receive.
-/// * **collective events** carry `epoch` (the communicator's collective
-///   epoch); all member ranks of one collective record the same `(comm, op,
-///   epoch)`, and a group is complete when `csize` records arrived.
-///
-/// `blocked_ns` is the portion of `[t0_ns, t1_ns]` the rank spent blocked
-/// (receive waits, barrier waits; always 0 on sends, which are buffered) —
-/// the same time that accrues into [`crate::CommStats::blocked_seconds`].
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct CommEvent {
-    /// Operation kind.
+/// The matching key a comm record carries ([`crate::ring::RecKind::Comm`]).
+/// A p2p record's `(comm, src, dst, tag, seq)` names exactly one message:
+/// channels are FIFO per `(src, dst)` pair and the pending queue preserves
+/// per-tag order, so the n-th send on a stream is the n-th receive. Every
+/// member of one collective records the same `(comm, op, epoch)`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct CommKey {
+    /// Operation kind (the record's name is its wire name).
     pub op: CommOp,
     /// Communicator uid: 0 for the world communicator; sub-communicators get
     /// a uid derived from `(parent uid, split epoch, color)`, identical on
@@ -118,29 +110,43 @@ pub struct CommEvent {
     pub csize: usize,
     /// This rank's *communicator-local* rank.
     pub rank: usize,
-    /// Peer's communicator-local rank (p2p only: dst for sends, src for recvs).
-    pub peer: Option<usize>,
-    /// User message tag (p2p only).
-    pub tag: Option<u64>,
-    /// Message index on the `(sender, receiver, tag)` stream (p2p only).
-    pub seq: Option<u64>,
-    /// Payload bytes: the message size for p2p, bytes sent during the
-    /// collective for collectives.
-    pub bytes: u64,
-    /// Collective epoch (collectives only).
-    pub epoch: Option<u64>,
-    /// Operation start, ns on the [`monotonic_ns`] clock.
-    pub t0_ns: u64,
-    /// Operation end, ns on the [`monotonic_ns`] clock.
-    pub t1_ns: u64,
-    /// Blocked portion of the operation in nanoseconds.
+    /// Where the op sits on its stream.
+    pub pos: StreamPos,
+    /// Nanoseconds the op blocked (receive and barrier waits; 0 on sends,
+    /// which are buffered), as accrued into [`crate::CommStats::blocked_seconds`].
     pub blocked_ns: u64,
 }
 
-impl CommEvent {
-    /// Operation duration in seconds.
-    pub fn dur_s(&self) -> f64 {
-        self.t1_ns.saturating_sub(self.t0_ns) as f64 / 1e9
+/// A comm record's position on its stream.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum StreamPos {
+    /// A message on the `(sender, receiver, tag)` stream.
+    P2p {
+        /// Peer's communicator-local rank (dst for sends, src for recvs).
+        peer: usize,
+        /// User message tag.
+        tag: u64,
+        /// Message index on the stream.
+        seq: u64,
+    },
+    /// A collective on its communicator's epoch counter.
+    Collective {
+        /// Collective epoch.
+        epoch: u64,
+    },
+}
+
+impl CommKey {
+    /// The p2p part of the key, `(peer, tag, seq)`; `None` on collectives.
+    pub fn p2p(&self) -> Option<(usize, u64, u64)> {
+        let StreamPos::P2p { peer, tag, seq } = self.pos else { return None };
+        Some((peer, tag, seq))
+    }
+
+    /// The collective epoch; `None` on p2p records.
+    pub fn epoch(&self) -> Option<u64> {
+        let StreamPos::Collective { epoch } = self.pos else { return None };
+        Some(epoch)
     }
 }
 
@@ -201,24 +207,5 @@ mod tests {
         assert_ne!(a, derive_comm_uid(0, 6, 0));
         assert_ne!(a, 0);
         assert_ne!(derive_comm_uid(a, 2, 1), a);
-    }
-
-    #[test]
-    fn event_durations_convert_to_seconds() {
-        let e = CommEvent {
-            op: CommOp::Recv,
-            comm: 0,
-            csize: 2,
-            rank: 1,
-            peer: Some(0),
-            tag: Some(7),
-            seq: Some(0),
-            bytes: 128,
-            epoch: None,
-            t0_ns: 1_000_000_000,
-            t1_ns: 3_500_000_000,
-            blocked_ns: 2_000_000_000,
-        };
-        assert!((e.dur_s() - 2.5).abs() < 1e-12);
     }
 }

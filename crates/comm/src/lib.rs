@@ -20,6 +20,10 @@
 //! harness can report communication volume and apply the paper's
 //! latency/bandwidth performance model to project cluster-scale timings.
 //!
+//! Every completed user-tag send and receive and every collective is also
+//! one comm record ([`CommKey`]) in the calling thread's event ring
+//! ([`ring`]), next to the same rank's spans and lifecycle events.
+//!
 //! ## Fault tolerance
 //!
 //! Long multi-node registration runs need a runtime that *survives and
@@ -59,13 +63,14 @@
 mod chaos;
 mod error;
 mod events;
+pub mod ring;
 mod stats;
 mod threaded;
 mod traits;
 
 pub use chaos::{ChaosComm, ChaosConfig};
 pub use error::{tag_display, CollOp, CommError, RankFailure, TAG_INTERNAL};
-pub use events::{monotonic_ns, CommEvent, CommOp};
+pub use events::{monotonic_ns, CommKey, CommOp, StreamPos};
 pub use stats::{CommStats, Timers};
 pub use threaded::{run_gang, run_threaded, run_threaded_checked, ThreadComm};
 pub use traits::{Comm, CommData, ReduceOp};

@@ -45,7 +45,8 @@ use std::sync::{Arc, Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
 use crate::error::{tag_display, CollOp, CommError, RankFailure, EPOCH_MASK, OP_SHIFT, TAG_INTERNAL};
-use crate::events::{derive_comm_uid, monotonic_ns, CommEvent, CommOp};
+use crate::events::{derive_comm_uid, monotonic_ns, CommKey, CommOp, StreamPos};
+use crate::ring::{record_comm, recording};
 use crate::stats::CommStats;
 use crate::traits::{or_abort, Comm, CommData, ReduceOp};
 
@@ -174,13 +175,8 @@ pub struct ThreadComm {
     epoch: Cell<u64>,
     /// Watchdog timeout for receives (None = wait forever).
     timeout: Cell<Option<Duration>>,
-    /// Communicator uid for event records (0 = world; splits derive theirs).
+    /// Communicator uid for comm records (0 = world; splits derive theirs).
     comm_uid: u64,
-    /// Per-rank comm event log, shared with sub-communicators created by
-    /// this endpoint so their events land on the same per-rank stream.
-    events: Arc<Mutex<Vec<CommEvent>>>,
-    /// Whether comm calls record [`CommEvent`]s.
-    events_on: Cell<bool>,
     /// Per-`(send | recv, peer, tag)` message counters (p2p matching keys).
     p2p_seq: RefCell<BTreeMap<(CommOp, usize, u64), u64>>,
 }
@@ -254,8 +250,6 @@ impl ThreadComm {
             epoch: Cell::new(0),
             timeout: Cell::new(default_timeout()),
             comm_uid: 0,
-            events: Arc::new(Mutex::new(Vec::new())),
-            events_on: Cell::new(false),
             p2p_seq: RefCell::new(BTreeMap::new()),
         }
     }
@@ -273,108 +267,55 @@ impl ThreadComm {
         self.timeout.get()
     }
 
-    /// Enables/disables comm event recording on this endpoint (inherited by
-    /// sub-communicators created afterwards). Off by default.
-    pub fn set_event_recording(&self, on: bool) {
-        self.events_on.set(on);
+    /// Writes one comm record into the calling thread's ring.
+    fn push_record(&self, op: CommOp, pos: StreamPos, bytes: u64, t0_ns: u64, blocked_s: f64) {
+        let (comm, csize, rank) = (self.comm_uid, self.size, self.rank);
+        let blocked_ns = (blocked_s.max(0.0) * 1e9) as u64;
+        let key = CommKey { op, comm, csize, rank, pos, blocked_ns };
+        record_comm(t0_ns, monotonic_ns().saturating_sub(t0_ns), bytes, key);
     }
 
-    /// Whether comm calls currently record [`CommEvent`]s.
-    pub fn event_recording(&self) -> bool {
-        self.events_on.get()
+    /// Start time of a send or receive on `tag` that the ring will record
+    /// (`None` for a collective's internal stamped messages, and while the
+    /// ring is not recording).
+    fn p2p_start(&self, tag: u64) -> Option<u64> {
+        (tag < TAG_INTERNAL && recording()).then(monotonic_ns)
     }
 
-    /// The communicator uid stamped into this endpoint's event records
-    /// (0 = world; splits derive a member-stable uid).
-    pub fn comm_uid(&self) -> u64 {
-        self.comm_uid
-    }
-
-    /// Drains this *rank's* comm event log — including events recorded on
-    /// sub-communicators split off this endpoint, which share the log.
-    /// Events appear in completion order. Call once per rank at the end of
-    /// the SPMD closure, alongside `diffreg_telemetry::take_recorder`.
-    pub fn take_events(&self) -> Vec<CommEvent> {
-        std::mem::take(&mut *self.events.lock().unwrap_or_else(|e| e.into_inner()))
-    }
-
-    fn push_event(&self, ev: CommEvent) {
-        self.events.lock().unwrap_or_else(|e| e.into_inner()).push(ev);
-    }
-
-    /// Whether a p2p record on `tag` should be pushed (internal stamped
-    /// messages never record; user traffic records while recording is on).
-    fn record_p2p(&self, tag: u64) -> bool {
-        tag < TAG_INTERNAL && self.events_on.get()
-    }
-
-    /// Records one completed user-tag send or receive (`op`) that started at
-    /// `t0_ns` and blocked for `blocked_s`, numbered on its `(peer, tag)` stream.
-    fn push_p2p_event(
-        &self,
-        op: CommOp,
-        peer: usize,
-        tag: u64,
-        bytes: usize,
-        t0_ns: u64,
-        blocked_s: f64,
-    ) {
+    /// Numbers a completed user-tag send or receive on its `(peer, tag)`
+    /// stream — recorded or not, so both ends agree on `seq` — and records
+    /// it when it has a start time.
+    fn record_p2p(&self, op: CommOp, peer: usize, tag: u64, bytes: usize, t0: Option<u64>, blocked_s: f64) {
+        if tag >= TAG_INTERNAL {
+            return;
+        }
         let seq = {
             let mut seqs = self.p2p_seq.borrow_mut();
             let next = seqs.entry((op, peer, tag)).or_insert(0);
             *next += 1;
             *next - 1
         };
-        self.push_event(CommEvent {
-            op,
-            comm: self.comm_uid,
-            csize: self.size,
-            rank: self.rank,
-            peer: Some(peer),
-            tag: Some(tag),
-            seq: Some(seq),
-            bytes: bytes as u64,
-            epoch: None,
-            t0_ns,
-            t1_ns: monotonic_ns(),
-            blocked_ns: (blocked_s * 1e9) as u64,
-        });
+        if let Some(t0) = t0 {
+            self.push_record(op, StreamPos::P2p { peer, tag, seq }, bytes as u64, t0, blocked_s);
+        }
     }
 
-    /// Records one collective wrapper event around `f`: duration, epoch (read
-    /// *after* `f`, which bumps it first thing), bytes sent during the
-    /// collective, and the blocked-time delta. Collective wrapper events may
-    /// nest (`split` runs an `allgather` inside); p2p events are never
-    /// recorded for the internal stamped messages collectives decompose into.
-    fn with_coll_event<R>(&self, op: CommOp, f: impl FnOnce() -> R) -> R {
-        if !self.events_on.get() {
+    /// Records one collective around `f`: duration, epoch (read *after* `f`,
+    /// which bumps it first thing), bytes sent and time blocked during it.
+    /// Collective records may nest (`split` runs an `allgather` inside).
+    fn with_coll_record<R>(&self, op: CommOp, f: impl FnOnce() -> R) -> R {
+        if !recording() {
             return f();
         }
-        let t0 = monotonic_ns();
-        let (b0, s0) = {
+        let counters = || {
             let s = self.stats.borrow();
             (s.blocked_seconds, s.bytes_sent)
         };
+        let (t0, (b0, s0)) = (monotonic_ns(), counters());
         let r = f();
-        let t1 = monotonic_ns();
-        let (b1, s1) = {
-            let s = self.stats.borrow();
-            (s.blocked_seconds, s.bytes_sent)
-        };
-        self.push_event(CommEvent {
-            op,
-            comm: self.comm_uid,
-            csize: self.size,
-            rank: self.rank,
-            peer: None,
-            tag: None,
-            seq: None,
-            bytes: s1.saturating_sub(s0),
-            epoch: Some(self.epoch.get()),
-            t0_ns: t0,
-            t1_ns: t1,
-            blocked_ns: ((b1 - b0).max(0.0) * 1e9) as u64,
-        });
+        let (b1, s1) = counters();
+        let pos = StreamPos::Collective { epoch: self.epoch.get() };
+        self.push_record(op, pos, s1.saturating_sub(s0), t0, b1 - b0);
         r
     }
 
@@ -412,15 +353,14 @@ impl ThreadComm {
         if dst != self.rank {
             self.record_send(bytes);
         }
-        let record = self.record_p2p(tag);
-        let t0 = if record { monotonic_ns() } else { 0 };
+        let t0 = self.p2p_start(tag);
         let sent = self
             .senders[dst]
             .send((tag, bytes, std::any::type_name::<T>(), Box::new(data)))
             .map_err(|_| CommError::PeerGone { rank: self.rank, peer: dst });
-        if record && sent.is_ok() {
+        if sent.is_ok() {
             // Sends are buffered: they never block.
-            self.push_p2p_event(CommOp::Send, dst, tag, bytes, t0, 0.0);
+            self.record_p2p(CommOp::Send, dst, tag, bytes, t0, 0.0);
         }
         sent
     }
@@ -433,8 +373,7 @@ impl ThreadComm {
         tag: u64,
     ) -> Result<(usize, &'static str, Box<dyn Any + Send>), CommError> {
         assert!(src < self.size, "recv from out-of-range rank {src}");
-        let record = self.record_p2p(tag);
-        let t0_ns = if record { monotonic_ns() } else { 0 };
+        let t0_ns = self.p2p_start(tag);
         let t0 = Instant::now();
         let r = self.recv_raw_inner(src, tag);
         let waited = t0.elapsed().as_secs_f64();
@@ -446,9 +385,7 @@ impl ThreadComm {
             if src != self.rank {
                 self.record_recv(*bytes);
             }
-            if record {
-                self.push_p2p_event(CommOp::Recv, src, tag, *bytes, t0_ns, waited);
-            }
+            self.record_p2p(CommOp::Recv, src, tag, *bytes, t0_ns, waited);
         }
         r
     }
@@ -601,7 +538,7 @@ impl Comm for ThreadComm {
     }
 
     fn try_barrier(&self) -> Result<(), CommError> {
-        self.with_coll_event(CommOp::Barrier, || {
+        self.with_coll_record(CommOp::Barrier, || {
             let tag = coll_tag(CollOp::Barrier, self.bump_epoch());
             let peers = || (0..self.size).filter(|&r| r != self.rank);
             // Every rank waits on every peer directly, so a dead peer wakes
@@ -635,7 +572,7 @@ impl Comm for ThreadComm {
     }
 
     fn broadcast<T: CommData + Clone>(&self, root: usize, data: &mut Vec<T>) {
-        self.with_coll_event(CommOp::Broadcast, || {
+        self.with_coll_record(CommOp::Broadcast, || {
             let e = self.bump_epoch();
             if self.size == 1 {
                 return;
@@ -654,7 +591,7 @@ impl Comm for ThreadComm {
     }
 
     fn allgather<T: CommData + Clone>(&self, data: Vec<T>) -> Vec<Vec<T>> {
-        self.with_coll_event(CommOp::Allgather, || {
+        self.with_coll_record(CommOp::Allgather, || {
             let e = self.bump_epoch();
             let tag = coll_tag(CollOp::Allgather, e);
             let mut out: Vec<Vec<T>> = Vec::with_capacity(self.size);
@@ -675,7 +612,7 @@ impl Comm for ThreadComm {
     }
 
     fn try_alltoallv<T: CommData>(&self, parts: Vec<Vec<T>>) -> Result<Vec<Vec<T>>, CommError> {
-        self.with_coll_event(CommOp::Alltoallv, || {
+        self.with_coll_record(CommOp::Alltoallv, || {
             let e = self.bump_epoch();
             if parts.len() != self.size {
                 return Err(CommError::LengthMismatch {
@@ -708,7 +645,7 @@ impl Comm for ThreadComm {
     }
 
     fn try_allreduce(&self, vals: &mut [f64], op: ReduceOp) -> Result<(), CommError> {
-        self.with_coll_event(CommOp::Allreduce, || {
+        self.with_coll_record(CommOp::Allreduce, || {
             self.try_root_reduce(
                 vals,
                 |a, b| op.apply(a, b),
@@ -719,7 +656,7 @@ impl Comm for ThreadComm {
     }
 
     fn allreduce_usize(&self, vals: &mut [usize], op: ReduceOp) {
-        let reduced = self.with_coll_event(CommOp::AllreduceUsize, || {
+        let reduced = self.with_coll_record(CommOp::AllreduceUsize, || {
             self.try_root_reduce(
                 vals,
                 |a, b| op.apply_usize(a, b),
@@ -736,7 +673,7 @@ impl Comm for ThreadComm {
 
     #[expect(clippy::unwrap_used, reason = "the leader sends exactly one package per member")]
     fn split(&self, color: usize, key: usize) -> ThreadComm {
-        self.with_coll_event(CommOp::Split, || {
+        self.with_coll_record(CommOp::Split, || {
             // Gather (color, key, old_rank) from everyone, compute the group
             // deterministically, then the group leader mints the channel matrix
             // and distributes each member's endpoints over the parent comm.
@@ -759,11 +696,6 @@ impl Comm for ThreadComm {
             let sub_uid = derive_comm_uid(self.comm_uid, e, color);
             let inherit = |mut sub: ThreadComm| {
                 sub.timeout.set(self.timeout.get());
-                sub.events_on.set(self.events_on.get());
-                // The sub-communicator's events land on this rank's stream:
-                // the closure runs on the owning rank's thread, so sharing
-                // the log keeps it per-rank.
-                sub.events = Arc::clone(&self.events);
                 sub.comm_uid = sub_uid;
                 sub
             };
@@ -891,6 +823,7 @@ pub fn run_gang<R>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ring::{take_recorder, TEST_RING_LOCK};
 
     #[test]
     fn world_basics() {
@@ -999,14 +932,14 @@ mod tests {
     /// message without payload.
     #[test]
     fn split_bytes_are_its_allgather_on_every_member() {
+        let _l = TEST_RING_LOCK.lock().unwrap();
         let events = run_threaded(4, |c| {
-            c.set_event_recording(true);
             let _row = c.split(c.rank() / 2, c.rank() % 2);
-            c.take_events()
+            take_recorder()
         });
         for (rank, evs) in events.iter().enumerate() {
             let split: Vec<u64> =
-                evs.iter().filter(|e| e.op == CommOp::Split).map(|e| e.bytes).collect();
+                evs.comm_records().filter(|(_, k)| k.op == CommOp::Split).map(|(e, _)| e.b).collect();
             assert_eq!(split, [24 * 3], "rank {rank}");
         }
     }
@@ -1245,9 +1178,9 @@ mod tests {
     }
 
     #[test]
-    fn events_record_p2p_and_collectives() {
+    fn records_cover_p2p_and_collectives() {
+        let _l = TEST_RING_LOCK.lock().unwrap();
         let logs = run_threaded(2, |c| {
-            c.set_event_recording(true);
             if c.rank() == 0 {
                 c.send(1, 7, vec![1.0f64; 4]);
             } else {
@@ -1257,39 +1190,40 @@ mod tests {
             let mut v = vec![1.0];
             c.allreduce(&mut v, ReduceOp::Sum);
             let sub = c.split(c.rank() % 2, 0);
-            assert!(sub.event_recording(), "recording is inherited by splits");
             let _ = sub.sum_f64(1.0);
-            c.take_events()
+            take_recorder()
         });
+        let find = |rank: usize, op: CommOp| logs[rank].comm_records().find(|(_, k)| k.op == op).unwrap();
         // p2p matching key: (comm, src, dst, tag, seq) identical on both ends.
-        let send = logs[0].iter().find(|e| e.op == CommOp::Send).unwrap();
-        assert_eq!((send.peer, send.tag, send.seq, send.bytes), (Some(1), Some(7), Some(0), 32));
-        assert!(send.t1_ns >= send.t0_ns);
-        let recv = logs[1].iter().find(|e| e.op == CommOp::Recv).unwrap();
-        assert_eq!((recv.peer, recv.tag, recv.seq, recv.bytes), (Some(0), Some(7), Some(0), 32));
+        let (send_ev, send) = find(0, CommOp::Send);
+        assert_eq!((send.p2p(), send_ev.b), (Some((1, 7, 0)), 32));
+        assert_eq!(&*send_ev.name, "send");
+        let (recv_ev, recv) = find(1, CommOp::Recv);
+        assert_eq!((recv.p2p(), recv_ev.b), (Some((0, 7, 0)), 32));
         assert_eq!((send.comm, recv.comm), (0, 0));
-        // Collective wrapper events: same (comm, op, epoch) group on every rank.
+        // Collective records: same (comm, op, epoch) group on every rank.
         for op in [CommOp::Barrier, CommOp::Allreduce, CommOp::Allgather, CommOp::Split] {
-            let e0 = logs[0].iter().find(|e| e.op == op).unwrap();
-            let e1 = logs[1].iter().find(|e| e.op == op).unwrap();
-            assert_eq!(e0.epoch, e1.epoch, "{op:?} epochs align");
+            let (e0, e1) = (find(0, op).1, find(1, op).1);
+            assert_eq!(e0.epoch(), e1.epoch(), "{op:?} epochs align");
             assert_eq!((e0.comm, e0.csize), (e1.comm, 2), "{op:?} comm/size align");
-            assert!(e0.epoch.is_some());
+            assert!(e0.epoch().is_some());
         }
-        // Sub-communicator events share the per-rank log; the two singleton
+        // Sub-communicator records land in the rank's ring; the two singleton
         // subcomms (color = rank) have distinct, member-derived uids.
-        let sub0 = logs[0].iter().find(|e| e.op == CommOp::Allreduce && e.csize == 1).unwrap();
-        let sub1 = logs[1].iter().find(|e| e.op == CommOp::Allreduce && e.csize == 1).unwrap();
-        assert_ne!(sub0.comm, 0);
-        assert_ne!(sub0.comm, sub1.comm, "different colors get different uids");
+        let sub = |r: usize| {
+            logs[r].comm_records().find(|(_, k)| k.op == CommOp::Allreduce && k.csize == 1).unwrap().1
+        };
+        assert_ne!(sub(0).comm, 0);
+        assert_ne!(sub(0).comm, sub(1).comm, "different colors get different uids");
         // No internal stamped messages leak into the p2p stream.
-        assert!(logs.iter().flatten().all(|e| e.tag.is_none_or(|t| t < TAG_INTERNAL)));
+        let mut tags = logs.iter().flat_map(|l| l.comm_records().filter_map(|(_, k)| k.p2p()));
+        assert!(tags.all(|(_, tag, _)| tag < TAG_INTERNAL));
     }
 
     #[test]
-    fn events_cover_pending_queue_path() {
+    fn records_cover_pending_queue_path() {
+        let _l = TEST_RING_LOCK.lock().unwrap();
         let logs = run_threaded(2, |c| {
-            c.set_event_recording(true);
             if c.rank() == 0 {
                 c.send(1, 1, vec![1u8]);
                 c.send(1, 2, vec![2u8, 3]);
@@ -1297,27 +1231,12 @@ mod tests {
                 let _: Vec<u8> = c.recv(0, 2); // buffers tag 1 in pending
                 let _: Vec<u8> = c.recv(0, 1); // pops from pending
             }
-            c.take_events()
+            take_recorder()
         });
-        let recvs: Vec<&CommEvent> =
-            logs[1].iter().filter(|e| e.op == CommOp::Recv).collect();
-        assert_eq!(recvs.len(), 2, "pending-queue pops emit events too");
-        assert_eq!((recvs[0].tag, recvs[0].bytes, recvs[0].seq), (Some(2), 2, Some(0)));
-        assert_eq!((recvs[1].tag, recvs[1].bytes, recvs[1].seq), (Some(1), 1, Some(0)));
-        assert_eq!(logs[0].iter().filter(|e| e.op == CommOp::Send).count(), 2);
-    }
-
-    #[test]
-    fn events_off_by_default_and_drainable() {
-        let logs = run_threaded(2, |c| {
-            if c.rank() == 0 {
-                c.send(1, 3, vec![0u8; 8]);
-            } else {
-                let _: Vec<u8> = c.recv(0, 3);
-            }
-            c.barrier();
-            c.take_events()
-        });
-        assert!(logs.iter().all(Vec::is_empty), "no recording unless enabled");
+        let recvs: Vec<(StreamPos, u64)> =
+            logs[1].comm_records().filter(|(_, k)| k.op == CommOp::Recv).map(|(e, k)| (k.pos, e.b)).collect();
+        let pos = |tag| StreamPos::P2p { peer: 0, tag, seq: 0 };
+        assert_eq!(recvs, [(pos(2), 2), (pos(1), 1)], "pending-queue pops record too");
+        assert_eq!(logs[0].comm_records().filter(|(_, k)| k.op == CommOp::Send).count(), 2);
     }
 }

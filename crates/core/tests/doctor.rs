@@ -1,6 +1,6 @@
-//! End-to-end cross-rank wait-state doctor acceptance test (ISSUE 5): a
-//! multi-rank registration with comm-event recording enabled must produce a
-//! trace bundle the doctor can fully explain —
+//! End-to-end cross-rank wait-state doctor acceptance test: a traced
+//! multi-rank registration — spans and comm records in one ring per rank —
+//! must produce a trace bundle the doctor can fully explain —
 //!
 //! * every p2p send matches exactly one receive (FIFO channels + seq numbers
 //!   make the `(comm, src, dst, tag, seq)` key exact),
@@ -64,7 +64,6 @@ fn doctor_explains_a_traced_registration() {
     // Per rank: the capture and the workspace Timers' interp point counts.
     let per_rank: Vec<(RankCapture, [u64; 2])> =
         run_threaded(RANKS, move |comm| {
-            comm.set_event_recording(true);
             let parts = SessionParts::with_decomp(comm, Decomp::with_process_grid(grid, 2, 2));
             let ws = parts.workspace(comm);
             let (t, r) = synthetic_pair(&ws);
@@ -76,8 +75,7 @@ fn doctor_explains_a_traced_registration() {
             let store = CheckpointStore::Disabled;
             let _ = register_solve(&ws, &t, &r, cfg, &betas, None, &store, |e| log.push(e));
             comm.barrier();
-            let capture =
-                RankCapture { rank: comm.rank(), events: comm.take_events(), recorder: take_recorder() };
+            let capture = RankCapture { rank: comm.rank(), recorder: take_recorder() };
             let points = ["interp_points_routed", "interp_points_evaluated"];
             (capture, points.map(|k| ws.timers.get_count(k)))
         });
@@ -100,8 +98,8 @@ fn doctor_explains_a_traced_registration() {
 
     // --- Matching: every p2p send pairs with exactly one receive. ---
     assert!(report.p2p_sends > 0, "registration must exchange p2p messages");
-    assert_eq!(report.matched.len(), report.p2p_sends, "every send matched");
-    assert_eq!(report.matched.len(), report.p2p_recvs, "every recv matched");
+    assert_eq!(report.matched, report.p2p_sends, "every send matched");
+    assert_eq!(report.matched, report.p2p_recvs, "every recv matched");
     assert_eq!(report.unmatched_sends + report.unmatched_recvs, 0);
 
     // --- Collectives: every group saw all csize member records. ---
@@ -162,7 +160,6 @@ fn doctor_attributes_injected_stall_to_culprit_rank() {
     let _turn = TRACE_FLAG.lock().unwrap_or_else(|e| e.into_inner());
     set_trace_enabled(true);
     let ranks: Vec<RankCapture> = run_threaded(2, move |comm| {
-        comm.set_event_recording(true);
         // Rank 1 stalls 80 ms at its 2nd comm call — the send below.
         let chaos = ChaosComm::new(comm, ChaosConfig::seeded(1).with_stall(1, 2, 80));
         chaos.barrier(); // op 1 on both ranks
@@ -176,13 +173,13 @@ fn doctor_attributes_injected_stall_to_culprit_rank() {
             assert_eq!(v.len(), 64);
         }
         chaos.barrier();
-        RankCapture { rank: comm.rank(), events: comm.take_events(), recorder: take_recorder() }
+        RankCapture { rank: comm.rank(), recorder: take_recorder() }
     });
     set_trace_enabled(false);
 
     let report = analyze(&DoctorInput { ranks, metrics: MetricsRegistry::new() });
 
-    assert_eq!(report.matched.len(), 1, "the one p2p message matches");
+    assert_eq!(report.matched, 1, "the one p2p message matches");
     assert_eq!(report.unmatched_sends + report.unmatched_recvs, 0);
     assert_eq!(report.incomplete_collectives, 0);
 

@@ -78,7 +78,7 @@ fn traced_registration_produces_all_three_artifacts() {
     let traces: Vec<RankCapture> = per_rank
         .iter()
         .enumerate()
-        .map(|(rank, t)| RankCapture { rank, events: Vec::new(), recorder: t.0.clone() })
+        .map(|(rank, t)| RankCapture { rank, recorder: t.0.clone() })
         .collect();
     let text = chrome_trace(&traces).to_string();
     let summary = validate_chrome_trace(&text).expect("trace must validate");

@@ -1,8 +1,10 @@
 //! `diffreg-doctor` — the cross-rank wait-state doctor CLI.
 //!
 //! Thin wrapper over `diffreg_telemetry::doctor`: loads a bundle directory
-//! (written by a traced run via `doctor::write_trace_bundle`),
-//! runs the merge/match/classify/critical-path analysis, writes
+//! (written by a traced run via `doctor::write_trace_bundle`: one
+//! `recorder-rank<k>.jsonl` per rank, holding its spans, lifecycle events
+//! and comm records), runs the merge/match/classify/critical-path analysis,
+//! writes
 //! `doctor-report.txt` and `metrics.prom` back into the bundle directory,
 //! and optionally hard-gates on analysis health.
 //!
@@ -53,15 +55,16 @@ const USAGE: &str = "usage:
   diffreg-doctor incident --dir <incident-bundle-dir> [--gate]
   diffreg-doctor profile --dir <bundle-dir> [--baseline <bundle-dir>] [--top K]
 
-analyze reads a bundle (events-rank<k>.jsonl + recorder-rank<k>.jsonl
-[+ metrics.json]; an incident bundle is one too), writes doctor-report.txt
+analyze reads a bundle (one recorder-rank<k>.jsonl per rank: its spans,
+lifecycle events and comm records [+ metrics.json]; an incident bundle is
+one too), writes doctor-report.txt
 and metrics.prom into the bundle directory, and prints the report. --gate
 exits nonzero unless every p2p message matched, no collective group is
 incomplete, and critical-path coverage meets --min-coverage (default 0.9).
 --grid N adds the paper's performance-model predicted column for an N^3 grid.
 
 incident reads one incident bundle written by the serve runtime
-(incident.json + per-rank comm/recorder captures), verifies its content
+(incident.json + per-rank recorder captures), verifies its content
 digest, runs wait-state triage with culprit attribution, writes
 incident-report.txt into the bundle directory, and prints the triage
 summary. --gate additionally exits nonzero unless the digest matches, the
@@ -153,7 +156,7 @@ fn cmd_analyze(args: &[String]) -> Result<(), String> {
         report.gate(opts.min_coverage).map_err(|e| format!("gate failed: {e}"))?;
         println!(
             "gate ok: {}/{} p2p matched, {} collectives complete, coverage {:.1}%",
-            report.matched.len(),
+            report.matched,
             report.p2p_sends,
             report.collectives.len(),
             report.coverage * 100.0
@@ -203,7 +206,7 @@ fn load_bundle(dir: &str) -> Result<DoctorInput, String> {
     match DoctorInput::load_dir(dir) {
         Ok(input) if !input.ranks.is_empty() => Ok(input),
         Ok(_) | Err(BundleError::MissingBundle(_)) => Err(format!(
-            "doctor: no events-rank<k>.jsonl or recorder-rank<k>.jsonl files in {dir}"
+            "doctor: no recorder-rank<k>.jsonl files in {dir}"
         )),
         Err(e) => Err(format!("doctor: {e}")),
     }

@@ -5,10 +5,9 @@
 use std::path::PathBuf;
 use std::process::Command;
 
-use diffreg_comm::{CommEvent, CommOp};
 use diffreg_telemetry::doctor::RankCapture;
 use diffreg_telemetry::incident::{write_incident_bundle, IncidentContext, IncidentTrigger};
-use diffreg_telemetry::recorder::{RecEvent, RecKind, RecorderSnapshot};
+use diffreg_telemetry::recorder::{CommKey, CommOp, RecEvent, RecKind, RecorderSnapshot, StreamPos};
 
 fn doctor() -> Command {
     Command::new(env!("CARGO_BIN_EXE_diffreg-doctor"))
@@ -24,38 +23,19 @@ fn scratch(name: &str) -> PathBuf {
 /// A minimal two-rank capture: a completed gang barrier plus each rank's
 /// recorded failure reason, enough for triage to name a culprit.
 fn write_test_bundle(base: &PathBuf) -> PathBuf {
-    let ev = |rank: usize, t0: u64| CommEvent {
-        op: CommOp::Barrier,
-        comm: 0x10,
-        csize: 2,
-        rank,
-        peer: None,
-        tag: None,
-        seq: None,
-        bytes: 0,
-        epoch: Some(3),
-        t0_ns: t0,
-        t1_ns: t0 + 1_000_000,
-        blocked_ns: 500_000,
-    };
-    let rec = |reason: u64| RecorderSnapshot {
-        thread: 0,
-        events: vec![RecEvent {
-            t_ns: 9_000_000,
-            kind: RecKind::Serve,
-            name: "serve.attempt-failed".into(),
-            a: reason,
-            b: 0,
-        }],
-        seen: 1,
-        recorded: 1,
-        sampled_out: 0,
-        overwritten: 0,
-        stride: 1,
+    let rec = |rank: usize, t_ns: u64, reason: u64| {
+        let pos = StreamPos::Collective { epoch: 3 };
+        let key = CommKey { op: CommOp::Barrier, comm: 0x10, csize: 2, rank, pos, blocked_ns: 500_000 };
+        let name = "barrier".into();
+        let barrier = RecEvent { t_ns, kind: RecKind::Comm, name, a: 1_000_000, b: 0, key: Some(key) };
+        let name = "serve.attempt-failed".into();
+        let failed = RecEvent { t_ns: 9_000_000, kind: RecKind::Serve, name, a: reason, b: 0, key: None };
+        let events = vec![barrier, failed];
+        RecorderSnapshot { thread: 0, events, seen: 2, recorded: 2, stride: 1, ..Default::default() }
     };
     let captures = vec![
-        RankCapture { rank: 0, events: vec![ev(0, 0)], recorder: rec(1) },
-        RankCapture { rank: 1, events: vec![ev(1, 100)], recorder: rec(2) },
+        RankCapture { rank: 0, recorder: rec(0, 0, 1) },
+        RankCapture { rank: 1, recorder: rec(1, 100, 2) },
     ];
     let header = IncidentContext {
         seq: 0,
@@ -131,8 +111,9 @@ fn incident_subcommand_fails_typed_on_truncated_bundle() {
 fn incident_subcommand_fails_typed_on_tampered_capture() {
     let base = scratch("tampered");
     let dir = write_test_bundle(&base);
-    // Flip a captured byte count: the digest check must refuse the bundle.
-    let events = dir.join("events-rank0.jsonl");
+    // Move a captured barrier to another epoch: the digest check must
+    // refuse the bundle.
+    let events = dir.join("recorder-rank0.jsonl");
     let text = std::fs::read_to_string(&events).unwrap();
     assert!(text.contains("\"epoch\":3"), "{text}");
     std::fs::write(&events, text.replacen("\"epoch\":3", "\"epoch\":4", 1)).unwrap();

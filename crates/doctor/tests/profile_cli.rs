@@ -4,8 +4,8 @@
 use std::path::{Path, PathBuf};
 use std::process::Command;
 
-use diffreg_comm::{CommEvent, CommOp};
 use diffreg_telemetry::doctor::{write_trace_bundle, RankCapture};
+use diffreg_telemetry::recorder::{CommKey, CommOp, StreamPos};
 use diffreg_telemetry::{RecEvent, RecKind, RecorderSnapshot};
 
 fn bin() -> &'static str {
@@ -19,36 +19,33 @@ fn scratch(name: &str) -> PathBuf {
     dir
 }
 
-/// One synthetic comm event per rank, as a traced run would leave.
-fn dummy_event(rank: usize) -> CommEvent {
-    CommEvent {
-        op: CommOp::Allreduce,
-        comm: 0,
-        csize: 2,
-        rank,
-        peer: None,
-        tag: None,
-        seq: None,
-        bytes: 64,
-        epoch: Some(0),
-        t0_ns: 0,
-        t1_ns: 1_000,
-        blocked_ns: 0,
+/// One synthetic comm record per rank, as a traced run would leave.
+fn dummy_record(rank: usize) -> RecEvent {
+    let pos = StreamPos::Collective { epoch: 0 };
+    RecEvent {
+        t_ns: 0,
+        kind: RecKind::Comm,
+        name: "allreduce".into(),
+        a: 1_000,
+        b: 64,
+        key: Some(CommKey { op: CommOp::Allreduce, comm: 0, csize: 2, rank, pos, blocked_ns: 0 }),
     }
 }
 
 /// One rank's capture: a complete keep-all window holding the given
 /// `(name, t0_ns, dur_ns)` spans (close order: children first) and one comm
-/// event.
+/// record.
 fn rank_capture(rank: usize, spans: &[(&'static str, u64, u64)]) -> RankCapture {
     let events: Vec<RecEvent> = spans
         .iter()
-        .map(|&(name, t_ns, a)| RecEvent { t_ns, kind: RecKind::Span, name: name.into(), a, b: 0 })
+        .map(|&(name, t_ns, a)| {
+            RecEvent { t_ns, kind: RecKind::Span, name: name.into(), a, b: 0, key: None }
+        })
+        .chain([dummy_record(rank)])
         .collect();
     let n = events.len() as u64;
     RankCapture {
         rank,
-        events: vec![dummy_event(rank)],
         recorder: RecorderSnapshot {
             thread: rank as u64,
             events,

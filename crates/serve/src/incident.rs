@@ -5,9 +5,10 @@
 //! sequence from the outcome allgather (it is part of the replicated
 //! [`ServeSummary`](crate::ServeSummary), so the existing replication
 //! assertions cover it). Bundle *writing* is rank 0's job alone — it reads
-//! the capture stage, where each gang rank parked its comm-event ring and
-//! flight-recorder window right after its attempt (the outcome allgather is
-//! the synchronization barrier that makes those inserts visible).
+//! the capture stage, where each gang rank parked its ring window of the
+//! attempt — spans, lifecycle events and comm records, one stream — right
+//! after it (the outcome allgather is the synchronization barrier that makes
+//! those inserts visible).
 
 use std::collections::BTreeMap;
 

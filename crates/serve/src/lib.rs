@@ -27,7 +27,9 @@
 //!   queue depth, retry/recovery counters, and latency histograms, and an
 //!   opt-in read-only HTTP plane ([`http`]) serving metrics, the live job
 //!   table, SLO state, incidents, and flamegraph snapshots from
-//!   round-boundary snapshots.
+//!   round-boundary snapshots. An incident bundle holds each gang rank's
+//!   event ring of the attempt: spans, lifecycle events and comm records in
+//!   one stream, one file per rank ([`incident`]).
 //!
 //! Chaos drills are first-class: a [`FaultInjector`] plans kills, stalls,
 //! and checkpoint corruption per `(job, attempt)`, and the whole campaign

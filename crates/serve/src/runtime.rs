@@ -110,7 +110,8 @@ pub struct ServeConfig {
     /// When set, every incident trigger writes a doctor-readable bundle
     /// under this directory (rank 0 writes; triggers themselves are
     /// computed on every rank and land in the replicated summary). Also
-    /// stages every attempt's comm events + flight-recorder window.
+    /// stages every attempt's ring window (spans, lifecycle events and comm
+    /// records).
     pub incident_dir: Option<PathBuf>,
     /// Per-tenant SLO policy; `None` disables the SLO engine.
     pub slo: Option<SloPolicy>,
@@ -319,17 +320,16 @@ impl ServeHarness {
             .clone()
     }
 
-    /// Whether attempts of `job` stage their capture (comm events +
-    /// flight-recorder window) for an incident bundle or the traced-job
-    /// bundle.
+    /// Whether attempts of `job` stage their capture (the ring window of the
+    /// attempt) for an incident bundle or the traced-job bundle.
     fn stages(&self, job: JobId) -> bool {
         self.cfg.incident_dir.is_some() || self.cfg.trace_job == Some(job)
     }
 
     /// Writes the traced job's final attempt as a doctor-readable trace
-    /// bundle (`events-rank*.jsonl`, `recorder-rank*.jsonl`, `metrics.json`,
-    /// `trace.json`). Call after the pool has drained. Returns the gang size
-    /// written, or 0 when nothing was traced.
+    /// bundle (`recorder-rank*.jsonl`, `metrics.json`, `trace.json`). Call
+    /// after the pool has drained. Returns the gang size written, or 0 when
+    /// nothing was traced.
     pub fn write_traced_job_bundle(&self, dir: impl AsRef<std::path::Path>) -> std::io::Result<usize> {
         let Some(job) = self.cfg.trace_job else { return Ok(0) };
         let stage = lock(&self.stage);
@@ -465,11 +465,10 @@ impl ServeHarness {
 
     /// Stages this rank's capture of its gang attempt. It runs before the
     /// outcome allgather, the barrier that makes every member's insert
-    /// visible to rank 0's fold: the gang's comm events (left on this pool
-    /// rank's event log, which the split shares) and the flight-recorder
-    /// window since the attempt's start-of-attempt reset.
+    /// visible to rank 0's fold: the ring window since the attempt's
+    /// start-of-attempt reset, the gang's comm records included (a gang
+    /// runs on its pool rank's thread, so they are in that rank's ring).
     fn stage_capture(&self, world: &ThreadComm, a: &Assignment, attempt: u32, outcome: Outcome) {
-        let events = world.take_events();
         let gang_rank = a.ranks.iter().position(|r| *r == world.rank()).unwrap_or(0);
         // This rank's own failure is the triage's strongest culprit signal
         // (comm streams truncate symmetrically on gang-fatal faults): the
@@ -482,7 +481,7 @@ impl ServeHarness {
         lock(&self.stage)
             .entry((a.job, attempt))
             .or_default()
-            .insert(gang_rank, RankCapture { rank: gang_rank, events, recorder });
+            .insert(gang_rank, RankCapture { rank: gang_rank, recorder });
     }
 
     /// Runs one gang attempt under containment. `sub` is this rank's gang
@@ -496,13 +495,11 @@ impl ServeHarness {
         let store = self.store_for(&spec);
         sub.set_timeout(self.cfg.watchdog);
         if self.stages(spec.id) {
-            sub.set_event_recording(true);
-            // Reset both capture windows so the staged snapshot — and its
+            // Reset the ring window so the staged snapshot — and its
             // adaptive-sampling counters — covers exactly this attempt
             // (replay-deterministic: the stride depends only on counts).
-            // The event drain discards pool-collective residue from rounds
-            // this rank sat idle; `sub` shares the rank's event log.
-            let _ = sub.take_events();
+            // The drain discards the pool's own records: this round's split,
+            // and every round this rank sat idle.
             let _ = take_recorder();
             record_event(RecKind::Serve, "serve.attempt", spec.id, u64::from(attempt));
         }

@@ -304,7 +304,7 @@ fn chaos_drill_emits_expected_gated_bundles_and_replays_byte_identically() {
         .expect("deadline incident");
     assert_eq!(expiry.job, 5);
     let bundle = load_incident_bundle(bundle_dir(&run1, expiry)).unwrap();
-    assert!(bundle.input.ranks.iter().all(|c| c.events.is_empty()));
+    assert!(bundle.input.ranks.iter().all(|c| c.recorder.comm_records().next().is_none()));
     let analysis = analyze_incident(&bundle);
     gate_incident(&bundle, &analysis).unwrap();
 }

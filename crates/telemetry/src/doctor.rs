@@ -1,19 +1,19 @@
-//! Cross-rank wait-state doctor: merges every rank's comm event stream and
-//! span trace, matches point-to-point sends to receives, groups collectives
-//! by epoch, classifies wait states Scalasca-style, walks the cross-rank
-//! critical path, and renders a deterministic report + Prometheus snapshot.
+//! Cross-rank wait-state doctor: merges every rank's event ring — spans
+//! and comm records in one stream — matches point-to-point sends to
+//! receives, groups collectives by epoch, classifies wait states
+//! Scalasca-style, walks the cross-rank critical path, and renders a
+//! deterministic report + Prometheus snapshot.
 //!
 //! ## Inputs
 //!
 //! A *bundle* directory written by [`write_trace_bundle`] and read back by
 //! [`DoctorInput::load_dir`], the one bundle reader:
 //!
-//! * `events-rank<k>.jsonl` — rank `k`'s compact comm event stream, one JSON
-//!   object per line (schema below); absent for a rank that recorded none.
 //! * `recorder-rank<k>.jsonl` — rank `k`'s event ring
-//!   ([`RecorderSnapshot`]): one header line with the exact drop accounting,
-//!   then one line per retained event. Its span events give the doctor its
-//!   phase attribution, to the nanosecond.
+//!   ([`RecorderSnapshot`], format in [`crate::recorder`]): one header line
+//!   with the exact drop accounting, then one line per retained event. Its
+//!   spans give the doctor its phase attribution, to the nanosecond; its
+//!   comm records ([`RecKind::Comm`]) carry the matching keys.
 //! * `metrics.json` — optional [`MetricsRegistry`] snapshot the run exported
 //!   (the serve dashboard, say); [`analyze`] merges its derived metrics
 //!   into it.
@@ -24,24 +24,13 @@
 //! An incident bundle (see [`crate::incident`]) is the same files plus
 //! `incident.json` and `convergence.jsonl`.
 //!
-//! ## Event JSONL schema (one object per line)
-//!
-//! ```json
-//! {"type":"comm","op":"send","comm":"0","csize":4,"rank":0,"peer":1,
-//!  "tag":7,"seq":0,"bytes":128,"t0_ns":12345,"t1_ns":23456,"blocked_ns":0}
-//! ```
-//!
-//! `comm` is the communicator uid in lowercase hex (a string, because uids
-//! are full 64-bit hashes and JSON numbers are doubles); `epoch` appears on
-//! collectives, `peer`/`tag`/`seq` on p2p events.
-//!
 //! ## Matching
 //!
-//! P2p events match on the key `(comm, src, dst, tag, seq)` — exact, because
-//! channels are FIFO per `(src, dst)` pair and the pending queue preserves
-//! per-tag order, so the n-th send on a stream is the n-th receive.
-//! Collective records group on `(comm, op, epoch)`; a group is complete when
-//! all `csize` member records arrived.
+//! P2p records match on the key `(comm, src, dst, tag, seq)` — exact,
+//! because channels are FIFO per `(src, dst)` pair and the pending queue
+//! preserves per-tag order, so the n-th send on a stream is the n-th
+//! receive. Collective records group on `(comm, op, epoch)`; a group is
+//! complete when all `csize` member records arrived.
 //!
 //! ## Wait-state classification (after Scalasca's wait-state taxonomy)
 //!
@@ -60,129 +49,31 @@ use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
 
-use diffreg_comm::{CommEvent, CommOp};
-
 use crate::json::Json;
 use crate::metrics::{escape_label_value, MetricsRegistry};
-use crate::recorder::{RecKind, RecorderSnapshot};
+use crate::recorder::{
+    recorder_from_jsonl, recorder_to_jsonl, CommKey, CommOp, RecEvent, RecKind, RecorderSnapshot,
+};
 use crate::report::PredictedPhases;
 
 /// Phase label for time not covered by any span.
 pub const UNTRACED: &str = "(untraced)";
 
-// ---------------------------------------------------------------------------
-// Event stream serialization (JSONL)
-// ---------------------------------------------------------------------------
-
-/// Serializes one comm event as the doctor's JSONL object.
-fn event_to_json(e: &CommEvent) -> Json {
-    let mut j = Json::obj()
-        .set("type", "comm")
-        .set("op", e.op.name())
-        // Hex string: comm uids are full 64-bit hashes; JSON numbers are
-        // doubles and would silently round them.
-        .set("comm", format!("{:x}", e.comm))
-        .set("csize", e.csize)
-        .set("rank", e.rank)
-        .set("bytes", e.bytes)
-        .set("t0_ns", e.t0_ns)
-        .set("t1_ns", e.t1_ns)
-        .set("blocked_ns", e.blocked_ns);
-    if let Some(p) = e.peer {
-        j = j.set("peer", p);
-    }
-    if let Some(t) = e.tag {
-        // Hex string like `comm`: internal tags set bits above 2^53 (e.g.
-        // `TAG_INTERNAL`-derived channel tags) which a JSON double rounds —
-        // silently merging distinct `(comm, src, dst, tag, seq)` match keys.
-        j = j.set("tag", format!("{t:x}"));
-    }
-    if let Some(s) = e.seq {
-        j = j.set("seq", s);
-    }
-    if let Some(ep) = e.epoch {
-        j = j.set("epoch", ep);
-    }
-    j
-}
-
-/// Parses one JSONL object back into a comm event.
-fn event_from_json(j: &Json) -> Result<CommEvent, String> {
-    if j.get("type").and_then(Json::as_str) != Some("comm") {
-        return Err("event: missing type=\"comm\"".into());
-    }
-    let op_name = j.get("op").and_then(Json::as_str).ok_or("event: missing op")?;
-    let op = CommOp::from_name(op_name).ok_or_else(|| format!("event: unknown op '{op_name}'"))?;
-    let comm_hex = j.get("comm").and_then(Json::as_str).ok_or("event: missing comm uid")?;
-    let comm = u64::from_str_radix(comm_hex, 16)
-        .map_err(|_| format!("event: bad comm uid '{comm_hex}'"))?;
-    let num = |key: &str| -> Result<f64, String> {
-        j.get(key).and_then(Json::as_f64).ok_or(format!("event: missing numeric {key}"))
-    };
-    let opt = |key: &str| j.get(key).and_then(Json::as_f64);
-    Ok(CommEvent {
-        op,
-        comm,
-        csize: num("csize")? as usize,
-        rank: num("rank")? as usize,
-        peer: opt("peer").map(|v| v as usize),
-        tag: match j.get("tag") {
-            None => None,
-            Some(Json::Str(s)) => Some(
-                u64::from_str_radix(s, 16).map_err(|_| format!("event: bad tag '{s}'"))?,
-            ),
-            // A JSON number is a double: above 2^53 it would silently merge
-            // distinct match keys, so only the hex string is a tag.
-            Some(v) => return Err(format!("event: tag must be a hex string, found {v}")),
-        },
-        seq: opt("seq").map(|v| v as u64),
-        bytes: num("bytes")? as u64,
-        epoch: opt("epoch").map(|v| v as u64),
-        t0_ns: num("t0_ns")? as u64,
-        t1_ns: num("t1_ns")? as u64,
-        blocked_ns: num("blocked_ns")? as u64,
-    })
-}
-
-/// One rank's event stream as JSON-lines text.
-pub fn events_to_jsonl(events: &[CommEvent]) -> String {
-    let mut out = String::new();
-    for e in events {
-        let _ = writeln!(out, "{}", event_to_json(e));
-    }
-    out
-}
-
-/// Parses a JSON-lines event stream (blank lines ignored).
-pub fn events_from_jsonl(text: &str) -> Result<Vec<CommEvent>, String> {
-    let mut out = Vec::new();
-    for (i, line) in text.lines().enumerate() {
-        if line.trim().is_empty() {
-            continue;
-        }
-        let j = Json::parse(line).map_err(|e| format!("line {}: {e}", i + 1))?;
-        out.push(event_from_json(&j).map_err(|e| format!("line {}: {e}", i + 1))?);
-    }
-    Ok(out)
-}
-
-/// One rank's contribution to a capture: its comm events and its event
-/// ring. Bundle files are keyed by `rank` — the world rank of a solver run,
-/// the gang-local rank of a serve attempt.
+/// One rank's contribution to a capture: its event ring. Bundle files are
+/// keyed by `rank` — the world rank of a solver run, the gang-local rank of
+/// a serve attempt.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct RankCapture {
     /// Rank within the captured communicator (0-based).
     pub rank: usize,
-    /// The rank's comm events, in recorded order.
-    pub events: Vec<CommEvent>,
-    /// The rank's event ring with exact drop accounting; its span events
-    /// are the doctor's phase timeline.
+    /// The rank's event ring with exact drop accounting: its spans are the
+    /// doctor's phase timeline, its comm records what it matches.
     pub recorder: RecorderSnapshot,
 }
 
-/// Writes a bundle (`events-rank<k>.jsonl` for every rank that has comm
-/// events, `recorder-rank<k>.jsonl`, the `trace.json` export and — when
-/// provided — `metrics.json`) into `dir`, creating it if necessary.
+/// Writes a bundle (`recorder-rank<k>.jsonl` for every rank, the
+/// `trace.json` export and — when provided — `metrics.json`) into `dir`,
+/// creating it if necessary.
 pub fn write_trace_bundle(
     dir: impl AsRef<Path>,
     captures: &[RankCapture],
@@ -191,11 +82,8 @@ pub fn write_trace_bundle(
     let dir = dir.as_ref();
     std::fs::create_dir_all(dir)?;
     for c in captures {
-        if !c.events.is_empty() {
-            let name = format!("events-rank{}.jsonl", c.rank);
-            std::fs::write(dir.join(name), events_to_jsonl(&c.events))?;
-        }
-        std::fs::write(dir.join(format!("recorder-rank{}.jsonl", c.rank)), c.recorder.to_jsonl())?;
+        let name = format!("recorder-rank{}.jsonl", c.rank);
+        std::fs::write(dir.join(name), recorder_to_jsonl(&c.recorder))?;
     }
     if !captures.is_empty() {
         std::fs::write(dir.join("trace.json"), crate::span::chrome_trace(captures).to_string())?;
@@ -265,9 +153,9 @@ pub struct DoctorInput {
 
 impl DoctorInput {
     /// Loads a bundle directory written by [`write_trace_bundle`] (or the
-    /// capture part of an incident bundle): every `events-rank<k>.jsonl`
-    /// and `recorder-rank<k>.jsonl`, plus `metrics.json` when present. A
-    /// directory with none of them loads as zero ranks.
+    /// capture part of an incident bundle): every `recorder-rank<k>.jsonl`,
+    /// plus `metrics.json` when present. A directory with none of them
+    /// loads as zero ranks.
     pub fn load_dir(dir: impl AsRef<Path>) -> Result<DoctorInput, BundleError> {
         let dir = dir.as_ref();
         let missing = |_| BundleError::MissingBundle(dir.to_path_buf());
@@ -278,19 +166,16 @@ impl DoctorInput {
             }
         }
         names.sort();
-        let rank_of = |name: &str, prefix: &str| -> Option<usize> {
-            name.strip_prefix(prefix)?.strip_suffix(".jsonl")?.parse().ok()
+        let rank_of = |name: &str| -> Option<usize> {
+            name.strip_prefix("recorder-rank")?.strip_suffix(".jsonl")?.parse().ok()
         };
-        let mut ranks: BTreeMap<usize, RankCapture> = BTreeMap::new();
+        let mut ranks: BTreeMap<usize, RecorderSnapshot> = BTreeMap::new();
         for name in &names {
-            if let Some(rank) = rank_of(name, "events-rank") {
-                ranks.entry(rank).or_default().events =
-                    read_bundle_file(dir, name, events_from_jsonl)?;
-            } else if let Some(rank) = rank_of(name, "recorder-rank") {
-                ranks.entry(rank).or_default().recorder =
-                    read_bundle_file(dir, name, RecorderSnapshot::from_jsonl)?;
+            if let Some(rank) = rank_of(name) {
+                ranks.insert(rank, read_bundle_file(dir, name, recorder_from_jsonl)?);
             }
         }
+        let ranks = ranks.into_iter().map(|(rank, recorder)| RankCapture { rank, recorder }).collect();
         let metrics = if dir.join("metrics.json").is_file() {
             read_bundle_file(dir, "metrics.json", |text| {
                 MetricsRegistry::from_json(&Json::parse(text)?)
@@ -298,7 +183,6 @@ impl DoctorInput {
         } else {
             MetricsRegistry::new()
         };
-        let ranks = ranks.into_iter().map(|(rank, c)| RankCapture { rank, ..c }).collect();
         Ok(DoctorInput { ranks, metrics })
     }
 }
@@ -306,19 +190,6 @@ impl DoctorInput {
 // ---------------------------------------------------------------------------
 // Analysis results
 // ---------------------------------------------------------------------------
-
-/// A matched send/receive pair (world ranks from the file/record origin).
-#[derive(Debug, Clone, Copy)]
-pub struct MatchedMessage {
-    /// Sender's world rank.
-    pub send_rank: usize,
-    /// Receiver's world rank.
-    pub recv_rank: usize,
-    /// The send event.
-    pub send: CommEvent,
-    /// The receive event.
-    pub recv: CommEvent,
-}
 
 /// One collective operation reassembled from its per-rank records.
 #[derive(Debug, Clone)]
@@ -331,8 +202,8 @@ pub struct CollectiveGroup {
     pub epoch: u64,
     /// Communicator size (the number of records a complete group has).
     pub csize: usize,
-    /// `(world rank, event)` members, sorted by world rank.
-    pub members: Vec<(usize, CommEvent)>,
+    /// `(world rank, record)` members, sorted by world rank.
+    pub members: Vec<(usize, RecEvent)>,
 }
 
 impl CollectiveGroup {
@@ -427,7 +298,7 @@ pub struct DoctorReport {
     /// Total receive events.
     pub p2p_recvs: usize,
     /// Matched send/receive pairs.
-    pub matched: Vec<MatchedMessage>,
+    pub matched: usize,
     /// Send events with no matching receive.
     pub unmatched_sends: usize,
     /// Receive events with no matching send.
@@ -566,8 +437,8 @@ pub fn analyze(input: &DoctorInput) -> DoctorReport {
 
     // ---- p2p matching ----------------------------------------------------
     type P2pKey = (u64, usize, usize, u64, u64); // (comm, src, dst, tag, seq)
-    let mut sends: BTreeMap<P2pKey, (usize, CommEvent)> = BTreeMap::new();
-    let mut recvs: BTreeMap<P2pKey, (usize, CommEvent)> = BTreeMap::new();
+    let mut sends: BTreeMap<P2pKey, (usize, &RecEvent)> = BTreeMap::new();
+    let mut recvs: BTreeMap<P2pKey, (usize, &RecEvent)> = BTreeMap::new();
     let (mut p2p_sends, mut p2p_recvs) = (0usize, 0usize);
     // Key collisions (two events claiming the same match key) mean the
     // pairing is ambiguous; count each extra event as unmatched so the gate
@@ -575,50 +446,42 @@ pub fn analyze(input: &DoctorInput) -> DoctorReport {
     let (mut dup_sends, mut dup_recvs) = (0usize, 0usize);
     let mut groups: BTreeMap<(u64, CommOp, u64), CollectiveGroup> = BTreeMap::new();
     for r in &input.ranks {
-        for e in &r.events {
-            match e.op {
-                CommOp::Send => {
+        for (e, k) in r.recorder.comm_records() {
+            match (k.op, k.p2p()) {
+                (CommOp::Send, Some((peer, tag, seq))) => {
                     p2p_sends += 1;
-                    let key =
-                        (e.comm, e.rank, e.peer.unwrap_or(usize::MAX), e.tag.unwrap_or(0), e.seq.unwrap_or(0));
-                    if sends.insert(key, (r.rank, *e)).is_some() {
+                    if sends.insert((k.comm, k.rank, peer, tag, seq), (r.rank, e)).is_some() {
                         dup_sends += 1;
                     }
                 }
-                CommOp::Recv => {
+                (CommOp::Recv, Some((peer, tag, seq))) => {
                     p2p_recvs += 1;
-                    let key =
-                        (e.comm, e.peer.unwrap_or(usize::MAX), e.rank, e.tag.unwrap_or(0), e.seq.unwrap_or(0));
-                    if recvs.insert(key, (r.rank, *e)).is_some() {
+                    if recvs.insert((k.comm, peer, k.rank, tag, seq), (r.rank, e)).is_some() {
                         dup_recvs += 1;
                     }
                 }
-                op => {
-                    let epoch = e.epoch.unwrap_or(0);
-                    let g = groups.entry((e.comm, op, epoch)).or_insert_with(|| {
+                (op, _) => {
+                    let epoch = k.epoch().unwrap_or(0);
+                    let g = groups.entry((k.comm, op, epoch)).or_insert_with(|| {
                         CollectiveGroup {
-                            comm: e.comm,
+                            comm: k.comm,
                             op,
                             epoch,
-                            csize: e.csize,
+                            csize: k.csize,
                             members: Vec::new(),
                         }
                     });
-                    g.members.push((r.rank, *e));
+                    g.members.push((r.rank, e.clone()));
                 }
             }
         }
     }
-    let mut matched: Vec<MatchedMessage> = Vec::new();
+    // Matched pairs: (send rank, send, recv rank, recv), world ranks.
+    let mut matched: Vec<(usize, &RecEvent, usize, &RecEvent)> = Vec::new();
     let mut unmatched_sends = dup_sends;
-    for (key, (send_rank, send)) in &sends {
+    for (key, &(send_rank, send)) in &sends {
         match recvs.get(key) {
-            Some((recv_rank, recv)) => matched.push(MatchedMessage {
-                send_rank: *send_rank,
-                recv_rank: *recv_rank,
-                send: *send,
-                recv: *recv,
-            }),
+            Some(&(recv_rank, recv)) => matched.push((send_rank, send, recv_rank, recv)),
             None => unmatched_sends += 1,
         }
     }
@@ -632,19 +495,19 @@ pub fn analyze(input: &DoctorInput) -> DoctorReport {
 
     // ---- wait-state classification ---------------------------------------
     let mut waits: Vec<WaitState> = Vec::new();
-    for m in &matched {
-        if m.recv.blocked_ns > 0 && m.send.t1_ns > m.recv.t0_ns {
-            let end = m.send.t1_ns.min(m.recv.t1_ns);
-            let wait_s = end.saturating_sub(m.recv.t0_ns) as f64 / 1e9;
+    for &(send_rank, send, recv_rank, recv) in &matched {
+        if recv.key.is_some_and(|k| k.blocked_ns > 0) && send.end_ns() > recv.t_ns {
+            let end = send.end_ns().min(recv.end_ns());
+            let wait_s = end.saturating_sub(recv.t_ns) as f64 / 1e9;
             if wait_s > 0.0 {
                 waits.push(WaitState {
                     kind: WaitKind::LateSender,
                     op: CommOp::Recv,
-                    phase: phase_at(timeline(m.recv_rank), m.recv.t0_ns).to_string(),
-                    waiter: m.recv_rank,
-                    culprit: m.send_rank,
+                    phase: phase_at(timeline(recv_rank), recv.t_ns).to_string(),
+                    waiter: recv_rank,
+                    culprit: send_rank,
                     wait_s,
-                    t_ns: m.recv.t0_ns,
+                    t_ns: recv.t_ns,
                 });
             }
         }
@@ -654,33 +517,33 @@ pub fn analyze(input: &DoctorInput) -> DoctorReport {
         let (last_rank, last_t0) = g
             .members
             .iter()
-            .map(|(r, e)| (*r, e.t0_ns))
+            .map(|(r, e)| (*r, e.t_ns))
             .max_by(|a, b| a.1.cmp(&b.1).then(b.0.cmp(&a.0)))
             .unwrap_or((0, 0));
         let (first_rank, first_t0) = g
             .members
             .iter()
-            .map(|(r, e)| (*r, e.t0_ns))
+            .map(|(r, e)| (*r, e.t_ns))
             .min_by(|a, b| a.1.cmp(&b.1).then(a.0.cmp(&b.0)))
             .unwrap_or((0, 0));
         for (r, e) in &g.members {
-            if *r == last_rank || e.t0_ns >= last_t0 {
+            if *r == last_rank || e.t_ns >= last_t0 {
                 continue;
             }
             // Clamp to the member's own interval: it cannot have waited
             // longer than its op lasted.
-            let wait_ns = last_t0.saturating_sub(e.t0_ns).min(e.t1_ns.saturating_sub(e.t0_ns));
+            let wait_ns = last_t0.saturating_sub(e.t_ns).min(e.a);
             if wait_ns == 0 {
                 continue;
             }
             waits.push(WaitState {
                 kind: WaitKind::WaitAtCollective,
                 op: g.op,
-                phase: phase_at(timeline(*r), e.t0_ns).to_string(),
+                phase: phase_at(timeline(*r), e.t_ns).to_string(),
                 waiter: *r,
                 culprit: last_rank,
                 wait_s: wait_ns as f64 / 1e9,
-                t_ns: e.t0_ns,
+                t_ns: e.t_ns,
             });
         }
         let spread = last_t0.saturating_sub(first_t0);
@@ -719,43 +582,37 @@ pub fn analyze(input: &DoctorInput) -> DoctorReport {
 
     // ---- critical-path walk ----------------------------------------------
     // Matched-recv lookup and collective arrival info for the walk.
-    let mut recv_to_sender: BTreeMap<(usize, u64, u64), (usize, CommEvent)> = BTreeMap::new();
-    for m in &matched {
-        recv_to_sender
-            .insert((m.recv_rank, m.recv.t0_ns, m.recv.t1_ns), (m.send_rank, m.send));
+    let mut recv_to_sender: BTreeMap<(usize, u64, u64), (usize, u64)> = BTreeMap::new();
+    for &(send_rank, send, recv_rank, recv) in &matched {
+        recv_to_sender.insert((recv_rank, recv.t_ns, recv.end_ns()), (send_rank, send.end_ns()));
     }
     let mut coll_last: BTreeMap<(u64, CommOp, u64), (usize, u64)> = BTreeMap::new();
     for g in collectives.iter().filter(|g| g.is_complete() && g.members.len() > 1) {
         if let Some((r, t0)) = g
             .members
             .iter()
-            .map(|(r, e)| (*r, e.t0_ns))
+            .map(|(r, e)| (*r, e.t_ns))
             .max_by(|a, b| a.1.cmp(&b.1).then(b.0.cmp(&a.0)))
         {
             coll_last.insert((g.comm, g.op, g.epoch), (r, t0));
         }
     }
-    // Per-rank events sorted by end time.
-    let mut by_end: BTreeMap<usize, Vec<CommEvent>> = BTreeMap::new();
+    // Per-rank comm records sorted by end time.
+    let mut by_end: BTreeMap<usize, Vec<(&RecEvent, &CommKey)>> = BTreeMap::new();
     let mut t_begin = u64::MAX;
     let mut t_end = 0u64;
     let mut end_rank = input.ranks.first().map(|r| r.rank).unwrap_or(0);
     let mut total_events = 0usize;
     for r in &input.ranks {
-        let mut evs = r.events.clone();
+        let mut evs: Vec<(&RecEvent, &CommKey)> = r.recorder.comm_records().collect();
         total_events += evs.len();
-        evs.sort_by(|a, b| a.t1_ns.cmp(&b.t1_ns).then(a.t0_ns.cmp(&b.t0_ns)));
-        for e in &evs {
-            t_begin = t_begin.min(e.t0_ns);
-            if e.t1_ns > t_end {
-                t_end = e.t1_ns;
-                end_rank = r.rank;
-            }
-        }
-        for (t0_ns, t1_ns, _) in r.recorder.spans() {
-            t_begin = t_begin.min(t0_ns);
-            if t1_ns > t_end {
-                t_end = t1_ns;
+        evs.sort_by_key(|(e, _)| (e.end_ns(), e.t_ns));
+        // The wall runs from the first start to the last end of any span or
+        // comm record.
+        for e in r.recorder.events.iter().filter(|e| matches!(e.kind, RecKind::Span | RecKind::Comm)) {
+            t_begin = t_begin.min(e.t_ns);
+            if e.end_ns() > t_end {
+                t_end = e.end_ns();
                 end_rank = r.rank;
             }
         }
@@ -766,7 +623,7 @@ pub fn analyze(input: &DoctorInput) -> DoctorReport {
     }
     let wall_s = t_end.saturating_sub(t_begin) as f64 / 1e9;
 
-    let empty_events: Vec<CommEvent> = Vec::new();
+    let empty_events: Vec<(&RecEvent, &CommKey)> = Vec::new();
     let mut path: Vec<PathSegment> = Vec::new();
     let mut cur_rank = end_rank;
     let mut cur_t = t_end;
@@ -778,43 +635,42 @@ pub fn analyze(input: &DoctorInput) -> DoctorReport {
         let evs = by_end.get(&cur_rank).unwrap_or(&empty_events);
         // Latest event that ends at/before `cur_t` and started strictly
         // before it (zero-length events at the cursor cannot make progress).
-        let mut i = evs.partition_point(|e| e.t1_ns <= cur_t);
+        let mut i = evs.partition_point(|(e, _)| e.end_ns() <= cur_t);
         let mut ev = None;
         while i > 0 {
             i -= 1;
-            if evs[i].t0_ns < cur_t {
+            if evs[i].0.t_ns < cur_t {
                 ev = Some(evs[i]);
                 break;
             }
         }
-        let Some(ev) = ev else {
+        let Some((ev, key)) = ev else {
             attribute_interval(&mut path, timeline(cur_rank), cur_rank, t_begin, cur_t);
             cur_t = t_begin;
             break;
         };
-        // Compute stretch between the event's end and the cursor.
-        attribute_interval(&mut path, timeline(cur_rank), cur_rank, ev.t1_ns, cur_t);
-        cur_t = cur_t.min(ev.t1_ns);
-        let kind = format!("comm.{}", ev.op.name());
-        if ev.op == CommOp::Recv && ev.blocked_ns > 0 {
-            if let Some((s_rank, s_ev)) = recv_to_sender.get(&(cur_rank, ev.t0_ns, ev.t1_ns)) {
+        let (t0_ns, t1_ns) = (ev.t_ns, ev.end_ns());
+        // Compute stretch between the record's end and the cursor.
+        attribute_interval(&mut path, timeline(cur_rank), cur_rank, t1_ns, cur_t);
+        cur_t = cur_t.min(t1_ns);
+        let kind = format!("comm.{}", key.op.name());
+        if key.op == CommOp::Recv && key.blocked_ns > 0 {
+            if let Some(&(s_rank, s_end)) = recv_to_sender.get(&(cur_rank, t0_ns, t1_ns)) {
                 // The receiver was waiting: the dependency chain continues on
                 // the sender from the moment the message became available.
-                let jump_t = s_ev.t1_ns.min(ev.t1_ns).max(ev.t0_ns);
+                let jump_t = s_end.min(t1_ns).max(t0_ns);
                 if jump_t < cur_t {
                     path.push(PathSegment { rank: cur_rank, t0_ns: jump_t, t1_ns: cur_t, kind });
                 }
-                cur_rank = *s_rank;
+                cur_rank = s_rank;
                 cur_t = jump_t;
                 continue;
             }
         }
-        if !ev.op.is_p2p() && ev.blocked_ns > 0 {
-            if let Some(&(l_rank, l_t0)) =
-                coll_last.get(&(ev.comm, ev.op, ev.epoch.unwrap_or(0)))
-            {
+        if let (Some(epoch), true) = (key.epoch(), key.blocked_ns > 0) {
+            if let Some(&(l_rank, l_t0)) = coll_last.get(&(key.comm, key.op, epoch)) {
                 if l_rank != cur_rank {
-                    let jump_t = l_t0.clamp(ev.t0_ns, ev.t1_ns).min(cur_t);
+                    let jump_t = l_t0.clamp(t0_ns, t1_ns).min(cur_t);
                     if jump_t < cur_t {
                         path.push(PathSegment {
                             rank: cur_rank,
@@ -830,10 +686,10 @@ pub fn analyze(input: &DoctorInput) -> DoctorReport {
             }
         }
         // Local op: it sits on the path in full.
-        if ev.t0_ns < cur_t {
-            path.push(PathSegment { rank: cur_rank, t0_ns: ev.t0_ns, t1_ns: cur_t, kind });
+        if t0_ns < cur_t {
+            path.push(PathSegment { rank: cur_rank, t0_ns, t1_ns: cur_t, kind });
         }
-        cur_t = ev.t0_ns;
+        cur_t = t0_ns;
     }
     if cur_t > t_begin {
         // Cap hit: close the path so coverage reflects what was explained.
@@ -862,9 +718,10 @@ pub fn analyze(input: &DoctorInput) -> DoctorReport {
     // ---- derived metrics ---------------------------------------------------
     let mut metrics = input.metrics.clone();
     for r in &input.ranks {
-        for e in &r.events {
-            metrics.inc_counter(&format!("diffreg_comm_events_total{{op=\"{}\"}}", e.op.name()), 1);
-            metrics.observe(&format!("diffreg_comm_op_seconds{{op=\"{}\"}}", e.op.name()), e.dur_s());
+        for (e, k) in r.recorder.comm_records() {
+            let op = k.op.name();
+            metrics.inc_counter(&format!("diffreg_comm_events_total{{op=\"{op}\"}}"), 1);
+            metrics.observe(&format!("diffreg_comm_op_seconds{{op=\"{op}\"}}"), e.a as f64 / 1e9);
         }
         // A span that counted something (interp.plan: points routed,
         // interp.eval: values evaluated) yields one observation per call.
@@ -881,7 +738,8 @@ pub fn analyze(input: &DoctorInput) -> DoctorReport {
     }
     metrics.set_gauge("diffreg_doctor_wall_seconds", wall_s);
     metrics.set_gauge("diffreg_doctor_critical_path_coverage", coverage);
-    metrics.inc_counter("diffreg_doctor_p2p_matched_total", matched.len() as u64);
+    let matched = matched.len();
+    metrics.inc_counter("diffreg_doctor_p2p_matched_total", matched as u64);
     metrics.inc_counter(
         "diffreg_doctor_p2p_unmatched_total",
         (unmatched_sends + unmatched_recvs) as u64,
@@ -928,7 +786,7 @@ impl DoctorReport {
         let _ = writeln!(
             out,
             "p2p: {}/{} sends matched ({} unmatched sends, {} unmatched recvs)",
-            self.matched.len(),
+            self.matched,
             self.p2p_sends,
             self.unmatched_sends,
             self.unmatched_recvs
@@ -1081,109 +939,57 @@ impl DoctorReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::recorder::RecEvent;
+    use crate::recorder::StreamPos;
 
-    /// A complete keep-all window holding the given `(name, t0_ns, t1_ns)`
-    /// spans.
-    fn spans(spans: &[(&'static str, u64, u64)]) -> RecorderSnapshot {
-        let events: Vec<RecEvent> = spans
-            .iter()
-            .map(|&(name, t0, t1)| RecEvent {
-                t_ns: t0,
-                kind: RecKind::Span,
-                name: name.into(),
-                a: t1 - t0,
-                b: 0,
-            })
-            .collect();
+    /// The given `(name, t0_ns, t1_ns)` spans.
+    fn spans(spans: &[(&'static str, u64, u64)]) -> Vec<RecEvent> {
+        let span = |&(name, t0, t1): &(&'static str, u64, u64)| RecEvent {
+            t_ns: t0, kind: RecKind::Span, name: name.into(), a: t1 - t0, b: 0, key: None,
+        };
+        spans.iter().map(span).collect()
+    }
+
+    /// A complete keep-all window holding `events`.
+    fn window(events: Vec<RecEvent>) -> RecorderSnapshot {
         let n = events.len() as u64;
         RecorderSnapshot { events, seen: n, recorded: n, stride: 1, ..Default::default() }
     }
 
-    fn input(ranks: Vec<(Vec<CommEvent>, RecorderSnapshot)>) -> DoctorInput {
-        let ranks = ranks
-            .into_iter()
-            .enumerate()
-            .map(|(rank, (events, recorder))| RankCapture { rank, events, recorder })
-            .collect();
+    /// One rank per window, in order.
+    fn input(windows: impl IntoIterator<Item = RecorderSnapshot>) -> DoctorInput {
+        let ranks = windows.into_iter().enumerate();
+        let ranks = ranks.map(|(rank, recorder)| RankCapture { rank, recorder }).collect();
         DoctorInput { ranks, metrics: MetricsRegistry::new() }
     }
 
-    fn ev(op: CommOp, rank: usize, t0_ms: u64, t1_ms: u64, blocked_ms: u64) -> CommEvent {
-        CommEvent {
-            op,
-            comm: 0,
-            csize: 2,
-            rank,
-            peer: None,
-            tag: None,
-            seq: None,
-            bytes: 64,
-            epoch: None,
-            t0_ns: t0_ms * 1_000_000,
-            t1_ns: t1_ms * 1_000_000,
-            blocked_ns: blocked_ms * 1_000_000,
-        }
+    /// A comm record on a two-rank world communicator, 64 bytes.
+    fn ev(op: CommOp, rank: usize, pos: StreamPos, t0_ms: u64, t1_ms: u64, blocked_ms: u64) -> RecEvent {
+        let ms = 1_000_000;
+        let key = Some(CommKey { op, comm: 0, csize: 2, rank, pos, blocked_ns: blocked_ms * ms });
+        let (t_ns, a) = (t0_ms * ms, (t1_ms - t0_ms) * ms);
+        RecEvent { t_ns, kind: RecKind::Comm, name: op.name().into(), a, b: 64, key }
     }
 
-    #[expect(clippy::too_many_arguments, reason = "one argument per CommEvent field a test varies")]
-    fn p2p(
-        op: CommOp,
-        rank: usize,
-        peer: usize,
-        tag: u64,
-        seq: u64,
-        t0_ms: u64,
-        t1_ms: u64,
-        blocked_ms: u64,
-    ) -> CommEvent {
-        CommEvent {
-            peer: Some(peer),
-            tag: Some(tag),
-            seq: Some(seq),
-            ..ev(op, rank, t0_ms, t1_ms, blocked_ms)
-        }
+    /// A p2p record at `seq` 0 on `(rank, peer, tag)`.
+    fn p2p(op: CommOp, rank: usize, peer: usize, tag: u64, t0: u64, t1: u64, blocked: u64) -> RecEvent {
+        ev(op, rank, StreamPos::P2p { peer, tag, seq: 0 }, t0, t1, blocked)
     }
 
-    fn coll(op: CommOp, rank: usize, epoch: u64, t0_ms: u64, t1_ms: u64) -> CommEvent {
-        let blocked = t1_ms - t0_ms;
-        CommEvent { epoch: Some(epoch), ..ev(op, rank, t0_ms, t1_ms, blocked) }
+    /// A collective record blocked for its whole interval.
+    fn coll(op: CommOp, rank: usize, epoch: u64, t0_ms: u64, t1_ms: u64) -> RecEvent {
+        ev(op, rank, StreamPos::Collective { epoch }, t0_ms, t1_ms, t1_ms - t0_ms)
     }
 
-    #[test]
-    fn jsonl_roundtrip_preserves_comm_uid_bits() {
-        let mut e = p2p(CommOp::Send, 0, 1, 7, 3, 10, 20, 0);
-        // A uid that does not fit in an f64 mantissa.
-        e.comm = 0xdead_beef_cafe_f00d;
-        // An internal-style tag above 2^53: two such tags 64 apart collapse
-        // to the same double, so the tag must round-trip bit-exactly too.
-        let mut hi = e;
-        hi.tag = Some((1u64 << 59) | 12);
-        let mut hi2 = e;
-        hi2.tag = Some((1u64 << 59) | 76);
-        let coll_e = coll(CommOp::Allreduce, 1, 42, 5, 9);
-        let text = events_to_jsonl(&[e, hi, hi2, coll_e]);
-        let back = events_from_jsonl(&text).unwrap();
-        assert_eq!(back, vec![e, hi, hi2, coll_e]);
-        assert_ne!(back[1].tag, back[2].tag, "high tag bits must survive");
-        // A numeric tag is what a double would have rounded: rejected.
-        let numeric = text.lines().next().unwrap().replace("\"tag\":\"7\"", "\"tag\":7");
-        assert_ne!(numeric, text.lines().next().unwrap());
-        let err = events_from_jsonl(&numeric).unwrap_err();
-        assert!(err.contains("line 1: event: tag must be a hex string, found 7"), "{err}");
-    }
 
     #[test]
     fn late_sender_is_classified_and_attributed() {
         // Rank 0 posts its recv at t=0 and blocks; rank 1 sends at t=100.
-        let recv = p2p(CommOp::Recv, 0, 1, 7, 0, 0, 150, 150);
-        let send = p2p(CommOp::Send, 1, 0, 7, 0, 100, 150, 0);
-        let input = input(vec![
-            (vec![recv], spans(&[("newton.pcg", 0, 200_000_000)])),
-            (vec![send], spans(&[])),
-        ]);
+        let recv = p2p(CommOp::Recv, 0, 1, 7, 0, 150, 150);
+        let send = p2p(CommOp::Send, 1, 0, 7, 100, 150, 0);
+        let pcg = spans(&[("newton.pcg", 0, 200_000_000)]);
+        let input = input([[pcg, vec![recv]].concat(), vec![send]].map(window));
         let rep = analyze(&input);
-        assert_eq!(rep.matched.len(), 1);
+        assert_eq!(rep.matched, 1);
         assert_eq!(rep.unmatched_sends + rep.unmatched_recvs, 0);
         let ls: Vec<&WaitState> =
             rep.waits.iter().filter(|w| w.kind == WaitKind::LateSender).collect();
@@ -1215,10 +1021,10 @@ mod tests {
         let b = coll(CommOp::Barrier, 1, 1, 100, 105);
         // A keep-all window that overflowed by 4 and a sampled one that
         // skipped 2 and evicted 1: 7 events the capture does not hold.
-        let overflowed = RecorderSnapshot { seen: 4, recorded: 4, overwritten: 4, stride: 1, ..spans(&[]) };
-        let sampled =
-            RecorderSnapshot { seen: 3, recorded: 1, sampled_out: 2, overwritten: 1, stride: 2, ..spans(&[]) };
-        let input = input(vec![(vec![a], overflowed), (vec![b], sampled)]);
+        let overflowed = RecorderSnapshot { seen: 5, recorded: 5, overwritten: 4, ..window(vec![a]) };
+        let (seen, recorded, sampled_out, overwritten, stride) = (4, 2, 2, 1, 2);
+        let sampled = RecorderSnapshot { seen, recorded, sampled_out, overwritten, stride, ..window(vec![b]) };
+        let input = input([overflowed, sampled]);
         let rep = analyze(&input);
         assert_eq!(rep.trace_dropped, 7);
         assert!(
@@ -1238,7 +1044,7 @@ mod tests {
         // Rank 0 arrives at t=0, rank 1 at t=100; both leave at t=105.
         let a = coll(CommOp::Barrier, 0, 1, 0, 105);
         let b = coll(CommOp::Barrier, 1, 1, 100, 105);
-        let input = input(vec![(vec![a], spans(&[])), (vec![b], spans(&[]))]);
+        let input = input([vec![a], vec![b]].map(window));
         let rep = analyze(&input);
         assert_eq!(rep.collectives.len(), 1);
         assert_eq!(rep.incomplete_collectives, 0);
@@ -1258,9 +1064,9 @@ mod tests {
 
     #[test]
     fn unmatched_and_incomplete_fail_the_gate() {
-        let send = p2p(CommOp::Send, 0, 1, 9, 0, 0, 10, 0);
+        let send = p2p(CommOp::Send, 0, 1, 9, 0, 10, 0);
         let half = coll(CommOp::Allreduce, 0, 4, 0, 10); // csize 2, one record
-        let input = input(vec![(vec![send, half], spans(&[]))]);
+        let input = input([window(vec![send, half])]);
         let rep = analyze(&input);
         assert_eq!(rep.unmatched_sends, 1);
         assert_eq!(rep.incomplete_collectives, 1);
@@ -1272,10 +1078,10 @@ mod tests {
     #[test]
     fn counted_spans_derive_one_histogram_per_span_name() {
         let mut rec = spans(&[("interp.plan", 0, 10), ("interp.eval", 10, 20), ("interp.eval", 20, 30)]);
-        for (e, count) in rec.events.iter_mut().zip([96, 192, 0]) {
+        for (e, count) in rec.iter_mut().zip([96, 192, 0]) {
             e.b = count;
         }
-        let rep = analyze(&input(vec![(Vec::new(), rec)]));
+        let rep = analyze(&input([window(rec)]));
         let plan = rep.metrics.histogram("diffreg_span_count{span=\"interp.plan\"}").unwrap();
         assert_eq!((plan.count(), plan.sum()), (1, 96.0));
         let eval = rep.metrics.histogram("diffreg_span_count{span=\"interp.eval\"}").unwrap();
@@ -1284,7 +1090,7 @@ mod tests {
 
     #[test]
     fn flatten_spans_labels_innermost() {
-        let segs = flatten_spans(&spans(&[("outer", 0, 100), ("inner", 20, 50)]));
+        let segs = flatten_spans(&window(spans(&[("outer", 0, 100), ("inner", 20, 50)])));
         assert_eq!(phase_at(&segs, 10), "outer");
         assert_eq!(phase_at(&segs, 30), "inner");
         assert_eq!(phase_at(&segs, 70), "outer");
@@ -1296,14 +1102,15 @@ mod tests {
 
     #[test]
     fn analysis_and_renderings_are_deterministic() {
-        let recv = p2p(CommOp::Recv, 0, 1, 7, 0, 0, 150, 150);
-        let send = p2p(CommOp::Send, 1, 0, 7, 0, 100, 150, 0);
+        let recv = p2p(CommOp::Recv, 0, 1, 7, 0, 150, 150);
+        let send = p2p(CommOp::Send, 1, 0, 7, 100, 150, 0);
         let a = coll(CommOp::Allreduce, 0, 2, 150, 260);
         let b = coll(CommOp::Allreduce, 1, 2, 250, 260);
-        let input = input(vec![
-            (vec![recv, a], spans(&[("newton.pcg", 0, 260_000_000)])),
-            (vec![send, b], spans(&[("fft.transpose", 0, 250_000_000)])),
-        ]);
+        let input = input([
+            [spans(&[("newton.pcg", 0, 260_000_000)]), vec![recv, a]].concat(),
+            [spans(&[("fft.transpose", 0, 250_000_000)]), vec![send, b]].concat(),
+        ]
+        .map(window));
         let r1 = analyze(&input);
         let r2 = analyze(&input);
         assert_eq!(r1.render(8, None), r2.render(8, None));
@@ -1315,12 +1122,13 @@ mod tests {
 
     #[test]
     fn bundle_roundtrips_through_disk() {
-        let recv = p2p(CommOp::Recv, 0, 1, 5, 0, 0, 40, 30);
-        let send = p2p(CommOp::Send, 1, 0, 5, 0, 30, 40, 0);
+        let recv = p2p(CommOp::Recv, 0, 1, 5, 0, 40, 30);
+        let send = p2p(CommOp::Send, 1, 0, 5, 30, 40, 0);
         // Span names with quotes, backslashes and non-ASCII survive the disk.
+        let hostile = spans(&[("q\"\\é", 3, 1_234_567)]);
         let captures = vec![
-            RankCapture { rank: 0, events: vec![recv], recorder: spans(&[("q\"\\é", 3, 1_234_567)]) },
-            RankCapture { rank: 1, events: vec![send], recorder: spans(&[]) },
+            RankCapture { rank: 0, recorder: window([hostile, vec![recv]].concat()) },
+            RankCapture { rank: 1, recorder: window(vec![send]) },
         ];
         let mut metrics = MetricsRegistry::new();
         metrics.set_gauge("serve_pool_ranks", 2.0);
@@ -1331,10 +1139,10 @@ mod tests {
         ));
         write_trace_bundle(&dir, &captures, Some(&metrics)).unwrap();
         let input = DoctorInput::load_dir(&dir).unwrap();
-        assert_eq!(input.ranks, captures, "events and nanosecond spans read back exactly");
+        assert_eq!(input.ranks, captures, "comm records and nanosecond spans read back exactly");
         assert_eq!(input.metrics.gauge("serve_pool_ranks"), Some(2.0));
         let rep = analyze(&input);
-        assert_eq!(rep.matched.len(), 1);
+        assert_eq!(rep.matched, 1);
         assert!(rep.gate(0.9).is_ok(), "{:?}", rep.gate(0.9));
         std::fs::remove_dir_all(&dir).ok();
     }

@@ -3,9 +3,10 @@
 //!
 //! When something goes wrong in the serve runtime (a watchdog timeout, a
 //! failed attempt, an SLO burn-rate breach, ...), the incident engine
-//! snapshots each gang rank's comm-event log, flight-recorder ring, and the
-//! job's recent convergence history into one on-disk bundle — a trace bundle
-//! (see [`crate::doctor`]) plus a header and the convergence tail:
+//! snapshots each gang rank's event ring (spans, lifecycle events and comm
+//! records of the attempt) and the job's recent convergence history into
+//! one on-disk bundle — a trace bundle (see [`crate::doctor`]) plus a header
+//! and the convergence tail:
 //!
 //! ```text
 //! <dir>/incident-<seq>-<trigger>/
@@ -13,8 +14,8 @@
 //!                           round, tenant, gang, exact capture accounting,
 //!                           firing SLO alerts, and the capture digest
 //!   convergence.jsonl       tail of the job's convergence log
-//!   events-rank<k>.jsonl    gang rank k's comm events of the attempt
-//!   recorder-rank<k>.jsonl  gang rank k's flight-recorder window + counters
+//!   recorder-rank<k>.jsonl  gang rank k's ring window of the attempt +
+//!                           counters
 //!   metrics.json            MetricsRegistry snapshot at trigger time
 //!   trace.json              Chrome trace of the capture, for Perfetto
 //!                           (an export: nothing reads it back)
@@ -25,23 +26,21 @@
 //! bundle therefore separates the two: `incident.json` and
 //! `convergence.jsonl` contain no wall-clock fields and replay
 //! byte-identically, and the header's `capture_digest` folds every
-//! timestamp-free field of the event capture — equal digests prove the
-//! captured windows match event-for-event. [`load_incident_bundle`]
+//! timestamp-free field of the capture — equal digests prove the captured
+//! windows match event-for-event. [`load_incident_bundle`]
 //! recomputes the digest from the files and [`gate_incident`] rejects a
 //! bundle whose recomputation disagrees with its header.
 
 use std::path::{Path, PathBuf};
 
-use diffreg_comm::CommEvent;
-
 use crate::convergence::ConvergenceLog;
 use crate::doctor::{
-    analyze, read_bundle_file, write_trace_bundle, BundleError, DoctorInput, DoctorReport,
-    RankCapture,
+    analyze, read_bundle_file, write_trace_bundle, BundleError, DoctorInput,
+    DoctorReport, RankCapture,
 };
 use crate::json::Json;
 use crate::metrics::MetricsRegistry;
-use crate::recorder::RecKind;
+use crate::recorder::{CommKey, RecKind};
 
 /// What fired the capture.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
@@ -169,7 +168,7 @@ pub struct IncidentContext {
 pub struct IncidentHeader {
     /// The trigger context.
     pub context: IncidentContext,
-    /// Total captured comm events across the gang.
+    /// Total captured comm records across the gang.
     pub comm_events: u64,
     /// Summed flight-recorder counters across the gang.
     pub rec_seen: u64,
@@ -222,17 +221,17 @@ impl Digest {
     }
 }
 
-fn fold_comm_event(d: &mut Digest, e: &CommEvent) {
-    d.str(e.op.name());
-    d.u64(e.comm);
-    d.u64(e.csize as u64);
-    d.u64(e.rank as u64);
-    d.opt(e.peer.map(|p| p as u64));
-    d.opt(e.tag);
-    d.opt(e.seq);
-    d.u64(e.bytes);
-    d.opt(e.epoch);
-    // t0_ns / t1_ns / blocked_ns are wall-clock: excluded by design.
+/// The timestamp-free part of a comm key (the op is the record's name, the
+/// bytes its `b` word; `blocked_ns` is wall clock).
+fn fold_comm_key(d: &mut Digest, k: &CommKey) {
+    d.u64(k.comm);
+    d.u64(k.csize as u64);
+    d.u64(k.rank as u64);
+    let p2p = k.p2p();
+    d.opt(p2p.map(|(peer, _, _)| peer as u64));
+    d.opt(p2p.map(|(_, tag, _)| tag));
+    d.opt(p2p.map(|(_, _, seq)| seq));
+    d.opt(k.epoch());
 }
 
 /// The capture digest: folds the timestamp-free projection of `captures`
@@ -244,16 +243,6 @@ pub fn capture_digest(captures: &[RankCapture]) -> u64 {
     sorted.sort_by_key(|c| c.rank);
     let mut d = Digest::new();
     for c in &sorted {
-        if c.events.is_empty() {
-            continue; // no events file is written for this rank
-        }
-        d.u64(c.rank as u64);
-        d.u64(c.events.len() as u64);
-        for e in &c.events {
-            fold_comm_event(&mut d, e);
-        }
-    }
-    for c in &sorted {
         d.u64(c.rank as u64);
         let r = &c.recorder;
         d.u64(r.seen);
@@ -264,15 +253,23 @@ pub fn capture_digest(captures: &[RankCapture]) -> u64 {
         for e in &r.events {
             d.str(e.kind.name());
             d.str(&e.name);
-            // A span's `a` is its wall-clock duration: excluded. Everything
-            // else (a span's count, serve job/round words) is deterministic.
-            if e.kind != RecKind::Span {
-                d.u64(e.a);
+            // A span's or comm record's `a` is its wall-clock duration:
+            // excluded. Everything else (a span's count, a comm record's
+            // bytes and key, serve job/round words) is deterministic.
+            match &e.key {
+                Some(k) => fold_comm_key(&mut d, k),
+                None if e.kind == RecKind::Span => {}
+                None => d.u64(e.a),
             }
             d.u64(e.b);
         }
     }
     d.0
+}
+
+/// Comm records across `captures`.
+fn comm_records(captures: &[RankCapture]) -> u64 {
+    captures.iter().map(|c| c.recorder.comm_records().count() as u64).sum()
 }
 
 // -- JSON (de)serialization -------------------------------------------------
@@ -320,9 +317,7 @@ impl IncidentHeader {
         if schema != SCHEMA {
             return Err(format!("expected schema \"{SCHEMA}\", found \"{schema}\""));
         }
-        let u = |key: &str| -> Result<u64, String> {
-            j.get(key).and_then(Json::as_f64).map(|v| v as u64).ok_or(format!("missing {key}"))
-        };
+        let u = |key: &str| j.uint(key);
         let s = |key: &str| -> Result<String, String> {
             j.get(key).and_then(Json::as_str).map(str::to_string).ok_or(format!("missing {key}"))
         };
@@ -334,7 +329,11 @@ impl IncidentHeader {
             .and_then(Json::as_arr)
             .ok_or("missing gang_ranks")?
             .iter()
-            .map(|v| v.as_f64().map(|r| r as usize).ok_or("non-numeric gang rank".to_string()))
+            .map(|v| {
+                v.as_u64()
+                    .and_then(|r| usize::try_from(r).ok())
+                    .ok_or(format!("gang rank is not an exact unsigned integer: {v}"))
+            })
             .collect::<Result<Vec<_>, _>>()?;
         let slo_firing = j
             .get("slo_firing")
@@ -344,22 +343,14 @@ impl IncidentHeader {
             .map(|v| v.as_str().map(str::to_string).ok_or("non-string slo alert".to_string()))
             .collect::<Result<Vec<_>, _>>()?;
         let cap = j.get("capture").ok_or("missing capture section")?;
-        let cu = |key: &str| -> Result<u64, String> {
-            cap.get(key)
-                .and_then(Json::as_f64)
-                .map(|v| v as u64)
-                .ok_or(format!("missing capture.{key}"))
-        };
-        let digest_hex =
-            cap.get("digest").and_then(Json::as_str).ok_or("missing capture.digest")?;
-        let capture_digest = u64::from_str_radix(digest_hex, 16)
-            .map_err(|_| format!("bad capture.digest \"{digest_hex}\""))?;
+        let cu = |key: &str| cap.uint(key).map_err(|e| format!("capture: {e}"));
+        let capture_digest = cap.hex("digest").map_err(|e| format!("capture: {e}"))?;
         Ok(IncidentHeader {
             context: IncidentContext {
                 seq: u("seq")?,
                 trigger,
                 job: u("job")?,
-                attempt: u("attempt")? as u32,
+                attempt: u32::try_from(u("attempt")?).map_err(|e| format!("attempt: {e}"))?,
                 round: u("round")?,
                 tenant: s("tenant")?,
                 reason: s("reason")?,
@@ -395,7 +386,7 @@ pub fn write_incident_bundle(
     std::fs::create_dir_all(&dir)?;
     let header = IncidentHeader {
         context,
-        comm_events: captures.iter().map(|c| c.events.len() as u64).sum(),
+        comm_events: comm_records(captures),
         rec_seen: captures.iter().map(|c| c.recorder.seen).sum(),
         rec_recorded: captures.iter().map(|c| c.recorder.recorded).sum(),
         rec_sampled_out: captures.iter().map(|c| c.recorder.sampled_out).sum(),
@@ -419,8 +410,8 @@ pub fn write_incident_bundle(
 pub struct IncidentBundle {
     /// The parsed header.
     pub header: IncidentHeader,
-    /// The capture: comm events and recorder window per gang rank (no ranks
-    /// when no attempt ran) and the metrics snapshot, when bundled.
+    /// The capture: the ring window per gang rank (no ranks when no attempt
+    /// ran) and the metrics snapshot, when bundled.
     pub input: DoctorInput,
     /// Lines in `convergence.jsonl` (0 when absent).
     pub convergence_lines: u64,
@@ -531,8 +522,8 @@ pub fn analyze_incident(bundle: &IncidentBundle) -> IncidentAnalysis {
     let mut culprit: Option<Culprit> = None;
     // Per-rank failure reasons the runtime recorded at attempt teardown —
     // the strongest culprit evidence, because on a gang-fatal fault every
-    // member's comm stream truncates at the same epoch (events push only on
-    // completion) while the *reasons* stay asymmetric: the killed rank
+    // member's comm stream truncates at the same epoch (comm records push
+    // only on completion) while the *reasons* stay asymmetric: the killed rank
     // reports the kill, the late rank reports peer-gone, the innocent
     // waiters report timeout.
     let fails: Vec<(usize, Option<Failure>, u64)> = ranks
@@ -541,7 +532,8 @@ pub fn analyze_incident(bundle: &IncidentBundle) -> IncidentAnalysis {
         .filter(|(_, e)| e.kind == RecKind::Serve && e.name == "serve.attempt-failed")
         .map(|(rank, e)| (rank, Failure::ALL.into_iter().find(|f| f.code() == e.a), e.t_ns))
         .collect();
-    let max_epoch = ranks.iter().flat_map(|c| c.events.iter().filter_map(|e| e.epoch)).max();
+    let max_epoch =
+        ranks.iter().flat_map(|c| c.recorder.comm_records().filter_map(|(_, k)| k.epoch())).max();
     let frontier_op = |report: &DoctorReport| -> String {
         report
             .collectives
@@ -554,7 +546,7 @@ pub fn analyze_incident(bundle: &IncidentBundle) -> IncidentAnalysis {
                 max_epoch.map_or("gang collective".into(), after)
             })
     };
-    let report = if ranks.iter().any(|c| !c.events.is_empty()) {
+    let report = if comm_records(ranks) > 0 {
         let report = analyze(&bundle.input);
 
         if let Some((rank, _, _)) = fails.iter().find(|(_, r, _)| *r == Some(Failure::Kill)) {
@@ -603,14 +595,15 @@ pub fn analyze_incident(bundle: &IncidentBundle) -> IncidentAnalysis {
         // whose present members lost the most blocked time.
         let mut best: Option<(f64, &crate::doctor::CollectiveGroup, Vec<usize>)> = None;
         for g in report.collectives.iter().filter(|g| !g.is_complete()) {
-            let present: Vec<usize> = g.members.iter().map(|(_, e)| e.rank).collect();
+            let present: Vec<usize> =
+                g.members.iter().filter_map(|(_, e)| e.key.map(|k| k.rank)).collect();
             let missing: Vec<usize> =
                 (0..g.csize).filter(|r| !present.contains(r)).collect();
             if missing.is_empty() {
                 continue;
             }
-            let blocked: f64 =
-                g.members.iter().map(|(_, e)| e.blocked_ns as f64 / 1e9).sum();
+            let blocked_ns = g.members.iter().filter_map(|(_, e)| e.key).map(|k| k.blocked_ns);
+            let blocked = blocked_ns.map(|ns| ns as f64 / 1e9).sum::<f64>();
             if best.as_ref().is_none_or(|(b, _, _)| blocked > *b) {
                 best = Some((blocked, g, missing));
             }
@@ -627,7 +620,7 @@ pub fn analyze_incident(bundle: &IncidentBundle) -> IncidentAnalysis {
                         g.op.name(),
                         g.comm,
                         g.epoch,
-                        g.members.iter().map(|(_, e)| e.rank).collect::<Vec<_>>(),
+                        g.members.iter().filter_map(|(_, e)| e.key.map(|k| k.rank)).collect::<Vec<_>>(),
                         blocked
                     ),
                 });
@@ -653,7 +646,7 @@ pub fn analyze_incident(bundle: &IncidentBundle) -> IncidentAnalysis {
              {} collectives ({} incomplete)",
             report.ranks,
             report.wall_s,
-            report.matched.len(),
+            report.matched,
             report.unmatched_sends + report.unmatched_recvs,
             report.collectives.len(),
             report.incomplete_collectives
@@ -699,7 +692,7 @@ pub fn gate_incident(
             h.capture_digest, analysis.recomputed_digest
         ));
     }
-    let captured: u64 = bundle.input.ranks.iter().map(|c| c.events.len() as u64).sum();
+    let captured = comm_records(&bundle.input.ranks);
     if captured != h.comm_events {
         return Err(format!(
             "header claims {} comm events, files hold {captured}",
@@ -724,46 +717,29 @@ pub fn gate_incident(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::recorder::{RecEvent, RecorderSnapshot};
-    use diffreg_comm::CommOp;
+    use crate::recorder::{CommOp, RecEvent, RecorderSnapshot, StreamPos};
 
-    fn ev(op: CommOp, rank: usize, epoch: u64, blocked_ns: u64) -> CommEvent {
-        CommEvent {
-            op,
-            comm: 7,
-            csize: 2,
-            rank,
-            peer: None,
-            tag: None,
-            seq: None,
-            bytes: 64,
-            epoch: Some(epoch),
-            t0_ns: 1000 * (epoch + 1),
-            t1_ns: 1000 * (epoch + 1) + 500 + blocked_ns,
-            blocked_ns,
+    /// A collective record on a two-rank communicator, 64 bytes.
+    fn ev(op: CommOp, rank: usize, epoch: u64, blocked_ns: u64) -> RecEvent {
+        let pos = StreamPos::Collective { epoch };
+        RecEvent {
+            t_ns: 1000 * (epoch + 1),
+            kind: RecKind::Comm,
+            name: op.name().into(),
+            a: 500 + blocked_ns,
+            b: 64,
+            key: Some(CommKey { op, comm: 7, csize: 2, rank, pos, blocked_ns }),
         }
     }
 
-    fn capture(rank: usize, events: Vec<CommEvent>) -> RankCapture {
-        RankCapture {
-            rank,
-            events,
-            recorder: RecorderSnapshot {
-                thread: rank as u64,
-                events: vec![RecEvent {
-                    t_ns: 500,
-                    kind: RecKind::Serve,
-                    name: "attempt-start".into(),
-                    a: 5,
-                    b: 1,
-                }],
-                seen: 1,
-                recorded: 1,
-                sampled_out: 0,
-                overwritten: 0,
-                stride: 1,
-            },
-        }
+    /// A complete window: an attempt-start event, then `comm`.
+    fn capture(rank: usize, comm: Vec<RecEvent>) -> RankCapture {
+        let name = "attempt-start".into();
+        let start = RecEvent { t_ns: 500, kind: RecKind::Serve, name, a: 5, b: 1, key: None };
+        let events: Vec<RecEvent> = std::iter::once(start).chain(comm).collect();
+        let (thread, n) = (rank as u64, events.len() as u64);
+        let recorder = RecorderSnapshot { thread, events, seen: n, recorded: n, stride: 1, ..Default::default() };
+        RankCapture { rank, recorder }
     }
 
     fn context(trigger: IncidentTrigger) -> IncidentContext {
@@ -781,19 +757,23 @@ mod tests {
         }
     }
 
-    #[test]
-    fn header_round_trips_and_is_deterministic() {
-        let h = IncidentHeader {
+    fn header() -> IncidentHeader {
+        IncidentHeader {
             context: context(IncidentTrigger::WatchdogTimeout),
             comm_events: 9,
-            rec_seen: 0,
-            rec_recorded: 0,
+            rec_seen: 4,
+            rec_recorded: 4,
             rec_sampled_out: 0,
             rec_overwritten: 0,
             convergence_entries: 0,
             convergence_evicted: 0,
             capture_digest: 0xdead_beef_0123_4567,
-        };
+        }
+    }
+
+    #[test]
+    fn header_round_trips_and_is_deterministic() {
+        let h = header();
         let j = h.to_json();
         let back = IncidentHeader::from_json(&j).unwrap();
         assert_eq!(back, h);
@@ -804,28 +784,30 @@ mod tests {
     fn digest_ignores_timestamps_but_pins_everything_else() {
         let base = vec![capture(0, vec![ev(CommOp::Allreduce, 0, 4, 10)])];
         let d0 = capture_digest(&base);
-        // Same events, different wall clock: digest unchanged.
+        // Same records, different wall clock: digest unchanged.
         let mut shifted = base.clone();
-        shifted[0].events[0].t0_ns += 12345;
-        shifted[0].events[0].blocked_ns += 999;
+        let comm = &mut shifted[0].recorder.events[1];
+        comm.t_ns += 12345;
+        comm.a += 777;
+        comm.key.as_mut().unwrap().blocked_ns += 999;
+        shifted[0].recorder.events[0].t_ns += 3;
         assert_eq!(capture_digest(&shifted), d0);
-        // A different epoch changes it.
+        // A different epoch changes it, and so do the bytes.
         let mut other = base.clone();
-        other[0].events[0].epoch = Some(5);
+        other[0].recorder.events[1].key.as_mut().unwrap().pos = StreamPos::Collective { epoch: 5 };
+        assert_ne!(capture_digest(&other), d0);
+        let mut other = base.clone();
+        other[0].recorder.events[1].b = 65;
         assert_ne!(capture_digest(&other), d0);
         // A span's duration word is excluded; its count word is not.
         let mut with_span = base.clone();
-        with_span[0].recorder.events.push(RecEvent {
-            t_ns: 1,
-            kind: RecKind::Span,
-            name: "fft.forward".into(),
-            a: 111,
-            b: 0,
-        });
+        let name = "fft.forward".into();
+        let span = RecEvent { t_ns: 1, kind: RecKind::Span, name, a: 111, b: 0, key: None };
+        with_span[0].recorder.events.push(span);
         let ds = capture_digest(&with_span);
-        with_span[0].recorder.events[1].a = 999_999;
+        with_span[0].recorder.events[2].a = 999_999;
         assert_eq!(capture_digest(&with_span), ds, "span duration must not affect the digest");
-        with_span[0].recorder.events[1].b = 3;
+        with_span[0].recorder.events[2].b = 3;
         assert_ne!(capture_digest(&with_span), ds);
     }
 
@@ -872,17 +854,40 @@ mod tests {
         assert!(analysis.summary.contains("culprit"), "{}", analysis.summary);
         gate_incident(&bundle, &analysis).unwrap();
 
-        // Tampering with a captured event must trip the digest gate.
-        let ev_file = dir.join("events-rank0.jsonl");
+        // Tampering with a captured comm record must trip the digest gate.
+        let ev_file = dir.join("recorder-rank0.jsonl");
         let text = std::fs::read_to_string(&ev_file).unwrap();
-        assert!(text.contains("\"bytes\":64"), "{text}");
-        std::fs::write(&ev_file, text.replacen("\"bytes\":64", "\"bytes\":65", 1)).unwrap();
+        assert!(text.contains("\"b\":64"), "{text}");
+        std::fs::write(&ev_file, text.replacen("\"b\":64", "\"b\":65", 1)).unwrap();
         let tampered = load_incident_bundle(&dir).unwrap();
         let re = analyze_incident(&tampered);
         let err = gate_incident(&tampered, &re).unwrap_err();
         assert!(err.contains("digest mismatch"), "{err}");
 
         let _ = std::fs::remove_dir_all(&tmp);
+    }
+
+    /// Every integer field of the header must be an exact unsigned integer:
+    /// `-1`, `1.5` and `1e300` are refused, not read as 0, 1 and `u64::MAX`.
+    #[test]
+    fn header_rejects_inexact_integers() {
+        let good = header().to_json().to_string();
+        assert!(IncidentHeader::from_json(&Json::parse(&good).unwrap()).is_ok());
+        for (field, key) in [
+            ("\"seq\":3", "seq"),
+            ("\"attempt\":2", "attempt"),
+            ("\"gang_ranks\":[2", "gang rank"),
+            ("\"comm_events\":9", "capture: comm_events"),
+            ("\"rec_seen\":4", "capture: rec_seen"),
+        ] {
+            // Keep the key, its colon and an array's bracket; replace the digits.
+            let head = field.trim_end_matches(|c: char| c.is_ascii_digit());
+            for bad in ["-1", "1.5", "1e300"] {
+                let text = good.replacen(field, &format!("{head}{bad}"), 1);
+                let err = IncidentHeader::from_json(&Json::parse(&text).unwrap()).unwrap_err();
+                assert!(err.contains(key) && err.contains("exact"), "{key}={bad}: {err}");
+            }
+        }
     }
 
     #[test]

@@ -63,6 +63,35 @@ impl Json {
         }
     }
 
+    /// The number value as an exact unsigned integer: `Some` only for an
+    /// integral number in `0..=2^53`, so `-1`, `1.5` and `1e300` are `None`.
+    pub fn as_u64(&self) -> Option<u64> {
+        const MAX_EXACT: f64 = (1u64 << 53) as f64;
+        match self {
+            Json::Num(x) if (0.0..=MAX_EXACT).contains(x) && x.fract() == 0.0 => Some(*x as u64),
+            _ => None,
+        }
+    }
+
+    /// Field `key` of an object as an exact unsigned integer
+    /// ([`as_u64`](Self::as_u64)), or an error naming the field.
+    pub fn uint(&self, key: &str) -> Result<u64, String> {
+        match self.get(key) {
+            None => Err(format!("missing {key}")),
+            Some(v) => v.as_u64().ok_or(format!("{key} is not an exact unsigned integer: {v}")),
+        }
+    }
+
+    /// Field `key` of an object as a `u64` written in lowercase hex: a
+    /// string, because a JSON number is a double and rounds above 2^53.
+    pub fn hex(&self, key: &str) -> Result<u64, String> {
+        match self.get(key) {
+            None => Err(format!("missing {key}")),
+            Some(Json::Str(s)) => u64::from_str_radix(s, 16).map_err(|_| format!("bad {key} \"{s}\"")),
+            Some(v) => Err(format!("{key} must be a hex string, found {v}")),
+        }
+    }
+
     /// The string value, if this is a string.
     pub fn as_str(&self) -> Option<&str> {
         match self {
@@ -447,6 +476,13 @@ impl Parser<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn as_u64_accepts_exact_integers_only() {
+        let got = ["42", "9007199254740992", "-1", "1.5", "1e300", "9007199254740994", "\"7\""]
+            .map(|t| Json::parse(t).unwrap().as_u64());
+        assert_eq!(got, [Some(42), Some(1 << 53), None, None, None, None, None]);
+    }
 
     #[test]
     fn roundtrip_nested() {

@@ -2,16 +2,18 @@
 //! solver.
 //!
 //! Its pieces, all zero-dependency (the only workspace dep is
-//! `diffreg-comm`, for the collective phase-report reduction):
+//! `diffreg-comm`, for the event ring and the collective phase-report
+//! reduction):
 //!
-//! * [`span`] + [`recorder`] — hierarchical RAII span tracing into one
-//!   per-thread event ring: an always-on sampled flight recorder that
-//!   [`set_trace_enabled`] switches to keep-everything mode, with a Chrome
-//!   `trace_event` JSON exporter (one `pid` per rank, one `tid` per
-//!   thread; load the file in Perfetto / `chrome://tracing`). Near-zero
-//!   cost when disabled: two relaxed atomic loads per [`span()`] call. No
-//!   environment variable is read. The ring is the only per-thread store
-//!   here; a span carries at most one count ([`SpanGuard::count`]).
+//! * [`span`] + [`recorder`] — hierarchical RAII span tracing into the
+//!   per-thread event ring of [`diffreg_comm::ring`], which also holds the
+//!   rank's lifecycle events and comm records: an always-on sampled flight
+//!   recorder that [`set_trace_enabled`] switches to keep-everything mode,
+//!   with its JSONL codec and a Chrome `trace_event` JSON exporter (one
+//!   `pid` per rank, one `tid` per thread plus a comm track; load the file
+//!   in Perfetto / `chrome://tracing`). Near-zero cost when disabled: two
+//!   relaxed atomic loads per [`span()`] call. No environment variable is
+//!   read. A span carries at most one count ([`SpanGuard::count`]).
 //! * [`report`] — rank-aggregated phase report: every `Timers` /
 //!   `CommStats` key reduced to min/mean/max/imbalance across ranks
 //!   (allreduce-based, collective) and rendered as the paper's
@@ -26,7 +28,7 @@
 //!   doctor derives comm-op latencies and span counts into, and the serve
 //!   dashboard renders.
 //! * [`doctor`] — the cross-rank wait-state doctor: merges every rank's
-//!   comm event stream (see `diffreg_comm::CommEvent`) and event ring,
+//!   event ring (spans and comm records, see [`recorder::CommKey`]),
 //!   matches sends to receives, groups collectives by epoch, classifies
 //!   late-sender / wait-at-collective / imbalance-at-collective losses,
 //!   walks the cross-rank critical path,

@@ -218,17 +218,14 @@ impl Histogram {
             if pair.len() != 2 {
                 return Err("histogram: bucket entry not a pair".into());
             }
-            let i = pair[0].as_f64().ok_or("histogram: bad bucket index")? as usize;
-            let c = pair[1].as_f64().ok_or("histogram: bad bucket count")? as u64;
-            if i >= NUM_BUCKETS {
+            let i = pair[0].as_u64().ok_or("histogram: bad bucket index")?;
+            let c = pair[1].as_u64().ok_or("histogram: bad bucket count")?;
+            if i >= NUM_BUCKETS as u64 {
                 return Err(format!("histogram: bucket index {i} out of range"));
             }
-            h.counts[i] = c;
+            h.counts[i as usize] = c;
         }
-        h.count = j
-            .get("count")
-            .and_then(Json::as_f64)
-            .ok_or("histogram: missing 'count'")? as u64;
+        h.count = j.uint("count").map_err(|e| format!("histogram: {e}"))?;
         h.sum = j.get("sum").and_then(Json::as_f64).ok_or("histogram: missing 'sum'")?;
         if h.count > 0 {
             h.min = j.get("min").and_then(Json::as_f64).ok_or("histogram: missing 'min'")?;
@@ -399,8 +396,10 @@ impl MetricsRegistry {
         let mut reg = MetricsRegistry::new();
         if let Some(Json::Obj(m)) = j.get("counters") {
             for (k, v) in m {
-                let v = v.as_f64().ok_or_else(|| format!("metrics: counter '{k}' not a number"))?;
-                reg.counters.insert(k.clone(), v as u64);
+                let v = v
+                    .as_u64()
+                    .ok_or_else(|| format!("metrics: counter '{k}' not an exact unsigned integer"))?;
+                reg.counters.insert(k.clone(), v);
             }
         }
         if let Some(Json::Obj(m)) = j.get("gauges") {
@@ -482,6 +481,31 @@ fn fmt_num(v: f64) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Bucket indices and counts, the total count and counters must be
+    /// exact unsigned integers: `-1`, `1.5` and `1e300` are refused, not
+    /// read as 0, 1 and `u64::MAX`.
+    #[test]
+    fn from_json_rejects_inexact_integers() {
+        let doc = |counter: &str, index: &str, bucket: &str, count: &str| {
+            let h = format!(r#"{{"buckets":[[{index},{bucket}]],"count":{count},"sum":1,"min":1,"max":1}}"#);
+            let schema = r#""schema":"diffreg-metrics-v1""#;
+            let text = format!(r#"{{{schema},"counters":{{"jobs":{counter}}},"histograms":{{"h":{h}}}}}"#);
+            MetricsRegistry::from_json(&Json::parse(&text).unwrap())
+        };
+        assert_eq!(doc("7", "3", "1", "1").unwrap().counter("jobs"), Some(7));
+        for bad in ["-1", "1.5", "1e300"] {
+            for (got, want) in [
+                (doc(bad, "3", "1", "1"), "counter 'jobs'"),
+                (doc("7", bad, "1", "1"), "bucket index"),
+                (doc("7", "3", bad, "1"), "bucket count"),
+                (doc("7", "3", "1", bad), "histogram: count is not"),
+            ] {
+                let err = got.unwrap_err();
+                assert!(err.contains(want), "{want}={bad}: {err}");
+            }
+        }
+    }
 
     #[test]
     fn bucket_index_matches_exponent() {

@@ -1,6 +1,6 @@
 //! Hierarchical span tracing: RAII guards over the per-thread event ring
-//! (see [`crate::recorder`]), monotonic clocks, and a Chrome `trace_event`
-//! exporter.
+//! (see [`crate::recorder`]), and a Chrome `trace_event` exporter of the
+//! ring's spans and comm records.
 //!
 //! Design constraints:
 //! * **Zero cost when off.** [`span`] first reads two process-global relaxed
@@ -19,33 +19,16 @@
 //!   Chrome/Perfetto trace has one process per rank and one thread track
 //!   per OS thread.
 //! * **Monotonic shared clock.** Timestamps are nanoseconds on
-//!   [`diffreg_comm::monotonic_ns`] — the same process-wide epoch the comm
-//!   event recorder uses — so spans and comm events from different ranks
-//!   align on one timeline.
-
-use std::sync::atomic::{AtomicBool, Ordering};
+//!   [`diffreg_comm::monotonic_ns`] — the epoch of every ring record — so
+//!   spans and comm records from different ranks align on one timeline.
 
 use diffreg_comm::monotonic_ns;
+use diffreg_comm::ring::{offer_span, recording};
+pub use diffreg_comm::ring::{set_trace_enabled, trace_enabled};
 
 use crate::doctor::RankCapture;
 use crate::json::Json;
-use crate::recorder::{offer_span, recording};
-
-/// Process-global trace flag, off until [`set_trace_enabled`] turns it on.
-static ENABLED: AtomicBool = AtomicBool::new(false);
-
-/// Whether span tracing is currently enabled.
-#[inline]
-pub fn trace_enabled() -> bool {
-    ENABLED.load(Ordering::Relaxed)
-}
-
-/// Enables/disables tracing for the whole process. A thread's ring reads
-/// the flag at the first event of each window (thread start, or after a
-/// [`crate::take_recorder`]).
-pub fn set_trace_enabled(on: bool) {
-    ENABLED.store(on, Ordering::Relaxed);
-}
+use crate::recorder::{key_to_json, RecKind};
 
 /// Opens a span; the span closes (and is recorded) when the returned guard
 /// drops. Spans nest; readers recover the nesting from containment. With
@@ -92,8 +75,8 @@ pub fn with_span<R>(name: &'static str, f: impl FnOnce() -> R) -> R {
 }
 
 /// The `tid` of the dedicated per-rank comm track in exported traces. Comm
-/// events live on their own track so they cannot partially overlap the span
-/// track (they time the *same* wall-clock intervals from a different
+/// records live on their own track so they cannot partially overlap the
+/// span track (they time the *same* wall-clock intervals from a different
 /// vantage point).
 pub const COMM_TRACK_TID: u64 = 1_000_000;
 
@@ -102,11 +85,11 @@ pub const COMM_TRACK_TID: u64 = 1_000_000;
 /// `chrome://tracing` and Perfetto: one `pid` per rank; the rank's spans as
 /// complete (`"ph":"X"`) events with microsecond timestamps on the `tid` of
 /// the recording thread, with the span's count (when nonzero) as
-/// `args.count`; its comm events (see `diffreg_comm::CommEvent`) on
-/// a dedicated `comm` track, name `comm.<op>`, category `"comm"`, with the
-/// matching metadata (`peer`, `tag`, `seq`, `bytes`, `epoch`, `comm`,
-/// `csize`, `blocked_us`) in `args`. An export for people: no code reads it
-/// back, and the microsecond doubles round the nanosecond source.
+/// `args.count`; its comm records (see [`crate::recorder::CommKey`]) on a
+/// dedicated `comm` track, name `comm.<op>`, category `"comm"`, with the
+/// record's key as the bundle file writes it, plus `bytes`, in `args`. An
+/// export for people: no code reads it back, and the microsecond doubles
+/// round the nanosecond source.
 pub fn chrome_trace(captures: &[RankCapture]) -> Json {
     let track = |kind: &str, pid: usize, tid: u64, name: String| {
         let args = Json::obj().set("name", name);
@@ -123,34 +106,27 @@ pub fn chrome_trace(captures: &[RankCapture]) -> Json {
             .set("dur", dur_ns as f64 / 1e3)
     };
     let mut events: Vec<Json> = Vec::new();
-    for c in captures.iter().filter(|c| !c.events.is_empty()) {
-        events.push(track("thread_name", c.rank, COMM_TRACK_TID, "comm".into()));
-        for e in &c.events {
-            let mut args = Json::obj()
-                .set("comm", e.comm)
-                .set("csize", e.csize)
-                .set("lrank", e.rank)
-                .set("bytes", e.bytes)
-                .set("blocked_us", e.blocked_ns as f64 / 1e3);
-            let peer = e.peer.map(|p| p as u64);
-            for (key, value) in [("peer", peer), ("tag", e.tag), ("seq", e.seq), ("epoch", e.epoch)] {
-                if let Some(v) = value {
-                    args = args.set(key, v);
-                }
-            }
-            let name = format!("comm.{}", e.op.name());
-            let dur_ns = e.t1_ns.saturating_sub(e.t0_ns);
-            let x = complete(name, "comm", c.rank, COMM_TRACK_TID, e.t0_ns, dur_ns);
-            events.push(x.set("args", args));
-        }
-    }
     for c in captures {
         let tid = c.recorder.thread;
         // Process metadata so the Perfetto sidebar names tracks by rank.
         events.push(track("process_name", c.rank, tid, format!("rank {}", c.rank)));
-        for e in c.recorder.events.iter().filter(|e| e.kind == crate::RecKind::Span) {
-            let x = complete(e.name.to_string(), "diffreg", c.rank, tid, e.t_ns, e.a);
-            events.push(if e.b > 0 { x.set("args", Json::obj().set("count", e.b)) } else { x });
+        if c.recorder.comm_records().next().is_some() {
+            events.push(track("thread_name", c.rank, COMM_TRACK_TID, "comm".into()));
+        }
+        for e in &c.recorder.events {
+            let x = match (e.kind, &e.key) {
+                (RecKind::Span, _) => {
+                    let x = complete(e.name.to_string(), "diffreg", c.rank, tid, e.t_ns, e.a);
+                    if e.b > 0 { x.set("args", Json::obj().set("count", e.b)) } else { x }
+                }
+                (RecKind::Comm, Some(k)) => {
+                    let args = key_to_json(k).set("bytes", e.b);
+                    let name = format!("comm.{}", e.name);
+                    complete(name, "comm", c.rank, COMM_TRACK_TID, e.t_ns, e.a).set("args", args)
+                }
+                _ => continue,
+            };
+            events.push(x);
         }
     }
     let dropped: u64 = captures.iter().map(|c| c.recorder.dropped()).sum();
@@ -215,16 +191,13 @@ pub fn validate_chrome_trace(text: &str) -> Result<TraceSummary, String> {
             .to_string();
         if e.get("cat").and_then(Json::as_str) == Some("comm") {
             let args = e.get("args").ok_or(format!("event {i}: comm event missing args"))?;
-            let csize = args
-                .get("csize")
-                .and_then(Json::as_f64)
-                .ok_or(format!("event {i}: comm event missing numeric args.csize"))?
-                as usize;
+            let arg = |key: &str| args.uint(key).map_err(|e| format!("event {i}: comm event args: {e}"));
+            let csize = arg("csize")?;
             if csize == 0 {
                 return Err(format!("event {i}: comm event has zero args.csize"));
             }
-            if let Some(peer) = args.get("peer").and_then(Json::as_f64) {
-                let peer = peer as usize;
+            if args.get("peer").is_some() {
+                let peer = arg("peer")?;
                 if peer >= csize {
                     return Err(format!(
                         "event {i} ('{name}'): p2p comm event peer rank {peer} out of range \
@@ -287,7 +260,29 @@ mod tests {
     use super::TEST_TRACE_LOCK as LOCK;
 
     fn capture(rank: usize, recorder: RecorderSnapshot) -> RankCapture {
-        RankCapture { rank, events: Vec::new(), recorder }
+        RankCapture { rank, recorder }
+    }
+
+    /// Tracing alone opens the gate for lifecycle events as it does for
+    /// spans: a traced window with the recorder off keeps both.
+    #[test]
+    fn tracing_with_the_recorder_off_records_spans_and_events() {
+        let _l = LOCK.lock().unwrap();
+        crate::set_recorder_enabled(false);
+        set_trace_enabled(true);
+        let snap = std::thread::spawn(|| {
+            crate::record_event(RecKind::Serve, "serve.attempt", 1, 1);
+            drop(span("interp.eval"));
+            crate::record_event(RecKind::Serve, "serve.attempt-failed", 1, 0);
+            take_recorder()
+        })
+        .join()
+        .unwrap();
+        set_trace_enabled(false);
+        crate::set_recorder_enabled(true);
+        let names: Vec<&str> = snap.events.iter().map(|e| &*e.name).collect();
+        assert_eq!(names, ["serve.attempt", "interp.eval", "serve.attempt-failed"]);
+        assert_eq!((snap.seen, snap.dropped()), (3, 0));
     }
 
     #[test]

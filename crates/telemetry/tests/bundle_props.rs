@@ -11,7 +11,7 @@
 
 use std::path::PathBuf;
 
-use diffreg_comm::{run_threaded, Comm};
+use diffreg_comm::{run_threaded, Comm, SerialComm};
 use diffreg_telemetry::doctor::{write_trace_bundle, BundleError, DoctorInput, RankCapture};
 use diffreg_telemetry::incident::{
     analyze_incident, gate_incident, load_incident_bundle, write_incident_bundle, IncidentHeader,
@@ -36,6 +36,8 @@ fn scratch(name: &str) -> PathBuf {
 }
 
 /// Damages `bytes` in one of five ways; always returns something different.
+/// The fifth swaps kinds so keys and kinds disagree (a span with a comm key,
+/// a comm record without one) and retags the header's schema.
 fn damage(rng: &mut Rng, bytes: &[u8]) -> Vec<u8> {
     let text = String::from_utf8_lossy(bytes).to_string();
     let out = match rng.index(5) {
@@ -53,8 +55,8 @@ fn damage(rng: &mut Rng, bytes: &[u8]) -> Vec<u8> {
         }
         3 => Vec::new(),
         _ => text
-            .replace("\"type\":\"comm\"", "\"type\":\"span\"")
-            .replace("\"type\":\"event\"", "\"type\":\"comm\"")
+            .replace("\"kind\":\"comm\"", "\"kind\":\"span\"")
+            .replace("\"kind\":\"serve\"", "\"kind\":\"comm\"")
             .replace("diffreg-incident-v1", "diffreg-incident-v0")
             .into_bytes(),
     };
@@ -63,18 +65,19 @@ fn damage(rng: &mut Rng, bytes: &[u8]) -> Vec<u8> {
 
 #[test]
 fn damaged_bundle_files_are_refused_with_a_typed_error_or_by_the_gate() {
-    // A real two-rank capture: comm events of both kinds, spans and
-    // lifecycle events with hostile names.
+    // A real two-rank capture: comm records of both kinds, spans and
+    // lifecycle events with hostile names, in one ring per rank.
     let captures = run_threaded(2, |comm| {
-        comm.set_event_recording(true);
         for (i, name) in NAMES.iter().enumerate() {
             with_span(name, || comm.sum_f64(1.0));
             comm.send(1 - comm.rank(), i as u64, vec![i as f64]);
             let _: Vec<f64> = comm.recv(1 - comm.rank(), i as u64);
             record_event(RecKind::Serve, name, i as u64, 7);
         }
-        RankCapture { rank: comm.rank(), events: comm.take_events(), recorder: take_recorder() }
+        RankCapture { rank: comm.rank(), recorder: take_recorder() }
     });
+    // Per name: the span's allreduce, a send and a receive.
+    assert!(captures.iter().all(|c| c.recorder.comm_records().count() == 3 * NAMES.len()));
     let header = IncidentHeader::from_json(&Json::parse(HEADER).unwrap()).unwrap();
     let base = scratch("damage");
     let dir = write_incident_bundle(&base, header.context, &captures, None, None).expect("write bundle");
@@ -82,7 +85,7 @@ fn damaged_bundle_files_are_refused_with_a_typed_error_or_by_the_gate() {
     gate_incident(&original, &analyze_incident(&original)).expect("and gates");
     let o = &original.header;
 
-    let files = ["incident.json", "events-rank0.jsonl", "events-rank1.jsonl", "recorder-rank0.jsonl", "recorder-rank1.jsonl"];
+    let files = ["incident.json", "recorder-rank0.jsonl", "recorder-rank1.jsonl"];
     prop_check!(cases = 256, |rng| {
         let target = files[rng.index(files.len())];
         let pristine = std::fs::read(dir.join(target)).expect("read target");
@@ -109,7 +112,7 @@ fn damaged_bundle_files_are_refused_with_a_typed_error_or_by_the_gate() {
 }
 
 /// `read(write(snapshot)) == snapshot` for windows the ring itself produced,
-/// sampled and keep-all, with hostile names.
+/// sampled and keep-all, with hostile names and comm records interleaved.
 #[test]
 fn ring_windows_round_trip_through_a_bundle_in_both_modes() {
     let base = scratch("roundtrip");
@@ -118,6 +121,7 @@ fn ring_windows_round_trip_through_a_bundle_in_both_modes() {
         let picks: Vec<usize> = (0..rng.len_scaled(1, 6000)).map(|_| rng.index(NAMES.len())).collect();
         set_trace_enabled(keep_all);
         let snap = std::thread::spawn(move || {
+            let comm = SerialComm::new();
             for (i, &p) in picks.iter().enumerate() {
                 let mut outer = span(NAMES[p]);
                 outer.count(i as u64 + 1);
@@ -125,6 +129,11 @@ fn ring_windows_round_trip_through_a_bundle_in_both_modes() {
                 drop(outer);
                 if i % 64 == 0 {
                     record_event(RecKind::Mark, NAMES[p], i as u64, p as u64);
+                    // A self-message on a tag with high bits, then a collective.
+                    let tag = (1 << 52) | i as u64;
+                    comm.send(0, tag, vec![p as u8; p]);
+                    let _: Vec<u8> = comm.recv(0, tag);
+                    comm.barrier();
                 }
             }
             take_recorder()
@@ -139,8 +148,9 @@ fn ring_windows_round_trip_through_a_bundle_in_both_modes() {
         }
         let counted = |e: &RecEvent| e.kind == RecKind::Span && e.b > 0;
         assert!(snap.events.iter().any(counted), "spans carry their counts");
+        assert!(snap.comm_records().next().is_some(), "comm records share the window");
 
-        let captures = [RankCapture { rank: 3, events: Vec::new(), recorder: snap }];
+        let captures = [RankCapture { rank: 3, recorder: snap }];
         write_trace_bundle(&base, &captures, None).expect("write bundle");
         assert_eq!(DoctorInput::load_dir(&base).expect("load bundle").ranks, captures);
     });

@@ -20,8 +20,8 @@
 #      its lint levels; no pipeline switch, removed knob, removed telemetry
 #      type, second failure taxonomy, serve wire codec, in-tree analyzer,
 #      second Comm backend, hand-built workspace, second barrier, contract
-#      switch, kernel gate, second per-thread metrics store or new env::var
-#      read may reappear; workspace line count
+#      switch, kernel gate, second per-thread metrics store, second comm
+#      stream or new env::var read may reappear; workspace line count
 #   6. clippy clean under -D warnings: it enforces step 5's lint levels and
 #      rejects a stale #[expect], so a missing clippy fails the build
 #   7. fail if Cargo.lock ever acquires a registry (non-path) dependency
@@ -148,6 +148,13 @@ if grep -rnE 'observe_[g]lobal|count_[g]lobal|take_global_[m]etrics|record_comm_
     echo "ERROR: a second per-thread metrics store, comm summary, span depth or progress copy reappeared" >&2
     exit 1
 fi
+# One stream per rank: a comm op is a record in the rank's event ring, so
+# there is no comm event log, no second recording gate or drain, and no
+# second bundle file or codec.
+if grep -rnE 'take_[e]vents|set_event_[r]ecording|event_[r]ecording|events_(to|from)_[j]sonl|events-[r]ank|Comm[E]vent\b' $everywhere; then
+    echo "ERROR: a second per-rank comm stream (event log, gate, drain or file) reappeared" >&2
+    exit 1
+fi
 # The workspace line count is tracked like a benchmark (ROADMAP aim 2).
 solver='crates/(fft|pfft|spectral|grid|interp|transport|optim|core)/'
 all_rs=$(find crates src tests examples -name '*.rs')
@@ -155,6 +162,7 @@ echo "    Rust lines, solver:  $(echo "$all_rs" | grep -E "$solver" | xargs cat 
 echo "    Rust lines, chassis: $(echo "$all_rs" | grep -vE "$solver" | xargs cat | wc -l)"
 echo "    Rust lines, total:   $(echo "$all_rs" | xargs cat | wc -l)"
 echo "    Rust lines, crates/telemetry: $(echo "$all_rs" | grep '^crates/telemetry/' | xargs cat | wc -l)"
+echo "    Rust lines, crates/comm:      $(echo "$all_rs" | grep '^crates/comm/' | xargs cat | wc -l)"
 
 echo "==> [6/8] cargo clippy -- -D warnings"
 cargo clippy --version >/dev/null 2>&1 || {
