@@ -7,7 +7,7 @@
 //! its one entry; it writes `results/kernels.json`, and `BENCH_kernels.json`
 //! is a copy of that file. The records are data, not a gate: the
 //! before/after comparator is `benchmark/run.sh --compare`. Timing goes
-//! through `testkit::bench_named` (median-of-K wall clock after warmup);
+//! through `testkit::bench` (median-of-K wall clock after warmup);
 //! results come back as a [`BenchSuite`] in the canonical results schema.
 
 use diffreg_comm::ring::record_comm;
@@ -18,10 +18,7 @@ use diffreg_grid::{Grid, ScalarField, VectorField};
 use diffreg_interp::{ghosted, Kernel, ScatterPlan};
 use diffreg_optim::GaussNewtonProblem;
 use diffreg_spectral::RegOrder;
-use diffreg_telemetry::{
-    record_event, recorder_enabled, set_recorder_enabled, take_recorder, RecKind,
-};
-use diffreg_testkit::bench_named;
+use diffreg_telemetry::{record_event, take_recorder, RecKind};
 use diffreg_transport::{SemiLagrangian, SessionParts, Workspace};
 
 use crate::{BenchRecord, BenchSuite};
@@ -50,9 +47,17 @@ impl Ctx {
     }
 }
 
+/// Times `f`, prints its record as one JSON line (`bench`, `median_s`,
+/// `min_s`, `samples`) and adds it to `suite`.
 fn push(suite: &mut BenchSuite, name: &str, f: impl FnMut()) {
-    let r = bench_named(name, WARMUP, K, f);
-    suite.push(BenchRecord::new(r.name.clone(), r.samples_s.clone()));
+    let r = BenchRecord::new(name, diffreg_testkit::bench(WARMUP, K, f));
+    println!(
+        "{{\"bench\":\"{name}\",\"median_s\":{:.9},\"min_s\":{:.9},\"samples\":{}}}",
+        r.median_s(),
+        r.min_s(),
+        r.samples_s.len()
+    );
+    suite.push(r);
 }
 
 fn bench_fft(suite: &mut BenchSuite) {
@@ -209,7 +214,7 @@ fn recorder_workload(offer: impl Fn(u64, u64)) {
     std::hint::black_box(acc);
 }
 
-/// One lifecycle event (gated on the recorder flag).
+/// One lifecycle event.
 fn offer_event(a: u64, i: u64) {
     record_event(RecKind::Solver, "bench.recorder", a, i);
 }
@@ -221,12 +226,9 @@ fn offer_comm(a: u64, i: u64) {
 }
 
 fn bench_recorder(suite: &mut BenchSuite) {
-    let was_on = recorder_enabled();
-    // "on": every lifecycle event goes through the ring; "comm": every
-    // offer is a comm record (drained before each so the window starts
-    // empty; the ring then wraps at its steady state). "off": the event
-    // loop pays only the enabled-check fast path.
-    set_recorder_enabled(true);
+    // "on": every offer is a lifecycle event; "comm": every offer is a comm
+    // record (drained before each so the window starts empty; the ring then
+    // wraps at its steady state).
     let _ = take_recorder();
     push(suite, "telemetry/recorder_overhead/on", || {
         recorder_workload(offer_event);
@@ -236,11 +238,6 @@ fn bench_recorder(suite: &mut BenchSuite) {
         recorder_workload(offer_comm);
     });
     let _ = take_recorder();
-    set_recorder_enabled(false);
-    push(suite, "telemetry/recorder_overhead/off", || {
-        recorder_workload(offer_event);
-    });
-    set_recorder_enabled(was_on);
 }
 
 /// Runs the full kernel suite (warmup + K samples each) at the sizes

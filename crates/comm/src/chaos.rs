@@ -472,8 +472,7 @@ mod tests {
     #[test]
     fn decorator_passes_comm_records_through() {
         use crate::events::{CommOp, StreamPos};
-        use crate::ring::{take_recorder, TEST_RING_LOCK};
-        let _l = TEST_RING_LOCK.lock().unwrap();
+        use crate::ring::take_recorder;
         let logs = run_threaded(2, |c| {
             let chaos = ChaosComm::new(c, ChaosConfig::seeded(3).with_latency(1.0, 30));
             let peer = 1 - chaos.rank();

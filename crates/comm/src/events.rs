@@ -21,6 +21,8 @@
 use std::sync::OnceLock;
 use std::time::Instant;
 
+use crate::fnv::Fnv1a;
+
 /// Nanoseconds since the process-wide monotonic epoch.
 ///
 /// The epoch is pinned on first use; every rank thread and every ring
@@ -155,13 +157,7 @@ impl CommKey {
 /// communicator (which shares all three inputs) computes the same uid and
 /// distinct splits/colors get distinct uids.
 pub(crate) fn derive_comm_uid(parent: u64, epoch: u64, color: usize) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for w in [parent, epoch, color as u64] {
-        for b in w.to_le_bytes() {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    }
+    let h = Fnv1a::new().u64(parent).u64(epoch).u64(color as u64).finish();
     // Keep 0 reserved for the world communicator.
     h.max(1)
 }

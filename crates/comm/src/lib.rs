@@ -63,6 +63,7 @@
 mod chaos;
 mod error;
 mod events;
+mod fnv;
 pub mod ring;
 mod stats;
 mod threaded;
@@ -71,6 +72,7 @@ mod traits;
 pub use chaos::{ChaosComm, ChaosConfig};
 pub use error::{tag_display, CollOp, CommError, RankFailure, TAG_INTERNAL};
 pub use events::{monotonic_ns, CommKey, CommOp, StreamPos};
+pub use fnv::{fnv1a64, Fnv1a};
 pub use stats::{CommStats, Timers};
 pub use threaded::{run_gang, run_threaded, run_threaded_checked, ThreadComm};
 pub use traits::{Comm, CommData, ReduceOp};

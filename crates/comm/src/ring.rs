@@ -1,22 +1,25 @@
 //! The per-thread event ring: the one place a closed span, a lifecycle
-//! event or a completed comm op is stored ([`RecEvent`]), with one gate
-//! ([`recording`]) and one drain ([`take_recorder`]). [`crate::ThreadComm`]
-//! writes into it directly; a sub-communicator runs on the thread of the
-//! rank that split it, so its records land in that rank's ring.
-//! `diffreg-telemetry` re-exports it and owns its JSONL codec
-//! (`recorder-rank<k>.jsonl`) and the span guard.
+//! event or a completed comm op is stored ([`RecEvent`]), with one drain
+//! ([`take_recorder`]) and no gate: every event is offered to the calling
+//! thread's ring. [`crate::ThreadComm`] writes into it directly; a
+//! sub-communicator runs on the thread of the rank that split it, so its
+//! records land in that rank's ring. `diffreg-telemetry` re-exports it and
+//! owns its JSONL codec (`recorder-rank<k>.jsonl`) and the span guard.
 //!
 //! The ring runs in one of two modes, fixed per window (a window starts at
 //! the first event after the thread starts or after a drain, and reads the
-//! trace flag once, there):
+//! thread's trace mode once, there). The mode belongs to the thread, as
+//! every setting of an MPI rank belongs to its process: a new thread starts
+//! sampled, and [`set_trace_enabled`] switches only the thread that calls
+//! it.
 //!
-//! * **sampled** (the default, always on): the newest 2,048 events, the
-//!   span stream downsampled under sustained load — the flight recorder
-//!   that is cheap enough to never turn off, so when an incident fires the
-//!   last moments before it are on hand with no tracing enabled.
-//! * **keep-all** (while [`set_trace_enabled`] is on): 65,536 events,
-//!   stride pinned to 1 — the full trace the doctor and the Chrome export
-//!   read. Overflow evicts the oldest event and is counted in
+//! * **sampled** (the default): the newest 2,048 events, the span stream
+//!   downsampled under sustained load — the flight recorder that is cheap
+//!   enough to never turn off, so when an incident fires the last moments
+//!   before it are on hand with no tracing enabled.
+//! * **keep-all** (while [`set_trace_enabled`] is on for the thread):
+//!   65,536 events, stride pinned to 1 — the full trace the doctor and the
+//!   Chrome export read. Overflow evicts the oldest event and is counted in
 //!   `overwritten`, never silent.
 //!
 //! Invariants, both modes, at any snapshot:
@@ -38,7 +41,7 @@
 
 use std::borrow::Cow;
 use std::cell::RefCell;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 
 use crate::events::{monotonic_ns, CommKey};
 
@@ -157,8 +160,6 @@ impl RecorderSnapshot {
     }
 }
 
-static TRACE_ENABLED: AtomicBool = AtomicBool::new(false);
-static REC_ENABLED: AtomicBool = AtomicBool::new(true);
 static NEXT_THREAD: AtomicU64 = AtomicU64::new(0);
 
 /// Events a sampled window holds.
@@ -166,45 +167,27 @@ const SAMPLED_CAP: usize = 2048;
 /// Events a keep-all window holds before it counts evictions.
 const KEEP_ALL_CAP: usize = 1 << 16;
 
-/// Whether tracing is on (default **off**): the ring's next window keeps
-/// everything.
+/// Whether tracing is on for the calling thread (default **off**): its
+/// ring's next window keeps everything.
 #[inline]
 pub fn trace_enabled() -> bool {
-    TRACE_ENABLED.load(Ordering::Relaxed)
+    RING.with(|r| r.borrow().trace)
 }
 
-/// Enables/disables tracing for the whole process. A thread's ring reads
-/// the flag at the first event of each window (thread start, or after a
-/// [`take_recorder`]).
+/// Switches tracing on or off for the calling thread only. Its ring reads
+/// the mode at the first event of each window (thread start, or after a
+/// [`take_recorder`]), so a rank sets it before its first comm op.
 pub fn set_trace_enabled(on: bool) {
-    TRACE_ENABLED.store(on, Ordering::Relaxed);
-}
-
-/// Whether the flight recorder is currently capturing (default **on**;
-/// [`set_recorder_enabled`]`(false)` disables).
-#[inline]
-pub fn recorder_enabled() -> bool {
-    REC_ENABLED.load(Ordering::Relaxed)
-}
-
-/// Enables/disables the recorder for the whole process.
-pub fn set_recorder_enabled(on: bool) {
-    REC_ENABLED.store(on, Ordering::Relaxed);
-}
-
-/// The one recording gate, for spans, lifecycle events and comm records
-/// alike: the ring records while tracing or the recorder is on.
-#[inline]
-pub fn recording() -> bool {
-    trace_enabled() || recorder_enabled()
+    RING.with(|r| r.borrow_mut().trace = on);
 }
 
 struct Ring {
     thread: u64,
     /// Ring sizes of the two modes, indexed by `keep_all` (tests shrink them).
     caps: [usize; 2],
-    /// Mode of the current window, read from the trace flag at its first
-    /// event.
+    /// The thread's trace mode, as [`set_trace_enabled`] left it.
+    trace: bool,
+    /// Mode of the current window, read from `trace` at its first event.
     keep_all: bool,
     buf: Vec<RecEvent>,
     /// Next overwrite position once `buf` is full.
@@ -224,6 +207,7 @@ impl Ring {
         Self {
             thread: NEXT_THREAD.fetch_add(1, Ordering::Relaxed),
             caps: [SAMPLED_CAP, KEEP_ALL_CAP],
+            trace: false,
             keep_all: false,
             buf: Vec::new(),
             head: 0,
@@ -239,7 +223,7 @@ impl Ring {
     /// Counts one offered event; the first of a window fixes its mode.
     fn admit(&mut self) {
         if self.seen == 0 {
-            self.keep_all = trace_enabled();
+            self.keep_all = self.trace;
         }
         self.seen += 1;
     }
@@ -306,27 +290,22 @@ fn push_unsampled(ev: RecEvent) {
 }
 
 /// Records one lifecycle event (never sampled — only the span stream is).
-/// A no-op unless the ring is [`recording`].
 #[inline]
 pub fn record_event(kind: RecKind, name: &'static str, a: u64, b: u64) {
-    if recording() {
-        let t_ns = monotonic_ns();
-        push_unsampled(RecEvent { t_ns, kind, name: Cow::Borrowed(name), a, b, key: None });
-    }
+    let t_ns = monotonic_ns();
+    push_unsampled(RecEvent { t_ns, kind, name: Cow::Borrowed(name), a, b, key: None });
 }
 
 /// Records one completed comm op that started at `t_ns`, lasted `dur_ns`
-/// and moved `bytes` (never sampled): [`crate::ThreadComm`]'s sink, called
-/// while the ring is [`recording`].
+/// and moved `bytes` (never sampled): [`crate::ThreadComm`]'s sink.
 #[inline]
 pub fn record_comm(t_ns: u64, dur_ns: u64, bytes: u64, key: CommKey) {
     let name = Cow::Borrowed(key.op.name());
     push_unsampled(RecEvent { t_ns, kind: RecKind::Comm, name, a: dur_ns, b: bytes, key: Some(key) });
 }
 
-/// Appends one closed span carrying `count`: the span guard's sink, which
-/// checked [`recording`] when the span opened. Subject to adaptive sampling
-/// in a sampled window; exact counts either way.
+/// Appends one closed span carrying `count`: the span guard's sink. Subject
+/// to adaptive sampling in a sampled window; exact counts either way.
 #[inline]
 pub fn offer_span(name: &'static str, t_ns: u64, dur_ns: u64, count: u64) {
     RING.with(|r| {
@@ -348,25 +327,18 @@ pub fn snapshot_recorder() -> RecorderSnapshot {
 
 /// Drains the current thread's ring: returns everything retained plus the
 /// exact counters, then resets the window (counters to zero, stride to 1,
-/// mode re-read from the trace flag at the next event). A rank calls this
+/// mode re-read from the thread's trace mode at the next event). A rank calls this
 /// at the end of its SPMD closure, the serve loop at attempt boundaries so
 /// each capture accounts for exactly one attempt.
 pub fn take_recorder() -> RecorderSnapshot {
     RING.with(|r| r.borrow_mut().take())
 }
 
-/// Serializes tests (across this crate's modules) that flip the
-/// process-global flags or read what the gate let through.
-#[cfg(test)]
-pub(crate) static TEST_RING_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::events::{CommOp, StreamPos};
     use crate::{run_threaded, Comm};
-
-    use super::TEST_RING_LOCK as LOCK;
 
     /// Runs `f` on a fresh thread whose (still empty) ring is sized to `cap`
     /// in both modes.
@@ -383,26 +355,10 @@ mod tests {
         CommKey { op: CommOp::Barrier, comm: 0, csize: 1, rank: 0, pos, blocked_ns: 0 }
     }
 
-    #[test]
-    fn disabled_gate_records_nothing() {
-        let _l = LOCK.lock().unwrap();
-        set_recorder_enabled(false);
-        let snap = on_fresh_thread(8, || {
-            record_event(RecKind::Mark, "invisible", 1, 2);
-            crate::ThreadComm::new().barrier();
-            take_recorder()
-        });
-        set_recorder_enabled(true);
-        assert!(snap.events.is_empty());
-        assert_eq!(snap.seen, 0);
-    }
-
     /// One drain returns the rank's spans, lifecycle events and comm
     /// records — a sub-communicator's too — in completion order.
     #[test]
     fn one_drain_returns_every_kind_in_completion_order() {
-        let _l = LOCK.lock().unwrap();
-        set_recorder_enabled(true);
         let snaps = run_threaded(2, |c| {
             let _ = take_recorder();
             record_event(RecKind::Serve, "attempt", 1, 0);
@@ -434,7 +390,6 @@ mod tests {
 
     #[test]
     fn ring_wraps_with_exact_accounting_and_adaptive_stride() {
-        let _l = LOCK.lock().unwrap();
         let snap = on_fresh_thread(8, || {
             for i in 0..1000u64 {
                 offer_span("hot", i, i, 0);
@@ -457,9 +412,6 @@ mod tests {
     /// Both modes at their real sizes (2,048 sampled, 65,536 keep-all).
     #[test]
     fn keep_all_window_never_samples_and_counts_its_overflow() {
-        let _l = LOCK.lock().unwrap();
-        set_recorder_enabled(true);
-        set_trace_enabled(true);
         let window = || {
             for i in 0..70_000u64 {
                 offer_span("hot", i, i, 0);
@@ -470,6 +422,7 @@ mod tests {
             take_recorder()
         };
         let (snap, next) = std::thread::spawn(move || {
+            set_trace_enabled(true);
             let snap = window();
             // The mode is per window: the next one reads the flag again.
             set_trace_enabled(false);
@@ -493,8 +446,6 @@ mod tests {
 
     #[test]
     fn lifecycle_events_and_comm_records_are_never_sampled_and_take_resets_the_window() {
-        let _l = LOCK.lock().unwrap();
-        set_recorder_enabled(true);
         let (snap, first, second) = on_fresh_thread(64, || {
             for i in 0..10 {
                 record_event(RecKind::Serve, "job-completed", 7, 3);
@@ -517,12 +468,10 @@ mod tests {
 
     #[test]
     fn deterministic_counters_across_identical_runs() {
-        let _l = LOCK.lock().unwrap();
-        set_recorder_enabled(true);
         for keep_all in [false, true] {
-            set_trace_enabled(keep_all);
             let run = || {
-                on_fresh_thread(16, || {
+                on_fresh_thread(16, move || {
+                    set_trace_enabled(keep_all);
                     for i in 0..500u64 {
                         offer_span("k", i, 10, 1);
                         if i % 50 == 0 {
@@ -536,6 +485,30 @@ mod tests {
             };
             assert_eq!(run(), run(), "count-based sampling must replay identically");
         }
-        set_trace_enabled(false);
+    }
+
+    /// The trace mode belongs to the thread that sets it: a peer thread
+    /// recording at the same time stays sampled.
+    #[test]
+    fn trace_mode_is_per_thread() {
+        const SPANS: u64 = 3000;
+        let gate = std::sync::Arc::new(std::sync::Barrier::new(2));
+        let offer = |keep_all: bool, gate: std::sync::Arc<std::sync::Barrier>| {
+            move || {
+                if keep_all {
+                    set_trace_enabled(true);
+                }
+                gate.wait();
+                for i in 0..SPANS {
+                    offer_span("hot", i, 1, 0);
+                }
+                take_recorder()
+            }
+        };
+        let a = std::thread::spawn(offer(true, std::sync::Arc::clone(&gate)));
+        let b = std::thread::spawn(offer(false, gate));
+        let (a, b) = (a.join().unwrap(), b.join().unwrap());
+        assert_eq!((a.events.len() as u64, a.sampled_out, a.stride), (SPANS, 0, 1), "A keeps all");
+        assert!(b.events.len() <= SAMPLED_CAP && b.dropped() > 0, "B samples: {} kept", b.events.len());
     }
 }

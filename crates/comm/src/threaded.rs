@@ -46,7 +46,7 @@ use std::time::{Duration, Instant};
 
 use crate::error::{tag_display, CollOp, CommError, RankFailure, EPOCH_MASK, OP_SHIFT, TAG_INTERNAL};
 use crate::events::{derive_comm_uid, monotonic_ns, CommKey, CommOp, StreamPos};
-use crate::ring::{record_comm, recording};
+use crate::ring::record_comm;
 use crate::stats::CommStats;
 use crate::traits::{or_abort, Comm, CommData, ReduceOp};
 
@@ -276,15 +276,13 @@ impl ThreadComm {
     }
 
     /// Start time of a send or receive on `tag` that the ring will record
-    /// (`None` for a collective's internal stamped messages, and while the
-    /// ring is not recording).
+    /// (`None` for a collective's internal stamped messages).
     fn p2p_start(&self, tag: u64) -> Option<u64> {
-        (tag < TAG_INTERNAL && recording()).then(monotonic_ns)
+        (tag < TAG_INTERNAL).then(monotonic_ns)
     }
 
     /// Numbers a completed user-tag send or receive on its `(peer, tag)`
-    /// stream — recorded or not, so both ends agree on `seq` — and records
-    /// it when it has a start time.
+    /// stream and records it when it has a start time.
     fn record_p2p(&self, op: CommOp, peer: usize, tag: u64, bytes: usize, t0: Option<u64>, blocked_s: f64) {
         if tag >= TAG_INTERNAL {
             return;
@@ -304,9 +302,6 @@ impl ThreadComm {
     /// which bumps it first thing), bytes sent and time blocked during it.
     /// Collective records may nest (`split` runs an `allgather` inside).
     fn with_coll_record<R>(&self, op: CommOp, f: impl FnOnce() -> R) -> R {
-        if !recording() {
-            return f();
-        }
         let counters = || {
             let s = self.stats.borrow();
             (s.blocked_seconds, s.bytes_sent)
@@ -823,7 +818,7 @@ pub fn run_gang<R>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ring::{take_recorder, TEST_RING_LOCK};
+    use crate::ring::take_recorder;
 
     #[test]
     fn world_basics() {
@@ -932,7 +927,6 @@ mod tests {
     /// message without payload.
     #[test]
     fn split_bytes_are_its_allgather_on_every_member() {
-        let _l = TEST_RING_LOCK.lock().unwrap();
         let events = run_threaded(4, |c| {
             let _row = c.split(c.rank() / 2, c.rank() % 2);
             take_recorder()
@@ -1179,7 +1173,6 @@ mod tests {
 
     #[test]
     fn records_cover_p2p_and_collectives() {
-        let _l = TEST_RING_LOCK.lock().unwrap();
         let logs = run_threaded(2, |c| {
             if c.rank() == 0 {
                 c.send(1, 7, vec![1.0f64; 4]);
@@ -1222,7 +1215,6 @@ mod tests {
 
     #[test]
     fn records_cover_pending_queue_path() {
-        let _l = TEST_RING_LOCK.lock().unwrap();
         let logs = run_threaded(2, |c| {
             if c.rank() == 0 {
                 c.send(1, 1, vec![1u8]);

@@ -35,6 +35,7 @@ use std::collections::HashMap;
 use std::path::PathBuf;
 use std::sync::{Arc, Mutex};
 
+use diffreg_comm::fnv1a64;
 use diffreg_grid::{Block, VectorField};
 
 /// Serialization magic ("DRCK") + format version.
@@ -44,18 +45,6 @@ const VERSION: u32 = 2;
 /// Byte length of the v2 header: magic + version + payload length + FNV-1a
 /// checksum of the payload.
 const HEADER_LEN: usize = 4 + 4 + 8 + 8;
-
-/// FNV-1a 64-bit hash — the checkpoint payload checksum. Not cryptographic;
-/// it detects the failure modes checkpoints actually suffer (truncation,
-/// torn writes, bit corruption), which is all the fault model asks for.
-fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
 
 /// Why a checkpoint failed to load: the typed surface of the validation
 /// path. Every variant means "this generation is unusable", and the caller
@@ -539,6 +528,17 @@ mod tests {
             let b: Vec<u64> = back.velocity[c].iter().map(|x| x.to_bits()).collect();
             assert_eq!(a, b, "component {c} not bitwise identical");
         }
+    }
+
+    /// The DRCK v2 bytes of [`sample`] are pinned: a checksum or layout
+    /// change would orphan every checkpoint already on disk.
+    #[test]
+    fn wire_bytes_are_pinned() {
+        let bytes = sample().to_bytes();
+        assert_eq!(bytes.len(), 136);
+        let payload_sum = u64::from_le_bytes(bytes[16..HEADER_LEN].try_into().unwrap());
+        assert_eq!(payload_sum, 0x6f9e_a0a6_63d5_36bb, "header checksum of the payload");
+        assert_eq!(fnv1a64(&bytes), 0xd10c_d44a_999d_bdcd, "the whole file");
     }
 
     #[test]

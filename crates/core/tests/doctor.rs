@@ -48,22 +48,17 @@ fn synthetic_pair<C: Comm>(ws: &Workspace<C>) -> (ScalarField, ScalarField) {
     (rho_t, rho_r)
 }
 
-/// Both tests toggle the process-wide trace flag; they take turns so one's
-/// `set_trace_enabled(false)` cannot cut spans out of the other's run.
-static TRACE_FLAG: std::sync::Mutex<()> = std::sync::Mutex::new(());
-
 #[test]
 fn doctor_explains_a_traced_registration() {
-    let _turn = TRACE_FLAG.lock().unwrap_or_else(|e| e.into_inner());
     const RANKS: usize = 4;
     let n = smoke_size();
     let grid = Grid::cubic(n);
     let betas = [1e-2, 1e-3];
 
-    set_trace_enabled(true);
     // Per rank: the capture and the workspace Timers' interp point counts.
     let per_rank: Vec<(RankCapture, [u64; 2])> =
         run_threaded(RANKS, move |comm| {
+            set_trace_enabled(true);
             let parts = SessionParts::with_decomp(comm, Decomp::with_process_grid(grid, 2, 2));
             let ws = parts.workspace(comm);
             let (t, r) = synthetic_pair(&ws);
@@ -79,7 +74,6 @@ fn doctor_explains_a_traced_registration() {
             let points = ["interp_points_routed", "interp_points_evaluated"];
             (capture, points.map(|k| ws.timers.get_count(k)))
         });
-    set_trace_enabled(false);
 
     let timers_points = per_rank.iter().fold([0u64; 2], |acc, (_, p)| [acc[0] + p[0], acc[1] + p[1]]);
     let captures: Vec<RankCapture> = per_rank.into_iter().map(|(c, _)| c).collect();
@@ -157,9 +151,8 @@ fn doctor_explains_a_traced_registration() {
 /// the span that was open, attributed to rank 1.
 #[test]
 fn doctor_attributes_injected_stall_to_culprit_rank() {
-    let _turn = TRACE_FLAG.lock().unwrap_or_else(|e| e.into_inner());
-    set_trace_enabled(true);
     let ranks: Vec<RankCapture> = run_threaded(2, move |comm| {
+        set_trace_enabled(true);
         // Rank 1 stalls 80 ms at its 2nd comm call — the send below.
         let chaos = ChaosComm::new(comm, ChaosConfig::seeded(1).with_stall(1, 2, 80));
         chaos.barrier(); // op 1 on both ranks
@@ -175,7 +168,6 @@ fn doctor_attributes_injected_stall_to_culprit_rank() {
         chaos.barrier();
         RankCapture { rank: comm.rank(), recorder: take_recorder() }
     });
-    set_trace_enabled(false);
 
     let report = analyze(&DoctorInput { ranks, metrics: MetricsRegistry::new() });
 

@@ -235,8 +235,8 @@ fn register_solve_post_processing_matches_public_pieces() {
 ///   displacement set-up, 30N.)
 #[test]
 fn one_register_builds_each_velocity_once() {
-    set_trace_enabled(true);
     let (linearize_spans, routed, steps) = run_threaded(1, |comm| {
+        set_trace_enabled(true);
         let parts = SessionParts::new(comm, Grid::cubic(16));
         let ws = parts.workspace(comm);
         let (t, r) = synthetic_pair(&ws);
@@ -255,7 +255,6 @@ fn one_register_builds_each_velocity_once() {
     })
     .pop()
     .unwrap();
-    set_trace_enabled(false);
     assert_eq!(steps, [1.0; 3], "the derivation assumes three full steps");
     assert_eq!(linearize_spans, 4);
     assert_eq!(routed, 16 * 4096);

@@ -5,25 +5,12 @@
 //! table (and every scheduling decision computed from it) is replicated
 //! deterministically without a coordinator.
 
+use diffreg_comm::Fnv1a;
 use diffreg_telemetry::incident::Failure;
 use diffreg_testkit::Rng;
 
 /// Unique job identifier, assigned by the submitter.
 pub type JobId = u64;
-
-/// FNV-1a 64-bit offset basis.
-pub(crate) const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-/// FNV-1a 64-bit prime.
-pub(crate) const FNV_PRIME: u64 = 0x1000_0000_01b3;
-
-/// Folds one u64 into an FNV-1a accumulator, byte by byte.
-pub(crate) fn fnv_fold_u64(mut h: u64, v: u64) -> u64 {
-    for b in v.to_le_bytes() {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(FNV_PRIME);
-    }
-    h
-}
 
 /// What one registration job asks of the pool: the synthetic problem to
 /// solve, the gang size it wants, and its robustness envelope.
@@ -137,17 +124,13 @@ impl JobSpec {
     /// the key: reduction order (and therefore bits) depends on the
     /// decomposition.
     pub fn solve_signature(&self, gang_size: usize) -> u64 {
-        let mut h = FNV_OFFSET;
-        h = fnv_fold_u64(h, self.grid_n as u64);
-        h = fnv_fold_u64(h, gang_size as u64);
-        h = fnv_fold_u64(h, self.amplitude.to_bits());
-        h = fnv_fold_u64(h, self.betas.len() as u64);
+        let mut h = Fnv1a::new();
+        h.u64(self.grid_n as u64).u64(gang_size as u64).u64(self.amplitude.to_bits());
+        h.u64(self.betas.len() as u64);
         for b in &self.betas {
-            h = fnv_fold_u64(h, b.to_bits());
+            h.u64(b.to_bits());
         }
-        h = fnv_fold_u64(h, self.newton_iters as u64);
-        h = fnv_fold_u64(h, self.nt as u64);
-        h
+        h.u64(self.newton_iters as u64).u64(self.nt as u64).finish()
     }
 }
 

@@ -51,14 +51,14 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
-use diffreg_comm::{run_gang, run_threaded, ChaosComm, ChaosConfig, Comm, ThreadComm};
+use diffreg_comm::{run_gang, run_threaded, ChaosComm, ChaosConfig, Comm, Fnv1a, ThreadComm};
 use diffreg_core::{register_solve, CheckpointStore, RegistrationConfig};
 use diffreg_grid::{Grid, ScalarField, VectorField};
 use diffreg_optim::NewtonOptions;
 use diffreg_telemetry::doctor::{write_trace_bundle, RankCapture};
 use diffreg_telemetry::incident::{write_incident_bundle, Failure, IncidentContext};
 use diffreg_telemetry::{
-    record_event, set_trace_enabled, snapshot_recorder, span, take_recorder,
+    record_event, set_trace_enabled, snapshot_recorder, span, take_recorder, trace_enabled,
     ConvergenceLog, Json, MetricsRegistry, Profile, RecKind, StreamEntry,
 };
 use diffreg_transport::{SemiLagrangian, SessionParts, Workspace};
@@ -66,9 +66,7 @@ use diffreg_transport::{SemiLagrangian, SessionParts, Workspace};
 use crate::faults::{AttemptFaults, FaultInjector};
 use crate::http::{HttpServer, ObsSlot, ObsSnapshot};
 use crate::incident::{CaptureStage, IncidentRecord, IncidentTrigger};
-use crate::job::{
-    backoff_rounds, fnv_fold_u64, JobId, JobRecord, JobResult, JobSpec, JobState, FNV_OFFSET,
-};
+use crate::job::{backoff_rounds, JobId, JobRecord, JobResult, JobSpec, JobState};
 use crate::scheduler::{plan_round, Assignment};
 use crate::slo::{AlertState, SloEngine, SloPolicy};
 
@@ -355,6 +353,9 @@ impl ServeHarness {
         if let Some(mut m) = rs.metrics() {
             m.set_gauge("serve_pool_ranks", pool as f64);
         }
+        // The traced job's attempts run on this rank's thread: keep its
+        // ring's windows whole for the serve loop's duration.
+        let was_tracing = trace_enabled();
         if self.cfg.trace_job.is_some() {
             set_trace_enabled(true);
         }
@@ -453,9 +454,7 @@ impl ServeHarness {
             rs.publish();
             server.stop();
         }
-        if self.cfg.trace_job.is_some() {
-            set_trace_enabled(false);
-        }
+        set_trace_enabled(was_tracing);
         if let Some(mut m) = rs.metrics() {
             m.set_gauge("serve_queue_depth", 0.0);
             m.set_gauge("serve_running_jobs", 0.0);
@@ -1075,19 +1074,18 @@ fn solve_once<C: Comm>(
     };
     let (out, _reports) =
         register_solve(&ws, &rho_t, &rho_r, cfg, &spec.betas, None, store, observer);
-    let mut local = FNV_OFFSET;
+    let mut local = Fnv1a::new();
     for c in 0..3 {
         for x in out.velocity.comps[c].data() {
-            local = fnv_fold_u64(local, x.to_bits());
+            local.u64(x.to_bits());
         }
     }
-    let all = comm.allgather(vec![local]);
-    let mut digest = FNV_OFFSET;
-    for part in &all {
-        digest = fnv_fold_u64(digest, part[0]);
+    let mut digest = Fnv1a::new();
+    for part in &comm.allgather(vec![local.finish()]) {
+        digest.u64(part[0]);
     }
-    digest = fnv_fold_u64(digest, out.final_mismatch.to_bits());
-    (digest, out.final_mismatch.to_bits())
+    digest.u64(out.final_mismatch.to_bits());
+    (digest.finish(), out.final_mismatch.to_bits())
 }
 
 /// Replays the collective sequence of one fresh (no-checkpoint) attempt of

@@ -18,7 +18,7 @@
 
 use std::collections::BTreeMap;
 
-use crate::job::{fnv_fold_u64, FNV_OFFSET};
+use diffreg_comm::Fnv1a;
 use diffreg_telemetry::MetricsRegistry;
 
 /// The three serve objectives.
@@ -286,26 +286,18 @@ impl SloEngine {
     /// (tenant, objective) window, firing flag, and the full alert log.
     /// Equal digests across ranks prove bit-identical alert state.
     pub fn state_digest(&self) -> u64 {
-        let mut h = FNV_OFFSET;
+        let mut h = Fnv1a::new();
         for ((tenant, obj), track) in &self.tracks {
-            for b in tenant.bytes() {
-                h = fnv_fold_u64(h, u64::from(b));
-            }
-            h = fnv_fold_u64(h, obj.name().len() as u64);
-            h = fnv_fold_u64(h, u64::from(track.firing));
-            h = fnv_fold_u64(h, track.fired_count);
+            h.str(tenant).str(obj.name());
+            h.u64(u64::from(track.firing)).u64(track.fired_count);
             for b in &track.buckets {
-                h = fnv_fold_u64(h, b.round);
-                h = fnv_fold_u64(h, b.total);
-                h = fnv_fold_u64(h, b.bad);
+                h.u64(b.round).u64(b.total).u64(b.bad);
             }
         }
         for a in &self.alert_log {
-            for b in a.render().bytes() {
-                h = fnv_fold_u64(h, u64::from(b));
-            }
+            h.str(&a.render());
         }
-        h
+        h.finish()
     }
 
     /// Renders the full alert log, one line per transition.

@@ -258,17 +258,12 @@ fn verify_campaign(c: &Campaign, s: &ServeSummary, harness: &ServeHarness) {
     );
 }
 
-/// The small tier switches the process-wide trace flag on for its first
-/// campaign; the tiers take turns so the other one is not traced halfway.
-static TRACE_FLAG: std::sync::Mutex<()> = std::sync::Mutex::new(());
-
 /// Always-on small tier: 32 jobs of 8³ under the full fault mix, twice —
 /// the second run must replay the first bit-for-bit (states, attempts,
 /// digests, rounds). The first run traces the checkpoint-resume drill job
 /// (slot 0) and leaves its doctor bundle on disk.
 #[test]
 fn small_chaos_campaign_is_lossless_and_replays() {
-    let _turn = TRACE_FLAG.lock().unwrap_or_else(|e| e.into_inner());
     let c = build_campaign(32, 8, 4, 1500);
     let (s1, h1) = run_campaign(&c, 4, 400, Some(1));
     verify_campaign(&c, &s1, &h1);
@@ -299,7 +294,6 @@ fn load_48_jobs_on_4_rank_pool() {
     if cfg!(debug_assertions) {
         return;
     }
-    let _turn = TRACE_FLAG.lock().unwrap_or_else(|e| e.into_inner());
     load_campaign(48, 16);
 }
 

@@ -33,6 +33,8 @@
 
 use std::path::{Path, PathBuf};
 
+use diffreg_comm::Fnv1a;
+
 use crate::convergence::ConvergenceLog;
 use crate::doctor::{
     analyze, read_bundle_file, write_trace_bundle, BundleError, DoctorInput,
@@ -188,50 +190,23 @@ pub struct IncidentHeader {
 
 // -- FNV-1a digest over the timestamp-free capture projection ---------------
 
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-struct Digest(u64);
-
-impl Digest {
-    fn new() -> Self {
-        Digest(FNV_OFFSET)
-    }
-
-    fn u64(&mut self, v: u64) {
-        for b in v.to_le_bytes() {
-            self.0 ^= u64::from(b);
-            self.0 = self.0.wrapping_mul(FNV_PRIME);
-        }
-    }
-
-    fn opt(&mut self, v: Option<u64>) {
-        self.u64(u64::from(v.is_some()));
-        if let Some(v) = v {
-            self.u64(v);
-        }
-    }
-
-    fn str(&mut self, s: &str) {
-        self.u64(s.len() as u64);
-        for b in s.bytes() {
-            self.0 ^= u64::from(b);
-            self.0 = self.0.wrapping_mul(FNV_PRIME);
-        }
+/// Folds a presence flag, then the value when present.
+fn fold_opt(d: &mut Fnv1a, v: Option<u64>) {
+    d.u64(u64::from(v.is_some()));
+    if let Some(v) = v {
+        d.u64(v);
     }
 }
 
 /// The timestamp-free part of a comm key (the op is the record's name, the
 /// bytes its `b` word; `blocked_ns` is wall clock).
-fn fold_comm_key(d: &mut Digest, k: &CommKey) {
-    d.u64(k.comm);
-    d.u64(k.csize as u64);
-    d.u64(k.rank as u64);
+fn fold_comm_key(d: &mut Fnv1a, k: &CommKey) {
+    d.u64(k.comm).u64(k.csize as u64).u64(k.rank as u64);
     let p2p = k.p2p();
-    d.opt(p2p.map(|(peer, _, _)| peer as u64));
-    d.opt(p2p.map(|(_, tag, _)| tag));
-    d.opt(p2p.map(|(_, _, seq)| seq));
-    d.opt(k.epoch());
+    fold_opt(d, p2p.map(|(peer, _, _)| peer as u64));
+    fold_opt(d, p2p.map(|(_, tag, _)| tag));
+    fold_opt(d, p2p.map(|(_, _, seq)| seq));
+    fold_opt(d, k.epoch());
 }
 
 /// The capture digest: folds the timestamp-free projection of `captures`
@@ -241,30 +216,27 @@ fn fold_comm_key(d: &mut Digest, k: &CommKey) {
 pub fn capture_digest(captures: &[RankCapture]) -> u64 {
     let mut sorted: Vec<&RankCapture> = captures.iter().collect();
     sorted.sort_by_key(|c| c.rank);
-    let mut d = Digest::new();
+    let mut d = Fnv1a::new();
     for c in &sorted {
-        d.u64(c.rank as u64);
         let r = &c.recorder;
-        d.u64(r.seen);
-        d.u64(r.recorded);
-        d.u64(r.sampled_out);
-        d.u64(r.overwritten);
-        d.u64(r.stride);
+        d.u64(c.rank as u64).u64(r.seen).u64(r.recorded).u64(r.sampled_out);
+        d.u64(r.overwritten).u64(r.stride);
         for e in &r.events {
-            d.str(e.kind.name());
-            d.str(&e.name);
+            d.str(e.kind.name()).str(&e.name);
             // A span's or comm record's `a` is its wall-clock duration:
             // excluded. Everything else (a span's count, a comm record's
             // bytes and key, serve job/round words) is deterministic.
             match &e.key {
                 Some(k) => fold_comm_key(&mut d, k),
                 None if e.kind == RecKind::Span => {}
-                None => d.u64(e.a),
+                None => {
+                    d.u64(e.a);
+                }
             }
             d.u64(e.b);
         }
     }
-    d.0
+    d.finish()
 }
 
 /// Comm records across `captures`.

@@ -8,12 +8,12 @@
 //! * [`span`] + [`recorder`] — hierarchical RAII span tracing into the
 //!   per-thread event ring of [`diffreg_comm::ring`], which also holds the
 //!   rank's lifecycle events and comm records: an always-on sampled flight
-//!   recorder that [`set_trace_enabled`] switches to keep-everything mode,
-//!   with its JSONL codec and a Chrome `trace_event` JSON exporter (one
-//!   `pid` per rank, one `tid` per thread plus a comm track; load the file
-//!   in Perfetto / `chrome://tracing`). Near-zero cost when disabled: two
-//!   relaxed atomic loads per [`span()`] call. No environment variable is
-//!   read. A span carries at most one count ([`SpanGuard::count`]).
+//!   recorder with no gate, which [`set_trace_enabled`] switches to
+//!   keep-everything mode for the calling thread only, with its JSONL codec
+//!   and a Chrome `trace_event` JSON exporter (one `pid` per rank, one
+//!   `tid` per thread plus a comm track; load the file in Perfetto /
+//!   `chrome://tracing`). No environment variable is read. A span carries
+//!   at most one count ([`SpanGuard::count`]).
 //! * [`report`] — rank-aggregated phase report: every `Timers` /
 //!   `CommStats` key reduced to min/mean/max/imbalance across ranks
 //!   (allreduce-based, collective) and rendered as the paper's
@@ -59,8 +59,7 @@ pub mod span;
 pub use convergence::{ConvergenceLog, IterRecord, SolverEvent, StreamEntry};
 pub use json::Json;
 pub use recorder::{
-    record_event, recorder_enabled, set_recorder_enabled, snapshot_recorder, take_recorder,
-    RecEvent, RecKind, RecorderSnapshot,
+    record_event, snapshot_recorder, take_recorder, RecEvent, RecKind, RecorderSnapshot,
 };
 pub use metrics::{escape_label_value, Histogram, MetricsRegistry};
 pub use profile::{diff_phases, render_diff, PhaseDelta, PhaseRow, Profile, StackStat};

@@ -17,8 +17,7 @@ use std::borrow::Cow;
 use std::fmt::Write as _;
 
 pub use diffreg_comm::ring::{
-    record_event, recorder_enabled, set_recorder_enabled, snapshot_recorder, take_recorder,
-    RecEvent, RecKind, RecorderSnapshot,
+    record_event, snapshot_recorder, take_recorder, RecEvent, RecKind, RecorderSnapshot,
 };
 pub use diffreg_comm::{CommKey, CommOp, StreamPos};
 

@@ -3,15 +3,16 @@
 //! ring's spans and comm records.
 //!
 //! Design constraints:
-//! * **Zero cost when off.** [`span`] first reads two process-global relaxed
-//!   `AtomicBool`s; with tracing off (the default, until a caller that will
-//!   export the trace calls [`set_trace_enabled`]) and the recorder off the
-//!   guard is inert and no thread-local is touched.
+//! * **Always recorded, bounded cost.** There is no gate: a span takes two
+//!   clock reads and offers itself to the thread's ring when it closes,
+//!   where a sampled window may skip it (the per-event cost is the
+//!   `telemetry/recorder_overhead` bench records).
 //! * **One sink.** A closed span is appended to the thread's ring and
-//!   nowhere else. Tracing does not add a second buffer: it puts the ring's
-//!   next window in keep-all mode (65 536 events, no sampling, overflow
-//!   counted). A span stores no depth (readers rebuild nesting from
-//!   containment); it may carry one count ([`SpanGuard::count`]), the
+//!   nowhere else. Tracing does not add a second buffer: a thread that
+//!   calls [`set_trace_enabled`] puts its own ring's next window in
+//!   keep-all mode (65 536 events, no sampling, overflow counted); other
+//!   threads stay sampled. A span stores no depth (readers rebuild nesting
+//!   from containment); it may carry one count ([`SpanGuard::count`]), the
 //!   per-call fact its caller measures, such as points routed.
 //! * **Rank-aware.** In the simulated MPI runtime every rank is one thread:
 //!   the rank's SPMD closure calls [`crate::take_recorder`] before returning
@@ -23,29 +24,27 @@
 //!   spans and comm records from different ranks align on one timeline.
 
 use diffreg_comm::monotonic_ns;
-use diffreg_comm::ring::{offer_span, recording};
+use diffreg_comm::ring::offer_span;
 pub use diffreg_comm::ring::{set_trace_enabled, trace_enabled};
 
 use crate::doctor::RankCapture;
 use crate::json::Json;
 use crate::recorder::{key_to_json, RecKind};
 
-/// Opens a span; the span closes (and is recorded) when the returned guard
-/// drops. Spans nest; readers recover the nesting from containment. With
-/// tracing and the recorder both off this is two relaxed atomic loads and
-/// nothing else.
+/// Opens a span; the span closes and is offered to the calling thread's
+/// ring when the returned guard drops. Spans nest; readers recover the
+/// nesting from containment.
 #[inline]
 pub fn span(name: &'static str) -> SpanGuard {
-    let t0_ns = recording().then(monotonic_ns);
-    SpanGuard { name, t0_ns, count: 0 }
+    SpanGuard { name, t0_ns: monotonic_ns(), count: 0 }
 }
 
 /// RAII guard of one open span (see [`span`]).
 #[must_use = "a span closes when its guard drops; binding to _ closes it immediately"]
 pub struct SpanGuard {
     name: &'static str,
-    /// Open time; `None` for an inert guard (the ring was not recording).
-    t0_ns: Option<u64>,
+    /// Open time on the [`monotonic_ns`] epoch.
+    t0_ns: u64,
     count: u64,
 }
 
@@ -61,9 +60,8 @@ impl SpanGuard {
 
 impl Drop for SpanGuard {
     fn drop(&mut self) {
-        if let Some(t0_ns) = self.t0_ns {
-            offer_span(self.name, t0_ns, monotonic_ns().saturating_sub(t0_ns), self.count);
-        }
+        let dur_ns = monotonic_ns().saturating_sub(self.t0_ns);
+        offer_span(self.name, self.t0_ns, dur_ns, self.count);
     }
 }
 
@@ -246,48 +244,17 @@ pub fn validate_chrome_trace(text: &str) -> Result<TraceSummary, String> {
     Ok(summary)
 }
 
-/// Serializes tests (across this crate's modules) that flip the
-/// process-global trace flag.
-#[cfg(test)]
-pub(crate) static TEST_TRACE_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::{take_recorder, RecorderSnapshot};
 
-    // Tests share one process-global tracer; serialize them.
-    use super::TEST_TRACE_LOCK as LOCK;
-
     fn capture(rank: usize, recorder: RecorderSnapshot) -> RankCapture {
         RankCapture { rank, recorder }
     }
 
-    /// Tracing alone opens the gate for lifecycle events as it does for
-    /// spans: a traced window with the recorder off keeps both.
-    #[test]
-    fn tracing_with_the_recorder_off_records_spans_and_events() {
-        let _l = LOCK.lock().unwrap();
-        crate::set_recorder_enabled(false);
-        set_trace_enabled(true);
-        let snap = std::thread::spawn(|| {
-            crate::record_event(RecKind::Serve, "serve.attempt", 1, 1);
-            drop(span("interp.eval"));
-            crate::record_event(RecKind::Serve, "serve.attempt-failed", 1, 0);
-            take_recorder()
-        })
-        .join()
-        .unwrap();
-        set_trace_enabled(false);
-        crate::set_recorder_enabled(true);
-        let names: Vec<&str> = snap.events.iter().map(|e| &*e.name).collect();
-        assert_eq!(names, ["serve.attempt", "interp.eval", "serve.attempt-failed"]);
-        assert_eq!((snap.seen, snap.dropped()), (3, 0));
-    }
-
     #[test]
     fn spans_nest_and_export_parses() {
-        let _l = LOCK.lock().unwrap();
         set_trace_enabled(true);
         let _ = take_recorder();
         {
@@ -300,7 +267,6 @@ mod tests {
             }
             let _sibling = span("sibling");
         }
-        set_trace_enabled(false);
         let t = take_recorder();
         assert_eq!(t.events.len(), 3);
         assert_eq!(t.dropped(), 0);
@@ -331,11 +297,10 @@ mod tests {
 
     #[test]
     fn per_thread_rings_are_independent() {
-        let _l = LOCK.lock().unwrap();
-        set_trace_enabled(true);
         let handles: Vec<_> = (0..3)
             .map(|_| {
                 std::thread::spawn(|| {
+                    set_trace_enabled(true);
                     let _g = span("worker");
                     drop(span("child"));
                     drop(_g);
@@ -345,7 +310,6 @@ mod tests {
             .collect();
         let traces: Vec<RecorderSnapshot> =
             handles.into_iter().map(|h| h.join().unwrap()).collect();
-        set_trace_enabled(false);
         let mut tids: Vec<u64> = traces.iter().map(|t| t.thread).collect();
         tids.sort_unstable();
         tids.dedup();
@@ -384,8 +348,6 @@ mod tests {
 
     #[test]
     fn with_span_passes_value_through() {
-        let _l = LOCK.lock().unwrap();
-        set_trace_enabled(false);
         assert_eq!(with_span("x", || 7), 7);
     }
 }

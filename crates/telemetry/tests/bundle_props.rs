@@ -119,8 +119,8 @@ fn ring_windows_round_trip_through_a_bundle_in_both_modes() {
     prop_check!(|rng| {
         let keep_all = rng.chance(0.5);
         let picks: Vec<usize> = (0..rng.len_scaled(1, 6000)).map(|_| rng.index(NAMES.len())).collect();
-        set_trace_enabled(keep_all);
         let snap = std::thread::spawn(move || {
+            set_trace_enabled(keep_all);
             let comm = SerialComm::new();
             for (i, &p) in picks.iter().enumerate() {
                 let mut outer = span(NAMES[p]);
@@ -140,7 +140,6 @@ fn ring_windows_round_trip_through_a_bundle_in_both_modes() {
         })
         .join()
         .expect("ring thread");
-        set_trace_enabled(false);
         assert_eq!(snap.seen, snap.recorded + snap.sampled_out);
         assert_eq!(snap.events.len() as u64, snap.recorded - snap.overwritten);
         if keep_all {

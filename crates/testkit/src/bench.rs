@@ -1,50 +1,8 @@
-//! Micro-bench timer: median-of-K wall clock with warmup and JSON-line
-//! output. This replaced `criterion` for the workspace's kernel benches —
-//! no statistics framework, just robust medians that a script (or the
-//! perfmodel tables) can scrape from stdout as one JSON object per line.
+//! Micro-bench timer: K wall-clock samples after warmup. This replaced
+//! `criterion` for the workspace's kernel benches — no statistics
+//! framework; `diffreg_bench::BenchRecord` takes the samples' median.
 
 use std::time::Instant;
-
-/// Result of one benchmark: K timed samples after warmup.
-#[derive(Debug, Clone)]
-pub struct BenchResult {
-    /// Benchmark identifier (`group/name` by convention).
-    pub name: String,
-    /// All samples, sorted ascending, in seconds.
-    pub samples_s: Vec<f64>,
-}
-
-impl BenchResult {
-    /// Median wall-clock seconds.
-    pub fn median_s(&self) -> f64 {
-        let k = self.samples_s.len();
-        if k == 0 {
-            return f64::NAN;
-        }
-        if k % 2 == 1 {
-            self.samples_s[k / 2]
-        } else {
-            0.5 * (self.samples_s[k / 2 - 1] + self.samples_s[k / 2])
-        }
-    }
-
-    /// Fastest sample in seconds.
-    pub fn min_s(&self) -> f64 {
-        self.samples_s.first().copied().unwrap_or(f64::NAN)
-    }
-
-    /// One-line JSON record (stable keys: `bench`, `median_s`, `min_s`,
-    /// `samples`).
-    pub fn json_line(&self) -> String {
-        format!(
-            "{{\"bench\":\"{}\",\"median_s\":{:.9},\"min_s\":{:.9},\"samples\":{}}}",
-            self.name,
-            self.median_s(),
-            self.min_s(),
-            self.samples_s.len()
-        )
-    }
-}
 
 /// Times `f` with `warmup` untimed runs followed by `k` timed runs;
 /// returns the sorted samples. Does not print.
@@ -63,26 +21,9 @@ pub fn bench(warmup: usize, k: usize, mut f: impl FnMut()) -> Vec<f64> {
     samples
 }
 
-/// Times `f` (warmup + K samples), prints the JSON line to stdout, and
-/// returns the result.
-pub fn bench_named(name: &str, warmup: usize, k: usize, f: impl FnMut()) -> BenchResult {
-    let samples_s = bench(warmup, k, f);
-    let result = BenchResult { name: name.to_string(), samples_s };
-    println!("{}", result.json_line());
-    result
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn median_of_odd_and_even() {
-        let odd = BenchResult { name: "o".into(), samples_s: vec![1.0, 2.0, 9.0] };
-        assert_eq!(odd.median_s(), 2.0);
-        let even = BenchResult { name: "e".into(), samples_s: vec![1.0, 2.0, 3.0, 9.0] };
-        assert_eq!(even.median_s(), 2.5);
-    }
 
     #[test]
     fn bench_runs_warmup_and_samples() {
@@ -91,14 +32,5 @@ mod tests {
         assert_eq!(calls, 8);
         assert_eq!(samples.len(), 5);
         assert!(samples.windows(2).all(|w| w[0] <= w[1]), "sorted");
-    }
-
-    #[test]
-    fn json_line_is_parseable_shape() {
-        let r = BenchResult { name: "fft/forward/32".into(), samples_s: vec![0.25] };
-        let line = r.json_line();
-        assert!(line.starts_with("{\"bench\":\"fft/forward/32\""), "{line}");
-        assert!(line.contains("\"median_s\":0.250000000"), "{line}");
-        assert!(line.ends_with("\"samples\":1}"), "{line}");
     }
 }

@@ -31,9 +31,8 @@
 //!
 //!   Setting `TESTKIT_SEED` (and optionally `TESTKIT_SIZE`) replays a single
 //!   case; `TESTKIT_CASES` overrides the case count globally.
-//! * [`bench`](crate::bench) — a median-of-K wall-clock micro-bench timer
-//!   with warmup and JSON-line output; it replaced `criterion` in
-//!   `diffreg-bench`.
+//! * [`bench`](crate::bench) — a wall-clock micro-bench timer (K sorted
+//!   samples after warmup); it replaced `criterion` in `diffreg-bench`.
 //! * [`oracle`] — closed-form fields and checks: [`oracle::PlaneWave`]
 //!   (exact ∇ / div / Δ / Δ⁻¹), [`oracle::Translation`] and the
 //!   Taylor–Green invariant (exact semi-Lagrangian transport),
@@ -63,5 +62,5 @@ pub mod oracle;
 pub mod prop;
 mod rng;
 
-pub use bench::{bench, bench_named, BenchResult};
+pub use bench::bench;
 pub use rng::{splitmix64, Rng};

@@ -21,7 +21,8 @@
 #      type, second failure taxonomy, serve wire codec, in-tree analyzer,
 #      second Comm backend, hand-built workspace, second barrier, contract
 #      switch, kernel gate, second per-thread metrics store, second comm
-#      stream or new env::var read may reappear; workspace line count
+#      stream, recorder switch, hand-rolled FNV-1a or new env::var read may
+#      reappear; workspace line count
 #   6. clippy clean under -D warnings: it enforces step 5's lint levels and
 #      rejects a stale #[expect], so a missing clippy fails the build
 #   7. fail if Cargo.lock ever acquires a registry (non-path) dependency
@@ -153,6 +154,19 @@ fi
 # second bundle file or codec.
 if grep -rnE 'take_[e]vents|set_event_[r]ecording|event_[r]ecording|events_(to|from)_[j]sonl|events-[r]ank|Comm[E]vent\b' $everywhere; then
     echo "ERROR: a second per-rank comm stream (event log, gate, drain or file) reappeared" >&2
+    exit 1
+fi
+# No process-wide recording switch: the event ring always records and the
+# trace mode is the calling thread's, so no recorder gate, no test lock on
+# it and no second bench record type.
+if grep -rnE 'set_[r]ecorder_enabled|recorder_[e]nabled|REC_[E]NABLED|ring::[r]ecording|TEST_(RING|TRACE)_[L]OCK|BenchR[e]sult|bench_[n]amed' $everywhere; then
+    echo "ERROR: a recorder switch, a test lock on it or a second bench record type reappeared" >&2
+    exit 1
+fi
+# One FNV-1a: comm's fnv module is the only home of the offset basis
+# (testkit's property-seed mixer keeps its own, which seeds every case).
+if grep -rn 'cbf2_9ce4_8422_2325' crates src | grep -vE '^(crates/comm/src/fnv\.rs|crates/testkit/src/prop\.rs):'; then
+    echo "ERROR: a hand-rolled FNV-1a reappeared; use diffreg_comm::Fnv1a" >&2
     exit 1
 fi
 # The workspace line count is tracked like a benchmark (ROADMAP aim 2).
