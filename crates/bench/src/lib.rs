@@ -19,7 +19,7 @@ pub mod results;
 pub use results::{hostname, results_dir, row_record, write_suite, BenchRecord, BenchSuite};
 
 use diffreg_comm::{run_threaded, Comm};
-use diffreg_core::{register, RegistrationConfig};
+use diffreg_core::{register, synthetic_pair, RegistrationConfig};
 use diffreg_grid::{Grid, ScalarField};
 use diffreg_telemetry::collect_phase_report;
 use diffreg_transport::{SemiLagrangian, SessionParts, Workspace};
@@ -65,13 +65,7 @@ pub enum Problem {
 pub fn build_images<C: Comm>(ws: &Workspace<C>, problem: Problem) -> (ScalarField, ScalarField) {
     let grid = ws.grid();
     match problem {
-        Problem::Synthetic => {
-            let t = diffreg_imgsim::template(&grid, ws.block());
-            let v = diffreg_imgsim::exact_velocity(&grid, ws.block(), 0.5);
-            let sl = SemiLagrangian::new(ws, &v, 4);
-            let r = sl.solve_state(ws, &t).pop().unwrap();
-            (t, r)
-        }
+        Problem::Synthetic => synthetic_pair(ws, 0.5),
         Problem::SyntheticIncompressible => {
             let t = diffreg_imgsim::template(&grid, ws.block());
             let v = diffreg_imgsim::exact_velocity_divfree(&grid, ws.block(), 0.5);

@@ -26,6 +26,9 @@ use crate::error::CommError;
 use crate::stats::CommStats;
 use crate::traits::{Comm, CommData, ReduceOp};
 
+/// Maximum number of simultaneously deferred sends under the reorder fault.
+const MAX_DEFERRED: usize = 8;
+
 /// The seeded fault schedule of a [`ChaosComm`].
 ///
 /// All probabilities are per chaos point (one per user-level comm call).
@@ -41,8 +44,6 @@ pub struct ChaosConfig {
     /// Probability that a `send` is deferred (delivered later, possibly
     /// after younger messages with *different* tags).
     pub reorder_prob: f64,
-    /// Maximum number of simultaneously deferred sends.
-    pub max_deferred: usize,
     /// Rank that suffers a one-shot bounded stall (`None` = nobody).
     pub stall_rank: Option<usize>,
     /// Op index (1-based) at which the stall fires.
@@ -73,7 +74,6 @@ impl Default for ChaosConfig {
             latency_prob: 0.0,
             max_latency_us: 200,
             reorder_prob: 0.0,
-            max_deferred: 8,
             stall_rank: None,
             stall_at_op: 0,
             stall_ms: 0,
@@ -353,7 +353,7 @@ impl<C: Comm> Comm for ChaosComm<C> {
         // stream is still deferred (FIFO within the stream)…
         let must_defer = outbox.iter().any(|d| d.dst == dst && d.tag == tag);
         // …and may be deferred by the seeded reorder fault.
-        if must_defer || (reorder_hit && outbox.len() < self.cfg.max_deferred) {
+        if must_defer || (reorder_hit && outbox.len() < MAX_DEFERRED) {
             self.log.borrow_mut().push(format!("  deferred send(dst={dst}, tag={tag})"));
             outbox.push_back(Deferred {
                 dst,

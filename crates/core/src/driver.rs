@@ -7,7 +7,7 @@ use diffreg_comm::Comm;
 use diffreg_grid::{ScalarField, VectorField};
 use diffreg_optim::{gauss_newton_observed, NewtonReport, NewtonResume};
 use diffreg_telemetry::{IterRecord, SolverEvent, StreamEntry};
-use diffreg_transport::Workspace;
+use diffreg_transport::{SemiLagrangian, Workspace};
 
 use crate::checkpoint::{CheckpointStore, SolverCheckpoint};
 use crate::config::RegistrationConfig;
@@ -280,34 +280,32 @@ pub fn register_solve<C: Comm>(
     (outcome, reports)
 }
 
+/// The paper's synthetic problem (§IV-A1): the template is a sin² bump sum
+/// and the reference is the template transported by a known velocity of the
+/// given amplitude.
+pub fn synthetic_pair<C: Comm>(ws: &Workspace<C>, amplitude: f64) -> (ScalarField, ScalarField) {
+    let grid = ws.grid();
+    let rho_t = ScalarField::from_fn(&grid, ws.block(), |x| {
+        (x[0].sin().powi(2) + x[1].sin().powi(2) + x[2].sin().powi(2)) / 3.0
+    });
+    let v_star = VectorField::from_fn(&grid, ws.block(), |x| {
+        [
+            amplitude * x[0].cos() * x[1].sin(),
+            amplitude * x[1].cos() * x[0].sin(),
+            amplitude * x[0].cos() * x[2].sin(),
+        ]
+    });
+    let sl = SemiLagrangian::new(ws, &v_star, 4);
+    let rho_r = sl.solve_state(ws, &rho_t).pop().unwrap_or(rho_t.clone());
+    (rho_t, rho_r)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use diffreg_comm::{run_threaded, SerialComm};
     use diffreg_grid::{Decomp, Grid};
-    use diffreg_transport::{SemiLagrangian, SessionParts};
-
-    /// The paper's synthetic problem (§IV-A1): template is a sin² bump sum,
-    /// the reference is the template transported by a known velocity v*.
-    fn synthetic_pair<C: Comm>(
-        ws: &Workspace<C>,
-        amplitude: f64,
-    ) -> (ScalarField, ScalarField, VectorField) {
-        let grid = ws.grid();
-        let rho_t = ScalarField::from_fn(&grid, ws.block(), |x| {
-            (x[0].sin().powi(2) + x[1].sin().powi(2) + x[2].sin().powi(2)) / 3.0
-        });
-        let v_star = VectorField::from_fn(&grid, ws.block(), |x| {
-            [
-                amplitude * x[0].cos() * x[1].sin(),
-                amplitude * x[1].cos() * x[0].sin(),
-                amplitude * x[0].cos() * x[2].sin(),
-            ]
-        });
-        let sl = SemiLagrangian::new(ws, &v_star, 4);
-        let rho_r = sl.solve_state(ws, &rho_t).pop().unwrap();
-        (rho_t, rho_r, v_star)
-    }
+    use diffreg_transport::SessionParts;
 
     #[test]
     fn registration_reduces_mismatch_substantially() {
@@ -315,7 +313,7 @@ mod tests {
         let comm = SerialComm::new();
         let parts = SessionParts::new(&comm, grid);
         let ws = parts.workspace(&comm);
-        let (t, r, _) = synthetic_pair(&ws, 0.5);
+        let (t, r) = synthetic_pair(&ws, 0.5);
         let cfg = RegistrationConfig { beta: 1e-3, ..Default::default() };
         let out = register(&ws, &t, &r, cfg);
         assert!(
@@ -366,7 +364,7 @@ mod tests {
         let comm = SerialComm::new();
         let parts = SessionParts::new(&comm, grid);
         let ws = parts.workspace(&comm);
-        let (t, r, _) = synthetic_pair(&ws, 0.4);
+        let (t, r) = synthetic_pair(&ws, 0.4);
         let cfg = RegistrationConfig::default();
         let (out, reports) = register_with_continuation(&ws, &t, &r, cfg, &[1e-2, 1e-3]);
         assert_eq!(reports.len(), 2);
@@ -380,7 +378,7 @@ mod tests {
             let comm = SerialComm::new();
             let parts = SessionParts::new(&comm, grid);
             let ws = parts.workspace(&comm);
-            let (t, r, _) = synthetic_pair(&ws, 0.4);
+            let (t, r) = synthetic_pair(&ws, 0.4);
             let cfg = RegistrationConfig {
                 newton: diffreg_optim::NewtonOptions { max_iter: 2, ..Default::default() },
                 ..Default::default()
@@ -391,7 +389,7 @@ mod tests {
         run_threaded(4, move |comm| {
             let parts = SessionParts::with_decomp(comm, Decomp::with_process_grid(grid, 2, 2));
             let ws = parts.workspace(comm);
-            let (t, r, _) = synthetic_pair(&ws, 0.4);
+            let (t, r) = synthetic_pair(&ws, 0.4);
             let cfg = RegistrationConfig {
                 newton: diffreg_optim::NewtonOptions { max_iter: 2, ..Default::default() },
                 ..Default::default()

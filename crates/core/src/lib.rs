@@ -11,7 +11,9 @@
 //! * [`register`] (one β), [`register_with_continuation`] (β schedule) and
 //!   [`register_solve`] (the one implementation behind both: β schedule,
 //!   warm start, checkpoint store, convergence-stream observer);
-//! * deformation-map diagnostics (`det(∇y₁)`, diffeomorphy checks).
+//! * deformation-map diagnostics (`det(∇y₁)`, diffeomorphy checks);
+//! * [`synthetic_pair`] — the paper's synthetic problem (§IV-A1), the one
+//!   copy the tests, the bench harness and the serve runtime share.
 //!
 //! ```no_run
 //! use diffreg_comm::SerialComm;
@@ -46,7 +48,9 @@ mod rigid;
 pub use checkpoint::{CheckpointError, CheckpointStore, ResumeLoad, SolverCheckpoint};
 pub use config::{HessianKind, RegistrationConfig};
 pub use distance::Distance;
-pub use driver::{register, register_solve, register_with_continuation, RegistrationOutcome};
+pub use driver::{
+    register, register_solve, register_with_continuation, synthetic_pair, RegistrationOutcome,
+};
 pub use fieldops::FieldOps;
 pub use multires::{continuation_grids, register_multilevel};
 pub use jacobian::{

@@ -5,31 +5,13 @@
 
 use diffreg_comm::{run_threaded, run_threaded_checked, ChaosComm, ChaosConfig, Comm, SerialComm};
 use diffreg_core::{
-    register, register_solve, register_with_continuation, CheckpointStore, RegistrationConfig,
+    register, register_solve, register_with_continuation, synthetic_pair, CheckpointStore,
+    RegistrationConfig,
 };
-use diffreg_grid::{Decomp, Grid, ScalarField, VectorField};
+use diffreg_grid::{Decomp, Grid};
 use diffreg_optim::NewtonOptions;
 use diffreg_telemetry::StreamEntry;
-use diffreg_transport::{SemiLagrangian, SessionParts, Workspace};
-
-/// The paper's synthetic problem (§IV-A1): template is a sin² bump sum, the
-/// reference is the template transported by a known velocity.
-fn synthetic_pair<C: Comm>(ws: &Workspace<C>, amplitude: f64) -> (ScalarField, ScalarField) {
-    let grid = ws.grid();
-    let rho_t = ScalarField::from_fn(&grid, ws.block(), |x| {
-        (x[0].sin().powi(2) + x[1].sin().powi(2) + x[2].sin().powi(2)) / 3.0
-    });
-    let v_star = VectorField::from_fn(&grid, ws.block(), |x| {
-        [
-            amplitude * x[0].cos() * x[1].sin(),
-            amplitude * x[1].cos() * x[0].sin(),
-            amplitude * x[0].cos() * x[2].sin(),
-        ]
-    });
-    let sl = SemiLagrangian::new(ws, &v_star, 4);
-    let rho_r = sl.solve_state(ws, &rho_t).pop().unwrap();
-    (rho_t, rho_r)
-}
+use diffreg_transport::SessionParts;
 
 fn small_cfg() -> RegistrationConfig {
     RegistrationConfig {

@@ -10,27 +10,14 @@
 use diffreg_comm::{run_threaded, Comm, ThreadComm, Timers};
 use diffreg_core::{
     det_deformation_gradient, det_stats, displacement, register, register_solve, CheckpointStore,
-    RegProblem, RegistrationConfig, RegistrationOutcome,
+    synthetic_pair, RegProblem, RegistrationConfig, RegistrationOutcome,
 };
 use diffreg_grid::{Decomp, Grid, ScalarField, VectorField};
 use diffreg_optim::{gauss_newton_observed, GaussNewtonProblem, NewtonOptions, NewtonStatus};
 use diffreg_telemetry::{set_trace_enabled, take_recorder, RecKind};
-use diffreg_transport::{SemiLagrangian, SessionParts, Workspace};
+use diffreg_transport::{SessionParts, Workspace};
 
 const ROUTED: &str = "interp_points_routed";
-
-/// The synthetic problem of paper §IV-A1 on `ws`'s grid.
-fn synthetic_pair<C: Comm>(ws: &Workspace<C>) -> (ScalarField, ScalarField) {
-    let grid = ws.grid();
-    let rho_t = ScalarField::from_fn(&grid, ws.block(), |x| {
-        (x[0].sin().powi(2) + x[1].sin().powi(2) + x[2].sin().powi(2)) / 3.0
-    });
-    let v_star = VectorField::from_fn(&grid, ws.block(), |x| {
-        [0.4 * x[0].cos() * x[1].sin(), 0.4 * x[1].cos() * x[0].sin(), 0.4 * x[0].cos() * x[2].sin()]
-    });
-    let rho_r = SemiLagrangian::new(ws, &v_star, 4).solve_state(ws, &rho_t).pop().unwrap();
-    (rho_t, rho_r)
-}
 
 fn field<C: Comm>(ws: &Workspace<C>, a: f64) -> VectorField {
     VectorField::from_fn(&ws.grid(), ws.block(), |x| {
@@ -76,7 +63,7 @@ const ADOPTED: u64 = 2;
 #[test]
 fn accepted_trial_feeds_linearize_bit_for_bit() {
     on_grids(|ws, timers| {
-        let (t, r) = synthetic_pair(ws);
+        let (t, r) = synthetic_pair(ws, 0.4);
         let cfg = RegistrationConfig::default();
         let (v, d) = (field(ws, 0.1), field(ws, 0.03));
         let n = ws.block().len() as u64;
@@ -95,7 +82,7 @@ fn accepted_trial_feeds_linearize_bit_for_bit() {
 #[test]
 fn trial_one_ulp_away_misses_on_every_rank() {
     on_grids(|ws, timers| {
-        let (t, r) = synthetic_pair(ws);
+        let (t, r) = synthetic_pair(ws, 0.4);
         let cfg = RegistrationConfig::default();
         let (v, d) = (field(ws, 0.1), field(ws, 0.03));
         let n = ws.block().len() as u64;
@@ -119,7 +106,7 @@ fn trial_one_ulp_away_misses_on_every_rank() {
 #[test]
 fn only_the_last_trial_is_kept() {
     on_grids(|ws, timers| {
-        let (t, r) = synthetic_pair(ws);
+        let (t, r) = synthetic_pair(ws, 0.4);
         let cfg = RegistrationConfig::default();
         let (a, b, d) = (field(ws, 0.1), field(ws, 0.05), field(ws, 0.03));
         let n = ws.block().len() as u64;
@@ -197,7 +184,7 @@ fn register_solve_post_processing_matches_public_pieces() {
             let decomp = Decomp::with_process_grid(Grid::new(dims), p1, p2);
             let parts = SessionParts::with_decomp(comm, decomp);
             let ws = parts.workspace(comm);
-            let (t, r) = synthetic_pair(&ws);
+            let (t, r) = synthetic_pair(&ws, 0.4);
             let cfg = RegistrationConfig { newton, ..Default::default() };
             let (want, status) = public_pieces(&ws, &t, &r, cfg, betas);
             assert_eq!(status, expect, "{dims:?}");
@@ -239,7 +226,7 @@ fn one_register_builds_each_velocity_once() {
         set_trace_enabled(true);
         let parts = SessionParts::new(comm, Grid::cubic(16));
         let ws = parts.workspace(comm);
-        let (t, r) = synthetic_pair(&ws);
+        let (t, r) = synthetic_pair(&ws, 0.4);
         ws.timers.reset();
         let _ = take_recorder();
         let out = register(&ws, &t, &r, RegistrationConfig::default());

@@ -7,32 +7,18 @@
 //! `register_with_continuation_logged` wrote for the same problem
 //! (`tests/golden/`, captured at the parent commit of the merge).
 
-use diffreg_comm::{run_threaded, Comm, SerialComm};
+use diffreg_comm::{run_threaded, SerialComm};
 use diffreg_core::{
-    register, register_solve, register_with_continuation, CheckpointStore, RegProblem,
-    RegistrationConfig, RegistrationOutcome,
+    register, register_solve, register_with_continuation, synthetic_pair, CheckpointStore,
+    RegProblem, RegistrationConfig, RegistrationOutcome,
 };
 use diffreg_grid::{Grid, ScalarField, VectorField};
 use diffreg_interp::Kernel;
 use diffreg_optim::{GaussNewtonProblem, NewtonOptions, NewtonReport, NewtonStatus};
 use diffreg_telemetry::{ConvergenceLog, StreamEntry};
-use diffreg_transport::{SemiLagrangian, SessionParts, Workspace};
+use diffreg_transport::{SessionParts, Workspace};
 
 const BETAS: [f64; 2] = [1e-2, 1e-3];
-
-/// The synthetic problem of paper §IV-A1 on `ws`'s grid.
-fn synthetic_pair<C: Comm>(ws: &Workspace<C>) -> (ScalarField, ScalarField) {
-    let grid = ws.grid();
-    let rho_t = ScalarField::from_fn(&grid, ws.block(), |x| {
-        (x[0].sin().powi(2) + x[1].sin().powi(2) + x[2].sin().powi(2)) / 3.0
-    });
-    let v_star = VectorField::from_fn(&grid, ws.block(), |x| {
-        [0.4 * x[0].cos() * x[1].sin(), 0.4 * x[1].cos() * x[0].sin(), 0.4 * x[0].cos() * x[2].sin()]
-    });
-    let sl = SemiLagrangian::new(ws, &v_star, 4);
-    let rho_r = sl.solve_state(ws, &rho_t).pop().unwrap();
-    (rho_t, rho_r)
-}
 
 /// Runs `body` on the 12³ serial synthetic problem.
 fn on_problem<R>(
@@ -42,7 +28,7 @@ fn on_problem<R>(
     let comm = SerialComm::new();
     let parts = SessionParts::new(&comm, grid);
     let ws = parts.workspace(&comm);
-    let (rho_t, rho_r) = synthetic_pair(&ws);
+    let (rho_t, rho_r) = synthetic_pair(&ws, 0.4);
     body(&ws, &rho_t, &rho_r)
 }
 
@@ -227,7 +213,7 @@ fn non_cubic_solve_is_diffeomorphic_and_agrees_across_rank_counts() {
         let per_rank = run_threaded(p, move |comm| {
             let parts = SessionParts::new(comm, grid);
             let ws = parts.workspace(comm);
-            let (t, r) = synthetic_pair(&ws);
+            let (t, r) = synthetic_pair(&ws, 0.4);
             let cfg = RegistrationConfig::default();
             let store = CheckpointStore::Disabled;
             let (out, reports) = register_solve(&ws, &t, &r, cfg, betas, None, &store, |_| {});

@@ -11,35 +11,18 @@
 //! The grid is 16³ in debug builds so tier-1 stays fast and 32³ in release.
 
 use diffreg_comm::{run_threaded, Comm};
-use diffreg_core::{register_solve, CheckpointStore, RegistrationConfig};
-use diffreg_grid::{Decomp, Grid, ScalarField, VectorField};
+use diffreg_core::{register_solve, synthetic_pair, CheckpointStore, RegistrationConfig};
+use diffreg_grid::{Decomp, Grid};
 use diffreg_telemetry::doctor::RankCapture;
 use diffreg_telemetry::{
     chrome_trace, collect_phase_report, set_trace_enabled, take_recorder,
     validate_chrome_trace, ConvergenceLog, Json, PhaseReport, PredictedPhases,
     RecorderSnapshot,
 };
-use diffreg_transport::{SemiLagrangian, SessionParts, Workspace};
+use diffreg_transport::SessionParts;
 
 fn smoke_size() -> usize {
     if cfg!(debug_assertions) { 16 } else { 32 }
-}
-
-fn synthetic_pair<C: Comm>(ws: &Workspace<C>) -> (ScalarField, ScalarField) {
-    let grid = ws.grid();
-    let rho_t = ScalarField::from_fn(&grid, ws.block(), |x| {
-        (x[0].sin().powi(2) + x[1].sin().powi(2) + x[2].sin().powi(2)) / 3.0
-    });
-    let v_star = VectorField::from_fn(&grid, ws.block(), |x| {
-        [
-            0.4 * x[0].cos() * x[1].sin(),
-            0.4 * x[1].cos() * x[0].sin(),
-            0.4 * x[0].cos() * x[2].sin(),
-        ]
-    });
-    let sl = SemiLagrangian::new(ws, &v_star, 4);
-    let rho_r = sl.solve_state(ws, &rho_t).pop().unwrap();
-    (rho_t, rho_r)
 }
 
 #[test]
@@ -54,7 +37,7 @@ fn traced_registration_produces_all_three_artifacts() {
             set_trace_enabled(true);
             let parts = SessionParts::with_decomp(comm, Decomp::with_process_grid(grid, 2, 2));
             let ws = parts.workspace(comm);
-            let (t, r) = synthetic_pair(&ws);
+            let (t, r) = synthetic_pair(&ws, 0.4);
             let cfg = RegistrationConfig {
                 newton: diffreg_optim::NewtonOptions { max_iter: 3, ..Default::default() },
                 ..Default::default()

@@ -49,7 +49,7 @@ fn write_test_bundle(base: &PathBuf) -> PathBuf {
         gang_ranks: vec![0, 1],
         slo_firing: Vec::new(),
     };
-    write_incident_bundle(base, header, &captures, None, None).unwrap()
+    write_incident_bundle(base, &header, &captures, None, None).unwrap()
 }
 
 #[test]

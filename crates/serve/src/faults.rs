@@ -1,17 +1,16 @@
 //! Per-attempt fault plans for chaos drills against the serving runtime.
 //!
-//! The runtime asks its [`FaultInjector`] what to do to each `(job,
+//! The runtime asks its [`PlannedFaults`] what to do to each `(job,
 //! attempt)` pair and wires the answer into a [`ChaosComm`] wrapped around
 //! the gang communicator (plus an optional checkpoint-corruption drill).
-//! Injectors are pure functions of `(job, attempt)`, so a campaign replays
+//! A plan is a pure function of `(job, attempt)`, so a campaign replays
 //! bit-identically: the same plan produces the same kills at the same
-//! collective epochs in the same gangs.
+//! collective epochs in the same gangs. An empty plan is production mode; a
+//! seeded campaign draws its plan up front from its own `Rng`.
 //!
 //! [`ChaosComm`]: diffreg_comm::ChaosComm
 
 use std::collections::HashMap;
-
-use diffreg_testkit::Rng;
 
 use crate::job::JobId;
 
@@ -40,31 +39,11 @@ impl AttemptFaults {
     pub fn none() -> Self {
         Self::default()
     }
-
-    /// True when the attempt runs completely clean.
-    pub fn is_clean(&self) -> bool {
-        *self == Self::default()
-    }
 }
 
-/// Decides the faults for each `(job, attempt)`. Must be pure: the runtime
-/// may ask from any pool rank and all ranks must hear the same answer.
-pub trait FaultInjector: Send + Sync {
-    /// The fault plan for `attempt` (1-based) of `job`.
-    fn faults(&self, job: JobId, attempt: u32) -> AttemptFaults;
-}
-
-/// Injects nothing — production mode.
-pub struct NoFaults;
-
-impl FaultInjector for NoFaults {
-    fn faults(&self, _job: JobId, _attempt: u32) -> AttemptFaults {
-        AttemptFaults::none()
-    }
-}
-
-/// An explicit per-(job, attempt) plan — the load test's precision tool.
-#[derive(Default)]
+/// An explicit per-(job, attempt) plan; every attempt it does not name runs
+/// clean.
+#[derive(Debug, Clone, Default)]
 pub struct PlannedFaults {
     plan: HashMap<(JobId, u32), AttemptFaults>,
 }
@@ -85,54 +64,10 @@ impl PlannedFaults {
         self.insert(job, attempt, faults);
         self
     }
-}
 
-impl FaultInjector for PlannedFaults {
-    fn faults(&self, job: JobId, attempt: u32) -> AttemptFaults {
+    /// The faults for `attempt` (1-based) of `job`.
+    pub fn faults(&self, job: JobId, attempt: u32) -> AttemptFaults {
         self.plan.get(&(job, attempt)).cloned().unwrap_or_default()
-    }
-}
-
-/// Seeded probabilistic campaign chaos: each job's *first* attempt draws
-/// kill / stall / corruption faults from a per-job RNG stream; retries run
-/// clean, so every faulted job terminates within one retry. Deterministic —
-/// the draw depends only on `(seed, job)`.
-pub struct SeededFaults {
-    /// Master seed.
-    pub seed: u64,
-    /// Probability the first attempt is killed mid-collective.
-    pub kill_prob: f64,
-    /// Probability the first attempt stalls past the watchdog.
-    pub stall_prob: f64,
-    /// Probability the job's checkpoint store is corrupted before its first
-    /// attempt.
-    pub corrupt_prob: f64,
-    /// Kill/stall epochs are drawn from `1..=max_epoch`.
-    pub max_epoch: u64,
-    /// Stall duration (choose ≫ the runtime watchdog).
-    pub stall_ms: u64,
-    /// Faulted ranks are drawn from `0..gang_hint`.
-    pub gang_hint: usize,
-}
-
-impl FaultInjector for SeededFaults {
-    fn faults(&self, job: JobId, attempt: u32) -> AttemptFaults {
-        if attempt > 1 {
-            return AttemptFaults::none();
-        }
-        let mut rng = Rng::new(self.seed).fork(job);
-        let kill = rng.chance(self.kill_prob);
-        let stall = rng.chance(self.stall_prob);
-        let corrupt = rng.chance(self.corrupt_prob);
-        let rank = rng.index(self.gang_hint.max(1));
-        let epoch = rng.index(self.max_epoch.max(1) as usize) as u64 + 1;
-        AttemptFaults {
-            kill_at_epoch: kill.then_some((rank, epoch)),
-            stall_at_epoch: (!kill && stall).then_some((rank, epoch, self.stall_ms)),
-            latency: None,
-            corrupt_checkpoint: corrupt,
-            seed: self.seed ^ job,
-        }
     }
 }
 
@@ -148,34 +83,7 @@ mod tests {
             AttemptFaults { kill_at_epoch: Some((0, 5)), ..AttemptFaults::none() },
         );
         assert_eq!(plan.faults(3, 1).kill_at_epoch, Some((0, 5)));
-        assert!(plan.faults(3, 2).is_clean());
-        assert!(plan.faults(4, 1).is_clean());
-    }
-
-    #[test]
-    fn seeded_faults_replay_and_spare_retries() {
-        let inj = SeededFaults {
-            seed: 11,
-            kill_prob: 0.5,
-            stall_prob: 0.3,
-            corrupt_prob: 0.2,
-            max_epoch: 9,
-            stall_ms: 1000,
-            gang_hint: 4,
-        };
-        let mut faulted = 0;
-        for job in 0..64 {
-            let a = inj.faults(job, 1);
-            assert_eq!(a, inj.faults(job, 1), "same (job, attempt) must replay");
-            assert!(inj.faults(job, 2).is_clean(), "retries must run clean");
-            assert!(
-                !(a.kill_at_epoch.is_some() && a.stall_at_epoch.is_some()),
-                "kill and stall are mutually exclusive"
-            );
-            if !a.is_clean() {
-                faulted += 1;
-            }
-        }
-        assert!(faulted > 10, "with these probabilities most jobs see some fault");
+        assert_eq!(plan.faults(3, 2), AttemptFaults::none());
+        assert_eq!(plan.faults(4, 1), AttemptFaults::none());
     }
 }

@@ -27,20 +27,23 @@
 //!   queue depth, retry/recovery counters, and latency histograms, and an
 //!   opt-in read-only HTTP plane ([`http`]) serving metrics, the live job
 //!   table, SLO state, incidents, and flamegraph snapshots from
-//!   round-boundary snapshots. An incident bundle holds each gang rank's
-//!   event ring of the attempt: spans, lifecycle events and comm records in
-//!   one stream, one file per rank ([`incident`]).
+//!   round-boundary snapshots. Each incident is one
+//!   [`IncidentContext`](diffreg_telemetry::incident::IncidentContext),
+//!   built by the fold on every rank: the summary holds it, its bundle's
+//!   header carries it next to each gang rank's event ring of the attempt,
+//!   and `/incidents` serves it.
 //!
-//! Chaos drills are first-class: a [`FaultInjector`] plans kills, stalls,
+//! Chaos drills are first-class: a [`PlannedFaults`] plans kills, stalls,
 //! and checkpoint corruption per `(job, attempt)`, and the whole campaign
 //! replays deterministically ([`faults`]).
 //!
 //! ```
 //! use std::sync::Arc;
 //! use diffreg_comm::run_threaded;
-//! use diffreg_serve::{JobSpec, NoFaults, ServeConfig, ServeHarness};
+//! use diffreg_serve::{JobSpec, ServeConfig, ServeHarness};
 //!
-//! let harness = ServeHarness::new(ServeConfig::default(), Arc::new(NoFaults));
+//! // An empty fault plan is production behavior.
+//! let harness = ServeHarness::new(ServeConfig::default(), Arc::default());
 //! harness.submit(JobSpec::new(1, 8).with_gang(2).with_newton_iters(1));
 //! harness.close_intake();
 //! let h = harness.clone();
@@ -54,18 +57,15 @@
 
 pub mod faults;
 pub mod http;
-pub mod incident;
 pub mod job;
 pub mod runtime;
 pub mod scheduler;
 pub mod slo;
 
-pub use faults::{AttemptFaults, FaultInjector, NoFaults, PlannedFaults, SeededFaults};
+pub use diffreg_core::synthetic_pair;
+pub use faults::{AttemptFaults, PlannedFaults};
 pub use http::{HttpServer, ObsSnapshot};
 pub use job::{JobId, JobRecord, JobResult, JobSpec, JobState};
-pub use runtime::{
-    attempt_epoch_count, reference_digest, synthetic_pair, ServeConfig, ServeHarness, ServeSummary,
-};
-pub use incident::IncidentRecord;
+pub use runtime::{attempt_epoch_count, reference_digest, ServeConfig, ServeHarness, ServeSummary};
 pub use scheduler::{plan_round, Assignment};
 pub use slo::{burn_milli, AlertState, Objective, SloAlert, SloEngine, SloPolicy};

@@ -52,20 +52,21 @@ use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
 use diffreg_comm::{run_gang, run_threaded, ChaosComm, ChaosConfig, Comm, Fnv1a, ThreadComm};
-use diffreg_core::{register_solve, CheckpointStore, RegistrationConfig};
-use diffreg_grid::{Grid, ScalarField, VectorField};
+use diffreg_core::{register_solve, synthetic_pair, CheckpointStore, RegistrationConfig};
+use diffreg_grid::Grid;
 use diffreg_optim::NewtonOptions;
 use diffreg_telemetry::doctor::{write_trace_bundle, RankCapture};
-use diffreg_telemetry::incident::{write_incident_bundle, Failure, IncidentContext};
+use diffreg_telemetry::incident::{
+    write_incident_bundle, Failure, IncidentContext, IncidentTrigger,
+};
 use diffreg_telemetry::{
     record_event, set_trace_enabled, snapshot_recorder, span, take_recorder, trace_enabled,
     ConvergenceLog, Json, MetricsRegistry, Profile, RecKind, StreamEntry,
 };
-use diffreg_transport::{SemiLagrangian, SessionParts, Workspace};
+use diffreg_transport::SessionParts;
 
-use crate::faults::{AttemptFaults, FaultInjector};
+use crate::faults::{AttemptFaults, PlannedFaults};
 use crate::http::{HttpServer, ObsSlot, ObsSnapshot};
-use crate::incident::{CaptureStage, IncidentRecord, IncidentTrigger};
 use crate::job::{backoff_rounds, JobId, JobRecord, JobResult, JobSpec, JobState};
 use crate::scheduler::{plan_round, Assignment};
 use crate::slo::{AlertState, SloEngine, SloPolicy};
@@ -87,6 +88,13 @@ const DEGRADE_AFTER: u32 = 2;
 
 /// Convergence-log entries captured into each incident bundle's tail.
 const INCIDENT_TAIL: usize = 64;
+
+/// Capture staging: `(job, attempt) → gang rank → capture`, the one place an
+/// attempt's capture waits for an incident bundle or the traced-job bundle.
+/// Shared across all pool ranks (they are threads of one process); rank 0
+/// reads it when writing bundles and, at the end of each fold, drops every
+/// entry but the traced job's.
+type CaptureStage = BTreeMap<(JobId, u32), BTreeMap<usize, RankCapture>>;
 
 /// Serving-runtime configuration.
 #[derive(Debug, Clone)]
@@ -144,9 +152,10 @@ pub struct ServeSummary {
     pub rejected: Vec<JobId>,
     /// Final job table.
     pub records: BTreeMap<JobId, JobRecord>,
-    /// Fold-derived incident records, in deterministic trigger order
-    /// (identical on every rank and across seeded replays).
-    pub incidents: Vec<IncidentRecord>,
+    /// Fold-derived incidents, in deterministic trigger order (identical
+    /// on every rank and across seeded replays); each bundle's header
+    /// carries the same value.
+    pub incidents: Vec<IncidentContext>,
     /// Rendered SLO alert-log lines, in transition order (empty when no
     /// SLO policy is configured).
     pub slo_alerts: Vec<String>,
@@ -221,7 +230,7 @@ fn classify(payload: &str) -> Failure {
 #[derive(Clone)]
 pub struct ServeHarness {
     cfg: ServeConfig,
-    injector: Arc<dyn FaultInjector>,
+    faults: Arc<PlannedFaults>,
     inbox: Arc<Mutex<Vec<JobSpec>>>,
     cancel_inbox: Arc<Mutex<Vec<JobId>>>,
     intake_open: Arc<AtomicBool>,
@@ -234,12 +243,12 @@ pub struct ServeHarness {
 }
 
 impl ServeHarness {
-    /// A new deployment with the given config and fault plan (use
-    /// [`NoFaults`](crate::faults::NoFaults) for production behavior).
-    pub fn new(cfg: ServeConfig, injector: Arc<dyn FaultInjector>) -> Self {
+    /// A new deployment with the given config and fault plan (an empty
+    /// plan, `Arc::default()`, is production behavior).
+    pub fn new(cfg: ServeConfig, faults: Arc<PlannedFaults>) -> Self {
         Self {
             cfg,
-            injector,
+            faults,
             inbox: Arc::new(Mutex::new(Vec::new())),
             cancel_inbox: Arc::new(Mutex::new(Vec::new())),
             intake_open: Arc::new(AtomicBool::new(true)),
@@ -490,7 +499,7 @@ impl ServeHarness {
         let spec = rec.spec.clone();
         let attempt = rec.attempts;
         let gang_size = a.ranks.len();
-        let faults = self.injector.faults(spec.id, attempt);
+        let faults = self.faults.faults(spec.id, attempt);
         let store = self.store_for(&spec);
         sub.set_timeout(self.cfg.watchdog);
         if self.stages(spec.id) {
@@ -513,23 +522,7 @@ impl ServeHarness {
                     store.inject_corruption(r);
                 }
             }
-            chaos.barrier();
-
-            // Resume agreement: all-or-nothing, same-point-or-fresh.
-            let my = store.load_for_resume(chaos.rank());
-            let fp = my
-                .checkpoint
-                .as_ref()
-                .map(|c| 1.0 + c.level as f64 * 1.0e9 + c.completed_iters as f64)
-                .unwrap_or(0.0);
-            let (lo, hi) = (chaos.min_f64(fp), chaos.max_f64(fp));
-            let inconsistent = lo.to_bits() != hi.to_bits();
-            if inconsistent {
-                store.clear(chaos.rank());
-            }
-            chaos.barrier();
-            let resumed = !inconsistent && my.checkpoint.is_some();
-            let fell_back = !inconsistent && my.fell_back;
+            let (resumed, fell_back, inconsistent) = agree_on_resume(&chaos, &store);
 
             if chaos.rank() == 0 {
                 let mut logs = lock(&self.logs);
@@ -609,7 +602,7 @@ struct Replica<'h> {
     round: u64,
     table: BTreeMap<JobId, JobRecord>,
     rejected: Vec<JobId>,
-    incidents: Vec<IncidentRecord>,
+    incidents: Vec<IncidentContext>,
     slo: Option<SloEngine>,
     /// Rank 0 only: submission instants, for the latency histograms.
     submitted: HashMap<JobId, Instant>,
@@ -853,40 +846,38 @@ impl<'h> Replica<'h> {
         self.file(job, attempt, &tenant, inc);
     }
 
-    /// Files one incident: the replicated record on every rank; on rank 0
-    /// its `serve_incidents_total` count and, with an `incident_dir`, its
-    /// bundle, written from the attempt's staged captures.
+    /// Files one incident: every rank builds the same context from
+    /// replicated data and keeps it; rank 0 counts it in
+    /// `serve_incidents_total` and, with an `incident_dir`, writes that
+    /// context's bundle from the attempt's staged captures.
     fn file(&mut self, job: JobId, attempt: u32, tenant: &str, inc: Incident<'_>) {
-        let (seq, trigger, round) = (self.incidents.len() as u64, inc.trigger, self.round);
-        let reason = inc.reason.to_string();
-        let record = IncidentRecord { seq, trigger, job, attempt, round, reason: reason.clone() };
-        self.incidents.push(record);
-        if self.me != 0 {
-            return;
-        }
-        self.count(&format!("serve_incidents_total{{trigger=\"{}\"}}", trigger.name()));
-        let Some(dir) = &self.h.cfg.incident_dir else { return };
-        let captures: Vec<RankCapture> = lock(&self.h.stage)
-            .get(&(job, attempt))
-            .map(|m| m.values().cloned().collect())
-            .unwrap_or_default();
-        let tail = lock(&self.h.logs).get(&job).map(|l| l.tail(INCIDENT_TAIL));
-        let metrics = lock(&self.h.metrics).clone();
         let context = IncidentContext {
-            seq,
-            trigger,
+            seq: self.incidents.len() as u64,
+            trigger: inc.trigger,
             job,
             attempt,
-            round,
+            round: self.round,
             tenant: tenant.to_string(),
-            reason,
+            reason: inc.reason.to_string(),
             detail: inc.detail,
             gang_ranks: inc.gang.to_vec(),
             slo_firing: self.slo.as_ref().map(SloEngine::firing).unwrap_or_default(),
         };
-        if write_incident_bundle(dir, context, &captures, tail.as_ref(), Some(&metrics)).is_err() {
-            self.count("serve_incident_write_errors_total");
+        self.count(&format!("serve_incidents_total{{trigger=\"{}\"}}", inc.trigger.name()));
+        if let Some(dir) = self.h.cfg.incident_dir.as_ref().filter(|_| self.me == 0) {
+            let captures: Vec<RankCapture> = lock(&self.h.stage)
+                .get(&(job, attempt))
+                .map(|m| m.values().cloned().collect())
+                .unwrap_or_default();
+            let tail = lock(&self.h.logs).get(&job).map(|l| l.tail(INCIDENT_TAIL));
+            let metrics = lock(&self.h.metrics).clone();
+            if write_incident_bundle(dir, &context, &captures, tail.as_ref(), Some(&metrics))
+                .is_err()
+            {
+                self.count("serve_incident_write_errors_total");
+            }
         }
+        self.incidents.push(context);
     }
 
     /// Ends the round for the SLO engine: windows rotate, alert
@@ -976,22 +967,8 @@ impl<'h> Replica<'h> {
                 .to_string(),
             None => Json::obj().set("round", round).set("disabled", true).to_string(),
         };
-        let incidents_json = {
-            let items: Vec<Json> = self
-                .incidents
-                .iter()
-                .map(|i| {
-                    Json::obj()
-                        .set("seq", i.seq)
-                        .set("trigger", i.trigger.name())
-                        .set("job", i.job)
-                        .set("attempt", i.attempt)
-                        .set("round", i.round)
-                        .set("reason", i.reason.as_str())
-                })
-                .collect();
-            Json::obj().set("round", round).set("incidents", items).to_string()
-        };
+        let items: Vec<Json> = self.incidents.iter().map(IncidentContext::to_json).collect();
+        let incidents_json = Json::obj().set("round", round).set("incidents", items).to_string();
         let profile = Profile::from_recorders([(0, &snapshot_recorder())]);
         let snap = ObsSnapshot {
             round,
@@ -1032,24 +1009,26 @@ fn chaos_config(faults: &AttemptFaults, spec: &JobSpec) -> ChaosConfig {
     cfg
 }
 
-/// The serving runtime's synthetic problem (paper §IV-A1): the template is
-/// a sin² bump sum and the reference is the template transported by a known
-/// velocity of the given amplitude.
-pub fn synthetic_pair<C: Comm>(ws: &Workspace<C>, amplitude: f64) -> (ScalarField, ScalarField) {
-    let grid = ws.grid();
-    let rho_t = ScalarField::from_fn(&grid, ws.block(), |x| {
-        (x[0].sin().powi(2) + x[1].sin().powi(2) + x[2].sin().powi(2)) / 3.0
-    });
-    let v_star = VectorField::from_fn(&grid, ws.block(), |x| {
-        [
-            amplitude * x[0].cos() * x[1].sin(),
-            amplitude * x[1].cos() * x[0].sin(),
-            amplitude * x[0].cos() * x[2].sin(),
-        ]
-    });
-    let sl = SemiLagrangian::new(ws, &v_star, 4);
-    let rho_r = sl.solve_state(ws, &rho_t).pop().unwrap_or(rho_t.clone());
-    (rho_t, rho_r)
+/// The attempt prologue: the gang agrees on its resume point, all-or-nothing
+/// and same-point-or-fresh. Each member loads its slot with validated
+/// fallback and the gang compares a fingerprint of `(level,
+/// completed_iters)`; on disagreement every member drops its checkpoint.
+/// Returns `(resumed, fell_back, inconsistent)`.
+fn agree_on_resume<C: Comm>(comm: &C, store: &CheckpointStore) -> (bool, bool, bool) {
+    comm.barrier();
+    let my = store.load_for_resume(comm.rank());
+    let fp = my
+        .checkpoint
+        .as_ref()
+        .map(|c| 1.0 + c.level as f64 * 1.0e9 + c.completed_iters as f64)
+        .unwrap_or(0.0);
+    let (lo, hi) = (comm.min_f64(fp), comm.max_f64(fp));
+    let inconsistent = lo.to_bits() != hi.to_bits();
+    if inconsistent {
+        store.clear(comm.rank());
+    }
+    comm.barrier();
+    (!inconsistent && my.checkpoint.is_some(), !inconsistent && my.fell_back, inconsistent)
 }
 
 /// Solves `spec`'s problem on `comm` (one gang) and returns
@@ -1089,20 +1068,17 @@ fn solve_once<C: Comm>(
 }
 
 /// Replays the collective sequence of one fresh (no-checkpoint) attempt of
-/// `spec` on a clean dedicated `gang_size`-rank world and returns how many
-/// collective epochs it executes. Epoch-keyed fault plans use this as their
-/// coordinate system: a kill at ~70% of the count lands inside the last
-/// continuation level, after checkpoints have been written but before the
-/// driver clears them on success.
+/// `spec` — the attempt's resume agreement, then the solve — on a clean
+/// dedicated `gang_size`-rank world and returns how many collective epochs
+/// it executes. Epoch-keyed fault plans use this as their coordinate
+/// system: a kill at ~70% of the count lands inside the last continuation
+/// level, after checkpoints have been written but before the driver clears
+/// them on success.
 pub fn attempt_epoch_count(spec: &JobSpec, gang_size: usize) -> u64 {
     let spec = spec.clone();
     let counts = run_threaded(gang_size, move |comm| {
         let chaos = ChaosComm::new(comm, ChaosConfig::seeded(0));
-        chaos.barrier();
-        let fp = 0.0f64;
-        let _ = chaos.min_f64(fp);
-        let _ = chaos.max_f64(fp);
-        chaos.barrier();
+        let _ = agree_on_resume(&chaos, &CheckpointStore::Disabled);
         let _ = solve_once(&chaos, &spec, &CheckpointStore::Disabled, |_| {});
         chaos.epochs_executed()
     });

@@ -18,6 +18,7 @@ use diffreg_serve::{
     AttemptFaults, JobSpec, JobState, PlannedFaults, ServeConfig, ServeHarness, ServeSummary,
     SloPolicy,
 };
+use diffreg_telemetry::incident::IncidentContext;
 use diffreg_telemetry::Json;
 
 const JOBS: usize = 16;
@@ -266,7 +267,16 @@ fn live_endpoints_answer_while_jobs_run_and_never_perturb_digests() {
     // Final snapshot's other panes are well-formed too.
     assert_prometheus_parseable(&snap.metrics_text);
     Json::parse(&snap.slo_json).expect("final slo json");
-    Json::parse(&snap.incidents_json).expect("final incidents json");
+    // `/incidents` serves the summary's incident records themselves.
+    let incidents = Json::parse(&snap.incidents_json).expect("final incidents json");
+    let served: Vec<IncidentContext> = incidents
+        .get("incidents")
+        .and_then(Json::as_arr)
+        .expect("incident list")
+        .iter()
+        .map(|j| IncidentContext::from_json(j).expect("incident record"))
+        .collect();
+    assert_eq!(served, s_http.incidents, "/incidents vs the summary");
     assert!(
         snap.profile_folded.lines().last().is_some_and(|l| l.starts_with("[dropped] ")),
         "profile trailer:\n{}",

@@ -21,18 +21,18 @@
 //! **11 bundles total**. The watchdog bundle's triage must name the
 //! stalled gang rank, and the kill bundle's triage the killed rank.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::Duration;
 
 use diffreg_comm::run_threaded;
 use diffreg_serve::{
-    attempt_epoch_count, AttemptFaults, FaultInjector, IncidentRecord, JobId, JobSpec,
-    JobState, PlannedFaults, ServeConfig, ServeHarness, ServeSummary, SloPolicy,
+    attempt_epoch_count, AttemptFaults, JobId, JobSpec, JobState, PlannedFaults, ServeConfig,
+    ServeHarness, ServeSummary, SloPolicy,
 };
 use diffreg_telemetry::incident::{
-    analyze_incident, gate_incident, load_incident_bundle, IncidentTrigger,
+    analyze_incident, gate_incident, load_incident_bundle, IncidentContext, IncidentTrigger,
 };
 
 /// SLO policy for the drill: latency objectives that cannot breach, a 90%
@@ -147,17 +147,7 @@ fn run_drill(d: &Drill, incident_dir: &Path) -> (ServeSummary, ServeHarness) {
         slo: Some(drill_policy()),
         ..ServeConfig::default()
     };
-    // PlannedFaults is not Clone; rebuild by re-querying the plan.
-    let mut faults = PlannedFaults::new();
-    for spec in &d.specs {
-        for attempt in 1..=4u32 {
-            let f = d.faults.faults(spec.id, attempt);
-            if !f.is_clean() {
-                faults.insert(spec.id, attempt, f);
-            }
-        }
-    }
-    let harness = ServeHarness::new(cfg, Arc::new(faults));
+    let harness = ServeHarness::new(cfg, Arc::new(d.faults.clone()));
     for spec in &d.specs {
         harness.submit(spec.clone());
     }
@@ -177,7 +167,7 @@ fn trigger_count(s: &ServeSummary, t: IncidentTrigger) -> usize {
     s.incidents.iter().filter(|i| i.trigger == t).count()
 }
 
-fn bundle_dir(base: &Path, rec: &IncidentRecord) -> PathBuf {
+fn bundle_dir(base: &Path, rec: &IncidentContext) -> PathBuf {
     base.join(format!("incident-{:03}-{}", rec.seq, rec.trigger.name()))
 }
 
@@ -223,13 +213,13 @@ fn chaos_drill_emits_expected_gated_bundles_and_replays_byte_identically() {
     }
 
     // Both tenants with a burned success budget alert exactly once.
-    let slo_tenants: Vec<&str> = s1
+    let slo_tenants: BTreeSet<&str> = s1
         .incidents
         .iter()
         .filter(|i| i.trigger == IncidentTrigger::SloBurnRate)
-        .map(|i| i.reason.as_str())
+        .map(|i| i.tenant.as_str())
         .collect();
-    assert_eq!(slo_tenants, ["slo", "slo"]);
+    assert_eq!(slo_tenants, BTreeSet::from(["deadline", "flaky"]));
     assert!(
         s1.slo_alerts.iter().any(|l| l.contains("deadline/success-rate") && l.contains("FIRING")),
         "missing deadline tenant alert in {:?}",
@@ -250,6 +240,7 @@ fn chaos_drill_emits_expected_gated_bundles_and_replays_byte_identically() {
         for dir in [&dir1, &dir2] {
             let bundle = load_incident_bundle(dir)
                 .unwrap_or_else(|e| panic!("load {}: {e}", dir.display()));
+            assert_eq!(bundle.header.context, *rec, "{}: header vs summary", dir.display());
             let analysis = analyze_incident(&bundle);
             gate_incident(&bundle, &analysis)
                 .unwrap_or_else(|e| panic!("gate {}: {e}", dir.display()));

@@ -22,8 +22,8 @@ use std::time::Duration;
 
 use diffreg_comm::run_threaded;
 use diffreg_serve::{
-    attempt_epoch_count, reference_digest, AttemptFaults, FaultInjector, JobId, JobSpec,
-    JobState, PlannedFaults, ServeConfig, ServeHarness, ServeSummary,
+    attempt_epoch_count, reference_digest, AttemptFaults, JobId, JobSpec, JobState,
+    PlannedFaults, ServeConfig, ServeHarness, ServeSummary,
 };
 
 /// The deterministic chaos campaign: a four-class job mix with fault slots
@@ -153,18 +153,7 @@ fn run_campaign(c: &Campaign, pool: usize, watchdog_ms: u64, trace_job: Option<J
         trace_job,
         ..ServeConfig::default()
     };
-    let mut faults = PlannedFaults::new();
-    // PlannedFaults is not Clone; rebuild from the campaign's plan by
-    // re-querying it (pure function of (job, attempt)).
-    for spec in &c.specs {
-        for attempt in 1..=4u32 {
-            let f = c.faults.faults(spec.id, attempt);
-            if !f.is_clean() {
-                faults.insert(spec.id, attempt, f);
-            }
-        }
-    }
-    let harness = ServeHarness::new(cfg, Arc::new(faults));
+    let harness = ServeHarness::new(cfg, Arc::new(c.faults.clone()));
     for spec in &c.specs {
         harness.submit(spec.clone());
     }

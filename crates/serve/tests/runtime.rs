@@ -8,8 +8,8 @@ use std::time::Duration;
 
 use diffreg_comm::run_threaded;
 use diffreg_serve::{
-    attempt_epoch_count, reference_digest, AttemptFaults, JobSpec, JobState, NoFaults,
-    PlannedFaults, ServeConfig, ServeHarness, ServeSummary,
+    attempt_epoch_count, reference_digest, AttemptFaults, JobSpec, JobState, PlannedFaults,
+    ServeConfig, ServeHarness, ServeSummary,
 };
 use diffreg_telemetry::StreamEntry;
 
@@ -29,7 +29,7 @@ fn serve(harness: &ServeHarness, pool: usize) -> Vec<ServeSummary> {
 #[test]
 fn admission_control_rejects_past_capacity_and_all_ranks_agree() {
     let cfg = ServeConfig { queue_capacity: 2, ..ServeConfig::default() };
-    let harness = ServeHarness::new(cfg, Arc::new(NoFaults));
+    let harness = ServeHarness::new(cfg, Arc::default());
     for id in 1..=4 {
         harness.submit(quick_job(id, 1));
     }
@@ -48,7 +48,7 @@ fn admission_control_rejects_past_capacity_and_all_ranks_agree() {
 
 #[test]
 fn duplicate_job_ids_are_rejected() {
-    let harness = ServeHarness::new(ServeConfig::default(), Arc::new(NoFaults));
+    let harness = ServeHarness::new(ServeConfig::default(), Arc::default());
     harness.submit(quick_job(7, 1));
     harness.submit(quick_job(7, 1));
     harness.close_intake();
@@ -61,7 +61,7 @@ fn duplicate_job_ids_are_rejected() {
 fn priorities_order_the_first_round() {
     // Four 2-rank jobs on a 2-rank pool: only one runs per round, so the
     // start order is the priority order (ties broken FIFO).
-    let harness = ServeHarness::new(ServeConfig::default(), Arc::new(NoFaults));
+    let harness = ServeHarness::new(ServeConfig::default(), Arc::default());
     harness.submit(quick_job(1, 2).with_priority(0));
     harness.submit(quick_job(2, 2).with_priority(9));
     harness.submit(quick_job(3, 2).with_priority(5));
@@ -78,7 +78,7 @@ fn priorities_order_the_first_round() {
 
 #[test]
 fn cancelling_a_queued_job_prevents_any_attempt() {
-    let harness = ServeHarness::new(ServeConfig::default(), Arc::new(NoFaults));
+    let harness = ServeHarness::new(ServeConfig::default(), Arc::default());
     harness.submit(quick_job(1, 2));
     harness.submit(quick_job(2, 2));
     harness.cancel(2); // same intake round as the submission: dies queued
@@ -312,7 +312,7 @@ fn failed_checkpoint_saves_reach_the_metrics_surface() {
     let blocker = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join("not-a-directory");
     std::fs::write(&blocker, b"not a directory").unwrap();
     let cfg = ServeConfig { checkpoint_dir: Some(blocker), ..ServeConfig::default() };
-    let harness = ServeHarness::new(cfg, Arc::new(NoFaults));
+    let harness = ServeHarness::new(cfg, Arc::default());
     harness.submit(quick_job(1, 2).with_newton_iters(2).with_checkpoint_every(1));
     harness.close_intake();
     let summaries = serve(&harness, 2);
@@ -326,7 +326,7 @@ fn failed_checkpoint_saves_reach_the_metrics_surface() {
 
 #[test]
 fn two_tenants_share_the_pool_and_metrics_render_deterministically() {
-    let harness = ServeHarness::new(ServeConfig::default(), Arc::new(NoFaults));
+    let harness = ServeHarness::new(ServeConfig::default(), Arc::default());
     for i in 0..3 {
         harness.submit(quick_job(10 + i, 1).with_tenant("alice"));
         harness.submit(quick_job(20 + i, 1).with_tenant("bob"));

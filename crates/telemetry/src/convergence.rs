@@ -56,43 +56,28 @@ pub enum StreamEntry {
 /// An in-memory solver telemetry stream. Cheap to append; serialize with
 /// [`ConvergenceLog::to_jsonl`] / [`ConvergenceLog::render_table`].
 ///
-/// Unbounded by default; [`ConvergenceLog::with_tail_cap`] turns it into a
-/// tail buffer that keeps only the newest entries — the flight-recorder
-/// flavor long-running services use so an incident capture always has the
-/// recent convergence history without unbounded growth.
+/// A log keeps every entry; [`ConvergenceLog::tail`] cuts the newest `n`
+/// out of it for an incident capture.
 #[derive(Debug, Clone, Default)]
 pub struct ConvergenceLog {
     /// Run label carried into every JSON record (`"run"` field).
     pub run: String,
-    /// The stream entries in emission order (the newest `tail_cap` when one
-    /// is set).
+    /// The stream entries in emission order.
     pub entries: Vec<StreamEntry>,
-    /// Maximum retained entries; 0 = unbounded.
-    pub tail_cap: usize,
-    /// Oldest entries evicted by the tail cap (exact, never reset).
+    /// Older entries a [`tail`](ConvergenceLog::tail) left out (0 for a
+    /// whole log).
     pub evicted: u64,
 }
 
 impl ConvergenceLog {
     /// A new empty stream labelled `run`.
     pub fn new(run: impl Into<String>) -> Self {
-        Self { run: run.into(), entries: Vec::new(), tail_cap: 0, evicted: 0 }
-    }
-
-    /// A new stream that retains only the newest `cap` entries, counting
-    /// every eviction in [`ConvergenceLog::evicted`] (0 = unbounded).
-    pub fn with_tail_cap(run: impl Into<String>, cap: usize) -> Self {
-        Self { tail_cap: cap, ..Self::new(run) }
+        Self { run: run.into(), entries: Vec::new(), evicted: 0 }
     }
 
     /// Appends one stream entry (the solver's observer callback hands these
-    /// out in order), evicting the oldest when a tail cap is set.
+    /// out in order).
     pub fn push(&mut self, entry: StreamEntry) {
-        if self.tail_cap > 0 && self.entries.len() >= self.tail_cap {
-            let drop_n = (self.entries.len() + 1).saturating_sub(self.tail_cap);
-            self.entries.drain(..drop_n);
-            self.evicted += drop_n as u64;
-        }
         self.entries.push(entry);
     }
 
@@ -111,16 +96,14 @@ impl ConvergenceLog {
         }));
     }
 
-    /// The newest `n` entries (all of them when `n` exceeds the retained
-    /// count) as a fresh log carrying the same run label plus the exact
-    /// count of entries *not* included (evictions plus truncation) — the
-    /// incident bundle's convergence tail.
+    /// The newest `n` entries (all of them when `n` exceeds the count) as a
+    /// fresh log carrying the same run label plus the exact count of
+    /// entries *not* included — the incident bundle's convergence tail.
     pub fn tail(&self, n: usize) -> ConvergenceLog {
         let skip = self.entries.len().saturating_sub(n);
         ConvergenceLog {
             run: self.run.clone(),
             entries: self.entries[skip..].to_vec(),
-            tail_cap: self.tail_cap,
             evicted: self.evicted + skip as u64,
         }
     }
@@ -254,30 +237,25 @@ mod tests {
     }
 
     #[test]
-    fn tail_cap_keeps_newest_entries_and_counts_evictions() {
-        let mut log = ConvergenceLog::with_tail_cap("svc", 4);
+    fn tail_keeps_newest_entries_and_counts_what_it_skips() {
+        let mut whole = ConvergenceLog::new("svc");
         for i in 1..=10 {
-            log.record(rec(0, i));
+            whole.record(rec(0, i));
         }
-        assert_eq!(log.entries.len(), 4, "tail buffer stays at cap");
-        assert_eq!(log.evicted, 6, "every eviction counted");
+        assert_eq!((whole.entries.len(), whole.evicted), (10, 0), "a log keeps everything");
+        let log = whole.tail(4);
+        assert_eq!(log.entries.len(), 4);
+        assert_eq!(log.evicted, 6, "every skipped entry counted");
         let iters: Vec<usize> = log.iterations().map(|r| r.iter).collect();
         assert_eq!(iters, vec![7, 8, 9, 10], "newest entries survive");
 
-        // tail(n) narrows further and accounts for what it skipped.
+        // A tail of a tail narrows further and adds what it skipped.
         let t = log.tail(2);
         assert_eq!(t.iterations().map(|r| r.iter).collect::<Vec<_>>(), vec![9, 10]);
         assert_eq!(t.evicted, 8);
         assert_eq!(t.run, "svc");
-        // tail(n) larger than retained = everything retained.
+        // tail(n) larger than the log = the whole log.
         assert_eq!(log.tail(100).entries.len(), 4);
-
-        // Unbounded logs never evict.
-        let mut free = ConvergenceLog::new("free");
-        for i in 1..=10 {
-            free.record(rec(0, i));
-        }
-        assert_eq!((free.entries.len(), free.evicted), (10, 0));
     }
 
     #[test]

@@ -138,8 +138,12 @@ impl Failure {
     }
 }
 
-/// What the caller of [`write_incident_bundle`] knows about the trigger:
-/// every `incident.json` field but the capture section.
+/// One incident: what fired, against which job, attempt, round, tenant and
+/// gang, and which SLO alerts were firing. It is the one incident record:
+/// the serve fold builds it on every rank from replicated data (so it is
+/// part of the replicated summary), [`write_incident_bundle`] writes it as
+/// every `incident.json` field but the capture section, and the live
+/// `/incidents` endpoint serves its [`to_json`](Self::to_json).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct IncidentContext {
     /// Incident sequence number within the campaign (deterministic).
@@ -248,47 +252,29 @@ fn comm_records(captures: &[RankCapture]) -> u64 {
 
 const SCHEMA: &str = "diffreg-incident-v1";
 
-impl IncidentHeader {
-    /// Serializes the header (deterministic key order, no wall-clock
-    /// fields — byte-identical under seeded replay).
+impl IncidentContext {
+    /// Serializes the context (deterministic key order, no wall-clock
+    /// fields).
     pub fn to_json(&self) -> Json {
-        let c = &self.context;
         Json::obj()
-            .set("schema", SCHEMA)
-            .set("seq", c.seq)
-            .set("trigger", c.trigger.name())
-            .set("job", c.job)
-            .set("attempt", u64::from(c.attempt))
-            .set("round", c.round)
-            .set("tenant", c.tenant.as_str())
-            .set("reason", c.reason.as_str())
-            .set("detail", c.detail.as_str())
-            .set("gang_ranks", Json::Arr(c.gang_ranks.iter().map(|&r| Json::from(r)).collect()))
+            .set("seq", self.seq)
+            .set("trigger", self.trigger.name())
+            .set("job", self.job)
+            .set("attempt", u64::from(self.attempt))
+            .set("round", self.round)
+            .set("tenant", self.tenant.as_str())
+            .set("reason", self.reason.as_str())
+            .set("detail", self.detail.as_str())
+            .set("gang_ranks", Json::Arr(self.gang_ranks.iter().map(|&r| Json::from(r)).collect()))
             .set(
                 "slo_firing",
-                Json::Arr(c.slo_firing.iter().map(|s| Json::from(s.as_str())).collect()),
-            )
-            .set(
-                "capture",
-                Json::obj()
-                    .set("comm_events", self.comm_events)
-                    .set("rec_seen", self.rec_seen)
-                    .set("rec_recorded", self.rec_recorded)
-                    .set("rec_sampled_out", self.rec_sampled_out)
-                    .set("rec_overwritten", self.rec_overwritten)
-                    .set("convergence_entries", self.convergence_entries)
-                    .set("convergence_evicted", self.convergence_evicted)
-                    .set("digest", format!("{:016x}", self.capture_digest)),
+                Json::Arr(self.slo_firing.iter().map(|s| Json::from(s.as_str())).collect()),
             )
     }
 
-    /// Inverse of [`to_json`](Self::to_json); the error names the first
-    /// missing or malformed field.
-    pub fn from_json(j: &Json) -> Result<IncidentHeader, String> {
-        let schema = j.get("schema").and_then(Json::as_str).unwrap_or("");
-        if schema != SCHEMA {
-            return Err(format!("expected schema \"{SCHEMA}\", found \"{schema}\""));
-        }
+    /// Inverse of [`to_json`](Self::to_json) (other keys are ignored); the
+    /// error names the first missing or malformed field.
+    pub fn from_json(j: &Json) -> Result<IncidentContext, String> {
         let u = |key: &str| j.uint(key);
         let s = |key: &str| -> Result<String, String> {
             j.get(key).and_then(Json::as_str).map(str::to_string).ok_or(format!("missing {key}"))
@@ -314,22 +300,52 @@ impl IncidentHeader {
             .iter()
             .map(|v| v.as_str().map(str::to_string).ok_or("non-string slo alert".to_string()))
             .collect::<Result<Vec<_>, _>>()?;
+        Ok(IncidentContext {
+            seq: u("seq")?,
+            trigger,
+            job: u("job")?,
+            attempt: u32::try_from(u("attempt")?).map_err(|e| format!("attempt: {e}"))?,
+            round: u("round")?,
+            tenant: s("tenant")?,
+            reason: s("reason")?,
+            detail: s("detail")?,
+            gang_ranks,
+            slo_firing,
+        })
+    }
+}
+
+impl IncidentHeader {
+    /// Serializes the header: the context's object plus `schema` and the
+    /// capture section (deterministic key order, no wall-clock fields —
+    /// byte-identical under seeded replay).
+    pub fn to_json(&self) -> Json {
+        self.context.to_json().set("schema", SCHEMA).set(
+            "capture",
+            Json::obj()
+                .set("comm_events", self.comm_events)
+                .set("rec_seen", self.rec_seen)
+                .set("rec_recorded", self.rec_recorded)
+                .set("rec_sampled_out", self.rec_sampled_out)
+                .set("rec_overwritten", self.rec_overwritten)
+                .set("convergence_entries", self.convergence_entries)
+                .set("convergence_evicted", self.convergence_evicted)
+                .set("digest", format!("{:016x}", self.capture_digest)),
+        )
+    }
+
+    /// Inverse of [`to_json`](Self::to_json); the error names the first
+    /// missing or malformed field.
+    pub fn from_json(j: &Json) -> Result<IncidentHeader, String> {
+        let schema = j.get("schema").and_then(Json::as_str).unwrap_or("");
+        if schema != SCHEMA {
+            return Err(format!("expected schema \"{SCHEMA}\", found \"{schema}\""));
+        }
+        let context = IncidentContext::from_json(j)?;
         let cap = j.get("capture").ok_or("missing capture section")?;
         let cu = |key: &str| cap.uint(key).map_err(|e| format!("capture: {e}"));
-        let capture_digest = cap.hex("digest").map_err(|e| format!("capture: {e}"))?;
         Ok(IncidentHeader {
-            context: IncidentContext {
-                seq: u("seq")?,
-                trigger,
-                job: u("job")?,
-                attempt: u32::try_from(u("attempt")?).map_err(|e| format!("attempt: {e}"))?,
-                round: u("round")?,
-                tenant: s("tenant")?,
-                reason: s("reason")?,
-                detail: s("detail")?,
-                gang_ranks,
-                slo_firing,
-            },
+            context,
             comm_events: cu("comm_events")?,
             rec_seen: cu("rec_seen")?,
             rec_recorded: cu("rec_recorded")?,
@@ -337,7 +353,7 @@ impl IncidentHeader {
             rec_overwritten: cu("rec_overwritten")?,
             convergence_entries: cu("convergence_entries")?,
             convergence_evicted: cu("convergence_evicted")?,
-            capture_digest,
+            capture_digest: cap.hex("digest").map_err(|e| format!("capture: {e}"))?,
         })
     }
 }
@@ -349,7 +365,7 @@ impl IncidentHeader {
 /// here, from `captures` and `tail`.
 pub fn write_incident_bundle(
     base: impl AsRef<Path>,
-    context: IncidentContext,
+    context: &IncidentContext,
     captures: &[RankCapture],
     tail: Option<&ConvergenceLog>,
     metrics: Option<&MetricsRegistry>,
@@ -357,7 +373,7 @@ pub fn write_incident_bundle(
     let dir = base.as_ref().join(format!("incident-{:03}-{}", context.seq, context.trigger.name()));
     std::fs::create_dir_all(&dir)?;
     let header = IncidentHeader {
-        context,
+        context: context.clone(),
         comm_events: comm_records(captures),
         rec_seen: captures.iter().map(|c| c.recorder.seen).sum(),
         rec_recorded: captures.iter().map(|c| c.recorder.recorded).sum(),
@@ -799,13 +815,14 @@ mod tests {
             ),
             capture(1, vec![ev(CommOp::Barrier, 1, 3, 5)]),
         ];
-        let mut tail = ConvergenceLog::with_tail_cap("job5", 4);
+        let mut log = ConvergenceLog::new("job5");
         for i in 1..=6 {
-            tail.event("iter", 0, i, "x");
+            log.event("iter", 0, i, "x");
         }
+        let tail = log.tail(4);
         let dir = write_incident_bundle(
             &tmp,
-            context(IncidentTrigger::WatchdogTimeout),
+            &context(IncidentTrigger::WatchdogTimeout),
             &captures,
             Some(&tail),
             Some(&MetricsRegistry::new()),
@@ -887,7 +904,7 @@ mod tests {
         let _ = std::fs::remove_dir_all(&tmp);
         let dir = write_incident_bundle(
             &tmp,
-            IncidentContext { attempt: 0, gang_ranks: vec![], ..context(IncidentTrigger::DeadlineExpiry) },
+            &IncidentContext { attempt: 0, gang_ranks: vec![], ..context(IncidentTrigger::DeadlineExpiry) },
             &[],
             None,
             None,

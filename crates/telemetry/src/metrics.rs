@@ -206,13 +206,18 @@ impl Histogram {
         j
     }
 
-    /// Rebuilds a histogram from [`Histogram::to_json`] output.
+    /// Rebuilds a histogram from [`Histogram::to_json`] output. Refuses what
+    /// `to_json` never writes and the renderer cannot show: bucket counts
+    /// that do not sum to `count`, a repeated bucket, or a non-empty bucket
+    /// outside `[bucket_index(min), bucket_index(max)]`.
     pub fn from_json(j: &Json) -> Result<Histogram, String> {
         let mut h = Histogram::new();
         let buckets = j
             .get("buckets")
             .and_then(Json::as_arr)
             .ok_or("histogram: missing 'buckets' array")?;
+        let mut listed = [false; NUM_BUCKETS];
+        let mut total = 0u128;
         for entry in buckets {
             let pair = entry.as_arr().ok_or("histogram: bucket entry not a pair")?;
             if pair.len() != 2 {
@@ -223,13 +228,24 @@ impl Histogram {
             if i >= NUM_BUCKETS as u64 {
                 return Err(format!("histogram: bucket index {i} out of range"));
             }
+            if std::mem::replace(&mut listed[i as usize], true) {
+                return Err(format!("histogram: bucket {i} listed twice"));
+            }
             h.counts[i as usize] = c;
+            total += u128::from(c);
         }
         h.count = j.uint("count").map_err(|e| format!("histogram: {e}"))?;
         h.sum = j.get("sum").and_then(Json::as_f64).ok_or("histogram: missing 'sum'")?;
+        if total != u128::from(h.count) {
+            return Err(format!("histogram: bucket counts sum to {total}, not count {}", h.count));
+        }
         if h.count > 0 {
             h.min = j.get("min").and_then(Json::as_f64).ok_or("histogram: missing 'min'")?;
             h.max = j.get("max").and_then(Json::as_f64).ok_or("histogram: missing 'max'")?;
+            let (lo, hi) = (Self::bucket_index(h.min), Self::bucket_index(h.max));
+            if let Some(i) = (0..NUM_BUCKETS).find(|&i| h.counts[i] > 0 && !(lo..=hi).contains(&i)) {
+                return Err(format!("histogram: bucket {i} lies outside [min, max] (buckets {lo}..={hi})"));
+            }
         }
         Ok(h)
     }
@@ -410,7 +426,8 @@ impl MetricsRegistry {
         }
         if let Some(Json::Obj(m)) = j.get("histograms") {
             for (k, v) in m {
-                reg.histograms.insert(k.clone(), Histogram::from_json(v)?);
+                let h = Histogram::from_json(v).map_err(|e| format!("metrics: '{k}': {e}"))?;
+                reg.histograms.insert(k.clone(), h);
             }
         }
         Ok(reg)
@@ -493,13 +510,14 @@ mod tests {
             let text = format!(r#"{{{schema},"counters":{{"jobs":{counter}}},"histograms":{{"h":{h}}}}}"#);
             MetricsRegistry::from_json(&Json::parse(&text).unwrap())
         };
-        assert_eq!(doc("7", "3", "1", "1").unwrap().counter("jobs"), Some(7));
+        // Bucket 64 is [1, 2), where the one observation (min = max = 1) lies.
+        assert_eq!(doc("7", "64", "1", "1").unwrap().counter("jobs"), Some(7));
         for bad in ["-1", "1.5", "1e300"] {
             for (got, want) in [
-                (doc(bad, "3", "1", "1"), "counter 'jobs'"),
+                (doc(bad, "64", "1", "1"), "counter 'jobs'"),
                 (doc("7", bad, "1", "1"), "bucket index"),
-                (doc("7", "3", bad, "1"), "bucket count"),
-                (doc("7", "3", "1", bad), "histogram: count is not"),
+                (doc("7", "64", bad, "1"), "bucket count"),
+                (doc("7", "64", "1", bad), "histogram: count is not"),
             ] {
                 let err = got.unwrap_err();
                 assert!(err.contains(want), "{want}={bad}: {err}");

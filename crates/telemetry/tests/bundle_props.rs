@@ -80,7 +80,7 @@ fn damaged_bundle_files_are_refused_with_a_typed_error_or_by_the_gate() {
     assert!(captures.iter().all(|c| c.recorder.comm_records().count() == 3 * NAMES.len()));
     let header = IncidentHeader::from_json(&Json::parse(HEADER).unwrap()).unwrap();
     let base = scratch("damage");
-    let dir = write_incident_bundle(&base, header.context, &captures, None, None).expect("write bundle");
+    let dir = write_incident_bundle(&base, &header.context, &captures, None, None).expect("write bundle");
     let original = load_incident_bundle(&dir).expect("the valid bundle loads");
     gate_incident(&original, &analyze_incident(&original)).expect("and gates");
     let o = &original.header;
@@ -154,4 +154,41 @@ fn ring_windows_round_trip_through_a_bundle_in_both_modes() {
         assert_eq!(DoctorInput::load_dir(&base).expect("load bundle").ranks, captures);
     });
     let _ = std::fs::remove_dir_all(&base);
+}
+
+/// Loads a bundle whose only file is a `metrics.json` holding one histogram
+/// `lat` with these `buckets` and `count`, one observation range `[1, 3]`
+/// (buckets 64 and 65). Returns the loader's error text for `metrics.json`.
+fn load_histogram(name: &str, buckets: &str, count: u64) -> Result<(), String> {
+    let dir = scratch(name);
+    std::fs::create_dir_all(&dir).expect("scratch dir");
+    let h = format!(r#"{{"buckets":{buckets},"count":{count},"sum":4,"min":1,"max":3}}"#);
+    let text = format!(r#"{{"schema":"diffreg-metrics-v1","histograms":{{"lat":{h}}}}}"#);
+    std::fs::write(dir.join("metrics.json"), text).expect("write metrics.json");
+    let loaded = DoctorInput::load_dir(&dir);
+    let _ = std::fs::remove_dir_all(&dir);
+    match loaded {
+        Ok(_) => Ok(()),
+        Err(BundleError::Truncated { file, detail }) if file == "metrics.json" => Err(detail),
+        Err(other) => panic!("expected Truncated for metrics.json, got {other:?}"),
+    }
+}
+
+#[test]
+fn histogram_buckets_must_sum_to_its_count() {
+    assert_eq!(load_histogram("hist-ok", "[[64,1],[65,1]]", 2), Ok(()));
+    let err = load_histogram("hist-sum", "[[64,1],[65,1]]", 3).unwrap_err();
+    assert!(err.contains("'lat'") && err.contains("sum to 2"), "{err}");
+}
+
+#[test]
+fn histogram_bucket_may_not_repeat() {
+    let err = load_histogram("hist-dup", "[[64,1],[64,1]]", 2).unwrap_err();
+    assert!(err.contains("'lat'") && err.contains("bucket 64 listed twice"), "{err}");
+}
+
+#[test]
+fn histogram_bucket_must_lie_between_min_and_max() {
+    let err = load_histogram("hist-range", "[[64,1],[66,1]]", 2).unwrap_err();
+    assert!(err.contains("'lat'") && err.contains("bucket 66 lies outside"), "{err}");
 }

@@ -21,8 +21,9 @@
 #      type, second failure taxonomy, serve wire codec, in-tree analyzer,
 #      second Comm backend, hand-built workspace, second barrier, contract
 #      switch, kernel gate, second per-thread metrics store, second comm
-#      stream, recorder switch, hand-rolled FNV-1a or new env::var read may
-#      reappear; workspace line count
+#      stream, recorder switch, hand-rolled FNV-1a, second incident record,
+#      fault-injector trait, convergence tail cap, chaos deferral knob or
+#      new env::var read may reappear; workspace line count
 #   6. clippy clean under -D warnings: it enforces step 5's lint levels and
 #      rejects a stale #[expect], so a missing clippy fails the build
 #   7. fail if Cargo.lock ever acquires a registry (non-path) dependency
@@ -167,6 +168,13 @@ fi
 # (testkit's property-seed mixer keeps its own, which seeds every case).
 if grep -rn 'cbf2_9ce4_8422_2325' crates src | grep -vE '^(crates/comm/src/fnv\.rs|crates/testkit/src/prop\.rs):'; then
     echo "ERROR: a hand-rolled FNV-1a reappeared; use diffreg_comm::Fnv1a" >&2
+    exit 1
+fi
+# A drill says each thing once: one incident record (telemetry's
+# IncidentContext) from fold to bundle to /incidents, one fault plan
+# (PlannedFaults), and no knob that only its default or a test sets.
+if grep -rnE 'Incident[R]ecord|Fault[I]njector|No[F]aults|Seeded[F]aults|with_tail_[c]ap|tail_[c]ap|max_[d]eferred' $everywhere; then
+    echo "ERROR: a second incident record, fault-injector trait, tail cap or deferral knob reappeared" >&2
     exit 1
 fi
 # The workspace line count is tracked like a benchmark (ROADMAP aim 2).
