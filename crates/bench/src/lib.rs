@@ -18,10 +18,9 @@ pub mod results;
 
 pub use results::{hostname, results_dir, row_record, write_suite, BenchRecord, BenchSuite};
 
-use diffreg_comm::{run_threaded, Comm};
+use diffreg_comm::{run_threaded, Comm, ReduceOp};
 use diffreg_core::{register, synthetic_pair, RegistrationConfig};
 use diffreg_grid::{Grid, ScalarField};
-use diffreg_telemetry::collect_phase_report;
 use diffreg_transport::{SemiLagrangian, SessionParts, Workspace};
 
 /// One row of a scaling table (measured or modeled).
@@ -80,8 +79,8 @@ pub fn build_images<C: Comm>(ws: &Workspace<C>, problem: Problem) -> (ScalarFiel
     }
 }
 
-/// Result of one measured run, including the per-phase timer maxima over
-/// ranks (the way MPI codes report phase times).
+/// Result of one measured run: the table row, whose times are each the
+/// slowest rank's (the way MPI codes report phase times).
 #[derive(Debug, Clone, Copy)]
 pub struct Measured {
     /// The assembled table row.
@@ -91,7 +90,8 @@ pub struct Measured {
 }
 
 /// Runs one measured registration on `p` simulated ranks and returns the
-/// table row (phase timings are the max over ranks).
+/// table row: the solve's wall clock and the workspace `Timers`' four
+/// exec/comm phases, each reduced to its maximum over ranks.
 pub fn measured_run(n: [usize; 3], p: usize, problem: Problem, cfg: RegistrationConfig) -> Measured {
     let grid = Grid::new(n);
     let per_rank = run_threaded(p, move |comm| {
@@ -104,26 +104,32 @@ pub fn measured_run(n: [usize; 3], p: usize, problem: Problem, cfg: Registration
         let t0 = std::time::Instant::now();
         let out = register(&ws, &t, &r, cfg);
         comm.barrier();
-        ws.timers.add("time_to_solution", t0.elapsed().as_secs_f64());
-        let report = collect_phase_report(comm, ws.timers, &comm.stats());
-        let max = |key: &str| report.phase(key).map_or(0.0, |e| e.max);
+        let phase = |key: &str| ws.timers.get(key);
+        let mut v = [
+            t0.elapsed().as_secs_f64(),
+            phase("fft_comm"),
+            phase("fft_exec"),
+            phase("interp_comm"),
+            phase("interp_exec"),
+        ];
+        comm.allreduce(&mut v, ReduceOp::Max);
         Measured {
             row: Row {
                 n,
                 nodes: 1,
                 tasks: p,
-                time_to_solution: max("time_to_solution"),
-                fft_comm: max("fft_comm"),
-                fft_exec: max("fft_exec"),
-                interp_comm: max("interp_comm"),
-                interp_exec: max("interp_exec"),
+                time_to_solution: v[0],
+                fft_comm: v[1],
+                fft_exec: v[2],
+                interp_comm: v[3],
+                interp_exec: v[4],
                 matvecs: out.hessian_matvecs,
                 rel_mismatch: out.relative_mismatch(),
             },
             newton_iters: out.report.iterations.len(),
         }
     });
-    // The report and the outcome are replicated: every rank built this row.
+    // The maxima and the outcome are replicated: every rank built this row.
     per_rank[0]
 }
 

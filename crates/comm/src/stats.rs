@@ -26,17 +26,6 @@ pub struct CommStats {
     pub blocked_seconds: f64,
 }
 
-impl CommStats {
-    /// Accumulates another snapshot into this one.
-    pub fn merge(&mut self, other: &CommStats) {
-        self.messages_sent += other.messages_sent;
-        self.bytes_sent += other.bytes_sent;
-        self.messages_received += other.messages_received;
-        self.bytes_received += other.bytes_received;
-        self.blocked_seconds += other.blocked_seconds;
-    }
-}
-
 /// Named wall-clock accumulators for the phases the paper reports
 /// (e.g. `"fft_comm"`, `"fft_exec"`, `"interp_comm"`, `"interp_exec"`).
 #[derive(Debug, Default)]
@@ -59,8 +48,8 @@ impl Timers {
         r
     }
 
-    /// Adds `seconds` to phase `key` directly.
-    pub fn add(&self, key: &'static str, seconds: f64) {
+    /// Adds `seconds` to phase `key`.
+    fn add(&self, key: &'static str, seconds: f64) {
         *self.map.borrow_mut().entry(key).or_insert(0.0) += seconds;
     }
 
@@ -94,16 +83,6 @@ impl Timers {
         self.map.borrow_mut().clear();
         self.counters.borrow_mut().clear();
     }
-
-    /// Merges another timer set into this one.
-    pub fn merge(&self, other: &Timers) {
-        for (k, v) in other.map.borrow().iter() {
-            self.add(k, *v);
-        }
-        for (k, v) in other.counters.borrow().iter() {
-            self.count(k, *v);
-        }
-    }
 }
 
 #[cfg(test)]
@@ -130,30 +109,6 @@ mod tests {
         let v = t.time("x", || 42);
         assert_eq!(v, 42);
         assert!(t.get("x") >= 0.0);
-    }
-
-    #[test]
-    fn stats_merge() {
-        let mut a = CommStats {
-            messages_sent: 1,
-            bytes_sent: 10,
-            messages_received: 4,
-            bytes_received: 40,
-            blocked_seconds: 0.5,
-        };
-        let b = CommStats {
-            messages_sent: 2,
-            bytes_sent: 20,
-            messages_received: 5,
-            bytes_received: 50,
-            blocked_seconds: 0.25,
-        };
-        a.merge(&b);
-        assert_eq!(a.messages_sent, 3);
-        assert_eq!(a.bytes_sent, 30);
-        assert_eq!(a.messages_received, 9);
-        assert_eq!(a.bytes_received, 90);
-        assert_eq!(a.blocked_seconds, 0.75);
     }
 
     #[test]

@@ -1,14 +1,20 @@
-//! End-to-end cross-rank wait-state doctor acceptance test: a traced
-//! multi-rank registration — spans and comm records in one ring per rank —
-//! must produce a trace bundle the doctor can fully explain —
+//! End-to-end observability acceptance test: a traced multi-rank
+//! registration — spans and comm records in one ring per rank — must
+//! produce a trace bundle the doctor can fully explain —
 //!
 //! * every p2p send matches exactly one receive (FIFO channels + seq numbers
 //!   make the `(comm, src, dst, tag, seq)` key exact),
 //! * every collective group is complete (all `csize` member records present),
 //! * the critical-path walk explains at least 90% of the wall clock and its
-//!   per-kind totals sum to the wall within 10%, and
+//!   per-kind totals sum to the wall within 10%,
 //! * the Prometheus snapshot and wait-state table are byte-identical across
-//!   two analyses of the same input (the doctor is a pure function).
+//!   two analyses of the same input (the doctor is a pure function), and
+//! * the report renders the §III-C4 model-predicted column —
+//!
+//! plus a bundle `trace.json` that validates as a Chrome trace (one `pid` per
+//! rank, nested fft/interp/transport/newton spans), a JSON-lines convergence
+//! log with exactly one record per accepted Newton iteration, and comm
+//! traffic in which every byte sent is received.
 //!
 //! A second, fully deterministic test injects an 80 ms `ChaosComm` stall on
 //! one rank's send and checks the doctor pins the resulting late-sender wait
@@ -18,17 +24,33 @@
 //! The first test also writes its trace bundle to `target/tmp/doctor-smoke`,
 //! which `scripts/ci.sh` hands to `diffreg-doctor analyze --gate`.
 
-use diffreg_comm::{run_threaded, ChaosComm, ChaosConfig, Comm, CommOp};
+use diffreg_comm::{run_threaded, ChaosComm, ChaosConfig, Comm, CommOp, CommStats};
 use diffreg_core::{register_solve, synthetic_pair, CheckpointStore, RegistrationConfig};
 use diffreg_grid::{Decomp, Grid};
+use diffreg_perfmodel::{model_solve, Machine, SolveShape};
 use diffreg_telemetry::doctor::{
     analyze, write_trace_bundle, DoctorInput, RankCapture, WaitKind,
 };
-use diffreg_telemetry::{set_trace_enabled, take_recorder, ConvergenceLog, MetricsRegistry};
+use diffreg_telemetry::{
+    set_trace_enabled, take_recorder, validate_chrome_trace, ConvergenceLog, Json,
+    MetricsRegistry, PredictedPhases,
+};
 use diffreg_transport::SessionParts;
 
 fn smoke_size() -> usize {
     if cfg!(debug_assertions) { 16 } else { 32 }
+}
+
+/// What one rank of the traced solve hands back.
+struct RankRun {
+    capture: RankCapture,
+    /// The workspace Timers' interp point counts (routed, evaluated).
+    points: [u64; 2],
+    /// Comm traffic as the solve left it.
+    stats: CommStats,
+    log: ConvergenceLog,
+    /// Accepted Newton steps over all continuation levels.
+    iters: usize,
 }
 
 #[test]
@@ -38,8 +60,7 @@ fn doctor_explains_a_traced_registration() {
     let grid = Grid::cubic(n);
     let betas = [1e-2, 1e-3];
 
-    // Per rank: the capture and the workspace Timers' interp point counts.
-    let per_rank: Vec<(RankCapture, [u64; 2])> =
+    let per_rank: Vec<RankRun> =
         run_threaded(RANKS, move |comm| {
             set_trace_enabled(true);
             let parts = SessionParts::with_decomp(comm, Decomp::with_process_grid(grid, 2, 2));
@@ -51,15 +72,42 @@ fn doctor_explains_a_traced_registration() {
             };
             let mut log = ConvergenceLog::new("doctor-smoke");
             let store = CheckpointStore::Disabled;
-            let _ = register_solve(&ws, &t, &r, cfg, &betas, None, &store, |e| log.push(e));
+            let (_, reports) =
+                register_solve(&ws, &t, &r, cfg, &betas, None, &store, |e| log.push(e));
+            let stats = comm.stats();
             comm.barrier();
             let capture = RankCapture { rank: comm.rank(), recorder: take_recorder() };
             let points = ["interp_points_routed", "interp_points_evaluated"];
-            (capture, points.map(|k| ws.timers.get_count(k)))
+            let iters = reports.iter().map(|r| r.outer_iterations()).sum();
+            RankRun { capture, points: points.map(|k| ws.timers.get_count(k)), stats, log, iters }
         });
 
-    let timers_points = per_rank.iter().fold([0u64; 2], |acc, (_, p)| [acc[0] + p[0], acc[1] + p[1]]);
-    let captures: Vec<RankCapture> = per_rank.into_iter().map(|(c, _)| c).collect();
+    // --- Traffic: flowed, and every byte sent during the solve is received. ---
+    let sent: u64 = per_rank.iter().map(|r| r.stats.bytes_sent).sum();
+    let received: u64 = per_rank.iter().map(|r| r.stats.bytes_received).sum();
+    assert!(sent > 0);
+    assert_eq!(sent, received, "every sent byte is received");
+
+    // --- Convergence stream: one iter record per accepted Newton step. ---
+    let (log, iters) = (&per_rank[0].log, per_rank[0].iters);
+    assert!(iters > 0, "solve must take at least one Newton step");
+    assert_eq!(log.iterations().count(), iters, "one record per Newton iteration");
+    assert!(log.events().any(|e| e.kind == "level"));
+    assert!(log.events().any(|e| e.kind == "summary"));
+    for line in log.to_jsonl().lines() {
+        let v = Json::parse(line).expect("every JSONL line parses");
+        assert!(v.get("type").is_some());
+    }
+    // Iter records carry the full paper tuple.
+    let first = log.iterations().next().unwrap();
+    assert!(first.beta > 0.0 && first.eta > 0.0 && first.pcg_iters > 0);
+    assert!(first.rel_grad > 0.0 && first.rel_grad <= 1.0 + 1e-12);
+    let table = log.render_table();
+    assert!(table.contains("||g||_rel") && table.contains("PCG"), "{table}");
+
+    let timers_points =
+        per_rank.iter().fold([0u64; 2], |acc, r| [acc[0] + r.points[0], acc[1] + r.points[1]]);
+    let captures: Vec<RankCapture> = per_rank.into_iter().map(|r| r.capture).collect();
     assert!(
         captures.iter().all(|c| c.recorder.dropped() == 0),
         "a keep-all window holds the whole smoke run"
@@ -69,6 +117,18 @@ fn doctor_explains_a_traced_registration() {
     // run from the files alone and hard-gate on it (scripts/ci.sh).
     let dir = concat!(env!("CARGO_TARGET_TMPDIR"), "/doctor-smoke");
     write_trace_bundle(dir, &captures, None).expect("write trace bundle");
+
+    // --- Chrome trace: the bundle's own export, read back from disk. ---
+    let trace = std::fs::read_to_string(format!("{dir}/trace.json")).expect("read trace.json");
+    let summary = validate_chrome_trace(&trace).expect("trace must validate");
+    assert_eq!(summary.pids, (0..RANKS).collect::<Vec<_>>(), "one pid per rank");
+    assert!(summary.events > 0);
+    for name in
+        ["registration", "newton.iter", "newton.pcg", "hessian.matvec", "reg.linearize",
+         "fft.forward", "fft.inverse", "interp.eval", "transport.state", "transport.adjoint"]
+    {
+        assert!(summary.names.iter().any(|s| s == name), "missing span {name}: {:?}", summary.names);
+    }
 
     let input = DoctorInput { ranks: captures, metrics: MetricsRegistry::new() };
     let report = analyze(&input);
@@ -84,7 +144,7 @@ fn doctor_explains_a_traced_registration() {
     assert_eq!(report.incomplete_collectives, 0, "no torn collective groups");
 
     // --- Critical path: explains the wall clock. ---
-    assert_eq!(report.ranks, RANKS);
+    assert_eq!(report.ranks, (0..RANKS).collect::<Vec<_>>());
     assert!(report.wall_s > 0.0);
     assert!(
         report.coverage >= 0.9,
@@ -121,6 +181,24 @@ fn doctor_explains_a_traced_registration() {
         report.metrics.histogram("diffreg_comm_op_seconds{op=\"alltoallv\"}").is_some(),
         "doctor must derive per-op latency histograms"
     );
+
+    // --- Predicted column: the paper's performance model, per phase pair. ---
+    let b = model_solve(&Machine::MAVERICK, grid.n, RANKS, &SolveShape::paper_scaling());
+    let pred = PredictedPhases {
+        fft_comm: b.fft_comm,
+        fft_exec: b.fft_exec,
+        interp_comm: b.interp_comm,
+        interp_exec: b.interp_exec,
+    };
+    let text = report.render(10, Some(&pred));
+    assert!(text.contains("model comparison"), "{text}");
+    for (phase, predicted) in
+        [("fft", b.fft_comm + b.fft_exec), ("interp", b.interp_comm + b.interp_exec)]
+    {
+        let row = text.lines().find(|l| l.split_whitespace().next() == Some(phase));
+        let row = row.unwrap_or_else(|| panic!("no {phase} model row:\n{text}"));
+        assert!(row.ends_with(&format!("{predicted:.6}")), "{row}");
+    }
 
     // --- Determinism: the doctor is a pure function of its input. ---
     let again = analyze(&input);

@@ -129,7 +129,7 @@ fn cmd_analyze(args: &[String]) -> Result<(), String> {
         let b = diffreg_perfmodel::model_solve(
             &diffreg_perfmodel::Machine::MAVERICK,
             [n, n, n],
-            report.ranks.max(1),
+            report.ranks.len().max(1),
             &shape,
         );
         PredictedPhases {

@@ -1,6 +1,7 @@
 //! End-to-end tests for the `diffreg-doctor incident` subcommand: the happy
 //! path over a real bundle on disk, and the typed non-panicking failure
-//! modes (missing bundle, truncated file) with their messages pinned.
+//! modes (missing bundle, truncated file) with their messages pinned. One
+//! more runs `analyze --grid` over the same bundle for the model column.
 
 use std::path::PathBuf;
 use std::process::Command;
@@ -68,6 +69,23 @@ fn incident_subcommand_analyzes_and_gates_a_real_bundle() {
     assert!(stdout.contains("culprit: gang rank 0"), "{stdout}");
     assert!(stdout.contains("gate ok"), "{stdout}");
     assert!(dir.join("incident-report.txt").is_file());
+    let _ = std::fs::remove_dir_all(&base);
+}
+
+#[test]
+fn analyze_subcommand_renders_the_model_column_for_a_grid() {
+    let base = scratch("analyze-grid");
+    let dir = write_test_bundle(&base);
+    let out = doctor()
+        .args(["analyze", "--dir", dir.to_str().unwrap(), "--grid", "8"])
+        .output()
+        .unwrap();
+    assert!(out.status.success(), "stderr:\n{}", String::from_utf8_lossy(&out.stderr));
+    let report = std::fs::read_to_string(dir.join("doctor-report.txt")).unwrap();
+    let model = report.split_once("model comparison").map(|(_, rest)| rest).unwrap_or_default();
+    for phase in ["fft", "interp"] {
+        assert!(model.lines().any(|l| l.split_whitespace().next() == Some(phase)), "{report}");
+    }
     let _ = std::fs::remove_dir_all(&base);
 }
 

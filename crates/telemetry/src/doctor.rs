@@ -54,7 +54,6 @@ use crate::metrics::{escape_label_value, MetricsRegistry};
 use crate::recorder::{
     recorder_from_jsonl, recorder_to_jsonl, CommKey, CommOp, RecEvent, RecKind, RecorderSnapshot,
 };
-use crate::report::PredictedPhases;
 
 /// Phase label for time not covered by any span.
 pub const UNTRACED: &str = "(untraced)";
@@ -286,11 +285,26 @@ impl PathSegment {
     }
 }
 
+/// The four per-phase predictions of the paper's performance model, as plain
+/// seconds (convert from `diffreg_perfmodel::Breakdown` at the call site so
+/// this crate stays model-agnostic); [`DoctorReport::render`] prints them.
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
+pub struct PredictedPhases {
+    /// Predicted FFT communication seconds.
+    pub fft_comm: f64,
+    /// Predicted FFT execution seconds.
+    pub fft_exec: f64,
+    /// Predicted interpolation communication seconds.
+    pub interp_comm: f64,
+    /// Predicted interpolation execution seconds.
+    pub interp_exec: f64,
+}
+
 /// The full doctor analysis of one run.
 #[derive(Debug, Clone)]
 pub struct DoctorReport {
-    /// Number of ranks merged.
-    pub ranks: usize,
+    /// The merged captures' ranks, in input order (the heat table's columns).
+    pub ranks: Vec<usize>,
     /// Wall-clock seconds from first to last recorded activity.
     pub wall_s: f64,
     /// Total send events.
@@ -317,7 +331,8 @@ pub struct DoctorReport {
     pub path_totals: Vec<(String, f64)>,
     /// Fraction of the wall clock the critical path explains.
     pub coverage: f64,
-    /// Seconds per `(phase → per-rank vector)` from the span timelines.
+    /// Seconds per `(phase → per-rank vector)` from the span timelines, one
+    /// entry per rank of `ranks`, in that order.
     pub phase_rank_seconds: BTreeMap<String, Vec<f64>>,
     /// Derived metrics (op latencies, wait histograms, span counts) merged
     /// with the registry the bundle carried.
@@ -751,7 +766,7 @@ pub fn analyze(input: &DoctorInput) -> DoctorReport {
     metrics.inc_counter("diffreg_trace_dropped_events_total", trace_dropped);
 
     DoctorReport {
-        ranks: nranks,
+        ranks: input.ranks.iter().map(|r| r.rank).collect(),
         wall_s,
         p2p_sends,
         p2p_recvs,
@@ -781,7 +796,7 @@ impl DoctorReport {
         let _ = writeln!(
             out,
             "wait-state doctor: {} rank(s), wall {:.6} s, {} trace event(s) dropped at capture",
-            self.ranks, self.wall_s, self.trace_dropped
+            self.ranks.len(), self.wall_s, self.trace_dropped
         );
         let _ = writeln!(
             out,
@@ -882,7 +897,7 @@ impl DoctorReport {
         let mut out = String::new();
         let _ = writeln!(out, "phase x rank heat table (seconds, imbal = max/mean):");
         let mut header = format!("  {:<24}", "phase");
-        for r in 0..self.ranks {
+        for r in &self.ranks {
             let _ = write!(header, " {:>10}", format!("r{r}"));
         }
         let _ = writeln!(out, "{header} {:>8}", "imbal");
@@ -1086,6 +1101,15 @@ mod tests {
         assert_eq!((plan.count(), plan.sum()), (1, 96.0));
         let eval = rep.metrics.histogram("diffreg_span_count{span=\"interp.eval\"}").unwrap();
         assert_eq!((eval.count(), eval.sum()), (1, 192.0), "a zero count is no observation");
+    }
+
+    #[test]
+    fn heat_table_labels_columns_by_capture_rank() {
+        let mut input = input([("fft.forward", 0, 10), ("fft.forward", 0, 30)].map(|s| window(spans(&[s]))));
+        input.ranks[1].rank = 2;
+        let table = analyze(&input).render_heat_table();
+        let header: Vec<&str> = table.lines().nth(1).unwrap().split_whitespace().collect();
+        assert_eq!(header, ["phase", "r0", "r2", "imbal"], "{table}");
     }
 
     #[test]

@@ -632,7 +632,7 @@ pub fn analyze_incident(bundle: &IncidentBundle) -> IncidentAnalysis {
             out,
             "  window: {} ranks, {:.3}s wall, {} matched p2p ({} unmatched), \
              {} collectives ({} incomplete)",
-            report.ranks,
+            report.ranks.len(),
             report.wall_s,
             report.matched,
             report.unmatched_sends + report.unmatched_recvs,

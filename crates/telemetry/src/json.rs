@@ -2,7 +2,7 @@
 //! recursive-descent parser.
 //!
 //! This is the one serializer every telemetry artifact flows through — the
-//! Chrome trace exporter, the phase report, the convergence JSON-lines
+//! Chrome trace exporter, the bundles, the convergence JSON-lines
 //! stream, the `results/<name>.json` table dumps, and the kernel suite's
 //! `BENCH_kernels.json` — so all of them stay mutually parseable
 //! without `serde`. The parser exists so tests and the CI smoke step can

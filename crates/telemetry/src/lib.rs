@@ -2,8 +2,8 @@
 //! solver.
 //!
 //! Its pieces, all zero-dependency (the only workspace dep is
-//! `diffreg-comm`, for the event ring and the collective phase-report
-//! reduction):
+//! `diffreg-comm`, for the event ring). The crate reads rings and bundles
+//! only and issues no collective: it never touches a communicator.
 //!
 //! * [`span`] + [`recorder`] — hierarchical RAII span tracing into the
 //!   per-thread event ring of [`diffreg_comm::ring`], which also holds the
@@ -14,11 +14,6 @@
 //!   `tid` per thread plus a comm track; load the file in Perfetto /
 //!   `chrome://tracing`). No environment variable is read. A span carries
 //!   at most one count ([`SpanGuard::count`]).
-//! * [`report`] — rank-aggregated phase report: every `Timers` /
-//!   `CommStats` key reduced to min/mean/max/imbalance across ranks
-//!   (allreduce-based, collective) and rendered as the paper's
-//!   Table-I-style exec/comm breakdown with an optional
-//!   measured-vs-predicted column.
 //! * [`convergence`] — the solver telemetry stream: one structured record
 //!   per Newton iteration plus discrete events (checkpoint, resume, level
 //!   transitions, faults), as JSON-lines and the paper's convergence-table
@@ -53,7 +48,6 @@ pub mod json;
 pub mod metrics;
 pub mod profile;
 pub mod recorder;
-pub mod report;
 pub mod span;
 
 pub use convergence::{ConvergenceLog, IterRecord, SolverEvent, StreamEntry};
@@ -63,7 +57,7 @@ pub use recorder::{
 };
 pub use metrics::{escape_label_value, Histogram, MetricsRegistry};
 pub use profile::{diff_phases, render_diff, PhaseDelta, PhaseRow, Profile, StackStat};
-pub use report::{collect_phase_report, PhaseEntry, PhaseReport, PredictedPhases};
+pub use doctor::PredictedPhases;
 pub use span::{
     chrome_trace, set_trace_enabled, span, trace_enabled, validate_chrome_trace, with_span,
     SpanGuard, TraceSummary, COMM_TRACK_TID,

@@ -6,7 +6,7 @@
 # a subset of an earlier step.
 #   1. release build, fully offline
 #   2. full workspace test suite in release. This *is* the smoke tier: the
-#      traced 4-rank 32^3 registration (core/tests/{telemetry,doctor}.rs),
+#      traced 4-rank 32^3 registration (core/tests/doctor.rs),
 #      the serve chaos campaigns, the live HTTP plane and the incident drill
 #      (serve/tests/{load,http,incidents}.rs), the chaos / resilience
 #      drills and the r2c / SoA parity tier
@@ -22,8 +22,9 @@
 #      second Comm backend, hand-built workspace, second barrier, contract
 #      switch, kernel gate, second per-thread metrics store, second comm
 #      stream, recorder switch, hand-rolled FNV-1a, second incident record,
-#      fault-injector trait, convergence tail cap, chaos deferral knob or
-#      new env::var read may reappear; workspace line count
+#      fault-injector trait, convergence tail cap, chaos deferral knob,
+#      collective phase report or new env::var read may reappear; workspace
+#      line count
 #   6. clippy clean under -D warnings: it enforces step 5's lint levels and
 #      rejects a stale #[expect], so a missing clippy fails the build
 #   7. fail if Cargo.lock ever acquires a registry (non-path) dependency
@@ -175,6 +176,12 @@ fi
 # (PlannedFaults), and no knob that only its default or a test sets.
 if grep -rnE 'Incident[R]ecord|Fault[I]njector|No[F]aults|Seeded[F]aults|with_tail_[c]ap|tail_[c]ap|max_[d]eferred' $everywhere; then
     echo "ERROR: a second incident record, fault-injector trait, tail cap or deferral knob reappeared" >&2
+    exit 1
+fi
+# Telemetry reads rings, not Timers: no collective phase report over the
+# Timers and CommStats, and no second acceptance test beside the doctor's.
+if grep -rnE 'collect_phase_[r]eport|Phase[R]eport|Phase[E]ntry|--test [t]elemetry' $everywhere; then
+    echo "ERROR: the collective phase report or its acceptance test reappeared" >&2
     exit 1
 fi
 # The workspace line count is tracked like a benchmark (ROADMAP aim 2).
