@@ -370,7 +370,8 @@ fn study_kernel(p: &Problem<'_>, suite: &mut BenchSuite) {
                 .with_extra("matvecs", mv as f64),
         );
     }
-    println!("(trilinear is cheaper per point but loses registration accuracy, §III-B2)");
+    println!("(trilinear is cheaper per point but loses registration accuracy, §III-B2;");
+    println!(" the Gauss-Newton matvec is trilinear in both rows, the kernel sets the rest)");
 }
 
 fn study_reg(p: &Problem<'_>, suite: &mut BenchSuite) {

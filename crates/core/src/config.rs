@@ -11,7 +11,10 @@ pub enum HessianKind {
     /// Gauss-Newton approximation: drop the λ terms of eq. (5). Guaranteed
     /// positive semidefinite; the paper's choice for all reported runs
     /// ("since the problem is non-convex ... we opt for a Gauss-Newton
-    /// approximation").
+    /// approximation"). Its incremental state and incremental adjoint
+    /// interpolate trilinearly whatever [`RegistrationConfig::kernel`]
+    /// says: an inexact Newton step needs only an approximate Hessian, and
+    /// the gradient and the line search fix the answer.
     #[default]
     GaussNewton,
     /// The full Newton Hessian including the `div(λṽ)` source in the
@@ -34,7 +37,10 @@ pub struct RegistrationConfig {
     /// Enforce `div v = 0` (volume/mass-preserving diffeomorphism) via the
     /// Leray projection.
     pub incompressible: bool,
-    /// Interpolation kernel for the semi-Lagrangian scheme.
+    /// Interpolation kernel for the semi-Lagrangian scheme: the objective,
+    /// the gradient, the line search, post-processing and the full-Newton
+    /// matvec. The Gauss-Newton matvec is trilinear whatever this says
+    /// ([`HessianKind::GaussNewton`]).
     pub kernel: Kernel,
     /// Gauss-Newton (paper default) or full Newton second-order operator.
     pub hessian: HessianKind,

@@ -4,6 +4,7 @@
 
 use diffreg_comm::{Comm, ReduceOp};
 use diffreg_grid::{ScalarField, VectorField};
+use diffreg_interp::Kernel;
 use diffreg_optim::GaussNewtonProblem;
 use diffreg_transport::{compute_trajectory, SemiLagrangian, Trajectory, Workspace};
 
@@ -274,7 +275,12 @@ impl<'a, C: Comm> GaussNewtonProblem for RegProblem<'a, C> {
             HessianKind::GaussNewton => {
                 // Incremental state (5a) forward, then incremental adjoint
                 // (5c without the λ terms) backward;
-                // H d = β(-Δ)^m d + P ∫ λ̃ ∇ρ dt.
+                // H d = β(-Δ)^m d + P ∫ λ̃ ∇ρ dt. Both transports run on the
+                // trilinear kernel whatever `cfg.kernel` says: an inexact
+                // Newton step needs only an approximate Hessian (the λ terms
+                // are dropped for the same reason), and the gradient and the
+                // line search, which stay on `cfg.kernel`, fix the answer.
+                let ws = &Workspace { kernel: Kernel::Trilinear, ..self.ws };
                 let rho_tilde1 = lin.sl.solve_incremental_state(ws, d, &lin.grads);
                 let lam_tilde1 = self.cfg.distance.gn_terminal(
                     &lin.rho1,
@@ -372,6 +378,60 @@ mod tests {
         })
     }
 
+    /// The Gauss-Newton product `H d` assembled from the linearization's
+    /// pieces with both incremental transports on `kernel` (the images are
+    /// compressible, so `P` is the identity).
+    fn gn_product<C: Comm>(prob: &RegProblem<C>, kernel: Kernel, d: &VectorField) -> VectorField {
+        let ws = &Workspace { kernel, ..prob.ws };
+        let lin = prob.lin.as_ref().expect("linearized");
+        let rho_tilde1 = lin.sl.solve_incremental_state(ws, d, &lin.grads);
+        let lam_tilde1 =
+            prob.cfg.distance.gn_terminal(&lin.rho1, &prob.rho_r, &rho_tilde1, &ws.grid(), ws.comm);
+        let adj_tilde = lin.sl.solve_adjoint(ws, &lam_tilde1);
+        let mut h = ws.fft.regularization(d, prob.cfg.reg, prob.cfg.beta, ws.timers);
+        h.axpy(1.0, &prob.time_integral(&adj_tilde, &lin.grads));
+        h
+    }
+
+    #[test]
+    fn gauss_newton_matvec_is_trilinear_and_full_newton_follows_the_kernel() {
+        let grid = Grid::cubic(12);
+        let (comm, parts) = setup(grid);
+        let ws = parts.workspace(&comm);
+        let (t, r) = images(&ws);
+        let v = probe_dir(&ws);
+        let d = VectorField::from_fn(&grid, ws.block(), |x| {
+            [0.2 * x[2].cos(), 0.15 * (x[0] + x[1]).sin(), -0.1 * x[1].cos()]
+        });
+        for hessian in [HessianKind::GaussNewton, HessianKind::FullNewton] {
+            let cfg = RegistrationConfig {
+                nt: 4,
+                beta: 1e-2,
+                kernel: Kernel::Tricubic,
+                hessian,
+                ..Default::default()
+            };
+            let mut prob = RegProblem::new(&ws, &t, &r, cfg);
+            prob.linearize(&v);
+            let h = prob.hessian_vec(&d);
+            // Swap the workspace's kernel under the cached linearization:
+            // only a matvec that reads it can change.
+            prob.ws.kernel = Kernel::Trilinear;
+            let swapped = prob.hessian_vec(&d);
+            prob.ws.kernel = Kernel::Tricubic;
+            match hessian {
+                HessianKind::GaussNewton => {
+                    assert!(same_bits(&h, &gn_product(&prob, Kernel::Trilinear, &d)));
+                    assert!(!same_bits(&h, &gn_product(&prob, Kernel::Tricubic, &d)));
+                    assert!(same_bits(&h, &swapped), "GN matvec must not read cfg.kernel");
+                }
+                HessianKind::FullNewton => {
+                    assert!(!same_bits(&h, &swapped), "full Newton must follow cfg.kernel");
+                }
+            }
+        }
+    }
+
     #[test]
     fn gradient_matches_finite_differences() {
         let grid = Grid::cubic(12);
@@ -407,36 +467,38 @@ mod tests {
 
     #[test]
     fn hessian_is_nearly_symmetric_and_psd() {
-        let grid = Grid::cubic(10);
-        let (comm, parts) = setup(grid);
-        let ws = parts.workspace(&comm);
-        let (t, r) = images(&ws);
-        let cfg = RegistrationConfig { nt: 4, beta: 1e-2, ..Default::default() };
-        let mut prob = RegProblem::new(&ws, &t, &r, cfg);
-        let v = probe_dir(&ws);
-        prob.linearize(&v);
+        for n in [[10, 10, 10], [24, 30, 24]] {
+            let grid = Grid::new(n);
+            let (comm, parts) = setup(grid);
+            let ws = parts.workspace(&comm);
+            let (t, r) = images(&ws);
+            let cfg = RegistrationConfig { nt: 4, beta: 1e-2, ..Default::default() };
+            let mut prob = RegProblem::new(&ws, &t, &r, cfg);
+            let v = probe_dir(&ws);
+            prob.linearize(&v);
 
-        let d1 = VectorField::from_fn(&grid, ws.block(), |x| {
-            [0.3 * x[2].cos(), 0.2 * (x[0] + x[1]).sin(), -0.1 * x[1].cos()]
-        });
-        let d2 = VectorField::from_fn(&grid, ws.block(), |x| {
-            [-0.1 * x[1].sin(), 0.25 * x[2].cos(), 0.15 * x[0].sin()]
-        });
-        let h1 = prob.hessian_vec(&d1);
-        let h2 = prob.hessian_vec(&d2);
-        let a = prob.ops().dot(&h1, &d2);
-        let b = prob.ops().dot(&h2, &d1);
-        // The semi-Lagrangian incremental adjoint is not the exact discrete
-        // transpose of the incremental state solve, so symmetry holds up to
-        // discretization error relative to the operator scale.
-        let scale = prob.ops().norm(&h1) * prob.ops().norm(&d2);
-        let rel = (a - b).abs() / scale.max(1e-12);
-        assert!(rel < 1e-2, "asymmetry {rel}: {a} vs {b}");
+            let d1 = VectorField::from_fn(&grid, ws.block(), |x| {
+                [0.3 * x[2].cos(), 0.2 * (x[0] + x[1]).sin(), -0.1 * x[1].cos()]
+            });
+            let d2 = VectorField::from_fn(&grid, ws.block(), |x| {
+                [-0.1 * x[1].sin(), 0.25 * x[2].cos(), 0.15 * x[0].sin()]
+            });
+            let h1 = prob.hessian_vec(&d1);
+            let h2 = prob.hessian_vec(&d2);
+            let a = prob.ops().dot(&h1, &d2);
+            let b = prob.ops().dot(&h2, &d1);
+            // The semi-Lagrangian incremental adjoint is not the exact discrete
+            // transpose of the incremental state solve, so symmetry holds up to
+            // discretization error relative to the operator scale.
+            let scale = prob.ops().norm(&h1) * prob.ops().norm(&d2);
+            let rel = (a - b).abs() / scale.max(1e-12);
+            assert!(rel < 1e-2, "{n:?}: asymmetry {rel}: {a} vs {b}");
 
-        let hd = prob.hessian_vec(&d1);
-        let quad = prob.ops().dot(&hd, &d1);
-        assert!(quad > 0.0, "GN Hessian not positive on test direction: {quad}");
-        assert_eq!(prob.hessian_matvecs, 3);
+            let hd = prob.hessian_vec(&d1);
+            let quad = prob.ops().dot(&hd, &d1);
+            assert!(quad > 0.0, "{n:?}: GN Hessian not positive on test direction: {quad}");
+            assert_eq!(prob.hessian_matvecs, 3);
+        }
     }
 
     #[test]
@@ -475,24 +537,36 @@ mod tests {
             prob.ops().dot(&diff, &w)
         };
 
-        let apply = |kind: HessianKind| -> f64 {
+        // ⟨H d, w⟩ of full Newton, of the Gauss-Newton matvec as shipped
+        // (trilinear transports), and of the tricubic Gauss-Newton product:
+        // the fair comparison for full Newton, which runs on the tricubic
+        // kernel throughout.
+        let apply = |kind: HessianKind| -> (f64, f64) {
             let cfg = RegistrationConfig { nt: 4, beta: 1e-2, hessian: kind, ..Default::default() };
             let mut prob = RegProblem::new(&ws, &t, &r, cfg);
             prob.linearize(&v);
             let hd = prob.hessian_vec(&d);
-            prob.ops().dot(&hd, &w)
+            let tricubic_gn = gn_product(&prob, Kernel::Tricubic, &d);
+            (prob.ops().dot(&hd, &w), prob.ops().dot(&tricubic_gn, &w))
         };
-        let full = apply(HessianKind::FullNewton);
-        let gn = apply(HessianKind::GaussNewton);
+        let (full, _) = apply(HessianKind::FullNewton);
+        let (gn_trilinear, gn) = apply(HessianKind::GaussNewton);
 
         let scale = fd.abs().max(1e-12);
         let err_full = (full - fd).abs() / scale;
         let err_gn = (gn - fd).abs() / scale;
+        let err_gn_trilinear = (gn_trilinear - fd).abs() / scale;
         assert!(err_full < 0.25, "full Newton mismatch {err_full}: {full} vs fd {fd} (GN {gn})");
-        // Full Newton must fit the true curvature better than GN.
+        // Full Newton must fit the true curvature better than GN on the
+        // same kernel.
         assert!(
             err_full < err_gn,
             "full ({full}, err {err_full}) should beat GN ({gn}, err {err_gn}) vs fd ({fd})"
+        );
+        // The trilinear matvec stays an approximation of the same quality.
+        assert!(
+            err_gn_trilinear < 0.25,
+            "trilinear GN mismatch {err_gn_trilinear}: {gn_trilinear} vs fd {fd}"
         );
     }
 

@@ -168,7 +168,8 @@ fn public_pieces<C: Comm>(
 
 /// Every field of the outcome, on the three exits post-processing meets:
 /// converged, iteration cap, and a failed line search (the coarse-grid
-/// failure `solve_api.rs` pins), whose linearization the trials dropped.
+/// failure `solve_api.rs` describes, at 12³ where both β levels end in it),
+/// whose linearization the trials dropped.
 #[test]
 fn register_solve_post_processing_matches_public_pieces() {
     use NewtonStatus::{Converged, LineSearchFailed, MaxIterations};
@@ -177,7 +178,7 @@ fn register_solve_post_processing_matches_public_pieces() {
     let cases: [Case; 3] = [
         ([16, 16, 16], (1, 1), &[1e-2], NewtonOptions::default(), &[Converged]),
         ([24, 30, 24], (2, 2), &[1e-2], capped, &[MaxIterations]),
-        ([12, 15, 12], (1, 1), &[1e-2, 1e-3], NewtonOptions::default(), &[Converged, LineSearchFailed]),
+        ([12, 12, 12], (1, 1), &[1e-2, 1e-3], NewtonOptions::default(), &[LineSearchFailed; 2]),
     ];
     for (dims, (p1, p2), betas, newton, expect) in cases {
         run_threaded(p1 * p2, move |comm| {

@@ -3,9 +3,11 @@
 //! schedule is `register`, an enabled checkpoint store does not perturb the
 //! solve, warm start + store + observer compose, a failed checkpoint save is
 //! reported as such, and the observer's stream rendered through
-//! [`ConvergenceLog`] is byte-identical to the JSONL the pre-merge
-//! `register_with_continuation_logged` wrote for the same problem
-//! (`tests/golden/`, captured at the parent commit of the merge).
+//! [`ConvergenceLog`] is byte-identical to a checked-in capture
+//! (`tests/golden/`). The format is the one the former
+//! `register_with_continuation_logged` wrote before the two entry points
+//! merged; the numbers were re-captured when the Gauss-Newton matvec moved
+//! to the trilinear kernel, which moves every iterate after the first.
 
 use diffreg_comm::{run_threaded, SerialComm};
 use diffreg_core::{
@@ -193,20 +195,22 @@ fn config_kernel_overrides_workspace_kernel() {
 }
 
 /// The first non-cubic solve of the suite: 12×15×12 (radices 2·3·5) with one
-/// and two β levels, on 1 and on 4 ranks. The map stays diffeomorphic and
-/// the two rank counts agree on the velocity — not bitwise, the reductions
-/// sum in a different order, but to 1e-12 of its largest entry (measured:
-/// 1.1e-15 with one level, 6.3e-15 with two).
+/// and two β levels, on 1 and on 4 ranks. Every level converges, the map
+/// stays diffeomorphic and the two rank counts agree on the velocity — not
+/// bitwise, the reductions sum in a different order, but to 1e-12 of its
+/// largest entry (measured: 6.2e-16 with one level, 4.8e-15 with two).
 ///
-/// Known failure, pinned so a fix shows up here: level 1 of the two-level
-/// schedule does not converge. After four accepted steps (‖g‖ 0.124 →
-/// 0.0041, tolerance 0.00124) the Armijo search finds no decrease, on 1 and
-/// on 4 ranks alike. 12³, 16×14×16 and 16×18×16 do the same while 16³,
-/// 16×20×16 and 24×30×24 converge, so it is the line search at the
-/// discretization floor of a coarse grid, not the shape.
+/// Level 1 of the two-level schedule ended in `LineSearchFailed` here while
+/// the Gauss-Newton matvec ran on the tricubic kernel; with its trilinear
+/// transports it converges. That flip does not explain the coarse-grid
+/// line-search failure: with the same default options 12³ still ends
+/// `[LineSearchFailed, LineSearchFailed]` and 16×18×16
+/// `[Converged, LineSearchFailed]` on either matvec kernel, on 1 and on 4
+/// ranks, and of the shapes that failed only 16×14×16 flips as well.
+/// `reuse.rs` keeps the failed exit covered at 12³.
 #[test]
 fn non_cubic_solve_is_diffeomorphic_and_agrees_across_rank_counts() {
-    use NewtonStatus::{Converged, LineSearchFailed};
+    use NewtonStatus::Converged;
     let grid = Grid::new([12, 15, 12]);
     // The velocity on the whole grid, assembled from the ranks' blocks.
     let solve = |p: usize, betas: &'static [f64], expect: &'static [NewtonStatus]| -> Vec<f64> {
@@ -236,7 +240,7 @@ fn non_cubic_solve_is_diffeomorphic_and_agrees_across_rank_counts() {
         global
     };
     for (betas, expect) in
-        [(&BETAS[..1], &[Converged][..]), (&BETAS[..], &[Converged, LineSearchFailed][..])]
+        [(&BETAS[..1], &[Converged][..]), (&BETAS[..], &[Converged, Converged][..])]
     {
         let serial = solve(1, betas, expect);
         let dist = solve(4, betas, expect);

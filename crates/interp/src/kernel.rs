@@ -42,14 +42,10 @@ pub fn cubic_weights(t: f64) -> [f64; 4] {
     ]
 }
 
-/// The two linear weights `[1 − t, t]` recovered from the cubic weights of
-/// the same fractional position: `t` is their first moment over the nodes
-/// −1, 0, 1, 2. The stencil table stores only the cubic weights, so both the
-/// table path and the scalar [`trilinear`] take `t` from here (exact at
-/// `t = 0` and `t = 1`, within one rounding of `t` in between).
+/// The two linear weights `[1 − t, t]` at fractional position `t`, for
+/// stencil nodes at offsets 0, 1.
 #[inline]
-pub(crate) fn linear_weights(w: &[f64; 4]) -> [f64; 2] {
-    let t = (w[2] - w[0]) + 2.0 * w[3];
+pub(crate) fn lerp_weights(t: f64) -> [f64; 2] {
     [1.0 - t, t]
 }
 
@@ -85,11 +81,12 @@ fn tensor<const W: usize>(ghost: &GhostField, first: [isize; 3], w: &[[f64; W]; 
     dot(&acc, &w[2])
 }
 
-/// Base indices and cubic weights of physical point `x` on `grid`, per axis.
+/// Base indices and fractional positions of physical point `x` on `grid`,
+/// per axis.
 #[inline]
-pub(crate) fn base_and_weights(grid: &Grid, x: [f64; 3]) -> ([usize; 3], [[f64; 4]; 3]) {
+pub(crate) fn base_and_fracs(grid: &Grid, x: [f64; 3]) -> ([usize; 3], [f64; 3]) {
     let bt: [(usize, f64); 3] = std::array::from_fn(|a| base_and_frac(x[a], grid.n[a]));
-    (bt.map(|(b, _)| b), bt.map(|(_, t)| cubic_weights(t)))
+    (bt.map(|(b, _)| b), bt.map(|(_, t)| t))
 }
 
 /// Tricubic Lagrange interpolation of a ghosted field at physical point `x`.
@@ -97,14 +94,14 @@ pub(crate) fn base_and_weights(grid: &Grid, x: [f64; 3]) -> ([usize; 3], [[f64; 
 /// The base index of `x` must lie inside this rank's owned slab (guaranteed
 /// when the point arrived through the scatter plan).
 pub fn tricubic(ghost: &GhostField, grid: &Grid, x: [f64; 3]) -> f64 {
-    let (b, w) = base_and_weights(grid, x);
-    tensor(ghost, b.map(|b| b as isize - 1), &w)
+    let (b, t) = base_and_fracs(grid, x);
+    tensor(ghost, b.map(|b| b as isize - 1), &t.map(cubic_weights))
 }
 
 /// Trilinear interpolation of a ghosted field at physical point `x`.
 pub fn trilinear(ghost: &GhostField, grid: &Grid, x: [f64; 3]) -> f64 {
-    let (b, w) = base_and_weights(grid, x);
-    tensor(ghost, b.map(|b| b as isize), &w.map(|a| linear_weights(&a)))
+    let (b, t) = base_and_fracs(grid, x);
+    tensor(ghost, b.map(|b| b as isize), &t.map(lerp_weights))
 }
 
 /// Interpolation kernel selector.

@@ -6,8 +6,8 @@
 //! points to their owner ranks and returns interpolated values.
 //!
 //! A plan holds one stencil table ([`SoaStencils`]: a flat offset and
-//! twelve cubic weights per point, 100 bytes) that both kernels read, and
-//! evaluates all fields of a call in one walk over it
+//! three fractional positions per point, 28 bytes) that both kernels read,
+//! and evaluates all fields of a call in one walk over it
 //! ([`ScatterPlan::interpolate_many`]). The scalar kernels ([`tricubic`],
 //! [`trilinear`]) are the pointwise oracles, in the same summation order,
 //! so the table path is tested against them bit for bit.

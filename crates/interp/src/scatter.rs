@@ -18,7 +18,7 @@ use crate::soa::SoaStencils;
 /// A built communication plan for one set of departure points.
 ///
 /// Resident size: 8 bytes per requested point (`owner_of`, `slot_of`) plus
-/// 100 per assigned point (the stencil table); the routed coordinates
+/// 28 per assigned point (the stencil table); the routed coordinates
 /// themselves are consumed by the table build and not kept.
 #[derive(Debug, Clone)]
 pub struct ScatterPlan {

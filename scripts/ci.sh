@@ -23,8 +23,9 @@
 #      switch, kernel gate, second per-thread metrics store, second comm
 #      stream, recorder switch, hand-rolled FNV-1a, second incident record,
 #      fault-injector trait, convergence tail cap, chaos deferral knob,
-#      collective phase report or new env::var read may reappear; workspace
-#      line count
+#      collective phase report, cubic-to-linear weight recombination, option
+#      picking the Gauss-Newton matvec's kernel or new env::var read may
+#      reappear; workspace line count
 #   6. clippy clean under -D warnings: it enforces step 5's lint levels and
 #      rejects a stale #[expect], so a missing clippy fails the build
 #   7. fail if Cargo.lock ever acquires a registry (non-path) dependency
@@ -182,6 +183,13 @@ fi
 # Timers and CommStats, and no second acceptance test beside the doctor's.
 if grep -rnE 'collect_phase_[r]eport|Phase[R]eport|Phase[E]ntry|--test [t]elemetry' $everywhere; then
     echo "ERROR: the collective phase report or its acceptance test reappeared" >&2
+    exit 1
+fi
+# The Gauss-Newton matvec is trilinear by design, not by option, and the
+# stencil table stores positions: no recombination of linear weights from
+# cubic ones, and no knob that picks the matvec's kernel.
+if grep -rnE 'linear_[w]eights|hessian_[k]ernel|matvec_[k]ernel|gn_[k]ernel' $everywhere; then
+    echo "ERROR: the weight recombination or a matvec kernel option reappeared" >&2
     exit 1
 fi
 # The workspace line count is tracked like a benchmark (ROADMAP aim 2).
