@@ -4,8 +4,9 @@
 //! paper's complexity model (§III-C4) accounts for.
 //!
 //! `cargo bench -p diffreg-bench` (the thin `benches/kernels.rs` shim) is
-//! its one entry; it writes `results/kernels.json`, and `BENCH_kernels.json`
-//! is a copy of that file. The records are data, not a gate: the
+//! its one entry; it writes `results/kernels.json` under the package
+//! directory (`crates/bench`), and `BENCH_kernels.json` is a copy of that
+//! file. The records are data, not a gate: the
 //! before/after comparator is `benchmark/run.sh --compare`. Timing goes
 //! through `testkit::bench` (median-of-K wall clock after warmup);
 //! results come back as a [`BenchSuite`] in the canonical results schema.
@@ -67,19 +68,9 @@ fn bench_fft(suite: &mut BenchSuite) {
     let field = ScalarField::from_fn(&ctx.grid, fft.spatial_block(), |x| {
         x[0].sin() + x[1].cos() * x[2].sin()
     });
-    push(suite, &format!("fft3d/forward/{n}"), || {
-        fft.forward(&field, timers);
-    });
-    let spec = fft.forward(&field, timers);
-    push(suite, &format!("fft3d/inverse/{n}"), || {
-        fft.inverse(&spec, timers);
-    });
     push(suite, &format!("fft3d/gradient/{n}"), || {
         fft.gradient(&field, timers);
     });
-    // Explicit half-spectrum (r2c) transform records: the public
-    // forward/inverse above keep the full c2c layout, so the r2c wins
-    // only show up in the operator records unless pinned here.
     push(suite, &format!("fft3d/forward_r2c/{n}"), || {
         fft.forward_half(&field, timers);
     });
@@ -121,7 +112,7 @@ fn bench_interp(suite: &mut BenchSuite) {
     let n = 32;
     let ctx = Ctx::new(n);
     let Workspace { decomp, timers, .. } = ctx.ws();
-    let block = decomp.block(0, diffreg_grid::Layout::Spatial);
+    let block = decomp.block(0);
     let field = ScalarField::from_fn(&ctx.grid, block, |x| x[0].sin() * x[1].cos());
     let ghost = ghosted(&ctx.comm, decomp, &field);
     // Departure-like points: every grid point shifted by a fraction of a cell.

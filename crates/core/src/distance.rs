@@ -146,11 +146,11 @@ impl Distance {
 mod tests {
     use super::*;
     use diffreg_comm::SerialComm;
-    use diffreg_grid::{Decomp, Layout};
+    use diffreg_grid::Decomp;
 
     fn setup() -> (Grid, ScalarField, ScalarField) {
         let grid = Grid::cubic(8);
-        let b = Decomp::new(grid, 1).block(0, Layout::Spatial);
+        let b = Decomp::new(grid, 1).block(0);
         let f = ScalarField::from_fn(&grid, b, |x| x[0].sin() + 0.3 * x[1].cos());
         let g = ScalarField::from_fn(&grid, b, |x| (x[0] - 0.4).sin() + 0.2 * x[2].sin());
         (grid, f, g)

@@ -40,14 +40,14 @@ impl<C: Comm> VectorOps<VectorField> for FieldOps<'_, C> {
 mod tests {
     use super::*;
     use diffreg_comm::SerialComm;
-    use diffreg_grid::{Decomp, Layout};
+    use diffreg_grid::Decomp;
 
     #[test]
     fn dot_is_weighted_l2() {
         let grid = Grid::cubic(4);
         let comm = SerialComm::new();
         let d = Decomp::new(grid, 1);
-        let block = d.block(0, Layout::Spatial);
+        let block = d.block(0);
         let ops = FieldOps::new(&comm, grid);
         let mut ones = VectorField::zeros(block);
         ones.fill(1.0);

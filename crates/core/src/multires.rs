@@ -13,7 +13,7 @@
 //! distributed-capable code paths with a one-rank communicator.
 
 use diffreg_comm::Comm;
-use diffreg_grid::{Decomp, Grid, Layout, ScalarField, VectorField};
+use diffreg_grid::{Decomp, Grid, ScalarField, VectorField};
 use diffreg_optim::NewtonReport;
 use diffreg_spectral::{coarsen_extents, spectral_resample};
 use diffreg_transport::SessionParts;
@@ -37,14 +37,14 @@ fn transfer_span(from: &Grid, to: &Grid) -> &'static str {
 fn resample_scalar(f: &ScalarField, from: &Grid, to: &Grid) -> ScalarField {
     let _span = diffreg_telemetry::span(transfer_span(from, to));
     let data = spectral_resample(f.data(), from.n, to.n);
-    let block = Decomp::new(*to, 1).block(0, Layout::Spatial);
+    let block = Decomp::new(*to, 1).block(0);
     ScalarField::from_vec(block, data)
 }
 
 /// Resamples a serial vector field between grids.
 fn resample_vector(v: &VectorField, from: &Grid, to: &Grid) -> VectorField {
     let _span = diffreg_telemetry::span(transfer_span(from, to));
-    let block = Decomp::new(*to, 1).block(0, Layout::Spatial);
+    let block = Decomp::new(*to, 1).block(0);
     let mut out = VectorField::zeros(block);
     for a in 0..3 {
         let data = spectral_resample(v.comps[a].data(), from.n, to.n);
@@ -175,7 +175,7 @@ mod tests {
     fn resampling_preserves_field_type() {
         let fine = Grid::cubic(16);
         let coarse = Grid::cubic(8);
-        let block = Decomp::new(fine, 1).block(0, Layout::Spatial);
+        let block = Decomp::new(fine, 1).block(0);
         let f = ScalarField::from_fn(&fine, block, |x| x[0].sin() + 0.5);
         let c = resample_scalar(&f, &fine, &coarse);
         assert_eq!(c.local_len(), coarse.total());
@@ -193,7 +193,7 @@ mod tests {
         // two-rank communicator inside run_threaded.
         diffreg_comm::run_threaded(2, |comm| {
             let grid = Grid::cubic(8);
-            let block = Decomp::new(grid, 1).block(0, Layout::Spatial);
+            let block = Decomp::new(grid, 1).block(0);
             let f = ScalarField::zeros(block);
             let _ = register_multilevel(
                 comm,

@@ -6,7 +6,7 @@
 
 use diffreg_comm::{Comm, ReduceOp};
 
-use crate::layout::{Block, Decomp, Grid, Layout};
+use crate::layout::{Block, Grid};
 
 /// A scalar field on one rank's block of the global grid.
 #[derive(Debug, Clone, PartialEq)]
@@ -214,20 +214,16 @@ impl VectorField {
     }
 }
 
-/// Convenience: the local spatial-layout block for `rank` of `decomp`.
-pub fn spatial_block(decomp: &Decomp, rank: usize) -> Block {
-    decomp.block(rank, Layout::Spatial)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::layout::Decomp;
     use diffreg_comm::{run_threaded, SerialComm};
 
     fn serial_setup() -> (Grid, Block) {
         let grid = Grid::cubic(4);
         let d = Decomp::new(grid, 1);
-        (grid, d.block(0, Layout::Spatial))
+        (grid, d.block(0))
     }
 
     #[test]
@@ -272,7 +268,7 @@ mod tests {
 
         let serial = {
             let d = Decomp::new(grid, 1);
-            let b = d.block(0, Layout::Spatial);
+            let b = d.block(0);
             let a = ScalarField::from_fn(&grid, b, f);
             let c = ScalarField::from_fn(&grid, b, g);
             a.inner(&c, &grid, &SerialComm::new())
@@ -281,7 +277,7 @@ mod tests {
         for p in [2usize, 4] {
             let vals = run_threaded(p, |comm| {
                 let d = Decomp::new(grid, p);
-                let b = d.block(comm.rank(), Layout::Spatial);
+                let b = d.block(comm.rank());
                 let a = ScalarField::from_fn(&grid, b, f);
                 let c = ScalarField::from_fn(&grid, b, g);
                 a.inner(&c, &grid, comm)

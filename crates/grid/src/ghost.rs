@@ -14,7 +14,7 @@ use diffreg_comm::Comm;
 
 use crate::arena::{arena_f64, PooledVec};
 use crate::field::ScalarField;
-use crate::layout::{Decomp, Layout};
+use crate::layout::Decomp;
 
 const TAG_GHOST_UP: u64 = (1 << 59) + 1;
 const TAG_GHOST_DOWN: u64 = (1 << 59) + 2;
@@ -105,11 +105,11 @@ fn put_rows(dst: &mut [f64], src: &[f64], n2: usize, g: usize) {
 /// layout and fills the local axis-2 halo, returning the extended array.
 ///
 /// `comm` must be the communicator the decomposition was built for and
-/// `field.block()` must equal `decomp.block(comm.rank(), Layout::Spatial)`.
+/// `field.block()` must equal `decomp.block(comm.rank())`.
 /// Requires `g <=` every rank's local extent on axes 0 and 1.
 pub fn exchange_ghost<C: Comm>(comm: &C, decomp: &Decomp, field: &ScalarField, g: usize) -> GhostField {
     let rank = comm.rank();
-    let block = decomp.block(rank, Layout::Spatial);
+    let block = decomp.block(rank);
     assert_eq!(field.block(), block, "field block does not match decomposition");
     let [c0, c1, n2] = block.count;
     assert!(g <= c0 && g <= c1, "ghost width {g} exceeds local extent {c0}x{c1}");
@@ -183,7 +183,7 @@ mod tests {
     }
 
     fn check_ghost<C: Comm>(comm: &C, grid: Grid, decomp: Decomp, g: usize) {
-        let block = decomp.block(comm.rank(), Layout::Spatial);
+        let block = decomp.block(comm.rank());
         let field = ScalarField::from_vec(
             block,
             (0..block.len())
@@ -257,7 +257,7 @@ mod tests {
     fn rejects_oversized_ghost() {
         let grid = Grid::new([4, 4, 4]);
         let decomp = Decomp::new(grid, 1);
-        let block = decomp.block(0, Layout::Spatial);
+        let block = decomp.block(0);
         let field = ScalarField::zeros(block);
         exchange_ghost(&SerialComm::new(), &decomp, &field, 5);
     }

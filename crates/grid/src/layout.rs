@@ -2,14 +2,13 @@
 //!
 //! The domain is Ω = [0, 2π)³ discretized with a periodic Cartesian grid of
 //! `n = [n0, n1, n2]` points (axis 2 fastest in memory). The decomposition
-//! follows AccFFT's pencil scheme: `p = p1 * p2` ranks arranged in a 2D grid;
-//! three data layouts are used during a distributed FFT:
-//!
-//! * [`Layout::Spatial`]  — axis 0 split by p1, axis 1 split by p2, axis 2 full
-//!   (the input/image layout),
-//! * [`Layout::Mid`]      — axis 0 split by p1, axis 1 full, axis 2 split by p2,
-//! * [`Layout::Spectral`] — axis 0 full, axis 1 split by p1, axis 2 split by p2
-//!   (where diagonal spectral operators are applied).
+//! follows AccFFT's pencil scheme: `p = p1 * p2` ranks arranged in a 2D grid.
+//! A rank owns one block, the spatial one ([`Decomp::block`]): axis 0 split
+//! by p1, axis 1 split by p2, axis 2 full. Every field lives there. The
+//! distributed FFT passes through two transpose stages of its own — mid
+//! (axis 1 full, axis 2 split by p2) and spectral (axis 0 full, axis 1 split
+//! by p1, axis 2 split by p2) — whose extents it computes where it
+//! transposes (`diffreg_pfft`).
 //!
 //! Block splits allow uneven extents (e.g. the brain grid 256 × 300 × 256 on
 //! non-divisor rank counts): the first `n mod p` slabs get one extra plane.
@@ -131,17 +130,6 @@ pub fn slab_of(n: usize, p: usize, idx: usize) -> usize {
     }
 }
 
-/// The three data layouts used during a distributed pencil FFT.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Layout {
-    /// Input layout: axis 0 split by p1, axis 1 split by p2, axis 2 full.
-    Spatial,
-    /// Intermediate: axis 0 split by p1, axis 1 full, axis 2 split by p2.
-    Mid,
-    /// Spectral: axis 0 full, axis 1 split by p1, axis 2 split by p2.
-    Spectral,
-}
-
 /// The pencil decomposition: a `p1 x p2` process grid over a [`Grid`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Decomp {
@@ -208,16 +196,13 @@ impl Decomp {
         r1 * self.p2 + r2
     }
 
-    /// The block a rank owns in the given layout.
-    pub fn block(&self, rank: usize, layout: Layout) -> Block {
+    /// The spatial block a rank owns: axis 0 split by p1, axis 1 by p2,
+    /// axis 2 full.
+    pub fn block(&self, rank: usize) -> Block {
         let (r1, r2) = self.coords(rank);
         let n = self.grid.n;
-        let ((s0, c0), (s1, c1), (s2, c2)) = match layout {
-            Layout::Spatial => (slab(n[0], self.p1, r1), slab(n[1], self.p2, r2), (0, n[2])),
-            Layout::Mid => (slab(n[0], self.p1, r1), (0, n[1]), slab(n[2], self.p2, r2)),
-            Layout::Spectral => ((0, n[0]), slab(n[1], self.p1, r1), slab(n[2], self.p2, r2)),
-        };
-        Block { start: [s0, s1, s2], count: [c0, c1, c2] }
+        let ((s0, c0), (s1, c1)) = (slab(n[0], self.p1, r1), slab(n[1], self.p2, r2));
+        Block { start: [s0, s1, 0], count: [c0, c1, n[2]] }
     }
 
     /// Which rank owns global point `[i0, i1, i2]` in the spatial layout.
@@ -270,10 +255,8 @@ mod tests {
         for p in [1usize, 2, 4, 6] {
             let d = Decomp::new(grid, p);
             assert_eq!(d.size(), p);
-            for layout in [Layout::Spatial, Layout::Mid, Layout::Spectral] {
-                let total: usize = (0..p).map(|r| d.block(r, layout).len()).sum();
-                assert_eq!(total, grid.total(), "layout {layout:?} p={p}");
-            }
+            let total: usize = (0..p).map(|r| d.block(r).len()).sum();
+            assert_eq!(total, grid.total(), "p={p}");
         }
     }
 
@@ -284,7 +267,7 @@ mod tests {
         for i0 in 0..7 {
             for i1 in 0..9 {
                 let owner = d.owner_spatial([i0, i1, 0]);
-                assert!(d.block(owner, Layout::Spatial).contains([i0, i1, 0]));
+                assert!(d.block(owner).contains([i0, i1, 0]));
             }
         }
     }

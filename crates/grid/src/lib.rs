@@ -4,9 +4,10 @@
 //! ghost-layer exchange for the registration solver.
 //!
 //! The decomposition mirrors AccFFT's pencil scheme (paper Fig. 4): a
-//! `p1 x p2` process grid splits axes 0 and 1 of the image in the spatial
-//! layout; two further layouts ([`Layout::Mid`], [`Layout::Spectral`]) are
-//! visited during distributed FFTs. Fields store only the local block;
+//! `p1 x p2` process grid splits axes 0 and 1 of the image, and that
+//! spatial block ([`Decomp::block`]) is the one layout a field has. The
+//! mid and spectral layouts are stages inside the distributed FFT's
+//! transposes, owned by `diffreg-pfft`. Fields store only the local block;
 //! global reductions and ghost exchanges go through a
 //! [`diffreg_comm::Comm`].
 
@@ -22,6 +23,6 @@ mod layout;
 pub use arena::{
     arena_counts, arena_f64, take_pooled, ArenaCounts, BufferPool, PooledVec, F64_ARENA,
 };
-pub use field::{spatial_block, ScalarField, VectorField};
+pub use field::{ScalarField, VectorField};
 pub use ghost::{exchange_ghost, GhostField};
-pub use layout::{slab, slab_of, Block, Decomp, Grid, Layout};
+pub use layout::{slab, slab_of, Block, Decomp, Grid};

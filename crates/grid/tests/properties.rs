@@ -1,9 +1,9 @@
 //! Seeded property tests of the decomposition and field algebra invariants:
-//! slab partitions, local/global index round-trips, layout tilings, and the
+//! slab partitions, local/global index round-trips, block tilings, and the
 //! axpy/scale/inner-product algebra of fields.
 
 use diffreg_comm::SerialComm;
-use diffreg_grid::{slab, slab_of, Block, Decomp, Grid, Layout, ScalarField};
+use diffreg_grid::{slab, slab_of, Block, Decomp, Grid, ScalarField};
 use diffreg_testkit::prop_check;
 
 #[test]
@@ -40,25 +40,23 @@ fn block_local_global_roundtrip() {
 }
 
 #[test]
-fn decomp_layouts_tile_the_grid() {
+fn decomp_blocks_tile_the_grid() {
     prop_check!(cases = 32, |rng| {
         let n = [4 + rng.index(8), 4 + rng.index(8), 4 + rng.index(8)];
         let p1 = 1 + rng.index(3.min(n[0]).min(n[1]));
         let p2 = 1 + rng.index(3.min(n[1]).min(n[2]));
         let grid = Grid::new(n);
         let d = Decomp::with_process_grid(grid, p1, p2);
-        for layout in [Layout::Spatial, Layout::Mid, Layout::Spectral] {
-            // Every global point is owned by exactly one rank.
-            let mut seen = vec![0u8; grid.total()];
-            for r in 0..d.size() {
-                let b = d.block(r, layout);
-                for l in 0..b.len() {
-                    let g = b.global_of_local(l);
-                    seen[grid.flatten(g)] += 1;
-                }
+        // Every global point is owned by exactly one rank.
+        let mut seen = vec![0u8; grid.total()];
+        for r in 0..d.size() {
+            let b = d.block(r);
+            for l in 0..b.len() {
+                let g = b.global_of_local(l);
+                seen[grid.flatten(g)] += 1;
             }
-            assert!(seen.iter().all(|&c| c == 1), "layout {layout:?}");
         }
+        assert!(seen.iter().all(|&c| c == 1), "{n:?} on {p1}x{p2}");
     });
 }
 
@@ -73,7 +71,7 @@ fn owner_lookup_agrees_with_blocks() {
         for i0 in 0..n[0] {
             for i1 in 0..n[1] {
                 let owner = d.owner_spatial([i0, i1, 0]);
-                assert!(d.block(owner, Layout::Spatial).contains([i0, i1, 0]));
+                assert!(d.block(owner).contains([i0, i1, 0]));
             }
         }
     });
@@ -86,7 +84,7 @@ fn field_axpy_scale_algebra() {
         let alpha = rng.uniform(-3.0, 3.0);
         let grid = Grid::new([2, 2, 2]);
         let d = Decomp::new(grid, 1);
-        let block = d.block(0, Layout::Spatial);
+        let block = d.block(0);
         let comm = SerialComm::new();
         let a = ScalarField::from_vec(block, vals.clone());
         // (a + alpha a) == (1 + alpha) a

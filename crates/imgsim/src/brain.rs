@@ -157,7 +157,7 @@ pub fn two_subject_pair(grid: &Grid, block: Block) -> (ScalarField, ScalarField)
 #[cfg(test)]
 mod tests {
     use super::*;
-    use diffreg_grid::{Decomp, Layout};
+    use diffreg_grid::Decomp;
 
     #[test]
     fn phantom_is_deterministic_per_seed() {
@@ -174,7 +174,7 @@ mod tests {
         let grid = Grid::cubic(24);
         let d = Decomp::new(grid, 1);
         let s = BrainSubject::new(1);
-        let img = s.image(&grid, d.block(0, Layout::Spatial));
+        let img = s.image(&grid, d.block(0));
         let max = img.data().iter().cloned().fold(f64::MIN, f64::max);
         let min = img.data().iter().cloned().fold(f64::MAX, f64::min);
         assert!(max <= 1.2 && min >= 0.0, "range [{min}, {max}]");
@@ -188,7 +188,7 @@ mod tests {
     fn subjects_differ_but_share_structure() {
         let grid = Grid::cubic(16);
         let d = Decomp::new(grid, 1);
-        let (r, t) = two_subject_pair(&grid, d.block(0, Layout::Spatial));
+        let (r, t) = two_subject_pair(&grid, d.block(0));
         let diff: f64 =
             r.data().iter().zip(t.data()).map(|(a, b)| (a - b).abs()).sum::<f64>() / r.local_len() as f64;
         assert!(diff > 0.01, "subjects identical");

@@ -37,12 +37,12 @@ pub fn correlation<C: Comm>(a: &ScalarField, b: &ScalarField, grid: &Grid, comm:
 mod tests {
     use super::*;
     use diffreg_comm::SerialComm;
-    use diffreg_grid::{Decomp, Layout};
+    use diffreg_grid::Decomp;
 
     fn fields() -> (Grid, ScalarField, ScalarField) {
         let grid = Grid::cubic(8);
         let d = Decomp::new(grid, 1);
-        let b = d.block(0, Layout::Spatial);
+        let b = d.block(0);
         let a = ScalarField::from_fn(&grid, b, |x| x[0].sin());
         let c = ScalarField::from_fn(&grid, b, |x| (x[0] - 0.4).sin());
         (grid, a, c)

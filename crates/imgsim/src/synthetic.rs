@@ -67,13 +67,13 @@ pub fn gather_full<C: Comm>(comm: &C, grid: &Grid, field: &ScalarField) -> Vec<f
 mod tests {
     use super::*;
     use diffreg_comm::{run_threaded, SerialComm};
-    use diffreg_grid::{Decomp, Layout};
+    use diffreg_grid::Decomp;
 
     #[test]
     fn template_is_bounded_and_periodic() {
         let grid = Grid::cubic(8);
         let d = Decomp::new(grid, 1);
-        let t = template(&grid, d.block(0, Layout::Spatial));
+        let t = template(&grid, d.block(0));
         for &v in t.data() {
             assert!((0.0..=1.0).contains(&v));
         }
@@ -107,12 +107,12 @@ mod tests {
         let grid = Grid::new([6, 4, 4]);
         let serial = {
             let d = Decomp::new(grid, 1);
-            let f = template(&grid, d.block(0, Layout::Spatial));
+            let f = template(&grid, d.block(0));
             gather_full(&SerialComm::new(), &grid, &f)
         };
         run_threaded(4, move |comm| {
             let d = Decomp::with_process_grid(grid, 2, 2);
-            let f = template(&grid, d.block(comm.rank(), Layout::Spatial));
+            let f = template(&grid, d.block(comm.rank()));
             let full = gather_full(comm, &grid, &f);
             assert_eq!(full.len(), serial.len());
             for (a, b) in full.iter().zip(&serial) {

@@ -129,11 +129,11 @@ impl Kernel {
 mod tests {
     use super::*;
     use diffreg_comm::SerialComm;
-    use diffreg_grid::{exchange_ghost, Decomp, Layout, ScalarField};
+    use diffreg_grid::{exchange_ghost, Decomp, ScalarField};
 
     fn make_ghost(grid: Grid, f: impl Fn([f64; 3]) -> f64) -> GhostField {
         let d = Decomp::new(grid, 1);
-        let b = d.block(0, Layout::Spatial);
+        let b = d.block(0);
         let field = ScalarField::from_fn(&grid, b, f);
         exchange_ghost(&SerialComm::new(), &d, &field, GHOST_WIDTH)
     }

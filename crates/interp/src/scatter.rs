@@ -10,7 +10,7 @@
 //! results back, which the requester scatters into original point order.
 
 use diffreg_comm::{Comm, Timers};
-use diffreg_grid::{exchange_ghost, Decomp, GhostField, Layout, ScalarField};
+use diffreg_grid::{exchange_ghost, Decomp, GhostField, ScalarField};
 
 use crate::kernel::{base_and_frac, Kernel, GHOST_WIDTH};
 use crate::soa::SoaStencils;
@@ -78,7 +78,7 @@ impl ScatterPlan {
         // solve, so the precompute amortizes to nothing. The received
         // coordinates are consumed here.
         let soa = timers.time("interp_exec", || {
-            SoaStencils::build(&grid, &decomp.block(comm.rank(), Layout::Spatial), assigned)
+            SoaStencils::build(&grid, &decomp.block(comm.rank()), assigned)
         });
         Self { owner_of, slot_of, batch_off, soa }
     }
@@ -207,7 +207,7 @@ mod tests {
     fn serial_reference(grid: Grid, points: &[[f64; 3]], f: impl Fn([f64; 3]) -> f64) -> Vec<f64> {
         let comm = SerialComm::new();
         let d = Decomp::new(grid, 1);
-        let field = ScalarField::from_fn(&grid, d.block(0, Layout::Spatial), f);
+        let field = ScalarField::from_fn(&grid, d.block(0), f);
         let ghost = ghosted(&comm, &d, &field);
         let timers = Timers::new();
         let plan = ScatterPlan::build(&comm, &d, points, &timers);
@@ -224,8 +224,7 @@ mod tests {
             let refr = reference.clone();
             run_threaded(p1 * p2, move |comm| {
                 let d = Decomp::with_process_grid(grid, p1, p2);
-                let field =
-                    ScalarField::from_fn(&grid, d.block(comm.rank(), Layout::Spatial), probe);
+                let field = ScalarField::from_fn(&grid, d.block(comm.rank()), probe);
                 let ghost = ghosted(comm, &d, &field);
                 let timers = Timers::new();
                 // Each rank requests a distinct chunk of the points.
@@ -249,7 +248,7 @@ mod tests {
         let points = test_points(77);
         run_threaded(4, move |comm| {
             let d = Decomp::with_process_grid(grid, 2, 2);
-            let b = d.block(comm.rank(), Layout::Spatial);
+            let b = d.block(comm.rank());
             let probes = [probe, probe2, |x| probe(x) * probe2(x), |x| probe2(x) + x[1].cos()];
             let ghosts = probes.map(|f| ghosted(comm, &d, &ScalarField::from_fn(&grid, b, f)));
             let timers = Timers::new();
@@ -278,7 +277,7 @@ mod tests {
         let grid = Grid::cubic(8);
         run_threaded(4, move |comm| {
             let d = Decomp::with_process_grid(grid, 2, 2);
-            let field = ScalarField::from_fn(&grid, d.block(comm.rank(), Layout::Spatial), probe);
+            let field = ScalarField::from_fn(&grid, d.block(comm.rank()), probe);
             let ghost = ghosted(comm, &d, &field);
             let timers = Timers::new();
             // All ranks request the same far-away points.
@@ -296,7 +295,7 @@ mod tests {
         let grid = Grid::cubic(4);
         let comm = SerialComm::new();
         let d = Decomp::new(grid, 1);
-        let field = ScalarField::from_fn(&grid, d.block(0, Layout::Spatial), probe);
+        let field = ScalarField::from_fn(&grid, d.block(0), probe);
         let ghost = ghosted(&comm, &d, &field);
         let timers = Timers::new();
         let plan = ScatterPlan::build(&comm, &d, &[], &timers);
@@ -315,7 +314,7 @@ mod tests {
         let points = test_points(150);
         run_threaded(4, move |comm| {
             let d = Decomp::with_process_grid(grid, 2, 2);
-            let b = d.block(comm.rank(), Layout::Spatial);
+            let b = d.block(comm.rank());
             let f1 = ScalarField::from_fn(&grid, b, probe);
             let f2 = ScalarField::from_fn(&grid, b, probe2);
             let g1 = ghosted(comm, &d, &f1);
@@ -354,7 +353,7 @@ mod tests {
         let grid = Grid::cubic(8);
         let comm = SerialComm::new();
         let d = Decomp::new(grid, 1);
-        let field = ScalarField::from_fn(&grid, d.block(0, Layout::Spatial), probe);
+        let field = ScalarField::from_fn(&grid, d.block(0), probe);
         let ghost = ghosted(&comm, &d, &field);
         let timers = Timers::new();
         let points = test_points(31);

@@ -182,7 +182,7 @@ mod tests {
     use super::*;
     use crate::kernel::tricubic;
     use diffreg_comm::SerialComm;
-    use diffreg_grid::{exchange_ghost, Decomp, Layout, ScalarField};
+    use diffreg_grid::{exchange_ghost, Decomp, ScalarField};
     use std::f64::consts::TAU;
 
     #[test]
@@ -190,7 +190,7 @@ mod tests {
         for n in [[8, 8, 8], [12, 6, 10], [7, 5, 9]] {
             let grid = Grid::new(n);
             let d = Decomp::new(grid, 1);
-            let b = d.block(0, Layout::Spatial);
+            let b = d.block(0);
             let field = ScalarField::from_fn(&grid, b, |x| {
                 (1.3 * x[0]).sin() * (0.7 * x[1]).cos() + (x[2] - x[0]).sin()
             });

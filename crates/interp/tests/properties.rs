@@ -4,7 +4,7 @@
 //! and the ownership partition of the scatter plan across simulated ranks.
 
 use diffreg_comm::{run_threaded, Comm, SerialComm, Timers};
-use diffreg_grid::{Decomp, Grid, Layout, ScalarField};
+use diffreg_grid::{Decomp, Grid, ScalarField};
 use diffreg_interp::{cubic_weights, ghosted, Kernel, ScatterPlan};
 use diffreg_testkit::oracle::PlaneWave;
 use diffreg_testkit::{prop_check, Rng};
@@ -38,7 +38,7 @@ fn constant_field_is_interpolated_exactly() {
         let grid = Grid::cubic(8);
         let comm = SerialComm::new();
         let d = Decomp::new(grid, 1);
-        let mut f = ScalarField::zeros(d.block(0, Layout::Spatial));
+        let mut f = ScalarField::zeros(d.block(0));
         f.fill(c);
         let ghost = ghosted(&comm, &d, &f);
         let timers = Timers::new();
@@ -62,7 +62,7 @@ fn grid_points_are_reproduced() {
         let grid = Grid::cubic(8);
         let comm = SerialComm::new();
         let d = Decomp::new(grid, 1);
-        let block = d.block(0, Layout::Spatial);
+        let block = d.block(0);
         let f = ScalarField::from_vec(
             block,
             (0..block.len()).map(|l| ((l as u64 * 2654435761 + seed) % 1000) as f64 * 0.01).collect(),
@@ -96,7 +96,7 @@ fn tricubic_reproduces_cubic_polynomials_off_grid() {
         let grid = Grid::cubic(n);
         let comm = SerialComm::new();
         let d = Decomp::new(grid, 1);
-        let block = d.block(0, Layout::Spatial);
+        let block = d.block(0);
         let h = TAU / n as f64;
         // Random cubic in each axis, p(x) = c0 + c1 u + c2 u² + c3 u³ with
         // u = x/h the grid-index coordinate; the test field is the product.
@@ -149,7 +149,7 @@ fn periodic_wrap_consistency() {
         let grid = Grid::cubic(8);
         let comm = SerialComm::new();
         let d = Decomp::new(grid, 1);
-        let f = ScalarField::from_fn(&grid, d.block(0, Layout::Spatial), |x| {
+        let f = ScalarField::from_fn(&grid, d.block(0), |x| {
             x[0].sin() + (2.0 * x[1]).cos() * x[2].sin()
         });
         let ghost = ghosted(&comm, &d, &f);
@@ -181,7 +181,7 @@ fn interpolation_is_linear_in_the_field() {
             let grid = Grid::new([10, 8, 9]);
             run_threaded(p, move |comm| {
                 let d = Decomp::new(grid, comm.size());
-                let block = d.block(comm.rank(), Layout::Spatial);
+                let block = d.block(comm.rank());
                 let smooth = |m: [PlaneWave; 2]| {
                     ScalarField::from_fn(&grid, block, |x| m[0].eval(x) + m[1].eval(x))
                 };
@@ -220,7 +220,7 @@ fn interpolant_within_data_bounds_trilinear() {
         let grid = Grid::cubic(6);
         let comm = SerialComm::new();
         let d = Decomp::new(grid, 1);
-        let block = d.block(0, Layout::Spatial);
+        let block = d.block(0);
         let data: Vec<f64> =
             (0..block.len()).map(|l| ((l as u64 * 97 + seed) % 7) as f64 - 3.0).collect();
         let lo = data.iter().cloned().fold(f64::MAX, f64::min);
@@ -258,7 +258,7 @@ fn scatter_plan_ownership_partitions_points() {
             let serial: Vec<Vec<f64>> = {
                 let comm = SerialComm::new();
                 let d = Decomp::new(grid, 1);
-                let f = ScalarField::from_fn(&grid, d.block(0, Layout::Spatial), field_fn);
+                let f = ScalarField::from_fn(&grid, d.block(0), field_fn);
                 let ghost = ghosted(&comm, &d, &f);
                 let timers = Timers::new();
                 all_pts
@@ -273,7 +273,7 @@ fn scatter_plan_ownership_partitions_points() {
             let serial2 = serial.clone();
             run_threaded(p, move |comm| {
                 let d = Decomp::new(grid, comm.size());
-                let block = d.block(comm.rank(), Layout::Spatial);
+                let block = d.block(comm.rank());
                 let f = ScalarField::from_fn(&grid, block, field_fn);
                 let ghost = ghosted(comm, &d, &f);
                 let timers = Timers::new();

@@ -1,12 +1,13 @@
-//! Distributed Hermitian half-spectrum coefficients (the r2c fast path).
+//! Distributed Hermitian half-spectrum coefficients: the spectral side of
+//! the one distributed FFT.
 //!
 //! All solver fields are real, so the full spectrum satisfies
 //! `X[-k] = conj(X[k])` and only axis-2 bins `0..=n2/2` need to be stored.
-//! The half-spectrum layout mirrors [`diffreg_grid::Layout::Spectral`]
-//! with the axis-2 extent replaced by `n2/2 + 1`: axis 0 full, axis 1
-//! split over `p1`, halved axis 2 split over `p2`. Every transpose moves
-//! roughly half the bytes of the c2c path and every diagonal operator
-//! touches half the bins.
+//! The half-spectrum layout is the pencil FFT's spectral stage with the
+//! axis-2 extent `n2/2 + 1`: axis 0 full, axis 1 split over `p1`, halved
+//! axis 2 split over `p2`. Every transpose moves roughly half the bytes a
+//! full-spectrum transform would, and every diagonal operator touches half
+//! the bins.
 //!
 //! Applying a Fourier multiplier `s(k)` to the stored bins is valid
 //! whenever `s(-k) = conj(s(k))`: the implied conjugate bin then receives
@@ -14,7 +15,7 @@
 //! operator would have produced. That covers every symbol the solver uses:
 //! real even symbols (Laplacian powers, Gaussian, regularization,
 //! preconditioner), the odd imaginary derivative `i k` (Nyquist rows
-//! zeroed by `wavenumber_deriv`, as on the c2c path), the Leray projector,
+//! zeroed by `wavenumber_deriv`, as in the serial oracle), the Leray projector,
 //! and the translation phase `exp(-i k·s)`.
 
 use diffreg_fft::{half_len, Complex64};
@@ -35,7 +36,7 @@ pub struct HalfSpectralField {
 
 /// The half-spectrum block owned by `rank`: axis 0 full, axis 1 split over
 /// `p1` (column coordinate), halved axis 2 split over `p2` (row
-/// coordinate) — the r2c mirror of [`diffreg_grid::Layout::Spectral`].
+/// coordinate) — where the forward transform's last pass leaves it.
 pub fn half_spectral_block(decomp: &Decomp, rank: usize) -> Block {
     let n = decomp.grid.n;
     let n2h = half_len(n[2]);
@@ -46,9 +47,8 @@ pub fn half_spectral_block(decomp: &Decomp, rank: usize) -> Block {
 }
 
 /// Calls `f(l, k, k2)` for every bin of `block` in local row-major order
-/// `l`, with `k` and `k2` as [`HalfSpectralField::map_bins`] defines them
-/// (the same walk serves the full-spectrum layout).
-pub(crate) fn for_each_bin(grid: &Grid, block: &Block, mut f: impl FnMut(usize, [f64; 3], f64)) {
+/// `l`, with `k` and `k2` as [`HalfSpectralField::map_bins`] defines them.
+fn for_each_bin(grid: &Grid, block: &Block, mut f: impl FnMut(usize, [f64; 3], f64)) {
     let n = grid.n;
     let [c0, c1, c2] = block.count;
     let [s0, s1, s2] = block.start;
@@ -79,11 +79,10 @@ impl HalfSpectralField {
         Self { grid, block, data: vec![Complex64::ZERO; block.len()] }
     }
 
-    /// Applies `f(coef, k, k2)` to every owned bin — same contract as
-    /// [`crate::SpectralField::map_bins`]: `k` is the signed wavenumber
-    /// triple with Nyquist zeroed, `k2` the unzeroed `|k|²`. Axis-2 global
-    /// indices never exceed `n2/2`, so the stored wavenumbers are the
-    /// non-negative half.
+    /// Applies `f(coef, k, k2)` to every owned bin: `k` is the signed
+    /// wavenumber triple with Nyquist zeroed (suitable for odd
+    /// derivatives), `k2` the unzeroed `|k|²`. Axis-2 global indices never
+    /// exceed `n2/2`, so the stored wavenumbers are the non-negative half.
     pub fn map_bins(&mut self, mut f: impl FnMut(Complex64, [f64; 3], f64) -> Complex64) {
         let data = &mut self.data;
         for_each_bin(&self.grid, &self.block, |l, k, k2| data[l] = f(data[l], k, k2));
@@ -123,8 +122,8 @@ impl HalfSpectralField {
 }
 
 /// Leray projection `v̂ -= k (k·v̂)/|k|²` in place on three half-spectrum
-/// components (zero mode untouched) — the r2c mirror of
-/// [`crate::leray_project`].
+/// components (zero mode untouched), eliminating the incompressibility
+/// constraint (paper eq. 4).
 pub fn leray_project_half(v: &mut [HalfSpectralField; 3]) {
     let grid = v[0].grid;
     let block = v[0].block;

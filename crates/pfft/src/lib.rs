@@ -8,7 +8,10 @@
 //!
 //! This is the AccFFT substitute of DESIGN.md §2: the transform sequence and
 //! the transpose communication pattern (two alltoallv's within √p-sized
-//! groups) follow the paper's Fig. 4.
+//! groups) follow the paper's Fig. 4. There is one transform: every field
+//! is real, so it is r2c/c2r over the Hermitian half spectrum, and the
+//! serial `diffreg_spectral::SerialSpectral` is the oracle the tests hold
+//! it to.
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs, clippy::allow_attributes, clippy::allow_attributes_without_reason)]
@@ -16,9 +19,7 @@
 
 mod half;
 mod plan;
-mod spectral_field;
 mod transpose;
 
 pub use half::{half_spectral_block, leray_project_half, HalfSpectralField};
 pub use plan::PencilFft;
-pub use spectral_field::{leray_project, SpectralField};

