@@ -1,6 +1,6 @@
 //! The kernel microbenchmark suite: distributed FFT, tricubic/trilinear
-//! interpolation, semi-Lagrangian transport, gradient evaluation, and the
-//! Gauss-Newton Hessian matvec — the building blocks whose costs the
+//! interpolation, semi-Lagrangian transport, gradient evaluation, the
+//! Gauss-Newton Hessian matvec and one PCG iteration — the building blocks whose costs the
 //! paper's complexity model (§III-C4) accounts for.
 //!
 //! `cargo bench -p diffreg-bench` (the thin `benches/kernels.rs` shim) is
@@ -183,8 +183,16 @@ fn bench_solver(suite: &mut BenchSuite) {
     let dir = VectorField::from_fn(&ctx.grid, ws.block(), |x| {
         [0.1 * x[1].sin(), 0.1 * x[0].cos(), 0.1 * x[2].sin()]
     });
+    // A matvec of a vector the preconditioner did not return: it runs its
+    // own regularization.
     push(suite, "solver/hessian_matvec/16", || {
         prob.hessian_vec(&dir);
+    });
+    // What PCG does per iteration: the preconditioner, then the matvec of
+    // its output, which takes βA z = r − z from it.
+    push(suite, "solver/pcg_iteration/16", || {
+        let z = prob.precondition(&dir);
+        prob.hessian_vec(&z);
     });
 }
 

@@ -34,12 +34,22 @@ struct Linearization {
 struct Trial {
     /// The trial velocity, the cache key.
     v: VectorField,
-    /// Forward departure points and plan of `v`.
+    /// Forward plan of `v`; its departure points are freed once it is built.
     fwd: Trajectory,
     /// State history `ρ(t_0..t_nt)`.
     state: Vec<ScalarField>,
     /// `β(-Δ)^m v`.
     av: VectorField,
+}
+
+/// The regularization of the last preconditioned residual (DESIGN §3.2).
+/// `M = βA + I`, so `z = M⁻¹ r` carries `βA z = r − z` at the cost of one
+/// subtraction, and PCG applies the Hessian to exactly that `z` next.
+struct PrecondReg {
+    /// `z`, the preconditioner's output bit for bit: the cache key.
+    z: VectorField,
+    /// `βA z = r − z`.
+    az: VectorField,
 }
 
 /// Bitwise equality of this rank's slab (`==` would equate `-0.0` and
@@ -65,6 +75,9 @@ pub struct RegProblem<'a, C: Comm> {
     /// At most one trial is alive: each `objective` replaces it, and
     /// `linearize` consumes it.
     trial: Option<Trial>,
+    /// Filled by `precondition`, consumed by the next `hessian_vec`, and
+    /// cleared by `objective` and `linearize`.
+    precond_reg: Option<PrecondReg>,
     /// Cumulative Hessian matvec count (the paper's Table V metric).
     pub hessian_matvecs: usize,
 }
@@ -88,7 +101,17 @@ impl<'a, C: Comm> RegProblem<'a, C> {
         let rho_t = ws.fft.gaussian_smooth(rho_t, sigma, ws.timers);
         let rho_r = ws.fft.gaussian_smooth(rho_r, sigma, ws.timers);
         let ops = FieldOps::new(ws.comm, ws.grid());
-        Self { ws, cfg, rho_t, rho_r, ops, lin: None, trial: None, hessian_matvecs: 0 }
+        Self {
+            ws,
+            cfg,
+            rho_t,
+            rho_r,
+            ops,
+            lin: None,
+            trial: None,
+            precond_reg: None,
+            hessian_matvecs: 0,
+        }
     }
 
     /// The configuration in effect.
@@ -139,13 +162,33 @@ impl<'a, C: Comm> RegProblem<'a, C> {
         self.cfg.distance.evaluate(rho1, &self.rho_r, &grid, comm) + 0.5 * av.inner(v, &grid, comm)
     }
 
-    /// Takes the trial if it was built at `v` bit for bit. The verdict is
+    /// Whether `key` equals `v` bit for bit on every rank. The verdict is
     /// reduced over the ranks: a hit skips collectives that a miss runs.
+    /// Collective.
+    fn same_everywhere(&self, key: &VectorField, v: &VectorField) -> bool {
+        let mut misses = [usize::from(!same_bits(key, v))];
+        self.ws.comm.allreduce_usize(&mut misses, ReduceOp::Sum);
+        misses[0] == 0
+    }
+
+    /// Takes the trial if it was built at `v` bit for bit.
     fn take_trial(&mut self, v: &VectorField) -> Option<Trial> {
         let trial = self.trial.take()?;
-        let mut misses = [usize::from(!same_bits(&trial.v, v))];
-        self.ws.comm.allreduce_usize(&mut misses, ReduceOp::Sum);
-        (misses[0] == 0).then_some(trial)
+        self.same_everywhere(&trial.v, v).then_some(trial)
+    }
+
+    /// `βA d`: the cached one when `d` is the preconditioned residual it
+    /// was computed for, bit for bit, otherwise the spectral operator's. The
+    /// key is freed before the operator's field is allocated. Collective.
+    fn regularization_of(&self, cached: Option<PrecondReg>, d: &VectorField) -> VectorField {
+        if let Some(PrecondReg { z, az }) = cached {
+            let hit = self.same_everywhere(&z, d);
+            drop(z);
+            if hit {
+                return az;
+            }
+        }
+        self.ws.fft.regularization(d, self.cfg.reg, self.cfg.beta, self.ws.timers)
     }
 
     /// Hands the linearization at `v` over to post-processing: its
@@ -206,9 +249,11 @@ impl<'a, C: Comm> GaussNewtonProblem for RegProblem<'a, C> {
         // build of this one.
         self.lin = None;
         self.trial = None;
+        self.precond_reg = None;
         let ws = &self.ws;
         let nt = self.cfg.nt;
-        let fwd = compute_trajectory(ws, v, 1.0 / nt as f64, 1.0);
+        let mut fwd = compute_trajectory(ws, v, 1.0 / nt as f64, 1.0);
+        fwd.points = Vec::new();
         let state = fwd.advect(ws, &self.rho_t, nt);
         let av = ws.fft.regularization(v, self.cfg.reg, self.cfg.beta, ws.timers);
         let j = self.objective_value(&state[nt], &av, v);
@@ -220,6 +265,7 @@ impl<'a, C: Comm> GaussNewtonProblem for RegProblem<'a, C> {
         let _span = diffreg_telemetry::span("reg.linearize");
         // The stale linearization must not outlive the build of its successor.
         self.lin = None;
+        self.precond_reg = None;
         let trial = self.take_trial(v);
         let ws = &self.ws;
         let nt = self.cfg.nt;
@@ -231,7 +277,7 @@ impl<'a, C: Comm> GaussNewtonProblem for RegProblem<'a, C> {
                 (SemiLagrangian::with_forward(ws, v, nt, Some(fwd)), state, av)
             }
             None => {
-                let sl = SemiLagrangian::new(ws, v, nt);
+                let sl = SemiLagrangian::with_forward(ws, v, nt, None);
                 let state = sl.solve_state(ws, &self.rho_t);
                 (sl, state, ws.fft.regularization(v, self.cfg.reg, self.cfg.beta, ws.timers))
             }
@@ -263,15 +309,16 @@ impl<'a, C: Comm> GaussNewtonProblem for RegProblem<'a, C> {
     fn hessian_vec(&mut self, d: &VectorField) -> VectorField {
         let _span = diffreg_telemetry::span("hessian.matvec");
         self.hessian_matvecs += 1;
+        let cached = self.precond_reg.take();
         let ws = &self.ws;
         #[expect(
             clippy::expect_used,
             reason = "documented API contract: hessian_vec requires a linearize after the last objective; the expect message states it"
         )]
         let lin = self.lin.as_ref().expect("hessian_vec needs a linearize after the last objective");
-        // P b̃ first, then β(-Δ)^m d: the transport's histories are gone
-        // before the spectral operator's field is allocated.
-        let b_tilde = match self.cfg.hessian {
+        // β(-Δ)^m d first; P b̃ is added into it.
+        let mut h = self.regularization_of(cached, d);
+        match self.cfg.hessian {
             HessianKind::GaussNewton => {
                 // Incremental state (5a) forward, then incremental adjoint
                 // (5c without the λ terms) backward;
@@ -280,6 +327,8 @@ impl<'a, C: Comm> GaussNewtonProblem for RegProblem<'a, C> {
                 // Newton step needs only an approximate Hessian (the λ terms
                 // are dropped for the same reason), and the gradient and the
                 // line search, which stay on `cfg.kernel`, fix the answer.
+                // The adjoint sweep adds ∫ λ̃ ∇ρ dt straight into `h` when P
+                // is the identity, and keeps no history either way.
                 let ws = &Workspace { kernel: Kernel::Trilinear, ..self.ws };
                 let rho_tilde1 = lin.sl.solve_incremental_state(ws, d, &lin.grads);
                 let lam_tilde1 = self.cfg.distance.gn_terminal(
@@ -290,9 +339,13 @@ impl<'a, C: Comm> GaussNewtonProblem for RegProblem<'a, C> {
                     ws.comm,
                 );
                 drop(rho_tilde1);
-                let adj_tilde = lin.sl.solve_adjoint(ws, &lam_tilde1);
-                drop(lam_tilde1);
-                self.time_integral(&adj_tilde, &lin.grads)
+                if self.cfg.incompressible {
+                    let mut b_tilde = VectorField::zeros(d.block());
+                    lin.sl.accumulate_adjoint_integral(ws, lam_tilde1, &lin.grads, &mut b_tilde);
+                    self.add_projected(&mut h, &b_tilde);
+                } else {
+                    lin.sl.accumulate_adjoint_integral(ws, lam_tilde1, &lin.grads, &mut h);
+                }
             }
             HessianKind::FullNewton => {
                 assert_eq!(
@@ -329,20 +382,23 @@ impl<'a, C: Comm> GaussNewtonProblem for RegProblem<'a, C> {
                 let grad_rho_tilde: Vec<VectorField> =
                     rho_tilde.iter().map(|r| ws.fft.gradient(r, ws.timers)).collect();
                 b_tilde.axpy(1.0, &self.time_integral(&lin.adj, &grad_rho_tilde));
-                b_tilde
+                self.add_projected(&mut h, &b_tilde);
             }
-        };
-        let mut h = ws.fft.regularization(d, self.cfg.reg, self.cfg.beta, ws.timers);
-        self.add_projected(&mut h, &b_tilde);
+        }
         h
     }
 
     fn precondition(&mut self, r: &VectorField) -> VectorField {
-        if self.cfg.precondition {
-            self.ws.fft.precondition(r, self.cfg.reg, self.cfg.beta, self.ws.timers)
-        } else {
-            r.clone()
+        if !self.cfg.precondition {
+            return r.clone();
         }
+        // Free a stale entry before the transforms allocate.
+        self.precond_reg = None;
+        let z = self.ws.fft.precondition(r, self.cfg.reg, self.cfg.beta, self.ws.timers);
+        let mut az = r.clone();
+        az.axpy(-1.0, &z);
+        self.precond_reg = Some(PrecondReg { z: z.clone(), az });
+        z
     }
 }
 
@@ -380,7 +436,10 @@ mod tests {
 
     /// The Gauss-Newton product `H d` assembled from the linearization's
     /// pieces with both incremental transports on `kernel` (the images are
-    /// compressible, so `P` is the identity).
+    /// compressible, so `P` is the identity). The matvec's summation order:
+    /// `β(-Δ)^m d` first, then the trapezoid's terms `w_i λ̃(t_i) ∇ρ(t_i)`
+    /// added into it from `i = nt` down to `0`, the order the backward sweep
+    /// produces them in (here from the adjoint's full history).
     fn gn_product<C: Comm>(prob: &RegProblem<C>, kernel: Kernel, d: &VectorField) -> VectorField {
         let ws = &Workspace { kernel, ..prob.ws };
         let lin = prob.lin.as_ref().expect("linearized");
@@ -389,7 +448,17 @@ mod tests {
             prob.cfg.distance.gn_terminal(&lin.rho1, &prob.rho_r, &rho_tilde1, &ws.grid(), ws.comm);
         let adj_tilde = lin.sl.solve_adjoint(ws, &lam_tilde1);
         let mut h = ws.fft.regularization(d, prob.cfg.reg, prob.cfg.beta, ws.timers);
-        h.axpy(1.0, &prob.time_integral(&adj_tilde, &lin.grads));
+        let nt = prob.cfg.nt;
+        let dt = 1.0 / nt as f64;
+        for i in (0..=nt).rev() {
+            let w = if i == 0 || i == nt { 0.5 * dt } else { dt };
+            let lam = adj_tilde[i].data();
+            for (out, g) in h.comps.iter_mut().zip(&lin.grads[i].comps) {
+                for ((o, &g), &l) in out.data_mut().iter_mut().zip(g.data()).zip(lam) {
+                    *o += w * l * g;
+                }
+            }
+        }
         h
     }
 
@@ -429,6 +498,132 @@ mod tests {
                     assert!(!same_bits(&h, &swapped), "full Newton must follow cfg.kernel");
                 }
             }
+        }
+    }
+
+    /// A linearized Gauss-Newton problem at 12³ and a residual to
+    /// precondition.
+    fn linearized<'a>(
+        ws: &Workspace<'a, SerialComm>,
+        cfg: RegistrationConfig,
+    ) -> (RegProblem<'a, SerialComm>, VectorField) {
+        let (t, r) = images(ws);
+        let mut prob = RegProblem::new(ws, &t, &r, RegistrationConfig { nt: 4, beta: 1e-2, ..cfg });
+        let v = if cfg.incompressible { prob.project(&probe_dir(ws)) } else { probe_dir(ws) };
+        let (_, g) = prob.linearize(&v);
+        (prob, g)
+    }
+
+    /// `fft_3d` calls `f` makes.
+    fn ffts<C: Comm, R>(ws: &Workspace<C>, f: impl FnOnce() -> R) -> (R, u64) {
+        let before = ws.timers.get_count("fft_3d");
+        let out = f();
+        (out, ws.timers.get_count("fft_3d") - before)
+    }
+
+    fn rel_diff(ops: &FieldOps<'_, SerialComm>, a: &VectorField, b: &VectorField) -> f64 {
+        let mut diff = a.clone();
+        diff.axpy(-1.0, b);
+        ops.norm(&diff) / ops.norm(b)
+    }
+
+    #[test]
+    fn hessian_of_a_preconditioned_residual_matches_the_fft_path() {
+        let (comm, parts) = setup(Grid::cubic(12));
+        let ws = parts.workspace(&comm);
+        let (mut prob, g) = linearized(&ws, RegistrationConfig::default());
+        let z = prob.precondition(&g);
+        let hit = prob.hessian_vec(&z);
+        // The entry was consumed: the same vector again takes the FFT path.
+        let miss = prob.hessian_vec(&z);
+        let rel = rel_diff(&prob.ops, &hit, &miss);
+        assert!(rel < 1e-12, "βAz = r − z drifted from the spectral operator: {rel}");
+    }
+
+    #[test]
+    fn one_pcg_iteration_costs_one_spectral_operator() {
+        let (comm, parts) = setup(Grid::cubic(12));
+        let ws = parts.workspace(&comm);
+        let (mut prob, g) = linearized(&ws, RegistrationConfig::default());
+        let ((), iteration) = ffts(&ws, || {
+            let z = prob.precondition(&g);
+            prob.hessian_vec(&z);
+        });
+        assert_eq!(iteration, 6, "preconditioner, then a matvec of its output");
+        let ((), miss) = ffts(&ws, || {
+            prob.precondition(&g);
+            prob.hessian_vec(&g);
+        });
+        assert_eq!(miss, 12, "a matvec of another vector runs the regularization");
+    }
+
+    #[test]
+    fn one_flipped_bit_misses() {
+        let (comm, parts) = setup(Grid::cubic(12));
+        let ws = parts.workspace(&comm);
+        let (mut prob, g) = linearized(&ws, RegistrationConfig::default());
+        let mut z = prob.precondition(&g);
+        let x = &mut z.comps[1].data_mut()[17];
+        *x = f64::from_bits(x.to_bits() ^ 1);
+        let (h, calls) = ffts(&ws, || prob.hessian_vec(&z));
+        assert_eq!(calls, 6);
+        assert!(same_bits(&h, &gn_product(&prob, Kernel::Trilinear, &z)));
+    }
+
+    #[test]
+    fn without_preconditioning_nothing_is_cached() {
+        let (comm, parts) = setup(Grid::cubic(12));
+        let ws = parts.workspace(&comm);
+        let cfg = RegistrationConfig { precondition: false, ..Default::default() };
+        let (mut prob, g) = linearized(&ws, cfg);
+        let (z, calls) = ffts(&ws, || prob.precondition(&g));
+        assert_eq!(calls, 0);
+        assert!(prob.precond_reg.is_none());
+        let (_, calls) = ffts(&ws, || prob.hessian_vec(&z));
+        assert_eq!(calls, 6, "the matvec runs its own regularization");
+    }
+
+    #[test]
+    fn incompressible_matvec_hits() {
+        let (comm, parts) = setup(Grid::cubic(12));
+        let ws = parts.workspace(&comm);
+        let cfg = RegistrationConfig { incompressible: true, ..Default::default() };
+        let (mut prob, g) = linearized(&ws, cfg);
+        let (_, leray) = ffts(&ws, || prob.project(&g));
+        let z = prob.precondition(&g);
+        let (hit, calls) = ffts(&ws, || prob.hessian_vec(&z));
+        assert_eq!(calls, leray, "a hit runs only the projection of b̃");
+        let (miss, calls) = ffts(&ws, || prob.hessian_vec(&z));
+        assert_eq!(calls, leray + 6);
+        let rel = rel_diff(&prob.ops, &hit, &miss);
+        assert!(rel < 1e-12, "{rel}");
+    }
+
+    #[test]
+    fn one_perturbed_rank_makes_every_rank_miss() {
+        use diffreg_comm::run_threaded;
+        use diffreg_grid::Decomp;
+        let grid = Grid::cubic(12);
+        let calls = run_threaded(4, move |comm| {
+            let parts = SessionParts::with_decomp(comm, Decomp::with_process_grid(grid, 2, 2));
+            let ws = parts.workspace(comm);
+            let (t, r) = images(&ws);
+            let cfg = RegistrationConfig { nt: 4, beta: 1e-2, ..Default::default() };
+            let mut prob = RegProblem::new(&ws, &t, &r, cfg);
+            let (_, g) = prob.linearize(&probe_dir(&ws));
+            let mut per_round = Vec::new();
+            for perturbed in [None, Some(1)] {
+                let mut z = prob.precondition(&g);
+                if perturbed == Some(comm.rank()) {
+                    z.comps[0].data_mut()[0] += 1e-3;
+                }
+                let (_, calls) = ffts(&ws, || prob.hessian_vec(&z));
+                per_round.push(calls);
+            }
+            per_round
+        });
+        for (rank, calls) in calls.iter().enumerate() {
+            assert_eq!(calls, &[0, 6], "rank {rank}: a hit, then a miss everywhere");
         }
     }
 

@@ -7,7 +7,10 @@
 //! (`tests/golden/`). The format is the one the former
 //! `register_with_continuation_logged` wrote before the two entry points
 //! merged; the numbers were re-captured when the Gauss-Newton matvec moved
-//! to the trilinear kernel, which moves every iterate after the first.
+//! to the trilinear kernel, which moves every iterate after the first, and
+//! again when the matvec took `βA z = r − z` from the preconditioner and
+//! summed `b̃` into its output backward in time (rounding only: every
+//! `pcg_iters` stayed).
 
 use diffreg_comm::{run_threaded, SerialComm};
 use diffreg_core::{

@@ -56,6 +56,14 @@ pub struct PcgReport {
 /// Solves `A x = b` with preconditioned CG. `apply_a` is the Hessian matvec,
 /// `apply_minv` the preconditioner. Starts from `x = 0` (the right choice
 /// for Newton steps).
+///
+/// The operator is applied to `z_k = M⁻¹ r_k`, the vector the preconditioner
+/// has just returned, and `A p_k` follows from the recurrence
+/// `q_k = A z_k + β_k q_{k−1}` (since `p_k = z_k + β_k p_{k−1}`): the form
+/// pipelined CG uses. In exact arithmetic this is textbook PCG with one
+/// matvec per iteration, and `apply_a` only ever receives the vector
+/// `apply_minv` last returned, so a problem can reuse work its
+/// preconditioner did on that vector.
 pub fn pcg<V: Clone, S: VectorOps<V>>(
     space: &S,
     mut apply_a: impl FnMut(&V) -> V,
@@ -76,22 +84,37 @@ pub fn pcg<V: Clone, S: VectorOps<V>>(
 
     let mut r = b.clone();
     // The first search direction is the preconditioned residual itself.
-    let mut p = apply_minv(&r);
-    let mut rz = space.dot(&r, &p);
+    let mut z = apply_minv(&r);
+    let mut rz = space.dot(&r, &z);
     if !rz.is_finite() {
         // The preconditioner produced NaN/Inf.
         return (x, PcgReport { status: PcgStatus::NonFinite, iterations: 0, residual: bnorm });
     }
     let mut rnorm = bnorm;
     let mut iters = 0;
+    // The previous search direction `p` and its image `q = A p`, with the
+    // coefficient `β` that carries them into the next pair.
+    let mut prev: Option<(V, V)> = None;
+    let mut beta = 0.0;
 
     while iters < opts.max_iter {
         if rnorm <= tol {
             return (x, PcgReport { status: PcgStatus::Converged, iterations: iters, residual: rnorm });
         }
-        let ap = apply_a(&p);
+        let mut az = apply_a(&z);
         iters += 1;
-        let pap = space.dot(&p, &ap);
+        // p = z + β p and q = A z + β q; `z` is consumed here.
+        let (p, q) = match prev.take() {
+            None => (z, az),
+            Some((mut p, q)) => {
+                space.scale(&mut p, beta);
+                space.axpy(&mut p, 1.0, &z);
+                drop(z);
+                space.axpy(&mut az, beta, &q);
+                (p, az)
+            }
+        };
+        let pap = space.dot(&p, &q);
         if !pap.is_finite() {
             // NaN/Inf out of the Hessian matvec: the current iterate is the
             // last one with a finite residual — hand it back untouched.
@@ -113,8 +136,7 @@ pub fn pcg<V: Clone, S: VectorOps<V>>(
             );
         }
         let alpha = rz / pap;
-        space.axpy(&mut r, -alpha, &ap);
-        drop(ap);
+        space.axpy(&mut r, -alpha, &q);
         rnorm = space.norm(&r);
         if !rnorm.is_finite() {
             // The update poisoned the residual: truncate to the last good
@@ -125,7 +147,7 @@ pub fn pcg<V: Clone, S: VectorOps<V>>(
             );
         }
         space.axpy(&mut x, alpha, &p);
-        let z = apply_minv(&r);
+        z = apply_minv(&r);
         let rz_new = space.dot(&r, &z);
         if !rz_new.is_finite() {
             return (
@@ -133,11 +155,9 @@ pub fn pcg<V: Clone, S: VectorOps<V>>(
                 PcgReport { status: PcgStatus::NonFinite, iterations: iters, residual: rnorm },
             );
         }
-        let beta = rz_new / rz;
+        beta = rz_new / rz;
         rz = rz_new;
-        // p = z + beta p
-        space.scale(&mut p, beta);
-        space.axpy(&mut p, 1.0, &z);
+        prev = Some((p, q));
     }
     let status =
         if rnorm <= tol { PcgStatus::Converged } else { PcgStatus::MaxIterations };
@@ -151,6 +171,149 @@ mod tests {
 
     fn apply_dense(a: &[Vec<f64>], x: &[f64]) -> Vec<f64> {
         a.iter().map(|row| row.iter().zip(x).map(|(c, v)| c * v).sum()).collect()
+    }
+
+    /// Textbook PCG (the matvec applied to the search direction), kept as
+    /// the oracle of the recurrence form `pcg` runs.
+    fn textbook_pcg(
+        a: &dyn Fn(&[f64]) -> Vec<f64>,
+        minv: &dyn Fn(&[f64]) -> Vec<f64>,
+        b: &[f64],
+        opts: &PcgOptions,
+    ) -> (Vec<f64>, usize) {
+        let dot = |u: &[f64], v: &[f64]| -> f64 { u.iter().zip(v).map(|(x, y)| x * y).sum() };
+        let tol = (opts.rtol * dot(b, b).sqrt()).max(opts.atol);
+        let mut x = vec![0.0; b.len()];
+        let mut r = b.to_vec();
+        let mut p = minv(&r);
+        let mut rz = dot(&r, &p);
+        let mut iters = 0;
+        while iters < opts.max_iter && dot(&r, &r).sqrt() > tol {
+            let ap = a(&p);
+            iters += 1;
+            let alpha = rz / dot(&p, &ap);
+            for i in 0..x.len() {
+                x[i] += alpha * p[i];
+                r[i] -= alpha * ap[i];
+            }
+            let z = minv(&r);
+            let rz_new = dot(&r, &z);
+            for i in 0..p.len() {
+                p[i] = z[i] + rz_new / rz * p[i];
+            }
+            rz = rz_new;
+        }
+        (x, iters)
+    }
+
+    type Op = Box<dyn Fn(&[f64]) -> Vec<f64>>;
+
+    /// `(A, M⁻¹, b, opts)`: the SPD systems of the tests in this module,
+    /// and one under a Jacobi preconditioner that is not `A`'s inverse.
+    fn spd_fixtures() -> Vec<(Op, Op, Vec<f64>, PcgOptions)> {
+        let tridiag = |v: &[f64]| -> Vec<f64> {
+            (0..v.len())
+                .map(|i| {
+                    3.0 * v[i] - if i > 0 { v[i - 1] } else { 0.0 }
+                        - if i + 1 < v.len() { v[i + 1] } else { 0.0 }
+                })
+                .collect()
+        };
+        let identity = |v: &[f64]| v.to_vec();
+        let diag50: Vec<f64> = (0..50).map(|i| 1.0 + (i as f64) * 100.0).collect();
+        let diag30: Vec<f64> = (1..=30).map(|i| i as f64).collect();
+        // Diagonal plus tridiagonal under Jacobi: the recurrence runs for
+        // many steps.
+        let jacobi_diag: Vec<f64> =
+            (0..40).map(|i| 3.0 + (i as f64 * 0.37).sin().abs() * 5.0).collect();
+        let (jd, jd2) = (jacobi_diag.clone(), jacobi_diag);
+        let (d50a, d50b, d30) = (diag50.clone(), diag50, diag30);
+        let tight = PcgOptions { rtol: 1e-12, atol: 0.0, max_iter: 200 };
+        vec![
+            (
+                Box::new(tridiag),
+                Box::new(identity),
+                (0..20).map(|i| (i as f64 * 0.7).sin()).collect(),
+                tight,
+            ),
+            (
+                Box::new(move |v: &[f64]| v.iter().zip(&d50a).map(|(x, d)| x * d).collect()),
+                Box::new(identity),
+                (0..50).map(|i| (i as f64).cos()).collect(),
+                PcgOptions { rtol: 1e-10, atol: 0.0, max_iter: 500 },
+            ),
+            (
+                Box::new(move |v: &[f64]| v.iter().zip(&d50b).map(|(x, d)| x * d).collect()),
+                Box::new(|v: &[f64]| {
+                    v.iter().enumerate().map(|(i, x)| x / (1.0 + i as f64 * 90.0)).collect()
+                }),
+                (0..50).map(|i| (i as f64).cos()).collect(),
+                PcgOptions { rtol: 1e-10, atol: 0.0, max_iter: 500 },
+            ),
+            (
+                Box::new(move |v: &[f64]| v.iter().zip(&d30).map(|(x, d)| x * d).collect()),
+                Box::new(identity),
+                vec![1.0; 30],
+                PcgOptions { rtol: 1e-1, atol: 0.0, max_iter: 500 },
+            ),
+            (
+                Box::new(move |v: &[f64]| {
+                    let t = tridiag(v);
+                    t.iter().zip(v).zip(&jd).map(|((t, x), d)| t + (d - 3.0) * x).collect()
+                }),
+                Box::new(move |v: &[f64]| v.iter().zip(&jd2).map(|(x, d)| x / d).collect()),
+                (0..40).map(|i| 1.0 + (i as f64 * 0.3).cos()).collect(),
+                tight,
+            ),
+        ]
+    }
+
+    #[test]
+    fn recurrence_form_matches_textbook_pcg() {
+        let ops = DenseOps;
+        for (k, (a, minv, b, opts)) in spd_fixtures().into_iter().enumerate() {
+            let (x, rep) = pcg(&ops, |v: &Vec<f64>| a(v), |v: &Vec<f64>| minv(v), &b, &opts);
+            let (x_ref, iters_ref) = textbook_pcg(&*a, &*minv, &b, &opts);
+            assert_eq!(rep.status, PcgStatus::Converged, "fixture {k}");
+            assert_eq!(rep.iterations, iters_ref, "fixture {k}: iteration counts differ");
+            let scale = x_ref.iter().fold(0.0_f64, |m, v| m.max(v.abs()));
+            for (got, want) in x.iter().zip(&x_ref) {
+                assert!((got - want).abs() <= 1e-10 * scale, "fixture {k}: {got} vs {want}");
+            }
+        }
+    }
+
+    #[test]
+    fn operator_only_sees_what_the_preconditioner_last_returned() {
+        let ops = DenseOps;
+        for (k, (a, minv, b, opts)) in spd_fixtures().into_iter().enumerate() {
+            let last: std::cell::RefCell<Option<Vec<f64>>> = std::cell::RefCell::new(None);
+            let (matvecs, preconds) = (std::cell::Cell::new(0), std::cell::Cell::new(0));
+            let (_, rep) = pcg(
+                &ops,
+                |v: &Vec<f64>| {
+                    let seen = last.borrow();
+                    let want = seen.as_ref().expect("the preconditioner runs before the operator");
+                    assert!(
+                        v.iter().zip(want).all(|(p, q)| p.to_bits() == q.to_bits()),
+                        "fixture {k}: the operator got a vector the preconditioner did not return"
+                    );
+                    matvecs.set(matvecs.get() + 1);
+                    a(v)
+                },
+                |v: &Vec<f64>| {
+                    preconds.set(preconds.get() + 1);
+                    let z = minv(v);
+                    *last.borrow_mut() = Some(z.clone());
+                    z
+                },
+                &b,
+                &opts,
+            );
+            assert_eq!(matvecs.get(), rep.iterations, "fixture {k}");
+            // One preconditioner call before the loop and one per iteration.
+            assert_eq!(preconds.get(), rep.iterations + 1, "fixture {k}");
+        }
     }
 
     #[test]

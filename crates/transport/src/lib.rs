@@ -10,7 +10,9 @@
 //! the paper's "interpolation planner" optimization. Both directions share
 //! one finiteness check and one ghosted copy of the velocity, unless the
 //! caller already holds the forward trajectory (a line-search trial at the
-//! same velocity), which [`SemiLagrangian::with_forward`] adopts.
+//! same velocity), which [`SemiLagrangian::with_forward`] adopts. Only the
+//! plans are kept; [`SemiLagrangian::new`] also keeps the forward departure
+//! points, for callers that inspect them.
 //!
 //! Interpolation is linear in the field, so every RK2 step interpolates
 //! its linear combination once: the incremental state evaluates

@@ -8,9 +8,9 @@
 
 use diffreg_comm::Comm;
 use diffreg_grid::{ScalarField, VectorField};
-use diffreg_interp::ghosted;
+use diffreg_interp::{ghosted, ScatterPlan};
 
-use crate::trajectory::{compute_trajectories, Trajectory};
+use crate::trajectory::{advect_step, compute_trajectories, Trajectory};
 use crate::workspace::Workspace;
 
 /// Cached semi-Lagrangian state for one stationary velocity field.
@@ -19,7 +19,9 @@ pub struct SemiLagrangian {
     nt: usize,
     dt: f64,
     fwd: Trajectory,
-    bwd: Trajectory,
+    /// The backward direction's plan. Its departure points are dropped once
+    /// it is built: nothing reads them.
+    bwd: ScatterPlan,
     divv: ScalarField,
     /// `div v` interpolated at the backward departure points (the adjoint
     /// equations' source term is `λ div v`).
@@ -29,25 +31,39 @@ pub struct SemiLagrangian {
 impl SemiLagrangian {
     /// Builds departure points for `v` (both directions, from one ghosted
     /// copy of `v` and one finiteness check), the divergence field, and its
-    /// interpolant at the backward points. Collective.
+    /// interpolant at the backward points. The forward departure points are
+    /// kept for [`SemiLagrangian::forward_trajectory`]. Collective.
     pub fn new<C: Comm>(ws: &Workspace<C>, v: &VectorField, nt: usize) -> Self {
-        Self::with_forward(ws, v, nt, None)
+        Self::build(ws, v, nt, None, true)
     }
 
-    /// [`SemiLagrangian::new`], adopting `fwd` as the forward trajectory
-    /// when given: only the backward one is built. `fwd` must be
-    /// `compute_trajectory(ws, v, 1/nt, 1.0)` for this very `v`, which then
-    /// makes the result bit-identical to `new`'s. Collective.
+    /// The solver's set-up: [`SemiLagrangian::new`] without the forward
+    /// departure points, which no solve reads (`forward_trajectory().points`
+    /// is empty). Adopts `fwd`'s plan when given, so that only the backward
+    /// direction is built. `fwd` must come from
+    /// `compute_trajectory(ws, v, 1/nt, 1.0)` for this very `v` (its points
+    /// may already be freed), which then makes every solve bit-identical to
+    /// `new`'s. Collective.
     pub fn with_forward<C: Comm>(
         ws: &Workspace<C>,
         v: &VectorField,
         nt: usize,
         fwd: Option<Trajectory>,
     ) -> Self {
+        Self::build(ws, v, nt, fwd, false)
+    }
+
+    fn build<C: Comm>(
+        ws: &Workspace<C>,
+        v: &VectorField,
+        nt: usize,
+        fwd: Option<Trajectory>,
+        keep_points: bool,
+    ) -> Self {
         let _span = diffreg_telemetry::span("transport.setup");
         assert!(nt > 0, "need at least one time step");
         let dt = 1.0 / nt as f64;
-        let (fwd, bwd) = match fwd {
+        let (mut fwd, Trajectory { plan: bwd, .. }) = match fwd {
             Some(fwd) => {
                 let [bwd] = compute_trajectories(ws, v, [-dt]);
                 (fwd, bwd)
@@ -57,9 +73,12 @@ impl SemiLagrangian {
                 (fwd, bwd)
             }
         };
+        if !keep_points {
+            fwd.points = Vec::new();
+        }
         let divv = ws.fft.divergence(v, ws.timers);
         let gd = ghosted(ws.comm, ws.decomp, &divv);
-        let divv_at_bwd = bwd.plan.interpolate(ws.comm, &gd, ws.kernel, ws.timers);
+        let divv_at_bwd = bwd.interpolate(ws.comm, &gd, ws.kernel, ws.timers);
         Self { nt, dt, fwd, bwd, divv, divv_at_bwd }
     }
 
@@ -105,24 +124,20 @@ impl SemiLagrangian {
     /// `∂τ ν + (−v)·∇ν = ν div v` (the adjoint and incremental adjoint in
     /// reversed time), via the RK2 scheme of paper eq. (7) with `f = ν w`.
     fn step_continuity<C: Comm>(&self, ws: &Workspace<C>, nu: &ScalarField) -> ScalarField {
-        let nu0x = self.bwd.advect_step(ws, nu).into_vec();
+        let mut out = advect_step(&self.bwd, ws, nu);
         let w = self.divv.data();
         let wx = &self.divv_at_bwd;
         let dt = self.dt;
-        // Zipped-slice form: no index bound checks in the loop body, so the
-        // RK2 update autovectorizes.
-        let out = nu0x
-            .iter()
-            .zip(wx)
-            .zip(w)
-            .map(|((&n0, &wxl), &wl)| {
-                let f0 = n0 * wxl;
-                let nu_star = n0 + dt * f0;
-                let f_star = nu_star * wl;
-                n0 + 0.5 * dt * (f0 + f_star)
-            })
-            .collect();
-        ScalarField::from_vec(nu.block(), out)
+        // Updated in place: no second field. Zipped-slice form: no index
+        // bound checks in the loop body, so the RK2 update autovectorizes.
+        for ((n, &wxl), &wl) in out.data_mut().iter_mut().zip(wx).zip(w) {
+            let n0 = *n;
+            let f0 = n0 * wxl;
+            let nu_star = n0 + dt * f0;
+            let f_star = nu_star * wl;
+            *n = n0 + 0.5 * dt * (f0 + f_star);
+        }
+        out
     }
 
     /// Adjoint equation (3): `−∂t λ − div(vλ) = 0` with terminal condition
@@ -144,21 +159,53 @@ impl SemiLagrangian {
         rev
     }
 
+    /// The adjoint equation (3) of [`SemiLagrangian::solve_adjoint`],
+    /// folded into its trapezoidal time integral: adds `∫₀¹ λ(t) ∇ρ(t) dt`
+    /// into `out` term by term as the backward sweep produces `λ(t_i)`,
+    /// from `i = nt` down to `0`, so one `λ` is alive at a time instead of
+    /// the `nt + 1`-field history (`lambda1` is freed after the first step).
+    /// `grad_state[i]` must hold `∇ρ(t_i)`. Collective.
+    pub fn accumulate_adjoint_integral<C: Comm>(
+        &self,
+        ws: &Workspace<C>,
+        lambda1: ScalarField,
+        grad_state: &[VectorField],
+        out: &mut VectorField,
+    ) {
+        let _span = diffreg_telemetry::span("transport.adjoint");
+        assert_eq!(grad_state.len(), self.nt + 1, "need ∇ρ at every time level");
+        let (nt, dt) = (self.nt, self.dt);
+        let mut add = |i: usize, lam: &ScalarField| {
+            let w = if i == 0 || i == nt { 0.5 * dt } else { dt };
+            let lam = lam.data();
+            for (o, g) in out.comps.iter_mut().zip(&grad_state[i].comps) {
+                for ((o, &g), &l) in o.data_mut().iter_mut().zip(g.data()).zip(lam) {
+                    *o += w * l * g;
+                }
+            }
+        };
+        add(nt, &lambda1);
+        let mut lam = self.step_continuity(ws, &lambda1);
+        drop(lambda1);
+        for i in (0..nt).rev() {
+            add(i, &lam);
+            if i > 0 {
+                lam = self.step_continuity(ws, &lam);
+            }
+        }
+    }
+
     /// Incremental state equation (5a): `∂t ρ̃ + v·∇ρ̃ = −ṽ·∇ρ(t)`, `ρ̃(0)=0`
     /// (paper Algorithm 2). `grad_state[i]` must hold `∇ρ(t_i)` for the state
-    /// history the Hessian is linearized at. Returns `ρ̃(1)` only (the full
-    /// incremental history is not needed by the Gauss-Newton matvec).
-    #[expect(
-        clippy::unwrap_used,
-        reason = "solve_incremental_state_history returns nt+1 >= 1 states"
-    )]
+    /// history the Hessian is linearized at. Returns `ρ̃(1)` only, and keeps
+    /// one `ρ̃` at a time (the Gauss-Newton matvec needs no history).
     pub fn solve_incremental_state<C: Comm>(
         &self,
         ws: &Workspace<C>,
         vtilde: &VectorField,
         grad_state: &[VectorField],
     ) -> ScalarField {
-        self.solve_incremental_state_history(ws, vtilde, grad_state).pop().unwrap()
+        self.incremental_state_sweep(ws, vtilde, grad_state, |_| {})
     }
 
     /// Like [`SemiLagrangian::solve_incremental_state`] but returns the full
@@ -170,6 +217,21 @@ impl SemiLagrangian {
         vtilde: &VectorField,
         grad_state: &[VectorField],
     ) -> Vec<ScalarField> {
+        let mut hist = Vec::with_capacity(self.nt + 1);
+        let last = self.incremental_state_sweep(ws, vtilde, grad_state, |r| hist.push(r.clone()));
+        hist.push(last);
+        hist
+    }
+
+    /// The RK2 sweep of the incremental state: hands `ρ̃(t_i)` for
+    /// `i = 0..nt` to `each` before stepping past it, and returns `ρ̃(1)`.
+    fn incremental_state_sweep<C: Comm>(
+        &self,
+        ws: &Workspace<C>,
+        vtilde: &VectorField,
+        grad_state: &[VectorField],
+        mut each: impl FnMut(&ScalarField),
+    ) -> ScalarField {
         assert_eq!(grad_state.len(), self.nt + 1, "need ∇ρ at every time level");
         let block = ws.block();
         let nloc = vtilde.local_len();
@@ -183,26 +245,22 @@ impl SemiLagrangian {
             let f = (0..nloc).map(|l| -(vt0[l] * g0[l] + vt1[l] * g1[l] + vt2[l] * g2[l])).collect();
             ScalarField::from_vec(block, f)
         };
-        let mut hist = Vec::with_capacity(self.nt + 1);
-        hist.push(ScalarField::zeros(block));
+        let mut rho = ScalarField::zeros(block);
         let half_dt = 0.5 * self.dt;
-        let mut f_cur = source(0);
+        let mut f = source(0);
         for i in 0..self.nt {
+            each(&rho);
             // RK2 step ρ̃(x) ← I[ρ̃](X) + δt/2·(I[f_i](X) + f_{i+1}(x)).
             // Interpolation is linear, so the two interpolants are one,
-            // I[ρ̃ + δt/2·f_i](X): one ghost exchange, one field.
-            #[expect(
-                clippy::unwrap_used,
-                reason = "hist is seeded with the zero field before the loop, so last() is always Some"
-            )]
-            let mut combined = hist.last().unwrap().clone();
-            combined.axpy(half_dt, &f_cur);
-            let mut next = self.fwd.advect_step(ws, &combined);
-            f_cur = source(i + 1);
-            next.axpy(half_dt, &f_cur);
-            hist.push(next);
+            // I[ρ̃ + δt/2·f_i](X): one ghost exchange, one field, and f_i is
+            // freed before it.
+            rho.axpy(half_dt, &f);
+            drop(f);
+            rho = advect_step(&self.fwd.plan, ws, &rho);
+            f = source(i + 1);
+            rho.axpy(half_dt, &f);
         }
-        hist
+        rho
     }
 
     /// Incremental adjoint in its *full Newton* form (paper eq. 5c):
@@ -237,7 +295,7 @@ impl SemiLagrangian {
             let g_nu = ghosted(ws.comm, ws.decomp, nu);
             let g_s = ghosted(ws.comm, ws.decomp, &source[i]);
             let interp =
-                self.bwd.plan.interpolate_many(ws.comm, &[&g_nu, &g_s], ws.kernel, ws.timers);
+                self.bwd.interpolate_many(ws.comm, &[&g_nu, &g_s], ws.kernel, ws.timers);
             let s_next = source[i - 1].data();
             let out = interp[0]
                 .iter()
@@ -462,6 +520,77 @@ mod tests {
                 }
             });
         }
+    }
+
+    /// The streamed adjoint integral against `solve_adjoint`'s history,
+    /// summed in the sweep's order (`t_nt` first) onto the same starting
+    /// field: bit for bit. The streamed incremental state against the last
+    /// entry of its history: bit for bit.
+    #[test]
+    fn streamed_sweeps_match_their_histories() {
+        let grid = Grid::new([12, 10, 8]);
+        with_serial_ws(grid, |ws| {
+            let v = VectorField::from_fn(&grid, ws.block(), |x| {
+                [x[1].sin() * 0.4, x[0].cos() * 0.3, 0.2 * x[2].sin()]
+            });
+            let vt = VectorField::from_fn(&grid, ws.block(), |x| {
+                [0.3 * x[2].cos(), 0.2 * (x[0] + x[1]).sin(), -0.1 * x[1].cos()]
+            });
+            let rho0 = ScalarField::from_fn(&grid, ws.block(), |x| x[0].sin() * x[1].cos());
+            let nt = 4;
+            let sl = SemiLagrangian::new(ws, &v, nt);
+            let grads: Vec<VectorField> =
+                sl.solve_state(ws, &rho0).iter().map(|r| ws.fft.gradient(r, ws.timers)).collect();
+
+            let hist = sl.solve_incremental_state_history(ws, &vt, &grads);
+            let last = sl.solve_incremental_state(ws, &vt, &grads);
+            assert_eq!(hist.len(), nt + 1);
+            let same =
+                |a: &[f64], b: &[f64]| a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits());
+            assert!(same(hist[nt].data(), last.data()));
+
+            let lam1 = ScalarField::from_fn(&grid, ws.block(), |x| (2.0 * x[0]).cos() + x[2].sin());
+            let mut streamed = vt.clone();
+            sl.accumulate_adjoint_integral(ws, lam1.clone(), &grads, &mut streamed);
+            let adj = sl.solve_adjoint(ws, &lam1);
+            let mut want = vt.clone();
+            let dt = 1.0 / nt as f64;
+            for i in (0..=nt).rev() {
+                let w = if i == 0 || i == nt { 0.5 * dt } else { dt };
+                let lam = adj[i].data();
+                for (out, g) in want.comps.iter_mut().zip(&grads[i].comps) {
+                    for ((o, &g), &l) in out.data_mut().iter_mut().zip(g.data()).zip(lam) {
+                        *o += w * l * g;
+                    }
+                }
+            }
+            for (a, b) in streamed.comps.iter().zip(&want.comps) {
+                assert!(same(a.data(), b.data()));
+            }
+        });
+    }
+
+    /// The solver's set-up keeps plans only, and solves on it are the ones
+    /// on `new`'s bit for bit, whether it builds the forward plan or adopts
+    /// it.
+    #[test]
+    fn solver_setup_keeps_no_forward_points() {
+        let grid = Grid::cubic(12);
+        with_serial_ws(grid, |ws| {
+            let v = VectorField::from_fn(&grid, ws.block(), |x| {
+                [x[1].sin() * 0.4, x[0].cos() * 0.3, 0.2 * x[2].sin()]
+            });
+            let rho0 = ScalarField::from_fn(&grid, ws.block(), |x| x[0].sin() * x[1].cos());
+            let full = SemiLagrangian::new(ws, &v, 4);
+            assert_eq!(full.forward_trajectory().points.len(), ws.block().len());
+            let want = full.solve_state(ws, &rho0).pop().unwrap();
+            for fwd in [None, Some(crate::compute_trajectory(ws, &v, 0.25, 1.0))] {
+                let lean = SemiLagrangian::with_forward(ws, &v, 4, fwd);
+                assert!(lean.forward_trajectory().points.is_empty());
+                let got = lean.solve_state(ws, &rho0).pop().unwrap();
+                assert!(got.data().iter().zip(want.data()).all(|(a, b)| a.to_bits() == b.to_bits()));
+            }
+        });
     }
 
     #[test]

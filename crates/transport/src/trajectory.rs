@@ -29,15 +29,19 @@ pub struct Trajectory {
     pub points: Vec<[f64; 3]>,
 }
 
-impl Trajectory {
-    /// One semi-Lagrangian step of pure advection: `field` interpolated at
-    /// the departure points (one ghost exchange, one interpolation).
-    pub(crate) fn advect_step<C: Comm>(&self, ws: &Workspace<C>, field: &ScalarField) -> ScalarField {
-        let g = ghosted(ws.comm, ws.decomp, field);
-        let vals = self.plan.interpolate(ws.comm, &g, ws.kernel, ws.timers);
-        ScalarField::from_vec(field.block(), vals)
-    }
+/// One semi-Lagrangian step of pure advection: `field` interpolated at the
+/// departure points `plan` routes (one ghost exchange, one interpolation).
+pub(crate) fn advect_step<C: Comm>(
+    plan: &ScatterPlan,
+    ws: &Workspace<C>,
+    field: &ScalarField,
+) -> ScalarField {
+    let g = ghosted(ws.comm, ws.decomp, field);
+    let vals = plan.interpolate(ws.comm, &g, ws.kernel, ws.timers);
+    ScalarField::from_vec(field.block(), vals)
+}
 
+impl Trajectory {
     /// Advects `field` for `nt` steps along this trajectory (the state
     /// equation) and returns the history: `nt + 1` fields, `field` first.
     /// Collective.
@@ -49,7 +53,7 @@ impl Trajectory {
                 clippy::unwrap_used,
                 reason = "hist is seeded with field before the loop, so last() is always Some"
             )]
-            let next = self.advect_step(ws, hist.last().unwrap());
+            let next = advect_step(&self.plan, ws, hist.last().unwrap());
             hist.push(next);
         }
         hist
