@@ -165,6 +165,41 @@ fn bench_transport(suite: &mut BenchSuite) {
     });
 }
 
+/// The Gauss-Newton matvec's transports on the brain phantom's grid
+/// (24×30×24, radices 2, 3 and 5), on its trilinear kernel: the ghost
+/// exchange every interpolated field goes through, one interpolation
+/// through a departure-point plan, and the two sweeps of one matvec (the
+/// incremental state, then the adjoint accumulation).
+fn bench_gn_transport(suite: &mut BenchSuite) {
+    let grid = Grid::new([24, 30, 24]);
+    let comm = SerialComm::new();
+    let parts = SessionParts::new(&comm, grid);
+    let ws = Workspace { kernel: Kernel::Trilinear, ..parts.workspace(&comm) };
+    let v = VectorField::from_fn(&grid, ws.block(), |x| {
+        [0.4 * x[1].sin(), 0.3 * x[0].cos(), 0.2 * x[2].sin()]
+    });
+    let rho0 = ScalarField::from_fn(&grid, ws.block(), |x| x[0].sin() + x[1].cos());
+    let sl = SemiLagrangian::new(&ws, &v, 4);
+    push(suite, "ghost_exchange/24x30x24", || {
+        ghosted(&comm, ws.decomp, &rho0);
+    });
+    let ghost = ghosted(&comm, ws.decomp, &rho0);
+    let plan = &sl.forward_trajectory().plan;
+    push(suite, "interpolation/Trilinear/24x30x24", || {
+        plan.interpolate(&comm, &ghost, Kernel::Trilinear, ws.timers);
+    });
+    let grads: Vec<VectorField> =
+        sl.solve_state(&ws, &rho0).iter().map(|r| ws.fft.gradient(r, ws.timers)).collect();
+    let d = VectorField::from_fn(&grid, ws.block(), |x| {
+        [0.1 * x[2].cos(), 0.1 * (x[0] + x[1]).sin(), -0.1 * x[1].cos()]
+    });
+    push(suite, "transport/gn_sweeps/24x30x24", || {
+        let rho_tilde1 = sl.solve_incremental_state(&ws, &d, &grads);
+        let mut h = VectorField::zeros(ws.block());
+        sl.accumulate_adjoint_integral(&ws, rho_tilde1, &grads, &mut h);
+    });
+}
+
 fn bench_solver(suite: &mut BenchSuite) {
     let n = 16;
     let ctx = Ctx::new(n);
@@ -248,6 +283,7 @@ pub fn run_kernel_suite() -> BenchSuite {
     bench_lines_and_operators(&mut suite);
     bench_interp(&mut suite);
     bench_transport(&mut suite);
+    bench_gn_transport(&mut suite);
     bench_solver(&mut suite);
     bench_recorder(&mut suite);
     suite

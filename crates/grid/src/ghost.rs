@@ -103,16 +103,57 @@ fn put_rows(dst: &mut [f64], src: &[f64], n2: usize, g: usize) {
 
 /// Performs the two-phase ghost exchange for one scalar field in the spatial
 /// layout and fills the local axis-2 halo, returning the extended array.
+/// On a 1×1 process grid nothing is exchanged, and the extended array is
+/// the field wrapped on all three axes, built in one pass.
 ///
 /// `comm` must be the communicator the decomposition was built for and
 /// `field.block()` must equal `decomp.block(comm.rank())`.
 /// Requires `g <=` every rank's local extent on axes 0 and 1.
 pub fn exchange_ghost<C: Comm>(comm: &C, decomp: &Decomp, field: &ScalarField, g: usize) -> GhostField {
+    let block = decomp.block(comm.rank());
+    assert_eq!(field.block(), block, "field block does not match decomposition");
+    let [c0, c1, _] = block.count;
+    assert!(g <= c0 && g <= c1, "ghost width {g} exceeds local extent {c0}x{c1}");
+    let data = if decomp.p1 == 1 && decomp.p2 == 1 {
+        wrap_local(field.data(), block.count, g)
+    } else {
+        exchange_two_phase(comm, decomp, field, g)
+    };
+    GhostField {
+        origin: [block.start[0] as isize - g as isize, block.start[1] as isize - g as isize],
+        ext: [c0 + 2 * g, c1 + 2 * g, block.count[2] + 2 * g],
+        g,
+        data,
+    }
+}
+
+/// The extended array of a rank that owns whole axis-0 planes and axis-1
+/// rows: every extended row is a row of `data`, wrapped periodically on
+/// axes 0 and 1, with its axis-2 halo filled as it is copied.
+fn wrap_local(data: &[f64], [c0, c1, n2]: [usize; 3], g: usize) -> PooledVec<f64> {
+    let e2 = n2 + 2 * g;
+    let mut out = arena_f64((c0 + 2 * g) * (c1 + 2 * g) * e2);
+    for (i0, dst) in out.chunks_exact_mut((c1 + 2 * g) * e2).enumerate() {
+        let plane = &data[(i0 + c0 - g) % c0 * c1 * n2..][..c1 * n2];
+        put_rows(&mut dst[..g * e2], &plane[(c1 - g) * n2..], n2, g);
+        put_rows(&mut dst[g * e2..(g + c1) * e2], plane, n2, g);
+        put_rows(&mut dst[(g + c1) * e2..], &plane[..g * n2], n2, g);
+    }
+    out
+}
+
+/// The extended array by the two-phase exchange: axis 0 first, then axis 1
+/// of the axis-0-extended array (which carries the corners), then the
+/// axis-2 halo.
+fn exchange_two_phase<C: Comm>(
+    comm: &C,
+    decomp: &Decomp,
+    field: &ScalarField,
+    g: usize,
+) -> PooledVec<f64> {
     let rank = comm.rank();
     let block = decomp.block(rank);
-    assert_eq!(field.block(), block, "field block does not match decomposition");
     let [c0, c1, n2] = block.count;
-    assert!(g <= c0 && g <= c1, "ghost width {g} exceeds local extent {c0}x{c1}");
     let (r1, r2) = decomp.coords(rank);
 
     // ---- Phase 1: extend axis 0 to (c0 + 2g, c1, n2). ----
@@ -159,13 +200,7 @@ pub fn exchange_ghost<C: Comm>(comm: &C, decomp: &Decomp, field: &ScalarField, g
         put_rows(&mut dst[g * e2..(g + c1) * e2], &phase1[i0 * c1 * n2..(i0 + 1) * c1 * n2], n2, g);
         put_rows(&mut dst[(g + c1) * e2..], &ghost_right[i0 * g * n2..(i0 + 1) * g * n2], n2, g);
     }
-
-    GhostField {
-        origin: [block.start[0] as isize - g as isize, block.start[1] as isize - g as isize],
-        ext: [e0, e1, e2],
-        g,
-        data,
-    }
+    data
 }
 
 #[cfg(test)]
@@ -226,6 +261,26 @@ mod tests {
             let grid = Grid::new(gdims);
             let decomp = Decomp::new(grid, 1);
             check_ghost(&SerialComm::new(), grid, decomp, 2);
+        }
+    }
+
+    #[test]
+    fn one_pass_wrap_matches_two_phase_exchange() {
+        // On a 1×1 process grid the one-pass array is the two-phase one bit
+        // for bit, signed zeros included, at every ghost width a block
+        // admits (the last grid wraps axis 2 twice).
+        for (gdims, g) in [([5, 6, 4], 2), ([3, 2, 7], 1), ([6, 6, 6], 3), ([4, 5, 1], 2)] {
+            let grid = Grid::new(gdims);
+            let decomp = Decomp::new(grid, 1);
+            let block = decomp.block(0);
+            let vals = (0..block.len()).map(|l| if l % 7 == 3 { -0.0 } else { (l as f64 * 0.37).sin() });
+            let field = ScalarField::from_vec(block, vals.collect());
+            let comm = SerialComm::new();
+            let one = exchange_ghost(&comm, &decomp, &field, g);
+            let two = exchange_two_phase(&comm, &decomp, &field, g);
+            assert_eq!(one.data().len(), two.len());
+            let bits = |x: &[f64]| x.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(one.data()), bits(&two), "{gdims:?}, g = {g}");
         }
     }
 

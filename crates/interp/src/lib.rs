@@ -8,7 +8,8 @@
 //! A plan holds one stencil table ([`SoaStencils`]: a flat offset and
 //! three fractional positions per point, 28 bytes) that both kernels read,
 //! and evaluates all fields of a call in one walk over it
-//! ([`ScatterPlan::interpolate_many`]). The scalar kernels ([`tricubic`],
+//! ([`ScatterPlan::interpolate_many`]). A rank's own points are written
+//! straight into the output and never exchanged. The scalar kernels ([`tricubic`],
 //! [`trilinear`]) are the pointwise oracles, in the same summation order,
 //! so the table path is tested against them bit for bit.
 

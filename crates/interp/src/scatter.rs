@@ -8,6 +8,11 @@
 //! costs one alltoallv of values per field per time step: owners interpolate
 //! the points they received against their ghosted local data and send the
 //! results back, which the requester scatters into original point order.
+//!
+//! A rank's own points skip the exchange both ways: they stay out of the
+//! alltoallv (its self slot is empty) and are evaluated straight into the
+//! output at their local indices. On one rank both collectives carry
+//! nothing, and a plan whose points are all its own keeps no routing table.
 
 use diffreg_comm::{Comm, Timers};
 use diffreg_grid::{exchange_ghost, Decomp, GhostField, ScalarField};
@@ -17,15 +22,23 @@ use crate::soa::SoaStencils;
 
 /// A built communication plan for one set of departure points.
 ///
-/// Resident size: 8 bytes per requested point (`owner_of`, `slot_of`) plus
-/// 28 per assigned point (the stencil table); the routed coordinates
-/// themselves are consumed by the table build and not kept.
+/// Resident size: 28 bytes per assigned point (the stencil table), plus 4
+/// per requested point (`by_owner`) when any of them is owned by another
+/// rank; a plan whose points are all its own (every plan on one rank) keeps
+/// the table alone. The routed coordinates themselves are consumed by the
+/// table build and not kept.
 #[derive(Debug, Clone)]
 pub struct ScatterPlan {
-    /// For each local point: which rank owns it.
-    owner_of: Vec<u32>,
-    /// For each local point: its slot within the batch sent to its owner.
-    slot_of: Vec<u32>,
+    /// Number of points this rank requested.
+    len: usize,
+    /// Local index of every requested point, grouped by owner rank, each
+    /// group in the order of the batch sent to that owner. Empty when every
+    /// point is this rank's own: the own batch is then the points in local
+    /// order.
+    by_owner: Vec<u32>,
+    /// Start of each owner's group in `by_owner` (`size + 1` entries;
+    /// empty with it).
+    owner_off: Vec<usize>,
     /// Start of each requesting rank's batch within the stencil table
     /// (`size + 1` entries).
     batch_off: Vec<usize>,
@@ -45,25 +58,47 @@ impl ScatterPlan {
     ) -> Self {
         let mut span = diffreg_telemetry::span("interp.plan");
         let grid = decomp.grid;
-        let p = comm.size();
+        let (p, me) = (comm.size(), comm.rank());
         assert!(
             p <= u32::MAX as usize && points.len() <= u32::MAX as usize,
-            "rank and slot indices are stored as u32"
+            "rank and point indices are stored as u32"
         );
-        let mut owner_of = Vec::with_capacity(points.len());
-        let mut slot_of = Vec::with_capacity(points.len());
+        let owner: Vec<u32> = points
+            .iter()
+            .map(|x| {
+                let (b0, _) = base_and_frac(x[0], grid.n[0]);
+                let (b1, _) = base_and_frac(x[1], grid.n[1]);
+                decomp.owner_spatial([b0, b1, 0]) as u32
+            })
+            .collect();
         let mut outgoing: Vec<Vec<[f64; 3]>> = vec![Vec::new(); p];
-        for &x in points {
-            let (b0, _) = base_and_frac(x[0], grid.n[0]);
-            let (b1, _) = base_and_frac(x[1], grid.n[1]);
-            let owner = decomp.owner_spatial([b0, b1, 0]);
-            owner_of.push(owner as u32);
-            slot_of.push(outgoing[owner].len() as u32);
-            outgoing[owner].push(x);
+        let (mut by_owner, mut owner_off) = (Vec::new(), Vec::new());
+        if owner.iter().all(|&o| o as usize == me) {
+            outgoing[me] = points.to_vec();
+        } else {
+            // Group the local indices by owner (a counting sort, stable, so
+            // each group is in batch order).
+            owner_off = vec![0; p + 1];
+            for &o in &owner {
+                owner_off[o as usize + 1] += 1;
+            }
+            for r in 0..p {
+                owner_off[r + 1] += owner_off[r];
+            }
+            let mut next = owner_off.clone();
+            by_owner = vec![0; points.len()];
+            for (i, (&o, &x)) in owner.iter().zip(points).enumerate() {
+                by_owner[next[o as usize]] = i as u32;
+                next[o as usize] += 1;
+                outgoing[o as usize].push(x);
+            }
         }
-        let assigned = timers.time("interp_comm", || {
+        drop(owner);
+        let own = std::mem::take(&mut outgoing[me]);
+        let mut assigned = timers.time("interp_comm", || {
             diffreg_telemetry::with_span("interp.scatter", || comm.alltoallv(outgoing))
         });
+        assigned[me] = own;
         timers.count("interp_points_routed", points.len() as u64);
         span.count(points.len() as u64);
         let mut batch_off = Vec::with_capacity(assigned.len() + 1);
@@ -78,19 +113,19 @@ impl ScatterPlan {
         // solve, so the precompute amortizes to nothing. The received
         // coordinates are consumed here.
         let soa = timers.time("interp_exec", || {
-            SoaStencils::build(&grid, &decomp.block(comm.rank()), assigned)
+            SoaStencils::build(&grid, &decomp.block(me), assigned)
         });
-        Self { owner_of, slot_of, batch_off, soa }
+        Self { len: points.len(), by_owner, owner_off, batch_off, soa }
     }
 
     /// Number of points this rank requested.
     pub fn len(&self) -> usize {
-        self.owner_of.len()
+        self.len
     }
 
     /// True if this rank requested no points.
     pub fn is_empty(&self) -> bool {
-        self.owner_of.is_empty()
+        self.len == 0
     }
 
     /// Number of points this rank will interpolate for others (and itself).
@@ -98,12 +133,18 @@ impl ScatterPlan {
         self.soa.len()
     }
 
+    /// The local indices of this rank's own points, in own-batch order:
+    /// `None` when they are all the points, in local order.
+    fn own_indices(&self, me: usize) -> Option<&[u32]> {
+        (!self.by_owner.is_empty()).then(|| &self.by_owner[self.owner_off[me]..self.owner_off[me + 1]])
+    }
+
     /// Global fraction of requested points that had to be routed to another
     /// rank — the "leak" of the performance model's scatter term, and a
     /// direct measure of how far departure points travel (CFL-dependent).
     pub fn off_rank_fraction<C: Comm>(&self, comm: &C) -> f64 {
-        let me = comm.rank() as u32;
-        let mut counts = [self.owner_of.iter().filter(|&&o| o != me).count(), self.len()];
+        let own = self.own_indices(comm.rank()).map_or(self.len, <[u32]>::len);
+        let mut counts = [self.len - own, self.len];
         comm.allreduce_usize(&mut counts, diffreg_comm::ReduceOp::Sum);
         if counts[1] == 0 {
             0.0
@@ -118,7 +159,9 @@ impl ScatterPlan {
     /// single-field call.
     ///
     /// `ghosts` are the ghosted local fields; the result contains one value
-    /// vector per field, each in the original point order.
+    /// vector per field, each in the original point order. The rank's own
+    /// points are written there directly; only the other ranks' batches
+    /// travel.
     pub fn interpolate_many<C: Comm>(
         &self,
         comm: &C,
@@ -129,11 +172,20 @@ impl ScatterPlan {
         let mut span = diffreg_telemetry::span("interp.eval");
         let nf = ghosts.len();
         assert!(nf > 0, "need at least one field");
-        // Owners evaluate; values interleaved per point: [f0, f1, ..] per point.
+        let me = comm.rank();
+        let mut out = vec![vec![0.0; self.len]; nf];
+        // Own points straight into `out`; the others' batches interleaved
+        // per point ([f0, f1, ..] per point), the self slot left empty.
         let values: Vec<Vec<f64>> = timers.time("interp_exec", || {
+            let own = self.batch_off[me]..self.batch_off[me + 1];
+            self.soa.eval_into(ghosts, kernel, own, self.own_indices(me), &mut out);
             self.batch_off
                 .windows(2)
-                .map(|b| {
+                .enumerate()
+                .map(|(r, b)| {
+                    if r == me {
+                        return Vec::new();
+                    }
                     let mut vals = vec![0.0; (b[1] - b[0]) * nf];
                     self.soa.eval(ghosts, kernel, b[0]..b[1], &mut vals);
                     vals
@@ -145,12 +197,15 @@ impl ScatterPlan {
         let returned = timers.time("interp_comm", || {
             diffreg_telemetry::with_span("interp.scatter", || comm.alltoallv(values))
         });
-        // Unscatter into original order.
-        let mut out = vec![vec![0.0; self.len()]; nf];
-        for (i, (&owner, &slot)) in self.owner_of.iter().zip(&self.slot_of).enumerate() {
-            let vals = &returned[owner as usize][slot as usize * nf..][..nf];
-            for (o, &v) in out.iter_mut().zip(vals) {
-                o[i] = v;
+        // Unscatter the other owners' values into original order.
+        if !self.by_owner.is_empty() {
+            for (r, vals) in returned.iter().enumerate().filter(|&(r, _)| r != me) {
+                let idx = &self.by_owner[self.owner_off[r]..self.owner_off[r + 1]];
+                for (&i, v) in idx.iter().zip(vals.chunks_exact(nf)) {
+                    for (o, &v) in out.iter_mut().zip(v) {
+                        o[i as usize] = v;
+                    }
+                }
             }
         }
         out
@@ -235,6 +290,88 @@ mod tests {
                 for (i, v) in vals.iter().enumerate() {
                     let want = refr[comm.rank() * chunk + i];
                     assert!((v - want).abs() < 1e-12, "p=({p1},{p2}) point {i}: {v} vs {want}");
+                }
+            });
+        }
+    }
+
+    /// Algorithm 1 as written: every point, own or not, goes out through
+    /// the alltoallv to its owner, which evaluates it in the interleaved
+    /// wire layout and sends the values back to be unscattered.
+    fn exchange_reference<C: Comm>(
+        comm: &C,
+        d: &Decomp,
+        points: &[[f64; 3]],
+        ghosts: &[&GhostField],
+        kernel: Kernel,
+    ) -> Vec<Vec<f64>> {
+        let (grid, nf) = (d.grid, ghosts.len());
+        let mut route = Vec::new();
+        let mut outgoing = vec![Vec::new(); comm.size()];
+        for &x in points {
+            let owner = d.owner_spatial([base_and_frac(x[0], grid.n[0]).0, base_and_frac(x[1], grid.n[1]).0, 0]);
+            route.push((owner, outgoing[owner].len()));
+            outgoing[owner].push(x);
+        }
+        let assigned = comm.alltoallv(outgoing);
+        let lens: Vec<usize> = assigned.iter().map(Vec::len).collect();
+        let soa = SoaStencils::build(&grid, &d.block(comm.rank()), assigned);
+        let mut start = 0;
+        let values = lens
+            .iter()
+            .map(|&len| {
+                let mut vals = vec![0.0; len * nf];
+                soa.eval(ghosts, kernel, start..start + len, &mut vals);
+                start += len;
+                vals
+            })
+            .collect();
+        let returned = comm.alltoallv(values);
+        (0..nf)
+            .map(|f| route.iter().map(|&(o, slot)| returned[o][slot * nf + f]).collect())
+            .collect()
+    }
+
+    #[test]
+    fn own_points_skip_the_exchange_bit_for_bit() {
+        // Rank 0 asks for its own grid points shifted within their cells
+        // (a plan with no routing table); the others ask for points all
+        // over the domain, most of them owned elsewhere.
+        let grid = Grid::new([12, 8, 6]);
+        let points = test_points(240);
+        for (p1, p2) in [(1, 1), (2, 1), (2, 2)] {
+            let points = points.clone();
+            run_threaded(p1 * p2, move |comm| {
+                let d = Decomp::with_process_grid(grid, p1, p2);
+                let b = d.block(comm.rank());
+                let probes = [probe, probe2, |x| probe(x) * probe2(x), |x| probe2(x) + x[1].cos()];
+                let ghosts = probes.map(|f| ghosted(comm, &d, &ScalarField::from_fn(&grid, b, f)));
+                let mine: Vec<[f64; 3]> = if comm.rank() == 0 {
+                    (0..b.len())
+                        .map(|l| {
+                            let gi = b.global_of_local(l);
+                            [grid.coord(0, gi[0]) + 0.3, grid.coord(1, gi[1]) + 0.2, grid.coord(2, gi[2]) - 0.4]
+                        })
+                        .collect()
+                } else {
+                    points.iter().skip(comm.rank()).step_by(comm.size()).copied().collect()
+                };
+                let timers = Timers::new();
+                let plan = ScatterPlan::build(comm, &d, &mine, &timers);
+                assert_eq!(plan.by_owner.is_empty(), comm.rank() == 0 || comm.size() == 1);
+                if comm.rank() > 0 {
+                    assert!(plan.own_indices(comm.rank()).is_some_and(|own| own.len() < plan.len()));
+                }
+                for kernel in [Kernel::Tricubic, Kernel::Trilinear] {
+                    for k in 1..=4 {
+                        let fields: Vec<&GhostField> = ghosts[..k].iter().collect();
+                        let got = plan.interpolate_many(comm, &fields, kernel, &timers);
+                        let want = exchange_reference(comm, &d, &mine, &fields, kernel);
+                        let bits = |v: &[Vec<f64>]| {
+                            v.iter().map(|f| f.iter().map(|x| x.to_bits()).collect::<Vec<_>>()).collect::<Vec<_>>()
+                        };
+                        assert_eq!(bits(&got), bits(&want), "({p1},{p2}) rank {}: {kernel:?}, {k} fields", comm.rank());
+                    }
                 }
             });
         }

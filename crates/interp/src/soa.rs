@@ -24,6 +24,10 @@
 //! same `t` (`cubic_weights`, `[1 − t, t]`), so results are bit-identical
 //! and differentially testable. The trilinear kernel reads the same table:
 //! its 2³ corner is `off + plane + row + 1`.
+//!
+//! Values go wherever the caller's plan wants them: interleaved per point
+//! for the wire ([`SoaStencils::eval`]), or one vector per field at given
+//! local indices ([`SoaStencils::eval_into`], a rank's own points).
 
 use std::ops::Range;
 
@@ -93,6 +97,38 @@ impl SoaStencils {
     /// Bit-identical to [`Kernel::eval`] per point and field.
     pub fn eval(&self, ghosts: &[&GhostField], kernel: Kernel, range: Range<usize>, out: &mut [f64]) {
         let nf = ghosts.len();
+        self.check(ghosts);
+        // Up to three fields share one pass; more go three at a time.
+        for (c, chunk) in ghosts.chunks(3).enumerate() {
+            self.pass(chunk, kernel, range.clone(), |p, f, v| out[p * nf + 3 * c + f] = v);
+        }
+    }
+
+    /// Evaluates points `range` like [`SoaStencils::eval`], but into one
+    /// vector per field: point `p` lands at `outs[f][at[p − range.start]]`,
+    /// or at `outs[f][p − range.start]` when `at` is `None`. This is how a
+    /// rank writes its own points straight to their local indices.
+    pub fn eval_into(
+        &self,
+        ghosts: &[&GhostField],
+        kernel: Kernel,
+        range: Range<usize>,
+        at: Option<&[u32]>,
+        outs: &mut [Vec<f64>],
+    ) {
+        self.check(ghosts);
+        assert_eq!(outs.len(), ghosts.len(), "one output vector per field");
+        for (chunk, outs) in ghosts.chunks(3).zip(outs.chunks_mut(3)) {
+            match at {
+                None => self.pass(chunk, kernel, range.clone(), |p, f, v| outs[f][p] = v),
+                Some(at) => {
+                    self.pass(chunk, kernel, range.clone(), |p, f, v| outs[f][at[p] as usize] = v)
+                }
+            }
+        }
+    }
+
+    fn check(&self, ghosts: &[&GhostField]) {
         for g in ghosts {
             let ext = g.ext();
             assert_eq!(
@@ -101,77 +137,93 @@ impl SoaStencils {
                 "ghost field was not exchanged on this plan's block with GHOST_WIDTH"
             );
         }
-        // Up to three fields share one pass; more go three at a time.
-        for (c, chunk) in ghosts.chunks(3).enumerate() {
-            let out = &mut out[3 * c..];
-            match chunk.len() {
-                1 => self.pass::<1>(chunk, kernel, range.clone(), out, nf),
-                2 => self.pass::<2>(chunk, kernel, range.clone(), out, nf),
-                _ => self.pass::<3>(chunk, kernel, range.clone(), out, nf),
-            }
-        }
     }
 
-    fn pass<const NF: usize>(
+    /// One walk over `range` for up to three fields, handing each value to
+    /// `put(point, field, value)`.
+    fn pass(
         &self,
         fields: &[&GhostField],
         kernel: Kernel,
         range: Range<usize>,
-        out: &mut [f64],
-        stride: usize,
+        put: impl FnMut(usize, usize, f64),
+    ) {
+        match fields.len() {
+            1 => self.pass_nf::<1>(fields, kernel, range, put),
+            2 => self.pass_nf::<2>(fields, kernel, range, put),
+            _ => self.pass_nf::<3>(fields, kernel, range, put),
+        }
+    }
+
+    fn pass_nf<const NF: usize>(
+        &self,
+        fields: &[&GhostField],
+        kernel: Kernel,
+        range: Range<usize>,
+        put: impl FnMut(usize, usize, f64),
     ) {
         let data: [&[f64]; NF] = std::array::from_fn(|f| fields[f].data());
         match kernel {
-            Kernel::Tricubic => self.run(data, 0, cubic_weights, range, out, stride),
-            Kernel::Trilinear => {
-                self.run(data, self.plane + self.row + 1, lerp_weights, range, out, stride)
-            }
+            Kernel::Tricubic => self.run(data, 0, cubic_weights, range, put),
+            Kernel::Trilinear => self.run(data, self.plane + self.row + 1, lerp_weights, range, put),
         }
     }
 
     /// The one evaluation loop: a `W³` stencil starting `shift` past the
     /// stored offset, per-axis weights `weights(t)` of the stored positions.
     /// The weights of a chunk of points are derived in a pass of their own
-    /// before their stencils: `cubic_weights` divides twice per axis, and out
-    /// of the stencil loop those divisions neither lengthen its dependency
-    /// chains nor stay scalar (measured at 32³ on one field: about 1.45×
-    /// the stored-weights time when derived per point, 1.25× per chunk).
+    /// before their stencils: `cubic_weights` divides twice per axis, and
+    /// out of the stencil loop those divisions neither lengthen its
+    /// dependency chains nor stay scalar (measured at 32³ on one field: about
+    /// 1.45× the stored-weights time when derived per point, 1.25× per
+    /// chunk). One field's linear weights `[1 − t, t]`, the Gauss-Newton
+    /// matvec's case, are derived per point instead: for them the chunk pass
+    /// only adds traffic (at 24×30×24, 103 µs chunked against 83 µs per
+    /// point), while three fields still gain from it (about 190 against 206
+    /// µs).
     fn run<const NF: usize, const W: usize>(
         &self,
         data: [&[f64]; NF],
         shift: usize,
         weights: impl Fn(f64) -> [f64; W],
         range: Range<usize>,
-        out: &mut [f64],
-        stride: usize,
+        mut put: impl FnMut(usize, usize, f64),
     ) {
-        const CHUNK: usize = 64;
         let (plane, row) = (self.plane, self.row);
-        let mut chunk_w = [[[0.0; W]; 3]; CHUNK];
-        let chunks = self.off[range.clone()].chunks(CHUNK).zip(self.t[range].chunks(CHUNK));
-        for (c, (offs, ts)) in chunks.enumerate() {
-            for (w, t) in chunk_w.iter_mut().zip(ts) {
-                *w = t.map(&weights);
-            }
-            for (q, (&off, [w0, w1, w2])) in offs.iter().zip(&chunk_w).enumerate() {
-                let first = off as usize + shift;
-                let mut acc = [[0.0; W]; NF];
-                for (i, &wi) in w0.iter().enumerate() {
-                    for (j, &wj) in w1.iter().enumerate() {
-                        let wij = wi * wj;
-                        let o = first + i * plane + j * row;
-                        for (f, a) in acc.iter_mut().enumerate() {
-                            let s = &data[f][o..o + W];
-                            for k in 0..W {
-                                a[k] += wij * s[k];
-                            }
+        let mut stencil = |p: usize, off: u32, [w0, w1, w2]: &[[f64; W]; 3]| {
+            let first = off as usize + shift;
+            let mut acc = [[0.0; W]; NF];
+            for (i, &wi) in w0.iter().enumerate() {
+                for (j, &wj) in w1.iter().enumerate() {
+                    let wij = wi * wj;
+                    let o = first + i * plane + j * row;
+                    for (f, a) in acc.iter_mut().enumerate() {
+                        let s = &data[f][o..o + W];
+                        for k in 0..W {
+                            a[k] += wij * s[k];
                         }
                     }
                 }
-                let p = c * CHUNK + q;
-                for (f, a) in acc.iter().enumerate() {
-                    out[p * stride + f] = dot(a, w2);
-                }
+            }
+            for (f, a) in acc.iter().enumerate() {
+                put(p, f, dot(a, w2));
+            }
+        };
+        let (offs, ts) = (&self.off[range.clone()], &self.t[range]);
+        if W == 2 && NF == 1 {
+            for (p, (&off, t)) in offs.iter().zip(ts).enumerate() {
+                stencil(p, off, &t.map(&weights));
+            }
+            return;
+        }
+        const CHUNK: usize = 64;
+        let mut chunk_w = [[[0.0; W]; 3]; CHUNK];
+        for (c, (offs, ts)) in offs.chunks(CHUNK).zip(ts.chunks(CHUNK)).enumerate() {
+            for (w, t) in chunk_w.iter_mut().zip(ts) {
+                *w = t.map(&weights);
+            }
+            for (q, (&off, w)) in offs.iter().zip(&chunk_w).enumerate() {
+                stencil(c * CHUNK + q, off, w);
             }
         }
     }
@@ -180,22 +232,28 @@ impl SoaStencils {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::kernel::tricubic;
+    use crate::kernel::base_and_frac;
     use diffreg_comm::SerialComm;
     use diffreg_grid::{exchange_ghost, Decomp, ScalarField};
     use std::f64::consts::TAU;
 
+    /// The table loop against the scalar kernels, bit for bit, for both
+    /// kernels and one to three fields in a pass. The points include grid
+    /// nodes (`t = 0`) and the last double below 2π, which lands at `t = 1`
+    /// on the axes of 6 and 12 points; the field is `−0.0` wherever a sine
+    /// is negative, so a loop that did not start its sums from `0.0` would
+    /// return `−0.0` where the kernels return `0.0`.
     #[test]
     fn soa_is_bit_identical_to_scalar_kernel() {
+        let below_tau = f64::from_bits(TAU.to_bits() - 1);
         for n in [[8, 8, 8], [12, 6, 10], [7, 5, 9]] {
             let grid = Grid::new(n);
             let d = Decomp::new(grid, 1);
             let b = d.block(0);
-            let field = ScalarField::from_fn(&grid, b, |x| {
-                (1.3 * x[0]).sin() * (0.7 * x[1]).cos() + (x[2] - x[0]).sin()
-            });
+            let probe = |x: [f64; 3]| (1.3 * x[0]).sin() * (0.7 * x[1]).cos() + (x[2] - x[0]).sin();
+            let field = ScalarField::from_fn(&grid, b, |x| if x[1].sin() < 0.0 { -0.0 } else { probe(x) });
             let ghost = exchange_ghost(&SerialComm::new(), &d, &field, GHOST_WIDTH);
-            let points: Vec<[f64; 3]> = (0..173)
+            let mut points: Vec<[f64; 3]> = (0..173)
                 .map(|s| {
                     [
                         (0.37 * s as f64 + 0.11).rem_euclid(TAU),
@@ -204,12 +262,65 @@ mod tests {
                     ]
                 })
                 .collect();
+            points.extend((0..b.len()).step_by(5).map(|l| {
+                let gi = b.global_of_local(l);
+                [grid.coord(0, gi[0]), grid.coord(1, gi[1]), grid.coord(2, gi[2])]
+            }));
+            points.extend([[below_tau; 3], [below_tau, 4.0, 0.0], [0.0, below_tau, 5.9]]);
+            let fracs = |a: usize| points.iter().map(move |x| base_and_frac(x[a], n[a]).1);
+            assert!((0..3).all(|a| fracs(a).any(|t| t == 0.0)));
+            assert_eq!(n.contains(&6) || n.contains(&12), (0..3).any(|a| fracs(a).any(|t| t == 1.0)));
+
             let soa = SoaStencils::build(&grid, &b, vec![points.clone()]);
-            let mut got = vec![0.0; points.len()];
-            soa.eval(&[&ghost], Kernel::Tricubic, 0..points.len(), &mut got);
-            for (x, v) in points.iter().zip(&got) {
-                let expect = tricubic(&ghost, &grid, *x);
-                assert_eq!(*v, expect, "SoA diverged from scalar kernel at {x:?}");
+            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            for kernel in [Kernel::Tricubic, Kernel::Trilinear] {
+                let want: Vec<f64> = points.iter().map(|&x| kernel.eval(&ghost, &grid, x)).collect();
+                assert!(want.iter().any(|v| v.to_bits() == 0), "{kernel:?}: no +0.0 result to test");
+                for nf in 1..=3 {
+                    let mut got = vec![0.0; points.len() * nf];
+                    soa.eval(&vec![&ghost; nf], kernel, 0..points.len(), &mut got);
+                    for f in 0..nf {
+                        let field_f: Vec<f64> = got.iter().skip(f).step_by(nf).copied().collect();
+                        assert_eq!(bits(&field_f), bits(&want), "{n:?} {kernel:?}, field {f} of {nf}");
+                    }
+                }
+            }
+        }
+    }
+
+    /// The direct-to-field path writes the same bits as the interleaved
+    /// one, at the given local indices.
+    #[test]
+    fn eval_into_scatters_to_the_given_indices() {
+        let grid = Grid::new([6, 5, 7]);
+        let d = Decomp::new(grid, 1);
+        let b = d.block(0);
+        let comm = SerialComm::new();
+        let ghosts: Vec<GhostField> = (0..4)
+            .map(|k| {
+                let f = ScalarField::from_fn(&grid, b, |x| (x[0] + k as f64).sin() * x[1].cos() + x[2]);
+                exchange_ghost(&comm, &d, &f, GHOST_WIDTH)
+            })
+            .collect();
+        let points: Vec<[f64; 3]> =
+            (0..40).map(|s| [0.3 * s as f64, 1.1 * s as f64 + 0.2, 0.7 * s as f64]).collect();
+        let soa = SoaStencils::build(&grid, &b, vec![points.clone()]);
+        let at: Vec<u32> = (0..points.len() as u32).map(|i| (i * 7 + 3) % 40).collect();
+        for kernel in [Kernel::Tricubic, Kernel::Trilinear] {
+            for nf in 1..=4 {
+                let fields: Vec<&GhostField> = ghosts[..nf].iter().collect();
+                let mut inter = vec![0.0; points.len() * nf];
+                soa.eval(&fields, kernel, 0..points.len(), &mut inter);
+                let mut direct = vec![vec![0.0; points.len()]; nf];
+                soa.eval_into(&fields, kernel, 0..points.len(), None, &mut direct);
+                let mut scattered = vec![vec![0.0; points.len()]; nf];
+                soa.eval_into(&fields, kernel, 0..points.len(), Some(&at), &mut scattered);
+                for (p, vals) in inter.chunks_exact(nf).enumerate() {
+                    for (f, v) in vals.iter().enumerate() {
+                        assert_eq!(direct[f][p].to_bits(), v.to_bits());
+                        assert_eq!(scattered[f][at[p] as usize].to_bits(), v.to_bits());
+                    }
+                }
             }
         }
     }

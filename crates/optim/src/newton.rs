@@ -654,10 +654,13 @@ mod tests {
         );
     }
 
-    /// Records the argument of every `linearize` call of the wrapped problem.
+    /// Records the argument of every `linearize` call of the wrapped
+    /// problem, and counts its matvecs and preconditioner calls.
     struct Recording<P> {
         inner: P,
         linearized: Vec<Vec<f64>>,
+        matvecs: usize,
+        preconds: usize,
     }
 
     impl<P: GaussNewtonProblem<Vec = Vec<f64>, Ops = DenseOps>> GaussNewtonProblem for Recording<P> {
@@ -674,9 +677,11 @@ mod tests {
             self.inner.linearize(v)
         }
         fn hessian_vec(&mut self, d: &Vec<f64>) -> Vec<f64> {
+            self.matvecs += 1;
             self.inner.hessian_vec(d)
         }
         fn precondition(&mut self, r: &Vec<f64>) -> Vec<f64> {
+            self.preconds += 1;
             self.inner.precondition(r)
         }
     }
@@ -720,8 +725,13 @@ mod tests {
         opts: NewtonOptions,
         resume: Option<NewtonResume>,
     ) -> (Vec<f64>, NewtonStatus, Vec<Vec<f64>>) {
-        let mut rec = Recording { inner, linearized: vec![] };
+        let mut rec = Recording { inner, linearized: vec![], matvecs: 0, preconds: 0 };
         let (v, rep) = gauss_newton_observed(&mut rec, vec![1.5, 2.5, 0.5], &opts, resume, |_, _| {});
+        // PCG preconditions once before its first iteration and after every
+        // iteration but the last, so its calls equal its iterations; a
+        // fallback step preconditions the gradient once more.
+        assert_eq!(rec.matvecs, rep.total_matvecs);
+        assert_eq!(rec.preconds, rep.total_matvecs + rep.fallback_steps, "{:?}", rep.status);
         (v, rep.status, rec.linearized)
     }
 

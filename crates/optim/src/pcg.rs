@@ -63,7 +63,9 @@ pub struct PcgReport {
 /// pipelined CG uses. In exact arithmetic this is textbook PCG with one
 /// matvec per iteration, and `apply_a` only ever receives the vector
 /// `apply_minv` last returned, so a problem can reuse work its
-/// preconditioner did on that vector.
+/// preconditioner did on that vector. The tolerance and `max_iter` are
+/// tested before the preconditioner runs, so it runs once per iteration:
+/// before the first, and after every one but the last.
 pub fn pcg<V: Clone, S: VectorOps<V>>(
     space: &S,
     mut apply_a: impl FnMut(&V) -> V,
@@ -81,6 +83,10 @@ pub fn pcg<V: Clone, S: VectorOps<V>>(
         return (x, PcgReport { status: PcgStatus::NonFinite, iterations: 0, residual: bnorm });
     }
     let tol = (opts.rtol * bnorm).max(opts.atol);
+    if bnorm <= tol || opts.max_iter == 0 {
+        let status = if bnorm <= tol { PcgStatus::Converged } else { PcgStatus::MaxIterations };
+        return (x, PcgReport { status, iterations: 0, residual: bnorm });
+    }
 
     let mut r = b.clone();
     // The first search direction is the preconditioned residual itself.
@@ -97,10 +103,7 @@ pub fn pcg<V: Clone, S: VectorOps<V>>(
     let mut prev: Option<(V, V)> = None;
     let mut beta = 0.0;
 
-    while iters < opts.max_iter {
-        if rnorm <= tol {
-            return (x, PcgReport { status: PcgStatus::Converged, iterations: iters, residual: rnorm });
-        }
+    loop {
         let mut az = apply_a(&z);
         iters += 1;
         // p = z + β p and q = A z + β q; `z` is consumed here.
@@ -147,6 +150,13 @@ pub fn pcg<V: Clone, S: VectorOps<V>>(
             );
         }
         space.axpy(&mut x, alpha, &p);
+        // Both exits come before the preconditioner: a residual that ends
+        // the solve is not preconditioned.
+        if rnorm <= tol || iters == opts.max_iter {
+            let status =
+                if rnorm <= tol { PcgStatus::Converged } else { PcgStatus::MaxIterations };
+            return (x, PcgReport { status, iterations: iters, residual: rnorm });
+        }
         z = apply_minv(&r);
         let rz_new = space.dot(&r, &z);
         if !rz_new.is_finite() {
@@ -159,9 +169,6 @@ pub fn pcg<V: Clone, S: VectorOps<V>>(
         rz = rz_new;
         prev = Some((p, q));
     }
-    let status =
-        if rnorm <= tol { PcgStatus::Converged } else { PcgStatus::MaxIterations };
-    (x, PcgReport { status, iterations: iters, residual: rnorm })
 }
 
 #[cfg(test)]
@@ -311,8 +318,10 @@ mod tests {
                 &opts,
             );
             assert_eq!(matvecs.get(), rep.iterations, "fixture {k}");
-            // One preconditioner call before the loop and one per iteration.
-            assert_eq!(preconds.get(), rep.iterations + 1, "fixture {k}");
+            // One preconditioner call before the loop and one after every
+            // iteration but the last: the residual that ends the solve is
+            // never preconditioned.
+            assert_eq!(preconds.get(), rep.iterations, "fixture {k}");
         }
     }
 

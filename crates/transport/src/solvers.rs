@@ -225,6 +225,13 @@ impl SemiLagrangian {
 
     /// The RK2 sweep of the incremental state: hands `ρ̃(t_i)` for
     /// `i = 0..nt` to `each` before stepping past it, and returns `ρ̃(1)`.
+    ///
+    /// Step `i` is `ρ̃(x) ← I[ρ̃](X) + δt/2·(I[f_i](X) + f_{i+1}(x))` with
+    /// the source `f_i = −ṽ·∇ρ(t_i)`. Interpolation is linear, so the two
+    /// interpolants are one, `I[ρ̃ + δt/2·f_i](X)`: one ghost exchange, one
+    /// field. The source is formed where it is added, so no source field is
+    /// built: after each step one pass adds `δt/2·f_{i+1}` and, from that
+    /// sum `ρ̃(t_{i+1})`, forms the next step's input `ρ̃ + δt/2·f_{i+1}`.
     fn incremental_state_sweep<C: Comm>(
         &self,
         ws: &Workspace<C>,
@@ -233,33 +240,42 @@ impl SemiLagrangian {
         mut each: impl FnMut(&ScalarField),
     ) -> ScalarField {
         assert_eq!(grad_state.len(), self.nt + 1, "need ∇ρ at every time level");
-        let block = ws.block();
-        let nloc = vtilde.local_len();
-        // Source f_i(x) = −ṽ(x)·∇ρ(t_i)(x), local pointwise (zipped slices
-        // keep the triple product branch- and bounds-check-free).
-        let (vt0, vt1, vt2) =
-            (vtilde.comps[0].data(), vtilde.comps[1].data(), vtilde.comps[2].data());
-        let source = |i: usize| -> ScalarField {
-            let g = &grad_state[i];
-            let (g0, g1, g2) = (g.comps[0].data(), g.comps[1].data(), g.comps[2].data());
-            let f = (0..nloc).map(|l| -(vt0[l] * g0[l] + vt1[l] * g1[l] + vt2[l] * g2[l])).collect();
-            ScalarField::from_vec(block, f)
-        };
-        let mut rho = ScalarField::zeros(block);
+        let nt = self.nt;
         let half_dt = 0.5 * self.dt;
-        let mut f = source(0);
-        for i in 0..self.nt {
+        let n = vtilde.local_len();
+        let [v0, v1, v2] = vtilde.comps.each_ref().map(|c| &c.data()[..n]);
+        // Adds δt/2·f_i into `rho`; with `next`, also stores that sum plus
+        // δt/2·f_i there. Zipped slices keep the triple product branch- and
+        // bounds-check-free.
+        let add_source = |i: usize, rho: &mut ScalarField, next: Option<&mut ScalarField>| {
+            let [g0, g1, g2] = grad_state[i].comps.each_ref().map(|c| &c.data()[..n]);
+            let half_f = v0.iter().zip(v1).zip(v2).zip(g0).zip(g1).zip(g2).map(
+                |(((((&a0, &a1), &a2), &b0), &b1), &b2)| half_dt * -(a0 * b0 + a1 * b1 + a2 * b2),
+            );
+            let rho = &mut rho.data_mut()[..n];
+            match next {
+                None => rho.iter_mut().zip(half_f).for_each(|(r, h)| *r += h),
+                Some(next) => {
+                    for ((r, x), h) in rho.iter_mut().zip(&mut next.data_mut()[..n]).zip(half_f) {
+                        *r += h;
+                        *x = *r + h;
+                    }
+                }
+            }
+        };
+        let block = ws.block();
+        // ρ̃(t_0) = 0, and in its buffer the first step's input.
+        let mut next = ScalarField::zeros(block);
+        each(&next);
+        add_source(0, &mut next, None);
+        for i in 1..nt {
+            let mut rho = advect_step(&self.fwd.plan, ws, &next);
+            add_source(i, &mut rho, Some(&mut next));
             each(&rho);
-            // RK2 step ρ̃(x) ← I[ρ̃](X) + δt/2·(I[f_i](X) + f_{i+1}(x)).
-            // Interpolation is linear, so the two interpolants are one,
-            // I[ρ̃ + δt/2·f_i](X): one ghost exchange, one field, and f_i is
-            // freed before it.
-            rho.axpy(half_dt, &f);
-            drop(f);
-            rho = advect_step(&self.fwd.plan, ws, &rho);
-            f = source(i + 1);
-            rho.axpy(half_dt, &f);
         }
+        let mut rho = advect_step(&self.fwd.plan, ws, &next);
+        drop(next);
+        add_source(nt, &mut rho, None);
         rho
     }
 
@@ -359,6 +375,7 @@ mod tests {
     use crate::SessionParts;
     use diffreg_comm::{run_threaded, Comm, SerialComm};
     use diffreg_grid::{Decomp, Grid};
+    use diffreg_interp::Kernel;
 
     fn with_serial_ws<R>(grid: Grid, f: impl FnOnce(&Workspace<SerialComm>) -> R) -> R {
         let comm = SerialComm::new();
@@ -524,8 +541,8 @@ mod tests {
 
     /// The streamed adjoint integral against `solve_adjoint`'s history,
     /// summed in the sweep's order (`t_nt` first) onto the same starting
-    /// field: bit for bit. The streamed incremental state against the last
-    /// entry of its history: bit for bit.
+    /// field: bit for bit. The streamed incremental state and every entry
+    /// of its history against the sweep with a source field: bit for bit.
     #[test]
     fn streamed_sweeps_match_their_histories() {
         let grid = Grid::new([12, 10, 8]);
@@ -542,12 +559,33 @@ mod tests {
             let grads: Vec<VectorField> =
                 sl.solve_state(ws, &rho0).iter().map(|r| ws.fft.gradient(r, ws.timers)).collect();
 
-            let hist = sl.solve_incremental_state_history(ws, &vt, &grads);
-            let last = sl.solve_incremental_state(ws, &vt, &grads);
-            assert_eq!(hist.len(), nt + 1);
             let same =
                 |a: &[f64], b: &[f64]| a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits());
-            assert!(same(hist[nt].data(), last.data()));
+            // The sweep with its source as a field of its own, built and
+            // added in three passes per time level: the fused source pass
+            // changes no bit, on either kernel.
+            let source = |i: usize| {
+                let (v, g) = (vt.comps.each_ref().map(|c| c.data()), grads[i].comps.each_ref().map(|c| c.data()));
+                let f = (0..v[0].len()).map(|l| -(v[0][l] * g[0][l] + v[1][l] * g[1][l] + v[2][l] * g[2][l]));
+                ScalarField::from_vec(ws.block(), f.collect())
+            };
+            for kernel in [Kernel::Tricubic, Kernel::Trilinear] {
+                let ws = &Workspace { kernel, ..*ws };
+                let mut want = vec![ScalarField::zeros(ws.block())];
+                for i in 0..nt {
+                    let mut rho = want[i].clone();
+                    rho.axpy(0.5 * sl.dt, &source(i));
+                    let mut rho = advect_step(&sl.fwd.plan, ws, &rho);
+                    rho.axpy(0.5 * sl.dt, &source(i + 1));
+                    want.push(rho);
+                }
+                let hist = sl.solve_incremental_state_history(ws, &vt, &grads);
+                let last = sl.solve_incremental_state(ws, &vt, &grads);
+                assert_eq!(hist.len(), nt + 1);
+                for (got, want) in hist.iter().chain([&last]).zip(want.iter().chain(want.last())) {
+                    assert!(same(got.data(), want.data()), "{kernel:?}");
+                }
+            }
 
             let lam1 = ScalarField::from_fn(&grid, ws.block(), |x| (2.0 * x[0]).cos() + x[2].sin());
             let mut streamed = vt.clone();
