@@ -24,7 +24,7 @@
 //!   with a fixed β; outer iterations and Hessian matvecs must stay (nearly)
 //!   flat while the unknown count grows by orders of magnitude.
 //!   `[--sizes 8,12,16,24,32] [--beta 1e-2]`
-//! * `ablations` — all six design-choice ablations below (suite
+//! * `ablations` — all five design-choice ablations below (suite
 //!   `ablations`), or one of them by name. `[--size 16]`
 //!   * `nt` — number of semi-Lagrangian steps (unconditional stability lets
 //!     the paper use nt = 4; CFL-restricted schemes would need hundreds of
@@ -36,14 +36,13 @@
 //!     discretization makes the operator choice free, §I);
 //!   * `precond` — with/without the inverse-regularization preconditioner
 //!     (§III-A);
-//!   * `forcing` — Eisenstat-Walker forcing variants (§III-A);
-//!   * `hessian` — Gauss-Newton vs full Newton (paper §II-B-b).
+//!   * `forcing` — Eisenstat-Walker forcing variants (§III-A).
 //!
 //! Usage: `experiments --study <name> [study options]`
 
 use diffreg_bench::{arg_list, sci, write_suite, BenchRecord, BenchSuite};
 use diffreg_comm::SerialComm;
-use diffreg_core::{det_deformation_gradient, register, HessianKind, RegistrationConfig};
+use diffreg_core::{det_deformation_gradient, register, RegistrationConfig};
 use diffreg_grid::{Grid, ScalarField};
 use diffreg_imgsim::{axial_slice, gather_full, write_pgm};
 use diffreg_optim::{Forcing, NewtonOptions};
@@ -91,8 +90,8 @@ fn table5(args: &[String]) {
         .unwrap_or_else(|| vec![1e-1, 1e-3, 1e-5]);
 
     println!("\nTable V: sensitivity to β, brain phantom {size}^3, four Newton iterations");
-    println!("{:<10} {:>8} {:>16} {:>12} {:>10}", "beta", "matvecs", "time-to-sol (s)", "relative", "relres");
-    println!("{}", "-".repeat(62));
+    println!("{:<10} {:>8} {:>16} {:>12} {:>10} status", "beta", "matvecs", "time-to-sol (s)", "relative", "relres");
+    println!("{}", "-".repeat(79));
 
     let mut suite = BenchSuite::new("table5");
     serial(size, |ws, _, grid| {
@@ -118,8 +117,9 @@ fn table5(args: &[String]) {
                 .get(i)
                 .map(|(m, t, r)| format!("(paper: {m} matvecs, {} s, {r:.1}x)", sci(*t)))
                 .unwrap_or_default();
+            let status = format!("{:?}", out.report.status);
             println!(
-                "{:<10} {:>8} {:>16} {:>12} {:>10.3} {}",
+                "{:<10} {:>8} {:>16} {:>12} {:>10.3} {status:<16} {}",
                 format!("{beta:.0E}"),
                 out.hessian_matvecs,
                 sci(dt),
@@ -132,7 +132,8 @@ fn table5(args: &[String]) {
                     .with_extra("beta", beta)
                     .with_extra("matvecs", out.hessian_matvecs as f64)
                     .with_extra("rel_time", rel_time)
-                    .with_extra("rel_mismatch", out.relative_mismatch()),
+                    .with_extra("rel_mismatch", out.relative_mismatch())
+                    .with_status(status),
             );
         }
     });
@@ -302,13 +303,12 @@ fn mesh_independence(args: &[String]) {
 /// One ablation: its `--study` name and its body over the shared problem.
 type Ablation = (&'static str, fn(&Problem<'_>, &mut BenchSuite));
 
-const ABLATIONS: [Ablation; 6] = [
+const ABLATIONS: [Ablation; 5] = [
     ("nt", study_nt),
     ("kernel", study_kernel),
     ("reg", study_reg),
     ("precond", study_precond),
     ("forcing", study_forcing),
-    ("hessian", study_hessian),
 ];
 
 /// The ablations' shared synthetic problem (reference built with nt = 8).
@@ -456,24 +456,6 @@ fn study_forcing(p: &Problem<'_>, suite: &mut BenchSuite) {
     println!(" inexact quadratic forcing gets the same answer with fewer matvecs)");
 }
 
-fn study_hessian(p: &Problem<'_>, suite: &mut BenchSuite) {
-    println!("\n== Hessian-operator ablation (Gauss-Newton vs full Newton) ==");
-    println!("{:<14} {:>10} {:>8} {:>8} {:>10}", "operator", "relres", "outer", "matvecs", "time (s)");
-    for (name, hessian) in [("gauss-newton", HessianKind::GaussNewton), ("full-newton", HessianKind::FullNewton)] {
-        let cfg = RegistrationConfig { beta: 1e-3, hessian, ..Default::default() };
-        let (rel, mv, outer, dt) = p.run(cfg);
-        println!("{name:<14} {rel:>10.4} {outer:>8} {mv:>8} {:>10}", sci(dt));
-        suite.push(
-            BenchRecord::new(format!("hessian/{name}"), vec![dt])
-                .with_extra("rel_mismatch", rel)
-                .with_extra("outer", outer as f64)
-                .with_extra("matvecs", mv as f64),
-        );
-    }
-    println!("(the paper opts for Gauss-Newton: cheaper matvecs, PSD operator;");
-    println!(" full Newton's extra λ terms cost FFTs per matvec for little gain here)");
-}
-
 fn main() {
     let args: Vec<String> = std::env::args().collect();
     match arg_str(&args, "--study") {
@@ -486,7 +468,7 @@ fn main() {
         other => {
             eprintln!(
                 "usage: experiments --study table5|fig5|fig6_fig7|mesh_independence|ablations|\
-                 nt|kernel|reg|precond|forcing|hessian [study options] (got {other:?})"
+                 nt|kernel|reg|precond|forcing [study options] (got {other:?})"
             );
             std::process::exit(2);
         }

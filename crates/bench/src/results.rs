@@ -21,17 +21,26 @@ pub struct BenchRecord {
     pub samples_s: Vec<f64>,
     /// Extra scalar fields carried verbatim into the JSON (`"extra"` object).
     pub extra: Vec<(String, f64)>,
+    /// How the measured run ended (a solver status such as `Converged`),
+    /// the JSON's `"status"` when set.
+    pub status: Option<String>,
 }
 
 impl BenchRecord {
     /// A record from raw samples.
     pub fn new(name: impl Into<String>, samples_s: Vec<f64>) -> Self {
-        Self { name: name.into(), samples_s, extra: Vec::new() }
+        Self { name: name.into(), samples_s, extra: Vec::new(), status: None }
     }
 
     /// Adds a named scalar to the `"extra"` block (builder-style).
     pub fn with_extra(mut self, key: impl Into<String>, value: f64) -> Self {
         self.extra.push((key.into(), value));
+        self
+    }
+
+    /// Records how the measured run ended (builder-style).
+    pub fn with_status(mut self, status: impl Into<String>) -> Self {
+        self.status = Some(status.into());
         self
     }
 
@@ -111,6 +120,9 @@ impl BenchSuite {
                         )
                         .set("median_s", r.median_s())
                         .set("min_s", r.min_s());
+                    if let Some(status) = &r.status {
+                        obj = obj.set("status", status.as_str());
+                    }
                     if !r.extra.is_empty() {
                         let mut extra = Json::obj();
                         for (k, v) in &r.extra {
@@ -261,9 +273,14 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("diffreg-bench-results-{}", std::process::id()));
         let mut suite = BenchSuite::new("unit");
         suite.push(row_record("measured/row", &sample_row()));
+        suite.push(BenchRecord::new("beta/1E-5", vec![0.5]).with_status("MaxIterations"));
         let path = suite.write_results(&dir).unwrap();
         let text = std::fs::read_to_string(&path).unwrap();
-        assert_eq!(Json::parse(&text).unwrap(), suite.to_json());
+        let back = Json::parse(&text).unwrap();
+        assert_eq!(back, suite.to_json());
+        let records = back.get("records").and_then(Json::as_arr).unwrap();
+        assert_eq!(records[0].get("status"), None);
+        assert_eq!(records[1].get("status").and_then(Json::as_str), Some("MaxIterations"));
         std::fs::remove_dir_all(&dir).ok();
     }
 }

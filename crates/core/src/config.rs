@@ -5,25 +5,6 @@ use diffreg_interp::Kernel;
 use diffreg_optim::NewtonOptions;
 use diffreg_spectral::RegOrder;
 
-/// Which second-order operator the Krylov solver inverts (paper §II-B-b).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum HessianKind {
-    /// Gauss-Newton approximation: drop the λ terms of eq. (5). Guaranteed
-    /// positive semidefinite; the paper's choice for all reported runs
-    /// ("since the problem is non-convex ... we opt for a Gauss-Newton
-    /// approximation"). Its incremental state and incremental adjoint
-    /// interpolate trilinearly whatever [`RegistrationConfig::kernel`]
-    /// says: an inexact Newton step needs only an approximate Hessian, and
-    /// the gradient and the line search fix the answer.
-    #[default]
-    GaussNewton,
-    /// The full Newton Hessian including the `div(λṽ)` source in the
-    /// incremental adjoint and the `λ∇ρ̃` term in `b̃`. More accurate near
-    /// the solution, costlier per matvec, and indefinite far from it (the
-    /// PCG safeguard handles negative curvature).
-    FullNewton,
-}
-
 /// Configuration of one registration solve.
 #[derive(Debug, Clone, Copy)]
 pub struct RegistrationConfig {
@@ -38,12 +19,12 @@ pub struct RegistrationConfig {
     /// Leray projection.
     pub incompressible: bool,
     /// Interpolation kernel for the semi-Lagrangian scheme: the objective,
-    /// the gradient, the line search, post-processing and the full-Newton
-    /// matvec. The Gauss-Newton matvec is trilinear whatever this says
-    /// ([`HessianKind::GaussNewton`]).
+    /// the gradient, the line search and post-processing. The Gauss-Newton
+    /// matvec (the paper's choice for all reported runs, §II-B-b) is
+    /// trilinear whatever this says: an inexact Newton step needs only an
+    /// approximate Hessian, and the gradient and the line search fix the
+    /// answer.
     pub kernel: Kernel,
-    /// Gauss-Newton (paper default) or full Newton second-order operator.
-    pub hessian: HessianKind,
     /// Image distance measure for the data term (SSD in the paper; NCC is
     /// the intensity-invariant extension of §II-A).
     pub distance: Distance,
@@ -68,7 +49,6 @@ impl Default for RegistrationConfig {
             nt: 4,
             incompressible: false,
             kernel: Kernel::Tricubic,
-            hessian: HessianKind::GaussNewton,
             distance: Distance::Ssd,
             precondition: true,
             newton: NewtonOptions::default(),

@@ -46,7 +46,7 @@ mod problem;
 mod rigid;
 
 pub use checkpoint::{CheckpointError, CheckpointStore, ResumeLoad, SolverCheckpoint};
-pub use config::{HessianKind, RegistrationConfig};
+pub use config::RegistrationConfig;
 pub use distance::Distance;
 pub use driver::{
     register, register_solve, register_with_continuation, synthetic_pair, RegistrationOutcome,

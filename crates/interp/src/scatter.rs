@@ -71,11 +71,10 @@ impl ScatterPlan {
                 decomp.owner_spatial([b0, b1, 0]) as u32
             })
             .collect();
+        // The self slot stays empty: the own points are read from `points`.
         let mut outgoing: Vec<Vec<[f64; 3]>> = vec![Vec::new(); p];
         let (mut by_owner, mut owner_off) = (Vec::new(), Vec::new());
-        if owner.iter().all(|&o| o as usize == me) {
-            outgoing[me] = points.to_vec();
-        } else {
+        if owner.iter().any(|&o| o as usize != me) {
             // Group the local indices by owner (a counting sort, stable, so
             // each group is in batch order).
             owner_off = vec![0; p + 1];
@@ -90,31 +89,37 @@ impl ScatterPlan {
             for (i, (&o, &x)) in owner.iter().zip(points).enumerate() {
                 by_owner[next[o as usize]] = i as u32;
                 next[o as usize] += 1;
-                outgoing[o as usize].push(x);
+                if o as usize != me {
+                    outgoing[o as usize].push(x);
+                }
             }
         }
         drop(owner);
-        let own = std::mem::take(&mut outgoing[me]);
         let mut assigned = timers.time("interp_comm", || {
             diffreg_telemetry::with_span("interp.scatter", || comm.alltoallv(outgoing))
         });
-        assigned[me] = own;
         timers.count("interp_points_routed", points.len() as u64);
         span.count(points.len() as u64);
+        // The own batch: the own points in `by_owner` order, or all of
+        // `points` in local order when there is no routing table.
+        let own_at = (!by_owner.is_empty()).then(|| &by_owner[owner_off[me]..owner_off[me + 1]]);
+        let own_len = own_at.map_or(points.len(), <[u32]>::len);
         let mut batch_off = Vec::with_capacity(assigned.len() + 1);
         let mut off = 0;
-        for pts in &assigned {
+        for (r, pts) in assigned.iter().enumerate() {
             batch_off.push(off);
-            off += pts.len();
+            off += if r == me { own_len } else { pts.len() };
         }
         batch_off.push(off);
         // Hoist the per-point stencil math out of the evaluation loops: the
         // plan is reused across every field and time step of a transport
         // solve, so the precompute amortizes to nothing. The received
-        // coordinates are consumed here.
-        let soa = timers.time("interp_exec", || {
-            SoaStencils::build(&grid, &decomp.block(me), assigned)
-        });
+        // coordinates are consumed here, batch by batch; the own points are
+        // read in place.
+        let own = (0..own_len).map(|k| points[own_at.map_or(k, |at| at[k] as usize)]);
+        let later = assigned.split_off(me + 1);
+        let in_order = assigned.into_iter().flatten().chain(own).chain(later.into_iter().flatten());
+        let soa = timers.time("interp_exec", || SoaStencils::build(&grid, &decomp.block(me), off, in_order));
         Self { len: points.len(), by_owner, owner_off, batch_off, soa }
     }
 
@@ -315,7 +320,7 @@ mod tests {
         }
         let assigned = comm.alltoallv(outgoing);
         let lens: Vec<usize> = assigned.iter().map(Vec::len).collect();
-        let soa = SoaStencils::build(&grid, &d.block(comm.rank()), assigned);
+        let soa = SoaStencils::build(&grid, &d.block(comm.rank()), lens.iter().sum(), assigned.into_iter().flatten());
         let mut start = 0;
         let values = lens
             .iter()

@@ -51,21 +51,20 @@ pub struct SoaStencils {
 }
 
 impl SoaStencils {
-    /// Precomputes stencils for the points of `batches` (consumed batch by
-    /// batch, in order) interpolated on `grid` by the rank that owns
-    /// `block`: every base index on axes 0 and 1 must lie inside the block.
-    pub fn build(grid: &Grid, block: &Block, batches: Vec<Vec<[f64; 3]>>) -> Self {
+    /// Precomputes stencils for the `len` points of `points`, in order,
+    /// interpolated on `grid` by the rank that owns `block`: every base
+    /// index on axes 0 and 1 must lie inside the block.
+    pub fn build(grid: &Grid, block: &Block, len: usize, points: impl IntoIterator<Item = [f64; 3]>) -> Self {
         let g = GHOST_WIDTH;
         let (e0, e1, e2) = (block.count[0] + 2 * g, block.count[1] + 2 * g, grid.n[2] + 2 * g);
         assert!(e0 * e1 * e2 <= u32::MAX as usize, "extended block too large for u32 stencil offsets");
-        let total = batches.iter().map(Vec::len).sum();
         let mut s = Self {
             plane: e1 * e2,
             row: e2,
-            off: Vec::with_capacity(total),
-            t: Vec::with_capacity(total),
+            off: Vec::with_capacity(len),
+            t: Vec::with_capacity(len),
         };
-        for x in batches.into_iter().flatten() {
+        for x in points {
             let ([b0, b1, b2], t) = base_and_fracs(grid, x);
             debug_assert!(
                 b0.wrapping_sub(block.start[0]) < block.count[0]
@@ -78,6 +77,7 @@ impl SoaStencils {
             s.off.push(((r0 * e1 + r1) * e2 + b2 + g - 1) as u32);
             s.t.push(t);
         }
+        debug_assert_eq!(s.off.len(), len, "point count differs from the one given");
         s
     }
 
@@ -271,7 +271,7 @@ mod tests {
             assert!((0..3).all(|a| fracs(a).any(|t| t == 0.0)));
             assert_eq!(n.contains(&6) || n.contains(&12), (0..3).any(|a| fracs(a).any(|t| t == 1.0)));
 
-            let soa = SoaStencils::build(&grid, &b, vec![points.clone()]);
+            let soa = SoaStencils::build(&grid, &b, points.len(), points.iter().copied());
             let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
             for kernel in [Kernel::Tricubic, Kernel::Trilinear] {
                 let want: Vec<f64> = points.iter().map(|&x| kernel.eval(&ghost, &grid, x)).collect();
@@ -304,7 +304,7 @@ mod tests {
             .collect();
         let points: Vec<[f64; 3]> =
             (0..40).map(|s| [0.3 * s as f64, 1.1 * s as f64 + 0.2, 0.7 * s as f64]).collect();
-        let soa = SoaStencils::build(&grid, &b, vec![points.clone()]);
+        let soa = SoaStencils::build(&grid, &b, points.len(), points.iter().copied());
         let at: Vec<u32> = (0..points.len() as u32).map(|i| (i * 7 + 3) % 40).collect();
         for kernel in [Kernel::Tricubic, Kernel::Trilinear] {
             for nf in 1..=4 {

@@ -199,32 +199,6 @@ impl SemiLagrangian {
     /// (paper Algorithm 2). `grad_state[i]` must hold `∇ρ(t_i)` for the state
     /// history the Hessian is linearized at. Returns `ρ̃(1)` only, and keeps
     /// one `ρ̃` at a time (the Gauss-Newton matvec needs no history).
-    pub fn solve_incremental_state<C: Comm>(
-        &self,
-        ws: &Workspace<C>,
-        vtilde: &VectorField,
-        grad_state: &[VectorField],
-    ) -> ScalarField {
-        self.incremental_state_sweep(ws, vtilde, grad_state, |_| {})
-    }
-
-    /// Like [`SemiLagrangian::solve_incremental_state`] but returns the full
-    /// history `ρ̃(t_i)`, `i = 0..=nt` — needed by the *full* Newton Hessian,
-    /// whose `b̃` integral contains the `λ ∇ρ̃` term (paper eq. 5).
-    pub fn solve_incremental_state_history<C: Comm>(
-        &self,
-        ws: &Workspace<C>,
-        vtilde: &VectorField,
-        grad_state: &[VectorField],
-    ) -> Vec<ScalarField> {
-        let mut hist = Vec::with_capacity(self.nt + 1);
-        let last = self.incremental_state_sweep(ws, vtilde, grad_state, |r| hist.push(r.clone()));
-        hist.push(last);
-        hist
-    }
-
-    /// The RK2 sweep of the incremental state: hands `ρ̃(t_i)` for
-    /// `i = 0..nt` to `each` before stepping past it, and returns `ρ̃(1)`.
     ///
     /// Step `i` is `ρ̃(x) ← I[ρ̃](X) + δt/2·(I[f_i](X) + f_{i+1}(x))` with
     /// the source `f_i = −ṽ·∇ρ(t_i)`. Interpolation is linear, so the two
@@ -232,12 +206,11 @@ impl SemiLagrangian {
     /// field. The source is formed where it is added, so no source field is
     /// built: after each step one pass adds `δt/2·f_{i+1}` and, from that
     /// sum `ρ̃(t_{i+1})`, forms the next step's input `ρ̃ + δt/2·f_{i+1}`.
-    fn incremental_state_sweep<C: Comm>(
+    pub fn solve_incremental_state<C: Comm>(
         &self,
         ws: &Workspace<C>,
         vtilde: &VectorField,
         grad_state: &[VectorField],
-        mut each: impl FnMut(&ScalarField),
     ) -> ScalarField {
         assert_eq!(grad_state.len(), self.nt + 1, "need ∇ρ at every time level");
         let nt = self.nt;
@@ -266,70 +239,15 @@ impl SemiLagrangian {
         let block = ws.block();
         // ρ̃(t_0) = 0, and in its buffer the first step's input.
         let mut next = ScalarField::zeros(block);
-        each(&next);
         add_source(0, &mut next, None);
         for i in 1..nt {
             let mut rho = advect_step(&self.fwd.plan, ws, &next);
             add_source(i, &mut rho, Some(&mut next));
-            each(&rho);
         }
         let mut rho = advect_step(&self.fwd.plan, ws, &next);
         drop(next);
         add_source(nt, &mut rho, None);
         rho
-    }
-
-    /// Incremental adjoint in its *full Newton* form (paper eq. 5c):
-    /// `−∂t λ̃ − div(λ̃ v + λ ṽ) = 0`, `λ̃(1) = −ρ̃(1)`. In reversed time this
-    /// is the continuity family with the extra external source
-    /// `s(x, t) = div(λ(t) ṽ)`; `source[i]` must hold `s(·, t_i)` (computed
-    /// by the caller with one spectral divergence per time level). Returns
-    /// the history indexed by t.
-    pub fn solve_incremental_adjoint_full<C: Comm>(
-        &self,
-        ws: &Workspace<C>,
-        rho_tilde1: &ScalarField,
-        source: &[ScalarField],
-    ) -> Vec<ScalarField> {
-        assert_eq!(source.len(), self.nt + 1, "need div(λṽ) at every time level");
-        let block = ws.block();
-        let w = self.divv.data();
-        let wx = &self.divv_at_bwd;
-        let dt = self.dt;
-        let mut rev = Vec::with_capacity(self.nt + 1);
-        let mut term = rho_tilde1.clone();
-        term.scale(-1.0);
-        rev.push(term);
-        // τ step j advances from t index i = nt − j to i − 1.
-        for j in 0..self.nt {
-            let i = self.nt - j;
-            #[expect(
-                clippy::unwrap_used,
-                reason = "rev is seeded with the terminal condition before the loop, so last() is always Some"
-            )]
-            let nu = rev.last().unwrap();
-            let g_nu = ghosted(ws.comm, ws.decomp, nu);
-            let g_s = ghosted(ws.comm, ws.decomp, &source[i]);
-            let interp =
-                self.bwd.interpolate_many(ws.comm, &[&g_nu, &g_s], ws.kernel, ws.timers);
-            let s_next = source[i - 1].data();
-            let out = interp[0]
-                .iter()
-                .zip(&interp[1])
-                .zip(wx)
-                .zip(w)
-                .zip(s_next)
-                .map(|((((&n0, &sx), &wxl), &wl), &sn)| {
-                    let f0 = n0 * wxl + sx;
-                    let nu_star = n0 + dt * f0;
-                    let f_star = nu_star * wl + sn;
-                    n0 + 0.5 * dt * (f0 + f_star)
-                })
-                .collect();
-            rev.push(ScalarField::from_vec(block, out));
-        }
-        rev.reverse();
-        rev
     }
 
     /// Incremental adjoint, Gauss-Newton form (5c without the λ terms):
@@ -541,8 +459,8 @@ mod tests {
 
     /// The streamed adjoint integral against `solve_adjoint`'s history,
     /// summed in the sweep's order (`t_nt` first) onto the same starting
-    /// field: bit for bit. The streamed incremental state and every entry
-    /// of its history against the sweep with a source field: bit for bit.
+    /// field: bit for bit. The streamed incremental state's `ρ̃(1)` against
+    /// the three-pass sweep with a source field: bit for bit.
     #[test]
     fn streamed_sweeps_match_their_histories() {
         let grid = Grid::new([12, 10, 8]);
@@ -571,20 +489,14 @@ mod tests {
             };
             for kernel in [Kernel::Tricubic, Kernel::Trilinear] {
                 let ws = &Workspace { kernel, ..*ws };
-                let mut want = vec![ScalarField::zeros(ws.block())];
+                let mut want = ScalarField::zeros(ws.block());
                 for i in 0..nt {
-                    let mut rho = want[i].clone();
-                    rho.axpy(0.5 * sl.dt, &source(i));
-                    let mut rho = advect_step(&sl.fwd.plan, ws, &rho);
-                    rho.axpy(0.5 * sl.dt, &source(i + 1));
-                    want.push(rho);
+                    want.axpy(0.5 * sl.dt, &source(i));
+                    want = advect_step(&sl.fwd.plan, ws, &want);
+                    want.axpy(0.5 * sl.dt, &source(i + 1));
                 }
-                let hist = sl.solve_incremental_state_history(ws, &vt, &grads);
-                let last = sl.solve_incremental_state(ws, &vt, &grads);
-                assert_eq!(hist.len(), nt + 1);
-                for (got, want) in hist.iter().chain([&last]).zip(want.iter().chain(want.last())) {
-                    assert!(same(got.data(), want.data()), "{kernel:?}");
-                }
+                let got = sl.solve_incremental_state(ws, &vt, &grads);
+                assert!(same(got.data(), want.data()), "{kernel:?}");
             }
 
             let lam1 = ScalarField::from_fn(&grid, ws.block(), |x| (2.0 * x[0]).cos() + x[2].sin());

@@ -26,8 +26,9 @@
 #      collective phase report, cubic-to-linear weight recombination, option
 #      picking the Gauss-Newton matvec's kernel, second distributed FFT (the
 #      full-spectrum c2c transform, its coefficient type, projection, block
-#      and kernel records, or a layout enum) or new env::var read may
-#      reappear; workspace line count
+#      and kernel records, or a layout enum), full Newton (its Hessian kind,
+#      CLI flag or history transports) or new env::var read may reappear;
+#      workspace line count
 #   6. clippy clean under -D warnings: it enforces step 5's lint levels and
 #      rejects a stale #[expect], so a missing clippy fails the build
 #   7. fail if Cargo.lock ever acquires a registry (non-path) dependency
@@ -200,6 +201,13 @@ fi
 # enum beside the spatial block.
 if grep -rnE '\bS[p]ectralField|leray_p[r]oject\b|\bspectral_b[l]ock|L[a]yout::|fft3d/(f[o]rward|i[n]verse)/' $everywhere; then
     echo "ERROR: a second distributed FFT (full-spectrum c2c path or layout enum) reappeared" >&2
+    exit 1
+fi
+# Gauss-Newton only: no full Newton Hessian, no config field or CLI flag
+# that picks one, and no incremental-state history or full-Newton
+# incremental adjoint for it.
+if grep -rnE 'Hessian[K]ind|Full[N]ewton|full-[n]ewton|solve_incremental_state_[h]istory|solve_incremental_adjoint_[f]ull' $everywhere; then
+    echo "ERROR: full Newton (its Hessian kind, CLI flag or history transports) reappeared" >&2
     exit 1
 fi
 # The workspace line count is tracked like a benchmark (ROADMAP aim 2).

@@ -36,7 +36,7 @@ fn usage() -> ! {
         "usage: diffreg <synthetic|brain|model|info> [options]\n\
          \n\
          synthetic: --size N (16) --beta B (1e-3) --nt T (4) --tasks P (1)\n\
-         \x20          --incompressible --trilinear --full-newton\n\
+         \x20          --incompressible --trilinear\n\
          brain:     --size N (16) --beta B (1e-3) --nt T (4) --multilevel L (0)\n\
          model:     --machine maverick|stampede --grid N (256) --tasks list (16,64,256)\n\
          info:      print build/configuration summary"
@@ -53,9 +53,6 @@ fn build_cfg(args: &[String]) -> RegistrationConfig {
     };
     if flag(args, "--trilinear") {
         cfg.kernel = diffreg::interp::Kernel::Trilinear;
-    }
-    if flag(args, "--full-newton") {
-        cfg.hessian = diffreg::core::HessianKind::FullNewton;
     }
     cfg.newton.max_iter = opt_parse(args, "--max-iter", 50);
     cfg
