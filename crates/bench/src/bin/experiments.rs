@@ -121,7 +121,7 @@ fn table5(args: &[String]) {
             println!(
                 "{:<10} {:>8} {:>16} {:>12} {:>10.3} {status:<16} {}",
                 format!("{beta:.0E}"),
-                out.hessian_matvecs,
+                out.report.total_matvecs,
                 sci(dt),
                 format!("({rel_time:.1})"),
                 out.relative_mismatch(),
@@ -130,7 +130,7 @@ fn table5(args: &[String]) {
             suite.push(
                 BenchRecord::new(format!("beta/{beta:.0E}"), vec![dt])
                     .with_extra("beta", beta)
-                    .with_extra("matvecs", out.hessian_matvecs as f64)
+                    .with_extra("matvecs", out.report.total_matvecs as f64)
                     .with_extra("rel_time", rel_time)
                     .with_extra("rel_mismatch", out.relative_mismatch())
                     .with_status(status),
@@ -200,7 +200,7 @@ fn fig6_fig7(args: &[String]) {
             "  done in {:.1}s: {} Newton iterations, {} matvecs, status {:?}",
             solve_s,
             res.report.outer_iterations(),
-            res.hessian_matvecs,
+            res.report.total_matvecs,
             res.report.status
         );
         println!("  relative mismatch: {:.4}", res.relative_mismatch());
@@ -236,7 +236,7 @@ fn fig6_fig7(args: &[String]) {
                 .with_extra("n", size as f64)
                 .with_extra("beta", beta)
                 .with_extra("outer", res.report.outer_iterations() as f64)
-                .with_extra("matvecs", res.hessian_matvecs as f64)
+                .with_extra("matvecs", res.report.total_matvecs as f64)
                 .with_extra("rel_mismatch", res.relative_mismatch())
                 .with_extra("det_min", res.det_grad.min)
                 .with_extra("det_max", res.det_grad.max),
@@ -276,7 +276,7 @@ fn mesh_independence(args: &[String]) {
             BenchRecord::new(format!("n/{n}"), vec![dt])
                 .with_extra("unknowns", unknowns as f64)
                 .with_extra("outer", out.report.outer_iterations() as f64)
-                .with_extra("matvecs", out.hessian_matvecs as f64)
+                .with_extra("matvecs", out.report.total_matvecs as f64)
                 .with_extra("rel_mismatch", out.relative_mismatch()),
         );
         println!(
@@ -284,7 +284,7 @@ fn mesh_independence(args: &[String]) {
             format!("{n}^3"),
             unknowns,
             out.report.outer_iterations(),
-            out.hessian_matvecs,
+            out.report.total_matvecs,
             out.relative_mismatch(),
             sci(dt),
         );
@@ -323,7 +323,8 @@ impl Problem<'_> {
     fn run(&self, cfg: RegistrationConfig) -> (f64, usize, usize, f64) {
         let t0 = std::time::Instant::now();
         let out = register(self.ws, &self.t, &self.r, cfg);
-        (out.relative_mismatch(), out.hessian_matvecs, out.report.outer_iterations(), t0.elapsed().as_secs_f64())
+        let rep = &out.report;
+        (out.relative_mismatch(), rep.total_matvecs, rep.outer_iterations(), t0.elapsed().as_secs_f64())
     }
 }
 
@@ -388,7 +389,7 @@ fn study_reg(p: &Problem<'_>, suite: &mut BenchSuite) {
             format!("{reg:?}"),
             format!("{beta:.0E}"),
             out.relative_mismatch(),
-            out.hessian_matvecs,
+            out.report.total_matvecs,
             sci(t0.elapsed().as_secs_f64()),
             format!("[{:.2}, {:.2}]", out.det_grad.min, out.det_grad.max),
         );
@@ -396,7 +397,7 @@ fn study_reg(p: &Problem<'_>, suite: &mut BenchSuite) {
             BenchRecord::new(format!("reg/{reg:?}"), vec![t0.elapsed().as_secs_f64()])
                 .with_extra("beta", beta)
                 .with_extra("rel_mismatch", out.relative_mismatch())
-                .with_extra("matvecs", out.hessian_matvecs as f64)
+                .with_extra("matvecs", out.report.total_matvecs as f64)
                 .with_extra("det_min", out.det_grad.min)
                 .with_extra("det_max", out.det_grad.max),
         );

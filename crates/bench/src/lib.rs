@@ -123,7 +123,7 @@ pub fn measured_run(n: [usize; 3], p: usize, problem: Problem, cfg: Registration
                 fft_exec: v[2],
                 interp_comm: v[3],
                 interp_exec: v[4],
-                matvecs: out.hessian_matvecs,
+                matvecs: out.report.total_matvecs,
                 rel_mismatch: out.relative_mismatch(),
             },
             newton_iters: out.report.iterations.len(),

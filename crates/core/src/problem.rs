@@ -74,8 +74,6 @@ pub struct RegProblem<'a, C: Comm> {
     /// Filled by `precondition`, consumed by the next `hessian_vec`, and
     /// cleared by `objective` and `linearize`.
     precond_reg: Option<PrecondReg>,
-    /// Cumulative Hessian matvec count (the paper's Table V metric).
-    pub hessian_matvecs: usize,
 }
 
 impl<'a, C: Comm> RegProblem<'a, C> {
@@ -106,7 +104,6 @@ impl<'a, C: Comm> RegProblem<'a, C> {
             lin: None,
             trial: None,
             precond_reg: None,
-            hessian_matvecs: 0,
         }
     }
 
@@ -142,12 +139,27 @@ impl<'a, C: Comm> RegProblem<'a, C> {
         }
     }
 
-    /// `g += P b` without copying `b` when `P` is the identity.
-    fn add_projected(&self, g: &mut VectorField, b: &VectorField) {
+    /// `out += P ∫₀¹ λ(t) ∇ρ(t) dt`, the adjoint term of the gradient
+    /// (eq. 4, from `λ(1) = lam1`) and of the matvec (eq. 5, from
+    /// `λ̃(1) = lam1`). The backward sweep on `ws`'s kernel adds its
+    /// trapezoid terms from `t_nt` down to `t_0` and keeps one `λ` alive:
+    /// straight into `out` when `P` is the identity, otherwise into a zeroed
+    /// `b` whose Leray projection is then added. `grads[i]` holds `∇ρ(t_i)`.
+    /// Collective.
+    fn add_adjoint_integral(
+        &self,
+        ws: &Workspace<C>,
+        sl: &SemiLagrangian,
+        lam1: ScalarField,
+        grads: &[VectorField],
+        out: &mut VectorField,
+    ) {
         if self.cfg.incompressible {
-            g.axpy(1.0, &self.ws.fft.leray(b, self.ws.timers));
+            let mut b = VectorField::zeros(out.block());
+            sl.accumulate_adjoint_integral(ws, lam1, grads, &mut b);
+            out.axpy(1.0, &ws.fft.leray(&b, ws.timers));
         } else {
-            g.axpy(1.0, b);
+            sl.accumulate_adjoint_integral(ws, lam1, grads, out);
         }
     }
 
@@ -202,34 +214,11 @@ impl<'a, C: Comm> RegProblem<'a, C> {
         (lin.sl, lin.rho1)
     }
 
-    /// Trapezoidal time integral `∫ λ(t) ∇ρ(t) dt` (the field `b` of the
-    /// gradient).
-    fn time_integral(&self, adj: &[ScalarField], grads: &[VectorField]) -> VectorField {
-        let nt = self.cfg.nt;
-        debug_assert_eq!(adj.len(), nt + 1);
-        debug_assert_eq!(grads.len(), nt + 1);
-        let dt = 1.0 / nt as f64;
-        let mut b = VectorField::zeros(adj[0].block());
-        for i in 0..=nt {
-            let w = if i == 0 || i == nt { 0.5 * dt } else { dt };
-            let lam = adj[i].data();
-            for a in 0..3 {
-                let g = grads[i].comps[a].data();
-                let out = b.comps[a].data_mut();
-                for l in 0..lam.len() {
-                    out[l] += w * lam[l] * g[l];
-                }
-            }
-        }
-        b
-    }
-
     /// Access to the deformed template `ρ(1)` at the current linearization
     /// point (available from `linearize` to the next `objective`).
     pub fn deformed_template(&self) -> Option<&ScalarField> {
         self.lin.as_ref().map(|l| &l.rho1)
     }
-
 }
 
 impl<'a, C: Comm> GaussNewtonProblem for RegProblem<'a, C> {
@@ -281,18 +270,15 @@ impl<'a, C: Comm> GaussNewtonProblem for RegProblem<'a, C> {
         let rho1 = state[nt].clone();
         let j = self.objective_value(&rho1, &g, v);
 
-        // Adjoint solve with the measure's terminal condition
-        // (SSD: λ(1) = ρ_R − ρ(1), paper eq. 3).
-        let lam1 = self.cfg.distance.terminal_adjoint(&rho1, &self.rho_r, &ws.grid(), ws.comm);
-        let adj = sl.solve_adjoint(ws, &lam1);
-
-        // Cache ∇ρ(t_i) — reused by every Hessian matvec this iteration.
+        // Cache ∇ρ(t_i), which the adjoint sweep below and every Hessian
+        // matvec this iteration read.
         let grads: Vec<VectorField> =
             state.into_iter().map(|r| ws.fft.gradient(&r, ws.timers)).collect();
 
-        // Reduced gradient g = β(-Δ)^m v + P ∫ λ ∇ρ dt.
-        let b = self.time_integral(&adj, &grads);
-        self.add_projected(&mut g, &b);
+        // Reduced gradient g = β(-Δ)^m v + P ∫ λ ∇ρ dt, the adjoint with the
+        // measure's terminal condition (SSD: λ(1) = ρ_R − ρ(1), paper eq. 3).
+        let lam1 = self.cfg.distance.terminal_adjoint(&rho1, &self.rho_r, &ws.grid(), ws.comm);
+        self.add_adjoint_integral(ws, &sl, lam1, &grads, &mut g);
 
         self.lin = Some(Linearization { sl, grads, rho1 });
         (j, g)
@@ -300,7 +286,6 @@ impl<'a, C: Comm> GaussNewtonProblem for RegProblem<'a, C> {
 
     fn hessian_vec(&mut self, d: &VectorField) -> VectorField {
         let _span = diffreg_telemetry::span("hessian.matvec");
-        self.hessian_matvecs += 1;
         let cached = self.precond_reg.take();
         #[expect(
             clippy::expect_used,
@@ -314,21 +299,13 @@ impl<'a, C: Comm> GaussNewtonProblem for RegProblem<'a, C> {
         // transports run on the trilinear kernel whatever `cfg.kernel` says:
         // an inexact Newton step needs only an approximate Hessian (the λ
         // terms are dropped for the same reason), and the gradient and the
-        // line search, which stay on `cfg.kernel`, fix the answer. The
-        // adjoint sweep adds ∫ λ̃ ∇ρ dt straight into `h` when P is the
-        // identity, and keeps no history either way.
+        // line search, which stay on `cfg.kernel`, fix the answer.
         let ws = &Workspace { kernel: Kernel::Trilinear, ..self.ws };
         let rho_tilde1 = lin.sl.solve_incremental_state(ws, d, &lin.grads);
         let lam_tilde1 =
             self.cfg.distance.gn_terminal(&lin.rho1, &self.rho_r, &rho_tilde1, &ws.grid(), ws.comm);
         drop(rho_tilde1);
-        if self.cfg.incompressible {
-            let mut b_tilde = VectorField::zeros(d.block());
-            lin.sl.accumulate_adjoint_integral(ws, lam_tilde1, &lin.grads, &mut b_tilde);
-            self.add_projected(&mut h, &b_tilde);
-        } else {
-            lin.sl.accumulate_adjoint_integral(ws, lam_tilde1, &lin.grads, &mut h);
-        }
+        self.add_adjoint_integral(ws, &lin.sl, lam_tilde1, &lin.grads, &mut h);
         h
     }
 
@@ -378,32 +355,47 @@ mod tests {
         })
     }
 
+    /// `β(-Δ)^m x + P ∫ λ ∇ρ dt` the slow way, in the streamed sweep's
+    /// order: `λ` is `solve_adjoint`'s full history from `lam1` on `ws`'s
+    /// kernel, and the trapezoid's terms `w_i λ(t_i) ∇ρ(t_i)` are added from
+    /// `i = nt` down to `0`, straight onto `β(-Δ)^m x` when `P` is the
+    /// identity, otherwise into zeros that are then Leray-projected and added.
+    fn from_history<C: Comm>(
+        prob: &RegProblem<C>,
+        ws: &Workspace<C>,
+        x: &VectorField,
+        lam1: &ScalarField,
+    ) -> VectorField {
+        let lin = prob.lin.as_ref().expect("linearized");
+        let adj = lin.sl.solve_adjoint(ws, lam1);
+        let mut out = ws.fft.regularization(x, prob.cfg.reg, prob.cfg.beta, ws.timers);
+        let mut b = prob.cfg.incompressible.then(|| VectorField::zeros(out.block()));
+        let sum = b.as_mut().unwrap_or(&mut out);
+        let (nt, dt) = (prob.cfg.nt, 1.0 / prob.cfg.nt as f64);
+        for (i, (lam, grad)) in adj.iter().zip(&lin.grads).enumerate().rev() {
+            let w = if i == 0 || i == nt { 0.5 * dt } else { dt };
+            for (o, g) in sum.comps.iter_mut().zip(&grad.comps) {
+                for ((o, &g), &l) in o.data_mut().iter_mut().zip(g.data()).zip(lam.data()) {
+                    *o += w * l * g;
+                }
+            }
+        }
+        if let Some(b) = b {
+            out.axpy(1.0, &ws.fft.leray(&b, ws.timers));
+        }
+        out
+    }
+
     /// The Gauss-Newton product `H d` assembled from the linearization's
-    /// pieces with both incremental transports on `kernel` (the images are
-    /// compressible, so `P` is the identity). The matvec's summation order:
-    /// `β(-Δ)^m d` first, then the trapezoid's terms `w_i λ̃(t_i) ∇ρ(t_i)`
-    /// added into it from `i = nt` down to `0`, the order the backward sweep
-    /// produces them in (here from the adjoint's full history).
+    /// pieces with both incremental transports on `kernel`, in the matvec's
+    /// summation order (`from_history`).
     fn gn_product<C: Comm>(prob: &RegProblem<C>, kernel: Kernel, d: &VectorField) -> VectorField {
         let ws = &Workspace { kernel, ..prob.ws };
         let lin = prob.lin.as_ref().expect("linearized");
         let rho_tilde1 = lin.sl.solve_incremental_state(ws, d, &lin.grads);
         let lam_tilde1 =
             prob.cfg.distance.gn_terminal(&lin.rho1, &prob.rho_r, &rho_tilde1, &ws.grid(), ws.comm);
-        let adj_tilde = lin.sl.solve_adjoint(ws, &lam_tilde1);
-        let mut h = ws.fft.regularization(d, prob.cfg.reg, prob.cfg.beta, ws.timers);
-        let nt = prob.cfg.nt;
-        let dt = 1.0 / nt as f64;
-        for i in (0..=nt).rev() {
-            let w = if i == 0 || i == nt { 0.5 * dt } else { dt };
-            let lam = adj_tilde[i].data();
-            for (out, g) in h.comps.iter_mut().zip(&lin.grads[i].comps) {
-                for ((o, &g), &l) in out.data_mut().iter_mut().zip(g.data()).zip(lam) {
-                    *o += w * l * g;
-                }
-            }
-        }
-        h
+        from_history(prob, ws, d, &lam_tilde1)
     }
 
     #[test]
@@ -428,6 +420,22 @@ mod tests {
         assert!(same_bits(&h, &gn_product(&prob, Kernel::Trilinear, &d)));
         assert!(!same_bits(&h, &gn_product(&prob, Kernel::Tricubic, &d)));
         assert!(same_bits(&h, &swapped), "GN matvec must not read cfg.kernel");
+    }
+
+    #[test]
+    fn streamed_gradient_matches_its_history_bit_for_bit() {
+        let grid = Grid::cubic(12);
+        let (comm, parts) = setup(grid);
+        let ws = parts.workspace(&comm);
+        for incompressible in [false, true] {
+            let cfg = RegistrationConfig { incompressible, ..Default::default() };
+            let (prob, g) = linearized(&ws, cfg);
+            let v = if incompressible { prob.project(&probe_dir(&ws)) } else { probe_dir(&ws) };
+            let lin = prob.lin.as_ref().expect("linearized");
+            let lam1 = prob.cfg.distance.terminal_adjoint(&lin.rho1, &prob.rho_r, &grid, &comm);
+            let want = from_history(&prob, &prob.ws, &v, &lam1);
+            assert!(same_bits(&g, &want), "incompressible={incompressible}");
+        }
     }
 
     /// A linearized Gauss-Newton problem at 12³ and a residual to
@@ -621,7 +629,6 @@ mod tests {
             let hd = prob.hessian_vec(&d1);
             let quad = prob.ops().dot(&hd, &d1);
             assert!(quad > 0.0, "{n:?}: GN Hessian not positive on test direction: {quad}");
-            assert_eq!(prob.hessian_matvecs, 3);
         }
     }
 

@@ -158,6 +158,6 @@ fn gaussian_pair_registration_recovers_known_shift() {
             out.relative_mismatch()
         );
         assert!(out.det_grad.diffeomorphic, "map must stay diffeomorphic");
-        assert!(out.hessian_matvecs > 0);
+        assert!(out.report.total_matvecs > 0);
     });
 }

@@ -9,8 +9,9 @@
 //! merged; the numbers were re-captured when the Gauss-Newton matvec moved
 //! to the trilinear kernel, which moves every iterate after the first, and
 //! again when the matvec took `βA z = r − z` from the preconditioner and
-//! summed `b̃` into its output backward in time (rounding only: every
-//! `pcg_iters` stayed).
+//! summed `b̃` into its output backward in time, and again when the
+//! gradient streamed its adjoint the same way, `t_nt` first into `βAv`
+//! (rounding only both times: every `pcg_iters` stayed).
 
 use diffreg_comm::{run_threaded, SerialComm};
 use diffreg_core::{

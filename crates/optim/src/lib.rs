@@ -19,8 +19,8 @@ mod pcg;
 mod vector;
 
 pub use newton::{
-    gauss_newton, gauss_newton_observed, Forcing, GaussNewtonProblem, IterationStats,
-    NewtonCursor, NewtonOptions, NewtonReport, NewtonResume, NewtonStatus,
+    gauss_newton_observed, Forcing, GaussNewtonProblem, IterationStats, NewtonCursor,
+    NewtonOptions, NewtonReport, NewtonResume, NewtonStatus,
 };
 pub use pcg::{pcg, PcgOptions, PcgReport, PcgStatus};
 pub use vector::{DenseOps, VectorOps};

@@ -193,21 +193,12 @@ impl NewtonReport {
 }
 
 /// Runs the inexact Gauss-Newton-Krylov iteration from `v0`, returning the
-/// final control and the solve report.
-pub fn gauss_newton<P: GaussNewtonProblem>(
-    problem: &mut P,
-    v0: P::Vec,
-    opts: &NewtonOptions,
-) -> (P::Vec, NewtonReport) {
-    gauss_newton_observed(problem, v0, opts, None, |_, _| {})
-}
-
-/// [`gauss_newton`] with checkpoint/restart hooks: `resume` warm-starts the
-/// iteration (counter + original `‖g₀‖`), and `observer` is called with the
-/// iterate and a [`NewtonCursor`] after every accepted step — *before* the
-/// re-linearization — so a checkpoint taken there and resumed reproduces the
-/// uninterrupted run bitwise (the linearization is a pure function of the
-/// iterate).
+/// final control and the solve report. Checkpoint/restart hooks: `resume`
+/// warm-starts the iteration (counter + original `‖g₀‖`), and `observer` is
+/// called with the iterate and a [`NewtonCursor`] after every accepted step
+/// — *before* the re-linearization — so a checkpoint taken there and resumed
+/// reproduces the uninterrupted run bitwise (the linearization is a pure
+/// function of the iterate). A plain solve passes `None` and `|_, _| {}`.
 ///
 /// **Exit contract.** On every exit — converged, iteration cap (a resume
 /// with `completed_iters == max_iter` included), failed line search,
@@ -437,7 +428,7 @@ mod tests {
             forcing: Forcing::Constant(1e-12),
             ..NewtonOptions::default()
         };
-        let (v, rep) = gauss_newton(&mut prob, vec![0.0; 3], &opts);
+        let (v, rep) = gauss_newton_observed(&mut prob, vec![0.0; 3], &opts, None, |_, _| {});
         assert_eq!(rep.status, NewtonStatus::Converged);
         assert!(rep.outer_iterations() <= 2, "iters = {}", rep.outer_iterations());
         // Check A v = b.
@@ -486,7 +477,7 @@ mod tests {
         let t = vec![8.0, 27.0, 1.0];
         let mut prob = Cubefit { t: t.clone(), lin: vec![], ops: DenseOps };
         let opts = NewtonOptions { gtol: 1e-10, max_iter: 100, ..NewtonOptions::default() };
-        let (v, rep) = gauss_newton(&mut prob, vec![1.5, 2.5, 0.5], &opts);
+        let (v, rep) = gauss_newton_observed(&mut prob, vec![1.5, 2.5, 0.5], &opts, None, |_, _| {});
         assert_eq!(rep.status, NewtonStatus::Converged);
         let expect = [2.0, 3.0, 1.0];
         for (x, e) in v.iter().zip(expect) {
@@ -539,7 +530,7 @@ mod tests {
         let mut prob =
             NanHessian { inner: Cubefit { t: vec![8.0, 27.0], lin: vec![], ops: DenseOps } };
         let opts = NewtonOptions { gtol: 1e-6, max_iter: 400, ..NewtonOptions::default() };
-        let (v, rep) = gauss_newton(&mut prob, vec![1.5, 2.5], &opts);
+        let (v, rep) = gauss_newton_observed(&mut prob, vec![1.5, 2.5], &opts, None, |_, _| {});
         assert_eq!(rep.status, NewtonStatus::Converged, "{rep:?}");
         assert!(rep.fallback_steps > 0, "breakdowns must be routed through the fallback");
         assert!((v[0] - 2.0).abs() < 1e-2 && (v[1] - 3.0).abs() < 1e-2, "{v:?}");
@@ -573,11 +564,9 @@ mod tests {
 
     #[test]
     fn poisoned_objective_terminates_with_finite_iterate() {
-        let (v, rep) = gauss_newton(
-            &mut PoisonedObjective,
-            vec![0.5, 0.5],
-            &NewtonOptions { max_iter: 10, ..NewtonOptions::default() },
-        );
+        let opts = NewtonOptions { max_iter: 10, ..NewtonOptions::default() };
+        let (v, rep) =
+            gauss_newton_observed(&mut PoisonedObjective, vec![0.5, 0.5], &opts, None, |_, _| {});
         assert!(
             matches!(rep.status, NewtonStatus::LineSearchFailed | NewtonStatus::Breakdown),
             "{rep:?}"
@@ -611,7 +600,8 @@ mod tests {
 
     #[test]
     fn nan_gradient_is_a_breakdown_not_convergence() {
-        let (v, rep) = gauss_newton(&mut NanGradient, vec![0.5, 0.5], &NewtonOptions::default());
+        let opts = NewtonOptions::default();
+        let (v, rep) = gauss_newton_observed(&mut NanGradient, vec![0.5, 0.5], &opts, None, |_, _| {});
         assert_eq!(rep.status, NewtonStatus::Breakdown, "{rep:?}");
         assert_eq!(v, vec![0.5, 0.5]);
     }
@@ -766,7 +756,7 @@ mod tests {
     fn respects_max_iterations() {
         let mut prob = Cubefit { t: vec![8.0; 2], lin: vec![], ops: DenseOps };
         let opts = NewtonOptions { gtol: 1e-14, max_iter: 2, ..NewtonOptions::default() };
-        let (_, rep) = gauss_newton(&mut prob, vec![0.9, 1.1], &opts);
+        let (_, rep) = gauss_newton_observed(&mut prob, vec![0.9, 1.1], &opts, None, |_, _| {});
         assert!(rep.outer_iterations() <= 2);
     }
 }

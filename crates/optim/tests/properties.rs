@@ -4,7 +4,7 @@
 //! gradient check of a dense Gauss-Newton model problem.
 
 use diffreg_optim::{
-    gauss_newton, pcg, DenseOps, Forcing, GaussNewtonProblem, NewtonOptions, PcgOptions,
+    gauss_newton_observed, pcg, DenseOps, Forcing, GaussNewtonProblem, NewtonOptions, PcgOptions,
     PcgStatus, VectorOps,
 };
 use diffreg_testkit::oracle::{adjoint_asymmetry, fd_directional};
@@ -234,7 +234,7 @@ fn gauss_newton_solves_quadratic_to_analytic_minimum() {
             forcing: Forcing::Constant(1e-12),
             ..Default::default()
         };
-        let (x, report) = gauss_newton(&mut prob, x0, &opts);
+        let (x, report) = gauss_newton_observed(&mut prob, x0, &opts, None, |_, _| {});
         for i in 0..n {
             let exact = target[i] / (1.0 + beta);
             assert!(

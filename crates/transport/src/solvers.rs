@@ -143,17 +143,15 @@ impl SemiLagrangian {
     /// Adjoint equation (3): `−∂t λ − div(vλ) = 0` with terminal condition
     /// `λ(1) = lambda1`, solved backward in time (τ = 1 − t). Returns the
     /// history indexed by *t*: `out[i] = λ(t_i)`, so `out[nt] = lambda1`.
+    ///
+    /// A reference sweep: the solver streams this equation through
+    /// [`SemiLagrangian::accumulate_adjoint_integral`] and keeps no history;
+    /// only tests, the kernel suite and the benchmark's replay call this.
     pub fn solve_adjoint<C: Comm>(&self, ws: &Workspace<C>, lambda1: &ScalarField) -> Vec<ScalarField> {
         let _span = diffreg_telemetry::span("transport.adjoint");
-        let mut rev = Vec::with_capacity(self.nt + 1);
-        rev.push(lambda1.clone());
-        for _ in 0..self.nt {
-            #[expect(
-                clippy::unwrap_used,
-                reason = "rev is seeded with lambda1 before the loop, so last() is always Some"
-            )]
-            let next = self.step_continuity(ws, rev.last().unwrap());
-            rev.push(next);
+        let mut rev = vec![lambda1.clone()];
+        for i in 0..self.nt {
+            rev.push(self.step_continuity(ws, &rev[i]));
         }
         rev.reverse();
         rev
@@ -253,6 +251,10 @@ impl SemiLagrangian {
     /// Incremental adjoint, Gauss-Newton form (5c without the λ terms):
     /// `−∂t λ̃ − div(vλ̃) = 0` with `λ̃(1) = −ρ̃(1)`. Returns the history
     /// indexed by t (like [`SemiLagrangian::solve_adjoint`]).
+    ///
+    /// A reference sweep, like [`SemiLagrangian::solve_adjoint`]: the
+    /// Gauss-Newton matvec streams it, and only the benchmark's replay calls
+    /// this.
     pub fn solve_incremental_adjoint<C: Comm>(
         &self,
         ws: &Workspace<C>,

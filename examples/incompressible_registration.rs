@@ -32,7 +32,7 @@ fn main() {
         println!(
             "\n{label}: {:.1}s, {} matvecs",
             t0.elapsed().as_secs_f64(),
-            out.hessian_matvecs
+            out.report.total_matvecs
         );
         println!("  relative mismatch: {:.4}", out.relative_mismatch());
         println!(

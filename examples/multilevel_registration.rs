@@ -35,7 +35,7 @@ fn main() {
     println!(
         "  relres {:.4}, {} matvecs, {:.1}s",
         single.relative_mismatch(),
-        single.hessian_matvecs,
+        single.report.total_matvecs,
         t_single
     );
 
@@ -65,6 +65,6 @@ fn main() {
     println!(
         "\nCoarse levels are cheap; the warm-started fine solve needs {} matvecs vs {} direct.",
         reports.last().unwrap().total_matvecs,
-        single.hessian_matvecs
+        single.report.total_matvecs
     );
 }

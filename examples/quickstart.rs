@@ -30,7 +30,7 @@ fn main() {
 
     println!("  status:            {:?}", out.report.status);
     println!("  Newton iterations: {}", out.report.outer_iterations());
-    println!("  Hessian matvecs:   {}", out.hessian_matvecs);
+    println!("  Hessian matvecs:   {}", out.report.total_matvecs);
     println!("  relative mismatch: {:.4} (1.0 = unregistered)", out.relative_mismatch());
     println!("  gradient drop:     {:.2e}", out.report.rel_grad());
     println!(

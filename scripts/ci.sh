@@ -27,7 +27,8 @@
 #      picking the Gauss-Newton matvec's kernel, second distributed FFT (the
 #      full-spectrum c2c transform, its coefficient type, projection, block
 #      and kernel records, or a layout enum), full Newton (its Hessian kind,
-#      CLI flag or history transports) or new env::var read may reappear;
+#      CLI flag or history transports), a second adjoint-integral path,
+#      matvec counter or Newton wrapper or new env::var read may reappear;
 #      workspace line count
 #   6. clippy clean under -D warnings: it enforces step 5's lint levels and
 #      rejects a stale #[expect], so a missing clippy fails the build
@@ -208,6 +209,14 @@ fi
 # incremental adjoint for it.
 if grep -rnE 'Hessian[K]ind|Full[N]ewton|full-[n]ewton|solve_incremental_state_[h]istory|solve_incremental_adjoint_[f]ull' $everywhere; then
     echo "ERROR: full Newton (its Hessian kind, CLI flag or history transports) reappeared" >&2
+    exit 1
+fi
+# One adjoint sweep, one matvec count, one Newton entry point: the gradient
+# and the matvec stream their time integrals through one helper, the Newton
+# report is the only matvec counter, and gauss_newton_observed is the only
+# way into the solver.
+if grep -rnE 'time_[i]ntegral|hessian_[m]atvecs|\bgauss_[n]ewton\(' $everywhere; then
+    echo "ERROR: a second adjoint-integral path, matvec counter or Newton wrapper reappeared" >&2
     exit 1
 fi
 # The workspace line count is tracked like a benchmark (ROADMAP aim 2).

@@ -61,7 +61,7 @@ fn build_cfg(args: &[String]) -> RegistrationConfig {
 fn report(out: &RegistrationOutcome, wall: f64) {
     println!("status:            {:?}", out.report.status);
     println!("newton iterations: {}", out.report.outer_iterations());
-    println!("hessian matvecs:   {}", out.hessian_matvecs);
+    println!("hessian matvecs:   {}", out.report.total_matvecs);
     println!("relative mismatch: {:.4}", out.relative_mismatch());
     println!("gradient drop:     {:.3e}", out.report.rel_grad());
     println!(
@@ -91,7 +91,7 @@ fn run_synthetic<C: Comm>(comm: &C, args: &[String]) -> (f64, usize, f64) {
     if comm.rank() == 0 {
         report(&out, wall);
     }
-    (out.relative_mismatch(), out.hessian_matvecs, wall)
+    (out.relative_mismatch(), out.report.total_matvecs, wall)
 }
 
 fn main() {

@@ -52,7 +52,7 @@ fn table5_shape_matvecs_grow_as_beta_shrinks() {
             ..Default::default()
         };
         let out = register(&ws, &rho_t, &rho_r, cfg);
-        counts.push(out.hessian_matvecs);
+        counts.push(out.report.total_matvecs);
     }
     assert!(
         counts[0] < counts[1] && counts[1] < counts[2],
