@@ -20,7 +20,7 @@ use diffreg_interp::{ghosted, Kernel, ScatterPlan};
 use diffreg_optim::GaussNewtonProblem;
 use diffreg_spectral::RegOrder;
 use diffreg_telemetry::{record_event, take_recorder, RecKind};
-use diffreg_transport::{SemiLagrangian, SessionParts, Workspace};
+use diffreg_transport::{compute_trajectory, SemiLagrangian, SessionParts, Workspace};
 
 use crate::{BenchRecord, BenchSuite};
 
@@ -126,6 +126,9 @@ fn bench_interp(suite: &mut BenchSuite) {
             ]
         })
         .collect();
+    push(suite, &format!("interp/plan_build/{n}"), || {
+        ScatterPlan::build(&ctx.comm, decomp, &pts, timers);
+    });
     let plan = ScatterPlan::build(&ctx.comm, decomp, &pts, timers);
     for kernel in [Kernel::Tricubic, Kernel::Trilinear] {
         push(suite, &format!("interpolation/{kernel:?}/{n}"), || {
@@ -149,6 +152,9 @@ fn bench_transport(suite: &mut BenchSuite) {
     let rho0 = ScalarField::from_fn(&ctx.grid, ws.block(), |x| x[0].sin() + x[1].cos());
     push(suite, "transport/semi_lagrangian_setup/32", || {
         SemiLagrangian::new(&ws, &v, 4);
+    });
+    push(suite, "transport/trajectory/32", || {
+        compute_trajectory(&ws, &v, 0.25, 1.0);
     });
     let sl = SemiLagrangian::new(&ws, &v, 4);
     push(suite, "transport/state_solve_nt4/32", || {

@@ -7,7 +7,7 @@ use diffreg_comm::Comm;
 use diffreg_grid::{ScalarField, VectorField};
 use diffreg_optim::{gauss_newton_observed, NewtonReport, NewtonResume};
 use diffreg_telemetry::{IterRecord, SolverEvent, StreamEntry};
-use diffreg_transport::{SemiLagrangian, Workspace};
+use diffreg_transport::{compute_trajectory, Workspace};
 
 use crate::checkpoint::{CheckpointStore, SolverCheckpoint};
 use crate::config::RegistrationConfig;
@@ -292,8 +292,11 @@ pub fn synthetic_pair<C: Comm>(ws: &Workspace<C>, amplitude: f64) -> (ScalarFiel
             amplitude * x[0].cos() * x[2].sin(),
         ]
     });
-    let sl = SemiLagrangian::new(ws, &v_star, 4);
-    let rho_r = sl.solve_state(ws, &rho_t).pop().unwrap_or(rho_t.clone());
+    // Forward transport only: the state solve's plan, without the backward
+    // direction and `div v` a full `SemiLagrangian` would also build.
+    let nt = 4;
+    let fwd = compute_trajectory(ws, &v_star, 1.0 / nt as f64, 1.0);
+    let rho_r = fwd.advect(ws, &rho_t, nt).pop().unwrap_or(rho_t.clone());
     (rho_t, rho_r)
 }
 
@@ -302,7 +305,7 @@ mod tests {
     use super::*;
     use diffreg_comm::{run_threaded, SerialComm};
     use diffreg_grid::{Decomp, Grid};
-    use diffreg_transport::SessionParts;
+    use diffreg_transport::{SemiLagrangian, SessionParts};
 
     #[test]
     fn registration_reduces_mismatch_substantially() {

@@ -13,11 +13,29 @@ pub const GHOST_WIDTH: usize = 2;
 /// the integer base grid index in `[0, n)` and the fractional offset in
 /// `[0, 1)`. Requesters and owners must both use this exact function so
 /// ownership and stencil arithmetic agree.
+///
+/// The result is bit for bit that of `x.rem_euclid(TAU)` followed by
+/// `floor`, but without their library calls on the inputs departure points
+/// produce (on a target without SSE4.1 both are software routines): within
+/// one period either side of `[0, 2π)` the reduction is the one subtraction
+/// or addition `rem_euclid` would make — `x − 2π` on `[2π, 4π)` is exact
+/// (Sterbenz), `x + 2π` on `(−2π, 0)` is the same rounded add — and only
+/// farther points call it. The reduced `u = r / h` is `≥ 0` or `−0.0`, so
+/// truncation is `floor`.
 #[inline]
 pub fn base_and_frac(x: f64, n: usize) -> (usize, f64) {
     let h = TAU / n as f64;
-    let u = x.rem_euclid(TAU) / h;
-    let mut base = u.floor() as isize;
+    let r = if (0.0..TAU).contains(&x) {
+        x
+    } else if (TAU..2.0 * TAU).contains(&x) {
+        x - TAU
+    } else if x < 0.0 && x > -TAU {
+        x + TAU
+    } else {
+        x.rem_euclid(TAU)
+    };
+    let u = r / h;
+    let mut base = u as isize;
     let mut t = u - base as f64;
     if base >= n as isize {
         // x was within rounding of 2π.
@@ -148,6 +166,49 @@ mod tests {
         assert_eq!(cubic_weights(0.0), [0.0, 1.0, 0.0, 0.0]);
         let w1 = cubic_weights(1.0);
         assert!((w1[2] - 1.0).abs() < 1e-14 && w1[0].abs() < 1e-14 && w1[1].abs() < 1e-14);
+    }
+
+    /// The `rem_euclid` / `floor` form `base_and_frac` must equal.
+    fn base_and_frac_oracle(x: f64, n: usize) -> (usize, f64) {
+        let h = TAU / n as f64;
+        let u = x.rem_euclid(TAU) / h;
+        let mut base = u.floor() as isize;
+        let mut t = u - base as f64;
+        if base >= n as isize {
+            base = n as isize - 1;
+            t = 1.0;
+        }
+        (base as usize, t)
+    }
+
+    #[test]
+    fn base_and_frac_is_bit_identical_to_rem_euclid_floor() {
+        let ulp_up = |x: f64| f64::from_bits(x.to_bits() + 1);
+        let ulp_down = |x: f64| f64::from_bits(x.to_bits() - 1);
+        let pi4 = 2.0 * TAU;
+        let mut xs = vec![
+            0.0,
+            -0.0,
+            1e-300,
+            -1e-300,
+            -TAU,
+            ulp_down(-TAU), // −2π + ulp: the magnitude shrinks by one ulp
+            ulp_down(TAU),
+            TAU,
+            ulp_up(TAU),
+            ulp_down(pi4),
+            pi4,
+            3.0 * TAU,
+        ];
+        let mut rng = diffreg_testkit::Rng::new(0x5eed_ba5e);
+        xs.extend((0..20_000).map(|_| rng.uniform(-pi4, 3.0 * TAU)));
+        for n in [5, 6, 12, 24, 30, 32, 64, 75] {
+            for &x in &xs {
+                let (b, t) = base_and_frac(x, n);
+                let (bo, to) = base_and_frac_oracle(x, n);
+                assert_eq!((b, t.to_bits()), (bo, to.to_bits()), "x = {x:e} ({:#x}), n = {n}", x.to_bits());
+            }
+        }
     }
 
     #[test]

@@ -2,12 +2,14 @@
 //!
 //! The scalar kernels in [`crate::kernel`] recompute base indices per point
 //! per field, and every `GhostField::value` call re-derives its flat index
-//! (with a `rem_euclid` on the hot path). For plan reuse — the common case
-//! in the semi-Lagrangian loops, where one set of departure points is
-//! evaluated against many fields — all of that is loop-invariant.
-//! [`SoaStencils`] hoists it: one precompute pass per plan stores, per
-//! point, the flat offset of the stencil's first node in the extended array
-//! (a `u32`) and the three fractional positions `t` — 28 bytes. Storing `t`
+//! (with an integer `rem_euclid` on axis 2 per stencil node). For plan
+//! reuse — the common case in the semi-Lagrangian loops, where one set of
+//! departure points is evaluated against many fields — all of that is
+//! loop-invariant. [`SoaStencils`] hoists it: the plan's routing pass finds
+//! each point's cell once ([`crate::base_and_frac`], no library call on
+//! departure points) and stores, per point, the flat offset of the
+//! stencil's first node in the extended array (a `u32`) and the three
+//! fractional positions `t` — 28 bytes. Storing `t`
 //! rather than the twelve cubic weights (100 bytes) keeps the plans small —
 //! several are live at the line search's peak — at the price of deriving
 //! the weights per point per call, once for all fields of the call.
@@ -40,6 +42,10 @@ use crate::kernel::{base_and_fracs, cubic_weights, dot, lerp_weights, Kernel, GH
 /// geometry is a function of the rank's block alone).
 #[derive(Debug, Clone, Default)]
 pub struct SoaStencils {
+    /// First global index of the owning block on axes 0 and 1.
+    start: [usize; 2],
+    /// Extent of the owning block on axes 0 and 1.
+    count: [usize; 2],
     /// Extended-array stride of one axis-0 plane, `(c1 + 2g)(n2 + 2g)`.
     plane: usize,
     /// Extended-array stride of one axis-1 row, `n2 + 2g`.
@@ -55,30 +61,68 @@ impl SoaStencils {
     /// interpolated on `grid` by the rank that owns `block`: every base
     /// index on axes 0 and 1 must lie inside the block.
     pub fn build(grid: &Grid, block: &Block, len: usize, points: impl IntoIterator<Item = [f64; 3]>) -> Self {
+        let mut s = Self::with_capacity(grid, block, len);
+        s.extend(grid, points);
+        debug_assert_eq!(s.len(), len, "point count differs from the one given");
+        s
+    }
+
+    /// An empty table for the rank that owns `block`, with room for
+    /// `capacity` points.
+    pub(crate) fn with_capacity(grid: &Grid, block: &Block, capacity: usize) -> Self {
         let g = GHOST_WIDTH;
         let (e0, e1, e2) = (block.count[0] + 2 * g, block.count[1] + 2 * g, grid.n[2] + 2 * g);
         assert!(e0 * e1 * e2 <= u32::MAX as usize, "extended block too large for u32 stencil offsets");
-        let mut s = Self {
+        Self {
+            start: [block.start[0], block.start[1]],
+            count: [block.count[0], block.count[1]],
             plane: e1 * e2,
             row: e2,
-            off: Vec::with_capacity(len),
-            t: Vec::with_capacity(len),
-        };
-        for x in points {
-            let ([b0, b1, b2], t) = base_and_fracs(grid, x);
-            debug_assert!(
-                b0.wrapping_sub(block.start[0]) < block.count[0]
-                    && b1.wrapping_sub(block.start[1]) < block.count[1],
-                "point routed to a rank that does not own its base cell"
-            );
-            // Extended index of node −1: global − (start − g) − 1 on axes
-            // 0 and 1, global + g − 1 on axis 2.
-            let (r0, r1) = (b0 - block.start[0] + g - 1, b1 - block.start[1] + g - 1);
-            s.off.push(((r0 * e1 + r1) * e2 + b2 + g - 1) as u32);
-            s.t.push(t);
+            off: Vec::with_capacity(capacity),
+            t: Vec::with_capacity(capacity),
         }
-        debug_assert_eq!(s.off.len(), len, "point count differs from the one given");
-        s
+    }
+
+    /// Appends the stencil of the point whose base indices and fractional
+    /// positions ([`crate::base_and_frac`] per axis) are `b` and `t`.
+    #[inline]
+    pub(crate) fn push(&mut self, [b0, b1, b2]: [usize; 3], t: [f64; 3]) {
+        let g = GHOST_WIDTH;
+        debug_assert!(
+            b0.wrapping_sub(self.start[0]) < self.count[0] && b1.wrapping_sub(self.start[1]) < self.count[1],
+            "point routed to a rank that does not own its base cell"
+        );
+        // Extended index of node −1: global − (start − g) − 1 on axes 0
+        // and 1, global + g − 1 on axis 2.
+        let (r0, r1) = (b0 - self.start[0] + g - 1, b1 - self.start[1] + g - 1);
+        self.off.push(((r0 * (self.count[1] + 2 * g) + r1) * self.row + b2 + g - 1) as u32);
+        self.t.push(t);
+    }
+
+    /// Appends the stencils of `points`, in order.
+    pub(crate) fn extend(&mut self, grid: &Grid, points: impl IntoIterator<Item = [f64; 3]>) {
+        for x in points {
+            let (b, t) = base_and_fracs(grid, x);
+            self.push(b, t);
+        }
+    }
+
+    /// Reserves room for exactly `additional` more points.
+    pub(crate) fn reserve_exact(&mut self, additional: usize) {
+        self.off.reserve_exact(additional);
+        self.t.reserve_exact(additional);
+    }
+
+    /// Drops every point, keeping the allocation.
+    pub(crate) fn clear(&mut self) {
+        self.off.clear();
+        self.t.clear();
+    }
+
+    /// Frees the room beyond the points held.
+    pub(crate) fn shrink_to_fit(&mut self) {
+        self.off.shrink_to_fit();
+        self.t.shrink_to_fit();
     }
 
     /// Number of precomputed points.

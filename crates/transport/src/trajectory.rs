@@ -8,7 +8,8 @@
 //! X  = x − δt/2 (v(x) + v(X*))
 //! ```
 //!
-//! Computing `v(X*)` already requires one distributed interpolation. The
+//! Computing `v(X*)` already requires one distributed interpolation, which
+//! is made once and keeps no plan ([`interpolate_once`]). The
 //! final points `X` are routed once into a [`ScatterPlan`] that is then
 //! reused for every interpolation of every transported field at every time
 //! step while the velocity is unchanged (paper §III-C2: "the scatter phase
@@ -16,7 +17,7 @@
 
 use diffreg_comm::Comm;
 use diffreg_grid::{GhostField, ScalarField, VectorField};
-use diffreg_interp::{ghosted, ScatterPlan};
+use diffreg_interp::{ghosted, interpolate_once, ScatterPlan};
 
 use crate::workspace::Workspace;
 
@@ -76,16 +77,22 @@ pub fn velocity_is_finite<C: Comm>(ws: &Workspace<C>, v: &VectorField) -> bool {
     flag[0] == 0.0
 }
 
-/// Physical coordinates of every locally owned grid point, in local order.
+/// Physical coordinates of every locally owned grid point, in local order
+/// (row-major over the block, axis 2 fastest).
 pub fn local_grid_points<C: Comm>(ws: &Workspace<C>) -> Vec<[f64; 3]> {
-    let grid = ws.grid();
-    let block = ws.block();
-    (0..block.len())
-        .map(|l| {
-            let gi = block.global_of_local(l);
-            [grid.coord(0, gi[0]), grid.coord(1, gi[1]), grid.coord(2, gi[2])]
-        })
-        .collect()
+    let (grid, block) = (ws.grid(), ws.block());
+    // Each axis's coordinates once, then the tensor product: no index
+    // division and no coordinate division per point.
+    let [c0, c1, c2] = [0, 1, 2].map(|a| -> Vec<f64> {
+        (block.start[a]..block.start[a] + block.count[a]).map(|i| grid.coord(a, i)).collect()
+    });
+    let mut xs = Vec::with_capacity(block.len());
+    for &x0 in &c0 {
+        for &x1 in &c1 {
+            xs.extend(c2.iter().map(|&x2| [x0, x1, x2]));
+        }
+    }
+    xs
 }
 
 /// Computes RK2 departure points for time step `dt` along `sign * v`
@@ -136,21 +143,18 @@ fn departure<C: Comm>(
     s: f64,
 ) -> Trajectory {
     let [v0, v1, v2] = v.comps.each_ref().map(|c| c.data());
-    // Euler predictor X* = x − s·v(x).
-    let star: Vec<[f64; 3]> = xs
-        .iter()
-        .enumerate()
-        .map(|(l, x)| [x[0] - s * v0[l], x[1] - s * v1[l], x[2] - s * v2[l]])
-        .collect();
-    // v(X*) via a throwaway scatter plan, dropped with X* before the final
-    // plan is built.
-    let v_star = ScatterPlan::build(ws.comm, ws.decomp, &star, ws.timers).interpolate_many(
+    // v(X*) at the Euler predictor X* = x − s·v(x), interpolated once: the
+    // predictor points are made as the routing pass reads them, and no plan
+    // is kept.
+    let v_star = interpolate_once(
         ws.comm,
+        ws.decomp,
+        xs.len(),
+        |l| [xs[l][0] - s * v0[l], xs[l][1] - s * v1[l], xs[l][2] - s * v2[l]],
         &[&gv[0], &gv[1], &gv[2]],
         ws.kernel,
         ws.timers,
     );
-    drop(star);
     // Midpoint corrector X = x − s/2·(v(x) + v(X*)).
     let half = 0.5 * s;
     let points: Vec<[f64; 3]> = xs
@@ -173,8 +177,89 @@ fn departure<C: Comm>(
 mod tests {
     use super::*;
     use crate::SessionParts;
-    use diffreg_comm::SerialComm;
-    use diffreg_grid::Grid;
+    use diffreg_comm::{run_threaded, SerialComm};
+    use diffreg_grid::{Decomp, Grid};
+    use diffreg_interp::Kernel;
+
+    /// RK2 departure points assembled from the public planning steps: the
+    /// predictor points materialized, routed into a plan and evaluated
+    /// through it, then the final plan.
+    fn planned_departure<C: Comm>(ws: &Workspace<C>, v: &VectorField, s: f64) -> (Vec<[f64; 3]>, ScatterPlan) {
+        let xs = local_grid_points(ws);
+        let gv = v.comps.each_ref().map(|c| ghosted(ws.comm, ws.decomp, c));
+        let [v0, v1, v2] = v.comps.each_ref().map(|c| c.data());
+        let star: Vec<[f64; 3]> =
+            xs.iter().enumerate().map(|(l, x)| [x[0] - s * v0[l], x[1] - s * v1[l], x[2] - s * v2[l]]).collect();
+        let v_star = ScatterPlan::build(ws.comm, ws.decomp, &star, ws.timers).interpolate_many(
+            ws.comm,
+            &[&gv[0], &gv[1], &gv[2]],
+            ws.kernel,
+            ws.timers,
+        );
+        let half = 0.5 * s;
+        let points: Vec<[f64; 3]> = xs
+            .iter()
+            .enumerate()
+            .map(|(l, x)| {
+                [
+                    x[0] - half * (v0[l] + v_star[0][l]),
+                    x[1] - half * (v1[l] + v_star[1][l]),
+                    x[2] - half * (v2[l] + v_star[2][l]),
+                ]
+            })
+            .collect();
+        let plan = ScatterPlan::build(ws.comm, ws.decomp, &points, ws.timers);
+        (points, plan)
+    }
+
+    #[test]
+    fn local_grid_points_follow_the_local_order() {
+        let grid = Grid::new([7, 6, 5]);
+        run_threaded(4, move |comm| {
+            let parts = SessionParts::with_decomp(comm, Decomp::with_process_grid(grid, 2, 2));
+            let ws = parts.workspace(comm);
+            let b = ws.block();
+            let want: Vec<[f64; 3]> = (0..b.len())
+                .map(|l| {
+                    let gi = b.global_of_local(l);
+                    [grid.coord(0, gi[0]), grid.coord(1, gi[1]), grid.coord(2, gi[2])]
+                })
+                .collect();
+            let bits = |v: &[[f64; 3]]| v.as_flattened().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&local_grid_points(&ws)), bits(&want));
+        });
+    }
+
+    #[test]
+    fn departure_matches_the_planned_predictor_bit_for_bit() {
+        let grid = Grid::new([12, 10, 8]);
+        for (p1, p2) in [(1, 1), (2, 1), (2, 2)] {
+            run_threaded(p1 * p2, move |comm| {
+                let parts = SessionParts::with_decomp(comm, Decomp::with_process_grid(grid, p1, p2));
+                let v = VectorField::from_fn(&grid, parts.workspace(comm).block(), |x| {
+                    [1.5 * x[1].sin(), 1.2 * x[0].cos() + 0.4, 0.8 * x[2].sin() - 0.3]
+                });
+                let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                for kernel in [Kernel::Tricubic, Kernel::Trilinear] {
+                    let mut ws = parts.workspace(comm);
+                    ws.kernel = kernel;
+                    let probe = ScalarField::from_fn(&grid, ws.block(), |x| (2.0 * x[0]).sin() * x[1].cos() + x[2]);
+                    let probe = ghosted(comm, ws.decomp, &probe);
+                    for sign in [1.0, -1.0] {
+                        let traj = compute_trajectory(&ws, &v, 0.25, sign);
+                        let (points, plan) = planned_departure(&ws, &v, sign * 0.25);
+                        let at = format!("({p1},{p2}) rank {}, {kernel:?}, sign {sign}", comm.rank());
+                        assert_eq!(bits(traj.points.as_flattened()), bits(points.as_flattened()), "{at}");
+                        let got = traj.plan.interpolate(comm, &probe, kernel, ws.timers);
+                        let want = plan.interpolate(comm, &probe, kernel, ws.timers);
+                        assert_eq!(bits(&got), bits(&want), "{at}");
+                        let off_rank = plan.off_rank_fraction(comm);
+                        assert_eq!(off_rank > 0.0, comm.size() > 1, "{at}: off-rank fraction {off_rank}");
+                    }
+                }
+            });
+        }
+    }
 
     #[test]
     fn constant_velocity_departure_is_exact_shift() {
