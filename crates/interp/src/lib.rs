@@ -9,8 +9,7 @@
 //! three fractional positions per point, 28 bytes) that both kernels read,
 //! and evaluates all fields of a call in one walk over it
 //! ([`ScatterPlan::interpolate_many`]). A rank's own points are written
-//! straight into the output and never exchanged; a single-use
-//! interpolation ([`interpolate_once`]) keeps no plan. The scalar kernels ([`tricubic`],
+//! straight into the output and never exchanged. The scalar kernels ([`tricubic`],
 //! [`trilinear`]) are the pointwise oracles, in the same summation order,
 //! so the table path is tested against them bit for bit.
 
@@ -23,5 +22,5 @@ mod scatter;
 mod soa;
 
 pub use kernel::{base_and_frac, cubic_weights, tricubic, trilinear, Kernel, GHOST_WIDTH};
-pub use scatter::{ghosted, interpolate_once, ScatterPlan};
+pub use scatter::{ghosted, ScatterPlan};
 pub use soa::SoaStencils;

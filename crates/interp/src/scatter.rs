@@ -16,10 +16,7 @@
 //!
 //! The build makes one pass over the requested points: it finds each
 //! point's cell once, puts an own point's stencil into the table from it,
-//! and queues the others for their owners. A plan that would be evaluated
-//! only once (the trajectory predictor's) is not built at all:
-//! [`interpolate_once`] evaluates the own points in that pass, a chunk at a
-//! time, and tabulates only the points other ranks send.
+//! and queues the others for their owners.
 
 use diffreg_comm::{Comm, Timers};
 use diffreg_grid::{exchange_ghost, Decomp, GhostField, ScalarField};
@@ -56,89 +53,6 @@ pub struct ScatterPlan {
     soa: SoaStencils,
 }
 
-/// A rank's requested points after the routing pass and the exchange of
-/// coordinates.
-struct Routed {
-    /// As [`ScatterPlan::by_owner`].
-    by_owner: Vec<u32>,
-    /// As [`ScatterPlan::owner_off`].
-    owner_off: Vec<usize>,
-    /// The points each other rank sent here to interpolate (self slot empty).
-    assigned: Vec<Vec<[f64; 3]>>,
-}
-
-/// The scatter phase (collective). One pass over the `len` requested points
-/// `point(i)` finds each point's cell once: an own point's local index,
-/// base indices and fractional positions go to `own`, in local order, and
-/// every other point is queued for its owner. Then one alltoallv of
-/// coordinates hands every rank the other ranks' points it owns. A rank
-/// whose points are all its own builds no owner array.
-fn scatter<C: Comm>(
-    comm: &C,
-    decomp: &Decomp,
-    len: usize,
-    point: impl Fn(usize) -> [f64; 3],
-    timers: &Timers,
-    mut own: impl FnMut(usize, [usize; 3], [f64; 3]),
-) -> Routed {
-    let (grid, p, me) = (decomp.grid, comm.size(), comm.rank());
-    let block = decomp.block(me);
-    assert!(p <= u32::MAX as usize && len <= u32::MAX as usize, "rank and point indices are stored as u32");
-    // The self slot stays empty: the own points go to `own`.
-    let mut outgoing: Vec<Vec<[f64; 3]>> = vec![Vec::new(); p];
-    // Every point's owner, from the first foreign point on.
-    let mut owner: Option<Vec<u32>> = None;
-    timers.time("interp_exec", || {
-        for i in 0..len {
-            let x = point(i);
-            let (b, t) = base_and_fracs(&grid, x);
-            let o = if b[0].wrapping_sub(block.start[0]) < block.count[0]
-                && b[1].wrapping_sub(block.start[1]) < block.count[1]
-            {
-                own(i, b, t);
-                me
-            } else {
-                let o = decomp.owner_spatial([b[0], b[1], 0]);
-                outgoing[o].push(x);
-                o
-            };
-            match &mut owner {
-                Some(owner) => owner.push(o as u32),
-                None if o != me => {
-                    let mut all = Vec::with_capacity(len);
-                    all.resize(i, me as u32);
-                    all.push(o as u32);
-                    owner = Some(all);
-                }
-                None => {}
-            }
-        }
-    });
-    // Group the local indices by owner (a counting sort, stable, so each
-    // group is in batch order).
-    let (mut by_owner, mut owner_off) = (Vec::new(), Vec::new());
-    if let Some(owner) = owner {
-        owner_off = vec![0; p + 1];
-        for &o in &owner {
-            owner_off[o as usize + 1] += 1;
-        }
-        for r in 0..p {
-            owner_off[r + 1] += owner_off[r];
-        }
-        let mut next = owner_off.clone();
-        by_owner = vec![0; len];
-        for (i, &o) in owner.iter().enumerate() {
-            by_owner[next[o as usize]] = i as u32;
-            next[o as usize] += 1;
-        }
-    }
-    let assigned = timers.time("interp_comm", || {
-        diffreg_telemetry::with_span("interp.scatter", || comm.alltoallv(outgoing))
-    });
-    timers.count("interp_points_routed", len as u64);
-    Routed { by_owner, owner_off, assigned }
-}
-
 impl ScatterPlan {
     /// Builds the plan (collective): routes `points` (physical coordinates,
     /// any values — they are wrapped periodically) to their owner ranks.
@@ -149,42 +63,97 @@ impl ScatterPlan {
         timers: &Timers,
     ) -> Self {
         let mut span = diffreg_telemetry::span("interp.plan");
-        // The own points' stencils go into the table in the routing pass,
-        // from the cells it finds. Hoisting the per-point stencil math out
-        // of the evaluation loops pays because the plan is reused across
-        // every field and time step of a transport solve.
-        let mut own = SoaStencils::with_capacity(&decomp.grid, &decomp.block(comm.rank()), points.len());
-        let routed = scatter(comm, decomp, points.len(), |i| points[i], timers, |_, b, t| own.push(b, t));
+        let (grid, p, me) = (decomp.grid, comm.size(), comm.rank());
+        let block = decomp.block(me);
+        assert!(
+            p <= u32::MAX as usize && points.len() <= u32::MAX as usize,
+            "rank and point indices are stored as u32"
+        );
+        // One pass finds each point's cell once: an own point's stencil goes
+        // into a table from it, in local order, and every other point is
+        // queued for its owner. Hoisting the per-point stencil math out of
+        // the evaluation loops pays because the plan is reused across every
+        // field and time step of a transport solve.
+        let mut own = SoaStencils::with_capacity(&grid, &block, points.len());
+        // The self slot stays empty: the own points are in `own` already.
+        let mut outgoing: Vec<Vec<[f64; 3]>> = vec![Vec::new(); p];
+        // Every point's owner, from the first foreign point on.
+        let mut owner: Option<Vec<u32>> = None;
+        timers.time("interp_exec", || {
+            for (i, &x) in points.iter().enumerate() {
+                let (b, t) = base_and_fracs(&grid, x);
+                let o = if b[0].wrapping_sub(block.start[0]) < block.count[0]
+                    && b[1].wrapping_sub(block.start[1]) < block.count[1]
+                {
+                    own.push(b, t);
+                    me
+                } else {
+                    let o = decomp.owner_spatial([b[0], b[1], 0]);
+                    outgoing[o].push(x);
+                    o
+                };
+                match &mut owner {
+                    Some(owner) => owner.push(o as u32),
+                    None if o != me => {
+                        let mut all = Vec::with_capacity(points.len());
+                        all.resize(i, me as u32);
+                        all.push(o as u32);
+                        owner = Some(all);
+                    }
+                    None => {}
+                }
+            }
+        });
+        // Group the local indices by owner (a counting sort, stable, so each
+        // group is in batch order).
+        let (mut by_owner, mut owner_off) = (Vec::new(), Vec::new());
+        if let Some(owner) = owner {
+            owner_off = vec![0; p + 1];
+            for &o in &owner {
+                owner_off[o as usize + 1] += 1;
+            }
+            for r in 0..p {
+                owner_off[r + 1] += owner_off[r];
+            }
+            let mut next = owner_off.clone();
+            by_owner = vec![0; points.len()];
+            for (i, &o) in owner.iter().enumerate() {
+                by_owner[next[o as usize]] = i as u32;
+                next[o as usize] += 1;
+            }
+        }
+        let assigned = timers.time("interp_comm", || {
+            diffreg_telemetry::with_span("interp.scatter", || comm.alltoallv(outgoing))
+        });
+        timers.count("interp_points_routed", points.len() as u64);
         span.count(points.len() as u64);
-        Self::assemble(decomp, points.len(), routed, own, timers)
-    }
-
-    /// Appends the received batches to the table `own` (the own batch, in
-    /// own-batch order) and completes the plan; the received coordinates
-    /// are consumed here, batch by batch.
-    fn assemble(
-        decomp: &Decomp,
-        len: usize,
-        routed: Routed,
-        mut soa: SoaStencils,
-        timers: &Timers,
-    ) -> Self {
-        let Routed { by_owner, owner_off, assigned } = routed;
-        let mut batch_off = Vec::with_capacity(assigned.len() + 1);
-        let mut off = soa.len();
+        // The received batches follow the own one in the table, in rank
+        // order; their coordinates are consumed here, batch by batch.
+        let mut batch_off = Vec::with_capacity(p + 1);
+        let mut off = own.len();
         for pts in &assigned {
             batch_off.push(off);
             off += pts.len();
         }
         batch_off.push(off);
-        timers.time("interp_exec", || {
-            soa.reserve_exact(off - soa.len());
+        let soa = timers.time("interp_exec", || {
+            // `own` becomes the table only when it fits exactly (always on
+            // one rank). Otherwise it is copied into an exact one: growing
+            // or trimming it in place fragments the heap, which raised
+            // synth64_p2's peak RSS by about 15 %.
+            let mut soa = if off == points.len() {
+                own
+            } else {
+                let mut soa = SoaStencils::with_capacity(&grid, &block, off);
+                soa.append(own);
+                soa
+            };
             for pts in assigned {
-                soa.extend(&decomp.grid, pts);
+                soa.extend(&grid, pts);
             }
-            soa.shrink_to_fit();
+            soa
         });
-        Self { len, by_owner, owner_off, batch_off, soa }
+        Self { len: points.len(), by_owner, owner_off, batch_off, soa }
     }
 
     /// Number of points this rank requested.
@@ -238,31 +207,15 @@ impl ScatterPlan {
         kernel: Kernel,
         timers: &Timers,
     ) -> Vec<Vec<f64>> {
-        assert!(!ghosts.is_empty(), "need at least one field");
-        let mut out = vec![vec![0.0; self.len]; ghosts.len()];
-        self.interpolate_into(comm, ghosts, kernel, timers, &mut out, 0);
-        out
-    }
-
-    /// The body of [`ScatterPlan::interpolate_many`], into `out`; counts
-    /// `evaluated_before` own points already written there (by
-    /// [`interpolate_once`]) with the table's.
-    fn interpolate_into<C: Comm>(
-        &self,
-        comm: &C,
-        ghosts: &[&GhostField],
-        kernel: Kernel,
-        timers: &Timers,
-        out: &mut [Vec<f64>],
-        evaluated_before: usize,
-    ) {
         let mut span = diffreg_telemetry::span("interp.eval");
         let nf = ghosts.len();
+        assert!(nf > 0, "need at least one field");
         let me = comm.rank();
+        let mut out = vec![vec![0.0; self.len]; nf];
         // Own points straight into `out`; the others' batches interleaved
         // per point ([f0, f1, ..] per point), the self slot left empty.
         let values: Vec<Vec<f64>> = timers.time("interp_exec", || {
-            self.soa.eval_into(ghosts, kernel, 0..self.batch_off[0], self.own_indices(me), out);
+            self.soa.eval_into(ghosts, kernel, 0..self.batch_off[0], self.own_indices(me), &mut out);
             self.batch_off
                 .windows(2)
                 .map(|b| {
@@ -272,7 +225,7 @@ impl ScatterPlan {
                 })
                 .collect()
         });
-        let evaluated = ((evaluated_before + self.assigned_len()) * nf) as u64;
+        let evaluated = (self.assigned_len() * nf) as u64;
         timers.count("interp_points_evaluated", evaluated);
         span.count(evaluated);
         let returned = timers.time("interp_comm", || {
@@ -289,6 +242,7 @@ impl ScatterPlan {
                 }
             }
         }
+        out
     }
 
     /// Interpolates a single field at the planned points.
@@ -305,52 +259,6 @@ impl ScatterPlan {
     ) -> Vec<f64> {
         self.interpolate_many(comm, &[ghost], kernel, timers).pop().unwrap()
     }
-}
-
-/// Interpolates several fields at the `len` points `point(i)` once, keeping
-/// no plan (collective): bit for bit `ScatterPlan::build` on those points
-/// followed by [`ScatterPlan::interpolate_many`], with the same two
-/// alltoallvs, the same messages and the same counts.
-///
-/// The own points are evaluated in the routing pass, a chunk at a time,
-/// straight from the cells it finds, so they never enter a table; only the
-/// points other ranks send here are tabulated, for the one evaluation.
-pub fn interpolate_once<C: Comm>(
-    comm: &C,
-    decomp: &Decomp,
-    len: usize,
-    point: impl Fn(usize) -> [f64; 3],
-    ghosts: &[&GhostField],
-    kernel: Kernel,
-    timers: &Timers,
-) -> Vec<Vec<f64>> {
-    /// Own points per evaluation chunk: a 7 KiB table and its indices.
-    const CHUNK: usize = 256;
-    assert!(!ghosts.is_empty(), "need at least one field");
-    let (grid, block) = (decomp.grid, decomp.block(comm.rank()));
-    let mut out = vec![vec![0.0; len]; ghosts.len()];
-    let mut span = diffreg_telemetry::span("interp.plan");
-    let (mut chunk, mut at) = (SoaStencils::with_capacity(&grid, &block, CHUNK), Vec::with_capacity(CHUNK));
-    let mut own_len = 0;
-    let routed = scatter(comm, decomp, len, point, timers, |i, b, t| {
-        chunk.push(b, t);
-        at.push(i as u32);
-        if at.len() == CHUNK {
-            chunk.eval_into(ghosts, kernel, 0..CHUNK, Some(&at), &mut out);
-            own_len += CHUNK;
-            chunk.clear();
-            at.clear();
-        }
-    });
-    timers.time("interp_exec", || chunk.eval_into(ghosts, kernel, 0..at.len(), Some(&at), &mut out));
-    own_len += at.len();
-    span.count(len as u64);
-    drop(span);
-    let foreign = SoaStencils::with_capacity(&grid, &block, 0);
-    ScatterPlan::assemble(decomp, len, routed, foreign, timers).interpolate_into(
-        comm, ghosts, kernel, timers, &mut out, own_len,
-    );
-    out
 }
 
 /// Convenience: ghost-exchanges `field` with the kernel's required width.
@@ -498,56 +406,6 @@ mod tests {
                             v.iter().map(|f| f.iter().map(|x| x.to_bits()).collect::<Vec<_>>()).collect::<Vec<_>>()
                         };
                         assert_eq!(bits(&got), bits(&want), "({p1},{p2}) rank {}: {kernel:?}, {k} fields", comm.rank());
-                    }
-                }
-            });
-        }
-    }
-
-    /// The table-free single use against a plan built and evaluated once:
-    /// the same bits, the same counts and the same traffic. Rank 0's points
-    /// are all its own (on one rank more than one evaluation chunk of
-    /// them); the others' are mostly owned elsewhere.
-    #[test]
-    fn interpolate_once_is_a_plan_used_once() {
-        let grid = Grid::new([12, 8, 6]);
-        let points = test_points(240);
-        for (p1, p2) in [(1, 1), (2, 1), (2, 2)] {
-            let points = points.clone();
-            run_threaded(p1 * p2, move |comm| {
-                let d = Decomp::with_process_grid(grid, p1, p2);
-                let b = d.block(comm.rank());
-                let probes = [probe, probe2, |x| probe(x) * probe2(x), |x| probe2(x) + x[1].cos()];
-                let ghosts = probes.map(|f| ghosted(comm, &d, &ScalarField::from_fn(&grid, b, f)));
-                let mine: Vec<[f64; 3]> = if comm.rank() == 0 {
-                    (0..b.len())
-                        .map(|l| {
-                            let gi = b.global_of_local(l);
-                            [grid.coord(0, gi[0]) - 0.1, grid.coord(1, gi[1]) + 0.2, grid.coord(2, gi[2]) + 7.0]
-                        })
-                        .collect()
-                } else {
-                    points.iter().skip(comm.rank()).step_by(comm.size()).copied().collect()
-                };
-                let bits = |v: &[Vec<f64>]| {
-                    v.iter().map(|f| f.iter().map(|x| x.to_bits()).collect::<Vec<_>>()).collect::<Vec<_>>()
-                };
-                let sent = |c: &diffreg_comm::CommStats| (c.messages_sent, c.bytes_sent);
-                for kernel in [Kernel::Tricubic, Kernel::Trilinear] {
-                    for k in 1..=4 {
-                        let fields: Vec<&GhostField> = ghosts[..k].iter().collect();
-                        let (planned, once) = (Timers::new(), Timers::new());
-                        let s0 = comm.stats();
-                        let want = ScatterPlan::build(comm, &d, &mine, &planned)
-                            .interpolate_many(comm, &fields, kernel, &planned);
-                        let s1 = comm.stats();
-                        let got = interpolate_once(comm, &d, mine.len(), |i| mine[i], &fields, kernel, &once);
-                        let s2 = comm.stats();
-                        let at = format!("({p1},{p2}) rank {}: {kernel:?}, {k} fields", comm.rank());
-                        assert_eq!(bits(&got), bits(&want), "{at}");
-                        assert_eq!(once.counters(), planned.counters(), "{at}");
-                        let (a, b, c) = (sent(&s0), sent(&s1), sent(&s2));
-                        assert_eq!((c.0 - b.0, c.1 - b.1), (b.0 - a.0, b.1 - a.1), "{at}");
                     }
                 }
             });

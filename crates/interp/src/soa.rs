@@ -60,7 +60,8 @@ impl SoaStencils {
     /// Precomputes stencils for the `len` points of `points`, in order,
     /// interpolated on `grid` by the rank that owns `block`: every base
     /// index on axes 0 and 1 must lie inside the block.
-    pub fn build(grid: &Grid, block: &Block, len: usize, points: impl IntoIterator<Item = [f64; 3]>) -> Self {
+    #[cfg(test)]
+    pub(crate) fn build(grid: &Grid, block: &Block, len: usize, points: impl IntoIterator<Item = [f64; 3]>) -> Self {
         let mut s = Self::with_capacity(grid, block, len);
         s.extend(grid, points);
         debug_assert_eq!(s.len(), len, "point count differs from the one given");
@@ -107,22 +108,10 @@ impl SoaStencils {
         }
     }
 
-    /// Reserves room for exactly `additional` more points.
-    pub(crate) fn reserve_exact(&mut self, additional: usize) {
-        self.off.reserve_exact(additional);
-        self.t.reserve_exact(additional);
-    }
-
-    /// Drops every point, keeping the allocation.
-    pub(crate) fn clear(&mut self) {
-        self.off.clear();
-        self.t.clear();
-    }
-
-    /// Frees the room beyond the points held.
-    pub(crate) fn shrink_to_fit(&mut self) {
-        self.off.shrink_to_fit();
-        self.t.shrink_to_fit();
+    /// Appends the stencils of `other`, a table of the same block, in order.
+    pub(crate) fn append(&mut self, other: Self) {
+        self.off.extend_from_slice(&other.off);
+        self.t.extend_from_slice(&other.t);
     }
 
     /// Number of precomputed points.

@@ -8,8 +8,7 @@
 //! X  = x − δt/2 (v(x) + v(X*))
 //! ```
 //!
-//! Computing `v(X*)` already requires one distributed interpolation, which
-//! is made once and keeps no plan ([`interpolate_once`]). The
+//! Computing `v(X*)` already requires one distributed interpolation. The
 //! final points `X` are routed once into a [`ScatterPlan`] that is then
 //! reused for every interpolation of every transported field at every time
 //! step while the velocity is unchanged (paper §III-C2: "the scatter phase
@@ -17,7 +16,7 @@
 
 use diffreg_comm::Comm;
 use diffreg_grid::{GhostField, ScalarField, VectorField};
-use diffreg_interp::{ghosted, interpolate_once, ScatterPlan};
+use diffreg_interp::{ghosted, ScatterPlan};
 
 use crate::workspace::Workspace;
 
@@ -77,22 +76,16 @@ pub fn velocity_is_finite<C: Comm>(ws: &Workspace<C>, v: &VectorField) -> bool {
     flag[0] == 0.0
 }
 
-/// Physical coordinates of every locally owned grid point, in local order
-/// (row-major over the block, axis 2 fastest).
+/// Physical coordinates of every locally owned grid point, in local order.
 pub fn local_grid_points<C: Comm>(ws: &Workspace<C>) -> Vec<[f64; 3]> {
-    let (grid, block) = (ws.grid(), ws.block());
-    // Each axis's coordinates once, then the tensor product: no index
-    // division and no coordinate division per point.
-    let [c0, c1, c2] = [0, 1, 2].map(|a| -> Vec<f64> {
-        (block.start[a]..block.start[a] + block.count[a]).map(|i| grid.coord(a, i)).collect()
-    });
-    let mut xs = Vec::with_capacity(block.len());
-    for &x0 in &c0 {
-        for &x1 in &c1 {
-            xs.extend(c2.iter().map(|&x2| [x0, x1, x2]));
-        }
-    }
-    xs
+    let grid = ws.grid();
+    let block = ws.block();
+    (0..block.len())
+        .map(|l| {
+            let gi = block.global_of_local(l);
+            [grid.coord(0, gi[0]), grid.coord(1, gi[1]), grid.coord(2, gi[2])]
+        })
+        .collect()
 }
 
 /// Computes RK2 departure points for time step `dt` along `sign * v`
@@ -143,18 +136,21 @@ fn departure<C: Comm>(
     s: f64,
 ) -> Trajectory {
     let [v0, v1, v2] = v.comps.each_ref().map(|c| c.data());
-    // v(X*) at the Euler predictor X* = x − s·v(x), interpolated once: the
-    // predictor points are made as the routing pass reads them, and no plan
-    // is kept.
-    let v_star = interpolate_once(
+    // Euler predictor X* = x − s·v(x).
+    let star: Vec<[f64; 3]> = xs
+        .iter()
+        .enumerate()
+        .map(|(l, x)| [x[0] - s * v0[l], x[1] - s * v1[l], x[2] - s * v2[l]])
+        .collect();
+    // v(X*) via a throwaway scatter plan, dropped with X* before the final
+    // plan is built.
+    let v_star = ScatterPlan::build(ws.comm, ws.decomp, &star, ws.timers).interpolate_many(
         ws.comm,
-        ws.decomp,
-        xs.len(),
-        |l| [xs[l][0] - s * v0[l], xs[l][1] - s * v1[l], xs[l][2] - s * v2[l]],
         &[&gv[0], &gv[1], &gv[2]],
         ws.kernel,
         ws.timers,
     );
+    drop(star);
     // Midpoint corrector X = x − s/2·(v(x) + v(X*)).
     let half = 0.5 * s;
     let points: Vec<[f64; 3]> = xs
@@ -177,61 +173,45 @@ fn departure<C: Comm>(
 mod tests {
     use super::*;
     use crate::SessionParts;
-    use diffreg_comm::{run_threaded, SerialComm};
+    use diffreg_comm::{run_threaded, ReduceOp, SerialComm};
     use diffreg_grid::{Decomp, Grid};
-    use diffreg_interp::Kernel;
+    use diffreg_interp::{base_and_frac, Kernel};
 
-    /// RK2 departure points assembled from the public planning steps: the
-    /// predictor points materialized, routed into a plan and evaluated
-    /// through it, then the final plan.
-    fn planned_departure<C: Comm>(ws: &Workspace<C>, v: &VectorField, s: f64) -> (Vec<[f64; 3]>, ScatterPlan) {
-        let xs = local_grid_points(ws);
-        let gv = v.comps.each_ref().map(|c| ghosted(ws.comm, ws.decomp, c));
-        let [v0, v1, v2] = v.comps.each_ref().map(|c| c.data());
-        let star: Vec<[f64; 3]> =
-            xs.iter().enumerate().map(|(l, x)| [x[0] - s * v0[l], x[1] - s * v1[l], x[2] - s * v2[l]]).collect();
-        let v_star = ScatterPlan::build(ws.comm, ws.decomp, &star, ws.timers).interpolate_many(
-            ws.comm,
-            &[&gv[0], &gv[1], &gv[2]],
-            ws.kernel,
-            ws.timers,
-        );
-        let half = 0.5 * s;
-        let points: Vec<[f64; 3]> = xs
+    /// `fields` at this rank's `points` (one per local grid point), each
+    /// value computed by `Kernel::eval` on the rank that owns the point's
+    /// base cell. Points and values are shared by a sum in which one rank
+    /// contributes each entry, so it is exact (short of a `−0.0`, which
+    /// would read `+0.0`).
+    fn pointwise<C: Comm>(ws: &Workspace<C>, points: &[[f64; 3]], fields: &[&GhostField]) -> Vec<Vec<f64>> {
+        let (grid, b, me) = (ws.grid(), ws.block(), ws.comm.rank());
+        let at: Vec<usize> = (0..b.len()).map(|l| grid.flatten(b.global_of_local(l))).collect();
+        let mut all = vec![0.0; 3 * grid.n.iter().product::<usize>()];
+        for (&g, x) in at.iter().zip(points) {
+            all[3 * g..3 * g + 3].copy_from_slice(x);
+        }
+        ws.comm.allreduce(&mut all, ReduceOp::Sum);
+        fields
             .iter()
-            .enumerate()
-            .map(|(l, x)| {
-                [
-                    x[0] - half * (v0[l] + v_star[0][l]),
-                    x[1] - half * (v1[l] + v_star[1][l]),
-                    x[2] - half * (v2[l] + v_star[2][l]),
-                ]
+            .map(|f| {
+                let mut vals: Vec<f64> = all
+                    .chunks_exact(3)
+                    .map(|x| {
+                        let x = [x[0], x[1], x[2]];
+                        let cell = [base_and_frac(x[0], grid.n[0]).0, base_and_frac(x[1], grid.n[1]).0, 0];
+                        if ws.decomp.owner_spatial(cell) == me { ws.kernel.eval(f, &grid, x) } else { 0.0 }
+                    })
+                    .collect();
+                ws.comm.allreduce(&mut vals, ReduceOp::Sum);
+                at.iter().map(|&g| vals[g]).collect()
             })
-            .collect();
-        let plan = ScatterPlan::build(ws.comm, ws.decomp, &points, ws.timers);
-        (points, plan)
+            .collect()
     }
 
+    /// RK2 through the plans against RK2 evaluated pointwise: the departure
+    /// points and a probe interpolated through the final plan, bit for bit,
+    /// on process grids where departure points leave their rank.
     #[test]
-    fn local_grid_points_follow_the_local_order() {
-        let grid = Grid::new([7, 6, 5]);
-        run_threaded(4, move |comm| {
-            let parts = SessionParts::with_decomp(comm, Decomp::with_process_grid(grid, 2, 2));
-            let ws = parts.workspace(comm);
-            let b = ws.block();
-            let want: Vec<[f64; 3]> = (0..b.len())
-                .map(|l| {
-                    let gi = b.global_of_local(l);
-                    [grid.coord(0, gi[0]), grid.coord(1, gi[1]), grid.coord(2, gi[2])]
-                })
-                .collect();
-            let bits = |v: &[[f64; 3]]| v.as_flattened().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-            assert_eq!(bits(&local_grid_points(&ws)), bits(&want));
-        });
-    }
-
-    #[test]
-    fn departure_matches_the_planned_predictor_bit_for_bit() {
+    fn departure_matches_a_pointwise_reference_bit_for_bit() {
         let grid = Grid::new([12, 10, 8]);
         for (p1, p2) in [(1, 1), (2, 1), (2, 2)] {
             run_threaded(p1 * p2, move |comm| {
@@ -239,21 +219,41 @@ mod tests {
                 let v = VectorField::from_fn(&grid, parts.workspace(comm).block(), |x| {
                     [1.5 * x[1].sin(), 1.2 * x[0].cos() + 0.4, 0.8 * x[2].sin() - 0.3]
                 });
+                let [v0, v1, v2] = v.comps.each_ref().map(|c| c.data());
                 let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
                 for kernel in [Kernel::Tricubic, Kernel::Trilinear] {
                     let mut ws = parts.workspace(comm);
                     ws.kernel = kernel;
+                    let gv = v.comps.each_ref().map(|c| ghosted(comm, ws.decomp, c));
                     let probe = ScalarField::from_fn(&grid, ws.block(), |x| (2.0 * x[0]).sin() * x[1].cos() + x[2]);
                     let probe = ghosted(comm, ws.decomp, &probe);
+                    let xs = local_grid_points(&ws);
                     for sign in [1.0, -1.0] {
                         let traj = compute_trajectory(&ws, &v, 0.25, sign);
-                        let (points, plan) = planned_departure(&ws, &v, sign * 0.25);
+                        let s = sign * 0.25;
+                        let star: Vec<[f64; 3]> = xs
+                            .iter()
+                            .enumerate()
+                            .map(|(l, x)| [x[0] - s * v0[l], x[1] - s * v1[l], x[2] - s * v2[l]])
+                            .collect();
+                        let v_star = pointwise(&ws, &star, &[&gv[0], &gv[1], &gv[2]]);
+                        let half = 0.5 * s;
+                        let want: Vec<[f64; 3]> = xs
+                            .iter()
+                            .enumerate()
+                            .map(|(l, x)| {
+                                [
+                                    x[0] - half * (v0[l] + v_star[0][l]),
+                                    x[1] - half * (v1[l] + v_star[1][l]),
+                                    x[2] - half * (v2[l] + v_star[2][l]),
+                                ]
+                            })
+                            .collect();
                         let at = format!("({p1},{p2}) rank {}, {kernel:?}, sign {sign}", comm.rank());
-                        assert_eq!(bits(traj.points.as_flattened()), bits(points.as_flattened()), "{at}");
+                        assert_eq!(bits(traj.points.as_flattened()), bits(want.as_flattened()), "{at}");
                         let got = traj.plan.interpolate(comm, &probe, kernel, ws.timers);
-                        let want = plan.interpolate(comm, &probe, kernel, ws.timers);
-                        assert_eq!(bits(&got), bits(&want), "{at}");
-                        let off_rank = plan.off_rank_fraction(comm);
+                        assert_eq!(bits(&got), bits(&pointwise(&ws, &want, &[&probe])[0]), "{at}");
+                        let off_rank = traj.plan.off_rank_fraction(comm);
                         assert_eq!(off_rank > 0.0, comm.size() > 1, "{at}: off-rank fraction {off_rank}");
                     }
                 }
