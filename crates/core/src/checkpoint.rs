@@ -126,7 +126,7 @@ impl std::error::Error for CheckpointError {}
 /// One rank's resumable snapshot of the continuation solve.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SolverCheckpoint {
-    /// Index into the β schedule of the level being solved.
+    /// Index into the level schedule of the level being solved.
     pub level: usize,
     /// β of that level (consistency check on restore).
     pub beta: f64,

@@ -1,17 +1,19 @@
-//! The high-level registration driver: runs the Gauss-Newton-Krylov solve,
-//! optionally with β-continuation (paper §III-A: "since the problem is
-//! highly nonlinear we use parameter continuation on β"), and assembles the
-//! diagnostics the paper reports.
+//! The high-level registration driver: runs the Gauss-Newton-Krylov solve
+//! over a continuation schedule — β levels (paper §III-A: "since the
+//! problem is highly nonlinear we use parameter continuation on β") and
+//! coarse grid levels (§I, Limitations) in one warm-started loop — and
+//! assembles the diagnostics the paper reports.
 
 use diffreg_comm::Comm;
-use diffreg_grid::{ScalarField, VectorField};
+use diffreg_grid::{Decomp, Grid, ScalarField, VectorField};
 use diffreg_optim::{gauss_newton_observed, NewtonReport, NewtonResume};
 use diffreg_telemetry::{IterRecord, SolverEvent, StreamEntry};
-use diffreg_transport::{compute_trajectory, Workspace};
+use diffreg_transport::{compute_trajectory, SessionParts, Workspace};
 
 use crate::checkpoint::{CheckpointStore, SolverCheckpoint};
 use crate::config::RegistrationConfig;
 use crate::jacobian::{det_deformation_gradient, det_stats, DetGradStats};
+use crate::multires::{resample_scalar, resample_vector};
 use crate::problem::RegProblem;
 
 /// Everything a registration run produces.
@@ -19,7 +21,7 @@ use crate::problem::RegProblem;
 pub struct RegistrationOutcome {
     /// The optimal stationary velocity field.
     pub velocity: VectorField,
-    /// The Newton-Krylov solve report of the last β level (per-iteration
+    /// The Newton-Krylov solve report of the last level (per-iteration
     /// stats; `total_matvecs` is the paper's Table V metric, which the
     /// `summary` event carries). Earlier levels of a continuation are in the
     /// per-level reports.
@@ -47,6 +49,16 @@ impl RegistrationOutcome {
     }
 }
 
+/// One level of a continuation schedule: the regularization weight and the
+/// grid the level solves on.
+#[derive(Debug, Clone, Copy)]
+pub struct Level {
+    /// Regularization weight β.
+    pub beta: f64,
+    /// The level's grid; the last level's is the workspace's.
+    pub grid: Grid,
+}
+
 /// Solves the registration problem for `(rho_t, rho_r)` with the given
 /// configuration, starting from `v = 0`. Collective over `ws.comm`.
 pub fn register<C: Comm>(
@@ -55,7 +67,8 @@ pub fn register<C: Comm>(
     rho_r: &ScalarField,
     cfg: RegistrationConfig,
 ) -> RegistrationOutcome {
-    register_solve(ws, rho_t, rho_r, cfg, &[cfg.beta], None, &CheckpointStore::Disabled, |_| {}).0
+    let level = Level { beta: cfg.beta, grid: ws.grid() };
+    register_solve(ws, rho_t, rho_r, cfg, &[level], &CheckpointStore::Disabled, |_| {}).0
 }
 
 /// β-continuation: solves a sequence of problems with decreasing β, warm
@@ -68,29 +81,38 @@ pub fn register_with_continuation<C: Comm>(
     cfg: RegistrationConfig,
     betas: &[f64],
 ) -> (RegistrationOutcome, Vec<NewtonReport>) {
-    register_solve(ws, rho_t, rho_r, cfg, betas, None, &CheckpointStore::Disabled, |_| {})
+    let levels: Vec<Level> = betas.iter().map(|&beta| Level { beta, grid: ws.grid() }).collect();
+    register_solve(ws, rho_t, rho_r, cfg, &levels, &CheckpointStore::Disabled, |_| {})
 }
 
 fn event(kind: &str, level: usize, iter: usize, detail: String) -> StreamEntry {
     StreamEntry::Event(SolverEvent { kind: kind.to_string(), level, iter, detail })
 }
 
-/// The solve: one Gauss-Newton-Krylov solve per entry of the β schedule
-/// `betas` (`cfg.beta` is ignored), each level warm-started from the
-/// previous level's solution and the first from `warm_start` (`v = 0` when
-/// `None`). [`register`] and [`register_with_continuation`] are this with
-/// the options off.
+/// The solve: one Gauss-Newton-Krylov solve per entry of the schedule
+/// `levels` (`cfg.beta` is ignored), the first from `v = 0` and each later
+/// one warm-started from the previous level's solution. [`register`] and
+/// [`register_with_continuation`] are this with the options off.
+///
+/// **Levels.** β must be non-increasing and the last level must be on
+/// `ws.grid()`. A level on the workspace's grid solves on `ws` and the
+/// caller's images; a coarser level solves on a session of its own (its
+/// timers are `ws.timers`) with the images spectrally restricted to it, and
+/// its solution is spectrally prolonged to the next level's grid. Grid
+/// transfers need the whole spectrum on one rank, so a schedule with more
+/// than one grid panics on more than one rank. Only the last level is
+/// post-processed into the returned [`RegistrationOutcome`].
 ///
 /// **Crash recovery.** Every `cfg.checkpoint_every` accepted Newton
-/// iterations (and at every level boundary) each rank writes a
-/// [`SolverCheckpoint`] to `store`; if `store` already holds a checkpoint
-/// when the solve starts, the run resumes from it — ignoring `warm_start` —
-/// and produces bitwise the same velocity as the uninterrupted solve. The
-/// checkpointed iterate is *not* re-projected (the solver already keeps
-/// iterates in the constraint subspace), so the resumed run re-linearizes at
-/// exactly the checkpointed point. The checkpoint is cleared on successful
-/// completion. All ranks must pass equivalent stores (same kind, same
-/// contents for their own rank); [`CheckpointStore::Disabled`] does no I/O.
+/// iterations (and at every level boundary, after the prolongation) each
+/// rank writes a [`SolverCheckpoint`] to `store`; if `store` already holds
+/// a checkpoint when the solve starts, the run resumes from it and produces
+/// bitwise the same velocity as the uninterrupted solve. The checkpointed
+/// iterate is *not* re-projected (the solver already keeps iterates in the
+/// constraint subspace), so the resumed run re-linearizes at exactly the
+/// checkpointed point. The checkpoint is cleared on successful completion.
+/// All ranks must pass equivalent stores (same kind, same contents for
+/// their own rank); [`CheckpointStore::Disabled`] does no I/O.
 ///
 /// **Telemetry.** `observer` is handed the solver stream in order: one
 /// [`IterRecord`] per accepted Newton step (objective, ‖g‖ and its relative
@@ -107,29 +129,29 @@ fn event(kind: &str, level: usize, iter: usize, detail: String) -> StreamEntry {
 /// the last good generation. Each rank sees its own (identical) stream.
 ///
 /// Collective over `ws.comm`.
-#[expect(
-    clippy::too_many_arguments,
-    reason = "the one solve entry point: callers set each of the eight inputs differently"
-)]
 pub fn register_solve<C: Comm>(
     ws: &Workspace<C>,
     rho_t: &ScalarField,
     rho_r: &ScalarField,
     cfg: RegistrationConfig,
-    betas: &[f64],
-    warm_start: Option<VectorField>,
+    levels: &[Level],
     store: &CheckpointStore,
     mut observer: impl FnMut(StreamEntry),
 ) -> (RegistrationOutcome, Vec<NewtonReport>) {
-    assert!(!betas.is_empty(), "need at least one continuation level");
+    let fine = ws.grid();
+    assert!(!levels.is_empty(), "need at least one continuation level");
     assert!(
-        betas.windows(2).all(|w| w[1] <= w[0]),
+        levels.windows(2).all(|w| w[1].beta <= w[0].beta),
         "continuation levels must be non-increasing in β"
     );
+    assert!(levels.last().is_some_and(|l| l.grid == fine), "the last level must be on ws.grid()");
+    assert!(
+        ws.comm.size() == 1 || levels.iter().all(|l| l.grid == fine),
+        "grid continuation is a single-rank feature in this release"
+    );
     let rank = ws.comm.rank();
-    let mut start_level = 0usize;
-    let mut v = warm_start.unwrap_or_else(|| VectorField::zeros(ws.block()));
-    let mut resume: Option<NewtonResume> = None;
+    // A coarse level runs on one rank, where its block is its whole grid.
+    let block = |grid: Grid| if grid == fine { ws.block() } else { Decomp::new(grid, 1).block(0) };
     // Validated load with fallback: a torn current generation falls back to
     // the previous good checkpoint, and a fully corrupt store resumes fresh
     // (losing at most the checkpointed progress, never the job).
@@ -138,89 +160,96 @@ pub fn register_solve<C: Comm>(
         let detail = format!("current generation corrupt: {}", loaded.errors[0]);
         observer(event("checkpoint-fallback", 0, 0, detail));
     }
-    if let Some(ck) = loaded.checkpoint {
-        let detail = format!("beta={:e} g0norm={:e}", ck.beta, ck.g0norm);
-        observer(event("resume", ck.level, ck.completed_iters, detail));
-        assert!(
-            ck.level < betas.len(),
-            "checkpoint level {} outside the {}-level β schedule",
-            ck.level,
-            betas.len()
-        );
-        assert_eq!(
-            ck.beta.to_bits(),
-            betas[ck.level].to_bits(),
-            "checkpoint β does not match the schedule at level {}",
-            ck.level
-        );
-        start_level = ck.level;
-        v = ck.velocity_field(ws.block());
-        if ck.completed_iters > 0 {
-            resume =
-                Some(NewtonResume { completed_iters: ck.completed_iters, g0norm: ck.g0norm });
+    let (mut li, mut v, mut resume) = match loaded.checkpoint {
+        None => (0, VectorField::zeros(block(levels[0].grid)), None),
+        Some(ck) => {
+            let detail = format!("beta={:e} g0norm={:e}", ck.beta, ck.g0norm);
+            observer(event("resume", ck.level, ck.completed_iters, detail));
+            assert!(
+                ck.level < levels.len(),
+                "checkpoint level {} outside the {}-level schedule",
+                ck.level,
+                levels.len()
+            );
+            assert_eq!(
+                ck.beta.to_bits(),
+                levels[ck.level].beta.to_bits(),
+                "checkpoint β does not match the schedule at level {}",
+                ck.level
+            );
+            let resume = (ck.completed_iters > 0)
+                .then_some(NewtonResume { completed_iters: ck.completed_iters, g0norm: ck.g0norm });
+            (ck.level, ck.velocity_field(block(levels[ck.level].grid)), resume)
         }
-    }
-    let mut reports = Vec::with_capacity(betas.len() - start_level);
-    let mut outcome = None;
+    };
+    let mut reports = Vec::with_capacity(levels.len() - li);
     let every = cfg.checkpoint_every;
     let persist = every > 0 && store.is_enabled();
-    for (li, &beta) in betas.iter().enumerate().skip(start_level) {
-        // A finished level lives on only as the warm start `v`.
-        drop(outcome.take());
-        let out = {
-            let _span = diffreg_telemetry::span("registration");
-            let cfg = RegistrationConfig { beta, ..cfg };
-            let mut prob = RegProblem::new(ws, rho_t, rho_r, cfg);
-            // The problem's copy of the workspace carries `cfg.kernel`; the
-            // diagnostics below interpolate with it too.
+    let outcome = loop {
+        let Level { beta, grid } = levels[li];
+        let span = diffreg_telemetry::span("registration");
+        // A coarse level's session and images live for this level only.
+        let parts;
+        let images;
+        let (ws, rho_t, rho_r) = if grid == fine {
+            (*ws, rho_t, rho_r)
+        } else {
+            parts = SessionParts::new(ws.comm, grid);
+            images = [rho_t, rho_r].map(|f| resample_scalar(f, &fine, &grid));
+            (Workspace { timers: ws.timers, ..parts.workspace(ws.comm) }, &images[0], &images[1])
+        };
+        let cfg = RegistrationConfig { beta, ..cfg };
+        let mut prob = RegProblem::new(&ws, rho_t, rho_r, cfg);
+        // Keep the iterate in the divergence-free subspace from the start.
+        // On resume the checkpointed iterate is already in the subspace and
+        // must pass through untouched (bitwise). Either way the warm start
+        // is not kept beside the iterate.
+        let resume = resume.take();
+        let v0 = if resume.is_some() {
+            v
+        } else {
+            let v0 = prob.project(&v);
+            drop(v);
+            v0
+        };
+        let mut first_step = true;
+        let (velocity, report) =
+            gauss_newton_observed(&mut prob, v0, &cfg.newton, resume, |vel, cur| {
+                let iter = cur.completed_iters;
+                let saved = (persist && iter % every == 0).then(|| {
+                    let ck = SolverCheckpoint::capture(li, beta, iter, cur.g0norm, vel);
+                    store.save(rank, &ck.to_bytes())
+                });
+                if std::mem::take(&mut first_step) {
+                    let detail = format!("beta={beta:e}");
+                    observer(event("level", li, iter.saturating_sub(1), detail));
+                }
+                observer(StreamEntry::Iter(IterRecord {
+                    level: li,
+                    beta,
+                    iter,
+                    objective: cur.objective,
+                    grad_norm: cur.grad_norm,
+                    rel_grad: if cur.g0norm > 0.0 { cur.grad_norm / cur.g0norm } else { 0.0 },
+                    pcg_iters: cur.matvecs,
+                    eta: cur.eta,
+                    step_length: cur.step_length,
+                }));
+                if let Some(r) = saved {
+                    let detail = match r {
+                        Ok(()) => "saved".to_string(),
+                        Err(e) => format!("save-failed: {e}"),
+                    };
+                    observer(event("checkpoint", li, iter, detail));
+                }
+            });
+
+        let Some(next) = levels.get(li + 1) else {
+            // Final diagnostics at the converged velocity, from the Newton
+            // loop's last linearization. The problem's copy of the
+            // workspace carries `cfg.kernel`; they interpolate with it too.
             let ws = prob.ws;
             let initial_mismatch = prob.initial_data_term();
-            // Keep the iterate in the divergence-free subspace from the
-            // start. On resume the checkpointed iterate is already in the
-            // subspace and must pass through untouched (bitwise). Either
-            // way the warm start is not kept beside the iterate.
-            let resume = resume.take();
-            let v0 = if resume.is_some() {
-                v
-            } else {
-                let v0 = prob.project(&v);
-                drop(v);
-                v0
-            };
-            let mut first_step = true;
-            let (velocity, report) =
-                gauss_newton_observed(&mut prob, v0, &cfg.newton, resume, |vel, cur| {
-                    let iter = cur.completed_iters;
-                    let saved = (persist && iter % every == 0).then(|| {
-                        let ck = SolverCheckpoint::capture(li, beta, iter, cur.g0norm, vel);
-                        store.save(rank, &ck.to_bytes())
-                    });
-                    if std::mem::take(&mut first_step) {
-                        let detail = format!("beta={beta:e}");
-                        observer(event("level", li, iter.saturating_sub(1), detail));
-                    }
-                    observer(StreamEntry::Iter(IterRecord {
-                        level: li,
-                        beta,
-                        iter,
-                        objective: cur.objective,
-                        grad_norm: cur.grad_norm,
-                        rel_grad: if cur.g0norm > 0.0 { cur.grad_norm / cur.g0norm } else { 0.0 },
-                        pcg_iters: cur.matvecs,
-                        eta: cur.eta,
-                        step_length: cur.step_length,
-                    }));
-                    if let Some(r) = saved {
-                        let detail = match r {
-                            Ok(()) => "saved".to_string(),
-                            Err(e) => format!("save-failed: {e}"),
-                        };
-                        observer(event("checkpoint", li, iter, detail));
-                    }
-                });
-
-            // Final diagnostics at the converged velocity, from the Newton
-            // loop's last linearization.
             let (sl, deformed_template) = prob.take_linearization(&velocity);
             let mut resid = deformed_template.clone();
             resid.axpy(-1.0, prob.reference());
@@ -232,8 +261,14 @@ pub fn register_solve<C: Comm>(
             drop(sl);
             let det = det_deformation_gradient(&ws, &displacement);
             let det_grad = det_stats(&ws, &det);
-
-            RegistrationOutcome {
+            drop(span);
+            if persist {
+                // Finished: drop the checkpoint so a later solve does not
+                // resume from a stale snapshot.
+                store.clear(rank);
+            }
+            reports.push(report.clone());
+            break RegistrationOutcome {
                 velocity,
                 report,
                 initial_mismatch,
@@ -241,39 +276,36 @@ pub fn register_solve<C: Comm>(
                 deformed_template,
                 displacement,
                 det_grad,
-            }
+            };
         };
-        v = out.velocity.clone();
-        reports.push(out.report.clone());
-        outcome = Some(out);
+        drop(prob);
+        drop(span);
+        // A finished level lives on only as the warm start `v`, on the next
+        // level's grid.
+        v = if next.grid == grid {
+            velocity
+        } else {
+            resample_vector(&velocity, &grid, &next.grid)
+        };
+        reports.push(report);
         if persist {
-            if li + 1 < betas.len() {
-                // Level boundary: a restart warm-starts the next level from
-                // this level's solution through the ordinary entry path.
-                // It is reported only when it fails.
-                let ck = SolverCheckpoint::capture(li + 1, betas[li + 1], 0, f64::NAN, &v);
-                if let Err(e) = store.save(rank, &ck.to_bytes()) {
-                    observer(event("checkpoint", li + 1, 0, format!("save-failed: {e}")));
-                }
-            } else {
-                // Finished: drop the checkpoint so a later solve does not
-                // resume from a stale snapshot.
-                store.clear(rank);
+            // Level boundary: a restart warm-starts the next level from
+            // this level's solution through the ordinary entry path.
+            // It is reported only when it fails.
+            let ck = SolverCheckpoint::capture(li + 1, next.beta, 0, f64::NAN, &v);
+            if let Err(e) = store.save(rank, &ck.to_bytes()) {
+                observer(event("checkpoint", li + 1, 0, format!("save-failed: {e}")));
             }
         }
-    }
-    #[expect(
-        clippy::unwrap_used,
-        reason = "betas is asserted non-empty and a checkpoint level is asserted inside it, so the loop always sets outcome"
-    )]
-    let outcome = outcome.unwrap();
+        li += 1;
+    };
     let detail = format!(
         "status={:?} rel_mismatch={:.3e} matvecs={}",
         reports.last().map(|r| r.status),
         outcome.relative_mismatch(),
         outcome.report.total_matvecs
     );
-    observer(event("summary", betas.len() - 1, outcome.report.outer_iterations(), detail));
+    observer(event("summary", levels.len() - 1, outcome.report.outer_iterations(), detail));
     (outcome, reports)
 }
 
@@ -296,7 +328,7 @@ pub fn synthetic_pair<C: Comm>(ws: &Workspace<C>, amplitude: f64) -> (ScalarFiel
     // direction and `div v` a full `SemiLagrangian` would also build.
     let nt = 4;
     let fwd = compute_trajectory(ws, &v_star, 1.0 / nt as f64, 1.0);
-    let rho_r = fwd.advect(ws, &rho_t, nt).pop().unwrap_or(rho_t.clone());
+    let rho_r = fwd.advect(ws, &rho_t, nt).pop().unwrap_or_else(|| rho_t.clone());
     (rho_t, rho_r)
 }
 

@@ -9,8 +9,10 @@
 //! * [`RegProblem`] — objective, reduced adjoint gradient (eq. 4),
 //!   Gauss-Newton Hessian matvec (eq. 5), spectral preconditioner;
 //! * [`register`] (one β), [`register_with_continuation`] (β schedule) and
-//!   [`register_solve`] (the one implementation behind both: β schedule,
-//!   warm start, checkpoint store, convergence-stream observer);
+//!   [`register_solve`] (the one implementation behind both: a schedule of
+//!   [`Level`]s, each a β and a grid, so that β and grid continuation are
+//!   one warm-started loop; checkpoint store; convergence-stream observer),
+//!   with [`continuation_grids`] building a coarse-to-fine grid schedule;
 //! * deformation-map diagnostics (`det(∇y₁)`, diffeomorphy checks);
 //! * [`synthetic_pair`] — the paper's synthetic problem (§IV-A1), the one
 //!   copy the tests, the bench harness and the serve runtime share.
@@ -49,10 +51,11 @@ pub use checkpoint::{CheckpointError, CheckpointStore, ResumeLoad, SolverCheckpo
 pub use config::RegistrationConfig;
 pub use distance::Distance;
 pub use driver::{
-    register, register_solve, register_with_continuation, synthetic_pair, RegistrationOutcome,
+    register, register_solve, register_with_continuation, synthetic_pair, Level,
+    RegistrationOutcome,
 };
 pub use fieldops::FieldOps;
-pub use multires::{continuation_grids, register_multilevel};
+pub use multires::continuation_grids;
 pub use jacobian::{
     classify, det_deformation_gradient, det_stats, displacement, DetGradStats, JacobianClass,
 };

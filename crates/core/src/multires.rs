@@ -1,26 +1,20 @@
-//! Grid continuation (coarse-to-fine registration).
+//! Grid continuation's pieces: the coarse-to-fine grid schedule and the
+//! spectral transfers between its grids.
 //!
 //! The paper names grid continuation as the standard technique to tame the
 //! nonlinearity and the β-dependence of the preconditioner (§I Limitations:
 //! "There are several techniques ... e.g., grid continuation and multilevel
 //! preconditioning"; the paper itself focuses on the single-level solver).
-//! This module implements the continuation variant: solve on a coarse grid,
-//! prolong the velocity spectrally, and refine — image transfers and
-//! velocity prolongation are exact Fourier truncation/padding.
-//!
-//! Transfers require the full spectrum on one rank, so this driver is a
-//! single-rank (node-local) feature; the per-level solves use the same
-//! distributed-capable code paths with a one-rank communicator.
+//! [`register_solve`](crate::register_solve) runs a schedule's grid levels
+//! in the same loop as its β levels; image restriction and velocity
+//! prolongation are exact Fourier truncation/padding. A transfer needs the
+//! full spectrum on one rank, so grid levels are a single-rank feature.
 
-use diffreg_comm::Comm;
 use diffreg_grid::{Decomp, Grid, ScalarField, VectorField};
-use diffreg_optim::NewtonReport;
 use diffreg_spectral::{coarsen_extents, spectral_resample};
-use diffreg_transport::SessionParts;
 
-use crate::config::RegistrationConfig;
-use crate::checkpoint::CheckpointStore;
-use crate::driver::{register_solve, RegistrationOutcome};
+/// The smallest extent [`continuation_grids`] coarsens an axis to.
+const MIN_EXTENT: usize = 8;
 
 /// Span name for a grid transfer: restriction coarsens, prolongation
 /// refines (equal-size transfers count as prolongation — they only occur
@@ -34,7 +28,7 @@ fn transfer_span(from: &Grid, to: &Grid) -> &'static str {
 }
 
 /// Resamples a serial scalar field between grids.
-fn resample_scalar(f: &ScalarField, from: &Grid, to: &Grid) -> ScalarField {
+pub(crate) fn resample_scalar(f: &ScalarField, from: &Grid, to: &Grid) -> ScalarField {
     let _span = diffreg_telemetry::span(transfer_span(from, to));
     let data = spectral_resample(f.data(), from.n, to.n);
     let block = Decomp::new(*to, 1).block(0);
@@ -42,7 +36,7 @@ fn resample_scalar(f: &ScalarField, from: &Grid, to: &Grid) -> ScalarField {
 }
 
 /// Resamples a serial vector field between grids.
-fn resample_vector(v: &VectorField, from: &Grid, to: &Grid) -> VectorField {
+pub(crate) fn resample_vector(v: &VectorField, from: &Grid, to: &Grid) -> VectorField {
     let _span = diffreg_telemetry::span(transfer_span(from, to));
     let block = Decomp::new(*to, 1).block(0);
     let mut out = VectorField::zeros(block);
@@ -54,12 +48,12 @@ fn resample_vector(v: &VectorField, from: &Grid, to: &Grid) -> VectorField {
 }
 
 /// The grid hierarchy for `levels` levels of coarsening (coarsest first,
-/// finest == `fine`). Extents never drop below `min_extent`.
-pub fn continuation_grids(fine: Grid, levels: usize, min_extent: usize) -> Vec<Grid> {
+/// finest == `fine`). Extents never drop below `MIN_EXTENT` (8).
+pub fn continuation_grids(fine: Grid, levels: usize) -> Vec<Grid> {
     let mut grids = vec![fine];
     let mut prev = fine.n;
     for _ in 0..levels {
-        let next = coarsen_extents(prev, min_extent);
+        let next = coarsen_extents(prev, MIN_EXTENT);
         if next == prev {
             break;
         }
@@ -70,76 +64,39 @@ pub fn continuation_grids(fine: Grid, levels: usize, min_extent: usize) -> Vec<G
     grids
 }
 
-/// Coarse-to-fine registration: solves on each level of the hierarchy, warm
-/// starting from the spectrally prolonged velocity of the previous level.
-/// Returns the finest-level outcome plus the per-level Newton reports
-/// (coarsest first).
-///
-/// Panics if `comm` has more than one rank (see module docs).
-#[expect(
-    clippy::unwrap_used,
-    reason = "continuation_grids always returns at least the fine grid, so the loop always sets outcome"
-)]
-pub fn register_multilevel<C: Comm>(
-    comm: &C,
-    fine_grid: Grid,
-    rho_t: &ScalarField,
-    rho_r: &ScalarField,
-    cfg: RegistrationConfig,
-    levels: usize,
-) -> (RegistrationOutcome, Vec<NewtonReport>) {
-    assert_eq!(comm.size(), 1, "grid continuation is a single-rank feature in this release");
-    assert_eq!(rho_t.local_len(), fine_grid.total(), "template not on the fine grid");
-    let grids = continuation_grids(fine_grid, levels, 8);
-
-    let mut reports = Vec::with_capacity(grids.len());
-    let mut velocity: Option<(Grid, VectorField)> = None;
-    let mut outcome = None;
-    for grid in &grids {
-        let t_level = resample_scalar(rho_t, &fine_grid, grid);
-        let r_level = resample_scalar(rho_r, &fine_grid, grid);
-        let parts = SessionParts::new(comm, *grid);
-        let ws = parts.workspace(comm);
-        let v0 = velocity.as_ref().map(|(from, v)| resample_vector(v, from, grid));
-        let (out, _) = register_solve(
-            &ws,
-            &t_level,
-            &r_level,
-            cfg,
-            &[cfg.beta],
-            v0,
-            &CheckpointStore::Disabled,
-            |_| {},
-        );
-        reports.push(out.report.clone());
-        velocity = Some((*grid, out.velocity.clone()));
-        outcome = Some(out);
-    }
-    (outcome.unwrap(), reports)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use diffreg_comm::SerialComm;
+    use crate::{register_solve, CheckpointStore, Level, RegistrationConfig};
+    use diffreg_comm::{Fnv1a, SerialComm};
     use diffreg_optim::NewtonOptions;
-    use diffreg_transport::SemiLagrangian;
+    use diffreg_transport::{SemiLagrangian, SessionParts};
+
+    /// β = 1e-3 on 8³, then on 16³.
+    fn two_grids() -> Vec<Level> {
+        let grids = continuation_grids(Grid::cubic(16), 1);
+        grids.into_iter().map(|grid| Level { beta: 1e-3, grid }).collect()
+    }
 
     #[test]
     fn hierarchy_construction() {
-        let grids = continuation_grids(Grid::cubic(32), 2, 8);
+        let grids = continuation_grids(Grid::cubic(32), 2);
         assert_eq!(grids.len(), 3);
         assert_eq!(grids[0].n, [8, 8, 8]);
         assert_eq!(grids[1].n, [16, 16, 16]);
         assert_eq!(grids[2].n, [32, 32, 32]);
         // Clamped at min extent.
-        let grids = continuation_grids(Grid::cubic(16), 5, 8);
+        let grids = continuation_grids(Grid::cubic(16), 5);
         assert_eq!(grids.first().unwrap().n, [8, 8, 8]);
         assert_eq!(grids.len(), 2);
     }
 
+    /// The 8³ → 16³ schedule at one β reproduces, bit for bit, the velocity
+    /// and final mismatch (FNV-1a over their bits) that the separate
+    /// coarse-to-fine loop it replaced computed on this problem with one
+    /// level of coarsening.
     #[test]
-    fn multilevel_matches_or_beats_single_level_quality() {
+    fn grid_schedule_matches_the_multilevel_loop_bitwise() {
         let comm = SerialComm::new();
         let fine = Grid::cubic(16);
         let parts = SessionParts::new(&comm, fine);
@@ -158,10 +115,18 @@ mod tests {
             newton: NewtonOptions { max_iter: 3, ..Default::default() },
             ..Default::default()
         };
-        let (multi, reports) = register_multilevel(&comm, fine, &t, &r, cfg, 1);
+        let store = CheckpointStore::Disabled;
+        let (multi, reports) = register_solve(&ws, &t, &r, cfg, &two_grids(), &store, |_| {});
         assert_eq!(reports.len(), 2, "two levels expected");
-        let single = crate::register(&ws, &t, &r, cfg);
+        let mut digest = Fnv1a::new();
+        for x in multi.velocity.comps.iter().flat_map(|c| c.data()) {
+            digest.u64(x.to_bits());
+        }
+        digest.u64(multi.final_mismatch.to_bits());
+        let final_mismatch = multi.final_mismatch;
+        assert_eq!(digest.finish(), 0x6e14529b593a4970, "final mismatch {final_mismatch:e}");
         // The warm-started fine solve must reach at least comparable quality.
+        let single = crate::register(&ws, &t, &r, cfg);
         assert!(
             multi.relative_mismatch() < single.relative_mismatch() * 1.3 + 0.02,
             "multilevel {} vs single {}",
@@ -186,23 +151,17 @@ mod tests {
         assert!((mf - mc).abs() < 1e-12);
     }
 
+    /// A schedule with two grids needs the whole spectrum on one rank.
     #[test]
-    #[should_panic(expected = "rank thread panicked")]
+    #[should_panic(expected = "grid continuation is a single-rank feature")]
     fn rejects_multirank_comm() {
-        // A one-rank world is fine; fake a failure by calling with a
-        // two-rank communicator inside run_threaded.
         diffreg_comm::run_threaded(2, |comm| {
-            let grid = Grid::cubic(8);
-            let block = Decomp::new(grid, 1).block(0);
-            let f = ScalarField::zeros(block);
-            let _ = register_multilevel(
-                comm,
-                grid,
-                &f,
-                &f.clone(),
-                RegistrationConfig::default(),
-                1,
-            );
+            let fine = Grid::cubic(16);
+            let parts = SessionParts::new(comm, fine);
+            let ws = parts.workspace(comm);
+            let f = ScalarField::zeros(ws.block());
+            let (cfg, store) = (RegistrationConfig::default(), CheckpointStore::Disabled);
+            let _ = register_solve(&ws, &f, &f, cfg, &two_grids(), &store, |_| {});
         });
     }
 }

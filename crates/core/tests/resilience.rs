@@ -5,13 +5,18 @@
 
 use diffreg_comm::{run_threaded, run_threaded_checked, ChaosComm, ChaosConfig, Comm, SerialComm};
 use diffreg_core::{
-    register, register_solve, register_with_continuation, synthetic_pair, CheckpointStore,
+    register, register_solve, register_with_continuation, synthetic_pair, CheckpointStore, Level,
     RegistrationConfig,
 };
 use diffreg_grid::{Decomp, Grid};
 use diffreg_optim::NewtonOptions;
 use diffreg_telemetry::StreamEntry;
 use diffreg_transport::SessionParts;
+
+/// The β schedule `betas`, every level on `grid`.
+fn schedule(grid: Grid, betas: &[f64]) -> Vec<Level> {
+    betas.iter().map(|&beta| Level { beta, grid }).collect()
+}
 
 fn small_cfg() -> RegistrationConfig {
     RegistrationConfig {
@@ -73,8 +78,9 @@ fn killed_continuation_resumes_from_checkpoint_exactly() {
         let parts = SessionParts::with_decomp(comm, Decomp::with_process_grid(grid, 2, 2));
         let ws = parts.workspace(comm);
         let (t, r) = synthetic_pair(&ws, 0.4);
+        let levels = schedule(grid, &betas);
         let (out, reports) =
-            register_solve(&ws, &t, &r, cfg, &betas, None, &CheckpointStore::Disabled, |_| {});
+            register_solve(&ws, &t, &r, cfg, &levels, &CheckpointStore::Disabled, |_| {});
         assert_eq!(reports.len(), 2);
         out.final_mismatch
     });
@@ -87,7 +93,7 @@ fn killed_continuation_resumes_from_checkpoint_exactly() {
         let parts = SessionParts::with_decomp(comm, Decomp::with_process_grid(grid, 2, 2));
         let ws = parts.workspace(comm);
         let (t, r) = synthetic_pair(&ws, 0.4);
-        register_solve(&ws, &t, &r, cfg, &betas, None, &store_for_kill, |entry| {
+        register_solve(&ws, &t, &r, cfg, &schedule(grid, &betas), &store_for_kill, |entry| {
             if matches!(entry, StreamEntry::Iter(it) if it.level == 0 && it.iter == 1) {
                 panic!("injected crash: killing rank {} mid-continuation", ws.comm.rank());
             }
@@ -111,8 +117,8 @@ fn killed_continuation_resumes_from_checkpoint_exactly() {
         let parts = SessionParts::with_decomp(comm, Decomp::with_process_grid(grid, 2, 2));
         let ws = parts.workspace(comm);
         let (t, r) = synthetic_pair(&ws, 0.4);
-        let (out, _) =
-            register_solve(&ws, &t, &r, cfg, &betas, None, &store_for_resume, |_| {});
+        let levels = schedule(grid, &betas);
+        let (out, _) = register_solve(&ws, &t, &r, cfg, &levels, &store_for_resume, |_| {});
         out.final_mismatch
     });
     for (rank, (&got, &want)) in resumed.iter().zip(&reference).enumerate() {
@@ -151,7 +157,7 @@ fn checkpointed_driver_matches_plain_continuation_bitwise() {
         .join(format!("diffreg-resilience-{}", std::process::id()));
     let store = CheckpointStore::file(&dir);
     let cfg = RegistrationConfig { checkpoint_every: 1, ..small_cfg() };
-    let (ckpt, _) = register_solve(&ws, &t, &r, cfg, &betas, None, &store, |_| {});
+    let (ckpt, _) = register_solve(&ws, &t, &r, cfg, &schedule(grid, &betas), &store, |_| {});
 
     assert_eq!(
         ckpt.final_mismatch.to_bits(),

@@ -1,7 +1,8 @@
 //! The one solve entry point, [`register_solve`], against its two front
 //! doors and against itself with each option switched on: a single-β
 //! schedule is `register`, an enabled checkpoint store does not perturb the
-//! solve, warm start + store + observer compose, a failed checkpoint save is
+//! solve, a coarse grid level + store + observer compose, a killed solve
+//! resumes bitwise from either kind of level, a failed checkpoint save is
 //! reported as such, and the observer's stream rendered through
 //! [`ConvergenceLog`] is byte-identical to a checked-in capture
 //! (`tests/golden/`). The format is the one the former
@@ -15,8 +16,8 @@
 
 use diffreg_comm::{run_threaded, SerialComm};
 use diffreg_core::{
-    register, register_solve, register_with_continuation, synthetic_pair, CheckpointStore,
-    RegProblem, RegistrationConfig, RegistrationOutcome,
+    continuation_grids, register, register_solve, register_with_continuation, synthetic_pair,
+    CheckpointStore, Level, RegProblem, RegistrationConfig, RegistrationOutcome,
 };
 use diffreg_grid::{Grid, ScalarField, VectorField};
 use diffreg_interp::Kernel;
@@ -36,6 +37,18 @@ fn on_problem<R>(
     let ws = parts.workspace(&comm);
     let (rho_t, rho_r) = synthetic_pair(&ws, 0.4);
     body(&ws, &rho_t, &rho_r)
+}
+
+/// The β schedule `betas`, every level on `grid`.
+fn schedule(grid: Grid, betas: &[f64]) -> Vec<Level> {
+    betas.iter().map(|&beta| Level { beta, grid }).collect()
+}
+
+/// `BETAS` on a grid schedule: level 0 on the grid one coarsening below
+/// `fine` (8³ under 12³), level 1 on `fine`.
+fn grid_schedule(fine: Grid) -> Vec<Level> {
+    let grids = continuation_grids(fine, 1);
+    grids.into_iter().zip(BETAS).map(|(grid, beta)| Level { beta, grid }).collect()
 }
 
 fn cfg() -> RegistrationConfig {
@@ -74,8 +87,7 @@ fn single_beta_schedule_is_register() {
             t,
             r,
             RegistrationConfig { beta: 1.0, ..cfg },
-            &[1e-3],
-            None,
+            &schedule(ws.grid(), &[1e-3]),
             &CheckpointStore::Disabled,
             |_| {},
         );
@@ -88,37 +100,31 @@ fn enabled_store_does_not_perturb_the_solve() {
     on_problem(|ws, t, r| {
         let plain = register_with_continuation(ws, t, r, cfg(), &BETAS);
         let store = CheckpointStore::memory();
-        let stored = register_solve(ws, t, r, cfg(), &BETAS, None, &store, |_| {});
+        let stored = register_solve(ws, t, r, cfg(), &schedule(ws.grid(), &BETAS), &store, |_| {});
         assert_same_solve(&plain, &stored, "Memory vs Disabled");
         assert!(store.load(0).is_none(), "a finished solve clears its checkpoint");
     });
 }
 
+/// A coarse grid level composes with the store and the observer: neither
+/// perturbs the solve, every accepted step of both levels is saved and
+/// recorded, and the summary comes last.
 #[test]
-fn warm_start_store_and_observer_compose() {
+fn grid_schedule_store_and_observer_compose() {
     on_problem(|ws, t, r| {
-        // Level 0 solved on its own, then handed to a one-level solve as the
-        // warm start: the same program as the two-level continuation.
-        let whole = register_with_continuation(ws, t, r, cfg(), &BETAS);
-        let coarse = register(ws, t, r, RegistrationConfig { beta: BETAS[0], ..cfg() });
+        let levels = grid_schedule(ws.grid());
+        let plain = register_solve(ws, t, r, cfg(), &levels, &CheckpointStore::Disabled, |_| {});
         let store = CheckpointStore::memory();
-        let mut log = ConvergenceLog::new("warm");
-        let fine = register_solve(
-            ws,
-            t,
-            r,
-            cfg(),
-            &BETAS[1..],
-            Some(coarse.velocity),
-            &store,
-            |e| log.push(e),
-        );
-        assert_eq!(bits(&fine.0.velocity), bits(&whole.0.velocity));
-        assert_eq!(format!("{:?}", fine.1[0]), format!("{:?}", whole.1[1]));
-        assert_eq!(log.iterations().count(), fine.1[0].outer_iterations());
+        let mut log = ConvergenceLog::new("grids");
+        let stored = register_solve(ws, t, r, cfg(), &levels, &store, |e| log.push(e));
+        assert_same_solve(&plain, &stored, "grid schedule, Memory vs Disabled");
+        assert_eq!(stored.1.len(), 2);
+        let steps: usize = stored.1.iter().map(|r| r.outer_iterations()).sum();
+        assert_eq!(log.iterations().count(), steps);
         let saved = log.events().filter(|e| e.kind == "checkpoint" && e.detail == "saved");
-        assert_eq!(saved.count(), fine.1[0].outer_iterations());
+        assert_eq!(saved.count(), steps);
         assert_eq!(log.events().last().map(|e| e.kind.as_str()), Some("summary"));
+        assert!(store.load(0).is_none(), "a finished solve clears its checkpoint");
     });
 }
 
@@ -127,9 +133,31 @@ fn stream_matches_pre_merge_golden_fresh_run() {
     on_problem(|ws, t, r| {
         let mut log = ConvergenceLog::new("golden");
         let store = CheckpointStore::memory();
-        register_solve(ws, t, r, cfg(), &BETAS, None, &store, |e| log.push(e));
+        register_solve(ws, t, r, cfg(), &schedule(ws.grid(), &BETAS), &store, |e| log.push(e));
         assert_eq!(log.to_jsonl(), include_str!("golden/convergence_fresh.jsonl"));
     });
+}
+
+/// Kills the solve of `levels` on the accepted step `kill_at` (level,
+/// iteration), after that step's checkpoint, if due, was written, and
+/// resumes it from the `Memory` store with `log` observing.
+fn killed_and_resumed(
+    (ws, t, r): (&Workspace<SerialComm>, &ScalarField, &ScalarField),
+    cfg: RegistrationConfig,
+    levels: &[Level],
+    kill_at: (usize, usize),
+    log: &mut ConvergenceLog,
+) -> (RegistrationOutcome, Vec<NewtonReport>) {
+    let store = CheckpointStore::memory();
+    let killed = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        register_solve(ws, t, r, cfg, levels, &store, |e| {
+            if matches!(e, StreamEntry::Iter(it) if (it.level, it.iter) == kill_at) {
+                panic!("injected crash");
+            }
+        })
+    }));
+    assert!(killed.is_err());
+    register_solve(ws, t, r, cfg, levels, &store, |e| log.push(e))
 }
 
 #[test]
@@ -137,20 +165,28 @@ fn stream_matches_pre_merge_golden_resumed_run() {
     on_problem(|ws, t, r| {
         // Killed mid-level: the observer panics on the second accepted step
         // of level 0, after that step's checkpoint was written.
-        let store = CheckpointStore::memory();
-        let killed = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            register_solve(ws, t, r, cfg(), &BETAS, None, &store, |e| {
-                if matches!(e, StreamEntry::Iter(it) if it.level == 0 && it.iter == 2) {
-                    panic!("injected crash");
-                }
-            })
-        }));
-        assert!(killed.is_err());
         let mut log = ConvergenceLog::new("golden");
-        let resumed = register_solve(ws, t, r, cfg(), &BETAS, None, &store, |e| log.push(e));
+        let betas = schedule(ws.grid(), &BETAS);
+        let resumed = killed_and_resumed((ws, t, r), cfg(), &betas, (0, 2), &mut log);
         assert_eq!(log.to_jsonl(), include_str!("golden/convergence_resumed.jsonl"));
         let whole = register_with_continuation(ws, t, r, cfg(), &BETAS);
         assert_eq!(bits(&resumed.0.velocity), bits(&whole.0.velocity), "resume is bitwise");
+        // The grid schedule, killed inside the coarse level, and killed in
+        // the fine level with only the level-boundary checkpoint (the
+        // prolonged velocity) behind it.
+        let levels = grid_schedule(ws.grid());
+        let whole = register_solve(ws, t, r, cfg(), &levels, &CheckpointStore::Disabled, |_| {});
+        let boundary_only = RegistrationConfig { checkpoint_every: 100, ..cfg() };
+        for (cfg, kill_at, from) in [(cfg(), (0, 2), (0, 2)), (boundary_only, (1, 1), (1, 0))] {
+            let mut log = ConvergenceLog::new("grids");
+            let resumed = killed_and_resumed((ws, t, r), cfg, &levels, kill_at, &mut log);
+            let resume = log.events().find(|e| e.kind == "resume").map(|e| (e.level, e.iter));
+            assert_eq!(resume, Some(from), "killed at {kill_at:?}: resumed from");
+            let what = format!("grid schedule killed at {kill_at:?}");
+            assert_eq!(bits(&resumed.0.velocity), bits(&whole.0.velocity), "{what}: velocity");
+            let mismatch = [&resumed, &whole].map(|o| o.0.final_mismatch.to_bits());
+            assert_eq!(mismatch[0], mismatch[1], "{what}: final mismatch");
+        }
     });
 }
 
@@ -164,7 +200,8 @@ fn failed_checkpoint_saves_are_counted_and_logged() {
     on_problem(|ws, t, r| {
         let store = CheckpointStore::file(&blocker);
         let mut log = ConvergenceLog::new("save-failed");
-        let (out, reports) = register_solve(ws, t, r, cfg(), &BETAS, None, &store, |e| log.push(e));
+        let levels = schedule(ws.grid(), &BETAS);
+        let (out, reports) = register_solve(ws, t, r, cfg(), &levels, &store, |e| log.push(e));
 
         assert!(out.relative_mismatch() < 0.5, "the solve must complete");
         let steps: usize = reports.iter().map(|r| r.outer_iterations()).sum();
@@ -224,7 +261,8 @@ fn non_cubic_solve_is_diffeomorphic_and_agrees_across_rank_counts() {
             let (t, r) = synthetic_pair(&ws, 0.4);
             let cfg = RegistrationConfig::default();
             let store = CheckpointStore::Disabled;
-            let (out, reports) = register_solve(&ws, &t, &r, cfg, betas, None, &store, |_| {});
+            let levels = schedule(grid, betas);
+            let (out, reports) = register_solve(&ws, &t, &r, cfg, &levels, &store, |_| {});
             let status: Vec<NewtonStatus> = reports.iter().map(|r| r.status).collect();
             assert_eq!(status, expect, "p={p} betas={betas:?}");
             assert!(out.det_grad.diffeomorphic, "p={p} betas={betas:?}: {:?}", out.det_grad);

@@ -52,7 +52,7 @@ use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
 use diffreg_comm::{run_gang, run_threaded, ChaosComm, ChaosConfig, Comm, Fnv1a, ThreadComm};
-use diffreg_core::{register_solve, synthetic_pair, CheckpointStore, RegistrationConfig};
+use diffreg_core::{register_solve, synthetic_pair, CheckpointStore, Level, RegistrationConfig};
 use diffreg_grid::Grid;
 use diffreg_optim::NewtonOptions;
 use diffreg_telemetry::doctor::{write_trace_bundle, RankCapture};
@@ -1051,8 +1051,8 @@ fn solve_once<C: Comm>(
         newton: NewtonOptions { max_iter: spec.newton_iters, ..Default::default() },
         ..Default::default()
     };
-    let (out, _reports) =
-        register_solve(&ws, &rho_t, &rho_r, cfg, &spec.betas, None, store, observer);
+    let levels: Vec<Level> = spec.betas.iter().map(|&beta| Level { beta, grid }).collect();
+    let (out, _reports) = register_solve(&ws, &rho_t, &rho_r, cfg, &levels, store, observer);
     let mut local = Fnv1a::new();
     for c in 0..3 {
         for x in out.velocity.comps[c].data() {

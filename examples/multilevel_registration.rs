@@ -4,7 +4,9 @@
 //! Run with: `cargo run --release --example multilevel_registration`
 
 use diffreg::comm::SerialComm;
-use diffreg::core::{register, register_multilevel, RegistrationConfig};
+use diffreg::core::{
+    continuation_grids, register, register_solve, CheckpointStore, Level, RegistrationConfig,
+};
 use diffreg::grid::Grid;
 use diffreg::optim::NewtonOptions;
 use diffreg::session::SessionParts;
@@ -41,7 +43,12 @@ fn main() {
 
     println!("\nTwo-level continuation ({} -> {n}):", n / 2);
     let t0 = std::time::Instant::now();
-    let (multi, reports) = register_multilevel(&comm, grid, &template, &reference, cfg, 1);
+    let beta = cfg.beta;
+    let schedule: Vec<Level> =
+        continuation_grids(grid, 1).into_iter().map(|grid| Level { beta, grid }).collect();
+    let store = CheckpointStore::Disabled;
+    let (multi, reports) =
+        register_solve(&ws, &template, &reference, cfg, &schedule, &store, |_| {});
     let t_multi = t0.elapsed().as_secs_f64();
     for (i, rep) in reports.iter().enumerate() {
         println!(

@@ -28,7 +28,8 @@
 #      full-spectrum c2c transform, its coefficient type, projection, block
 #      and kernel records, or a layout enum), full Newton (its Hessian kind,
 #      CLI flag or history transports), a second adjoint-integral path,
-#      matvec counter or Newton wrapper or new env::var read may reappear;
+#      matvec counter or Newton wrapper, a second continuation loop or
+#      warm-start argument or new env::var read may reappear;
 #      workspace line count
 #   6. clippy clean under -D warnings: it enforces step 5's lint levels and
 #      rejects a stale #[expect], so a missing clippy fails the build
@@ -217,6 +218,13 @@ fi
 # way into the solver.
 if grep -rnE 'time_[i]ntegral|hessian_[m]atvecs|\bgauss_[n]ewton\(' $everywhere; then
     echo "ERROR: a second adjoint-integral path, matvec counter or Newton wrapper reappeared" >&2
+    exit 1
+fi
+# One continuation loop: grid levels are levels of register_solve's
+# schedule, so there is no loop over grids of its own and no warm-start
+# argument beside the schedule.
+if grep -rnE 'register_[m]ultilevel|warm_[s]tart' $everywhere; then
+    echo "ERROR: a second continuation loop or a warm-start argument reappeared" >&2
     exit 1
 fi
 # The workspace line count is tracked like a benchmark (ROADMAP aim 2).

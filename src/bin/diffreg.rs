@@ -10,7 +10,10 @@
 //! ```
 
 use diffreg::comm::{run_threaded, Comm, SerialComm};
-use diffreg::core::{register, register_multilevel, RegistrationConfig, RegistrationOutcome};
+use diffreg::core::{
+    continuation_grids, register, register_solve, CheckpointStore, Level, RegistrationConfig,
+    RegistrationOutcome,
+};
 use diffreg::grid::Grid;
 use diffreg::perfmodel::{model_solve, Machine, SolveShape};
 use diffreg::session::SessionParts;
@@ -123,19 +126,21 @@ fn main() {
             let cfg = build_cfg(&args);
             println!("brain-phantom registration at {size}^3, beta {:.0E}, levels {levels}", cfg.beta);
             let t0 = std::time::Instant::now();
-            let out = if levels == 0 {
-                register(&ws, &rho_t, &rho_r, cfg)
-            } else {
-                let (out, reports) = register_multilevel(&comm, grid, &rho_t, &rho_r, cfg, levels);
-                for (i, rep) in reports.iter().enumerate() {
-                    println!(
-                        "  level {i}: {} iterations, {} matvecs",
-                        rep.outer_iterations(),
-                        rep.total_matvecs
-                    );
-                }
-                out
-            };
+            let schedule: Vec<Level> = continuation_grids(grid, levels)
+                .into_iter()
+                .map(|grid| Level { beta: cfg.beta, grid })
+                .collect();
+            let store = CheckpointStore::Disabled;
+            let (out, reports) =
+                register_solve(&ws, &rho_t, &rho_r, cfg, &schedule, &store, |_| {});
+            for (i, rep) in reports.iter().enumerate() {
+                println!(
+                    "  level {i} ({:?}): {} iterations, {} matvecs",
+                    schedule[i].grid.n,
+                    rep.outer_iterations(),
+                    rep.total_matvecs
+                );
+            }
             report(&out, t0.elapsed().as_secs_f64());
             if let Some(dir) = opt(&args, "--out") {
                 std::fs::create_dir_all(&dir).expect("cannot create output dir");

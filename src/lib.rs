@@ -17,9 +17,10 @@
 //! * [`transport`] — semi-Lagrangian transport solvers, and the
 //!   `SessionParts` / `Workspace` pair every solver call runs on;
 //! * [`optim`] — PCG and the inexact Gauss-Newton-Krylov driver;
-//! * [`core`] — the registration problem, gradient/Hessian, and the three
-//!   solve entry points `register`, `register_with_continuation`,
-//!   `register_solve` (one implementation);
+//! * [`core`] — the registration problem, gradient/Hessian, and the one
+//!   solve `register_solve` over a schedule of β and grid levels, with
+//!   `register` (one β) and `register_with_continuation` (a β schedule) as
+//!   its front doors;
 //! * [`imgsim`] — synthetic problems and the brain-phantom substitute;
 //! * [`perfmodel`] — the paper's performance model for scaling projection.
 //!
