@@ -47,7 +47,7 @@ use diffreg_grid::{Grid, ScalarField};
 use diffreg_imgsim::{axial_slice, gather_full, write_pgm};
 use diffreg_optim::{Forcing, NewtonOptions};
 use diffreg_spectral::RegOrder;
-use diffreg_transport::{SemiLagrangian, SessionParts, Workspace};
+use diffreg_transport::{compute_trajectory, SemiLagrangian, SessionParts, Workspace};
 
 type Ws<'a> = Workspace<'a, SerialComm>;
 
@@ -79,7 +79,8 @@ fn arg_out(args: &[String]) -> String {
 fn synthetic(ws: &Ws<'_>, grid: &Grid, nt: usize) -> (ScalarField, ScalarField) {
     let t = diffreg_imgsim::template(grid, ws.block());
     let v = diffreg_imgsim::exact_velocity(grid, ws.block(), 0.5);
-    let r = SemiLagrangian::new(ws, &v, nt).solve_state(ws, &t).pop().unwrap();
+    let fwd = compute_trajectory(ws, &v, 1.0 / nt as f64, 1.0);
+    let r = fwd.advect(ws, &t, nt).pop().unwrap();
     (t, r)
 }
 

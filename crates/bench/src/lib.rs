@@ -21,7 +21,7 @@ pub use results::{hostname, results_dir, row_record, write_suite, BenchRecord, B
 use diffreg_comm::{run_threaded, Comm, ReduceOp};
 use diffreg_core::{register, synthetic_pair, RegistrationConfig};
 use diffreg_grid::{Grid, ScalarField};
-use diffreg_transport::{SemiLagrangian, SessionParts, Workspace};
+use diffreg_transport::{compute_trajectory, SessionParts, Workspace};
 
 /// One row of a scaling table (measured or modeled).
 #[derive(Debug, Clone, Copy)]
@@ -68,8 +68,7 @@ pub fn build_images<C: Comm>(ws: &Workspace<C>, problem: Problem) -> (ScalarFiel
         Problem::SyntheticIncompressible => {
             let t = diffreg_imgsim::template(&grid, ws.block());
             let v = diffreg_imgsim::exact_velocity_divfree(&grid, ws.block(), 0.5);
-            let sl = SemiLagrangian::new(ws, &v, 4);
-            let r = sl.solve_state(ws, &t).pop().unwrap();
+            let r = compute_trajectory(ws, &v, 1.0 / 4.0, 1.0).advect(ws, &t, 4).pop().unwrap();
             (t, r)
         }
         Problem::Brain => {

@@ -4,7 +4,7 @@
 //! coarse grid levels (§I, Limitations) in one warm-started loop — and
 //! assembles the diagnostics the paper reports.
 
-use diffreg_comm::Comm;
+use diffreg_comm::{Comm, ReduceOp};
 use diffreg_grid::{Decomp, Grid, ScalarField, VectorField};
 use diffreg_optim::{gauss_newton_observed, NewtonReport, NewtonResume};
 use diffreg_telemetry::{IterRecord, SolverEvent, StreamEntry};
@@ -105,28 +105,31 @@ fn event(kind: &str, level: usize, iter: usize, detail: String) -> StreamEntry {
 ///
 /// **Crash recovery.** Every `cfg.checkpoint_every` accepted Newton
 /// iterations (and at every level boundary, after the prolongation) each
-/// rank writes a [`SolverCheckpoint`] to `store`; if `store` already holds
-/// a checkpoint when the solve starts, the run resumes from it and produces
-/// bitwise the same velocity as the uninterrupted solve. The checkpointed
-/// iterate is *not* re-projected (the solver already keeps iterates in the
-/// constraint subspace), so the resumed run re-linearizes at exactly the
-/// checkpointed point. The checkpoint is cleared on successful completion.
-/// All ranks must pass equivalent stores (same kind, same contents for
-/// their own rank); [`CheckpointStore::Disabled`] does no I/O.
+/// rank writes a [`SolverCheckpoint`] to `store`. At the start each rank
+/// loads its slot once (falling back a generation past a torn write), and
+/// the ranks resume only if every rank's checkpoint fits the schedule
+/// (level in range, that level's β bits, that level's block) and all name
+/// the same `(level, iteration)`; otherwise every rank clears its slot and
+/// starts fresh. A resumed run produces bitwise the same velocity as the
+/// uninterrupted solve: the checkpointed iterate is *not* re-projected, so
+/// it re-linearizes at exactly the checkpointed point. The checkpoint is
+/// cleared on successful completion. All ranks must pass equivalent stores
+/// (same kind); [`CheckpointStore::Disabled`] does no I/O and no collective.
 ///
 /// **Telemetry.** `observer` is handed the solver stream in order: one
 /// [`IterRecord`] per accepted Newton step (objective, ‖g‖ and its relative
 /// value, PCG iterations, Eisenstat-Walker η, step length, β level — the
 /// paper's per-iteration convergence table) interleaved with the events
-/// `"checkpoint-fallback"`, `"resume"`, `"level"`, `"checkpoint"` (`saved`
-/// or `save-failed: <error>`) and `"summary"`. Within one accepted step the
-/// order is: checkpoint write (if due), level event (first step of a level),
-/// iteration record, checkpoint event — so an observer that panics on an
-/// iteration record (fault-injection tests) leaves that step's checkpoint
-/// behind. The level-boundary save adds a `"checkpoint"` event only when it
-/// fails (`save-failed: <error>`, at the next level's iteration 0). A failed
-/// save never aborts the solve: the run merely loses restartability since
-/// the last good generation. Each rank sees its own (identical) stream.
+/// `"checkpoint-fallback"`, `"resume"`, `"checkpoint-drop"` (the ranks start
+/// fresh), `"level"`, `"checkpoint"` (`saved` or `save-failed: <error>`) and
+/// `"summary"`. Within one accepted step the order is: checkpoint write (if
+/// due), level event (first step of a level), iteration record, checkpoint
+/// event — so an observer that panics on an iteration record
+/// (fault-injection tests) leaves that step's checkpoint behind. The
+/// level-boundary save adds a `"checkpoint"` event only when it fails
+/// (`save-failed: <error>`, at the next level's iteration 0). A failed save
+/// never aborts the solve: the run merely loses restartability since the
+/// last good generation. Each rank sees its own (identical) stream.
 ///
 /// Collective over `ws.comm`.
 pub fn register_solve<C: Comm>(
@@ -152,54 +155,71 @@ pub fn register_solve<C: Comm>(
     let rank = ws.comm.rank();
     // A coarse level runs on one rank, where its block is its whole grid.
     let block = |grid: Grid| if grid == fine { ws.block() } else { Decomp::new(grid, 1).block(0) };
-    // Validated load with fallback: a torn current generation falls back to
-    // the previous good checkpoint, and a fully corrupt store resumes fresh
-    // (losing at most the checkpointed progress, never the job).
+    // The resume decision is one allreduce of a key per rank: 0 for no
+    // checkpoint, −1 for one that does not fit, otherwise the point it
+    // resumes from. `Min` over `[key, −key]` gives the least and greatest.
     let loaded = store.load_for_resume(rank);
-    if loaded.fell_back {
-        let detail = format!("current generation corrupt: {}", loaded.errors[0]);
-        observer(event("checkpoint-fallback", 0, 0, detail));
+    let fits = |ck: &SolverCheckpoint| {
+        levels.get(ck.level).is_some_and(|l| {
+            l.beta.to_bits() == ck.beta.to_bits() && ck.velocity[0].len() == block(l.grid).len()
+        })
+    };
+    let key = match &loaded.checkpoint {
+        None => 0.0,
+        Some(ck) if !fits(ck) => -1.0,
+        Some(ck) => 1.0 + ck.level as f64 * 1.0e9 + ck.completed_iters as f64,
+    };
+    let mut keys = [key, -key];
+    if store.is_enabled() {
+        ws.comm.allreduce(&mut keys, ReduceOp::Min);
     }
+    let (least, greatest) = (keys[0] as i64, (-keys[1]) as i64);
     let (mut li, mut v, mut resume) = match loaded.checkpoint {
-        None => (0, VectorField::zeros(block(levels[0].grid)), None),
-        Some(ck) => {
+        Some(ck) if least > 0 && least == greatest => {
+            if loaded.fell_back {
+                let detail = format!("current generation corrupt: {}", loaded.errors[0]);
+                observer(event("checkpoint-fallback", 0, 0, detail));
+            }
             let detail = format!("beta={:e} g0norm={:e}", ck.beta, ck.g0norm);
             observer(event("resume", ck.level, ck.completed_iters, detail));
-            assert!(
-                ck.level < levels.len(),
-                "checkpoint level {} outside the {}-level schedule",
-                ck.level,
-                levels.len()
-            );
-            assert_eq!(
-                ck.beta.to_bits(),
-                levels[ck.level].beta.to_bits(),
-                "checkpoint β does not match the schedule at level {}",
-                ck.level
-            );
             let resume = (ck.completed_iters > 0)
                 .then_some(NewtonResume { completed_iters: ck.completed_iters, g0norm: ck.g0norm });
             (ck.level, ck.velocity_field(block(levels[ck.level].grid)), resume)
+        }
+        _ => {
+            if least != greatest || least < 0 {
+                store.clear(rank);
+                let why = if least < 0 { "one does not fit the schedule" } else { "ranks differ" };
+                observer(event("checkpoint-drop", 0, 0, format!("checkpoints dropped: {why}")));
+            }
+            (0, VectorField::zeros(block(levels[0].grid)), None)
         }
     };
     let mut reports = Vec::with_capacity(levels.len() - li);
     let every = cfg.checkpoint_every;
     let persist = every > 0 && store.is_enabled();
+    // The previous level's smoothed images, while the grid stays the same.
+    let mut smoothed = None;
     let outcome = loop {
         let Level { beta, grid } = levels[li];
         let span = diffreg_telemetry::span("registration");
-        // A coarse level's session and images live for this level only.
+        // A coarse level's session lives for this level only.
         let parts;
-        let images;
-        let (ws, rho_t, rho_r) = if grid == fine {
-            (*ws, rho_t, rho_r)
+        let ws = if grid == fine {
+            *ws
         } else {
             parts = SessionParts::new(ws.comm, grid);
-            images = [rho_t, rho_r].map(|f| resample_scalar(f, &fine, &grid));
-            (Workspace { timers: ws.timers, ..parts.workspace(ws.comm) }, &images[0], &images[1])
+            Workspace { timers: ws.timers, ..parts.workspace(ws.comm) }
         };
         let cfg = RegistrationConfig { beta, ..cfg };
-        let mut prob = RegProblem::new(&ws, rho_t, rho_r, cfg);
+        let mut prob = match smoothed.take() {
+            Some((t, r)) => RegProblem::with_smoothed(&ws, t, r, cfg),
+            None if grid == fine => RegProblem::new(&ws, rho_t, rho_r, cfg),
+            None => {
+                let [t, r] = [rho_t, rho_r].map(|f| resample_scalar(f, &fine, &grid));
+                RegProblem::new(&ws, &t, &r, cfg)
+            }
+        };
         // Keep the iterate in the divergence-free subspace from the start.
         // On resume the checkpointed iterate is already in the subspace and
         // must pass through untouched (bitwise). Either way the warm start
@@ -278,14 +298,14 @@ pub fn register_solve<C: Comm>(
                 det_grad,
             };
         };
-        drop(prob);
         drop(span);
         // A finished level lives on only as the warm start `v`, on the next
-        // level's grid.
-        v = if next.grid == grid {
-            velocity
+        // level's grid, and as its smoothed images if the grid stays.
+        (v, smoothed) = if next.grid == grid {
+            (velocity, Some(prob.into_images()))
         } else {
-            resample_vector(&velocity, &grid, &next.grid)
+            drop(prob);
+            (resample_vector(&velocity, &grid, &next.grid), None)
         };
         reports.push(report);
         if persist {

@@ -87,13 +87,26 @@ impl<'a, C: Comm> RegProblem<'a, C> {
         rho_r: &ScalarField,
         cfg: RegistrationConfig,
     ) -> Self {
+        let [rho_t, rho_r] = {
+            let _span = diffreg_telemetry::span("reg.smooth");
+            let h = ws.grid().spacing();
+            let sigma = (h[0] + h[1] + h[2]) / 3.0;
+            [rho_t, rho_r].map(|f| ws.fft.gaussian_smooth(f, sigma, ws.timers))
+        };
+        Self::with_smoothed(ws, rho_t, rho_r, cfg)
+    }
+
+    /// [`RegProblem::new`] for images that are already smoothed on `ws`'s
+    /// grid, such as the previous continuation level's on the same grid.
+    pub(crate) fn with_smoothed(
+        ws: &Workspace<'a, C>,
+        rho_t: ScalarField,
+        rho_r: ScalarField,
+        cfg: RegistrationConfig,
+    ) -> Self {
         assert!(cfg.nt > 0, "need at least one time step");
         assert!(cfg.beta > 0.0, "regularization weight must be positive");
         let ws = Workspace { kernel: cfg.kernel, ..*ws };
-        let h = ws.grid().spacing();
-        let sigma = (h[0] + h[1] + h[2]) / 3.0;
-        let rho_t = ws.fft.gaussian_smooth(rho_t, sigma, ws.timers);
-        let rho_r = ws.fft.gaussian_smooth(rho_r, sigma, ws.timers);
         let ops = FieldOps::new(ws.comm, ws.grid());
         Self {
             ws,
@@ -120,6 +133,12 @@ impl<'a, C: Comm> RegProblem<'a, C> {
     /// The (smoothed) reference image.
     pub fn reference(&self) -> &ScalarField {
         &self.rho_r
+    }
+
+    /// The smoothed template and reference, for the next problem on the
+    /// same grid.
+    pub(crate) fn into_images(self) -> (ScalarField, ScalarField) {
+        (self.rho_t, self.rho_r)
     }
 
     /// L² mismatch `1/2 ||ρ(1) − ρ_R||²` of the *unregistered* images.

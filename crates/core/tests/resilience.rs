@@ -3,6 +3,8 @@
 //! communication chaos, and a run killed mid-continuation must resume from
 //! its checkpoint to the uninterrupted solve's answer.
 
+use std::time::Duration;
+
 use diffreg_comm::{run_threaded, run_threaded_checked, ChaosComm, ChaosConfig, Comm, SerialComm};
 use diffreg_core::{
     register, register_solve, register_with_continuation, synthetic_pair, CheckpointStore, Level,
@@ -171,4 +173,64 @@ fn checkpointed_driver_matches_plain_continuation_bitwise() {
     }
     assert!(store.load(0).is_none(), "successful run must clear its checkpoint");
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A 2-rank solve is killed after level 0's second step was checkpointed,
+/// and rank 1's current generation is then torn: rank 1 alone falls back to
+/// the first step's checkpoint. The ranks must not resume from different
+/// iterates: both drop their checkpoints and start fresh, to the bits of
+/// the uninterrupted solve. The short watchdog turns a rank that waits on a
+/// diverged peer into a fast failure.
+#[test]
+fn one_torn_rank_restarts_every_rank_fresh() {
+    let grid = Grid::cubic(12);
+    let betas = [1e-2, 1e-3];
+    let cfg = RegistrationConfig {
+        checkpoint_every: 1,
+        newton: NewtonOptions { max_iter: 3, ..Default::default() },
+        ..Default::default()
+    };
+    let solve = move |store: CheckpointStore, kill: bool| {
+        run_threaded_checked(2, move |comm| {
+            comm.set_timeout(Some(Duration::from_secs(20)));
+            let parts = SessionParts::new(comm, grid);
+            let ws = parts.workspace(comm);
+            let (t, r) = synthetic_pair(&ws, 0.4);
+            let mut events = Vec::new();
+            let levels = schedule(grid, &betas);
+            let (out, _) = register_solve(&ws, &t, &r, cfg, &levels, &store, |entry| match entry {
+                StreamEntry::Iter(it) if kill && (it.level, it.iter) == (0, 2) => {
+                    panic!("injected crash")
+                }
+                StreamEntry::Event(e) => events.push(e.kind),
+                StreamEntry::Iter(_) => {}
+            });
+            let velocity: Vec<u64> = out
+                .velocity
+                .comps
+                .iter()
+                .flat_map(|c| c.data().iter().map(|x| x.to_bits()))
+                .collect();
+            (velocity, out.final_mismatch.to_bits(), events)
+        })
+    };
+    let reference: Vec<_> =
+        solve(CheckpointStore::Disabled, false).into_iter().map(Result::unwrap).collect();
+
+    let store = CheckpointStore::memory();
+    let killed = solve(store.clone(), true);
+    assert!(killed.iter().all(|r| r.as_ref().is_err_and(|f| f.payload.contains("injected crash"))));
+    assert!(store.inject_corruption(1), "rank 1 has a current generation to tear");
+
+    let resumed = solve(store.clone(), false);
+    for (rank, (got, want)) in resumed.into_iter().zip(&reference).enumerate() {
+        let (velocity, mismatch, events) = got.expect("the restarted solve finishes");
+        assert!(events.iter().any(|k| k == "checkpoint-drop"), "rank {rank}: {events:?}");
+        assert!(!events.iter().any(|k| k == "resume"), "rank {rank} resumed: {events:?}");
+        assert_eq!(mismatch, want.1, "rank {rank}: final mismatch");
+        assert!(velocity == want.0, "rank {rank}: velocity differs from the uninterrupted solve");
+    }
+    for rank in 0..2 {
+        assert!(store.load(rank).is_none(), "rank {rank}: stale checkpoint after success");
+    }
 }

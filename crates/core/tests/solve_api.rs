@@ -22,7 +22,7 @@ use diffreg_core::{
 use diffreg_grid::{Grid, ScalarField, VectorField};
 use diffreg_interp::Kernel;
 use diffreg_optim::{GaussNewtonProblem, NewtonOptions, NewtonReport, NewtonStatus};
-use diffreg_telemetry::{ConvergenceLog, StreamEntry};
+use diffreg_telemetry::{set_trace_enabled, take_recorder, ConvergenceLog, RecKind, StreamEntry};
 use diffreg_transport::{SessionParts, Workspace};
 
 const BETAS: [f64; 2] = [1e-2, 1e-3];
@@ -290,4 +290,25 @@ fn non_cubic_solve_is_diffeomorphic_and_agrees_across_rank_counts() {
         let diff = serial.iter().zip(&dist).fold(0.0f64, |m, (a, b)| m.max((a - b).abs()));
         assert!(diff <= 1e-12 * scale, "betas={betas:?}: {diff:e} vs scale {scale:e}");
     }
+}
+
+/// The images are smoothed once per grid: a level on the grid of the level
+/// before it takes that level's smoothed pair, which is bitwise what
+/// smoothing again would give (`enabled_store_does_not_perturb_the_solve`
+/// and the goldens hold the bits).
+#[test]
+fn images_are_smoothed_once_per_grid() {
+    on_problem(|ws, t, r| {
+        set_trace_enabled(true);
+        let smooths = |levels: &[Level]| {
+            let _ = take_recorder();
+            register_solve(ws, t, r, cfg(), levels, &CheckpointStore::Disabled, |_| {});
+            let snap = take_recorder();
+            assert_eq!((snap.sampled_out, snap.overwritten), (0, 0), "keep-all keeps every span");
+            snap.events.iter().filter(|e| e.kind == RecKind::Span && e.name == "reg.smooth").count()
+        };
+        assert_eq!(smooths(&schedule(ws.grid(), &BETAS)), 1, "two β levels on one grid");
+        assert_eq!(smooths(&grid_schedule(ws.grid())), 2, "a coarse and a fine level");
+        set_trace_enabled(false);
+    });
 }

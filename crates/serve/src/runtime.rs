@@ -35,16 +35,15 @@
 //! ## Checkpoint recovery
 //!
 //! Jobs with `checkpoint_every > 0` write per-gang-rank checkpoints through
-//! `diffreg-core`'s two-generation [`CheckpointStore`]. On retry the gang
-//! first *agrees* on the resume point: each member loads its slot with
-//! validated fallback and the gang allreduces a fingerprint of
-//! `(level, completed_iters)`. If members disagree (torn generations, a
-//! stale slot from a larger gang), every member drops its checkpoint and
-//! the attempt restarts fresh — a consistent restart is always preferred
-//! over an inconsistent resume. A consistent resume is *bitwise* identical
-//! to an uninterrupted solve (the PR 2 contract), which the load test
-//! verifies digest-for-digest.
+//! `diffreg-core`'s two-generation [`CheckpointStore`]. Where a retry
+//! resumes from is `register_solve`'s decision, made once for the gang: it
+//! resumes only from checkpoints that fit every member's block and name one
+//! `(level, iteration)`, and otherwise (torn generations that fell back to
+//! different points, a stale slot from a larger gang) restarts fresh. A
+//! resume is *bitwise* identical to an uninterrupted solve, which the load
+//! test verifies digest-for-digest.
 
+use std::cell::Cell;
 use std::collections::{BTreeMap, HashMap};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -85,6 +84,13 @@ const IDLE_SLEEP: Duration = Duration::from_millis(1);
 /// Graceful degradation: once a job has failed this many attempts without
 /// ever resuming from a checkpoint, halve its gang size.
 const DEGRADE_AFTER: u32 = 2;
+
+/// The driver's recovery events and the job-log events they become.
+const RECOVERY_EVENTS: [(&str, &str); 3] = [
+    ("resume", "serve-resume"),
+    ("checkpoint-fallback", "serve-fallback"),
+    ("checkpoint-drop", "serve-checkpoint-drop"),
+];
 
 /// Convergence-log entries captured into each incident bundle's tail.
 const INCIDENT_TAIL: usize = 64;
@@ -197,8 +203,9 @@ enum Outcome {
     Idle,
     /// Its gang's attempt finished.
     Done { digest: u64, mismatch_bits: u64, resumed: bool, fell_back: bool },
-    /// Its gang's attempt failed, as this rank saw it.
-    Failed(Failure),
+    /// Its gang's attempt failed, as this rank saw it; `resumed` when the
+    /// gang had resumed from a checkpoint before it died.
+    Failed { cause: Failure, resumed: bool },
 }
 
 /// Maps a contained panic payload to the failure it reports.
@@ -482,7 +489,7 @@ impl ServeHarness {
         // (comm streams truncate symmetrically on gang-fatal faults): the
         // killed rank reports the kill, the stalled rank reports peer-gone
         // while its waiters report timeout.
-        if let Outcome::Failed(f) = outcome {
+        if let Outcome::Failed { cause: f, .. } = outcome {
             record_event(RecKind::Serve, "serve.attempt-failed", f.code(), gang_rank as u64);
         }
         let recorder = take_recorder();
@@ -512,70 +519,56 @@ impl ServeHarness {
             record_event(RecKind::Serve, "serve.attempt", spec.id, u64::from(attempt));
         }
 
+        // Gang rank 0 writes the job log: serve-* events, iteration records.
+        let log_event = |kind: &str, detail: &str| {
+            let mut logs = lock(&self.logs);
+            let log = logs
+                .entry(spec.id)
+                .or_insert_with(|| ConvergenceLog::new(format!("job{}", spec.id)));
+            log.event(kind, 0, attempt as usize, detail);
+        };
+        // The driver's resume decision is collective, so a member that saw
+        // it speaks for the gang, also when the attempt dies afterwards.
+        let (resumed, fell_back) = (Cell::new(false), Cell::new(false));
         run_gang(sub, |gang| {
             let chaos = ChaosComm::new(gang, chaos_config(&faults, &spec));
-            // Torn-write drill: gang rank 0 tears every member's current
-            // generation before anyone reads, so all members fall back to
-            // the same (previous) generation together.
-            if faults.corrupt_checkpoint && chaos.rank() == 0 {
-                for r in 0..gang_size {
-                    store.inject_corruption(r);
-                }
+            let lead = chaos.rank() == 0;
+            // Torn-write drill: each member tears its own current generation.
+            if faults.corrupt_checkpoint {
+                store.inject_corruption(chaos.rank());
             }
-            let (resumed, fell_back, inconsistent) = agree_on_resume(&chaos, &store);
-
-            if chaos.rank() == 0 {
-                let mut logs = lock(&self.logs);
-                let log = logs
-                    .entry(spec.id)
-                    .or_insert_with(|| ConvergenceLog::new(format!("job{}", spec.id)));
-                log.event(
-                    "serve-attempt",
-                    0,
-                    attempt as usize,
-                    format!("gang {gang_size}, resumed {resumed}, fell_back {fell_back}"),
-                );
-                if inconsistent {
-                    log.event(
-                        "serve-checkpoint-drop",
-                        0,
-                        attempt as usize,
-                        "inconsistent generations across the gang; restarting fresh",
-                    );
-                } else if fell_back {
-                    log.event(
-                        "serve-fallback",
-                        0,
-                        attempt as usize,
-                        "current generation torn; resumed from previous",
-                    );
-                } else if resumed {
-                    log.event("serve-resume", 0, attempt as usize, "resumed from checkpoint");
-                }
+            if lead {
+                log_event("serve-attempt", &format!("gang {gang_size}"));
             }
-
-            // The job log takes the per-iteration records; resume and
-            // fallback are logged above as serve-* events, after the
-            // gang-wide agreement the solver's own events know nothing of.
-            // Every member writes its own checkpoint file, so every member
-            // counts its own failed writes.
+            // Each member counts its own failed checkpoint writes.
             let (digest, mismatch_bits) = solve_once(&chaos, &spec, &store, |entry| match entry {
                 StreamEntry::Event(e)
                     if e.kind == "checkpoint" && e.detail.starts_with("save-failed:") =>
                 {
                     lock(&self.metrics).inc_counter("serve_checkpoint_save_failures_total", 1);
                 }
-                StreamEntry::Iter(it) if chaos.rank() == 0 => {
+                StreamEntry::Event(e) => {
+                    resumed.set(resumed.get() || e.kind == "resume");
+                    fell_back.set(fell_back.get() || e.kind == "checkpoint-fallback");
+                    let serve_kind = RECOVERY_EVENTS.iter().find(|(kind, _)| *kind == e.kind);
+                    if let Some((_, kind)) = serve_kind.filter(|_| lead) {
+                        log_event(kind, &e.detail);
+                    }
+                }
+                StreamEntry::Iter(it) if lead => {
                     if let Some(log) = lock(&self.logs).get_mut(&spec.id) {
                         log.record(it);
                     }
                 }
-                _ => {}
+                StreamEntry::Iter(_) => {}
             });
-
+            let (resumed, fell_back) = (resumed.get(), fell_back.get());
             Outcome::Done { digest, mismatch_bits, resumed, fell_back }
         })
-        .unwrap_or_else(|failure| Outcome::Failed(classify(&failure.payload)))
+        .unwrap_or_else(|failure| Outcome::Failed {
+            cause: classify(&failure.payload),
+            resumed: resumed.get(),
+        })
     }
 }
 
@@ -712,15 +705,15 @@ impl<'h> Replica<'h> {
 
     /// Folds one round's allgathered outcomes: a gang whose members all
     /// finished completes its job; otherwise the job fails with the
-    /// strongest failure among its members.
+    /// strongest failure among its members, as a resumed attempt if any
+    /// member saw the gang resume.
     fn fold(&mut self, plan: &[Assignment], outcomes: &[Outcome]) {
         for a in plan {
-            let cause = a
-                .ranks
-                .iter()
-                .filter_map(|&r| match outcomes[r] {
+            let members = || a.ranks.iter().map(|&r| outcomes[r]);
+            let cause = members()
+                .filter_map(|o| match o {
                     Outcome::Done { .. } => None,
-                    Outcome::Failed(f) => Some(f),
+                    Outcome::Failed { cause, .. } => Some(cause),
                     Outcome::Idle => Some(Failure::Other),
                 })
                 .min();
@@ -728,7 +721,10 @@ impl<'h> Replica<'h> {
                 (None, Outcome::Done { digest, mismatch_bits, resumed, fell_back }) => {
                     self.complete(a, digest, mismatch_bits, resumed, fell_back)
                 }
-                (cause, _) => self.fail(a, cause.unwrap_or(Failure::Other)),
+                (cause, _) => {
+                    let resumed = |o: Outcome| matches!(o, Outcome::Failed { resumed: true, .. });
+                    self.fail(a, cause.unwrap_or(Failure::Other), members().any(resumed))
+                }
             }
         }
     }
@@ -771,10 +767,11 @@ impl<'h> Replica<'h> {
 
     /// Every failed attempt is counted and filed; then the job is
     /// cancelled, expired, failed out (retry budget spent) or retried.
-    fn fail(&mut self, a: &Assignment, cause: Failure) {
+    fn fail(&mut self, a: &Assignment, cause: Failure, resumed: bool) {
         let round = self.round;
         let Some(rec) = self.table.get_mut(&a.job) else { return };
         rec.last_failure = Some(cause);
+        rec.resumed_attempts += u32::from(resumed);
         let attempt = rec.attempts;
         let expired = rec.deadline_passed(round).is_some();
         let (cancelled, exhausted) = (rec.cancel_requested, attempt > rec.spec.max_retries);
@@ -1009,28 +1006,6 @@ fn chaos_config(faults: &AttemptFaults, spec: &JobSpec) -> ChaosConfig {
     cfg
 }
 
-/// The attempt prologue: the gang agrees on its resume point, all-or-nothing
-/// and same-point-or-fresh. Each member loads its slot with validated
-/// fallback and the gang compares a fingerprint of `(level,
-/// completed_iters)`; on disagreement every member drops its checkpoint.
-/// Returns `(resumed, fell_back, inconsistent)`.
-fn agree_on_resume<C: Comm>(comm: &C, store: &CheckpointStore) -> (bool, bool, bool) {
-    comm.barrier();
-    let my = store.load_for_resume(comm.rank());
-    let fp = my
-        .checkpoint
-        .as_ref()
-        .map(|c| 1.0 + c.level as f64 * 1.0e9 + c.completed_iters as f64)
-        .unwrap_or(0.0);
-    let (lo, hi) = (comm.min_f64(fp), comm.max_f64(fp));
-    let inconsistent = lo.to_bits() != hi.to_bits();
-    if inconsistent {
-        store.clear(comm.rank());
-    }
-    comm.barrier();
-    (!inconsistent && my.checkpoint.is_some(), !inconsistent && my.fell_back, inconsistent)
-}
-
 /// Solves `spec`'s problem on `comm` (one gang) and returns
 /// `(digest, final_mismatch_bits)`. The digest folds every gang rank's
 /// velocity slab bits in rank order plus the final mismatch — equal digests
@@ -1068,9 +1043,9 @@ fn solve_once<C: Comm>(
 }
 
 /// Replays the collective sequence of one fresh (no-checkpoint) attempt of
-/// `spec` — the attempt's resume agreement, then the solve — on a clean
-/// dedicated `gang_size`-rank world and returns how many collective epochs
-/// it executes. Epoch-keyed fault plans use this as their coordinate
+/// `spec`, with the kind of store the attempt uses, on a clean dedicated
+/// `gang_size`-rank world and returns how many collective epochs it
+/// executes. Epoch-keyed fault plans use this as their coordinate
 /// system: a kill at ~70% of the count lands inside the last continuation
 /// level, after checkpoints have been written but before the driver clears
 /// them on success.
@@ -1078,8 +1053,12 @@ pub fn attempt_epoch_count(spec: &JobSpec, gang_size: usize) -> u64 {
     let spec = spec.clone();
     let counts = run_threaded(gang_size, move |comm| {
         let chaos = ChaosComm::new(comm, ChaosConfig::seeded(0));
-        let _ = agree_on_resume(&chaos, &CheckpointStore::Disabled);
-        let _ = solve_once(&chaos, &spec, &CheckpointStore::Disabled, |_| {});
+        let store = if spec.checkpoint_every > 0 {
+            CheckpointStore::memory()
+        } else {
+            CheckpointStore::Disabled
+        };
+        let _ = solve_once(&chaos, &spec, &store, |_| {});
         chaos.epochs_executed()
     });
     counts[0]

@@ -305,6 +305,76 @@ fn torn_checkpoint_falls_back_a_generation_and_still_matches_reference() {
 }
 
 #[test]
+fn an_attempt_that_resumes_and_dies_keeps_its_gang() {
+    // Attempt 1 is killed mid-level-1, after checkpoints exist; attempt 2
+    // resumes from them and is killed too, a tenth of the way into a fresh
+    // attempt's epochs: past the resume decision, which follows the
+    // session and image set-up. A resumed attempt is not a fresh start, so
+    // the gang must not halve, and attempt 3 resumes on the same
+    // decomposition to the uninterrupted answer.
+    let spec = JobSpec::new(1, 8)
+        .with_gang(2)
+        .with_newton_iters(2)
+        .with_betas(&[1e-2, 1e-3])
+        .with_checkpoint_every(1);
+    let epochs = attempt_epoch_count(&spec, 2);
+    let kill =
+        |rank, epoch| AttemptFaults { kill_at_epoch: Some((rank, epoch)), ..AttemptFaults::none() };
+    let faults =
+        PlannedFaults::new().with(1, 1, kill(0, epochs * 7 / 10)).with(1, 2, kill(1, epochs / 10));
+    let harness = ServeHarness::new(ServeConfig::default(), Arc::new(faults));
+    harness.submit(spec.clone());
+    harness.close_intake();
+    let summaries = serve(&harness, 2);
+    let rec = &summaries[0].records[&1];
+    assert_eq!(rec.state, JobState::Completed);
+    assert_eq!(rec.attempts, 3);
+    assert_eq!(rec.resumed_attempts, 2, "attempts 2 and 3 both resumed");
+    assert_eq!(rec.gang_size, 2, "a gang that resumed must not be degraded");
+    assert_eq!(harness.counter("serve_jobs_degraded_total"), 0);
+    let res = rec.result.unwrap();
+    assert_eq!((res.gang_size, res.resumed), (2, true));
+    let (ref_digest, ref_mm) = reference_digest(&spec, 2);
+    assert_eq!(res.digest, ref_digest, "resumed solve must be bitwise the uninterrupted one");
+    assert_eq!(res.final_mismatch_bits, ref_mm);
+}
+
+#[test]
+fn a_stale_checkpoint_from_a_larger_gang_is_dropped() {
+    // Attempt 1 dies before any checkpoint; attempt 2 dies after writing
+    // checkpoints without having resumed, so the gang halves. The lone
+    // member then finds gang rank 0's slab of the 2-rank decomposition,
+    // which does not fit its block: it must drop it and start fresh, and
+    // deliver the reference at the degraded gang size.
+    let spec = JobSpec::new(1, 8)
+        .with_gang(2)
+        .with_newton_iters(1)
+        .with_betas(&[1e-2, 1e-3])
+        .with_checkpoint_every(1);
+    let epochs = attempt_epoch_count(&spec, 2);
+    let kill =
+        |rank, epoch| AttemptFaults { kill_at_epoch: Some((rank, epoch)), ..AttemptFaults::none() };
+    let faults = PlannedFaults::new().with(1, 1, kill(0, 2)).with(1, 2, kill(0, epochs * 7 / 10));
+    let harness = ServeHarness::new(ServeConfig::default(), Arc::new(faults));
+    harness.submit(spec.clone());
+    harness.close_intake();
+    let summaries = serve(&harness, 2);
+    let rec = &summaries[0].records[&1];
+    assert_eq!(rec.state, JobState::Completed, "last failure: {:?}", rec.last_failure);
+    assert_eq!(rec.attempts, 3);
+    assert_eq!(rec.resumed_attempts, 0);
+    assert_eq!(rec.gang_size, 1, "two fresh deaths halve the gang");
+    let res = rec.result.unwrap();
+    assert_eq!(res.gang_size, 1);
+    let (ref_digest, ref_mm) = reference_digest(&spec, 1);
+    assert_eq!(res.digest, ref_digest, "degraded job must match the reference at gang size 1");
+    assert_eq!(res.final_mismatch_bits, ref_mm);
+    let log = harness.job_log(1).expect("job log");
+    assert!(log.events().any(|e| e.kind == "serve-checkpoint-drop"), "the stale slab is dropped");
+    assert!(!log.events().any(|e| e.kind == "serve-resume"));
+}
+
+#[test]
 fn failed_checkpoint_saves_reach_the_metrics_surface() {
     // The checkpoint directory is a regular file, so every member's every
     // save fails. The job must still complete, and each failed write must

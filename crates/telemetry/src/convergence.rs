@@ -33,8 +33,9 @@ pub struct IterRecord {
 /// A discrete solver event on the stream.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SolverEvent {
-    /// Event kind (`"checkpoint"`, `"resume"`, `"level"`, `"fault"`,
-    /// `"summary"`, ...).
+    /// Event kind (`"checkpoint"`, `"checkpoint-fallback"`, `"resume"`,
+    /// `"checkpoint-drop"` (the ranks did not agree on a checkpoint and
+    /// start fresh), `"level"`, `"fault"`, `"summary"`, ...).
     pub kind: String,
     /// β-continuation level the event belongs to.
     pub level: usize,

@@ -9,15 +9,15 @@ use diffreg::core::{register, RegistrationConfig};
 use diffreg::grid::Grid;
 use diffreg::optim::NewtonOptions;
 use diffreg::session::SessionParts;
-use diffreg::transport::SemiLagrangian;
+use diffreg::transport::compute_trajectory;
 
 fn solve<C: Comm>(comm: &C, n: usize) -> (f64, f64, [f64; 4], diffreg::comm::CommStats) {
     let parts = SessionParts::new(comm, Grid::cubic(n));
     let ws = parts.workspace(comm);
     let template = diffreg::imgsim::template(&parts.grid(), ws.block());
     let v_star = diffreg::imgsim::exact_velocity(&parts.grid(), ws.block(), 0.5);
-    let sl = SemiLagrangian::new(&ws, &v_star, 4);
-    let reference = sl.solve_state(&ws, &template).pop().unwrap();
+    let fwd = compute_trajectory(&ws, &v_star, 1.0 / 4.0, 1.0);
+    let reference = fwd.advect(&ws, &template, 4).pop().unwrap();
     let cfg = RegistrationConfig {
         beta: 1e-2,
         newton: NewtonOptions { max_iter: 2, ..Default::default() },

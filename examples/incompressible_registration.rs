@@ -8,7 +8,7 @@ use diffreg::comm::SerialComm;
 use diffreg::core::{register, RegistrationConfig};
 use diffreg::grid::Grid;
 use diffreg::session::SessionParts;
-use diffreg::transport::SemiLagrangian;
+use diffreg::transport::compute_trajectory;
 
 fn main() {
     let n = 24;
@@ -21,8 +21,8 @@ fn main() {
     let v_star = diffreg::imgsim::exact_velocity_divfree(&grid, ws.block(), 0.5);
     let div = ws.fft.divergence(&v_star, ws.timers);
     println!("exact velocity: |div v*|_inf = {:.2e} (divergence-free)", div.max_abs(&comm));
-    let sl = SemiLagrangian::new(&ws, &v_star, 4);
-    let reference = sl.solve_state(&ws, &template).pop().unwrap();
+    let fwd = compute_trajectory(&ws, &v_star, 1.0 / 4.0, 1.0);
+    let reference = fwd.advect(&ws, &template, 4).pop().unwrap();
 
     for incompressible in [false, true] {
         let cfg = RegistrationConfig::default().with_beta(1e-3).with_incompressible(incompressible);

@@ -10,7 +10,7 @@ use diffreg::core::{
 use diffreg::grid::Grid;
 use diffreg::optim::NewtonOptions;
 use diffreg::session::SessionParts;
-use diffreg::transport::SemiLagrangian;
+use diffreg::transport::compute_trajectory;
 
 fn main() {
     let n = 32;
@@ -21,8 +21,8 @@ fn main() {
 
     let template = diffreg::imgsim::template(&grid, ws.block());
     let v_star = diffreg::imgsim::exact_velocity(&grid, ws.block(), 0.6);
-    let sl = SemiLagrangian::new(&ws, &v_star, 4);
-    let reference = sl.solve_state(&ws, &template).pop().unwrap();
+    let fwd = compute_trajectory(&ws, &v_star, 1.0 / 4.0, 1.0);
+    let reference = fwd.advect(&ws, &template, 4).pop().unwrap();
 
     let cfg = RegistrationConfig {
         beta: 1e-3,

@@ -7,7 +7,7 @@ use diffreg::comm::{SerialComm, Timers};
 use diffreg::core::{register, RegistrationConfig};
 use diffreg::grid::Grid;
 use diffreg::session::SessionParts;
-use diffreg::transport::SemiLagrangian;
+use diffreg::transport::compute_trajectory;
 
 fn main() {
     let n = 32;
@@ -19,8 +19,8 @@ fn main() {
     // known velocity v* — so we know a good solution exists.
     let template = diffreg::imgsim::template(&parts.grid(), ws.block());
     let v_star = diffreg::imgsim::exact_velocity(&parts.grid(), ws.block(), 0.5);
-    let sl = SemiLagrangian::new(&ws, &v_star, 4);
-    let reference = sl.solve_state(&ws, &template).pop().unwrap();
+    let fwd = compute_trajectory(&ws, &v_star, 1.0 / 4.0, 1.0);
+    let reference = fwd.advect(&ws, &template, 4).pop().unwrap();
 
     println!("Registering the synthetic problem at {n}^3 ...");
     let cfg = RegistrationConfig::default().with_beta(1e-3);

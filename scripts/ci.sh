@@ -29,7 +29,8 @@
 #      and kernel records, or a layout enum), full Newton (its Hessian kind,
 #      CLI flag or history transports), a second adjoint-integral path,
 #      matvec counter or Newton wrapper, a second continuation loop or
-#      warm-start argument or new env::var read may reappear;
+#      warm-start argument, serve's resume prologue or new env::var read
+#      may reappear;
 #      workspace line count
 #   6. clippy clean under -D warnings: it enforces step 5's lint levels and
 #      rejects a stale #[expect], so a missing clippy fails the build
@@ -225,6 +226,12 @@ fi
 # argument beside the schedule.
 if grep -rnE 'register_[m]ultilevel|warm_[s]tart' $everywhere; then
     echo "ERROR: a second continuation loop or a warm-start argument reappeared" >&2
+    exit 1
+fi
+# One resume decision: register_solve agrees on the ranks' checkpoint, so
+# serve keeps no resume prologue of its own.
+if grep -rnE 'agree_on_[r]esume' $everywhere; then
+    echo "ERROR: serve's resume prologue (a second resume decision) reappeared" >&2
     exit 1
 fi
 # The workspace line count is tracked like a benchmark (ROADMAP aim 2).

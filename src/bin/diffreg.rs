@@ -17,7 +17,7 @@ use diffreg::core::{
 use diffreg::grid::Grid;
 use diffreg::perfmodel::{model_solve, Machine, SolveShape};
 use diffreg::session::SessionParts;
-use diffreg::transport::SemiLagrangian;
+use diffreg::transport::compute_trajectory;
 
 fn flag(args: &[String], key: &str) -> bool {
     args.iter().any(|a| a == key)
@@ -86,8 +86,8 @@ fn run_synthetic<C: Comm>(comm: &C, args: &[String]) -> (f64, usize, f64) {
     } else {
         diffreg::imgsim::exact_velocity(&grid, ws.block(), 0.5)
     };
-    let sl = SemiLagrangian::new(&ws, &v, cfg.nt);
-    let r = sl.solve_state(&ws, &t).pop().unwrap();
+    let fwd = compute_trajectory(&ws, &v, 1.0 / cfg.nt as f64, 1.0);
+    let r = fwd.advect(&ws, &t, cfg.nt).pop().unwrap();
     let t0 = std::time::Instant::now();
     let out = register(&ws, &t, &r, cfg);
     let wall = t0.elapsed().as_secs_f64();
