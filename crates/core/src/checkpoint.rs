@@ -21,19 +21,24 @@
 //! reported as a typed [`CheckpointError`] instead of deserializing garbage
 //! velocity data into the solver.
 //!
-//! [`CheckpointStore`] abstracts where the bytes go: `Disabled` (no-op),
-//! `Memory` (a shared map — what the tests and in-process retries use), or
-//! `File` (one file per rank, written atomically via a temp file + rename).
-//! Both writable backends keep **two generations** per rank: `save` rotates
-//! the current checkpoint into the previous-generation slot before
-//! publishing the new one, and [`CheckpointStore::load_for_resume`] falls
-//! back to the previous good generation when the current one fails
-//! validation. A corrupt checkpoint therefore costs at most one
-//! checkpoint interval of recomputation, never the whole run.
+//! A [`CheckpointStore`] is a set of named byte slots, two per rank: the
+//! current generation `ckpt.rank{r}.drck` and the previous one
+//! `ckpt.rank{r}.prev.drck`, as files in a directory (written atomically via
+//! a temp file + rename) or as keys in a map that clones share. A backend
+//! only reads, publishes and moves or removes a slot; the two-generation
+//! protocol is written once above it: `save` rotates the current generation
+//! into the previous slot before publishing, and
+//! [`CheckpointStore::load_for_resume`] falls back to the previous
+//! generation when the current one fails validation, so a corrupt
+//! checkpoint costs at most one checkpoint interval of recomputation. The
+//! store also owns the cadence: a solve handed one saves after every
+//! accepted Newton step (every `n`-th with [`CheckpointStore::every`]) and
+//! at every level boundary; a solve handed none does no checkpoint I/O.
 
 use std::collections::HashMap;
+use std::num::NonZeroUsize;
 use std::path::PathBuf;
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard};
 
 use diffreg_comm::fnv1a64;
 use diffreg_grid::{Block, VectorField};
@@ -287,150 +292,146 @@ pub struct ResumeLoad {
     pub errors: Vec<CheckpointError>,
 }
 
-/// Per-rank checkpoint generations held by the `Memory` backend: the
-/// current checkpoint plus the previous good one (the fallback).
-#[derive(Debug, Clone, Default)]
-pub struct Generations {
-    current: Vec<u8>,
-    previous: Option<Vec<u8>>,
+/// The slots of `rank`'s two generations: the current one, then the
+/// previous one.
+fn generations(rank: usize) -> [String; 2] {
+    [format!("ckpt.rank{rank}.drck"), format!("ckpt.rank{rank}.prev.drck")]
 }
 
-fn lock_map(
-    map: &Mutex<HashMap<usize, Generations>>,
-) -> std::sync::MutexGuard<'_, HashMap<usize, Generations>> {
+/// Where a store's named byte slots live. A backend reads, publishes and
+/// moves or removes a slot, and knows nothing of generations.
+#[derive(Debug, Clone)]
+enum Slots {
+    /// Keys in a map shared between clones.
+    Memory(Arc<Mutex<HashMap<String, Vec<u8>>>>),
+    /// Files in this directory (created on first publish).
+    File(PathBuf),
+}
+
+fn lock_map(map: &Mutex<HashMap<String, Vec<u8>>>) -> MutexGuard<'_, HashMap<String, Vec<u8>>> {
     // Proceed through lock poisoning: a rank that panics mid-save must not
     // take the shared store down with it — recovery is the whole point.
     map.lock().unwrap_or_else(|e| e.into_inner())
 }
 
-/// Where checkpoints are kept. Cheap to clone; the `Memory` variant shares
-/// its map across clones (so the store survives a rank's panic and a
-/// restarted solve can read it back).
-#[derive(Debug, Clone)]
-pub enum CheckpointStore {
-    /// Checkpointing disabled: saves are no-ops, loads return `None`.
-    Disabled,
-    /// In-memory per-rank map, shared between clones. Keeps the current and
-    /// previous generation per rank.
-    Memory(Arc<Mutex<HashMap<usize, Generations>>>),
-    /// One file per rank under this directory (`ckpt.rank{r}.drck`, previous
-    /// generation `ckpt.rank{r}.prev.drck`), written atomically (temp file +
-    /// rename).
-    File(PathBuf),
-}
-
-impl CheckpointStore {
-    /// A fresh shared in-memory store.
-    pub fn memory() -> Self {
-        CheckpointStore::Memory(Arc::new(Mutex::new(HashMap::new())))
-    }
-
-    /// A file-backed store rooted at `dir` (created on first save).
-    pub fn file(dir: impl Into<PathBuf>) -> Self {
-        CheckpointStore::File(dir.into())
-    }
-
-    /// Whether saves actually persist anything.
-    pub fn is_enabled(&self) -> bool {
-        !matches!(self, CheckpointStore::Disabled)
-    }
-
-    fn rank_path(dir: &std::path::Path, rank: usize) -> PathBuf {
-        dir.join(format!("ckpt.rank{rank}.drck"))
-    }
-
-    fn prev_path(dir: &std::path::Path, rank: usize) -> PathBuf {
-        dir.join(format!("ckpt.rank{rank}.prev.drck"))
-    }
-
-    /// Persists `rank`'s checkpoint bytes, rotating the previous checkpoint
-    /// into the fallback generation. File saves are atomic: a crash
-    /// mid-save leaves the old checkpoint intact. A failed save surfaces as
-    /// a typed [`CheckpointError::Io`] — it must not abort a long solve,
-    /// but the caller decides that, not this layer.
-    pub fn save(&self, rank: usize, bytes: &[u8]) -> Result<(), CheckpointError> {
+impl Slots {
+    fn read(&self, name: &str) -> Option<Vec<u8>> {
         match self {
-            CheckpointStore::Disabled => Ok(()),
-            CheckpointStore::Memory(map) => {
-                let mut map = lock_map(map);
-                let gens = map.entry(rank).or_default();
-                if !gens.current.is_empty() {
-                    gens.previous = Some(std::mem::take(&mut gens.current));
-                }
-                gens.current = bytes.to_vec();
+            Slots::Memory(map) => lock_map(map).get(name).cloned(),
+            Slots::File(dir) => std::fs::read(dir.join(name)).ok(),
+        }
+    }
+
+    /// Replaces slot `name` whole. A file is written to a temp file beside
+    /// it and renamed over it, so a crash mid-write leaves the old bytes.
+    fn publish(&self, name: &str, bytes: &[u8]) -> Result<(), CheckpointError> {
+        match self {
+            Slots::Memory(map) => {
+                lock_map(map).insert(name.to_string(), bytes.to_vec());
                 Ok(())
             }
-            CheckpointStore::File(dir) => {
+            Slots::File(dir) => {
                 let io = |op: &'static str| {
                     move |e: std::io::Error| CheckpointError::Io { op, detail: e.to_string() }
                 };
                 std::fs::create_dir_all(dir).map_err(io("create dir"))?;
-                let path = Self::rank_path(dir, rank);
-                if path.exists() {
-                    // Rotate before publishing; if the process dies between
-                    // the two renames the previous generation still holds a
-                    // good checkpoint.
-                    #[expect(
-                        clippy::let_underscore_must_use,
-                        reason = "best effort: if the rotation fails, the publish below still replaces the current generation"
-                    )]
-                    let _ = std::fs::rename(&path, Self::prev_path(dir, rank));
-                }
-                let tmp = path.with_extension("drck.tmp");
+                let tmp = dir.join(format!("{name}.tmp"));
                 std::fs::write(&tmp, bytes).map_err(io("write temp"))?;
-                std::fs::rename(&tmp, &path).map_err(io("publish"))?;
-                Ok(())
+                std::fs::rename(&tmp, dir.join(name)).map_err(io("publish"))
             }
         }
     }
 
-    /// Loads `rank`'s most recent checkpoint bytes, if any. Raw and
-    /// unvalidated — resume paths should prefer
-    /// [`CheckpointStore::load_for_resume`].
+    /// Moves slot `from` to slot `to`, or removes it when `to` is `None`;
+    /// a slot that is not there is left so.
+    #[expect(
+        clippy::let_underscore_must_use,
+        reason = "best effort: a slot that is already gone is the state this asks for"
+    )]
+    fn relocate(&self, from: &str, to: Option<&str>) {
+        match self {
+            Slots::Memory(map) => {
+                let mut map = lock_map(map);
+                if let (Some(bytes), Some(to)) = (map.remove(from), to) {
+                    map.insert(to.to_string(), bytes);
+                }
+            }
+            Slots::File(dir) => {
+                let _ = match to {
+                    Some(to) => std::fs::rename(dir.join(from), dir.join(to)),
+                    None => std::fs::remove_file(dir.join(from)),
+                };
+            }
+        }
+    }
+}
+
+/// Where a solve keeps its checkpoints, and how often it writes them: a
+/// solve handed a store saves after every `n`-th accepted Newton step of a
+/// level (`n` = 1 unless [`CheckpointStore::every`] says otherwise) and at
+/// every level boundary. Cheap to clone; clones share their slots, so a
+/// memory store survives a rank's panic and a restarted solve reads it
+/// back.
+#[derive(Debug, Clone)]
+pub struct CheckpointStore {
+    slots: Slots,
+    every: NonZeroUsize,
+}
+
+impl CheckpointStore {
+    /// A fresh in-memory store, saving after every accepted step.
+    pub fn memory() -> Self {
+        Self { slots: Slots::Memory(Arc::default()), every: NonZeroUsize::MIN }
+    }
+
+    /// A file-backed store rooted at `dir` (created on first save), saving
+    /// after every accepted step.
+    pub fn file(dir: impl Into<PathBuf>) -> Self {
+        Self { slots: Slots::File(dir.into()), every: NonZeroUsize::MIN }
+    }
+
+    /// This store, saving after every `n`-th accepted step of a level
+    /// instead; level boundaries are saved whatever `n` is.
+    pub fn every(self, n: NonZeroUsize) -> Self {
+        Self { every: n, ..self }
+    }
+
+    /// Whether a solve saves after the `iter`-th accepted step of a level.
+    pub(crate) fn is_due(&self, iter: usize) -> bool {
+        iter.is_multiple_of(self.every.get())
+    }
+
+    /// Persists `rank`'s checkpoint bytes, rotating the current generation
+    /// into the previous one first: if the process dies in between, the
+    /// previous generation still holds a good checkpoint. A failed save
+    /// surfaces as a typed [`CheckpointError::Io`] — it must not abort a
+    /// long solve, but the caller decides that, not this layer.
+    pub fn save(&self, rank: usize, bytes: &[u8]) -> Result<(), CheckpointError> {
+        let [current, previous] = generations(rank);
+        self.slots.relocate(&current, Some(&previous));
+        self.slots.publish(&current, bytes)
+    }
+
+    /// Loads `rank`'s current generation, if any. Raw and unvalidated —
+    /// resume paths should prefer [`CheckpointStore::load_for_resume`].
     pub fn load(&self, rank: usize) -> Option<Vec<u8>> {
-        match self {
-            CheckpointStore::Disabled => None,
-            CheckpointStore::Memory(map) => {
-                lock_map(map).get(&rank).map(|g| g.current.clone())
-            }
-            CheckpointStore::File(dir) => std::fs::read(Self::rank_path(dir, rank)).ok(),
-        }
-    }
-
-    /// Loads `rank`'s previous-generation checkpoint bytes, if any.
-    pub fn load_previous(&self, rank: usize) -> Option<Vec<u8>> {
-        match self {
-            CheckpointStore::Disabled => None,
-            CheckpointStore::Memory(map) => {
-                lock_map(map).get(&rank).and_then(|g| g.previous.clone())
-            }
-            CheckpointStore::File(dir) => std::fs::read(Self::prev_path(dir, rank)).ok(),
-        }
+        let [current, _] = generations(rank);
+        self.slots.read(&current)
     }
 
     /// Validated load with fallback: parses the current generation, and on
-    /// any [`CheckpointError`] falls back to the previous good generation.
+    /// any [`CheckpointError`] falls back to the previous generation.
     /// Never panics; if every generation is corrupt the caller gets
     /// `checkpoint: None` plus the errors, and resumes fresh.
     pub fn load_for_resume(&self, rank: usize) -> ResumeLoad {
         let mut out = ResumeLoad::default();
-        if let Some(bytes) = self.load(rank) {
+        for (slot, fell_back) in generations(rank).iter().zip([false, true]) {
+            let Some(bytes) = self.slots.read(slot) else { break };
             match SolverCheckpoint::from_bytes(&bytes) {
                 Ok(ck) => {
                     out.checkpoint = Some(ck);
-                    return out;
-                }
-                Err(e) => out.errors.push(e),
-            }
-        } else {
-            return out;
-        }
-        // Current generation present but corrupt: try the fallback.
-        if let Some(bytes) = self.load_previous(rank) {
-            match SolverCheckpoint::from_bytes(&bytes) {
-                Ok(ck) => {
-                    out.checkpoint = Some(ck);
-                    out.fell_back = true;
+                    out.fell_back = fell_back;
+                    break;
                 }
                 Err(e) => out.errors.push(e),
             }
@@ -438,61 +439,29 @@ impl CheckpointStore {
         out
     }
 
-    /// Fault drill: corrupts `rank`'s *current* checkpoint generation in
-    /// place, simulating a torn write (truncation plus a flipped byte).
-    /// Returns `true` if there was a checkpoint to corrupt. The previous
-    /// generation is left untouched, which is exactly what
+    /// Fault drill: replaces `rank`'s *current* generation with a torn copy
+    /// of itself (its first half, last byte flipped). Returns `true` if
+    /// there was a checkpoint to tear. The previous generation is left
+    /// untouched, which is exactly what
     /// [`CheckpointStore::load_for_resume`] recovers from.
     pub fn inject_corruption(&self, rank: usize) -> bool {
-        let torn = |bytes: &[u8]| -> Vec<u8> {
-            let mut t = bytes[..bytes.len() / 2].to_vec();
-            if let Some(b) = t.last_mut() {
-                *b ^= 0x5a;
-            }
-            t
+        let [current, _] = generations(rank);
+        let Some(mut torn) = self.slots.read(&current).filter(|b| !b.is_empty()) else {
+            return false;
         };
-        match self {
-            CheckpointStore::Disabled => false,
-            CheckpointStore::Memory(map) => {
-                let mut map = lock_map(map);
-                match map.get_mut(&rank) {
-                    Some(g) if !g.current.is_empty() => {
-                        g.current = torn(&g.current);
-                        true
-                    }
-                    _ => false,
-                }
-            }
-            CheckpointStore::File(dir) => {
-                let path = Self::rank_path(dir, rank);
-                match std::fs::read(&path) {
-                    // A torn write bypasses the tmp+rename protocol by
-                    // definition: scribble the published file directly.
-                    Ok(bytes) if !bytes.is_empty() => {
-                        std::fs::write(&path, torn(&bytes)).is_ok()
-                    }
-                    _ => false,
-                }
-            }
+        torn.truncate(torn.len() / 2);
+        if let Some(b) = torn.last_mut() {
+            *b ^= 0x5a;
         }
+        self.slots.publish(&current, &torn).is_ok()
     }
 
-    /// Drops `rank`'s checkpoint generations (after a successful run, so a
-    /// later solve does not accidentally resume from a stale snapshot).
-    #[expect(
-        clippy::let_underscore_must_use,
-        reason = "best effort: a generation that is already gone is the state this asks for"
-    )]
+    /// Drops `rank`'s two generations (after a successful run, so a later
+    /// solve does not resume from a stale snapshot). Only those two slots
+    /// are removed; a file store's directory stays.
     pub fn clear(&self, rank: usize) {
-        match self {
-            CheckpointStore::Disabled => {}
-            CheckpointStore::Memory(map) => {
-                lock_map(map).remove(&rank);
-            }
-            CheckpointStore::File(dir) => {
-                let _ = std::fs::remove_file(Self::rank_path(dir, rank));
-                let _ = std::fs::remove_file(Self::prev_path(dir, rank));
-            }
+        for slot in generations(rank) {
+            self.slots.relocate(&slot, None);
         }
     }
 }
@@ -650,7 +619,6 @@ mod tests {
     #[test]
     fn memory_store_survives_clone_and_clear() {
         let store = CheckpointStore::memory();
-        assert!(store.is_enabled());
         assert!(store.load(0).is_none());
         let clone = store.clone();
         clone.save(0, b"abc").expect("save");
@@ -660,28 +628,6 @@ mod tests {
         store.clear(0);
         assert!(store.load(0).is_none());
         assert!(store.load(3).is_some());
-    }
-
-    #[test]
-    fn save_rotates_generations() {
-        let store = CheckpointStore::memory();
-        store.save(1, b"first").expect("save");
-        assert!(store.load_previous(1).is_none());
-        store.save(1, b"second").expect("save");
-        assert_eq!(store.load(1).as_deref(), Some(&b"second"[..]));
-        assert_eq!(store.load_previous(1).as_deref(), Some(&b"first"[..]));
-        store.clear(1);
-        assert!(store.load(1).is_none() && store.load_previous(1).is_none());
-    }
-
-    #[test]
-    fn disabled_store_is_a_no_op() {
-        let store = CheckpointStore::Disabled;
-        assert!(!store.is_enabled());
-        store.save(0, b"abc").expect("save");
-        assert!(store.load(0).is_none());
-        assert!(!store.inject_corruption(0));
-        assert!(store.load_for_resume(0).checkpoint.is_none());
     }
 
     #[test]
@@ -706,52 +652,63 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
-    /// The satellite acceptance drill: a torn write to the current
-    /// generation must be detected by validation and recovered from via the
-    /// previous good generation — on both writable backends.
+    /// The two-generation protocol, run whole on both backends: rotation
+    /// (written through a clone, which shares the slots), a publish that
+    /// leaves no temp file, fall-back past a torn current generation, a
+    /// fresh start with two errors when both generations are corrupt, and
+    /// `clear`.
     #[test]
-    fn torn_write_falls_back_to_previous_good_checkpoint() {
+    fn one_protocol_on_both_backends() {
         let dir = std::env::temp_dir().join(format!(
-            "diffreg-ckpt-torn-{}-{:?}",
+            "diffreg-ckpt-protocol-{}-{:?}",
             std::process::id(),
             std::thread::current().id()
         ));
         let _ = std::fs::remove_dir_all(&dir);
-        for store in [CheckpointStore::memory(), CheckpointStore::file(&dir)] {
+        let stores = [("memory", CheckpointStore::memory()), ("file", CheckpointStore::file(&dir))];
+        for (kind, store) in stores {
+            let [current, previous] = generations(0);
             let older = SolverCheckpoint { completed_iters: 1, ..sample() };
             let newer = SolverCheckpoint { completed_iters: 2, ..sample() };
-            store.save(0, &older.to_bytes()).expect("save");
-            store.save(0, &newer.to_bytes()).expect("save");
+            let writer = store.clone();
+            writer.save(0, &older.to_bytes()).expect("save");
+            assert_eq!(store.slots.read(&previous), None, "{kind}: nothing to rotate yet");
+            writer.save(0, &newer.to_bytes()).expect("save");
+            assert_eq!(store.slots.read(&current), Some(newer.to_bytes()), "{kind}: published");
+            assert_eq!(store.slots.read(&previous), Some(older.to_bytes()), "{kind}: rotated");
+            if let Slots::File(dir) = &store.slots {
+                let mut files: Vec<String> = std::fs::read_dir(dir)
+                    .unwrap()
+                    .map(|e| e.unwrap().file_name().into_string().unwrap())
+                    .collect();
+                files.sort();
+                assert_eq!(files, [current.clone(), previous.clone()], "no temp file is left");
+            }
 
             // Healthy path: the current generation wins.
             let healthy = store.load_for_resume(0);
-            assert_eq!(healthy.checkpoint.as_ref().unwrap().completed_iters, 2);
-            assert!(!healthy.fell_back && healthy.errors.is_empty());
+            assert_eq!(healthy.checkpoint.as_ref().unwrap().completed_iters, 2, "{kind}");
+            assert!(!healthy.fell_back && healthy.errors.is_empty(), "{kind}");
 
             // Tear the current generation mid-write.
-            assert!(store.inject_corruption(0));
+            assert!(store.inject_corruption(0), "{kind}");
             let recovered = store.load_for_resume(0);
             let ck = recovered.checkpoint.expect("fallback generation must load");
-            assert_eq!(ck.completed_iters, 1, "must recover the previous good checkpoint");
-            assert!(recovered.fell_back, "recovery must be reported as a fallback");
-            assert_eq!(recovered.errors.len(), 1, "the torn generation yields one typed error");
+            assert_eq!(ck.completed_iters, 1, "{kind}: must recover the previous good checkpoint");
+            assert!(recovered.fell_back, "{kind}: recovery must be reported as a fallback");
+            assert_eq!(recovered.errors.len(), 1, "{kind}: the torn generation yields one error");
 
             // Corrupting the fallback too leaves a clean fresh start.
-            match &store {
-                CheckpointStore::Memory(map) => {
-                    let mut m = lock_map(map);
-                    let g = m.get_mut(&0).unwrap();
-                    g.previous = Some(b"garbage".to_vec());
-                }
-                CheckpointStore::File(d) => {
-                    std::fs::write(CheckpointStore::prev_path(d, 0), b"garbage").unwrap();
-                }
-                CheckpointStore::Disabled => unreachable!(),
-            }
+            store.slots.publish(&previous, b"garbage").expect("publish");
             let fresh = store.load_for_resume(0);
-            assert!(fresh.checkpoint.is_none(), "double corruption resumes fresh");
-            assert_eq!(fresh.errors.len(), 2, "both generations report typed errors");
+            assert!(fresh.checkpoint.is_none(), "{kind}: double corruption resumes fresh");
+            assert_eq!(fresh.errors.len(), 2, "{kind}: both generations report typed errors");
+
+            store.clear(0);
+            assert_eq!((store.load(0), store.slots.read(&previous)), (None, None), "{kind}");
+            assert!(!store.inject_corruption(0), "{kind}: nothing left to tear");
         }
-        let _ = std::fs::remove_dir_all(&dir);
+        assert_eq!(std::fs::read_dir(&dir).unwrap().count(), 0, "clear removes both files");
+        let _ = std::fs::remove_dir(&dir);
     }
 }

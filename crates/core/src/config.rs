@@ -1,4 +1,6 @@
-//! Solver configuration mirroring the paper's experimental knobs (§IV-A3).
+//! Solver configuration: [`RegistrationConfig`] holds the paper's numerical
+//! knobs (§IV-A3) only; where and how often a solve checkpoints is its
+//! [`CheckpointStore`](crate::CheckpointStore)'s.
 
 use crate::distance::Distance;
 use diffreg_interp::Kernel;
@@ -34,11 +36,6 @@ pub struct RegistrationConfig {
     /// Outer Newton-Krylov options (gtol = 1e-2 and quadratic forcing by
     /// default, as in the paper).
     pub newton: NewtonOptions,
-    /// Checkpoint the continuation solve every this many accepted Newton
-    /// iterations (`0` disables; only takes effect when the driver is also
-    /// given an enabled
-    /// [`CheckpointStore`](crate::checkpoint::CheckpointStore)).
-    pub checkpoint_every: usize,
 }
 
 impl Default for RegistrationConfig {
@@ -52,7 +49,6 @@ impl Default for RegistrationConfig {
             distance: Distance::Ssd,
             precondition: true,
             newton: NewtonOptions::default(),
-            checkpoint_every: 0,
         }
     }
 }
@@ -69,13 +65,6 @@ impl RegistrationConfig {
         self.incompressible = on;
         self
     }
-
-    /// Builder-style: checkpoint every `n` accepted Newton iterations
-    /// (`0` disables).
-    pub fn with_checkpoint_every(mut self, n: usize) -> Self {
-        self.checkpoint_every = n;
-        self
-    }
 }
 
 #[cfg(test)]
@@ -90,7 +79,6 @@ mod tests {
         assert_eq!(c.reg, RegOrder::H2);
         assert!(!c.incompressible);
         assert_eq!(c.newton.gtol, 1e-2);
-        assert_eq!(c.checkpoint_every, 0, "checkpointing is opt-in");
     }
 
     #[test]

@@ -68,7 +68,7 @@ pub fn register<C: Comm>(
     cfg: RegistrationConfig,
 ) -> RegistrationOutcome {
     let level = Level { beta: cfg.beta, grid: ws.grid() };
-    register_solve(ws, rho_t, rho_r, cfg, &[level], &CheckpointStore::Disabled, |_| {}).0
+    register_solve(ws, rho_t, rho_r, cfg, &[level], None, |_| {}).0
 }
 
 /// β-continuation: solves a sequence of problems with decreasing β, warm
@@ -82,7 +82,7 @@ pub fn register_with_continuation<C: Comm>(
     betas: &[f64],
 ) -> (RegistrationOutcome, Vec<NewtonReport>) {
     let levels: Vec<Level> = betas.iter().map(|&beta| Level { beta, grid: ws.grid() }).collect();
-    register_solve(ws, rho_t, rho_r, cfg, &levels, &CheckpointStore::Disabled, |_| {})
+    register_solve(ws, rho_t, rho_r, cfg, &levels, None, |_| {})
 }
 
 fn event(kind: &str, level: usize, iter: usize, detail: String) -> StreamEntry {
@@ -92,7 +92,7 @@ fn event(kind: &str, level: usize, iter: usize, detail: String) -> StreamEntry {
 /// The solve: one Gauss-Newton-Krylov solve per entry of the schedule
 /// `levels` (`cfg.beta` is ignored), the first from `v = 0` and each later
 /// one warm-started from the previous level's solution. [`register`] and
-/// [`register_with_continuation`] are this with the options off.
+/// [`register_with_continuation`] are this with no store and no observer.
 ///
 /// **Levels.** β must be non-increasing and the last level must be on
 /// `ws.grid()`. A level on the workspace's grid solves on `ws` and the
@@ -103,9 +103,10 @@ fn event(kind: &str, level: usize, iter: usize, detail: String) -> StreamEntry {
 /// than one grid panics on more than one rank. Only the last level is
 /// post-processed into the returned [`RegistrationOutcome`].
 ///
-/// **Crash recovery.** Every `cfg.checkpoint_every` accepted Newton
-/// iterations (and at every level boundary, after the prolongation) each
-/// rank writes a [`SolverCheckpoint`] to `store`. At the start each rank
+/// **Crash recovery.** A solve checkpoints when it is handed a `store`, at
+/// the store's cadence: each rank writes a [`SolverCheckpoint`] after every
+/// accepted Newton step ([`CheckpointStore::every`] thins that out) and at
+/// every level boundary, after the prolongation. At the start each rank
 /// loads its slot once (falling back a generation past a torn write), and
 /// the ranks resume only if every rank's checkpoint fits the schedule
 /// (level in range, that level's β bits, that level's block) and all name
@@ -113,8 +114,8 @@ fn event(kind: &str, level: usize, iter: usize, detail: String) -> StreamEntry {
 /// starts fresh. A resumed run produces bitwise the same velocity as the
 /// uninterrupted solve: the checkpointed iterate is *not* re-projected, so
 /// it re-linearizes at exactly the checkpointed point. The checkpoint is
-/// cleared on successful completion. All ranks must pass equivalent stores
-/// (same kind); [`CheckpointStore::Disabled`] does no I/O and no collective.
+/// cleared on successful completion. All ranks must pass a store or all
+/// `None`; `None` does no checkpoint I/O and no collective for it.
 ///
 /// **Telemetry.** `observer` is handed the solver stream in order: one
 /// [`IterRecord`] per accepted Newton step (objective, ‖g‖ and its relative
@@ -123,7 +124,7 @@ fn event(kind: &str, level: usize, iter: usize, detail: String) -> StreamEntry {
 /// `"checkpoint-fallback"`, `"resume"`, `"checkpoint-drop"` (the ranks start
 /// fresh), `"level"`, `"checkpoint"` (`saved` or `save-failed: <error>`) and
 /// `"summary"`. Within one accepted step the order is: checkpoint write (if
-/// due), level event (first step of a level), iteration record, checkpoint
+/// due at the store's cadence), level event (first step of a level), iteration record, checkpoint
 /// event — so an observer that panics on an iteration record
 /// (fault-injection tests) leaves that step's checkpoint behind. The
 /// level-boundary save adds a `"checkpoint"` event only when it fails
@@ -138,7 +139,7 @@ pub fn register_solve<C: Comm>(
     rho_r: &ScalarField,
     cfg: RegistrationConfig,
     levels: &[Level],
-    store: &CheckpointStore,
+    store: Option<&CheckpointStore>,
     mut observer: impl FnMut(StreamEntry),
 ) -> (RegistrationOutcome, Vec<NewtonReport>) {
     let fine = ws.grid();
@@ -158,7 +159,7 @@ pub fn register_solve<C: Comm>(
     // The resume decision is one allreduce of a key per rank: 0 for no
     // checkpoint, −1 for one that does not fit, otherwise the point it
     // resumes from. `Min` over `[key, −key]` gives the least and greatest.
-    let loaded = store.load_for_resume(rank);
+    let loaded = store.map(|s| s.load_for_resume(rank)).unwrap_or_default();
     let fits = |ck: &SolverCheckpoint| {
         levels.get(ck.level).is_some_and(|l| {
             l.beta.to_bits() == ck.beta.to_bits() && ck.velocity[0].len() == block(l.grid).len()
@@ -170,7 +171,7 @@ pub fn register_solve<C: Comm>(
         Some(ck) => 1.0 + ck.level as f64 * 1.0e9 + ck.completed_iters as f64,
     };
     let mut keys = [key, -key];
-    if store.is_enabled() {
+    if store.is_some() {
         ws.comm.allreduce(&mut keys, ReduceOp::Min);
     }
     let (least, greatest) = (keys[0] as i64, (-keys[1]) as i64);
@@ -187,7 +188,7 @@ pub fn register_solve<C: Comm>(
             (ck.level, ck.velocity_field(block(levels[ck.level].grid)), resume)
         }
         _ => {
-            if least != greatest || least < 0 {
+            if let Some(store) = store.filter(|_| least != greatest || least < 0) {
                 store.clear(rank);
                 let why = if least < 0 { "one does not fit the schedule" } else { "ranks differ" };
                 observer(event("checkpoint-drop", 0, 0, format!("checkpoints dropped: {why}")));
@@ -196,8 +197,6 @@ pub fn register_solve<C: Comm>(
         }
     };
     let mut reports = Vec::with_capacity(levels.len() - li);
-    let every = cfg.checkpoint_every;
-    let persist = every > 0 && store.is_enabled();
     // The previous level's smoothed images, while the grid stays the same.
     let mut smoothed = None;
     let outcome = loop {
@@ -236,7 +235,7 @@ pub fn register_solve<C: Comm>(
         let (velocity, report) =
             gauss_newton_observed(&mut prob, v0, &cfg.newton, resume, |vel, cur| {
                 let iter = cur.completed_iters;
-                let saved = (persist && iter % every == 0).then(|| {
+                let saved = store.filter(|s| s.is_due(iter)).map(|store| {
                     let ck = SolverCheckpoint::capture(li, beta, iter, cur.g0norm, vel);
                     store.save(rank, &ck.to_bytes())
                 });
@@ -282,7 +281,7 @@ pub fn register_solve<C: Comm>(
             let det = det_deformation_gradient(&ws, &displacement);
             let det_grad = det_stats(&ws, &det);
             drop(span);
-            if persist {
+            if let Some(store) = store {
                 // Finished: drop the checkpoint so a later solve does not
                 // resume from a stale snapshot.
                 store.clear(rank);
@@ -308,7 +307,7 @@ pub fn register_solve<C: Comm>(
             (resample_vector(&velocity, &grid, &next.grid), None)
         };
         reports.push(report);
-        if persist {
+        if let Some(store) = store {
             // Level boundary: a restart warm-starts the next level from
             // this level's solution through the ordinary entry path.
             // It is reported only when it fails.

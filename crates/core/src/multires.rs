@@ -67,7 +67,7 @@ pub fn continuation_grids(fine: Grid, levels: usize) -> Vec<Grid> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{register_solve, CheckpointStore, Level, RegistrationConfig};
+    use crate::{register_solve, Level, RegistrationConfig};
     use diffreg_comm::{Fnv1a, SerialComm};
     use diffreg_optim::NewtonOptions;
     use diffreg_transport::{SemiLagrangian, SessionParts};
@@ -115,8 +115,7 @@ mod tests {
             newton: NewtonOptions { max_iter: 3, ..Default::default() },
             ..Default::default()
         };
-        let store = CheckpointStore::Disabled;
-        let (multi, reports) = register_solve(&ws, &t, &r, cfg, &two_grids(), &store, |_| {});
+        let (multi, reports) = register_solve(&ws, &t, &r, cfg, &two_grids(), None, |_| {});
         assert_eq!(reports.len(), 2, "two levels expected");
         let mut digest = Fnv1a::new();
         for x in multi.velocity.comps.iter().flat_map(|c| c.data()) {
@@ -160,8 +159,8 @@ mod tests {
             let parts = SessionParts::new(comm, fine);
             let ws = parts.workspace(comm);
             let f = ScalarField::zeros(ws.block());
-            let (cfg, store) = (RegistrationConfig::default(), CheckpointStore::Disabled);
-            let _ = register_solve(&ws, &f, &f, cfg, &two_grids(), &store, |_| {});
+            let cfg = RegistrationConfig::default();
+            let _ = register_solve(&ws, &f, &f, cfg, &two_grids(), None, |_| {});
         });
     }
 }

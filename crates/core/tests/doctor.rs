@@ -25,7 +25,7 @@
 //! which `scripts/ci.sh` hands to `diffreg-doctor analyze --gate`.
 
 use diffreg_comm::{run_threaded, ChaosComm, ChaosConfig, Comm, CommOp, CommStats};
-use diffreg_core::{register_solve, synthetic_pair, CheckpointStore, Level, RegistrationConfig};
+use diffreg_core::{register_solve, synthetic_pair, Level, RegistrationConfig};
 use diffreg_grid::{Decomp, Grid};
 use diffreg_perfmodel::{model_solve, Machine, SolveShape};
 use diffreg_telemetry::doctor::{
@@ -71,10 +71,8 @@ fn doctor_explains_a_traced_registration() {
                 ..Default::default()
             };
             let mut log = ConvergenceLog::new("doctor-smoke");
-            let store = CheckpointStore::Disabled;
             let levels = betas.map(|beta| Level { beta, grid });
-            let (_, reports) =
-                register_solve(&ws, &t, &r, cfg, &levels, &store, |e| log.push(e));
+            let (_, reports) = register_solve(&ws, &t, &r, cfg, &levels, None, |e| log.push(e));
             let stats = comm.stats();
             comm.barrier();
             let capture = RankCapture { rank: comm.rank(), recorder: take_recorder() };

@@ -73,7 +73,7 @@ fn chaos_does_not_change_registration_results() {
 fn killed_continuation_resumes_from_checkpoint_exactly() {
     let grid = Grid::cubic(12);
     let betas = [1e-2, 1e-3];
-    let cfg = RegistrationConfig { checkpoint_every: 1, ..small_cfg() };
+    let cfg = small_cfg();
 
     // Uninterrupted reference (checkpointing disabled).
     let reference = run_threaded(4, move |comm| {
@@ -81,8 +81,7 @@ fn killed_continuation_resumes_from_checkpoint_exactly() {
         let ws = parts.workspace(comm);
         let (t, r) = synthetic_pair(&ws, 0.4);
         let levels = schedule(grid, &betas);
-        let (out, reports) =
-            register_solve(&ws, &t, &r, cfg, &levels, &CheckpointStore::Disabled, |_| {});
+        let (out, reports) = register_solve(&ws, &t, &r, cfg, &levels, None, |_| {});
         assert_eq!(reports.len(), 2);
         out.final_mismatch
     });
@@ -95,7 +94,7 @@ fn killed_continuation_resumes_from_checkpoint_exactly() {
         let parts = SessionParts::with_decomp(comm, Decomp::with_process_grid(grid, 2, 2));
         let ws = parts.workspace(comm);
         let (t, r) = synthetic_pair(&ws, 0.4);
-        register_solve(&ws, &t, &r, cfg, &schedule(grid, &betas), &store_for_kill, |entry| {
+        register_solve(&ws, &t, &r, cfg, &schedule(grid, &betas), Some(&store_for_kill), |entry| {
             if matches!(entry, StreamEntry::Iter(it) if it.level == 0 && it.iter == 1) {
                 panic!("injected crash: killing rank {} mid-continuation", ws.comm.rank());
             }
@@ -120,7 +119,7 @@ fn killed_continuation_resumes_from_checkpoint_exactly() {
         let ws = parts.workspace(comm);
         let (t, r) = synthetic_pair(&ws, 0.4);
         let levels = schedule(grid, &betas);
-        let (out, _) = register_solve(&ws, &t, &r, cfg, &levels, &store_for_resume, |_| {});
+        let (out, _) = register_solve(&ws, &t, &r, cfg, &levels, Some(&store_for_resume), |_| {});
         out.final_mismatch
     });
     for (rank, (&got, &want)) in resumed.iter().zip(&reference).enumerate() {
@@ -158,8 +157,8 @@ fn checkpointed_driver_matches_plain_continuation_bitwise() {
     let dir = std::env::temp_dir()
         .join(format!("diffreg-resilience-{}", std::process::id()));
     let store = CheckpointStore::file(&dir);
-    let cfg = RegistrationConfig { checkpoint_every: 1, ..small_cfg() };
-    let (ckpt, _) = register_solve(&ws, &t, &r, cfg, &schedule(grid, &betas), &store, |_| {});
+    let levels = schedule(grid, &betas);
+    let (ckpt, _) = register_solve(&ws, &t, &r, small_cfg(), &levels, Some(&store), |_| {});
 
     assert_eq!(
         ckpt.final_mismatch.to_bits(),
@@ -186,11 +185,10 @@ fn one_torn_rank_restarts_every_rank_fresh() {
     let grid = Grid::cubic(12);
     let betas = [1e-2, 1e-3];
     let cfg = RegistrationConfig {
-        checkpoint_every: 1,
         newton: NewtonOptions { max_iter: 3, ..Default::default() },
         ..Default::default()
     };
-    let solve = move |store: CheckpointStore, kill: bool| {
+    let solve = move |store: Option<CheckpointStore>, kill: bool| {
         run_threaded_checked(2, move |comm| {
             comm.set_timeout(Some(Duration::from_secs(20)));
             let parts = SessionParts::new(comm, grid);
@@ -198,7 +196,8 @@ fn one_torn_rank_restarts_every_rank_fresh() {
             let (t, r) = synthetic_pair(&ws, 0.4);
             let mut events = Vec::new();
             let levels = schedule(grid, &betas);
-            let (out, _) = register_solve(&ws, &t, &r, cfg, &levels, &store, |entry| match entry {
+            let store = store.as_ref();
+            let (out, _) = register_solve(&ws, &t, &r, cfg, &levels, store, |entry| match entry {
                 StreamEntry::Iter(it) if kill && (it.level, it.iter) == (0, 2) => {
                     panic!("injected crash")
                 }
@@ -215,14 +214,14 @@ fn one_torn_rank_restarts_every_rank_fresh() {
         })
     };
     let reference: Vec<_> =
-        solve(CheckpointStore::Disabled, false).into_iter().map(Result::unwrap).collect();
+        solve(None, false).into_iter().map(Result::unwrap).collect();
 
     let store = CheckpointStore::memory();
-    let killed = solve(store.clone(), true);
+    let killed = solve(Some(store.clone()), true);
     assert!(killed.iter().all(|r| r.as_ref().is_err_and(|f| f.payload.contains("injected crash"))));
     assert!(store.inject_corruption(1), "rank 1 has a current generation to tear");
 
-    let resumed = solve(store.clone(), false);
+    let resumed = solve(Some(store.clone()), false);
     for (rank, (got, want)) in resumed.into_iter().zip(&reference).enumerate() {
         let (velocity, mismatch, events) = got.expect("the restarted solve finishes");
         assert!(events.iter().any(|k| k == "checkpoint-drop"), "rank {rank}: {events:?}");

@@ -9,8 +9,8 @@
 
 use diffreg_comm::{run_threaded, Comm, ThreadComm, Timers};
 use diffreg_core::{
-    det_deformation_gradient, det_stats, displacement, register, register_solve, CheckpointStore,
-    synthetic_pair, Level, RegProblem, RegistrationConfig, RegistrationOutcome,
+    det_deformation_gradient, det_stats, displacement, register, register_solve, synthetic_pair,
+    Level, RegProblem, RegistrationConfig, RegistrationOutcome,
 };
 use diffreg_grid::{Decomp, Grid, ScalarField, VectorField};
 use diffreg_optim::{gauss_newton_observed, GaussNewtonProblem, NewtonOptions, NewtonStatus};
@@ -187,10 +187,9 @@ fn register_solve_post_processing_matches_public_pieces() {
             let cfg = RegistrationConfig { newton, ..Default::default() };
             let (want, status) = public_pieces(&ws, &t, &r, cfg, betas);
             assert_eq!(status, expect, "{dims:?}");
-            let store = CheckpointStore::Disabled;
             let grid = ws.grid();
             let levels: Vec<Level> = betas.iter().map(|&beta| Level { beta, grid }).collect();
-            let (got, _) = register_solve(&ws, &t, &r, cfg, &levels, &store, |_| {});
+            let (got, _) = register_solve(&ws, &t, &r, cfg, &levels, None, |_| {});
             let what = format!("{dims:?} on {p1}x{p2}");
             assert_eq!(bits(&got.velocity), bits(&want.velocity), "{what}: velocity");
             assert_eq!(format!("{:?}", got.report), format!("{:?}", want.report), "{what}");

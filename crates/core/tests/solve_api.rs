@@ -14,6 +14,8 @@
 //! gradient streamed its adjoint the same way, `t_nt` first into `βAv`
 //! (rounding only both times: every `pcg_iters` stayed).
 
+use std::num::NonZeroUsize;
+
 use diffreg_comm::{run_threaded, SerialComm};
 use diffreg_core::{
     continuation_grids, register, register_solve, register_with_continuation, synthetic_pair,
@@ -53,7 +55,6 @@ fn grid_schedule(fine: Grid) -> Vec<Level> {
 
 fn cfg() -> RegistrationConfig {
     RegistrationConfig {
-        checkpoint_every: 1,
         newton: NewtonOptions { max_iter: 3, ..Default::default() },
         ..Default::default()
     }
@@ -88,7 +89,7 @@ fn single_beta_schedule_is_register() {
             r,
             RegistrationConfig { beta: 1.0, ..cfg },
             &schedule(ws.grid(), &[1e-3]),
-            &CheckpointStore::Disabled,
+            None,
             |_| {},
         );
         assert_same_solve(&(front, vec![report]), &general, "single β");
@@ -100,8 +101,9 @@ fn enabled_store_does_not_perturb_the_solve() {
     on_problem(|ws, t, r| {
         let plain = register_with_continuation(ws, t, r, cfg(), &BETAS);
         let store = CheckpointStore::memory();
-        let stored = register_solve(ws, t, r, cfg(), &schedule(ws.grid(), &BETAS), &store, |_| {});
-        assert_same_solve(&plain, &stored, "Memory vs Disabled");
+        let levels = schedule(ws.grid(), &BETAS);
+        let stored = register_solve(ws, t, r, cfg(), &levels, Some(&store), |_| {});
+        assert_same_solve(&plain, &stored, "Memory vs no store");
         assert!(store.load(0).is_none(), "a finished solve clears its checkpoint");
     });
 }
@@ -113,11 +115,11 @@ fn enabled_store_does_not_perturb_the_solve() {
 fn grid_schedule_store_and_observer_compose() {
     on_problem(|ws, t, r| {
         let levels = grid_schedule(ws.grid());
-        let plain = register_solve(ws, t, r, cfg(), &levels, &CheckpointStore::Disabled, |_| {});
+        let plain = register_solve(ws, t, r, cfg(), &levels, None, |_| {});
         let store = CheckpointStore::memory();
         let mut log = ConvergenceLog::new("grids");
-        let stored = register_solve(ws, t, r, cfg(), &levels, &store, |e| log.push(e));
-        assert_same_solve(&plain, &stored, "grid schedule, Memory vs Disabled");
+        let stored = register_solve(ws, t, r, cfg(), &levels, Some(&store), |e| log.push(e));
+        assert_same_solve(&plain, &stored, "grid schedule, Memory vs no store");
         assert_eq!(stored.1.len(), 2);
         let steps: usize = stored.1.iter().map(|r| r.outer_iterations()).sum();
         assert_eq!(log.iterations().count(), steps);
@@ -133,31 +135,31 @@ fn stream_matches_pre_merge_golden_fresh_run() {
     on_problem(|ws, t, r| {
         let mut log = ConvergenceLog::new("golden");
         let store = CheckpointStore::memory();
-        register_solve(ws, t, r, cfg(), &schedule(ws.grid(), &BETAS), &store, |e| log.push(e));
+        let levels = schedule(ws.grid(), &BETAS);
+        register_solve(ws, t, r, cfg(), &levels, Some(&store), |e| log.push(e));
         assert_eq!(log.to_jsonl(), include_str!("golden/convergence_fresh.jsonl"));
     });
 }
 
 /// Kills the solve of `levels` on the accepted step `kill_at` (level,
-/// iteration), after that step's checkpoint, if due, was written, and
-/// resumes it from the `Memory` store with `log` observing.
+/// iteration), after that step's checkpoint, if due at `store`'s cadence,
+/// was written, and resumes it from `store` with `log` observing.
 fn killed_and_resumed(
     (ws, t, r): (&Workspace<SerialComm>, &ScalarField, &ScalarField),
-    cfg: RegistrationConfig,
+    store: &CheckpointStore,
     levels: &[Level],
     kill_at: (usize, usize),
     log: &mut ConvergenceLog,
 ) -> (RegistrationOutcome, Vec<NewtonReport>) {
-    let store = CheckpointStore::memory();
     let killed = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        register_solve(ws, t, r, cfg, levels, &store, |e| {
+        register_solve(ws, t, r, cfg(), levels, Some(store), |e| {
             if matches!(e, StreamEntry::Iter(it) if (it.level, it.iter) == kill_at) {
                 panic!("injected crash");
             }
         })
     }));
     assert!(killed.is_err());
-    register_solve(ws, t, r, cfg, levels, &store, |e| log.push(e))
+    register_solve(ws, t, r, cfg(), levels, Some(store), |e| log.push(e))
 }
 
 #[test]
@@ -167,7 +169,8 @@ fn stream_matches_pre_merge_golden_resumed_run() {
         // of level 0, after that step's checkpoint was written.
         let mut log = ConvergenceLog::new("golden");
         let betas = schedule(ws.grid(), &BETAS);
-        let resumed = killed_and_resumed((ws, t, r), cfg(), &betas, (0, 2), &mut log);
+        let store = CheckpointStore::memory();
+        let resumed = killed_and_resumed((ws, t, r), &store, &betas, (0, 2), &mut log);
         assert_eq!(log.to_jsonl(), include_str!("golden/convergence_resumed.jsonl"));
         let whole = register_with_continuation(ws, t, r, cfg(), &BETAS);
         assert_eq!(bits(&resumed.0.velocity), bits(&whole.0.velocity), "resume is bitwise");
@@ -175,11 +178,13 @@ fn stream_matches_pre_merge_golden_resumed_run() {
         // the fine level with only the level-boundary checkpoint (the
         // prolonged velocity) behind it.
         let levels = grid_schedule(ws.grid());
-        let whole = register_solve(ws, t, r, cfg(), &levels, &CheckpointStore::Disabled, |_| {});
-        let boundary_only = RegistrationConfig { checkpoint_every: 100, ..cfg() };
-        for (cfg, kill_at, from) in [(cfg(), (0, 2), (0, 2)), (boundary_only, (1, 1), (1, 0))] {
+        let whole = register_solve(ws, t, r, cfg(), &levels, None, |_| {});
+        let boundary_only = CheckpointStore::memory().every(NonZeroUsize::new(100).unwrap());
+        let every_step = CheckpointStore::memory();
+        let cases = [(every_step, (0, 2), (0, 2)), (boundary_only, (1, 1), (1, 0))];
+        for (store, kill_at, from) in cases {
             let mut log = ConvergenceLog::new("grids");
-            let resumed = killed_and_resumed((ws, t, r), cfg, &levels, kill_at, &mut log);
+            let resumed = killed_and_resumed((ws, t, r), &store, &levels, kill_at, &mut log);
             let resume = log.events().find(|e| e.kind == "resume").map(|e| (e.level, e.iter));
             assert_eq!(resume, Some(from), "killed at {kill_at:?}: resumed from");
             let what = format!("grid schedule killed at {kill_at:?}");
@@ -201,7 +206,8 @@ fn failed_checkpoint_saves_are_counted_and_logged() {
         let store = CheckpointStore::file(&blocker);
         let mut log = ConvergenceLog::new("save-failed");
         let levels = schedule(ws.grid(), &BETAS);
-        let (out, reports) = register_solve(ws, t, r, cfg(), &levels, &store, |e| log.push(e));
+        let (out, reports) =
+            register_solve(ws, t, r, cfg(), &levels, Some(&store), |e| log.push(e));
 
         assert!(out.relative_mismatch() < 0.5, "the solve must complete");
         let steps: usize = reports.iter().map(|r| r.outer_iterations()).sum();
@@ -209,10 +215,41 @@ fn failed_checkpoint_saves_are_counted_and_logged() {
         for e in &checkpoints {
             assert!(e.detail.starts_with("save-failed: "), "claimed success: {e:?}");
         }
-        // checkpoint_every = 1: per-step saves plus the level-boundary save.
+        // The store's cadence is 1: per-step saves plus the level-boundary save.
         assert_eq!(checkpoints.len(), steps + BETAS.len() - 1);
     });
     let _ = std::fs::remove_file(&blocker);
+}
+
+/// The cadence is the store's: with `every(2)`, each level of three
+/// accepted steps logs `saved` at step 2 only, and the level boundary is
+/// saved whatever the cadence. Killed after level 1's third step (not due),
+/// the store's current generation is level 1's step 2 and, past a tear,
+/// the previous one is the boundary checkpoint (level 1, iteration 0).
+#[test]
+fn the_cadence_is_the_stores() {
+    on_problem(|ws, t, r| {
+        let store = CheckpointStore::memory().every(NonZeroUsize::new(2).unwrap());
+        let levels = schedule(ws.grid(), &BETAS);
+        let mut saved = Vec::new();
+        let killed = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            register_solve(ws, t, r, cfg(), &levels, Some(&store), |e| match e {
+                StreamEntry::Event(e) if e.kind == "checkpoint" => {
+                    saved.push((e.level, e.iter, e.detail))
+                }
+                StreamEntry::Iter(it) if (it.level, it.iter) == (1, 3) => panic!("injected crash"),
+                _ => {}
+            })
+        }));
+        assert!(killed.is_err());
+        let saved_at = |level| (level, 2, "saved".to_string());
+        assert_eq!(saved, [saved_at(0), saved_at(1)]);
+        let current = store.load_for_resume(0).checkpoint.expect("a current generation");
+        assert_eq!((current.level, current.completed_iters), (1, 2));
+        assert!(store.inject_corruption(0));
+        let fallback = store.load_for_resume(0).checkpoint.expect("a previous generation");
+        assert_eq!((fallback.level, fallback.completed_iters), (1, 0), "the boundary save");
+    });
 }
 
 /// `cfg.kernel` is honoured by `RegProblem::new` itself, not only by the
@@ -260,9 +297,8 @@ fn non_cubic_solve_is_diffeomorphic_and_agrees_across_rank_counts() {
             let ws = parts.workspace(comm);
             let (t, r) = synthetic_pair(&ws, 0.4);
             let cfg = RegistrationConfig::default();
-            let store = CheckpointStore::Disabled;
             let levels = schedule(grid, betas);
-            let (out, reports) = register_solve(&ws, &t, &r, cfg, &levels, &store, |_| {});
+            let (out, reports) = register_solve(&ws, &t, &r, cfg, &levels, None, |_| {});
             let status: Vec<NewtonStatus> = reports.iter().map(|r| r.status).collect();
             assert_eq!(status, expect, "p={p} betas={betas:?}");
             assert!(out.det_grad.diffeomorphic, "p={p} betas={betas:?}: {:?}", out.det_grad);
@@ -302,7 +338,7 @@ fn images_are_smoothed_once_per_grid() {
         set_trace_enabled(true);
         let smooths = |levels: &[Level]| {
             let _ = take_recorder();
-            register_solve(ws, t, r, cfg(), levels, &CheckpointStore::Disabled, |_| {});
+            register_solve(ws, t, r, cfg(), levels, None, |_| {});
             let snap = take_recorder();
             assert_eq!((snap.sampled_out, snap.overwritten), (0, 0), "keep-all keeps every span");
             snap.events.iter().filter(|e| e.kind == RecKind::Span && e.name == "reg.smooth").count()

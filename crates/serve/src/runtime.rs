@@ -34,17 +34,21 @@
 //!
 //! ## Checkpoint recovery
 //!
-//! Jobs with `checkpoint_every > 0` write per-gang-rank checkpoints through
-//! `diffreg-core`'s two-generation [`CheckpointStore`]. Where a retry
-//! resumes from is `register_solve`'s decision, made once for the gang: it
-//! resumes only from checkpoints that fit every member's block and name one
-//! `(level, iteration)`, and otherwise (torn generations that fell back to
-//! different points, a stale slot from a larger gang) restarts fresh. A
-//! resume is *bitwise* identical to an uninterrupted solve, which the load
-//! test verifies digest-for-digest.
+//! A job with `checkpoint_every > 0` has one `diffreg-core`
+//! [`CheckpointStore`] at that cadence, shared by every attempt's gang
+//! (files under `checkpoint_dir/job{id}`, or memory); a job without has
+//! none and does no checkpoint I/O. Where a retry resumes from is
+//! `register_solve`'s decision, made once for the gang: it resumes only
+//! from checkpoints that fit every member's block and name one `(level,
+//! iteration)`, and otherwise (torn generations that fell back to different
+//! points, a stale slot from a larger gang) restarts fresh. A resume is
+//! *bitwise* identical to an uninterrupted solve, which the load test
+//! verifies digest-for-digest. The store ends with the job: the terminal
+//! transition clears every slot a gang of the job could have written.
 
 use std::cell::Cell;
 use std::collections::{BTreeMap, HashMap};
+use std::num::NonZeroUsize;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
@@ -319,19 +323,21 @@ impl ServeHarness {
         lock(&self.metrics).counter(name).unwrap_or(0)
     }
 
-    /// The checkpoint store backing `job` (shared across pool ranks;
-    /// created on first use). `Disabled` for jobs that never checkpoint.
-    pub fn store_for(&self, spec: &JobSpec) -> CheckpointStore {
-        if spec.checkpoint_every == 0 {
-            return CheckpointStore::Disabled;
-        }
-        let mut map = lock(&self.stores);
-        map.entry(spec.id)
-            .or_insert_with(|| match &self.cfg.checkpoint_dir {
-                Some(dir) => CheckpointStore::file(dir.join(format!("job{}", spec.id))),
-                None => CheckpointStore::memory(),
-            })
-            .clone()
+    /// The checkpoint store of `spec`'s job at its cadence (shared across
+    /// pool ranks; created on first use), or `None` for a job that never
+    /// checkpoints.
+    fn store_for(&self, spec: &JobSpec) -> Option<CheckpointStore> {
+        let every = NonZeroUsize::new(spec.checkpoint_every)?;
+        let mut stores = lock(&self.stores);
+        let store = stores.entry(spec.id).or_insert_with(|| {
+            self.job_dir(spec.id).map_or_else(CheckpointStore::memory, CheckpointStore::file)
+        });
+        Some(store.clone().every(every))
+    }
+
+    /// Where `job`'s checkpoints go on disk, if the deployment keeps them there.
+    fn job_dir(&self, job: JobId) -> Option<PathBuf> {
+        Some(self.cfg.checkpoint_dir.as_ref()?.join(format!("job{job}")))
     }
 
     /// Whether attempts of `job` stage their capture (the ring window of the
@@ -533,15 +539,16 @@ impl ServeHarness {
         run_gang(sub, |gang| {
             let chaos = ChaosComm::new(gang, chaos_config(&faults, &spec));
             let lead = chaos.rank() == 0;
+            let store = store.as_ref();
             // Torn-write drill: each member tears its own current generation.
-            if faults.corrupt_checkpoint {
+            if let Some(store) = store.filter(|_| faults.corrupt_checkpoint) {
                 store.inject_corruption(chaos.rank());
             }
             if lead {
                 log_event("serve-attempt", &format!("gang {gang_size}"));
             }
             // Each member counts its own failed checkpoint writes.
-            let (digest, mismatch_bits) = solve_once(&chaos, &spec, &store, |entry| match entry {
+            let (digest, mismatch_bits) = solve_once(&chaos, &spec, store, |entry| match entry {
                 StreamEntry::Event(e)
                     if e.kind == "checkpoint" && e.detail.starts_with("save-failed:") =>
                 {
@@ -816,14 +823,29 @@ impl<'h> Replica<'h> {
         }
     }
 
-    /// The one terminal transition: sets the state and finish round, feeds
-    /// the SLO engine (a cancellation is neither a success nor a failure),
-    /// counts `serve_jobs_<state>_total` and files the incident, if any.
+    /// The one terminal transition: sets the state and finish round, ends
+    /// the job's checkpoint store, feeds the SLO engine (a cancellation is
+    /// neither a success nor a failure), counts `serve_jobs_<state>_total`
+    /// and files the incident, if any.
     fn finish(&mut self, id: JobId, state: JobState, incident: Option<Incident<'_>>) {
         let round = self.round;
         let Some(rec) = self.table.get_mut(&id) else { return };
         rec.state = state;
         rec.finish_round = Some(round);
+        // Rank 0 clears the slots of every gang rank the job could have run
+        // on, then its directory if that leaves it empty. The fold precedes
+        // the next intake broadcast, so no gang of the job is running.
+        let store = (self.me == 0).then(|| lock(&self.h.stores).remove(&id)).flatten();
+        if let Some(store) = store {
+            (0..rec.spec.gang.clamp(1, self.pool)).for_each(|rank| store.clear(rank));
+            if let Some(dir) = self.h.job_dir(id) {
+                #[expect(
+                    clippy::let_underscore_must_use,
+                    reason = "best effort: a directory that is not empty stays"
+                )]
+                let _ = std::fs::remove_dir(dir);
+            }
+        }
         if let Some(slo) = self.slo.as_mut().filter(|_| state != JobState::Cancelled) {
             let since = |r: u64| r.saturating_sub(rec.submit_round);
             let (queue_wait, e2e) = (since(rec.first_start_round.unwrap_or(round)), since(round));
@@ -1013,7 +1035,7 @@ fn chaos_config(faults: &AttemptFaults, spec: &JobSpec) -> ChaosConfig {
 fn solve_once<C: Comm>(
     comm: &C,
     spec: &JobSpec,
-    store: &CheckpointStore,
+    store: Option<&CheckpointStore>,
     observer: impl FnMut(StreamEntry),
 ) -> (u64, u64) {
     let grid = Grid::cubic(spec.grid_n);
@@ -1022,7 +1044,6 @@ fn solve_once<C: Comm>(
     let (rho_t, rho_r) = synthetic_pair(&ws, spec.amplitude);
     let cfg = RegistrationConfig {
         nt: spec.nt,
-        checkpoint_every: spec.checkpoint_every,
         newton: NewtonOptions { max_iter: spec.newton_iters, ..Default::default() },
         ..Default::default()
     };
@@ -1053,12 +1074,9 @@ pub fn attempt_epoch_count(spec: &JobSpec, gang_size: usize) -> u64 {
     let spec = spec.clone();
     let counts = run_threaded(gang_size, move |comm| {
         let chaos = ChaosComm::new(comm, ChaosConfig::seeded(0));
-        let store = if spec.checkpoint_every > 0 {
-            CheckpointStore::memory()
-        } else {
-            CheckpointStore::Disabled
-        };
-        let _ = solve_once(&chaos, &spec, &store, |_| {});
+        let every = NonZeroUsize::new(spec.checkpoint_every);
+        let store = every.map(|n| CheckpointStore::memory().every(n));
+        let _ = solve_once(&chaos, &spec, store.as_ref(), |_| {});
         chaos.epochs_executed()
     });
     counts[0]
@@ -1070,7 +1088,7 @@ pub fn attempt_epoch_count(spec: &JobSpec, gang_size: usize) -> u64 {
 pub fn reference_digest(spec: &JobSpec, gang_size: usize) -> (u64, u64) {
     let spec = spec.clone();
     let per_rank = run_threaded(gang_size, move |comm| {
-        solve_once(comm, &spec, &CheckpointStore::Disabled, |_| {})
+        solve_once(comm, &spec, None, |_| {})
     });
     per_rank[0]
 }

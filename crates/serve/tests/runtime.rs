@@ -3,6 +3,7 @@
 //! and bitwise checkpoint recovery — each exercised on a real 4-rank pool
 //! with real (small) registration solves.
 
+use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -372,6 +373,51 @@ fn a_stale_checkpoint_from_a_larger_gang_is_dropped() {
     let log = harness.job_log(1).expect("job log");
     assert!(log.events().any(|e| e.kind == "serve-checkpoint-drop"), "the stale slab is dropped");
     assert!(!log.events().any(|e| e.kind == "serve-resume"));
+}
+
+/// Every path under `dir`, directories included (none when `dir` is gone).
+fn paths_under(dir: &Path) -> Vec<PathBuf> {
+    let Ok(entries) = std::fs::read_dir(dir) else { return Vec::new() };
+    let mut paths = Vec::new();
+    for path in entries.map(|e| e.unwrap().path()) {
+        paths.extend(paths_under(&path));
+        paths.push(path);
+    }
+    paths
+}
+
+#[test]
+fn a_jobs_checkpoint_slots_end_with_the_job() {
+    // Two jobs on a file-backed deployment that would leave slots behind if
+    // their stores outlived them. Job 1 halves its gang after two fresh
+    // deaths and completes on one rank, so the slots gang rank 1 wrote are
+    // not the driver's to clear. Job 2 has no retry budget and is killed
+    // after its checkpoints exist, so the driver never clears anything.
+    let dir = Path::new(env!("CARGO_TARGET_TMPDIR")).join("slots-end-with-the-job");
+    let _ = std::fs::remove_dir_all(&dir);
+    let spec = JobSpec::new(1, 8)
+        .with_gang(2)
+        .with_newton_iters(1)
+        .with_betas(&[1e-2, 1e-3])
+        .with_checkpoint_every(1);
+    let doomed = JobSpec { id: 2, ..spec.clone() }.with_max_retries(0);
+    let late = attempt_epoch_count(&spec, 2) * 7 / 10;
+    let kill =
+        |rank, epoch| AttemptFaults { kill_at_epoch: Some((rank, epoch)), ..AttemptFaults::none() };
+    let faults = PlannedFaults::new().with(1, 1, kill(0, 2)).with(1, 2, kill(0, late));
+    let faults = faults.with(2, 1, kill(0, late));
+    let cfg = ServeConfig { checkpoint_dir: Some(dir.clone()), ..ServeConfig::default() };
+    let harness = ServeHarness::new(cfg, Arc::new(faults));
+    harness.submit(spec);
+    harness.submit(doomed);
+    harness.close_intake();
+    let summaries = serve(&harness, 2);
+    let records = &summaries[0].records;
+    assert_eq!((records[&1].state, records[&1].gang_size), (JobState::Completed, 1));
+    assert_eq!(records[&2].state, JobState::Failed);
+    let left = paths_under(&dir);
+    assert!(left.is_empty(), "slots or job directories outlived their jobs: {left:?}");
+    let _ = std::fs::remove_dir(&dir);
 }
 
 #[test]

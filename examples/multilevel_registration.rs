@@ -4,9 +4,7 @@
 //! Run with: `cargo run --release --example multilevel_registration`
 
 use diffreg::comm::SerialComm;
-use diffreg::core::{
-    continuation_grids, register, register_solve, CheckpointStore, Level, RegistrationConfig,
-};
+use diffreg::core::{continuation_grids, register, register_solve, Level, RegistrationConfig};
 use diffreg::grid::Grid;
 use diffreg::optim::NewtonOptions;
 use diffreg::session::SessionParts;
@@ -46,9 +44,7 @@ fn main() {
     let beta = cfg.beta;
     let schedule: Vec<Level> =
         continuation_grids(grid, 1).into_iter().map(|grid| Level { beta, grid }).collect();
-    let store = CheckpointStore::Disabled;
-    let (multi, reports) =
-        register_solve(&ws, &template, &reference, cfg, &schedule, &store, |_| {});
+    let (multi, reports) = register_solve(&ws, &template, &reference, cfg, &schedule, None, |_| {});
     let t_multi = t0.elapsed().as_secs_f64();
     for (i, rep) in reports.iter().enumerate() {
         println!(

@@ -29,8 +29,9 @@
 #      and kernel records, or a layout enum), full Newton (its Hessian kind,
 #      CLI flag or history transports), a second adjoint-integral path,
 #      matvec counter or Newton wrapper, a second continuation loop or
-#      warm-start argument, serve's resume prologue or new env::var read
-#      may reappear;
+#      warm-start argument, serve's resume prologue, second checkpoint
+#      switch (a disabled store variant or a solver-config cadence) or
+#      second generation protocol, or new env::var read may reappear;
 #      workspace line count
 #   6. clippy clean under -D warnings: it enforces step 5's lint levels and
 #      rejects a stale #[expect], so a missing clippy fails the build
@@ -232,6 +233,15 @@ fi
 # serve keeps no resume prologue of its own.
 if grep -rnE 'agree_on_[r]esume' $everywhere; then
     echo "ERROR: serve's resume prologue (a second resume decision) reappeared" >&2
+    exit 1
+fi
+# One checkpoint switch, one protocol: a solve checkpoints when it is handed
+# a store, at the store's cadence, and the store's two generations are one
+# protocol over named slots, so no disabled store, no solver-config cadence
+# (serve's JobSpec keeps its field) and no per-backend generation code.
+if grep -rnE 'CheckpointStore::D[i]sabled|load_[p]revious|Gene[r]ations' $everywhere \
+        || grep -rn 'checkpoint_[e]very' crates/core src; then
+    echo "ERROR: a second checkpoint switch or generation protocol reappeared" >&2
     exit 1
 fi
 # The workspace line count is tracked like a benchmark (ROADMAP aim 2).

@@ -11,8 +11,7 @@
 
 use diffreg::comm::{run_threaded, Comm, SerialComm};
 use diffreg::core::{
-    continuation_grids, register, register_solve, CheckpointStore, Level, RegistrationConfig,
-    RegistrationOutcome,
+    continuation_grids, register, register_solve, Level, RegistrationConfig, RegistrationOutcome,
 };
 use diffreg::grid::Grid;
 use diffreg::perfmodel::{model_solve, Machine, SolveShape};
@@ -130,9 +129,7 @@ fn main() {
                 .into_iter()
                 .map(|grid| Level { beta: cfg.beta, grid })
                 .collect();
-            let store = CheckpointStore::Disabled;
-            let (out, reports) =
-                register_solve(&ws, &rho_t, &rho_r, cfg, &schedule, &store, |_| {});
+            let (out, reports) = register_solve(&ws, &rho_t, &rho_r, cfg, &schedule, None, |_| {});
             for (i, rep) in reports.iter().enumerate() {
                 println!(
                     "  level {i} ({:?}): {} iterations, {} matvecs",
